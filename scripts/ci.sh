@@ -14,8 +14,12 @@
 #   over loopback TCP — the wire protocol's two backends must return
 #   byte-identical results, seat kills and pod kills included;
 # - the hot-path perf smoke: weight-cached reconstruction must stay
-#   measurably faster than naive Lagrange (ratio gate, no absolute
-#   numbers, so it cannot flake on slow machines);
+#   measurably faster than naive Lagrange, and column reconstruction
+#   (reconstruct_batch) >= 3x the per-element cached path (ratio
+#   gates, no absolute numbers, so they cannot flake on slow machines);
+# - the benchmark-of-record self-tests (benchmarks/e2e, ~10 s): its
+#   tracer resolves the read path's methods by name, so a rename must
+#   fail here, not in the benchmark pipeline;
 # - the transport bench records BENCH_transport.json and gates the
 #   in-process backend against the recorded PR 3 read-path baseline
 #   (ratio gate);
@@ -104,6 +108,9 @@ gate "socket transport equivalence (loopback TCP)" \
     tests/test_socket_equivalence.py
 gate "hot-path perf smoke" "failed|skipped|deselected|no tests ran|error" \
     benchmarks/bench_hotpath_reconstruct.py
+gate "benchmark of record self-tests (tracer targets resolve)" \
+    "failed|skipped|deselected|no tests ran|error" \
+    benchmarks/e2e
 gate "transport bench (BENCH_transport.json)" \
     "failed|skipped|deselected|no tests ran|error" \
     benchmarks/bench_transport.py

@@ -2,10 +2,13 @@
 
 Where the coordinator's share cache and the L2 tier store *shares*
 (a hit still pays Lagrange reconstruction), the L1 sits past the
-reconstruction stage: it holds the decrypted-but-unfiltered posting
-elements of one list for one ``(user, group fingerprint, width)``
-context, so a hot repeat query costs no messages, no bytes, and no
-field arithmetic at all.
+reconstruction stage: it holds the decrypted-but-unfiltered postings
+of one list for one ``(user, group fingerprint, width)`` context, in
+the term-grouped form the bulk decode produces — ``({term_id:
+[(doc_id, tf), ...]}, elements decoded)`` — so a hot repeat query costs
+no messages, no bytes, no field arithmetic, and a dict lookup per
+queried term instead of a scan of the merged list. Entries are shared
+with the reader, not copied: the searcher only ever reads them.
 
 Because the values are plaintext postings, the L1 is strictly
 *searcher-local* — it lives inside the querying user's own client,
@@ -45,7 +48,7 @@ L1Key = tuple
 
 
 class L1PostingCache:
-    """A small LRU of reconstructed, unfiltered posting-element tuples."""
+    """A small LRU of reconstructed, unfiltered, term-grouped postings."""
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
@@ -73,7 +76,7 @@ class L1PostingCache:
             self.hits += 1
             return entry
 
-    def put(self, key: L1Key, pl_id: int, elements: tuple) -> None:
+    def put(self, key: L1Key, pl_id: int, postings: tuple) -> None:
         if self.capacity == 0:
             return
         with self._lock:
@@ -83,7 +86,7 @@ class L1PostingCache:
                 victim, _ = self._entries.popitem(last=False)
                 self._unindex(victim)
                 self.evictions += 1
-            self._entries[key] = elements
+            self._entries[key] = postings
             self._keys_of_pl.setdefault(pl_id, set()).add(key)
 
     def invalidate(self, pl_id: int) -> int:

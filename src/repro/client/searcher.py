@@ -18,15 +18,20 @@ Query processing, exactly as Algorithm 2 stages it:
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
+from itertools import combinations, islice
 from typing import Sequence
 
 from repro.client.snippets import SnippetService
 from repro.core.dictionary import TermDictionary
 from repro.core.mapping_table import MappingTable
-from repro.core.posting import PostingElement, PostingElementCodec
-from repro.errors import PackingError, ReproError, UnknownEndpointError
+from repro.core.posting import (
+    PostingElement,
+    PostingElementCodec,
+    TermPostings,
+)
+from repro.errors import ReproError, UnknownEndpointError
 from repro.observability.tracing import span, trace_scope
 from repro.protocol.messages import FetchListsRequest, FetchSnippetRequest
 from repro.protocol.service import fleet_resolver
@@ -65,11 +70,21 @@ class SearchDiagnostics:
 
     Attributes:
         posting_lists_requested: distinct merged-list IDs sent to servers.
-        elements_received: share groups received with >= k shares.
+        elements_received: elements joined with >= k shares and
+            reconstructed *by this query*. A list answered by the
+            searcher-local L1 joins nothing, so a full L1 hit reads 0
+            here while ``false_positives`` / ``elements_matched`` are
+            what a fresh fetch would report.
         false_positives: decrypted elements discarded as merged-in noise.
         elements_matched: elements surviving the term filter.
         response_bytes: total lookup response bytes across servers
             (0 unless a network is attached).
+        inconsistent_elements: under ``verify_consistency``, elements
+            whose k-subsets of shares reconstructed to more than one
+            value (a lying or corrupted server answered).
+        recovered_elements: the inconsistent elements a strict
+            plurality of subsets still decided (needs >= k + 2 shares);
+            the rest were dropped.
     """
 
     posting_lists_requested: int = 0
@@ -95,7 +110,6 @@ class SearchClient:
         codec: PostingElementCodec | None = None,
         network: SimulatedNetwork | None = None,
         snippet_service: SnippetService | None = None,
-        reconstruct_method: str = "lagrange",
         verify_consistency: bool = False,
         transport: Transport | None = None,
     ) -> None:
@@ -112,8 +126,6 @@ class SearchClient:
         network: optional simulated network for byte accounting (used by
             the default transport when no ``transport`` is given).
         snippet_service: optional hosting-peer registry for step 6.
-        reconstruct_method: "lagrange" (default) or "gaussian" (the
-            paper's Algorithm 1b formulation).
         verify_consistency: when querying more than k servers, cross-check
             every element by reconstructing from two different k-subsets
             of its shares; elements whose reconstructions disagree (a
@@ -137,7 +149,6 @@ class SearchClient:
         self._codec = codec or PostingElementCodec()
         self._network = network
         self._snippets = snippet_service
-        self._method = reconstruct_method
         self._verify = verify_consistency
         self._share_bytes = (scheme.field.p.bit_length() + 7) // 8
         if transport is None:
@@ -177,87 +188,105 @@ class SearchClient:
 
     def _reconstruct_lists(
         self, pl_ids: Sequence[int], num_servers: int
-    ) -> dict[int, list[PostingElement]]:
+    ) -> dict[int, TermPostings]:
         """Steps 2-3 for the named lists: fetch, join, reconstruct, unpack.
 
-        Returns every decrypted element per list — *no* term filtering,
-        so the result depends only on (user's groups, num_servers,
-        list), never on which query asked. That property is what makes
-        the per-list output safely cacheable by the searcher-local L1
-        (see :class:`repro.cachetier.L1PostingCache`); the term filter
-        stays per-query in :meth:`fetch_elements`. A list with no
-        reconstructible elements maps to an empty entry — emptiness is
-        a cacheable fact too.
+        Works on columns, no object per element: each answering slot
+        contributes an ``(x, element_id[], share_y[])`` column per list;
+        joined, a whole column is reconstructed and bulk-decoded at once.
+
+        Returns every decrypted element per list, grouped by term —
+        *no* term filtering, so the result depends only on (user's
+        groups, num_servers, list), never on which query asked. That
+        property is what makes the per-list output safely cacheable by
+        the searcher-local L1 (see :class:`repro.cachetier
+        .L1PostingCache`); the term filter stays per-query in
+        :meth:`fetch_elements`. A list with no reconstructible elements
+        maps to an empty entry — emptiness is a cacheable fact too.
         """
-        k = self._scheme.k
-        # Join share streams on (pl_id, element_id). Because the fetch
-        # stage yields whole posting lists per server slot, the columns
-        # of this join are naturally grouped by (pl_id, slot-set): every
-        # element of a list fetched from the same k slots carries the
-        # same x-tuple, which is exactly what reconstruct_batch's shared
-        # Lagrange weight vectors amortize over.
-        shares_of: dict[tuple[int, int], list[Share]] = defaultdict(list)
+        scheme, k = self._scheme, self._scheme.k
+        columns_of: dict[int, list] = {pl_id: [] for pl_id in pl_ids}
         fetched = self._fetch_lists(pl_ids, num_servers)
         with span("reconstruct"):
             for server_index, responses in fetched:
-                x = self._scheme.x_of(server_index)
+                x = scheme.x_of(server_index)
                 for response in responses:
-                    for record in response.records:
-                        shares_of[
-                            (response.pl_id, record.element_id)
-                        ].append(Share(x=x, y=record.share_y))
-            # Elements short of k shares (a lagging or lying server)
-            # cannot reconstruct and are dropped before the batch.
-            eligible = {
-                key: shares
-                for key, shares in shares_of.items()
-                if len(shares) >= k
-            }
-            self.last_diagnostics.elements_received = len(eligible)
-            if self._method == "lagrange":
-                # The hot path: per-element cost is a k-term dot product
-                # with Lagrange weights cached per x-tuple. Byte-identical
-                # to per-element reconstruct (same chosen k-subsets).
-                secrets = self._scheme.reconstruct_batch(eligible)
-            else:
-                secrets = {
-                    key: self._scheme.reconstruct(
-                        shares, method=self._method
-                    )
-                    for key, shares in eligible.items()
-                }
-            by_list: dict[int, list[PostingElement]] = {
-                pl_id: [] for pl_id in pl_ids
-            }
-            for key, shares in eligible.items():
-                secret = secrets[key]
-                if self._verify and len(shares) > k:
-                    # Cross-check and, when shares disagree, recover by
-                    # plurality vote over k-subsets: with a single lying
-                    # server among m > k shares, the true secret appears
-                    # in C(m-1, k) subsets while each corrupted
-                    # reconstruction is a distinct field element
-                    # appearing once.
-                    verdict, distinct = self._majority_reconstruct(
-                        shares, k
-                    )
-                    if distinct > 1:
-                        self.last_diagnostics.inconsistent_elements += 1
-                        if verdict is None:
-                            continue  # detectable, not correctable: drop
-                        self.last_diagnostics.recovered_elements += 1
-                        secret = verdict
-                try:
-                    element = self._codec.unpack(secret)
-                except PackingError:
-                    # Inconsistent shares decode to garbage; drop them.
-                    continue
-                by_list[key[0]].append(element)
+                    ids = [record.element_id for record in response.records]
+                    ys = [record.share_y for record in response.records]
+                    columns_of[response.pl_id].append((x, ids, ys))
+            by_list: dict[int, TermPostings] = {}
+            received = 0
+            for pl_id, columns in columns_of.items():
+                secrets: list[int] = []
+                for xs, y_columns in self._join_columns(columns):
+                    # Every row shares the x-tuple, hence one weight
+                    # vector; the first k columns are the canonical subset.
+                    column = scheme.reconstruct_batch(xs[:k], y_columns[:k])
+                    received += len(column)
+                    if self._verify and len(xs) > k:
+                        column = self._cross_check(xs, y_columns, column)
+                    secrets += column
+                # Inconsistent shares decode to garbage; the bulk decode
+                # drops what unpack() would reject.
+                by_list[pl_id] = self._codec.unpack_by_term(secrets)
+            self.last_diagnostics.elements_received = received
         return by_list
+
+    def _join_columns(
+        self, columns: list[tuple[int, list[int], list[int]]]
+    ) -> list[tuple[tuple[int, ...], list[list[int]]]]:
+        """Join one list's slot columns on the element ID.
+
+        Returns ``(xs, y_columns)`` groups; row ``i`` of a group is one
+        element's shares in canonical order: first occurrence per
+        distinct x, arrival order. Elements short of k shares (a
+        lagging or lying server) are dropped here.
+        """
+        k = self._scheme.k
+        xs = tuple(x for x, _, _ in columns)
+        ids = columns[0][1] if columns else []
+        if (
+            len(set(xs)) == len(xs)
+            and all(other == ids for _, other, _ in columns[1:])
+            and len(set(ids)) == len(ids)
+        ):
+            # Healthy fetch: every slot answered the same elements in
+            # the same order, so the columns are already joined.
+            return [(xs, [ys for _, _, ys in columns])] if len(xs) >= k else []
+        shares_of: dict[int, dict[int, int]] = defaultdict(dict)
+        for x, column_ids, ys in columns:
+            for element_id, y in zip(column_ids, ys):
+                shares_of[element_id].setdefault(x, y)
+        groups: dict[tuple[int, ...], list[list[int]]] = {}
+        for by_x in shares_of.values():
+            if len(by_x) >= k:
+                y_columns = groups.setdefault(tuple(by_x), [[] for _ in by_x])
+                for column, y in zip(y_columns, by_x.values()):
+                    column.append(y)
+        return list(groups.items())
+
+    def _cross_check(self, xs, y_columns, secrets: list[int]) -> list[int]:
+        """``verify_consistency`` over a group with > k shares per
+        element: where the shares disagree, the plurality secret of the
+        k-subsets replaces the canonical one, or the element is dropped."""
+        diagnostics = self.last_diagnostics
+        kept = []
+        for secret, *ys in zip(secrets, *y_columns):
+            verdict, distinct = self._majority_reconstruct(
+                [Share(x=x, y=y) for x, y in zip(xs, ys)], self._scheme.k
+            )
+            if distinct > 1:
+                diagnostics.inconsistent_elements += 1
+                if verdict is None:
+                    continue  # detectable, not correctable: drop
+                diagnostics.recovered_elements += 1
+                secret = verdict
+            kept.append(secret)
+        return kept
 
     def _elements_by_list(
         self, pl_ids: Sequence[int], num_servers: int
-    ) -> dict[int, list[PostingElement]]:
+    ) -> dict[int, TermPostings]:
         """Override point for caching tiers that sit past reconstruction
         (the cluster client's L1); the base client always reconstructs."""
         return self._reconstruct_lists(pl_ids, num_servers)
@@ -274,11 +303,13 @@ class SearchClient:
         self.last_diagnostics = SearchDiagnostics()
         if not terms:
             return []
-        wanted_term_ids = {
-            self._dictionary.id_of(t)
-            for t in terms
-            if self._dictionary.id_of(t) is not None
-        }
+        wanted_term_ids = sorted(
+            {
+                self._dictionary.id_of(t)
+                for t in terms
+                if self._dictionary.id_of(t) is not None
+            }
+        )
         pl_ids = sorted({self._mapping.lookup(t) for t in terms})
         self.last_diagnostics.posting_lists_requested = len(pl_ids)
         k = self._scheme.k
@@ -289,13 +320,19 @@ class SearchClient:
             )
         by_list = self._elements_by_list(pl_ids, num_servers)
         elements: list[PostingElement] = []
+        decoded = 0
         for pl_id in pl_ids:
-            for element in by_list[pl_id]:
-                if element.term_id in wanted_term_ids:
-                    elements.append(element)
-                else:
-                    self.last_diagnostics.false_positives += 1
+            by_term, count = by_list[pl_id]
+            decoded += count
+            # The term filter is a lookup per queried term: merged-in
+            # terms' postings never become objects.
+            for term_id in wanted_term_ids:
+                elements += [
+                    PostingElement(doc_id, term_id, tf)
+                    for doc_id, tf in by_term.get(term_id, ())
+                ]
         self.last_diagnostics.elements_matched = len(elements)
+        self.last_diagnostics.false_positives = decoded - len(elements)
         return elements
 
     def _majority_reconstruct(self, shares, k: int) -> tuple[int | None, int]:
@@ -316,18 +353,12 @@ class SearchClient:
             distinct_values is how many different reconstructions were
             observed (1 means all subsets agree).
         """
-        from collections import Counter
-        from itertools import combinations, islice
-
-        # The lagrange back-end gets the weight-cached fast path — the
-        # 21 subsets draw from at most C(m, k) distinct x-tuples whose
-        # weights the scheme memoizes; results are byte-identical.
-        method = "cached" if self._method == "lagrange" else self._method
-        counts: Counter[int] = Counter()
-        for subset in islice(combinations(shares, k), 21):
-            counts[
-                self._scheme.reconstruct(list(subset), method=method)
-            ] += 1
+        # The 21 subsets draw from at most C(m, k) distinct x-tuples
+        # whose weights the scheme memoizes.
+        counts = Counter(
+            self._scheme.reconstruct_cached(subset)
+            for subset in islice(combinations(shares, k), 21)
+        )
         ranked = counts.most_common(2)
         if len(ranked) == 1:
             return ranked[0][0], 1

@@ -58,7 +58,7 @@ from repro.client.snippets import SnippetService
 from repro.cluster.coordinator import ClusterCoordinator, Pod, ServerSlot
 from repro.core.dictionary import TermDictionary
 from repro.core.mapping_table import MappingTable
-from repro.core.posting import PostingElement, PostingElementCodec
+from repro.core.posting import PostingElementCodec, TermPostings
 from repro.errors import (
     ClusterDegradedError,
     ProtocolError,
@@ -159,7 +159,6 @@ class ClusterSearchClient(SearchClient):
         codec: PostingElementCodec | None = None,
         network: SimulatedNetwork | None = None,
         snippet_service: SnippetService | None = None,
-        reconstruct_method: str = "lagrange",
         verify_consistency: bool = False,
         use_cache: bool = True,
         batch_lookups: bool = True,
@@ -181,7 +180,6 @@ class ClusterSearchClient(SearchClient):
         codec: posting-element unpacker.
         network: optional simulated network for byte accounting.
         snippet_service: optional hosting-peer registry.
-        reconstruct_method: "lagrange" (default) or "gaussian".
         verify_consistency: cross-check reconstructions when more than k
             shares arrive (see :class:`SearchClient`).
         use_cache: front lookups with the coordinator's share cache.
@@ -235,7 +233,6 @@ class ClusterSearchClient(SearchClient):
             codec=codec,
             network=network,
             snippet_service=snippet_service,
-            reconstruct_method=reconstruct_method,
             verify_consistency=verify_consistency,
             transport=transport or coordinator.transport,
         )
@@ -461,15 +458,16 @@ class ClusterSearchClient(SearchClient):
 
     def _elements_by_list(
         self, pl_ids: Sequence[int], num_servers: int
-    ) -> dict[int, list[PostingElement]]:
+    ) -> dict[int, TermPostings]:
         """Front reconstruction with the L1 when one is attached.
 
-        An L1 entry is the reconstructed-but-unfiltered element tuple of
-        one list for this exact (user, group fingerprint, width) — the
-        same inputs that determine a fresh fetch's bytes, so a hit is
-        byte-identical by construction. Shortfall lists are never
-        stored; verify_consistency bypasses the L1 exactly like every
-        other cache.
+        An L1 entry is the reconstructed-but-unfiltered, term-grouped
+        postings of one list for this exact (user, group fingerprint,
+        width) — the same inputs that determine a fresh fetch's bytes,
+        so a hit is byte-identical by construction, and the term filter
+        is a lookup per queried term instead of a scan. Shortfall lists
+        are never stored; verify_consistency bypasses the L1 exactly
+        like every other cache.
         """
         l1 = (
             self._l1
@@ -486,27 +484,26 @@ class ClusterSearchClient(SearchClient):
         # captured before any fetch, so an L1 fill racing the
         # coordinator's invalidation thread lands under a dead key
         # instead of resurrecting pre-write postings.
-        epochs = {
-            pl_id: coordinator.write_epoch(pl_id) for pl_id in pl_ids
+        keys = {
+            pl_id: (
+                self.user_id,
+                fingerprint,
+                num_servers,
+                pl_id,
+                coordinator.write_epoch(pl_id),
+            )
+            for pl_id in pl_ids
         }
-        out: dict[int, list[PostingElement]] = {}
+        out: dict[int, TermPostings] = {}
         missing: list[int] = []
         l1_hits = 0
         with span("l1-lookup"):
             for pl_id in pl_ids:
-                entry = l1.get(
-                    (
-                        self.user_id,
-                        fingerprint,
-                        num_servers,
-                        pl_id,
-                        epochs[pl_id],
-                    )
-                )
+                entry = l1.get(keys[pl_id])
                 if entry is None:
                     missing.append(pl_id)
                 else:
-                    out[pl_id] = list(entry)
+                    out[pl_id] = entry
                     l1_hits += 1
                     coordinator.note_cache_read(pl_id)
         if missing:
@@ -514,20 +511,9 @@ class ClusterSearchClient(SearchClient):
             # this query; the L1 tallies are re-applied after.
             fetched = self._reconstruct_lists(missing, num_servers)
             for pl_id in missing:
-                elements = fetched[pl_id]
-                out[pl_id] = elements
+                out[pl_id] = fetched[pl_id]
                 if pl_id not in self._last_unresolved:
-                    l1.put(
-                        (
-                            self.user_id,
-                            fingerprint,
-                            num_servers,
-                            pl_id,
-                            epochs[pl_id],
-                        ),
-                        pl_id,
-                        tuple(elements),
-                    )
+                    l1.put(keys[pl_id], pl_id, fetched[pl_id])
         else:
             self.last_cluster_diagnostics = ClusterDiagnostics()
         self.last_cluster_diagnostics.l1_hits += l1_hits

@@ -16,7 +16,9 @@ about 50%" is captured by :meth:`PackingSpec.zerber_element_bits`.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass
+from typing import Iterable
 
 from repro.errors import PackingError
 
@@ -107,6 +109,11 @@ class PostingElement:
             raise PackingError(f"tf {self.tf} outside (0, 1]")
 
 
+#: One decoded list as the read path carries it:
+#: ``({term_id: [(doc_id, tf), ...]}, number of elements decoded)``.
+TermPostings = tuple[dict[int, list[tuple[int, float]]], int]
+
+
 class PostingElementCodec:
     """Packs :class:`PostingElement` triples into field secrets and back.
 
@@ -116,7 +123,14 @@ class PostingElementCodec:
     """
 
     def __init__(self, spec: PackingSpec | None = None) -> None:
-        self.spec = spec or PackingSpec()
+        self.spec = spec = spec or PackingSpec()
+        # The spec is frozen: derive masks and shifts once, not per element.
+        self._tf_bits = spec.tf_bits
+        self._tf_scale = spec.tf_scale
+        self._term_bits = spec.term_id_bits
+        self._max_term_id = spec.max_term_id
+        self._max_doc_id = spec.max_doc_id
+        self._secret_limit = 1 << spec.secret_bits
 
     def pack(self, element: PostingElement) -> int:
         """Encode ``element`` as an integer < 2**secret_bits.
@@ -124,21 +138,19 @@ class PostingElementCodec:
         Raises:
             PackingError: if an ID exceeds its configured field width.
         """
-        spec = self.spec
-        if element.doc_id > spec.max_doc_id:
+        if element.doc_id > self._max_doc_id:
             raise PackingError(
-                f"doc_id {element.doc_id} exceeds {spec.doc_id_bits}-bit field"
+                f"doc_id {element.doc_id} exceeds "
+                f"{self.spec.doc_id_bits}-bit field"
             )
-        if element.term_id > spec.max_term_id:
+        if element.term_id > self._max_term_id:
             raise PackingError(
-                f"term_id {element.term_id} exceeds {spec.term_id_bits}-bit field"
+                f"term_id {element.term_id} exceeds {self._term_bits}-bit field"
             )
-        quantized_tf = round(element.tf * spec.tf_scale)
-        quantized_tf = min(max(quantized_tf, 1), spec.tf_scale)
-        packed = element.doc_id
-        packed = (packed << spec.term_id_bits) | element.term_id
-        packed = (packed << spec.tf_bits) | quantized_tf
-        return packed
+        tf_scale = self._tf_scale
+        quantized_tf = min(max(round(element.tf * tf_scale), 1), tf_scale)
+        packed = (element.doc_id << self._term_bits) | element.term_id
+        return (packed << self._tf_bits) | quantized_tf
 
     def unpack(self, secret: int) -> PostingElement:
         """Decode a packed secret back into its three fields.
@@ -147,21 +159,37 @@ class PostingElementCodec:
             PackingError: if the value does not fit ``secret_bits`` (e.g. a
                 corrupted reconstruction from mismatched shares).
         """
-        spec = self.spec
-        if secret < 0 or secret >= (1 << spec.secret_bits):
+        if not 0 <= secret < self._secret_limit:
             raise PackingError(
-                f"packed value does not fit {spec.secret_bits} bits"
+                f"packed value does not fit {self.spec.secret_bits} bits"
             )
-        quantized_tf = secret & spec.tf_scale
-        secret >>= spec.tf_bits
-        term_id = secret & spec.max_term_id
-        secret >>= spec.term_id_bits
-        doc_id = secret
+        quantized_tf = secret & self._tf_scale
         if quantized_tf == 0:
             raise PackingError("tf field decoded to zero — corrupt element")
+        secret >>= self._tf_bits
         return PostingElement(
-            doc_id=doc_id, term_id=term_id, tf=quantized_tf / spec.tf_scale
+            doc_id=secret >> self._term_bits,
+            term_id=secret & self._max_term_id,
+            tf=quantized_tf / self._tf_scale,
         )
+
+    def unpack_by_term(self, secrets: Iterable[int]) -> TermPostings:
+        """Bulk :meth:`unpack`, grouped by term for the read path's filter.
+
+        A secret :meth:`unpack` would reject (out of range, zero tf
+        field) is dropped; ``tf`` is the same ``q / tf_scale``.
+        """
+        limit, tf_scale = self._secret_limit, self._tf_scale
+        tf_bits, term_mask = self._tf_bits, self._max_term_id
+        doc_shift = tf_bits + self._term_bits
+        by_term: dict[int, list[tuple[int, float]]] = defaultdict(list)
+        for secret in secrets:
+            quantized_tf = secret & tf_scale
+            if quantized_tf and 0 <= secret < limit:
+                by_term[(secret >> tf_bits) & term_mask].append(
+                    (secret >> doc_shift, quantized_tf / tf_scale)
+                )
+        return dict(by_term), sum(map(len, by_term.values()))
 
 
 def new_element_id(rng: random.Random, bits: int = 32) -> int:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import random
 import secrets
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Literal, Sequence
 
 from repro.errors import InsufficientSharesError, SecretSharingError
 from repro.secretsharing.field import DEFAULT_PRIME, PrimeField
@@ -146,10 +146,10 @@ def _choose_k_shares(
     """The canonical k-share subset every reconstruction back-end uses.
 
     First occurrence wins per distinct (normalized) x-coordinate, then
-    the first ``k`` in arrival order — shared by the naive, Gaussian,
-    weight-cached, and batch paths so that, when shares disagree (a
-    lying server), every back-end reconstructs from the *same* subset
-    and stays byte-identical.
+    the first ``k`` in arrival order — shared by the naive, Gaussian and
+    weight-cached paths (the searcher's column join applies the same
+    rule) so that, when shares disagree (a lying server), every
+    back-end reconstructs from the *same* subset and stays byte-identical.
     """
     unique: dict[int, Share] = {}
     for share in shares:
@@ -294,18 +294,14 @@ class ShamirScheme:
     def reconstruct(
         self,
         shares: Iterable[Share],
-        method: ReconstructMethod | Literal["cached"] = "lagrange",
+        method: ReconstructMethod = "lagrange",
     ) -> int:
         """Recover a secret from any ``k`` of its shares.
 
-        ``method="cached"`` routes through the memoized Lagrange-weight
-        fast path (:meth:`reconstruct_cached`); ``"lagrange"`` and
-        ``"gaussian"`` are the naive back-ends, kept bit-for-bit as the
-        reference the hot path is benchmarked (and property-tested)
-        against.
+        The naive ``"lagrange"`` / ``"gaussian"`` back-ends: the reference
+        :meth:`reconstruct_cached` and :meth:`reconstruct_batch` are
+        benchmarked and property-tested against.
         """
-        if method == "cached":
-            return self.reconstruct_cached(shares)
         return reconstruct_secret(shares, self.k, self.field, method)
 
     def lagrange_weights(self, xs: tuple[int, ...]) -> tuple[int, ...]:
@@ -338,40 +334,39 @@ class ShamirScheme:
         )
 
     def reconstruct_batch(
-        self, shares_by_element: Mapping[Hashable, Sequence[Share]]
-    ) -> dict[Hashable, int]:
-        """Reconstruct many secrets, sharing Lagrange weights per x-tuple.
+        self, xs: Sequence[int], y_columns: Sequence[Sequence[int]]
+    ) -> list[int]:
+        """Reconstruct a whole column of secrets from k share columns.
 
-        The query hot path joins share streams into element -> shares
-        columns where nearly every element carries the same x-tuple (the
-        k server slots that answered). Elements sharing a tuple share
-        one weight vector — the scheme-level memo computes each tuple's
-        basis (and its modular inversions) once, for the whole batch
-        and for every later query — so the per-element cost collapses
-        to a k-term dot product mod p.
-
-        Args:
-            shares_by_element: element key -> its fetched shares (each
-                element needs >= k distinct x-coordinates).
-
-        Returns:
-            element key -> reconstructed secret, same iteration order.
+        The query hot path joins each fetched list into columns: the
+        slot at ``xs[j]`` contributes ``y_columns[j]``, and row ``i``
+        across the columns is one element's canonical k shares. The
+        memoised weights of the x-tuple turn the column into k list
+        passes and one ``% p`` pass over plain ints — no per-element
+        objects. Returns the secrets, row for row.
 
         Raises:
-            InsufficientSharesError: some element has < k distinct
-                shares (checked in input order, like the naive loop).
+            InsufficientSharesError: fewer than k columns.
+            SecretSharingError: more than k, or ragged, columns.
         """
-        field = self.field
-        p = field.p
         k = self.k
-        out: dict[Hashable, int] = {}
-        for key, shares in shares_by_element.items():
-            chosen = _choose_k_shares(shares, k, field)
-            weights = self.lagrange_weights(
-                tuple(field.normalize(s.x) for s in chosen)
+        if len(xs) < k or len(y_columns) < k:
+            raise InsufficientSharesError(
+                f"need {k} share columns, got {min(len(xs), len(y_columns))}"
             )
-            out[key] = sum(w * s.y for w, s in zip(weights, chosen)) % p
-        return out
+        if not len(xs) == len(y_columns) == k or any(
+            len(column) != len(y_columns[0]) for column in y_columns
+        ):
+            raise SecretSharingError(
+                f"need exactly {k} equally long share columns"
+            )
+        normalize = self.field.normalize
+        weights = self.lagrange_weights(tuple(normalize(x) for x in xs))
+        sums = [weights[0] * y for y in y_columns[0]]
+        for weight, column in zip(weights[1:], y_columns[1:]):
+            sums = [s + weight * y for s, y in zip(sums, column)]
+        p = self.field.p
+        return [s % p for s in sums]
 
     def extend(self, additional_servers: int) -> list[int]:
         """Dynamically add servers by "just selecting additional points on the

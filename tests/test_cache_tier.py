@@ -471,6 +471,48 @@ class TestClusterIntegration:
             plain.close()
             cached.close()
 
+    def test_l1_hit_matches_miss_results_and_filter_counts(self):
+        """The L1 value is the term-grouped postings, so a hit answers
+        the term filter by lookup — same elements, same filter counts,
+        nothing joined."""
+        documents = make_documents(num_docs=10)
+        cluster = make_cluster(
+            documents, n=3, cache_tier=None, l1_entries=32, cache_entries=0
+        )
+        try:
+            cluster.add_member(0, "alice", actor="owner0")
+            searcher = cluster.searcher("alice")
+            readable = sorted(
+                {t for d in documents if d.group_id == 0 for t in d.term_counts}
+            )
+            noise = 0
+            for terms in (readable[:2], readable[2:3], readable[1:6:2]):
+                searcher.l1_cache.clear()
+                miss = searcher.fetch_elements(terms)
+                cold = searcher.last_diagnostics
+                assert searcher.last_cluster_diagnostics.l1_hits == 0
+                hit = searcher.fetch_elements(terms)
+                warm = searcher.last_diagnostics
+                assert searcher.last_cluster_diagnostics.l1_hits == (
+                    cold.posting_lists_requested
+                )
+                assert hit == miss and miss
+                assert warm.false_positives == cold.false_positives
+                assert warm.elements_matched == cold.elements_matched
+                assert cold.elements_received == (
+                    cold.false_positives + cold.elements_matched
+                )
+                assert warm.elements_received == 0
+                noise += warm.false_positives
+                assert _result_bytes(searcher.search(terms)) == (
+                    _result_bytes(
+                        cluster.search("alice", terms, use_cache=False)
+                    )
+                )
+            assert noise > 0  # the merged lists did carry other terms
+        finally:
+            cluster.close()
+
     def test_l2_serves_a_fresh_searcher(self):
         documents = make_documents(num_docs=10)
         cluster = make_cluster(

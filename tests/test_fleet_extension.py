@@ -164,9 +164,12 @@ class TestByzantineDetection:
             codec=deployment.codec,
             verify_consistency=True,
         )
-        verifying.fetch_elements([term], num_servers=3)
+        assert verifying.fetch_elements([term], num_servers=3) == []
         diag = verifying.last_diagnostics
-        assert diag.inconsistent_elements > 0
+        # Exact counts, pinned across the move to the columnar join:
+        # all 21 readable elements of the list are caught and dropped.
+        assert diag.elements_received == 21
+        assert diag.inconsistent_elements == 21
         assert diag.recovered_elements == 0
 
     def test_lying_server_corrected_at_k_plus_2(self, corpus):
@@ -181,14 +184,35 @@ class TestByzantineDetection:
         verifying = deployment.searcher(user, verify_consistency=True)
         elements = verifying.fetch_elements([term], num_servers=4)
         diag = verifying.last_diagnostics
-        assert diag.inconsistent_elements > 0
-        assert diag.recovered_elements == diag.inconsistent_elements
+        assert diag.inconsistent_elements == 21  # pinned, as above
+        assert diag.recovered_elements == 21
+        assert (diag.elements_matched, diag.false_positives) == (12, 9)
         truth = {
             d.doc_id
             for d in corpus.documents_in_group(0)
             if term in d.term_counts
         }
         assert {e.doc_id for e in elements} == truth
+
+    def test_lagging_first_server_is_covered_by_the_others(self, corpus):
+        # Server 0 lost one element of the list: its column is short, so
+        # the join leaves the aligned fast path, and the element must
+        # still reconstruct from the columns of servers 1 and 2.
+        deployment = deploy_corpus(corpus, num_lists=16, seed=5)
+        term = a_term(corpus)
+        searcher = deployment.searcher(owner_of_group(0))
+        healthy = searcher.fetch_elements([term], num_servers=3)
+        received = searcher.last_diagnostics.elements_received
+        store = deployment.servers[0]._store[
+            deployment.mapping_table.lookup(term)
+        ]
+        del store[next(iter(store))]
+        lagging = searcher.fetch_elements([term], num_servers=3)
+        assert sorted(lagging, key=repr) == sorted(healthy, key=repr)
+        assert searcher.last_diagnostics.elements_received == received
+        # With only k servers asked, the element is short of k shares.
+        searcher.fetch_elements([term])
+        assert searcher.last_diagnostics.elements_received == received - 1
 
     def test_no_false_alarms_on_honest_fleet(self, corpus):
         deployment = deploy_corpus(corpus, num_lists=16, seed=6)

@@ -1,124 +1,367 @@
-"""The read-path fast lane must be invisible (ISSUE 3).
+"""The columnar read path against an independent oracle (ISSUE 14).
 
-Weight-cached and batch reconstruction are pure speedups: for every
-share multiset — healthy, permuted, duplicated, or corrupted by a lying
-server — they must return bit-for-bit what the naive Lagrange and
-Gaussian back-ends return, because the cluster's standing invariant
-(byte-identical answers everywhere) is built on top of them. Hypothesis
-drives random schemes, subsets and corruptions through all four
-back-ends; further tests pin the weight memo's behavior and the field
-helpers' error cases.
+The benchmark's oracle fleet runs the same ``SearchClient
+._reconstruct_lists`` as the cluster under test, so its digest cannot
+catch a reconstruction bug. Here Hypothesis fabricates what the fetch
+stage hands the client — slot columns of ``(element_id, share_y)``
+with missing elements, permuted order, a repeated x, duplicated ids, a
+lying column, and secrets the codec must reject — and drives the real
+join + ``reconstruct_batch`` + bulk decode. The oracle shares none of
+it: per element, the shares in arrival order go through the naive
+``reconstruct_secret(method="lagrange")`` and
+``PostingElementCodec.unpack``, with ``InsufficientSharesError`` and
+``PackingError`` as drops. ``method="gaussian"`` is held to the same
+oracle at the scheme level; further tests pin ``reconstruct_batch``'s
+contract, the weight memo and the field helpers.
 """
 
 from __future__ import annotations
 
+import math
 import random
+from collections import Counter, defaultdict
+from itertools import combinations, islice
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import FieldError, InsufficientSharesError
-from repro.secretsharing.field import PrimeField
+from repro.client.searcher import SearchClient
+from repro.core.posting import (
+    PackingSpec,
+    PostingElement,
+    PostingElementCodec,
+)
+from repro.errors import (
+    FieldError,
+    InsufficientSharesError,
+    PackingError,
+    SecretSharingError,
+)
+from repro.secretsharing.field import DEFAULT_PRIME, PrimeField
 from repro.secretsharing.shamir import (
     ShamirScheme,
     Share,
     reconstruct_secret,
 )
+from repro.server.index_server import PostingListResponse, ShareRecord
 
-#: Small primes keep hypothesis fast; the default 2**64 + 13 field is
-#: exercised by the deployment suites and the microbenchmark.
-PRIMES = (101, 257, 65537)
+#: The deployed layout (64-bit secrets in Z_(2^64+13)) and a tiny one
+#: whose field leaves most of its range *outside* the packed width, so
+#: a corrupted reconstruction is usually a PackingError.
+LAYOUTS = (
+    (DEFAULT_PRIME, PackingSpec()),
+    (65537, PackingSpec(doc_id_bits=6, term_id_bits=3, tf_bits=3)),
+)
+PL_ID = 7
+
+relaxed = settings(
+    max_examples=120,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+
+
+class ColumnClient(SearchClient):
+    """The real client over a canned fetch stage."""
+
+    def __init__(self, scheme, codec, fetched, verify=False):
+        super().__init__(
+            user_id="u",
+            token=None,
+            scheme=scheme,
+            mapping_table=None,
+            dictionary=None,
+            servers=None,
+            codec=codec,
+            verify_consistency=verify,
+            transport=object(),
+        )
+        self._fetched = fetched
+
+    def _fetch_lists(self, pl_ids, num_servers):
+        return self._fetched
+
+
+def _response(column):
+    return PostingListResponse(
+        pl_id=PL_ID,
+        records=tuple(
+            ShareRecord(element_id=element_id, group_id=0, share_y=y)
+            for element_id, y in column
+        ),
+    )
+
+
+def _flatten(by_term):
+    return sorted(
+        (term_id, doc_id, tf)
+        for term_id, postings in by_term.items()
+        for doc_id, tf in postings
+    )
+
+
+def _arrival_shares(scheme, fetched):
+    """element_id -> its shares in arrival order (what the old
+    per-element join collected)."""
+    shares_of = defaultdict(list)
+    for slot, responses in fetched:
+        for response in responses:
+            for record in response.records:
+                shares_of[record.element_id].append(
+                    Share(x=scheme.x_of(slot), y=record.share_y)
+                )
+    return shares_of
 
 
 @st.composite
-def shamir_case(draw):
-    """A scheme, a secret's shares, and a fetched (maybe lying) subset."""
-    p = draw(st.sampled_from(PRIMES))
-    k = draw(st.integers(min_value=1, max_value=5))
-    n = draw(st.integers(min_value=k, max_value=7))
-    rng = random.Random(draw(st.integers(0, 2**20)))
+def fetched_list(draw, min_extra=0, mutate=True):
+    """A scheme, a codec, and one list's fetched slot columns."""
+    p, spec = draw(st.sampled_from(LAYOUTS))
+    k = draw(st.integers(min_value=2, max_value=5))
+    n = draw(st.integers(min_value=k + min_extra, max_value=k + 3))
+    rng = random.Random(draw(st.integers(0, 2**24)))
     field = PrimeField(p)
     scheme = ShamirScheme(k=k, n=n, field=field, rng=rng)
-    secret = draw(st.integers(min_value=0, max_value=p - 1))
-    shares = scheme.split(secret)
-    m = draw(st.integers(min_value=k, max_value=n))
-    subset = rng.sample(shares, m)
-    # A lying server corrupts up to m - k of the fetched shares (the
-    # remaining k honest ones may or may not be the chosen subset —
-    # either way every back-end must agree on the same answer).
-    num_corrupt = draw(st.integers(min_value=0, max_value=m - k))
-    corrupt_at = rng.sample(range(m), num_corrupt)
-    fetched = [
-        Share(x=s.x, y=(s.y + rng.randint(1, p - 1)) % p)
-        if i in corrupt_at
-        else s
-        for i, s in enumerate(subset)
+    codec = PostingElementCodec(spec)
+    limit = 1 << spec.secret_bits
+    secrets = {}
+    for element_id in rng.sample(range(10_000), draw(st.integers(0, 16))):
+        kind = rng.random()
+        if kind < 0.15:  # does not fit the packed width
+            secret = rng.randrange(limit, p)
+        elif kind < 0.3:  # tf field of zero
+            secret = rng.randrange(limit) & ~spec.tf_scale
+        else:
+            secret = codec.pack(
+                PostingElement(
+                    doc_id=rng.randrange(spec.max_doc_id + 1),
+                    term_id=rng.randrange(min(spec.max_term_id + 1, 5)),
+                    tf=rng.uniform(0.01, 1.0),
+                )
+            )
+        secrets[element_id] = secret
+    shares = {e: scheme.split(s, rng) for e, s in secrets.items()}
+    # Fewer than k columns is a legal fetch: everything is dropped.
+    fewest = k + min_extra if min_extra else k - 1
+    m = draw(st.integers(min_value=fewest, max_value=n))
+    slots = rng.sample(range(n), m)
+    columns = [
+        (slot, [(e, shares[e][slot].y) for e in secrets]) for slot in slots
     ]
-    return scheme, secret, fetched, num_corrupt
+    if mutate:
+        if secrets and rng.random() < 0.2:  # every slot repeats one id
+            row = rng.randrange(len(secrets))
+            for _, column in columns:
+                element_id, y = column[row]
+                column.append((element_id, (y + 1) % p))
+        for _, column in columns:
+            fate = rng.random()
+            if fate < 0.25:  # a lagging server: elements missing
+                del column[: rng.randint(0, len(column))]
+            elif fate < 0.5:  # same elements, another order
+                rng.shuffle(column)
+            elif fate < 0.6 and column:  # an id answered twice
+                element_id, y = rng.choice(column)
+                column.append((element_id, (y + 1) % p))
+        if rng.random() < 0.3:  # a repeated x, disagreeing with itself
+            slot, column = rng.choice(columns)
+            columns.append(
+                (slot, [(e, (y + rng.randrange(p)) % p) for e, y in column])
+            )
+        if rng.random() < 0.4:  # one lying column
+            slot, column = columns.pop(rng.randrange(len(columns)))
+            lies = [(e, (y + 1 + rng.randrange(p - 1)) % p) for e, y in column]
+            columns.append((slot, lies))
+            rng.shuffle(columns)
+    fetched = [(slot, [_response(column)]) for slot, column in columns]
+    return scheme, codec, fetched, secrets
 
 
-@settings(
-    max_examples=80,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(shamir_case())
-def test_all_backends_agree_bit_for_bit(case):
-    scheme, secret, fetched, num_corrupt = case
-    naive = scheme.reconstruct(fetched, method="lagrange")
-    gaussian = scheme.reconstruct(fetched, method="gaussian")
-    cached = scheme.reconstruct_cached(fetched)
-    batch = scheme.reconstruct_batch({"e": fetched})["e"]
-    via_method = scheme.reconstruct(fetched, method="cached")
-    assert naive == gaussian == cached == batch == via_method
-    if num_corrupt == 0:
-        assert naive == secret
-
-
-@settings(
-    max_examples=40,
-    deadline=None,
-    suppress_health_check=[HealthCheck.too_slow],
-)
-@given(shamir_case(), st.integers(min_value=2, max_value=30))
-def test_batch_matches_per_element_over_columns(case, num_elements):
-    """A whole column of elements (same scheme, fresh random secrets,
-    varying slot subsets) reconstructs identically via batch and naive."""
-    scheme, _secret, _fetched, _ = case
-    p = scheme.field.p
-    rng = random.Random(num_elements * 7919 + p)
-    column = {}
-    expected = {}
-    for element_id in range(num_elements):
-        secret = rng.randrange(p)
-        shares = scheme.split(secret)
-        m = rng.randint(scheme.k, scheme.n)
-        column[element_id] = rng.sample(shares, m)
-        expected[element_id] = secret
-    batch = scheme.reconstruct_batch(column)
-    assert list(batch) == list(column)  # iteration order preserved
-    for element_id, shares in column.items():
-        assert batch[element_id] == expected[element_id]
-        assert batch[element_id] == reconstruct_secret(
-            shares, scheme.k, scheme.field, "lagrange"
+@relaxed
+@given(fetched_list())
+def test_columnar_path_matches_per_element_oracle(case):
+    scheme, codec, fetched, _ = case
+    expected, joined = [], 0
+    for shares in _arrival_shares(scheme, fetched).values():
+        try:
+            secret = reconstruct_secret(
+                shares, scheme.k, scheme.field, "lagrange"
+            )
+        except InsufficientSharesError:
+            continue
+        joined += 1
+        assert secret == reconstruct_secret(
+            shares, scheme.k, scheme.field, "gaussian"
         )
+        try:
+            element = codec.unpack(secret)
+        except PackingError:
+            continue
+        expected.append((element.term_id, element.doc_id, element.tf))
+    client = ColumnClient(scheme, codec, fetched)
+    by_term, count = client._reconstruct_lists([PL_ID], scheme.k)[PL_ID]
+    assert _flatten(by_term) == sorted(expected)
+    assert count == len(expected)
+    assert client.last_diagnostics.elements_received == joined
 
 
-class TestWeightCache:
+@relaxed
+@given(fetched_list())
+def test_verify_consistency_matches_naive_subset_vote(case):
+    """The vote, redone with naive Lagrange over the same k-subsets."""
+    scheme, codec, fetched, _ = case
+    k, field = scheme.k, scheme.field
+    expected, inconsistent, recovered = [], 0, 0
+    for shares in _arrival_shares(scheme, fetched).values():
+        first_per_x = {}
+        for share in shares:
+            first_per_x.setdefault(share.x, share)
+        distinct = list(first_per_x.values())
+        if len(distinct) < k:
+            continue
+        secret = reconstruct_secret(distinct, k, field, "lagrange")
+        if len(distinct) > k:
+            votes = Counter(
+                reconstruct_secret(subset, k, field, "lagrange")
+                for subset in islice(combinations(distinct, k), 21)
+            ).most_common(2)
+            if len(votes) > 1:
+                inconsistent += 1
+                if votes[0][1] == votes[1][1]:
+                    continue
+                recovered += 1
+                secret = votes[0][0]
+        try:
+            element = codec.unpack(secret)
+        except PackingError:
+            continue
+        expected.append((element.term_id, element.doc_id, element.tf))
+    client = ColumnClient(scheme, codec, fetched, verify=True)
+    by_term, _ = client._reconstruct_lists([PL_ID], scheme.n)[PL_ID]
+    assert _flatten(by_term) == sorted(expected)
+    diagnostics = client.last_diagnostics
+    assert diagnostics.inconsistent_elements == inconsistent
+    assert diagnostics.recovered_elements == recovered
+
+
+@relaxed
+@given(fetched_list(min_extra=2, mutate=False), st.data())
+def test_one_liar_among_k_plus_2_is_outvoted(case, data):
+    """m >= k + 2 aligned columns, one of them lying about every
+    element: the verified answer is the honest one (as long as the
+    vote's 21-subset cap still covers every subset)."""
+    scheme, codec, fetched, secrets = case
+    assume(math.comb(len(fetched), scheme.k) <= 21)
+    p = scheme.field.p
+    liar = data.draw(st.integers(0, len(fetched) - 1))
+    slot, (response,) = fetched[liar]
+    lies = [(r.element_id, (r.share_y + 1) % p) for r in response.records]
+    fetched[liar] = (slot, [_response(lies)])
+    truth = []
+    for secret in secrets.values():
+        try:
+            element = codec.unpack(secret)
+        except PackingError:
+            continue
+        truth.append((element.term_id, element.doc_id, element.tf))
+    client = ColumnClient(scheme, codec, fetched, verify=True)
+    by_term, _ = client._reconstruct_lists([PL_ID], scheme.n)[PL_ID]
+    assert _flatten(by_term) == sorted(truth)
+    diagnostics = client.last_diagnostics
+    assert diagnostics.inconsistent_elements == len(secrets)
+    assert diagnostics.recovered_elements == len(secrets)
+
+
+class TestJoin:
+    def _case(self, k=2, n=3):
+        scheme = ShamirScheme(k=k, n=n, rng=random.Random(4))
+        codec = PostingElementCodec()
+        elements = {
+            element_id: PostingElement(doc_id=element_id, term_id=1, tf=0.5)
+            for element_id in (11, 22, 33)
+        }
+        shares = {
+            e: scheme.split(codec.pack(element))
+            for e, element in elements.items()
+        }
+        return scheme, codec, shares
+
+    def test_short_first_column_reconstructs_from_later_columns(self):
+        scheme, codec, shares = self._case()
+        column = lambda slot, ids: (  # noqa: E731
+            slot,
+            [_response([(e, shares[e][slot].y) for e in ids])],
+        )
+        fetched = [
+            column(0, (11, 33)),  # slot 0 never saw element 22
+            column(1, (11, 22, 33)),
+            column(2, (11, 22, 33)),
+        ]
+        client = ColumnClient(scheme, codec, fetched)
+        by_term, count = client._reconstruct_lists([PL_ID], 3)[PL_ID]
+        assert sorted(doc for doc, _ in by_term[1]) == [11, 22, 33]
+        assert count == client.last_diagnostics.elements_received == 3
+
+    def test_element_short_of_k_shares_is_dropped(self):
+        scheme, codec, shares = self._case()
+        fetched = [
+            (0, [_response([(e, shares[e][0].y) for e in (11, 22)])]),
+            (1, [_response([(11, shares[11][1].y)])]),
+        ]
+        client = ColumnClient(scheme, codec, fetched)
+        by_term, count = client._reconstruct_lists([PL_ID], 2)[PL_ID]
+        assert [doc for doc, _ in by_term[1]] == [11] and count == 1
+        assert client.last_diagnostics.elements_received == 1
+
+    def test_healthy_fetch_is_one_batch_call_per_list(self, monkeypatch):
+        scheme, codec, shares = self._case()
+        fetched = [
+            (slot, [_response([(e, shares[e][slot].y) for e in shares])])
+            for slot in (2, 0)
+        ]
+        calls = []
+        original = ShamirScheme.reconstruct_batch
+
+        def counting(self, xs, y_columns):
+            calls.append(tuple(xs))
+            return original(self, xs, y_columns)
+
+        monkeypatch.setattr(ShamirScheme, "reconstruct_batch", counting)
+        client = ColumnClient(scheme, codec, fetched)
+        by_term, _ = client._reconstruct_lists([PL_ID], 2)[PL_ID]
+        assert calls == [(scheme.x_of(2), scheme.x_of(0))]
+        assert sorted(doc for doc, _ in by_term[1]) == [11, 22, 33]
+
+
+class TestReconstructBatch:
     def _scheme(self, k=3, n=5, p=65537, seed=5):
         return ShamirScheme(
             k=k, n=n, field=PrimeField(p), rng=random.Random(seed)
         )
 
+    def _columns(self, scheme, secrets, slots):
+        rows = [scheme.split(s) for s in secrets]
+        return (
+            [scheme.x_of(slot) for slot in slots],
+            [[row[slot].y for row in rows] for slot in slots],
+        )
+
+    def test_column_matches_naive_row_by_row(self):
+        scheme = self._scheme()
+        secrets = [11, 22, 33, 65536, 0]
+        xs, y_columns = self._columns(scheme, secrets, (4, 1, 2))
+        assert scheme.reconstruct_batch(xs, y_columns) == secrets
+        assert scheme.reconstruct_batch(xs, [[], [], []]) == []
+
     def test_weights_memoized_per_x_tuple(self):
         scheme = self._scheme()
-        secret_shares = [scheme.split(s) for s in (11, 22, 33)]
-        for shares in secret_shares:
-            scheme.reconstruct_cached(shares[: scheme.k])
-        # Same slot subset every time -> exactly one memo entry.
-        assert len(scheme._weight_memo) == 1
-        scheme.reconstruct_cached(secret_shares[0][1:4])
+        for slots in ((0, 1, 2), (0, 1, 2), (1, 2, 3)):
+            scheme.reconstruct_batch(*self._columns(scheme, [5, 6], slots))
+        # Same slot subset -> one memo entry; a new subset -> a second.
+        assert len(scheme._weight_memo) == 2
+        shares = scheme.split(42)
+        assert scheme.reconstruct_cached(shares[:3]) == 42
         assert len(scheme._weight_memo) == 2
 
     def test_weights_match_lagrange_basis(self):
@@ -129,13 +372,18 @@ class TestWeightCache:
         # Dot product with the weights == interpolation at zero, for
         # arbitrary y-columns (not just consistent polynomials).
         rng = random.Random(9)
-        for _ in range(20):
-            ys = [rng.randrange(field.p) for _ in xs]
-            direct = field.lagrange_at_zero(list(zip(xs, ys)))
-            dotted = sum(w * y for w, y in zip(weights, ys)) % field.p
-            assert direct == dotted
+        y_columns = [[rng.randrange(field.p) for _ in range(20)] for _ in xs]
+        direct = [
+            field.lagrange_at_zero(list(zip(xs, ys)))
+            for ys in zip(*y_columns)
+        ]
+        assert scheme.reconstruct_batch(xs, y_columns) == direct
+        assert direct[0] == (
+            sum(w * column[0] for w, column in zip(weights, y_columns))
+            % field.p
+        )
 
-    def test_insufficient_distinct_shares_raise_like_naive(self):
+    def test_too_few_columns_raise_like_naive(self):
         scheme = self._scheme(k=3, n=5)
         shares = scheme.split(42)
         dup = [shares[0], shares[0], shares[1]]  # 2 distinct < k=3
@@ -143,23 +391,63 @@ class TestWeightCache:
             scheme.reconstruct(dup, method="lagrange")
         with pytest.raises(InsufficientSharesError):
             scheme.reconstruct_cached(dup)
+        xs, y_columns = self._columns(scheme, [42], (0, 1))
         with pytest.raises(InsufficientSharesError):
-            scheme.reconstruct_batch({"e": dup})
+            scheme.reconstruct_batch(xs, y_columns)
+
+    def test_malformed_columns_rejected(self):
+        scheme = self._scheme(k=2, n=4)
+        xs, y_columns = self._columns(scheme, [7, 8], (0, 1, 2))
+        with pytest.raises(SecretSharingError):
+            scheme.reconstruct_batch(xs, y_columns)  # more than k
+        with pytest.raises(SecretSharingError):
+            scheme.reconstruct_batch(
+                xs[:2], [y_columns[0], y_columns[1][:1]]
+            )  # ragged
+        with pytest.raises(FieldError):
+            scheme.reconstruct_batch([xs[0], xs[0]], y_columns[:2])
 
     def test_duplicate_x_first_occurrence_wins_everywhere(self):
         """A server echoing another's x-coordinate with a different y:
         the canonical subset keeps the first occurrence, so every
-        back-end reconstructs the same (possibly wrong) value."""
+        back-end — and the column join — reconstructs the same value."""
         scheme = self._scheme(k=2, n=3, p=101)
         shares = scheme.split(7)
         echo = Share(x=shares[0].x, y=(shares[0].y + 5) % 101)
         fetched = [shares[0], echo, shares[1]]
         assert (
             scheme.reconstruct(fetched, "lagrange")
+            == scheme.reconstruct(fetched, "gaussian")
             == scheme.reconstruct_cached(fetched)
-            == scheme.reconstruct_batch({"e": fetched})["e"]
             == 7
         )
+
+
+class TestBulkDecode:
+    def test_matches_unpack_and_drops_what_it_rejects(self):
+        codec = PostingElementCodec()
+        rng = random.Random(2)
+        good = [
+            PostingElement(
+                doc_id=rng.randrange(1 << 30),
+                term_id=rng.randrange(4),
+                tf=rng.uniform(0.001, 1.0),
+            )
+            for _ in range(50)
+        ]
+        secrets = [codec.pack(e) for e in good]
+        bad = [1 << 64, DEFAULT_PRIME - 1, secrets[0] & ~0xFFF, 0]
+        for secret in bad:
+            with pytest.raises(PackingError):
+                codec.unpack(secret)
+        by_term, count = codec.unpack_by_term(
+            secrets[:25] + bad + secrets[25:]
+        )
+        assert count == 50
+        assert _flatten(by_term) == sorted(
+            (e.term_id, e.doc_id, e.tf) for e in map(codec.unpack, secrets)
+        )
+        assert codec.unpack_by_term([]) == ({}, 0)
 
 
 class TestFieldHelpers:

@@ -90,17 +90,6 @@ class TestFetchElements:
         }
         assert with_k == with_n
 
-    def test_gaussian_reconstruction_equivalent(self, deployed):
-        corpus, deployment = deployed
-        term = a_term_of_group(corpus, 0)
-        lagrange = deployment.searcher(owner_of_group(0))
-        gaussian = deployment.searcher(
-            owner_of_group(0), reconstruct_method="gaussian"
-        )
-        assert {e.doc_id for e in lagrange.fetch_elements([term])} == {
-            e.doc_id for e in gaussian.fetch_elements([term])
-        }
-
 
 class TestAccessControl:
     def test_non_member_sees_nothing(self, deployed):
