@@ -97,15 +97,19 @@ def main() -> None:
     term = sorted(corpus.documents_in_group(0)[0].term_counts)[0]
     pl_id = deployment.mapping_table.lookup(term)
     liar = deployment.servers[1]
-    store = liar._store.get(pl_id, {})
-    for element_id, record in list(store.items()):
-        store[element_id] = ShareRecord(
-            element_id=record.element_id,
-            group_id=record.group_id,
-            share_y=(record.share_y + 12345) % deployment.field.p,
-        )
+    corrupted = liar.adopt_posting_list(
+        pl_id,
+        [
+            ShareRecord(
+                element_id=record.element_id,
+                group_id=record.group_id,
+                share_y=(record.share_y + 12345) % deployment.field.p,
+            )
+            for record in liar.drop_posting_list(pl_id)
+        ],
+    )
     print(f"[byzantine] server 1 now lies about list {pl_id} "
-          f"({len(store)} shares corrupted)")
+          f"({len(corrupted)} shares corrupted)")
     naive = deployment.searcher("owner0")
     naive.fetch_elements([term], num_servers=2)
     verifying = deployment.searcher("owner0", verify_consistency=True)

@@ -2,11 +2,11 @@
 
 A value is the exact thing the cluster client's share cache stores for
 one posting list: the sorted ``(slot_index, PostingListResponse)``
-pairs a fetch produced. Encoding reuses the wire protocol's strict
-LEB128 primitives (the public :func:`repro.protocol.codec.write_uint` /
-:class:`repro.protocol.codec.Reader` surface), so the byte discipline —
-bounds checks, varint caps, no trailing garbage — is shared, not
-reimplemented.
+pairs a fetch produced, each response in the wire protocol's packed
+column form (:func:`repro.protocol.codec.write_columns` — a width byte
+and fixed-width values per column, not three varints per record), so
+the byte discipline — bounds checks before allocation, width caps, no
+trailing garbage — is shared with the codec, not reimplemented.
 
 Shares only, never reconstructed postings: an L2 value decodes to the
 same slot-aligned share responses a server fleet would have returned,
@@ -24,8 +24,13 @@ tier" safety argument in ``docs/ARCHITECTURE.md``).
 from __future__ import annotations
 
 from repro.errors import ProtocolError
-from repro.protocol.codec import Reader, write_uint
-from repro.server.index_server import PostingListResponse, ShareRecord
+from repro.protocol.codec import (
+    Reader,
+    read_columns,
+    write_columns,
+    write_uint,
+)
+from repro.server.index_server import PostingListResponse
 
 Entry = list[tuple[int, PostingListResponse]]
 
@@ -37,11 +42,7 @@ def encode_entry(pairs: Entry) -> bytes:
     for slot_index, response in pairs:
         write_uint(out, slot_index)
         write_uint(out, response.pl_id)
-        write_uint(out, len(response.records))
-        for record in response.records:
-            write_uint(out, record.element_id)
-            write_uint(out, record.group_id)
-            write_uint(out, record.share_y)
+        write_columns(out, *response.columns)
     return bytes(out)
 
 
@@ -56,15 +57,8 @@ def decode_entry(data: bytes) -> Entry:
     pairs: Entry = []
     for _ in range(r.uint()):
         slot_index = r.uint()
-        pl_id = r.uint()
-        records = tuple(
-            ShareRecord(
-                element_id=r.uint(), group_id=r.uint(), share_y=r.uint()
-            )
-            for _ in range(r.uint())
-        )
         pairs.append(
-            (slot_index, PostingListResponse(pl_id=pl_id, records=records))
+            (slot_index, PostingListResponse(r.uint(), *read_columns(r, 3)))
         )
     r.done()
     return pairs

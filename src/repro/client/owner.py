@@ -570,12 +570,12 @@ class DocumentOwner:
                 ),
             )
             for response in fetched.lists:
-                for record in response.records:
-                    key = (response.pl_id, record.element_id)
+                for element_id, share_y in zip(
+                    response.element_ids, response.share_ys
+                ):
+                    key = (response.pl_id, element_id)
                     if key in my_entries:
-                        points.setdefault(key, []).append(
-                            (x, record.share_y)
-                        )
+                        points.setdefault(key, []).append((x, share_y))
         operations = []
         group_of_entry = {
             entry: document.group_id

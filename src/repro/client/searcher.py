@@ -211,9 +211,9 @@ class SearchClient:
             for server_index, responses in fetched:
                 x = scheme.x_of(server_index)
                 for response in responses:
-                    ids = [record.element_id for record in response.records]
-                    ys = [record.share_y for record in response.records]
-                    columns_of[response.pl_id].append((x, ids, ys))
+                    columns_of[response.pl_id].append(
+                        (x, response.element_ids, response.share_ys)
+                    )
             by_list: dict[int, TermPostings] = {}
             received = 0
             for pl_id, columns in columns_of.items():

@@ -721,31 +721,22 @@ class ClusterSearchClient(SearchClient):
         existing = slot_map.get(slot_index)
         if existing is None:
             slot_map[slot_index] = response
-            for record in response.records:
-                share_counts[record.element_id] = (
-                    share_counts.get(record.element_id, 0) + 1
-                )
-            return
-        known = {record.element_id for record in existing.records}
-        extra = [
-            record
-            for record in response.records
-            if record.element_id not in known
-        ]
-        if extra:
+            extra_ids = response.element_ids
+        else:
+            known = set(existing.element_ids)
+            extra = [
+                row for row in zip(*response.columns) if row[0] not in known
+            ]
+            if not extra:
+                return
+            extra_ids = [row[0] for row in extra]
+            # Element ids are distinct, so row order is element-id order.
+            rows = sorted([*zip(*existing.columns), *extra])
             slot_map[slot_index] = PostingListResponse(
-                pl_id=existing.pl_id,
-                records=tuple(
-                    sorted(
-                        (*existing.records, *extra),
-                        key=lambda record: record.element_id,
-                    )
-                ),
+                existing.pl_id, *map(list, zip(*rows))
             )
-            for record in extra:
-                share_counts[record.element_id] = (
-                    share_counts.get(record.element_id, 0) + 1
-                )
+        for element_id in extra_ids:
+            share_counts[element_id] = share_counts.get(element_id, 0) + 1
 
     def _pod_leg(
         self,

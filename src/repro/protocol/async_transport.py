@@ -61,7 +61,7 @@ from repro.errors import DeadlineExceededError, ProtocolError, TransportError
 from repro.protocol.codec import decode_message, encode_message
 from repro.protocol.messages import DEFAULT_SHARE_BYTES, EndpointsRequest
 from repro.protocol.service import raise_for_error
-from repro.observability.tracing import span
+from repro.observability.tracing import record_span, span
 from repro.protocol.transport import (
     _RETRY_SAFE,
     CORRELATION_FLAG,
@@ -71,6 +71,7 @@ from repro.protocol.transport import (
     _wire_trace,
     frame_bytes,
     handle_request_payload,
+    request_trace,
     InProcessTransport,
     Transport,
 )
@@ -280,7 +281,12 @@ class AsyncSocketServer:
             metrics=self.metrics,
             transport_label="async-socket",
         )
-        return encode_message(response, packed=packed)
+        start = time.perf_counter()
+        blob = encode_message(response, packed=packed)
+        took = time.perf_counter() - start
+        # Passive: a no-op unless the request frame carried a trace.
+        record_span("encode", start, took, len(blob), request_trace(payload))
+        return blob
 
     # -- connection lifecycle (runs on the loop) -------------------------------
 
@@ -615,9 +621,12 @@ class AsyncSocketTransport(Transport):
             if deadline is not None:
                 deadline.check(f"call to {dst!r}")
                 budget_us = deadline.budget_us()
+            start = time.perf_counter()
             payload = _pack_request(
                 dst, request, packed=True, budget_us=budget_us, trace=trace
             )
+            took = time.perf_counter() - start
+            record_span("encode", start, took, len(payload))
             try:
                 with span(f"call:{dst}") as call_span:
                     blob = self._round_trip(payload, deadline)
@@ -638,7 +647,11 @@ class AsyncSocketTransport(Transport):
             # Decode on the calling thread: concurrent callers decode
             # their own responses in parallel instead of serializing
             # on the reader thread.
-            return raise_for_error(decode_message(blob))
+            start = time.perf_counter()
+            message = decode_message(blob)
+            took = time.perf_counter() - start
+            record_span("decode", start, took, len(blob))
+            return raise_for_error(message)
 
         return self._retry_policy.run(attempt)
 

@@ -13,24 +13,32 @@ Frame layout (everything big-picture, nothing clever)::
 - the body is a concatenation of primitives: unsigned LEB128 varints
   for every integer (ids, counts, shares — shares live in Z_p and can
   exceed 64 bits), and varint-length-prefixed UTF-8 for strings /
-  raw bytes for blobs.
+  raw bytes for blobs;
+- the four bulk messages also have a *packed*, column-major form
+  (type bytes 0x41-0x44, since protocol version 3; see "packed
+  columns" below), public as :func:`write_columns` /
+  :func:`read_columns` — the cache tier's L2 values use it too.
 
 Decoding is strict: every primitive is bounds-checked against the
-buffer, varints are capped (a malicious 5 KB "integer" is garbage, not
-a number), and a decoded message must consume the frame *exactly* —
+buffer *before anything is allocated*, varints and column widths are
+capped at 74 bytes (a malicious 5 KB "integer" is garbage, not a
+number), and a decoded message must consume the frame *exactly* —
 trailing bytes mean a corrupt or hostile frame and raise
 :class:`~repro.errors.ProtocolError`, as does any truncation.
 
 The hot in-process path never touches this module (messages cross a
-function call, not a socket); the Hypothesis round-trip suite in
-``tests/test_protocol_codec.py`` and the socket equivalence gate keep
-the encoded form honest anyway.
+function call, not a socket); the differential and hostile-frame suite
+in ``tests/test_protocol_codec.py`` (bulk column coding against a
+per-value ``int.to_bytes`` reference) and the socket equivalence gate
+keep the encoded form honest anyway.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Any, Callable
+import sys
+from array import array
+from typing import Any, Callable, Sequence
 
 from repro.client.snippets import Snippet
 from repro.errors import ProtocolError
@@ -141,26 +149,18 @@ def _read_token(r: _Reader) -> AuthToken:
     )
 
 
-def _write_record(out: bytearray, record: ShareRecord) -> None:
-    _write_uint(out, record.element_id)
-    _write_uint(out, record.group_id)
-    _write_uint(out, record.share_y)
-
-
-def _read_record(r: _Reader) -> ShareRecord:
-    return ShareRecord(
-        element_id=r.uint(), group_id=r.uint(), share_y=r.uint()
-    )
-
-
-def _write_records(out: bytearray, records: tuple[ShareRecord, ...]) -> None:
+def _write_records(out: bytearray, records: Sequence[ShareRecord]) -> None:
     _write_uint(out, len(records))
     for record in records:
-        _write_record(out, record)
+        _write_uint(out, record.element_id)
+        _write_uint(out, record.group_id)
+        _write_uint(out, record.share_y)
 
 
 def _read_records(r: _Reader) -> tuple[ShareRecord, ...]:
-    return tuple(_read_record(r) for _ in range(r.uint()))
+    return tuple(
+        ShareRecord(r.uint(), r.uint(), r.uint()) for _ in range(r.uint())
+    )
 
 
 # -- per-message encoders/decoders -------------------------------------------
@@ -333,7 +333,7 @@ def _enc_lists(out: bytearray, msg: m.FetchListsResponse) -> None:
 
 def _dec_lists(r: _Reader) -> m.FetchListsResponse:
     lists = tuple(
-        PostingListResponse(pl_id=r.uint(), records=_read_records(r))
+        PostingListResponse.from_records(r.uint(), _read_records(r))
         for _ in range(r.uint())
     )
     return m.FetchListsResponse(lists=lists)
@@ -515,89 +515,121 @@ def _dec_metrics_dump_resp(r: _Reader) -> m.MetricsDumpResponse:
     return m.MetricsDumpResponse(samples=tuple(samples))
 
 
-# -- packed record arrays (the async/pipelined protocol revision) -------------
+# -- packed columns (the async/pipelined protocol revision) -------------------
 #
-# Varint-decoding a share record costs ~15 Python bytecode loops per
-# field; at hundreds of records per lookup response that is the single
-# largest CPU item on the socket read path (profiled at ~45% of query
-# wall time). The packed form trades a 3-byte width header per array
-# for fixed-width big-endian fields, so encode/decode collapses to one
-# ``int.to_bytes``/``int.from_bytes`` C call per field. Packed variants
-# are *new type bytes* for the *same* message classes — appending types
-# is backwards-compatible under the versioning rules, old peers reject
-# only these frames (with a typed error), and every peer that emits
-# them also accepts the classic varint forms. The async transport
-# negotiates them via its correlated frames; the classic socket backend
-# keeps PR 4's exact bytes on the wire.
+# A record array travels column-major: ``count`` (varint), then — only
+# when count > 0 — per column a width byte (bytes of the column's
+# largest value, 1..74; a reader accepts any width in range) and
+# ``count`` fixed-width big-endian values. No object per record: width
+# 1 is ``bytes(column)`` / ``list(data)``, widths <= 8 one ``array('Q')``
+# byte-swap narrowed or widened by strided slice assignment, widths > 8
+# (a share >= 2^64: probability 7e-19 under p = 2^64 + 13) one
+# ``int.to_bytes`` per value. Measurements: docs/ARCHITECTURE.md.
+# Packed variants are their own type bytes for the *same* message
+# classes; the classic varint forms stay for the threaded backend.
+
+_SWAP = sys.byteorder == "little"
 
 
-def _field_width(largest: int) -> int:
-    """Bytes needed for the widest value of a packed column (min 1)."""
-    return max(1, (largest.bit_length() + 7) // 8)
+def _write_column(out: bytearray, column: Sequence[int]) -> None:
+    try:
+        if min(column) < 0:
+            raise ProtocolError("negative integer cannot be encoded")
+        width = max(1, (max(column).bit_length() + 7) // 8)
+        if width > _MAX_VARINT_BYTES:
+            raise ProtocolError("integer exceeds the size cap")
+        out.append(width)
+        if width == 1:
+            out += bytes(column)
+        elif width <= 8:
+            wide = array("Q", column)
+            if _SWAP:
+                wide.byteswap()
+            data = wide.tobytes()
+            if width < 8:
+                narrow = bytearray(len(column) * width)
+                for j in range(width):
+                    narrow[j::width] = data[8 - width + j :: 8]
+                data = narrow
+            out += data
+        else:
+            out += b"".join([v.to_bytes(width, "big") for v in column])
+    except (TypeError, AttributeError, OverflowError, ValueError) as exc:
+        raise ProtocolError(f"column value cannot be encoded: {exc}") from exc
 
 
-def _write_packed_records(
-    out: bytearray, records: tuple[ShareRecord, ...]
-) -> None:
-    _write_uint(out, len(records))
-    if not records:
-        return
-    w_element = _field_width(max(r.element_id for r in records))
-    w_group = _field_width(max(r.group_id for r in records))
-    w_share = _field_width(max(r.share_y for r in records))
-    out.append(w_element)
-    out.append(w_group)
-    out.append(w_share)
-    for r in records:
-        out += r.element_id.to_bytes(w_element, "big")
-        out += r.group_id.to_bytes(w_group, "big")
-        out += r.share_y.to_bytes(w_share, "big")
+def _read_column(r: _Reader, count: int) -> list[int]:
+    # Bounds before allocation: a 20-byte frame may claim 2^40 records.
+    data, pos = r.data, r.pos
+    if pos >= len(data):
+        raise ProtocolError("truncated column width")
+    width = data[pos]
+    if not 0 < width <= _MAX_VARINT_BYTES:
+        raise ProtocolError(f"column width {width} outside 1..74")
+    pos += 1
+    end = pos + width * count
+    if end > len(data):
+        raise ProtocolError("truncated column")
+    r.pos = end
+    if width == 1:
+        return list(data[pos:end])
+    if width > 8:
+        from_bytes = int.from_bytes
+        return [
+            from_bytes(data[i : i + width], "big")
+            for i in range(pos, end, width)
+        ]
+    if width == 8:
+        wide = array("Q", data[pos:end])
+    else:
+        padded = bytearray(8 * count)
+        for j in range(width):
+            padded[8 - width + j :: 8] = data[pos + j : end : width]
+        wide = array("Q", padded)
+    if _SWAP:
+        wide.byteswap()
+    return wide.tolist()
 
 
-def _read_packed_records(r: _Reader) -> tuple[ShareRecord, ...]:
+def write_columns(out: bytearray, *columns: Sequence[int]) -> None:
+    """Append aligned integer columns in the packed form. Ragged
+    columns, or a value that is negative, not an integer or wider than
+    the 74-byte cap, raise :class:`ProtocolError`."""
+    count = len(columns[0])
+    if any(len(column) != count for column in columns):
+        raise ProtocolError("ragged columns cannot be encoded")
+    _write_uint(out, count)
+    if count:
+        for column in columns:
+            _write_column(out, column)
+
+
+def read_columns(r: _Reader, n: int) -> list[list[int]]:
+    """Read ``n`` aligned columns written by :func:`write_columns`."""
     count = r.uint()
     if not count:
-        return ()
-    if r.pos + 3 > len(r.data):
-        raise ProtocolError("truncated packed-record width header")
-    data = r.data
-    pos = r.pos
-    w_element, w_group, w_share = data[pos], data[pos + 1], data[pos + 2]
-    pos += 3
-    if not (w_element and w_group and w_share):
-        raise ProtocolError("packed-record field width of zero")
-    stride = w_element + w_group + w_share
-    end = pos + stride * count
-    if end > len(data):
-        raise ProtocolError("truncated packed record array")
-    from_bytes = int.from_bytes
-    out = []
-    for _ in range(count):
-        split_e = pos + w_element
-        split_g = split_e + w_group
-        row_end = split_g + w_share
-        out.append(
-            ShareRecord(
-                element_id=from_bytes(data[pos:split_e], "big"),
-                group_id=from_bytes(data[split_e:split_g], "big"),
-                share_y=from_bytes(data[split_g:row_end], "big"),
-            )
-        )
-        pos = row_end
-    r.pos = pos
-    return tuple(out)
+        return [[] for _ in range(n)]
+    return [_read_column(r, count) for _ in range(n)]
+
+
+def _write_record_columns(out: bytearray, records) -> None:
+    write_columns(out, *PostingListResponse.from_records(0, records).columns)
+
+
+def _read_record_columns(r: _Reader) -> tuple[ShareRecord, ...]:
+    return tuple(map(ShareRecord, *read_columns(r, 3)))
 
 
 def _enc_lists_packed(out: bytearray, msg: m.FetchListsResponse) -> None:
     _write_uint(out, len(msg.lists))
     for pl in msg.lists:
         _write_uint(out, pl.pl_id)
-        _write_packed_records(out, pl.records)
+        write_columns(out, *pl.columns)
 
 
 def _dec_lists_packed(r: _Reader) -> m.FetchListsResponse:
     lists = tuple(
-        PostingListResponse(pl_id=r.uint(), records=_read_packed_records(r))
+        PostingListResponse(r.uint(), *read_columns(r, 3))
         for _ in range(r.uint())
     )
     return m.FetchListsResponse(lists=lists)
@@ -606,76 +638,40 @@ def _dec_lists_packed(r: _Reader) -> m.FetchListsResponse:
 def _enc_record_list_packed(
     out: bytearray, msg: m.RecordListResponse
 ) -> None:
-    _write_packed_records(out, msg.records)
+    _write_record_columns(out, msg.records)
 
 
 def _dec_record_list_packed(r: _Reader) -> m.RecordListResponse:
-    return m.RecordListResponse(records=_read_packed_records(r))
+    return m.RecordListResponse(records=_read_record_columns(r))
 
 
 def _enc_insert_packed(out: bytearray, msg: m.InsertBatchRequest) -> None:
     _write_token(out, msg.token)
     ops = msg.operations
-    _write_uint(out, len(ops))
-    if not ops:
-        return
-    w_pl = _field_width(max(op.pl_id for op in ops))
-    w_element = _field_width(max(op.element_id for op in ops))
-    w_group = _field_width(max(op.group_id for op in ops))
-    w_share = _field_width(max(op.share_y for op in ops))
-    out += bytes((w_pl, w_element, w_group, w_share))
-    for op in ops:
-        out += op.pl_id.to_bytes(w_pl, "big")
-        out += op.element_id.to_bytes(w_element, "big")
-        out += op.group_id.to_bytes(w_group, "big")
-        out += op.share_y.to_bytes(w_share, "big")
+    write_columns(
+        out,
+        [op.pl_id for op in ops],
+        [op.element_id for op in ops],
+        [op.group_id for op in ops],
+        [op.share_y for op in ops],
+    )
 
 
 def _dec_insert_packed(r: _Reader) -> m.InsertBatchRequest:
     token = _read_token(r)
-    count = r.uint()
-    if not count:
-        return m.InsertBatchRequest(token=token, operations=())
-    if r.pos + 4 > len(r.data):
-        raise ProtocolError("truncated packed-insert width header")
-    data = r.data
-    pos = r.pos
-    widths = data[pos : pos + 4]
-    pos += 4
-    if 0 in widths:
-        raise ProtocolError("packed-insert field width of zero")
-    w_pl, w_element, w_group, w_share = widths
-    end = pos + (w_pl + w_element + w_group + w_share) * count
-    if end > len(data):
-        raise ProtocolError("truncated packed insert batch")
-    from_bytes = int.from_bytes
-    ops = []
-    for _ in range(count):
-        split_p = pos + w_pl
-        split_e = split_p + w_element
-        split_g = split_e + w_group
-        row_end = split_g + w_share
-        ops.append(
-            InsertOp(
-                pl_id=from_bytes(data[pos:split_p], "big"),
-                element_id=from_bytes(data[split_p:split_e], "big"),
-                group_id=from_bytes(data[split_e:split_g], "big"),
-                share_y=from_bytes(data[split_g:row_end], "big"),
-            )
-        )
-        pos = row_end
-    r.pos = pos
-    return m.InsertBatchRequest(token=token, operations=tuple(ops))
+    return m.InsertBatchRequest(
+        token=token, operations=tuple(map(InsertOp, *read_columns(r, 4)))
+    )
 
 
 def _enc_adopt_packed(out: bytearray, msg: m.AdoptListRequest) -> None:
     _write_uint(out, msg.pl_id)
-    _write_packed_records(out, msg.records)
+    _write_record_columns(out, msg.records)
 
 
 def _dec_adopt_packed(r: _Reader) -> m.AdoptListRequest:
     return m.AdoptListRequest(
-        pl_id=r.uint(), records=_read_packed_records(r)
+        pl_id=r.uint(), records=_read_record_columns(r)
     )
 
 
@@ -742,8 +738,8 @@ _REGISTRY: dict[int, tuple[type, Callable, Callable]] = {
     ),
 }
 
-#: Packed variants: same message classes, new type bytes (0x40 block),
-#: fixed-width record columns. Emitted only when the peer negotiated
+#: Packed variants: same message classes, own type bytes (0x40 block),
+#: column-major record arrays. Emitted only when the peer negotiated
 #: the pipelined protocol revision (see ``encode_message(packed=True)``);
 #: always accepted on decode.
 _PACKED_REGISTRY: dict[int, tuple[type, Callable, Callable]] = {

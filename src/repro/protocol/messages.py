@@ -68,7 +68,9 @@ from repro.server.index_server import (
 #: Bump when the *layout* of an existing message changes.
 #: v2: CacheGetRequest/CachePutRequest carry an AuthToken — the cache
 #: tier authenticates callers and verifies group fingerprints.
-PROTOCOL_VERSION = 2
+#: v3: the packed messages (0x41-0x44) are column-major — one width
+#: byte + fixed-width values per column instead of row-major records.
+PROTOCOL_VERSION = 3
 
 #: Default share width (matches ceil(bits(DEFAULT_PRIME)/8)).
 DEFAULT_SHARE_BYTES = 9

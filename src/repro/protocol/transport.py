@@ -74,6 +74,7 @@ from repro.protocol.service import error_response, raise_for_error
 from repro.observability.tracing import (
     TraceContext,
     current_trace,
+    record_span,
     span,
     trace_scope,
 )
@@ -338,7 +339,9 @@ def handle_request_payload(
             "zerber_server_request_bytes_total", transport=transport_label
         ).inc(len(payload))
     try:
+        decode_start = time.perf_counter()
         dst, request, budget_us, wire_trace = _unpack_request(payload)
+        decode_s = time.perf_counter() - decode_start
         deadline: Deadline | None = None
         if budget_us is not None:
             start = (
@@ -355,6 +358,8 @@ def handle_request_payload(
             if wire_trace is not None
             else None
         )
+        # No-op without a trace (a server thread has no ambient one).
+        record_span("decode", decode_start, decode_s, len(payload), trace)
         if isinstance(request, EndpointsRequest):
             return EndpointsResponse(names=tuple(registry.endpoints()))
         if admission is not None:
@@ -445,11 +450,11 @@ def _pack_request(
     )
 
 
-def _unpack_request(
+def _unpack_envelope(
     payload: bytes,
-) -> tuple[str, Any, int | None, tuple[int, int] | None]:
-    """``(dst, request, remaining budget µs | None, (trace id, hop) |
-    None)`` off one frame."""
+) -> tuple[str, int | None, tuple[int, int] | None, int]:
+    """``(dst, remaining budget µs | None, (trace id, hop) | None,
+    message offset)`` off one request frame."""
     if len(payload) < _LEN.size:
         raise ProtocolError("request frame shorter than its name header")
     (word,) = _LEN.unpack(payload[: _LEN.size])
@@ -481,7 +486,27 @@ def _unpack_request(
             )
         trace = _TRACE.unpack(payload[body_start:trace_end])
         body_start = trace_end
+    return dst, budget_us, trace, body_start
+
+
+def _unpack_request(
+    payload: bytes,
+) -> tuple[str, Any, int | None, tuple[int, int] | None]:
+    """``(dst, request, remaining budget µs | None, (trace id, hop) |
+    None)`` off one frame."""
+    dst, budget_us, trace, body_start = _unpack_envelope(payload)
     return dst, decode_message(payload[body_start:]), budget_us, trace
+
+
+def request_trace(payload: bytes) -> TraceContext | None:
+    """The trace context a request frame carries (None: untraced, or
+    too mangled to say), for the span of the response's encode."""
+    if len(payload) < _LEN.size or not payload[0] & (TRACE_FLAG >> 24):
+        return None
+    try:
+        return TraceContext(*_unpack_envelope(payload)[2])
+    except ProtocolError:
+        return None
 
 
 class SocketServer:

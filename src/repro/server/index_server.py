@@ -17,8 +17,9 @@ information the §7.1 attack experiments are allowed to use.
 from __future__ import annotations
 
 from collections import defaultdict
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import compress
 
 from repro.errors import AccessDeniedError, IndexServerError
 from repro.server.auth import AuthService, AuthToken
@@ -70,21 +71,118 @@ class DeleteOp:
         return 4 + 4
 
 
+class RecordView(Sequence):
+    """Aligned share columns read as a sequence of :class:`ShareRecord`:
+    ``len()`` is O(1) and a record is built only when one is iterated or
+    indexed. Equal by value to another view or to a tuple of records."""
+
+    __slots__ = ("_columns",)
+
+    def __init__(self, *columns: list[int]) -> None:
+        self._columns = columns
+
+    def __len__(self) -> int:
+        return len(self._columns[0])
+
+    def __iter__(self):
+        return map(ShareRecord, *self._columns)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self)[index]
+        return ShareRecord(*(column[index] for column in self._columns))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, RecordView):
+            return self._columns == other._columns
+        return tuple(self) == other
+
+    def __repr__(self) -> str:
+        return f"RecordView({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class PostingListResponse:
     """One merged posting list's accessible elements, §5.4.2's
 
     ``PL_ID, [{g_id1, e(doc1, term1, tf1)}, ...]``
+
+    held as three aligned columns, read-only by contract: transports,
+    caches and the client's merge all hold a response without a copy.
     """
 
     pl_id: int
-    records: tuple[ShareRecord, ...]
+    element_ids: list[int]
+    group_ids: list[int]
+    share_ys: list[int]
+
+    @classmethod
+    def from_records(
+        cls, pl_id: int, records: Iterable[ShareRecord]
+    ) -> "PostingListResponse":
+        rows = [(r.element_id, r.group_id, r.share_y) for r in records]
+        return cls(pl_id, *map(list, zip(*rows) if rows else ((), (), ())))
+
+    @property
+    def columns(self) -> tuple[list[int], list[int], list[int]]:
+        return self.element_ids, self.group_ids, self.share_ys
+
+    @property
+    def records(self) -> RecordView:
+        """The rows as :class:`ShareRecord` objects, built lazily."""
+        return RecordView(*self.columns)
 
     def wire_bytes(self, share_bytes: int = 9) -> int:
         # Every record is the same fixed width (element id + group id +
         # share), so the sum is a product — this sizer runs once per
         # lookup response on the read hot path.
-        return 4 + len(self.records) * (4 + 4 + share_bytes)
+        return 4 + len(self.element_ids) * (4 + 4 + share_bytes)
+
+
+class _SeatList:
+    """One merged list as the seat stores it: three aligned share
+    columns plus ``element_id -> row``. A delete moves the last row into
+    the hole (O(1)), so row order is a function of the operations
+    applied: seats that applied the same operations answer in the same
+    order, which the client's aligned join relies on."""
+
+    __slots__ = ("element_ids", "group_ids", "share_ys", "columns", "row_of")
+
+    def __init__(self) -> None:
+        self.columns = ([], [], [])
+        self.element_ids, self.group_ids, self.share_ys = self.columns
+        self.row_of: dict[int, int] = {}
+
+    def __len__(self) -> int:
+        return len(self.element_ids)
+
+    def extend(self, rows: Sequence) -> None:
+        """Append rows (records or insert ops) whose element IDs are
+        distinct and not yet stored."""
+        ids = [row.element_id for row in rows]
+        self.row_of.update(zip(ids, range(len(self), len(self) + len(ids))))
+        self.element_ids.extend(ids)
+        self.group_ids.extend([row.group_id for row in rows])
+        self.share_ys.extend([row.share_y for row in rows])
+
+    def remove(self, element_id: int) -> bool:
+        row = self.row_of.pop(element_id, None)
+        if row is None:
+            return False
+        for column in self.columns:
+            last = column.pop()
+            if row < len(column):
+                column[row] = last
+        if row < len(self):
+            self.row_of[self.element_ids[row]] = row
+        return True
+
+    def records(self) -> list[ShareRecord]:
+        return list(map(ShareRecord, *self.columns))
+
+
+#: What a list the seat has never stored reads as. Never written to.
+_NO_LIST = _SeatList()
 
 
 @dataclass(frozen=True)
@@ -143,7 +241,7 @@ class IndexServer:
         self.share_bytes = share_bytes
         self._auth = auth
         self._groups = groups
-        self._store: dict[int, dict[int, ShareRecord]] = defaultdict(dict)
+        self._store: dict[int, _SeatList] = defaultdict(_SeatList)
         self._update_log: list[list[tuple[int, int]]] = []
         self._query_log: list[tuple[str, tuple[int, ...]]] = []
         self._persistence = None
@@ -205,7 +303,7 @@ class IndexServer:
         if self.num_elements:
             raise IndexServerError("bulk-load target server is not empty")
         for pl_id, plist in records.items():
-            self._store[pl_id].update(plist)
+            self._store[pl_id].extend(list(plist.values()))
         return self.num_elements
 
     # -- narrow interface: insert --------------------------------------------
@@ -238,21 +336,18 @@ class IndexServer:
                     f"user {user_id!r} is not in group {op.group_id}"
                 )
             key = (op.pl_id, op.element_id)
-            if key in seen or op.element_id in self._store.get(
-                op.pl_id, ()
-            ):
+            stored = self._store.get(op.pl_id, _NO_LIST)
+            if key in seen or op.element_id in stored.row_of:
                 raise IndexServerError(
                     f"element {op.element_id} already exists in list {op.pl_id}"
                 )
             seen.add(key)
-        batch_entry: list[tuple[int, int]] = []
+        by_list: dict[int, list[InsertOp]] = defaultdict(list)
         for op in operations:
-            self._store[op.pl_id][op.element_id] = ShareRecord(
-                element_id=op.element_id,
-                group_id=op.group_id,
-                share_y=op.share_y,
-            )
-            batch_entry.append((op.pl_id, op.element_id))
+            by_list[op.pl_id].append(op)
+        for pl_id, ops in by_list.items():
+            self._store[pl_id].extend(ops)
+        batch_entry = [(op.pl_id, op.element_id) for op in operations]
         if batch_entry:
             self._update_log.append(batch_entry)
         if self._persistence is not None:
@@ -276,19 +371,18 @@ class IndexServer:
         """
         user_id = self._auth.verify(token)
         for op in operations:
-            record = self._store.get(op.pl_id, {}).get(op.element_id)
-            if record is not None and not self._groups.is_member(
-                user_id, record.group_id
+            stored = self._store.get(op.pl_id, _NO_LIST)
+            row = stored.row_of.get(op.element_id)
+            if row is not None and not self._groups.is_member(
+                user_id, stored.group_ids[row]
             ):
                 raise AccessDeniedError(
-                    f"user {user_id!r} may not delete from group {record.group_id}"
+                    f"user {user_id!r} may not delete from group "
+                    f"{stored.group_ids[row]}"
                 )
         deleted = 0
         for op in operations:
-            plist = self._store.get(op.pl_id)
-            if plist is None:
-                continue
-            if plist.pop(op.element_id, None) is not None:
+            if self._store.get(op.pl_id, _NO_LIST).remove(op.element_id):
                 deleted += 1
         if self._persistence is not None:
             self._persistence.append_deletes(operations)
@@ -306,6 +400,9 @@ class IndexServer:
         Unknown posting lists yield empty responses rather than errors: an
         error would tell the caller the list has never been used anywhere,
         which §6.4 works to conceal.
+
+        A response holds copies of the stored columns: it outlives the
+        next write inside caches and the in-process transport.
         """
         user_id = self._auth.verify(token)
         user_groups = self._groups.groups_of(user_id)
@@ -313,13 +410,15 @@ class IndexServer:
         self._query_log.append((user_id, requested))
         responses = []
         for pl_id in requested:
-            stored = self._store.get(pl_id, {})
-            records = tuple(
-                record
-                for record in stored.values()
-                if record.group_id in user_groups
-            )
-            responses.append(PostingListResponse(pl_id=pl_id, records=records))
+            stored = self._store.get(pl_id, _NO_LIST)
+            if user_groups.issuperset(stored.group_ids):
+                columns = [column[:] for column in stored.columns]
+            else:
+                keep = [group in user_groups for group in stored.group_ids]
+                columns = [
+                    list(compress(column, keep)) for column in stored.columns
+                ]
+            responses.append(PostingListResponse(pl_id, *columns))
         return responses
 
     # -- pod-to-pod replication seam ----------------------------------------------
@@ -335,7 +434,7 @@ class IndexServer:
 
     def export_posting_list(self, pl_id: int) -> list[ShareRecord]:
         """This server's stored share records for one merged list."""
-        return list(self._store.get(pl_id, {}).values())
+        return self._store.get(pl_id, _NO_LIST).records()
 
     def adopt_posting_list(
         self, pl_id: int, records: Sequence[ShareRecord]
@@ -345,12 +444,13 @@ class IndexServer:
         Returns the records actually added, so the caller can append
         exactly those to this seat's WAL.
         """
-        plist = self._store[pl_id]
-        added: list[ShareRecord] = []
+        stored = self._store[pl_id]
+        fresh: dict[int, ShareRecord] = {}
         for record in records:
-            if record.element_id not in plist:
-                plist[record.element_id] = record
-                added.append(record)
+            if record.element_id not in stored.row_of:
+                fresh.setdefault(record.element_id, record)
+        added = list(fresh.values())
+        stored.extend(added)
         if added and self._persistence is not None:
             self._persistence.append_inserts(
                 InsertOp(
@@ -365,8 +465,8 @@ class IndexServer:
 
     def drop_posting_list(self, pl_id: int) -> list[ShareRecord]:
         """Discard a list this server no longer owns; returns the records."""
-        plist = self._store.pop(pl_id, None)
-        removed = list(plist.values()) if plist else []
+        stored = self._store.pop(pl_id, None)
+        removed = stored.records() if stored else []
         if removed and self._persistence is not None:
             self._persistence.append_deletes(
                 DeleteOp(pl_id=pl_id, element_id=record.element_id)
@@ -389,9 +489,9 @@ class IndexServer:
         from repro.storage.snapshot import snapshot_bytes
 
         subset = {
-            pl_id: self._store[pl_id]
+            pl_id: {record.element_id: record for record in stored.records()}
             for pl_id in pl_ids
-            if self._store.get(pl_id)
+            if (stored := self._store.get(pl_id))
         }
         return snapshot_bytes(subset)
 
@@ -454,14 +554,12 @@ class IndexServer:
                     ),
                 )
             else:
-                plist = self._store.get(op.pl_id)
                 if (
-                    plist is not None
-                    and plist.pop(op.element_id, None) is not None
+                    self._store.get(op.pl_id, _NO_LIST).remove(op.element_id)
                     and self._persistence is not None
                 ):
                     self._persistence.append_deletes((op,))
-        return sum(len(self._store.get(pl_id, {})) for pl_id in wanted)
+        return sum(len(self._store.get(pl_id, _NO_LIST)) for pl_id in wanted)
 
     # -- operator/diagnostic surface ---------------------------------------------
 
@@ -486,9 +584,9 @@ class IndexServer:
             server_id=self.server_id,
             x_coordinate=self.x_coordinate,
             posting_store={
-                pl_id: list(plist.values())
-                for pl_id, plist in self._store.items()
-                if plist
+                pl_id: stored.records()
+                for pl_id, stored in self._store.items()
+                if stored
             },
             group_table=self._groups.snapshot(),
             update_log=[list(batch) for batch in self._update_log],

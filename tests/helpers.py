@@ -32,6 +32,17 @@ def owner_of_group(group_id: int) -> str:
     return f"owner{group_id}"
 
 
+def rewrite_stored_list(server, pl_id: int, rewrite) -> int:
+    """Replace one seat's copy of a list with ``rewrite(records)``.
+
+    Goes through the operator's drop/adopt channel, so fault-injecting
+    tests (a lying or lagging server) never reach into the seat store.
+    Returns how many records the list holds afterwards.
+    """
+    records = server.drop_posting_list(pl_id)
+    return len(server.adopt_posting_list(pl_id, rewrite(records)))
+
+
 def deploy_corpus(
     corpus: Corpus,
     k: int = 2,

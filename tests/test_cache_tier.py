@@ -150,7 +150,7 @@ class TestWireFormat:
         return [
             (
                 0,
-                PostingListResponse(
+                PostingListResponse.from_records(
                     pl_id=5,
                     records=(
                         ShareRecord(element_id=9, group_id=1, share_y=123),
@@ -158,7 +158,7 @@ class TestWireFormat:
                     ),
                 ),
             ),
-            (2, PostingListResponse(pl_id=5, records=())),
+            (2, PostingListResponse.from_records(5, ())),
         ]
 
     def test_entry_round_trip(self):
@@ -170,8 +170,28 @@ class TestWireFormat:
         blob = encode_entry(self._pairs())
         with pytest.raises(ProtocolError):
             decode_entry(blob + b"\x00")
+        for cut in range(len(blob)):
+            with pytest.raises(ProtocolError):
+                decode_entry(blob[:cut])
+
+    def test_entry_is_the_wire_column_form(self):
+        """An L2 value is the codec's column form per (slot, list):
+        fixed-width share columns, so two-limb shares and empty lists
+        round-trip and a forged width byte is typed."""
+        wide = PostingListResponse(
+            7, [1, 70_000], [1, 2], [2**64 + 12, 2**71 + 99]
+        )
+        pairs = [(0, wide), (1, wide), (3, PostingListResponse(7, [], [], []))]
+        blob = encode_entry(pairs)
+        assert decode_entry(blob) == pairs
+        # pairs(1) slot(1) pl_id(1) count(1), then the first width byte.
+        assert blob[4] == 3  # element ids need 3 bytes
+        forged = bytearray(blob)
+        forged[4] = 0
         with pytest.raises(ProtocolError):
-            decode_entry(blob[:-1])
+            decode_entry(bytes(forged))
+        # Smaller than three varints per record (the previous form).
+        assert len(blob) < 2 * 2 * (3 + 1 + 11) + 10
 
     def test_entry_key_is_user_free_and_order_insensitive(self):
         assert entry_key(frozenset({2, 1}), 3, 9, 4) == "1,2|3|9|4"
@@ -527,6 +547,30 @@ class TestClusterIntegration:
             r2 = second.search(["w3", "w5"])
             assert _result_bytes(r1) == _result_bytes(r2)
             assert second.last_cluster_diagnostics.l2_hits > 0
+        finally:
+            cluster.close()
+
+    def test_corrupt_l2_value_is_a_miss(self):
+        """A torn or poisoned tier value must cost a refetch, never an
+        answer: the searcher treats it as a miss."""
+        documents = make_documents(num_docs=10)
+        cluster = make_cluster(
+            documents, cache_tier="lru", cache_entries=0
+        )
+        try:
+            cluster.add_member(0, "alice", actor="owner0")
+            r1 = cluster.searcher("alice").search(["w3", "w5"])
+            store = cluster.cache_tier_store
+            for key, (pl_id, value) in list(store._entries.items()):
+                store.put(key, pl_id, value[:-1])
+            second = cluster.searcher("alice")
+            r2 = second.search(["w3", "w5"])
+            assert _result_bytes(r1) == _result_bytes(r2)
+            assert second.last_cluster_diagnostics.l2_hits == 0
+            # The refetch re-filled the tier with sound values.
+            third = cluster.searcher("alice")
+            assert _result_bytes(third.search(["w3", "w5"])) == _result_bytes(r1)
+            assert third.last_cluster_diagnostics.l2_hits > 0
         finally:
             cluster.close()
 

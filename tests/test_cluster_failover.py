@@ -16,10 +16,12 @@ import pytest
 
 from helpers import make_cluster, make_documents
 from repro.client.batching import BatchPolicy
+from repro.cluster.clients import ClusterSearchClient
 from repro.core.mapping_table import MappingTable
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Document
 from repro.errors import ClusterDegradedError, ClusterError
+from repro.server.index_server import PostingListResponse
 
 
 class TestKillRestartLifecycle:
@@ -347,6 +349,51 @@ class TestReplicaFailover:
             results = searcher.search(terms, top_k=10,
                                       fetch_snippets=False)
             assert any(hit.doc_id == 800 for hit in results)
+
+
+class TestMergeResponse:
+    """``_merge_response`` folds replica answers per slot on columns."""
+
+    @staticmethod
+    def _response(rows):
+        return PostingListResponse(9, *map(list, zip(*rows))) if rows else (
+            PostingListResponse(9, [], [], [])
+        )
+
+    def test_first_answer_is_kept_as_is_and_counted(self):
+        slot_map, counts = {}, {}
+        first = self._response([(30, 1, 300), (10, 1, 100)])
+        ClusterSearchClient._merge_response(slot_map, counts, 0, first)
+        assert slot_map[0] is first  # arrival order, no copy
+        assert counts == {30: 1, 10: 1}
+
+    def test_union_fills_gaps_sorted_by_element_id(self):
+        slot_map, counts = {}, {}
+        short = self._response([(30, 1, 300), (10, 1, 100)])
+        fuller = self._response(
+            [(40, 2, 400), (10, 1, 100), (20, 2, 200), (30, 1, 300)]
+        )
+        ClusterSearchClient._merge_response(slot_map, counts, 0, short)
+        ClusterSearchClient._merge_response(slot_map, counts, 0, fuller)
+        merged = slot_map[0]
+        assert merged.pl_id == 9
+        assert merged.element_ids == [10, 20, 30, 40]
+        assert merged.group_ids == [1, 2, 1, 2]
+        assert merged.share_ys == [100, 200, 300, 400]
+        # Only the gap-fillers count as new shares; the inputs are intact.
+        assert counts == {30: 1, 10: 1, 40: 1, 20: 1}
+        assert short.element_ids == [30, 10] and len(fuller.records) == 4
+
+    def test_a_replica_with_nothing_new_changes_nothing(self):
+        slot_map, counts = {}, {}
+        first = self._response([(30, 1, 300), (10, 1, 100)])
+        ClusterSearchClient._merge_response(slot_map, counts, 0, first)
+        for again in (self._response([(10, 1, 100)]), self._response([])):
+            ClusterSearchClient._merge_response(slot_map, counts, 0, again)
+        assert slot_map[0] is first and counts == {30: 1, 10: 1}
+        # Another slot's share of the same elements counts separately.
+        ClusterSearchClient._merge_response(slot_map, counts, 1, first)
+        assert counts == {30: 2, 10: 2}
 
 
 class TestReprovisioning:

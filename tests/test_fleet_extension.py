@@ -14,7 +14,11 @@ import pytest
 from repro.client.searcher import SearchClient
 from repro.server.index_server import ShareRecord
 
-from tests.helpers import deploy_corpus, owner_of_group
+from tests.helpers import (
+    deploy_corpus,
+    owner_of_group,
+    rewrite_stored_list,
+)
 
 
 @pytest.fixture(scope="module")
@@ -135,16 +139,19 @@ class TestByzantineDetection:
     def _tamper(self, deployment, term, rng):
         """Flip one share on server 2 for every element of term's list."""
         pl_id = deployment.mapping_table.lookup(term)
-        server = deployment.servers[2]
-        store = server._store.get(pl_id, {})
-        for element_id, record in list(store.items()):
-            store[element_id] = ShareRecord(
-                element_id=record.element_id,
-                group_id=record.group_id,
-                share_y=(record.share_y + 1 + rng.randrange(1000))
-                % deployment.field.p,
-            )
-        return len(store)
+        return rewrite_stored_list(
+            deployment.servers[2],
+            pl_id,
+            lambda records: [
+                ShareRecord(
+                    element_id=record.element_id,
+                    group_id=record.group_id,
+                    share_y=(record.share_y + 1 + rng.randrange(1000))
+                    % deployment.field.p,
+                )
+                for record in records
+            ],
+        )
 
     def test_lying_server_detected_at_k_plus_1(self, corpus):
         # m = k + 1 = 3 shares with one liar: detectable, NOT correctable
@@ -203,10 +210,11 @@ class TestByzantineDetection:
         searcher = deployment.searcher(owner_of_group(0))
         healthy = searcher.fetch_elements([term], num_servers=3)
         received = searcher.last_diagnostics.elements_received
-        store = deployment.servers[0]._store[
-            deployment.mapping_table.lookup(term)
-        ]
-        del store[next(iter(store))]
+        rewrite_stored_list(
+            deployment.servers[0],
+            deployment.mapping_table.lookup(term),
+            lambda records: records[1:],
+        )
         lagging = searcher.fetch_elements([term], num_servers=3)
         assert sorted(lagging, key=repr) == sorted(healthy, key=repr)
         assert searcher.last_diagnostics.elements_received == received

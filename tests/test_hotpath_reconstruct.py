@@ -84,7 +84,7 @@ class ColumnClient(SearchClient):
 
 
 def _response(column):
-    return PostingListResponse(
+    return PostingListResponse.from_records(
         pl_id=PL_ID,
         records=tuple(
             ShareRecord(element_id=element_id, group_id=0, share_y=y)

@@ -3,11 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AccessDeniedError, AuthError, IndexServerError
 from repro.server.auth import AuthService
 from repro.server.groups import GroupDirectory
-from repro.server.index_server import DeleteOp, IndexServer, InsertOp
+from repro.server.index_server import (
+    DeleteOp,
+    IndexServer,
+    InsertOp,
+    PostingListResponse,
+    ShareRecord,
+)
 
 
 @pytest.fixture()
@@ -159,3 +167,243 @@ class TestMisc:
         auth, groups, _, _ = env
         with pytest.raises(IndexServerError):
             IndexServer("bad", x_coordinate=0, auth=auth, groups=groups)
+
+
+# -- the columnar seat store against a per-record oracle ----------------------
+#
+# The seat keeps each list as three aligned columns plus element_id ->
+# row, and deletes by moving the last row into the hole. The oracle is
+# the semantics written out the obvious way — pl_id -> {element_id ->
+# ShareRecord} — and every observable of the server must agree with it
+# as a *set* (row order is the store's own business), while two servers
+# fed the same operations must agree on the *order* too: that is what
+# the client's aligned join relies on.
+
+GROUPS = (1, 2, 3)
+READERS = {"all": GROUPS, "some": (1,), "none": ()}
+
+
+def _fleet():
+    auth = AuthService()
+    groups = GroupDirectory()
+    for group_id in GROUPS:
+        groups.create_group(group_id, coordinator="writer")
+    tokens = {}
+    for user, memberships in READERS.items():
+        tokens[user] = auth.issue_token(user, auth.register_user(user))
+        for group_id in memberships:
+            groups.add_member(group_id, user, actor="writer")
+    servers = [
+        IndexServer(name, x_coordinate=x, auth=auth, groups=groups)
+        for name, x in (("a", 1), ("b", 1), ("stale", 1))
+    ]
+    return servers, tokens
+
+
+class _Oracle:
+    def __init__(self):
+        self.lists: dict[int, dict[int, ShareRecord]] = {}
+
+    def insert(self, ops) -> bool:
+        keys = [(o.pl_id, o.element_id) for o in ops]
+        if len(set(keys)) != len(keys) or any(
+            eid in self.lists.get(pl, {}) for pl, eid in keys
+        ):
+            return False  # atomic: a rejected batch changes nothing
+        for o in ops:
+            self.lists.setdefault(o.pl_id, {})[o.element_id] = ShareRecord(
+                o.element_id, o.group_id, o.share_y
+            )
+        return True
+
+    def delete(self, ops) -> int:
+        return sum(
+            self.lists.get(o.pl_id, {}).pop(o.element_id, None) is not None
+            for o in ops
+        )
+
+    def adopt(self, pl_id, records) -> set:
+        plist = self.lists.setdefault(pl_id, {})
+        added = set()
+        for record in records:
+            if record.element_id not in plist:
+                plist[record.element_id] = record
+                added.add(record)
+        return added
+
+    def drop(self, pl_id) -> set:
+        return set(self.lists.pop(pl_id, {}).values())
+
+    def visible(self, pl_id, groups) -> set:
+        return {
+            r for r in self.lists.get(pl_id, {}).values() if r.group_id in groups
+        }
+
+
+def _assert_matches(server, oracle, tokens, pl_ids):
+    assert server.num_elements == sum(map(len, oracle.lists.values()))
+    assert server.num_posting_lists == sum(map(bool, oracle.lists.values()))
+    view = server.compromise().posting_store
+    assert {pl: set(rs) for pl, rs in view.items()} == {
+        pl: set(rs.values()) for pl, rs in oracle.lists.items() if rs
+    }
+    assert all(len(rs) == len(set(rs)) for rs in view.values())
+    for pl_id in pl_ids:
+        exported = server.export_posting_list(pl_id)
+        assert len(exported) == len(set(exported))
+        assert set(exported) == set(oracle.lists.get(pl_id, {}).values())
+    for user, groups in READERS.items():
+        for response in server.get_posting_lists(tokens[user], pl_ids):
+            records = response.records
+            assert len(records) == len(response.element_ids)
+            assert set(records) == oracle.visible(response.pl_id, groups)
+            assert len(set(response.element_ids)) == len(records)
+
+
+_PL = st.integers(min_value=0, max_value=3)
+_EID = st.integers(min_value=0, max_value=12)
+_RECORD = st.builds(
+    ShareRecord,
+    element_id=_EID,
+    group_id=st.sampled_from(GROUPS),
+    share_y=st.integers(min_value=0, max_value=2**64 + 12),
+)
+_STEP = st.one_of(
+    st.tuples(
+        st.just("insert"),
+        st.lists(
+            st.builds(
+                InsertOp,
+                pl_id=_PL,
+                element_id=_EID,
+                group_id=st.sampled_from(GROUPS),
+                share_y=st.integers(min_value=0, max_value=2**64 + 12),
+            ),
+            max_size=6,
+        ),
+    ),
+    st.tuples(
+        st.just("delete"),
+        st.lists(st.builds(DeleteOp, pl_id=_PL, element_id=_EID), max_size=4),
+    ),
+    st.tuples(st.just("adopt"), _PL, st.lists(_RECORD, max_size=5)),
+    st.tuples(st.just("drop"), _PL),
+    st.tuples(st.just("snapshot"), st.lists(_PL, max_size=3, unique=True)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(_STEP, max_size=14))
+def test_seat_store_agrees_with_the_per_record_oracle(steps):
+    (a, b, stale), tokens = _fleet()
+    oracle = _Oracle()
+    pl_ids = tuple(range(4))
+    # The snapshot target starts out wrong on purpose: replace semantics
+    # must kill what the image does not carry.
+    stale.adopt_posting_list(0, [ShareRecord(99, 1, 1), ShareRecord(3, 2, 2)])
+    for step in steps:
+        kind = step[0]
+        if kind == "insert":
+            accepted = oracle.insert(step[1])
+            for server in (a, b):
+                if accepted:
+                    assert server.insert_batch(
+                        tokens["all"], step[1]
+                    ) == len(step[1])
+                else:
+                    with pytest.raises(IndexServerError):
+                        server.insert_batch(tokens["all"], step[1])
+        elif kind == "delete":
+            deleted = oracle.delete(step[1])
+            for server in (a, b):
+                assert server.delete(tokens["all"], step[1]) == deleted
+        elif kind == "adopt":
+            added = oracle.adopt(step[1], step[2])
+            for server in (a, b):
+                assert set(server.adopt_posting_list(step[1], step[2])) == added
+        elif kind == "drop":
+            dropped = oracle.drop(step[1])
+            for server in (a, b):
+                assert set(server.drop_posting_list(step[1])) == dropped
+        else:
+            image, count = a.export_snapshot(step[1])
+            # Snapshot bytes are sorted, so they cannot depend on row order.
+            assert (image, count) == b.export_snapshot(step[1])
+            assert count == sum(len(oracle.lists.get(pl, {})) for pl in step[1])
+            assert stale.ingest_snapshot(step[1], image) == count
+            for pl_id in step[1]:
+                assert set(stale.export_posting_list(pl_id)) == set(
+                    oracle.lists.get(pl_id, {}).values()
+                )
+        _assert_matches(a, oracle, tokens, pl_ids)
+        # Same operations, same order — not merely the same set.
+        for user in READERS:
+            assert a.get_posting_lists(
+                tokens[user], pl_ids
+            ) == b.get_posting_lists(tokens[user], pl_ids)
+
+
+@pytest.mark.parametrize(
+    "rows, victim",
+    [(5, 0), (5, 2), (5, 4), (1, 0), (5, None)],
+    ids=["first", "middle", "last", "only", "absent"],
+)
+def test_delete_of_each_row_position(rows, victim):
+    (server, _b, _stale), tokens = _fleet()
+    oracle = _Oracle()
+    ops = [op(7, 10 + i, GROUPS[i % 3], share=1000 + i) for i in range(rows)]
+    oracle.insert(ops)
+    server.insert_batch(tokens["all"], ops)
+    target = DeleteOp(pl_id=7, element_id=99 if victim is None else 10 + victim)
+    assert server.delete(tokens["all"], [target]) == oracle.delete([target])
+    _assert_matches(server, oracle, tokens, (7,))
+    # The row index survived the move: every survivor can still be found
+    # (deleted exactly once), and the freed id can be inserted again.
+    survivors = [DeleteOp(7, eid) for eid in list(oracle.lists[7])]
+    assert server.delete(tokens["all"], survivors) == len(survivors)
+    assert server.delete(tokens["all"], survivors) == 0
+    assert server.num_elements == 0
+    assert server.insert_batch(tokens["all"], ops) == rows
+
+
+def test_a_response_does_not_change_under_later_writes(env):
+    """A response outlives the next write — inside the share cache, the
+    client's merge, the in-process transport — so it must hold copies,
+    filtered or not, never the store's own columns."""
+    _, _, server, tokens = env
+    # List 0 holds only alice's group (answered unfiltered), list 1 both
+    # groups (answered filtered for either reader).
+    server.insert_batch(
+        tokens["alice"],
+        [op(pl, i, 1, share=i) for pl in (0, 1) for i in range(4)],
+    )
+    server.insert_batch(tokens["bob"], [op(1, 10, 2)])
+    before = [
+        response
+        for user in ("alice", "bob")
+        for response in server.get_posting_lists(tokens[user], [0, 1])
+    ]
+    assert [len(r.records) for r in before] == [4, 4, 0, 1]
+    frozen = [
+        (list(r.element_ids), list(r.group_ids), list(r.share_ys))
+        for r in before
+    ]
+    server.insert_batch(tokens["alice"], [op(0, 50, 1), op(1, 50, 1)])
+    server.delete(tokens["alice"], [DeleteOp(0, 0), DeleteOp(1, 2)])
+    server.drop_posting_list(1)
+    assert [
+        (r.element_ids, r.group_ids, r.share_ys) for r in before
+    ] == frozen
+
+
+def test_record_view_is_a_lazy_sequence_equal_to_a_tuple():
+    records = (ShareRecord(1, 2, 3), ShareRecord(4, 5, 6), ShareRecord(7, 8, 9))
+    response = PostingListResponse.from_records(5, records)
+    view = response.records
+    assert len(view) == 3 and view == records and records == tuple(view)
+    assert view[1] == records[1] and view[-1] == records[-1]
+    assert view[1:] == records[1:]
+    assert records[0] in view and ShareRecord(0, 0, 0) not in view
+    assert view == PostingListResponse(5, [1, 4, 7], [2, 5, 8], [3, 6, 9]).records
+    assert view != records[:2]
+    assert response.wire_bytes(9) == 4 + 3 * 17

@@ -414,6 +414,45 @@ class TestEndToEnd:
             )
 
 
+    def test_async_socket_trace_splits_codec_from_wire(self):
+        """Every ``call:<dst>`` round trip is flanked by a client
+        ``encode`` and ``decode`` span and mirrored by a server
+        ``decode`` / ``encode`` pair, each tagged with its frame bytes
+        — so a trace dump separates codec time from wire wait."""
+        documents = make_documents(num_docs=16)
+        cluster = make_cluster(documents, transport="async-socket")
+        with cluster:
+            terms = _query_terms(documents)
+            searcher = cluster.searcher("owner0", use_cache=False)
+            plain = searcher.search(terms, top_k=5)
+            trace_id = new_trace_id()
+            assert searcher.search(terms, top_k=5, trace_id=trace_id) == plain
+            spans = global_spans().spans_for(trace_id)
+            calls = [s for s in spans if s.stage.startswith("call:")]
+            assert calls
+
+            def frame_bytes(stage, server_side):
+                found = [
+                    s.wire_bytes
+                    for s in spans
+                    if s.stage == stage and (s.hop >= 1) == server_side
+                ]
+                assert len(found) == len(calls) and all(found)
+                return sum(found)
+
+            # Each end decoded exactly the frame the other encoded, and a
+            # call span's bytes are the two frames the client handled.
+            assert frame_bytes("encode", True) == frame_bytes("decode", False)
+            assert frame_bytes("encode", False) == frame_bytes("decode", True)
+            assert sum(s.wire_bytes for s in calls) == frame_bytes(
+                "encode", False
+            ) + frame_bytes("decode", False)
+            # Untraced calls record nothing.
+            before = len(global_spans())
+            assert searcher.search(terms, top_k=5) == plain
+            assert len(global_spans()) == before
+
+
 class TestInjectableClock:
     def test_fetch_latency_accounting_uses_the_injected_clock(self):
         """A frozen clock yields exactly-zero EWMAs — impossible with

@@ -10,6 +10,9 @@ and frames from protocol versions this peer does not speak.
 
 from __future__ import annotations
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -55,7 +58,7 @@ records = st.builds(
 )
 
 posting_lists = st.builds(
-    PostingListResponse,
+    PostingListResponse.from_records,
     pl_id=small_uints,
     records=st.tuples() | st.lists(records, max_size=5).map(tuple),
 )
@@ -257,7 +260,7 @@ def test_wire_bytes_match_the_historical_cost_model():
     assert snip.wire_bytes() == token.wire_bytes() + 8 + 3
     lists = m.FetchListsResponse(
         lists=(
-            PostingListResponse(
+            PostingListResponse.from_records(
                 pl_id=1,
                 records=(ShareRecord(element_id=1, group_id=1, share_y=1),),
             ),
@@ -353,16 +356,221 @@ def test_packed_shares_wider_than_the_field_round_trip():
     assert codec.decode_message(blob) == message
 
 
-def test_packed_zero_width_column_rejected():
-    """A forged packed frame claiming a zero-byte column is typed."""
+# -- the column codec: differential against a per-value reference -------------
+#
+# The packed messages code whole columns in bulk (array byte-swaps,
+# strided slices). The reference below codes one value at a time with
+# ``int.to_bytes`` / ``int.from_bytes``; the two must agree byte for
+# byte and value for value, on every width the 74-byte cap allows a
+# share to take — including the widths no benchmark run will ever see
+# (a share >= 2^64 has probability 7e-19).
+
+P = 2**64 + 13  # the deployment prime: shares live in [0, P)
+
+
+def _reference_write(*columns) -> bytes:
+    out = bytearray()
+    codec.write_uint(out, len(columns[0]))
+    if columns[0]:
+        for column in columns:
+            width = max(1, (max(column).bit_length() + 7) // 8)
+            out.append(width)
+            for value in column:
+                out += value.to_bytes(width, "big")
+    return bytes(out)
+
+
+def _reference_read(data: bytes, n: int) -> list[list[int]]:
+    reader = codec.Reader(data)
+    count = reader.uint()
+    columns = []
+    for _ in range(n if count else 0):
+        width = data[reader.pos]
+        start = reader.pos + 1
+        reader.pos = start + width * count
+        columns.append(
+            [
+                int.from_bytes(data[i : i + width], "big")
+                for i in range(start, reader.pos, width)
+            ]
+        )
+    reader.done()
+    return columns or [[] for _ in range(n)]
+
+
+def _column(rng: random.Random, width: int, count: int) -> list[int]:
+    """``count`` values whose widest needs exactly ``width`` bytes."""
+    column = [rng.getrandbits(8 * width) for _ in range(count)]
+    if column:
+        column[rng.randrange(count)] |= 1 << (8 * width - 1)
+    return column
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 1000])
+@pytest.mark.parametrize("width", range(1, 21))  # 3, 8, 9, 16, 17 included
+@settings(max_examples=5, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**32))
+def test_column_codec_matches_the_per_value_reference(width, count, seed):
+    rng = random.Random(seed)
+    columns = [
+        _column(rng, width, count),
+        _column(rng, rng.randint(1, 20), count),
+    ]
+    out = bytearray()
+    codec.write_columns(out, *columns)
+    assert bytes(out) == _reference_write(*columns)
+    reader = codec.Reader(bytes(out))
+    assert codec.read_columns(reader, 2) == columns
+    reader.done()
+    assert _reference_read(bytes(out), 2) == columns
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 7, 8, 9, 16, 17, 74])
+def test_reader_accepts_wider_than_minimal_columns(width):
+    """Width is the *writer's* choice; a reader takes any 1..74."""
+    column = [0, 1, 200, 255]
+    frame = bytearray([len(column), width])
+    for value in column:
+        frame += value.to_bytes(width, "big")
+    reader = codec.Reader(bytes(frame))
+    assert codec.read_columns(reader, 1) == [column]
+    reader.done()
+    assert _reference_read(bytes(frame), 1) == [column]
+
+
+def _packed_messages_with(share: int) -> list:
+    token = AuthToken("alice", 1, 2, b"sig")
+    records = (
+        ShareRecord(element_id=7, group_id=1, share_y=share),
+        ShareRecord(element_id=70_000, group_id=3, share_y=5),
+    )
+    return [
+        m.InsertBatchRequest(
+            token=token,
+            operations=tuple(
+                InsertOp(9, r.element_id, r.group_id, r.share_y)
+                for r in records
+            ),
+        ),
+        m.FetchListsResponse(
+            lists=(
+                PostingListResponse.from_records(9, records),
+                PostingListResponse.from_records(10, ()),
+            )
+        ),
+        m.RecordListResponse(records=records),
+        m.AdoptListRequest(pl_id=9, records=records),
+    ]
+
+
+@pytest.mark.parametrize("share", [2**64, P - 1, 2**71 + 99])
+def test_two_limb_shares_round_trip_in_every_packed_message(share):
+    for message in _packed_messages_with(share):
+        packed = codec.encode_message(message, packed=True)
+        assert packed[3] in (0x41, 0x42, 0x43, 0x44)
+        assert codec.decode_message(packed) == message
+        assert codec.decode_message(codec.encode_message(message)) == message
+
+
+# -- the column codec: hostile frames ------------------------------------------
+
+
+def test_packed_frames_truncated_at_every_cut_are_typed():
+    for message in _packed_messages_with(P - 1):
+        encoded = codec.encode_message(message, packed=True)
+        for cut in range(len(encoded)):
+            with pytest.raises(ProtocolError):
+                codec.decode_message(encoded[:cut])
+
+
+def _forged_width_frames(width: int):
+    """One valid single-record frame per column, that column's width
+    byte overwritten with ``width``."""
     good = codec.encode_message(
         m.RecordListResponse(
             records=(ShareRecord(element_id=1, group_id=1, share_y=1),)
         ),
         packed=True,
     )
-    forged = bytearray(good)
-    # Layout: magic(2) version(1) type(1) count(varint=1) widths(3)...
-    forged[5] = 0  # element-id width byte
-    with pytest.raises(ProtocolError):
-        codec.decode_message(bytes(forged))
+    # Layout: magic(2) version(1) type(1) count(varint=1), then per
+    # column one width byte + one 1-byte value.
+    for width_at in (5, 7, 9):
+        forged = bytearray(good)
+        forged[width_at] = width
+        yield bytes(forged)
+
+
+def test_packed_zero_width_column_rejected():
+    """A forged packed frame claiming a zero-byte column is typed,
+    whichever column carries it."""
+    for forged in _forged_width_frames(0):
+        with pytest.raises(ProtocolError, match="width"):
+            codec.decode_message(forged)
+
+
+@pytest.mark.parametrize("width", [75, 255])
+def test_column_width_past_the_cap_rejected(width):
+    for forged in _forged_width_frames(width):
+        with pytest.raises(ProtocolError, match="width"):
+            codec.decode_message(forged)
+
+
+def test_oversized_count_is_rejected_before_allocating():
+    """A 20-byte frame claiming 2^40 records must fail on the bounds
+    check, not in the allocator."""
+    body = bytearray()
+    codec.write_uint(body, 1 << 40)
+    body.append(8)  # element-id column: width 8, then nothing like 8 TiB
+    frame = codec.MAGIC + bytes([m.PROTOCOL_VERSION, 0x43]) + bytes(body)
+    frame = frame.ljust(20, b"\x00")
+    assert len(frame) == 20
+    tracemalloc.start()
+    try:
+        with pytest.raises(ProtocolError, match="truncated"):
+            codec.decode_message(frame)
+        _current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, "7", None])
+def test_unencodable_column_values_are_typed_at_encode(bad):
+    for column in ([bad], [3, bad], [2**40, bad], [2**70, bad]):
+        response = PostingListResponse(1, column, [1] * len(column), column)
+        with pytest.raises(ProtocolError):
+            codec.encode_message(
+                m.FetchListsResponse(lists=(response,)), packed=True
+            )
+
+
+def test_values_past_the_size_cap_are_typed_at_encode():
+    with pytest.raises(ProtocolError, match="cap"):
+        codec.write_columns(bytearray(), [1 << (8 * 74)])
+    out = bytearray()
+    codec.write_columns(out, [(1 << (8 * 74)) - 1])  # exactly at the cap
+    assert codec.read_columns(codec.Reader(bytes(out)), 1) == [
+        [(1 << (8 * 74)) - 1]
+    ]
+
+
+def test_ragged_columns_are_typed_at_encode():
+    with pytest.raises(ProtocolError, match="ragged"):
+        codec.write_columns(bytearray(), [1, 2], [1])
+    ragged = PostingListResponse(1, [1, 2], [1], [1, 2])
+    with pytest.raises(ProtocolError, match="ragged"):
+        codec.encode_message(
+            m.FetchListsResponse(lists=(ragged,)), packed=True
+        )
+
+
+def test_version_2_frames_are_rejected_by_version():
+    """v2 laid the packed messages out row-major under the same type
+    bytes; a v2 frame must be refused for its version, never parsed."""
+    assert m.PROTOCOL_VERSION == 3
+    for message in _packed_messages_with(5):
+        for packed in (False, True):
+            frame = bytearray(codec.encode_message(message, packed=packed))
+            frame[2] = 2
+            with pytest.raises(ProtocolError, match="version 2"):
+                codec.decode_message(bytes(frame))
