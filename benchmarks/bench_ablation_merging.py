@@ -125,9 +125,10 @@ def test_ablation_k_n_sweep(benchmark):
     assert timings[(6, 11)][1] > timings[(2, 3)][1]
 
     scheme = ShamirScheme(k=2, n=3, field=field, rng=random.Random(1))
-    benchmark.pedantic(
+    columns = benchmark.pedantic(
         lambda: scheme.split_many(list(range(1, 201))), rounds=3, iterations=1
     )
+    assert [len(column) for column in columns] == [200] * scheme.n
 
 
 def test_ablation_rare_term_cutoff(benchmark, merges, probs, m_values):

@@ -1,4 +1,5 @@
-"""Reconstruction hot path: naive vs cached per element vs batch columns.
+"""Shamir hot paths: reconstruction (naive vs cached vs batch columns)
+and splitting (per element vs ``split_many`` columns).
 
 The read path's arithmetic is Shamir reconstruction. Naive Lagrange
 pays the full basis per element — k modular inversions and the basis
@@ -16,6 +17,14 @@ runs it as the perf smoke gate, in the same run: cached must beat naive
 and batch must beat cached by ``GATE_BATCH_OVER_CACHED`` in elements/s
 (ratios only — no absolute number can flake on a slow machine; the
 absolute elements/s are recorded beside them).
+
+The write path's arithmetic is the other direction: the owner splits a
+document's packed elements. ``split`` builds one polynomial, one
+coefficient list and n ``Share`` objects per element; ``split_many``
+draws the same coefficients and runs Horner's rule once per server over
+whole columns. The split arm times both from equally seeded rngs,
+asserts share-for-share equality, and gates ``split_many`` at
+``GATE_SPLIT_MANY_OVER_SPLIT`` times the per-element elements/s.
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_hotpath_reconstruct.py``
 """
@@ -43,6 +52,8 @@ CONFIGS = ((2, 3), (3, 5))
 GATE_CACHED_OVER_NAIVE = 1.25
 #: The column form must beat per-element calls (measured 7-8x).
 GATE_BATCH_OVER_CACHED = 3.0
+#: Column splitting must beat per-element splitting (measured 3-4x).
+GATE_SPLIT_MANY_OVER_SPLIT = 2.0
 #: ``reconstruct_batch`` at k=2 when it was a per-element loop over a
 #: mapping of Share lists (PR 3's recorded figure); ROADMAP's "Columnar
 #: share path" asked for 5x this.
@@ -69,6 +80,55 @@ def _best_of(fn, scheme):
         out = fn()
         best = min(best, time.perf_counter() - start)
     return best, out
+
+
+def _split_arm() -> tuple[list[dict], list[str]]:
+    """Per-element ``split`` vs ``split_many``, same seed, same shares."""
+    rows_out, lines = [], [
+        f"split hot path: per-element split vs split_many columns "
+        f"({ELEMENTS} secrets, best of {REPEATS})",
+    ]
+    for k, n in CONFIGS:
+        scheme = ShamirScheme(k=k, n=n, rng=random.Random(1000 * k + n))
+        draw = random.Random(7)
+        secrets_ = [draw.randrange(scheme.field.p) for _ in range(ELEMENTS)]
+        seed = 31 * k + n
+
+        def split_each():
+            rng = random.Random(seed)
+            return [scheme.split(s, rng) for s in secrets_]
+
+        def split_columns():
+            return scheme.split_many(secrets_, random.Random(seed))
+
+        per_element, shares = _best_of(split_each, scheme)
+        column_form, columns = _best_of(split_columns, scheme)
+        assert columns == [
+            [row[slot].y for row in shares] for slot in range(n)
+        ], f"split_many diverged from split at k={k} n={n}"
+        ratio = per_element / column_form
+        for path, seconds in (("split", per_element), ("split_many", column_form)):
+            rows_out.append(
+                {
+                    "path": path,
+                    "k": k,
+                    "n": n,
+                    "elements": ELEMENTS,
+                    "seconds": round(seconds, 6),
+                    "elements_per_sec": round(ELEMENTS / seconds, 1),
+                    "speedup_vs_split": round(per_element / seconds, 2),
+                }
+            )
+            lines.append(
+                f"k={k} n={n} {path:10s}: {ELEMENTS / seconds:12.0f} "
+                f"elem/s  ({per_element / seconds:5.2f}x split)"
+            )
+        assert ratio >= GATE_SPLIT_MANY_OVER_SPLIT, (
+            f"split_many under {GATE_SPLIT_MANY_OVER_SPLIT}x the "
+            f"per-element split at k={k} n={n}: split={per_element:.4f}s "
+            f"split_many={column_form:.4f}s"
+        )
+    return rows_out, lines
 
 
 def test_hotpath_reconstruct_paths(benchmark):
@@ -147,15 +207,17 @@ def test_hotpath_reconstruct_paths(benchmark):
         rounds=1,
         iterations=1,
     )
-    emit("hotpath_reconstruct", lines)
+    split_rows, split_lines = _split_arm()
+    emit("hotpath_reconstruct", lines + split_lines)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_hotpath.json").write_text(
         json.dumps(
             {
-                "schema": "zerber.bench_hotpath.v2",
+                "schema": "zerber.bench_hotpath.v3",
                 "gates": {
                     "cached_over_naive": GATE_CACHED_OVER_NAIVE,
                     "batch_over_cached": GATE_BATCH_OVER_CACHED,
+                    "split_many_over_split": GATE_SPLIT_MANY_OVER_SPLIT,
                 },
                 "batch_k2_over_mapping_form": {
                     "mapping_form_elements_per_sec": (
@@ -164,6 +226,7 @@ def test_hotpath_reconstruct_paths(benchmark):
                     "ratio": over_mapping_form,
                 },
                 "rows": rows_out,
+                "split_rows": split_rows,
             },
             indent=2,
         )

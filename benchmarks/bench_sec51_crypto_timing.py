@@ -31,7 +31,12 @@ def test_sec51_split_5000_terms(benchmark):
     result = benchmark.pedantic(
         lambda: scheme.split_many(secrets_), rounds=3, iterations=1
     )
-    assert len(result) == 5_000
+    # n share columns, one per server, aligned with the secrets.
+    assert [len(column) for column in result] == [5_000] * scheme.n
+    assert (
+        scheme.reconstruct_batch(scheme.x_coordinates[:2], result[:2])
+        == secrets_
+    )
     per_server_ms = 1000 * benchmark.stats.stats.mean / scheme.n
     emit(
         "sec51_split_timing",

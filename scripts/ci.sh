@@ -17,9 +17,11 @@
 #   over loopback TCP — the wire protocol's two backends must return
 #   byte-identical results, seat kills and pod kills included;
 # - the hot-path perf smoke: weight-cached reconstruction must stay
-#   measurably faster than naive Lagrange, and column reconstruction
-#   (reconstruct_batch) >= 3x the per-element cached path (ratio
-#   gates, no absolute numbers, so they cannot flake on slow machines);
+#   measurably faster than naive Lagrange, column reconstruction
+#   (reconstruct_batch) >= 3x the per-element cached path, and column
+#   splitting (split_many) >= 2x per-element split with share-for-share
+#   equal output at the same seed (ratio gates, no absolute numbers, so
+#   they cannot flake on slow machines);
 # - the benchmark-of-record self-tests (benchmarks/e2e, ~10 s): its
 #   tracer resolves the read path's methods by name, so a rename must
 #   fail here, not in the benchmark pipeline;

@@ -624,7 +624,7 @@ def _cmd_cluster_top(args: argparse.Namespace) -> int:
         )
         thread.start()
         previous_lists: dict = {}
-        previous_queries = 0.0
+        previous_queries = previous_documents = 0.0
         try:
             for frame in range(args.iterations):
                 _time.sleep(args.interval)
@@ -637,6 +637,16 @@ def _cmd_cluster_top(args: argparse.Namespace) -> int:
                     f"{frame + 1}/{args.iterations} "
                     f"(interval {args.interval:g}s) · "
                     f"{int(queries)} queries, {qps:.1f} qps --"
+                )
+                documents = view.value("zerber_index_documents_total", 0.0)
+                docs_per_s = (documents - previous_documents) / args.interval
+                previous_documents = documents
+                flush_p50 = view.value(
+                    "zerber_index_flush_seconds", 0.0, quantile="0.5"
+                )
+                print(
+                    f"   index: {documents:.0f} documents ({docs_per_s:.1f} "
+                    f"docs/s), flush p50 {flush_p50 * 1e3:.2f}ms"
                 )
                 print(
                     f"{'pod':>8} {'lists/s':>9} {'p50':>9} {'p95':>9} "

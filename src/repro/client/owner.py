@@ -4,16 +4,18 @@
 changes and performs only the necessary updates at the central indexes."
 
 For each shared document the owner: tokenizes it, builds one posting
-element per distinct term, packs the ``[doc_id, term_id, tf]`` secret,
-splits it k-out-of-n, mints a global element ID, resolves the merged
-posting list through the public mapping table, and enqueues one
-:class:`~repro.server.index_server.InsertOp` per server. A batching policy
-(§5.4.1) decides when the accumulated, *cross-document shuffled* operations
-actually reach the servers.
+element per distinct term, packs the ``[doc_id, term_id, tf]`` secrets,
+splits the whole column k-out-of-n, resolves each merged posting list
+through the public mapping table, mints the global element IDs, and
+enqueues one flat ``(pl_id, element_id, group_id, *shares_y)`` row per
+element. A batching policy (§5.4.1) decides when the accumulated,
+*cross-document shuffled* rows actually reach the servers — as one insert
+batch of four aligned columns per seat, never an object per element per
+seat.
 
 The owner also keeps two local structures §7.2 calls for: a local inverted
 index over its shared documents ("also useful for local search") and the
-shadow map ``doc_id -> [(pl_id, element_id)]`` that makes per-element
+shadow map ``doc_id -> (pl_ids, element_ids)`` that makes per-element
 deletion possible — the servers cannot group elements by document, but the
 owner can.
 """
@@ -22,8 +24,10 @@ from __future__ import annotations
 
 import contextlib
 import random
+import time
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import repeat
+from typing import Iterable, Sequence
 
 from repro.client.batching import BatchPolicy, UpdateBatcher
 from repro.core.dictionary import TermDictionary
@@ -42,18 +46,19 @@ from repro.protocol.service import fleet_resolver
 from repro.protocol.transport import InProcessTransport, Transport
 from repro.secretsharing.shamir import ShamirScheme
 from repro.server.auth import AuthToken
-from repro.server.index_server import DeleteOp, InsertOp, ShareRecord
+from repro.server.index_server import (
+    DeleteOp,
+    InsertOp,
+    RecordView,
+    ShareRecord,
+)
 from repro.server.transport import SimulatedNetwork
 
 
-@dataclass(frozen=True)
-class _ElementPlan:
-    """One posting element fanned out to its n share-holders (internal)."""
-
-    pl_id: int
-    element_id: int
-    group_id: int
-    shares_y: tuple[int, ...]  # index-aligned with the share slots
+#: One posting element fanned out to its n share-holders, as the batcher
+#: carries it: ``(pl_id, element_id, group_id, *shares_y)`` — one flat
+#: tuple, the n shares index-aligned with the share slots.
+_Row = tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -95,29 +100,45 @@ class FleetRouter:
 
     A router decides which ``(share_slot, server_id)`` pairs an operation
     on one posting list must reach; ``shares_y[share_slot]`` is the share
-    delivered to that endpoint. This default routes everything to the
-    whole fleet; the cluster's
+    delivered to that endpoint. The contract is the batch form,
+    ``route_batch(pl_ids) -> {pl_id: WriteRoute}``, asked once per write
+    batch with its rows' list ids (repeats are routed once). This
+    default routes everything to the whole fleet; the cluster's
     :class:`~repro.cluster.coordinator.ClusterCoordinator` implements the
-    same ``route``/``targets`` contract to route each list to its replica
-    pods instead.
+    same contract to route each list to its replica pods instead (and
+    to invalidate its caches once per batch).
     """
+
+    #: The single fleet has no metrics registry (a cluster router's
+    #: receives the owners' flush timings), no repair machinery for a
+    #: write span to exclude, and no caches to fence after a write.
+    metrics = None
+    repair_mutex = contextlib.nullcontext()
 
     def __init__(self, servers: Sequence) -> None:
         self._servers = servers
 
-    def targets(self, pl_id: int) -> list[tuple[int, str]]:
-        return [
-            (slot, server.server_id)
-            for slot, server in enumerate(self._servers)
-        ]
+    def complete_write(self, *pl_ids: int) -> None:
+        pass
 
-    def route(self, pl_id: int) -> WriteRoute:
+    def route_batch(self, pl_ids: Iterable[int]) -> dict[int, WriteRoute]:
         """Full replication never drops a seat: every server is live."""
-        return WriteRoute(live=tuple(self.targets(pl_id)))
+        route = WriteRoute(
+            live=tuple(
+                (slot, server.server_id)
+                for slot, server in enumerate(self._servers)
+            )
+        )
+        return dict.fromkeys(pl_ids, route)
 
 
 class DocumentOwner:
-    """A peer that shares, updates and withdraws its own documents."""
+    """A peer that shares, updates and withdraws its own documents.
+
+    Inserts leave as four aligned columns per destination seat; an
+    :class:`InsertOp` is built only for a seat a route dropped (the
+    re-provisioning backlog).
+    """
 
     def __init__(
         self,
@@ -188,23 +209,25 @@ class DocumentOwner:
             )
         self._transport = transport
         self._rng = rng or random.Random()
-        self._batcher: UpdateBatcher[_ElementPlan] = UpdateBatcher(
+        self._batcher: UpdateBatcher[_Row] = UpdateBatcher(
             batch_policy or BatchPolicy(),
             flush_fn=self._send_insert_batch,
             rng=self._rng,
         )
-        #: doc_id -> [(pl_id, element_id)] — the deletion shadow map (§7.3).
-        self._shadow: dict[int, list[tuple[int, int]]] = {}
+        #: doc_id -> (pl_ids, element_ids), two aligned columns (``()``
+        #: for a document with no terms) — the deletion shadow map (§7.3).
+        self._shadow: dict[int, tuple[tuple[int, ...], ...]] = {}
         #: server_id -> [(kind, op)] — operations a dead seat missed, in
         #: delivery order, kept until :meth:`reprovision_dropped_writes`
         #: can replay them onto the restarted seat.
         self._undelivered: dict[str, list[tuple[str, object]]] = {}
-        #: server_id -> routing decisions dropped on it (mirrors the
-        #: coordinator's dropped_write_routes ledger, per seat).
-        self._dropped_route_tally: dict[str, int] = {}
         #: the §7.2 local index over this owner's shared documents.
         self.local_index = InvertedIndex()
         self._documents: dict[int, Document] = {}
+        #: Lifetime totals of :meth:`share_document` calls and of the
+        #: element counts they returned (the index metrics' source).
+        self.documents_shared = 0
+        self.elements_shared = 0
 
     # -- sharing -------------------------------------------------------------
 
@@ -217,139 +240,106 @@ class DocumentOwner:
         """
         if document.doc_id in self._shadow:
             self.delete_document(document.doc_id)
-        plans = self._build_plans(document)
-        self._shadow[document.doc_id] = [
-            (plan.pl_id, plan.element_id) for plan in plans
-        ]
+        rows = self._build_rows(document)
+        self._shadow[document.doc_id] = tuple(zip(*rows))[:2]
         self._documents[document.doc_id] = document
         self.local_index.index_document(document)
-        self._batcher.enqueue_document(plans)
-        return len(plans)
+        self.documents_shared += 1
+        self.elements_shared += len(rows)
+        self._batcher.enqueue_document(rows)
+        return len(rows)
 
-    def _build_plans(self, document: Document) -> list[_ElementPlan]:
-        plans = []
+    def _build_rows(self, document: Document) -> list[_Row]:
+        """One document's elements, built a column at a time: pack the
+        sorted terms, split all secrets at once (every coefficient is
+        drawn before the first element ID), look the lists up, mint the
+        IDs, and zip the columns into the batcher's rows."""
+        doc_id, length = document.doc_id, document.length
+        term_id_of = self._dictionary.get_or_assign
+        pack = self._codec.pack
+        counts = sorted(document.term_counts.items())
+        secrets_ = [
+            pack(PostingElement(doc_id, term_id_of(term), count / length))
+            for term, count in counts
+        ]
+        share_columns = self._scheme.split_many(secrets_, rng=self._rng)
+        pl_ids = [self._mapping.lookup(term) for term, _count in counts]
+        id_bits = self._codec.spec.element_id_bits
+        element_ids = []
         used_ids: set[tuple[int, int]] = set()
-        for term, count in sorted(document.term_counts.items()):
-            term_id = self._dictionary.get_or_assign(term)
-            element = PostingElement(
-                doc_id=document.doc_id,
-                term_id=term_id,
-                tf=count / document.length,
-            )
-            secret = self._codec.pack(element)
-            shares = self._scheme.split(secret, rng=self._rng)
-            pl_id = self._mapping.lookup(term)
-            id_bits = self._codec.spec.element_id_bits
+        for pl_id in pl_ids:
             element_id = new_element_id(self._rng, id_bits)
             while (pl_id, element_id) in used_ids:
                 element_id = new_element_id(self._rng, id_bits)
             used_ids.add((pl_id, element_id))
-            plans.append(
-                _ElementPlan(
-                    pl_id=pl_id,
-                    element_id=element_id,
-                    group_id=document.group_id,
-                    shares_y=tuple(share.y for share in shares),
-                )
-            )
-        return plans
-
-    def _repair_span(self):
-        """The router's repair mutex when it has one, else a no-op.
-
-        Cluster routers expose ``repair_mutex`` so write *spans* (route
-        + deliver) serialize against anti-entropy heals: a heal that
-        exported a source seat's state between this owner's route and
-        its delivery would adopt a pre-write image onto a seat the
-        ledger just declared healthy, silently erasing the write. The
-        single-fleet router has no repair machinery and no mutex.
-        """
-        mutex = getattr(self._router, "repair_mutex", None)
-        return contextlib.nullcontext() if mutex is None else mutex
-
-    def _batch_route(self, pl_id: int, memo: dict) -> WriteRoute:
-        """Router route memoized per distinct list within one batch
-        (the router may invalidate caches / scan liveness per call)."""
-        route = memo.get(pl_id)
-        if route is None:
-            route_fn = getattr(self._router, "route", None)
-            if route_fn is not None:
-                route = route_fn(pl_id)
-            else:
-                route = WriteRoute(live=tuple(self._router.targets(pl_id)))
-            memo[pl_id] = route
-            for dropped in route.dropped:
-                self._dropped_route_tally[dropped.server_id] = (
-                    self._dropped_route_tally.get(dropped.server_id, 0) + 1
-                )
-        return route
+            element_ids.append(element_id)
+        groups = repeat(document.group_id)
+        return list(zip(pl_ids, element_ids, groups, *share_columns))
 
     def _record_undelivered(self, dropped: DroppedRoute, kind: str, op) -> None:
         self._undelivered.setdefault(dropped.server_id, []).append((kind, op))
 
-    def _send_insert_batch(self, plans: list[_ElementPlan]) -> None:
+    def _send_insert_batch(self, rows: list[_Row]) -> None:
         """Fan one shuffled batch out along the router's placement.
 
-        The whole route+deliver span holds the router's repair mutex
-        (see :meth:`_repair_span`) so an anti-entropy heal can only
-        observe the cluster before the batch routed or after it landed
-        everywhere — never in between.
+        The rows of lists that share a route (same live seats, same
+        drops) are transposed together and extend four columns per
+        destination seat. A seat's arrival order is a function of the
+        shuffled order and the plaintext list IDs only, and every seat
+        of a list sees that list's rows in the same relative order —
+        which the searcher's aligned join relies on.
+
+        The whole route+deliver span holds the router's repair mutex,
+        so an anti-entropy heal can only observe the cluster before the
+        batch routed or after it landed everywhere — never in between;
+        ``complete_write`` then fences the lists' cache epochs, still
+        inside the span, after the last seat took the batch.
         """
-        with self._repair_span():
-            ops_by_server: dict[str, list[InsertOp]] = {}
-            route_memo: dict[int, WriteRoute] = {}
-            for plan in plans:
-                route = self._batch_route(plan.pl_id, route_memo)
+        metrics = self._router.metrics
+        started = time.perf_counter()
+        with self._router.repair_mutex:
+            routes = self._router.route_batch(row[0] for row in rows)
+            rows_by_route: dict[WriteRoute, list[_Row]] = {}
+            rows_of_list = {
+                pl_id: rows_by_route.setdefault(route, [])
+                for pl_id, route in routes.items()
+            }
+            for row in rows:
+                rows_of_list[row[0]].append(row)
+            columns_by_server: dict[str, tuple[list, list, list, list]] = {}
+            for route, route_rows in rows_by_route.items():
+                pl_ids, element_ids, group_ids, *share_columns = zip(
+                    *route_rows
+                )
                 for share_slot, server_id in route.live:
-                    ops_by_server.setdefault(server_id, []).append(
-                        InsertOp(
-                            pl_id=plan.pl_id,
-                            element_id=plan.element_id,
-                            group_id=plan.group_id,
-                            share_y=plan.shares_y[share_slot],
-                        )
+                    columns = columns_by_server.setdefault(
+                        server_id, ([], [], [], [])
                     )
+                    columns[0].extend(pl_ids)
+                    columns[1].extend(element_ids)
+                    columns[2].extend(group_ids)
+                    columns[3].extend(share_columns[share_slot])
                 for dropped in route.dropped:
-                    self._record_undelivered(
-                        dropped,
-                        "insert",
-                        InsertOp(
-                            pl_id=plan.pl_id,
-                            element_id=plan.element_id,
-                            group_id=plan.group_id,
-                            share_y=plan.shares_y[dropped.share_slot],
-                        ),
-                    )
-            for server_id, operations in ops_by_server.items():
-                self._deliver("insert", server_id, operations)
-            self._complete_writes(route_memo)
-
-    def _complete_writes(self, route_memo: dict) -> None:
-        """Fence the delivered lists' cache epochs (cluster routers).
-
-        The router invalidated every tier when it routed; this second
-        epoch bump closes the invalidate→delivery window, in which a
-        reader could fetch pre-write shares under the post-invalidate
-        epoch and fill them back into a cache. Runs inside the repair
-        span, after the last seat took the batch.
-        """
-        complete = getattr(self._router, "complete_write", None)
-        if complete is not None:
-            for pl_id in route_memo:
-                complete(pl_id)
+                    missed = share_columns[dropped.share_slot]
+                    for op in map(
+                        InsertOp, pl_ids, element_ids, group_ids, missed
+                    ):
+                        self._record_undelivered(dropped, "insert", op)
+            for server_id, columns in columns_by_server.items():
+                self._deliver(
+                    InsertBatchRequest, server_id, RecordView(InsertOp, *columns)
+                )
+            self._router.complete_write(*routes)
+        if metrics is not None:
+            metrics.histogram("zerber_index_flush_seconds").observe(
+                time.perf_counter() - started
+            )
 
     def _deliver(
-        self, kind: str, server_id: str, operations: list
+        self, request_type: type, server_id: str, operations: Sequence
     ) -> None:
         """One insert/delete protocol message to one endpoint."""
-        if kind == "insert":
-            request = InsertBatchRequest(
-                token=self._token, operations=tuple(operations)
-            )
-        else:
-            request = DeleteBatchRequest(
-                token=self._token, operations=tuple(operations)
-            )
+        request = request_type(token=self._token, operations=operations)
         self._transport.call(src=self.owner_id, dst=server_id, request=request)
 
     # -- freshness -----------------------------------------------------------
@@ -366,6 +356,11 @@ class DocumentOwner:
     def pending_documents(self) -> int:
         return self._batcher.pending_documents
 
+    @property
+    def batches_flushed(self) -> int:
+        """Insert batches released to the servers so far."""
+        return self._batcher.batches_flushed
+
     # -- withdrawal ----------------------------------------------------------
 
     def delete_document(self, doc_id: int) -> int:
@@ -380,14 +375,14 @@ class DocumentOwner:
             return 0
         operations = [
             DeleteOp(pl_id=pl_id, element_id=element_id)
-            for pl_id, element_id in entries
+            for pl_id, element_id in zip(*entries)
         ]
         self._rng.shuffle(operations)
-        with self._repair_span():
+        with self._router.repair_mutex:
             ops_by_server: dict[str, list[DeleteOp]] = {}
-            route_memo: dict[int, WriteRoute] = {}
+            routes = self._router.route_batch(op.pl_id for op in operations)
             for op in operations:
-                route = self._batch_route(op.pl_id, route_memo)
+                route = routes[op.pl_id]
                 for _share_slot, server_id in route.live:
                     ops_by_server.setdefault(server_id, []).append(op)
                 dropped_ids = set()
@@ -412,8 +407,8 @@ class DocumentOwner:
                     ):
                         entries.append(("delete", op))
             for server_id, server_ops in ops_by_server.items():
-                self._deliver("delete", server_id, server_ops)
-            self._complete_writes(route_memo)
+                self._deliver(DeleteBatchRequest, server_id, tuple(server_ops))
+            self._router.complete_write(*routes)
         self.local_index.delete_document(doc_id)
         self._documents.pop(doc_id, None)
         return len(operations)
@@ -459,7 +454,7 @@ class DocumentOwner:
         note = getattr(self._router, "note_repaired", None)
         redelivered = 0
         for server_id in sorted(self._undelivered):
-            with self._repair_span():
+            with self._router.repair_mutex:
                 slot = find_slot(server_id)
                 if slot is None or not slot.alive:
                     continue
@@ -499,7 +494,7 @@ class DocumentOwner:
                         ),
                     )
                 if deletes:
-                    self._deliver("delete", server_id, deletes)
+                    self._deliver(DeleteBatchRequest, server_id, tuple(deletes))
                 redelivered += len(inserts) + len(deletes)
                 repaired_lists = (
                     {op.pl_id for op in inserts}
@@ -507,11 +502,7 @@ class DocumentOwner:
                     | {pl_id for pl_id, _ in cancelled}
                 )
                 if note is not None:
-                    note(
-                        server_id,
-                        repaired_lists,
-                        self._dropped_route_tally.pop(server_id, 0),
-                    )
+                    note(server_id, repaired_lists)
         return redelivered
 
     # -- fleet extension (§5.1) ------------------------------------------------
@@ -552,7 +543,7 @@ class DocumentOwner:
         my_entries = {
             (pl_id, element_id)
             for entries in self._shadow.values()
-            for pl_id, element_id in entries
+            for pl_id, element_id in zip(*entries)
         }
         if not my_entries:
             return 0
@@ -580,7 +571,7 @@ class DocumentOwner:
         group_of_entry = {
             entry: document.group_id
             for doc_id, entries in self._shadow.items()
-            for entry in entries
+            for entry in zip(*entries)
             if (document := self._documents.get(doc_id)) is not None
         }
         for key, share_points in sorted(points.items()):
@@ -597,7 +588,9 @@ class DocumentOwner:
                 )
             )
         if operations:
-            self._deliver("insert", new_server.server_id, operations)
+            self._deliver(
+                InsertBatchRequest, new_server.server_id, tuple(operations)
+            )
         return len(operations)
 
     # -- introspection ---------------------------------------------------------
@@ -611,4 +604,4 @@ class DocumentOwner:
 
     def elements_of(self, doc_id: int) -> list[tuple[int, int]]:
         """The shadow map entries for one document (copies)."""
-        return list(self._shadow.get(doc_id, ()))
+        return list(zip(*self._shadow.get(doc_id, ())))

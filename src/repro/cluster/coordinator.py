@@ -523,8 +523,8 @@ class ClusterCoordinator:
                 self._write_epochs.get(pl_id, 0) + 1
             )
 
-    def complete_write(self, pl_id: int) -> None:
-        """A write (route + delivery) finished for the list: fence it.
+    def complete_write(self, *pl_ids: int) -> None:
+        """A write (route + delivery) finished for the lists: fence them.
 
         :meth:`invalidate_list` runs before delivery, so a reader that
         starts *inside* the invalidate→delivery window captures the
@@ -534,30 +534,34 @@ class ClusterCoordinator:
         needed — the pre-delivery invalidation already emptied every
         tier for the list.
         """
-        self._bump_epoch(pl_id)
+        for pl_id in pl_ids:
+            self._bump_epoch(pl_id)
 
-    def invalidate_list(self, pl_id: int) -> None:
-        """Evict a list from every tier: local share cache, subscribed
-        L1s, and the attached cache tier.
+    def invalidate_list(self, *pl_ids: int) -> None:
+        """Evict lists from every tier: local share cache, subscribed
+        L1s, and the attached cache tier (one message for all of them).
 
         Called *before* any write (or rebalance, or heal) touches the
-        list on any seat — the invalidate-before-write rule, applied
+        lists on any seat — the invalidate-before-write rule, applied
         uniformly, is what keeps every tier byte-identical to a fresh
         fetch. A cache-tier failure propagates: delivering the write
         anyway would let the tier serve pre-write shares forever, so
-        the write fails loudly instead. The epoch bump comes first:
+        the write fails loudly instead. The epoch bumps come first:
         once any tier is emptied, every in-flight fill must already be
         fenced out of the new key space.
         """
-        self._bump_epoch(pl_id)
-        self.cache.invalidate(pl_id)
-        for l1 in list(self._l1_caches):
-            l1.invalidate(pl_id)
+        for pl_id in pl_ids:
+            self._bump_epoch(pl_id)
+        l1_caches = list(self._l1_caches)
+        for pl_id in pl_ids:
+            self.cache.invalidate(pl_id)
+            for l1 in l1_caches:
+                l1.invalidate(pl_id)
         if self.cache_tier_endpoint is not None:
             self.transport.call(
                 src="coordinator",
                 dst=self.cache_tier_endpoint,
-                request=CacheInvalidateRequest(pl_ids=(pl_id,)),
+                request=CacheInvalidateRequest(pl_ids=tuple(pl_ids)),
             )
 
     def _on_membership_change(self, group_id: int, user_id: str) -> None:
@@ -572,21 +576,34 @@ class ClusterCoordinator:
 
     # -- write routing (the owner's router) --------------------------------------
 
-    def route(self, pl_id: int) -> WriteRoute:
-        """The full write route for one posting list, replicas included.
+    def route_batch(self, pl_ids: Iterable[int]) -> dict[int, WriteRoute]:
+        """The write routes of one batch's distinct posting lists.
 
-        Invalidate-before-write: every cached entry for the list is
-        evicted first, so no reader can observe pre-write shares after
-        the write lands. Each replica pod with >= k live seats receives
-        the write on its live seats (dead seats drop their route); a
-        replica pod *below* k live seats is skipped entirely — partial
-        sub-k replicas would never reconstruct on their own, so the
-        whole pod's routes are dropped, every seat is marked incomplete
-        for the list, and the owner's re-provisioning ledger gets the
-        full slot set back. The write fails only when no replica pod can
-        take >= k shares.
+        Invalidate-before-write, once per batch: every cached entry of
+        every list is evicted (one cache-tier message) before the first
+        route is computed, hence before the owner delivers to any seat,
+        so no reader can observe pre-write shares after the write
+        lands; a cache-tier failure aborts the batch with no seat
+        written.
         """
-        self.invalidate_list(pl_id)
+        # Routed once each: a repeat would count its dropped seats twice.
+        pl_ids = tuple(dict.fromkeys(pl_ids))
+        self.invalidate_list(*pl_ids)
+        return {pl_id: self.route(pl_id) for pl_id in pl_ids}
+
+    def route(self, pl_id: int) -> WriteRoute:
+        """The full write route for one posting list, replicas included
+        — the placement half of :meth:`route_batch`, which has already
+        invalidated the list.
+
+        Each replica pod with >= k live seats receives the write on its
+        live seats (dead seats drop their route); a replica pod *below*
+        k live seats is skipped entirely — partial sub-k replicas would
+        never reconstruct on their own, so the whole pod's routes are
+        dropped, every seat is marked incomplete for the list, and the
+        owner's re-provisioning ledger gets the full slot set back. The
+        write fails only when no replica pod can take >= k shares.
+        """
         live: list[tuple[int, str]] = []
         missed_by_pod: list[tuple[Pod, list[ServerSlot]]] = []
         for pod in self.pods_of(pl_id):
@@ -629,23 +646,14 @@ class ClusterCoordinator:
                 )
         return WriteRoute(live=tuple(live), dropped=tuple(dropped))
 
-    def targets(self, pl_id: int) -> list[tuple[int, str]]:
-        """The live ``(share_slot, server_id)`` pairs a write must reach
-        (:meth:`route` without the dropped-seat ledger view)."""
-        return list(self.route(pl_id).live)
-
-    def note_repaired(
-        self, server_id: str, pl_ids: Iterable[int], routes: int = 0
-    ) -> None:
+    def note_repaired(self, server_id: str, pl_ids: Iterable[int]) -> None:
         """An owner re-delivered a seat's missed writes; clear the ledger.
 
-        The credit comes from the ledger's own per-seat route counts,
-        not from the caller's tally (``routes`` is accepted for
-        interface compatibility and ignored): the coordinator is the
-        accounting authority, so a seat the anti-entropy sweep already
-        healed credits nothing a second time, and
-        :attr:`outstanding_write_routes` converges to zero no matter
-        which repair path — owner or sweep — clears each entry.
+        The credit comes from the ledger's own per-seat route counts:
+        the coordinator is the accounting authority, so a seat the
+        anti-entropy sweep already healed credits nothing a second
+        time, and :attr:`outstanding_write_routes` converges to zero no
+        matter which repair path — owner or sweep — clears each entry.
         """
         slot = self.find_slot(server_id)
         if slot is None:

@@ -344,6 +344,17 @@ class ClusterDeployment:
         surfaces can never disagree.
         """
         metrics = self.metrics
+        # Write side: lifetime totals summed over the owners (each keeps
+        # its own; the flush-time histogram is observed by the owners).
+        owners = list(self._owners.values())
+        for name, attribute in (
+            ("documents", "documents_shared"),
+            ("elements", "elements_shared"),
+            ("batches", "batches_flushed"),
+        ):
+            metrics.gauge(f"zerber_index_{name}_total").set(
+                sum(getattr(owner, attribute) for owner in owners)
+            )
         server = self._socket_server
         if server is not None and server.admission is not None:
             for key, value in server.admission.stats().items():

@@ -48,7 +48,9 @@ from repro.server.index_server import (
     DeleteOp,
     InsertOp,
     PostingListResponse,
+    RecordView,
     ShareRecord,
+    insert_columns,
 )
 
 MAGIC = b"ZW"
@@ -169,11 +171,9 @@ def _read_records(r: _Reader) -> tuple[ShareRecord, ...]:
 def _enc_insert(out: bytearray, msg: m.InsertBatchRequest) -> None:
     _write_token(out, msg.token)
     _write_uint(out, len(msg.operations))
-    for op in msg.operations:
-        _write_uint(out, op.pl_id)
-        _write_uint(out, op.element_id)
-        _write_uint(out, op.group_id)
-        _write_uint(out, op.share_y)
+    for row in zip(*insert_columns(msg.operations)):
+        for value in row:
+            _write_uint(out, value)
 
 
 def _dec_insert(r: _Reader) -> m.InsertBatchRequest:
@@ -647,20 +647,13 @@ def _dec_record_list_packed(r: _Reader) -> m.RecordListResponse:
 
 def _enc_insert_packed(out: bytearray, msg: m.InsertBatchRequest) -> None:
     _write_token(out, msg.token)
-    ops = msg.operations
-    write_columns(
-        out,
-        [op.pl_id for op in ops],
-        [op.element_id for op in ops],
-        [op.group_id for op in ops],
-        [op.share_y for op in ops],
-    )
+    write_columns(out, *insert_columns(msg.operations))
 
 
 def _dec_insert_packed(r: _Reader) -> m.InsertBatchRequest:
     token = _read_token(r)
     return m.InsertBatchRequest(
-        token=token, operations=tuple(map(InsertOp, *read_columns(r, 4)))
+        token=token, operations=RecordView(InsertOp, *read_columns(r, 4))
     )
 
 

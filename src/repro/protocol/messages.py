@@ -13,7 +13,7 @@ Catalogue (requests → responses):
 ====================  ==============================  ====================
 request               carries                          response
 ====================  ==============================  ====================
-InsertBatchRequest    token + InsertOp batch           OpCountResponse
+InsertBatchRequest    token + InsertOp columns         OpCountResponse
 DeleteBatchRequest    token + DeleteOp batch           OpCountResponse
 FetchListsRequest     token + posting-list ids         FetchListsResponse
 FetchSnippetRequest   token + doc id + query terms     SnippetResponse
@@ -54,6 +54,7 @@ comparable; the socket transport moves real encoded bytes instead.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from repro.client.snippets import Snippet
@@ -81,10 +82,13 @@ DEFAULT_SHARE_BYTES = 9
 
 @dataclass(frozen=True)
 class InsertBatchRequest:
-    """One §5.4.1 update batch bound for one server."""
+    """One §5.4.1 update batch bound for one server: a tuple of ops, or
+    — from the owner and the packed decoder — four aligned columns behind
+    a lazy :class:`~repro.server.index_server.RecordView` (no object per
+    element), which compares equal to the tuple of the same rows."""
 
     token: AuthToken
-    operations: tuple[InsertOp, ...]
+    operations: Sequence[InsertOp]
 
     kind = "insert"
 

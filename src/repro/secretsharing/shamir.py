@@ -282,14 +282,41 @@ class ShamirScheme:
 
     def split_many(
         self, secrets_: Sequence[int], rng: random.Random | None = None
-    ) -> list[list[Share]]:
-        """Vectorized :meth:`split`; returns ``[shares_of(s) for s in secrets_]``.
+    ) -> list[list[int]]:
+        """Split a column of secrets into n share columns.
 
-        Splitting a whole document's elements in one call mirrors the paper's
-        indexing flow ("The owner repeats this process to split all the
-        elements for the document across the n servers", complexity O(nN)).
+        Column ``j`` is aligned with ``x_coordinates[j]``, row ``i`` with
+        ``secrets_[i]``: the share values :meth:`split` gives secret by
+        secret ("the owner repeats this process to split all the
+        elements for the document across the n servers", O(nN)) with no
+        :class:`Share` per point. The k-1 coefficients are drawn secret
+        by secret, exactly the draws successive :meth:`split` calls
+        make — an equally seeded rng gives equal shares — and Horner's
+        rule then runs once per server over whole coefficient columns.
+
+        Raises:
+            SecretSharingError: a secret outside ``[0, p)`` — checked
+                for every secret before the first draw.
         """
-        return [self.split(s, rng) for s in secrets_]
+        field, p = self.field, self.field.p
+        rng = rng or self._rng
+        secrets_ = list(secrets_)
+        for secret in secrets_:
+            if not 0 <= secret < p:
+                raise SecretSharingError(
+                    f"secret {secret} outside field range [0, {p})"
+                )
+        drawn = range(self.k - 1)
+        draws = [[field.random_element(rng) for _ in drawn] for _ in secrets_]
+        # Highest degree first, the constant term (the secret) last.
+        coefficient_columns = [*zip(*draws)][::-1] + [secrets_]
+        share_columns = []
+        for x in self._x_coordinates:
+            acc = list(coefficient_columns[0])
+            for column in coefficient_columns[1:]:
+                acc = [(a * x + c) % p for a, c in zip(acc, column)]
+            share_columns.append(acc)
+        return share_columns
 
     def reconstruct(
         self,

@@ -20,6 +20,7 @@ from collections import defaultdict
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import compress
+from operator import attrgetter
 
 from repro.errors import AccessDeniedError, IndexServerError
 from repro.server.auth import AuthService, AuthToken
@@ -41,10 +42,6 @@ class ShareRecord:
     group_id: int
     share_y: int
 
-    def wire_bytes(self, share_bytes: int = 9) -> int:
-        """On-the-wire size: element id (4) + group id (4) + share."""
-        return 4 + 4 + share_bytes
-
 
 @dataclass(frozen=True, slots=True)
 class InsertOp:
@@ -55,10 +52,6 @@ class InsertOp:
     group_id: int
     share_y: int
 
-    def wire_bytes(self, share_bytes: int = 9) -> int:
-        """pl id (4) + element id (4) + group id (4) + share."""
-        return 4 + 4 + 4 + share_bytes
-
 
 @dataclass(frozen=True, slots=True)
 class DeleteOp:
@@ -67,38 +60,57 @@ class DeleteOp:
     pl_id: int
     element_id: int
 
-    def wire_bytes(self) -> int:
-        return 4 + 4
-
 
 class RecordView(Sequence):
-    """Aligned share columns read as a sequence of :class:`ShareRecord`:
-    ``len()`` is O(1) and a record is built only when one is iterated or
-    indexed. Equal by value to another view or to a tuple of records."""
+    """Aligned columns read as a sequence of ``row_type`` objects
+    (:class:`ShareRecord` or :class:`InsertOp`): ``len()`` is O(1) and a
+    row object is built only when one is iterated or indexed. Equal by
+    value to another view or to a tuple of rows."""
 
-    __slots__ = ("_columns",)
+    __slots__ = ("row_type", "columns")
 
-    def __init__(self, *columns: list[int]) -> None:
-        self._columns = columns
+    def __init__(self, row_type: type, *columns: list[int]) -> None:
+        self.row_type = row_type
+        self.columns = columns
 
     def __len__(self) -> int:
-        return len(self._columns[0])
+        return len(self.columns[0])
 
     def __iter__(self):
-        return map(ShareRecord, *self._columns)
+        return map(self.row_type, *self.columns)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self)[index]
-        return ShareRecord(*(column[index] for column in self._columns))
+        return self.row_type(*(column[index] for column in self.columns))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RecordView):
-            return self._columns == other._columns
+            other = (other.row_type, other.columns)
+            return (self.row_type, self.columns) == other
         return tuple(self) == other
 
     def __repr__(self) -> str:
         return f"RecordView({tuple(self)!r})"
+
+
+_RECORD_FIELDS = tuple(map(attrgetter, ("element_id", "group_id", "share_y")))
+_INSERT_FIELDS = (attrgetter("pl_id"), *_RECORD_FIELDS)
+
+
+def _columns(fields: tuple, rows: Iterable) -> tuple[list[int], ...]:
+    """Every row's ``fields`` (attrgetters) as aligned column lists."""
+    rows = tuple(rows)
+    return tuple(list(map(field, rows)) for field in fields)
+
+
+def insert_columns(operations: Iterable[InsertOp]) -> tuple[list[int], ...]:
+    """An insert batch as its ``(pl_ids, element_ids, group_ids,
+    share_ys)`` columns, however it arrived: the columns of a
+    :class:`RecordView` as they are, a pass over anything else."""
+    if isinstance(operations, RecordView):
+        return operations.columns
+    return _columns(_INSERT_FIELDS, operations)
 
 
 @dataclass(frozen=True)
@@ -120,8 +132,7 @@ class PostingListResponse:
     def from_records(
         cls, pl_id: int, records: Iterable[ShareRecord]
     ) -> "PostingListResponse":
-        rows = [(r.element_id, r.group_id, r.share_y) for r in records]
-        return cls(pl_id, *map(list, zip(*rows) if rows else ((), (), ())))
+        return cls(pl_id, *_columns(_RECORD_FIELDS, records))
 
     @property
     def columns(self) -> tuple[list[int], list[int], list[int]]:
@@ -130,7 +141,7 @@ class PostingListResponse:
     @property
     def records(self) -> RecordView:
         """The rows as :class:`ShareRecord` objects, built lazily."""
-        return RecordView(*self.columns)
+        return RecordView(ShareRecord, *self.columns)
 
     def wire_bytes(self, share_bytes: int = 9) -> int:
         # Every record is the same fixed width (element id + group id +
@@ -156,14 +167,14 @@ class _SeatList:
     def __len__(self) -> int:
         return len(self.element_ids)
 
-    def extend(self, rows: Sequence) -> None:
-        """Append rows (records or insert ops) whose element IDs are
-        distinct and not yet stored."""
-        ids = [row.element_id for row in rows]
-        self.row_of.update(zip(ids, range(len(self), len(self) + len(ids))))
-        self.element_ids.extend(ids)
-        self.group_ids.extend([row.group_id for row in rows])
-        self.share_ys.extend([row.share_y for row in rows])
+    def extend(self, element_ids, group_ids, share_ys) -> None:
+        """Append aligned columns (sequences of int) whose element IDs
+        are distinct and not yet stored."""
+        rows = range(len(self), len(self) + len(element_ids))
+        self.row_of.update(zip(element_ids, rows))
+        self.element_ids.extend(element_ids)
+        self.group_ids.extend(group_ids)
+        self.share_ys.extend(share_ys)
 
     def remove(self, element_id: int) -> bool:
         row = self.row_of.pop(element_id, None)
@@ -242,7 +253,9 @@ class IndexServer:
         self._auth = auth
         self._groups = groups
         self._store: dict[int, _SeatList] = defaultdict(_SeatList)
-        self._update_log: list[list[tuple[int, int]]] = []
+        #: Per accepted batch, its ``(pl_ids, element_ids)`` columns (no
+        #: tuple per element: :meth:`compromise` zips the pairs on demand).
+        self._update_log: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
         self._query_log: list[tuple[str, tuple[int, ...]]] = []
         self._persistence = None
 
@@ -303,7 +316,8 @@ class IndexServer:
         if self.num_elements:
             raise IndexServerError("bulk-load target server is not empty")
         for pl_id, plist in records.items():
-            self._store[pl_id].extend(list(plist.values()))
+            columns = _columns(_RECORD_FIELDS, plist.values())
+            self._store[pl_id].extend(*columns)
         return self.num_elements
 
     # -- narrow interface: insert --------------------------------------------
@@ -312,6 +326,12 @@ class IndexServer:
         self, token: AuthToken, operations: Sequence[InsertOp]
     ) -> int:
         """Accept one update batch; returns elements inserted.
+
+        ``operations`` is any sequence of :class:`InsertOp`. The batch is
+        validated and applied on its columns (:func:`insert_columns`; a
+        :class:`RecordView` hands them over with no op built): the ACL
+        once per distinct group, the rows grouped by list, duplicates
+        checked per list, one column ``extend`` per list.
 
         The whole batch is logged as a single update event — batching is the
         §5.4.1 defence against correlation attacks, and the log models what
@@ -329,30 +349,35 @@ class IndexServer:
         replica byte-identity.
         """
         user_id = self._auth.verify(token)
-        seen: set[tuple[int, int]] = set()
-        for op in operations:
-            if not self._groups.is_member(user_id, op.group_id):
+        columns = insert_columns(operations)
+        pl_ids, element_ids, group_ids, share_ys = columns
+        for group_id in dict.fromkeys(group_ids):
+            if not self._groups.is_member(user_id, group_id):
                 raise AccessDeniedError(
-                    f"user {user_id!r} is not in group {op.group_id}"
+                    f"user {user_id!r} is not in group {group_id}"
                 )
-            key = (op.pl_id, op.element_id)
-            stored = self._store.get(op.pl_id, _NO_LIST)
-            if key in seen or op.element_id in stored.row_of:
+        rows_by_list: dict[int, list[tuple]] = defaultdict(list)
+        for row in zip(pl_ids, element_ids, group_ids, share_ys):
+            rows_by_list[row[0]].append(row)
+        columns_by_list = {}
+        for pl_id, rows in rows_by_list.items():
+            _pl_ids, ids, groups, ys = zip(*rows)
+            stored = self._store.get(pl_id, _NO_LIST).row_of
+            if len(set(ids)) != len(ids) or not stored.keys().isdisjoint(ids):
+                offender = next(
+                    e for e in ids if e in stored or ids.count(e) > 1
+                )
                 raise IndexServerError(
-                    f"element {op.element_id} already exists in list {op.pl_id}"
+                    f"element {offender} already exists in list {pl_id}"
                 )
-            seen.add(key)
-        by_list: dict[int, list[InsertOp]] = defaultdict(list)
-        for op in operations:
-            by_list[op.pl_id].append(op)
-        for pl_id, ops in by_list.items():
-            self._store[pl_id].extend(ops)
-        batch_entry = [(op.pl_id, op.element_id) for op in operations]
-        if batch_entry:
-            self._update_log.append(batch_entry)
+            columns_by_list[pl_id] = (ids, groups, ys)
+        for pl_id, list_columns in columns_by_list.items():
+            self._store[pl_id].extend(*list_columns)
+        if pl_ids:
+            self._update_log.append((tuple(pl_ids), tuple(element_ids)))
         if self._persistence is not None:
-            self._persistence.append_inserts(operations)
-        return len(batch_entry)
+            self._persistence.append_inserts(RecordView(InsertOp, *columns))
+        return len(pl_ids)
 
     # -- narrow interface: delete -----------------------------------------------
 
@@ -450,16 +475,11 @@ class IndexServer:
             if record.element_id not in stored.row_of:
                 fresh.setdefault(record.element_id, record)
         added = list(fresh.values())
-        stored.extend(added)
+        columns = _columns(_RECORD_FIELDS, added)
+        stored.extend(*columns)
         if added and self._persistence is not None:
             self._persistence.append_inserts(
-                InsertOp(
-                    pl_id=pl_id,
-                    element_id=record.element_id,
-                    group_id=record.group_id,
-                    share_y=record.share_y,
-                )
-                for record in added
+                RecordView(InsertOp, [pl_id] * len(added), *columns)
             )
         return added
 
@@ -589,6 +609,6 @@ class IndexServer:
                 if stored
             },
             group_table=self._groups.snapshot(),
-            update_log=[list(batch) for batch in self._update_log],
+            update_log=[list(zip(*batch)) for batch in self._update_log],
             query_log=list(self._query_log),
         )

@@ -30,7 +30,12 @@ import pathlib
 from typing import Iterable
 
 from repro.errors import CheckpointMismatchError, IndexServerError
-from repro.server.index_server import InsertOp, DeleteOp, ShareRecord
+from repro.server.index_server import (
+    DeleteOp,
+    InsertOp,
+    ShareRecord,
+    insert_columns,
+)
 
 
 def fsync_dir(path: str | pathlib.Path) -> None:
@@ -78,12 +83,12 @@ class PostingLog:
 
     def append_inserts(self, operations: Iterable[InsertOp]) -> int:
         """Log one accepted insert batch (call after ACL checks pass)."""
-        count = 0
-        for op in operations:
-            self._handle.write(
-                f"I {op.pl_id} {op.element_id} {op.group_id} {op.share_y}\n"
-            )
-            count += 1
+        columns = insert_columns(operations)
+        count = len(columns[0])
+        self._handle.writelines(
+            f"I {pl_id} {element_id} {group_id} {share_y}\n"
+            for pl_id, element_id, group_id, share_y in zip(*columns)
+        )
         self._handle.flush()
         os.fsync(self._handle.fileno())
         self.records_appended += count

@@ -27,7 +27,12 @@ import threading
 from typing import Iterable
 
 from repro.errors import StorageError
-from repro.server.index_server import DeleteOp, InsertOp, ShareRecord
+from repro.server.index_server import (
+    DeleteOp,
+    InsertOp,
+    ShareRecord,
+    insert_columns,
+)
 from repro.server.persistence import PostingLog, fsync_dir
 from repro.storage.manifest import (
     MANIFEST_NAME,
@@ -178,11 +183,10 @@ class SegmentedStore:
     def append_inserts(self, operations: Iterable[InsertOp]) -> int:
         """Log one accepted insert batch (one fsync for the whole batch)."""
         frames = bytearray()
-        count = 0
-        for op in operations:
-            encode_insert(frames, op)
-            count += 1
-        return self._append(frames, count)
+        columns = insert_columns(operations)
+        for row in zip(*columns):
+            encode_insert(frames, *row)
+        return self._append(frames, len(columns[0]))
 
     def append_deletes(self, operations: Iterable[DeleteOp]) -> int:
         """Log accepted deletions."""

@@ -59,13 +59,15 @@ def segment_number(name: str) -> int | None:
     return int(match.group(1)) if match else None
 
 
-def encode_insert(out: bytearray, op: InsertOp) -> None:
+def encode_insert(
+    out: bytearray, pl_id: int, element_id: int, group_id: int, share_y: int
+) -> None:
     """Append one framed insert record to ``out``."""
     payload = bytearray((KIND_INSERT,))
-    write_uint(payload, op.pl_id)
-    write_uint(payload, op.element_id)
-    write_uint(payload, op.group_id)
-    write_uint(payload, op.share_y)
+    write_uint(payload, pl_id)
+    write_uint(payload, element_id)
+    write_uint(payload, group_id)
+    write_uint(payload, share_y)
     _frame(out, payload)
 
 
@@ -242,7 +244,9 @@ def encode_op_frames(operations) -> bytes:
     out = bytearray()
     for op in operations:
         if isinstance(op, InsertOp):
-            encode_insert(out, op)
+            encode_insert(
+                out, op.pl_id, op.element_id, op.group_id, op.share_y
+            )
         else:
             encode_delete(out, op)
     return bytes(out)

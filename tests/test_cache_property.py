@@ -36,16 +36,21 @@ def interleaving(draw):
     for _ in range(num_ops):
         kind = draw(st.sampled_from(["write", "membership", "read", "read"]))
         if kind == "write":
-            terms = rng.sample(VOCAB, rng.randint(1, 3))
-            ops.append(
-                (
-                    "write",
-                    next_doc_id,
-                    rng.randrange(NUM_GROUPS),
-                    {t: rng.randint(1, 3) for t in terms},
+            # One to three documents released together: each owner's
+            # share of them is one batch over several posting lists,
+            # invalidated by one message and fenced list by list.
+            documents = []
+            for _ in range(rng.randint(1, 3)):
+                terms = rng.sample(VOCAB, rng.randint(1, 3))
+                documents.append(
+                    (
+                        next_doc_id,
+                        rng.randrange(NUM_GROUPS),
+                        {t: rng.randint(1, 3) for t in terms},
+                    )
                 )
-            )
-            next_doc_id += 1
+                next_doc_id += 1
+            ops.append(("write", documents))
         elif kind == "membership":
             ops.append(
                 (
@@ -71,7 +76,7 @@ def _build(seed: int, cached: bool) -> ClusterDeployment:
         k=2,
         n=3,
         use_network=False,
-        batch_policy=BatchPolicy(min_documents=1),
+        batch_policy=BatchPolicy(min_documents=4),  # flush_all releases
         seed=seed,
         **kwargs,
     )
@@ -97,17 +102,18 @@ def test_cached_reads_match_uncached_under_interleavings(scenario):
         member = {0: True, 1: False}
         for op in ops:
             if op[0] == "write":
-                _, doc_id, group_id, counts = op
-                doc = Document(
-                    doc_id=doc_id,
-                    group_id=group_id,
-                    host="host0",
-                    term_counts=counts,
-                    length=sum(counts.values()),
-                    text=" ".join(sorted(counts)),
-                )
+                for doc_id, group_id, counts in op[1]:
+                    doc = Document(
+                        doc_id=doc_id,
+                        group_id=group_id,
+                        host="host0",
+                        term_counts=counts,
+                        length=sum(counts.values()),
+                        text=" ".join(sorted(counts)),
+                    )
+                    for cluster in (cached, plain):
+                        cluster.share_document(f"owner{group_id}", doc)
                 for cluster in (cached, plain):
-                    cluster.share_document(f"owner{group_id}", doc)
                     cluster.flush_all()
             elif op[0] == "membership":
                 _, group_id, join = op

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from helpers import make_cluster, make_documents
+from repro.client.batching import BatchPolicy
 from repro.cachetier import (
     CACHE_TIER_ENDPOINT,
     CacheTierService,
@@ -28,6 +29,7 @@ from repro.errors import (
     AuthError,
     ClusterError,
     ProtocolError,
+    UnknownEndpointError,
 )
 from repro.protocol.messages import (
     CacheGetRequest,
@@ -719,5 +721,152 @@ class TestClusterIntegration:
             with pytest.raises(Exception):
                 cluster.share_document("owner0", newdoc)
                 cluster.flush_all()
+        finally:
+            cluster.close()
+
+
+# -- one invalidation per flush, still before the write -----------------------
+
+
+class _TierSpy:
+    """Fronts the cache-tier service: records every invalidation, and
+    runs ``on_invalidate`` once the tier has evicted — after the
+    coordinator bumped the epochs, before any seat received the batch."""
+
+    def __init__(self, cluster, on_invalidate=None):
+        self.inner = cluster.registry._resolve(CACHE_TIER_ENDPOINT)
+        self.invalidations: list[tuple[int, ...]] = []
+        self.on_invalidate = on_invalidate
+        cluster.registry.unregister(CACHE_TIER_ENDPOINT)
+        cluster.registry.register(CACHE_TIER_ENDPOINT, self)
+
+    def handle(self, request):
+        response = self.inner.handle(request)
+        if isinstance(request, CacheInvalidateRequest):
+            self.invalidations.append(request.pl_ids)
+            if self.on_invalidate is not None:
+                self.on_invalidate()
+        return response
+
+
+def _batching_writer(cluster, group_id=7):
+    """An owner of its own group that flushes only when told to."""
+    name = f"owner{group_id}"
+    cluster.create_group(group_id, coordinator=name)
+    return cluster.owner(name, batch_policy=BatchPolicy(min_documents=50))
+
+
+def _doc(doc_id, terms, group_id=7):
+    return Document(
+        doc_id=doc_id, group_id=group_id, host="host0",
+        term_counts=dict.fromkeys(terms, 1), length=len(terms),
+        text=" ".join(terms),
+    )
+
+
+def _stored_ids(cluster):
+    return {
+        (slot.server_id, pl_id, record.element_id)
+        for pod in cluster.coordinator.pods
+        for slot in pod.slots
+        for pl_id in range(8)
+        for record in slot.server.export_posting_list(pl_id)
+    }
+
+
+class TestOneInvalidationPerFlush:
+    def _cluster(self):
+        return make_cluster(
+            make_documents(num_docs=6), cache_tier="lru", cache_entries=0
+        )
+
+    def test_a_flush_names_every_list_in_one_invalidation(self):
+        cluster = self._cluster()
+        try:
+            owner = _batching_writer(cluster)
+            coordinator = cluster.coordinator
+            docs = [_doc(800, ["w1", "w2"]), _doc(801, ["w2", "w9"]),
+                    _doc(802, ["w4"])]
+            for doc in docs:
+                owner.share_document(doc)
+            spy = _TierSpy(cluster)
+            before = {pl: coordinator.write_epoch(pl) for pl in range(8)}
+            assert owner.flush_updates() == 5
+            touched = {
+                pl_id for doc in docs for pl_id, _ in owner.elements_of(doc.doc_id)
+            }
+            assert 1 < len(touched) < 8
+            # One message for the whole flush, each list named once.
+            assert len(spy.invalidations) == 1
+            assert sorted(spy.invalidations[0]) == sorted(touched)
+            # Invalidate + completion fence: two bumps per touched list.
+            assert {
+                pl: coordinator.write_epoch(pl) - before[pl] for pl in range(8)
+            } == {pl: 2 if pl in touched else 0 for pl in range(8)}
+        finally:
+            cluster.close()
+
+    def test_a_delete_names_its_lists_in_one_invalidation(self):
+        cluster = self._cluster()
+        try:
+            owner = _batching_writer(cluster)
+            owner.share_document(_doc(810, ["w1", "w2", "w4", "w9", "w11"]))
+            owner.flush_updates()
+            lists = {pl_id for pl_id, _ in owner.elements_of(810)}
+            assert len(lists) > 1
+            spy = _TierSpy(cluster)
+            assert owner.delete_document(810) == 5
+            assert len(spy.invalidations) == 1
+            assert sorted(spy.invalidations[0]) == sorted(lists)
+        finally:
+            cluster.close()
+
+    def test_a_failing_tier_aborts_the_flush_before_any_seat_is_written(self):
+        cluster = self._cluster()
+        try:
+            owner = _batching_writer(cluster)
+            for doc in (_doc(820, ["w1", "w2"]), _doc(821, ["w4", "w9"])):
+                owner.share_document(doc)
+            before = _stored_ids(cluster)
+            cluster.registry.unregister(CACHE_TIER_ENDPOINT)
+            with pytest.raises(UnknownEndpointError):
+                owner.flush_updates()
+            assert _stored_ids(cluster) == before
+        finally:
+            cluster.close()
+
+    def test_a_fill_between_invalidation_and_delivery_is_never_hit(self):
+        """The completion fence over a multi-list batch: a reader that
+        runs after the one invalidation and before the first delivery
+        captures post-invalidate epochs, fetches pre-write shares and
+        fills the L2 with them. The second bump of every list of the
+        batch strands those fills."""
+        cluster = self._cluster()
+        try:
+            cluster.create_group(7, coordinator="owner7")
+            cluster.add_member(7, "alice", actor="owner7")
+            owner = cluster.owner(
+                "owner7", batch_policy=BatchPolicy(min_documents=50)
+            )
+            owner.share_document(_doc(830, ["w1", "w2", "w4"]))
+            owner.flush_updates()
+            window = []
+
+            def read_inside_the_window():
+                reader = cluster.searcher("alice")
+                got = reader.search(["w1", "w2", "w4"], fetch_snippets=False)
+                window.append({r.doc_id for r in got})
+
+            spy = _TierSpy(cluster, on_invalidate=read_inside_the_window)
+            owner.share_document(_doc(831, ["w1", "w2"]))
+            owner.share_document(_doc(832, ["w4"]))
+            owner.flush_updates()
+            assert len(spy.invalidations) == 1
+            # The window reader saw (and cached) the pre-write index.
+            assert window == [{830}]
+            fresh = cluster.searcher("alice")
+            got = fresh.search(["w1", "w2", "w4"], fetch_snippets=False)
+            assert fresh.last_cluster_diagnostics.l2_hits == 0
+            assert {r.doc_id for r in got} == {830, 831, 832}
         finally:
             cluster.close()

@@ -14,8 +14,11 @@ from repro.server.index_server import (
     IndexServer,
     InsertOp,
     PostingListResponse,
+    RecordView,
     ShareRecord,
+    insert_columns,
 )
+from repro.server.persistence import PostingLog
 
 
 @pytest.fixture()
@@ -155,6 +158,25 @@ class TestCompromise:
         view.posting_store[0].clear()
         assert server.num_elements == 1
 
+    def test_update_log_holds_copies_not_the_batch_columns(self, env):
+        """The log keeps each batch's id columns (no tuple per element),
+        so it must own them: a caller reusing its column lists, or an
+        adversary editing a view, cannot rewrite history."""
+        _, _, server, tokens = env
+        pl_ids, element_ids = [0, 1, 0], [1, 1, 2]
+        batch = RecordView(InsertOp, pl_ids, element_ids, [1, 1, 1], [7, 8, 9])
+        assert server.insert_batch(tokens["alice"], batch) == 3
+        pl_ids[0] = element_ids[0] = 99
+        pl_ids.clear()
+        view = server.compromise()
+        assert view.update_log == [[(0, 1), (1, 1), (0, 2)]]
+        view.update_log[0].clear()
+        view.update_log.clear()
+        assert server.compromise().update_log == [[(0, 1), (1, 1), (0, 2)]]
+        # An empty batch is not an update event.
+        assert server.insert_batch(tokens["alice"], ()) == 0
+        assert len(server.compromise().update_log) == 1
+
 
 class TestMisc:
     def test_storage_bytes(self, env):
@@ -268,20 +290,18 @@ _RECORD = st.builds(
     group_id=st.sampled_from(GROUPS),
     share_y=st.integers(min_value=0, max_value=2**64 + 12),
 )
-_STEP = st.one_of(
-    st.tuples(
-        st.just("insert"),
-        st.lists(
-            st.builds(
-                InsertOp,
-                pl_id=_PL,
-                element_id=_EID,
-                group_id=st.sampled_from(GROUPS),
-                share_y=st.integers(min_value=0, max_value=2**64 + 12),
-            ),
-            max_size=6,
-        ),
+_INSERT_BATCH = st.lists(
+    st.builds(
+        InsertOp,
+        pl_id=_PL,
+        element_id=_EID,
+        group_id=st.sampled_from(GROUPS),
+        share_y=st.integers(min_value=0, max_value=2**64 + 12),
     ),
+    max_size=6,
+)
+_STEP = st.one_of(
+    st.tuples(st.just("insert"), _INSERT_BATCH),
     st.tuples(
         st.just("delete"),
         st.lists(st.builds(DeleteOp, pl_id=_PL, element_id=_EID), max_size=4),
@@ -407,3 +427,108 @@ def test_record_view_is_a_lazy_sequence_equal_to_a_tuple():
     assert view == PostingListResponse(5, [1, 4, 7], [2, 5, 8], [3, 6, 9]).records
     assert view != records[:2]
     assert response.wire_bytes(9) == 4 + 3 * 17
+
+
+# -- the column insert path against the per-op path ----------------------------
+#
+# An insert batch reaches the server as four aligned columns behind a
+# lazy InsertOp view (the owner, the packed decoder) or as a plain
+# sequence of InsertOp (tests, the classic decoder, fleet extension).
+# Both must be one path: same stored rows in the same order, same update
+# log, same rejections, and a rejected batch leaves nothing behind.
+
+
+def _as_view(ops) -> RecordView:
+    return RecordView(InsertOp, *insert_columns(tuple(ops)))
+
+
+def _observables(server, tokens, pl_ids):
+    return (
+        [server.export_posting_list(pl_id) for pl_id in pl_ids],
+        server.compromise().update_log,
+        server.num_elements,
+        [server.get_posting_lists(tokens[user], pl_ids) for user in READERS],
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(batches=st.lists(_INSERT_BATCH, max_size=8))
+def test_a_column_view_and_a_tuple_of_ops_are_one_insert_path(batches):
+    (by_view, by_ops, _stale), tokens = _fleet()
+    oracle = _Oracle()
+    pl_ids = tuple(range(4))
+    expected_log = []
+    for ops in batches:
+        outcomes = []
+        for server, batch in ((by_view, _as_view(ops)), (by_ops, tuple(ops))):
+            try:
+                outcomes.append(server.insert_batch(tokens["all"], batch))
+            except IndexServerError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        if oracle.insert(ops):
+            assert outcomes[0] == len(ops)
+            if ops:  # an empty batch is accepted and not logged
+                expected_log.append([(o.pl_id, o.element_id) for o in ops])
+        else:
+            assert "already exists" in outcomes[0]
+        assert _observables(by_view, tokens, pl_ids) == _observables(
+            by_ops, tokens, pl_ids
+        )
+    # Batch order, and inside a batch the order it arrived in.
+    assert by_view.compromise().update_log == expected_log
+    _assert_matches(by_view, oracle, tokens, pl_ids)
+
+
+_SEEDED = [op(0, 1, 1), op(0, 2, 2), op(1, 1, 1)]
+
+
+@pytest.mark.parametrize("wrap", [_as_view, tuple], ids=["view", "ops"])
+@pytest.mark.parametrize(
+    "user, batch, error, names",
+    [
+        # "some" is in group 1 only; the offender is the last row.
+        ("some", [op(2, 5, 1), op(2, 6, 1), op(3, 7, 2)],
+         AccessDeniedError, "group 2"),
+        ("all", [op(2, 5, 1), op(3, 5, 1), op(2, 6, 3), op(2, 5, 2)],
+         IndexServerError, "element 5 already exists in list 2"),
+        ("all", [op(2, 9, 1), op(1, 2, 1), op(0, 2, 1)],
+         IndexServerError, "element 2 already exists in list 0"),
+    ],
+    ids=["non-member-last-row", "duplicate-in-batch", "duplicate-in-store"],
+)
+def test_a_rejected_batch_leaves_store_log_and_wal_untouched(
+    tmp_path, wrap, user, batch, error, names
+):
+    (server, _b, _stale), tokens = _fleet()
+    wal = tmp_path / "seat.wal"
+    server.attach_store(PostingLog(wal))
+    server.insert_batch(tokens["all"], wrap(_SEEDED))
+    pl_ids = tuple(range(4))
+    before = _observables(server, tokens, pl_ids), wal.read_bytes()
+    with pytest.raises(error, match=names):
+        server.insert_batch(tokens[user], wrap(batch))
+    assert (_observables(server, tokens, pl_ids), wal.read_bytes()) == before
+    # The same element id in two different lists is no duplicate.
+    assert server.insert_batch(tokens["all"], wrap([op(2, 1, 1), op(3, 1, 1)])) == 2
+    assert wal.read_bytes() == before[1] + b"I 2 1 1 999\nI 3 1 1 999\n"
+    assert server.compromise().update_log[-1] == [(2, 1), (3, 1)]
+
+
+def test_insert_view_is_a_lazy_sequence_equal_to_a_tuple_of_ops():
+    ops = (op(3, 1, 2, share=7), op(0, 9, 1, share=2**64 + 12), op(3, 4, 2))
+    view = _as_view(ops)
+    assert insert_columns(view) is view.columns
+    assert view.columns == ([3, 0, 3], [1, 9, 4], [2, 1, 2], [7, 2**64 + 12, 999])
+    assert len(view) == 3 and view == ops and ops == tuple(view)
+    assert list(view) == list(ops)
+    assert view[1] == ops[1] and view[-1] == ops[-1]
+    assert view[1:] == ops[1:] and view[::2] == ops[::2]
+    assert view == _as_view(ops) and view != _as_view(ops[:2])
+    assert view != ops[:2] and view != ops + ops[:1]
+    # Row type is part of the value: share records are not insert ops.
+    assert RecordView(ShareRecord, [1], [2], [3]) != RecordView(
+        ShareRecord, [1], [2], [4]
+    )
+    assert len(_as_view(())) == 0 and _as_view(()) == ()
+    assert insert_columns(iter(ops)) == view.columns

@@ -25,6 +25,7 @@ import pytest
 from helpers import make_cluster, make_documents
 
 from repro.cli import main as cli_main
+from repro.client.batching import BatchPolicy
 from repro.observability.metrics import (
     Counter,
     Gauge,
@@ -453,6 +454,71 @@ class TestEndToEnd:
             assert len(global_spans()) == before
 
 
+class TestIndexMetrics:
+    """The write side of the registry: totals pulled from the owners at
+    dump time, one flush-time observation per released batch."""
+
+    def _ingest(self, metrics_on: bool):
+        documents = make_documents(num_docs=14, num_groups=3)
+        cluster = make_cluster(documents[:0])
+        if not metrics_on:
+            cluster.coordinator.metrics = None
+        for group_id in range(3):
+            cluster.create_group(group_id, coordinator=f"owner{group_id}")
+            cluster.owner(
+                f"owner{group_id}", batch_policy=BatchPolicy(min_documents=3)
+            )
+        returned = [
+            cluster.share_document(f"owner{d.group_id}", d) for d in documents
+        ]
+        # Re-sharing withdraws and shares again: one more document.
+        returned.append(cluster.share_document("owner0", documents[0]))
+        cluster.flush_all()
+        return cluster, documents, returned
+
+    def test_totals_equal_what_share_document_returned(self):
+        cluster, _documents, returned = self._ingest(metrics_on=True)
+        with cluster:
+            view = SampleView(cluster.metrics.samples())
+            assert view.value("zerber_index_documents_total") == len(returned)
+            assert view.value("zerber_index_elements_total") == sum(returned)
+            batches = sum(
+                cluster.owner(f"owner{g}").batches_flushed for g in range(3)
+            )
+            assert 3 <= batches < len(returned)
+            assert view.value("zerber_index_batches_total") == batches
+            # One observation per flush, not per document or element.
+            assert view.value("zerber_index_flush_seconds_count") == batches
+            assert view.value("zerber_index_flush_seconds", quantile="0.5") > 0
+
+    def test_results_are_byte_identical_with_metrics_off(self):
+        on, documents, returned_on = self._ingest(metrics_on=True)
+        off, _documents, returned_off = self._ingest(metrics_on=False)
+        with on, off:
+            assert returned_on == returned_off
+            assert _seat_rows(on) == _seat_rows(off)
+            for cluster in (on, off):
+                cluster.add_member(0, "reader", actor="owner0")
+            terms = _query_terms(documents)
+            assert [
+                (r.doc_id, r.score) for r in on.search("reader", terms)
+            ] == [(r.doc_id, r.score) for r in off.search("reader", terms)]
+            view = SampleView(off.metrics.samples())
+            # Totals are pulled from the owners either way; only the
+            # hot-path histogram goes quiet.
+            assert view.value("zerber_index_documents_total") == len(returned_off)
+            assert view.value("zerber_index_flush_seconds_count") is None
+
+
+def _seat_rows(cluster):
+    return [
+        (slot.server_id, pl_id, slot.server.export_posting_list(pl_id))
+        for pod in cluster.coordinator.pods
+        for slot in pod.slots
+        for pl_id in range(8)
+    ]
+
+
 class TestInjectableClock:
     def test_fetch_latency_accounting_uses_the_injected_clock(self):
         """A frozen clock yields exactly-zero EWMAs — impossible with
@@ -496,6 +562,9 @@ class TestDashboards:
         out = capsys.readouterr().out
         assert code == 0
         assert "repro cluster top · frame 2/2" in out
+        assert "index: 16 documents (320.0 docs/s)" in out  # first frame
+        assert "index: 16 documents (0.0 docs/s)" in out
+        assert "flush p50" in out and "flush p50 0.00ms" not in out
         assert "p50" in out and "p95" in out and "p99" in out
         assert "pod0" in out and "pod1" in out
         assert "breakers:" in out

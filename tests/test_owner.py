@@ -49,6 +49,30 @@ class TestSharing:
         assert owner.shared_documents == [1]
         assert len(owner.elements_of(1)) == 3
 
+    def test_shadow_map_entries_are_the_stored_id_pairs(self, deployment):
+        """The shadow map keeps two id columns per document; what it
+        hands out is still the (pl_id, element_id) pairs the servers
+        hold, as copies."""
+        owner = deployment.owner("alice", BatchPolicy(min_documents=1))
+        owner.share_document(make_doc(1, {"a": 1, "b": 1, "c": 1}))
+        owner.share_document(make_doc(2, {"a": 3}))
+        stored = {
+            (pl_id, record.element_id)
+            for pl_id, records in (
+                deployment.servers[0].compromise().posting_store.items()
+            )
+            for record in records
+        }
+        entries = owner.elements_of(1)
+        assert len(set(entries)) == 3
+        assert set(entries) | set(owner.elements_of(2)) == stored
+        entries.clear()
+        assert len(owner.elements_of(1)) == 3
+        assert owner.elements_of(404) == []
+        assert owner.delete_document(1) == 3
+        assert owner.elements_of(1) == []
+        assert deployment.servers[0].num_elements == 1
+
     def test_local_index_updated(self, deployment):
         owner = deployment.owner("alice", BatchPolicy(min_documents=1))
         owner.share_document(make_doc(1, {"alpha": 2}))

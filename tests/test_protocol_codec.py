@@ -26,7 +26,9 @@ from repro.server.index_server import (
     DeleteOp,
     InsertOp,
     PostingListResponse,
+    RecordView,
     ShareRecord,
+    insert_columns,
 )
 
 # -- strategies ---------------------------------------------------------------
@@ -574,3 +576,64 @@ def test_version_2_frames_are_rejected_by_version():
             frame[2] = 2
             with pytest.raises(ProtocolError, match="version 2"):
                 codec.decode_message(bytes(frame))
+
+
+# -- an insert batch is its columns, however it was built ---------------------
+
+
+def _from_columns(token, ops) -> m.InsertBatchRequest:
+    return m.InsertBatchRequest(
+        token=token, operations=RecordView(InsertOp, *insert_columns(ops))
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(token=tokens, ops=st.lists(insert_ops, max_size=20))
+def test_insert_batch_from_columns_and_from_ops_share_their_bytes(token, ops):
+    from_ops = m.InsertBatchRequest(token=token, operations=tuple(ops))
+    from_columns = _from_columns(token, ops)
+    assert from_columns == from_ops and from_ops == from_columns
+    assert from_columns.wire_bytes(9) == from_ops.wire_bytes(9)
+    for packed, type_byte in ((True, 0x41), (False, 0x01)):
+        frame = codec.encode_message(from_columns, packed=packed)
+        assert frame[3] == type_byte
+        assert frame == codec.encode_message(from_ops, packed=packed)
+        decoded = codec.decode_message(frame)
+        assert decoded == from_ops and decoded == from_columns
+        assert [list(c) for c in insert_columns(decoded.operations)] == [
+            list(c) for c in insert_columns(ops)
+        ]
+    # The packed decoder hands the server the columns it read: no op
+    # was built, and the accessor returns them as they are.
+    decoded = codec.decode_message(codec.encode_message(from_ops, packed=True))
+    assert isinstance(decoded.operations, RecordView)
+    assert insert_columns(decoded.operations) is decoded.operations.columns
+
+
+def test_insert_frames_are_the_bytes_every_earlier_peer_wrote():
+    """Protocol version 3 frames of one fixed batch, as the per-op
+    encoders wrote them before the batch travelled as columns."""
+    token = AuthToken(
+        user_id="alice", issued_at=5, expires_at=900, signature=b"\x01\x02"
+    )
+    ops = (
+        InsertOp(3, 70000, 2, 2**64 + 12),
+        InsertOp(0, 9, 1, 300),
+        InsertOp(3, 4, 2, 0),
+    )
+    packed = bytes.fromhex(
+        "5a57034105616c696365058407020102030103000303011170000009000004"
+        "010201020901000000000000000c00000000000000012c000000000000000000"
+    )
+    classic = bytes.fromhex(
+        "5a57030105616c6963650584070201020303f0a204028c808080808080808002"
+        "000901ac0203040200"
+    )
+    for message in (
+        m.InsertBatchRequest(token=token, operations=ops),
+        _from_columns(token, ops),
+    ):
+        assert codec.encode_message(message, packed=True) == packed
+        assert codec.encode_message(message) == classic
+    assert codec.decode_message(packed) == codec.decode_message(classic)
+    assert codec.decode_message(packed).operations == ops

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import InsufficientSharesError, SecretSharingError
-from repro.secretsharing.field import PrimeField
+from repro.protocol.codec import Reader, read_columns, write_columns
+from repro.secretsharing.field import DEFAULT_PRIME, PrimeField
 from repro.secretsharing.shamir import (
     ShamirScheme,
     Share,
@@ -167,10 +168,110 @@ class TestShamirScheme:
         assert scheme.reconstruct(shares[:2]) == 777
         assert scheme.reconstruct(shares[1:]) == 777
 
-    def test_split_many(self):
-        scheme = ShamirScheme(k=2, n=3, field=FIELD, rng=make_rng())
-        all_shares = scheme.split_many([1, 2, 3])
-        assert [scheme.reconstruct(s) for s in all_shares] == [1, 2, 3]
+    @settings(max_examples=60, deadline=None)
+    @given(
+        field=st.sampled_from([FIELD, PrimeField(DEFAULT_PRIME)]),
+        k_n=st.integers(1, 5).flatmap(
+            lambda k: st.tuples(st.just(k), st.integers(k, 7))
+        ),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_split_many(self, field, k_n, seed, data):
+        """The column form against Algorithm 1a, one secret at a time."""
+        k, n = k_n
+        scheme = ShamirScheme(k=k, n=n, field=field, rng=random.Random(seed))
+        secrets_ = data.draw(
+            st.lists(st.integers(0, field.p - 1), max_size=12), label="secrets"
+        )
+        column_rng, oracle_rng = random.Random(seed), random.Random(seed)
+        columns = scheme.split_many(secrets_, column_rng)
+        oracle = [scheme.split(secret, oracle_rng) for secret in secrets_]
+        # Draw order pinned: share for share what successive splits give,
+        # and the rng left where they leave it.
+        assert columns == [
+            [shares[j].y for shares in oracle] for j in range(n)
+        ]
+        assert column_rng.getstate() == oracle_rng.getstate()
+        if k == 1:
+            assert columns == [secrets_] * n
+        # Any k columns give the secrets back, column-wise and row-wise.
+        slots = data.draw(st.permutations(range(n)), label="slots")[:k]
+        xs = [scheme.x_of(j) for j in slots]
+        assert (
+            scheme.reconstruct_batch(xs, [columns[j] for j in slots])
+            == secrets_
+        )
+        for method in ("lagrange", "gaussian"):
+            assert [
+                reconstruct_secret(
+                    [Share(x, columns[j][i]) for x, j in zip(xs, slots)],
+                    k,
+                    field,
+                    method=method,
+                )
+                for i in range(len(secrets_))
+            ] == secrets_
+
+    def test_split_many_edge_secrets_and_two_limb_shares(self):
+        p = DEFAULT_PRIME
+        secrets_ = [0, 1, p - 1, 1 << 64, (1 << 64) + 12]
+        scheme = ShamirScheme(k=2, n=3, rng=make_rng())
+        columns = scheme.split_many(secrets_, make_rng())
+        assert scheme.reconstruct_batch(
+            scheme.x_coordinates[1:], columns[1:]
+        ) == secrets_
+
+        class ZeroCoefficients(random.Random):
+            def randrange(self, *args):
+                return 0
+
+        # A zero slope makes every share its secret: 2**64 and p - 1 are
+        # shares that need a second 64-bit limb on the wire.
+        columns = scheme.split_many(secrets_, ZeroCoefficients())
+        assert columns == [secrets_] * 3
+        assert max(columns[0]) >= 1 << 64
+        out = bytearray()
+        write_columns(out, *columns)
+        assert out[1] == 9  # the first column's width byte
+        assert read_columns(Reader(bytes(out)), 3) == columns
+
+    def test_split_many_empty_input_gives_n_empty_columns(self):
+        for k, n in ((1, 1), (2, 3), (3, 5)):
+            scheme = ShamirScheme(k=k, n=n, field=FIELD, rng=make_rng())
+            rng = make_rng()
+            assert scheme.split_many([], rng) == [[] for _ in range(n)]
+            assert rng.getstate() == make_rng().getstate()
+
+    @pytest.mark.parametrize("bad", [-1, PRIME, PRIME + 5])
+    def test_split_many_rejects_a_secret_before_any_draw(self, bad):
+        scheme = ShamirScheme(k=3, n=5, field=FIELD, rng=make_rng())
+        rng = make_rng()
+        with pytest.raises(SecretSharingError):
+            scheme.split_many([1, 2, 3, bad], rng)  # offender last
+        assert rng.getstate() == make_rng().getstate()
+
+    def test_split_many_defaults_to_the_csprng_adapter(self, monkeypatch):
+        scheme = ShamirScheme(k=3, n=4, field=FIELD, x_coordinates=[1, 2, 3, 4])
+        drawn = []
+
+        def counting_randbelow(bound):
+            drawn.append(bound)
+            return 7
+
+        monkeypatch.setattr(
+            "repro.secretsharing.shamir.secrets.randbelow", counting_randbelow
+        )
+        twister_state = random.getstate()
+        columns = scheme.split_many([10, 20, 30])
+        # Two coefficients per secret, all from the OS CSPRNG; the
+        # module-level Mersenne Twister was never consulted.
+        assert drawn == [PRIME] * 6
+        assert random.getstate() == twister_state
+        assert columns == [
+            [(7 * x * x + 7 * x + s) % PRIME for s in (10, 20, 30)]
+            for x in (1, 2, 3, 4)
+        ]
 
     def test_extend_adds_fresh_coordinates(self):
         scheme = ShamirScheme(k=2, n=3, field=FIELD, rng=make_rng())

@@ -10,6 +10,7 @@ stale temp cleanup, directory-fsync'd compaction).
 from __future__ import annotations
 
 import threading
+import zlib
 
 import pytest
 
@@ -20,7 +21,13 @@ from repro.errors import (
 )
 from repro.server.auth import AuthService
 from repro.server.groups import GroupDirectory
-from repro.server.index_server import DeleteOp, IndexServer, InsertOp
+from repro.server.index_server import (
+    DeleteOp,
+    IndexServer,
+    InsertOp,
+    RecordView,
+    insert_columns,
+)
 from repro.server.persistence import PostingLog
 from repro.storage import (
     SegmentedStore,
@@ -29,7 +36,12 @@ from repro.storage import (
     migrate_flat_wal,
     open_seat_store,
 )
-from repro.storage.segment import scan_segment_numbers
+from repro.storage.segment import (
+    HEADER_LEN,
+    encode_op_frames,
+    scan_segment_numbers,
+    segment_name,
+)
 
 
 def ins(pl, eid, share=111, group=1):
@@ -115,6 +127,81 @@ class TestSegmentedStoreBasics:
         assert store.append_deletes([]) == 0
         assert store.records_appended == 0
         store.close()
+
+
+class TestColumnAppends:
+    """``append_inserts`` takes a batch as columns or as ops and writes
+    the record format the per-op encoder defines, byte for byte."""
+
+    OPS = [
+        ins(3, 70000, share=2**64 + 12, group=2),
+        ins(0, 9, share=300),
+        ins(3, 4, share=0, group=2),
+        ins(2**31, 2**32 - 1, share=2**64),
+    ]
+    #: The first three records as the parent commit's log holds them.
+    PINNED = bytes.fromhex(
+        "100103f0a204028c80808080808080800273c366250601000901ac0272c5e8ea"
+        "0501030402001dbbc8dc"
+    )
+
+    @staticmethod
+    def _leb128(value: int) -> bytes:
+        out = bytearray()
+        while True:
+            value, low = value >> 7, value & 0x7F
+            out.append(low | (0x80 if value else 0))
+            if not value:
+                return bytes(out)
+
+    def _reference(self) -> bytes:
+        """The record format written out by hand, one op at a time:
+        varint length, kind byte 1 + four varints, CRC32 of the payload."""
+        out = b""
+        for op in self.OPS:
+            payload = b"\x01" + b"".join(
+                map(
+                    self._leb128,
+                    (op.pl_id, op.element_id, op.group_id, op.share_y),
+                )
+            )
+            out += self._leb128(len(payload)) + payload
+            out += zlib.crc32(payload).to_bytes(4, "little")
+        assert out == encode_op_frames(self.OPS)  # the wire twin agrees
+        return out
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            lambda ops: RecordView(InsertOp, *insert_columns(ops)),
+            tuple,
+            iter,
+        ],
+        ids=["view", "ops", "generator"],
+    )
+    def test_segment_bytes_match_the_per_op_reference(self, tmp_path, batch):
+        store = SegmentedStore(tmp_path / "seat", auto_compact=False)
+        assert store.append_inserts(batch(self.OPS)) == len(self.OPS)
+        store.close()
+        written = (tmp_path / "seat" / segment_name(1)).read_bytes()
+        assert written[HEADER_LEN:] == self._reference()
+        assert written[HEADER_LEN:].startswith(self.PINNED)
+        reopened = SegmentedStore(tmp_path / "seat", auto_compact=False)
+        assert simplify(reopened.replay()) == apply_ops(self.OPS)
+        reopened.close()
+
+    def test_flat_log_lines_match_from_columns_and_from_ops(self, tmp_path):
+        logs = []
+        for name, batch in (
+            ("view", RecordView(InsertOp, *insert_columns(self.OPS))),
+            ("ops", tuple(self.OPS)),
+        ):
+            log = PostingLog(tmp_path / f"{name}.wal")
+            assert log.append_inserts(batch) == len(self.OPS)
+            log.close()
+            logs.append((tmp_path / f"{name}.wal").read_bytes())
+        assert logs[0] == logs[1]
+        assert logs[0].splitlines()[0] == b"I 3 70000 2 18446744073709551628"
 
 
 class TestCompaction:
