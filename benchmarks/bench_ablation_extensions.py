@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, timed_pedantic
 from repro.corpus.synthetic import SyntheticCorpusConfig, generate_corpus
 from repro.extensions.dht import ConsistentHashRing, DHTPlacement
 from repro.extensions.topk_server import (
@@ -115,10 +115,7 @@ def test_ablation_fleet_extension(benchmark):
     deployment = deploy_corpus(corpus, num_lists=24, seed=34)
     per_server = deployment.servers[0].num_elements
 
-    new_server = benchmark.pedantic(
-        deployment.add_server, rounds=1, iterations=1
-    )
-    seconds = benchmark.stats.stats.mean
+    new_server, seconds = timed_pedantic(benchmark, deployment.add_server)
     rows = [
         "Ablation: provisioning an (n+1)-th server (§5.1 dynamic extension)",
         f"elements re-pointed: {new_server.num_elements} "

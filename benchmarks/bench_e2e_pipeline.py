@@ -8,7 +8,7 @@ snippets), with the §7.3 byte ledger printed alongside.
 
 from __future__ import annotations
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, timed_pedantic
 from repro.client.batching import BatchPolicy
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.synthetic import SyntheticCorpusConfig, generate_corpus
@@ -50,8 +50,7 @@ def test_e2e_index_throughput(benchmark):
         deployment.flush_all()
         return deployment.servers[0].num_elements
 
-    elements = benchmark.pedantic(index_all, rounds=1, iterations=1)
-    seconds = benchmark.stats.stats.mean
+    elements, seconds = timed_pedantic(benchmark, index_all)
     stats = deployment.network.stats
     rows = [
         "E2E indexing: 80 documents -> 3 servers (k=2, 8-doc batches)",
@@ -78,11 +77,11 @@ def test_e2e_query_latency(benchmark):
     def run_query():
         return searcher.search(terms, top_k=10)
 
-    results = benchmark.pedantic(run_query, rounds=5, iterations=1)
+    results, seconds = timed_pedantic(benchmark, run_query, rounds=5)
     diag = searcher.last_diagnostics
     rows = [
         f"E2E query latency: 2-term query, top-10 with snippets",
-        f"latency: {1000 * benchmark.stats.stats.mean:.1f} ms",
+        f"latency: {1000 * seconds:.1f} ms",
         f"hits: {len(results)}; elements received {diag.elements_received}, "
         f"false positives filtered {diag.false_positives}",
         f"lookup response bytes (per query, k=2 servers): "

@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 import time
 
-from benchmarks.conftest import emit
+from benchmarks.conftest import emit, timed_pedantic
 from repro.secretsharing.field import DEFAULT_PRIME, PrimeField
 from repro.secretsharing.shamir import ShamirScheme
 
@@ -28,8 +28,8 @@ def test_sec51_split_5000_terms(benchmark):
     scheme = ShamirScheme(k=2, n=3, field=FIELD, rng=random.Random(1))
     secrets_ = [random.Random(2).getrandbits(60) for _ in range(5_000)]
 
-    result = benchmark.pedantic(
-        lambda: scheme.split_many(secrets_), rounds=3, iterations=1
+    result, seconds = timed_pedantic(
+        benchmark, lambda: scheme.split_many(secrets_), rounds=3
     )
     # n share columns, one per server, aligned with the secrets.
     assert [len(column) for column in result] == [5_000] * scheme.n
@@ -37,12 +37,12 @@ def test_sec51_split_5000_terms(benchmark):
         scheme.reconstruct_batch(scheme.x_coordinates[:2], result[:2])
         == secrets_
     )
-    per_server_ms = 1000 * benchmark.stats.stats.mean / scheme.n
+    per_server_ms = 1000 * seconds / scheme.n
     emit(
         "sec51_split_timing",
         [
             "§5.1 split timing: 5,000-distinct-term document, k=2, n=3",
-            f"measured: {1000 * benchmark.stats.stats.mean:.1f} ms total, "
+            f"measured: {1000 * seconds:.1f} ms total, "
             f"{per_server_ms:.1f} ms per server "
             "(paper: 33 ms per server on 2006 hardware)",
         ],
@@ -58,9 +58,9 @@ def test_sec51_reconstruct_rate(benchmark):
     def reconstruct_all():
         return [scheme.reconstruct(shares) for shares in share_sets]
 
-    values = benchmark.pedantic(reconstruct_all, rounds=3, iterations=1)
+    values, seconds = timed_pedantic(benchmark, reconstruct_all, rounds=3)
     assert values[:5] == [1, 2, 3, 4, 5]
-    per_ms = len(share_sets) / (1000 * benchmark.stats.stats.mean)
+    per_ms = len(share_sets) / (1000 * seconds)
     emit(
         "sec51_reconstruct_timing",
         [

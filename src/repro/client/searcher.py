@@ -54,7 +54,12 @@ class SearchResult:
         score: its personalized tf-idf score.
         host: hosting peer (from the snippet fetch; "" when snippets off).
         snippet: context text ("" when snippets off).
-        matched_terms: the query terms the document actually contains.
+        matched_terms: the query terms the document actually contains,
+            each named once and in sorted order — also when several
+            owners share one ``doc_id``, so a term's list carries the
+            document more than once. Such a document counts once in a
+            term's df, and its tf is the last row of the term in
+            ``(-tf, doc_id)`` order, the Threshold Algorithm's rule.
     """
 
     doc_id: int
@@ -201,7 +206,7 @@ class SearchClient:
         property is what makes the per-list output safely cacheable by
         the searcher-local L1 (see :class:`repro.cachetier
         .L1PostingCache`); the term filter stays per-query in
-        :meth:`fetch_elements`. A list with no reconstructible elements
+        :meth:`fetch_postings`. A list with no reconstructible elements
         maps to an empty entry — emptiness is a cacheable fact too.
         """
         scheme, k = self._scheme, self._scheme.k
@@ -291,14 +296,16 @@ class SearchClient:
         (the cluster client's L1); the base client always reconstructs."""
         return self._reconstruct_lists(pl_ids, num_servers)
 
-    def fetch_elements(
+    def fetch_postings(
         self, terms: Sequence[str], num_servers: int | None = None
-    ) -> list[PostingElement]:
+    ) -> list[tuple[int, list[tuple[int, float]]]]:
         """Steps 1-4 of Algorithm 2: fetch, join, reconstruct, filter.
 
-        Returns the decrypted posting elements of the queried terms only
-        (false positives already removed). Populates
-        :attr:`last_diagnostics`.
+        Returns ``(term_id, [(doc_id, tf), ...])`` for each queried term
+        a fetched list holds, in ``(pl_id, term_id)`` order, false
+        positives already removed. The postings lists are the decoded
+        lists themselves — the L1's own on a hit — so callers must
+        treat them as read-only. Populates :attr:`last_diagnostics`.
         """
         self.last_diagnostics = SearchDiagnostics()
         if not terms:
@@ -319,21 +326,32 @@ class SearchClient:
                 f"must query at least k={k} servers, asked {num_servers}"
             )
         by_list = self._elements_by_list(pl_ids, num_servers)
-        elements: list[PostingElement] = []
-        decoded = 0
+        found: list[tuple[int, list[tuple[int, float]]]] = []
+        decoded = matched = 0
         for pl_id in pl_ids:
             by_term, count = by_list[pl_id]
             decoded += count
             # The term filter is a lookup per queried term: merged-in
-            # terms' postings never become objects.
+            # terms' postings are never touched.
             for term_id in wanted_term_ids:
-                elements += [
-                    PostingElement(doc_id, term_id, tf)
-                    for doc_id, tf in by_term.get(term_id, ())
-                ]
-        self.last_diagnostics.elements_matched = len(elements)
-        self.last_diagnostics.false_positives = decoded - len(elements)
-        return elements
+                postings = by_term.get(term_id)
+                if postings:
+                    found.append((term_id, postings))
+                    matched += len(postings)
+        self.last_diagnostics.elements_matched = matched
+        self.last_diagnostics.false_positives = decoded - matched
+        return found
+
+    def fetch_elements(
+        self, terms: Sequence[str], num_servers: int | None = None
+    ) -> list[PostingElement]:
+        """:meth:`fetch_postings` as one :class:`PostingElement` per
+        posting, in the same order; :meth:`search` never builds them."""
+        return [
+            PostingElement(doc_id, term_id, tf)
+            for term_id, postings in self.fetch_postings(terms, num_servers)
+            for doc_id, tf in postings
+        ]
 
     def _majority_reconstruct(self, shares, k: int) -> tuple[int | None, int]:
         """Plurality secret over (up to 21) k-subsets of the shares.
@@ -440,8 +458,8 @@ class SearchClient:
                 )
         with span("search"):
             with span("fetch-elements"):
-                elements = self.fetch_elements(terms, num_servers)
-            if not elements:
+                found = self.fetch_postings(terms, num_servers)
+            if not found:
                 return []
             with span("rank"):
                 term_of_id = {
@@ -449,38 +467,38 @@ class SearchClient:
                     for t in terms
                     if self._dictionary.id_of(t) is not None
                 }
-                collected: dict[str, list[tuple[int, float]]] = defaultdict(
-                    list
-                )
-                for element in elements:
-                    term = term_of_id[element.term_id]
-                    collected[term].append((element.doc_id, element.tf))
-                # Normalize to term order, independent of share arrival
-                # order: float summation order must not depend on which
-                # server (or pod) answered first, or byte-identical
-                # ranking across deployments breaks in the last bit.
-                postings_by_term = {
-                    term: sorted(collected[term])
-                    for term in sorted(collected)
-                }
-                # Personalized collection statistics from the
-                # accessible postings.
-                statistics = CollectionStatistics.from_postings(
-                    {
-                        t: [doc for doc, _ in ps]
-                        for t, ps in postings_by_term.items()
-                    }
+                # Rank on the term columns as fetched: they are read,
+                # never sorted in place, and a term's lists are joined
+                # only when it occurs in more than one.
+                collected: dict[str, list[tuple[int, float]]] = {}
+                for term_id, postings in found:
+                    term = term_of_id[term_id]
+                    earlier = collected.get(term)
+                    collected[term] = (
+                        postings if earlier is None else earlier + postings
+                    )
+                # Term order, independent of share arrival order: float
+                # summation order must not depend on which server (or
+                # pod) answered first, or byte-identical ranking across
+                # deployments breaks in the last bit.
+                postings_by_term = {t: collected[t] for t in sorted(collected)}
+                # Personalized collection statistics from the accessible
+                # postings: a doc listed twice (two owners) counts once.
+                tf_of = {t: dict(ps) for t, ps in postings_by_term.items()}
+                statistics = CollectionStatistics(
+                    num_documents=len(set().union(*tf_of.values())),
+                    document_frequencies={t: len(d) for t, d in tf_of.items()},
                 )
                 scorer = TfIdfScorer(statistics)
                 weights = {t: scorer.weight(t) for t in postings_by_term}
                 hits = threshold_top_k(postings_by_term, weights, top_k)
-                matched: dict[int, list[str]] = defaultdict(list)
-                for term, postings in postings_by_term.items():
-                    for doc_id, _ in postings:
-                        matched[doc_id].append(term)
+                matched = [
+                    tuple(t for t, docs in tf_of.items() if hit.doc_id in docs)
+                    for hit in hits
+                ]
             with span("snippets"):
                 results = []
-                for hit in hits:
+                for hit, matched_terms in zip(hits, matched):
                     host, snippet = "", ""
                     if fetch_snippets and self._snippets is not None:
                         fetched = self._fetch_snippet(hit.doc_id, terms)
@@ -491,9 +509,7 @@ class SearchClient:
                             score=hit.score,
                             host=host,
                             snippet=snippet,
-                            matched_terms=tuple(
-                                sorted(matched[hit.doc_id])
-                            ),
+                            matched_terms=matched_terms,
                         )
                     )
             return results

@@ -47,8 +47,10 @@ routing:
 from __future__ import annotations
 
 import time
+from collections import Counter
 from concurrent.futures import FIRST_COMPLETED, wait as futures_wait
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from repro.cachetier.l1 import L1PostingCache
@@ -258,20 +260,22 @@ class ClusterSearchClient(SearchClient):
         """The searcher-local L1, for observability (None when off)."""
         return self._l1
 
-    def fetch_elements(self, terms, num_servers=None):
+    def fetch_postings(self, terms, num_servers=None):
         """Publish per-query counters into the coordinator's registry.
 
         The instrumented path is byte-identical to the base pipeline —
-        it only counts and times around it. ``zerber_search_queries
-        _total`` and the fetch-latency histogram are what ``repro
-        cluster top`` derives its qps and quantile columns from.
+        it only counts and times around it. Both :meth:`search` and
+        :meth:`fetch_elements` fetch through here, so each counts once.
+        ``zerber_search_queries_total`` and the fetch-latency histogram
+        are what ``repro cluster top`` derives its qps and quantile
+        columns from.
         """
         metrics = self._coordinator.metrics
         if metrics is None:
-            return super().fetch_elements(terms, num_servers)
+            return super().fetch_postings(terms, num_servers)
         started = time.perf_counter()
         try:
-            return super().fetch_elements(terms, num_servers)
+            return super().fetch_postings(terms, num_servers)
         finally:
             metrics.counter("zerber_search_queries_total").inc()
             metrics.histogram("zerber_search_latency_seconds").observe(
@@ -547,10 +551,6 @@ class ClusterSearchClient(SearchClient):
         merged: dict[int, dict[int, PostingListResponse]] = {
             pl_id: {} for pl_id in need
         }
-        #: pl_id -> element_id -> shares gathered so far (kept
-        #: incrementally by _merge_response; shortfall checks are O(1)
-        #: per element instead of rescanning every response).
-        counts: dict[int, dict[int, int]] = {pl_id: {} for pl_id in need}
         tried: dict[int, set[str]] = {pl_id: set() for pl_id in need}
         contacted: set[str] = set()
         # Sampled once: worker threads re-apply it explicitly (the
@@ -601,7 +601,6 @@ class ClusterSearchClient(SearchClient):
                         lists,
                         num_servers,
                         merged,
-                        counts,
                         tried,
                         contacted,
                         diag,
@@ -609,7 +608,7 @@ class ClusterSearchClient(SearchClient):
                 pending = [
                     pl_id
                     for pl_id in need
-                    if self._needs_more(merged[pl_id], counts[pl_id], k)
+                    if self._needs_more(merged[pl_id], k)
                     and any(
                         pod.name not in tried[pl_id]
                         for pod in coordinator.pods_of(pl_id)
@@ -628,7 +627,6 @@ class ClusterSearchClient(SearchClient):
                                 ls,
                                 num_servers,
                                 merged,
-                                counts,
                             )
                         )
                         for pod, lists in jobs
@@ -636,9 +634,7 @@ class ClusterSearchClient(SearchClient):
                 )
             else:
                 outcomes = [
-                    self._fetch_from_pod(
-                        pod, lists, num_servers, merged, counts
-                    )
+                    self._fetch_from_pod(pod, lists, num_servers, merged)
                     for pod, lists in jobs
                 ]
             # Deterministic merge: outcomes fold in pod-index order no
@@ -668,7 +664,7 @@ class ClusterSearchClient(SearchClient):
             pending = [
                 pl_id
                 for pl_id in need
-                if self._needs_more(merged[pl_id], counts[pl_id], k)
+                if self._needs_more(merged[pl_id], k)
                 and any(
                     pod.name not in tried[pl_id]
                     for pod in coordinator.pods_of(pl_id)
@@ -686,27 +682,34 @@ class ClusterSearchClient(SearchClient):
         unresolved = {
             pl_id
             for pl_id in need
-            if self._share_shortfall(counts[pl_id], k)
+            if self._share_shortfall(merged[pl_id], k)
         }
         return merged, unresolved
 
     @staticmethod
-    def _share_shortfall(share_counts: dict[int, int], k: int) -> bool:
-        """True when some element of the list has < k shares so far."""
-        return bool(share_counts) and min(share_counts.values()) < k
+    def _share_shortfall(
+        slot_map: dict[int, PostingListResponse], k: int
+    ) -> bool:
+        """True when some element of the list has < k shares so far.
+
+        A slot holds at most one share per element, so an element's
+        share count is the number of slot columns naming it. When every
+        slot answered the same id column (the healthy case), that count
+        is the number of slots for every element.
+        """
+        columns = [response.element_ids for response in slot_map.values()]
+        if all(ids == columns[0] for ids in columns[1:]):
+            return bool(columns and columns[0]) and len(columns) < k
+        return min(Counter(chain.from_iterable(columns)).values()) < k
 
     def _needs_more(
-        self,
-        slot_map: dict[int, PostingListResponse],
-        share_counts: dict[int, int],
-        k: int,
+        self, slot_map: dict[int, PostingListResponse], k: int
     ) -> bool:
-        return len(slot_map) < k or self._share_shortfall(share_counts, k)
+        return len(slot_map) < k or self._share_shortfall(slot_map, k)
 
     @staticmethod
     def _merge_response(
         slot_map: dict[int, PostingListResponse],
-        share_counts: dict[int, int],
         slot_index: int,
         response: PostingListResponse,
     ) -> None:
@@ -715,28 +718,20 @@ class ClusterSearchClient(SearchClient):
         Replica pods hold identical shares per slot, so a record seen
         twice is byte-equal; the union matters when an earlier replica's
         seat answered short (e.g. lost shares) and a later replica's
-        same slot fills the gap. ``share_counts`` tracks per-element
-        share totals incrementally.
+        same slot fills the gap.
         """
         existing = slot_map.get(slot_index)
         if existing is None:
             slot_map[slot_index] = response
-            extra_ids = response.element_ids
-        else:
-            known = set(existing.element_ids)
-            extra = [
-                row for row in zip(*response.columns) if row[0] not in known
-            ]
-            if not extra:
-                return
-            extra_ids = [row[0] for row in extra]
+            return
+        known = set(existing.element_ids)
+        extra = [row for row in zip(*response.columns) if row[0] not in known]
+        if extra:
             # Element ids are distinct, so row order is element-id order.
             rows = sorted([*zip(*existing.columns), *extra])
             slot_map[slot_index] = PostingListResponse(
                 existing.pl_id, *map(list, zip(*rows))
             )
-        for element_id in extra_ids:
-            share_counts[element_id] = share_counts.get(element_id, 0) + 1
 
     def _pod_leg(
         self,
@@ -746,7 +741,6 @@ class ClusterSearchClient(SearchClient):
         need: Sequence[int],
         num_servers: int,
         merged: dict[int, dict[int, PostingListResponse]],
-        counts: dict[int, dict[int, int]],
     ) -> _PodFetchOutcome:
         """A :meth:`_fetch_from_pod` on a worker thread.
 
@@ -756,7 +750,7 @@ class ClusterSearchClient(SearchClient):
         (and its spans orphaned off the query's trace).
         """
         with deadline_scope(deadline=deadline), trace_scope(trace=trace):
-            return self._fetch_from_pod(pod, need, num_servers, merged, counts)
+            return self._fetch_from_pod(pod, need, num_servers, merged)
 
     def _hedge_backup(
         self,
@@ -793,7 +787,6 @@ class ClusterSearchClient(SearchClient):
         lists: list[int],
         num_servers: int,
         merged: dict[int, dict[int, PostingListResponse]],
-        counts: dict[int, dict[int, int]],
         tried: dict[int, set[str]],
         contacted: set[str],
         diag: ClusterDiagnostics,
@@ -818,16 +811,13 @@ class ClusterSearchClient(SearchClient):
             local_merged: dict[int, dict[int, PostingListResponse]] = {
                 pl_id: {} for pl_id in lists
             }
-            local_counts: dict[int, dict[int, int]] = {
-                pl_id: {} for pl_id in lists
-            }
             with deadline_scope(deadline=deadline), trace_scope(trace=trace):
                 outcome = self._fetch_from_pod(
-                    target, lists, num_servers, local_merged, local_counts
+                    target, lists, num_servers, local_merged
                 )
-            return target, outcome, local_merged, local_counts
+            return target, outcome, local_merged
 
-        completed: list[tuple] = []  # (target, outcome, lm, lc, is_backup)
+        completed: list[tuple] = []  # (target, outcome, merged, is_backup)
         error: BaseException | None = None
         winner: tuple | None = None
         if backup is None:
@@ -873,26 +863,20 @@ class ClusterSearchClient(SearchClient):
                         done, key=lambda f: f is backup_future
                     ):
                         try:
-                            target, outcome, lm, lc = future.result()
+                            target, outcome, lm = future.result()
                         except Exception as exc:  # noqa: BLE001
                             if error is None:
                                 error = exc
                             continue
-                        entry = (
-                            target,
-                            outcome,
-                            lm,
-                            lc,
-                            future is backup_future,
-                        )
+                        entry = (target, outcome, lm, future is backup_future)
                         completed.append(entry)
                         if outcome.contacted and winner is None:
                             winner = entry
-                if winner is not None and winner[4]:
+                if winner is not None and winner[3]:
                     diag.hedge_wins += 1
         # Every completed leg is a real observation for the breaker,
         # winner or not.
-        for target, outcome, _lm, _lc, _is_backup in completed:
+        for target, outcome, _lm, _is_backup in completed:
             if outcome.contacted:
                 coordinator.breakers.record_success(target.name)
             else:
@@ -904,16 +888,14 @@ class ClusterSearchClient(SearchClient):
             if error is not None:
                 raise error
             return
-        target, outcome, local_merged, local_counts, _is_backup = folded
+        target, outcome, local_merged, _is_backup = folded
         diag.failovers += outcome.failovers
         diag.escalations += outcome.escalations
         diag.lookup_messages += outcome.lookup_messages
         self.last_diagnostics.response_bytes += outcome.response_bytes
         for pl_id in lists:
             for slot_index, response in sorted(local_merged[pl_id].items()):
-                self._merge_response(
-                    merged[pl_id], counts[pl_id], slot_index, response
-                )
+                self._merge_response(merged[pl_id], slot_index, response)
         if outcome.contacted:
             contacted.add(target.name)
             coordinator.note_pod_read(
@@ -931,7 +913,6 @@ class ClusterSearchClient(SearchClient):
         need: Sequence[int],
         num_servers: int,
         merged: dict[int, dict[int, PostingListResponse]],
-        counts: dict[int, dict[int, int]],
     ) -> _PodFetchOutcome:
         """One pod's leg of the ladder: slot failover, then escalation.
 
@@ -991,16 +972,13 @@ class ClusterSearchClient(SearchClient):
                 successes += 1
             for response in responses:
                 self._merge_response(
-                    merged[response.pl_id],
-                    counts[response.pl_id],
-                    slot.slot_index,
-                    response,
+                    merged[response.pl_id], slot.slot_index, response
                 )
             if successes >= want:
                 shortfall = {
                     pl_id
                     for pl_id in need
-                    if self._share_shortfall(counts[pl_id], k)
+                    if self._share_shortfall(merged[pl_id], k)
                 }
         outcome.latency_s = coordinator.clock() - started
         record_span(

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Sequence
 
 from repro.errors import RankingError
@@ -54,18 +55,23 @@ def threshold_top_k(
         raise RankingError(f"k must be >= 1, got {k}")
     sorted_lists: dict[str, list[tuple[int, float]]] = {}
     for term, postings in postings_by_term.items():
-        if any(tf < 0 for _, tf in postings):
+        # (-tf, doc_id) order from two C-level sorts: doc_id order,
+        # then a stable tf-descending pass. The inputs are not touched.
+        lst = sorted(postings)
+        lst.sort(key=itemgetter(1), reverse=True)
+        if lst and lst[-1][1] < 0:  # the last row holds the least tf
             raise RankingError(f"negative tf in list for {term!r}")
-        sorted_lists[term] = sorted(postings, key=lambda p: (-p[1], p[0]))
+        sorted_lists[term] = lst
     terms = [t for t, lst in sorted_lists.items() if lst]
     if not terms:
         return []
     term_weights = {t: float(weights.get(t, 1.0)) for t in terms}
     if any(w < 0 for w in term_weights.values()):
         raise RankingError("negative term weight")
-    # Random-access structures: doc -> tf per term.
+    # Random-access structures: doc -> tf per term. A doc listed twice
+    # keeps its last row in (-tf, doc_id) order.
     tf_of: dict[str, dict[int, float]] = {
-        t: {doc: tf for doc, tf in lst} for t, lst in sorted_lists.items()
+        t: dict(lst) for t, lst in sorted_lists.items()
     }
 
     def full_score(doc_id: int) -> float:
@@ -102,9 +108,11 @@ def threshold_top_k(
         )
         if len(heap) == k and heap[0][0] >= threshold:
             break
-    hits = [RankedHit(doc_id=-neg, score=score) for score, neg in heap]
-    hits.sort(key=lambda h: (-h.score, h.doc_id))
-    return hits
+    # (score, -doc_id) descending is (-score, doc_id) ascending.
+    return [
+        RankedHit(doc_id=-neg, score=score)
+        for score, neg in sorted(heap, reverse=True)
+    ]
 
 
 def naive_top_k(

@@ -7,6 +7,8 @@ an uncached read — the tiers may only change *cost*, never answers.
 
 from __future__ import annotations
 
+import copy
+
 import pytest
 
 from helpers import make_cluster, make_documents
@@ -534,6 +536,40 @@ class TestClusterIntegration:
             assert noise > 0  # the merged lists did carry other terms
         finally:
             cluster.close()
+
+    def test_ranking_never_mutates_the_l1_entries_it_reads(self):
+        """The rank stage works on the L1's own term columns: after many
+        repeat searches every entry is still the very object stored,
+        with the value it was stored with — no in-place sort."""
+        documents = make_documents(num_docs=16)
+        cluster = make_cluster(
+            documents, n=3, cache_tier=None, l1_entries=32, cache_entries=0
+        )
+        with cluster:
+            cluster.add_member(0, "alice", actor="owner0")
+            searcher = cluster.searcher("alice")
+            stored = {}
+            original_put = searcher.l1_cache.put
+
+            def recording_put(key, pl_id, postings):
+                stored[key] = (postings, copy.deepcopy(postings))
+                original_put(key, pl_id, postings)
+
+            searcher.l1_cache.put = recording_put
+            readable = sorted(
+                {t for d in documents if d.group_id == 0 for t in d.term_counts}
+            )
+            queries = [readable[:3], readable[2:5], readable[::2], readable]
+            for _ in range(3):
+                for terms in queries:
+                    for top_k in (1, 10):
+                        searcher.search(terms, top_k=top_k)
+            assert searcher.l1_cache.hits > 0
+            entries = dict(searcher.l1_cache._entries)
+            assert entries and entries.keys() <= stored.keys()
+            for key, entry in entries.items():
+                original, snapshot = stored[key]
+                assert entry is original and entry == snapshot
 
     def test_l2_serves_a_fresh_searcher(self):
         documents = make_documents(num_docs=10)

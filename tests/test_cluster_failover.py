@@ -12,7 +12,13 @@ dead seat missed.
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+from itertools import chain
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import make_cluster, make_documents
 from repro.client.batching import BatchPolicy
@@ -351,6 +357,34 @@ class TestReplicaFailover:
             assert any(hit.doc_id == 800 for hit in results)
 
 
+def _share_counts(slot_map):
+    """Shares per element, as the slot map holds them."""
+    return Counter(
+        chain.from_iterable(r.element_ids for r in slot_map.values())
+    )
+
+
+def _tally_merge(slot_map, share_counts, slot_index, response):
+    """The per-element tally ``_merge_response`` kept before the
+    shortfall was derived from the slot map: the reference decision."""
+    existing = slot_map.get(slot_index)
+    if existing is None:
+        slot_map[slot_index] = response
+        extra_ids = response.element_ids
+    else:
+        known = set(existing.element_ids)
+        extra = [row for row in zip(*response.columns) if row[0] not in known]
+        if not extra:
+            return
+        extra_ids = [row[0] for row in extra]
+        rows = sorted([*zip(*existing.columns), *extra])
+        slot_map[slot_index] = PostingListResponse(
+            existing.pl_id, *map(list, zip(*rows))
+        )
+    for element_id in extra_ids:
+        share_counts[element_id] = share_counts.get(element_id, 0) + 1
+
+
 class TestMergeResponse:
     """``_merge_response`` folds replica answers per slot on columns."""
 
@@ -361,39 +395,72 @@ class TestMergeResponse:
         )
 
     def test_first_answer_is_kept_as_is_and_counted(self):
-        slot_map, counts = {}, {}
+        slot_map = {}
         first = self._response([(30, 1, 300), (10, 1, 100)])
-        ClusterSearchClient._merge_response(slot_map, counts, 0, first)
+        ClusterSearchClient._merge_response(slot_map, 0, first)
         assert slot_map[0] is first  # arrival order, no copy
-        assert counts == {30: 1, 10: 1}
+        assert _share_counts(slot_map) == {30: 1, 10: 1}
 
     def test_union_fills_gaps_sorted_by_element_id(self):
-        slot_map, counts = {}, {}
+        slot_map = {}
         short = self._response([(30, 1, 300), (10, 1, 100)])
         fuller = self._response(
             [(40, 2, 400), (10, 1, 100), (20, 2, 200), (30, 1, 300)]
         )
-        ClusterSearchClient._merge_response(slot_map, counts, 0, short)
-        ClusterSearchClient._merge_response(slot_map, counts, 0, fuller)
+        ClusterSearchClient._merge_response(slot_map, 0, short)
+        ClusterSearchClient._merge_response(slot_map, 0, fuller)
         merged = slot_map[0]
         assert merged.pl_id == 9
         assert merged.element_ids == [10, 20, 30, 40]
         assert merged.group_ids == [1, 2, 1, 2]
         assert merged.share_ys == [100, 200, 300, 400]
         # Only the gap-fillers count as new shares; the inputs are intact.
-        assert counts == {30: 1, 10: 1, 40: 1, 20: 1}
+        assert _share_counts(slot_map) == {30: 1, 10: 1, 40: 1, 20: 1}
         assert short.element_ids == [30, 10] and len(fuller.records) == 4
 
     def test_a_replica_with_nothing_new_changes_nothing(self):
-        slot_map, counts = {}, {}
+        slot_map = {}
         first = self._response([(30, 1, 300), (10, 1, 100)])
-        ClusterSearchClient._merge_response(slot_map, counts, 0, first)
+        ClusterSearchClient._merge_response(slot_map, 0, first)
         for again in (self._response([(10, 1, 100)]), self._response([])):
-            ClusterSearchClient._merge_response(slot_map, counts, 0, again)
-        assert slot_map[0] is first and counts == {30: 1, 10: 1}
+            ClusterSearchClient._merge_response(slot_map, 0, again)
+        assert slot_map[0] is first
+        assert _share_counts(slot_map) == {30: 1, 10: 1}
         # Another slot's share of the same elements counts separately.
-        ClusterSearchClient._merge_response(slot_map, counts, 1, first)
-        assert counts == {30: 2, 10: 2}
+        ClusterSearchClient._merge_response(slot_map, 1, first)
+        assert _share_counts(slot_map) == {30: 2, 10: 2}
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        k=st.integers(min_value=1, max_value=4),
+    )
+    def test_shortfall_decisions_match_the_per_element_tally(self, seed, k):
+        """Over random slot maps — aligned, missing, extra and permuted
+        ids, replica gap-fills of a slot — the slot-map-derived
+        shortfall decides exactly what the old per-element tally did,
+        after every merge."""
+        rng = random.Random(seed)
+        universe = rng.sample(range(1, 60), rng.randint(0, 12))
+        slot_map, tally_map, tally = {}, {}, {}
+        for _ in range(rng.randint(1, 8)):
+            ids = list(universe)
+            shape = rng.choice(("aligned", "missing", "extra", "permuted"))
+            if shape == "missing" and ids:
+                ids = rng.sample(ids, rng.randint(0, len(ids)))
+            elif shape == "extra":
+                ids += rng.sample(range(60, 80), 2)  # ids no seat had
+            elif shape == "permuted":
+                rng.shuffle(ids)
+            response = self._response([(i, 1, i * 7) for i in ids])
+            slot = rng.randrange(6)  # a repeat slot is a replica gap-fill
+            ClusterSearchClient._merge_response(slot_map, slot, response)
+            _tally_merge(tally_map, tally, slot, response)
+            assert slot_map == tally_map
+            assert ClusterSearchClient._share_shortfall(slot_map, k) == (
+                bool(tally) and min(tally.values()) < k
+            )
+            assert _share_counts(slot_map) == tally
 
 
 class TestReprovisioning:

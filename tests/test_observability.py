@@ -454,6 +454,36 @@ class TestEndToEnd:
             assert len(global_spans()) == before
 
 
+class TestSearchMetrics:
+    """``search`` and ``fetch_elements`` both fetch through
+    ``fetch_postings``, so each call counts exactly one query."""
+
+    @pytest.mark.parametrize("metrics_on", [True, False])
+    def test_each_entry_point_counts_one_query(self, metrics_on):
+        documents = make_documents()
+        cluster = make_cluster(documents)
+        with cluster:
+            if not metrics_on:
+                cluster.coordinator.metrics = None
+            terms = _query_terms(documents)
+            searcher = cluster.searcher("owner0")
+            calls = [
+                lambda: searcher.search(terms, top_k=5),
+                lambda: searcher.fetch_elements(terms),
+                lambda: searcher.search(terms, top_k=5, fetch_snippets=False),
+                lambda: searcher.fetch_elements(terms),
+            ]
+            for done, call in enumerate(calls, start=1):
+                assert call()
+                view = SampleView(cluster.metrics.samples())
+                queries = view.value("zerber_search_queries_total")
+                latencies = view.value("zerber_search_latency_seconds_count")
+                if metrics_on:
+                    assert queries == latencies == done
+                else:
+                    assert queries is None and latencies is None
+
+
 class TestIndexMetrics:
     """The write side of the registry: totals pulled from the owners at
     dump time, one flush-time observation per released batch."""

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import heapq
 import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.client.searcher import SearchClient
+from repro.core.dictionary import TermDictionary
 from repro.errors import RankingError
 from repro.ranking.scores import CollectionStatistics, TfIdfScorer
-from repro.ranking.threshold import naive_top_k, threshold_top_k
+from repro.ranking.threshold import RankedHit, naive_top_k, threshold_top_k
 
 
 class TestCollectionStatistics:
@@ -143,3 +147,156 @@ def test_property_ta_equals_naive(seed, num_terms, num_docs, k):
     assert [h.doc_id for h in ta] == [h.doc_id for h in oracle]
     for a, b in zip(ta, oracle):
         assert a.score == pytest.approx(b.score)
+
+
+class TestThresholdInputs:
+    def test_inputs_are_left_unmodified(self):
+        postings = {
+            "a": [(9, 0.5), (3, 0.25), (9, 0.75), (1, 0.5)],
+            "b": ((4, 0.5), (2, 1.0)),
+        }
+        snapshot = {t: list(ps) for t, ps in postings.items()}
+        lists = {t: ps for t, ps in postings.items()}
+        weights = {"a": 1.5, "b": 0.5}
+        threshold_top_k(postings, weights, k=3)
+        assert {t: list(ps) for t, ps in postings.items()} == snapshot
+        assert all(postings[t] is lists[t] for t in postings)
+        assert weights == {"a": 1.5, "b": 0.5}
+
+    def test_equal_tf_is_ordered_by_doc_id_in_any_input_order(self):
+        rows = [(8, 0.5), (2, 0.5), (5, 0.5), (1, 0.25), (9, 0.75)]
+        expected = [9, 2, 5, 8, 1]
+        rng = random.Random(3)
+        for _ in range(10):
+            rng.shuffle(rows)
+            hits = threshold_top_k({"a": list(rows)}, {"a": 1.0}, k=5)
+            assert [h.doc_id for h in hits] == expected
+
+    def test_negative_tf_anywhere_in_the_list_is_rejected(self):
+        for rows in ([(1, -0.5), (2, 0.5)], [(2, 0.5), (1, -0.5)]):
+            with pytest.raises(RankingError):
+                threshold_top_k({"a": rows}, {"a": 1.0}, k=1)
+
+
+# -- the columnar rank stage against the pipeline it replaced ---------------
+
+#: Term names whose sorted order differs from their dictionary id order.
+_NAMES = ("delta", "alpha", "charlie", "bravo")
+
+
+def _head_threshold_top_k(postings_by_term, weights, k):
+    """``threshold_top_k`` as it was before the rank went columnar."""
+    sorted_lists = {}
+    for term, postings in postings_by_term.items():
+        if any(tf < 0 for _, tf in postings):
+            raise RankingError(f"negative tf in list for {term!r}")
+        sorted_lists[term] = sorted(postings, key=lambda p: (-p[1], p[0]))
+    terms = [t for t, lst in sorted_lists.items() if lst]
+    if not terms:
+        return []
+    term_weights = {t: float(weights.get(t, 1.0)) for t in terms}
+    tf_of = {
+        t: {doc: tf for doc, tf in lst} for t, lst in sorted_lists.items()
+    }
+
+    def full_score(doc_id):
+        return sum(
+            term_weights[t] * tf_of[t].get(doc_id, 0.0) for t in terms
+        )
+
+    seen, heap, depth = set(), [], 0
+    max_depth = max(len(lst) for lst in sorted_lists.values())
+    while depth < max_depth:
+        frontier_tfs = {}
+        for t in terms:
+            lst = sorted_lists[t]
+            if depth < len(lst):
+                doc_id, tf = lst[depth]
+                frontier_tfs[t] = tf
+                if doc_id not in seen:
+                    seen.add(doc_id)
+                    score = full_score(doc_id)
+                    if len(heap) < k:
+                        heapq.heappush(heap, (score, -doc_id))
+                    elif (score, -doc_id) > heap[0]:
+                        heapq.heapreplace(heap, (score, -doc_id))
+            else:
+                frontier_tfs[t] = 0.0
+        depth += 1
+        threshold = sum(term_weights[t] * frontier_tfs[t] for t in terms)
+        if len(heap) == k and heap[0][0] >= threshold:
+            break
+    hits = [RankedHit(doc_id=-neg, score=score) for score, neg in heap]
+    hits.sort(key=lambda h: (-h.score, h.doc_id))
+    return hits
+
+
+def _head_rank(found, term_of_id, top_k):
+    """The rank stage of ``SearchClient.search`` before it went columnar:
+    pairs regrouped per term, sorted by doc id, a set per term for the
+    statistics, ``matched`` over every posting (de-duplicated here)."""
+    collected = defaultdict(list)
+    for term_id, postings in found:
+        for doc_id, tf in postings:
+            collected[term_of_id[term_id]].append((doc_id, tf))
+    postings_by_term = {t: sorted(collected[t]) for t in sorted(collected)}
+    statistics = CollectionStatistics.from_postings(
+        {t: [doc for doc, _ in ps] for t, ps in postings_by_term.items()}
+    )
+    scorer = TfIdfScorer(statistics)
+    weights = {t: scorer.weight(t) for t in postings_by_term}
+    hits = _head_threshold_top_k(postings_by_term, weights, top_k)
+    matched = defaultdict(set)
+    for term, postings in postings_by_term.items():
+        for doc_id, _ in postings:
+            matched[doc_id].add(term)
+    return [
+        (hit.doc_id, hit.score.hex(), tuple(sorted(matched[hit.doc_id])))
+        for hit in hits
+    ]
+
+
+class _CannedSearcher(SearchClient):
+    """A searcher whose fetch stage returns fixed term columns."""
+
+    def __init__(self, dictionary, found):
+        self._dictionary = dictionary
+        self._snippets = None
+        self._found = found
+
+    def fetch_postings(self, terms, num_servers=None):
+        return self._found
+
+
+@st.composite
+def _term_columns(draw):
+    """``fetch_postings`` output: term-grouped ``(doc_id, tf)`` lists with
+    doc ids shared across terms, repeated within a term (two owners of
+    one doc id), tf ties, and a term split over two merged lists."""
+    num_terms = draw(st.integers(min_value=1, max_value=4))
+    docs = st.integers(min_value=0, max_value=24)
+    tfs = st.integers(min_value=1, max_value=8).map(lambda q: q / 8)
+    found = []
+    for term_id in range(num_terms):
+        rows = draw(st.lists(st.tuples(docs, tfs), min_size=1, max_size=40))
+        cut = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        found += [(term_id, rows[:cut]), (term_id, rows[cut:])]
+    found = [(term_id, rows) for term_id, rows in found if rows]
+    return draw(st.permutations(found))
+
+
+@settings(max_examples=300, deadline=None)
+@given(found=_term_columns(), top_k=st.integers(min_value=1, max_value=50))
+def test_property_columnar_rank_matches_the_head_pipeline(found, top_k):
+    """``search`` on term columns is byte-identical to the pipeline it
+    replaced — same hits, same score bits — with ``matched_terms``
+    naming each term once, and the fetched columns left untouched."""
+    dictionary = TermDictionary()
+    dictionary.assign_all(_NAMES)
+    term_of_id = {dictionary.id_of(t): t for t in _NAMES}
+    snapshot = [(term_id, list(rows)) for term_id, rows in found]
+    searcher = _CannedSearcher(dictionary, found)
+    results = searcher.search(list(_NAMES), top_k=top_k)
+    got = [(r.doc_id, r.score.hex(), r.matched_terms) for r in results]
+    assert got == _head_rank(snapshot, term_of_id, top_k)
+    assert found == snapshot
