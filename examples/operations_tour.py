@@ -3,9 +3,9 @@
 
 Day-2 concerns a real deployment hits, all built into this reproduction:
 
-1. **Durability** — index servers log every accepted mutation to a WAL;
-   a crashed box recovers its share store from disk (§5.4.1's "element
-   IDs help an index recover after failure");
+1. **Durability** — index servers log every accepted mutation to a
+   segmented seat store; a crashed box recovers its share store from
+   disk (§5.4.1's "element IDs help an index recover after failure");
 2. **Fleet extension** — an (n+1)-th server joins without re-encrypting
    anything: owners evaluate their elements' polynomials at the new
    x-coordinate (§5.1);
@@ -29,7 +29,7 @@ from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.synthetic import SyntheticCorpusConfig, generate_corpus
 from repro.extensions.mixnet import MixMessage, MixRelay
 from repro.server.index_server import IndexServer, ShareRecord
-from repro.server.persistence import PostingLog, attach_log, recover_server
+from repro.storage import SegmentedStore
 
 
 def main() -> None:
@@ -58,19 +58,19 @@ def main() -> None:
 
     # -- 1. durability -------------------------------------------------------
     workdir = Path(tempfile.mkdtemp(prefix="zerber-ops-"))
-    logs = []
+    stores = []
     for server in deployment.servers:
-        log = PostingLog(workdir / f"{server.server_id}.wal")
-        attach_log(server, log)
-        logs.append(log)
+        store = SegmentedStore(workdir / server.server_id)
+        server.attach_store(store)
+        stores.append(store)
     for document in corpus:
         deployment.share_document(f"owner{document.group_id}", document)
     deployment.flush_all()
     elements = deployment.servers[0].num_elements
     print(f"[durability] {elements} elements per server, "
-          f"WALs at {workdir}")
+          f"seat stores at {workdir}")
 
-    # Crash server 0 and recover a replacement from its log.
+    # Crash server 0 and recover a replacement from its store.
     dead = deployment.servers[0]
     replacement = IndexServer(
         server_id="index-server-0-replacement",
@@ -79,12 +79,12 @@ def main() -> None:
         groups=deployment.groups,
         share_bytes=dead.share_bytes,
     )
-    logs[0].close()
-    recovered = recover_server(
-        replacement, PostingLog(workdir / "index-server-0.wal")
-    )
+    stores[0].close()
+    reopened = SegmentedStore(workdir / dead.server_id)
+    recovered = replacement.bulk_load(reopened.replay())
+    replacement.attach_store(reopened)
     print(f"[durability] replacement recovered {recovered} elements "
-          f"from the WAL (match: {recovered == elements})")
+          f"from the seat store (match: {recovered == elements})")
     deployment.servers[0] = replacement
 
     # -- 2. fleet extension -----------------------------------------------------
@@ -142,6 +142,8 @@ def main() -> None:
     sizes = sorted({size for _, _, size in deliveries})
     print(f"[mixnet] flushed {messages} messages pooled from {senders} "
           f"senders; on-the-wire sizes padded to {sizes}")
+    for store in stores[1:] + [reopened]:
+        store.close()
     print("\nall four operational drills passed.")
 
 

@@ -29,11 +29,8 @@
 #   in-process backend against the recorded PR 3 read-path baseline
 #   (ratio gate);
 # - the segmented-storage equivalence suite re-runs equivalence worlds
-#   with storage="segmented" — seat kills recovered from snapshot +
+#   with durable seat stores — seat kills recovered from snapshot +
 #   segment suffix, whole-pod kills at R=2, one world over TCP;
-# - the storage bench records BENCH_storage.json and gates snapshot
-#   recovery at >= 5x faster than full flat-WAL replay at 100k+
-#   records (ratio gate);
 # - the async transport suite covers the pipelined multiplexing stack:
 #   correlated frames, retry/close semantics, drain, interop with the
 #   threaded backend, and the socket-layer leak/stall regressions;
@@ -48,9 +45,6 @@
 #   pass and the slow-marked wide pass: random interleavings of
 #   writes, deletes, kills, restarts, and sweeps must always quiesce
 #   to an empty ledger and a byte-identical index;
-# - the rebalance bench records BENCH_rebalance.json and gates
-#   snapshot-shipping add_pod at >= 3x faster than record-by-record
-#   transfer at ~130k moved share records (ratio gate);
 # - the chaos smoke runs the seeded fault drills over all three
 #   transports: under any fault schedule every query must return
 #   byte-identical results or a typed error — never silently wrong,
@@ -134,9 +128,6 @@ gate "transport bench (BENCH_transport.json)" \
 gate "segmented-storage equivalence" \
     "failed|skipped|deselected|no tests ran|error" \
     tests/test_segmented_equivalence.py
-gate "storage bench (BENCH_storage.json, >= 5x recovery)" \
-    "failed|skipped|deselected|no tests ran|error" \
-    benchmarks/bench_storage.py
 gate "async transport (pipelined multiplexing + socket regressions)" \
     "failed|skipped|deselected|no tests ran|error" \
     tests/test_async_transport.py
@@ -153,9 +144,6 @@ gate "anti-entropy drills (sweep-only heal, all transports)" \
 gate "repair convergence property (smoke + wide)" \
     "failed|skipped|deselected|no tests ran|error" \
     tests/test_repair_convergence.py -m ""
-gate "rebalance bench (BENCH_rebalance.json, >= 3x snapshot-shipping)" \
-    "failed|skipped|deselected|no tests ran|error" \
-    benchmarks/bench_rebalance.py
 gate "chaos smoke (seeded faults, byte-identical-or-typed)" \
     "failed|skipped|deselected|no tests ran|error" \
     tests/test_chaos_drill.py

@@ -25,12 +25,12 @@ Five entry points for kicking Zerber's tires without writing code:
   (pair with ``ClusterDeployment(transport="socket")`` or a raw
   ``SocketTransport``);
 - ``storage``   — offline seat-store tooling over a cluster's WAL
-  directory: ``status`` prints every seat store (engine, records, disk
-  bytes, snapshot/segment layout), ``compact`` snapshots stores in
-  place, and ``migrate`` ingests legacy flat ``.wal`` files into the
-  segmented engine. Opening a store performs its crash cleanup (torn
-  tails truncated, orphan files deleted), so these commands double as
-  a disk fsck.
+  directory: ``status`` prints every seat store (records, disk bytes,
+  snapshot/segment layout) and ``compact`` snapshots stores in place.
+  Opening a store performs its crash cleanup (torn tails truncated,
+  orphan files deleted), so these commands double as a disk fsck. A
+  directory holding files of the removed flat engine (``*.wal``) is
+  refused untouched.
 """
 
 from __future__ import annotations
@@ -818,14 +818,18 @@ def _open_selected_stores(args):
     """(name, open store) pairs for a ``repro storage`` invocation."""
     import pathlib
 
-    from repro.storage import discover_stores, open_seat_store
+    from repro.errors import StorageError
+    from repro.storage import SegmentedStore, discover_stores
 
     directory = pathlib.Path(args.dir)
-    stores = discover_stores(directory)
+    try:
+        stores = discover_stores(directory)
+    except StorageError as exc:
+        raise SystemExit(str(exc))
     if args.seat:
         wanted = set(args.seat)
         stores = [entry for entry in stores if entry[0] in wanted]
-        missing = wanted - {name for name, _e, _p in stores}
+        missing = wanted - {name for name, _path in stores}
         if missing:
             raise SystemExit(
                 f"no seat store named {sorted(missing)} under {directory}"
@@ -836,15 +840,8 @@ def _open_selected_stores(args):
     # background compaction on a store it only meant to inspect —
     # `storage compact` compacts explicitly.
     return [
-        (
-            name,
-            open_seat_store(
-                path,
-                engine=engine,
-                **({"auto_compact": False} if engine == "segmented" else {}),
-            ),
-        )
-        for name, engine, path in stores
+        (name, SegmentedStore(path, auto_compact=False))
+        for name, path in stores
     ]
 
 
@@ -856,22 +853,18 @@ def _cmd_storage_status(args: argparse.Namespace) -> int:
         try:
             status = store.status()
             records = sum(len(plist) for plist in store.replay().values())
-            if store.engine == "segmented":
-                layout = (
-                    f"snapshot {status['snapshot'] or '-'}, "
-                    f"{status['segments']} segments "
-                    f"(live seg-{status['live_segment']:08d})"
+            layout = (
+                f"snapshot {status['snapshot'] or '-'}, "
+                f"{status['segments']} segments "
+                f"(live seg-{status['live_segment']:08d})"
+            )
+            if status["last_compaction_error"]:
+                layout += (
+                    f", LAST COMPACTION FAILED: "
+                    f"{status['last_compaction_error']}"
                 )
-                if status["last_compaction_error"]:
-                    layout += (
-                        f", LAST COMPACTION FAILED: "
-                        f"{status['last_compaction_error']}"
-                    )
-            else:
-                layout = "flat line-per-record WAL"
             print(
-                f"  {name:>20}  {store.engine:>9}  "
-                f"{records:7d} live records  "
+                f"  {name:>20}  {records:7d} live records  "
                 f"{status['disk_bytes']:9d} B  {layout}"
             )
         finally:
@@ -887,78 +880,15 @@ def _cmd_storage_compact(args: argparse.Namespace) -> int:
             before = store.status()["disk_bytes"]
             written = store.compact()
             after = store.status()["disk_bytes"]
-            if store.engine == "segmented" and written == 0 and before == after:
-                print(f"  {name:>20}  {store.engine:>9}  already compact")
+            if written == 0 and before == after:
+                print(f"  {name:>20}  already compact")
             else:
                 print(
-                    f"  {name:>20}  {store.engine:>9}  snapshot of "
-                    f"{written} records, {before} -> {after} B on disk"
+                    f"  {name:>20}  snapshot of {written} records, "
+                    f"{before} -> {after} B on disk"
                 )
         finally:
             store.close()
-    return 0
-
-
-def _cmd_storage_migrate(args: argparse.Namespace) -> int:
-    """Ingest legacy flat ``.wal`` files into the segmented engine."""
-    import pathlib
-
-    from repro.storage import discover_stores, migrate_flat_wal
-
-    directory = pathlib.Path(args.dir)
-    found = discover_stores(directory)
-    if args.seat:
-        # Filter up front: everything below — the already-migrated
-        # handling and its --delete-flat cleanup included — must only
-        # ever touch the seats the operator named.
-        wanted = set(args.seat)
-        found = [entry for entry in found if entry[0] in wanted]
-    migrated_names = {
-        name for name, engine, _path in found if engine == "segmented"
-    }
-    flat = []
-    for name, engine, path in found:
-        if engine != "flat":
-            continue
-        if name in migrated_names:
-            # A kept-source re-run: the segmented copy already exists
-            # and has been diverging since the cut-over; re-ingesting
-            # the stale flat file over it would be wrong twice. With
-            # --delete-flat this run *is* the cut-over confirmation:
-            # drop the stale fallback copy.
-            if args.delete_flat:
-                path.unlink(missing_ok=True)
-                path.with_suffix(".compact").unlink(missing_ok=True)
-                print(
-                    f"  {name:>20}  already migrated; removed stale "
-                    f"{path.name}"
-                )
-            else:
-                print(f"  {name:>20}  already migrated, skipping")
-            continue
-        flat.append((name, path))
-    if not flat:
-        print(f"no flat seat stores under {directory}; nothing to migrate")
-        return 0
-    for name, path in flat:
-        count = migrate_flat_wal(
-            path, delete_source=args.delete_flat
-        )
-        print(
-            f"  {name:>20}  {count} live records -> {path.with_suffix('')}"
-            + (f"  (removed {path.name})" if args.delete_flat else "")
-        )
-    print(
-        f"migrated {len(flat)} seats; redeploy with storage='segmented' "
-        f"to recover from snapshots"
-        + (
-            ""
-            if args.delete_flat
-            else " (source .wal files kept as fallback; note the "
-            "segmented copies stop tracking them from here on — "
-            "re-run with --delete-flat once the cut-over sticks)"
-        )
-    )
     return 0
 
 
@@ -1192,7 +1122,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     storage = sub.add_parser(
         "storage",
-        help="offline seat-store tooling (status, compaction, migration)",
+        help="offline seat-store tooling (status, compaction)",
     )
     storage_sub = storage.add_subparsers(dest="storage_command", required=True)
 
@@ -1208,30 +1138,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     sstatus = storage_sub.add_parser(
         "status",
-        help="inventory every seat store: engine, records, bytes, layout",
+        help="inventory every seat store: records, bytes, layout",
     )
     _common_storage_args(sstatus)
     sstatus.set_defaults(func=_cmd_storage_status)
 
     scompact = storage_sub.add_parser(
         "compact",
-        help="snapshot stores in place (flat: rewrite; segmented: "
-             "snapshot + manifest swap + GC)",
+        help="snapshot stores in place (snapshot + manifest swap + GC)",
     )
     _common_storage_args(scompact)
     scompact.set_defaults(func=_cmd_storage_compact)
-
-    smigrate = storage_sub.add_parser(
-        "migrate",
-        help="ingest legacy flat .wal files into segmented directories",
-    )
-    _common_storage_args(smigrate)
-    smigrate.add_argument(
-        "--delete-flat", action="store_true",
-        help="delete the source .wal files after migration (default "
-             "keeps them, so a botched cut-over can fall back)",
-    )
-    smigrate.set_defaults(func=_cmd_storage_migrate)
     return parser
 
 

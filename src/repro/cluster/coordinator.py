@@ -26,8 +26,7 @@ placement, routes writes to every replica pod's live servers
 (invalidating the share cache first), remembers which seats missed
 which lists (the staleness ledger read preference and owner
 re-provisioning lean on), tracks which servers are dead, and restarts
-them — from their durable seat store (a flat
-:class:`~repro.server.persistence.PostingLog` WAL or a
+them — from their durable seat store (a
 :class:`~repro.storage.SegmentedStore` snapshot + segment-suffix
 store) when one is attached, which is the recovery path §5.4.1's
 element IDs exist for. Pods join and leave at runtime: :meth:`add_pod` /
@@ -57,11 +56,9 @@ from repro.errors import ClusterDegradedError, ClusterError, ReproError
 from repro.extensions.dht import ConsistentHashRing
 from repro.observability.metrics import MetricsRegistry
 from repro.protocol.messages import (
-    AdoptListRequest,
     AdoptSnapshotRequest,
     CacheInvalidateRequest,
     DropListRequest,
-    ExportListRequest,
     ShipSnapshotRequest,
 )
 from repro.protocol.service import IndexServerService
@@ -71,7 +68,7 @@ from repro.secretsharing.shamir import ShamirScheme
 from repro.server.auth import AuthService
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import IndexServer
-from repro.storage.engine import open_seat_store
+from repro.storage.engine import SegmentedStore
 
 #: EWMA smoothing factor for observed per-pod read latency.
 READ_LATENCY_ALPHA = 0.25
@@ -103,16 +100,10 @@ class ServerSlot:
             restart from WAL replaces the object; the seat persists).
         alive: False between :meth:`ClusterCoordinator.kill_server` and
             the matching restart.
-        wal_path: the seat's durable-store location, when durability is
-            on — a ``.wal`` file for the flat engine, a directory for
-            the segmented engine.
-        log: the open seat store attached to ``server`` (a
-            :class:`~repro.server.persistence.PostingLog` or a
-            :class:`~repro.storage.SegmentedStore`; both speak the same
-            facade).
-        storage_engine: which engine ``wal_path`` holds, so a restart
-            reopens the seat with the right one.
-        storage_options: the engine options the store was attached
+        wal_path: the seat's storage directory, when durability is on.
+        log: the open :class:`~repro.storage.SegmentedStore` attached to
+            ``server``.
+        storage_options: the store options the seat was attached
             with, so a restart round-trips them (a seat configured
             with ``auto_compact=False`` must not come back compacting).
     """
@@ -122,8 +113,7 @@ class ServerSlot:
     server: IndexServer
     alive: bool = True
     wal_path: pathlib.Path | None = None
-    log: object | None = field(default=None, repr=False)
-    storage_engine: str = "flat"
+    log: SegmentedStore | None = field(default=None, repr=False)
     storage_options: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -163,18 +153,15 @@ class Pod:
         return None
 
 
-def attach_wal_to_slot(
-    slot: ServerSlot, path, engine: str = "flat", **store_options
-):
+def attach_wal_to_slot(slot: ServerSlot, path, **store_options):
     """Wire a durable store into one seat (usable before the pod joins
     a ring). Returns the opened store."""
     if slot.log is not None:
         raise ClusterError(f"server {slot.server_id!r} already has a WAL")
-    store = open_seat_store(path, engine=engine, **store_options)
+    store = SegmentedStore(path, **store_options)
     slot.server.attach_store(store)
     slot.wal_path = pathlib.Path(path)
     slot.log = store
-    slot.storage_engine = engine
     slot.storage_options = dict(store_options)
     return store
 
@@ -276,7 +263,6 @@ class ClusterCoordinator:
         virtual_nodes: int = 64,
         replication_factor: int = 1,
         transport: InProcessTransport | None = None,
-        bulk_rebalance: bool = True,
         repair_budget: int | None = None,
         clock: Callable[[], float] = time.monotonic,
         metrics: "MetricsRegistry | None" = None,
@@ -300,10 +286,6 @@ class ClusterCoordinator:
             through. A deployment passes its shared registry — with
             every seat already registered; standalone coordinators get
             a private registry with the seats registered here.
-        bulk_rebalance: True moves rebalanced lists as sealed snapshot
-            images (one ship per source/destination seat pair); False
-            keeps the record-by-record export/adopt transfer — the
-            baseline the rebalance benchmark measures against.
         repair_budget: default per-sweep heal cap for
             :meth:`repair_sweep` (None = unbounded). A budget turns the
             sweep into a rate limiter: a huge backlog is worked off
@@ -349,7 +331,6 @@ class ClusterCoordinator:
                 for slot in pod.slots:
                     transport.register(slot.server_id, slot_service(slot))
         self.transport = transport
-        self.bulk_rebalance = bulk_rebalance
         self.repair_budget = repair_budget
         #: The injected monotonic clock (satellite of the observability
         #: PR): breakers, hedge-delay p95 samples, and the clients'
@@ -911,11 +892,7 @@ class ClusterCoordinator:
                 groups=self._groups,
                 share_bytes=self._share_bytes,
             )
-            store = open_seat_store(
-                slot.wal_path,
-                engine=slot.storage_engine,
-                **slot.storage_options,
-            )
+            store = SegmentedStore(slot.wal_path, **slot.storage_options)
             fresh.bulk_load(store.replay())
             fresh.attach_store(store)
             slot.server = fresh
@@ -953,13 +930,9 @@ class ClusterCoordinator:
             self.restart_server(pod_index, slot.slot_index) for slot in dead
         ]
 
-    def attach_wal(
-        self, pod_index: int, slot_index: int, path, engine: str = "flat"
-    ):
+    def attach_wal(self, pod_index: int, slot_index: int, path):
         """Give one seat a durable store (once per seat); returns it."""
-        return attach_wal_to_slot(
-            self._slot(pod_index, slot_index), path, engine=engine
-        )
+        return attach_wal_to_slot(self._slot(pod_index, slot_index), path)
 
     def _pod(self, pod_index: int) -> Pod:
         if not 0 <= pod_index < len(self.pods):
@@ -1074,14 +1047,10 @@ class ClusterCoordinator:
     ) -> RebalanceStats:
         """Diff old vs new placement; copy gained lists, GC lost ones.
 
-        Two transfer modes share the placement diff. Record-by-record
-        (``bulk_rebalance=False``) is the original per-list export/adopt
-        loop. Snapshot-shipping groups every moved list by (source
-        seat, destination seat) pair during the diff, then moves each
-        group as one sealed ``ZSNP`` image + bulk load — one round trip
-        and one sequential pass per seat pair instead of two round
-        trips and a per-record merge per list per slot. GC of displaced
-        copies runs after the transfer phase in both modes, so a
+        The diff groups every moved list by (source seat, destination
+        seat) pair, then moves each group as one sealed ``ZSNP`` image +
+        bulk load — one round trip and one sequential pass per seat
+        pair. GC of displaced copies runs after the transfer phase, so a
         displaced pod can still serve as a copy source.
         """
         stats = RebalanceStats(pod_name=pod_name, action=action)
@@ -1110,12 +1079,7 @@ class ClusterCoordinator:
                 ),
             )
             for dest in gained:
-                if self.bulk_rebalance:
-                    self._plan_ship(pl_id, sources, dest, shipments, stats)
-                else:
-                    copied, dropped = self._copy_list(pl_id, sources, dest)
-                    stats.copied_elements += copied
-                    stats.dropped_copy_routes += dropped
+                self._plan_ship(pl_id, sources, dest, shipments, stats)
                 if all(
                     not self.is_complete_for(p, pl_id) for p in sources
                 ):
@@ -1155,12 +1119,12 @@ class ClusterCoordinator:
     ) -> None:
         """Assign one moved list's slot transfers to shipment groups.
 
-        Source election matches :meth:`_copy_list`: slot s of the first
-        source pod (complete owners first) whose seat s is alive feeds
-        slot s of the destination. Untransferable slots (no live
-        source, dead destination seat) are dropped routes — and, unlike
-        the record-by-record path, immediately ledgered so the repair
-        sweep can close the gap once a source or the seat returns.
+        Slot s of every replica holds the same share, so slot s of the
+        first source pod (complete owners first) whose seat s is alive
+        feeds slot s of the destination. Untransferable slots (no live
+        source, dead destination seat) are dropped routes, immediately
+        ledgered so the repair sweep can close the gap once a source or
+        the seat returns.
         """
         for slot_index in range(self.scheme.n):
             source = next(
@@ -1225,52 +1189,6 @@ class ClusterCoordinator:
         stats.snapshot_ships += 1
         stats.shipped_bytes += len(shipped.snapshot)
         stats.copied_elements += adopted.count
-
-    def _copy_list(
-        self, pl_id: int, sources: Sequence[Pod], dest: Pod
-    ) -> tuple[int, int]:
-        """Slot-aligned transfer of one list onto a new replica pod.
-
-        Slot s of every replica holds the same share, so slot s of any
-        live source seat feeds slot s of the destination; the transfer
-        ships shares only, as export/adopt protocol messages over the
-        transport (the control plane is a network peer like any other).
-        Returns (records copied, slot routes dropped because no live
-        source seat or a dead destination seat).
-        """
-        copied = dropped = 0
-        for slot_index in range(self.scheme.n):
-            source = next(
-                (
-                    p.slots[slot_index]
-                    for p in sources
-                    if p.slots[slot_index].alive
-                ),
-                None,
-            )
-            dest_slot = dest.slots[slot_index]
-            if source is None or not dest_slot.alive:
-                dropped += 1
-                continue
-            exported = self.transport.call(
-                src="coordinator",
-                dst=source.server_id,
-                request=ExportListRequest(pl_id=pl_id),
-            )
-            if not exported.records:
-                continue
-            # The destination seat's own persistence hook logs the
-            # adopted records — the control plane no longer reaches into
-            # anyone's WAL.
-            adopted = self.transport.call(
-                src="coordinator",
-                dst=dest_slot.server_id,
-                request=AdoptListRequest(
-                    pl_id=pl_id, records=exported.records
-                ),
-            )
-            copied += len(adopted.records)
-        return copied, dropped
 
     def _gc_list(self, pl_id: int, pod: Pod) -> int:
         """Drop one list from a pod that lost its ownership."""

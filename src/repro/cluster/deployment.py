@@ -67,7 +67,6 @@ from repro.protocol.transport import (
     Transport,
 )
 from repro.secretsharing.field import DEFAULT_PRIME, PrimeField
-from repro.storage.engine import ENGINES
 from repro.secretsharing.shamir import ShamirScheme
 from repro.server.auth import AuthService, AuthToken
 from repro.server.groups import GroupDirectory
@@ -78,6 +77,7 @@ from repro.server.transport import (
     SimulatedNetwork,
     WLAN_55_MBPS,
 )
+from repro.storage.engine import refuse_flat_wals
 
 
 class ClusterDeployment:
@@ -103,8 +103,7 @@ class ClusterDeployment:
         socket_port: int = 0,
         socket_idle_timeout_s: float | None = None,
         fanout_workers: int = 8,
-        storage: str = "flat",
-        bulk_rebalance: bool = True,
+        storage: str = "segmented",
         anti_entropy_interval_s: float | None = None,
         repair_budget: int | None = None,
         admission_max_pending: int | None = None,
@@ -151,17 +150,15 @@ class ClusterDeployment:
             this long (both socket backends; None: never).
         fanout_workers: width of this deployment's parallel-fan-out
             worker pool (reaped by :meth:`close`).
-        storage: the seat-store engine under ``wal_dir`` —
-            ``"flat"`` (one line-per-record ``.wal`` file per seat,
-            full-history replay on restart) or ``"segmented"`` (a
-            per-seat directory holding a binary segment log, immutable
-            snapshots written by a background compactor, and a fsync'd
-            manifest; restarts load one snapshot and replay only the
-            segment suffix). See :mod:`repro.storage`.
-        bulk_rebalance: move rebalanced lists as sealed snapshot
-            images (default) instead of record-by-record transfers —
-            the False path is the baseline the rebalance benchmark
-            measures against.
+        storage: the seat-store engine under ``wal_dir``. It has one
+            legal value, ``"segmented"`` (a per-seat directory holding a
+            binary segment log, immutable snapshots written by a
+            background compactor, and a fsync'd manifest; restarts load
+            one snapshot and replay only the segment suffix — see
+            :mod:`repro.storage`); anything else is a
+            :class:`~repro.errors.ClusterError`. The keyword stays only
+            because the benchmark scenario still passes it, and goes
+            once that scenario stops.
         anti_entropy_interval_s: when given, a background repair
             thread runs :meth:`repair_sweep` at this cadence (with
             failure backoff) until :meth:`close`; None leaves repair
@@ -207,12 +204,13 @@ class ClusterDeployment:
         self._wal_dir = (
             pathlib.Path(wal_dir) if wal_dir is not None else None
         )
-        if storage not in ENGINES:
+        if storage != "segmented":
             raise ClusterError(
-                f"unknown storage engine {storage!r}; "
-                f"expected one of {ENGINES}"
+                f"unknown storage engine {storage!r}; the only engine is "
+                "'segmented'"
             )
-        self.storage = storage
+        if self._wal_dir is not None:
+            refuse_flat_wals(self._wal_dir)
         pods: list[Pod] = [
             self._build_pod(pod_index, f"pod{pod_index}", n)
             for pod_index in range(num_pods)
@@ -245,7 +243,6 @@ class ClusterDeployment:
             virtual_nodes=virtual_nodes,
             replication_factor=replication_factor,
             transport=self.registry,
-            bulk_rebalance=bulk_rebalance,
             repair_budget=repair_budget,
             clock=clock,
             metrics=self.metrics,
@@ -288,8 +285,7 @@ class ClusterDeployment:
                     self.coordinator.attach_wal(
                         pod.index,
                         slot.slot_index,
-                        self._seat_store_path(slot.server_id),
-                        engine=self.storage,
+                        self._wal_dir / slot.server_id,
                     )
         self._socket_server: SocketServer | AsyncSocketServer | None = (
             None
@@ -380,32 +376,19 @@ class ClusterDeployment:
         metrics.gauge("zerber_l1_caches").set(l1_count)
         for key, value in l1_totals.items():
             metrics.gauge(f"zerber_l1_{key}").set(value)
-        # Seat-store / compactor state (segmented engine only: the flat
-        # WAL has no background machinery worth a gauge).
+        # Seat-store / compactor state.
         for pod in self.coordinator.pods:
             for slot in pod.slots:
-                log = slot.log
-                if log is None or not hasattr(log, "status"):
+                if slot.log is None:
                     continue
-                status = log.status()
+                status = slot.log.status()
                 for key in ("records_appended", "disk_bytes", "segments"):
-                    if key in status:
-                        metrics.gauge(
-                            f"zerber_storage_{key}",
-                            server=slot.server_id,
-                        ).set(status[key])
-                if "compacting" in status:
                     metrics.gauge(
-                        "zerber_storage_compacting", server=slot.server_id
-                    ).set(1.0 if status["compacting"] else 0.0)
-
-    def _seat_store_path(self, server_id: str) -> pathlib.Path:
-        """Where one seat's durable store lives under ``wal_dir`` — a
-        ``.wal`` file for the flat engine, a directory for segmented."""
-        assert self._wal_dir is not None
-        if self.storage == "segmented":
-            return self._wal_dir / server_id
-        return self._wal_dir / f"{server_id}.wal"
+                        f"zerber_storage_{key}", server=slot.server_id
+                    ).set(status[key])
+                metrics.gauge(
+                    "zerber_storage_compacting", server=slot.server_id
+                ).set(1.0 if status["compacting"] else 0.0)
 
     def _build_pod(self, pod_index: int, name: str, n: int) -> Pod:
         """One fleet of n slot-aligned servers (shared scheme/auth/groups)."""
@@ -602,12 +585,9 @@ class ClusterDeployment:
         # WAL and transport wiring must precede the join so migrated
         # records are logged and the seats are reachable immediately.
         if self._wal_dir is not None:
+            refuse_flat_wals(self._wal_dir)
             for slot in pod.slots:
-                attach_wal_to_slot(
-                    slot,
-                    self._seat_store_path(slot.server_id),
-                    engine=self.storage,
-                )
+                attach_wal_to_slot(slot, self._wal_dir / slot.server_id)
         for slot in pod.slots:
             self.registry.register(slot.server_id, slot_service(slot))
         stats = self.coordinator.add_pod(
@@ -620,9 +600,8 @@ class ClusterDeployment:
         """Drain one pod off the ring (graceful leave) with rebalancing.
 
         After the coordinator re-homes its lists, the pod is fully
-        decommissioned: seat stores closed *and deleted* — the flat
-        engine's ``.wal`` file and the segmented engine's entire
-        segment/snapshot directory alike — network endpoints released
+        decommissioned: seat stores closed *and deleted* (the whole
+        segment/snapshot directory), network endpoints released
         (so the name can be reused), and its share stores wiped — a
         drained pod must not keep its index fraction around, on disk
         any more than in memory. The store delete closes the
@@ -645,9 +624,6 @@ class ClusterDeployment:
             if slot.log is not None:
                 slot.log.destroy()
                 slot.log = None
-                slot.wal_path = None
-            elif slot.wal_path is not None:  # pragma: no cover - safety
-                slot.wal_path.unlink(missing_ok=True)
                 slot.wal_path = None
             # Wipe the drained seat's store — through the same admin
             # messages replication uses while the seat still serves; a

@@ -68,14 +68,8 @@ class UnknownPostingListError(IndexServerError):
 
 class StorageError(ReproError):
     """A seat's durable store is corrupt, inconsistent, or misused
-    (interior segment corruption, bad manifest, engine misconfiguration)."""
-
-
-class CheckpointMismatchError(IndexServerError):
-    """A WAL checkpoint marker (``C <count>``) disagrees with the number
-    of live records the replay reconstructed at that point — the log was
-    corrupted or truncated *before* the marker, so the replayed state
-    cannot be trusted."""
+    (interior segment corruption, bad manifest, a closed store, or a
+    directory holding files of the removed flat engine)."""
 
 
 class TransportError(ReproError):

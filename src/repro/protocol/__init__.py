@@ -31,7 +31,6 @@ from repro.protocol.messages import (
     EndpointsRequest,
     EndpointsResponse,
     ErrorResponse,
-    ExportListRequest,
     FetchListsRequest,
     FetchListsResponse,
     FetchSnippetRequest,
@@ -65,7 +64,6 @@ __all__ = [
     "EndpointsRequest",
     "EndpointsResponse",
     "ErrorResponse",
-    "ExportListRequest",
     "FetchListsRequest",
     "FetchListsResponse",
     "FetchSnippetRequest",

@@ -235,14 +235,6 @@ def _dec_snippet_req(r: _Reader) -> m.FetchSnippetRequest:
     return m.FetchSnippetRequest(token=token, doc_id=doc_id, terms=terms)
 
 
-def _enc_export(out: bytearray, msg: m.ExportListRequest) -> None:
-    _write_uint(out, msg.pl_id)
-
-
-def _dec_export(r: _Reader) -> m.ExportListRequest:
-    return m.ExportListRequest(pl_id=r.uint())
-
-
 def _enc_adopt(out: bytearray, msg: m.AdoptListRequest) -> None:
     _write_uint(out, msg.pl_id)
     _write_records(out, msg.records)
@@ -680,13 +672,13 @@ Reader = _Reader
 
 
 #: type byte -> (message class, encoder, decoder). Type bytes are wire
-#: contract: never renumber, only append.
+#: contract: never renumber, only append. Retired bytes stay unassigned
+#: (0x05, the per-list export, decodes as an unknown type).
 _REGISTRY: dict[int, tuple[type, Callable, Callable]] = {
     0x01: (m.InsertBatchRequest, _enc_insert, _dec_insert),
     0x02: (m.DeleteBatchRequest, _enc_delete, _dec_delete),
     0x03: (m.FetchListsRequest, _enc_fetch, _dec_fetch),
     0x04: (m.FetchSnippetRequest, _enc_snippet_req, _dec_snippet_req),
-    0x05: (m.ExportListRequest, _enc_export, _dec_export),
     0x06: (m.AdoptListRequest, _enc_adopt, _dec_adopt),
     0x07: (m.DropListRequest, _enc_drop, _dec_drop),
     0x08: (m.ServerStatusRequest, _enc_status_req, _dec_status_req),

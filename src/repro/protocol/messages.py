@@ -17,7 +17,6 @@ InsertBatchRequest    token + InsertOp columns         OpCountResponse
 DeleteBatchRequest    token + DeleteOp batch           OpCountResponse
 FetchListsRequest     token + posting-list ids         FetchListsResponse
 FetchSnippetRequest   token + doc id + query terms     SnippetResponse
-ExportListRequest     pl_id (admin/replication)        RecordListResponse
 AdoptListRequest      pl_id + records (admin)          RecordListResponse
 DropListRequest       pl_id (admin)                    RecordListResponse
 ShipSnapshotRequest   pl_ids (admin/bulk transfer)     SnapshotResponse
@@ -138,18 +137,6 @@ class FetchSnippetRequest:
 
     def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
         return self.token.wire_bytes() + 8 + sum(len(t) for t in self.terms)
-
-
-@dataclass(frozen=True)
-class ExportListRequest:
-    """Admin/replication: ship one list's stored share records out."""
-
-    pl_id: int
-
-    kind = "admin"
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return 4
 
 
 @dataclass(frozen=True)
@@ -389,7 +376,7 @@ class SnippetResponse:
 
 @dataclass(frozen=True)
 class RecordListResponse:
-    """Admin answer: the share records an export/adopt/drop touched."""
+    """Admin answer: the share records an adopt/drop touched."""
 
     records: tuple[ShareRecord, ...]
 
@@ -511,7 +498,6 @@ REQUEST_TYPES = (
     DeleteBatchRequest,
     FetchListsRequest,
     FetchSnippetRequest,
-    ExportListRequest,
     AdoptListRequest,
     DropListRequest,
     ShipSnapshotRequest,

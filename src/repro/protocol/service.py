@@ -33,7 +33,6 @@ from repro.protocol.messages import (
     DeleteBatchRequest,
     DropListRequest,
     ErrorResponse,
-    ExportListRequest,
     FetchListsRequest,
     FetchSnippetRequest,
     InsertBatchRequest,
@@ -129,10 +128,6 @@ class IndexServerService:
         if isinstance(request, DeleteBatchRequest):
             return OpCountResponse(
                 count=server.delete(request.token, request.operations)
-            )
-        if isinstance(request, ExportListRequest):
-            return RecordListResponse(
-                records=tuple(server.export_posting_list(request.pl_id))
             )
         if isinstance(request, AdoptListRequest):
             return RecordListResponse(

@@ -61,7 +61,6 @@ from repro.protocol.messages import (
     EndpointsRequest,
     EndpointsResponse,
     ErrorResponse,
-    ExportListRequest,
     FetchListsRequest,
     FetchSnippetRequest,
     MetricsDumpRequest,
@@ -102,7 +101,6 @@ MAX_FRAME_BYTES = 1 << 26  # 64 MiB
 _RETRY_SAFE = (
     FetchListsRequest,
     FetchSnippetRequest,
-    ExportListRequest,
     ShipSnapshotRequest,
     ServerStatusRequest,
     EndpointsRequest,

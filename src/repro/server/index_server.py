@@ -264,9 +264,7 @@ class IndexServer:
     # Durability is the seat's own concern: every *accepted* mutation —
     # user-facing inserts/deletes and the replication-channel adopt/drop
     # — is reported to the attached store after validation succeeds, so
-    # rejected batches never hit disk. This replaces the old
-    # ``attach_log`` bound-method monkey-patching: the hook is part of
-    # the server, not a wrapper taped over it.
+    # rejected batches never hit disk.
 
     def attach_store(self, store) -> None:
         """Wire a seat store (anything with ``append_inserts`` /

@@ -1,48 +1,39 @@
-"""Per-seat storage engines: flat WAL and the segmented snapshot store.
+"""Per-seat durable storage: the segmented snapshot store.
 
 The public surface of the storage subsystem:
 
-- :func:`open_seat_store` — the engine selector the cluster uses
-  (``storage="flat" | "segmented"``);
 - :class:`SegmentedStore` — binary segment log + immutable snapshots +
   background compaction + fsync'd manifest;
-- :class:`~repro.server.persistence.PostingLog` — the flat engine
-  (re-exported; it lives with the paper-era server code);
-- :func:`migrate_flat_wal` — legacy flat-WAL ingestion;
 - :func:`discover_stores` — offline tooling's directory scanner
-  (``repro storage status | compact | migrate``).
+  (``repro storage status | compact``);
+- :func:`refuse_flat_wals` — the typed refusal of a directory written
+  by the removed flat engine.
 
 See ``docs/ARCHITECTURE.md`` ("Storage engine") for the on-disk format
 and the crash-consistency argument.
 """
 
-from repro.server.persistence import PostingLog
 from repro.storage.engine import (
     DEFAULT_COMPACT_SEGMENTS,
     DEFAULT_SEGMENT_BYTES,
-    ENGINES,
     SegmentedStore,
     apply_operation,
     discover_stores,
-    open_seat_store,
+    refuse_flat_wals,
 )
 from repro.storage.manifest import Manifest, load_manifest, write_manifest
-from repro.storage.migrate import migrate_flat_wal
 from repro.storage.snapshot import load_snapshot, write_snapshot
 
 __all__ = [
     "DEFAULT_COMPACT_SEGMENTS",
     "DEFAULT_SEGMENT_BYTES",
-    "ENGINES",
     "Manifest",
-    "PostingLog",
     "SegmentedStore",
     "apply_operation",
     "discover_stores",
     "load_manifest",
     "load_snapshot",
-    "migrate_flat_wal",
-    "open_seat_store",
+    "refuse_flat_wals",
     "write_manifest",
     "write_snapshot",
 ]

@@ -1,21 +1,16 @@
-"""The per-seat storage engines behind ``SeatStore``.
+"""The per-seat storage engine: :class:`SegmentedStore`.
 
-Two engines share one facade contract (``append_inserts`` /
-``append_deletes`` / ``replay`` / ``compact`` / ``status`` / ``close`` /
-``destroy`` plus a ``records_appended`` counter):
+"The element IDs help an index recover after failure" (§5.4.1): a seat
+logs every accepted insert and delete keyed by ``(pl_id, element_id)``,
+so replay is idempotent and order-tolerant. The store is a rotated
+binary segment log (LEB128 + CRC per record), immutable snapshots
+written by a **background compactor** while the seat keeps serving, and
+a fsync'd manifest naming exactly one snapshot + segment suffix.
+Recovery loads the snapshot and replays only the suffix; compaction
+never blocks the write path for longer than one segment rotation (a
+file close/open).
 
-- ``"flat"`` — the original line-per-record
-  :class:`~repro.server.persistence.PostingLog`. Recovery replays the
-  entire history; compaction rewrites the whole file in one
-  stop-the-world pass. Fine for small seats, the §5.4.1 baseline.
-- ``"segmented"`` — :class:`SegmentedStore`: a rotated binary segment
-  log (LEB128 + CRC per record), immutable snapshots written by a
-  **background compactor** while the seat keeps serving, and a fsync'd
-  manifest naming exactly one snapshot + segment suffix. Recovery loads
-  the snapshot and replays only the suffix; compaction never blocks the
-  write path for longer than one segment rotation (a file close/open).
-
-Both engines store shares and public IDs only — nothing on disk is more
+The store holds shares and public IDs only — nothing on disk is more
 useful to a thief than a compromised server already is (§5).
 """
 
@@ -33,10 +28,10 @@ from repro.server.index_server import (
     ShareRecord,
     insert_columns,
 )
-from repro.server.persistence import PostingLog, fsync_dir
 from repro.storage.manifest import (
     MANIFEST_NAME,
     Manifest,
+    fsync_dir,
     load_manifest,
     write_manifest,
 )
@@ -84,7 +79,7 @@ def _snapshot_filename(first_segment: int) -> str:
 
 
 class SegmentedStore:
-    """Segment-log + snapshot storage for one seat (``storage="segmented"``).
+    """Segment-log + snapshot storage for one seat.
 
     Thread model: appends and lifecycle take ``_lock``; compactions
     serialize on ``_compact_gate`` and hold ``_lock`` only for the
@@ -93,8 +88,6 @@ class SegmentedStore:
     appends, which land in segments the snapshot does not cover
     (copy-on-write by construction: sealed segments are immutable).
     """
-
-    engine = "segmented"
 
     def __init__(
         self,
@@ -135,7 +128,7 @@ class SegmentedStore:
         self._compact_gate = threading.Lock()
         self._compactor: threading.Thread | None = None
         self._closed = False
-        #: Appends recorded through this handle (parity with PostingLog).
+        #: Appends recorded through this handle.
         self.records_appended = 0
         #: The last background compaction failure, for the status surface
         #: (a daemon thread must never take the seat down with it).
@@ -383,7 +376,6 @@ class SegmentedStore:
                 if n >= self._manifest.first_segment
             ]
             return {
-                "engine": self.engine,
                 "path": str(self._dir),
                 "records_appended": self.records_appended,
                 "disk_bytes": self.disk_bytes(),
@@ -401,61 +393,45 @@ class SegmentedStore:
             }
 
 
-#: The engines ``open_seat_store`` knows how to build.
-ENGINES = ("flat", "segmented")
+def refuse_flat_wals(directory: str | pathlib.Path) -> None:
+    """Refuse a WAL directory that holds flat-engine ``*.wal`` seat files.
 
-
-def open_seat_store(
-    path: str | pathlib.Path, engine: str = "flat", **options
-):
-    """Open one seat's durable store (the deployment's engine selector).
-
-    Args:
-        path: a ``.wal`` file for ``"flat"``, a directory for
-            ``"segmented"``.
-        engine: ``"flat"`` or ``"segmented"``.
-        options: engine-specific knobs (segmented only: segment_bytes,
-            compact_segments, auto_compact).
+    The line-per-record flat engine is gone and nothing reads its files.
+    Opening such a directory as segmented seats would create empty
+    stores beside the files that hold the data and silently serve an
+    empty index, so every opener checks first — before it creates or
+    touches anything.
 
     Raises:
-        StorageError: unknown engine, or options passed to the flat
-            engine (which has none).
+        StorageError: naming every ``*.wal`` file in ``directory``.
     """
-    if engine == "flat":
-        if options:
-            raise StorageError(
-                f"the flat engine takes no options, got {sorted(options)}"
-            )
-        return PostingLog(path)
-    if engine == "segmented":
-        return SegmentedStore(path, **options)
-    raise StorageError(
-        f"unknown storage engine {engine!r}; expected one of {ENGINES}"
-    )
+    directory = pathlib.Path(directory)
+    legacy = sorted(p.name for p in directory.glob("*.wal"))
+    if legacy:
+        raise StorageError(
+            f"{directory} holds seat files of the removed flat engine "
+            f"({', '.join(legacy)}); they cannot be read"
+        )
 
 
 def discover_stores(
     directory: str | pathlib.Path,
-) -> list[tuple[str, str, pathlib.Path]]:
+) -> list[tuple[str, pathlib.Path]]:
     """Find every seat store under a WAL directory.
 
-    Returns ``(seat_name, engine, path)`` triples: ``*.wal`` files are
-    flat seats, subdirectories containing a ``MANIFEST`` are segmented
-    seats. A ``*.migrating`` staging directory left by a crashed
-    migration is *not* a store (the migration's atomic rename never
-    committed) and is skipped. Sorted by seat name.
+    Returns ``(seat_name, path)`` pairs, one per subdirectory containing
+    a ``MANIFEST``, sorted by seat name.
+
+    Raises:
+        StorageError: the directory holds flat-engine ``*.wal`` files
+            (see :func:`refuse_flat_wals`).
     """
     directory = pathlib.Path(directory)
-    found: list[tuple[str, str, pathlib.Path]] = []
-    if not directory.exists():
-        return found
-    for entry in sorted(directory.iterdir()):
-        if entry.is_file() and entry.suffix == ".wal":
-            found.append((entry.stem, "flat", entry))
-        elif (
-            entry.is_dir()
-            and not entry.name.endswith(".migrating")
-            and (entry / MANIFEST_NAME).exists()
-        ):
-            found.append((entry.name, "segmented", entry))
-    return found
+    if not directory.is_dir():
+        return []
+    refuse_flat_wals(directory)
+    return [
+        (entry.name, entry)
+        for entry in sorted(directory.iterdir())
+        if entry.is_dir() and (entry / MANIFEST_NAME).exists()
+    ]

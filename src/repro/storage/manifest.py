@@ -25,10 +25,28 @@ import zlib
 from dataclasses import dataclass
 
 from repro.errors import StorageError
-from repro.server.persistence import fsync_dir
 
 MANIFEST_NAME = "MANIFEST"
 _MANIFEST_MAGIC = "ZSM1"
+
+
+def fsync_dir(path: str | pathlib.Path) -> None:
+    """fsync a directory so a rename/create inside it is durable.
+
+    ``os.replace`` makes a swap atomic but not persistent: until the
+    parent directory's metadata reaches disk, a crash can resurrect the
+    old name. Platforms whose directory handles cannot be fsynced
+    (Windows) are skipped — there the rename itself is the best
+    available barrier.
+    """
+    try:
+        dir_fd = os.open(path, os.O_RDONLY)
+    except OSError:  # pragma: no cover - platform-specific
+        return
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 @dataclass(frozen=True)

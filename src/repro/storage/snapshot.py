@@ -37,7 +37,7 @@ import zlib
 from repro.errors import ProtocolError, StorageError
 from repro.protocol.codec import Reader, write_uint
 from repro.server.index_server import ShareRecord
-from repro.server.persistence import fsync_dir
+from repro.storage.manifest import fsync_dir
 
 SNAPSHOT_MAGIC = b"ZSNP"
 SNAPSHOT_VERSION = 1

@@ -573,29 +573,27 @@ class TestRepairVsConcurrentWrites:
 
 class TestSnapshotShippingRebalance:
     def test_add_pod_ships_snapshots_and_matches_legacy(self):
+        """Snapshot shipping is the only transfer mode: a join moves
+        exactly the lists the new pod now owns, copies every share of
+        them onto it, and answers like the single fleet."""
         documents = make_documents()
-        bulk = make_cluster(documents, num_pods=2, num_lists=8)
-        legacy = make_cluster(
-            documents, num_pods=2, num_lists=8, bulk_rebalance=False
+        cluster = make_cluster(documents, num_pods=2, num_lists=8)
+        single = make_single_fleet(documents, k=2, n=4)
+        stats = cluster.add_pod()
+        joined = cluster.pods[-1]
+        assert stats.snapshot_ships > 0
+        assert stats.shipped_bytes > 0
+        assert stats.moved_lists == sum(
+            joined in cluster.coordinator.pods_of(pl_id) for pl_id in range(8)
         )
-        bulk_stats = bulk.add_pod()
-        legacy_stats = legacy.add_pod()
-        assert bulk_stats.snapshot_ships > 0
-        assert bulk_stats.shipped_bytes > 0
-        assert legacy_stats.snapshot_ships == 0
-        assert bulk_stats.moved_lists == legacy_stats.moved_lists
-        assert bulk_stats.copied_elements == legacy_stats.copied_elements
-        assert bulk.coordinator.outstanding_write_routes == 0
-        queries = drill_queries(documents)
-        for terms in queries:
-            assert (
-                bulk.searcher("owner0", use_cache=False).search(
-                    terms, top_k=10, fetch_snippets=False
-                )
-                == legacy.searcher("owner0", use_cache=False).search(
-                    terms, top_k=10, fetch_snippets=False
-                )
-            )
+        assert stats.moved_lists > 0
+        assert stats.copied_elements == sum(
+            slot.server.num_elements for slot in joined.slots
+        )
+        assert cluster.coordinator.outstanding_write_routes == 0
+        assert_byte_identical(
+            cluster, single, drill_queries(documents), "after add_pod"
+        )
 
     def test_add_then_retire_round_trip_stays_byte_identical(self):
         documents = make_documents()

@@ -20,7 +20,8 @@ from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Document
-from repro.errors import UnknownEndpointError
+from repro.errors import StorageError, UnknownEndpointError
+from repro.server.index_server import InsertOp
 
 
 def _documents(count=6):
@@ -103,7 +104,11 @@ class TestDispatcherLeak:
         ]
         assert logs
         cluster.close()
-        assert all(log._handle.closed for log in logs)
+        for log in logs:
+            with pytest.raises(StorageError, match="store is closed"):
+                log.append_inserts(
+                    [InsertOp(pl_id=0, element_id=1, group_id=0, share_y=1)]
+                )
 
     def test_single_fleet_deployment_context_manager(self):
         with ZerberDeployment(

@@ -1,0 +1,25 @@
+"""Smoke runs of the shipped examples (each is self-checking)."""
+
+from __future__ import annotations
+
+import pathlib
+import runpy
+import tempfile
+
+EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+
+
+def test_operations_tour_recovers_a_seat_from_its_store(
+    tmp_path, monkeypatch, capsys
+):
+    # The tour keeps its seat stores under a fresh temp directory; point
+    # that at this test's own directory so nothing outlives the run.
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    runpy.run_path(str(EXAMPLES / "operations_tour.py"), run_name="__main__")
+    out = capsys.readouterr().out
+    recovery = [
+        line for line in out.splitlines() if "replacement recovered" in line
+    ]
+    assert len(recovery) == 1
+    assert recovery[0].endswith("from the seat store (match: True)")
+    assert "all four operational drills passed." in out

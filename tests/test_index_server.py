@@ -18,7 +18,8 @@ from repro.server.index_server import (
     ShareRecord,
     insert_columns,
 )
-from repro.server.persistence import PostingLog
+from repro.storage import SegmentedStore
+from repro.storage.segment import encode_op_frames, segment_name
 
 
 @pytest.fixture()
@@ -501,18 +502,29 @@ def test_a_rejected_batch_leaves_store_log_and_wal_untouched(
     tmp_path, wrap, user, batch, error, names
 ):
     (server, _b, _stale), tokens = _fleet()
-    wal = tmp_path / "seat.wal"
-    server.attach_store(PostingLog(wal))
+    seat = tmp_path / "seat"
+    store = SegmentedStore(seat, auto_compact=False)
+    server.attach_store(store)
     server.insert_batch(tokens["all"], wrap(_SEEDED))
     pl_ids = tuple(range(4))
-    before = _observables(server, tokens, pl_ids), wal.read_bytes()
+
+    def seat_bytes():
+        return {path.name: path.read_bytes() for path in seat.iterdir()}
+
+    before = _observables(server, tokens, pl_ids), seat_bytes()
     with pytest.raises(error, match=names):
         server.insert_batch(tokens[user], wrap(batch))
-    assert (_observables(server, tokens, pl_ids), wal.read_bytes()) == before
+    assert (_observables(server, tokens, pl_ids), seat_bytes()) == before
     # The same element id in two different lists is no duplicate.
-    assert server.insert_batch(tokens["all"], wrap([op(2, 1, 1), op(3, 1, 1)])) == 2
-    assert wal.read_bytes() == before[1] + b"I 2 1 1 999\nI 3 1 1 999\n"
+    accepted = [op(2, 1, 1), op(3, 1, 1)]
+    assert server.insert_batch(tokens["all"], wrap(accepted)) == 2
+    live = segment_name(1)
+    assert seat_bytes() == {
+        **before[1],
+        live: before[1][live] + encode_op_frames(accepted),
+    }
     assert server.compromise().update_log[-1] == [(2, 1), (3, 1)]
+    store.close()
 
 
 def test_insert_view_is_a_lazy_sequence_equal_to_a_tuple_of_ops():

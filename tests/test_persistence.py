@@ -1,14 +1,17 @@
-"""Tests for the WAL-backed index-server persistence (§5.4.1 recovery).
+"""Tests for durable index-server persistence (§5.4.1 recovery).
 
-The cluster classes at the bottom extend the single-server recovery
-story to whole-cluster failure injection: servers die mid-workload,
-restart from their :class:`PostingLog` WALs, and the replayed cluster
-must answer exactly like before — and like a healthy single fleet.
+A server logs every accepted mutation into its attached
+:class:`SegmentedStore`; a fresh server recovers with
+``bulk_load(store.replay())``. The cluster classes at the bottom extend
+the story to whole-cluster failure injection: servers die mid-workload,
+restart from their seat stores, and the replayed cluster must answer
+exactly like before — and like a healthy single fleet.
 """
 
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
@@ -17,11 +20,17 @@ from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Document
-from repro.errors import IndexServerError
+from repro.errors import IndexServerError, StorageError
 from repro.server.auth import AuthService
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import DeleteOp, IndexServer, InsertOp
-from repro.server.persistence import PostingLog, attach_log, recover_server
+from repro.storage import SegmentedStore
+from repro.storage.segment import (
+    HEADER_LEN,
+    SEGMENT_MAGIC,
+    SEGMENT_VERSION,
+    segment_name,
+)
 
 
 @pytest.fixture()
@@ -32,9 +41,23 @@ def env(tmp_path):
     cred = auth.register_user("alice")
     token = auth.issue_token("alice", cred)
     server = IndexServer("s0", x_coordinate=5, auth=auth, groups=groups)
-    log = PostingLog(tmp_path / "s0.wal")
-    attach_log(server, log)
-    return auth, groups, server, token, log, tmp_path
+    log = SegmentedStore(tmp_path / "s0", auto_compact=False)
+    server.attach_store(log)
+    yield auth, groups, server, token, log, tmp_path
+    log.close()
+
+
+def open_store(path, **options):
+    return SegmentedStore(path, auto_compact=False, **options)
+
+
+def replay_store(path):
+    """Open a seat store, replay it and close it again (a recovery)."""
+    store = open_store(path)
+    try:
+        return store.replay()
+    finally:
+        store.close()
 
 
 def op(pl, eid, share=111):
@@ -72,7 +95,7 @@ class TestRecovery:
         # The box dies; a fresh server recovers from the log.
         log.close()
         recovered = IndexServer("s0b", x_coordinate=5, auth=auth, groups=groups)
-        count = recover_server(recovered, PostingLog(tmp_path / "s0.wal"))
+        count = recovered.bulk_load(replay_store(tmp_path / "s0"))
         assert count == 2
         view = recovered.compromise()
         assert view.merged_list_lengths() == {0: 1, 7: 1}
@@ -81,28 +104,46 @@ class TestRecovery:
         auth, groups, server, token, log, _ = env
         server.insert_batch(token, [op(0, 1)])
         with pytest.raises(IndexServerError):
-            recover_server(server, PostingLog(tmp_path / "other.wal"))
+            server.bulk_load(replay_store(tmp_path / "other"))
 
     def test_torn_tail_write_is_tolerated(self, tmp_path):
-        path = tmp_path / "torn.wal"
-        path.write_text("I 0 1 1 42\nI 0 2 1 43")  # no trailing newline
-        replayed = PostingLog(path).replay()
+        store = open_store(tmp_path / "torn")
+        store.append_inserts([op(0, 1, 42)])
+        store.append_inserts([op(0, 2, 43)])
+        store.close()
+        segment = tmp_path / "torn" / segment_name(1)
+        segment.write_bytes(segment.read_bytes()[:-2])  # last CRC cut off
+        replayed = replay_store(tmp_path / "torn")
         assert set(replayed[0]) == {1}
 
     def test_corrupt_interior_record_raises(self, tmp_path):
-        path = tmp_path / "bad.wal"
-        path.write_text("I 0 1 1 42\nGARBAGE LINE\nI 0 2 1 43\n")
-        with pytest.raises(IndexServerError):
-            PostingLog(path).replay()
+        store = open_store(tmp_path / "bad", segment_bytes=HEADER_LEN + 1)
+        for eid in (1, 2, 3):
+            store.append_inserts([op(0, eid)])  # one sealed segment each
+        store.close()
+        first = tmp_path / "bad" / segment_name(1)
+        data = bytearray(first.read_bytes())
+        data[HEADER_LEN + 2] ^= 0xFF  # inside the first record's payload
+        first.write_bytes(bytes(data))
+        with pytest.raises(StorageError):
+            replay_store(tmp_path / "bad")
 
     def test_corrupt_field_raises(self, tmp_path):
-        path = tmp_path / "bad2.wal"
-        path.write_text("I 0 xx 1 42\n")
-        with pytest.raises(IndexServerError):
-            PostingLog(path).replay()
+        """A CRC-valid record of an unknown kind is a format error, not
+        a torn tail to skip."""
+        open_store(tmp_path / "bad2").close()
+        payload = bytes((9, 0, 1))
+        (tmp_path / "bad2" / segment_name(1)).write_bytes(
+            SEGMENT_MAGIC
+            + bytes((SEGMENT_VERSION, len(payload)))
+            + payload
+            + zlib.crc32(payload).to_bytes(4, "little")
+        )
+        with pytest.raises(StorageError):
+            replay_store(tmp_path / "bad2")
 
     def test_empty_log_replays_empty(self, tmp_path):
-        assert PostingLog(tmp_path / "fresh.wal").replay() == {}
+        assert replay_store(tmp_path / "fresh") == {}
 
 
 class TestCompaction:
@@ -110,13 +151,9 @@ class TestCompaction:
         _, _, server, token, log, _ = env
         server.insert_batch(token, [op(0, i) for i in range(1, 21)])
         server.delete(token, [DeleteOp(0, i) for i in range(1, 16)])
-        before = (tmp_path / "s0.wal").stat().st_size
-        live_store = {
-            pl: {r.element_id: r for r in rs}
-            for pl, rs in server.compromise().posting_store.items()
-        }
-        written = log.compact(live_store)
-        after = (tmp_path / "s0.wal").stat().st_size
+        before = log.disk_bytes()
+        written = log.compact()
+        after = log.disk_bytes()
         assert written == 5
         assert after < before
         replayed = log.replay()
@@ -125,11 +162,7 @@ class TestCompaction:
     def test_appends_after_compaction_work(self, env):
         _, _, server, token, log, _ = env
         server.insert_batch(token, [op(0, 1)])
-        store = {
-            pl: {r.element_id: r for r in rs}
-            for pl, rs in server.compromise().posting_store.items()
-        }
-        log.compact(store)
+        log.compact()
         server.insert_batch(token, [op(0, 2)])
         replayed = log.replay()
         assert set(replayed[0]) == {1, 2}

@@ -1,5 +1,5 @@
-"""Property tests on the operational substrates: WAL replay, batching,
-mix padding, and the DHT ring.
+"""Property tests on the operational substrates: seat-store replay,
+batching, mix padding, and the DHT ring.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 from repro.client.batching import BatchPolicy, UpdateBatcher
 from repro.extensions.dht import ConsistentHashRing
 from repro.extensions.mixnet import MixMessage, MixRelay
-from repro.server.index_server import ShareRecord
-from repro.server.persistence import PostingLog
+from repro.server.index_server import DeleteOp, InsertOp, ShareRecord
+from repro.storage import SegmentedStore
+from repro.storage.segment import HEADER_LEN
 
 
 @st.composite
@@ -43,37 +44,50 @@ def wal_operations(draw):
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
-@given(ops=wal_operations())
-def test_property_wal_replay_equals_inmemory_state(ops, tmp_path):
-    """Replaying the log always rebuilds exactly the in-memory store."""
+@given(
+    ops=wal_operations(),
+    segment_bytes=st.integers(min_value=HEADER_LEN + 1, max_value=256),
+    data=st.data(),
+)
+def test_property_wal_replay_equals_inmemory_state(
+    ops, segment_bytes, data, tmp_path
+):
+    """Replaying the store always rebuilds exactly the in-memory state —
+    across segment rotations, an explicit compaction at any point of the
+    history, and a reopen from disk."""
     import uuid
 
-    log = PostingLog(tmp_path / f"{uuid.uuid4().hex}.wal")
+    directory = tmp_path / uuid.uuid4().hex
+    store = SegmentedStore(
+        directory, segment_bytes=segment_bytes, auto_compact=False
+    )
+    compact_at = data.draw(st.integers(0, len(ops)), label="compact_at")
     expected: dict[int, dict[int, ShareRecord]] = {}
-    from repro.server.index_server import DeleteOp, InsertOp
 
-    for kind, pl, eid, group, share in ops:
+    def live(state):
+        return {pl: recs for pl, recs in state.items() if recs}
+
+    for index, (kind, pl, eid, group, share) in enumerate(ops):
+        if index == compact_at:
+            store.compact()
+            assert live(store.replay()) == live(expected)
         if kind == "I":
-            log.append_inserts(
+            store.append_inserts(
                 [InsertOp(pl_id=pl, element_id=eid, group_id=group, share_y=share)]
             )
             expected.setdefault(pl, {})[eid] = ShareRecord(
                 element_id=eid, group_id=group, share_y=share
             )
         else:
-            log.append_deletes([DeleteOp(pl_id=pl, element_id=eid)])
+            store.append_deletes([DeleteOp(pl_id=pl, element_id=eid)])
             expected.get(pl, {}).pop(eid, None)
-    replayed = log.replay()
-    replayed = {pl: recs for pl, recs in replayed.items() if recs}
-    expected = {pl: recs for pl, recs in expected.items() if recs}
-    assert replayed == expected
-    # Compaction preserves the same state.
-    log.compact(expected)
-    recompacted = {
-        pl: recs for pl, recs in log.replay().items() if recs
-    }
-    assert recompacted == expected
-    log.close()
+    assert live(store.replay()) == live(expected)
+    # Compacting the whole history preserves the same state, on disk too.
+    store.compact()
+    store.close()
+    reopened = SegmentedStore(directory, auto_compact=False)
+    assert live(reopened.replay()) == live(expected)
+    reopened.close()
 
 
 @settings(max_examples=40, deadline=None)

@@ -89,7 +89,6 @@ messages = st.one_of(
         doc_id=small_uints,
         terms=st.lists(texts, max_size=4).map(tuple),
     ),
-    st.builds(m.ExportListRequest, pl_id=small_uints),
     st.builds(
         m.AdoptListRequest,
         pl_id=small_uints,
@@ -220,6 +219,18 @@ def test_bad_magic_rejected():
 def test_unknown_type_byte_rejected():
     with pytest.raises(ProtocolError, match="type"):
         codec.decode_message(codec.MAGIC + bytes([m.PROTOCOL_VERSION, 0xEE]))
+
+
+def test_retired_export_list_type_byte_rejected():
+    """0x05 (the per-list export, retired with record-by-record
+    rebalance) is never reassigned: a frame carrying it is a typed
+    unknown-type error, whatever body follows."""
+    for body in (b"", b"\x07"):
+        with pytest.raises(ProtocolError, match="0x05"):
+            codec.decode_message(
+                codec.MAGIC + bytes([m.PROTOCOL_VERSION, 0x05]) + body
+            )
+    assert not hasattr(m, "ExportListRequest")
 
 
 def test_negative_integer_rejected_at_encode():

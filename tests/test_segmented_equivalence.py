@@ -3,8 +3,8 @@
 The standing invariant — the cluster answers byte-identical to the
 paper's single fleet — must be completely indifferent to the storage
 engine underneath: the same seeded worlds as the cluster equivalence
-suite run here with ``storage="segmented"`` (every seat persisting to a
-binary segment + snapshot directory), through the full failure drills:
+suite run here with a ``wal_dir`` (every seat persisting to a binary
+segment + snapshot directory), through the full failure drills:
 seats killed and **restarted from snapshot + segment-suffix recovery**,
 whole pods dead at replication_factor=2, compactions forced mid-
 workload, and one world crossing loopback TCP. ``scripts/ci.sh`` runs
@@ -25,7 +25,7 @@ SEEDS = (201, 207, 213, 219)
 
 
 def _storage_kwargs(tmp_path, **extra):
-    return dict(wal_dir=tmp_path / "stores", storage="segmented", **extra)
+    return dict(wal_dir=tmp_path / "stores", **extra)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -1,10 +1,9 @@
 """Unit suite for the segmented storage engine (`repro.storage`).
 
-Covers the facade contract both engines share, the segment/snapshot/
-manifest mechanics, background compaction running concurrently with
-appends, flat-WAL migration, and the persistence-hook satellites on
-:class:`IndexServer` and :class:`PostingLog` (checkpoint validation,
-stale temp cleanup, directory-fsync'd compaction).
+Covers the store's append/replay/compact/close contract, the segment/
+snapshot/manifest mechanics, background compaction running concurrently
+with appends, the typed refusal of a directory the removed flat engine
+wrote, and the persistence hook on :class:`IndexServer`.
 """
 
 from __future__ import annotations
@@ -14,11 +13,9 @@ import zlib
 
 import pytest
 
-from repro.errors import (
-    CheckpointMismatchError,
-    IndexServerError,
-    StorageError,
-)
+from repro.cluster import ClusterDeployment
+from repro.core.mapping_table import MappingTable
+from repro.errors import ClusterError, IndexServerError, StorageError
 from repro.server.auth import AuthService
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import (
@@ -28,14 +25,7 @@ from repro.server.index_server import (
     RecordView,
     insert_columns,
 )
-from repro.server.persistence import PostingLog
-from repro.storage import (
-    SegmentedStore,
-    discover_stores,
-    load_manifest,
-    migrate_flat_wal,
-    open_seat_store,
-)
+from repro.storage import SegmentedStore, discover_stores, load_manifest
 from repro.storage.segment import (
     HEADER_LEN,
     encode_op_frames,
@@ -190,20 +180,6 @@ class TestColumnAppends:
         assert simplify(reopened.replay()) == apply_ops(self.OPS)
         reopened.close()
 
-    def test_flat_log_lines_match_from_columns_and_from_ops(self, tmp_path):
-        logs = []
-        for name, batch in (
-            ("view", RecordView(InsertOp, *insert_columns(self.OPS))),
-            ("ops", tuple(self.OPS)),
-        ):
-            log = PostingLog(tmp_path / f"{name}.wal")
-            assert log.append_inserts(batch) == len(self.OPS)
-            log.close()
-            logs.append((tmp_path / f"{name}.wal").read_bytes())
-        assert logs[0] == logs[1]
-        assert logs[0].splitlines()[0] == b"I 3 70000 2 18446744073709551628"
-
-
 class TestCompaction:
     def test_compact_snapshots_and_garbage_collects(self, tmp_path):
         store = SegmentedStore(
@@ -301,104 +277,91 @@ class TestCompaction:
 
 
 class TestEngineSelection:
-    def test_open_seat_store_flat(self, tmp_path):
-        store = open_seat_store(tmp_path / "s.wal", engine="flat")
-        assert isinstance(store, PostingLog)
-        assert store.engine == "flat"
-        store.close()
+    """One engine: ``storage=`` accepts only ``"segmented"``, and a
+    directory the removed flat engine wrote is refused untouched."""
 
-    def test_open_seat_store_segmented(self, tmp_path):
-        store = open_seat_store(tmp_path / "s", engine="segmented")
-        assert isinstance(store, SegmentedStore)
-        store.close()
+    @staticmethod
+    def _deploy(**kwargs):
+        return ClusterDeployment(
+            MappingTable({}, num_lists=4),
+            num_pods=1,
+            use_network=False,
+            **kwargs,
+        )
 
     def test_unknown_engine_raises(self, tmp_path):
-        with pytest.raises(StorageError):
-            open_seat_store(tmp_path / "s", engine="lsm-tree")
+        with pytest.raises(ClusterError):
+            self._deploy(wal_dir=tmp_path, storage="lsm-tree")
+        assert list(tmp_path.iterdir()) == []
 
-    def test_flat_engine_rejects_options(self, tmp_path):
-        with pytest.raises(StorageError):
-            open_seat_store(tmp_path / "s.wal", engine="flat", segment_bytes=4)
+    def test_flat_engine_is_rejected(self, tmp_path):
+        with pytest.raises(ClusterError, match="segmented"):
+            self._deploy(wal_dir=tmp_path, storage="flat")
+        assert list(tmp_path.iterdir()) == []
 
-    def test_discover_stores_finds_both_engines(self, tmp_path):
-        open_seat_store(tmp_path / "a.wal", engine="flat").close()
-        open_seat_store(tmp_path / "b", engine="segmented").close()
+    def test_deployment_opens_a_segmented_store_per_seat(self, tmp_path):
+        with self._deploy(wal_dir=tmp_path) as cluster:
+            for slot in cluster.pods[0].slots:
+                assert isinstance(slot.log, SegmentedStore)
+                assert slot.wal_path == tmp_path / slot.server_id
+
+    def test_discover_stores_finds_segmented_seats(self, tmp_path):
+        SegmentedStore(tmp_path / "b", auto_compact=False).close()
+        SegmentedStore(tmp_path / "a", auto_compact=False).close()
         (tmp_path / "noise").mkdir()  # no MANIFEST: not a store
-        found = discover_stores(tmp_path)
-        assert [(name, engine) for name, engine, _ in found] == [
-            ("a", "flat"),
-            ("b", "segmented"),
+        assert discover_stores(tmp_path) == [
+            ("a", tmp_path / "a"),
+            ("b", tmp_path / "b"),
         ]
+        assert discover_stores(tmp_path / "absent") == []
 
 
-class TestMigration:
-    def test_flat_wal_migrates_byte_for_byte(self, tmp_path):
-        log = PostingLog(tmp_path / "seat.wal")
-        log.append_inserts([ins(0, i, share=i * i) for i in range(40)])
-        log.append_deletes([DeleteOp(pl_id=0, element_id=i) for i in range(10)])
-        log.append_inserts([ins(5, 1, share=9, group=2)])
-        expected = simplify(log.replay())
-        log.close()
-        count = migrate_flat_wal(tmp_path / "seat.wal")
-        assert count == 31
-        store = SegmentedStore(tmp_path / "seat", auto_compact=False)
-        assert simplify(store.replay()) == expected
-        # The migrated store opens from a snapshot, not a full history.
-        assert store.status()["snapshot"] is not None
-        store.close()
-        assert (tmp_path / "seat.wal").exists()  # kept by default
+def _flat_era_dir(directory):
+    """A ``wal_dir`` as the removed flat engine left it."""
+    directory.mkdir()
+    for slot in range(3):
+        (directory / f"pod0-server-{slot}.wal").write_text(
+            f"I {slot} 1 0 42\n"
+        )
+    return directory
 
-    def test_migrate_can_delete_the_source(self, tmp_path):
-        log = PostingLog(tmp_path / "seat.wal")
-        log.append_inserts([ins(0, 1)])
-        log.close()
-        migrate_flat_wal(tmp_path / "seat.wal", delete_source=True)
-        assert not (tmp_path / "seat.wal").exists()
 
-    def test_migrate_missing_source_raises(self, tmp_path):
-        with pytest.raises(StorageError):
-            migrate_flat_wal(tmp_path / "ghost.wal")
+def _listing(directory):
+    """Every path under ``directory`` with its bytes (None for dirs)."""
+    return {
+        str(path.relative_to(directory)): (
+            None if path.is_dir() else path.read_bytes()
+        )
+        for path in sorted(directory.rglob("*"))
+    }
 
-    def test_migrate_refuses_nonempty_destination(self, tmp_path):
-        log = PostingLog(tmp_path / "seat.wal")
-        log.append_inserts([ins(0, 1)])
-        log.close()
-        dest = SegmentedStore(tmp_path / "dest", auto_compact=False)
-        dest.append_inserts([ins(9, 9)])
-        dest.close()
-        with pytest.raises(StorageError):
-            migrate_flat_wal(tmp_path / "seat.wal", tmp_path / "dest")
 
-    def test_crashed_migration_staging_is_not_a_store(self, tmp_path):
-        """A migration builds in a .migrating staging dir and commits by
-        rename — a crashed attempt must not be discoverable as a store,
-        and a re-run must sweep it and succeed."""
-        log = PostingLog(tmp_path / "seat.wal")
-        log.append_inserts([ins(0, i) for i in range(6)])
-        log.close()
-        # Simulate the crash artifact: a staging dir with a manifest.
-        staging = tmp_path / "seat.migrating"
-        stale = SegmentedStore(staging, auto_compact=False)
-        stale.append_inserts([ins(0, 0)])  # half-ingested
-        stale.close()
-        found = discover_stores(tmp_path)
-        assert [(n, e) for n, e, _ in found] == [("seat", "flat")]
-        count = migrate_flat_wal(tmp_path / "seat.wal")
-        assert count == 6
-        assert not staging.exists()
-        store = SegmentedStore(tmp_path / "seat", auto_compact=False)
-        assert set(store.replay()[0]) == set(range(6))
-        store.close()
+class TestFlatEraRefusal:
+    def test_deployment_refuses_a_flat_era_wal_dir(self, tmp_path):
+        wal_dir = _flat_era_dir(tmp_path / "wals")
+        before = _listing(wal_dir)
+        with pytest.raises(StorageError) as excinfo:
+            TestEngineSelection._deploy(wal_dir=wal_dir)
+        for name in before:
+            assert name in str(excinfo.value)
+        assert _listing(wal_dir) == before
 
-    def test_migrated_store_accepts_new_appends(self, tmp_path):
-        log = PostingLog(tmp_path / "seat.wal")
-        log.append_inserts([ins(0, 1)])
-        log.close()
-        migrate_flat_wal(tmp_path / "seat.wal")
-        store = SegmentedStore(tmp_path / "seat", auto_compact=False)
-        store.append_inserts([ins(0, 2)])
-        assert set(store.replay()[0]) == {1, 2}
-        store.close()
+    def test_add_pod_refuses_a_flat_era_wal_dir(self, tmp_path):
+        wal_dir = tmp_path / "wals"
+        with TestEngineSelection._deploy(wal_dir=wal_dir) as cluster:
+            (wal_dir / "pod9-server-0.wal").write_text("I 0 1 0 42\n")
+            before = _listing(wal_dir)
+            with pytest.raises(StorageError, match="pod9-server-0.wal"):
+                cluster.add_pod()
+            assert _listing(wal_dir) == before
+            assert len(cluster.pods) == 1
+
+    def test_discover_stores_refuses_a_flat_era_dir(self, tmp_path):
+        wal_dir = _flat_era_dir(tmp_path / "wals")
+        before = _listing(wal_dir)
+        with pytest.raises(StorageError, match="pod0-server-0.wal"):
+            discover_stores(wal_dir)
+        assert _listing(wal_dir) == before
 
 
 class TestSlotRestartOptions:
@@ -435,7 +398,6 @@ class TestSlotRestartOptions:
         store = attach_wal_to_slot(
             slots[1],
             tmp_path / "p0-s1",
-            engine="segmented",
             auto_compact=False,
             segment_bytes=4096,
         )
@@ -450,53 +412,6 @@ class TestSlotRestartOptions:
         assert reopened._auto_compact is False
         assert reopened._segment_bytes == 4096
         reopened.close()
-
-
-# -- persistence satellites: checkpoint validation, temp cleanup ------------
-
-
-class TestFlatSatellites:
-    def test_checkpoint_marker_is_validated(self, tmp_path):
-        path = tmp_path / "bad.wal"
-        path.write_text("I 0 1 1 42\nI 0 2 1 43\nC 5\n")
-        with pytest.raises(CheckpointMismatchError):
-            PostingLog(path).replay()
-
-    def test_checkpoint_counts_live_records_not_lines(self, tmp_path):
-        """Deletes before the marker reduce the live count it asserts."""
-        path = tmp_path / "ok.wal"
-        path.write_text("I 0 1 1 42\nI 0 2 1 43\nD 0 1\nC 1\nI 0 9 1 4\n")
-        replayed = PostingLog(path).replay()
-        assert set(replayed[0]) == {2, 9}
-
-    def test_compact_writes_a_marker_replay_accepts(self, tmp_path):
-        log = PostingLog(tmp_path / "seat.wal")
-        log.append_inserts([ins(0, i) for i in range(8)])
-        log.append_deletes([DeleteOp(pl_id=0, element_id=0)])
-        log.compact()
-        log.append_inserts([ins(0, 100)])
-        assert set(log.replay()[0]) == {1, 2, 3, 4, 5, 6, 7, 100}
-        log.close()
-
-    def test_stale_compact_temp_is_cleaned_on_open(self, tmp_path):
-        (tmp_path / "seat.compact").write_text("I 0 9 9 9\n")
-        log = PostingLog(tmp_path / "seat.wal")
-        assert not (tmp_path / "seat.compact").exists()
-        log.close()
-
-    def test_compact_defaults_to_its_own_replay(self, tmp_path):
-        log = PostingLog(tmp_path / "seat.wal")
-        log.append_inserts([ins(0, i) for i in range(6)])
-        log.append_deletes([DeleteOp(pl_id=0, element_id=5)])
-        assert log.compact() == 5
-        assert set(log.replay()[0]) == {0, 1, 2, 3, 4}
-        log.close()
-
-    def test_flat_destroy_removes_the_file(self, tmp_path):
-        log = PostingLog(tmp_path / "seat.wal")
-        log.append_inserts([ins(0, 1)])
-        log.destroy()
-        assert not (tmp_path / "seat.wal").exists()
 
 
 # -- the first-class IndexServer persistence hook ---------------------------
