@@ -3,7 +3,7 @@
 The wire-protocol redesign must not give back the PR 3 read-path win:
 the in-process transport adds one message-object hop per lookup, so its
 uncached throughput has to stay within a whisker of the pre-protocol
-~620 qps baseline recorded in ``BENCH_cluster.json``. The socket
+~620 qps baseline recorded in ``BENCH_cluster.json``. The async-socket
 backend pays for real frames (encode, TCP round-trip, decode) and buys
 process isolation; this bench records what that costs, single-threaded
 and with a client-side thread pool overlapping round-trips with
@@ -11,10 +11,10 @@ reconstruction CPU ("batch").
 
 Rows land in ``benchmarks/results/BENCH_transport.json``:
 
-- ``in_process`` / ``socket`` / ``async_socket``: uncached qps,
-  sequential ("single") and 8-way concurrent ("batch"), plus cached
-  qps (the saturation story for the two TCP backends is
-  ``bench_load.py``'s job — this file measures the per-call cost);
+- ``in_process`` / ``async_socket``: uncached qps, sequential
+  ("single") and 8-way concurrent ("batch"), plus cached qps (this
+  file measures the per-call cost; ``bench_load.py`` drives the socket
+  backend open loop);
 - ``baseline_uncached_qps``: the PR 3 single-pod number read from
   BENCH_cluster.json, for the within-10% acceptance check.
 
@@ -128,7 +128,8 @@ def _qps_batch(cluster, queries):
 
     One searcher per worker (searchers keep per-query diagnostics, so
     they are not shared across threads); each worker drains its slice
-    of the query batch over its own persistent socket connection.
+    of the query batch, and over async-socket every worker's calls
+    share the one multiplexed connection.
     """
     searchers = [
         cluster.searcher("owner0", use_cache=False)
@@ -186,7 +187,7 @@ def test_transport_benchmark():
     queries = _queries(corpus, random.Random(42))
     rows = {}
     reference_results = None
-    for transport in ("in-process", "socket", "async-socket"):
+    for transport in ("in-process", "async-socket"):
         with _build(corpus, transport) as cluster:
             single_qps, results = _qps_sequential(
                 cluster, queries, use_cache=False
@@ -226,7 +227,6 @@ def test_transport_benchmark():
         json.dumps(payload, indent=2) + "\n"
     )
     in_process = rows["in_process"]["uncached_qps_single"]
-    socket_qps = rows["socket"]["uncached_qps_single"]
     async_qps = rows["async_socket"]["uncached_qps_single"]
     lines = [
         "transport backends, 1 pod x 3 servers (k=2), uncached unless noted",
@@ -250,6 +250,5 @@ def test_transport_benchmark():
             f"baseline {baseline:.1f} (must retain "
             f">= {GATE_RETAINED_FRACTION:.0%})"
         )
-    # Sanity, not speed: the socket backends must actually answer.
-    assert socket_qps > 0
+    # Sanity, not speed: the socket backend must actually answer.
     assert async_qps > 0

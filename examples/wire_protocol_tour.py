@@ -11,7 +11,8 @@ visible:
    them back through a raw `InProcessTransport`, watch a dead seat and
    an unknown endpoint fail *typed*;
 3. run the same cluster over both transport backends — in-process and
-   loopback TCP — and verify the answers are byte-identical;
+   loopback TCP (``"async-socket"``) — and verify the answers are
+   byte-identical;
 4. kill a pod under the socket backend: the failover ladder works the
    same when every hop is a real TCP frame;
 5. read the observability snapshot (`repro cluster status` renders the
@@ -101,7 +102,7 @@ def both_backends() -> None:
         cluster.flush_all()
         return cluster
 
-    with build("in-process") as local, build("socket") as remote:
+    with build("in-process") as local, build("async-socket") as remote:
         host, port = remote.transport.address
         print(f"socket deployment listening on {host}:{port}")
         expected = local.search("owner0", terms, top_k=5)

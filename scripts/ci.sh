@@ -14,8 +14,9 @@
 # - the README quickstart block must execute, so the first command a
 #   newcomer copies cannot rot;
 # - the socket-transport equivalence suite re-runs equivalence worlds
-#   over loopback TCP — the wire protocol's two backends must return
-#   byte-identical results, seat kills and pod kills included;
+#   over loopback TCP — the async-socket backend must return results
+#   byte-identical to the single fleet, seat kills and pod kills
+#   included;
 # - the hot-path perf smoke: weight-cached reconstruction must stay
 #   measurably faster than naive Lagrange, column reconstruction
 #   (reconstruct_batch) >= 3x the per-element cached path, and column
@@ -32,29 +33,26 @@
 #   with durable seat stores — seat kills recovered from snapshot +
 #   segment suffix, whole-pod kills at R=2, one world over TCP;
 # - the async transport suite covers the pipelined multiplexing stack:
-#   correlated frames, retry/close semantics, drain, interop with the
-#   threaded backend, and the socket-layer leak/stall regressions;
-# - the open-loop load bench records BENCH_load.json and gates the
-#   async backend's saturation qps at >= 1.5x the threaded backend
-#   under 200 concurrent searchers (ratio gate);
+#   correlated frames, retry/close semantics, drain, hang-ups on
+#   unframeable and silent peers, and the pinned wire bytes;
 # - the anti-entropy drill suite runs in full, including the
-#   drill-marked over-the-wire variants that tier-1 deselects: dropped
-#   writes must heal via sweep alone (no owner), over all three
-#   transports, with byte-identical answers afterwards;
+#   drill-marked over-the-wire variant that tier-1 deselects: dropped
+#   writes must heal via sweep alone (no owner), over both transports,
+#   with byte-identical answers afterwards;
 # - the repair convergence property suite runs both the tier-1 smoke
 #   pass and the slow-marked wide pass: random interleavings of
 #   writes, deletes, kills, restarts, and sweeps must always quiesce
 #   to an empty ledger and a byte-identical index;
-# - the chaos smoke runs the seeded fault drills over all three
-#   transports: under any fault schedule every query must return
+# - the chaos smoke runs the seeded fault drills over both transports:
+#   under any fault schedule every query must return
 #   byte-identical results or a typed error — never silently wrong,
 #   never hung;
 # - the slow-pod bench stalls one replica pod and gates hedged-read
 #   p99 at <= 0.5x the unhedged p99, recording hedge/breaker/shed
 #   counters into BENCH_load.json (ratio gate);
 # - the cache-equivalence gate runs the tiered-cache suite in full:
-#   cached reads must be byte-identical to uncached reads over all
-#   three transports, mid-run invalidation included, plus the
+#   cached reads must be byte-identical to uncached reads over both
+#   transports, mid-run invalidation included, plus the
 #   random-interleaving property (writes/invalidations/reads racing
 #   the L1 and L2 tiers);
 # - the cache bench records BENCH_cache.json and gates Zipf-workload
@@ -64,7 +62,7 @@
 #   uncached side 2.4x faster — it measures 1.7-1.8x);
 # - the observability gate runs the registry/tracing/MetricsDump
 #   suite: concurrent instrument updates never lose totals, trace ids
-#   propagate over all three transports, and results stay
+#   propagate over both transports, and results stay
 #   byte-identical with tracing on or off;
 # - the instrumentation-overhead bench gates saturation qps with
 #   metrics hot and a trace per query at >= 0.9x the uninstrumented
@@ -131,11 +129,6 @@ gate "segmented-storage equivalence" \
 gate "async transport (pipelined multiplexing + socket regressions)" \
     "failed|skipped|deselected|no tests ran|error" \
     tests/test_async_transport.py
-# -k selection intentionally deselects the slow-pod scenario here;
-# it runs under its own gate below.
-gate "open-loop load bench (BENCH_load.json, >= 1.5x saturation)" \
-    "failed|skipped|no tests ran|error" \
-    benchmarks/bench_load.py -k open_loop
 # -m "" clears the setup.cfg marker filter so the drill- and
 # slow-marked cases run here alongside their tier-1 siblings.
 gate "anti-entropy drills (sweep-only heal, all transports)" \

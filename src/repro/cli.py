@@ -22,8 +22,7 @@ Five entry points for kicking Zerber's tires without writing code:
   the other commands;
 - ``serve``     — stand the deterministic cluster scenario up behind the
   wire protocol on a TCP listener, so searches can run out-of-process
-  (pair with ``ClusterDeployment(transport="socket")`` or a raw
-  ``SocketTransport``);
+  (pair with an ``AsyncSocketTransport``);
 - ``storage``   — offline seat-store tooling over a cluster's WAL
   directory: ``status`` prints every seat store (records, disk bytes,
   snapshot/segment layout) and ``compact`` snapshots stores in place.
@@ -737,7 +736,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     _, cluster = _build_cluster(
         args,
-        transport=args.transport,
+        transport="async-socket",
         socket_host=args.host,
         socket_port=args.port,
         socket_idle_timeout_s=args.idle_timeout,
@@ -746,22 +745,12 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     with cluster:
         host, port = cluster.transport.address
         endpoints = cluster.registry.endpoints()
-        client = (
-            "AsyncSocketTransport"
-            if args.transport == "async-socket"
-            else "SocketTransport"
-        )
         print(
             f"serving {len(endpoints)} endpoints at {host}:{port} "
-            f"({args.transport} backend, idle timeout "
-            f"{args.idle_timeout:g}s)"
+            f"(idle timeout {args.idle_timeout:g}s)"
         )
         print(f"  pods: {', '.join(pod.name for pod in cluster.pods)}")
-        print(
-            f"  connect with: ClusterDeployment(..., "
-            f"transport='{args.transport}') "
-            f"or {client}(('{host}', {port}))"
-        )
+        print(f"  connect with: AsyncSocketTransport(('{host}', {port}))")
         # Graceful shutdown: SIGTERM (the supervisor's stop signal) and
         # SIGINT both request a drain — stop accepting, let in-flight
         # requests finish, then exit. A drain that can't finish inside
@@ -792,13 +781,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 if stop_requested:
                     name = signal.Signals(stop_requested[0]).name
                     print(f"{name} received, draining")
-                    server = cluster.socket_server
-                    clean = (
-                        server.drain(timeout_s=args.drain_timeout)
-                        if server is not None
-                        else True
-                    )
-                    if clean:
+                    if cluster.socket_server.drain(
+                        timeout_s=args.drain_timeout
+                    ):
                         print("drained cleanly")
                     else:
                         print(
@@ -1070,12 +1055,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=0,
         help="TCP port (0 picks a free one; printed on startup)",
-    )
-    serve.add_argument(
-        "--transport", choices=("async-socket", "socket"),
-        default="async-socket",
-        help="serving stack: pipelined asyncio multiplexing (default) "
-             "or the classic thread-per-connection backend",
     )
     serve.add_argument(
         "--idle-timeout", type=float, default=300.0,

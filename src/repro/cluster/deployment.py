@@ -60,12 +60,7 @@ from repro.protocol.async_transport import (
 )
 from repro.protocol.messages import DropListRequest
 from repro.protocol.service import SnippetHostService
-from repro.protocol.transport import (
-    InProcessTransport,
-    SocketServer,
-    SocketTransport,
-    Transport,
-)
+from repro.protocol.transport import InProcessTransport, Transport
 from repro.secretsharing.field import DEFAULT_PRIME, PrimeField
 from repro.secretsharing.shamir import ShamirScheme
 from repro.server.auth import AuthService, AuthToken
@@ -132,22 +127,18 @@ class ClusterDeployment:
             >= 2 keeps the cluster byte-identical with a whole pod dead
             at the cost of R x storage and write fan-out.
         seed: master seed for all deployment randomness.
-        transport: ``"in-process"`` (default), ``"socket"``, or
-            ``"async-socket"``. With ``"socket"`` the deployment embeds
-            a loopback TCP :class:`SocketServer` (thread per
-            connection) and every client (owners, searchers, failover
-            fetches) speaks real length-prefixed frames through a
-            :class:`SocketTransport`. With ``"async-socket"`` it
-            embeds the pipelined :class:`AsyncSocketServer` and a
-            single multiplexed :class:`AsyncSocketTransport`
-            connection carries every client's correlated frames.
-            Search results are byte-identical across all backends; CI
-            gates it.
-        socket_host / socket_port: the socket backends' listener
-            address (port 0 picks a free port; see
-            ``self.transport.address``).
+        transport: ``"in-process"`` (default) or ``"async-socket"``.
+            With ``"async-socket"`` the deployment embeds a loopback
+            :class:`AsyncSocketServer` and every client (owners,
+            searchers, failover fetches) speaks real correlated frames
+            over one multiplexed :class:`AsyncSocketTransport`
+            connection. Anything else is a
+            :class:`~repro.errors.ClusterError`. Search results are
+            byte-identical across both backends; CI gates it.
+        socket_host / socket_port: the socket listener address (port 0
+            picks a free port; see ``self.transport.address``).
         socket_idle_timeout_s: close server-side connections idle for
-            this long (both socket backends; None: never).
+            this long (None: never).
         fanout_workers: width of this deployment's parallel-fan-out
             worker pool (reaped by :meth:`close`).
         storage: the seat-store engine under ``wal_dir``. It has one
@@ -189,6 +180,11 @@ class ClusterDeployment:
         """
         if num_pods < 1:
             raise ClusterError(f"need at least one pod, got {num_pods}")
+        if transport not in ("in-process", "async-socket"):
+            raise ClusterError(
+                f"unknown transport {transport!r}; expected "
+                "'in-process' or 'async-socket'"
+            )
         self._rng = random.Random(seed)
         self.field = field or PrimeField(DEFAULT_PRIME)
         self.scheme = ShamirScheme(k=k, n=n, field=self.field, rng=self._rng)
@@ -287,23 +283,9 @@ class ClusterDeployment:
                         slot.slot_index,
                         self._wal_dir / slot.server_id,
                     )
-        self._socket_server: SocketServer | AsyncSocketServer | None = (
-            None
-        )
+        self._socket_server: AsyncSocketServer | None = None
         self.transport: Transport = self.registry
-        if transport == "socket":
-            self._socket_server = SocketServer(
-                self.registry,
-                host=socket_host,
-                port=socket_port,
-                idle_timeout_s=socket_idle_timeout_s,
-                max_pending=admission_max_pending,
-                metrics=self.metrics,
-            )
-            self.transport = SocketTransport(
-                self._socket_server.address, share_bytes=share_bytes
-            )
-        elif transport == "async-socket":
+        if transport == "async-socket":
             self._socket_server = AsyncSocketServer(
                 self.registry,
                 host=socket_host,
@@ -312,14 +294,7 @@ class ClusterDeployment:
                 max_pending=admission_max_pending,
                 metrics=self.metrics,
             )
-            self.transport = AsyncSocketTransport(
-                self._socket_server.address, share_bytes=share_bytes
-            )
-        elif transport != "in-process":
-            raise ClusterError(
-                f"unknown transport {transport!r}; expected "
-                "'in-process', 'socket', or 'async-socket'"
-            )
+            self.transport = AsyncSocketTransport(self._socket_server.address)
         #: Per-deployment fan-out pool: closing the deployment reaps its
         #: worker threads (the dispatcher-leak regression of this PR).
         self.dispatcher = ConcurrentDispatcher(
@@ -650,7 +625,7 @@ class ClusterDeployment:
 
         Reaps the parallel-fan-out worker threads (the dispatcher-leak
         fix of this PR), closes the client transport and the embedded
-        socket server when ``transport="socket"``, and closes every
+        socket server when ``transport="async-socket"``, and closes every
         seat's WAL handle — after ``close()`` returns, no thread, TCP
         socket, or file handle of this deployment outlives it.
         """
@@ -678,7 +653,7 @@ class ClusterDeployment:
     # -- observability ------------------------------------------------------------------
 
     @property
-    def socket_server(self) -> SocketServer | AsyncSocketServer | None:
+    def socket_server(self) -> AsyncSocketServer | None:
         """The embedded socket server (None for in-process transport)."""
         return self._socket_server
 

@@ -50,12 +50,7 @@ from repro.protocol.service import (
     SnippetHostService,
     fleet_resolver,
 )
-from repro.protocol.transport import (
-    InProcessTransport,
-    SocketServer,
-    SocketTransport,
-    Transport,
-)
+from repro.protocol.transport import InProcessTransport
 from repro.secretsharing.field import DEFAULT_PRIME, PrimeField
 from repro.secretsharing.shamir import ShamirScheme
 from repro.server.auth import AuthService, AuthToken
@@ -126,12 +121,13 @@ def build_mapping_table(
 
 
 class ZerberDeployment:
-    """A complete, running Zerber installation.
+    """A complete, running Zerber installation: the paper's single fleet.
 
-    A deployment is also a context manager: ``close()`` (or leaving a
-    ``with`` block) releases the transport — which matters once
-    ``transport="socket"`` puts real listener threads and TCP
-    connections behind the API.
+    Its servers answer in this process over an
+    :class:`~repro.protocol.transport.InProcessTransport`; it is the
+    reference every :class:`~repro.cluster.ClusterDeployment` is
+    checked against, over the wire included. A deployment is also a
+    context manager, like the cluster.
     """
 
     def __init__(
@@ -144,9 +140,6 @@ class ZerberDeployment:
         use_network: bool = True,
         batch_policy: BatchPolicy | None = None,
         seed: int = 0x2E4B,
-        transport: str = "in-process",
-        socket_host: str = "127.0.0.1",
-        socket_port: int = 0,
     ) -> None:
         """Args:
         mapping_table: the public term -> posting-list table (build one
@@ -157,19 +150,9 @@ class ZerberDeployment:
         packing: posting-element bit layout.
         use_network: charge client/server traffic against a
             :class:`SimulatedNetwork` (55 Mb/s client links, 100 Mb/s
-            server links per §7.3) and account every byte. Only affects
-            the in-process transport; the socket backend moves real
-            bytes.
+            server links per §7.3) and account every byte.
         batch_policy: default owner batching policy.
         seed: master seed for all deployment randomness.
-        transport: ``"in-process"`` (default) dispatches protocol
-            messages to the servers in this process; ``"socket"``
-            serves them over loopback TCP (a :class:`SocketServer` is
-            embedded and every client speaks real frames through a
-            :class:`SocketTransport`). Results are byte-identical
-            either way — CI gates it.
-        socket_host / socket_port: the ``"socket"`` listener address
-            (port 0 picks a free port; see ``self.transport.address``).
         """
         self._rng = random.Random(seed)
         self.field = field or PrimeField(DEFAULT_PRIME)
@@ -212,21 +195,8 @@ class ZerberDeployment:
             self.registry.register(
                 server.server_id, IndexServerService.for_server(server)
             )
-        self._socket_server: SocketServer | None = None
-        self.transport: Transport = self.registry
-        if transport == "socket":
-            self._socket_server = SocketServer(
-                self.registry, host=socket_host, port=socket_port
-            )
-            self.transport = SocketTransport(
-                self._socket_server.address, share_bytes=share_bytes
-            )
-        elif transport != "in-process":
-            raise ReproError(
-                f"unknown transport {transport!r}; "
-                "expected 'in-process' or 'socket'"
-            )
-        self._closed = False
+        #: Every client speaks through the registry itself.
+        self.transport = self.registry
         self.snippets = SnippetService(self.groups)
         self._tokens: dict[str, AuthToken] = {}
         self._owners: dict[str, DocumentOwner] = {}
@@ -394,19 +364,9 @@ class ZerberDeployment:
     # -- lifecycle ------------------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut the deployment down (idempotent).
-
-        Closes the client transport and the embedded socket server (when
-        ``transport="socket"``); the in-process registry holds no OS
-        resources but is closed for symmetry.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        if self.transport is not self.registry:
-            self.transport.close()
-        if self._socket_server is not None:
-            self._socket_server.close()
+        """Shut the deployment down (idempotent). The in-process
+        registry holds no OS resources; it is closed for symmetry with
+        the cluster."""
         self.registry.close()
 
     def __enter__(self) -> "ZerberDeployment":

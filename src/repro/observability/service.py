@@ -2,8 +2,8 @@
 
 Like the cache tier, the metrics surface is just another PR 4 service:
 register :class:`MetricsService` on a transport registry and the
-``MetricsDump`` message answers over the in-process, threaded-socket,
-and async-socket backends alike. ``repro cluster top``, ``repro
+``MetricsDump`` message answers over the in-process and async-socket
+backends alike. ``repro cluster top``, ``repro
 cluster status``, and a remote operator's scrape all read through this
 one door, so they can never disagree with each other.
 

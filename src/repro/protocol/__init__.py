@@ -12,10 +12,11 @@ again.
 - :mod:`repro.protocol.codec`     — the compact binary frame codec;
 - :mod:`repro.protocol.service`   — server-side dispatchers;
 - :mod:`repro.protocol.transport` — the in-process (simulated-network)
-  and threaded socket (real TCP) backends;
-- :mod:`repro.protocol.async_transport` — the pipelined asyncio
-  backend: correlated frames, one multiplexed connection per client,
-  packed encodings.
+  backend, the frame and request-envelope layout, and the server's
+  request leg;
+- :mod:`repro.protocol.async_transport` — the socket backend: an
+  asyncio server and a client that multiplexes every calling thread
+  over one connection with correlated frames.
 """
 
 from repro.protocol.async_transport import (
@@ -47,12 +48,7 @@ from repro.protocol.service import (
     error_response,
     raise_for_error,
 )
-from repro.protocol.transport import (
-    InProcessTransport,
-    SocketServer,
-    SocketTransport,
-    Transport,
-)
+from repro.protocol.transport import InProcessTransport, Transport
 
 __all__ = [
     "AsyncSocketServer",
@@ -78,8 +74,6 @@ __all__ = [
     "error_response",
     "raise_for_error",
     "InProcessTransport",
-    "SocketServer",
-    "SocketTransport",
     "Transport",
     "decode_message",
     "encode_message",

@@ -1,65 +1,53 @@
-"""The pipelined asyncio serving stack: one connection, many requests.
+"""The asyncio serving stack: one connection, many requests.
 
-The threaded :class:`~repro.protocol.transport.SocketServer` spends a
-thread (and a connection) per concurrent client, and every call is a
-strict write-then-read on that client's private socket — at hundreds of
-concurrent searchers the wire path, not the crypto, caps throughput.
-This module is the protocol's pipelined revision behind the same
+This module is the protocol's socket backend behind the
 :class:`~repro.protocol.transport.Transport` contract:
 
-- **Correlated frames** — every request carries a 4-byte correlation id
+- **Correlated frames** — every frame carries a 4-byte correlation id
   (the high bit of the length prefix flags it; see
   :data:`~repro.protocol.transport.CORRELATION_FLAG`), so one TCP
   connection multiplexes any number of in-flight requests and responses
-  return in completion order, not request order.
-- **Packed encodings** — a correlated request also states the sender
-  accepts the fixed-width packed message forms
-  (:func:`~repro.protocol.codec.encode_message` with ``packed=True``),
-  which collapse the varint-per-field record codec (~45% of socket
-  query time) into ``int.to_bytes``/``from_bytes`` C calls.
+  return in completion order, not request order. A frame without the
+  flag is unframeable and ends the connection.
+- **Packed encodings** — the four bulk messages travel as fixed-width
+  columns (:func:`~repro.protocol.codec.write_columns`): one
+  ``int.to_bytes``/``from_bytes`` C call per column, not a varint per
+  field.
 - **Bounded write queues** — each server connection owns a bounded
   response queue drained by one writer task that coalesces ready frames
   into a single ``write()``; a slow reader backpressures its own
   dispatch instead of ballooning server memory.
 - **Graceful drain** — closing the server (or a client hanging up)
-  stops reads first, lets in-flight handlers finish, flushes the write
-  queue, then closes the socket, so a drain never drops a response a
-  client is still owed.
-
-Interoperability is two-way: :class:`AsyncSocketServer` serves classic
-plain frames serially (a PR 4 :class:`SocketTransport` client works
-unmodified), and the threaded ``SocketServer`` answers correlated
-frames one at a time, so :class:`AsyncSocketTransport` can drive it
-correct-but-serial. The CI equivalence gate runs the same seeded worlds
-over all backends; results are byte-identical.
+  stops reads first, lets the handler running on the loop finish,
+  flushes the write queue, then closes the socket, so a drain never
+  drops a response a client is still owed. A handler that outlives the
+  drain budget is reported as an aborted drain.
 
 Both halves hide their machinery behind the synchronous ``Transport``
-surface. The server's event loop runs on a daemon thread and, by
-default, dispatches handlers inline on that loop: decode + registry
-dispatch + encode are pure CPU under the GIL, so a thread pool buys no
+surface. The server's event loop runs on a daemon thread and
+dispatches handlers inline on that loop: decode + registry dispatch +
+encode are pure CPU under the GIL, so a thread pool buys no
 parallelism but charges two cross-thread wake-ups per request (each
 one costs up to a full GIL switch interval — profiled at ~1 ms per
-hop on a busy box). ``handler_threads > 0`` restores the pool for
-registries whose handlers block on real I/O. The client is a
-direct-write multiplexer: calling threads frame and ``sendall()``
-requests themselves under a write lock (no marshal into any loop), and
-a single reader thread resolves completions by correlation id — two
-thread hand-offs per call instead of the six a loop-brokered design
-pays.
+hop on a busy box). The client is a direct-write multiplexer: calling
+threads frame and ``sendall()`` requests themselves under a write lock
+(no marshal into any loop), and a single reader thread resolves
+completions by correlation id — two thread hand-offs per call instead
+of the six a loop-brokered design pays.
 """
 
 from __future__ import annotations
 
 import asyncio
+import concurrent.futures
 import socket
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from repro.errors import DeadlineExceededError, ProtocolError, TransportError
-from repro.protocol.codec import decode_message, encode_message
-from repro.protocol.messages import DEFAULT_SHARE_BYTES, EndpointsRequest
+from repro.protocol.codec import decode_message
+from repro.protocol.messages import EndpointsRequest
 from repro.protocol.service import raise_for_error
 from repro.observability.tracing import record_span, span
 from repro.protocol.transport import (
@@ -71,7 +59,6 @@ from repro.protocol.transport import (
     _wire_trace,
     frame_bytes,
     handle_request_payload,
-    request_trace,
     InProcessTransport,
     Transport,
 )
@@ -87,40 +74,48 @@ _WRITE_COALESCE_BYTES = 1 << 18
 #: saturated connection's whole request backlog.
 _READ_CHUNK_BYTES = 1 << 16
 
+#: Per-connection bound on queued response items (each item is every
+#: response to one read chunk).
+_WRITE_QUEUE_FRAMES = 256
 
-def _parse_frames(buffer: bytearray) -> list[tuple[int | None, bytes]]:
+#: How long close() lets the running handler and queued responses
+#: drain; ``drain(timeout_s=...)`` overrides it.
+_DRAIN_TIMEOUT_S = 5.0
+
+#: How long close() waits past the drain budget for the shutdown to
+#: finish on the loop. Past it, a handler still holds the loop and the
+#: drain is reported aborted.
+_SHUTDOWN_GRACE_S = 0.5
+
+
+def _parse_frames(buffer: bytearray) -> list[tuple[int, bytes]]:
     """Consume every complete frame at the front of ``buffer``.
 
-    Returns ``(correlation id | None, payload)`` per frame and deletes
-    the consumed bytes; a trailing partial frame stays for the next
-    chunk. Parsing from a chunk buffer instead of awaiting the stream
-    field by field matters at saturation: one ``read()`` off a
-    multiplexed connection delivers *many* small request frames, and
-    this turns per-frame task wake-ups into one.
+    Returns ``(correlation id, payload)`` per frame and deletes the
+    consumed bytes; a trailing partial frame stays for the next chunk.
+    A frame without :data:`CORRELATION_FLAG`, or longer than
+    :data:`MAX_FRAME_BYTES`, raises :class:`ProtocolError`: the stream
+    cannot be resynchronised, so the reader hangs up. Parsing from a
+    chunk buffer instead of awaiting the stream field by field matters
+    at saturation: one ``read()`` off a multiplexed connection delivers
+    *many* small request frames, and this turns per-frame task wake-ups
+    into one.
     """
-    frames: list[tuple[int | None, bytes]] = []
+    frames: list[tuple[int, bytes]] = []
     offset = 0
     size = len(buffer)
     word_len = _LEN.size
-    while True:
-        if size - offset < word_len:
-            break
+    header = 2 * word_len
+    while size - offset >= word_len:
         (word,) = _LEN.unpack_from(buffer, offset)
-        corr_id: int | None = None
-        header = word_len
-        length = word
-        if word & CORRELATION_FLAG:
-            if size - offset < 2 * word_len:
-                break
-            (corr_id,) = _LEN.unpack_from(buffer, offset + word_len)
-            header = 2 * word_len
-            length = word ^ CORRELATION_FLAG
+        if not word & CORRELATION_FLAG:
+            raise ProtocolError("frame carries no correlation id")
+        length = word ^ CORRELATION_FLAG
         if length > MAX_FRAME_BYTES:
-            raise ProtocolError(
-                f"frame of {length} bytes exceeds the cap"
-            )
+            raise ProtocolError(f"frame of {length} bytes exceeds the cap")
         if size - offset < header + length:
             break
+        (corr_id,) = _LEN.unpack_from(buffer, offset + word_len)
         start = offset + header
         frames.append((corr_id, bytes(buffer[start : start + length])))
         offset = start + length
@@ -157,57 +152,42 @@ class _LoopThread:
         future = asyncio.run_coroutine_threadsafe(coro, self.loop)
         return future.result(timeout_s)
 
-    def stop(self) -> None:
+    def stop(self, join: bool = True) -> None:
+        """Ask the loop to stop; ``join=False`` leaves a loop that a
+        stuck handler still holds to exit on its own."""
         self.loop.call_soon_threadsafe(self.loop.stop)
-        self._thread.join(timeout=5)
+        if join:
+            self._thread.join(timeout=5)
 
 
 class _ServerConnection:
     """Per-connection server state: reader, bounded queue, writer task."""
 
     def __init__(
-        self,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-        queue_frames: int,
-        max_in_flight: int,
+        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
         self.reader = reader
         self.writer = writer
-        self.queue: asyncio.Queue = asyncio.Queue(maxsize=queue_frames)
-        self.in_flight: set[asyncio.Task] = set()
-        self.slots = asyncio.Semaphore(max_in_flight)
+        self.queue: asyncio.Queue = asyncio.Queue(
+            maxsize=_WRITE_QUEUE_FRAMES
+        )
         self.writer_task: asyncio.Task | None = None
 
 
 class AsyncSocketServer:
     """Serve an :class:`InProcessTransport` registry, pipelined, over TCP.
 
-    One event loop accepts every connection; each correlated request
-    is handled as its own task and its response rejoins the
-    connection's bounded write queue as soon as it is ready — requests
-    on one connection overlap instead of queueing behind each other.
-    Handlers run inline on the loop by default (pure CPU under the
-    GIL; see the module docstring) or on a small thread pool when
-    ``handler_threads > 0``. Plain (uncorrelated) frames are served
-    strictly in order, one at a time, exactly like the threaded
-    server, so classic clients keep their response-ordering contract.
+    One event loop accepts every connection. Each read chunk's complete
+    frames are answered back to back, inline on the loop (pure CPU
+    under the GIL; see the module docstring), and their responses join
+    the connection's bounded write queue as one item.
 
     Args:
         registry: the endpoint registry to serve.
         host / port: listener address (port 0 picks a free port; the
             bound address is in :attr:`address`).
         idle_timeout_s: close a connection after this long with no
-            arriving frame and nothing in flight (None: never).
-        max_in_flight: per-connection cap on concurrently dispatched
-            requests; further frames wait in the kernel socket buffer,
-            backpressuring the client.
-        write_queue_frames: per-connection response queue bound.
-        handler_threads: 0 (default) dispatches inline on the loop;
-            > 0 runs handlers on a shared pool of that many threads
-            (use when registry handlers block on real I/O).
-        drain_timeout_s: how long close() waits for in-flight handlers
-            and queued responses before dropping the connection anyway.
+            arriving frame and no response queued (None: never).
         max_pending: bounded-dispatch admission limit across all
             connections; beyond it requests are shed with a typed
             retryable ``OverloadedError`` (None: admit everything).
@@ -219,10 +199,6 @@ class AsyncSocketServer:
         host: str = "127.0.0.1",
         port: int = 0,
         idle_timeout_s: float | None = None,
-        max_in_flight: int = 128,
-        write_queue_frames: int = 256,
-        handler_threads: int = 0,
-        drain_timeout_s: float = 5.0,
         max_pending: int | None = None,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
@@ -231,20 +207,13 @@ class AsyncSocketServer:
         #: Optional observability registry the per-frame counters
         #: publish into (``zerber_server_frames_total`` et al.).
         self.metrics = metrics
-        self._max_in_flight = max_in_flight
-        self._write_queue_frames = write_queue_frames
-        self._drain_timeout_s = drain_timeout_s
+        self._drain_timeout_s = _DRAIN_TIMEOUT_S
         self.admission = (
             None if max_pending is None else AdmissionController(max_pending)
         )
-        #: Did the drain deadline pass with connections still open?
+        #: Did the drain deadline pass with a handler still running or
+        #: connections still open?
         self.drain_aborted = False
-        self._pool: ThreadPoolExecutor | None = None
-        if handler_threads > 0:
-            self._pool = ThreadPoolExecutor(
-                max_workers=handler_threads,
-                thread_name_prefix="zerber-async-handler",
-            )
         self._connections: set[_ServerConnection] = set()
         self._closed = False
         self._loop_thread = _LoopThread("zerber-async-server-loop")
@@ -255,38 +224,12 @@ class AsyncSocketServer:
             )
         except OSError as exc:
             self._loop_thread.stop()
-            if self._pool is not None:
-                self._pool.shutdown(wait=False)
             raise TransportError(
                 f"cannot listen on {host}:{port}: {exc}"
             ) from exc
         self.address: tuple[str, int] = self._server.sockets[
             0
         ].getsockname()[:2]
-
-    # -- request handling (runs on the dispatch pool) --------------------------
-
-    def _handle(
-        self,
-        payload: bytes,
-        packed: bool,
-        received_at: float | None = None,
-    ) -> bytes:
-        """Decode, dispatch, encode — the whole CPU leg of one request."""
-        response = handle_request_payload(
-            self._registry,
-            payload,
-            received_at=received_at,
-            admission=self.admission,
-            metrics=self.metrics,
-            transport_label="async-socket",
-        )
-        start = time.perf_counter()
-        blob = encode_message(response, packed=packed)
-        took = time.perf_counter() - start
-        # Passive: a no-op unless the request frame carried a trace.
-        record_span("encode", start, took, len(blob), request_trace(payload))
-        return blob
 
     # -- connection lifecycle (runs on the loop) -------------------------------
 
@@ -296,15 +239,10 @@ class AsyncSocketServer:
         sock = writer.get_extra_info("socket")
         if sock is not None:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        conn = _ServerConnection(
-            reader,
-            writer,
-            self._write_queue_frames,
-            self._max_in_flight,
-        )
         if self._closed:
             writer.close()
             return
+        conn = _ServerConnection(reader, writer)
         self._connections.add(conn)
         conn.writer_task = asyncio.get_running_loop().create_task(
             self._write_loop(conn)
@@ -315,7 +253,6 @@ class AsyncSocketServer:
             await self._drain_connection(conn)
 
     async def _read_loop(self, conn: _ServerConnection) -> None:
-        loop = asyncio.get_running_loop()
         buffer = bytearray()
         while not self._closed:
             try:
@@ -328,12 +265,12 @@ class AsyncSocketServer:
                             self._idle_timeout_s,
                         )
                     except asyncio.TimeoutError:
-                        # Quiet with work still in flight is a client
+                        # Quiet with responses still queued is a client
                         # waiting on us, not a stall; only a connection
                         # with nothing pending in either direction is
                         # idle. (The cancelled read loses nothing: the
                         # stream re-buffers whatever arrived.)
-                        if conn.in_flight or not conn.queue.empty():
+                        if not conn.queue.empty():
                             continue
                         return
             except (ConnectionError, OSError):
@@ -350,59 +287,21 @@ class AsyncSocketServer:
             # Deadline budgets count from frame arrival: any queueing
             # from here to dispatch is the server's own delay.
             received_at = time.monotonic()
-            if self._pool is None:
-                # Inline dispatch: answer every complete frame of this
-                # chunk back to back, then enqueue the coalesced blob
-                # as one item. Classic frames keep their strict
-                # in-order contract because arrival order IS the
-                # processing order here.
-                out = bytearray()
-                for corr_id, payload in frames:
-                    out += frame_bytes(
-                        self._handle(
-                            payload, corr_id is not None, received_at
-                        ),
-                        corr_id,
-                    )
-                await conn.queue.put(bytes(out))
-            else:
-                for corr_id, payload in frames:
-                    if corr_id is None:
-                        # Classic frame: strict request/response
-                        # order, one at a time — exactly the threaded
-                        # server's contract.
-                        blob = await loop.run_in_executor(
-                            self._pool,
-                            self._handle,
-                            payload,
-                            False,
-                            received_at,
-                        )
-                        await conn.queue.put(frame_bytes(blob, None))
-                    else:
-                        await conn.slots.acquire()
-                        task = loop.create_task(
-                            self._serve_one(
-                                conn, corr_id, payload, received_at
-                            )
-                        )
-                        conn.in_flight.add(task)
-                        task.add_done_callback(conn.in_flight.discard)
-
-    async def _serve_one(
-        self,
-        conn: _ServerConnection,
-        corr_id: int,
-        payload: bytes,
-        received_at: float,
-    ) -> None:
-        try:
-            blob = await asyncio.get_running_loop().run_in_executor(
-                self._pool, self._handle, payload, True, received_at
-            )
-            await conn.queue.put(frame_bytes(blob, corr_id))
-        finally:
-            conn.slots.release()
+            # Answer every complete frame of this chunk back to back,
+            # then enqueue the coalesced responses as one item.
+            out = bytearray()
+            for corr_id, payload in frames:
+                out += frame_bytes(
+                    handle_request_payload(
+                        self._registry,
+                        payload,
+                        received_at=received_at,
+                        admission=self.admission,
+                        metrics=self.metrics,
+                    ),
+                    corr_id,
+                )
+            await conn.queue.put(bytes(out))
 
     async def _write_loop(self, conn: _ServerConnection) -> None:
         """Drain the bounded queue of pre-framed response bytes."""
@@ -431,19 +330,13 @@ class AsyncSocketServer:
             return
 
     async def _drain_connection(self, conn: _ServerConnection) -> None:
-        """Finish what's in flight, flush the queue, then hang up."""
+        """Flush the queue, then hang up."""
         self._connections.discard(conn)
-        in_flight = list(conn.in_flight)
-        if in_flight:
-            await asyncio.wait(in_flight, timeout=self._drain_timeout_s)
-        if conn.writer_task is not None:
-            await conn.queue.put(None)
-            try:
-                await asyncio.wait_for(
-                    conn.writer_task, self._drain_timeout_s
-                )
-            except asyncio.TimeoutError:  # pragma: no cover - slow peer
-                conn.writer_task.cancel()
+        await conn.queue.put(None)
+        try:
+            await asyncio.wait_for(conn.writer_task, self._drain_timeout_s)
+        except asyncio.TimeoutError:  # pragma: no cover - slow peer
+            conn.writer_task.cancel()
         conn.writer.close()
         try:
             await conn.writer.wait_closed()
@@ -458,25 +351,31 @@ class AsyncSocketServer:
         return len(self._connections)
 
     def close(self) -> None:
-        """Stop accepting, drain every connection, stop the loop."""
+        """Stop accepting, drain every connection, stop the loop.
+
+        Handlers run on the loop, so one that is still running when the
+        drain budget (plus :data:`_SHUTDOWN_GRACE_S`) is spent keeps the
+        shutdown from ever starting: the drain is then reported aborted
+        and the loop thread (a daemon) is left to stop once the handler
+        returns, instead of being waited on.
+        """
         if self._closed:
             return
         self._closed = True
+        future = asyncio.run_coroutine_threadsafe(
+            self._shutdown(), self._loop_thread.loop
+        )
         try:
-            self._loop_thread.call(
-                self._shutdown(), timeout_s=self._drain_timeout_s + 10
-            )
-        except Exception:  # pragma: no cover - teardown best effort
-            pass
-        self._loop_thread.stop()
-        if self._pool is not None:
-            self._pool.shutdown(wait=False)
+            future.result(self._drain_timeout_s + _SHUTDOWN_GRACE_S)
+        except concurrent.futures.TimeoutError:
+            self.drain_aborted = True
+        self._loop_thread.stop(join=future.done())
 
     def drain(self, timeout_s: float | None = None) -> bool:
         """Graceful shutdown; True when every connection finished.
 
-        Same close() sequence (stop accepting, let in-flight handlers
-        and write queues drain, then drop what's left), optionally
+        Same close() sequence (stop accepting, let the running handler
+        and the write queues drain, then drop what's left), optionally
         under a different drain budget. ``repro serve`` exits nonzero
         when this returns False.
         """
@@ -546,7 +445,8 @@ class _WriteState:
 
 
 class AsyncSocketTransport(Transport):
-    """Multiplexing TCP client for the pipelined protocol revision.
+    """Multiplexing TCP client for :class:`AsyncSocketServer` (or
+    ``repro serve``).
 
     Any number of calling threads share **one** connection: each call
     frames its request with a fresh correlation id and hands it to the
@@ -554,31 +454,26 @@ class AsyncSocketTransport(Transport):
     each batch with a single ``sendall`` — no hop through an event
     loop, no per-frame lock convoy), then parks on an event until the
     reader thread resolves it with the matching response frame. The
-    cluster's fan-out pool no longer needs one socket per worker
-    thread. Works against :class:`AsyncSocketServer` (pipelined) and
-    the threaded ``SocketServer`` (serial but correct).
+    cluster's fan-out pool needs no socket per worker thread.
 
-    Failure semantics mirror :class:`SocketTransport`: failures retry
-    under a shared :class:`~repro.resilience.retry.RetryPolicy` (a
-    broken connection is retryable for pure reads on a fresh
-    connection, a typed retryable server rejection backs off for any
-    request, writes whose response was lost fail fast), an ambient
-    deadline rides the wire and caps the completion wait, a dead
-    listener raises :class:`TransportError`, and ``close()``
-    deterministically fails in-flight calls with the typed "transport
-    is closed" message.
+    Failures retry under a shared
+    :class:`~repro.resilience.retry.RetryPolicy` (a broken connection
+    is retryable for pure reads on a fresh connection, a typed
+    retryable server rejection backs off for any request, writes whose
+    response was lost fail fast), an ambient deadline rides the wire
+    and caps the completion wait, a dead listener raises
+    :class:`TransportError`, and ``close()`` deterministically fails
+    in-flight calls with the typed "transport is closed" message.
     """
 
     def __init__(
         self,
         address: tuple[str, int],
-        share_bytes: int = DEFAULT_SHARE_BYTES,
         timeout_s: float = 30.0,
         connect_timeout_s: float = 5.0,
         retry_policy: RetryPolicy | None = None,
     ) -> None:
         self._address = (address[0], int(address[1]))
-        self._share_bytes = share_bytes
         self._timeout_s = timeout_s
         self._connect_timeout_s = connect_timeout_s
         self._retry_policy = (
@@ -623,7 +518,7 @@ class AsyncSocketTransport(Transport):
                 budget_us = deadline.budget_us()
             start = time.perf_counter()
             payload = _pack_request(
-                dst, request, packed=True, budget_us=budget_us, trace=trace
+                dst, request, budget_us=budget_us, trace=trace
             )
             took = time.perf_counter() - start
             record_span("encode", start, took, len(payload))
@@ -840,8 +735,6 @@ class AsyncSocketTransport(Transport):
                     raise ConnectionError("peer closed the connection")
                 buffer += chunk
                 for corr_id, blob in _parse_frames(buffer):
-                    if corr_id is None:
-                        continue  # a plain frame here is a peer bug
                     with self._lock:
                         call = self._pending.pop(corr_id, None)
                     if call is not None:

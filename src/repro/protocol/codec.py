@@ -14,8 +14,8 @@ Frame layout (everything big-picture, nothing clever)::
   for every integer (ids, counts, shares — shares live in Z_p and can
   exceed 64 bits), and varint-length-prefixed UTF-8 for strings /
   raw bytes for blobs;
-- the four bulk messages also have a *packed*, column-major form
-  (type bytes 0x41-0x44, since protocol version 3; see "packed
+- the four bulk messages travel in a *packed*, column-major form
+  instead (type bytes 0x41-0x44, since protocol version 3; see "packed
   columns" below), public as :func:`write_columns` /
   :func:`read_columns` — the cache tier's L2 values use it too.
 
@@ -151,43 +151,7 @@ def _read_token(r: _Reader) -> AuthToken:
     )
 
 
-def _write_records(out: bytearray, records: Sequence[ShareRecord]) -> None:
-    _write_uint(out, len(records))
-    for record in records:
-        _write_uint(out, record.element_id)
-        _write_uint(out, record.group_id)
-        _write_uint(out, record.share_y)
-
-
-def _read_records(r: _Reader) -> tuple[ShareRecord, ...]:
-    return tuple(
-        ShareRecord(r.uint(), r.uint(), r.uint()) for _ in range(r.uint())
-    )
-
-
 # -- per-message encoders/decoders -------------------------------------------
-
-
-def _enc_insert(out: bytearray, msg: m.InsertBatchRequest) -> None:
-    _write_token(out, msg.token)
-    _write_uint(out, len(msg.operations))
-    for row in zip(*insert_columns(msg.operations)):
-        for value in row:
-            _write_uint(out, value)
-
-
-def _dec_insert(r: _Reader) -> m.InsertBatchRequest:
-    token = _read_token(r)
-    ops = tuple(
-        InsertOp(
-            pl_id=r.uint(),
-            element_id=r.uint(),
-            group_id=r.uint(),
-            share_y=r.uint(),
-        )
-        for _ in range(r.uint())
-    )
-    return m.InsertBatchRequest(token=token, operations=ops)
 
 
 def _enc_delete(out: bytearray, msg: m.DeleteBatchRequest) -> None:
@@ -233,15 +197,6 @@ def _dec_snippet_req(r: _Reader) -> m.FetchSnippetRequest:
     doc_id = r.uint()
     terms = tuple(r.text() for _ in range(r.uint()))
     return m.FetchSnippetRequest(token=token, doc_id=doc_id, terms=terms)
-
-
-def _enc_adopt(out: bytearray, msg: m.AdoptListRequest) -> None:
-    _write_uint(out, msg.pl_id)
-    _write_records(out, msg.records)
-
-
-def _dec_adopt(r: _Reader) -> m.AdoptListRequest:
-    return m.AdoptListRequest(pl_id=r.uint(), records=_read_records(r))
 
 
 def _enc_drop(out: bytearray, msg: m.DropListRequest) -> None:
@@ -316,21 +271,6 @@ def _dec_count(r: _Reader) -> m.OpCountResponse:
     return m.OpCountResponse(count=r.uint())
 
 
-def _enc_lists(out: bytearray, msg: m.FetchListsResponse) -> None:
-    _write_uint(out, len(msg.lists))
-    for pl in msg.lists:
-        _write_uint(out, pl.pl_id)
-        _write_records(out, pl.records)
-
-
-def _dec_lists(r: _Reader) -> m.FetchListsResponse:
-    lists = tuple(
-        PostingListResponse.from_records(r.uint(), _read_records(r))
-        for _ in range(r.uint())
-    )
-    return m.FetchListsResponse(lists=lists)
-
-
 def _enc_snippet_resp(out: bytearray, msg: m.SnippetResponse) -> None:
     _write_uint(out, msg.snippet.doc_id)
     _write_str(out, msg.snippet.host)
@@ -341,14 +281,6 @@ def _dec_snippet_resp(r: _Reader) -> m.SnippetResponse:
     return m.SnippetResponse(
         snippet=Snippet(doc_id=r.uint(), host=r.text(), text=r.text())
     )
-
-
-def _enc_record_list(out: bytearray, msg: m.RecordListResponse) -> None:
-    _write_records(out, msg.records)
-
-
-def _dec_record_list(r: _Reader) -> m.RecordListResponse:
-    return m.RecordListResponse(records=_read_records(r))
 
 
 def _enc_status_resp(out: bytearray, msg: m.ServerStatusResponse) -> None:
@@ -507,7 +439,7 @@ def _dec_metrics_dump_resp(r: _Reader) -> m.MetricsDumpResponse:
     return m.MetricsDumpResponse(samples=tuple(samples))
 
 
-# -- packed columns (the async/pipelined protocol revision) -------------------
+# -- packed columns -----------------------------------------------------------
 #
 # A record array travels column-major: ``count`` (varint), then — only
 # when count > 0 — per column a width byte (bytes of the column's
@@ -517,8 +449,8 @@ def _dec_metrics_dump_resp(r: _Reader) -> m.MetricsDumpResponse:
 # byte-swap narrowed or widened by strided slice assignment, widths > 8
 # (a share >= 2^64: probability 7e-19 under p = 2^64 + 13) one
 # ``int.to_bytes`` per value. Measurements: docs/ARCHITECTURE.md.
-# Packed variants are their own type bytes for the *same* message
-# classes; the classic varint forms stay for the threaded backend.
+# The four bulk messages (insert batch, fetched lists, record list,
+# adopted list) travel only in this form.
 
 _SWAP = sys.byteorder == "little"
 
@@ -612,14 +544,14 @@ def _read_record_columns(r: _Reader) -> tuple[ShareRecord, ...]:
     return tuple(map(ShareRecord, *read_columns(r, 3)))
 
 
-def _enc_lists_packed(out: bytearray, msg: m.FetchListsResponse) -> None:
+def _enc_lists(out: bytearray, msg: m.FetchListsResponse) -> None:
     _write_uint(out, len(msg.lists))
     for pl in msg.lists:
         _write_uint(out, pl.pl_id)
         write_columns(out, *pl.columns)
 
 
-def _dec_lists_packed(r: _Reader) -> m.FetchListsResponse:
+def _dec_lists(r: _Reader) -> m.FetchListsResponse:
     lists = tuple(
         PostingListResponse(r.uint(), *read_columns(r, 3))
         for _ in range(r.uint())
@@ -627,34 +559,32 @@ def _dec_lists_packed(r: _Reader) -> m.FetchListsResponse:
     return m.FetchListsResponse(lists=lists)
 
 
-def _enc_record_list_packed(
-    out: bytearray, msg: m.RecordListResponse
-) -> None:
+def _enc_record_list(out: bytearray, msg: m.RecordListResponse) -> None:
     _write_record_columns(out, msg.records)
 
 
-def _dec_record_list_packed(r: _Reader) -> m.RecordListResponse:
+def _dec_record_list(r: _Reader) -> m.RecordListResponse:
     return m.RecordListResponse(records=_read_record_columns(r))
 
 
-def _enc_insert_packed(out: bytearray, msg: m.InsertBatchRequest) -> None:
+def _enc_insert(out: bytearray, msg: m.InsertBatchRequest) -> None:
     _write_token(out, msg.token)
     write_columns(out, *insert_columns(msg.operations))
 
 
-def _dec_insert_packed(r: _Reader) -> m.InsertBatchRequest:
+def _dec_insert(r: _Reader) -> m.InsertBatchRequest:
     token = _read_token(r)
     return m.InsertBatchRequest(
         token=token, operations=RecordView(InsertOp, *read_columns(r, 4))
     )
 
 
-def _enc_adopt_packed(out: bytearray, msg: m.AdoptListRequest) -> None:
+def _enc_adopt(out: bytearray, msg: m.AdoptListRequest) -> None:
     _write_uint(out, msg.pl_id)
     _write_record_columns(out, msg.records)
 
 
-def _dec_adopt_packed(r: _Reader) -> m.AdoptListRequest:
+def _dec_adopt(r: _Reader) -> m.AdoptListRequest:
     return m.AdoptListRequest(
         pl_id=r.uint(), records=_read_record_columns(r)
     )
@@ -673,13 +603,13 @@ Reader = _Reader
 
 #: type byte -> (message class, encoder, decoder). Type bytes are wire
 #: contract: never renumber, only append. Retired bytes stay unassigned
-#: (0x05, the per-list export, decodes as an unknown type).
+#: and decode as an unknown type: 0x05 (the per-list export), and 0x01,
+#: 0x06, 0x22 and 0x24 (the varint-per-record forms of the four bulk
+#: messages, which travel as columns under 0x41-0x44).
 _REGISTRY: dict[int, tuple[type, Callable, Callable]] = {
-    0x01: (m.InsertBatchRequest, _enc_insert, _dec_insert),
     0x02: (m.DeleteBatchRequest, _enc_delete, _dec_delete),
     0x03: (m.FetchListsRequest, _enc_fetch, _dec_fetch),
     0x04: (m.FetchSnippetRequest, _enc_snippet_req, _dec_snippet_req),
-    0x06: (m.AdoptListRequest, _enc_adopt, _dec_adopt),
     0x07: (m.DropListRequest, _enc_drop, _dec_drop),
     0x08: (m.ServerStatusRequest, _enc_status_req, _dec_status_req),
     0x09: (m.EndpointsRequest, _enc_endpoints_req, _dec_endpoints_req),
@@ -703,9 +633,7 @@ _REGISTRY: dict[int, tuple[type, Callable, Callable]] = {
         _dec_metrics_dump_req,
     ),
     0x21: (m.OpCountResponse, _enc_count, _dec_count),
-    0x22: (m.FetchListsResponse, _enc_lists, _dec_lists),
     0x23: (m.SnippetResponse, _enc_snippet_resp, _dec_snippet_resp),
-    0x24: (m.RecordListResponse, _enc_record_list, _dec_record_list),
     0x25: (m.ServerStatusResponse, _enc_status_resp, _dec_status_resp),
     0x26: (m.EndpointsResponse, _enc_endpoints_resp, _dec_endpoints_resp),
     0x27: (m.ErrorResponse, _enc_error, _dec_error),
@@ -721,55 +649,21 @@ _REGISTRY: dict[int, tuple[type, Callable, Callable]] = {
         _enc_metrics_dump_resp,
         _dec_metrics_dump_resp,
     ),
-}
-
-#: Packed variants: same message classes, own type bytes (0x40 block),
-#: column-major record arrays. Emitted only when the peer negotiated
-#: the pipelined protocol revision (see ``encode_message(packed=True)``);
-#: always accepted on decode.
-_PACKED_REGISTRY: dict[int, tuple[type, Callable, Callable]] = {
-    0x41: (m.InsertBatchRequest, _enc_insert_packed, _dec_insert_packed),
-    0x42: (m.FetchListsResponse, _enc_lists_packed, _dec_lists_packed),
-    0x43: (
-        m.RecordListResponse,
-        _enc_record_list_packed,
-        _dec_record_list_packed,
-    ),
-    0x44: (m.AdoptListRequest, _enc_adopt_packed, _dec_adopt_packed),
+    0x41: (m.InsertBatchRequest, _enc_insert, _dec_insert),
+    0x42: (m.FetchListsResponse, _enc_lists, _dec_lists),
+    0x43: (m.RecordListResponse, _enc_record_list, _dec_record_list),
+    0x44: (m.AdoptListRequest, _enc_adopt, _dec_adopt),
 }
 
 _TYPE_BYTE = {cls: byte for byte, (cls, _e, _d) in _REGISTRY.items()}
-_PACKED_TYPE_BYTE = {
-    cls: byte for byte, (cls, _e, _d) in _PACKED_REGISTRY.items()
-}
-_DECODERS: dict[int, tuple[type, Callable, Callable]] = {
-    **_REGISTRY,
-    **_PACKED_REGISTRY,
-}
 
 
-def encode_message(message: Any, packed: bool = False) -> bytes:
+def encode_message(message: Any) -> bytes:
     """Serialize one protocol message to a self-describing frame body.
-
-    Args:
-        message: the protocol dataclass to serialize.
-        packed: prefer the fixed-width packed type byte when this
-            message class has one (messages without a packed variant
-            fall back to the classic encoding). Only emit packed frames
-            to peers that negotiated the pipelined revision — classic
-            peers reject the unknown type byte.
 
     Raises:
         ProtocolError: unknown message class or a negative integer field.
     """
-    if packed:
-        entry = _PACKED_TYPE_BYTE.get(type(message))
-        if entry is not None:
-            out = bytearray(MAGIC)
-            out.append(m.PROTOCOL_VERSION)
-            out.append(entry)
-            _PACKED_REGISTRY[entry][1](out, message)
-            return bytes(out)
     entry = _TYPE_BYTE.get(type(message))
     if entry is None:
         raise ProtocolError(
@@ -799,7 +693,7 @@ def decode_message(data: bytes) -> Any:
             f"unsupported protocol version {version} "
             f"(this peer speaks {m.PROTOCOL_VERSION})"
         )
-    entry = _DECODERS.get(data[3])
+    entry = _REGISTRY.get(data[3])
     if entry is None:
         raise ProtocolError(f"unknown message type byte 0x{data[3]:02x}")
     reader = _Reader(data, HEADER_LEN)

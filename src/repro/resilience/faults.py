@@ -8,8 +8,8 @@ seeded :class:`FaultPlan`. Same seed, same schedule: a chaos drill
 that fails replays exactly.
 
 The injection point is the client-side ``call`` boundary, which makes
-the harness transport-agnostic (the same plan runs over in-process,
-threaded TCP, and the async stack) and keeps fault *semantics* honest:
+the harness transport-agnostic (the same plan runs in-process and
+over the async TCP stack) and keeps fault *semantics* honest:
 
 - a **reset** or **drop** surfaces as the same typed
   :class:`~repro.errors.TransportError` a real broken socket produces,

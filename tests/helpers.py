@@ -136,8 +136,8 @@ def build_twins(
         replication_factor: pods per posting list in the cluster twin
             (the pod count is raised to fit when the world rolled fewer).
         cluster_kwargs: extra :class:`ClusterDeployment` arguments — the
-            socket equivalence gate passes ``transport="socket"`` to run
-            the same worlds over loopback TCP.
+            socket equivalence gate passes ``transport="async-socket"``
+            to run the same worlds over loopback TCP.
     """
     documents, num_groups, user_groups, _, num_lists, num_pods = world
     single = ZerberDeployment(

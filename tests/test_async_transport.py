@@ -1,18 +1,17 @@
-"""The pipelined asyncio serving stack and the socket-layer fixes.
+"""The asyncio serving stack and the socket-layer fixes.
 
 Four contracts live here:
 
 - :class:`AsyncSocketServer` / :class:`AsyncSocketTransport` honour the
-  same Transport semantics as the threaded pair — typed errors, read
-  retry, write fail-fast, deterministic close — while multiplexing many
-  in-flight requests over one connection;
-- the two stacks interoperate both ways (classic client against the
-  async server, multiplexing client against the threaded server);
-- the threaded ``SocketServer`` no longer leaks handler threads under
-  connection churn and hangs up on silent clients (the PR 6 leak/stall
-  fixes), with the census probes asserting both;
+  Transport semantics — typed errors, read retry, write fail-fast,
+  deterministic close — while multiplexing many in-flight requests
+  over one connection;
+- the server hangs up on what it cannot frame (a frame without a
+  correlation id) and on silent clients, without dispatching anything
+  and without disturbing its other connections;
 - ``close()`` racing an in-flight call fails it with the typed
-  "transport is closed" message on both client classes.
+  "transport is closed" message;
+- the request and response frames are pinned byte for byte.
 """
 
 from __future__ import annotations
@@ -38,10 +37,14 @@ from repro.protocol import (
     IndexServerService,
     InsertBatchRequest,
     ServerStatusRequest,
-    SocketServer,
-    SocketTransport,
 )
-from repro.server.auth import AuthService
+from repro.protocol.transport import (
+    _LEN,
+    CORRELATION_FLAG,
+    _pack_request,
+    frame_bytes,
+)
+from repro.server.auth import AuthService, AuthToken
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import IndexServer, InsertOp
 
@@ -306,114 +309,127 @@ class AsyncSocketTransport_ctx:
         self._srv.close()
 
 
-class TestInterop:
-    """The 2x2 matrix: either client against either server."""
-
-    def test_classic_client_against_async_server(self, world):
+class TestUnframeablePeers:
+    def test_plain_frame_hangs_up_without_dispatch(self, world):
+        """A frame without a correlation id (the retired plain form) is
+        unframeable: the server closes that connection and dispatches
+        nothing, and keeps serving its other connections."""
         _auth, _groups, token, server = world
         registry = _registry(server)
+        insert = _pack_request(
+            "s0",
+            InsertBatchRequest(
+                token=token,
+                operations=(
+                    InsertOp(pl_id=1, element_id=5, group_id=0, share_y=9),
+                ),
+            ),
+        )
         with AsyncSocketServer(registry) as srv:
-            with SocketTransport(srv.address) as transport:
-                ops = (
-                    InsertOp(pl_id=2, element_id=3, group_id=0, share_y=5),
-                )
-                ack = transport.call(
-                    "alice",
-                    "s0",
-                    InsertBatchRequest(token=token, operations=ops),
-                )
-                assert ack.count == 1
-                response = transport.call(
-                    "alice", "s0", FetchListsRequest(token=token, pl_ids=(2,))
-                )
-                assert response.lists[0].records[0].share_y == 5
-                with pytest.raises(UnknownEndpointError):
-                    transport.call("alice", "ghost", ServerStatusRequest())
-
-    def test_multiplexing_client_against_threaded_server(self, world):
-        _auth, _groups, token, server = world
-        registry = _registry(server)
-        with SocketServer(registry) as srv:
             with AsyncSocketTransport(srv.address) as transport:
-                ops = (
-                    InsertOp(pl_id=4, element_id=6, group_id=0, share_y=8),
-                )
-                ack = transport.call(
-                    "alice",
-                    "s0",
-                    InsertBatchRequest(token=token, operations=ops),
-                )
-                assert ack.count == 1
-                response = transport.call(
-                    "alice", "s0", FetchListsRequest(token=token, pl_ids=(4,))
-                )
-                assert response.lists[0].records[0].share_y == 8
+                assert transport.endpoints() == ["s0"]
+                plain = socket.create_connection(srv.address)
+                try:
+                    plain.sendall(_LEN.pack(len(insert)) + insert)
+                    plain.settimeout(5)
+                    assert plain.recv(1) == b""  # hung up, no answer
+                finally:
+                    plain.close()
+                assert server.num_elements == 0
+                status = transport.call("alice", "s0", ServerStatusRequest())
+                assert status.num_elements == 0
+                assert srv.connection_count == 1
 
 
 class TestThreadedServerRegressions:
-    """The PR 6 socket-layer leak/stall fixes, pinned by census probes."""
-
-    def test_handler_threads_reaped_under_connection_churn(self, world):
-        """SocketServer._threads must not grow with every connection
-        ever served — the pre-fix behaviour leaked a Thread object per
-        client until close()."""
-        *_rest, server = world
-        registry = _registry(server)
-        with SocketServer(registry) as srv:
-            for _ in range(12):
-                with SocketTransport(srv.address) as transport:
-                    assert transport.endpoints() == ["s0"]
-            deadline = time.time() + 5
-            while srv.connection_thread_count and time.time() < deadline:
-                time.sleep(0.05)
-            assert srv.connection_thread_count == 0
+    """The socket-layer stall fix first made in the thread-per-connection
+    server, now pinned against :class:`AsyncSocketServer`."""
 
     def test_idle_timeout_unpins_stalled_client_thread(self, world):
-        """A client that connects and goes silent must not pin a
-        handler thread forever — the idle timeout hangs up on it."""
+        """A client that connects and never speaks must not hold a
+        connection forever — the idle timeout hangs up on it."""
         *_rest, server = world
         registry = _registry(server)
-        with SocketServer(registry, idle_timeout_s=0.2) as srv:
+        with AsyncSocketServer(registry, idle_timeout_s=0.2) as srv:
             silent = socket.create_connection(srv.address)
             try:
-                deadline = time.time() + 5
-                while time.time() < deadline:
-                    if srv.connection_thread_count == 0:
-                        break
-                    time.sleep(0.05)
-                assert srv.connection_thread_count == 0
-                # The server actively closed its side.
+                # The server actively closes its side.
                 silent.settimeout(5)
                 assert silent.recv(1) == b""
+                assert srv.connection_count == 0
             finally:
                 silent.close()
 
-    def test_threaded_close_races_in_flight_call_deterministically(
-        self, world
-    ):
-        """Satellite fix: SocketTransport.close() during an in-flight
-        round trip surfaces the typed "transport is closed" error
-        instead of a spurious retry or a bare connection reset."""
-        _auth, _groups, _token, server = world
-        registry = InProcessTransport()
-        registry.register(
-            "slow", _SlowService(IndexServerService.for_server(server), 0.6)
+
+#: One insert batch every earlier client wrote as the same bytes.
+_PINNED_TOKEN = AuthToken(
+    user_id="alice", issued_at=5, expires_at=900, signature=b"\x01\x02"
+)
+_PINNED_OPS = (
+    InsertOp(3, 70000, 2, 2**64 + 12),
+    InsertOp(0, 9, 1, 300),
+    InsertOp(3, 4, 2, 0),
+)
+
+
+class TestWireBytes:
+    def test_traced_deadline_insert_frame_is_pinned(self):
+        """What the client writes for an insert batch carrying a
+        deadline budget and a trace context: correlated length word,
+        correlation id, flagged envelope, packed (0x41) message."""
+        frame = frame_bytes(
+            _pack_request(
+                "pod0-server-1",
+                InsertBatchRequest(
+                    token=_PINNED_TOKEN, operations=_PINNED_OPS
+                ),
+                budget_us=250_000,
+                trace=(0x0123456789ABCDEF, 3),
+            ),
+            0x01020304,
         )
-        with SocketServer(registry) as srv:
-            transport = SocketTransport(srv.address)
-            outcome: list[Exception] = []
+        assert frame == bytes.fromhex(
+            "8000005e010203046000000d706f64302d7365727665722d310003d090"
+            "0123456789abcdef00035a57034105616c6963650584070201020301030003"
+            "03011170000009000004010201020901000000000000000c00000000000000"
+            "012c000000000000000000"
+        )
 
-            def call() -> None:
-                try:
-                    transport.call("alice", "slow", ServerStatusRequest())
-                except Exception as exc:
-                    outcome.append(exc)
-
-            thread = threading.Thread(target=call)
-            thread.start()
-            time.sleep(0.15)
-            transport.close()
-            thread.join(timeout=5)
-            assert len(outcome) == 1
-            assert isinstance(outcome[0], TransportError)
-            assert "closed" in str(outcome[0])
+    def test_fetch_response_frame_is_pinned(self, world):
+        """What the server writes back for a fetch: the packed (0x42)
+        lists under the request's correlation id."""
+        _auth, _groups, token, server = world
+        registry = _registry(server)
+        ops = tuple(
+            InsertOp(op.pl_id, op.element_id, 0, op.share_y)
+            for op in _PINNED_OPS
+        )
+        with AsyncSocketServer(registry) as srv:
+            with AsyncSocketTransport(srv.address) as transport:
+                transport.call(
+                    "alice",
+                    "s0",
+                    InsertBatchRequest(token=token, operations=ops),
+                )
+            raw = socket.create_connection(srv.address)
+            try:
+                raw.sendall(
+                    frame_bytes(
+                        _pack_request(
+                            "s0", FetchListsRequest(token=token, pl_ids=(3, 0))
+                        ),
+                        9,
+                    )
+                )
+                raw.settimeout(5)
+                data = b""
+                while len(data) < 8 or len(data) < 8 + (
+                    _LEN.unpack(data[:4])[0] ^ CORRELATION_FLAG
+                ):
+                    data += raw.recv(4096)
+            finally:
+                raw.close()
+        assert data == bytes.fromhex(
+            "8000002d000000095a570342020302030111700000040100000901000000"
+            "000000000c00000000000000000000010109010002012c"
+        )

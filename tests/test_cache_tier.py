@@ -450,9 +450,7 @@ def _result_bytes(results):
 class TestClusterIntegration:
     """The tiers against a real cluster, over every transport backend."""
 
-    @pytest.mark.parametrize(
-        "transport", ["in-process", "socket", "async-socket"]
-    )
+    @pytest.mark.parametrize("transport", ["in-process", "async-socket"])
     def test_cached_reads_byte_identical_with_midrun_invalidation(
         self, transport
     ):

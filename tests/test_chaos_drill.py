@@ -162,7 +162,7 @@ class TestInProcessChaos:
 
 
 class TestWireChaos:
-    @pytest.mark.parametrize("transport", ["socket", "async-socket"])
+    @pytest.mark.parametrize("transport", ["async-socket"])
     def test_faulty_wire_stays_identical_or_typed(self, transport):
         cluster = make_cluster(
             make_documents(num_docs=10),

@@ -163,13 +163,13 @@ class TestCli:
 
     def test_serve_answers_over_tcp_while_up(self):
         """A second thread queries the served scenario over a raw
-        SocketTransport while the serve loop is still running."""
+        AsyncSocketTransport while the serve loop is still running."""
         import re
         import threading
         import io
         from contextlib import redirect_stdout
 
-        from repro.protocol import ServerStatusRequest, SocketTransport
+        from repro.protocol import AsyncSocketTransport, ServerStatusRequest
 
         buffer = io.StringIO()
 
@@ -198,7 +198,7 @@ class TestCli:
                 break
             thread.join(timeout=0.05)
         assert address, "serve never printed its address"
-        with SocketTransport(address) as transport:
+        with AsyncSocketTransport(address) as transport:
             endpoints = transport.endpoints()
             assert any(name.startswith("pod0-server-") for name in endpoints)
             status = transport.call(

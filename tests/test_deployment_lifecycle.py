@@ -1,9 +1,9 @@
 """Deployment lifecycle: ``close()``, context managers, and leak fixes.
 
-The dispatcher-leak regression of this PR: ``ClusterDeployment`` used to
-spin up ``ConcurrentDispatcher`` worker threads (and, with the socket
-backend, listener/connection threads and WAL handles) that nothing ever
-shut down. ``close()`` — and the ``with`` form — must reap all of it,
+The dispatcher-leak regression: ``ClusterDeployment`` used to spin up
+``ConcurrentDispatcher`` worker threads (and, with the socket backend,
+server-loop and client-reader threads and WAL handles) that nothing
+ever shut down. ``close()`` — and the ``with`` form — must reap all of it,
 idempotently. Plus the unregistered-endpoint race: a seat leaving the
 transport mid-query must surface as a typed, *named* failure that the
 failover ladder absorbs.
@@ -20,7 +20,7 @@ from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Document
-from repro.errors import StorageError, UnknownEndpointError
+from repro.errors import ClusterError, StorageError, UnknownEndpointError
 from repro.server.index_server import InsertOp
 
 
@@ -64,6 +64,17 @@ def _threads_with_prefix(prefix: str) -> list[threading.Thread]:
     ]
 
 
+def _socket_threads_since(before: set[threading.Thread]) -> list:
+    """Live socket-stack threads (server loop, client reader) started
+    after ``before`` was taken."""
+    return [
+        t for t in threading.enumerate()
+        if t not in before
+        and t.is_alive()
+        and t.name.startswith("zerber-async-")
+    ]
+
+
 class TestDispatcherLeak:
     def test_no_fanout_threads_outlive_a_closed_deployment(self):
         """Regression: ConcurrentDispatcher.shutdown() was never called."""
@@ -78,19 +89,18 @@ class TestDispatcherLeak:
         assert _threads_with_prefix(prefix) == []
 
     def test_no_socket_threads_outlive_a_closed_deployment(self):
-        cluster = _cluster(transport="socket")
-        port = cluster.transport.address[1]
+        before = set(threading.enumerate())
+        cluster = _cluster(transport="async-socket")
         cluster.search("alice", ["alpha", "beta"], top_k=5)
-        assert _threads_with_prefix(f"zerber-socket-accept-{port}")
+        assert len(_socket_threads_since(before)) == 2  # loop + reader
         cluster.close()
-        assert _threads_with_prefix(f"zerber-socket-accept-{port}") == []
-        assert _threads_with_prefix(f"zerber-socket-conn-{port}") == []
+        assert _socket_threads_since(before) == []
 
     def test_close_is_idempotent_and_with_block_closes(self):
-        with _cluster(transport="socket") as cluster:
-            port = cluster.transport.address[1]
+        before = set(threading.enumerate())
+        with _cluster(transport="async-socket") as cluster:
             assert cluster.search("alice", ["alpha"], top_k=3)
-        assert _threads_with_prefix(f"zerber-socket-accept-{port}") == []
+        assert _socket_threads_since(before) == []
         cluster.close()  # second close is a no-op
         cluster.close()
 
@@ -111,17 +121,41 @@ class TestDispatcherLeak:
                 )
 
     def test_single_fleet_deployment_context_manager(self):
+        """The single fleet is the in-process reference: a ``with``
+        block works, starts no thread, and there is no transport to
+        choose."""
+        before = set(threading.enumerate())
         with ZerberDeployment(
             MappingTable({}, num_lists=4),
             batch_policy=BatchPolicy(min_documents=1),
-            transport="socket",
             seed=5,
         ) as deployment:
             deployment.create_group(0, coordinator="alice")
             deployment.share_document("alice", _documents(1)[0])
             assert deployment.search("alice", ["alpha"], top_k=3)
-            port = deployment.transport.address[1]
-        assert _threads_with_prefix(f"zerber-socket-accept-{port}") == []
+            assert deployment.transport is deployment.registry
+        assert set(threading.enumerate()) <= before
+        deployment.close()  # idempotent
+        with pytest.raises(TypeError, match="transport"):
+            ZerberDeployment(
+                MappingTable({}, num_lists=4), transport="in-process"
+            )
+
+
+class TestTransportChoice:
+    @pytest.mark.parametrize("transport", ["socket", "tcp", ""])
+    def test_unknown_transport_is_a_cluster_error(self, transport):
+        """Only "in-process" and "async-socket" exist; the retired
+        threaded "socket" backend is refused like any unknown name,
+        before a pod, thread or socket is built."""
+        before = set(threading.enumerate())
+        with pytest.raises(ClusterError) as excinfo:
+            ClusterDeployment(
+                MappingTable({}, num_lists=4), transport=transport
+            )
+        message = str(excinfo.value)
+        assert "'in-process'" in message and "'async-socket'" in message
+        assert set(threading.enumerate()) <= before
 
 
 class TestUnregisteredEndpointRace:

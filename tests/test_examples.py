@@ -23,3 +23,12 @@ def test_operations_tour_recovers_a_seat_from_its_store(
     assert len(recovery) == 1
     assert recovery[0].endswith("from the seat store (match: True)")
     assert "all four operational drills passed." in out
+
+
+def test_wire_protocol_tour_matches_over_tcp(capsys):
+    runpy.run_path(
+        str(EXAMPLES / "wire_protocol_tour.py"), run_name="__main__"
+    )
+    out = capsys.readouterr().out
+    assert "byte-identical over TCP:" in out
+    assert "pod 0 dead, still byte-identical" in out

@@ -433,8 +433,8 @@ def test_record_view_is_a_lazy_sequence_equal_to_a_tuple():
 # -- the column insert path against the per-op path ----------------------------
 #
 # An insert batch reaches the server as four aligned columns behind a
-# lazy InsertOp view (the owner, the packed decoder) or as a plain
-# sequence of InsertOp (tests, the classic decoder, fleet extension).
+# lazy InsertOp view (the owner, the wire decoder) or as a plain
+# sequence of InsertOp (tests, fleet extension).
 # Both must be one path: same stored rows in the same order, same update
 # log, same rejections, and a rejected batch leaves nothing behind.
 

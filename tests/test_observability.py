@@ -8,7 +8,7 @@ Four verification fronts:
   trace is active;
 - the ``TRACE_FLAG`` envelope — round-trips with and without a budget,
   and a classic peer rejects flagged frames instead of misparsing them;
-- end to end — trace ids propagate across all three transports, a
+- end to end — trace ids propagate across both transports, a
   traced async-socket search decomposes ≥ 95 % of its wall time into
   named stages with byte-identical results tracing on or off, and the
   ``MetricsDump`` endpoint plus the `cluster top`/`status` CLI render
@@ -48,6 +48,7 @@ from repro.observability.tracing import (
     trace_scope,
 )
 from repro.errors import ProtocolError
+from repro.protocol.codec import decode_message
 from repro.protocol.messages import (
     MetricsDumpRequest,
     MetricsDumpResponse,
@@ -56,13 +57,13 @@ from repro.protocol.messages import (
 from repro.protocol.transport import (
     _LEN,
     _pack_request,
-    _unpack_request,
+    _unpack_envelope,
     DEADLINE_FLAG,
     TRACE_FLAG,
 )
 
 #: Every transport backend the deployment supports.
-TRANSPORTS = ("in-process", "socket", "async-socket")
+TRANSPORTS = ("in-process", "async-socket")
 
 
 class TestMetricsInstruments:
@@ -283,8 +284,9 @@ class TestTraceWire:
         )
         word = _LEN.unpack_from(payload)[0]
         assert word & TRACE_FLAG
-        dst, request, budget_us, wire_trace = _unpack_request(payload)
+        dst, budget_us, wire_trace, offset = _unpack_envelope(payload)
         assert dst == "pod0-server-0"
+        request = decode_message(payload[offset:])
         assert isinstance(request, ServerStatusRequest)
         assert budget_us is None
         assert wire_trace == (0xABCD, 3)
@@ -298,7 +300,7 @@ class TestTraceWire:
         )
         word = _LEN.unpack_from(payload)[0]
         assert word & TRACE_FLAG and word & DEADLINE_FLAG
-        _dst, _request, budget_us, wire_trace = _unpack_request(payload)
+        _dst, budget_us, wire_trace, _offset = _unpack_envelope(payload)
         assert budget_us == 250_000
         assert wire_trace == (1 << 60, 1)
 
@@ -319,7 +321,7 @@ class TestTraceWire:
         )
         truncated = payload[: _LEN.size + len(b"pod0-server-0") + 4]
         with pytest.raises(ProtocolError):
-            _unpack_request(truncated)
+            _unpack_envelope(truncated)
 
 
 def _query_terms(documents):

@@ -233,6 +233,31 @@ def test_retired_export_list_type_byte_rejected():
     assert not hasattr(m, "ExportListRequest")
 
 
+#: The retired varint-per-record forms of the four bulk messages, and
+#: the packed type byte each message class travels under instead.
+_RETIRED_CLASSIC = {
+    0x01: (m.InsertBatchRequest, 0x41),
+    0x06: (m.AdoptListRequest, 0x44),
+    0x22: (m.FetchListsResponse, 0x42),
+    0x24: (m.RecordListResponse, 0x43),
+}
+
+
+@pytest.mark.parametrize("type_byte", sorted(_RETIRED_CLASSIC))
+def test_retired_classic_bulk_type_bytes_rejected(type_byte):
+    """0x01, 0x06, 0x22 and 0x24 (the classic bulk encodings) are
+    retired like 0x05: a frame carrying one is a typed unknown-type
+    error, whatever body follows, and the message class encodes only
+    under its packed byte."""
+    for body in (b"", b"\x00", b"\x01\x02\x03\x04"):
+        with pytest.raises(ProtocolError, match=f"0x{type_byte:02x}"):
+            codec.decode_message(
+                codec.MAGIC + bytes([m.PROTOCOL_VERSION, type_byte]) + body
+            )
+    cls, packed_byte = _RETIRED_CLASSIC[type_byte]
+    assert codec._TYPE_BYTE[cls] == packed_byte
+
+
 def test_negative_integer_rejected_at_encode():
     with pytest.raises(ProtocolError, match="negative"):
         codec.encode_message(m.OpCountResponse(count=-1))
@@ -297,7 +322,7 @@ def test_wire_bytes_match_the_historical_cost_model():
     assert stats.wire_bytes() == 3 + 7 * 4
 
 
-# -- packed encodings (the pipelined revision's record forms) -----------------
+# -- packed encodings (the bulk messages' record forms) -----------------------
 
 #: Messages with a packed (fixed-width column) wire form.
 packable_messages = st.one_of(
@@ -325,27 +350,15 @@ packable_messages = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(message=packable_messages)
 def test_packed_encode_decode_round_trip(message):
-    assert (
-        codec.decode_message(codec.encode_message(message, packed=True))
-        == message
-    )
-
-
-@settings(max_examples=100, deadline=None)
-@given(message=packable_messages)
-def test_packed_and_classic_forms_decode_identically(message):
-    classic = codec.encode_message(message)
-    packed = codec.encode_message(message, packed=True)
-    assert codec.decode_message(classic) == codec.decode_message(packed)
-    # The classic bytes are untouched by packed=False — old peers see
-    # exactly the PR 4 wire form.
-    assert codec.encode_message(message, packed=False) == classic
+    encoded = codec.encode_message(message)
+    assert encoded[3] in (0x41, 0x42, 0x43, 0x44)
+    assert codec.decode_message(encoded) == message
 
 
 @settings(max_examples=100, deadline=None)
 @given(message=packable_messages, data=st.data())
 def test_truncated_packed_frames_rejected(message, data):
-    encoded = codec.encode_message(message, packed=True)
+    encoded = codec.encode_message(message)
     cut = data.draw(st.integers(min_value=0, max_value=len(encoded) - 1))
     try:
         decoded = codec.decode_message(encoded[:cut])
@@ -354,18 +367,10 @@ def test_truncated_packed_frames_rejected(message, data):
     assert decoded != message
 
 
-def test_unpackable_message_encodes_classic_under_packed():
-    """packed=True on a message without a packed form is a no-op."""
-    message = m.ServerStatusRequest()
-    assert codec.encode_message(message, packed=True) == (
-        codec.encode_message(message)
-    )
-
-
 def test_packed_shares_wider_than_the_field_round_trip():
     record = ShareRecord(element_id=1, group_id=2, share_y=2**71 + 99)
     message = m.RecordListResponse(records=(record,))
-    blob = codec.encode_message(message, packed=True)
+    blob = codec.encode_message(message)
     assert codec.decode_message(blob) == message
 
 
@@ -479,10 +484,9 @@ def _packed_messages_with(share: int) -> list:
 @pytest.mark.parametrize("share", [2**64, P - 1, 2**71 + 99])
 def test_two_limb_shares_round_trip_in_every_packed_message(share):
     for message in _packed_messages_with(share):
-        packed = codec.encode_message(message, packed=True)
+        packed = codec.encode_message(message)
         assert packed[3] in (0x41, 0x42, 0x43, 0x44)
         assert codec.decode_message(packed) == message
-        assert codec.decode_message(codec.encode_message(message)) == message
 
 
 # -- the column codec: hostile frames ------------------------------------------
@@ -490,7 +494,7 @@ def test_two_limb_shares_round_trip_in_every_packed_message(share):
 
 def test_packed_frames_truncated_at_every_cut_are_typed():
     for message in _packed_messages_with(P - 1):
-        encoded = codec.encode_message(message, packed=True)
+        encoded = codec.encode_message(message)
         for cut in range(len(encoded)):
             with pytest.raises(ProtocolError):
                 codec.decode_message(encoded[:cut])
@@ -502,8 +506,7 @@ def _forged_width_frames(width: int):
     good = codec.encode_message(
         m.RecordListResponse(
             records=(ShareRecord(element_id=1, group_id=1, share_y=1),)
-        ),
-        packed=True,
+        )
     )
     # Layout: magic(2) version(1) type(1) count(varint=1), then per
     # column one width byte + one 1-byte value.
@@ -552,9 +555,7 @@ def test_unencodable_column_values_are_typed_at_encode(bad):
     for column in ([bad], [3, bad], [2**40, bad], [2**70, bad]):
         response = PostingListResponse(1, column, [1] * len(column), column)
         with pytest.raises(ProtocolError):
-            codec.encode_message(
-                m.FetchListsResponse(lists=(response,)), packed=True
-            )
+            codec.encode_message(m.FetchListsResponse(lists=(response,)))
 
 
 def test_values_past_the_size_cap_are_typed_at_encode():
@@ -572,9 +573,7 @@ def test_ragged_columns_are_typed_at_encode():
         codec.write_columns(bytearray(), [1, 2], [1])
     ragged = PostingListResponse(1, [1, 2], [1], [1, 2])
     with pytest.raises(ProtocolError, match="ragged"):
-        codec.encode_message(
-            m.FetchListsResponse(lists=(ragged,)), packed=True
-        )
+        codec.encode_message(m.FetchListsResponse(lists=(ragged,)))
 
 
 def test_version_2_frames_are_rejected_by_version():
@@ -582,11 +581,10 @@ def test_version_2_frames_are_rejected_by_version():
     bytes; a v2 frame must be refused for its version, never parsed."""
     assert m.PROTOCOL_VERSION == 3
     for message in _packed_messages_with(5):
-        for packed in (False, True):
-            frame = bytearray(codec.encode_message(message, packed=packed))
-            frame[2] = 2
-            with pytest.raises(ProtocolError, match="version 2"):
-                codec.decode_message(bytes(frame))
+        frame = bytearray(codec.encode_message(message))
+        frame[2] = 2
+        with pytest.raises(ProtocolError, match="version 2"):
+            codec.decode_message(bytes(frame))
 
 
 # -- an insert batch is its columns, however it was built ---------------------
@@ -605,25 +603,23 @@ def test_insert_batch_from_columns_and_from_ops_share_their_bytes(token, ops):
     from_columns = _from_columns(token, ops)
     assert from_columns == from_ops and from_ops == from_columns
     assert from_columns.wire_bytes(9) == from_ops.wire_bytes(9)
-    for packed, type_byte in ((True, 0x41), (False, 0x01)):
-        frame = codec.encode_message(from_columns, packed=packed)
-        assert frame[3] == type_byte
-        assert frame == codec.encode_message(from_ops, packed=packed)
-        decoded = codec.decode_message(frame)
-        assert decoded == from_ops and decoded == from_columns
-        assert [list(c) for c in insert_columns(decoded.operations)] == [
-            list(c) for c in insert_columns(ops)
-        ]
-    # The packed decoder hands the server the columns it read: no op
-    # was built, and the accessor returns them as they are.
-    decoded = codec.decode_message(codec.encode_message(from_ops, packed=True))
+    frame = codec.encode_message(from_columns)
+    assert frame[3] == 0x41
+    assert frame == codec.encode_message(from_ops)
+    decoded = codec.decode_message(frame)
+    assert decoded == from_ops and decoded == from_columns
+    assert [list(c) for c in insert_columns(decoded.operations)] == [
+        list(c) for c in insert_columns(ops)
+    ]
+    # The decoder hands the server the columns it read: no op was
+    # built, and the accessor returns them as they are.
     assert isinstance(decoded.operations, RecordView)
     assert insert_columns(decoded.operations) is decoded.operations.columns
 
 
 def test_insert_frames_are_the_bytes_every_earlier_peer_wrote():
-    """Protocol version 3 frames of one fixed batch, as the per-op
-    encoders wrote them before the batch travelled as columns."""
+    """The protocol version 3 frame of one fixed batch, as the per-op
+    encoder wrote it before the batch travelled as columns."""
     token = AuthToken(
         user_id="alice", issued_at=5, expires_at=900, signature=b"\x01\x02"
     )
@@ -636,15 +632,9 @@ def test_insert_frames_are_the_bytes_every_earlier_peer_wrote():
         "5a57034105616c696365058407020102030103000303011170000009000004"
         "010201020901000000000000000c00000000000000012c000000000000000000"
     )
-    classic = bytes.fromhex(
-        "5a57030105616c6963650584070201020303f0a204028c808080808080808002"
-        "000901ac0203040200"
-    )
     for message in (
         m.InsertBatchRequest(token=token, operations=ops),
         _from_columns(token, ops),
     ):
-        assert codec.encode_message(message, packed=True) == packed
-        assert codec.encode_message(message) == classic
-    assert codec.decode_message(packed) == codec.decode_message(classic)
+        assert codec.encode_message(message) == packed
     assert codec.decode_message(packed).operations == ops

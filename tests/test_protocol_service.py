@@ -3,8 +3,8 @@
 Covers the contract every backend must honour: request dispatch onto
 the narrow server interface, typed failures (a dead seat, an unknown
 endpoint, an ACL denial) surfacing as the *same* exception class across
-in-process and socket transports, byte accounting preserved on the
-simulated network, and the socket transport's framing/reconnect
+the in-process and async-socket transports, byte accounting preserved
+on the simulated network, and the socket pair's framing/reconnect
 behaviour.
 """
 
@@ -21,6 +21,8 @@ from repro.errors import (
     error_class,
 )
 from repro.protocol import (
+    AsyncSocketServer,
+    AsyncSocketTransport,
     EndpointsRequest,
     ErrorResponse,
     FetchListsRequest,
@@ -28,8 +30,6 @@ from repro.protocol import (
     IndexServerService,
     InsertBatchRequest,
     ServerStatusRequest,
-    SocketServer,
-    SocketTransport,
     raise_for_error,
 )
 from repro.server.auth import AuthService
@@ -130,12 +130,15 @@ class TestErrorRoundTrip:
 
 
 class TestSocketTransport:
+    """The socket pair (``AsyncSocketServer`` / ``AsyncSocketTransport``)
+    against one index server."""
+
     @pytest.fixture()
     def served(self, world):
         _auth, _groups, token, server = world
         registry = _registry(server)
-        with SocketServer(registry) as srv:
-            with SocketTransport(srv.address) as transport:
+        with AsyncSocketServer(registry) as srv:
+            with AsyncSocketTransport(srv.address) as transport:
                 yield token, server, transport
 
     def test_round_trip_over_tcp(self, served):
@@ -191,15 +194,16 @@ class TestSocketTransport:
         assert status.num_elements == 1
 
     def test_connection_refused_is_transport_error(self):
-        transport = SocketTransport(("127.0.0.1", 1))  # nothing listens
+        # Nothing listens on port 1.
+        transport = AsyncSocketTransport(("127.0.0.1", 1))
         with pytest.raises(TransportError):
             transport.call("alice", "s0", EndpointsRequest())
 
     def test_closed_server_fails_typed(self, world):
         *_rest, server = world
         registry = _registry(server)
-        srv = SocketServer(registry)
-        transport = SocketTransport(srv.address)
+        srv = AsyncSocketServer(registry)
+        transport = AsyncSocketTransport(srv.address)
         assert transport.endpoints() == ["s0"]
         srv.close()
         with pytest.raises(TransportError):
@@ -221,8 +225,8 @@ class TestSocketTransport:
         seat = Seat(server=server)
         registry = InProcessTransport()
         registry.register("s0", IndexServerService.for_slot(seat))
-        with SocketServer(registry) as srv:
-            with SocketTransport(srv.address) as transport:
+        with AsyncSocketServer(registry) as srv:
+            with AsyncSocketTransport(srv.address) as transport:
                 seat.alive = False
                 request = FetchListsRequest(token=token, pl_ids=(1,))
                 with pytest.raises(TransportError):
@@ -233,9 +237,9 @@ class TestSocketTransport:
     def test_reads_retry_on_a_broken_connection(self, served):
         token, _server, transport = served
         assert transport.endpoints() == ["s0"]
-        # Break the thread-local connection under the transport: a pure
-        # read must transparently reconnect and succeed.
-        transport._local.sock.close()
+        # Break the shared connection under the transport: a pure read
+        # must transparently reconnect and succeed.
+        transport._sock.close()
         response = transport.call(
             "alice", "s0", FetchListsRequest(token=token, pl_ids=(1,))
         )
@@ -248,10 +252,10 @@ class TestSocketTransport:
         once."""
         _auth, _groups, token, server = world
         registry = _registry(server)
-        with SocketServer(registry) as srv:
-            with SocketTransport(srv.address) as transport:
+        with AsyncSocketServer(registry) as srv:
+            with AsyncSocketTransport(srv.address) as transport:
                 assert transport.endpoints() == ["s0"]
-                transport._local.sock.close()
+                transport._sock.close()
                 request = InsertBatchRequest(
                     token=token,
                     operations=(
@@ -278,8 +282,8 @@ class TestSocketTransport:
 
         registry = _registry(server)
         registry.register("buggy", ExplodingService())
-        with SocketServer(registry) as srv:
-            with SocketTransport(srv.address) as transport:
+        with AsyncSocketServer(registry) as srv:
+            with AsyncSocketTransport(srv.address) as transport:
                 with pytest.raises(ReproError, match="internal server"):
                     transport.call("alice", "buggy", ServerStatusRequest())
                 # The connection survived: the next call works.

@@ -27,7 +27,7 @@ from repro.protocol.transport import (
     DEADLINE_FLAG,
     _LEN,
     _pack_request,
-    _unpack_request,
+    _unpack_envelope,
     handle_request_payload,
 )
 from repro.resilience import (
@@ -156,8 +156,9 @@ class TestDeadlines:
         payload = _pack_request("pod0-server-0", request)
         name = b"pod0-server-0"
         assert payload.startswith(_LEN.pack(len(name)) + name)
-        dst, decoded, budget_us, wire_trace = _unpack_request(payload)
+        dst, budget_us, wire_trace, offset = _unpack_envelope(payload)
         assert dst == "pod0-server-0"
+        decoded = decode_message(payload[offset:])
         assert isinstance(decoded, ServerStatusRequest)
         assert budget_us is None
         assert wire_trace is None
@@ -168,7 +169,7 @@ class TestDeadlines:
         )
         word = _LEN.unpack_from(payload)[0]
         assert word & DEADLINE_FLAG
-        dst, _request, budget_us, _trace = _unpack_request(payload)
+        dst, budget_us, _trace, _offset = _unpack_envelope(payload)
         assert dst == "pod0-server-0"
         assert budget_us == 250_000
 
@@ -189,7 +190,7 @@ class TestDeadlines:
         )
         truncated = payload[: _LEN.size + len(b"pod0-server-0") + 2]
         with pytest.raises(ProtocolError):
-            _unpack_request(truncated)
+            _unpack_envelope(truncated)
 
     def test_expired_budget_is_rejected_before_dispatch(self):
         cluster = make_cluster(make_documents(num_docs=4))
@@ -198,7 +199,9 @@ class TestDeadlines:
             payload = _pack_request(
                 server_id, ServerStatusRequest(), budget_us=0
             )
-            response = handle_request_payload(cluster.registry, payload)
+            response = decode_message(
+                handle_request_payload(cluster.registry, payload)
+            )
             assert isinstance(response, ErrorResponse)
             assert response.error == "DeadlineExceededError"
             with pytest.raises(DeadlineExceededError):
@@ -211,7 +214,9 @@ class TestDeadlines:
             payload = _pack_request(
                 server_id, ServerStatusRequest(), budget_us=10_000_000
             )
-            response = handle_request_payload(cluster.registry, payload)
+            response = decode_message(
+                handle_request_payload(cluster.registry, payload)
+            )
             assert not isinstance(response, ErrorResponse)
             assert response.server_id == server_id
 
@@ -222,7 +227,7 @@ class TestDeadlines:
             with pytest.raises(DeadlineExceededError):
                 searcher.search(["w1"], budget_s=0.0)
 
-    @pytest.mark.parametrize("transport", ["socket", "async-socket"])
+    @pytest.mark.parametrize("transport", ["async-socket"])
     def test_search_budget_over_the_wire(self, transport):
         cluster = make_cluster(
             make_documents(num_docs=4), transport=transport
@@ -406,8 +411,10 @@ class TestAdmissionControl:
             gate = AdmissionController(max_pending=1)
             gate.try_acquire()
             payload = _pack_request(server_id, ServerStatusRequest())
-            response = handle_request_payload(
-                cluster.registry, payload, admission=gate
+            response = decode_message(
+                handle_request_payload(
+                    cluster.registry, payload, admission=gate
+                )
             )
             assert isinstance(response, ErrorResponse)
             assert response.error == "OverloadedError"
@@ -418,7 +425,7 @@ class TestAdmissionControl:
     def test_deployment_snapshot_surfaces_admission(self):
         cluster = make_cluster(
             make_documents(num_docs=4),
-            transport="socket",
+            transport="async-socket",
             admission_max_pending=64,
         )
         with cluster:
@@ -460,7 +467,7 @@ class TestRepairBackoff:
 
 
 class TestGracefulDrain:
-    @pytest.mark.parametrize("transport", ["socket", "async-socket"])
+    @pytest.mark.parametrize("transport", ["async-socket"])
     def test_idle_server_drains_cleanly(self, transport):
         cluster = make_cluster(
             make_documents(num_docs=4), transport=transport
@@ -473,44 +480,51 @@ class TestGracefulDrain:
             assert server.drain_aborted is False
 
     def test_slow_in_flight_request_aborts_the_drain(self):
-        from repro.protocol.transport import SocketServer, SocketTransport
+        """A handler still running when the drain budget is spent holds
+        the server's loop, so the drain cannot finish: it must report
+        the abort within the budget plus a second, not wait the handler
+        out and call it clean (``repro serve`` exits nonzero on it)."""
+        from repro.protocol.async_transport import (
+            AsyncSocketServer,
+            AsyncSocketTransport,
+        )
+        from repro.protocol.messages import EndpointsResponse
         from repro.protocol.transport import InProcessTransport
 
+        entered = threading.Event()
         release = threading.Event()
 
         class _StallService:
             def handle(self, request):
+                entered.set()
                 release.wait(5.0)
-                from repro.protocol.messages import EndpointsResponse
-
                 return EndpointsResponse(names=("slow",))
 
         registry = InProcessTransport()
         registry.register("slow", _StallService())
-        server = SocketServer(registry)
-        client = SocketTransport(server.address)
+        server = AsyncSocketServer(registry)
+        client = AsyncSocketTransport(server.address)
+
+        def stuck_call():
+            try:
+                client.call("t", "slow", ServerStatusRequest())
+            except ReproError:
+                pass
+
+        thread = threading.Thread(target=stuck_call)
         try:
-            started = threading.Event()
-
-            def stuck_call():
-                started.set()
-                try:
-                    client.call("t", "slow", ServerStatusRequest())
-                except ReproError:
-                    pass
-
-            thread = threading.Thread(target=stuck_call)
             thread.start()
-            started.wait(2.0)
-            time.sleep(0.1)  # let the frame reach the handler
-            assert server.in_flight >= 1
+            assert entered.wait(2.0)  # the handler holds the loop
+            started = time.monotonic()
             assert server.drain(timeout_s=0.2) is False
+            assert time.monotonic() - started < 1.2
             assert server.drain_aborted is True
         finally:
             release.set()
             client.close()
             server.close()
             thread.join(5.0)
+        assert not thread.is_alive()
 
 
 class TestHedgedReads:

@@ -128,10 +128,11 @@ def test_segmented_whole_pod_dead_and_restarted(seed, tmp_path):
 @pytest.mark.parametrize("seed", SEEDS[:1])
 def test_segmented_over_loopback_tcp(seed, tmp_path):
     """One world through both redesign seams at once: segmented seat
-    stores under a socket transport, with n - k seats dead per pod."""
+    stores under the async-socket transport, with n - k seats dead per
+    pod."""
     world = make_world(seed)
     single, cluster = build_twins(
-        world, seed, **_storage_kwargs(tmp_path, transport="socket")
+        world, seed, **_storage_kwargs(tmp_path, transport="async-socket")
     )
     with cluster:
         rng = random.Random(seed * 31)

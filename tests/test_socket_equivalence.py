@@ -1,15 +1,13 @@
-"""Socket-transport equivalence gate (loopback TCP, both backends).
+"""Socket-transport equivalence gate (loopback TCP).
 
 The standing invariant — the cluster answers byte-identical to the
 paper's single fleet — must hold when every lookup, insert, and
-failover fetch crosses a real TCP socket as length-prefixed protocol
-frames instead of a function call, over *either* wire backend: the
-threaded ``SocketServer`` (classic frames) and the pipelined
-``AsyncSocketServer`` (correlated frames, packed encodings). Same
-seeded worlds as the cluster equivalence suite, same drills: healthy,
-n−k seats dead per pod, a whole pod dead at replication_factor=2, and
-servers killed/restarted between queries mid-run. ``scripts/ci.sh``
-runs this file as its own gate.
+failover fetch crosses a real TCP socket as correlated protocol frames
+(``AsyncSocketServer``, packed encodings) instead of a function call.
+Same seeded worlds as the cluster equivalence suite, same drills:
+healthy, n−k seats dead per pod, a whole pod dead at
+replication_factor=2, and servers killed/restarted between queries
+mid-run. ``scripts/ci.sh`` runs this file as its own gate.
 """
 
 from __future__ import annotations
@@ -24,8 +22,8 @@ from helpers import K, N, build_twins, make_world
 # times, so the socket gate trades corpus count for real-frame coverage.
 SOCKET_SEEDS = (101, 107, 113, 119)
 
-#: Both real-TCP backends must pass the identical drills.
-TRANSPORTS = ("socket", "async-socket")
+#: The real-TCP backend every drill runs over.
+TRANSPORTS = ("async-socket",)
 
 
 @pytest.mark.parametrize("transport", TRANSPORTS)
@@ -117,9 +115,7 @@ def test_socket_writes_survive_pod_death_and_repair(transport):
             )
 
 
-@pytest.mark.parametrize(
-    "transport", ("in-process", "socket", "async-socket")
-)
+@pytest.mark.parametrize("transport", ("in-process", "async-socket"))
 def test_mid_query_server_restarts_keep_answers_identical(transport):
     """Kill and restart servers *between queries* on a live cluster:
     every backend must keep answering byte-identically to the single
