@@ -1,5 +1,6 @@
-"""Shamir hot paths: reconstruction (naive vs cached vs batch columns)
-and splitting (per element vs ``split_many`` columns).
+"""Owner and searcher hot paths: reconstruction (naive vs cached vs
+batch columns), splitting (per element vs ``split_many`` columns) and
+packing (per element vs ``pack_many`` columns).
 
 The read path's arithmetic is Shamir reconstruction. Naive Lagrange
 pays the full basis per element — k modular inversions and the basis
@@ -26,6 +27,13 @@ whole columns. The split arm times both from equally seeded rngs,
 asserts share-for-share equality, and gates ``split_many`` at
 ``GATE_SPLIT_MANY_OVER_SPLIT`` times the per-element elements/s.
 
+Before the split the owner packs each ``(doc_id, term_id, tf)`` into one
+secret. The pack arm times ``pack(PostingElement(...))`` per element
+against one ``pack_many`` call per document over the same
+``PACK_DOCUMENTS`` documents of ``PACK_TERMS`` terms, asserts
+value-for-value equality, and gates ``pack_many`` at
+``GATE_PACK_MANY_OVER_PACK`` times the per-element elements/s.
+
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_hotpath_reconstruct.py``
 """
 
@@ -36,6 +44,7 @@ import random
 import time
 
 from benchmarks.conftest import RESULTS_DIR, emit
+from repro.core.posting import PostingElement, PostingElementCodec
 from repro.secretsharing.field import DEFAULT_PRIME, PrimeField
 from repro.secretsharing.shamir import ShamirScheme, reconstruct_secret
 
@@ -54,6 +63,12 @@ GATE_CACHED_OVER_NAIVE = 1.25
 GATE_BATCH_OVER_CACHED = 3.0
 #: Column splitting must beat per-element splitting (measured 3-4x).
 GATE_SPLIT_MANY_OVER_SPLIT = 2.0
+#: Column packing must beat per-element packing (measured ~10x; ``pack``
+#: is itself a one-element ``pack_many``).
+GATE_PACK_MANY_OVER_PACK = 1.5
+#: The pack arm's corpus: documents of a typical benchmark length.
+PACK_DOCUMENTS = 100
+PACK_TERMS = 49
 #: ``reconstruct_batch`` at k=2 when it was a per-element loop over a
 #: mapping of Share lists (PR 3's recorded figure); ROADMAP's "Columnar
 #: share path" asked for 5x this.
@@ -72,10 +87,11 @@ def _share_columns(k: int, n: int, seed: int):
     return scheme, secrets_, rows, xs, y_columns
 
 
-def _best_of(fn, scheme):
+def _best_of(fn, scheme=None):
     best, out = float("inf"), None
     for _ in range(REPEATS):
-        scheme._weight_memo.clear()  # cold memo: pay the basis once
+        if scheme is not None:
+            scheme._weight_memo.clear()  # cold memo: pay the basis once
         start = time.perf_counter()
         out = fn()
         best = min(best, time.perf_counter() - start)
@@ -128,6 +144,63 @@ def _split_arm() -> tuple[list[dict], list[str]]:
             f"per-element split at k={k} n={n}: split={per_element:.4f}s "
             f"split_many={column_form:.4f}s"
         )
+    return rows_out, lines
+
+
+def _pack_arm() -> tuple[list[dict], list[str]]:
+    """Per-element ``pack(PostingElement(...))`` vs ``pack_many``."""
+    codec = PostingElementCodec()
+    draw = random.Random(11)
+    max_term_id = codec.spec.max_term_id
+    documents = [
+        (
+            doc_id,
+            [draw.randrange(max_term_id) for _ in range(PACK_TERMS)],
+            [draw.randint(1, 9) / 40 for _ in range(PACK_TERMS)],
+        )
+        for doc_id in range(PACK_DOCUMENTS)
+    ]
+    elements = PACK_DOCUMENTS * PACK_TERMS
+
+    def pack_each():
+        return [
+            [
+                codec.pack(PostingElement(doc_id, term_id, tf))
+                for term_id, tf in zip(term_ids, tfs)
+            ]
+            for doc_id, term_ids, tfs in documents
+        ]
+
+    def pack_columns():
+        return [codec.pack_many(*document) for document in documents]
+
+    per_element, packed = _best_of(pack_each)
+    column_form, columns = _best_of(pack_columns)
+    assert columns == packed, "pack_many diverged from per-element pack"
+    rows_out, lines = [], [
+        f"pack hot path: per-element pack vs pack_many columns "
+        f"({PACK_DOCUMENTS} documents x {PACK_TERMS} terms, best of "
+        f"{REPEATS})",
+    ]
+    for path, seconds in (("pack", per_element), ("pack_many", column_form)):
+        rows_out.append(
+            {
+                "path": path,
+                "documents": PACK_DOCUMENTS,
+                "terms_per_document": PACK_TERMS,
+                "seconds": round(seconds, 6),
+                "elements_per_sec": round(elements / seconds, 1),
+                "speedup_vs_pack": round(per_element / seconds, 2),
+            }
+        )
+        lines.append(
+            f"{path:9s}: {elements / seconds:12.0f} elem/s  "
+            f"({per_element / seconds:5.2f}x pack)"
+        )
+    assert per_element >= column_form * GATE_PACK_MANY_OVER_PACK, (
+        f"pack_many under {GATE_PACK_MANY_OVER_PACK}x the per-element "
+        f"pack: pack={per_element:.4f}s pack_many={column_form:.4f}s"
+    )
     return rows_out, lines
 
 
@@ -208,16 +281,18 @@ def test_hotpath_reconstruct_paths(benchmark):
         iterations=1,
     )
     split_rows, split_lines = _split_arm()
-    emit("hotpath_reconstruct", lines + split_lines)
+    pack_rows, pack_lines = _pack_arm()
+    emit("hotpath_reconstruct", lines + split_lines + pack_lines)
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_hotpath.json").write_text(
         json.dumps(
             {
-                "schema": "zerber.bench_hotpath.v3",
+                "schema": "zerber.bench_hotpath.v4",
                 "gates": {
                     "cached_over_naive": GATE_CACHED_OVER_NAIVE,
                     "batch_over_cached": GATE_BATCH_OVER_CACHED,
                     "split_many_over_split": GATE_SPLIT_MANY_OVER_SPLIT,
+                    "pack_many_over_pack": GATE_PACK_MANY_OVER_PACK,
                 },
                 "batch_k2_over_mapping_form": {
                     "mapping_form_elements_per_sec": (
@@ -227,6 +302,7 @@ def test_hotpath_reconstruct_paths(benchmark):
                 },
                 "rows": rows_out,
                 "split_rows": split_rows,
+                "pack_rows": pack_rows,
             },
             indent=2,
         )

@@ -21,8 +21,10 @@
 #   measurably faster than naive Lagrange, column reconstruction
 #   (reconstruct_batch) >= 3x the per-element cached path, and column
 #   splitting (split_many) >= 2x per-element split with share-for-share
-#   equal output at the same seed (ratio gates, no absolute numbers, so
-#   they cannot flake on slow machines);
+#   equal output at the same seed, and column packing (pack_many) >=
+#   1.5x per-element pack(PostingElement(...)) with value-for-value
+#   equal secrets (ratio gates, no absolute numbers, so they cannot
+#   flake on slow machines);
 # - the benchmark-of-record self-tests (benchmarks/e2e, ~10 s): its
 #   tracer resolves the read path's methods by name, so a rename must
 #   fail here, not in the benchmark pipeline;

@@ -13,11 +13,9 @@ element. A batching policy (§5.4.1) decides when the accumulated,
 batch of four aligned columns per seat, never an object per element per
 seat.
 
-The owner also keeps two local structures §7.2 calls for: a local inverted
-index over its shared documents ("also useful for local search") and the
-shadow map ``doc_id -> (pl_ids, element_ids)`` that makes per-element
-deletion possible — the servers cannot group elements by document, but the
-owner can.
+The owner also keeps the shadow map ``doc_id -> (pl_ids, element_ids)``
+that makes per-element deletion possible (§7.2) — the servers cannot group
+elements by document, but the owner can.
 """
 
 from __future__ import annotations
@@ -32,10 +30,9 @@ from typing import Iterable, Sequence
 from repro.client.batching import BatchPolicy, UpdateBatcher
 from repro.core.dictionary import TermDictionary
 from repro.core.mapping_table import MappingTable
-from repro.core.posting import PostingElement, PostingElementCodec, new_element_id
+from repro.core.posting import PostingElementCodec, new_element_id
 from repro.corpus.document import Document
 from repro.errors import ReproError
-from repro.invindex.inverted_index import InvertedIndex
 from repro.protocol.messages import (
     AdoptListRequest,
     DeleteBatchRequest,
@@ -221,8 +218,6 @@ class DocumentOwner:
         #: delivery order, kept until :meth:`reprovision_dropped_writes`
         #: can replay them onto the restarted seat.
         self._undelivered: dict[str, list[tuple[str, object]]] = {}
-        #: the §7.2 local index over this owner's shared documents.
-        self.local_index = InvertedIndex()
         self._documents: dict[int, Document] = {}
         #: Lifetime totals of :meth:`share_document` calls and of the
         #: element counts they returned (the index metrics' source).
@@ -234,16 +229,16 @@ class DocumentOwner:
     def share_document(self, document: Document) -> int:
         """Share (or re-share) a document; returns its element count.
 
-        Re-sharing an already-shared doc_id first withdraws the old
-        elements, so "only the most recent copy of the document on a site
-        will ever be retrieved".
+        Re-sharing an already-shared doc_id withdraws the old elements
+        once the new ones are built, so "only the most recent copy of the
+        document on a site will ever be retrieved" — and a new version
+        that fails to pack leaves the old one served.
         """
+        rows = self._build_rows(document)
         if document.doc_id in self._shadow:
             self.delete_document(document.doc_id)
-        rows = self._build_rows(document)
         self._shadow[document.doc_id] = tuple(zip(*rows))[:2]
         self._documents[document.doc_id] = document
-        self.local_index.index_document(document)
         self.documents_shared += 1
         self.elements_shared += len(rows)
         self._batcher.enqueue_document(rows)
@@ -251,17 +246,16 @@ class DocumentOwner:
 
     def _build_rows(self, document: Document) -> list[_Row]:
         """One document's elements, built a column at a time: pack the
-        sorted terms, split all secrets at once (every coefficient is
-        drawn before the first element ID), look the lists up, mint the
-        IDs, and zip the columns into the batcher's rows."""
-        doc_id, length = document.doc_id, document.length
-        term_id_of = self._dictionary.get_or_assign
-        pack = self._codec.pack
+        sorted terms' id and tf columns, split all secrets at once (every
+        coefficient is drawn before the first element ID), look the lists
+        up, mint the IDs, and zip the columns into the batcher's rows."""
+        term_id_of, length = self._dictionary.get_or_assign, document.length
         counts = sorted(document.term_counts.items())
-        secrets_ = [
-            pack(PostingElement(doc_id, term_id_of(term), count / length))
-            for term, count in counts
-        ]
+        secrets_ = self._codec.pack_many(
+            document.doc_id,
+            [term_id_of(term) for term, _count in counts],
+            [count / length for _term, count in counts],
+        )
         share_columns = self._scheme.split_many(secrets_, rng=self._rng)
         pl_ids = [self._mapping.lookup(term) for term, _count in counts]
         id_bits = self._codec.spec.element_id_bits
@@ -409,7 +403,6 @@ class DocumentOwner:
             for server_id, server_ops in ops_by_server.items():
                 self._deliver(DeleteBatchRequest, server_id, tuple(server_ops))
             self._router.complete_write(*routes)
-        self.local_index.delete_document(doc_id)
         self._documents.pop(doc_id, None)
         return len(operations)
 

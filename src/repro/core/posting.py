@@ -18,7 +18,9 @@ from __future__ import annotations
 import random
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable
+from itertools import repeat
+from operator import lt
+from typing import Iterable, Sequence
 
 from repro.errors import PackingError
 
@@ -133,24 +135,46 @@ class PostingElementCodec:
         self._secret_limit = 1 << spec.secret_bits
 
     def pack(self, element: PostingElement) -> int:
-        """Encode ``element`` as an integer < 2**secret_bits.
+        """Encode ``element`` as an integer < 2**secret_bits."""
+        return self.pack_many(
+            element.doc_id, [element.term_id], [element.tf]
+        )[0]
+
+    def pack_many(
+        self, doc_id: int, term_ids: Sequence[int], tfs: Sequence[float]
+    ) -> list[int]:
+        """Encode one document's aligned ``term_id`` / ``tf`` columns.
+
+        Every value is checked before anything is packed — the checks
+        :class:`PostingElement` makes, then the field widths — and a tf
+        is quantized to ``round(tf * tf_scale)``, floored at one quantum.
 
         Raises:
-            PackingError: if an ID exceeds its configured field width.
+            PackingError: on a negative id, a tf outside (0, 1] (NaN
+                included), or an id wider than its configured field.
         """
-        if element.doc_id > self._max_doc_id:
+        if doc_id < 0 or min(term_ids, default=0) < 0:
+            raise PackingError("doc_id and term_id must be non-negative")
+        # 0 < tf rejects NaN too, so max() then compares numbers only.
+        if not all(map(lt, repeat(0.0), tfs)) or max(tfs, default=1) > 1:
+            bad = next(tf for tf in tfs if not 0.0 < tf <= 1.0)
+            raise PackingError(f"tf {bad} outside (0, 1]")
+        if doc_id > self._max_doc_id:
             raise PackingError(
-                f"doc_id {element.doc_id} exceeds "
-                f"{self.spec.doc_id_bits}-bit field"
+                f"doc_id {doc_id} exceeds {self.spec.doc_id_bits}-bit field"
             )
-        if element.term_id > self._max_term_id:
+        if max(term_ids, default=0) > self._max_term_id:
+            bad = next(t for t in term_ids if t > self._max_term_id)
             raise PackingError(
-                f"term_id {element.term_id} exceeds {self._term_bits}-bit field"
+                f"term_id {bad} exceeds {self._term_bits}-bit field"
             )
-        tf_scale = self._tf_scale
-        quantized_tf = min(max(round(element.tf * tf_scale), 1), tf_scale)
-        packed = (element.doc_id << self._term_bits) | element.term_id
-        return (packed << self._tf_bits) | quantized_tf
+        # tf <= 1 caps round(tf * tf_scale) at tf_scale; floor it at 1.
+        tf_scale, tf_bits = self._tf_scale, self._tf_bits
+        doc_bits = doc_id << self._term_bits
+        return [
+            ((doc_bits | term_id) << tf_bits) | (round(tf * tf_scale) or 1)
+            for term_id, tf in zip(term_ids, tfs, strict=True)
+        ]
 
     def unpack(self, secret: int) -> PostingElement:
         """Decode a packed secret back into its three fields.

@@ -2,10 +2,7 @@
 
 This is the structure every §7 comparison is made against: term -> posting
 list, supporting insertion/deletion of whole documents and conjunctive /
-disjunctive keyword lookup. It also serves as each document owner's local
-index ("Each document server maintains an inverted index (also useful for
-local search) of its local shared documents, to support efficient updates",
-§7.2).
+disjunctive keyword lookup.
 """
 
 from __future__ import annotations

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.client.batching import BatchPolicy
+from repro.core.posting import PackingSpec, PostingElement
 from repro.corpus.document import Document
-from repro.errors import ReproError
+from repro.errors import PackingError, ReproError
+from repro.invindex.postings import Posting
 
 from tests.helpers import deploy_corpus, owner_of_group
 from repro.core.zerber_index import ZerberDeployment
@@ -73,17 +77,50 @@ class TestSharing:
         assert owner.elements_of(1) == []
         assert deployment.servers[0].num_elements == 1
 
-    def test_local_index_updated(self, deployment):
+    def test_shared_document_is_served(self, deployment):
         owner = deployment.owner("alice", BatchPolicy(min_documents=1))
         owner.share_document(make_doc(1, {"alpha": 2}))
-        assert owner.local_index.document_frequency("alpha") == 1
+        assert len(owner.elements_of(1)) == 1
+        assert all(s.num_elements == 1 for s in deployment.servers)
+        assert owner.document(1).term_counts == {"alpha": 2}
 
     def test_reshare_replaces_old_elements(self, deployment):
         owner = deployment.owner("alice", BatchPolicy(min_documents=1))
         owner.share_document(make_doc(1, {"old": 1}))
-        owner.share_document(make_doc(1, {"new": 1}))
-        assert deployment.servers[0].num_elements == 1
-        assert owner.local_index.document_frequency("old") == 0
+        old_entries = owner.elements_of(1)
+        owner.share_document(make_doc(1, {"new": 1, "newer": 1}))
+        assert deployment.servers[0].num_elements == 2
+        new_entries = owner.elements_of(1)
+        assert len(new_entries) == 2
+        assert not set(old_entries) & set(new_entries)
+
+    def test_failed_reshare_keeps_old_version_served(self):
+        """A re-share that cannot pack raises before the old version is
+        withdrawn: the old elements stay on every server and in the
+        owner's shadow map."""
+        dep = ZerberDeployment(
+            mapping_table=MappingTable({}, num_lists=16),
+            k=2,
+            n=3,
+            use_network=False,
+            seed=1,
+            packing=PackingSpec(term_id_bits=4),
+            batch_policy=BatchPolicy(min_documents=1),
+        )
+        dep.create_group(0, coordinator="alice")
+        dep.share_document("alice", make_doc(1, {"t1": 1}))
+        owner = dep.owner("alice")
+        served = [hit.doc_id for hit in dep.search("alice", ["t1"])]
+        assert served == [1]
+        entries = owner.elements_of(1)
+        wide = make_doc(1, {f"w{i}": 1 for i in range(20)})
+        with pytest.raises(PackingError, match="term_id 16 exceeds"):
+            dep.share_document("alice", wide)
+        assert [hit.doc_id for hit in dep.search("alice", ["t1"])] == [1]
+        assert all(s.num_elements == 1 for s in dep.servers)
+        assert owner.shared_documents == [1]
+        assert owner.elements_of(1) == entries
+        assert owner.document(1).term_counts == {"t1": 1}
 
     def test_batching_defers_until_flush(self, deployment):
         owner = deployment.owner("alice", BatchPolicy(min_documents=10))
@@ -101,6 +138,34 @@ class TestSharing:
         assert not owner.tick(1)
         assert owner.tick(1)
         assert deployment.servers[0].num_elements == 1
+
+
+class TestRetainedObjects:
+    def test_ingest_keeps_no_object_per_element(self, deployment):
+        """Sharing and flushing documents leaves no PostingElement and no
+        plaintext index Posting alive: what an ingest retains is id and
+        share columns, never an object per element."""
+        gc.collect()
+        before = {
+            id(obj)
+            for obj in gc.get_objects()
+            if isinstance(obj, (PostingElement, Posting))
+        }
+        owner = deployment.owner("alice", BatchPolicy(min_documents=8))
+        for doc_id in range(50):
+            owner.share_document(
+                make_doc(doc_id, {f"t{doc_id % 7}": 2, f"u{doc_id}": 1})
+            )
+        owner.flush_updates()
+        assert deployment.servers[0].num_elements == 100
+        gc.collect()
+        retained = [
+            obj
+            for obj in gc.get_objects()
+            if isinstance(obj, (PostingElement, Posting))
+            and id(obj) not in before
+        ]
+        assert retained == []
 
 
 class TestDeletion:

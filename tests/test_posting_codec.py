@@ -149,6 +149,88 @@ def test_property_pack_unpack_roundtrip(doc_id, term_id, tf_quanta):
     assert decoded.tf == pytest.approx(tf, abs=1e-12)
 
 
+def _outside(maximum: int):
+    """An id below 0 or above ``maximum``."""
+    return st.one_of(
+        st.integers(max_value=-1), st.integers(min_value=maximum + 1)
+    )
+
+
+@st.composite
+def _document_columns(draw, valid: bool):
+    """A PackingSpec and one document's (doc_id, term_ids, tfs) columns;
+    with ``valid=False`` exactly one value is out of range."""
+    spec = PackingSpec(
+        doc_id_bits=draw(st.integers(1, 40)),
+        term_id_bits=draw(st.integers(1, 30)),
+        tf_bits=draw(st.integers(1, 16)),
+    )
+    size = draw(st.integers(0 if valid else 1, 30))
+    doc_id = draw(st.integers(0, spec.max_doc_id))
+    term_ids = draw(
+        st.lists(
+            st.integers(0, spec.max_term_id), min_size=size, max_size=size
+        )
+    )
+    tfs = draw(
+        st.lists(
+            st.floats(0.0, 1.0, exclude_min=True),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    if not valid:
+        at = draw(st.integers(0, size - 1))
+        field = draw(st.sampled_from(["doc_id", "term_id", "tf"]))
+        if field == "doc_id":
+            doc_id = draw(_outside(spec.max_doc_id))
+        elif field == "term_id":
+            term_ids[at] = draw(_outside(spec.max_term_id))
+        else:
+            tfs[at] = draw(
+                st.one_of(
+                    st.just(float("nan")),
+                    st.floats(max_value=0.0, allow_nan=False),
+                    st.floats(1.0, exclude_min=True, allow_nan=False),
+                )
+            )
+    return spec, doc_id, term_ids, tfs
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=_document_columns(valid=True))
+def test_property_pack_many_equals_per_element_pack(columns):
+    """pack_many is pack over each element, value for value, at any
+    width — and both are the per-element layout written out here."""
+    spec, doc_id, term_ids, tfs = columns
+    codec = PostingElementCodec(spec)
+    scale = spec.tf_scale
+    reference = [
+        (((doc_id << spec.term_id_bits) | term_id) << spec.tf_bits)
+        | min(max(round(tf * scale), 1), scale)
+        for term_id, tf in zip(term_ids, tfs)
+    ]
+    assert codec.pack_many(doc_id, term_ids, tfs) == reference
+    assert [
+        codec.pack(PostingElement(doc_id, term_id, tf))
+        for term_id, tf in zip(term_ids, tfs)
+    ] == reference
+
+
+@settings(max_examples=200, deadline=None)
+@given(columns=_document_columns(valid=False))
+def test_property_pack_many_rejects_what_pack_rejects(columns):
+    """One out-of-range doc id, term id or tf (NaN included) is a
+    PackingError from both pack_many and the per-element path."""
+    spec, doc_id, term_ids, tfs = columns
+    codec = PostingElementCodec(spec)
+    with pytest.raises(PackingError):
+        codec.pack_many(doc_id, term_ids, tfs)
+    with pytest.raises(PackingError):
+        for term_id, tf in zip(term_ids, tfs):
+            codec.pack(PostingElement(doc_id, term_id, tf))
+
+
 class TestElementIds:
     def test_respects_bit_width(self):
         rng = random.Random(0)
