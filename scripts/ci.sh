@@ -36,7 +36,10 @@
 #   segment suffix, whole-pod kills at R=2, one world over TCP;
 # - the async transport suite covers the pipelined multiplexing stack:
 #   correlated frames, retry/close semantics, drain, hang-ups on
-#   unframeable and silent peers, and the pinned wire bytes;
+#   unframeable and silent peers, the pinned wire bytes, call_many's
+#   batch contract and the one-write fetch round (a healthy two-pod
+#   query sends its seat lookups in exactly one _send_frame, and the
+#   server's frame counter grows by exactly its lookup messages);
 # - the anti-entropy drill suite runs in full, including the
 #   drill-marked over-the-wire variant that tier-1 deselects: dropped
 #   writes must heal via sweep alone (no owner), over both transports,

@@ -35,6 +35,7 @@ Five entry points for kicking Zerber's tires without writing code:
 from __future__ import annotations
 
 import argparse
+import sys
 from typing import Sequence
 
 
@@ -751,6 +752,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         print(f"  pods: {', '.join(pod.name for pod in cluster.pods)}")
         print(f"  connect with: AsyncSocketTransport(('{host}', {port}))")
+        print(
+            "warning: demo only, outside the r-confidentiality trust model:"
+            f" this one process holds all n={args.n} shares of every element",
+            file=sys.stderr,
+        )
         # Graceful shutdown: SIGTERM (the supervisor's stop signal) and
         # SIGINT both request a drain — stop accepting, let in-flight
         # requests finish, then exit. A drain that can't finish inside

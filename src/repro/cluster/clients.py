@@ -32,16 +32,16 @@ routing:
   costs zero messages and zero bytes. Cache keys are pod-agnostic —
   ``(user, group fingerprint, width, pl_id)`` — so an entry fetched
   from one replica serves reads even after that pod dies;
-- **parallel fan-out**: each failover round assigns disjoint list sets
-  to its pods, so the per-pod fetches run concurrently on a shared
-  :class:`~repro.server.transport.ConcurrentDispatcher` and fold back
-  in deterministic pod order — byte-identical *results* versus the
-  sequential path (``parallel_fanout=False``) always; diagnostics
-  counts are identical too whenever replica choice cannot diverge
-  (``replication_factor=1``, or tied EWMA buckets). At R >= 2 the
-  latency-aware ranking is deliberately wall-clock-sensitive, so the
-  two modes may route the same query to different (equally correct)
-  replicas.
+- **pipelined fetch rounds**: each failover round assigns disjoint
+  list sets to its pods, and every pod's first-choice seat lookups
+  leave in one :meth:`~repro.protocol.transport.Transport.call_many`
+  — one write on the socket, so the round costs one wait instead of a
+  round trip per seat — and the ladder then consumes the answers in
+  deterministic pod order on the query thread. The requests, their
+  bytes and every diagnostics count are those of one call per seat;
+  only their timing overlaps. Each pod is timed from its first request
+  leaving to its last answer arriving, so the replica ranking never
+  charges one pod's stall to another.
 """
 
 from __future__ import annotations
@@ -89,9 +89,9 @@ from repro.server.auth import AuthToken
 from repro.server.index_server import PostingListResponse
 from repro.server.transport import ConcurrentDispatcher, SimulatedNetwork
 
-#: Shared worker pool for the parallel pod fan-out. Module-level so the
-#: threads are reused across every client (and every test) instead of
-#: being churned per searcher; single-pod rounds never touch it.
+#: Shared worker pool for hedged legs. Module-level so the threads are
+#: reused across every client (and every test) instead of being churned
+#: per searcher; unhedged reads never touch it.
 _FANOUT_DISPATCHER = ConcurrentDispatcher(max_workers=8)
 
 
@@ -122,7 +122,6 @@ class ClusterDiagnostics:
     failovers: int = 0
     escalations: int = 0
     pod_failovers: int = 0
-    parallel_rounds: int = 0
     hedged_fetches: int = 0
     hedge_wins: int = 0
     l1_hits: int = 0
@@ -131,14 +130,10 @@ class ClusterDiagnostics:
 
 @dataclass
 class _PodFetchOutcome:
-    """One pod's leg of a fan-out round, tallied thread-locally.
-
-    The parallel fan-out runs one :meth:`ClusterSearchClient
-    ._fetch_from_pod` per assigned pod concurrently; each leg records
-    its accounting here instead of mutating shared diagnostics, and the
-    query thread folds the outcomes back in deterministic pod order
-    once the round completes.
-    """
+    """One pod's leg of a fetch round, tallied apart (hedged legs race
+    on pool threads) and folded in pod order once the round completes.
+    ``latency_s`` is how long its lookups were in flight, on the
+    coordinator clock."""
 
     contacted: bool = False
     failovers: int = 0
@@ -164,7 +159,6 @@ class ClusterSearchClient(SearchClient):
         verify_consistency: bool = False,
         use_cache: bool = True,
         batch_lookups: bool = True,
-        parallel_fanout: bool = True,
         transport: Transport | None = None,
         dispatcher: ConcurrentDispatcher | None = None,
         hedge_reads: bool = False,
@@ -185,24 +179,16 @@ class ClusterSearchClient(SearchClient):
         verify_consistency: cross-check reconstructions when more than k
             shares arrive (see :class:`SearchClient`).
         use_cache: front lookups with the coordinator's share cache.
-        batch_lookups: one lookup message per server per query (True,
-            the default) vs one message per posting list per server
+        batch_lookups: one lookup message per server per query, each
+            round's first-choice lookups pipelined (True, the default),
+            vs one message per posting list per server, one at a time
             (False — the naive fan-out, kept for benches).
-        parallel_fanout: fetch from the pods assigned in one failover
-            round concurrently (True, the default) instead of one pod
-            at a time. Results are byte-identical either way (outcomes
-            merge in deterministic pod order); diagnostics counts
-            match as well unless the latency-aware replica ranking —
-            wall-clock-fed, hence timing-sensitive at
-            ``replication_factor >= 2`` — routes the modes to
-            different replicas. False exists for A/B tests and
-            debugging.
         transport: where lookup messages go; defaults to the
             coordinator's transport (deployments pass their own — the
             in-process registry or a socket client).
-        dispatcher: worker pool for the parallel fan-out; deployments
-            pass their own so ``close()`` can reap the threads. Falls
-            back to a module-shared pool.
+        dispatcher: worker pool for hedged legs; deployments pass
+            their own so ``close()`` can reap the threads. Falls back
+            to a module-shared pool.
         hedge_reads: race a delayed backup replica leg against a slow
             primary leg (first answer wins, the loser's result is
             discarded). Opt-in: replicas hold byte-identical slot
@@ -241,7 +227,6 @@ class ClusterSearchClient(SearchClient):
         self._coordinator = coordinator
         self._use_cache = use_cache
         self._batch_lookups = batch_lookups
-        self._parallel_fanout = parallel_fanout
         self._dispatcher = dispatcher or _FANOUT_DISPATCHER
         self._hedge_reads = hedge_reads
         self._hedge_delay_s = hedge_delay_s
@@ -533,11 +518,11 @@ class ClusterSearchClient(SearchClient):
 
         Each round assigns every still-unfinished list to its next
         untried replica pod (preference order from
-        :meth:`ClusterCoordinator.read_replicas`), fetches — from all
-        assigned pods *concurrently* when more than one pod is involved
-        (the pods' list sets are disjoint within a round, so their
-        merges touch disjoint state) — and merges slot-deduplicated
-        responses in deterministic pod order. A list is finished when
+        :meth:`ClusterCoordinator.read_replicas`), fetches from all
+        assigned pods in one pipelined batch (:meth:`_fetch_round`; the
+        pods' list sets are disjoint within a round, so their merges
+        touch disjoint state) and merges slot-deduplicated responses in
+        deterministic pod order. A list is finished when
         >= k slots answered for it and no element is short of k shares;
         it degrades loudly only when the whole replica chain is
         exhausted below k answered slots.
@@ -553,14 +538,14 @@ class ClusterSearchClient(SearchClient):
         }
         tried: dict[int, set[str]] = {pl_id: set() for pl_id in need}
         contacted: set[str] = set()
-        # Sampled once: worker threads re-apply it explicitly (the
-        # scope is thread-local), and every failover round checks it —
-        # a degraded query walks the replica chain only as far as its
-        # caller's remaining budget allows, never past it.
+        # Sampled once: hedged legs re-apply it on their pool threads
+        # (the scope is thread-local), and every failover round checks
+        # it — a degraded query walks the replica chain only as far as
+        # its caller's remaining budget allows, never past it.
         deadline = current_deadline()
-        # The ambient trace is thread-local for the same reason; legs
-        # dispatched to the pool re-apply it so their spans (and the
-        # TRACE-flagged frames they send) stay on the query's trace.
+        # The ambient trace is thread-local for the same reason; hedged
+        # legs re-apply it so their spans (and the TRACE-flagged frames
+        # they send) stay on the query's trace.
         trace = current_trace()
         pending = list(need)
         while pending:
@@ -587,7 +572,7 @@ class ClusterSearchClient(SearchClient):
             # One job per assigned pod. The jobs are independent: each
             # list belongs to exactly one pod this round, so the merges
             # mutate disjoint per-list state, and every job tallies its
-            # accounting thread-locally in a _PodFetchOutcome.
+            # accounting apart in a _PodFetchOutcome.
             jobs = [
                 (pod, assignment[pod])
                 for pod in sorted(assignment, key=lambda p: p.index)
@@ -615,30 +600,8 @@ class ClusterSearchClient(SearchClient):
                     )
                 ]
                 continue
-            if self._parallel_fanout and len(jobs) > 1:
-                diag.parallel_rounds += 1
-                outcomes = self._dispatcher.map_ordered(
-                    [
-                        (
-                            lambda p=pod, ls=lists: self._pod_leg(
-                                deadline,
-                                trace,
-                                p,
-                                ls,
-                                num_servers,
-                                merged,
-                            )
-                        )
-                        for pod, lists in jobs
-                    ]
-                )
-            else:
-                outcomes = [
-                    self._fetch_from_pod(pod, lists, num_servers, merged)
-                    for pod, lists in jobs
-                ]
-            # Deterministic merge: outcomes fold in pod-index order no
-            # matter which thread finished first.
+            outcomes = self._fetch_round(jobs, num_servers, merged)
+            # Deterministic merge: outcomes fold in pod-index order.
             for (pod, lists), outcome in zip(jobs, outcomes):
                 diag.failovers += outcome.failovers
                 diag.escalations += outcome.escalations
@@ -733,25 +696,6 @@ class ClusterSearchClient(SearchClient):
                 existing.pl_id, *map(list, zip(*rows))
             )
 
-    def _pod_leg(
-        self,
-        deadline: Deadline | None,
-        trace: TraceContext | None,
-        pod: Pod,
-        need: Sequence[int],
-        num_servers: int,
-        merged: dict[int, dict[int, PostingListResponse]],
-    ) -> _PodFetchOutcome:
-        """A :meth:`_fetch_from_pod` on a worker thread.
-
-        The ambient deadline and trace are thread-local, so the fan-out
-        worker re-applies the query thread's scopes before fetching —
-        without this, a leg dispatched to the pool would be unbounded
-        (and its spans orphaned off the query's trace).
-        """
-        with deadline_scope(deadline=deadline), trace_scope(trace=trace):
-            return self._fetch_from_pod(pod, need, num_servers, merged)
-
     def _hedge_backup(
         self,
         pod: Pod,
@@ -812,8 +756,8 @@ class ClusterSearchClient(SearchClient):
                 pl_id: {} for pl_id in lists
             }
             with deadline_scope(deadline=deadline), trace_scope(trace=trace):
-                outcome = self._fetch_from_pod(
-                    target, lists, num_servers, local_merged
+                (outcome,) = self._fetch_round(
+                    [(target, lists)], num_servers, local_merged
                 )
             return target, outcome, local_merged
 
@@ -907,113 +851,152 @@ class ClusterSearchClient(SearchClient):
         elif error is not None:
             raise error
 
-    def _fetch_from_pod(
+    def _fetch_round(
         self,
-        pod: Pod,
-        need: Sequence[int],
+        jobs: list[tuple[Pod, list[int]]],
         num_servers: int,
         merged: dict[int, dict[int, PostingListResponse]],
-    ) -> _PodFetchOutcome:
-        """One pod's leg of the ladder: slot failover, then escalation.
+    ) -> list[_PodFetchOutcome]:
+        """One round of the ladder over ``(pod, lists)`` jobs, pod order.
 
-        Seats the staleness ledger marks incomplete for a list are never
-        asked for that list — a stale seat's answer is wrong in ways no
-        shortfall signal can catch (it omits inserts it slept through
-        and still holds shares of deletes it missed). Mutates ``merged``
-        with slot-deduplicated responses (safe under the parallel
-        fan-out: each list is assigned to exactly one pod per round, so
-        concurrent legs touch disjoint per-list dicts) and tallies all
-        accounting into the returned :class:`_PodFetchOutcome`. Never
-        raises on a degraded pod — the caller decides whether further
-        replicas can cover.
+        The one place a read meets the staleness ledger: a seat marked
+        incomplete for a list is never asked for it (a stale seat's
+        answer is wrong in ways no shortfall signal catches). With
+        batched lookups every pod's first choice — its first ``want``
+        seats with a trusted request — leaves in one ``call_many``; each
+        ladder then walks its seats in slot order, asking a failed
+        seat's replacement and escalations one call at a time. A pod is
+        timed on the coordinator clock from its first request leaving to
+        its last answer arriving. Never raises on a degraded pod.
         """
         k = self._scheme.k
         coordinator = self._coordinator
-        outcome = _PodFetchOutcome()
-        # The coordinator's injected clock times the leg: breakers,
-        # hedge-delay p95s, and this latency sample must share one
-        # source or a fake clock in tests would move them apart. Span
-        # timing stays on perf_counter — spans compare against other
-        # spans, not against the EWMA.
-        started = coordinator.clock()
+        # The injected clock times pods: breakers, hedge p95s and the
+        # EWMA share one source, so a fake clock moves them together.
+        clock = coordinator.clock
+        plans = []
+        for pod, ids in jobs:
+            stale = {p: coordinator.incomplete_seats(pod.name, p) for p in ids}
+            plans.append(
+                [
+                    (slot, [p for p in ids if slot.server_id not in stale[p]])
+                    for slot in pod.slots
+                ]
+            )
+        wants = [max(k, min(num_servers, len(pod.slots))) for pod, _ in jobs]
+        batch = [
+            (job, slot, request)
+            for job, plan in enumerate(plans)
+            for slot, request in [s for s in plan if s[1]][: wants[job]]
+        ] if self._batch_lookups else []
+        outcomes = [_PodFetchOutcome() for _ in jobs]
+        sent: dict[int, float] = {}
+
+        def on_sent(index: int) -> None:
+            sent.setdefault(batch[index][0], clock())
+
+        def on_done(index: int) -> None:
+            job = batch[index][0]
+            outcomes[job].latency_s = clock() - sent[job]
+
         span_start = time.perf_counter()
-        untrusted = {
-            pl_id: coordinator.incomplete_seats(pod.name, pl_id)
-            for pl_id in need
+        replies = self._transport.call_many(
+            self.user_id,
+            [
+                (slot.server_id, FetchListsRequest(self._token, tuple(ids)))
+                for _job, slot, ids in batch
+            ],
+            on_sent=on_sent,
+            on_done=on_done,
+        ) if batch else []
+        answers = {
+            (job, slot.slot_index): reply
+            for (job, slot, _request), reply in zip(batch, replies)
         }
-        want = max(k, min(num_servers, len(pod.slots)))
-        successes = 0
-        shortfall: set[int] = set()
-        for slot in pod.slots:
-            if successes >= want:
-                if not shortfall:
+        for job, (pod, lists) in enumerate(jobs):
+            outcome = outcomes[job]
+            successes = 0
+            shortfall: set[int] = set()
+            for slot, trusted in plans[job]:
+                escalating = successes >= wants[job]
+                if escalating and not shortfall:
                     break
-                base: list[int] = sorted(shortfall)
-                escalating = True
-            else:
-                base = list(need)
-                escalating = False
-            request = [
-                pl_id
-                for pl_id in base
-                if slot.server_id not in untrusted[pl_id]
-            ]
-            if not request:
-                continue  # nothing trustworthy to ask this seat for
-            try:
-                responses = self._lookup_slot(slot, request, outcome)
-            except TransportError:
-                outcome.failovers += 1
-                continue
-            outcome.contacted = True
-            if escalating:
-                outcome.escalations += 1
-            else:
-                successes += 1
-            for response in responses:
-                self._merge_response(
-                    merged[response.pl_id], slot.slot_index, response
+                request = trusted if not escalating else sorted(
+                    p for p in trusted if p in shortfall
                 )
-            if successes >= want:
-                shortfall = {
-                    pl_id
-                    for pl_id in need
-                    if self._share_shortfall(merged[pl_id], k)
-                }
-        outcome.latency_s = coordinator.clock() - started
-        record_span(
-            f"fetch:{pod.name}",
-            start_s=span_start,
-            duration_s=time.perf_counter() - span_start,
-            wire_bytes=outcome.response_bytes,
-        )
-        return outcome
+                if not request:
+                    continue  # nothing trustworthy to ask this seat for
+                answer = answers.pop((job, slot.slot_index), None)
+                try:
+                    responses = self._lookup_slot(
+                        slot, request, outcome, answer
+                    )
+                except TransportError:
+                    outcome.failovers += 1
+                    continue
+                outcome.contacted = True
+                if escalating:
+                    outcome.escalations += 1
+                else:
+                    successes += 1
+                for response in responses:
+                    self._merge_response(
+                        merged[response.pl_id], slot.slot_index, response
+                    )
+                if successes >= wants[job]:
+                    shortfall = {
+                        p for p in lists if self._share_shortfall(merged[p], k)
+                    }
+            record_span(
+                f"fetch:{pod.name}",
+                start_s=span_start,
+                duration_s=time.perf_counter() - span_start,
+                wire_bytes=outcome.response_bytes,
+            )
+        return outcomes
 
     def _lookup_slot(
         self,
         slot: ServerSlot,
         pl_ids: Sequence[int],
         outcome: _PodFetchOutcome,
+        answer=None,
     ) -> list[PostingListResponse]:
-        """One seat's lookup traffic: one batched message, or per-list.
-
-        Pure protocol dispatch: a :class:`FetchListsRequest` per chunk
-        to the seat's endpoint, whatever the transport backend. A dead
-        seat raises :class:`TransportError` from the far side's service
-        — the failover ladder treats it exactly like a lost packet.
+        """One seat's lookup traffic: its pipelined ``answer`` (a
+        response, or the error it ended with), or else asked now — one
+        batched message, or one per list — with the wait added to the
+        pod's latency. A dead seat raises :class:`TransportError` (the
+        ladder treats it like a lost packet); a typed server error
+        propagates.
         """
-        if self._batch_lookups:
-            chunks = [tuple(pl_ids)]
-        else:
-            chunks = [(pl_id,) for pl_id in pl_ids]
-        responses: list[PostingListResponse] = []
-        for chunk in chunks:
-            response = self._transport.call(
-                src=self.user_id,
-                dst=slot.server_id,
-                request=FetchListsRequest(token=self._token, pl_ids=chunk),
+        clock = self._coordinator.clock
+        started = clock()
+        if answer is None:
+            if self._batch_lookups:
+                chunks = [tuple(pl_ids)]
+            else:
+                chunks = [(pl_id,) for pl_id in pl_ids]
+            answers = (
+                self._transport.call(
+                    self.user_id,
+                    slot.server_id,
+                    FetchListsRequest(token=self._token, pl_ids=chunk),
+                )
+                for chunk in chunks
             )
-            outcome.response_bytes += response.wire_bytes(self._share_bytes)
-            outcome.lookup_messages += 1
-            responses.extend(response.lists)
+        else:
+            answers = [answer]
+        responses: list[PostingListResponse] = []
+        try:
+            for response in answers:
+                if isinstance(response, Exception):
+                    raise response
+                outcome.response_bytes += response.wire_bytes(
+                    self._share_bytes
+                )
+                outcome.lookup_messages += 1
+                responses.extend(response.lists)
+        finally:
+            if answer is None:
+                outcome.latency_s += clock() - started
         return responses

@@ -139,8 +139,8 @@ class ClusterDeployment:
             picks a free port; see ``self.transport.address``).
         socket_idle_timeout_s: close server-side connections idle for
             this long (None: never).
-        fanout_workers: width of this deployment's parallel-fan-out
-            worker pool (reaped by :meth:`close`).
+        fanout_workers: width of this deployment's hedged-read worker
+            pool (reaped by :meth:`close`).
         storage: the seat-store engine under ``wal_dir``. It has one
             legal value, ``"segmented"`` (a per-seat directory holding a
             binary segment log, immutable snapshots written by a
@@ -295,8 +295,8 @@ class ClusterDeployment:
                 metrics=self.metrics,
             )
             self.transport = AsyncSocketTransport(self._socket_server.address)
-        #: Per-deployment fan-out pool: closing the deployment reaps its
-        #: worker threads (the dispatcher-leak regression of this PR).
+        #: Per-deployment hedged-read pool: closing the deployment reaps
+        #: its worker threads (the dispatcher-leak regression).
         self.dispatcher = ConcurrentDispatcher(
             max_workers=fanout_workers,
             thread_name_prefix=f"zerber-fanout-{id(self):x}",
@@ -623,8 +623,8 @@ class ClusterDeployment:
     def close(self) -> None:
         """Shut the whole deployment down (idempotent).
 
-        Reaps the parallel-fan-out worker threads (the dispatcher-leak
-        fix of this PR), closes the client transport and the embedded
+        Reaps the hedged-read worker threads (the dispatcher-leak fix),
+        closes the client transport and the embedded
         socket server when ``transport="async-socket"``, and closes every
         seat's WAL handle — after ``close()`` returns, no thread, TCP
         socket, or file handle of this deployment outlives it.

@@ -33,23 +33,34 @@ hop on a busy box). The client is a direct-write multiplexer: calling
 threads frame and ``sendall()`` requests themselves under a write lock
 (no marshal into any loop), and a single reader thread resolves
 completions by correlation id — two thread hand-offs per call instead
-of the six a loop-brokered design pays.
+of the six a loop-brokered design pays. ``call_many`` is the batch
+form every ``call`` goes through: it frames a whole batch (a query's
+fetch round) under fresh correlation ids, puts it on the wire in one
+write, collects the responses in arrival order on the calling thread
+and decodes them there, so n independent lookups cost one write and
+one wait instead of n round trips.
 """
 
 from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import queue
 import socket
 import threading
 import time
-from typing import Any
+from typing import Any, Callable, Sequence
 
-from repro.errors import DeadlineExceededError, ProtocolError, TransportError
+from repro.errors import (
+    DeadlineExceededError,
+    ProtocolError,
+    ReproError,
+    TransportError,
+)
 from repro.protocol.codec import decode_message
 from repro.protocol.messages import EndpointsRequest
 from repro.protocol.service import raise_for_error
-from repro.observability.tracing import record_span, span
+from repro.observability.tracing import record_span
 from repro.protocol.transport import (
     _RETRY_SAFE,
     CORRELATION_FLAG,
@@ -63,7 +74,7 @@ from repro.protocol.transport import (
     Transport,
 )
 from repro.resilience.admission import AdmissionController
-from repro.resilience.deadline import Deadline, current_deadline
+from repro.resilience.deadline import current_deadline
 from repro.resilience.retry import RetryPolicy
 
 #: Coalesce at most this many buffered response bytes into one write()
@@ -410,18 +421,26 @@ class AsyncSocketServer:
 
 
 class _PendingCall:
-    """One in-flight request: the caller parks on the event."""
+    """One in-flight request; resolving it queues its index for the
+    thread collecting its batch, in completion order."""
 
-    __slots__ = ("event", "blob", "error")
+    __slots__ = ("completions", "index", "blob", "error")
 
-    def __init__(self) -> None:
-        self.event = threading.Event()
+    def __init__(self, completions: queue.SimpleQueue, index: int) -> None:
+        self.completions, self.index = completions, index
         self.blob: bytes | None = None
         self.error: Exception | None = None
 
+    def resolve(self, blob: bytes | None = None, error=None) -> None:
+        self.blob, self.error = blob, error
+        self.completions.put(self.index)
 
-class _ConnectionLost(Exception):
-    """Internal marker: the shared connection died under a call."""
+
+def _unwrap(outcome: Any) -> Any:
+    """A ``call_many`` slot as ``call`` answers it."""
+    if isinstance(outcome, ReproError):
+        raise outcome
+    return outcome
 
 
 class _WriteState:
@@ -449,12 +468,12 @@ class AsyncSocketTransport(Transport):
     ``repro serve``).
 
     Any number of calling threads share **one** connection: each call
-    frames its request with a fresh correlation id and hands it to the
-    connection's group-commit write buffer (one elected caller flushes
-    each batch with a single ``sendall`` — no hop through an event
-    loop, no per-frame lock convoy), then parks on an event until the
-    reader thread resolves it with the matching response frame. The
-    cluster's fan-out pool needs no socket per worker thread.
+    (or :meth:`call_many` batch) frames its requests with fresh
+    correlation ids and hands them to the connection's group-commit
+    write buffer (one elected caller flushes each batch with a single
+    ``sendall`` — no hop through an event loop, no per-frame lock
+    convoy), then parks until the reader thread resolves each with the
+    matching response frame. Hedged legs need no socket per thread.
 
     Failures retry under a shared
     :class:`~repro.resilience.retry.RetryPolicy` (a broken connection
@@ -505,50 +524,41 @@ class AsyncSocketTransport(Transport):
     # -- the Transport surface -------------------------------------------------
 
     def call(self, src: str, dst: str, request: Any) -> Any:
-        if self._closed:
-            raise TransportError("async socket transport is closed")
-        read_safe = isinstance(request, _RETRY_SAFE)
-        trace = _wire_trace()
+        return _unwrap(self.call_many(src, [(dst, request)])[0])
 
-        def attempt(_index: int) -> Any:
-            deadline = current_deadline()
-            budget_us = None
-            if deadline is not None:
-                deadline.check(f"call to {dst!r}")
-                budget_us = deadline.budget_us()
-            start = time.perf_counter()
-            payload = _pack_request(
-                dst, request, budget_us=budget_us, trace=trace
-            )
-            took = time.perf_counter() - start
-            record_span("encode", start, took, len(payload))
-            try:
-                with span(f"call:{dst}") as call_span:
-                    blob = self._round_trip(payload, deadline)
-                    call_span.wire_bytes = len(payload) + len(blob)
-            except _ConnectionLost as exc:
-                if self._closed:
-                    raise TransportError(
-                        "async socket transport is closed"
-                    ) from exc
-                error = TransportError(
-                    f"async round-trip to {self._address[0]}:"
-                    f"{self._address[1]} failed: {exc}"
-                )
-                # A lost pure read re-sends on a fresh connection; a
-                # lost write may already have landed, so it fails fast.
-                error.retryable = read_safe
-                raise error from exc
-            # Decode on the calling thread: concurrent callers decode
-            # their own responses in parallel instead of serializing
-            # on the reader thread.
-            start = time.perf_counter()
-            message = decode_message(blob)
-            took = time.perf_counter() - start
-            record_span("decode", start, took, len(blob))
-            return raise_for_error(message)
+    def call_many(
+        self,
+        src: str,
+        calls: Sequence[tuple[str, Any]],
+        on_sent: Callable[[int], None] | None = None,
+        on_done: Callable[[int], None] | None = None,
+    ) -> list[Any]:
+        """The whole batch in one write (:meth:`Transport.call_many`).
 
-        return self._retry_policy.run(attempt)
+        A retryable outcome — a lost connection under a pure read, a
+        typed ``OverloadedError`` — then resumes alone under the
+        :class:`RetryPolicy` schedule :meth:`call` runs, and its
+        ``on_done`` fires again once it settles.
+        """
+        if not calls:
+            return []
+        outcomes = self._attempt(calls, on_sent, on_done)
+        policy = self._retry_policy
+        for index, outcome in enumerate(outcomes):
+            if isinstance(outcome, ReproError) and policy.should_retry(
+                outcome, 0
+            ):
+                retry = [calls[index]]
+                try:
+                    outcomes[index] = policy.run(
+                        lambda _attempt: _unwrap(self._attempt(retry)[0]),
+                        failed=outcome,
+                    )
+                except ReproError as exc:
+                    outcomes[index] = exc
+                if on_done is not None:
+                    on_done(index)
+        return outcomes
 
     def endpoints(self) -> list[str]:
         response = self.call("", "", EndpointsRequest())
@@ -573,10 +583,9 @@ class AsyncSocketTransport(Transport):
                 conn[1].dropped = True
                 conn[1].buffer.clear()
         for call in pending.values():
-            call.error = TransportError(
-                "async socket transport is closed"
+            call.resolve(
+                error=TransportError("async socket transport is closed")
             )
-            call.event.set()
         if conn is not None:
             sock = conn[0]
             try:
@@ -593,55 +602,130 @@ class AsyncSocketTransport(Transport):
 
     # -- wire plumbing ---------------------------------------------------------
 
-    def _round_trip(
-        self, payload: bytes, deadline: Deadline | None = None
-    ) -> bytes:
-        sock, wstate = self._ensure_connection()
-        call = _PendingCall()
-        with self._lock:
+    def _attempt(
+        self,
+        calls: Sequence[tuple[str, Any]],
+        on_sent: Callable[[int], None] | None = None,
+        on_done: Callable[[int], None] | None = None,
+    ) -> list[Any]:
+        """One try at every call: frame them all under fresh correlation
+        ids, send them in one write, then take each response as it
+        arrives (``on_done``; the wait is capped by the ambient
+        deadline) and decode it on this thread. Each slot is the
+        response or the ``ReproError`` it ended with.
+        """
+        try:
             if self._closed:
                 raise TransportError("async socket transport is closed")
-            if self._conn is None or self._conn[0] is not sock:
-                # The connection died between _ensure_connection and
-                # here; registering against it would strand this call
-                # past the drop's pending sweep.
-                raise _ConnectionLost(
-                    ConnectionResetError("connection dropped")
+            deadline = current_deadline()
+            budget_us = None
+            if deadline is not None:
+                deadline.check(f"call to {calls[0][0]!r}")
+                budget_us = deadline.budget_us()
+            payloads = []
+            for dst, request in calls:
+                start = time.perf_counter()
+                payloads.append(
+                    _pack_request(
+                        dst, request, budget_us=budget_us, trace=_wire_trace()
+                    )
                 )
-            corr_id = self._next_corr
-            self._next_corr = (self._next_corr + 1) & 0xFFFF_FFFF
-            self._pending[corr_id] = call
+                took = time.perf_counter() - start
+                record_span("encode", start, took, len(payloads[-1]))
+            sock, wstate = self._ensure_connection()
+        except ReproError as exc:
+            return [exc] * len(calls)
+        completions: queue.SimpleQueue = queue.SimpleQueue()
+        pending = [_PendingCall(completions, i) for i in range(len(calls))]
+        corr_ids: list[int] = []
+        with self._lock:
+            if self._closed or self._conn is None or self._conn[0] is not sock:
+                # The connection died since _ensure_connection; calls
+                # registered on it would outlive the drop's sweep.
+                for call in pending:
+                    call.resolve(error=ConnectionResetError("dropped"))
+            else:
+                first = self._next_corr
+                self._next_corr = (first + len(calls)) & 0xFFFF_FFFF
+                corr_ids = [
+                    n & 0xFFFF_FFFF for n in range(first, first + len(calls))
+                ]
+                self._pending.update(zip(corr_ids, pending))
+        start = time.perf_counter()
+        outcomes: list[Any] = [None] * len(calls)
         try:
-            try:
-                self._send_frame(
-                    sock, wstate, frame_bytes(payload, corr_id)
-                )
-            except (ConnectionError, OSError) as exc:
-                self._drop_connection(sock, exc)
-                raise _ConnectionLost(exc) from exc
-            # The completion wait is capped by the remaining deadline
-            # budget: the response would be worthless after it anyway.
+            if on_sent is not None:
+                for index in range(len(calls)):
+                    on_sent(index)
+            if corr_ids:
+                try:
+                    frames = map(frame_bytes, payloads, corr_ids)
+                    self._send_frame(sock, wstate, b"".join(frames))
+                except (ConnectionError, OSError) as exc:
+                    # Fails every registered call, these included.
+                    self._drop_connection(sock, exc)
             wait_s = self._timeout_s
             if deadline is not None:
                 wait_s = min(wait_s, max(deadline.remaining_s(), 1e-4))
-            if not call.event.wait(wait_s):
-                if deadline is not None and deadline.expired:
-                    raise DeadlineExceededError(
-                        f"no response from {self._address[0]}:"
-                        f"{self._address[1]} within the deadline budget"
+            give_up = time.monotonic() + wait_s
+            for _ in calls:
+                try:
+                    index = completions.get(
+                        timeout=max(give_up - time.monotonic(), 0.0)
                     )
-                raise TransportError(
-                    f"async round-trip to {self._address[0]}:"
-                    f"{self._address[1]} timed out "
-                    f"after {self._timeout_s}s"
+                except queue.Empty:
+                    break
+                if on_done is not None:
+                    on_done(index)
+                outcomes[index] = self._outcome(
+                    pending[index], *calls[index], payloads[index], start
                 )
-            if call.error is not None:
-                raise _ConnectionLost(call.error) from call.error
-            assert call.blob is not None
-            return call.blob
         finally:
             with self._lock:
-                self._pending.pop(corr_id, None)
+                for corr_id in corr_ids:
+                    self._pending.pop(corr_id, None)
+        if any(outcome is None for outcome in outcomes):
+            if deadline is not None and deadline.expired:
+                late = DeadlineExceededError(
+                    f"no response from {self._address[0]}:"
+                    f"{self._address[1]} within the deadline budget"
+                )
+            else:
+                late = TransportError(
+                    f"async round-trip to {self._address[0]}:"
+                    f"{self._address[1]} timed out after {self._timeout_s}s"
+                )
+            outcomes = [late if o is None else o for o in outcomes]
+        return outcomes
+
+    def _outcome(
+        self, call: _PendingCall, dst: str, request: Any, payload, start
+    ) -> Any:
+        """One resolved call as the response or its typed failure."""
+        took = time.perf_counter() - start
+        if call.error is not None:
+            record_span(f"call:{dst}", start, took)
+            if self._closed:
+                error = TransportError("async socket transport is closed")
+            else:
+                error = TransportError(
+                    f"async round-trip to {self._address[0]}:"
+                    f"{self._address[1]} failed: {call.error}"
+                )
+                # A lost pure read re-sends on a fresh connection; a lost
+                # write may already have landed, so it fails fast.
+                error.retryable = isinstance(request, _RETRY_SAFE)
+            error.__cause__ = call.error
+            return error
+        record_span(f"call:{dst}", start, took, len(payload) + len(call.blob))
+        start = time.perf_counter()
+        try:
+            message = decode_message(call.blob)
+            took = time.perf_counter() - start
+            record_span("decode", start, took, len(call.blob))
+            return raise_for_error(message)
+        except ReproError as exc:
+            return exc
 
     def _send_frame(
         self,
@@ -649,10 +733,10 @@ class AsyncSocketTransport(Transport):
         wstate: _WriteState,
         frame: bytes,
     ) -> None:
-        """Write one frame via the connection's group-commit buffer.
+        """Write frames via the connection's group-commit buffer.
 
-        A caller whose frame is shipped by another thread's flush just
-        parks on its correlation event as usual; a flush failure fails
+        A caller whose frames are shipped by another thread's flush just
+        waits for its completions as usual; a flush failure fails
         every affected call through ``_drop_connection``, because all
         of their correlation ids are already registered.
         """
@@ -738,8 +822,7 @@ class AsyncSocketTransport(Transport):
                     with self._lock:
                         call = self._pending.pop(corr_id, None)
                     if call is not None:
-                        call.blob = blob
-                        call.event.set()
+                        call.resolve(blob)
         except (ConnectionError, OSError, ProtocolError) as exc:
             self._drop_connection(sock, exc)
 
@@ -765,8 +848,7 @@ class AsyncSocketTransport(Transport):
             conn[1].buffer.clear()
         exc = error or ConnectionResetError("connection dropped")
         for call in pending.values():
-            call.error = exc
-            call.event.set()
+            call.resolve(error=exc)
         try:
             sock.close()
         except OSError:  # pragma: no cover - already torn down

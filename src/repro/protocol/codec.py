@@ -444,11 +444,12 @@ def _dec_metrics_dump_resp(r: _Reader) -> m.MetricsDumpResponse:
 # A record array travels column-major: ``count`` (varint), then — only
 # when count > 0 — per column a width byte (bytes of the column's
 # largest value, 1..74; a reader accepts any width in range) and
-# ``count`` fixed-width big-endian values. No object per record: width
-# 1 is ``bytes(column)`` / ``list(data)``, widths <= 8 one ``array('Q')``
-# byte-swap narrowed or widened by strided slice assignment, widths > 8
-# (a share >= 2^64: probability 7e-19 under p = 2^64 + 13) one
-# ``int.to_bytes`` per value. Measurements: docs/ARCHITECTURE.md.
+# ``count`` fixed-width big-endian values. No object per record: values
+# < 2^64 are one ``array('Q')`` byte-swap, its width read off the zero
+# byte planes and narrowed or widened by strided slice assignment;
+# width 1 decodes as ``list(data)``; widths > 8 (a share >= 2^64:
+# probability 7e-19 under p = 2^64 + 13) cost one ``int.to_bytes`` /
+# ``from_bytes`` per value. Measurements: docs/ARCHITECTURE.md.
 # The four bulk messages (insert batch, fetched lists, record list,
 # adopted list) travel only in this form.
 
@@ -457,27 +458,35 @@ _SWAP = sys.byteorder == "little"
 
 def _write_column(out: bytearray, column: Sequence[int]) -> None:
     try:
-        if min(column) < 0:
-            raise ProtocolError("negative integer cannot be encoded")
-        width = max(1, (max(column).bit_length() + 7) // 8)
-        if width > _MAX_VARINT_BYTES:
-            raise ProtocolError("integer exceeds the size cap")
-        out.append(width)
-        if width == 1:
-            out += bytes(column)
-        elif width <= 8:
+        try:
             wide = array("Q", column)
-            if _SWAP:
-                wide.byteswap()
-            data = wide.tobytes()
-            if width < 8:
-                narrow = bytearray(len(column) * width)
-                for j in range(width):
-                    narrow[j::width] = data[8 - width + j :: 8]
-                data = narrow
-            out += data
-        else:
+        except OverflowError:
+            # Negative, or >= 2^64: the per-value path decides which.
+            if min(column) < 0:
+                raise ProtocolError("negative integer cannot be encoded")
+            width = (max(column).bit_length() + 7) // 8
+            if width > _MAX_VARINT_BYTES:
+                raise ProtocolError("integer exceeds the size cap")
+            out.append(width)
             out += b"".join([v.to_bytes(width, "big") for v in column])
+            return
+        if _SWAP:
+            wide.byteswap()
+        data = wide.tobytes()
+        # Width = 8 minus the leading byte planes that are zero in every
+        # value (at least 1): the largest value's byte length, found
+        # without a Python pass over the column.
+        zero = bytes(len(column))
+        width = 8
+        while width > 1 and data[8 - width :: 8] == zero:
+            width -= 1
+        out.append(width)
+        if width < 8:
+            narrow = bytearray(len(column) * width)
+            for j in range(width):
+                narrow[j::width] = data[8 - width + j :: 8]
+            data = narrow
+        out += data
     except (TypeError, AttributeError, OverflowError, ValueError) as exc:
         raise ProtocolError(f"column value cannot be encoded: {exc}") from exc
 

@@ -30,6 +30,9 @@ The contract both backends honour, and any future backend
   (:class:`~repro.errors.UnknownEndpointError` when the name itself is
   unknown — the kill-pod race), which the cluster failover ladder
   absorbs identically on every backend;
+- ``call_many(src, calls)`` answers a batch in call order with each
+  failure in its call's place — one write for the whole batch on the
+  socket, one call at a time in process;
 - responses are byte-identical across backends for identical stores —
   the CI equivalence gate runs the same seeds over both.
 """
@@ -38,7 +41,7 @@ from __future__ import annotations
 
 import struct
 import time
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.errors import (
     ProtocolError,
@@ -157,6 +160,31 @@ class Transport:
 
     def call(self, src: str, dst: str, request: Any) -> Any:
         raise NotImplementedError
+
+    def call_many(
+        self,
+        src: str,
+        calls: Sequence[tuple[str, Any]],
+        on_sent: Callable[[int], None] | None = None,
+        on_done: Callable[[int], None] | None = None,
+    ) -> list[Any]:
+        """Send ``[(dst, request), ...]``; results come back in call order,
+        a call's ``ReproError`` (dead endpoint, typed server error) in its
+        place. ``on_sent(i)`` / ``on_done(i)`` run on the calling thread
+        as call ``i`` leaves and as its outcome arrives. This form sends
+        one :meth:`call` at a time; a pipelining backend overrides it.
+        """
+        results: list[Any] = []
+        for index, (dst, request) in enumerate(calls):
+            if on_sent is not None:
+                on_sent(index)
+            try:
+                results.append(self.call(src, dst, request))
+            except ReproError as exc:
+                results.append(exc)
+            if on_done is not None:
+                on_done(index)
+        return results
 
     def has_endpoint(self, name: str) -> bool:
         raise NotImplementedError

@@ -105,16 +105,20 @@ class RetryPolicy:
         if backoff > 0.0:
             self.sleep(backoff)
 
-    def run(self, attempt_fn: Callable[[int], Any]) -> Any:
+    def run(self, attempt_fn: Callable[[int], Any], failed=None) -> Any:
         """Run ``attempt_fn(attempt_index)`` under this policy.
 
         The last error is re-raised unchanged when attempts run out or
         the error is terminal — classification lives on the error, so
-        callers keep their typed failure modes.
+        callers keep their typed failure modes. ``failed`` is the error
+        an attempt 0 made elsewhere (one frame of a pipelined batch)
+        ended with; the schedule then resumes at attempt 1.
         """
         retries = 0
         for attempt in range(self.max_attempts):
             try:
+                if attempt == 0 and failed is not None:
+                    raise failed
                 return attempt_fn(attempt)
             except ReproError as exc:
                 if not self.should_retry(exc, attempt):

@@ -19,7 +19,7 @@ import threading
 from collections import defaultdict
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro.errors import TransportError, UnknownEndpointError
 
@@ -179,19 +179,13 @@ class SimulatedNetwork:
 
 
 class ConcurrentDispatcher:
-    """Thread-pooled fan-out with a deterministic merge order.
+    """The worker pool hedged reads race their legs on.
 
-    The read path issues one fetch per replica pod per round; the pods
-    are independent, so the fetches can run concurrently — but the
-    results must fold back in a fixed order or diagnostics (and any
-    order-sensitive merge) would depend on thread scheduling.
-    :meth:`map_ordered` returns results in *submission* order no matter
-    which call finishes first, and runs single calls inline so the
-    common one-pod round never pays for a thread hop.
-
-    The executor is created lazily on the first multi-call dispatch and
-    shared across calls (worker threads are reused, not churned per
-    query).
+    A hedged read submits its primary leg, and after the hedge delay a
+    backup leg, and takes the first answer; the query thread stays free
+    to time the race. The executor is created lazily on the first
+    submission and shared across calls (worker threads are reused, not
+    churned per query).
     """
 
     def __init__(
@@ -200,8 +194,7 @@ class ConcurrentDispatcher:
         thread_name_prefix: str = "zerber-fanout",
     ) -> None:
         """Args:
-        max_workers: thread-pool width; 1 forces sequential dispatch
-            (useful to A/B the parallel path against it).
+        max_workers: thread-pool width.
         thread_name_prefix: worker-thread name prefix. Deployments pass
             a per-instance prefix so lifecycle tests can prove *their*
             workers died with the deployment's ``close()``.
@@ -215,39 +208,12 @@ class ConcurrentDispatcher:
         self._executor: ThreadPoolExecutor | None = None
         self._executor_lock = threading.Lock()
 
-    def map_ordered(self, calls: Sequence[Callable[[], Any]]) -> list[Any]:
-        """Run every thunk, return their results in submission order.
-
-        An exception from any call is re-raised — the earliest failing
-        call in submission order wins, after every future has settled
-        (no call is abandoned mid-flight with shared state half-merged).
-        """
-        calls = list(calls)
-        if len(calls) <= 1 or self._max_workers == 1:
-            return [call() for call in calls]
-        executor = self._ensure_executor()
-        futures: list[Future] = [executor.submit(call) for call in calls]
-        outcomes = []
-        error: BaseException | None = None
-        for future in futures:
-            try:
-                outcomes.append(future.result())
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                outcomes.append(None)
-                if error is None:
-                    error = exc
-        if error is not None:
-            raise error
-        return outcomes
-
     def submit(self, call: Callable[[], Any]) -> Future:
         """Run one thunk on the pool; returns its :class:`Future`.
 
-        The escape hatch for callers that race calls instead of joining
-        them all (hedged reads: primary leg vs delayed backup leg,
-        first answer wins). Unlike :meth:`map_ordered` this never runs
-        inline — the caller needs to keep the current thread free to
-        time the race.
+        Never runs inline: the caller (a hedged read racing a primary
+        leg against a delayed backup leg, first answer wins) needs to
+        keep the current thread free to time the race.
         """
         return self._ensure_executor().submit(call)
 

@@ -1,11 +1,13 @@
 """The asyncio serving stack and the socket-layer fixes.
 
-Four contracts live here:
+Five contracts live here:
 
 - :class:`AsyncSocketServer` / :class:`AsyncSocketTransport` honour the
   Transport semantics — typed errors, read retry, write fail-fast,
   deterministic close — while multiplexing many in-flight requests
   over one connection;
+- ``call_many`` answers a batch in call order with each failure in its
+  call's place, and a cluster query's fetch round leaves in one write;
 - the server hangs up on what it cannot frame (a frame without a
   correlation id) and on silent clients, without dispatching anything
   and without disturbing its other connections;
@@ -22,6 +24,7 @@ import time
 
 import pytest
 
+from helpers import make_cluster, make_documents
 from repro.errors import (
     AccessDeniedError,
     ProtocolError,
@@ -44,6 +47,7 @@ from repro.protocol.transport import (
     _pack_request,
     frame_bytes,
 )
+from repro.observability.metrics import SampleView
 from repro.server.auth import AuthService, AuthToken
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import IndexServer, InsertOp
@@ -166,6 +170,87 @@ class TestAsyncRoundTrips:
         assert not errors
         # Every thread shared the single multiplexed connection.
         assert srv.connection_count == 1
+
+
+class TestCallMany:
+    def test_results_in_call_order_with_failures_in_place(self, served):
+        token, *_rest, transport = served
+        sent, done = [], []
+        results = transport.call_many(
+            "alice",
+            [
+                ("s0", FetchListsRequest(token=token, pl_ids=(2,))),
+                ("ghost", ServerStatusRequest()),
+                ("s0", ServerStatusRequest()),
+            ],
+            on_sent=sent.append,
+            on_done=done.append,
+        )
+        assert results[0].lists[0].pl_id == 2
+        assert isinstance(results[1], UnknownEndpointError)
+        assert results[2].server_id == "s0"
+        assert sent == [0, 1, 2]
+        assert sorted(done) == [0, 1, 2]
+
+    def test_a_lost_connection_retries_each_read(self, served):
+        token, *_rest, transport = served
+        assert transport.endpoints() == ["s0"]
+        transport._sock.close()  # break the shared connection under it
+        results = transport.call_many(
+            "alice",
+            [("s0", FetchListsRequest(token=token, pl_ids=(n,))) for n in (1, 2)],
+        )
+        assert [r.lists[0].pl_id for r in results] == [1, 2]
+
+    def test_after_close_every_call_fails_typed(self, served):
+        *_rest, transport = served
+        transport.close()
+        results = transport.call_many(
+            "alice", [("s0", ServerStatusRequest())] * 2
+        )
+        assert all(
+            isinstance(r, TransportError) and "closed" in str(r)
+            for r in results
+        )
+
+
+class TestPipelinedFetchRound:
+    def test_a_fetch_round_is_one_write(self, monkeypatch):
+        """A healthy uncached query over two pods sends every seat
+        lookup of its fetch round in one write, and the server counts
+        exactly the lookup messages the diagnostics report."""
+        writes: list[int] = []
+        send_frame = AsyncSocketTransport._send_frame
+
+        def counting(self, sock, wstate, frame):
+            writes.append(len(frame))
+            return send_frame(self, sock, wstate, frame)
+
+        monkeypatch.setattr(AsyncSocketTransport, "_send_frame", counting)
+        documents = make_documents()
+        vocabulary = sorted({t for d in documents for t in d.term_counts})
+        with make_cluster(documents, transport="async-socket") as cluster:
+            searcher = cluster.searcher("owner0", use_cache=False)
+
+            def frames() -> float:
+                view = SampleView(cluster.metrics.samples())
+                return view.value(
+                    "zerber_server_frames_total", transport="async-socket"
+                ) or 0
+
+            two_pod_rounds = 0
+            for start in range(0, len(vocabulary), 4):
+                before = frames()
+                writes.clear()
+                searcher.search(
+                    vocabulary[start : start + 4], fetch_snippets=False
+                )
+                diag = searcher.last_cluster_diagnostics
+                two_pod_rounds += diag.pods_contacted == 2
+                assert len(writes) == 1
+                assert frames() - before == diag.lookup_messages
+            # The claim is about rounds that span pods.
+            assert two_pod_rounds >= 2
 
 
 class TestAsyncFailureSemantics:

@@ -161,6 +161,15 @@ class TestCli:
         out = capsys.readouterr().out
         assert "serving" in out and "endpoints at 127.0.0.1:" in out
 
+    def test_serve_warns_it_is_outside_the_trust_model(self, capsys):
+        """One process hosts every seat of every pod, so it holds all n
+        shares of every element: serve must say so on stderr."""
+        assert main(["serve", "--documents", "4", "--duration", "0"]) == 0
+        err = capsys.readouterr().err
+        assert "demo only" in err
+        assert "outside the r-confidentiality trust model" in err
+        assert "holds all n=" in err
+
     def test_serve_answers_over_tcp_while_up(self):
         """A second thread queries the served scenario over a raw
         AsyncSocketTransport while the serve loop is still running."""

@@ -80,11 +80,13 @@ class TestDispatcherLeak:
         """Regression: ConcurrentDispatcher.shutdown() was never called."""
         cluster = _cluster()
         prefix = cluster.dispatcher.thread_name_prefix
-        # Multi-pod round: forces the parallel fan-out to spin workers.
-        searcher = cluster.searcher("alice", use_cache=False)
+        # Hedged legs run on the pool: R=2 gives every leg a backup.
+        searcher = cluster.searcher(
+            "alice", use_cache=False, hedge_reads=True, hedge_delay_s=0.0
+        )
         searcher.search(["alpha", "beta", "w0", "w3"], top_k=5,
                         fetch_snippets=False)
-        assert searcher.last_cluster_diagnostics.parallel_rounds >= 0
+        assert _threads_with_prefix(prefix)
         cluster.close()
         assert _threads_with_prefix(prefix) == []
 

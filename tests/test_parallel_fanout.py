@@ -1,13 +1,14 @@
-"""Parallel pod fan-out and latency-aware replica choice (ISSUE 3).
+"""Pipelined fetch rounds and latency-aware replica choice.
 
-The concurrent read path must be a pure wall-clock optimization:
-byte-identical results versus the sequential path always, identical
-diagnostics counts whenever replica choice cannot diverge (R=1 pins
-it; at R >= 2 the wall-clock-fed EWMA ranking may legitimately pick
-different replicas), with the network ledger agreeing to the byte. The
-EWMA replica ranking must prefer measurably faster pods, fall back to
-load counters on ties, and charge cache hits to the pod whose fetch
-produced the entry.
+A fetch round puts every pod's first-choice seat lookups on the wire
+together (``Transport.call_many``), so its lookups run in parallel;
+``batch_lookups=False`` is the sequential per-list path that sends one
+message per list, one at a time. The two must answer byte-identically,
+with the same diagnostics counts (bar the message count the per-list
+path multiplies by design) and the same response bytes on the network
+ledger. The EWMA replica ranking must prefer measurably faster pods,
+fall back to load counters on ties, charge cache hits to the pod whose
+fetch produced the entry, and time each pod of a round on its own.
 """
 
 from __future__ import annotations
@@ -15,12 +16,14 @@ from __future__ import annotations
 import random
 import threading
 
+from helpers import make_cluster, make_documents
 from repro.client.batching import BatchPolicy
 from repro.cluster import ClusterDeployment
 from repro.cluster.coordinator import READ_LATENCY_BUCKET_S
 from repro.core.mapping_table import MappingTable
 from repro.corpus.document import Document
-from repro.server.transport import ConcurrentDispatcher, SimulatedNetwork
+from repro.resilience.faults import FaultPlan, FaultyTransport
+from repro.server.transport import SimulatedNetwork
 
 
 NUM_LISTS = 24
@@ -61,11 +64,12 @@ def _cluster(num_pods=3, replication_factor=2, seed=47, use_network=True):
     return cluster, queries
 
 
-def _diag_counts(searcher):
+def _shared_counts(searcher):
+    """Diagnostics both paths must agree on: all but the message count,
+    which the per-list path multiplies by design."""
     d = searcher.last_cluster_diagnostics
     return {
         "pods_contacted": d.pods_contacted,
-        "lookup_messages": d.lookup_messages,
         "cache_hits": d.cache_hits,
         "failovers": d.failovers,
         "escalations": d.escalations,
@@ -73,124 +77,83 @@ def _diag_counts(searcher):
     }
 
 
+def _response_bytes(cluster):
+    """Ledger bytes the seats sent back."""
+    return sum(
+        size
+        for (src, _dst), size in cluster.network.stats.bytes_by_link.items()
+        if "-server-" in src
+    )
+
+
 class TestParallelFanoutEquivalence:
     def test_parallel_matches_sequential_byte_for_byte(self):
-        """Same answers, same diagnostics counts, same bytes on the
-        wire — parallelism changes wall-clock only. R=1 pins every list
-        to one pod so replica choice cannot diverge between the runs."""
-        parallel_cluster, queries = _cluster(replication_factor=1)
-        sequential_cluster, _ = _cluster(replication_factor=1)
-        par = parallel_cluster.searcher(
-            "owner0", use_cache=False, parallel_fanout=True
+        """Same answers, same counts, same response bytes on the wire —
+        pipelining changes when lookups leave, never what they carry.
+        R=1 pins every list to one pod so replica choice cannot diverge
+        between the runs, and one message goes to each of the k
+        first-choice seats of every contacted pod."""
+        pipelined_cluster, queries = _cluster(replication_factor=1)
+        per_list_cluster, _ = _cluster(replication_factor=1)
+        pipelined = pipelined_cluster.searcher("owner0", use_cache=False)
+        per_list = per_list_cluster.searcher(
+            "owner0", use_cache=False, batch_lookups=False
         )
-        seq = sequential_cluster.searcher(
-            "owner0", use_cache=False, parallel_fanout=False
-        )
-        saw_parallel_round = False
+        saw_multi_pod_round = False
         for terms in queries:
-            par_results = par.search(terms, top_k=10, fetch_snippets=False)
-            seq_results = seq.search(terms, top_k=10, fetch_snippets=False)
-            assert par_results == seq_results
-            assert _diag_counts(par) == _diag_counts(seq)
+            assert pipelined.search(
+                terms, top_k=10, fetch_snippets=False
+            ) == per_list.search(terms, top_k=10, fetch_snippets=False)
+            assert _shared_counts(pipelined) == _shared_counts(per_list)
             assert (
-                par.last_diagnostics.response_bytes
-                == seq.last_diagnostics.response_bytes
+                pipelined.last_diagnostics.response_bytes
+                == per_list.last_diagnostics.response_bytes
             )
-            saw_parallel_round |= (
-                par.last_cluster_diagnostics.parallel_rounds > 0
-            )
-            assert seq.last_cluster_diagnostics.parallel_rounds == 0
+            diag = pipelined.last_cluster_diagnostics
+            assert diag.lookup_messages == 2 * diag.pods_contacted
+            saw_multi_pod_round |= diag.pods_contacted > 1
         # The test only proves something if multi-pod rounds happened.
-        assert saw_parallel_round
-        par_stats = parallel_cluster.network.stats
-        seq_stats = sequential_cluster.network.stats
-        assert (
-            par_stats.bytes_by_kind["lookup"]
-            == seq_stats.bytes_by_kind["lookup"]
-        )
-        assert (
-            par_stats.messages_by_kind["lookup"]
-            == seq_stats.messages_by_kind["lookup"]
+        assert saw_multi_pod_round
+        assert _response_bytes(pipelined_cluster) == _response_bytes(
+            per_list_cluster
         )
 
     def test_parallel_replicated_with_pod_dead_stays_identical(self):
-        """R=2 with a whole pod dead: the parallel ladder still answers
-        byte-identically to a healthy sequential cluster."""
+        """R=2 with a whole pod dead: the pipelined ladder still answers
+        byte-identically to a healthy per-list cluster."""
         healthy_cluster, queries = _cluster(replication_factor=2)
         degraded_cluster, _ = _cluster(replication_factor=2)
         degraded_cluster.kill_pod(0)
         healthy = healthy_cluster.searcher(
-            "owner0", use_cache=False, parallel_fanout=False
+            "owner0", use_cache=False, batch_lookups=False
         )
-        degraded = degraded_cluster.searcher(
-            "owner0", use_cache=False, parallel_fanout=True
-        )
+        degraded = degraded_cluster.searcher("owner0", use_cache=False)
         for terms in queries:
             assert degraded.search(
                 terms, top_k=10, fetch_snippets=False
             ) == healthy.search(terms, top_k=10, fetch_snippets=False)
 
     def test_parallel_cache_hits_match_sequential(self):
-        parallel_cluster, queries = _cluster(replication_factor=1)
-        sequential_cluster, _ = _cluster(replication_factor=1)
-        par = parallel_cluster.searcher("owner0", parallel_fanout=True)
-        seq = sequential_cluster.searcher("owner0", parallel_fanout=False)
+        pipelined_cluster, queries = _cluster(replication_factor=1)
+        per_list_cluster, _ = _cluster(replication_factor=1)
+        pipelined = pipelined_cluster.searcher("owner0")
+        per_list = per_list_cluster.searcher("owner0", batch_lookups=False)
         for _warm in range(2):
             for terms in queries:
-                par_results = par.search(
+                assert pipelined.search(
                     terms, top_k=10, fetch_snippets=False
-                )
-                seq_results = seq.search(
-                    terms, top_k=10, fetch_snippets=False
-                )
-                assert par_results == seq_results
-                assert _diag_counts(par) == _diag_counts(seq)
-        assert par.last_cluster_diagnostics.cache_hits > 0
+                ) == per_list.search(terms, top_k=10, fetch_snippets=False)
+                assert _shared_counts(pipelined) == _shared_counts(per_list)
+        assert pipelined.last_cluster_diagnostics.cache_hits > 0
 
 
-class TestConcurrentDispatcher:
-    def test_merge_order_is_submission_order(self):
-        dispatcher = ConcurrentDispatcher(max_workers=4)
-        barrier = threading.Barrier(4)
-
-        def job(i):
-            barrier.wait(timeout=5)  # force genuine concurrency
-            return i
-
-        assert dispatcher.map_ordered(
-            [lambda i=i: job(i) for i in range(4)]
-        ) == [0, 1, 2, 3]
-        dispatcher.shutdown()
-
-    def test_exceptions_surface_after_all_calls_settle(self):
-        dispatcher = ConcurrentDispatcher(max_workers=4)
-        done = []
-
-        def ok(i):
-            done.append(i)
-            return i
-
-        def boom():
-            raise ValueError("boom")
-
-        try:
-            dispatcher.map_ordered(
-                [lambda: ok(0), boom, lambda: ok(2)]
-            )
-        except ValueError as exc:
-            assert str(exc) == "boom"
-        else:  # pragma: no cover - the raise is the contract
-            raise AssertionError("expected ValueError")
-        assert sorted(done) == [0, 2]  # no call abandoned mid-flight
-        dispatcher.shutdown()
-
+class TestNetworkLedger:
     def test_network_ledger_is_race_safe(self):
-        """Hammer one SimulatedNetwork from the dispatcher's threads;
-        the byte/message ledger must not lose a single increment."""
+        """Hammer one SimulatedNetwork from many threads (hedged legs
+        share it); the byte/message ledger must not lose an increment."""
         net = SimulatedNetwork()
         net.register("sink", lambda kind, message: message)
-        dispatcher = ConcurrentDispatcher(max_workers=8)
-        calls_per_thread, threads = 50, 8
+        calls_per_thread, num_threads = 50, 8
 
         def blast(thread_id):
             for i in range(calls_per_thread):
@@ -202,15 +165,18 @@ class TestConcurrentDispatcher:
                     request_bytes=10,
                     response_bytes_of=lambda _r: 7,
                 )
-            return thread_id
 
-        dispatcher.map_ordered(
-            [lambda t=t: blast(t) for t in range(threads)]
-        )
-        total_messages = threads * calls_per_thread
+        threads = [
+            threading.Thread(target=blast, args=(t,))
+            for t in range(num_threads)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        total_messages = num_threads * calls_per_thread
         assert net.stats.messages_by_kind["lookup"] == total_messages
         assert net.stats.bytes_by_kind["lookup"] == total_messages * 17
-        dispatcher.shutdown()
 
 
 class TestLatencyAwareReplicaChoice:
@@ -270,3 +236,42 @@ class TestLatencyAwareReplicaChoice:
                 searcher.search(terms, top_k=10, fetch_snippets=False)
         assert searcher.last_cluster_diagnostics.cache_hits > 0
         assert sum(cluster.coordinator.pod_cache_reads.values()) > 0
+
+    def test_a_stalled_pod_is_charged_its_own_stall(self):
+        """R=2 over async-socket, every lookup to pod0's seats delayed
+        client-side. A round asking both pods charges pod0 its stall and
+        pod1 only its own answers, so the ranking turns to pod1.
+        Charging every pod the round's wall time (pod1 would then carry
+        pod0's stall) or ~0 (the post-processing alone) fails here."""
+        documents = make_documents()
+        vocabulary = sorted({t for d in documents for t in d.term_counts})
+        cluster = make_cluster(
+            documents, replication_factor=2, transport="async-socket"
+        )
+        with cluster:
+            coordinator = cluster.coordinator
+            stalled, healthy = coordinator.pods
+            plan = FaultPlan(
+                seed=0xC41,
+                latency_rate=1.0,
+                latency_s=0.05,
+                endpoints=[slot.server_id for slot in stalled.slots],
+            )
+            searcher = cluster.searcher(
+                "owner0",
+                use_cache=False,
+                transport=FaultyTransport(cluster.transport, plan),
+            )
+            searcher.search(vocabulary, fetch_snippets=False)
+            assert searcher.last_cluster_diagnostics.pods_contacted == 2
+            for _ in range(4):
+                searcher.search(vocabulary[:6], fetch_snippets=False)
+            latency = coordinator.pod_read_latency
+            assert (
+                latency[stalled.name]
+                >= latency[healthy.name] + READ_LATENCY_BUCKET_S
+            )
+            # Per list, pod1 never waited anything like pod0's stall.
+            assert latency[healthy.name] < plan.latency_s / 8
+            for pl_id in range(8):
+                assert coordinator.read_replicas(pl_id)[0] is healthy

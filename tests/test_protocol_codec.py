@@ -387,14 +387,24 @@ P = 2**64 + 13  # the deployment prime: shares live in [0, P)
 
 
 def _reference_write(*columns) -> bytes:
+    """The per-value rule, written out: a column's width is its largest
+    value's byte length (``min``/``max``/``bit_length``), then one
+    ``to_bytes`` per value; whatever that cannot encode is typed."""
     out = bytearray()
     codec.write_uint(out, len(columns[0]))
     if columns[0]:
         for column in columns:
-            width = max(1, (max(column).bit_length() + 7) // 8)
-            out.append(width)
-            for value in column:
-                out += value.to_bytes(width, "big")
+            try:
+                if min(column) < 0:
+                    raise ProtocolError("negative integer")
+                width = max(1, (max(column).bit_length() + 7) // 8)
+                if width > 74:
+                    raise ProtocolError("integer exceeds the size cap")
+                out.append(width)
+                for value in column:
+                    out += value.to_bytes(width, "big")
+            except (TypeError, AttributeError, OverflowError) as exc:
+                raise ProtocolError(str(exc)) from exc
     return bytes(out)
 
 
@@ -454,6 +464,53 @@ def test_reader_accepts_wider_than_minimal_columns(width):
     assert codec.read_columns(reader, 1) == [column]
     reader.done()
     assert _reference_read(bytes(frame), 1) == [column]
+
+
+#: Values on every byte-width boundary up to the 74-byte cap.
+_WIDTH_EDGES = sorted(
+    {0, 2**63, 2**64 - 1, 2**64, 2**64 + 12}
+    | {
+        2 ** (8 * j) + delta
+        for j in range(1, 75)
+        for delta in (-1, 1)
+        if 2 ** (8 * j) + delta < 1 << (8 * 74)
+    }
+)
+column_values = st.one_of(
+    st.sampled_from(_WIDTH_EDGES),
+    st.integers(min_value=0, max_value=1 << 20),
+    st.booleans(),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    columns=st.integers(min_value=1, max_value=40).flatmap(
+        lambda count: st.lists(
+            st.lists(column_values, min_size=count, max_size=count),
+            min_size=1,
+            max_size=3,
+        )
+    )
+)
+def test_column_encoder_matches_the_reference_at_every_width(columns):
+    out = bytearray()
+    codec.write_columns(out, *columns)
+    assert bytes(out) == _reference_write(*columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    column=st.lists(column_values, max_size=20),
+    bad=st.sampled_from([-1, -(2**64), 1.5, "7", 1 << (8 * 74), 2**700]),
+    at=st.integers(min_value=0, max_value=20),
+)
+def test_unencodable_values_are_typed_by_both_encoders(column, bad, at):
+    column.insert(min(at, len(column)), bad)
+    with pytest.raises(ProtocolError):
+        codec.write_columns(bytearray(), column)
+    with pytest.raises(ProtocolError):
+        _reference_write(column)
 
 
 def _packed_messages_with(share: int) -> list:
