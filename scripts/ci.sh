@@ -31,9 +31,15 @@
 # - the transport bench records BENCH_transport.json and gates the
 #   in-process backend against the recorded PR 3 read-path baseline
 #   (ratio gate);
-# - the segmented-storage equivalence suite re-runs equivalence worlds
-#   with durable seat stores — seat kills recovered from snapshot +
-#   segment suffix, whole-pod kills at R=2, one world over TCP;
+# - the segmented-storage gate runs the storage suites in full: the
+#   version 2 formats (one CRC'd column block per write batch in the
+#   segment log, one column block per list in the snapshot body) against
+#   a hand-written reference and the op-by-op replay model, the typed
+#   refusal of version 1 segments and snapshots, torn tails and torn
+#   batches (all or nothing), crashes at every compaction point, and
+#   the equivalence worlds with durable seat stores — seat kills
+#   recovered from snapshot + segment suffix, whole-pod kills at R=2,
+#   one world over TCP;
 # - the async transport suite covers the pipelined multiplexing stack:
 #   correlated frames, retry/close semantics, drain, hang-ups on
 #   unframeable and silent peers, the pinned wire bytes, call_many's
@@ -128,9 +134,10 @@ gate "benchmark of record self-tests (tracer targets resolve)" \
 gate "transport bench (BENCH_transport.json)" \
     "failed|skipped|deselected|no tests ran|error" \
     benchmarks/bench_transport.py
-gate "segmented-storage equivalence" \
+gate "segmented storage (v2 blocks, crash, equivalence)" \
     "failed|skipped|deselected|no tests ran|error" \
-    tests/test_segmented_equivalence.py
+    tests/test_storage_crash.py tests/test_storage_engine.py \
+    tests/test_segmented_equivalence.py -m ""
 gate "async transport (pipelined multiplexing + socket regressions)" \
     "failed|skipped|deselected|no tests ran|error" \
     tests/test_async_transport.py

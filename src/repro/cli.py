@@ -830,14 +830,19 @@ def _open_selected_stores(args):
     # auto_compact stays off: an offline tool must never kick a
     # background compaction on a store it only meant to inspect —
     # `storage compact` compacts explicitly.
-    return [
-        (name, SegmentedStore(path, auto_compact=False))
-        for name, path in stores
-    ]
+    try:
+        return [
+            (name, SegmentedStore(path, auto_compact=False))
+            for name, path in stores
+        ]
+    except StorageError as exc:
+        raise SystemExit(str(exc))
 
 
 def _cmd_storage_status(args: argparse.Namespace) -> int:
     """Per-seat store inventory (opening performs crash cleanup)."""
+    from repro.errors import StorageError
+
     opened = _open_selected_stores(args)
     print(f"{len(opened)} seat stores under {args.dir}")
     for name, store in opened:
@@ -858,6 +863,8 @@ def _cmd_storage_status(args: argparse.Namespace) -> int:
                 f"  {name:>20}  {records:7d} live records  "
                 f"{status['disk_bytes']:9d} B  {layout}"
             )
+        except StorageError as exc:
+            raise SystemExit(str(exc))
         finally:
             store.close()
     return 0
@@ -865,6 +872,8 @@ def _cmd_storage_status(args: argparse.Namespace) -> int:
 
 def _cmd_storage_compact(args: argparse.Namespace) -> int:
     """Snapshot every (selected) store in place; prints reclaimed bytes."""
+    from repro.errors import StorageError
+
     opened = _open_selected_stores(args)
     for name, store in opened:
         try:
@@ -878,6 +887,8 @@ def _cmd_storage_compact(args: argparse.Namespace) -> int:
                     f"  {name:>20}  snapshot of {written} records, "
                     f"{before} -> {after} B on disk"
                 )
+        except StorageError as exc:
+            raise SystemExit(str(exc))
         finally:
             store.close()
     return 0

@@ -357,7 +357,12 @@ class ClusterDeployment:
                 if slot.log is None:
                     continue
                 status = slot.log.status()
-                for key in ("records_appended", "disk_bytes", "segments"):
+                for key in (
+                    "records_appended",
+                    "bytes_appended",
+                    "disk_bytes",
+                    "segments",
+                ):
                     metrics.gauge(
                         f"zerber_storage_{key}", server=slot.server_id
                     ).set(status[key])

@@ -227,14 +227,12 @@ def _enc_adopt_snapshot(
     for pl_id in msg.pl_ids:
         _write_uint(out, pl_id)
     _write_bytes(out, msg.snapshot)
-    _write_bytes(out, msg.suffix)
 
 
 def _dec_adopt_snapshot(r: _Reader) -> m.AdoptSnapshotRequest:
     return m.AdoptSnapshotRequest(
         pl_ids=tuple(r.uint() for _ in range(r.uint())),
         snapshot=r.blob(),
-        suffix=r.blob(),
     )
 
 

@@ -20,7 +20,7 @@ FetchSnippetRequest   token + doc id + query terms     SnippetResponse
 AdoptListRequest      pl_id + records (admin)          RecordListResponse
 DropListRequest       pl_id (admin)                    RecordListResponse
 ShipSnapshotRequest   pl_ids (admin/bulk transfer)     SnapshotResponse
-AdoptSnapshotRequest  pl_ids + ZSNP image + suffix     OpCountResponse
+AdoptSnapshotRequest  pl_ids + ZSNP image (admin)      OpCountResponse
 ServerStatusRequest   —  (admin/observability)         ServerStatusResponse
 EndpointsRequest      —  (transport discovery)         EndpointsResponse
 CacheGetRequest       token + cache key (cache tier)   CacheValueResponse
@@ -176,8 +176,8 @@ class ShipSnapshotRequest:
     """Admin/replication: ask a seat for a sealed snapshot image of a
     set of posting lists — the bulk-transfer read of snapshot-shipping
     rebalance and anti-entropy repair. The response carries the exact
-    ``ZSNP`` byte format the segmented engine writes to disk (fixed-width
-    packed records, trailing CRC32), so the eventual receiver's CRC
+    ``ZSNP`` byte format the segmented engine writes to disk (one packed
+    column block per list, trailing CRC32), so the eventual receiver's CRC
     check spans the whole journey.
     """
 
@@ -195,10 +195,8 @@ class AdoptSnapshotRequest:
 
     The receiver validates the image's CRC, *drops* its pre-existing
     data for every listed ``pl_id`` (stale records — including shares of
-    since-deleted elements — must not survive the adoption), loads the
-    image in one sequential pass, then replays ``suffix``: operations
-    framed exactly like segment-file records, covering writes logged
-    after the image's rotation point. Replace semantics are the point —
+    since-deleted elements — must not survive the adoption), then loads
+    the image in one sequential pass. Replace semantics are the point —
     an idempotent merge could never heal a seat that slept through a
     delete.
 
@@ -208,21 +206,15 @@ class AdoptSnapshotRequest:
             an empty posting list is how a receiver's stale copy dies).
         snapshot: a sealed ``ZSNP`` image (see
             :func:`repro.storage.snapshot.snapshot_bytes`).
-        suffix: framed segment records to replay after the image
-            (:func:`repro.storage.segment.encode_op_frames`); empty when
-            the image alone is current.
     """
 
     pl_ids: tuple[int, ...]
     snapshot: bytes
-    suffix: bytes = b""
 
     kind = "admin"
 
     def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return (
-            4 + 4 * len(self.pl_ids) + len(self.snapshot) + len(self.suffix)
-        )
+        return 4 + 4 * len(self.pl_ids) + len(self.snapshot)
 
 
 @dataclass(frozen=True)

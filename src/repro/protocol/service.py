@@ -145,9 +145,7 @@ class IndexServerService:
             return SnapshotResponse(snapshot=image, record_count=count)
         if isinstance(request, AdoptSnapshotRequest):
             return OpCountResponse(
-                count=server.ingest_snapshot(
-                    request.pl_ids, request.snapshot, request.suffix
-                )
+                count=server.ingest_snapshot(request.pl_ids, request.snapshot)
             )
         if isinstance(request, ServerStatusRequest):
             return ServerStatusResponse(

@@ -513,30 +513,24 @@ class IndexServer:
         }
         return snapshot_bytes(subset)
 
-    def ingest_snapshot(
-        self, pl_ids: Sequence[int], snapshot: bytes, suffix: bytes = b""
-    ) -> int:
+    def ingest_snapshot(self, pl_ids: Sequence[int], snapshot: bytes) -> int:
         """Bulk-load a shipped snapshot, replacing the listed lists.
 
         Replace semantics: every listed ``pl_id`` is dropped first (a
         stale seat may hold shares of since-deleted elements — an
         idempotent merge could never remove those), then the CRC-checked
-        image is loaded in one pass, then ``suffix`` — segment-framed
-        operations logged after the image's rotation point — is
-        replayed. All three phases run through the logged mutation
-        paths, so the seat's WAL stays a faithful history.
+        image is loaded in one pass. Both phases run through the logged
+        mutation paths, so the seat's WAL stays a faithful history.
 
         Returns the number of elements now stored across the listed
         lists.
 
         Raises:
-            StorageError: the image or suffix fails validation (CRC,
-                framing), or carries a list outside ``pl_ids`` — a
-                shipment must not smuggle writes into lists the caller
-                never named.
+            StorageError: the image fails validation (CRC, framing), or
+                carries a list outside ``pl_ids`` — a shipment must not
+                smuggle writes into lists the caller never named.
         """
         from repro.errors import StorageError
-        from repro.storage.segment import decode_op_frames
         from repro.storage.snapshot import parse_snapshot_bytes
 
         source = f"snapshot shipped to {self.server_id}"
@@ -548,35 +542,11 @@ class IndexServer:
                 f"{source}: image carries unrequested lists "
                 f"{sorted(unknown)}"
             )
-        operations = decode_op_frames(suffix, source=source)
-        for op in operations:
-            if op.pl_id not in wanted:
-                raise StorageError(
-                    f"{source}: suffix carries unrequested list {op.pl_id}"
-                )
         for pl_id in sorted(wanted):
             self.drop_posting_list(pl_id)
             records = loaded.get(pl_id)
             if records:
                 self.adopt_posting_list(pl_id, list(records.values()))
-        for op in operations:
-            if isinstance(op, InsertOp):
-                self.adopt_posting_list(
-                    op.pl_id,
-                    (
-                        ShareRecord(
-                            element_id=op.element_id,
-                            group_id=op.group_id,
-                            share_y=op.share_y,
-                        ),
-                    ),
-                )
-            else:
-                if (
-                    self._store.get(op.pl_id, _NO_LIST).remove(op.element_id)
-                    and self._persistence is not None
-                ):
-                    self._persistence.append_deletes((op,))
         return sum(len(self._store.get(pl_id, _NO_LIST)) for pl_id in wanted)
 
     # -- operator/diagnostic surface ---------------------------------------------

@@ -17,7 +17,6 @@ from repro.storage.engine import (
     DEFAULT_COMPACT_SEGMENTS,
     DEFAULT_SEGMENT_BYTES,
     SegmentedStore,
-    apply_operation,
     discover_stores,
     refuse_flat_wals,
 )
@@ -29,7 +28,6 @@ __all__ = [
     "DEFAULT_SEGMENT_BYTES",
     "Manifest",
     "SegmentedStore",
-    "apply_operation",
     "discover_stores",
     "load_manifest",
     "load_snapshot",

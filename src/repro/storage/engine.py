@@ -3,12 +3,13 @@
 "The element IDs help an index recover after failure" (§5.4.1): a seat
 logs every accepted insert and delete keyed by ``(pl_id, element_id)``,
 so replay is idempotent and order-tolerant. The store is a rotated
-binary segment log (LEB128 + CRC per record), immutable snapshots
-written by a **background compactor** while the seat keeps serving, and
-a fsync'd manifest naming exactly one snapshot + segment suffix.
-Recovery loads the snapshot and replays only the suffix; compaction
-never blocks the write path for longer than one segment rotation (a
-file close/open).
+binary segment log (one CRC'd column block per accepted batch, so a
+batch is on disk whole or not at all), immutable column-block
+snapshots written by a **background compactor** while the seat keeps
+serving, and a fsync'd manifest naming exactly one snapshot + segment
+suffix. Recovery loads the snapshot and folds the suffix's blocks into
+it column by column; compaction never blocks the write path for longer
+than one segment rotation (a file close/open).
 
 The store holds shares and public IDs only — nothing on disk is more
 useful to a thief than a compromised server already is (§5).
@@ -37,10 +38,11 @@ from repro.storage.manifest import (
 )
 from repro.storage.segment import (
     HEADER_LEN,
+    KIND_DELETE,
+    KIND_INSERT,
     SegmentWriter,
-    encode_delete,
-    encode_insert,
-    iter_operations,
+    encode_block,
+    iter_blocks,
     repair_segment_tail,
     scan_segment_numbers,
     segment_name,
@@ -55,23 +57,26 @@ DEFAULT_SEGMENT_BYTES = 1 << 20
 DEFAULT_COMPACT_SEGMENTS = 4
 
 
-def apply_operation(
-    state: dict[int, dict[int, ShareRecord]], op: InsertOp | DeleteOp
+def apply_block(
+    state: dict[int, dict[int, ShareRecord]],
+    kind: int,
+    columns: list[list[int]],
 ) -> None:
-    """Fold one logged operation into a replayed store state."""
-    if isinstance(op, InsertOp):
-        plist = state.get(op.pl_id)
-        if plist is None:
-            plist = state[op.pl_id] = {}
-        plist[op.element_id] = ShareRecord(
-            element_id=op.element_id,
-            group_id=op.group_id,
-            share_y=op.share_y,
-        )
+    """Fold one logged batch (a segment record's columns) into a
+    replayed store state."""
+    if kind == KIND_INSERT:
+        pl_ids, element_ids, group_ids, share_ys = columns
+        records = map(ShareRecord, element_ids, group_ids, share_ys)
+        for pl_id, element_id, record in zip(pl_ids, element_ids, records):
+            plist = state.get(pl_id)
+            if plist is None:
+                plist = state[pl_id] = {}
+            plist[element_id] = record
     else:
-        plist = state.get(op.pl_id)
-        if plist is not None:
-            plist.pop(op.element_id, None)
+        for pl_id, element_id in zip(*columns):
+            plist = state.get(pl_id)
+            if plist is not None:
+                plist.pop(element_id, None)
 
 
 def _snapshot_filename(first_segment: int) -> str:
@@ -128,8 +133,10 @@ class SegmentedStore:
         self._compact_gate = threading.Lock()
         self._compactor: threading.Thread | None = None
         self._closed = False
-        #: Appends recorded through this handle.
+        #: Rows appended through this handle, and the record bytes
+        #: (framing included) that carried them.
         self.records_appended = 0
+        self.bytes_appended = 0
         #: The last background compaction failure, for the status surface
         #: (a daemon thread must never take the seat down with it).
         self.last_compaction_error: Exception | None = None
@@ -174,29 +181,27 @@ class SegmentedStore:
     # -- writing ----------------------------------------------------------
 
     def append_inserts(self, operations: Iterable[InsertOp]) -> int:
-        """Log one accepted insert batch (one fsync for the whole batch)."""
-        frames = bytearray()
-        columns = insert_columns(operations)
-        for row in zip(*columns):
-            encode_insert(frames, *row)
-        return self._append(frames, len(columns[0]))
+        """Log one accepted insert batch as one record (one fsync)."""
+        return self._append(KIND_INSERT, insert_columns(operations))
 
     def append_deletes(self, operations: Iterable[DeleteOp]) -> int:
-        """Log accepted deletions."""
-        frames = bytearray()
-        count = 0
-        for op in operations:
-            encode_delete(frames, op)
-            count += 1
-        return self._append(frames, count)
+        """Log one accepted delete batch as one record (one fsync)."""
+        ops = tuple(operations)
+        return self._append(
+            KIND_DELETE,
+            ([op.pl_id for op in ops], [op.element_id for op in ops]),
+        )
 
-    def _append(self, frames: bytearray, count: int) -> int:
+    def _append(self, kind: int, columns) -> int:
+        count = len(columns[0])
         if count == 0:
             return 0
+        record = encode_block(kind, *columns)
         with self._lock:
             self._ensure_open()
-            self._writer.append(bytes(frames))
+            self._writer.append(record)
             self.records_appended += count
+            self.bytes_appended += len(record)
             if self._writer.tell() >= self._segment_bytes:
                 self._rotate_locked()
         return count
@@ -239,8 +244,8 @@ class SegmentedStore:
                 for n in scan_segment_numbers(self._dir)
                 if n >= manifest.first_segment
             ]
-            for op in iter_operations(self._dir, numbers):
-                apply_operation(state, op)
+            for kind, columns in iter_blocks(self._dir, numbers):
+                apply_block(state, kind, columns)
         return state
 
     # -- compaction --------------------------------------------------------
@@ -284,8 +289,8 @@ class SegmentedStore:
                 if base.snapshot is None
                 else load_snapshot(self._dir / base.snapshot)
             )
-            for op in iter_operations(self._dir, sealed):
-                apply_operation(state, op)
+            for kind, columns in iter_blocks(self._dir, sealed):
+                apply_block(state, kind, columns)
             self._hook("state-built")
             new_name = _snapshot_filename(new_first)
             count = write_snapshot(self._dir / new_name, state)
@@ -378,6 +383,7 @@ class SegmentedStore:
             return {
                 "path": str(self._dir),
                 "records_appended": self.records_appended,
+                "bytes_appended": self.bytes_appended,
                 "disk_bytes": self.disk_bytes(),
                 "snapshot": self._manifest.snapshot,
                 "first_segment": self._manifest.first_segment,

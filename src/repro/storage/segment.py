@@ -7,12 +7,20 @@ A seat's history is a numbered sequence of segment files
     | ZSEG | version | record | record | ... |
     +------+---------+--------+--------+-----+
 
-and each record is framed with the PR 4 LEB128 codec plus a CRC::
+and each record is **one accepted write batch**, framed with a LEB128
+length and a CRC::
 
     varint(len(payload))  payload  crc32(payload) as 4 LE bytes
-    payload = kind byte (1 = insert, 2 = delete)
-              + varint pl_id + varint element_id
-              [+ varint group_id + varint share_y]   (inserts only)
+    payload = kind byte 1 + write_columns(pl_ids, element_ids,
+                                          group_ids, share_ys)   (insert)
+            | kind byte 2 + write_columns(pl_ids, element_ids)   (delete)
+
+The columns are the wire codec's packed form
+(:func:`repro.protocol.codec.write_columns`: a row count, then per
+column one width byte and fixed-width big-endian values), so a batch
+reaches disk without a Python pass per row and replays as columns. The
+batch is the unit the paper's servers see (§5.4.1) and the unit of
+atomicity: a record is whole or it is not there.
 
 Only shares ever reach disk — the §5 share-only-on-disk guarantee holds
 byte for byte through the binary layout.
@@ -24,6 +32,9 @@ a clean tail (``truncate_at == file size``) from a torn one, and
 record on open, so sealed segments are always clean and corruption
 anywhere else is a hard :class:`~repro.errors.StorageError` — damage in
 the middle of the history can never be mistaken for a crash artifact.
+A record whose CRC matches but whose payload does not parse (unknown
+kind, bad columns, trailing bytes) is a format error, never a torn
+tail. Version 1 files (one record per share) are refused by version.
 """
 
 from __future__ import annotations
@@ -33,18 +44,25 @@ import pathlib
 import re
 import zlib
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from repro.errors import StorageError
-from repro.protocol.codec import write_uint
-from repro.server.index_server import DeleteOp, InsertOp
+from repro.errors import ProtocolError, StorageError
+from repro.protocol.codec import (
+    Reader,
+    read_columns,
+    write_columns,
+    write_uint,
+)
 
 SEGMENT_MAGIC = b"ZSEG"
-SEGMENT_VERSION = 1
+SEGMENT_VERSION = 2
 HEADER_LEN = len(SEGMENT_MAGIC) + 1
 
 KIND_INSERT = 1
 KIND_DELETE = 2
+
+#: Columns per record kind.
+_WIDTH = {KIND_INSERT: 4, KIND_DELETE: 2}
 
 _SEGMENT_NAME = re.compile(r"^seg-(\d{8})\.zseg$")
 
@@ -59,30 +77,15 @@ def segment_number(name: str) -> int | None:
     return int(match.group(1)) if match else None
 
 
-def encode_insert(
-    out: bytearray, pl_id: int, element_id: int, group_id: int, share_y: int
-) -> None:
-    """Append one framed insert record to ``out``."""
-    payload = bytearray((KIND_INSERT,))
-    write_uint(payload, pl_id)
-    write_uint(payload, element_id)
-    write_uint(payload, group_id)
-    write_uint(payload, share_y)
-    _frame(out, payload)
-
-
-def encode_delete(out: bytearray, op: DeleteOp) -> None:
-    """Append one framed delete record to ``out``."""
-    payload = bytearray((KIND_DELETE,))
-    write_uint(payload, op.pl_id)
-    write_uint(payload, op.element_id)
-    _frame(out, payload)
-
-
-def _frame(out: bytearray, payload: bytearray) -> None:
+def encode_block(kind: int, *columns: Sequence[int]) -> bytes:
+    """One framed record holding a whole batch's aligned columns."""
+    payload = bytearray((kind,))
+    write_columns(payload, *columns)
+    out = bytearray()
     write_uint(out, len(payload))
-    out.extend(payload)
-    out.extend(zlib.crc32(payload).to_bytes(4, "little"))
+    out += payload
+    out += zlib.crc32(payload).to_bytes(4, "little")
+    return bytes(out)
 
 
 @dataclass
@@ -90,7 +93,7 @@ class SegmentScan:
     """What one pass over a segment file found.
 
     Attributes:
-        operations: the decoded records, in log order.
+        blocks: the decoded records as ``(kind, columns)``, in log order.
         truncate_at: byte offset of the end of the last whole, valid
             record (== file size when the tail is clean). Everything
             past it is a torn tail — or corruption, which is the
@@ -98,15 +101,13 @@ class SegmentScan:
             last of the live set.
     """
 
-    operations: list[InsertOp | DeleteOp]
+    blocks: list[tuple[int, list[list[int]]]]
     truncate_at: int
 
 
 def _uvarint(data, pos: int) -> tuple[int, int]:
-    """LEB128 decode at ``pos`` (tight local loop — this is recovery's
-    hot path; the codec's bounds-checked Reader costs ~3x as much).
-    Raises IndexError past the end, which callers treat as a torn tail.
-    """
+    """LEB128 decode at ``pos``. Raises IndexError past the end, which
+    the caller treats as a torn tail."""
     result = 0
     shift = 0
     while True:
@@ -126,7 +127,7 @@ def read_segment(
     Args:
         path: the segment file.
         decode: with False, records are CRC-validated but not
-            materialized (``operations`` comes back empty) — the cheap
+            materialized (``blocks`` comes back empty) — the cheap
             mode tail repair uses to find the valid prefix.
 
     Raises:
@@ -138,19 +139,17 @@ def read_segment(
     """
     data = pathlib.Path(path).read_bytes()
     if len(data) < HEADER_LEN:
-        return SegmentScan(operations=[], truncate_at=0)
+        return SegmentScan(blocks=[], truncate_at=0)
     if data[: len(SEGMENT_MAGIC)] != SEGMENT_MAGIC:
         raise StorageError(f"{path}: not a segment file (bad magic)")
     if data[len(SEGMENT_MAGIC)] != SEGMENT_VERSION:
         raise StorageError(
             f"{path}: unsupported segment version {data[len(SEGMENT_MAGIC)]}"
         )
-    operations: list[InsertOp | DeleteOp] = []
+    blocks: list[tuple[int, list[list[int]]]] = []
     size = len(data)
     pos = HEADER_LEN
     good_end = HEADER_LEN
-    crc32 = zlib.crc32
-    from_bytes = int.from_bytes
     while pos < size:
         try:
             length, body_start = _uvarint(data, pos)
@@ -160,96 +159,31 @@ def read_segment(
         if body_end + 4 > size:
             break  # torn tail: payload or CRC cut off
         payload = data[body_start:body_end]
-        if crc32(payload) != from_bytes(
+        if zlib.crc32(payload) != int.from_bytes(
             data[body_end : body_end + 4], "little"
         ):
             break  # torn or corrupt record; caller judges which
         if decode:
-            operations.append(_decode_payload(payload, path))
+            blocks.append(_decode_payload(payload, path))
         pos = body_end + 4
         good_end = pos
-    return SegmentScan(operations=operations, truncate_at=good_end)
+    return SegmentScan(blocks=blocks, truncate_at=good_end)
 
 
 def _decode_payload(
     payload: bytes, path: str | pathlib.Path
-) -> InsertOp | DeleteOp:
-    if not payload:
-        raise StorageError(f"{path}: empty record payload")
-    kind = payload[0]
+) -> tuple[int, list[list[int]]]:
+    # The CRC matched, so any failure here is a format problem, not rot.
+    kind = payload[0] if payload else None
+    if kind not in _WIDTH:
+        raise StorageError(f"{path}: unknown record kind {kind}")
+    reader = Reader(payload, 1)
     try:
-        pl_id, pos = _uvarint(payload, 1)
-        element_id, pos = _uvarint(payload, pos)
-        if kind == KIND_INSERT:
-            group_id, pos = _uvarint(payload, pos)
-            share_y, pos = _uvarint(payload, pos)
-            op: InsertOp | DeleteOp = InsertOp(
-                pl_id=pl_id,
-                element_id=element_id,
-                group_id=group_id,
-                share_y=share_y,
-            )
-        elif kind == KIND_DELETE:
-            op = DeleteOp(pl_id=pl_id, element_id=element_id)
-        else:
-            # The CRC matched, so this is a format problem, not bit rot.
-            raise StorageError(f"{path}: unknown record kind {kind}")
-    except IndexError as exc:
-        raise StorageError(f"{path}: undecodable record") from exc
-    if pos != len(payload):
-        raise StorageError(f"{path}: trailing bytes inside a record")
-    return op
-
-
-def decode_op_frames(
-    data: bytes, source: str = "<wire>"
-) -> list[InsertOp | DeleteOp]:
-    """Decode a sealed run of record frames (no segment header).
-
-    This is the *wire* twin of :func:`read_segment`: snapshot-shipping
-    sends a segment suffix — operations logged after the shipped
-    snapshot's rotation point — as a bare concatenation of the same
-    framed records a segment file holds. Unlike an on-disk tail, a
-    shipped suffix is sealed by construction (it crossed a
-    length-prefixed transport frame intact), so *any* damage — torn
-    varint, short payload, CRC mismatch, trailing bytes — raises
-    :class:`~repro.errors.StorageError` instead of being treated as a
-    crash artifact.
-    """
-    operations: list[InsertOp | DeleteOp] = []
-    size = len(data)
-    pos = 0
-    crc32 = zlib.crc32
-    from_bytes = int.from_bytes
-    while pos < size:
-        try:
-            length, body_start = _uvarint(data, pos)
-        except IndexError as exc:
-            raise StorageError(f"{source}: torn record frame") from exc
-        body_end = body_start + length
-        if body_end + 4 > size:
-            raise StorageError(f"{source}: truncated record frame")
-        payload = data[body_start:body_end]
-        if crc32(payload) != from_bytes(
-            data[body_end : body_end + 4], "little"
-        ):
-            raise StorageError(f"{source}: record CRC mismatch")
-        operations.append(_decode_payload(payload, source))
-        pos = body_end + 4
-    return operations
-
-
-def encode_op_frames(operations) -> bytes:
-    """Frame a run of operations for the wire (decode_op_frames' twin)."""
-    out = bytearray()
-    for op in operations:
-        if isinstance(op, InsertOp):
-            encode_insert(
-                out, op.pl_id, op.element_id, op.group_id, op.share_y
-            )
-        else:
-            encode_delete(out, op)
-    return bytes(out)
+        columns = read_columns(reader, _WIDTH[kind])
+        reader.done()
+    except ProtocolError as exc:
+        raise StorageError(f"{path}: undecodable record: {exc}") from exc
+    return kind, columns
 
 
 def repair_segment_tail(path: str | pathlib.Path) -> int:
@@ -320,9 +254,9 @@ def scan_segment_numbers(directory: pathlib.Path) -> list[int]:
     return sorted(numbers)
 
 
-def iter_operations(
+def iter_blocks(
     directory: pathlib.Path, numbers: list[int]
-) -> Iterator[InsertOp | DeleteOp]:
+) -> Iterator[tuple[int, list[list[int]]]]:
     """Replay segments in order; only the last may carry a torn tail.
 
     Raises:
@@ -338,4 +272,4 @@ def iter_operations(
                 f"{path}: damaged interior segment (valid prefix "
                 f"{scan.truncate_at} of {path.stat().st_size} bytes)"
             )
-        yield from scan.operations
+        yield from scan.blocks

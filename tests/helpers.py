@@ -17,6 +17,7 @@ convergence suites stop growing private copies:
 from __future__ import annotations
 
 import random
+import zlib
 
 from repro.baselines.plain_index import IdealTrustedIndex
 from repro.client.batching import BatchPolicy
@@ -26,6 +27,31 @@ from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Corpus, Document
 
 K, N = 3, 6  # the acceptance configuration: each pod tolerates 3 failures
+
+
+def leb128(value: int) -> bytes:
+    out = bytearray()
+    while True:
+        value, low = value >> 7, value & 0x7F
+        out.append(low | (0x80 if value else 0))
+        if not value:
+            return bytes(out)
+
+
+def segment_record(kind: int, *columns: list[int]) -> bytes:
+    """One segment-log record written out by hand (the format reference):
+    LEB128 payload length; the payload — kind byte, LEB128 row count
+    and, when there are rows, per column one width byte (bytes of the
+    column's largest value, at least 1) and that many big-endian bytes
+    per value; then the payload's CRC32, little-endian."""
+    payload = bytes((kind,)) + leb128(len(columns[0]))
+    if columns[0]:
+        for column in columns:
+            width = max(1, (max(column).bit_length() + 7) // 8)
+            payload += bytes((width,))
+            payload += b"".join(v.to_bytes(width, "big") for v in column)
+    crc = zlib.crc32(payload).to_bytes(4, "little")
+    return leb128(len(payload)) + payload + crc
 
 
 def owner_of_group(group_id: int) -> str:

@@ -38,8 +38,7 @@ from repro.protocol.messages import (
     SnapshotResponse,
 )
 from repro.protocol.transport import frame_bytes
-from repro.server.index_server import DeleteOp, InsertOp, ShareRecord
-from repro.storage.segment import encode_op_frames
+from repro.server.index_server import ShareRecord
 
 
 def make_extra(doc_id=900, terms=("w1", "w2", "w7")):
@@ -116,12 +115,8 @@ class TestNewMessageCodec:
     MESSAGES = (
         ShipSnapshotRequest(pl_ids=(0, 3, 17)),
         ShipSnapshotRequest(pl_ids=()),
-        AdoptSnapshotRequest(
-            pl_ids=(5,), snapshot=b"ZSNP-image-bytes", suffix=b""
-        ),
-        AdoptSnapshotRequest(
-            pl_ids=(1, 2), snapshot=b"\x00\xff" * 64, suffix=b"suffix-ops"
-        ),
+        AdoptSnapshotRequest(pl_ids=(5,), snapshot=b"ZSNP-image-bytes"),
+        AdoptSnapshotRequest(pl_ids=(1, 2), snapshot=b"\x00\xff" * 64),
         SnapshotResponse(snapshot=b"", record_count=0),
         SnapshotResponse(snapshot=bytes(range(256)), record_count=12345),
     )
@@ -426,25 +421,9 @@ class TestTornSnapshotFrame:
         }
         assert after == before  # validation precedes any mutation
 
-    def test_torn_suffix_rejected_before_any_drop(self):
-        cluster = make_cluster(
-            make_documents(), num_pods=2, replication_factor=2
-        )
-        source, target = self.pick_seats(cluster)
-        pl_ids = self.nonempty_lists(source)
-        image, _ = source.export_snapshot(pl_ids)
-        suffix = encode_op_frames(
-            [InsertOp(pl_id=pl_ids[0], element_id=7, group_id=0, share_y=3)]
-        )
-        torn = suffix[:-2]  # cut into the trailing CRC
-        before = target.num_elements
-        with pytest.raises(StorageError):
-            target.ingest_snapshot(pl_ids, image, torn)
-        assert target.num_elements == before
-
     def test_smuggled_list_rejected(self):
-        """An image or suffix naming a list outside ``pl_ids`` is a
-        protocol violation, not a merge."""
+        """An image naming a list outside ``pl_ids`` is a protocol
+        violation, not a merge."""
         cluster = make_cluster(
             make_documents(), num_pods=2, replication_factor=2
         )
@@ -453,12 +432,6 @@ class TestTornSnapshotFrame:
         image, _ = source.export_snapshot(pl_ids)
         with pytest.raises(StorageError):
             target.ingest_snapshot(pl_ids[:1], image)  # image too wide
-        clean, _ = source.export_snapshot(pl_ids[:1])
-        rogue = encode_op_frames(
-            [DeleteOp(pl_id=pl_ids[-1], element_id=1)]
-        )
-        with pytest.raises(StorageError):
-            target.ingest_snapshot(pl_ids[:1], clean, rogue)
 
     def test_torn_in_flight_heal_is_retried(self):
         """A heal whose image tears on the wire counts as failed and the
@@ -683,32 +656,6 @@ class TestSnapshotShippingRebalance:
                 == sorted(source.export_posting_list(pl_id),
                           key=lambda r: r.element_id)
             )
-
-    def test_mid_rotation_suffix_replayed_after_image(self):
-        """Operations logged after the snapshot's rotation point arrive
-        as a segment-framed suffix and replay on top of the image."""
-        cluster = make_cluster(make_documents(), num_pods=2,
-                               replication_factor=2)
-        source = cluster.pods[0].slots[0].server
-        target = cluster.pods[1].slots[0].server
-        pl_ids = tuple(
-            pl_id for pl_id in range(8)
-            if source.export_posting_list(pl_id)
-        )
-        pl_id = pl_ids[0]
-        base = sorted(source.export_posting_list(pl_id),
-                      key=lambda r: r.element_id)
-        image, _ = source.export_snapshot((pl_id,))
-        victim = base[0].element_id
-        suffix = encode_op_frames([
-            InsertOp(pl_id=pl_id, element_id=10**6, group_id=0, share_y=42),
-            DeleteOp(pl_id=pl_id, element_id=victim),
-        ])
-        target.ingest_snapshot((pl_id,), image, suffix)
-        ids = {r.element_id for r in target.export_posting_list(pl_id)}
-        assert 10**6 in ids
-        assert victim not in ids
-        assert len(ids) == len(base)  # one in, one out
 
 
 class TestRepairThreadLifecycle:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import segment_record
 from repro.errors import AccessDeniedError, AuthError, IndexServerError
 from repro.server.auth import AuthService
 from repro.server.groups import GroupDirectory
@@ -19,7 +20,7 @@ from repro.server.index_server import (
     insert_columns,
 )
 from repro.storage import SegmentedStore
-from repro.storage.segment import encode_op_frames, segment_name
+from repro.storage.segment import KIND_INSERT, segment_name
 
 
 @pytest.fixture()
@@ -521,7 +522,8 @@ def test_a_rejected_batch_leaves_store_log_and_wal_untouched(
     live = segment_name(1)
     assert seat_bytes() == {
         **before[1],
-        live: before[1][live] + encode_op_frames(accepted),
+        live: before[1][live]
+        + segment_record(KIND_INSERT, *insert_columns(accepted)),
     }
     assert server.compromise().update_log[-1] == [(2, 1), (3, 1)]
     store.close()

@@ -4,7 +4,8 @@ A small durable cluster writes one seat store per seat under a
 ``wal_dir``; the offline commands must inventory those stores, compact
 them (and say so when there is nothing left to compact), honour
 ``--seat``, and refuse — untouched — a directory still holding the
-``*.wal`` files of the removed flat engine.
+``*.wal`` files of the removed flat engine. Segment and snapshot files
+of format version 1 end the command with a message, not a traceback.
 """
 
 from __future__ import annotations
@@ -137,3 +138,24 @@ def test_flat_era_directory_is_refused_untouched(wal_dir, command):
     for name in legacy:
         assert name in message
     assert _listing(directory) == before
+
+
+@pytest.mark.parametrize(
+    "command, pattern",
+    [
+        ("status", "seg-*.zseg"),
+        ("compact", "seg-*.zseg"),
+        ("status", "snap-*.zsnap"),
+    ],
+)
+def test_version_1_files_exit_with_a_message(wal_dir, command, pattern):
+    directory, _counts = wal_dir
+    assert main(["storage", "compact", "--dir", str(directory)]) == 0
+    (path,) = (directory / "pod0-server-1").glob(pattern)
+    data = bytearray(path.read_bytes())
+    data[4] = 1  # the version byte after the magic
+    path.write_bytes(bytes(data))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["storage", command, "--dir", str(directory)])
+    assert f"{path.name}: unsupported" in excinfo.value.code
+    assert "version 1" in excinfo.value.code

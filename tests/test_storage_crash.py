@@ -26,7 +26,6 @@ from hypothesis import strategies as st
 from repro.errors import StorageError
 from repro.server.index_server import DeleteOp, InsertOp, ShareRecord
 from repro.storage import SegmentedStore, load_manifest
-from repro.storage.engine import apply_operation
 from repro.storage.manifest import manifest_path
 from repro.storage.segment import scan_segment_numbers, segment_name
 
@@ -57,6 +56,16 @@ def op_streams(draw):
             )
             live.add((pl, eid))
     return ops
+
+
+def apply_operation(state, op):
+    """The model: fold one operation into a store state."""
+    if isinstance(op, InsertOp):
+        state.setdefault(op.pl_id, {})[op.element_id] = ShareRecord(
+            element_id=op.element_id, group_id=op.group_id, share_y=op.share_y
+        )
+    elif op.pl_id in state:
+        state[op.pl_id].pop(op.element_id, None)
 
 
 def state_of(ops):
@@ -154,6 +163,35 @@ def test_torn_tail_then_continued_writes_stay_consistent(
     expected = {pl: dict(recs) for pl, recs in surviving.items()}
     apply_operation(expected, extra)
     assert replayed == expected
+
+
+def test_a_torn_batch_is_all_or_nothing(tmp_path):
+    """One append is one record: a crash that tears the batch's write
+    at any byte leaves every row of it or none. Serving part of a batch
+    that was never acknowledged would break ``insert_batch``'s atomicity
+    (and a retry of the batch would hit "already exists")."""
+    directory = tmp_path / "seat"
+    store = SegmentedStore(directory, auto_compact=False)
+    first = [InsertOp(pl_id=9, element_id=1, group_id=1, share_y=5)]
+    store.append_inserts(first)
+    segment = directory / segment_name(1)
+    start = segment.stat().st_size
+    batch = [
+        InsertOp(
+            pl_id=i % 4, element_id=100 + i, group_id=i % 3, share_y=i << 40
+        )
+        for i in range(24)
+    ]
+    store.append_inserts(batch)
+    store.close()
+    image = segment.read_bytes()
+    outcomes = (state_of(first), state_of(first + batch))
+    for cut in range(start, len(image) + 1):
+        segment.write_bytes(image[:cut])
+        recovered = SegmentedStore(directory, auto_compact=False)
+        replayed = clean_replay(recovered)
+        recovered.close()
+        assert replayed == outcomes[cut == len(image)], cut
 
 
 # -- crashes inside a compaction --------------------------------------------

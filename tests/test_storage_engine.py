@@ -9,10 +9,16 @@ wrote, and the persistence hook on :class:`IndexServer`.
 from __future__ import annotations
 
 import threading
+import tracemalloc
+import uuid
 import zlib
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from helpers import leb128, make_documents, segment_record
+from repro.client.batching import BatchPolicy
 from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
 from repro.errors import ClusterError, IndexServerError, StorageError
@@ -25,12 +31,29 @@ from repro.server.index_server import (
     RecordView,
     insert_columns,
 )
-from repro.storage import SegmentedStore, discover_stores, load_manifest
+from repro.observability.metrics import SampleView
+from repro.observability.service import METRICS_ENDPOINT
+from repro.protocol.messages import MetricsDumpRequest
+from repro.storage import (
+    Manifest,
+    SegmentedStore,
+    discover_stores,
+    load_manifest,
+    write_manifest,
+)
 from repro.storage.segment import (
     HEADER_LEN,
-    encode_op_frames,
+    KIND_DELETE,
+    KIND_INSERT,
+    SEGMENT_MAGIC,
+    SEGMENT_VERSION,
     scan_segment_numbers,
     segment_name,
+)
+from repro.storage.snapshot import (
+    SNAPSHOT_VERSION,
+    parse_snapshot_bytes,
+    snapshot_bytes,
 )
 
 
@@ -121,7 +144,8 @@ class TestSegmentedStoreBasics:
 
 class TestColumnAppends:
     """``append_inserts`` takes a batch as columns or as ops and writes
-    the record format the per-op encoder defines, byte for byte."""
+    it as one record of the hand-written reference format, byte for
+    byte."""
 
     OPS = [
         ins(3, 70000, share=2**64 + 12, group=2),
@@ -129,36 +153,12 @@ class TestColumnAppends:
         ins(3, 4, share=0, group=2),
         ins(2**31, 2**32 - 1, share=2**64),
     ]
-    #: The first three records as the parent commit's log holds them.
+    #: The batch's record as the version 2 log holds it.
     PINNED = bytes.fromhex(
-        "100103f0a204028c80808080808080800273c366250601000901ac0272c5e8ea"
-        "0501030402001dbbc8dc"
+        "4e0104040000000300000000000000038000000004000111700000000900000004"
+        "ffffffff01020102010901000000000000000c00000000000000012c0000000000"
+        "00000000010000000000000000a18809ee"
     )
-
-    @staticmethod
-    def _leb128(value: int) -> bytes:
-        out = bytearray()
-        while True:
-            value, low = value >> 7, value & 0x7F
-            out.append(low | (0x80 if value else 0))
-            if not value:
-                return bytes(out)
-
-    def _reference(self) -> bytes:
-        """The record format written out by hand, one op at a time:
-        varint length, kind byte 1 + four varints, CRC32 of the payload."""
-        out = b""
-        for op in self.OPS:
-            payload = b"\x01" + b"".join(
-                map(
-                    self._leb128,
-                    (op.pl_id, op.element_id, op.group_id, op.share_y),
-                )
-            )
-            out += self._leb128(len(payload)) + payload
-            out += zlib.crc32(payload).to_bytes(4, "little")
-        assert out == encode_op_frames(self.OPS)  # the wire twin agrees
-        return out
 
     @pytest.mark.parametrize(
         "batch",
@@ -174,11 +174,206 @@ class TestColumnAppends:
         assert store.append_inserts(batch(self.OPS)) == len(self.OPS)
         store.close()
         written = (tmp_path / "seat" / segment_name(1)).read_bytes()
-        assert written[HEADER_LEN:] == self._reference()
-        assert written[HEADER_LEN:].startswith(self.PINNED)
+        reference = segment_record(KIND_INSERT, *insert_columns(self.OPS))
+        assert written[HEADER_LEN:] == reference == self.PINNED
+        assert store.bytes_appended == len(reference)
         reopened = SegmentedStore(tmp_path / "seat", auto_compact=False)
         assert simplify(reopened.replay()) == apply_ops(self.OPS)
         reopened.close()
+
+    def test_a_delete_batch_is_one_two_column_record(self, tmp_path):
+        store = SegmentedStore(tmp_path / "seat", auto_compact=False)
+        deletes = [DeleteOp(pl_id=3, element_id=70000), DeleteOp(0, 9)]
+        assert store.append_deletes(iter(deletes)) == 2
+        store.close()
+        written = (tmp_path / "seat" / segment_name(1)).read_bytes()
+        assert written[HEADER_LEN:] == segment_record(
+            KIND_DELETE, [3, 0], [70000, 9]
+        )
+
+
+_IDS = st.sampled_from(
+    [0, 1, 127, 128, 255, 256, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**64 - 1]
+) | st.integers(0, 2**20)
+_SHARES = st.sampled_from([0, 1, 2**64 - 1, 2**64 + 12]) | st.integers(
+    0, 2**64 + 12
+)
+
+
+class TestBlockFormat:
+    """The version 2 segment and snapshot formats: column blocks that
+    replay like the op-by-op model, and typed refusals of everything
+    else."""
+
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data())
+    def test_replay_matches_the_op_model(self, tmp_path, data):
+        directory = tmp_path / uuid.uuid4().hex
+        store = SegmentedStore(
+            directory, segment_bytes=256, auto_compact=False
+        )
+        ops: list = []
+        keys: list[tuple[int, int]] = []
+        for _ in range(data.draw(st.integers(0, 8), label="batches")):
+            size = data.draw(st.sampled_from([0, 1, 2, 7]), label="rows")
+            if keys and data.draw(st.booleans(), label="delete"):
+                batch = [
+                    DeleteOp(*data.draw(st.sampled_from(keys)))
+                    for _ in range(size)
+                ]
+                store.append_deletes(batch)
+            else:
+                rows = data.draw(
+                    st.lists(
+                        st.tuples(_IDS, _IDS, _IDS, _SHARES),
+                        min_size=size,
+                        max_size=size,
+                    )
+                )
+                batch = [InsertOp(*row) for row in rows]
+                store.append_inserts(batch)
+                keys += [(op.pl_id, op.element_id) for op in batch]
+            ops += batch
+            if data.draw(st.booleans(), label="compact"):
+                store.compact()
+        if data.draw(st.booleans(), label="reopen"):
+            store.close()
+            store = SegmentedStore(directory, auto_compact=False)
+        state = {pl: recs for pl, recs in store.replay().items() if recs}
+        store.close()
+        expected = {pl: recs for pl, recs in apply_ops(ops).items() if recs}
+        assert simplify(state) == expected
+        image, count = snapshot_bytes(state)
+        assert count == sum(map(len, state.values()))
+        assert parse_snapshot_bytes(image) == state
+
+    def test_a_version_1_segment_is_refused_by_version(self, tmp_path):
+        SegmentedStore(tmp_path / "seat", auto_compact=False).close()
+        payload = bytes((KIND_INSERT, 0, 1, 1, 42))  # v1: four varints
+        (tmp_path / "seat" / segment_name(1)).write_bytes(
+            SEGMENT_MAGIC
+            + bytes((1, len(payload)))
+            + payload
+            + zlib.crc32(payload).to_bytes(4, "little")
+        )
+        with pytest.raises(StorageError, match="segment version 1"):
+            SegmentedStore(tmp_path / "seat", auto_compact=False)
+
+    def test_a_version_1_snapshot_is_refused_by_version(self, tmp_path):
+        # v1: four width bytes, a record count, fixed-width records.
+        body = bytes((1, 0, 0, 1, 1, 0, 1, 1, 42))
+        image = b"ZSNP\x01" + body + zlib.crc32(body).to_bytes(4, "little")
+        with pytest.raises(StorageError, match="snapshot version 1"):
+            parse_snapshot_bytes(image)
+        directory = tmp_path / "seat"
+        SegmentedStore(directory, auto_compact=False).close()
+        (directory / "snap-00000001.zsnap").write_bytes(image)
+        write_manifest(
+            directory,
+            Manifest(snapshot="snap-00000001.zsnap", first_segment=1),
+        )
+        store = SegmentedStore(directory, auto_compact=False)
+        with pytest.raises(StorageError, match="snapshot version 1"):
+            store.replay()
+        store.close()
+
+    @staticmethod
+    def _peak_bytes(call) -> int:
+        tracemalloc.start()
+        try:
+            with pytest.raises(StorageError):
+                call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_a_block_claiming_2_40_rows_is_refused_before_allocating(
+        self, tmp_path
+    ):
+        directory = tmp_path / "seat"
+        SegmentedStore(directory, auto_compact=False).close()
+        payload = bytes((KIND_INSERT,)) + leb128(2**40) + bytes((8,) * 17)
+        (directory / segment_name(1)).write_bytes(
+            SEGMENT_MAGIC
+            + bytes((SEGMENT_VERSION,))
+            + leb128(len(payload))
+            + payload
+            + zlib.crc32(payload).to_bytes(4, "little")
+        )
+        store = SegmentedStore(directory, auto_compact=False)
+        assert self._peak_bytes(store.replay) < 1 << 20
+        store.close()
+        body = leb128(1) + leb128(5) + leb128(2**40) + bytes((8,) * 17)
+        image = (
+            b"ZSNP"
+            + bytes((SNAPSHOT_VERSION,))
+            + body
+            + zlib.crc32(body).to_bytes(4, "little")
+        )
+        assert self._peak_bytes(lambda: parse_snapshot_bytes(image)) < 1 << 20
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            bytes((7, 0)),  # unknown kind
+            bytes((KIND_DELETE, 1, 1, 5)),  # second column missing
+            bytes((KIND_DELETE, 1, 1, 5, 1, 6, 0)),  # trailing byte
+        ],
+        ids=["unknown-kind", "short-columns", "trailing-bytes"],
+    )
+    def test_a_crc_valid_bad_payload_is_an_error_not_a_torn_tail(
+        self, tmp_path, payload
+    ):
+        directory = tmp_path / "seat"
+        store = SegmentedStore(directory, auto_compact=False)
+        store.append_inserts([ins(0, 1)])
+        store.close()
+        with open(directory / segment_name(1), "ab") as handle:
+            handle.write(
+                leb128(len(payload))
+                + payload
+                + zlib.crc32(payload).to_bytes(4, "little")
+            )
+        with pytest.raises(StorageError):
+            SegmentedStore(directory, auto_compact=False).replay()
+
+    def test_bytes_per_appended_row_on_a_small_corpus(self, tmp_path):
+        """Operators read the log's bytes per posting from MetricsDump."""
+        documents = make_documents(num_docs=32)
+        cluster = ClusterDeployment(
+            MappingTable({}, num_lists=8),
+            num_pods=1,
+            use_network=False,
+            batch_policy=BatchPolicy(min_documents=16),
+            wal_dir=tmp_path,
+            seed=77,
+        )
+        with cluster:
+            for g in {d.group_id for d in documents}:
+                cluster.create_group(g, coordinator=f"owner{g}")
+            for document in documents:
+                cluster.share_document(f"owner{document.group_id}", document)
+            cluster.flush_all()
+            view = SampleView(
+                cluster.transport.call(
+                    src="operator",
+                    dst=METRICS_ENDPOINT,
+                    request=MetricsDumpRequest(),
+                ).samples
+            )
+            for slot in cluster.pods[0].slots:
+                status = slot.log.status()
+                assert status["records_appended"] > 0
+                rows = status["records_appended"]
+                assert status["bytes_appended"] <= 16 * rows
+                assert view.value(
+                    "zerber_storage_bytes_appended", server=slot.server_id
+                ) == status["bytes_appended"]
+
 
 class TestCompaction:
     def test_compact_snapshots_and_garbage_collects(self, tmp_path):
