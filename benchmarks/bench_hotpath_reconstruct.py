@@ -1,6 +1,7 @@
-"""Owner and searcher hot paths: reconstruction (naive vs cached vs
-batch columns), splitting (per element vs ``split_many`` columns) and
-packing (per element vs ``pack_many`` columns).
+"""Owner, searcher and seat hot paths: reconstruction (naive vs cached
+vs batch columns), splitting (per element vs ``split_many`` columns),
+packing (per element vs ``pack_many`` columns) and encoding a served
+list (first encode vs re-encode).
 
 The read path's arithmetic is Shamir reconstruction. Naive Lagrange
 pays the full basis per element — k modular inversions and the basis
@@ -34,6 +35,13 @@ against one ``pack_many`` call per document over the same
 value-for-value equality, and gates ``pack_many`` at
 ``GATE_PACK_MANY_OVER_PACK`` times the per-element elements/s.
 
+A seat serves a list's read snapshot to every lookup until the list's
+next write, and the codec memoises a response's packed columns. The
+encode arm times a served ``FetchListsResponse``'s first encode (right
+after a write) against a re-encode of the same response, asserts equal
+bytes, and gates the re-encode at ``GATE_REENCODE_OVER_FIRST`` times
+faster.
+
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_hotpath_reconstruct.py``
 """
 
@@ -45,8 +53,19 @@ import time
 
 from benchmarks.conftest import RESULTS_DIR, emit
 from repro.core.posting import PostingElement, PostingElementCodec
+from repro.protocol.codec import encode_message
+from repro.protocol.messages import FetchListsResponse
 from repro.secretsharing.field import DEFAULT_PRIME, PrimeField
 from repro.secretsharing.shamir import ShamirScheme, reconstruct_secret
+from repro.server.auth import AuthService
+from repro.server.groups import GroupDirectory
+from repro.server.index_server import (
+    DeleteOp,
+    IndexServer,
+    InsertOp,
+    PostingListResponse,
+    RecordView,
+)
 
 #: Elements per timed column — enough to dwarf per-call noise while the
 #: whole bench stays in the low seconds.
@@ -69,6 +88,9 @@ GATE_PACK_MANY_OVER_PACK = 1.5
 #: The pack arm's corpus: documents of a typical benchmark length.
 PACK_DOCUMENTS = 100
 PACK_TERMS = 49
+#: Re-encoding a served response copies its memoised block; the first
+#: encode packs three columns (measured ~40-60x).
+GATE_REENCODE_OVER_FIRST = 10.0
 #: ``reconstruct_batch`` at k=2 when it was a per-element loop over a
 #: mapping of Share lists (PR 3's recorded figure); ROADMAP's "Columnar
 #: share path" asked for 5x this.
@@ -204,6 +226,62 @@ def _pack_arm() -> tuple[list[dict], list[str]]:
     return rows_out, lines
 
 
+def _encode_arm() -> tuple[dict, list[str]]:
+    """First encode of a served list (after a write) vs a re-encode."""
+    auth, groups = AuthService(), GroupDirectory()
+    groups.create_group(1, coordinator="owner")
+    token = auth.issue_token("owner", auth.register_user("owner"))
+    server = IndexServer("seat", x_coordinate=1, auth=auth, groups=groups)
+    draw = random.Random(13)
+    server.insert_batch(
+        token,
+        RecordView(
+            InsertOp,
+            [0] * ELEMENTS,
+            list(range(ELEMENTS)),
+            [1] * ELEMENTS,
+            [draw.randrange(DEFAULT_PRIME) for _ in range(ELEMENTS)],
+        ),
+    )
+    first = reencode = float("inf")
+    for _ in range(REPEATS):
+        # A write restamps the list: the second lookup after it keeps a
+        # new snapshot, whose first encode packs its columns.
+        server.delete(token, [DeleteOp(0, 0)])
+        server.insert_batch(token, [InsertOp(0, 0, 1, 7)])
+        for _ in range(2):
+            (served,) = server.get_posting_lists(token, [0])
+        message = FetchListsResponse(lists=(served,))
+        start = time.perf_counter()
+        blob = encode_message(message)
+        first = min(first, time.perf_counter() - start)
+        start = time.perf_counter()
+        again = encode_message(message)
+        reencode = min(reencode, time.perf_counter() - start)
+        fresh = PostingListResponse(0, *map(list, served.columns))
+        assert again == blob == encode_message(
+            FetchListsResponse(lists=(fresh,))
+        ), "a re-encode diverged from the first encode"
+    ratio = first / reencode
+    row = {
+        "elements": ELEMENTS,
+        "first_encode_us": round(first * 1e6, 1),
+        "reencode_us": round(reencode * 1e6, 1),
+        "reencode_over_first": round(ratio, 1),
+    }
+    lines = [
+        f"served-list encode ({ELEMENTS} elements, best of {REPEATS}): "
+        f"first {first * 1e6:.1f} us, re-encode {reencode * 1e6:.1f} us "
+        f"({ratio:.1f}x)",
+    ]
+    assert ratio >= GATE_REENCODE_OVER_FIRST, (
+        f"re-encoding a served list under {GATE_REENCODE_OVER_FIRST}x its "
+        f"first encode: first={first * 1e6:.1f}us "
+        f"re-encode={reencode * 1e6:.1f}us"
+    )
+    return row, lines
+
+
 def test_hotpath_reconstruct_paths(benchmark):
     rows_out = []
     lines = [
@@ -282,17 +360,22 @@ def test_hotpath_reconstruct_paths(benchmark):
     )
     split_rows, split_lines = _split_arm()
     pack_rows, pack_lines = _pack_arm()
-    emit("hotpath_reconstruct", lines + split_lines + pack_lines)
+    encode_row, encode_lines = _encode_arm()
+    emit(
+        "hotpath_reconstruct",
+        lines + split_lines + pack_lines + encode_lines,
+    )
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_hotpath.json").write_text(
         json.dumps(
             {
-                "schema": "zerber.bench_hotpath.v4",
+                "schema": "zerber.bench_hotpath.v5",
                 "gates": {
                     "cached_over_naive": GATE_CACHED_OVER_NAIVE,
                     "batch_over_cached": GATE_BATCH_OVER_CACHED,
                     "split_many_over_split": GATE_SPLIT_MANY_OVER_SPLIT,
                     "pack_many_over_pack": GATE_PACK_MANY_OVER_PACK,
+                    "reencode_over_first": GATE_REENCODE_OVER_FIRST,
                 },
                 "batch_k2_over_mapping_form": {
                     "mapping_form_elements_per_sec": (
@@ -303,6 +386,7 @@ def test_hotpath_reconstruct_paths(benchmark):
                 "rows": rows_out,
                 "split_rows": split_rows,
                 "pack_rows": pack_rows,
+                "encode_row": encode_row,
             },
             indent=2,
         )

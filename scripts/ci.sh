@@ -23,8 +23,10 @@
 #   splitting (split_many) >= 2x per-element split with share-for-share
 #   equal output at the same seed, and column packing (pack_many) >=
 #   1.5x per-element pack(PostingElement(...)) with value-for-value
-#   equal secrets (ratio gates, no absolute numbers, so they cannot
-#   flake on slow machines);
+#   equal secrets, and re-encoding a served FetchListsResponse (a
+#   seat's read snapshot, its packed columns memoised) >= 10x faster
+#   than its first encode with equal bytes (ratio gates, no absolute
+#   numbers, so they cannot flake on slow machines);
 # - the benchmark-of-record self-tests (benchmarks/e2e, ~10 s): its
 #   tracer resolves the read path's methods by name, so a rename must
 #   fail here, not in the benchmark pipeline;

@@ -351,9 +351,13 @@ class ClusterDeployment:
         metrics.gauge("zerber_l1_caches").set(l1_count)
         for key, value in l1_totals.items():
             metrics.gauge(f"zerber_l1_{key}").set(value)
-        # Seat-store / compactor state.
+        # Seat read snapshots, then seat-store / compactor state.
         for pod in self.coordinator.pods:
             for slot in pod.slots:
+                for key in ("snapshot_builds", "snapshot_reads"):
+                    metrics.gauge(
+                        f"zerber_server_{key}", server=slot.server_id
+                    ).set(getattr(slot.server, key))
                 if slot.log is None:
                     continue
                 status = slot.log.status()

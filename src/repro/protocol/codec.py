@@ -552,10 +552,19 @@ def _read_record_columns(r: _Reader) -> tuple[ShareRecord, ...]:
 
 
 def _enc_lists(out: bytearray, msg: m.FetchListsResponse) -> None:
+    # A response is read-only, so its packed columns are encoded once
+    # and memoised on it: a seat's read snapshot is served to every
+    # lookup until the next write, and each later encode is a copy.
     _write_uint(out, len(msg.lists))
     for pl in msg.lists:
         _write_uint(out, pl.pl_id)
-        write_columns(out, *pl.columns)
+        packed = pl.packed
+        if packed is None:
+            block = bytearray()
+            write_columns(block, *pl.columns)
+            packed = bytes(block)
+            object.__setattr__(pl, "packed", packed)
+        out += packed
 
 
 def _dec_lists(r: _Reader) -> m.FetchListsResponse:

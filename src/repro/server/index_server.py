@@ -16,10 +16,11 @@ information the §7.1 attack experiments are allowed to use.
 
 from __future__ import annotations
 
-from collections import defaultdict
+import threading
+from collections import defaultdict, deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, count
 from operator import attrgetter
 
 from repro.errors import AccessDeniedError, IndexServerError
@@ -120,13 +121,21 @@ class PostingListResponse:
     ``PL_ID, [{g_id1, e(doc1, term1, tf1)}, ...]``
 
     held as three aligned columns, read-only by contract: transports,
-    caches and the client's merge all hold a response without a copy.
+    caches and the client's merge all hold a response without a copy,
+    and a seat hands the same response (its list's read snapshot) to
+    repeated lookups between two writes of the list.
     """
 
     pl_id: int
     element_ids: list[int]
     group_ids: list[int]
     share_ys: list[int]
+
+    #: The columns in the wire's packed form, memoised by the codec the
+    #: first time it encodes this response (``_enc_lists``), so a shared
+    #: snapshot is encoded once. Unannotated, so not a field: it takes
+    #: no part in ``==``, ``repr`` or the constructor.
+    packed = None
 
     @classmethod
     def from_records(
@@ -155,14 +164,43 @@ class _SeatList:
     columns plus ``element_id -> row``. A delete moves the last row into
     the hole (O(1)), so row order is a function of the operations
     applied: seats that applied the same operations answer in the same
-    order, which the client's aligned join relies on."""
+    order, which the client's aligned join relies on.
 
-    __slots__ = ("element_ids", "group_ids", "share_ys", "columns", "row_of")
+    Reads go through a **read snapshot**: ``(stamp, response, group
+    set)``, one copy of the columns that repeated lookups share until
+    the next write. A write costs the snapshot O(1): it sets ``stamp``
+    to None while it mutates and to the list's next write number after,
+    and never touches the snapshot itself. The first read after a write
+    copies for itself and drops the stale snapshot; the second keeps its
+    copy as the new one. So a list read once between writes keeps no
+    copy alive, for every garbage collection a kept copy survives walks
+    its columns. A copy that overlapped a write is never kept. Write
+    numbers come from a ``count`` (``next`` is atomic under the GIL), so
+    however two writers interleave, the stamp never comes back to a
+    value a snapshot was kept under.
+    """
+
+    __slots__ = (
+        "element_ids",
+        "group_ids",
+        "share_ys",
+        "columns",
+        "row_of",
+        "writes",
+        "stamp",
+        "snapshot",
+        "copied",
+    )
 
     def __init__(self) -> None:
         self.columns = ([], [], [])
         self.element_ids, self.group_ids, self.share_ys = self.columns
         self.row_of: dict[int, int] = {}
+        self.writes = count(1)
+        self.stamp: int | None = 0
+        self.snapshot: tuple[int, PostingListResponse, frozenset] | None = None
+        #: The stamp of the last copy made and not kept.
+        self.copied: int | None = None
 
     def __len__(self) -> int:
         return len(self.element_ids)
@@ -170,30 +208,61 @@ class _SeatList:
     def extend(self, element_ids, group_ids, share_ys) -> None:
         """Append aligned columns (sequences of int) whose element IDs
         are distinct and not yet stored."""
+        self.stamp = None
         rows = range(len(self), len(self) + len(element_ids))
         self.row_of.update(zip(element_ids, rows))
         self.element_ids.extend(element_ids)
         self.group_ids.extend(group_ids)
         self.share_ys.extend(share_ys)
+        self.stamp = next(self.writes)
 
     def remove(self, element_id: int) -> bool:
         row = self.row_of.pop(element_id, None)
         if row is None:
             return False
+        self.stamp = None
         for column in self.columns:
             last = column.pop()
             if row < len(column):
                 column[row] = last
         if row < len(self):
             self.row_of[self.element_ids[row]] = row
+        self.stamp = next(self.writes)
         return True
+
+    def build_snapshot(
+        self, pl_id: int
+    ) -> tuple[int | None, PostingListResponse, frozenset]:
+        """A new snapshot (one copy of the columns). The second copy at
+        one stamp is kept; none is kept while a write is in flight or if
+        one landed during the copy. A kept snapshot is current while its
+        first field equals ``stamp``."""
+        stamp = self.stamp
+        response = PostingListResponse(
+            pl_id, self.element_ids[:], self.group_ids[:], self.share_ys[:]
+        )
+        snapshot = (stamp, response, frozenset(response.group_ids))
+        if stamp is not None and self.stamp == stamp:
+            if self.copied == stamp:
+                self.snapshot = snapshot
+            else:
+                self.copied = stamp
+                self.snapshot = None
+        return snapshot
 
     def records(self) -> list[ShareRecord]:
         return list(map(ShareRecord, *self.columns))
 
 
-#: What a list the seat has never stored reads as. Never written to.
+#: What a list the seat has never stored reads as. Never written to,
+#: and never snapshotted: its snapshot would answer one pl_id with
+#: another's.
 _NO_LIST = _SeatList()
+
+
+#: Lookups a seat remembers for :meth:`IndexServer.compromise`: the most
+#: recent ones, so a long-running seat's log stays bounded.
+QUERY_LOG_LENGTH = 4096
 
 
 @dataclass(frozen=True)
@@ -210,9 +279,13 @@ class CompromisedView:
         update_log: per accepted batch, the (pl_id, element_id) pairs it
             carried, in arrival order — the raw material of the §7.1
             correlation attack.
-        query_log: per lookup, (user_id, requested pl_ids) — what §7.1
-            concedes Alice sees ("Alice can see which posting lists each
-            user queries at her compromised server").
+        query_log: per lookup, (user_id, requested pl_ids), oldest first
+            — what §7.1 concedes Alice sees ("Alice can see which
+            posting lists each user queries at her compromised server").
+            The seat keeps only the last :data:`QUERY_LOG_LENGTH`
+            lookups, so the adversary sees the recent traffic: what a
+            watcher on the box observes, not a ledger the seat grows for
+            its whole life.
     """
 
     server_id: str
@@ -256,8 +329,17 @@ class IndexServer:
         #: Per accepted batch, its ``(pl_ids, element_ids)`` columns (no
         #: tuple per element: :meth:`compromise` zips the pairs on demand).
         self._update_log: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-        self._query_log: list[tuple[str, tuple[int, ...]]] = []
+        self._query_log: deque[tuple[str, tuple[int, ...]]] = deque(
+            maxlen=QUERY_LOG_LENGTH
+        )
         self._persistence = None
+        #: List lookups that copied the columns (kept as the snapshot or
+        #: not) and list lookups answered, copied or shared: ``reads -
+        #: builds`` lookups cost no copy. Lookups run on concurrent
+        #: threads, so the two are added under a lock.
+        self.snapshot_builds = 0
+        self.snapshot_reads = 0
+        self._counts_lock = threading.Lock()
 
     # -- persistence hook ------------------------------------------------------
     #
@@ -424,24 +506,40 @@ class IndexServer:
         error would tell the caller the list has never been used anywhere,
         which §6.4 works to conceal.
 
-        A response holds copies of the stored columns: it outlives the
-        next write inside caches and the in-process transport.
+        A response never aliases the store's columns: it outlives the
+        next write inside caches and the in-process transport. A caller
+        in every group the list holds gets the list's read snapshot
+        (see :class:`_SeatList`): from the second lookup after a write
+        on, the same object for every lookup until the next write.
+        Anyone else gets the snapshot's columns filtered into a fresh
+        response.
         """
         user_id = self._auth.verify(token)
         user_groups = self._groups.groups_of(user_id)
         requested = tuple(pl_ids)
         self._query_log.append((user_id, requested))
         responses = []
+        builds = reads = 0
         for pl_id in requested:
-            stored = self._store.get(pl_id, _NO_LIST)
-            if user_groups.issuperset(stored.group_ids):
-                columns = [column[:] for column in stored.columns]
-            else:
-                keep = [group in user_groups for group in stored.group_ids]
-                columns = [
-                    list(compress(column, keep)) for column in stored.columns
-                ]
-            responses.append(PostingListResponse(pl_id, *columns))
+            stored = self._store.get(pl_id)
+            if stored is None:
+                responses.append(PostingListResponse(pl_id, [], [], []))
+                continue
+            reads += 1
+            snapshot = stored.snapshot
+            if snapshot is None or snapshot[0] != stored.stamp:
+                snapshot = stored.build_snapshot(pl_id)
+                builds += 1
+            _stamp, response, groups = snapshot
+            if not user_groups.issuperset(groups):
+                keep = [group in user_groups for group in response.group_ids]
+                response = PostingListResponse(
+                    pl_id, *(list(compress(c, keep)) for c in response.columns)
+                )
+            responses.append(response)
+        with self._counts_lock:
+            self.snapshot_builds += builds
+            self.snapshot_reads += reads
         return responses
 
     # -- pod-to-pod replication seam ----------------------------------------------

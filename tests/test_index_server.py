@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
+import copy
+import sys
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import segment_record
 from repro.errors import AccessDeniedError, AuthError, IndexServerError
+from repro.protocol.codec import encode_message
+from repro.protocol.messages import FetchListsResponse
 from repro.server.auth import AuthService
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import (
+    _NO_LIST,
+    QUERY_LOG_LENGTH,
     DeleteOp,
     IndexServer,
     InsertOp,
@@ -21,6 +29,7 @@ from repro.server.index_server import (
 )
 from repro.storage import SegmentedStore
 from repro.storage.segment import KIND_INSERT, segment_name
+from repro.storage.snapshot import snapshot_bytes
 
 
 @pytest.fixture()
@@ -117,6 +126,14 @@ class TestLookup:
         server.get_posting_lists(tokens["alice"], [3, 4])
         view = server.compromise()
         assert view.query_log == [("alice", (3, 4))]
+
+    def test_query_log_keeps_the_most_recent_lookups_oldest_first(self, env):
+        _, _, server, tokens = env
+        for pl_id in range(QUERY_LOG_LENGTH + 5):
+            server.get_posting_lists(tokens["alice"], [pl_id])
+        assert server.compromise().query_log == [
+            ("alice", (pl_id,)) for pl_id in range(5, QUERY_LOG_LENGTH + 5)
+        ]
 
 
 class TestDelete:
@@ -546,3 +563,228 @@ def test_insert_view_is_a_lazy_sequence_equal_to_a_tuple_of_ops():
     )
     assert len(_as_view(())) == 0 and _as_view(()) == ()
     assert insert_columns(iter(ops)) == view.columns
+
+
+# -- read snapshots -----------------------------------------------------------
+#
+# A seat answers a lookup from the list's read snapshot: one copy of the
+# columns, shared by every lookup until the list's next write. A write
+# only restamps the list. The first read after it copies for itself and
+# drops the stale snapshot; the second builds the new one.
+
+
+def _encode(*responses) -> bytes:
+    return encode_message(FetchListsResponse(lists=responses))
+
+
+def _fresh_copy(response) -> PostingListResponse:
+    return PostingListResponse(
+        response.pl_id, *(list(column) for column in response.columns)
+    )
+
+
+class TestReadSnapshots:
+    def test_read_only_lookups_copy_twice_per_list_then_share(self):
+        (server, _b, _stale), tokens = _fleet()
+        server.insert_batch(
+            tokens["all"],
+            [op(pl, i, GROUPS[i % 3]) for pl in (0, 1, 2) for i in range(5)],
+        )
+        first = server.get_posting_lists(tokens["all"], [0, 1])
+        assert server._store[0].snapshot is None
+        kept = server.get_posting_lists(tokens["all"], [0, 1])
+        assert kept == first and kept[0] is not first[0]
+        assert server._store[0].snapshot[1] is kept[0]
+        assert (server.snapshot_builds, server.snapshot_reads) == (4, 4)
+        for _ in range(3):
+            again = server.get_posting_lists(tokens["all"], [1, 0, 1])
+            assert again[1] is kept[0] and again[0] is again[2] is kept[1]
+        assert (server.snapshot_builds, server.snapshot_reads) == (4, 13)
+        server.get_posting_lists(tokens["some"], [2, 0])
+        assert (server.snapshot_builds, server.snapshot_reads) == (5, 15)
+
+    def test_a_write_neither_copies_nor_frees_the_snapshot(self):
+        (server, _b, _stale), tokens = _fleet()
+        server.insert_batch(
+            tokens["all"],
+            [op(pl, i, 1, share=i) for pl in (0, 1) for i in range(4)],
+        )
+        for _ in range(2):
+            before = server.get_posting_lists(tokens["all"], [0, 1])
+        frozen = copy.deepcopy(before)
+        cached = server._store[0].snapshot
+        assert cached[1] is before[0]
+        server.insert_batch(tokens["all"], [op(0, 9, 2)])
+        server.delete(tokens["all"], [DeleteOp(0, 1), DeleteOp(0, 2)])
+        assert server.snapshot_builds == 4
+        assert server._store[0].snapshot is cached
+        assert before == frozen
+        after = server.get_posting_lists(tokens["all"], [0, 1])
+        # One copy, of the written list only, at its next read, which
+        # frees the stale snapshot; the read after keeps a new one.
+        assert server.snapshot_builds == 5
+        assert server._store[0].snapshot is None
+        assert after[1] is before[1] and after[0] is not before[0]
+        assert set(after[0].element_ids) == {0, 3, 9}
+        kept = server.get_posting_lists(tokens["all"], [0, 1])
+        assert server.snapshot_builds == 6 and kept == after
+        assert server._store[0].snapshot[1] is kept[0]
+        assert before == frozen
+
+    def test_a_partial_acl_reader_never_gets_the_shared_snapshot(self):
+        (server, _b, _stale), tokens = _fleet()
+        server.insert_batch(
+            tokens["all"], [op(0, i, GROUPS[i % 3], share=i) for i in range(6)]
+        )
+        def lookup(user):
+            return server.get_posting_lists(tokens[user], [0])[0]
+
+        lookup("all")
+        shared = lookup("all")
+        assert server._store[0].snapshot[1] is shared
+        filtered = [lookup("some"), lookup("some")]
+        assert all(r is not shared for r in filtered)
+        assert filtered[0] is not filtered[1] and filtered[0] == filtered[1]
+        assert filtered[0].element_ids == [0, 3]
+        assert lookup("none").element_ids == []
+        assert lookup("all") is shared
+        assert server.snapshot_builds == 2
+
+    def test_an_unknown_list_gets_a_fresh_empty_response(self):
+        (server, _b, _stale), tokens = _fleet()
+        first, second = (
+            server.get_posting_lists(tokens["all"], [7])[0] for _ in range(2)
+        )
+        assert first == second == PostingListResponse(7, [], [], [])
+        assert first is not second
+        assert (server.snapshot_builds, server.snapshot_reads) == (0, 0)
+        assert _NO_LIST.snapshot is None and len(_NO_LIST) == 0
+
+    def test_the_packed_memo_is_not_part_of_the_value(self):
+        response = PostingListResponse(3, [1, 2], [1, 1], [2**64 + 5, 7])
+        plain = _fresh_copy(response)
+        blob = _encode(response)
+        assert response.packed is not None and plain.packed is None
+        assert response == plain and repr(response) == repr(plain)
+        assert _encode(response) == blob == _encode(plain)
+
+    def test_one_writer_two_readers_quiesce_to_the_store(self):
+        """More threads than cores and a short switch interval. A lookup
+        racing a write may see a torn copy, as before snapshots; once the
+        writer stops, the next read serves the store's exact state, and
+        no counter update was lost."""
+        (server, _b, _stale), tokens = _fleet()
+        server.insert_batch(
+            tokens["all"], [op(0, i, 1, share=i) for i in range(50)]
+        )
+        stop = threading.Event()
+        lookups = [0, 0]
+
+        def writer():
+            try:
+                for round_ in range(200):
+                    server.insert_batch(
+                        tokens["all"], [op(0, 1000 + round_, 2, share=round_)]
+                    )
+                    server.delete(tokens["all"], [DeleteOp(0, round_ % 50)])
+                    server.insert_batch(
+                        tokens["all"], [op(0, round_ % 50, 1, share=round_)]
+                    )
+            finally:
+                stop.set()
+
+        def reader(slot):
+            while not stop.is_set():
+                server.get_posting_lists(tokens["all"], [0])
+                lookups[slot] += 1
+
+        threads = [
+            threading.Thread(target=writer),
+            threading.Thread(target=reader, args=(0,)),
+            threading.Thread(target=reader, args=(1,)),
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stored = server._store[0]
+        for _ in range(2):
+            (response,) = server.get_posting_lists(tokens["all"], [0])
+        assert stored.snapshot[0] == stored.stamp
+        assert stored.snapshot[1] is response
+        assert response.columns == tuple(map(list, stored.columns))
+        assert stored.snapshot[2] == frozenset(stored.group_ids)
+        assert server.snapshot_reads == sum(lookups) + 2
+
+
+_ISOLATION_STEP = st.one_of(
+    _STEP.filter(lambda step: step[0] != "snapshot"),
+    st.tuples(
+        st.just("ingest"),
+        st.lists(_PL, min_size=1, max_size=3, unique=True),
+        st.lists(_RECORD, max_size=5),
+    ),
+    st.tuples(
+        st.just("read"),
+        st.sampled_from(sorted(READERS)),
+        st.lists(_PL, max_size=5),
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(steps=st.lists(_ISOLATION_STEP, max_size=16))
+def test_snapshots_are_isolated_from_later_writes(steps):
+    """Random writes and reads against the dict model: every read
+    equals the model, no response handed out changes afterwards, and a
+    served response encodes to the same bytes every time."""
+    (server, _b, _stale), tokens = _fleet()
+    oracle = _Oracle()
+    served = []  # (response, a deep copy taken when it was served)
+    for step in steps:
+        kind = step[0]
+        if kind == "insert":
+            if oracle.insert(step[1]):
+                server.insert_batch(tokens["all"], step[1])
+            else:
+                with pytest.raises(IndexServerError):
+                    server.insert_batch(tokens["all"], step[1])
+        elif kind == "delete":
+            deleted = oracle.delete(step[1])
+            assert server.delete(tokens["all"], step[1]) == deleted
+        elif kind == "adopt":
+            added = oracle.adopt(step[1], step[2])
+            assert set(server.adopt_posting_list(step[1], step[2])) == added
+        elif kind == "drop":
+            dropped = oracle.drop(step[1])
+            assert set(server.drop_posting_list(step[1])) == dropped
+        elif kind == "ingest":
+            pl_ids, records = step[1], step[2]
+            image_lists = {pl_ids[0]: {r.element_id: r for r in records}}
+            image, _count = snapshot_bytes(image_lists)
+            for pl_id in pl_ids:
+                oracle.drop(pl_id)
+            oracle.adopt(pl_ids[0], image_lists[pl_ids[0]].values())
+            server.ingest_snapshot(pl_ids, image)
+        else:
+            user, pl_ids = step[1], step[2]
+            responses = server.get_posting_lists(tokens[user], pl_ids)
+            for pl_id, response in zip(pl_ids, responses):
+                visible = oracle.visible(pl_id, READERS[user])
+                assert response.pl_id == pl_id
+                assert set(response.records) == visible
+                served.append((response, copy.deepcopy(response)))
+            if responses:
+                blob = _encode(*responses)
+                assert _encode(*responses) == blob
+                assert _encode(*map(_fresh_copy, responses)) == blob
+        for response, at_read in served:
+            assert response.columns == at_read.columns
+    for response, _at_read in served:
+        assert _encode(response) == _encode(_fresh_copy(response))

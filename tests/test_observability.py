@@ -359,6 +359,46 @@ class TestEndToEnd:
                 assert frames and frames >= 1
                 assert request_bytes and request_bytes > frames
 
+    def test_seat_snapshot_counters_reach_metrics_dump_over_the_socket(self):
+        documents = make_documents()
+        cluster = make_cluster(documents, transport="async-socket")
+        with cluster:
+            searcher = cluster.searcher("owner0", use_cache=False)
+
+            def dump():
+                return SampleView(
+                    cluster.transport.call(
+                        src="operator",
+                        dst=METRICS_ENDPOINT,
+                        request=MetricsDumpRequest(),
+                    ).samples
+                )
+
+            views = []
+            for _ in range(3):
+                searcher.search(_query_terms(documents), top_k=5)
+                views.append(dump())
+            seats = [slot for pod in cluster.pods for slot in pod.slots]
+            for slot in seats:
+                server = slot.server
+                for key in ("snapshot_builds", "snapshot_reads"):
+                    assert views[-1].value(
+                        f"zerber_server_{key}", server=slot.server_id
+                    ) == getattr(server, key)
+
+            def total(view, key):
+                return sum(
+                    view.value(f"zerber_server_{key}", server=slot.server_id)
+                    for slot in seats
+                )
+
+            # No write between the searches: the second keeps the
+            # snapshots, the third copies nothing.
+            builds = [total(v, "snapshot_builds") for v in views]
+            reads = [total(v, "snapshot_reads") for v in views]
+            assert 0 < builds[0] < builds[1] == builds[2]
+            assert builds[0] == reads[0] < reads[1] < reads[2]
+
     @pytest.mark.parametrize("transport", TRANSPORTS)
     def test_trace_id_propagates_across_the_transport(self, transport):
         documents = make_documents()
