@@ -28,7 +28,7 @@ from repro.client.batching import BatchPolicy
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.synthetic import SyntheticCorpusConfig, generate_corpus
 from repro.extensions.mixnet import MixMessage, MixRelay
-from repro.server.index_server import IndexServer, ShareRecord
+from repro.server.index_server import IndexServer
 from repro.storage import SegmentedStore
 
 
@@ -97,19 +97,16 @@ def main() -> None:
     term = sorted(corpus.documents_in_group(0)[0].term_counts)[0]
     pl_id = deployment.mapping_table.lookup(term)
     liar = deployment.servers[1]
+    records = liar.export_posting_list(pl_id)
+    liar.drop_posting_list(pl_id)
     corrupted = liar.adopt_posting_list(
         pl_id,
-        [
-            ShareRecord(
-                element_id=record.element_id,
-                group_id=record.group_id,
-                share_y=(record.share_y + 12345) % deployment.field.p,
-            )
-            for record in liar.drop_posting_list(pl_id)
-        ],
+        [record.element_id for record in records],
+        [record.group_id for record in records],
+        [(record.share_y + 12345) % deployment.field.p for record in records],
     )
     print(f"[byzantine] server 1 now lies about list {pl_id} "
-          f"({len(corrupted)} shares corrupted)")
+          f"({corrupted} shares corrupted)")
     naive = deployment.searcher("owner0")
     naive.fetch_elements([term], num_servers=2)
     verifying = deployment.searcher("owner0", verify_consistency=True)

@@ -36,12 +36,17 @@
 # - the segmented-storage gate runs the storage suites in full: the
 #   version 2 formats (one CRC'd column block per write batch in the
 #   segment log, one column block per list in the snapshot body) against
-#   a hand-written reference and the op-by-op replay model, the typed
-#   refusal of version 1 segments and snapshots, torn tails and torn
-#   batches (all or nothing), crashes at every compaction point, and
-#   the equivalence worlds with durable seat stores — seat kills
-#   recovered from snapshot + segment suffix, whole-pod kills at R=2,
-#   one world over TCP;
+#   a hand-written reference and the op-by-op replay model; the column
+#   replay, which folds blocks into the seat's own lists so a seat
+#   recovered from its log or from snapshot + suffix holds every list's
+#   rows in its live peers' order; the typed refusal of version 1
+#   segments and snapshots, and of CRC-valid snapshots that repeat or
+#   misorder a list or repeat an element ID (file and wire paths); a
+#   shipped snapshot logged as two blocks; torn tails and torn batches
+#   (all or nothing), crashes at every compaction point, and the
+#   equivalence worlds with durable seat stores — seat kills recovered
+#   from snapshot + segment suffix, whole-pod kills at R=2, one world
+#   over TCP;
 # - the async transport suite covers the pipelined multiplexing stack:
 #   correlated frames, retry/close semantics, drain, hang-ups on
 #   unframeable and silent peers, the pinned wire bytes, call_many's
@@ -80,9 +85,13 @@
 # - the instrumentation-overhead bench gates saturation qps with
 #   metrics hot and a trace per query at >= 0.9x the uninstrumented
 #   figure, recorded into BENCH_load.json (ratio gate).
+#
+# The table ends with the two numbers the roadmap tracks for the whole
+# tree: the line count of src/ and the wall time of this run.
 
 set -uo pipefail
 cd "$(dirname "$0")/.."
+started=$(date +%s)
 
 results=()
 failed=0
@@ -174,6 +183,9 @@ echo "== summary =="
 for row in "${results[@]}"; do
     printf '  %-28s %s\n' "${row%%|*}" "${row#*|}"
 done
+printf '  %-28s %s\n' "$(find src -name '*.py' -exec cat {} + | wc -l)" \
+    "lines in src/"
+printf '  %-28s %s\n' "$(($(date +%s) - started)) s" "wall time"
 if [ "$failed" -ne 0 ]; then
     echo "CI gate FAILED: ${failed} of ${#results[@]} gates" >&2
     exit 1

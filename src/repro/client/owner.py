@@ -47,7 +47,8 @@ from repro.server.index_server import (
     DeleteOp,
     InsertOp,
     RecordView,
-    ShareRecord,
+    group_by_list,
+    insert_columns,
 )
 from repro.server.transport import SimulatedNetwork
 
@@ -434,7 +435,7 @@ class DocumentOwner:
         anti-entropy sweep — or another owner's earlier reprovision —
         may have already healed the seat, and replaying an
         ``InsertBatchRequest`` then would be rejected as a duplicate
-        element. Adoption merges exactly the records the seat still
+        element. Adoption merges exactly the rows the seat still
         misses and no-ops on the rest; deletes are naturally idempotent
         and stay delete batches. Each seat's span (liveness check,
         delivery, ledger note) holds the router's repair mutex so a
@@ -468,23 +469,12 @@ class DocumentOwner:
                     op for op in deletes
                     if (op.pl_id, op.element_id) not in cancelled
                 ]
-                adopt_by_list: dict[int, list[ShareRecord]] = {}
-                for op in inserts:
-                    adopt_by_list.setdefault(op.pl_id, []).append(
-                        ShareRecord(
-                            element_id=op.element_id,
-                            group_id=op.group_id,
-                            share_y=op.share_y,
-                        )
-                    )
-                for pl_id in sorted(adopt_by_list):
+                adopt_by_list = group_by_list(*insert_columns(inserts))
+                for pl_id, columns in sorted(adopt_by_list.items()):
                     self._transport.call(
                         src=self.owner_id,
                         dst=server_id,
-                        request=AdoptListRequest(
-                            pl_id=pl_id,
-                            records=tuple(adopt_by_list[pl_id]),
-                        ),
+                        request=AdoptListRequest(pl_id, *columns),
                     )
                 if deletes:
                     self._deliver(DeleteBatchRequest, server_id, tuple(deletes))

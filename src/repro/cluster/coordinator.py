@@ -1196,13 +1196,12 @@ class ClusterCoordinator:
         for slot in pod.slots:
             if not slot.alive:
                 continue
-            # The seat's persistence hook logs the drop as deletes. GC
-            # only needs the count — shipping every discarded record
-            # back would cost as much wire as the transfer itself.
+            # The seat's persistence hook logs the drop as one delete
+            # block; the answer is the count of rows dropped.
             response = self.transport.call(
                 src="coordinator",
                 dst=slot.server_id,
-                request=DropListRequest(pl_id=pl_id, count_only=True),
+                request=DropListRequest(pl_id=pl_id),
             )
             removed_total += response.count
         with self._ledger_lock:

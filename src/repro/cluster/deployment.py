@@ -618,7 +618,7 @@ class ClusterDeployment:
                     self.registry.call(
                         "coordinator",
                         slot.server_id,
-                        DropListRequest(pl_id=pl_id, count_only=True),
+                        DropListRequest(pl_id=pl_id),
                     )
             else:
                 for pl_id in range(self.mapping_table.num_lists):

@@ -37,7 +37,6 @@ from repro.protocol.messages import (
     FetchSnippetRequest,
     InsertBatchRequest,
     OpCountResponse,
-    RecordListResponse,
     ServerStatusRequest,
     ServerStatusResponse,
     SnippetResponse,
@@ -65,7 +64,6 @@ __all__ = [
     "FetchSnippetRequest",
     "InsertBatchRequest",
     "OpCountResponse",
-    "RecordListResponse",
     "ServerStatusRequest",
     "ServerStatusResponse",
     "SnippetResponse",

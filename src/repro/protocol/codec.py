@@ -14,9 +14,9 @@ Frame layout (everything big-picture, nothing clever)::
   for every integer (ids, counts, shares — shares live in Z_p and can
   exceed 64 bits), and varint-length-prefixed UTF-8 for strings /
   raw bytes for blobs;
-- the four bulk messages travel in a *packed*, column-major form
-  instead (type bytes 0x41-0x44, since protocol version 3; see "packed
-  columns" below), public as :func:`write_columns` /
+- the three bulk messages travel in a *packed*, column-major form
+  instead (type bytes 0x41, 0x42 and 0x44, since protocol version 3;
+  see "packed columns" below), public as :func:`write_columns` /
   :func:`read_columns` — the cache tier's L2 values use it too.
 
 Decoding is strict: every primitive is bounds-checked against the
@@ -49,7 +49,6 @@ from repro.server.index_server import (
     InsertOp,
     PostingListResponse,
     RecordView,
-    ShareRecord,
     insert_columns,
 )
 
@@ -201,11 +200,10 @@ def _dec_snippet_req(r: _Reader) -> m.FetchSnippetRequest:
 
 def _enc_drop(out: bytearray, msg: m.DropListRequest) -> None:
     _write_uint(out, msg.pl_id)
-    _write_uint(out, 1 if msg.count_only else 0)
 
 
 def _dec_drop(r: _Reader) -> m.DropListRequest:
-    return m.DropListRequest(pl_id=r.uint(), count_only=r.uint() != 0)
+    return m.DropListRequest(pl_id=r.uint())
 
 
 def _enc_ship_snapshot(out: bytearray, msg: m.ShipSnapshotRequest) -> None:
@@ -448,8 +446,8 @@ def _dec_metrics_dump_resp(r: _Reader) -> m.MetricsDumpResponse:
 # width 1 decodes as ``list(data)``; widths > 8 (a share >= 2^64:
 # probability 7e-19 under p = 2^64 + 13) cost one ``int.to_bytes`` /
 # ``from_bytes`` per value. Measurements: docs/ARCHITECTURE.md.
-# The four bulk messages (insert batch, fetched lists, record list,
-# adopted list) travel only in this form.
+# The three bulk messages (insert batch, fetched lists, adopted list)
+# travel only in this form.
 
 _SWAP = sys.byteorder == "little"
 
@@ -543,14 +541,6 @@ def read_columns(r: _Reader, n: int) -> list[list[int]]:
     return [_read_column(r, count) for _ in range(n)]
 
 
-def _write_record_columns(out: bytearray, records) -> None:
-    write_columns(out, *PostingListResponse.from_records(0, records).columns)
-
-
-def _read_record_columns(r: _Reader) -> tuple[ShareRecord, ...]:
-    return tuple(map(ShareRecord, *read_columns(r, 3)))
-
-
 def _enc_lists(out: bytearray, msg: m.FetchListsResponse) -> None:
     # A response is read-only, so its packed columns are encoded once
     # and memoised on it: a seat's read snapshot is served to every
@@ -575,14 +565,6 @@ def _dec_lists(r: _Reader) -> m.FetchListsResponse:
     return m.FetchListsResponse(lists=lists)
 
 
-def _enc_record_list(out: bytearray, msg: m.RecordListResponse) -> None:
-    _write_record_columns(out, msg.records)
-
-
-def _dec_record_list(r: _Reader) -> m.RecordListResponse:
-    return m.RecordListResponse(records=_read_record_columns(r))
-
-
 def _enc_insert(out: bytearray, msg: m.InsertBatchRequest) -> None:
     _write_token(out, msg.token)
     write_columns(out, *insert_columns(msg.operations))
@@ -597,13 +579,11 @@ def _dec_insert(r: _Reader) -> m.InsertBatchRequest:
 
 def _enc_adopt(out: bytearray, msg: m.AdoptListRequest) -> None:
     _write_uint(out, msg.pl_id)
-    _write_record_columns(out, msg.records)
+    write_columns(out, msg.element_ids, msg.group_ids, msg.share_ys)
 
 
 def _dec_adopt(r: _Reader) -> m.AdoptListRequest:
-    return m.AdoptListRequest(
-        pl_id=r.uint(), records=_read_record_columns(r)
-    )
+    return m.AdoptListRequest(r.uint(), *read_columns(r, 3))
 
 
 # -- public LEB128 surface ----------------------------------------------------
@@ -619,9 +599,10 @@ Reader = _Reader
 
 #: type byte -> (message class, encoder, decoder). Type bytes are wire
 #: contract: never renumber, only append. Retired bytes stay unassigned
-#: and decode as an unknown type: 0x05 (the per-list export), and 0x01,
-#: 0x06, 0x22 and 0x24 (the varint-per-record forms of the four bulk
-#: messages, which travel as columns under 0x41-0x44).
+#: and decode as an unknown type: 0x05 (the per-list export), 0x43 (the
+#: records an adopt or drop touched; both now answer with a count), and
+#: 0x01, 0x06, 0x22 and 0x24 (the varint-per-record forms of the bulk
+#: messages, which travel as columns under 0x41, 0x42 and 0x44).
 _REGISTRY: dict[int, tuple[type, Callable, Callable]] = {
     0x02: (m.DeleteBatchRequest, _enc_delete, _dec_delete),
     0x03: (m.FetchListsRequest, _enc_fetch, _dec_fetch),
@@ -667,7 +648,6 @@ _REGISTRY: dict[int, tuple[type, Callable, Callable]] = {
     ),
     0x41: (m.InsertBatchRequest, _enc_insert, _dec_insert),
     0x42: (m.FetchListsResponse, _enc_lists, _dec_lists),
-    0x43: (m.RecordListResponse, _enc_record_list, _dec_record_list),
     0x44: (m.AdoptListRequest, _enc_adopt, _dec_adopt),
 }
 

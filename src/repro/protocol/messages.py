@@ -17,8 +17,8 @@ InsertBatchRequest    token + InsertOp columns         OpCountResponse
 DeleteBatchRequest    token + DeleteOp batch           OpCountResponse
 FetchListsRequest     token + posting-list ids         FetchListsResponse
 FetchSnippetRequest   token + doc id + query terms     SnippetResponse
-AdoptListRequest      pl_id + records (admin)          RecordListResponse
-DropListRequest       pl_id (admin)                    RecordListResponse
+AdoptListRequest      pl_id + share columns (admin)    OpCountResponse
+DropListRequest       pl_id (admin)                    OpCountResponse
 ShipSnapshotRequest   pl_ids (admin/bulk transfer)     SnapshotResponse
 AdoptSnapshotRequest  pl_ids + ZSNP image (admin)      OpCountResponse
 ServerStatusRequest   —  (admin/observability)         ServerStatusResponse
@@ -62,7 +62,6 @@ from repro.server.index_server import (
     DeleteOp,
     InsertOp,
     PostingListResponse,
-    ShareRecord,
 )
 
 #: Bump when the *layout* of an existing message changes.
@@ -141,29 +140,26 @@ class FetchSnippetRequest:
 
 @dataclass(frozen=True)
 class AdoptListRequest:
-    """Admin/replication: merge slot-aligned records into the store."""
+    """Admin/replication: merge slot-aligned share columns into one
+    list (idempotent); answered with the count of rows added."""
 
     pl_id: int
-    records: tuple[ShareRecord, ...]
+    element_ids: Sequence[int]
+    group_ids: Sequence[int]
+    share_ys: Sequence[int]
 
     kind = "admin"
 
     def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return 4 + len(self.records) * (4 + 4 + share_bytes)
+        return 4 + len(self.element_ids) * (4 + 4 + share_bytes)
 
 
 @dataclass(frozen=True)
 class DropListRequest:
-    """Admin/replication: discard a list the seat no longer owns.
-
-    With ``count_only`` the response is an :class:`OpCountResponse`
-    instead of the dropped records themselves — rebalance GC only needs
-    the count, and shipping every discarded record back across the wire
-    made GC cost as much as the transfer it was cleaning up after.
-    """
+    """Admin/replication: discard a list the seat no longer owns;
+    answered with the count of rows dropped."""
 
     pl_id: int
-    count_only: bool = False
 
     kind = "admin"
 
@@ -367,16 +363,6 @@ class SnippetResponse:
 
 
 @dataclass(frozen=True)
-class RecordListResponse:
-    """Admin answer: the share records an adopt/drop touched."""
-
-    records: tuple[ShareRecord, ...]
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return len(self.records) * (4 + 4 + share_bytes)
-
-
-@dataclass(frozen=True)
 class SnapshotResponse:
     """A seat's answer to :class:`ShipSnapshotRequest`: the sealed image
     plus how many records it packs (the caller's transfer accounting)."""
@@ -507,7 +493,6 @@ RESPONSE_TYPES = (
     OpCountResponse,
     FetchListsResponse,
     SnippetResponse,
-    RecordListResponse,
     SnapshotResponse,
     ServerStatusResponse,
     EndpointsResponse,

@@ -37,7 +37,6 @@ from repro.protocol.messages import (
     FetchSnippetRequest,
     InsertBatchRequest,
     OpCountResponse,
-    RecordListResponse,
     FetchListsResponse,
     ServerStatusRequest,
     ServerStatusResponse,
@@ -130,16 +129,17 @@ class IndexServerService:
                 count=server.delete(request.token, request.operations)
             )
         if isinstance(request, AdoptListRequest):
-            return RecordListResponse(
-                records=tuple(
-                    server.adopt_posting_list(request.pl_id, request.records)
-                )
+            count = server.adopt_posting_list(
+                request.pl_id,
+                request.element_ids,
+                request.group_ids,
+                request.share_ys,
             )
+            return OpCountResponse(count=count)
         if isinstance(request, DropListRequest):
-            dropped = server.drop_posting_list(request.pl_id)
-            if request.count_only:
-                return OpCountResponse(count=len(dropped))
-            return RecordListResponse(records=tuple(dropped))
+            return OpCountResponse(
+                count=server.drop_posting_list(request.pl_id)
+            )
         if isinstance(request, ShipSnapshotRequest):
             image, count = server.export_snapshot(request.pl_ids)
             return SnapshotResponse(snapshot=image, record_count=count)

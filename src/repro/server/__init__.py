@@ -23,6 +23,7 @@ from repro.server.index_server import (
     CompromisedView,
     IndexServer,
     PostingListResponse,
+    SeatList,
     ShareRecord,
 )
 from repro.server.transport import NetworkStats, SimulatedNetwork, LinkSpec
@@ -33,6 +34,7 @@ __all__ = [
     "GroupDirectory",
     "IndexServer",
     "ShareRecord",
+    "SeatList",
     "PostingListResponse",
     "CompromisedView",
     "SimulatedNetwork",

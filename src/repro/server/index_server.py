@@ -20,10 +20,10 @@ import threading
 from collections import defaultdict, deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, repeat
 from operator import attrgetter
 
-from repro.errors import AccessDeniedError, IndexServerError
+from repro.errors import AccessDeniedError, IndexServerError, StorageError
 from repro.server.auth import AuthService, AuthToken
 from repro.server.groups import GroupDirectory
 
@@ -97,6 +97,7 @@ class RecordView(Sequence):
 
 _RECORD_FIELDS = tuple(map(attrgetter, ("element_id", "group_id", "share_y")))
 _INSERT_FIELDS = (attrgetter("pl_id"), *_RECORD_FIELDS)
+_DELETE_FIELDS = _INSERT_FIELDS[:2]
 
 
 def _columns(fields: tuple, rows: Iterable) -> tuple[list[int], ...]:
@@ -112,6 +113,24 @@ def insert_columns(operations: Iterable[InsertOp]) -> tuple[list[int], ...]:
     if isinstance(operations, RecordView):
         return operations.columns
     return _columns(_INSERT_FIELDS, operations)
+
+
+def delete_columns(operations: Iterable[DeleteOp]) -> tuple[list[int], ...]:
+    """A delete batch's ``(pl_ids, element_ids)``, as insert_columns."""
+    if isinstance(operations, RecordView):
+        return operations.columns
+    return _columns(_DELETE_FIELDS, operations)
+
+
+def group_by_list(
+    pl_ids, element_ids, group_ids, share_ys
+) -> dict[int, tuple[tuple[int, ...], ...]]:
+    """An insert batch's rows grouped by list, in batch order:
+    ``pl_id -> (element_ids, group_ids, share_ys)`` of that list."""
+    rows_by_list: dict[int, list[tuple]] = defaultdict(list)
+    for row in zip(pl_ids, element_ids, group_ids, share_ys):
+        rows_by_list[row[0]].append(row)
+    return {pl: tuple(zip(*rows))[1:] for pl, rows in rows_by_list.items()}
 
 
 @dataclass(frozen=True)
@@ -159,12 +178,14 @@ class PostingListResponse:
         return 4 + len(self.element_ids) * (4 + 4 + share_bytes)
 
 
-class _SeatList:
-    """One merged list as the seat stores it: three aligned share
-    columns plus ``element_id -> row``. A delete moves the last row into
-    the hole (O(1)), so row order is a function of the operations
-    applied: seats that applied the same operations answer in the same
-    order, which the client's aligned join relies on.
+class SeatList:
+    """One merged list as the seat stores it — the only form a stored
+    list takes, replay, snapshots and replication included: three
+    aligned share columns plus ``element_id -> row``. A delete moves the
+    last row into the hole (O(1)), so row order is a function of the
+    operations applied: seats that applied the same operations (from a
+    log or a snapshot too) answer in the same order, which the client's
+    aligned join relies on. Equal lists have equal columns, in order.
 
     Reads go through a **read snapshot**: ``(stamp, response, group
     set)``, one copy of the columns that repeated lookups share until
@@ -192,10 +213,12 @@ class _SeatList:
         "copied",
     )
 
-    def __init__(self) -> None:
-        self.columns = ([], [], [])
+    def __init__(self, *columns: list[int]) -> None:
+        """An empty list, or one owning the three aligned column lists
+        given. A repeated element ID leaves ``row_of`` shorter."""
+        self.columns = columns or ([], [], [])
         self.element_ids, self.group_ids, self.share_ys = self.columns
-        self.row_of: dict[int, int] = {}
+        self.row_of: dict[int, int] = dict(zip(self.element_ids, count()))
         self.writes = count(1)
         self.stamp: int | None = 0
         self.snapshot: tuple[int, PostingListResponse, frozenset] | None = None
@@ -204,6 +227,11 @@ class _SeatList:
 
     def __len__(self) -> int:
         return len(self.element_ids)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SeatList):
+            return NotImplemented
+        return self.columns == other.columns
 
     def extend(self, element_ids, group_ids, share_ys) -> None:
         """Append aligned columns (sequences of int) whose element IDs
@@ -230,6 +258,19 @@ class _SeatList:
         self.stamp = next(self.writes)
         return True
 
+    def put(self, element_id: int, group_id: int, share_y: int) -> None:
+        """Store one row in place of the element's, or append it."""
+        self.stamp = None
+        row = self.row_of.setdefault(element_id, len(self.element_ids))
+        if row < len(self.element_ids):
+            self.group_ids[row] = group_id
+            self.share_ys[row] = share_y
+        else:
+            self.element_ids.append(element_id)
+            self.group_ids.append(group_id)
+            self.share_ys.append(share_y)
+        self.stamp = next(self.writes)
+
     def build_snapshot(
         self, pl_id: int
     ) -> tuple[int | None, PostingListResponse, frozenset]:
@@ -254,10 +295,21 @@ class _SeatList:
         return list(map(ShareRecord, *self.columns))
 
 
+def _batch_columns(lists: dict[int, SeatList], width: int) -> tuple:
+    """Many lists' rows as one log batch's columns: the pl_ids, then
+    each list's first ``width`` share columns, rows in stored order."""
+    columns = tuple([] for _ in range(width + 1))
+    for pl_id, plist in lists.items():
+        columns[0].extend(repeat(pl_id, len(plist)))
+        for out, column in zip(columns[1:], plist.columns):
+            out.extend(column)
+    return columns
+
+
 #: What a list the seat has never stored reads as. Never written to,
 #: and never snapshotted: its snapshot would answer one pl_id with
 #: another's.
-_NO_LIST = _SeatList()
+_NO_LIST = SeatList()
 
 
 #: Lookups a seat remembers for :meth:`IndexServer.compromise`: the most
@@ -325,7 +377,7 @@ class IndexServer:
         self.share_bytes = share_bytes
         self._auth = auth
         self._groups = groups
-        self._store: dict[int, _SeatList] = defaultdict(_SeatList)
+        self._store: dict[int, SeatList] = defaultdict(SeatList)
         #: Per accepted batch, its ``(pl_ids, element_ids)`` columns (no
         #: tuple per element: :meth:`compromise` zips the pairs on demand).
         self._update_log: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -376,14 +428,13 @@ class IndexServer:
         """The attached seat store, or None."""
         return self._persistence
 
-    def bulk_load(
-        self, records: dict[int, dict[int, ShareRecord]]
-    ) -> int:
-        """Load a replayed store wholesale (the recovery path's public API).
+    def bulk_load(self, lists: dict[int, SeatList]) -> int:
+        """Install a replayed store wholesale (the recovery path's
+        public API): the lists become the seat's own, rows in order.
 
         Args:
-            records: ``pl_id -> {element_id -> ShareRecord}`` — exactly
-                what a seat store's ``replay()`` returns.
+            lists: ``pl_id -> SeatList`` — exactly what a seat store's
+                ``replay()`` returns.
 
         Returns:
             The number of elements now stored.
@@ -395,9 +446,7 @@ class IndexServer:
         """
         if self.num_elements:
             raise IndexServerError("bulk-load target server is not empty")
-        for pl_id, plist in records.items():
-            columns = _columns(_RECORD_FIELDS, plist.values())
-            self._store[pl_id].extend(*columns)
+        self._store.update(lists)
         return self.num_elements
 
     # -- narrow interface: insert --------------------------------------------
@@ -436,12 +485,8 @@ class IndexServer:
                 raise AccessDeniedError(
                     f"user {user_id!r} is not in group {group_id}"
                 )
-        rows_by_list: dict[int, list[tuple]] = defaultdict(list)
-        for row in zip(pl_ids, element_ids, group_ids, share_ys):
-            rows_by_list[row[0]].append(row)
-        columns_by_list = {}
-        for pl_id, rows in rows_by_list.items():
-            _pl_ids, ids, groups, ys = zip(*rows)
+        columns_by_list = group_by_list(*columns)
+        for pl_id, (ids, _groups, _ys) in columns_by_list.items():
             stored = self._store.get(pl_id, _NO_LIST).row_of
             if len(set(ids)) != len(ids) or not stored.keys().isdisjoint(ids):
                 offender = next(
@@ -450,7 +495,6 @@ class IndexServer:
                 raise IndexServerError(
                     f"element {offender} already exists in list {pl_id}"
                 )
-            columns_by_list[pl_id] = (ids, groups, ys)
         for pl_id, list_columns in columns_by_list.items():
             self._store[pl_id].extend(*list_columns)
         if pl_ids:
@@ -509,7 +553,7 @@ class IndexServer:
         A response never aliases the store's columns: it outlives the
         next write inside caches and the in-process transport. A caller
         in every group the list holds gets the list's read snapshot
-        (see :class:`_SeatList`): from the second lookup after a write
+        (see :class:`SeatList`): from the second lookup after a write
         on, the same object for every lookup until the next write.
         Anyone else gets the snapshot's columns filtered into a fresh
         response.
@@ -558,94 +602,103 @@ class IndexServer:
         return self._store.get(pl_id, _NO_LIST).records()
 
     def adopt_posting_list(
-        self, pl_id: int, records: Sequence[ShareRecord]
-    ) -> list[ShareRecord]:
-        """Merge transferred records into the store (idempotent).
-
-        Returns the records actually added, so the caller can append
-        exactly those to this seat's WAL.
-        """
+        self,
+        pl_id: int,
+        element_ids: Sequence[int],
+        group_ids: Sequence[int],
+        share_ys: Sequence[int],
+    ) -> int:
+        """Merge transferred share columns into one list (idempotent: a
+        row whose element is held is skipped), logged as one insert
+        block; returns the number of rows added."""
         stored = self._store[pl_id]
-        fresh: dict[int, ShareRecord] = {}
-        for record in records:
-            if record.element_id not in stored.row_of:
-                fresh.setdefault(record.element_id, record)
-        added = list(fresh.values())
-        columns = _columns(_RECORD_FIELDS, added)
+        fresh = {}
+        for row in zip(element_ids, group_ids, share_ys):
+            if row[0] not in stored.row_of:
+                fresh.setdefault(row[0], row)
+        if not fresh:
+            return 0
+        columns = tuple(zip(*fresh.values()))
         stored.extend(*columns)
-        if added and self._persistence is not None:
+        if self._persistence is not None:
             self._persistence.append_inserts(
-                RecordView(InsertOp, [pl_id] * len(added), *columns)
+                RecordView(InsertOp, (pl_id,) * len(fresh), *columns)
             )
-        return added
+        return len(fresh)
 
-    def drop_posting_list(self, pl_id: int) -> list[ShareRecord]:
-        """Discard a list this server no longer owns; returns the records."""
+    def drop_posting_list(self, pl_id: int) -> int:
+        """Discard a list this server no longer owns, logged as one
+        delete block; returns the number of rows dropped."""
         stored = self._store.pop(pl_id, None)
-        removed = stored.records() if stored else []
-        if removed and self._persistence is not None:
+        if not stored:
+            return 0
+        if self._persistence is not None:
             self._persistence.append_deletes(
-                DeleteOp(pl_id=pl_id, element_id=record.element_id)
-                for record in removed
+                RecordView(DeleteOp, *_batch_columns({pl_id: stored}, 1))
             )
-        return removed
+        return len(stored)
 
     def export_snapshot(
         self, pl_ids: Sequence[int]
     ) -> tuple[bytes, int]:
-        """Seal the named lists into one ``ZSNP`` image (bulk transfer).
+        """Seal the named lists' columns, as stored, into one ``ZSNP``
+        image (bulk transfer).
 
         Returns ``(image, record_count)``. Lists this server does not
         hold contribute nothing — the receiver drops its own copy of
         every *requested* list, so shipping an absent list is how a
         stale copy at the far end dies.
         """
-        # Imported here: repro.storage.snapshot imports ShareRecord from
+        # Imported here: repro.storage.snapshot imports SeatList from
         # this module, so a top-level import would be a cycle.
         from repro.storage.snapshot import snapshot_bytes
 
-        subset = {
-            pl_id: {record.element_id: record for record in stored.records()}
-            for pl_id in pl_ids
-            if (stored := self._store.get(pl_id))
-        }
-        return snapshot_bytes(subset)
+        lists = {pl: s for pl in pl_ids if (s := self._store.get(pl))}
+        return snapshot_bytes(lists)
 
     def ingest_snapshot(self, pl_ids: Sequence[int], snapshot: bytes) -> int:
         """Bulk-load a shipped snapshot, replacing the listed lists.
 
-        Replace semantics: every listed ``pl_id`` is dropped first (a
-        stale seat may hold shares of since-deleted elements — an
-        idempotent merge could never remove those), then the CRC-checked
-        image is loaded in one pass. Both phases run through the logged
-        mutation paths, so the seat's WAL stays a faithful history.
+        Replace semantics (a stale seat may hold shares of since-deleted
+        elements, which a merge could never remove): each listed
+        ``pl_id`` takes the image's list, or none, in one assignment —
+        never empty in between. The log gets two blocks, whatever the
+        width: the rows dropped, then the image's rows.
 
         Returns the number of elements now stored across the listed
         lists.
 
         Raises:
-            StorageError: the image fails validation (CRC, framing), or
-                carries a list outside ``pl_ids`` — a shipment must not
-                smuggle writes into lists the caller never named.
+            StorageError: the image fails validation (CRC, framing,
+                repeated lists or elements), or carries a list outside
+                ``pl_ids`` — a shipment must not smuggle writes into
+                lists the caller never named.
         """
-        from repro.errors import StorageError
         from repro.storage.snapshot import parse_snapshot_bytes
 
         source = f"snapshot shipped to {self.server_id}"
         loaded = parse_snapshot_bytes(snapshot, source=source)
-        wanted = set(pl_ids)
-        unknown = set(loaded) - wanted
+        wanted = sorted(set(pl_ids))
+        unknown = set(loaded).difference(wanted)
         if unknown:
             raise StorageError(
                 f"{source}: image carries unrequested lists "
                 f"{sorted(unknown)}"
             )
-        for pl_id in sorted(wanted):
-            self.drop_posting_list(pl_id)
-            records = loaded.get(pl_id)
-            if records:
-                self.adopt_posting_list(pl_id, list(records.values()))
-        return sum(len(self._store.get(pl_id, _NO_LIST)) for pl_id in wanted)
+        if self._persistence is not None:
+            dropped = {pl: s for pl in wanted if (s := self._store.get(pl))}
+            self._persistence.append_deletes(
+                RecordView(DeleteOp, *_batch_columns(dropped, 1))
+            )
+            self._persistence.append_inserts(
+                RecordView(InsertOp, *_batch_columns(loaded, 3))
+            )
+        for pl_id in wanted:
+            if loaded.get(pl_id):
+                self._store[pl_id] = loaded[pl_id]
+            else:
+                self._store.pop(pl_id, None)
+        return sum(map(len, loaded.values()))
 
     # -- operator/diagnostic surface ---------------------------------------------
 

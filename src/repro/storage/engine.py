@@ -7,9 +7,10 @@ binary segment log (one CRC'd column block per accepted batch, so a
 batch is on disk whole or not at all), immutable column-block
 snapshots written by a **background compactor** while the seat keeps
 serving, and a fsync'd manifest naming exactly one snapshot + segment
-suffix. Recovery loads the snapshot and folds the suffix's blocks into
-it column by column; compaction never blocks the write path for longer
-than one segment rotation (a file close/open).
+suffix. Recovery folds the suffix's blocks into the snapshot's lists
+(:class:`SeatList`) as the live seat applied them, rows in its order;
+compaction never blocks the write path for longer than one segment
+rotation (a file close/open).
 
 The store holds shares and public IDs only — nothing on disk is more
 useful to a thief than a compromised server already is (§5).
@@ -26,7 +27,8 @@ from repro.errors import StorageError
 from repro.server.index_server import (
     DeleteOp,
     InsertOp,
-    ShareRecord,
+    SeatList,
+    delete_columns,
     insert_columns,
 )
 from repro.storage.manifest import (
@@ -58,25 +60,25 @@ DEFAULT_COMPACT_SEGMENTS = 4
 
 
 def apply_block(
-    state: dict[int, dict[int, ShareRecord]],
+    state: dict[int, SeatList],
     kind: int,
     columns: list[list[int]],
 ) -> None:
     """Fold one logged batch (a segment record's columns) into a
-    replayed store state."""
+    replayed store state as the live seat applied it. Re-inserting a
+    held element replaces its row in place; deleting an absent one is a
+    no-op."""
     if kind == KIND_INSERT:
-        pl_ids, element_ids, group_ids, share_ys = columns
-        records = map(ShareRecord, element_ids, group_ids, share_ys)
-        for pl_id, element_id, record in zip(pl_ids, element_ids, records):
+        for pl_id, element_id, group_id, share_y in zip(*columns):
             plist = state.get(pl_id)
             if plist is None:
-                plist = state[pl_id] = {}
-            plist[element_id] = record
+                plist = state[pl_id] = SeatList()
+            plist.put(element_id, group_id, share_y)
     else:
         for pl_id, element_id in zip(*columns):
             plist = state.get(pl_id)
             if plist is not None:
-                plist.pop(element_id, None)
+                plist.remove(element_id)
 
 
 def _snapshot_filename(first_segment: int) -> str:
@@ -186,11 +188,7 @@ class SegmentedStore:
 
     def append_deletes(self, operations: Iterable[DeleteOp]) -> int:
         """Log one accepted delete batch as one record (one fsync)."""
-        ops = tuple(operations)
-        return self._append(
-            KIND_DELETE,
-            ([op.pl_id for op in ops], [op.element_id for op in ops]),
-        )
+        return self._append(KIND_DELETE, delete_columns(operations))
 
     def _append(self, kind: int, columns) -> int:
         count = len(columns[0])
@@ -221,11 +219,11 @@ class SegmentedStore:
 
     # -- recovery ----------------------------------------------------------
 
-    def replay(self) -> dict[int, dict[int, ShareRecord]]:
+    def replay(self) -> dict[int, SeatList]:
         """Rebuild the store state: snapshot + segment-suffix replay.
 
-        Returns the ``pl_id -> {element_id -> ShareRecord}`` layout
-        :meth:`IndexServer.bulk_load` accepts.
+        Returns the non-empty lists as ``pl_id -> SeatList``, the
+        layout :meth:`IndexServer.bulk_load` installs.
 
         Raises:
             StorageError: a manifest-named snapshot fails validation, or
@@ -234,18 +232,19 @@ class SegmentedStore:
         """
         with self._lock:
             manifest = self._manifest
-            state: dict[int, dict[int, ShareRecord]] = (
-                {}
-                if manifest.snapshot is None
-                else load_snapshot(self._dir / manifest.snapshot)
-            )
             numbers = [
                 n
                 for n in scan_segment_numbers(self._dir)
                 if n >= manifest.first_segment
             ]
-            for kind, columns in iter_blocks(self._dir, numbers):
-                apply_block(state, kind, columns)
+            state = self._fold(manifest.snapshot, numbers)
+        return {pl_id: plist for pl_id, plist in state.items() if plist}
+
+    def _fold(self, snapshot: str | None, numbers: list[int]) -> dict:
+        """A snapshot's lists with the named segments' blocks folded in."""
+        state = {} if snapshot is None else load_snapshot(self._dir / snapshot)
+        for kind, columns in iter_blocks(self._dir, numbers):
+            apply_block(state, kind, columns)
         return state
 
     # -- compaction --------------------------------------------------------
@@ -284,13 +283,7 @@ class SegmentedStore:
                 ]
             # -- the slow part runs without the lock ----------------------
             self._hook("compact-start")
-            state: dict[int, dict[int, ShareRecord]] = (
-                {}
-                if base.snapshot is None
-                else load_snapshot(self._dir / base.snapshot)
-            )
-            for kind, columns in iter_blocks(self._dir, sealed):
-                apply_block(state, kind, columns)
+            state = self._fold(base.snapshot, sealed)
             self._hook("state-built")
             new_name = _snapshot_filename(new_first)
             count = write_snapshot(self._dir / new_name, state)

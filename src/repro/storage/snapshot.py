@@ -11,16 +11,15 @@ snapshot does *not* cover)::
     +------+---------+-------------+--------------------+-----+-----+
 
 Each non-empty list is its ID followed by one
-:func:`~repro.protocol.codec.write_columns` block of
-``(element_ids, group_ids, share_ys)`` — the same packed column form
-the wire and the segment log use, so there is one integer codec on
-disk. Lists and elements are sorted by ID, so a recovered seat holds
-its rows in the same order every time. A trailing CRC32 over
-everything after the magic+version seals the file: a snapshot either
-loads exactly or is rejected — there is no such thing as a partially
-valid snapshot, because the manifest only ever names one that was
-fsynced before the pointer swap. Version 1 images (fixed-width
-row-major records) are refused by version.
+:func:`~repro.protocol.codec.write_columns` block of its
+:class:`~repro.server.index_server.SeatList` columns ``(element_ids,
+group_ids, share_ys)`` as stored — the packed column form the wire and
+the segment log use. Lists are in increasing ID order and rows in the
+seat's row order, so a recovered seat answers in its peers' order. A
+trailing CRC32 over everything after the magic+version seals the file:
+a snapshot either loads exactly or is rejected — the manifest only ever
+names one that was fsynced before the pointer swap. Version 1 images
+(fixed-width row-major records) are refused by version.
 
 As everywhere else on disk: shares only, never secrets (§5).
 """
@@ -38,7 +37,7 @@ from repro.protocol.codec import (
     write_columns,
     write_uint,
 )
-from repro.server.index_server import PostingListResponse, ShareRecord
+from repro.server.index_server import SeatList
 from repro.storage.manifest import fsync_dir
 
 SNAPSHOT_MAGIC = b"ZSNP"
@@ -46,9 +45,7 @@ SNAPSHOT_VERSION = 2
 _PREFIX_LEN = len(SNAPSHOT_MAGIC) + 1  # CRC covers everything after this
 
 
-def snapshot_bytes(
-    store: dict[int, dict[int, ShareRecord]],
-) -> tuple[bytes, int]:
+def snapshot_bytes(store: dict[int, SeatList]) -> tuple[bytes, int]:
     """Encode one store state as a complete, CRC-sealed snapshot image.
 
     Returns ``(image, record_count)``. The image is the exact byte
@@ -64,11 +61,8 @@ def snapshot_bytes(
     count = 0
     for pl_id in lists:
         plist = store[pl_id]
-        records = map(plist.__getitem__, sorted(plist))
         write_uint(body, pl_id)
-        write_columns(
-            body, *PostingListResponse.from_records(pl_id, records).columns
-        )
+        write_columns(body, *plist.columns)
         count += len(plist)
     image = bytearray(SNAPSHOT_MAGIC)
     image.append(SNAPSHOT_VERSION)
@@ -78,8 +72,7 @@ def snapshot_bytes(
 
 
 def write_snapshot(
-    path: str | pathlib.Path,
-    store: dict[int, dict[int, ShareRecord]],
+    path: str | pathlib.Path, store: dict[int, SeatList]
 ) -> int:
     """Write one snapshot atomically; returns the records written.
 
@@ -106,8 +99,9 @@ def write_snapshot(
 
 def parse_snapshot_bytes(
     data: bytes, source: str = "<wire>"
-) -> dict[int, dict[int, ShareRecord]]:
-    """Parse one sealed snapshot image into the in-memory store layout.
+) -> dict[int, SeatList]:
+    """Parse one sealed snapshot image into ``pl_id -> SeatList``, each
+    list owning the columns it was read into, rows in image order.
 
     ``source`` only labels error messages (a file path, or the default
     ``"<wire>"`` for shipped images).
@@ -116,7 +110,9 @@ def parse_snapshot_bytes(
         StorageError: bad magic/version, CRC mismatch, truncation or a
             body that does not parse — a snapshot image is sealed, so
             any damage (disk rot or a torn wire frame) must stop loudly
-            rather than load a silently shortened index.
+            rather than load a silently shortened index. So are list
+            IDs that do not strictly increase and an element ID repeated
+            within a list, which no writer emits.
     """
     if len(data) < _PREFIX_LEN + 1 + 4:
         raise StorageError(f"{source}: snapshot truncated")
@@ -131,27 +127,26 @@ def parse_snapshot_bytes(
     if zlib.crc32(body) != int.from_bytes(data[-4:], "little"):
         raise StorageError(f"{source}: snapshot CRC mismatch")
     reader = Reader(body)
-    store: dict[int, dict[int, ShareRecord]] = {}
+    store: dict[int, SeatList] = {}
+    previous = -1
     try:
         for _ in range(reader.uint()):
             pl_id = reader.uint()
-            element_ids, group_ids, share_ys = read_columns(reader, 3)
-            store[pl_id] = dict(
-                zip(
-                    element_ids,
-                    map(ShareRecord, element_ids, group_ids, share_ys),
-                )
-            )
+            if pl_id <= previous:
+                raise StorageError(f"{source}: list {pl_id} out of order")
+            previous = pl_id
+            plist = SeatList(*read_columns(reader, 3))
+            if len(plist.row_of) != len(plist):
+                raise StorageError(f"{source}: list {pl_id}: repeated element")
+            store[pl_id] = plist
         reader.done()
     except ProtocolError as exc:
         raise StorageError(f"{source}: undecodable snapshot: {exc}") from exc
     return store
 
 
-def load_snapshot(
-    path: str | pathlib.Path,
-) -> dict[int, dict[int, ShareRecord]]:
-    """Load one snapshot file into the server's in-memory store layout.
+def load_snapshot(path: str | pathlib.Path) -> dict[int, SeatList]:
+    """Load one snapshot file as ``pl_id -> SeatList``.
 
     Raises:
         StorageError: any damage — a manifest-named snapshot is sealed,

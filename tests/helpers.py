@@ -25,6 +25,7 @@ from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Corpus, Document
+from repro.server.index_server import PostingListResponse
 
 K, N = 3, 6  # the acceptance configuration: each pod tolerates 3 failures
 
@@ -61,12 +62,26 @@ def owner_of_group(group_id: int) -> str:
 def rewrite_stored_list(server, pl_id: int, rewrite) -> int:
     """Replace one seat's copy of a list with ``rewrite(records)``.
 
-    Goes through the operator's drop/adopt channel, so fault-injecting
-    tests (a lying or lagging server) never reach into the seat store.
-    Returns how many records the list holds afterwards.
+    Goes through the operator's export/drop/adopt channel, so
+    fault-injecting tests (a lying or lagging server) never reach into
+    the seat store. Returns how many records the list holds afterwards.
     """
-    records = server.drop_posting_list(pl_id)
-    return len(server.adopt_posting_list(pl_id, rewrite(records)))
+    records = server.export_posting_list(pl_id)
+    server.drop_posting_list(pl_id)
+    rewritten = PostingListResponse.from_records(pl_id, rewrite(records))
+    return server.adopt_posting_list(pl_id, *rewritten.columns)
+
+
+def list_rows(plist) -> dict[int, tuple[int, int]]:
+    """One stored list (a ``SeatList``) as ``{element_id: (group_id,
+    share_y)}``: its content, row order aside."""
+    return dict(zip(plist.element_ids, zip(plist.group_ids, plist.share_ys)))
+
+
+def state_rows(state) -> dict[int, dict[int, tuple[int, int]]]:
+    """A store state (``pl_id -> SeatList``, as ``replay()`` returns
+    it) as :func:`list_rows` per non-empty list."""
+    return {pl_id: list_rows(plist) for pl_id, plist in state.items() if plist}
 
 
 def deploy_corpus(

@@ -38,7 +38,6 @@ from repro.protocol.messages import (
     SnapshotResponse,
 )
 from repro.protocol.transport import frame_bytes
-from repro.server.index_server import ShareRecord
 
 
 def make_extra(doc_id=900, terms=("w1", "w2", "w7")):
@@ -621,10 +620,7 @@ class TestSnapshotShippingRebalance:
         empty_pl = 7919  # never mapped
         assert not source.export_posting_list(empty_pl)
         # Give the receiver a stale record for the list first.
-        target.adopt_posting_list(
-            empty_pl,
-            (ShareRecord(element_id=123456, group_id=0, share_y=9),),
-        )
+        target.adopt_posting_list(empty_pl, [123456], [0], [9])
         assert target.export_posting_list(empty_pl)
         image, count = source.export_snapshot((empty_pl,))
         assert count == 0
@@ -642,20 +638,16 @@ class TestSnapshotShippingRebalance:
             if source.export_posting_list(pl_id)
         )
         # Poison the receiver with a record the source never had.
-        target.adopt_posting_list(
-            pl_ids[0],
-            (ShareRecord(element_id=999999, group_id=0, share_y=1),),
-        )
+        target.adopt_posting_list(pl_ids[0], [999999], [0], [1])
         image, count = source.export_snapshot(pl_ids)
         loaded = target.ingest_snapshot(pl_ids, image)
         assert loaded == count
         for pl_id in pl_ids:
-            assert (
-                sorted(target.export_posting_list(pl_id),
-                       key=lambda r: r.element_id)
-                == sorted(source.export_posting_list(pl_id),
-                          key=lambda r: r.element_id)
-            )
+            # The image keeps the source's row order, so the healed seat
+            # answers in its peer's order.
+            assert target.export_posting_list(
+                pl_id
+            ) == source.export_posting_list(pl_id)
 
 
 class TestRepairThreadLifecycle:

@@ -24,6 +24,7 @@ from repro.server.index_server import (
     InsertOp,
     PostingListResponse,
     RecordView,
+    SeatList,
     ShareRecord,
     insert_columns,
 )
@@ -218,7 +219,8 @@ class TestMisc:
 # ShareRecord} — and every observable of the server must agree with it
 # as a *set* (row order is the store's own business), while two servers
 # fed the same operations must agree on the *order* too: that is what
-# the client's aligned join relies on.
+# the client's aligned join relies on. A seat that took a list from a
+# peer's snapshot image holds it in the peer's order as well.
 
 GROUPS = (1, 2, 3)
 READERS = {"all": GROUPS, "some": (1,), "none": ()}
@@ -281,6 +283,12 @@ class _Oracle:
         }
 
 
+def _columns(records) -> tuple[list[int], list[int], list[int]]:
+    """Share records as the ``(element_ids, group_ids, share_ys)``
+    columns the replication channel moves."""
+    return PostingListResponse.from_records(0, records).columns
+
+
 def _assert_matches(server, oracle, tokens, pl_ids):
     assert server.num_elements == sum(map(len, oracle.lists.values()))
     assert server.num_posting_lists == sum(map(bool, oracle.lists.values()))
@@ -339,7 +347,7 @@ def test_seat_store_agrees_with_the_per_record_oracle(steps):
     pl_ids = tuple(range(4))
     # The snapshot target starts out wrong on purpose: replace semantics
     # must kill what the image does not carry.
-    stale.adopt_posting_list(0, [ShareRecord(99, 1, 1), ShareRecord(3, 2, 2)])
+    stale.adopt_posting_list(0, [99, 3], [1, 2], [1, 2])
     for step in steps:
         kind = step[0]
         if kind == "insert":
@@ -359,14 +367,17 @@ def test_seat_store_agrees_with_the_per_record_oracle(steps):
         elif kind == "adopt":
             added = oracle.adopt(step[1], step[2])
             for server in (a, b):
-                assert set(server.adopt_posting_list(step[1], step[2])) == added
+                assert server.adopt_posting_list(
+                    step[1], *_columns(step[2])
+                ) == len(added)
         elif kind == "drop":
             dropped = oracle.drop(step[1])
             for server in (a, b):
-                assert set(server.drop_posting_list(step[1])) == dropped
+                assert server.drop_posting_list(step[1]) == len(dropped)
         else:
             image, count = a.export_snapshot(step[1])
-            # Snapshot bytes are sorted, so they cannot depend on row order.
+            # An image holds rows in the seat's order; a and b applied
+            # the same operations, so their images are the same bytes.
             assert (image, count) == b.export_snapshot(step[1])
             assert count == sum(len(oracle.lists.get(pl, {})) for pl in step[1])
             assert stale.ingest_snapshot(step[1], image) == count
@@ -374,6 +385,9 @@ def test_seat_store_agrees_with_the_per_record_oracle(steps):
                 assert set(stale.export_posting_list(pl_id)) == set(
                     oracle.lists.get(pl_id, {}).values()
                 )
+                assert stale.export_posting_list(
+                    pl_id
+                ) == a.export_posting_list(pl_id)
         _assert_matches(a, oracle, tokens, pl_ids)
         # Same operations, same order — not merely the same set.
         for user in READERS:
@@ -760,17 +774,21 @@ def test_snapshots_are_isolated_from_later_writes(steps):
             assert server.delete(tokens["all"], step[1]) == deleted
         elif kind == "adopt":
             added = oracle.adopt(step[1], step[2])
-            assert set(server.adopt_posting_list(step[1], step[2])) == added
+            assert server.adopt_posting_list(
+                step[1], *_columns(step[2])
+            ) == len(added)
         elif kind == "drop":
             dropped = oracle.drop(step[1])
-            assert set(server.drop_posting_list(step[1])) == dropped
+            assert server.drop_posting_list(step[1]) == len(dropped)
         elif kind == "ingest":
-            pl_ids, records = step[1], step[2]
-            image_lists = {pl_ids[0]: {r.element_id: r for r in records}}
-            image, _count = snapshot_bytes(image_lists)
+            pl_ids = step[1]
+            records = list({r.element_id: r for r in step[2]}.values())
+            image, _count = snapshot_bytes(
+                {pl_ids[0]: SeatList(*_columns(records))}
+            )
             for pl_id in pl_ids:
                 oracle.drop(pl_id)
-            oracle.adopt(pl_ids[0], image_lists[pl_ids[0]].values())
+            oracle.adopt(pl_ids[0], records)
             server.ingest_snapshot(pl_ids, image)
         else:
             user, pl_ids = step[1], step[2]

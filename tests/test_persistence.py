@@ -69,15 +69,15 @@ class TestLogging:
         _, _, server, token, log, _ = env
         server.insert_batch(token, [op(0, 1), op(0, 2), op(3, 9)])
         replayed = log.replay()
-        assert set(replayed[0]) == {1, 2}
-        assert replayed[3][9].share_y == 111
+        assert set(replayed[0].element_ids) == {1, 2}
+        assert replayed[3].share_ys == [111]
 
     def test_deletes_are_logged(self, env):
         _, _, server, token, log, _ = env
         server.insert_batch(token, [op(0, 1), op(0, 2)])
         server.delete(token, [DeleteOp(0, 1)])
         replayed = log.replay()
-        assert set(replayed[0]) == {2}
+        assert set(replayed[0].element_ids) == {2}
 
     def test_rejected_batches_never_hit_disk(self, env):
         _, _, server, token, log, _ = env
@@ -114,7 +114,7 @@ class TestRecovery:
         segment = tmp_path / "torn" / segment_name(1)
         segment.write_bytes(segment.read_bytes()[:-2])  # last CRC cut off
         replayed = replay_store(tmp_path / "torn")
-        assert set(replayed[0]) == {1}
+        assert set(replayed[0].element_ids) == {1}
 
     def test_corrupt_interior_record_raises(self, tmp_path):
         store = open_store(tmp_path / "bad", segment_bytes=HEADER_LEN + 1)
@@ -157,7 +157,7 @@ class TestCompaction:
         assert written == 5
         assert after < before
         replayed = log.replay()
-        assert set(replayed[0]) == {16, 17, 18, 19, 20}
+        assert set(replayed[0].element_ids) == {16, 17, 18, 19, 20}
 
     def test_appends_after_compaction_work(self, env):
         _, _, server, token, log, _ = env
@@ -165,7 +165,7 @@ class TestCompaction:
         log.compact()
         server.insert_batch(token, [op(0, 2)])
         replayed = log.replay()
-        assert set(replayed[0]) == {1, 2}
+        assert set(replayed[0].element_ids) == {1, 2}
 
 
 # -- cluster-wide failure injection + WAL recovery ---------------------------
@@ -281,6 +281,48 @@ class TestClusterWalRecovery:
             for terms in queries
         ]
         assert after == expected
+
+    def test_a_restarted_seat_answers_in_its_pods_row_order(
+        self, wal_cluster
+    ):
+        """Compact every seat, write and delete on, then crash one seat
+        per pod: the seat rebuilt from snapshot + segment suffix answers
+        every list in the same row order as its live pod peers (the
+        client's aligned join), not in element-ID order."""
+        documents, cluster = wal_cluster
+        for document in documents[:4]:
+            cluster.owner(f"owner{document.group_id}").delete_document(
+                document.doc_id
+            )
+        for pod in cluster.pods:
+            for slot in pod.slots:
+                slot.log.compact()
+        for document in _make_documents(20, seed=8)[14:]:
+            cluster.share_document(f"owner{document.group_id}", document)
+        cluster.flush_all()
+        for document in documents[4:7]:
+            cluster.owner(f"owner{document.group_id}").delete_document(
+                document.doc_id
+            )
+        cluster.flush_all()
+        token = cluster.enroll_user("auditor")
+        for group_id, coordinator in ((0, "owner0"), (1, "owner1")):
+            cluster.add_member(group_id, "auditor", actor=coordinator)
+        pl_ids = range(10)
+        reordered = 0
+        for pod in cluster.pods:
+            cluster.kill_server(pod.index, 1)
+            restarted = cluster.restart_server(pod.index, 1)
+            answers = restarted.get_posting_lists(token, pl_ids)
+            for slot in (pod.slots[0], pod.slots[2]):
+                peers = slot.server.get_posting_lists(token, pl_ids)
+                assert [a.element_ids for a in answers] == [
+                    p.element_ids for p in peers
+                ]
+            reordered += sum(
+                a.element_ids != sorted(a.element_ids) for a in answers
+            )
+        assert reordered  # the deletes really moved rows
 
     def test_deletes_survive_recovery(self, wal_cluster):
         documents, cluster = wal_cluster

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.client.batching import BatchPolicy, UpdateBatcher
 from repro.extensions.dht import ConsistentHashRing
 from repro.extensions.mixnet import MixMessage, MixRelay
-from repro.server.index_server import DeleteOp, InsertOp, ShareRecord
+from repro.server.index_server import DeleteOp, InsertOp, SeatList
 from repro.storage import SegmentedStore
 from repro.storage.segment import HEADER_LEN
 
@@ -52,9 +52,10 @@ def wal_operations(draw):
 def test_property_wal_replay_equals_inmemory_state(
     ops, segment_bytes, data, tmp_path
 ):
-    """Replaying the store always rebuilds exactly the in-memory state —
-    across segment rotations, an explicit compaction at any point of the
-    history, and a reopen from disk."""
+    """Replaying the store always rebuilds exactly the in-memory state,
+    rows in the order a live seat holds them — across segment rotations,
+    an explicit compaction at any point of the history, and a reopen
+    from disk."""
     import uuid
 
     directory = tmp_path / uuid.uuid4().hex
@@ -62,7 +63,7 @@ def test_property_wal_replay_equals_inmemory_state(
         directory, segment_bytes=segment_bytes, auto_compact=False
     )
     compact_at = data.draw(st.integers(0, len(ops)), label="compact_at")
-    expected: dict[int, dict[int, ShareRecord]] = {}
+    expected: dict[int, SeatList] = {}
 
     def live(state):
         return {pl: recs for pl, recs in state.items() if recs}
@@ -75,12 +76,10 @@ def test_property_wal_replay_equals_inmemory_state(
             store.append_inserts(
                 [InsertOp(pl_id=pl, element_id=eid, group_id=group, share_y=share)]
             )
-            expected.setdefault(pl, {})[eid] = ShareRecord(
-                element_id=eid, group_id=group, share_y=share
-            )
+            expected.setdefault(pl, SeatList()).extend([eid], [group], [share])
         else:
             store.append_deletes([DeleteOp(pl_id=pl, element_id=eid)])
-            expected.get(pl, {}).pop(eid, None)
+            expected[pl].remove(eid)
     assert live(store.replay()) == live(expected)
     # Compacting the whole history preserves the same state, on disk too.
     store.compact()

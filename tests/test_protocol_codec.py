@@ -65,6 +65,17 @@ posting_lists = st.builds(
     records=st.tuples() | st.lists(records, max_size=5).map(tuple),
 )
 
+
+def _adopt(pl_id, records) -> m.AdoptListRequest:
+    """An adopt request carrying ``records`` as its share columns."""
+    columns = PostingListResponse.from_records(pl_id, records).columns
+    return m.AdoptListRequest(pl_id, *columns)
+
+
+adopt_requests = st.builds(
+    _adopt, pl_id=small_uints, records=st.lists(records, max_size=5)
+)
+
 snippets = st.builds(Snippet, doc_id=small_uints, host=texts, text=texts)
 
 messages = st.one_of(
@@ -89,11 +100,7 @@ messages = st.one_of(
         doc_id=small_uints,
         terms=st.lists(texts, max_size=4).map(tuple),
     ),
-    st.builds(
-        m.AdoptListRequest,
-        pl_id=small_uints,
-        records=st.lists(records, max_size=5).map(tuple),
-    ),
+    adopt_requests,
     st.builds(m.DropListRequest, pl_id=small_uints),
     st.just(m.ServerStatusRequest()),
     st.just(m.EndpointsRequest()),
@@ -103,10 +110,6 @@ messages = st.one_of(
         lists=st.lists(posting_lists, max_size=4).map(tuple),
     ),
     st.builds(m.SnippetResponse, snippet=snippets),
-    st.builds(
-        m.RecordListResponse,
-        records=st.lists(records, max_size=5).map(tuple),
-    ),
     st.builds(
         m.ServerStatusResponse,
         server_id=texts,
@@ -233,13 +236,14 @@ def test_retired_export_list_type_byte_rejected():
     assert not hasattr(m, "ExportListRequest")
 
 
-#: The retired varint-per-record forms of the four bulk messages, and
-#: the packed type byte each message class travels under instead.
+#: The retired varint-per-record forms of the bulk messages, and the
+#: packed type byte each message class travels under instead (None:
+#: the class is gone with both its forms).
 _RETIRED_CLASSIC = {
     0x01: (m.InsertBatchRequest, 0x41),
     0x06: (m.AdoptListRequest, 0x44),
     0x22: (m.FetchListsResponse, 0x42),
-    0x24: (m.RecordListResponse, 0x43),
+    0x24: (None, None),
 }
 
 
@@ -255,7 +259,50 @@ def test_retired_classic_bulk_type_bytes_rejected(type_byte):
                 codec.MAGIC + bytes([m.PROTOCOL_VERSION, type_byte]) + body
             )
     cls, packed_byte = _RETIRED_CLASSIC[type_byte]
-    assert codec._TYPE_BYTE[cls] == packed_byte
+    if cls is not None:
+        assert codec._TYPE_BYTE[cls] == packed_byte
+
+
+def test_retired_record_list_type_byte_is_never_reassigned():
+    """0x43 (the records an adopt or drop touched, retired when both
+    began to answer with a count) is never reassigned: a frame carrying
+    it is a typed unknown-type error, whatever body follows — the body
+    it used to carry included."""
+    old_body = bytes.fromhex("01010101010101")  # one record, 1-byte columns
+    for body in (b"", b"\x00", old_body):
+        with pytest.raises(ProtocolError, match="0x43"):
+            codec.decode_message(
+                codec.MAGIC + bytes([m.PROTOCOL_VERSION, 0x43]) + body
+            )
+    assert 0x43 not in codec._REGISTRY
+    assert not hasattr(m, "RecordListResponse")
+
+
+def test_drop_request_is_its_pl_id_alone():
+    """A 0x07 frame is the pl_id and nothing else. A frame in the old
+    layout (pl_id + the retired count-only flag byte) is a typed error
+    — trailing bytes — never a drop of some other list."""
+    frame = codec.encode_message(m.DropListRequest(pl_id=3))
+    assert frame == bytes.fromhex("5a57030703")
+    assert codec.decode_message(frame) == m.DropListRequest(pl_id=3)
+    for flag in (b"\x00", b"\x01"):
+        with pytest.raises(ProtocolError, match="trailing"):
+            codec.decode_message(frame + flag)
+
+
+def test_adopt_frames_are_the_bytes_every_earlier_peer_wrote():
+    """The 0x44 frame of one fixed adoption, as the encoder wrote it
+    when the request carried share records: built from columns, the
+    request puts the same bytes on the wire and decodes to columns."""
+    columns = ([70000, 9, 4], [2, 1, 2], [2**64 + 12, 300, 0])
+    packed = bytes.fromhex(
+        "5a570344030303011170000009000004010201020901000000000000000c"
+        "00000000000000012c000000000000000000"
+    )
+    message = m.AdoptListRequest(3, *columns)
+    assert codec.encode_message(message) == packed
+    assert codec.decode_message(packed) == message
+    assert message.wire_bytes(9) == 4 + 3 * (4 + 4 + 9)
 
 
 def test_negative_integer_rejected_at_encode():
@@ -273,8 +320,7 @@ def test_oversized_varint_rejected():
 
 def test_large_shares_survive_the_round_trip():
     # Shares live in Z_p with p > 2^64 — wider than any fixed-width int.
-    record = ShareRecord(element_id=1, group_id=2, share_y=2**71 + 12345)
-    message = m.RecordListResponse(records=(record,))
+    message = m.AdoptListRequest(5, [1], [2], [2**71 + 12345])
     assert codec.decode_message(codec.encode_message(message)) == message
 
 
@@ -335,15 +381,7 @@ packable_messages = st.one_of(
         m.FetchListsResponse,
         lists=st.lists(posting_lists, max_size=4).map(tuple),
     ),
-    st.builds(
-        m.RecordListResponse,
-        records=st.lists(records, max_size=5).map(tuple),
-    ),
-    st.builds(
-        m.AdoptListRequest,
-        pl_id=small_uints,
-        records=st.lists(records, max_size=5).map(tuple),
-    ),
+    adopt_requests,
 )
 
 
@@ -351,7 +389,7 @@ packable_messages = st.one_of(
 @given(message=packable_messages)
 def test_packed_encode_decode_round_trip(message):
     encoded = codec.encode_message(message)
-    assert encoded[3] in (0x41, 0x42, 0x43, 0x44)
+    assert encoded[3] in (0x41, 0x42, 0x44)
     assert codec.decode_message(encoded) == message
 
 
@@ -368,8 +406,7 @@ def test_truncated_packed_frames_rejected(message, data):
 
 
 def test_packed_shares_wider_than_the_field_round_trip():
-    record = ShareRecord(element_id=1, group_id=2, share_y=2**71 + 99)
-    message = m.RecordListResponse(records=(record,))
+    message = m.AdoptListRequest(0, [1], [2], [2**71 + 99])
     blob = codec.encode_message(message)
     assert codec.decode_message(blob) == message
 
@@ -533,8 +570,7 @@ def _packed_messages_with(share: int) -> list:
                 PostingListResponse.from_records(10, ()),
             )
         ),
-        m.RecordListResponse(records=records),
-        m.AdoptListRequest(pl_id=9, records=records),
+        _adopt(9, records),
     ]
 
 
@@ -542,7 +578,7 @@ def _packed_messages_with(share: int) -> list:
 def test_two_limb_shares_round_trip_in_every_packed_message(share):
     for message in _packed_messages_with(share):
         packed = codec.encode_message(message)
-        assert packed[3] in (0x41, 0x42, 0x43, 0x44)
+        assert packed[3] in (0x41, 0x42, 0x44)
         assert codec.decode_message(packed) == message
 
 
@@ -560,14 +596,10 @@ def test_packed_frames_truncated_at_every_cut_are_typed():
 def _forged_width_frames(width: int):
     """One valid single-record frame per column, that column's width
     byte overwritten with ``width``."""
-    good = codec.encode_message(
-        m.RecordListResponse(
-            records=(ShareRecord(element_id=1, group_id=1, share_y=1),)
-        )
-    )
-    # Layout: magic(2) version(1) type(1) count(varint=1), then per
-    # column one width byte + one 1-byte value.
-    for width_at in (5, 7, 9):
+    good = codec.encode_message(m.AdoptListRequest(0, [1], [1], [1]))
+    # Layout: magic(2) version(1) type(1) pl_id(varint=0)
+    # count(varint=1), then per column one width byte + one 1-byte value.
+    for width_at in (6, 8, 10):
         forged = bytearray(good)
         forged[width_at] = width
         yield bytes(forged)
@@ -594,7 +626,7 @@ def test_oversized_count_is_rejected_before_allocating():
     body = bytearray()
     codec.write_uint(body, 1 << 40)
     body.append(8)  # element-id column: width 8, then nothing like 8 TiB
-    frame = codec.MAGIC + bytes([m.PROTOCOL_VERSION, 0x43]) + bytes(body)
+    frame = codec.MAGIC + bytes([m.PROTOCOL_VERSION, 0x44, 0]) + bytes(body)
     frame = frame.ljust(20, b"\x00")
     assert len(frame) == 20
     tracemalloc.start()

@@ -24,7 +24,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from repro.server.index_server import DeleteOp, InsertOp, ShareRecord
+from helpers import state_rows
+from repro.server.index_server import DeleteOp, InsertOp
 from repro.storage import SegmentedStore, load_manifest
 from repro.storage.manifest import manifest_path
 from repro.storage.segment import scan_segment_numbers, segment_name
@@ -59,17 +60,19 @@ def op_streams(draw):
 
 
 def apply_operation(state, op):
-    """The model: fold one operation into a store state."""
+    """The model: fold one operation into a store state, each list
+    held as ``{element_id: (group_id, share_y)}``."""
     if isinstance(op, InsertOp):
-        state.setdefault(op.pl_id, {})[op.element_id] = ShareRecord(
-            element_id=op.element_id, group_id=op.group_id, share_y=op.share_y
+        state.setdefault(op.pl_id, {})[op.element_id] = (
+            op.group_id,
+            op.share_y,
         )
     elif op.pl_id in state:
         state[op.pl_id].pop(op.element_id, None)
 
 
 def state_of(ops):
-    state: dict[int, dict[int, ShareRecord]] = {}
+    state: dict[int, dict[int, tuple[int, int]]] = {}
     for op in ops:
         apply_operation(state, op)
     return {pl: recs for pl, recs in state.items() if recs}
@@ -78,7 +81,7 @@ def state_of(ops):
 def prefix_states(ops):
     """Every consistent state a prefix of the history can produce."""
     states = []
-    state: dict[int, dict[int, ShareRecord]] = {}
+    state: dict[int, dict[int, tuple[int, int]]] = {}
     states.append({})
     for op in ops:
         apply_operation(state, op)
@@ -100,7 +103,7 @@ def write_stream(directory, ops, **options):
 
 
 def clean_replay(store):
-    return {pl: recs for pl, recs in store.replay().items() if recs}
+    return state_rows(store.replay())
 
 
 # -- torn tail ---------------------------------------------------------------
@@ -296,7 +299,7 @@ def test_half_written_snapshot_tmp_is_swept(tmp_path):
     (directory / "snap-00000099.zsnap.tmp").write_bytes(b"ZSNP\x01partial")
     recovered = SegmentedStore(directory, auto_compact=False)
     assert not list(directory.glob("*.tmp"))
-    assert set(recovered.replay()[0]) == set(range(5))
+    assert set(recovered.replay()[0].element_ids) == set(range(5))
     recovered.close()
 
 
@@ -311,7 +314,7 @@ def test_orphan_snapshot_not_in_manifest_is_swept(tmp_path):
     orphan.write_bytes(b"ZSNP\x01garbage-from-a-crashed-promotion")
     recovered = SegmentedStore(directory, auto_compact=False)
     assert not orphan.exists()
-    assert set(recovered.replay()[0]) == {1}
+    assert set(recovered.replay()[0].element_ids) == {1}
     recovered.close()
 
 

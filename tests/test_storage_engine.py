@@ -17,7 +17,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import leb128, make_documents, segment_record
+from helpers import (
+    leb128,
+    list_rows,
+    make_documents,
+    segment_record,
+    state_rows,
+)
 from repro.client.batching import BatchPolicy
 from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
@@ -29,11 +35,14 @@ from repro.server.index_server import (
     IndexServer,
     InsertOp,
     RecordView,
+    SeatList,
     insert_columns,
 )
 from repro.observability.metrics import SampleView
 from repro.observability.service import METRICS_ENDPOINT
-from repro.protocol.messages import MetricsDumpRequest
+from repro.protocol.codec import write_columns
+from repro.protocol.messages import AdoptSnapshotRequest, MetricsDumpRequest
+from repro.protocol.service import IndexServerService
 from repro.storage import (
     Manifest,
     SegmentedStore,
@@ -47,6 +56,7 @@ from repro.storage.segment import (
     KIND_INSERT,
     SEGMENT_MAGIC,
     SEGMENT_VERSION,
+    iter_blocks,
     scan_segment_numbers,
     segment_name,
 )
@@ -75,17 +85,6 @@ def apply_ops(ops):
     }
 
 
-def simplify(replayed):
-    """Replayed ShareRecords -> comparable {pl: {eid: (gid, share)}}."""
-    return {
-        pl: {
-            eid: (rec.group_id, rec.share_y) for eid, rec in plist.items()
-        }
-        for pl, plist in replayed.items()
-        if plist
-    }
-
-
 class TestSegmentedStoreBasics:
     def test_round_trip_inserts_and_deletes(self, tmp_path):
         store = SegmentedStore(tmp_path / "seat", auto_compact=False)
@@ -95,8 +94,8 @@ class TestSegmentedStoreBasics:
         store.append_inserts(o for o in ops if isinstance(o, InsertOp))
         store.append_deletes(o for o in ops if isinstance(o, DeleteOp))
         replayed = store.replay()
-        assert set(replayed[0]) == set(range(4, 10))
-        assert replayed[7][1].group_id == 3
+        assert set(replayed[0].element_ids) == set(range(4, 10))
+        assert list_rows(replayed[7]) == {1: (3, 5)}
         assert store.records_appended == len(ops)
         store.close()
 
@@ -108,7 +107,7 @@ class TestSegmentedStoreBasics:
             store.append_inserts([ins(0, i)])
         numbers = scan_segment_numbers(tmp_path / "seat")
         assert len(numbers) > 1
-        assert set(store.replay()[0]) == set(range(40))
+        assert set(store.replay()[0].element_ids) == set(range(40))
         store.close()
 
     def test_reopen_continues_the_history(self, tmp_path):
@@ -118,7 +117,7 @@ class TestSegmentedStoreBasics:
         again = SegmentedStore(tmp_path / "seat", auto_compact=False)
         again.append_deletes([DeleteOp(pl_id=0, element_id=1)])
         again.append_inserts([ins(0, 3)])
-        assert set(again.replay()[0]) == {2, 3}
+        assert set(again.replay()[0].element_ids) == {2, 3}
         again.close()
 
     def test_closed_store_rejects_appends(self, tmp_path):
@@ -178,7 +177,7 @@ class TestColumnAppends:
         assert written[HEADER_LEN:] == reference == self.PINNED
         assert store.bytes_appended == len(reference)
         reopened = SegmentedStore(tmp_path / "seat", auto_compact=False)
-        assert simplify(reopened.replay()) == apply_ops(self.OPS)
+        assert state_rows(reopened.replay()) == apply_ops(self.OPS)
         reopened.close()
 
     def test_a_delete_batch_is_one_two_column_record(self, tmp_path):
@@ -246,7 +245,7 @@ class TestBlockFormat:
         state = {pl: recs for pl, recs in store.replay().items() if recs}
         store.close()
         expected = {pl: recs for pl, recs in apply_ops(ops).items() if recs}
-        assert simplify(state) == expected
+        assert state_rows(state) == expected
         image, count = snapshot_bytes(state)
         assert count == sum(map(len, state.values()))
         assert parse_snapshot_bytes(image) == state
@@ -393,7 +392,7 @@ class TestCompaction:
         # Old segments are gone; only the live suffix remains.
         remaining = scan_segment_numbers(tmp_path / "seat")
         assert remaining == [manifest.first_segment]
-        assert simplify(store.replay()) == simplify(before)
+        assert state_rows(store.replay()) == state_rows(before)
         store.close()
 
     def test_appends_after_compaction_land_in_the_suffix(self, tmp_path):
@@ -403,7 +402,7 @@ class TestCompaction:
         store.append_inserts([ins(0, 2)])
         store.close()
         again = SegmentedStore(tmp_path / "seat", auto_compact=False)
-        assert set(again.replay()[0]) == {1, 2}
+        assert set(again.replay()[0].element_ids) == {1, 2}
         again.close()
 
     def test_double_compact_is_a_noop(self, tmp_path):
@@ -422,7 +421,7 @@ class TestCompaction:
         store.append_deletes([DeleteOp(pl_id=3, element_id=0)])
         store.close()
         fresh = SegmentedStore(tmp_path / "seat", auto_compact=False)
-        assert set(fresh.replay()[3]) == set(range(1, 50))
+        assert set(fresh.replay()[3].element_ids) == set(range(1, 50))
         fresh.close()
 
     def test_background_compaction_triggers_and_serves_appends(
@@ -437,7 +436,7 @@ class TestCompaction:
         assert store.last_compaction_error is None
         status = store.status()
         assert status["snapshot"] is not None  # the compactor really ran
-        assert set(store.replay()[0]) == set(range(200))
+        assert set(store.replay()[0].element_ids) == set(range(200))
         store.close()
 
     def test_concurrent_appends_during_explicit_compaction(self, tmp_path):
@@ -466,8 +465,8 @@ class TestCompaction:
             stop.set()
             thread.join()
         replayed = store.replay()
-        assert set(replayed[0]) == set(range(500))
-        assert set(replayed[1]) == set(written)
+        assert set(replayed[0].element_ids) == set(range(500))
+        assert set(replayed[1].element_ids) == set(written)
         store.close()
 
 
@@ -647,7 +646,7 @@ class TestPersistenceHook:
         server, token, store = hooked_server
         server.insert_batch(token, [ins(0, 1), ins(0, 2)])
         server.delete(token, [DeleteOp(pl_id=0, element_id=1)])
-        assert set(store.replay()[0]) == {2}
+        assert set(store.replay()[0].element_ids) == {2}
         store.close()
 
     def test_rejected_batches_never_hit_disk(self, hooked_server):
@@ -669,21 +668,17 @@ class TestPersistenceHook:
         with pytest.raises(IndexServerError):
             server.insert_batch(token, [ins(1, 5), ins(1, 5)])  # in-batch dup
         assert server.num_elements == 1
-        assert set(store.replay()[0]) == {7}
+        assert set(store.replay()[0].element_ids) == {7}
         store.close()
 
     def test_rejected_delete_batch_is_atomic(self, hooked_server, tmp_path):
         """ACLs are validated for the whole delete batch before any
         record is removed, so memory and WAL cannot diverge."""
-        from repro.server.index_server import ShareRecord
-
         server, token, store = hooked_server
         server.insert_batch(token, [ins(0, 1)])
         # A foreign-group record adopted via replication (the ACL the
         # delete below must trip over).
-        server.adopt_posting_list(
-            0, [ShareRecord(element_id=2, group_id=99, share_y=5)]
-        )
+        server.adopt_posting_list(0, [2], [99], [5])
         from repro.errors import AccessDeniedError
 
         with pytest.raises(AccessDeniedError):
@@ -693,26 +688,26 @@ class TestPersistenceHook:
             )
         # Nothing was removed — not even the op the caller was allowed.
         assert {r.element_id for r in server.export_posting_list(0)} == {1, 2}
-        assert set(store.replay()[0]) == {1, 2}
+        assert set(store.replay()[0].element_ids) == {1, 2}
         store.close()
 
     def test_adopt_and_drop_are_logged(self, hooked_server):
-        from repro.server.index_server import ShareRecord
-
         server, _token, store = hooked_server
-        server.adopt_posting_list(
-            4, [ShareRecord(element_id=1, group_id=1, share_y=77)]
-        )
-        assert store.replay()[4][1].share_y == 77
-        server.drop_posting_list(4)
-        assert store.replay() == {} or not store.replay().get(4)
+        assert server.adopt_posting_list(4, [1, 1], [1, 2], [77, 78]) == 1
+        assert server.adopt_posting_list(4, [1], [1], [77]) == 0
+        assert list_rows(store.replay()[4]) == {1: (1, 77)}
+        assert store.records_appended == 1
+        assert server.drop_posting_list(4) == 1
+        assert server.drop_posting_list(4) == 0
+        assert store.replay() == {}
+        assert store.records_appended == 2
         store.close()
 
     def test_bulk_load_requires_empty_server(self, hooked_server):
         server, token, _store = hooked_server
         server.insert_batch(token, [ins(0, 1)])
         with pytest.raises(IndexServerError):
-            server.bulk_load({0: {}})
+            server.bulk_load({0: SeatList()})
 
     def test_bulk_load_round_trips_a_replay(self, hooked_server, tmp_path):
         server, token, store = hooked_server
@@ -724,4 +719,169 @@ class TestPersistenceHook:
         assert fresh.bulk_load(replayed) == 2
         view = fresh.compromise()
         assert view.merged_list_lengths() == {0: 1, 2: 1}
+        assert fresh.export_posting_list(2) == server.export_posting_list(2)
+        store.close()
+
+
+# -- rows in the live seat's order, through every recovery path ---------------
+
+
+def _recovered(directory) -> IndexServer:
+    """A fresh seat bulk-loaded from the store at ``directory``."""
+    store = SegmentedStore(directory, auto_compact=False)
+    try:
+        seat = IndexServer(
+            "s0r", x_coordinate=5, auth=AuthService(), groups=GroupDirectory()
+        )
+        seat.bulk_load(store.replay())
+    finally:
+        store.close()
+    return seat
+
+
+class TestRecoveredRowOrder:
+    """A delete moves a list's last row into the hole, so row order is a
+    function of the operations applied, and peers that applied the same
+    ones answer in the same order (the client's aligned join). A seat
+    rebuilt from its log, or from a snapshot plus the segment suffix,
+    must hold the rows in that order too — not sorted by element ID."""
+
+    def test_segment_replay_keeps_the_live_order(self, hooked_server, tmp_path):
+        server, token, store = hooked_server
+        server.insert_batch(token, [ins(0, e) for e in (1, 2, 3, 4)])
+        server.delete(token, [DeleteOp(pl_id=0, element_id=1)])
+        (live,) = server.get_posting_lists(token, [0])
+        assert live.element_ids == [4, 2, 3]
+        assert store.replay()[0].element_ids == [4, 2, 3]
+        store.close()
+        recovered = _recovered(tmp_path / "s0")
+        assert recovered.export_posting_list(0) == server.export_posting_list(0)
+
+    def test_compaction_keeps_the_live_order(self, hooked_server, tmp_path):
+        server, token, store = hooked_server
+        server.insert_batch(token, [ins(0, e) for e in (1, 3, 7, 9)])
+        server.delete(token, [DeleteOp(pl_id=0, element_id=1)])
+        assert store.compact() == 3
+        server.insert_batch(token, [ins(0, 1)])
+        (live,) = server.get_posting_lists(token, [0])
+        assert live.element_ids == [9, 3, 7, 1]
+        assert store.replay()[0].element_ids == [9, 3, 7, 1]
+        store.close()
+        recovered = _recovered(tmp_path / "s0")
+        assert recovered.export_posting_list(0) == server.export_posting_list(0)
+
+
+class TestSnapshotRefusals:
+    """A CRC-valid image that repeats a list, lists them out of order, or
+    repeats an element ID within a list is refused, naming the list —
+    on the file path and on the wire path alike. Loading one would keep
+    one share of a repeated element and silently drop the rest."""
+
+    @staticmethod
+    def _image(*lists) -> bytes:
+        """A sealed image of ``(pl_id, element_ids)`` lists, written
+        by hand in the order given."""
+        body = bytearray(leb128(len(lists)))
+        for pl_id, element_ids in lists:
+            body += leb128(pl_id)
+            write_columns(
+                body,
+                element_ids,
+                [1] * len(element_ids),
+                [10 + row for row in range(len(element_ids))],
+            )
+        crc = zlib.crc32(bytes(body)).to_bytes(4, "little")
+        return b"ZSNP" + bytes((SNAPSHOT_VERSION,)) + bytes(body) + crc
+
+    CASES = {
+        "repeated-list": ((7, [5]), (7, [6])),
+        "decreasing-lists": ((8, [5]), (7, [6])),
+        "repeated-element": ((7, [5, 6, 5]),),
+        "both": ((7, [5, 5]), (7, [5, 5])),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_file_path_refuses_the_image(self, tmp_path, case):
+        image = self._image(*self.CASES[case])
+        with pytest.raises(StorageError, match="list 7"):
+            parse_snapshot_bytes(image)
+        directory = tmp_path / "seat"
+        SegmentedStore(directory, auto_compact=False).close()
+        (directory / "snap-00000001.zsnap").write_bytes(image)
+        write_manifest(
+            directory,
+            Manifest(snapshot="snap-00000001.zsnap", first_segment=1),
+        )
+        store = SegmentedStore(directory, auto_compact=False)
+        with pytest.raises(StorageError, match="list 7"):
+            store.replay()
+        store.close()
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_the_wire_path_refuses_the_image(self, hooked_server, case):
+        server, token, store = hooked_server
+        server.insert_batch(token, [ins(7, 1), ins(8, 2)])
+        before = [server.export_posting_list(pl) for pl in (7, 8)]
+        appended = store.records_appended
+        with pytest.raises(StorageError, match="list 7"):
+            server.ingest_snapshot((7, 8), self._image(*self.CASES[case]))
+        assert [server.export_posting_list(pl) for pl in (7, 8)] == before
+        assert store.records_appended == appended
+        store.close()
+
+    def test_a_well_formed_image_still_loads(self):
+        loaded = parse_snapshot_bytes(self._image((3, [9, 2]), (7, [5])))
+        assert loaded == {
+            3: SeatList([9, 2], [1, 1], [10, 11]),
+            7: SeatList([5], [1], [10]),
+        }
+
+
+def _blocks(directory) -> list:
+    """Every ``(kind, columns)`` block in a seat's live segments."""
+    return list(iter_blocks(directory, scan_segment_numbers(directory)))
+
+
+class TestSnapshotShipmentLogging:
+    def test_one_shipment_is_two_log_blocks(self, hooked_server, tmp_path):
+        """An adopted shipment of N lists the seat already holds is one
+        delete block (every row it drops) and one insert block (every
+        row it loads) — not a drop and an adopt per list — and a replay
+        after it equals the live seat, rows in order."""
+        server, token, store = hooked_server
+        source = IndexServer(
+            "src", x_coordinate=5, auth=AuthService(), groups=GroupDirectory()
+        )
+        pl_ids = (0, 3, 5, 6)
+        server.insert_batch(
+            token, [ins(pl, e, share=e) for pl in pl_ids for e in (1, 2, 3)]
+        )
+        server.delete(token, [DeleteOp(pl_id=3, element_id=1)])
+        for pl in pl_ids[:3]:  # list 6 ships absent: the seat's copy dies
+            source.adopt_posting_list(
+                pl, [9, 2, 4, 7], [1, 1, 1, 1], [pl, pl + 1, pl + 2, pl + 3]
+            )
+        image, count = source.export_snapshot(pl_ids)
+        directory = tmp_path / "s0"
+        blocks = len(_blocks(directory))
+        appended = store.records_appended
+        dropped = server.num_elements
+        response = IndexServerService.for_server(server).handle(
+            AdoptSnapshotRequest(pl_ids=pl_ids, snapshot=image)
+        )
+        assert response.count == count == 12
+        assert store.records_appended == appended + dropped + count
+        assert [kind for kind, _columns in _blocks(directory)[blocks:]] == [
+            KIND_DELETE,
+            KIND_INSERT,
+        ]
+        assert not server.export_posting_list(6)
+        for pl in pl_ids:
+            assert server.export_posting_list(
+                pl
+            ) == source.export_posting_list(pl)
+        replayed = store.replay()
+        assert replayed == {
+            pl: server._store[pl] for pl in pl_ids if server._store.get(pl)
+        }
         store.close()
