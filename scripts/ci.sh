@@ -149,7 +149,9 @@ gate "segmented storage (v2 blocks, crash, equivalence)" \
     "failed|skipped|deselected|no tests ran|error" \
     tests/test_storage_crash.py tests/test_storage_engine.py \
     tests/test_segmented_equivalence.py -m ""
-gate "async transport (pipelined multiplexing + socket regressions)" \
+# TestPipelinedFetchRound and TestPipelinedWriteRound: a query's fetch
+# round, an owner's flush and a document's deletes are one write each.
+gate "async transport (pipelined fetch + write rounds, socket regressions)" \
     "failed|skipped|deselected|no tests ran|error" \
     tests/test_async_transport.py
 # -m "" clears the setup.cfg marker filter so the drill- and

@@ -32,7 +32,7 @@ from repro.core.dictionary import TermDictionary
 from repro.core.mapping_table import MappingTable
 from repro.core.posting import PostingElementCodec, new_element_id
 from repro.corpus.document import Document
-from repro.errors import ReproError
+from repro.errors import ReproError, TransportError
 from repro.protocol.messages import (
     AdoptListRequest,
     DeleteBatchRequest,
@@ -47,7 +47,6 @@ from repro.server.index_server import (
     DeleteOp,
     InsertOp,
     RecordView,
-    group_by_list,
     insert_columns,
 )
 from repro.server.transport import SimulatedNetwork
@@ -100,16 +99,18 @@ class FleetRouter:
     on one posting list must reach; ``shares_y[share_slot]`` is the share
     delivered to that endpoint. The contract is the batch form,
     ``route_batch(pl_ids) -> {pl_id: WriteRoute}``, asked once per write
-    batch with its rows' list ids (repeats are routed once). This
-    default routes everything to the whole fleet; the cluster's
-    :class:`~repro.cluster.coordinator.ClusterCoordinator` implements the
-    same contract to route each list to its replica pods instead (and
-    to invalidate its caches once per batch).
+    batch with its rows' list ids (repeats are routed once), plus
+    ``note_dropped(server_id, pl_ids)`` for a routed seat that failed
+    its message. This default routes everything to the whole fleet;
+    the cluster's :class:`~repro.cluster.coordinator.ClusterCoordinator`
+    implements the same contract to route each list to its replica pods
+    instead (and to invalidate its caches once per batch).
     """
 
     #: The single fleet has no metrics registry (a cluster router's
     #: receives the owners' flush timings), no repair machinery for a
-    #: write span to exclude, and no caches to fence after a write.
+    #: write span to exclude or failed seat to ledger, and no caches to
+    #: fence after a write.
     metrics = None
     repair_mutex = contextlib.nullcontext()
 
@@ -117,6 +118,9 @@ class FleetRouter:
         self._servers = servers
 
     def complete_write(self, *pl_ids: int) -> None:
+        pass
+
+    def note_dropped(self, server_id: str, pl_ids: Iterable[int]) -> None:
         pass
 
     def route_batch(self, pl_ids: Iterable[int]) -> dict[int, WriteRoute]:
@@ -271,8 +275,8 @@ class DocumentOwner:
         groups = repeat(document.group_id)
         return list(zip(pl_ids, element_ids, groups, *share_columns))
 
-    def _record_undelivered(self, dropped: DroppedRoute, kind: str, op) -> None:
-        self._undelivered.setdefault(dropped.server_id, []).append((kind, op))
+    def _record_undelivered(self, server_id: str, kind: str, op) -> None:
+        self._undelivered.setdefault(server_id, []).append((kind, op))
 
     def _send_insert_batch(self, rows: list[_Row]) -> None:
         """Fan one shuffled batch out along the router's placement.
@@ -282,7 +286,8 @@ class DocumentOwner:
         destination seat. A seat's arrival order is a function of the
         shuffled order and the plaintext list IDs only, and every seat
         of a list sees that list's rows in the same relative order —
-        which the searcher's aligned join relies on.
+        which the searcher's aligned join relies on. Every seat's
+        columns leave in one :meth:`_deliver_round`.
 
         The whole route+deliver span holds the router's repair mutex,
         so an anti-entropy heal can only observe the cluster before the
@@ -319,16 +324,64 @@ class DocumentOwner:
                     for op in map(
                         InsertOp, pl_ids, element_ids, group_ids, missed
                     ):
-                        self._record_undelivered(dropped, "insert", op)
-            for server_id, columns in columns_by_server.items():
-                self._deliver(
-                    InsertBatchRequest, server_id, RecordView(InsertOp, *columns)
-                )
-            self._router.complete_write(*routes)
+                        self._record_undelivered(
+                            dropped.server_id, "insert", op
+                        )
+            self._deliver_round(
+                InsertBatchRequest,
+                {
+                    server_id: RecordView(InsertOp, *columns)
+                    for server_id, columns in columns_by_server.items()
+                },
+                "insert",
+                routes,
+            )
         if metrics is not None:
             metrics.histogram("zerber_index_flush_seconds").observe(
                 time.perf_counter() - started
             )
+
+    def _deliver_round(
+        self,
+        request_type: type,
+        operations_by_server: dict[str, Sequence],
+        kind: str,
+        routes: dict[int, WriteRoute],
+    ) -> None:
+        """One write round: every seat's insert/delete message in one
+        :meth:`Transport.call_many` (one write on the socket), then the
+        lists' ``complete_write`` fence.
+
+        A seat the round could not reach (a ``TransportError`` in its
+        place) misses only its own message: its operations join the
+        re-provisioning backlog and the router's ledger, as a dropped
+        route's do, and the round raises the first failure in seat
+        order once the fence is up. Any other failure is a refusal every
+        seat makes alike (auth, ACL, a duplicate element) and is raised
+        as it is.
+        """
+        seats = list(operations_by_server.items())
+        outcomes = self._transport.call_many(
+            self.owner_id,
+            [
+                (server_id, request_type(token=self._token, operations=ops))
+                for server_id, ops in seats
+            ],
+        )
+        failures = []
+        for (server_id, operations), outcome in zip(seats, outcomes):
+            if not isinstance(outcome, ReproError):
+                continue
+            failures.append(outcome)
+            if isinstance(outcome, TransportError):
+                for op in operations:
+                    self._record_undelivered(server_id, kind, op)
+                self._router.note_dropped(
+                    server_id, {op.pl_id for op in operations}
+                )
+        self._router.complete_write(*routes)
+        if failures:
+            raise failures[0]
 
     def _deliver(
         self, request_type: type, server_id: str, operations: Sequence
@@ -382,7 +435,7 @@ class DocumentOwner:
                     ops_by_server.setdefault(server_id, []).append(op)
                 dropped_ids = set()
                 for dropped in route.dropped:
-                    self._record_undelivered(dropped, "delete", op)
+                    self._record_undelivered(dropped.server_id, "delete", op)
                     dropped_ids.add(dropped.server_id)
                 # A seat that is live *now* may still owe this element's
                 # insert from an earlier outage (the backlog holds the
@@ -401,9 +454,15 @@ class DocumentOwner:
                         for kind, pending in entries
                     ):
                         entries.append(("delete", op))
-            for server_id, server_ops in ops_by_server.items():
-                self._deliver(DeleteBatchRequest, server_id, tuple(server_ops))
-            self._router.complete_write(*routes)
+            self._deliver_round(
+                DeleteBatchRequest,
+                {
+                    server_id: tuple(server_ops)
+                    for server_id, server_ops in ops_by_server.items()
+                },
+                "delete",
+                routes,
+            )
         self._documents.pop(doc_id, None)
         return len(operations)
 
@@ -469,8 +528,11 @@ class DocumentOwner:
                     op for op in deletes
                     if (op.pl_id, op.element_id) not in cancelled
                 ]
-                adopt_by_list = group_by_list(*insert_columns(inserts))
-                for pl_id, columns in sorted(adopt_by_list.items()):
+                adopt_by_list: dict[int, list[InsertOp]] = {}
+                for op in inserts:
+                    adopt_by_list.setdefault(op.pl_id, []).append(op)
+                for pl_id, ops in sorted(adopt_by_list.items()):
+                    _pl_ids, *columns = insert_columns(ops)
                     self._transport.call(
                         src=self.owner_id,
                         dst=server_id,

@@ -246,7 +246,7 @@ class RepairSweepStats:
 class ClusterCoordinator:
     """Control plane of a sharded Zerber cluster.
 
-    Owners use it as their write router (:meth:`targets`); searchers use
+    Owners use it as their write router (:meth:`route_batch`); searchers use
     it for read placement (:meth:`group_by_pod`), the shared
     :attr:`cache`, and liveness. Operators use :meth:`kill_server` /
     :meth:`restart_server` for failure drills.
@@ -341,10 +341,12 @@ class ClusterCoordinator:
         self.metrics = metrics
         self.cache = LRUShareCache(cache_entries)
         #: Routing decisions (one per distinct posting list per batch,
-        #: per dead seat, per replica pod) made while a seat was down. A
-        #: lower bound on missed per-operation writes — owners memoize
-        #: route() per batch — so dropped > repaired means some seat is
-        #: missing data until an owner or the repair sweep re-provisions.
+        #: per dead seat, per replica pod) made while a seat was down,
+        #: and one per list per seat that failed its message of a write
+        #: round (:meth:`note_dropped`). A lower bound on missed
+        #: per-operation writes — routes are per batch — so dropped >
+        #: repaired means some seat is missing data until an owner or
+        #: the repair sweep re-provisions.
         self.dropped_write_routes = 0
         #: Per replica pod slice of :attr:`dropped_write_routes`.
         self.dropped_write_routes_by_pod: dict[str, int] = {}
@@ -498,11 +500,11 @@ class ClusterCoordinator:
         with self._epoch_lock:
             return self._write_epochs.get(pl_id, 0)
 
-    def _bump_epoch(self, pl_id: int) -> None:
+    def _bump_epochs(self, pl_ids: Iterable[int]) -> None:
+        epochs = self._write_epochs
         with self._epoch_lock:
-            self._write_epochs[pl_id] = (
-                self._write_epochs.get(pl_id, 0) + 1
-            )
+            for pl_id in pl_ids:
+                epochs[pl_id] = epochs.get(pl_id, 0) + 1
 
     def complete_write(self, *pl_ids: int) -> None:
         """A write (route + delivery) finished for the lists: fence them.
@@ -515,8 +517,7 @@ class ClusterCoordinator:
         needed — the pre-delivery invalidation already emptied every
         tier for the list.
         """
-        for pl_id in pl_ids:
-            self._bump_epoch(pl_id)
+        self._bump_epochs(pl_ids)
 
     def invalidate_list(self, *pl_ids: int) -> None:
         """Evict lists from every tier: local share cache, subscribed
@@ -531,8 +532,7 @@ class ClusterCoordinator:
         once any tier is emptied, every in-flight fill must already be
         fenced out of the new key space.
         """
-        for pl_id in pl_ids:
-            self._bump_epoch(pl_id)
+        self._bump_epochs(pl_ids)
         l1_caches = list(self._l1_caches)
         for pl_id in pl_ids:
             self.cache.invalidate(pl_id)
@@ -566,11 +566,27 @@ class ClusterCoordinator:
         so no reader can observe pre-write shares after the write
         lands; a cache-tier failure aborts the batch with no seat
         written.
+
+        Lists that share a replica-pod set share a route: while every
+        seat of the set is alive, :meth:`route` runs once for the set
+        and its answer serves every list placed there. A set with a
+        dead seat is routed list by list, so each list's drop lands in
+        the ledger.
         """
         # Routed once each: a repeat would count its dropped seats twice.
         pl_ids = tuple(dict.fromkeys(pl_ids))
         self.invalidate_list(*pl_ids)
-        return {pl_id: self.route(pl_id) for pl_id in pl_ids}
+        routes: dict[int, WriteRoute] = {}
+        healthy: dict[tuple[Pod, ...], WriteRoute] = {}
+        for pl_id in pl_ids:
+            pods = self.pods_of(pl_id)
+            route = healthy.get(pods)
+            if route is None:
+                route = self.route(pl_id)
+                if not route.dropped:
+                    healthy[pods] = route
+            routes[pl_id] = route
+        return routes
 
     def route(self, pl_id: int) -> WriteRoute:
         """The full write route for one posting list, replicas included
@@ -616,16 +632,30 @@ class ClusterCoordinator:
                             server_id=slot.server_id,
                         )
                     )
-                    cell = self._incomplete.setdefault(
-                        (pod.name, pl_id), {}
-                    )
-                    cell[slot.server_id] = cell.get(slot.server_id, 0) + 1
-                self.dropped_write_routes += len(missed)
-                self.dropped_write_routes_by_pod[pod.name] = (
-                    self.dropped_write_routes_by_pod.get(pod.name, 0)
-                    + len(missed)
-                )
+                    self._drop_locked(pod.name, pl_id, slot.server_id)
         return WriteRoute(live=tuple(live), dropped=tuple(dropped))
+
+    def note_dropped(self, server_id: str, pl_ids: Iterable[int]) -> None:
+        """A routed seat failed to take a write of the lists: ledger it
+        as :meth:`route` ledgers a dead seat's drop, so reads avoid the
+        seat for the lists until an owner or the sweep repairs it."""
+        slot = self.find_slot(server_id)
+        if slot is None:
+            return
+        pod_name = self.pods[slot.pod_index].name
+        with self._ledger_lock:
+            for pl_id in pl_ids:
+                self._drop_locked(pod_name, pl_id, server_id)
+
+    def _drop_locked(self, pod_name: str, pl_id: int, server_id: str) -> None:
+        """Count one dropped route and mark the seat incomplete for the
+        list. Caller holds :attr:`_ledger_lock`."""
+        cell = self._incomplete.setdefault((pod_name, pl_id), {})
+        cell[server_id] = cell.get(server_id, 0) + 1
+        self.dropped_write_routes += 1
+        self.dropped_write_routes_by_pod[pod_name] = (
+            self.dropped_write_routes_by_pod.get(pod_name, 0) + 1
+        )
 
     def note_repaired(self, server_id: str, pl_ids: Iterable[int]) -> None:
         """An owner re-delivered a seat's missed writes; clear the ledger.

@@ -122,17 +122,6 @@ def delete_columns(operations: Iterable[DeleteOp]) -> tuple[list[int], ...]:
     return _columns(_DELETE_FIELDS, operations)
 
 
-def group_by_list(
-    pl_ids, element_ids, group_ids, share_ys
-) -> dict[int, tuple[tuple[int, ...], ...]]:
-    """An insert batch's rows grouped by list, in batch order:
-    ``pl_id -> (element_ids, group_ids, share_ys)`` of that list."""
-    rows_by_list: dict[int, list[tuple]] = defaultdict(list)
-    for row in zip(pl_ids, element_ids, group_ids, share_ys):
-        rows_by_list[row[0]].append(row)
-    return {pl: tuple(zip(*rows))[1:] for pl, rows in rows_by_list.items()}
-
-
 @dataclass(frozen=True)
 class PostingListResponse:
     """One merged posting list's accessible elements, §5.4.2's
@@ -312,8 +301,9 @@ def _batch_columns(lists: dict[int, SeatList], width: int) -> tuple:
 _NO_LIST = SeatList()
 
 
-#: Lookups a seat remembers for :meth:`IndexServer.compromise`: the most
-#: recent ones, so a long-running seat's log stays bounded.
+#: Lookups, and accepted update batches, a seat remembers for
+#: :meth:`IndexServer.compromise`: the most recent ones, so a
+#: long-running seat's logs stay bounded.
 QUERY_LOG_LENGTH = 4096
 
 
@@ -329,8 +319,10 @@ class CompromisedView:
             can read directly.
         group_table: the user-group membership snapshot.
         update_log: per accepted batch, the (pl_id, element_id) pairs it
-            carried, in arrival order — the raw material of the §7.1
-            correlation attack.
+            carried, in arrival order, oldest batch first — the raw
+            material of the §7.1 correlation attack. The seat keeps the
+            last :data:`QUERY_LOG_LENGTH` batches, so the adversary sees
+            the recent batches, as with the query log.
         query_log: per lookup, (user_id, requested pl_ids), oldest first
             — what §7.1 concedes Alice sees ("Alice can see which
             posting lists each user queries at her compromised server").
@@ -380,7 +372,9 @@ class IndexServer:
         self._store: dict[int, SeatList] = defaultdict(SeatList)
         #: Per accepted batch, its ``(pl_ids, element_ids)`` columns (no
         #: tuple per element: :meth:`compromise` zips the pairs on demand).
-        self._update_log: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+        self._update_log: deque[tuple[tuple[int, ...], tuple[int, ...]]] = (
+            deque(maxlen=QUERY_LOG_LENGTH)
+        )
         self._query_log: deque[tuple[str, tuple[int, ...]]] = deque(
             maxlen=QUERY_LOG_LENGTH
         )
@@ -459,8 +453,10 @@ class IndexServer:
         ``operations`` is any sequence of :class:`InsertOp`. The batch is
         validated and applied on its columns (:func:`insert_columns`; a
         :class:`RecordView` hands them over with no op built): the ACL
-        once per distinct group, the rows grouped by list, duplicates
-        checked per list, one column ``extend`` per list.
+        once per distinct group, then one pass over the rows that
+        indexes each element in its list (a repeat is a duplicate) and
+        one that appends the rows — no regrouping by list. Each touched
+        list is restamped as :meth:`SeatList.extend` does.
 
         The whole batch is logged as a single update event — batching is the
         §5.4.1 defence against correlation attacks, and the log models what
@@ -485,18 +481,42 @@ class IndexServer:
                 raise AccessDeniedError(
                     f"user {user_id!r} is not in group {group_id}"
                 )
-        columns_by_list = group_by_list(*columns)
-        for pl_id, (ids, _groups, _ys) in columns_by_list.items():
-            stored = self._store.get(pl_id, _NO_LIST).row_of
-            if len(set(ids)) != len(ids) or not stored.keys().isdisjoint(ids):
-                offender = next(
-                    e for e in ids if e in stored or ids.count(e) > 1
-                )
+        store = self._store
+        # The first pass over the rows validates the batch: each row
+        # takes its list's next row number in ``row_of``, which only
+        # writers read, so the first row whose element is already there
+        # (stored, or carried by an earlier row) is the first offender
+        # in batch order. ``lists`` holds each row's list for the
+        # second pass, which moves the columns.
+        touched: dict[int, list] = {}
+        lists: list[SeatList] = []
+        for pl_id, element_id in zip(pl_ids, element_ids):
+            entry = touched.get(pl_id)
+            if entry is None:
+                plist = store.get(pl_id)
+                if plist is None:
+                    plist = SeatList()
+                entry = touched[pl_id] = [plist, len(plist.element_ids)]
+            row = entry[1]
+            if entry[0].row_of.setdefault(element_id, row) != row:
+                for plist, indexed in zip(lists, element_ids):
+                    del plist.row_of[indexed]
                 raise IndexServerError(
-                    f"element {offender} already exists in list {pl_id}"
+                    f"element {element_id} already exists in list {pl_id}"
                 )
-        for pl_id, list_columns in columns_by_list.items():
-            self._store[pl_id].extend(*list_columns)
+            entry[1] = row + 1
+            lists.append(entry[0])
+        for pl_id, (plist, _end) in touched.items():
+            plist.stamp = None
+            store[pl_id] = plist
+        for plist, element_id, group_id, share_y in zip(
+            lists, element_ids, group_ids, share_ys
+        ):
+            plist.element_ids.append(element_id)
+            plist.group_ids.append(group_id)
+            plist.share_ys.append(share_y)
+        for plist, _end in touched.values():
+            plist.stamp = next(plist.writes)
         if pl_ids:
             self._update_log.append((tuple(pl_ids), tuple(element_ids)))
         if self._persistence is not None:

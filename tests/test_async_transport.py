@@ -7,7 +7,8 @@ Five contracts live here:
   deterministic close — while multiplexing many in-flight requests
   over one connection;
 - ``call_many`` answers a batch in call order with each failure in its
-  call's place, and a cluster query's fetch round leaves in one write;
+  call's place, and a cluster query's fetch round, an owner's flush and
+  a document's deletes each leave in one write;
 - the server hangs up on what it cannot frame (a frame without a
   correlation id) and on silent clients, without dispatching anything
   and without disturbing its other connections;
@@ -25,6 +26,7 @@ import time
 import pytest
 
 from helpers import make_cluster, make_documents
+from repro.corpus.document import Document
 from repro.errors import (
     AccessDeniedError,
     ProtocolError,
@@ -251,6 +253,75 @@ class TestPipelinedFetchRound:
                 assert frames() - before == diag.lookup_messages
             # The claim is about rounds that span pods.
             assert two_pod_rounds >= 2
+
+
+class TestPipelinedWriteRound:
+    """An owner's write round is one write too: a flushed insert batch,
+    and a document's deletes, reach every seat in one ``_send_frame``,
+    and the server counts exactly one frame per seat."""
+
+    @pytest.fixture()
+    def counted(self, monkeypatch):
+        writes: list[int] = []
+        send_frame = AsyncSocketTransport._send_frame
+
+        def counting(self, sock, wstate, frame):
+            writes.append(len(frame))
+            return send_frame(self, sock, wstate, frame)
+
+        monkeypatch.setattr(AsyncSocketTransport, "_send_frame", counting)
+        documents = make_documents()
+        with make_cluster(documents, transport="async-socket") as cluster:
+            yield cluster, writes
+
+    @staticmethod
+    def frames(cluster) -> float:
+        view = SampleView(cluster.metrics.samples())
+        return view.value(
+            "zerber_server_frames_total", transport="async-socket"
+        ) or 0
+
+    @staticmethod
+    def seats_of(cluster, terms) -> set[str]:
+        coordinator = cluster.coordinator
+        pods = {
+            pod
+            for term in terms
+            for pod in coordinator.pods_of(cluster.mapping_table.lookup(term))
+        }
+        # The claim is about rounds that span pods.
+        assert len(pods) == 2
+        return {slot.server_id for pod in pods for slot in pod.slots}
+
+    def test_a_flush_is_one_write(self, counted):
+        cluster, writes = counted
+        owner = cluster.owner("owner0")
+        terms = [f"w{i}" for i in range(10)]
+        extra = Document(
+            doc_id=920, host="host0", group_id=0,
+            term_counts=dict.fromkeys(terms, 1), length=len(terms),
+        )
+        before = self.frames(cluster)
+        writes.clear()
+        owner.share_document(extra)
+        owner.flush_updates()
+        assert len(writes) == 1
+        seats = self.seats_of(cluster, terms)
+        assert self.frames(cluster) - before == len(seats)
+
+    def test_a_delete_is_one_write(self, counted):
+        cluster, writes = counted
+        owner = cluster.owner("owner0")
+        target = max(
+            (d for d in make_documents() if d.group_id == 0),
+            key=lambda d: len(d.term_counts),
+        )
+        seats = self.seats_of(cluster, target.term_counts)
+        before = self.frames(cluster)
+        writes.clear()
+        assert owner.delete_document(target.doc_id) == len(target.term_counts)
+        assert len(writes) == 1
+        assert self.frames(cluster) - before == len(seats)
 
 
 class TestAsyncFailureSemantics:

@@ -20,13 +20,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_cluster, make_documents
+from helpers import make_cluster, make_documents, make_single_fleet
 from repro.client.batching import BatchPolicy
 from repro.cluster.clients import ClusterSearchClient
 from repro.core.mapping_table import MappingTable
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Document
-from repro.errors import ClusterDegradedError, ClusterError
+from repro.errors import (
+    AccessDeniedError,
+    ClusterDegradedError,
+    ClusterError,
+    TransportError,
+)
+from repro.resilience.faults import FaultPlan, FaultyTransport
 from repro.server.index_server import PostingListResponse
 
 
@@ -555,6 +561,116 @@ class TestReprovisioning:
         stale = cluster.pods[0].slots[1].server
         live = cluster.pods[0].slots[0].server
         assert stale.num_elements == live.num_elements
+
+
+def _failing_seat_owner(cluster, seat: str):
+    """owner0, its transport failing the next call to ``seat`` once."""
+    owner = cluster.owner("owner0")
+    plan = FaultPlan(seed=3, reset_rate=1.0, endpoints={seat}, max_faults=1)
+    owner._transport = FaultyTransport(cluster.transport, plan)
+    return owner
+
+
+def _assert_pods_agree_row_for_row(cluster, num_lists=8):
+    for pod in cluster.pods:
+        for pl_id in range(num_lists):
+            rows = [
+                [
+                    (record.element_id, record.group_id)
+                    for record in slot.server.export_posting_list(pl_id)
+                ]
+                for slot in pod.slots
+            ]
+            assert all(seat == rows[0] for seat in rows), (pod.name, pl_id)
+
+
+class TestSeatFailingMidRound:
+    """A seat that fails its message of a write round misses only that
+    message: every other seat takes the round, and the miss is ledgered
+    for re-provisioning like a dead seat's dropped route."""
+
+    SEAT = "pod0-server-1"
+
+    def test_failed_insert_is_ledgered_and_reprovisioned(self):
+        documents = make_documents()
+        cluster = make_cluster(documents, num_pods=2, replication_factor=2)
+        owner = _failing_seat_owner(cluster, self.SEAT)
+        extra = Document(
+            doc_id=910, host="host0", group_id=0,
+            term_counts={"w1": 2, "w4": 1, "w9": 3}, length=6,
+        )
+        with pytest.raises(TransportError):
+            owner.share_document(extra)
+            owner.flush_updates()
+        lists = {cluster.mapping_table.lookup(t) for t in extra.term_counts}
+        failed = cluster.pods[0].slot(1).server
+        peer = cluster.pods[0].slot(0).server
+        # Every other seat took the batch; the failed one owes it all.
+        others = {
+            slot.server.num_elements
+            for pod in cluster.pods
+            for slot in pod.slots
+            if slot.server is not failed
+        }
+        assert others == {peer.num_elements}
+        assert peer.num_elements == failed.num_elements + 3
+        assert owner.undelivered_operations == 3
+        coordinator = cluster.coordinator
+        assert coordinator.outstanding_write_routes == len(lists)
+        assert all(
+            coordinator.incomplete_seats("pod0", pl_id) == {self.SEAT}
+            for pl_id in lists
+        )
+        assert cluster.reprovision_dropped_writes() == 3
+        assert coordinator.outstanding_write_routes == 0
+        _assert_pods_agree_row_for_row(cluster)
+        single = make_single_fleet([*documents, extra], k=2, n=4)
+        for terms in (["w1", "w4"], ["w9"], ["w0", "w1", "w2"]):
+            assert cluster.searcher("owner0", use_cache=False).search(
+                terms, top_k=10, fetch_snippets=False
+            ) == single.searcher("owner0").search(
+                terms, top_k=10, fetch_snippets=False
+            )
+
+    def test_failed_delete_is_ledgered_and_reprovisioned(self):
+        documents = make_documents()
+        cluster = make_cluster(documents, num_pods=2, replication_factor=2)
+        owner = _failing_seat_owner(cluster, self.SEAT)
+        target = documents[0]
+        with pytest.raises(TransportError):
+            owner.delete_document(target.doc_id)
+        failed = cluster.pods[0].slot(1).server
+        peer = cluster.pods[0].slot(0).server
+        assert failed.num_elements == peer.num_elements + len(
+            target.term_counts
+        )
+        assert cluster.reprovision_dropped_writes() == len(target.term_counts)
+        _assert_pods_agree_row_for_row(cluster)
+        single = make_single_fleet(documents[1:], k=2, n=4)
+        terms = sorted(target.term_counts)
+        assert cluster.searcher("owner0", use_cache=False).search(
+            terms, top_k=10, fetch_snippets=False
+        ) == single.searcher("owner0").search(
+            terms, top_k=10, fetch_snippets=False
+        )
+
+    def test_a_refused_round_is_not_ledgered(self):
+        """A refusal every seat makes alike (here: a non-member's ACL)
+        is raised as it is and owes no seat anything."""
+        documents = make_documents()
+        cluster = make_cluster(documents, num_pods=2, replication_factor=2)
+        outsider = cluster.owner("owner1")
+        stray = Document(
+            doc_id=911, host="host1", group_id=0,
+            term_counts={"w3": 1}, length=1,
+        )
+        before = cluster.coordinator.total_elements()
+        with pytest.raises(AccessDeniedError):
+            outsider.share_document(stray)
+            outsider.flush_updates()
+        assert outsider.undelivered_operations == 0
+        assert cluster.coordinator.outstanding_write_routes == 0
+        assert cluster.coordinator.total_elements() == before
 
 
 class TestBatchedLookups:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import sys
+import tempfile
 import threading
 
 import pytest
@@ -196,6 +197,17 @@ class TestCompromise:
         # An empty batch is not an update event.
         assert server.insert_batch(tokens["alice"], ()) == 0
         assert len(server.compromise().update_log) == 1
+
+    def test_update_log_keeps_the_recent_batches(self, env):
+        """Like the query log, the update log is bounded: a watcher on
+        the box sees the last QUERY_LOG_LENGTH batches, not the seat's
+        whole history."""
+        _, _, server, tokens = env
+        for element_id in range(QUERY_LOG_LENGTH + 1):
+            server.insert_batch(tokens["alice"], [op(0, element_id, 1)])
+        log = server.compromise().update_log
+        assert len(log) == QUERY_LOG_LENGTH
+        assert log == [[(0, e)] for e in range(1, QUERY_LOG_LENGTH + 1)]
 
 
 class TestMisc:
@@ -511,6 +523,101 @@ def test_a_column_view_and_a_tuple_of_ops_are_one_insert_path(batches):
     # Batch order, and inside a batch the order it arrived in.
     assert by_view.compromise().update_log == expected_log
     _assert_matches(by_view, oracle, tokens, pl_ids)
+
+
+# -- the one-pass ingest against a per-list model -----------------------------
+#
+# The seat validates and applies a batch in one pass over its rows, never
+# regrouping them by list. The model is the regrouping written out: the
+# first offending row in batch order, else each list's rows in batch
+# order handed to SeatList.extend.
+
+
+def _model_insert(model: dict[int, SeatList], ops) -> str | None:
+    """Apply a batch the per-list way; the refusal message, or None."""
+    seen = set()
+    for o in ops:
+        key = (o.pl_id, o.element_id)
+        if key in seen or o.element_id in model.get(o.pl_id, _NO_LIST).row_of:
+            return f"element {o.element_id} already exists in list {o.pl_id}"
+        seen.add(key)
+    by_list: dict[int, list[InsertOp]] = {}
+    for o in ops:
+        by_list.setdefault(o.pl_id, []).append(o)
+    for pl_id, rows in by_list.items():
+        _pl_ids, *columns = insert_columns(rows)
+        model.setdefault(pl_id, SeatList()).extend(*columns)
+    return None
+
+
+def _seat_state(server) -> tuple:
+    """Everything a batch may change in memory, as plain values."""
+    return (
+        {
+            pl_id: (
+                copy.deepcopy(plist.columns),
+                dict(plist.row_of),
+                plist.stamp,
+                plist.snapshot,
+            )
+            for pl_id, plist in server._store.items()
+        },
+        list(server._update_log),
+        server.persistence.records_appended,
+    )
+
+
+_INGEST_BATCH = st.lists(
+    st.builds(
+        InsertOp,
+        pl_id=st.integers(min_value=0, max_value=5),
+        element_id=st.integers(min_value=0, max_value=24),
+        group_id=st.sampled_from(GROUPS),
+        share_y=st.integers(min_value=0, max_value=2**64 + 12),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(batches=st.lists(_INGEST_BATCH, min_size=1, max_size=10))
+def test_one_pass_ingest_equals_the_per_list_model(batches):
+    (server, _b, _stale), tokens = _fleet()
+    with tempfile.TemporaryDirectory() as seat:
+        store = SegmentedStore(seat, auto_compact=False)
+        server.attach_store(store)
+        model: dict[int, SeatList] = {}
+        pl_ids = tuple(range(6))
+        for ops in batches:
+            # Read every list twice so each keeps a read snapshot.
+            for _ in range(2):
+                responses = server.get_posting_lists(tokens["all"], pl_ids)
+            served = dict(zip(pl_ids, responses))
+            before = _seat_state(server)
+            refusal = _model_insert(model, ops)
+            if refusal is None:
+                assert server.insert_batch(tokens["all"], ops) == len(ops)
+            else:
+                with pytest.raises(IndexServerError) as raised:
+                    server.insert_batch(tokens["all"], ops)
+                assert str(raised.value) == refusal
+                assert _seat_state(server) == before
+            stored = {pl: s for pl, s in server._store.items() if s}
+            assert stored == {pl: s for pl, s in model.items() if s}
+            for pl_id, plist in stored.items():
+                assert plist.row_of == model[pl_id].row_of
+            # A snapshot kept before the batch is never served after a
+            # write to its list; an untouched list may keep serving it.
+            written = {o.pl_id for o in ops} if refusal is None else set()
+            for response in server.get_posting_lists(tokens["all"], pl_ids):
+                pl_id = response.pl_id
+                assert response.columns == model.get(pl_id, _NO_LIST).columns
+                if pl_id in written:
+                    assert response is not served[pl_id]
+        store.close()
+        reopened = SegmentedStore(seat, auto_compact=False)
+        assert reopened.replay() == stored
+        reopened.close()
 
 
 _SEEDED = [op(0, 1, 1), op(0, 2, 2), op(1, 1, 1)]
