@@ -59,13 +59,7 @@ from repro.secretsharing.field import DEFAULT_PRIME, PrimeField
 from repro.secretsharing.shamir import ShamirScheme, reconstruct_secret
 from repro.server.auth import AuthService
 from repro.server.groups import GroupDirectory
-from repro.server.index_server import (
-    DeleteOp,
-    IndexServer,
-    InsertOp,
-    PostingListResponse,
-    RecordView,
-)
+from repro.server.index_server import IndexServer, PostingListResponse
 
 #: Elements per timed column — enough to dwarf per-call noise while the
 #: whole bench stays in the low seconds.
@@ -235,20 +229,17 @@ def _encode_arm() -> tuple[dict, list[str]]:
     draw = random.Random(13)
     server.insert_batch(
         token,
-        RecordView(
-            InsertOp,
-            [0] * ELEMENTS,
-            list(range(ELEMENTS)),
-            [1] * ELEMENTS,
-            [draw.randrange(DEFAULT_PRIME) for _ in range(ELEMENTS)],
-        ),
+        [0] * ELEMENTS,
+        list(range(ELEMENTS)),
+        [1] * ELEMENTS,
+        [draw.randrange(DEFAULT_PRIME) for _ in range(ELEMENTS)],
     )
     first = reencode = float("inf")
     for _ in range(REPEATS):
         # A write restamps the list: the second lookup after it keeps a
         # new snapshot, whose first encode packs its columns.
-        server.delete(token, [DeleteOp(0, 0)])
-        server.insert_batch(token, [InsertOp(0, 0, 1, 7)])
+        server.delete(token, [0], [0])
+        server.insert_batch(token, [0], [0], [1], [7])
         for _ in range(2):
             (served,) = server.get_posting_lists(token, [0])
         message = FetchListsResponse(lists=(served,))

@@ -37,7 +37,7 @@ from repro.protocol import (
 )
 from repro.server.auth import AuthService
 from repro.server.groups import GroupDirectory
-from repro.server.index_server import IndexServer, InsertOp
+from repro.server.index_server import IndexServer
 
 
 def codec_on_the_wire() -> None:
@@ -64,11 +64,12 @@ def protocol_by_hand() -> None:
     )
     transport = InProcessTransport()
     transport.register("s0", IndexServerService.for_server(server))
+    # A write batch is aligned columns: row i puts (element_ids[i],
+    # group_ids[i], share_ys[i]) into list pl_ids[i].
     ack = transport.call("alice", "s0", InsertBatchRequest(
-        token=token,
-        operations=(InsertOp(pl_id=3, element_id=9, group_id=0, share_y=41),),
+        token=token, pl_ids=[3], element_ids=[9], group_ids=[0], share_ys=[41],
     ))
-    print(f"insert acknowledged: {ack.count} op")
+    print(f"insert acknowledged: {ack.count} row")
     response = transport.call(
         "alice", "s0", FetchListsRequest(token=token, pl_ids=(3,))
     )

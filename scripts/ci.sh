@@ -28,8 +28,11 @@
 #   than its first encode with equal bytes (ratio gates, no absolute
 #   numbers, so they cannot flake on slow machines);
 # - the benchmark-of-record self-tests (benchmarks/e2e, ~10 s): its
-#   tracer resolves the read path's methods by name, so a rename must
-#   fail here, not in the benchmark pipeline;
+#   tracer resolves the read path's methods by name, and the write
+#   path's too (IndexServer.insert_batch / delete, SegmentedStore.
+#   append_inserts / append_deletes, DocumentOwner.share_document /
+#   flush_updates / delete_document), so a rename must fail here, not
+#   in the benchmark pipeline;
 # - the transport bench records BENCH_transport.json and gates the
 #   in-process backend against the recorded PR 3 read-path baseline
 #   (ratio gate);

@@ -117,8 +117,12 @@ class UpdateBatcher(Generic[T]):
         self._rng.shuffle(operations)
         self._pending.clear()
         self._pending_elements = 0
-        self._flush_fn(operations)
-        self.batches_flushed += 1
+        # The batch is released once flush_fn is called: count it even
+        # if the write round raises after some seats took it.
+        try:
+            self._flush_fn(operations)
+        finally:
+            self.batches_flushed += 1
         return len(operations)
 
     def _maybe_flush(self) -> bool:

@@ -43,19 +43,34 @@ from repro.protocol.service import fleet_resolver
 from repro.protocol.transport import InProcessTransport, Transport
 from repro.secretsharing.shamir import ShamirScheme
 from repro.server.auth import AuthToken
-from repro.server.index_server import (
-    DeleteOp,
-    InsertOp,
-    RecordView,
-    insert_columns,
-)
 from repro.server.transport import SimulatedNetwork
 
 
-#: One posting element fanned out to its n share-holders, as the batcher
-#: carries it: ``(pl_id, element_id, group_id, *shares_y)`` — one flat
-#: tuple, the n shares index-aligned with the share slots.
+#: One row of a write round. An insert is one posting element fanned out
+#: to its n share-holders, as the batcher carries it: ``(pl_id,
+#: element_id, group_id, *shares_y)`` — one flat tuple, the n shares
+#: index-aligned with the share slots. A delete is ``(pl_id,
+#: element_id)``.
 _Row = tuple[int, ...]
+
+
+def _seat_columns(columns: tuple, share_slot: int) -> tuple:
+    """A route's transposed rows as one seat's message columns: the
+    ``(pl_id, element_id)`` columns, then an insert's group column and
+    the seat's share column."""
+    return columns[:3] + columns[3 + share_slot : 4 + share_slot]
+
+
+class _Backlog:
+    """The writes one seat missed, keyed by ``(pl_id, element_id)``, each
+    kind in delivery order: owed inserts (-> ``(group_id, share_y)``) and
+    owed deletes (an ordered set)."""
+
+    __slots__ = ("inserts", "deletes")
+
+    def __init__(self) -> None:
+        self.inserts: dict[tuple[int, int], tuple[int, int]] = {}
+        self.deletes: dict[tuple[int, int], None] = {}
 
 
 @dataclass(frozen=True)
@@ -137,9 +152,10 @@ class FleetRouter:
 class DocumentOwner:
     """A peer that shares, updates and withdraws its own documents.
 
-    Inserts leave as four aligned columns per destination seat; an
-    :class:`InsertOp` is built only for a seat a route dropped (the
-    re-provisioning backlog).
+    Every write leaves as aligned columns per destination seat: four for
+    an insert batch, two for a document's deletes. The rows a seat
+    missed join its re-provisioning backlog, keyed by ``(pl_id,
+    element_id)``.
     """
 
     def __init__(
@@ -219,10 +235,10 @@ class DocumentOwner:
         #: doc_id -> (pl_ids, element_ids), two aligned columns (``()``
         #: for a document with no terms) — the deletion shadow map (§7.3).
         self._shadow: dict[int, tuple[tuple[int, ...], ...]] = {}
-        #: server_id -> [(kind, op)] — operations a dead seat missed, in
-        #: delivery order, kept until :meth:`reprovision_dropped_writes`
-        #: can replay them onto the restarted seat.
-        self._undelivered: dict[str, list[tuple[str, object]]] = {}
+        #: server_id -> the writes a dead seat missed, kept until
+        #: :meth:`reprovision_dropped_writes` can replay them onto the
+        #: restarted seat.
+        self._backlog: dict[str, _Backlog] = {}
         self._documents: dict[int, Document] = {}
         #: Lifetime totals of :meth:`share_document` calls and of the
         #: element counts they returned (the index metrics' source).
@@ -275,28 +291,57 @@ class DocumentOwner:
         groups = repeat(document.group_id)
         return list(zip(pl_ids, element_ids, groups, *share_columns))
 
-    def _record_undelivered(self, server_id: str, kind: str, op) -> None:
-        self._undelivered.setdefault(server_id, []).append((kind, op))
+    def _owe(self, server_id: str, pl_ids, element_ids, *columns) -> None:
+        """Backlog rows one seat missed: inserts when the group and share
+        ``columns`` come too, deletes otherwise."""
+        backlog = self._backlog.get(server_id)
+        if backlog is None:
+            backlog = self._backlog[server_id] = _Backlog()
+        keys = zip(pl_ids, element_ids)
+        if columns:
+            backlog.inserts.update(zip(keys, zip(*columns)))
+        else:
+            backlog.deletes.update(dict.fromkeys(keys))
 
     def _send_insert_batch(self, rows: list[_Row]) -> None:
-        """Fan one shuffled batch out along the router's placement.
-
-        The rows of lists that share a route (same live seats, same
-        drops) are transposed together and extend four columns per
-        destination seat. A seat's arrival order is a function of the
-        shuffled order and the plaintext list IDs only, and every seat
-        of a list sees that list's rows in the same relative order —
-        which the searcher's aligned join relies on. Every seat's
-        columns leave in one :meth:`_deliver_round`.
-
-        The whole route+deliver span holds the router's repair mutex,
-        so an anti-entropy heal can only observe the cluster before the
-        batch routed or after it landed everywhere — never in between;
-        ``complete_write`` then fences the lists' cache epochs, still
-        inside the span, after the last seat took the batch.
-        """
+        """Release one shuffled insert batch as a write round, timed into
+        the flush histogram whether or not the round raised."""
         metrics = self._router.metrics
         started = time.perf_counter()
+        try:
+            self._write_round(InsertBatchRequest, rows)
+        finally:
+            if metrics is not None:
+                metrics.histogram("zerber_index_flush_seconds").observe(
+                    time.perf_counter() - started
+                )
+
+    def _write_round(self, request_type: type, rows: Sequence[_Row]) -> None:
+        """Fan shuffled insert or delete rows out along the router's
+        placement, as one write round.
+
+        The rows of lists that share a route (same live seats, same
+        drops) are transposed together and extend each destination
+        seat's columns. A seat's arrival order is a function of the
+        shuffled order and the plaintext list IDs only, and every seat
+        of a list sees that list's rows in the same relative order —
+        which the searcher's aligned join (and a delete's row moves)
+        relies on. A dropped seat owes its columns in the backlog.
+
+        Every seat's message then leaves in one
+        :meth:`Transport.call_many` (one write on the socket), and the
+        lists' ``complete_write`` fence goes up. A seat the round could
+        not reach (a ``TransportError`` in its place) misses only its
+        own message: its columns join the backlog and the router's
+        ledger, as a dropped route's do, and the round raises the first
+        failure in seat order once the fence is up. Any other failure is
+        a refusal every seat makes alike (auth, ACL, a duplicate
+        element) and is raised as it is.
+
+        The whole span holds the router's repair mutex, so an
+        anti-entropy heal can only observe the cluster before the round
+        routed or after it landed everywhere — never in between.
+        """
         with self._router.repair_mutex:
             routes = self._router.route_batch(row[0] for row in rows)
             rows_by_route: dict[WriteRoute, list[_Row]] = {}
@@ -306,89 +351,40 @@ class DocumentOwner:
             }
             for row in rows:
                 rows_of_list[row[0]].append(row)
-            columns_by_server: dict[str, tuple[list, list, list, list]] = {}
+            columns_by_server: dict[str, tuple[list, ...]] = {}
             for route, route_rows in rows_by_route.items():
-                pl_ids, element_ids, group_ids, *share_columns = zip(
-                    *route_rows
-                )
+                columns = tuple(zip(*route_rows))
                 for share_slot, server_id in route.live:
-                    columns = columns_by_server.setdefault(
-                        server_id, ([], [], [], [])
+                    seat = _seat_columns(columns, share_slot)
+                    out = columns_by_server.setdefault(
+                        server_id, tuple([] for _ in seat)
                     )
-                    columns[0].extend(pl_ids)
-                    columns[1].extend(element_ids)
-                    columns[2].extend(group_ids)
-                    columns[3].extend(share_columns[share_slot])
+                    for column, values in zip(out, seat):
+                        column.extend(values)
                 for dropped in route.dropped:
-                    missed = share_columns[dropped.share_slot]
-                    for op in map(
-                        InsertOp, pl_ids, element_ids, group_ids, missed
-                    ):
-                        self._record_undelivered(
-                            dropped.server_id, "insert", op
-                        )
-            self._deliver_round(
-                InsertBatchRequest,
-                {
-                    server_id: RecordView(InsertOp, *columns)
-                    for server_id, columns in columns_by_server.items()
-                },
-                "insert",
-                routes,
+                    self._owe(
+                        dropped.server_id,
+                        *_seat_columns(columns, dropped.share_slot),
+                    )
+            seats = list(columns_by_server.items())
+            outcomes = self._transport.call_many(
+                self.owner_id,
+                [
+                    (server_id, request_type(self._token, *columns))
+                    for server_id, columns in seats
+                ],
             )
-        if metrics is not None:
-            metrics.histogram("zerber_index_flush_seconds").observe(
-                time.perf_counter() - started
-            )
-
-    def _deliver_round(
-        self,
-        request_type: type,
-        operations_by_server: dict[str, Sequence],
-        kind: str,
-        routes: dict[int, WriteRoute],
-    ) -> None:
-        """One write round: every seat's insert/delete message in one
-        :meth:`Transport.call_many` (one write on the socket), then the
-        lists' ``complete_write`` fence.
-
-        A seat the round could not reach (a ``TransportError`` in its
-        place) misses only its own message: its operations join the
-        re-provisioning backlog and the router's ledger, as a dropped
-        route's do, and the round raises the first failure in seat
-        order once the fence is up. Any other failure is a refusal every
-        seat makes alike (auth, ACL, a duplicate element) and is raised
-        as it is.
-        """
-        seats = list(operations_by_server.items())
-        outcomes = self._transport.call_many(
-            self.owner_id,
-            [
-                (server_id, request_type(token=self._token, operations=ops))
-                for server_id, ops in seats
-            ],
-        )
-        failures = []
-        for (server_id, operations), outcome in zip(seats, outcomes):
-            if not isinstance(outcome, ReproError):
-                continue
-            failures.append(outcome)
-            if isinstance(outcome, TransportError):
-                for op in operations:
-                    self._record_undelivered(server_id, kind, op)
-                self._router.note_dropped(
-                    server_id, {op.pl_id for op in operations}
-                )
-        self._router.complete_write(*routes)
+            failures = []
+            for (server_id, columns), outcome in zip(seats, outcomes):
+                if not isinstance(outcome, ReproError):
+                    continue
+                failures.append(outcome)
+                if isinstance(outcome, TransportError):
+                    self._owe(server_id, *columns)
+                    self._router.note_dropped(server_id, set(columns[0]))
+            self._router.complete_write(*routes)
         if failures:
             raise failures[0]
-
-    def _deliver(
-        self, request_type: type, server_id: str, operations: Sequence
-    ) -> None:
-        """One insert/delete protocol message to one endpoint."""
-        request = request_type(token=self._token, operations=operations)
-        self._transport.call(src=self.owner_id, dst=server_id, request=request)
 
     # -- freshness -----------------------------------------------------------
 
@@ -416,62 +412,38 @@ class DocumentOwner:
 
         Returns the number of elements deleted per server. Flushes pending
         inserts first so a delete can never race ahead of its own insert.
+        The owner forgets the document before the round, so a round that
+        raises leaves it withdrawn here too: a seat that missed its
+        deletes owes them in the backlog.
         """
         self._batcher.flush()
         entries = self._shadow.pop(doc_id, None)
+        self._documents.pop(doc_id, None)
         if not entries:
             return 0
-        operations = [
-            DeleteOp(pl_id=pl_id, element_id=element_id)
-            for pl_id, element_id in zip(*entries)
-        ]
-        self._rng.shuffle(operations)
-        with self._router.repair_mutex:
-            ops_by_server: dict[str, list[DeleteOp]] = {}
-            routes = self._router.route_batch(op.pl_id for op in operations)
-            for op in operations:
-                route = routes[op.pl_id]
-                for _share_slot, server_id in route.live:
-                    ops_by_server.setdefault(server_id, []).append(op)
-                dropped_ids = set()
-                for dropped in route.dropped:
-                    self._record_undelivered(dropped.server_id, "delete", op)
-                    dropped_ids.add(dropped.server_id)
-                # A seat that is live *now* may still owe this element's
-                # insert from an earlier outage (the backlog holds the
-                # share). The live delete below no-ops on such a seat,
-                # so pair the delete into its backlog as well:
-                # reprovision then cancels the insert/delete pair
-                # instead of resurrecting a withdrawn element onto the
-                # seat long after every healthy replica forgot it.
-                key = (op.pl_id, op.element_id)
-                for server_id, entries in self._undelivered.items():
-                    if server_id in dropped_ids:
-                        continue
-                    if any(
-                        kind == "insert"
-                        and (pending.pl_id, pending.element_id) == key
-                        for kind, pending in entries
-                    ):
-                        entries.append(("delete", op))
-            self._deliver_round(
-                DeleteBatchRequest,
-                {
-                    server_id: tuple(server_ops)
-                    for server_id, server_ops in ops_by_server.items()
-                },
-                "delete",
-                routes,
-            )
-        self._documents.pop(doc_id, None)
-        return len(operations)
+        rows = list(zip(*entries))
+        self._rng.shuffle(rows)
+        # A seat may still owe an element's insert from an earlier
+        # outage (the backlog holds the share). The live delete no-ops
+        # on such a seat, so pair the delete into its backlog as well:
+        # reprovision then cancels the insert/delete pair instead of
+        # resurrecting a withdrawn element onto the seat long after every
+        # healthy replica forgot it.
+        for backlog in self._backlog.values():
+            owed = backlog.inserts
+            backlog.deletes.update((key, None) for key in rows if key in owed)
+        self._write_round(DeleteBatchRequest, rows)
+        return len(rows)
 
     # -- re-provisioning dropped writes ----------------------------------------
 
     @property
     def undelivered_operations(self) -> int:
         """Operations still owed to dead (or not-yet-repaired) seats."""
-        return sum(len(entries) for entries in self._undelivered.values())
+        return sum(
+            len(backlog.inserts) + len(backlog.deletes)
+            for backlog in self._backlog.values()
+        )
 
     def reprovision_dropped_writes(self) -> int:
         """Replay writes that dead seats missed onto their restarted seats.
@@ -486,68 +458,57 @@ class DocumentOwner:
         the deletes that may reference them; an insert/delete pair that
         cancelled out while the seat was down is skipped entirely).
 
-        Seats still dead keep their ledger entries for a later call.
-        Returns the number of operations re-delivered.
+        Seats still dead keep their backlog for a later call. Returns the
+        number of operations re-delivered.
 
         Re-delivered inserts travel as idempotent per-list adoptions
-        (:class:`AdoptListRequest`), not fresh insert batches: the
-        anti-entropy sweep — or another owner's earlier reprovision —
-        may have already healed the seat, and replaying an
-        ``InsertBatchRequest`` then would be rejected as a duplicate
-        element. Adoption merges exactly the rows the seat still
-        misses and no-ops on the rest; deletes are naturally idempotent
-        and stay delete batches. Each seat's span (liveness check,
-        delivery, ledger note) holds the router's repair mutex so a
-        concurrent sweep can never heal-then-lose against it.
+        (:class:`AdoptListRequest`, lists in ``pl_id`` order), not fresh
+        insert batches: the anti-entropy sweep — or another owner's
+        earlier reprovision — may have already healed the seat, and
+        replaying an ``InsertBatchRequest`` then would be rejected as a
+        duplicate element. Adoption merges exactly the rows the seat
+        still misses and no-ops on the rest; deletes are naturally
+        idempotent and stay one delete batch. Each seat's span (liveness
+        check, delivery, ledger note) holds the router's repair mutex so
+        a concurrent sweep can never heal-then-lose against it.
         """
         find_slot = getattr(self._router, "find_slot", None)
-        if find_slot is None or not self._undelivered:
+        if find_slot is None or not self._backlog:
             return 0
         self._batcher.flush()
         note = getattr(self._router, "note_repaired", None)
         redelivered = 0
-        for server_id in sorted(self._undelivered):
+        for server_id in sorted(self._backlog):
             with self._router.repair_mutex:
                 slot = find_slot(server_id)
                 if slot is None or not slot.alive:
                     continue
-                entries = self._undelivered.pop(server_id)
-                inserts = [op for kind, op in entries if kind == "insert"]
-                deletes = [op for kind, op in entries if kind == "delete"]
-                insert_keys = {(op.pl_id, op.element_id) for op in inserts}
-                cancelled = {
-                    (op.pl_id, op.element_id)
-                    for op in deletes
-                    if (op.pl_id, op.element_id) in insert_keys
-                }
-                inserts = [
-                    op for op in inserts
-                    if (op.pl_id, op.element_id) not in cancelled
-                ]
-                deletes = [
-                    op for op in deletes
-                    if (op.pl_id, op.element_id) not in cancelled
-                ]
-                adopt_by_list: dict[int, list[InsertOp]] = {}
-                for op in inserts:
-                    adopt_by_list.setdefault(op.pl_id, []).append(op)
-                for pl_id, ops in sorted(adopt_by_list.items()):
-                    _pl_ids, *columns = insert_columns(ops)
+                backlog = self._backlog.pop(server_id)
+                cancelled = backlog.inserts.keys() & backlog.deletes.keys()
+                adopt_by_list: dict[int, tuple[list, list, list]] = {}
+                for (pl_id, element_id), row in backlog.inserts.items():
+                    if (pl_id, element_id) in cancelled:
+                        continue
+                    columns = adopt_by_list.setdefault(pl_id, ([], [], []))
+                    for column, value in zip(columns, (element_id, *row)):
+                        column.append(value)
+                for pl_id, columns in sorted(adopt_by_list.items()):
                     self._transport.call(
                         src=self.owner_id,
                         dst=server_id,
                         request=AdoptListRequest(pl_id, *columns),
                     )
+                deletes = [k for k in backlog.deletes if k not in cancelled]
                 if deletes:
-                    self._deliver(DeleteBatchRequest, server_id, tuple(deletes))
-                redelivered += len(inserts) + len(deletes)
-                repaired_lists = (
-                    {op.pl_id for op in inserts}
-                    | {op.pl_id for op in deletes}
-                    | {pl_id for pl_id, _ in cancelled}
-                )
+                    request = DeleteBatchRequest(self._token, *zip(*deletes))
+                    self._transport.call(
+                        src=self.owner_id, dst=server_id, request=request
+                    )
+                redelivered += len(backlog.inserts) - len(cancelled)
+                redelivered += len(deletes)
                 if note is not None:
-                    note(server_id, repaired_lists)
+                    keys = backlog.inserts.keys() | backlog.deletes.keys()
+                    note(server_id, {pl_id for pl_id, _ in keys})
         return redelivered
 
     # -- fleet extension (§5.1) ------------------------------------------------
@@ -612,31 +573,26 @@ class DocumentOwner:
                     key = (response.pl_id, element_id)
                     if key in my_entries:
                         points.setdefault(key, []).append((x, share_y))
-        operations = []
         group_of_entry = {
             entry: document.group_id
             for doc_id, entries in self._shadow.items()
             for entry in zip(*entries)
             if (document := self._documents.get(doc_id)) is not None
         }
-        for key, share_points in sorted(points.items()):
-            if len(share_points) < k:
-                continue  # an old server is missing data; skip, don't guess
-            pl_id, element_id = key
-            y_new = field.lagrange_eval(share_points[:k], new_x)
-            operations.append(
-                InsertOp(
-                    pl_id=pl_id,
-                    element_id=element_id,
-                    group_id=group_of_entry[key],
-                    share_y=y_new,
-                )
+        # An element an old server is missing data for is skipped, not
+        # guessed at.
+        rows = [
+            (*key, group_of_entry[key], field.lagrange_eval(xy[:k], new_x))
+            for key, xy in sorted(points.items())
+            if len(xy) >= k
+        ]
+        if rows:
+            self._transport.call(
+                src=self.owner_id,
+                dst=new_server.server_id,
+                request=InsertBatchRequest(self._token, *zip(*rows)),
             )
-        if operations:
-            self._deliver(
-                InsertBatchRequest, new_server.server_id, tuple(operations)
-            )
-        return len(operations)
+        return len(rows)
 
     # -- introspection ---------------------------------------------------------
 

@@ -9,7 +9,7 @@ This module is the protocol's socket backend behind the
   connection multiplexes any number of in-flight requests and responses
   return in completion order, not request order. A frame without the
   flag is unframeable and ends the connection.
-- **Packed encodings** — the three bulk messages travel as fixed-width
+- **Packed encodings** — the four bulk messages travel as fixed-width
   columns (:func:`~repro.protocol.codec.write_columns`): one
   ``int.to_bytes``/``from_bytes`` C call per column, not a varint per
   field.

@@ -14,9 +14,9 @@ Frame layout (everything big-picture, nothing clever)::
   for every integer (ids, counts, shares — shares live in Z_p and can
   exceed 64 bits), and varint-length-prefixed UTF-8 for strings /
   raw bytes for blobs;
-- the three bulk messages travel in a *packed*, column-major form
-  instead (type bytes 0x41, 0x42 and 0x44, since protocol version 3;
-  see "packed columns" below), public as :func:`write_columns` /
+- the four bulk messages travel in a *packed*, column-major form
+  instead (type bytes 0x41, 0x42, 0x44 and 0x45, since protocol version
+  3; see "packed columns" below), public as :func:`write_columns` /
   :func:`read_columns` — the cache tier's L2 values use it too.
 
 Decoding is strict: every primitive is bounds-checked against the
@@ -44,13 +44,7 @@ from repro.client.snippets import Snippet
 from repro.errors import ProtocolError
 from repro.protocol import messages as m
 from repro.server.auth import AuthToken
-from repro.server.index_server import (
-    DeleteOp,
-    InsertOp,
-    PostingListResponse,
-    RecordView,
-    insert_columns,
-)
+from repro.server.index_server import PostingListResponse
 
 MAGIC = b"ZW"
 HEADER_LEN = 4  # magic + version + type
@@ -151,23 +145,6 @@ def _read_token(r: _Reader) -> AuthToken:
 
 
 # -- per-message encoders/decoders -------------------------------------------
-
-
-def _enc_delete(out: bytearray, msg: m.DeleteBatchRequest) -> None:
-    _write_token(out, msg.token)
-    _write_uint(out, len(msg.operations))
-    for op in msg.operations:
-        _write_uint(out, op.pl_id)
-        _write_uint(out, op.element_id)
-
-
-def _dec_delete(r: _Reader) -> m.DeleteBatchRequest:
-    token = _read_token(r)
-    ops = tuple(
-        DeleteOp(pl_id=r.uint(), element_id=r.uint())
-        for _ in range(r.uint())
-    )
-    return m.DeleteBatchRequest(token=token, operations=ops)
 
 
 def _enc_fetch(out: bytearray, msg: m.FetchListsRequest) -> None:
@@ -446,8 +423,8 @@ def _dec_metrics_dump_resp(r: _Reader) -> m.MetricsDumpResponse:
 # width 1 decodes as ``list(data)``; widths > 8 (a share >= 2^64:
 # probability 7e-19 under p = 2^64 + 13) cost one ``int.to_bytes`` /
 # ``from_bytes`` per value. Measurements: docs/ARCHITECTURE.md.
-# The three bulk messages (insert batch, fetched lists, adopted list)
-# travel only in this form.
+# The four bulk messages (insert batch, delete batch, fetched lists,
+# adopted list) travel only in this form.
 
 _SWAP = sys.byteorder == "little"
 
@@ -567,14 +544,22 @@ def _dec_lists(r: _Reader) -> m.FetchListsResponse:
 
 def _enc_insert(out: bytearray, msg: m.InsertBatchRequest) -> None:
     _write_token(out, msg.token)
-    write_columns(out, *insert_columns(msg.operations))
+    write_columns(
+        out, msg.pl_ids, msg.element_ids, msg.group_ids, msg.share_ys
+    )
 
 
 def _dec_insert(r: _Reader) -> m.InsertBatchRequest:
-    token = _read_token(r)
-    return m.InsertBatchRequest(
-        token=token, operations=RecordView(InsertOp, *read_columns(r, 4))
-    )
+    return m.InsertBatchRequest(_read_token(r), *read_columns(r, 4))
+
+
+def _enc_delete(out: bytearray, msg: m.DeleteBatchRequest) -> None:
+    _write_token(out, msg.token)
+    write_columns(out, msg.pl_ids, msg.element_ids)
+
+
+def _dec_delete(r: _Reader) -> m.DeleteBatchRequest:
+    return m.DeleteBatchRequest(_read_token(r), *read_columns(r, 2))
 
 
 def _enc_adopt(out: bytearray, msg: m.AdoptListRequest) -> None:
@@ -601,10 +586,10 @@ Reader = _Reader
 #: contract: never renumber, only append. Retired bytes stay unassigned
 #: and decode as an unknown type: 0x05 (the per-list export), 0x43 (the
 #: records an adopt or drop touched; both now answer with a count), and
-#: 0x01, 0x06, 0x22 and 0x24 (the varint-per-record forms of the bulk
-#: messages, which travel as columns under 0x41, 0x42 and 0x44).
+#: 0x01, 0x02, 0x06, 0x22 and 0x24 (the varint-per-record forms of the
+#: bulk messages, which travel as columns under 0x41, 0x45, 0x42 and
+#: 0x44).
 _REGISTRY: dict[int, tuple[type, Callable, Callable]] = {
-    0x02: (m.DeleteBatchRequest, _enc_delete, _dec_delete),
     0x03: (m.FetchListsRequest, _enc_fetch, _dec_fetch),
     0x04: (m.FetchSnippetRequest, _enc_snippet_req, _dec_snippet_req),
     0x07: (m.DropListRequest, _enc_drop, _dec_drop),
@@ -649,6 +634,7 @@ _REGISTRY: dict[int, tuple[type, Callable, Callable]] = {
     0x41: (m.InsertBatchRequest, _enc_insert, _dec_insert),
     0x42: (m.FetchListsResponse, _enc_lists, _dec_lists),
     0x44: (m.AdoptListRequest, _enc_adopt, _dec_adopt),
+    0x45: (m.DeleteBatchRequest, _enc_delete, _dec_delete),
 }
 
 _TYPE_BYTE = {cls: byte for byte, (cls, _e, _d) in _REGISTRY.items()}

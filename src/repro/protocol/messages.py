@@ -13,8 +13,8 @@ Catalogue (requests → responses):
 ====================  ==============================  ====================
 request               carries                          response
 ====================  ==============================  ====================
-InsertBatchRequest    token + InsertOp columns         OpCountResponse
-DeleteBatchRequest    token + DeleteOp batch           OpCountResponse
+InsertBatchRequest    token + 4 insert columns         OpCountResponse
+DeleteBatchRequest    token + 2 delete columns         OpCountResponse
 FetchListsRequest     token + posting-list ids         FetchListsResponse
 FetchSnippetRequest   token + doc id + query terms     SnippetResponse
 AdoptListRequest      pl_id + share columns (admin)    OpCountResponse
@@ -58,17 +58,15 @@ from dataclasses import dataclass
 
 from repro.client.snippets import Snippet
 from repro.server.auth import AuthToken
-from repro.server.index_server import (
-    DeleteOp,
-    InsertOp,
-    PostingListResponse,
-)
+from repro.server.index_server import PostingListResponse
 
 #: Bump when the *layout* of an existing message changes.
 #: v2: CacheGetRequest/CachePutRequest carry an AuthToken — the cache
 #: tier authenticates callers and verifies group fingerprints.
-#: v3: the packed messages (0x41-0x44) are column-major — one width
+#: v3: the packed messages (0x41-0x45) are column-major — one width
 #: byte + fixed-width values per column instead of row-major records.
+#: The packed delete (0x45) came later as a new type, not a new layout,
+#: so it needed no bump; the per-record delete (0x02) is retired.
 PROTOCOL_VERSION = 3
 
 #: Default share width (matches ceil(bits(DEFAULT_PRIME)/8)).
@@ -80,19 +78,21 @@ DEFAULT_SHARE_BYTES = 9
 
 @dataclass(frozen=True)
 class InsertBatchRequest:
-    """One §5.4.1 update batch bound for one server: a tuple of ops, or
-    — from the owner and the packed decoder — four aligned columns behind
-    a lazy :class:`~repro.server.index_server.RecordView` (no object per
-    element), which compares equal to the tuple of the same rows."""
+    """One §5.4.1 update batch bound for one server, as four aligned
+    columns: row ``i`` inserts ``(element_ids[i], group_ids[i],
+    share_ys[i])`` into list ``pl_ids[i]``."""
 
     token: AuthToken
-    operations: Sequence[InsertOp]
+    pl_ids: Sequence[int]
+    element_ids: Sequence[int]
+    group_ids: Sequence[int]
+    share_ys: Sequence[int]
 
     kind = "insert"
 
     def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        # Fixed-width operations: pl id + element id + group id + share.
-        return self.token.wire_bytes() + len(self.operations) * (
+        # Fixed-width rows: pl id + element id + group id + share.
+        return self.token.wire_bytes() + len(self.pl_ids) * (
             4 + 4 + 4 + share_bytes
         )
 
@@ -100,15 +100,17 @@ class InsertBatchRequest:
 @dataclass(frozen=True)
 class DeleteBatchRequest:
     """Per-element deletions ("its owner must delete each element
-    separately", §7.3)."""
+    separately", §7.3), as two aligned columns: row ``i`` deletes
+    ``element_ids[i]`` from list ``pl_ids[i]``."""
 
     token: AuthToken
-    operations: tuple[DeleteOp, ...]
+    pl_ids: Sequence[int]
+    element_ids: Sequence[int]
 
     kind = "delete"
 
     def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return self.token.wire_bytes() + len(self.operations) * (4 + 4)
+        return self.token.wire_bytes() + len(self.pl_ids) * (4 + 4)
 
 
 @dataclass(frozen=True)

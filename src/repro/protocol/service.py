@@ -121,13 +121,19 @@ class IndexServerService:
                 )
             )
         if isinstance(request, InsertBatchRequest):
-            return OpCountResponse(
-                count=server.insert_batch(request.token, request.operations)
+            count = server.insert_batch(
+                request.token,
+                request.pl_ids,
+                request.element_ids,
+                request.group_ids,
+                request.share_ys,
             )
+            return OpCountResponse(count=count)
         if isinstance(request, DeleteBatchRequest):
-            return OpCountResponse(
-                count=server.delete(request.token, request.operations)
+            count = server.delete(
+                request.token, request.pl_ids, request.element_ids
             )
+            return OpCountResponse(count=count)
         if isinstance(request, AdoptListRequest):
             count = server.adopt_posting_list(
                 request.pl_id,

@@ -44,51 +44,31 @@ class ShareRecord:
     share_y: int
 
 
-@dataclass(frozen=True, slots=True)
-class InsertOp:
-    """One element insertion bound for one server."""
-
-    pl_id: int
-    element_id: int
-    group_id: int
-    share_y: int
-
-
-@dataclass(frozen=True, slots=True)
-class DeleteOp:
-    """One element deletion ("its owner must delete each element separately")."""
-
-    pl_id: int
-    element_id: int
-
-
 class RecordView(Sequence):
-    """Aligned columns read as a sequence of ``row_type`` objects
-    (:class:`ShareRecord` or :class:`InsertOp`): ``len()`` is O(1) and a
-    row object is built only when one is iterated or indexed. Equal by
-    value to another view or to a tuple of rows."""
+    """A response's aligned columns read as a sequence of
+    :class:`ShareRecord` objects (:attr:`PostingListResponse.records`):
+    ``len()`` is O(1) and a record is built only when one is iterated or
+    indexed. Equal by value to another view or to a tuple of records."""
 
-    __slots__ = ("row_type", "columns")
+    __slots__ = ("columns",)
 
-    def __init__(self, row_type: type, *columns: list[int]) -> None:
-        self.row_type = row_type
+    def __init__(self, *columns: list[int]) -> None:
         self.columns = columns
 
     def __len__(self) -> int:
         return len(self.columns[0])
 
     def __iter__(self):
-        return map(self.row_type, *self.columns)
+        return map(ShareRecord, *self.columns)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self)[index]
-        return self.row_type(*(column[index] for column in self.columns))
+        return ShareRecord(*(column[index] for column in self.columns))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, RecordView):
-            other = (other.row_type, other.columns)
-            return (self.row_type, self.columns) == other
+            return self.columns == other.columns
         return tuple(self) == other
 
     def __repr__(self) -> str:
@@ -96,8 +76,6 @@ class RecordView(Sequence):
 
 
 _RECORD_FIELDS = tuple(map(attrgetter, ("element_id", "group_id", "share_y")))
-_INSERT_FIELDS = (attrgetter("pl_id"), *_RECORD_FIELDS)
-_DELETE_FIELDS = _INSERT_FIELDS[:2]
 
 
 def _columns(fields: tuple, rows: Iterable) -> tuple[list[int], ...]:
@@ -106,20 +84,10 @@ def _columns(fields: tuple, rows: Iterable) -> tuple[list[int], ...]:
     return tuple(list(map(field, rows)) for field in fields)
 
 
-def insert_columns(operations: Iterable[InsertOp]) -> tuple[list[int], ...]:
-    """An insert batch as its ``(pl_ids, element_ids, group_ids,
-    share_ys)`` columns, however it arrived: the columns of a
-    :class:`RecordView` as they are, a pass over anything else."""
-    if isinstance(operations, RecordView):
-        return operations.columns
-    return _columns(_INSERT_FIELDS, operations)
-
-
-def delete_columns(operations: Iterable[DeleteOp]) -> tuple[list[int], ...]:
-    """A delete batch's ``(pl_ids, element_ids)``, as insert_columns."""
-    if isinstance(operations, RecordView):
-        return operations.columns
-    return _columns(_DELETE_FIELDS, operations)
+def _check_aligned(*columns: Sequence[int]) -> None:
+    """A write batch's columns must be one length: zip would drop rows."""
+    if len(set(map(len, columns))) > 1:
+        raise IndexServerError("a write batch's columns differ in length")
 
 
 @dataclass(frozen=True)
@@ -158,7 +126,7 @@ class PostingListResponse:
     @property
     def records(self) -> RecordView:
         """The rows as :class:`ShareRecord` objects, built lazily."""
-        return RecordView(ShareRecord, *self.columns)
+        return RecordView(*self.columns)
 
     def wire_bytes(self, share_bytes: int = 9) -> int:
         # Every record is the same fixed width (element id + group id +
@@ -446,17 +414,22 @@ class IndexServer:
     # -- narrow interface: insert --------------------------------------------
 
     def insert_batch(
-        self, token: AuthToken, operations: Sequence[InsertOp]
+        self,
+        token: AuthToken,
+        pl_ids: Sequence[int],
+        element_ids: Sequence[int],
+        group_ids: Sequence[int],
+        share_ys: Sequence[int],
     ) -> int:
-        """Accept one update batch; returns elements inserted.
+        """Accept one update batch of four aligned columns (row ``i`` puts
+        ``(element_ids[i], group_ids[i], share_ys[i])`` into list
+        ``pl_ids[i]``); returns elements inserted.
 
-        ``operations`` is any sequence of :class:`InsertOp`. The batch is
-        validated and applied on its columns (:func:`insert_columns`; a
-        :class:`RecordView` hands them over with no op built): the ACL
-        once per distinct group, then one pass over the rows that
-        indexes each element in its list (a repeat is a duplicate) and
-        one that appends the rows — no regrouping by list. Each touched
-        list is restamped as :meth:`SeatList.extend` does.
+        The batch is validated and applied on its columns: the ACL once
+        per distinct group, then one pass over the rows that indexes each
+        element in its list (a repeat is a duplicate) and one that
+        appends the rows — no regrouping by list. Each touched list is
+        restamped as :meth:`SeatList.extend` does.
 
         The whole batch is logged as a single update event — batching is the
         §5.4.1 defence against correlation attacks, and the log models what
@@ -465,7 +438,8 @@ class IndexServer:
         Raises:
             AuthError: bad token.
             AccessDeniedError: inserting into a group the user is outside.
-            IndexServerError: duplicate element ID within a posting list.
+            IndexServerError: duplicate element ID within a posting list,
+                or columns of different lengths.
 
         Batches are atomic: every operation is validated before any is
         applied, so a rejected batch leaves neither the in-memory store
@@ -474,8 +448,7 @@ class IndexServer:
         replica byte-identity.
         """
         user_id = self._auth.verify(token)
-        columns = insert_columns(operations)
-        pl_ids, element_ids, group_ids, share_ys = columns
+        _check_aligned(pl_ids, element_ids, group_ids, share_ys)
         for group_id in dict.fromkeys(group_ids):
             if not self._groups.is_member(user_id, group_id):
                 raise AccessDeniedError(
@@ -520,13 +493,21 @@ class IndexServer:
         if pl_ids:
             self._update_log.append((tuple(pl_ids), tuple(element_ids)))
         if self._persistence is not None:
-            self._persistence.append_inserts(RecordView(InsertOp, *columns))
+            self._persistence.append_inserts(
+                pl_ids, element_ids, group_ids, share_ys
+            )
         return len(pl_ids)
 
     # -- narrow interface: delete -----------------------------------------------
 
-    def delete(self, token: AuthToken, operations: Sequence[DeleteOp]) -> int:
-        """Delete elements one by one; returns how many existed.
+    def delete(
+        self,
+        token: AuthToken,
+        pl_ids: Sequence[int],
+        element_ids: Sequence[int],
+    ) -> int:
+        """Delete elements one by one — row ``i`` deletes ``element_ids[i]``
+        from list ``pl_ids[i]`` — and return how many existed.
 
         "Zerber elements (and hence the document ID field) are encrypted,
         so the server cannot determine which posting elements have the same
@@ -539,9 +520,12 @@ class IndexServer:
         reached the persistence store (they would resurrect on restart).
         """
         user_id = self._auth.verify(token)
-        for op in operations:
-            stored = self._store.get(op.pl_id, _NO_LIST)
-            row = stored.row_of.get(op.element_id)
+        _check_aligned(pl_ids, element_ids)
+        store = self._store
+        rows = tuple(zip(pl_ids, element_ids))
+        for pl_id, element_id in rows:
+            stored = store.get(pl_id, _NO_LIST)
+            row = stored.row_of.get(element_id)
             if row is not None and not self._groups.is_member(
                 user_id, stored.group_ids[row]
             ):
@@ -549,12 +533,12 @@ class IndexServer:
                     f"user {user_id!r} may not delete from group "
                     f"{stored.group_ids[row]}"
                 )
-        deleted = 0
-        for op in operations:
-            if self._store.get(op.pl_id, _NO_LIST).remove(op.element_id):
-                deleted += 1
+        deleted = sum(
+            store.get(pl_id, _NO_LIST).remove(element_id)
+            for pl_id, element_id in rows
+        )
         if self._persistence is not None:
-            self._persistence.append_deletes(operations)
+            self._persistence.append_deletes(pl_ids, element_ids)
         return deleted
 
     # -- narrow interface: lookup ---------------------------------------------------
@@ -641,9 +625,7 @@ class IndexServer:
         columns = tuple(zip(*fresh.values()))
         stored.extend(*columns)
         if self._persistence is not None:
-            self._persistence.append_inserts(
-                RecordView(InsertOp, (pl_id,) * len(fresh), *columns)
-            )
+            self._persistence.append_inserts((pl_id,) * len(fresh), *columns)
         return len(fresh)
 
     def drop_posting_list(self, pl_id: int) -> int:
@@ -654,7 +636,7 @@ class IndexServer:
             return 0
         if self._persistence is not None:
             self._persistence.append_deletes(
-                RecordView(DeleteOp, *_batch_columns({pl_id: stored}, 1))
+                *_batch_columns({pl_id: stored}, 1)
             )
         return len(stored)
 
@@ -707,12 +689,8 @@ class IndexServer:
             )
         if self._persistence is not None:
             dropped = {pl: s for pl in wanted if (s := self._store.get(pl))}
-            self._persistence.append_deletes(
-                RecordView(DeleteOp, *_batch_columns(dropped, 1))
-            )
-            self._persistence.append_inserts(
-                RecordView(InsertOp, *_batch_columns(loaded, 3))
-            )
+            self._persistence.append_deletes(*_batch_columns(dropped, 1))
+            self._persistence.append_inserts(*_batch_columns(loaded, 3))
         for pl_id in wanted:
             if loaded.get(pl_id):
                 self._store[pl_id] = loaded[pl_id]

@@ -21,16 +21,10 @@ from __future__ import annotations
 import pathlib
 import shutil
 import threading
-from typing import Iterable
+from typing import Sequence
 
 from repro.errors import StorageError
-from repro.server.index_server import (
-    DeleteOp,
-    InsertOp,
-    SeatList,
-    delete_columns,
-    insert_columns,
-)
+from repro.server.index_server import SeatList
 from repro.storage.manifest import (
     MANIFEST_NAME,
     Manifest,
@@ -182,13 +176,25 @@ class SegmentedStore:
 
     # -- writing ----------------------------------------------------------
 
-    def append_inserts(self, operations: Iterable[InsertOp]) -> int:
-        """Log one accepted insert batch as one record (one fsync)."""
-        return self._append(KIND_INSERT, insert_columns(operations))
+    def append_inserts(
+        self,
+        pl_ids: Sequence[int],
+        element_ids: Sequence[int],
+        group_ids: Sequence[int],
+        share_ys: Sequence[int],
+    ) -> int:
+        """Log one accepted insert batch's aligned columns as one record
+        (one fsync)."""
+        return self._append(
+            KIND_INSERT, (pl_ids, element_ids, group_ids, share_ys)
+        )
 
-    def append_deletes(self, operations: Iterable[DeleteOp]) -> int:
-        """Log one accepted delete batch as one record (one fsync)."""
-        return self._append(KIND_DELETE, delete_columns(operations))
+    def append_deletes(
+        self, pl_ids: Sequence[int], element_ids: Sequence[int]
+    ) -> int:
+        """Log one accepted delete batch's aligned columns as one record
+        (one fsync)."""
+        return self._append(KIND_DELETE, (pl_ids, element_ids))
 
     def _append(self, kind: int, columns) -> int:
         count = len(columns[0])

@@ -55,6 +55,17 @@ def segment_record(kind: int, *columns: list[int]) -> bytes:
     return leb128(len(payload)) + payload + crc
 
 
+def as_columns(rows, width: int = 4) -> tuple[list[int], ...]:
+    """Rows as a write batch's aligned columns: ``(pl_id, element_id,
+    group_id, share_y)`` rows as an insert's four, ``(pl_id,
+    element_id)`` rows (``width=2``) as a delete's two."""
+    columns = tuple([] for _ in range(width))
+    for row in rows:
+        for column, value in zip(columns, row, strict=True):
+            column.append(value)
+    return columns
+
+
 def owner_of_group(group_id: int) -> str:
     return f"owner{group_id}"
 

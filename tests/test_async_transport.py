@@ -52,7 +52,7 @@ from repro.protocol.transport import (
 from repro.observability.metrics import SampleView
 from repro.server.auth import AuthService, AuthToken
 from repro.server.groups import GroupDirectory
-from repro.server.index_server import IndexServer, InsertOp
+from repro.server.index_server import IndexServer
 
 
 @pytest.fixture()
@@ -98,9 +98,9 @@ def served(world):
 class TestAsyncRoundTrips:
     def test_insert_then_fetch_over_tcp(self, served):
         token, _server, _srv, transport = served
-        ops = (InsertOp(pl_id=1, element_id=7, group_id=0, share_y=99),)
+        columns = [1], [7], [0], [99]
         ack = transport.call(
-            "alice", "s0", InsertBatchRequest(token=token, operations=ops)
+            "alice", "s0", InsertBatchRequest(token, *columns)
         )
         assert ack.count == 1
         response = transport.call(
@@ -116,11 +116,10 @@ class TestAsyncRoundTrips:
                 "s0",
                 InsertBatchRequest(
                     token=token,
-                    operations=(
-                        InsertOp(
-                            pl_id=1, element_id=1, group_id=7, share_y=1
-                        ),
-                    ),
+                    pl_ids=[1],
+                    element_ids=[1],
+                    group_ids=[7],
+                    share_ys=[1],
                 ),
             )
 
@@ -142,13 +141,9 @@ class TestAsyncRoundTrips:
 
     def test_many_threads_multiplex_one_connection(self, served):
         token, _server, srv, transport = served
-        ops = tuple(
-            InsertOp(pl_id=i % 4, element_id=i, group_id=0, share_y=i)
-            for i in range(32)
-        )
-        transport.call(
-            "alice", "s0", InsertBatchRequest(token=token, operations=ops)
-        )
+        rows = range(32)
+        columns = [i % 4 for i in rows], list(rows), [0] * 32, list(rows)
+        transport.call("alice", "s0", InsertBatchRequest(token, *columns))
         errors: list[Exception] = []
 
         def fetch(i: int) -> None:
@@ -343,11 +338,10 @@ class TestAsyncFailureSemantics:
                 transport._sock.close()
                 request = InsertBatchRequest(
                     token=token,
-                    operations=(
-                        InsertOp(
-                            pl_id=1, element_id=5, group_id=0, share_y=9
-                        ),
-                    ),
+                    pl_ids=[1],
+                    element_ids=[5],
+                    group_ids=[0],
+                    share_ys=[9],
                 )
                 with pytest.raises(TransportError):
                     transport.call("alice", "s0", request)
@@ -476,9 +470,10 @@ class TestUnframeablePeers:
             "s0",
             InsertBatchRequest(
                 token=token,
-                operations=(
-                    InsertOp(pl_id=1, element_id=5, group_id=0, share_y=9),
-                ),
+                pl_ids=[1],
+                element_ids=[5],
+                group_ids=[0],
+                share_ys=[9],
             ),
         )
         with AsyncSocketServer(registry) as srv:
@@ -521,11 +516,8 @@ class TestThreadedServerRegressions:
 _PINNED_TOKEN = AuthToken(
     user_id="alice", issued_at=5, expires_at=900, signature=b"\x01\x02"
 )
-_PINNED_OPS = (
-    InsertOp(3, 70000, 2, 2**64 + 12),
-    InsertOp(0, 9, 1, 300),
-    InsertOp(3, 4, 2, 0),
-)
+#: pl_ids, element_ids, group_ids, share_ys.
+_PINNED_COLUMNS = ([3, 0, 3], [70000, 9, 4], [2, 1, 2], [2**64 + 12, 300, 0])
 
 
 class TestWireBytes:
@@ -536,9 +528,7 @@ class TestWireBytes:
         frame = frame_bytes(
             _pack_request(
                 "pod0-server-1",
-                InsertBatchRequest(
-                    token=_PINNED_TOKEN, operations=_PINNED_OPS
-                ),
+                InsertBatchRequest(_PINNED_TOKEN, *_PINNED_COLUMNS),
                 budget_us=250_000,
                 trace=(0x0123456789ABCDEF, 3),
             ),
@@ -556,16 +546,14 @@ class TestWireBytes:
         lists under the request's correlation id."""
         _auth, _groups, token, server = world
         registry = _registry(server)
-        ops = tuple(
-            InsertOp(op.pl_id, op.element_id, 0, op.share_y)
-            for op in _PINNED_OPS
-        )
+        pl_ids, element_ids, _groups, share_ys = _PINNED_COLUMNS
+        columns = pl_ids, element_ids, [0] * len(pl_ids), share_ys
         with AsyncSocketServer(registry) as srv:
             with AsyncSocketTransport(srv.address) as transport:
                 transport.call(
                     "alice",
                     "s0",
-                    InsertBatchRequest(token=token, operations=ops),
+                    InsertBatchRequest(token, *columns),
                 )
             raw = socket.create_connection(srv.address)
             try:

@@ -17,7 +17,6 @@ from helpers import make_cluster, make_documents
 
 from repro.errors import ReproError
 from repro.resilience import FaultPlan, FaultyTransport
-from repro.server.index_server import InsertOp
 from repro.storage import SegmentedStore
 
 QUERIES = (
@@ -224,19 +223,16 @@ class _InjectedCrash(BaseException):
 
 class TestStorageChaos:
     def test_crash_hook_under_a_fault_plan_loses_nothing(self, tmp_path):
-        ops = [
-            InsertOp(
-                pl_id=index % 3,
-                element_id=index,
-                group_id=index % 2,
-                share_y=1000 + index,
-            )
-            for index in range(24)
-        ]
+        rows = range(24)
         store = SegmentedStore(
             tmp_path / "seat", segment_bytes=128, auto_compact=False
         )
-        store.append_inserts(ops)
+        store.append_inserts(
+            [index % 3 for index in rows],
+            list(rows),
+            [index % 2 for index in rows],
+            [1000 + index for index in rows],
+        )
         expected = store.replay()
         plan = FaultPlan(seed=0xC40D)
         store._crash_hook = plan.storage_crash_hook(
@@ -254,14 +250,7 @@ class TestStorageChaos:
         store = SegmentedStore(
             tmp_path / "seat", segment_bytes=128, auto_compact=False
         )
-        store.append_inserts(
-            [
-                InsertOp(
-                    pl_id=0, element_id=index, group_id=0, share_y=index
-                )
-                for index in range(8)
-            ]
-        )
+        store.append_inserts([0] * 8, list(range(8)), [0] * 8, list(range(8)))
         plan = FaultPlan(seed=0xC40E)
         store._crash_hook = plan.storage_crash_hook(
             crash_rate=0.0, crash_exception=_InjectedCrash

@@ -599,9 +599,17 @@ class TestSeatFailingMidRound:
             doc_id=910, host="host0", group_id=0,
             term_counts={"w1": 2, "w4": 1, "w9": 3}, length=6,
         )
+        flushes = cluster.coordinator.metrics.histogram(
+            "zerber_index_flush_seconds"
+        )
+        batches, timed = owner.batches_flushed, flushes.snapshot()[2]
         with pytest.raises(TransportError):
             owner.share_document(extra)
             owner.flush_updates()
+        # The batch was released (every other seat took it): it is
+        # counted and its round timed although the round raised.
+        assert owner.batches_flushed == batches + 1
+        assert flushes.snapshot()[2] == timed + 1
         lists = {cluster.mapping_table.lookup(t) for t in extra.term_counts}
         failed = cluster.pods[0].slot(1).server
         peer = cluster.pods[0].slot(0).server
@@ -639,6 +647,10 @@ class TestSeatFailingMidRound:
         target = documents[0]
         with pytest.raises(TransportError):
             owner.delete_document(target.doc_id)
+        # The failed seat owes its deletes: the owner has withdrawn the
+        # document either way.
+        assert owner.document(target.doc_id) is None
+        assert target.doc_id not in owner.shared_documents
         failed = cluster.pods[0].slot(1).server
         peer = cluster.pods[0].slot(0).server
         assert failed.num_elements == peer.num_elements + len(

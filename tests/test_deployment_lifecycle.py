@@ -21,7 +21,6 @@ from repro.core.mapping_table import MappingTable
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Document
 from repro.errors import ClusterError, StorageError, UnknownEndpointError
-from repro.server.index_server import InsertOp
 
 
 def _documents(count=6):
@@ -118,9 +117,7 @@ class TestDispatcherLeak:
         cluster.close()
         for log in logs:
             with pytest.raises(StorageError, match="store is closed"):
-                log.append_inserts(
-                    [InsertOp(pl_id=0, element_id=1, group_id=0, share_y=1)]
-                )
+                log.append_inserts([0], [1], [0], [1])
 
     def test_single_fleet_deployment_context_manager(self):
         """The single fleet is the in-process reference: a ``with``

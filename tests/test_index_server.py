@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import segment_record
+from helpers import as_columns, segment_record
 from repro.errors import AccessDeniedError, AuthError, IndexServerError
 from repro.protocol.codec import encode_message
 from repro.protocol.messages import FetchListsResponse
@@ -20,14 +20,10 @@ from repro.server.groups import GroupDirectory
 from repro.server.index_server import (
     _NO_LIST,
     QUERY_LOG_LENGTH,
-    DeleteOp,
     IndexServer,
-    InsertOp,
     PostingListResponse,
-    RecordView,
     SeatList,
     ShareRecord,
-    insert_columns,
 )
 from repro.storage import SegmentedStore
 from repro.storage.segment import KIND_INSERT, segment_name
@@ -49,14 +45,15 @@ def env():
 
 
 def op(pl, eid, group, share=999):
-    return InsertOp(pl_id=pl, element_id=eid, group_id=group, share_y=share)
+    """One insert row: ``(pl_id, element_id, group_id, share_y)``."""
+    return (pl, eid, group, share)
 
 
 class TestInsert:
     def test_insert_and_count(self, env):
         _, _, server, tokens = env
         inserted = server.insert_batch(
-            tokens["alice"], [op(0, 1, 1), op(0, 2, 1), op(3, 1, 1)]
+            tokens["alice"], [0, 0, 3], [1, 2, 1], [1, 1, 1], [9, 9, 9]
         )
         assert inserted == 3
         assert server.num_elements == 3
@@ -65,42 +62,44 @@ class TestInsert:
     def test_requires_group_membership(self, env):
         _, _, server, tokens = env
         with pytest.raises(AccessDeniedError):
-            server.insert_batch(tokens["alice"], [op(0, 1, 2)])
+            server.insert_batch(tokens["alice"], *as_columns([op(0, 1, 2)]))
 
     def test_membership_checked_before_any_write(self, env):
         # A batch with one bad op must not partially apply.
         _, _, server, tokens = env
         with pytest.raises(AccessDeniedError):
             server.insert_batch(
-                tokens["alice"], [op(0, 1, 1), op(0, 2, 2)]
+                tokens["alice"], *as_columns([op(0, 1, 1), op(0, 2, 2)])
             )
         assert server.num_elements == 0
 
     def test_duplicate_element_in_list_rejected(self, env):
         _, _, server, tokens = env
-        server.insert_batch(tokens["alice"], [op(0, 7, 1)])
+        server.insert_batch(tokens["alice"], *as_columns([op(0, 7, 1)]))
         with pytest.raises(IndexServerError):
-            server.insert_batch(tokens["alice"], [op(0, 7, 1)])
+            server.insert_batch(tokens["alice"], *as_columns([op(0, 7, 1)]))
 
     def test_same_element_id_ok_in_different_lists(self, env):
         # Uniqueness is per posting list (§5.4.1: "globally unique within
         # its posting list").
         _, _, server, tokens = env
-        server.insert_batch(tokens["alice"], [op(0, 7, 1), op(1, 7, 1)])
+        server.insert_batch(
+            tokens["alice"], *as_columns([op(0, 7, 1), op(1, 7, 1)])
+        )
         assert server.num_elements == 2
 
     def test_bad_token_rejected(self, env):
         auth, _, server, tokens = env
         auth.advance_clock(10_000)
         with pytest.raises(AuthError):
-            server.insert_batch(tokens["alice"], [op(0, 1, 1)])
+            server.insert_batch(tokens["alice"], *as_columns([op(0, 1, 1)]))
 
 
 class TestLookup:
     def test_acl_filtering(self, env):
         _, _, server, tokens = env
-        server.insert_batch(tokens["alice"], [op(0, 1, 1)])
-        server.insert_batch(tokens["bob"], [op(0, 2, 2)])
+        server.insert_batch(tokens["alice"], *as_columns([op(0, 1, 1)]))
+        server.insert_batch(tokens["bob"], *as_columns([op(0, 2, 2)]))
         # Alice sees only group-1 elements; bob only group-2.
         alice_view = server.get_posting_lists(tokens["alice"], [0])
         assert [r.element_id for r in alice_view[0].records] == [1]
@@ -109,7 +108,7 @@ class TestLookup:
 
     def test_membership_change_reflected_immediately(self, env):
         _, groups, server, tokens = env
-        server.insert_batch(tokens["alice"], [op(0, 1, 1)])
+        server.insert_batch(tokens["alice"], *as_columns([op(0, 1, 1)]))
         assert not server.get_posting_lists(tokens["bob"], [0])[0].records
         groups.add_member(1, "bob", actor="alice")
         assert server.get_posting_lists(tokens["bob"], [0])[0].records
@@ -141,29 +140,31 @@ class TestLookup:
 class TestDelete:
     def test_per_element_delete(self, env):
         _, _, server, tokens = env
-        server.insert_batch(tokens["alice"], [op(0, 1, 1), op(0, 2, 1)])
-        deleted = server.delete(
-            tokens["alice"], [DeleteOp(0, 1), DeleteOp(0, 99)]
+        server.insert_batch(
+            tokens["alice"], *as_columns([op(0, 1, 1), op(0, 2, 1)])
         )
+        deleted = server.delete(tokens["alice"], [0, 0], [1, 99])
         assert deleted == 1
         assert server.num_elements == 1
 
     def test_delete_requires_membership_of_element_group(self, env):
         _, _, server, tokens = env
-        server.insert_batch(tokens["alice"], [op(0, 1, 1)])
+        server.insert_batch(tokens["alice"], *as_columns([op(0, 1, 1)]))
         with pytest.raises(AccessDeniedError):
-            server.delete(tokens["bob"], [DeleteOp(0, 1)])
+            server.delete(tokens["bob"], [0], [1])
 
     def test_delete_from_unknown_list_is_noop(self, env):
         _, _, server, tokens = env
-        assert server.delete(tokens["alice"], [DeleteOp(42, 1)]) == 0
+        assert server.delete(tokens["alice"], [42], [1]) == 0
 
 
 class TestCompromise:
     def test_view_contents(self, env):
         _, _, server, tokens = env
-        server.insert_batch(tokens["alice"], [op(0, 1, 1), op(0, 2, 1)])
-        server.insert_batch(tokens["alice"], [op(1, 3, 1)])
+        server.insert_batch(
+            tokens["alice"], *as_columns([op(0, 1, 1), op(0, 2, 1)])
+        )
+        server.insert_batch(tokens["alice"], *as_columns([op(1, 3, 1)]))
         view = server.compromise()
         assert view.server_id == "s0"
         assert view.x_coordinate == 17
@@ -174,7 +175,7 @@ class TestCompromise:
 
     def test_view_is_a_snapshot(self, env):
         _, _, server, tokens = env
-        server.insert_batch(tokens["alice"], [op(0, 1, 1)])
+        server.insert_batch(tokens["alice"], *as_columns([op(0, 1, 1)]))
         view = server.compromise()
         view.posting_store[0].clear()
         assert server.num_elements == 1
@@ -185,8 +186,8 @@ class TestCompromise:
         adversary editing a view, cannot rewrite history."""
         _, _, server, tokens = env
         pl_ids, element_ids = [0, 1, 0], [1, 1, 2]
-        batch = RecordView(InsertOp, pl_ids, element_ids, [1, 1, 1], [7, 8, 9])
-        assert server.insert_batch(tokens["alice"], batch) == 3
+        batch = pl_ids, element_ids, [1, 1, 1], [7, 8, 9]
+        assert server.insert_batch(tokens["alice"], *batch) == 3
         pl_ids[0] = element_ids[0] = 99
         pl_ids.clear()
         view = server.compromise()
@@ -195,7 +196,7 @@ class TestCompromise:
         view.update_log.clear()
         assert server.compromise().update_log == [[(0, 1), (1, 1), (0, 2)]]
         # An empty batch is not an update event.
-        assert server.insert_batch(tokens["alice"], ()) == 0
+        assert server.insert_batch(tokens["alice"], [], [], [], []) == 0
         assert len(server.compromise().update_log) == 1
 
     def test_update_log_keeps_the_recent_batches(self, env):
@@ -204,16 +205,27 @@ class TestCompromise:
         whole history."""
         _, _, server, tokens = env
         for element_id in range(QUERY_LOG_LENGTH + 1):
-            server.insert_batch(tokens["alice"], [op(0, element_id, 1)])
+            server.insert_batch(
+                tokens["alice"], *as_columns([op(0, element_id, 1)])
+            )
         log = server.compromise().update_log
         assert len(log) == QUERY_LOG_LENGTH
         assert log == [[(0, e)] for e in range(1, QUERY_LOG_LENGTH + 1)]
 
 
 class TestMisc:
+    def test_ragged_columns_are_refused_before_any_write(self, env):
+        _, _, server, tokens = env
+        with pytest.raises(IndexServerError, match="differ in length"):
+            server.insert_batch(tokens["alice"], [0, 0], [1, 2], [1], [5, 6])
+        server.insert_batch(tokens["alice"], *as_columns([op(0, 1, 1)]))
+        with pytest.raises(IndexServerError, match="differ in length"):
+            server.delete(tokens["alice"], [0], [1, 2])
+        assert server.num_elements == 1
+
     def test_storage_bytes(self, env):
         _, _, server, tokens = env
-        server.insert_batch(tokens["alice"], [op(0, 1, 1)])
+        server.insert_batch(tokens["alice"], *as_columns([op(0, 1, 1)]))
         per_record = 4 + 4 + 4 + server.share_bytes
         assert server.storage_bytes() == per_record
 
@@ -260,21 +272,19 @@ class _Oracle:
         self.lists: dict[int, dict[int, ShareRecord]] = {}
 
     def insert(self, ops) -> bool:
-        keys = [(o.pl_id, o.element_id) for o in ops]
+        keys = [(pl, eid) for pl, eid, _group, _share in ops]
         if len(set(keys)) != len(keys) or any(
             eid in self.lists.get(pl, {}) for pl, eid in keys
         ):
             return False  # atomic: a rejected batch changes nothing
-        for o in ops:
-            self.lists.setdefault(o.pl_id, {})[o.element_id] = ShareRecord(
-                o.element_id, o.group_id, o.share_y
-            )
+        for pl, eid, group, share in ops:
+            self.lists.setdefault(pl, {})[eid] = ShareRecord(eid, group, share)
         return True
 
-    def delete(self, ops) -> int:
+    def delete(self, rows) -> int:
         return sum(
-            self.lists.get(o.pl_id, {}).pop(o.element_id, None) is not None
-            for o in ops
+            self.lists.get(pl, {}).pop(eid, None) is not None
+            for pl, eid in rows
         )
 
     def adopt(self, pl_id, records) -> set:
@@ -329,22 +339,14 @@ _RECORD = st.builds(
     group_id=st.sampled_from(GROUPS),
     share_y=st.integers(min_value=0, max_value=2**64 + 12),
 )
+_SHARE = st.integers(min_value=0, max_value=2**64 + 12)
+#: Insert rows ``(pl_id, element_id, group_id, share_y)``.
 _INSERT_BATCH = st.lists(
-    st.builds(
-        InsertOp,
-        pl_id=_PL,
-        element_id=_EID,
-        group_id=st.sampled_from(GROUPS),
-        share_y=st.integers(min_value=0, max_value=2**64 + 12),
-    ),
-    max_size=6,
+    st.tuples(_PL, _EID, st.sampled_from(GROUPS), _SHARE), max_size=6
 )
 _STEP = st.one_of(
     st.tuples(st.just("insert"), _INSERT_BATCH),
-    st.tuples(
-        st.just("delete"),
-        st.lists(st.builds(DeleteOp, pl_id=_PL, element_id=_EID), max_size=4),
-    ),
+    st.tuples(st.just("delete"), st.lists(st.tuples(_PL, _EID), max_size=4)),
     st.tuples(st.just("adopt"), _PL, st.lists(_RECORD, max_size=5)),
     st.tuples(st.just("drop"), _PL),
     st.tuples(st.just("snapshot"), st.lists(_PL, max_size=3, unique=True)),
@@ -367,15 +369,18 @@ def test_seat_store_agrees_with_the_per_record_oracle(steps):
             for server in (a, b):
                 if accepted:
                     assert server.insert_batch(
-                        tokens["all"], step[1]
+                        tokens["all"], *as_columns(step[1])
                     ) == len(step[1])
                 else:
                     with pytest.raises(IndexServerError):
-                        server.insert_batch(tokens["all"], step[1])
+                        server.insert_batch(
+                            tokens["all"], *as_columns(step[1])
+                        )
         elif kind == "delete":
             deleted = oracle.delete(step[1])
+            columns = as_columns(step[1], 2)
             for server in (a, b):
-                assert server.delete(tokens["all"], step[1]) == deleted
+                assert server.delete(tokens["all"], *columns) == deleted
         elif kind == "adopt":
             added = oracle.adopt(step[1], step[2])
             for server in (a, b):
@@ -418,17 +423,19 @@ def test_delete_of_each_row_position(rows, victim):
     oracle = _Oracle()
     ops = [op(7, 10 + i, GROUPS[i % 3], share=1000 + i) for i in range(rows)]
     oracle.insert(ops)
-    server.insert_batch(tokens["all"], ops)
-    target = DeleteOp(pl_id=7, element_id=99 if victim is None else 10 + victim)
-    assert server.delete(tokens["all"], [target]) == oracle.delete([target])
+    server.insert_batch(tokens["all"], *as_columns(ops))
+    target = (7, 99 if victim is None else 10 + victim)
+    assert server.delete(tokens["all"], *as_columns([target], 2)) == (
+        oracle.delete([target])
+    )
     _assert_matches(server, oracle, tokens, (7,))
     # The row index survived the move: every survivor can still be found
     # (deleted exactly once), and the freed id can be inserted again.
-    survivors = [DeleteOp(7, eid) for eid in list(oracle.lists[7])]
-    assert server.delete(tokens["all"], survivors) == len(survivors)
-    assert server.delete(tokens["all"], survivors) == 0
+    survivors = as_columns([(7, eid) for eid in oracle.lists[7]], 2)
+    assert server.delete(tokens["all"], *survivors) == len(survivors[0])
+    assert server.delete(tokens["all"], *survivors) == 0
     assert server.num_elements == 0
-    assert server.insert_batch(tokens["all"], ops) == rows
+    assert server.insert_batch(tokens["all"], *as_columns(ops)) == rows
 
 
 def test_a_response_does_not_change_under_later_writes(env):
@@ -440,9 +447,11 @@ def test_a_response_does_not_change_under_later_writes(env):
     # groups (answered filtered for either reader).
     server.insert_batch(
         tokens["alice"],
-        [op(pl, i, 1, share=i) for pl in (0, 1) for i in range(4)],
+        *as_columns(
+            [op(pl, i, 1, share=i) for pl in (0, 1) for i in range(4)]
+        ),
     )
-    server.insert_batch(tokens["bob"], [op(1, 10, 2)])
+    server.insert_batch(tokens["bob"], *as_columns([op(1, 10, 2)]))
     before = [
         response
         for user in ("alice", "bob")
@@ -453,8 +462,10 @@ def test_a_response_does_not_change_under_later_writes(env):
         (list(r.element_ids), list(r.group_ids), list(r.share_ys))
         for r in before
     ]
-    server.insert_batch(tokens["alice"], [op(0, 50, 1), op(1, 50, 1)])
-    server.delete(tokens["alice"], [DeleteOp(0, 0), DeleteOp(1, 2)])
+    server.insert_batch(
+        tokens["alice"], *as_columns([op(0, 50, 1), op(1, 50, 1)])
+    )
+    server.delete(tokens["alice"], [0, 1], [0, 2])
     server.drop_posting_list(1)
     assert [
         (r.element_ids, r.group_ids, r.share_ys) for r in before
@@ -471,20 +482,24 @@ def test_record_view_is_a_lazy_sequence_equal_to_a_tuple():
     assert records[0] in view and ShareRecord(0, 0, 0) not in view
     assert view == PostingListResponse(5, [1, 4, 7], [2, 5, 8], [3, 6, 9]).records
     assert view != records[:2]
+    other = PostingListResponse(5, [1, 4, 7], [2, 5, 8], [3, 6, 0])
+    assert view != other.records
+    assert len(PostingListResponse(5, [], [], []).records) == 0
     assert response.wire_bytes(9) == 4 + 3 * 17
 
 
-# -- the column insert path against the per-op path ----------------------------
+# -- one insert path, whatever sequences carry the columns --------------------
 #
-# An insert batch reaches the server as four aligned columns behind a
-# lazy InsertOp view (the owner, the wire decoder) or as a plain
-# sequence of InsertOp (tests, fleet extension).
+# An insert batch reaches the seat as four aligned columns: lists from
+# the owner's write round and the wire decoder, tuples where a caller
+# transposed rows with zip (fleet extension, re-provisioned deletes).
 # Both must be one path: same stored rows in the same order, same update
 # log, same rejections, and a rejected batch leaves nothing behind.
 
 
-def _as_view(ops) -> RecordView:
-    return RecordView(InsertOp, *insert_columns(tuple(ops)))
+def _as_tuples(ops) -> tuple[tuple[int, ...], ...]:
+    """Rows transposed with zip: four tuples (empty ones for no rows)."""
+    return tuple(zip(*ops)) or ((), (), (), ())
 
 
 def _observables(server, tokens, pl_ids):
@@ -499,55 +514,70 @@ def _observables(server, tokens, pl_ids):
 @settings(max_examples=150, deadline=None)
 @given(batches=st.lists(_INSERT_BATCH, max_size=8))
 def test_a_column_view_and_a_tuple_of_ops_are_one_insert_path(batches):
-    (by_view, by_ops, _stale), tokens = _fleet()
+    """Columns as lists and columns transposed from a tuple of rows."""
+    (by_lists, by_tuples, _stale), tokens = _fleet()
     oracle = _Oracle()
     pl_ids = tuple(range(4))
     expected_log = []
     for ops in batches:
         outcomes = []
-        for server, batch in ((by_view, _as_view(ops)), (by_ops, tuple(ops))):
+        for server, batch in (
+            (by_lists, as_columns(ops)),
+            (by_tuples, _as_tuples(ops)),
+        ):
             try:
-                outcomes.append(server.insert_batch(tokens["all"], batch))
+                outcomes.append(server.insert_batch(tokens["all"], *batch))
             except IndexServerError as exc:
                 outcomes.append(str(exc))
         assert outcomes[0] == outcomes[1]
         if oracle.insert(ops):
             assert outcomes[0] == len(ops)
             if ops:  # an empty batch is accepted and not logged
-                expected_log.append([(o.pl_id, o.element_id) for o in ops])
+                expected_log.append([(pl, eid) for pl, eid, _g, _y in ops])
         else:
             assert "already exists" in outcomes[0]
-        assert _observables(by_view, tokens, pl_ids) == _observables(
-            by_ops, tokens, pl_ids
+        assert _observables(by_lists, tokens, pl_ids) == _observables(
+            by_tuples, tokens, pl_ids
         )
     # Batch order, and inside a batch the order it arrived in.
-    assert by_view.compromise().update_log == expected_log
-    _assert_matches(by_view, oracle, tokens, pl_ids)
+    assert by_lists.compromise().update_log == expected_log
+    _assert_matches(by_lists, oracle, tokens, pl_ids)
 
 
-# -- the one-pass ingest against a per-list model -----------------------------
+# -- the one-pass ingest and the column delete against per-list models --------
 #
-# The seat validates and applies a batch in one pass over its rows, never
-# regrouping them by list. The model is the regrouping written out: the
-# first offending row in batch order, else each list's rows in batch
-# order handed to SeatList.extend.
+# The seat validates and applies an insert batch in one pass over its
+# rows, never regrouping them by list. The model is the regrouping
+# written out: the first offending row in batch order, else each list's
+# rows in batch order handed to SeatList.extend. A delete batch is
+# checked whole against the ACL, then applied row by row; its model is
+# SeatList.remove per row, in batch order.
 
 
 def _model_insert(model: dict[int, SeatList], ops) -> str | None:
     """Apply a batch the per-list way; the refusal message, or None."""
     seen = set()
-    for o in ops:
-        key = (o.pl_id, o.element_id)
-        if key in seen or o.element_id in model.get(o.pl_id, _NO_LIST).row_of:
-            return f"element {o.element_id} already exists in list {o.pl_id}"
-        seen.add(key)
-    by_list: dict[int, list[InsertOp]] = {}
-    for o in ops:
-        by_list.setdefault(o.pl_id, []).append(o)
-    for pl_id, rows in by_list.items():
-        _pl_ids, *columns = insert_columns(rows)
-        model.setdefault(pl_id, SeatList()).extend(*columns)
+    for pl, eid, _group, _share in ops:
+        if (pl, eid) in seen or eid in model.get(pl, _NO_LIST).row_of:
+            return f"element {eid} already exists in list {pl}"
+        seen.add((pl, eid))
+    by_list: dict[int, list[tuple[int, ...]]] = {}
+    for pl, *record in ops:
+        by_list.setdefault(pl, []).append(record)
+    for pl_id, records in by_list.items():
+        model.setdefault(pl_id, SeatList()).extend(*zip(*records))
     return None
+
+
+def _model_delete(model: dict[int, SeatList], rows, user) -> int | str:
+    """Apply a delete batch row by row; the count, or the refusal."""
+    for pl, eid in rows:
+        plist = model.get(pl, _NO_LIST)
+        row = plist.row_of.get(eid)
+        if row is not None and plist.group_ids[row] not in READERS[user]:
+            group = plist.group_ids[row]
+            return f"user {user!r} may not delete from group {group}"
+    return sum(model.get(pl, _NO_LIST).remove(eid) for pl, eid in rows)
 
 
 def _seat_state(server) -> tuple:
@@ -568,47 +598,86 @@ def _seat_state(server) -> tuple:
 
 
 _INGEST_BATCH = st.lists(
-    st.builds(
-        InsertOp,
-        pl_id=st.integers(min_value=0, max_value=5),
-        element_id=st.integers(min_value=0, max_value=24),
-        group_id=st.sampled_from(GROUPS),
-        share_y=st.integers(min_value=0, max_value=2**64 + 12),
+    st.tuples(
+        st.integers(min_value=0, max_value=5),
+        st.integers(min_value=0, max_value=24),
+        st.sampled_from(GROUPS),
+        _SHARE,
     ),
     max_size=10,
 )
 
 
 @settings(max_examples=120, deadline=None)
-@given(batches=st.lists(_INGEST_BATCH, min_size=1, max_size=10))
-def test_one_pass_ingest_equals_the_per_list_model(batches):
+@given(data=st.data())
+def test_one_pass_ingest_equals_the_per_list_model(data):
     (server, _b, _stale), tokens = _fleet()
     with tempfile.TemporaryDirectory() as seat:
         store = SegmentedStore(seat, auto_compact=False)
         server.attach_store(store)
         model: dict[int, SeatList] = {}
         pl_ids = tuple(range(6))
-        for ops in batches:
+        for _ in range(data.draw(st.integers(1, 10), label="batches")):
             # Read every list twice so each keeps a read snapshot.
             for _ in range(2):
                 responses = server.get_posting_lists(tokens["all"], pl_ids)
             served = dict(zip(pl_ids, responses))
             before = _seat_state(server)
-            refusal = _model_insert(model, ops)
-            if refusal is None:
-                assert server.insert_batch(tokens["all"], ops) == len(ops)
+            stored_keys = [
+                (pl, eid) for pl, plist in model.items()
+                for eid in plist.element_ids
+            ]
+            if stored_keys and data.draw(st.booleans(), label="delete"):
+                # Stored and absent elements, repeats, and a reader in
+                # group 1 only, whom the ACL refuses groups 2 and 3.
+                key = st.sampled_from(stored_keys) | st.tuples(
+                    st.integers(0, 5), st.integers(0, 24)
+                )
+                rows = data.draw(st.lists(key, max_size=8), label="rows")
+                if rows:
+                    rows += data.draw(
+                        st.lists(st.sampled_from(rows), max_size=2),
+                        label="repeats",
+                    )
+                user = data.draw(st.sampled_from(["all", "some"]), "user")
+                written = {
+                    pl for pl, eid in rows
+                    if eid in model.get(pl, _NO_LIST).row_of
+                }
+                outcome = _model_delete(model, rows, user)
+                columns = as_columns(rows, 2)
+                if isinstance(outcome, int):
+                    assert server.delete(tokens[user], *columns) == outcome
+                    after = _seat_state(server)
+                    # Deletes are not update events.
+                    assert after[1] == before[1]
+                    assert after[2] == before[2] + len(rows)
+                else:
+                    with pytest.raises(AccessDeniedError) as raised:
+                        server.delete(tokens[user], *columns)
+                    assert str(raised.value) == outcome
+                    assert _seat_state(server) == before
+                    written = set()
             else:
-                with pytest.raises(IndexServerError) as raised:
-                    server.insert_batch(tokens["all"], ops)
-                assert str(raised.value) == refusal
-                assert _seat_state(server) == before
+                ops = data.draw(_INGEST_BATCH, label="inserts")
+                refusal = _model_insert(model, ops)
+                if refusal is None:
+                    inserted = server.insert_batch(
+                        tokens["all"], *as_columns(ops)
+                    )
+                    assert inserted == len(ops)
+                else:
+                    with pytest.raises(IndexServerError) as raised:
+                        server.insert_batch(tokens["all"], *as_columns(ops))
+                    assert str(raised.value) == refusal
+                    assert _seat_state(server) == before
+                written = {o[0] for o in ops} if refusal is None else set()
             stored = {pl: s for pl, s in server._store.items() if s}
             assert stored == {pl: s for pl, s in model.items() if s}
             for pl_id, plist in stored.items():
                 assert plist.row_of == model[pl_id].row_of
             # A snapshot kept before the batch is never served after a
             # write to its list; an untouched list may keep serving it.
-            written = {o.pl_id for o in ops} if refusal is None else set()
             for response in server.get_posting_lists(tokens["all"], pl_ids):
                 pl_id = response.pl_id
                 assert response.columns == model.get(pl_id, _NO_LIST).columns
@@ -623,7 +692,9 @@ def test_one_pass_ingest_equals_the_per_list_model(batches):
 _SEEDED = [op(0, 1, 1), op(0, 2, 2), op(1, 1, 1)]
 
 
-@pytest.mark.parametrize("wrap", [_as_view, tuple], ids=["view", "ops"])
+@pytest.mark.parametrize(
+    "wrap", [as_columns, _as_tuples], ids=["lists", "tuples"]
+)
 @pytest.mark.parametrize(
     "user, batch, error, names",
     [
@@ -644,7 +715,7 @@ def test_a_rejected_batch_leaves_store_log_and_wal_untouched(
     seat = tmp_path / "seat"
     store = SegmentedStore(seat, auto_compact=False)
     server.attach_store(store)
-    server.insert_batch(tokens["all"], wrap(_SEEDED))
+    server.insert_batch(tokens["all"], *wrap(_SEEDED))
     pl_ids = tuple(range(4))
 
     def seat_bytes():
@@ -652,38 +723,19 @@ def test_a_rejected_batch_leaves_store_log_and_wal_untouched(
 
     before = _observables(server, tokens, pl_ids), seat_bytes()
     with pytest.raises(error, match=names):
-        server.insert_batch(tokens[user], wrap(batch))
+        server.insert_batch(tokens[user], *wrap(batch))
     assert (_observables(server, tokens, pl_ids), seat_bytes()) == before
     # The same element id in two different lists is no duplicate.
     accepted = [op(2, 1, 1), op(3, 1, 1)]
-    assert server.insert_batch(tokens["all"], wrap(accepted)) == 2
+    assert server.insert_batch(tokens["all"], *wrap(accepted)) == 2
     live = segment_name(1)
     assert seat_bytes() == {
         **before[1],
         live: before[1][live]
-        + segment_record(KIND_INSERT, *insert_columns(accepted)),
+        + segment_record(KIND_INSERT, *as_columns(accepted)),
     }
     assert server.compromise().update_log[-1] == [(2, 1), (3, 1)]
     store.close()
-
-
-def test_insert_view_is_a_lazy_sequence_equal_to_a_tuple_of_ops():
-    ops = (op(3, 1, 2, share=7), op(0, 9, 1, share=2**64 + 12), op(3, 4, 2))
-    view = _as_view(ops)
-    assert insert_columns(view) is view.columns
-    assert view.columns == ([3, 0, 3], [1, 9, 4], [2, 1, 2], [7, 2**64 + 12, 999])
-    assert len(view) == 3 and view == ops and ops == tuple(view)
-    assert list(view) == list(ops)
-    assert view[1] == ops[1] and view[-1] == ops[-1]
-    assert view[1:] == ops[1:] and view[::2] == ops[::2]
-    assert view == _as_view(ops) and view != _as_view(ops[:2])
-    assert view != ops[:2] and view != ops + ops[:1]
-    # Row type is part of the value: share records are not insert ops.
-    assert RecordView(ShareRecord, [1], [2], [3]) != RecordView(
-        ShareRecord, [1], [2], [4]
-    )
-    assert len(_as_view(())) == 0 and _as_view(()) == ()
-    assert insert_columns(iter(ops)) == view.columns
 
 
 # -- read snapshots -----------------------------------------------------------
@@ -709,7 +761,9 @@ class TestReadSnapshots:
         (server, _b, _stale), tokens = _fleet()
         server.insert_batch(
             tokens["all"],
-            [op(pl, i, GROUPS[i % 3]) for pl in (0, 1, 2) for i in range(5)],
+            *as_columns(
+                [op(pl, i, GROUPS[i % 3]) for pl in (0, 1, 2) for i in range(5)]
+            ),
         )
         first = server.get_posting_lists(tokens["all"], [0, 1])
         assert server._store[0].snapshot is None
@@ -728,15 +782,17 @@ class TestReadSnapshots:
         (server, _b, _stale), tokens = _fleet()
         server.insert_batch(
             tokens["all"],
-            [op(pl, i, 1, share=i) for pl in (0, 1) for i in range(4)],
+            *as_columns(
+                [op(pl, i, 1, share=i) for pl in (0, 1) for i in range(4)]
+            ),
         )
         for _ in range(2):
             before = server.get_posting_lists(tokens["all"], [0, 1])
         frozen = copy.deepcopy(before)
         cached = server._store[0].snapshot
         assert cached[1] is before[0]
-        server.insert_batch(tokens["all"], [op(0, 9, 2)])
-        server.delete(tokens["all"], [DeleteOp(0, 1), DeleteOp(0, 2)])
+        server.insert_batch(tokens["all"], *as_columns([op(0, 9, 2)]))
+        server.delete(tokens["all"], [0, 0], [1, 2])
         assert server.snapshot_builds == 4
         assert server._store[0].snapshot is cached
         assert before == frozen
@@ -755,7 +811,8 @@ class TestReadSnapshots:
     def test_a_partial_acl_reader_never_gets_the_shared_snapshot(self):
         (server, _b, _stale), tokens = _fleet()
         server.insert_batch(
-            tokens["all"], [op(0, i, GROUPS[i % 3], share=i) for i in range(6)]
+            tokens["all"],
+            *as_columns([op(0, i, GROUPS[i % 3], share=i) for i in range(6)]),
         )
         def lookup(user):
             return server.get_posting_lists(tokens[user], [0])[0]
@@ -796,7 +853,8 @@ class TestReadSnapshots:
         no counter update was lost."""
         (server, _b, _stale), tokens = _fleet()
         server.insert_batch(
-            tokens["all"], [op(0, i, 1, share=i) for i in range(50)]
+            tokens["all"],
+            *as_columns([op(0, i, 1, share=i) for i in range(50)]),
         )
         stop = threading.Event()
         lookups = [0, 0]
@@ -805,11 +863,15 @@ class TestReadSnapshots:
             try:
                 for round_ in range(200):
                     server.insert_batch(
-                        tokens["all"], [op(0, 1000 + round_, 2, share=round_)]
+                        tokens["all"],
+                        *as_columns([op(0, 1000 + round_, 2, share=round_)]),
                     )
-                    server.delete(tokens["all"], [DeleteOp(0, round_ % 50)])
+                    server.delete(
+                        tokens["all"], [0], [round_ % 50]
+                    )
                     server.insert_batch(
-                        tokens["all"], [op(0, round_ % 50, 1, share=round_)]
+                        tokens["all"],
+                        *as_columns([op(0, round_ % 50, 1, share=round_)]),
                     )
             finally:
                 stop.set()
@@ -871,14 +933,16 @@ def test_snapshots_are_isolated_from_later_writes(steps):
     for step in steps:
         kind = step[0]
         if kind == "insert":
+            columns = as_columns(step[1])
             if oracle.insert(step[1]):
-                server.insert_batch(tokens["all"], step[1])
+                server.insert_batch(tokens["all"], *columns)
             else:
                 with pytest.raises(IndexServerError):
-                    server.insert_batch(tokens["all"], step[1])
+                    server.insert_batch(tokens["all"], *columns)
         elif kind == "delete":
             deleted = oracle.delete(step[1])
-            assert server.delete(tokens["all"], step[1]) == deleted
+            columns = as_columns(step[1], 2)
+            assert server.delete(tokens["all"], *columns) == deleted
         elif kind == "adopt":
             added = oracle.adopt(step[1], step[2])
             assert server.adopt_posting_list(

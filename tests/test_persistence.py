@@ -15,6 +15,7 @@ import zlib
 
 import pytest
 
+from helpers import as_columns
 from repro.client.batching import BatchPolicy
 from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
@@ -23,7 +24,7 @@ from repro.corpus.document import Document
 from repro.errors import IndexServerError, StorageError
 from repro.server.auth import AuthService
 from repro.server.groups import GroupDirectory
-from repro.server.index_server import DeleteOp, IndexServer, InsertOp
+from repro.server.index_server import IndexServer
 from repro.storage import SegmentedStore
 from repro.storage.segment import (
     HEADER_LEN,
@@ -61,37 +62,37 @@ def replay_store(path):
 
 
 def op(pl, eid, share=111):
-    return InsertOp(pl_id=pl, element_id=eid, group_id=1, share_y=share)
+    """One insert row: ``(pl_id, element_id, group_id, share_y)``."""
+    return (pl, eid, 1, share)
 
 
 class TestLogging:
     def test_inserts_are_logged_and_replayable(self, env):
         _, _, server, token, log, _ = env
-        server.insert_batch(token, [op(0, 1), op(0, 2), op(3, 9)])
+        server.insert_batch(token, *as_columns([op(0, 1), op(0, 2), op(3, 9)]))
         replayed = log.replay()
         assert set(replayed[0].element_ids) == {1, 2}
         assert replayed[3].share_ys == [111]
 
     def test_deletes_are_logged(self, env):
         _, _, server, token, log, _ = env
-        server.insert_batch(token, [op(0, 1), op(0, 2)])
-        server.delete(token, [DeleteOp(0, 1)])
+        server.insert_batch(token, *as_columns([op(0, 1), op(0, 2)]))
+        server.delete(token, [0], [1])
         replayed = log.replay()
         assert set(replayed[0].element_ids) == {2}
 
     def test_rejected_batches_never_hit_disk(self, env):
         _, _, server, token, log, _ = env
-        bad = InsertOp(pl_id=0, element_id=1, group_id=99, share_y=1)
         with pytest.raises(Exception):
-            server.insert_batch(token, [bad])
+            server.insert_batch(token, *as_columns([0], [1], [99], [1]))
         assert log.replay() == {}
 
 
 class TestRecovery:
     def test_full_recovery_round_trip(self, env, tmp_path):
         auth, groups, server, token, log, _ = env
-        server.insert_batch(token, [op(0, 1), op(0, 2), op(7, 3)])
-        server.delete(token, [DeleteOp(0, 2)])
+        server.insert_batch(token, *as_columns([op(0, 1), op(0, 2), op(7, 3)]))
+        server.delete(token, [0], [2])
         # The box dies; a fresh server recovers from the log.
         log.close()
         recovered = IndexServer("s0b", x_coordinate=5, auth=auth, groups=groups)
@@ -102,14 +103,14 @@ class TestRecovery:
 
     def test_recovery_requires_empty_server(self, env, tmp_path):
         auth, groups, server, token, log, _ = env
-        server.insert_batch(token, [op(0, 1)])
+        server.insert_batch(token, *as_columns([op(0, 1)]))
         with pytest.raises(IndexServerError):
             server.bulk_load(replay_store(tmp_path / "other"))
 
     def test_torn_tail_write_is_tolerated(self, tmp_path):
         store = open_store(tmp_path / "torn")
-        store.append_inserts([op(0, 1, 42)])
-        store.append_inserts([op(0, 2, 43)])
+        store.append_inserts(*as_columns([op(0, 1, 42)]))
+        store.append_inserts(*as_columns([op(0, 2, 43)]))
         store.close()
         segment = tmp_path / "torn" / segment_name(1)
         segment.write_bytes(segment.read_bytes()[:-2])  # last CRC cut off
@@ -119,7 +120,8 @@ class TestRecovery:
     def test_corrupt_interior_record_raises(self, tmp_path):
         store = open_store(tmp_path / "bad", segment_bytes=HEADER_LEN + 1)
         for eid in (1, 2, 3):
-            store.append_inserts([op(0, eid)])  # one sealed segment each
+            # One sealed segment each.
+            store.append_inserts(*as_columns([op(0, eid)]))
         store.close()
         first = tmp_path / "bad" / segment_name(1)
         data = bytearray(first.read_bytes())
@@ -149,8 +151,10 @@ class TestRecovery:
 class TestCompaction:
     def test_compact_shrinks_and_preserves(self, env, tmp_path):
         _, _, server, token, log, _ = env
-        server.insert_batch(token, [op(0, i) for i in range(1, 21)])
-        server.delete(token, [DeleteOp(0, i) for i in range(1, 16)])
+        server.insert_batch(
+            token, *as_columns([op(0, i) for i in range(1, 21)])
+        )
+        server.delete(token, [0] * 15, list(range(1, 16)))
         before = log.disk_bytes()
         written = log.compact()
         after = log.disk_bytes()
@@ -161,9 +165,9 @@ class TestCompaction:
 
     def test_appends_after_compaction_work(self, env):
         _, _, server, token, log, _ = env
-        server.insert_batch(token, [op(0, 1)])
+        server.insert_batch(token, *as_columns([op(0, 1)]))
         log.compact()
-        server.insert_batch(token, [op(0, 2)])
+        server.insert_batch(token, *as_columns([op(0, 2)]))
         replayed = log.replay()
         assert set(replayed[0].element_ids) == {1, 2}
 

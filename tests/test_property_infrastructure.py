@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from repro.client.batching import BatchPolicy, UpdateBatcher
 from repro.extensions.dht import ConsistentHashRing
 from repro.extensions.mixnet import MixMessage, MixRelay
-from repro.server.index_server import DeleteOp, InsertOp, SeatList
+from repro.server.index_server import SeatList
 from repro.storage import SegmentedStore
 from repro.storage.segment import HEADER_LEN
 
@@ -73,12 +73,10 @@ def test_property_wal_replay_equals_inmemory_state(
             store.compact()
             assert live(store.replay()) == live(expected)
         if kind == "I":
-            store.append_inserts(
-                [InsertOp(pl_id=pl, element_id=eid, group_id=group, share_y=share)]
-            )
+            store.append_inserts([pl], [eid], [group], [share])
             expected.setdefault(pl, SeatList()).extend([eid], [group], [share])
         else:
-            store.append_deletes([DeleteOp(pl_id=pl, element_id=eid)])
+            store.append_deletes([pl], [eid])
             expected[pl].remove(eid)
     assert live(store.replay()) == live(expected)
     # Compacting the whole history preserves the same state, on disk too.

@@ -17,19 +17,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import as_columns
 from repro.client.snippets import Snippet
 from repro.errors import ProtocolError
 from repro.protocol import codec
 from repro.protocol import messages as m
 from repro.server.auth import AuthToken
-from repro.server.index_server import (
-    DeleteOp,
-    InsertOp,
-    PostingListResponse,
-    RecordView,
-    ShareRecord,
-    insert_columns,
-)
+from repro.server.index_server import PostingListResponse, ShareRecord
 
 # -- strategies ---------------------------------------------------------------
 
@@ -45,15 +39,23 @@ tokens = st.builds(
     signature=st.binary(max_size=48),
 )
 
-insert_ops = st.builds(
-    InsertOp,
-    pl_id=small_uints,
-    element_id=small_uints,
-    group_id=small_uints,
-    share_y=uints,
+#: Insert rows ``(pl_id, element_id, group_id, share_y)`` and delete
+#: rows ``(pl_id, element_id)``; a request carries them as columns.
+insert_rows = st.lists(
+    st.tuples(small_uints, small_uints, small_uints, uints), max_size=6
 )
+delete_rows = st.lists(st.tuples(small_uints, small_uints), max_size=6)
 
-delete_ops = st.builds(DeleteOp, pl_id=small_uints, element_id=small_uints)
+insert_requests = st.builds(
+    lambda token, rows: m.InsertBatchRequest(token, *as_columns(rows)),
+    tokens,
+    insert_rows,
+)
+delete_requests = st.builds(
+    lambda token, rows: m.DeleteBatchRequest(token, *as_columns(rows, 2)),
+    tokens,
+    delete_rows,
+)
 
 records = st.builds(
     ShareRecord, element_id=small_uints, group_id=small_uints, share_y=uints
@@ -79,16 +81,8 @@ adopt_requests = st.builds(
 snippets = st.builds(Snippet, doc_id=small_uints, host=texts, text=texts)
 
 messages = st.one_of(
-    st.builds(
-        m.InsertBatchRequest,
-        token=tokens,
-        operations=st.lists(insert_ops, max_size=6).map(tuple),
-    ),
-    st.builds(
-        m.DeleteBatchRequest,
-        token=tokens,
-        operations=st.lists(delete_ops, max_size=6).map(tuple),
-    ),
+    insert_requests,
+    delete_requests,
     st.builds(
         m.FetchListsRequest,
         token=tokens,
@@ -241,6 +235,7 @@ def test_retired_export_list_type_byte_rejected():
 #: the class is gone with both its forms).
 _RETIRED_CLASSIC = {
     0x01: (m.InsertBatchRequest, 0x41),
+    0x02: (m.DeleteBatchRequest, 0x45),
     0x06: (m.AdoptListRequest, 0x44),
     0x22: (m.FetchListsResponse, 0x42),
     0x24: (None, None),
@@ -249,7 +244,7 @@ _RETIRED_CLASSIC = {
 
 @pytest.mark.parametrize("type_byte", sorted(_RETIRED_CLASSIC))
 def test_retired_classic_bulk_type_bytes_rejected(type_byte):
-    """0x01, 0x06, 0x22 and 0x24 (the classic bulk encodings) are
+    """0x01, 0x02, 0x06, 0x22 and 0x24 (the classic bulk encodings) are
     retired like 0x05: a frame carrying one is a typed unknown-type
     error, whatever body follows, and the message class encodes only
     under its packed byte."""
@@ -333,12 +328,9 @@ def test_wire_bytes_match_the_historical_cost_model():
     assert token.wire_bytes() == len("alice") + 8 + 8 + 32
     fetch = m.FetchListsRequest(token=token, pl_ids=(1, 2, 3))
     assert fetch.wire_bytes() == token.wire_bytes() + 4 * 3
-    op = InsertOp(pl_id=1, element_id=2, group_id=3, share_y=4)
-    insert = m.InsertBatchRequest(token=token, operations=(op, op))
+    insert = m.InsertBatchRequest(token, [1, 1], [2, 2], [3, 3], [4, 4])
     assert insert.wire_bytes(9) == token.wire_bytes() + 2 * (4 + 4 + 4 + 9)
-    delete = m.DeleteBatchRequest(
-        token=token, operations=(DeleteOp(pl_id=1, element_id=2),)
-    )
+    delete = m.DeleteBatchRequest(token, [1], [2])
     assert delete.wire_bytes() == token.wire_bytes() + 8
     snip = m.FetchSnippetRequest(token=token, doc_id=9, terms=("ab", "c"))
     assert snip.wire_bytes() == token.wire_bytes() + 8 + 3
@@ -370,13 +362,13 @@ def test_wire_bytes_match_the_historical_cost_model():
 
 # -- packed encodings (the bulk messages' record forms) -----------------------
 
+#: The type bytes of the packed forms.
+_PACKED_TYPES = (0x41, 0x42, 0x44, 0x45)
+
 #: Messages with a packed (fixed-width column) wire form.
 packable_messages = st.one_of(
-    st.builds(
-        m.InsertBatchRequest,
-        token=tokens,
-        operations=st.lists(insert_ops, max_size=6).map(tuple),
-    ),
+    insert_requests,
+    delete_requests,
     st.builds(
         m.FetchListsResponse,
         lists=st.lists(posting_lists, max_size=4).map(tuple),
@@ -389,7 +381,7 @@ packable_messages = st.one_of(
 @given(message=packable_messages)
 def test_packed_encode_decode_round_trip(message):
     encoded = codec.encode_message(message)
-    assert encoded[3] in (0x41, 0x42, 0x44)
+    assert encoded[3] in _PACKED_TYPES
     assert codec.decode_message(encoded) == message
 
 
@@ -558,12 +550,11 @@ def _packed_messages_with(share: int) -> list:
     )
     return [
         m.InsertBatchRequest(
-            token=token,
-            operations=tuple(
-                InsertOp(9, r.element_id, r.group_id, r.share_y)
-                for r in records
-            ),
+            token,
+            [9] * len(records),
+            *PostingListResponse.from_records(9, records).columns,
         ),
+        m.DeleteBatchRequest(token, [9, 10], [7, 70_000]),
         m.FetchListsResponse(
             lists=(
                 PostingListResponse.from_records(9, records),
@@ -578,7 +569,7 @@ def _packed_messages_with(share: int) -> list:
 def test_two_limb_shares_round_trip_in_every_packed_message(share):
     for message in _packed_messages_with(share):
         packed = codec.encode_message(message)
-        assert packed[3] in (0x41, 0x42, 0x44)
+        assert packed[3] in _PACKED_TYPES
         assert codec.decode_message(packed) == message
 
 
@@ -676,54 +667,52 @@ def test_version_2_frames_are_rejected_by_version():
             codec.decode_message(bytes(frame))
 
 
-# -- an insert batch is its columns, however it was built ---------------------
-
-
-def _from_columns(token, ops) -> m.InsertBatchRequest:
-    return m.InsertBatchRequest(
-        token=token, operations=RecordView(InsertOp, *insert_columns(ops))
-    )
+# -- a write batch is its columns, however they were built -------------------
 
 
 @settings(max_examples=150, deadline=None)
-@given(token=tokens, ops=st.lists(insert_ops, max_size=20))
+@given(token=tokens, ops=insert_rows)
 def test_insert_batch_from_columns_and_from_ops_share_their_bytes(token, ops):
-    from_ops = m.InsertBatchRequest(token=token, operations=tuple(ops))
-    from_columns = _from_columns(token, ops)
-    assert from_columns == from_ops and from_ops == from_columns
+    """Column lists, and tuples transposed from the rows with zip."""
+    from_columns = m.InsertBatchRequest(token, *as_columns(ops))
+    from_ops = m.InsertBatchRequest(token, *(tuple(zip(*ops)) or [()] * 4))
     assert from_columns.wire_bytes(9) == from_ops.wire_bytes(9)
     frame = codec.encode_message(from_columns)
     assert frame[3] == 0x41
     assert frame == codec.encode_message(from_ops)
-    decoded = codec.decode_message(frame)
-    assert decoded == from_ops and decoded == from_columns
-    assert [list(c) for c in insert_columns(decoded.operations)] == [
-        list(c) for c in insert_columns(ops)
-    ]
-    # The decoder hands the server the columns it read: no op was
-    # built, and the accessor returns them as they are.
-    assert isinstance(decoded.operations, RecordView)
-    assert insert_columns(decoded.operations) is decoded.operations.columns
+    # The decoder hands the server the columns it read, as lists.
+    assert codec.decode_message(frame) == from_columns
+
+
+_PINNED_TOKEN = AuthToken(
+    user_id="alice", issued_at=5, expires_at=900, signature=b"\x01\x02"
+)
 
 
 def test_insert_frames_are_the_bytes_every_earlier_peer_wrote():
     """The protocol version 3 frame of one fixed batch, as the per-op
     encoder wrote it before the batch travelled as columns."""
-    token = AuthToken(
-        user_id="alice", issued_at=5, expires_at=900, signature=b"\x01\x02"
-    )
-    ops = (
-        InsertOp(3, 70000, 2, 2**64 + 12),
-        InsertOp(0, 9, 1, 300),
-        InsertOp(3, 4, 2, 0),
-    )
+    columns = ([3, 0, 3], [70000, 9, 4], [2, 1, 2], [2**64 + 12, 300, 0])
     packed = bytes.fromhex(
         "5a57034105616c696365058407020102030103000303011170000009000004"
         "010201020901000000000000000c00000000000000012c000000000000000000"
     )
-    for message in (
-        m.InsertBatchRequest(token=token, operations=ops),
-        _from_columns(token, ops),
-    ):
-        assert codec.encode_message(message) == packed
-    assert codec.decode_message(packed).operations == ops
+    message = m.InsertBatchRequest(_PINNED_TOKEN, *columns)
+    assert codec.encode_message(message) == packed
+    assert codec.decode_message(packed) == message
+
+
+def test_delete_frames_are_the_token_and_two_packed_columns():
+    """0x45 is the token, then the row count and, per column, one width
+    byte and fixed-width big-endian values — written out by hand."""
+    packed = bytes.fromhex(
+        "5a570345"  # magic, version 3, type 0x45
+        "05616c696365" "05" "8407" "020102"  # the token
+        "03"  # three rows
+        "01030003"  # pl_ids: width 1
+        "03011170000009000004"  # element_ids: width 3
+    )
+    message = m.DeleteBatchRequest(_PINNED_TOKEN, [3, 0, 3], [70000, 9, 4])
+    assert codec.encode_message(message) == packed
+    assert codec.decode_message(packed) == message
+    assert message.wire_bytes() == _PINNED_TOKEN.wire_bytes() + 3 * 8

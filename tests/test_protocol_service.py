@@ -34,7 +34,7 @@ from repro.protocol import (
 )
 from repro.server.auth import AuthService
 from repro.server.groups import GroupDirectory
-from repro.server.index_server import IndexServer, InsertOp
+from repro.server.index_server import IndexServer
 from repro.server.transport import SimulatedNetwork
 
 
@@ -61,9 +61,9 @@ class TestInProcessTransport:
     def test_insert_then_fetch(self, world):
         _auth, _groups, token, server = world
         registry = _registry(server)
-        ops = (InsertOp(pl_id=1, element_id=7, group_id=0, share_y=99),)
+        columns = [1], [7], [0], [99]
         ack = registry.call(
-            "alice", "s0", InsertBatchRequest(token=token, operations=ops)
+            "alice", "s0", InsertBatchRequest(token, *columns)
         )
         assert ack.count == 1
         response = registry.call(
@@ -143,9 +143,9 @@ class TestSocketTransport:
 
     def test_round_trip_over_tcp(self, served):
         token, _server, transport = served
-        ops = (InsertOp(pl_id=3, element_id=11, group_id=0, share_y=42),)
+        columns = [3], [11], [0], [42]
         ack = transport.call(
-            "alice", "s0", InsertBatchRequest(token=token, operations=ops)
+            "alice", "s0", InsertBatchRequest(token, *columns)
         )
         assert ack.count == 1
         response = transport.call(
@@ -157,9 +157,10 @@ class TestSocketTransport:
         token, _server, transport = served
         bad = InsertBatchRequest(
             token=token,
-            operations=(
-                InsertOp(pl_id=1, element_id=1, group_id=5, share_y=1),
-            ),
+            pl_ids=[1],
+            element_ids=[1],
+            group_ids=[5],
+            share_ys=[1],
         )
         # Group 5 does not exist: the ACL denial crosses the wire typed.
         with pytest.raises(AccessDeniedError):
@@ -184,9 +185,10 @@ class TestSocketTransport:
             "s0",
             InsertBatchRequest(
                 token=token,
-                operations=(
-                    InsertOp(pl_id=1, element_id=1, group_id=0, share_y=1),
-                ),
+                pl_ids=[1],
+                element_ids=[1],
+                group_ids=[0],
+                share_ys=[1],
             ),
         )
         status = transport.call("alice", "s0", ServerStatusRequest())
@@ -258,11 +260,10 @@ class TestSocketTransport:
                 transport._sock.close()
                 request = InsertBatchRequest(
                     token=token,
-                    operations=(
-                        InsertOp(
-                            pl_id=1, element_id=5, group_id=0, share_y=9
-                        ),
-                    ),
+                    pl_ids=[1],
+                    element_ids=[5],
+                    group_ids=[0],
+                    share_ys=[9],
                 )
                 with pytest.raises(TransportError):
                     transport.call("alice", "s0", request)

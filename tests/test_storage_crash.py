@@ -24,8 +24,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import StorageError
-from helpers import state_rows
-from repro.server.index_server import DeleteOp, InsertOp
+from helpers import as_columns, state_rows
 from repro.storage import SegmentedStore, load_manifest
 from repro.storage.manifest import manifest_path
 from repro.storage.segment import scan_segment_numbers, segment_name
@@ -33,10 +32,11 @@ from repro.storage.segment import scan_segment_numbers, segment_name
 
 @st.composite
 def op_streams(draw):
-    """A short random interleaving of inserts and deletes."""
+    """A short random interleaving of inserts ``(pl_id, element_id,
+    group_id, share_y)`` and deletes ``(pl_id, element_id)``."""
     import random
 
-    ops: list[InsertOp | DeleteOp] = []
+    ops: list[tuple[int, ...]] = []
     live: set[tuple[int, int]] = set()
     count = draw(st.integers(min_value=1, max_value=50))
     rng = random.Random(draw(st.integers(0, 2**20)))
@@ -44,17 +44,10 @@ def op_streams(draw):
         pl = rng.randrange(3)
         eid = rng.randrange(10)
         if (pl, eid) in live and rng.random() < 0.4:
-            ops.append(DeleteOp(pl_id=pl, element_id=eid))
+            ops.append((pl, eid))
             live.discard((pl, eid))
         else:
-            ops.append(
-                InsertOp(
-                    pl_id=pl,
-                    element_id=eid,
-                    group_id=rng.randrange(3),
-                    share_y=rng.getrandbits(40),
-                )
-            )
+            ops.append((pl, eid, rng.randrange(3), rng.getrandbits(40)))
             live.add((pl, eid))
     return ops
 
@@ -62,13 +55,11 @@ def op_streams(draw):
 def apply_operation(state, op):
     """The model: fold one operation into a store state, each list
     held as ``{element_id: (group_id, share_y)}``."""
-    if isinstance(op, InsertOp):
-        state.setdefault(op.pl_id, {})[op.element_id] = (
-            op.group_id,
-            op.share_y,
-        )
-    elif op.pl_id in state:
-        state[op.pl_id].pop(op.element_id, None)
+    pl, eid, *record = op
+    if record:
+        state.setdefault(pl, {})[eid] = tuple(record)
+    elif pl in state:
+        state[pl].pop(eid, None)
 
 
 def state_of(ops):
@@ -95,10 +86,11 @@ def write_stream(directory, ops, **options):
     """One op per append batch, so records align one-to-one with ops."""
     store = SegmentedStore(directory, auto_compact=False, **options)
     for op in ops:
-        if isinstance(op, InsertOp):
-            store.append_inserts([op])
+        columns = [[value] for value in op]
+        if len(op) == 4:
+            store.append_inserts(*columns)
         else:
-            store.append_deletes([op])
+            store.append_deletes(*columns)
     return store
 
 
@@ -159,8 +151,8 @@ def test_torn_tail_then_continued_writes_stay_consistent(
         handle.truncate(size - cut)
     recovered = SegmentedStore(directory, auto_compact=False)
     surviving = clean_replay(recovered)
-    extra = InsertOp(pl_id=9, element_id=1, group_id=1, share_y=123)
-    recovered.append_inserts([extra])
+    extra = (9, 1, 1, 123)
+    recovered.append_inserts(*([value] for value in extra))
     replayed = clean_replay(recovered)
     recovered.close()
     expected = {pl: dict(recs) for pl, recs in surviving.items()}
@@ -175,17 +167,12 @@ def test_a_torn_batch_is_all_or_nothing(tmp_path):
     (and a retry of the batch would hit "already exists")."""
     directory = tmp_path / "seat"
     store = SegmentedStore(directory, auto_compact=False)
-    first = [InsertOp(pl_id=9, element_id=1, group_id=1, share_y=5)]
-    store.append_inserts(first)
+    first = [(9, 1, 1, 5)]
+    store.append_inserts(*as_columns(first))
     segment = directory / segment_name(1)
     start = segment.stat().st_size
-    batch = [
-        InsertOp(
-            pl_id=i % 4, element_id=100 + i, group_id=i % 3, share_y=i << 40
-        )
-        for i in range(24)
-    ]
-    store.append_inserts(batch)
+    batch = [(i % 4, 100 + i, i % 3, i << 40) for i in range(24)]
+    store.append_inserts(*as_columns(batch))
     store.close()
     image = segment.read_bytes()
     outcomes = (state_of(first), state_of(first + batch))
@@ -293,7 +280,7 @@ def test_half_written_snapshot_tmp_is_swept(tmp_path):
     directory = tmp_path / "seat"
     store = write_stream(
         directory,
-        [InsertOp(pl_id=0, element_id=i, group_id=1, share_y=i) for i in range(5)],
+        [(0, i, 1, i) for i in range(5)],
     )
     store.close()
     (directory / "snap-00000099.zsnap.tmp").write_bytes(b"ZSNP\x01partial")
@@ -307,7 +294,7 @@ def test_orphan_snapshot_not_in_manifest_is_swept(tmp_path):
     directory = tmp_path / "seat"
     store = write_stream(
         directory,
-        [InsertOp(pl_id=0, element_id=1, group_id=1, share_y=1)],
+        [(0, 1, 1, 1)],
     )
     store.close()
     orphan = directory / "snap-00000099.zsnap"
@@ -324,10 +311,7 @@ def test_corrupt_interior_segment_raises_loudly(tmp_path):
     directory = tmp_path / "seat"
     store = write_stream(
         directory,
-        [
-            InsertOp(pl_id=0, element_id=i, group_id=1, share_y=i)
-            for i in range(60)
-        ],
+        [(0, i, 1, i) for i in range(60)],
         segment_bytes=160,
     )
     store.close()
@@ -346,7 +330,7 @@ def test_corrupt_interior_segment_raises_loudly(tmp_path):
 def test_manifest_crc_mismatch_refuses_to_open(tmp_path):
     directory = tmp_path / "seat"
     store = write_stream(
-        directory, [InsertOp(pl_id=0, element_id=1, group_id=1, share_y=1)]
+        directory, [(0, 1, 1, 1)]
     )
     store.close()
     path = manifest_path(directory)
@@ -362,7 +346,7 @@ def test_missing_manifest_named_snapshot_refuses_to_open(tmp_path):
     directory = tmp_path / "seat"
     store = write_stream(
         directory,
-        [InsertOp(pl_id=0, element_id=i, group_id=1, share_y=i) for i in range(4)],
+        [(0, i, 1, i) for i in range(4)],
     )
     store.compact()
     store.close()

@@ -18,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    as_columns,
     leb128,
     list_rows,
     make_documents,
@@ -28,20 +29,17 @@ from repro.client.batching import BatchPolicy
 from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
 from repro.errors import ClusterError, IndexServerError, StorageError
-from repro.server.auth import AuthService
+from repro.server.auth import AuthService, AuthToken
 from repro.server.groups import GroupDirectory
-from repro.server.index_server import (
-    DeleteOp,
-    IndexServer,
-    InsertOp,
-    RecordView,
-    SeatList,
-    insert_columns,
-)
+from repro.server.index_server import IndexServer, SeatList
 from repro.observability.metrics import SampleView
 from repro.observability.service import METRICS_ENDPOINT
-from repro.protocol.codec import write_columns
-from repro.protocol.messages import AdoptSnapshotRequest, MetricsDumpRequest
+from repro.protocol.codec import decode_message, encode_message, write_columns
+from repro.protocol.messages import (
+    AdoptSnapshotRequest,
+    InsertBatchRequest,
+    MetricsDumpRequest,
+)
 from repro.protocol.service import IndexServerService
 from repro.storage import (
     Manifest,
@@ -68,31 +66,30 @@ from repro.storage.snapshot import (
 
 
 def ins(pl, eid, share=111, group=1):
-    return InsertOp(pl_id=pl, element_id=eid, group_id=group, share_y=share)
+    """One insert row: ``(pl_id, element_id, group_id, share_y)``."""
+    return (pl, eid, group, share)
 
 
 def apply_ops(ops):
-    """Reference interpretation of an op stream (the replay oracle)."""
-    state: dict[int, dict[int, object]] = {}
-    for op in ops:
-        if isinstance(op, InsertOp):
-            state.setdefault(op.pl_id, {})[op.element_id] = op
+    """Reference interpretation of a row stream (the replay oracle): a
+    four-field row inserts, a ``(pl_id, element_id)`` row deletes."""
+    state: dict[int, dict[int, tuple[int, int]]] = {}
+    for pl, eid, *record in ops:
+        if record:
+            state.setdefault(pl, {})[eid] = tuple(record)
         else:
-            state.get(op.pl_id, {}).pop(op.element_id, None)
-    return {
-        pl: {eid: (rec.group_id, rec.share_y) for eid, rec in plist.items()}
-        for pl, plist in state.items()
-    }
+            state.get(pl, {}).pop(eid, None)
+    return state
 
 
 class TestSegmentedStoreBasics:
     def test_round_trip_inserts_and_deletes(self, tmp_path):
         store = SegmentedStore(tmp_path / "seat", auto_compact=False)
         ops = [ins(0, i, share=1000 + i) for i in range(10)]
-        ops += [DeleteOp(pl_id=0, element_id=i) for i in range(4)]
+        ops += [(0, i) for i in range(4)]
         ops += [ins(7, 1, share=5, group=3)]
-        store.append_inserts(o for o in ops if isinstance(o, InsertOp))
-        store.append_deletes(o for o in ops if isinstance(o, DeleteOp))
+        store.append_inserts(*as_columns(o for o in ops if len(o) == 4))
+        store.append_deletes(*as_columns((o for o in ops if len(o) == 2), 2))
         replayed = store.replay()
         assert set(replayed[0].element_ids) == set(range(4, 10))
         assert list_rows(replayed[7]) == {1: (3, 5)}
@@ -104,7 +101,7 @@ class TestSegmentedStoreBasics:
             tmp_path / "seat", segment_bytes=128, auto_compact=False
         )
         for i in range(40):
-            store.append_inserts([ins(0, i)])
+            store.append_inserts(*as_columns([ins(0, i)]))
         numbers = scan_segment_numbers(tmp_path / "seat")
         assert len(numbers) > 1
         assert set(store.replay()[0].element_ids) == set(range(40))
@@ -112,11 +109,11 @@ class TestSegmentedStoreBasics:
 
     def test_reopen_continues_the_history(self, tmp_path):
         store = SegmentedStore(tmp_path / "seat", auto_compact=False)
-        store.append_inserts([ins(0, 1), ins(0, 2)])
+        store.append_inserts(*as_columns([ins(0, 1), ins(0, 2)]))
         store.close()
         again = SegmentedStore(tmp_path / "seat", auto_compact=False)
-        again.append_deletes([DeleteOp(pl_id=0, element_id=1)])
-        again.append_inserts([ins(0, 3)])
+        again.append_deletes([0], [1])
+        again.append_inserts(*as_columns([ins(0, 3)]))
         assert set(again.replay()[0].element_ids) == {2, 3}
         again.close()
 
@@ -124,27 +121,41 @@ class TestSegmentedStoreBasics:
         store = SegmentedStore(tmp_path / "seat", auto_compact=False)
         store.close()
         with pytest.raises(StorageError):
-            store.append_inserts([ins(0, 1)])
+            store.append_inserts(*as_columns([ins(0, 1)]))
         store.close()  # idempotent
 
     def test_destroy_removes_the_directory(self, tmp_path):
         store = SegmentedStore(tmp_path / "seat", auto_compact=False)
-        store.append_inserts([ins(0, 1)])
+        store.append_inserts(*as_columns([ins(0, 1)]))
         store.destroy()
         assert not (tmp_path / "seat").exists()
 
     def test_empty_append_batches_are_noops(self, tmp_path):
         store = SegmentedStore(tmp_path / "seat", auto_compact=False)
-        assert store.append_inserts([]) == 0
-        assert store.append_deletes([]) == 0
+        assert store.append_inserts([], [], [], []) == 0
+        assert store.append_deletes([], []) == 0
         assert store.records_appended == 0
         store.close()
 
 
+def _decoded_columns(ops):
+    """An insert batch's columns as a seat gets them over a socket."""
+    token = AuthToken("alice", 0, 1, b"")
+    frame = encode_message(InsertBatchRequest(token, *as_columns(ops)))
+    message = decode_message(frame)
+    return (
+        message.pl_ids,
+        message.element_ids,
+        message.group_ids,
+        message.share_ys,
+    )
+
+
 class TestColumnAppends:
-    """``append_inserts`` takes a batch as columns or as ops and writes
-    it as one record of the hand-written reference format, byte for
-    byte."""
+    """``append_inserts`` takes a batch's columns as any sequences — as
+    the owner builds them, transposed from rows, or decoded off the
+    wire — and writes it as one record of the hand-written reference
+    format, byte for byte."""
 
     OPS = [
         ins(3, 70000, share=2**64 + 12, group=2),
@@ -160,20 +171,16 @@ class TestColumnAppends:
     )
 
     @pytest.mark.parametrize(
-        "batch",
-        [
-            lambda ops: RecordView(InsertOp, *insert_columns(ops)),
-            tuple,
-            iter,
-        ],
-        ids=["view", "ops", "generator"],
+        "columns",
+        [as_columns, lambda ops: tuple(zip(*ops)), _decoded_columns],
+        ids=["lists", "tuples", "decoded"],
     )
-    def test_segment_bytes_match_the_per_op_reference(self, tmp_path, batch):
+    def test_segment_bytes_match_the_per_op_reference(self, tmp_path, columns):
         store = SegmentedStore(tmp_path / "seat", auto_compact=False)
-        assert store.append_inserts(batch(self.OPS)) == len(self.OPS)
+        assert store.append_inserts(*columns(self.OPS)) == len(self.OPS)
         store.close()
         written = (tmp_path / "seat" / segment_name(1)).read_bytes()
-        reference = segment_record(KIND_INSERT, *insert_columns(self.OPS))
+        reference = segment_record(KIND_INSERT, *as_columns(self.OPS))
         assert written[HEADER_LEN:] == reference == self.PINNED
         assert store.bytes_appended == len(reference)
         reopened = SegmentedStore(tmp_path / "seat", auto_compact=False)
@@ -182,8 +189,7 @@ class TestColumnAppends:
 
     def test_a_delete_batch_is_one_two_column_record(self, tmp_path):
         store = SegmentedStore(tmp_path / "seat", auto_compact=False)
-        deletes = [DeleteOp(pl_id=3, element_id=70000), DeleteOp(0, 9)]
-        assert store.append_deletes(iter(deletes)) == 2
+        assert store.append_deletes((3, 0), (70000, 9)) == 2
         store.close()
         written = (tmp_path / "seat" / segment_name(1)).read_bytes()
         assert written[HEADER_LEN:] == segment_record(
@@ -221,10 +227,9 @@ class TestBlockFormat:
             size = data.draw(st.sampled_from([0, 1, 2, 7]), label="rows")
             if keys and data.draw(st.booleans(), label="delete"):
                 batch = [
-                    DeleteOp(*data.draw(st.sampled_from(keys)))
-                    for _ in range(size)
+                    data.draw(st.sampled_from(keys)) for _ in range(size)
                 ]
-                store.append_deletes(batch)
+                store.append_deletes(*as_columns(batch, 2))
             else:
                 rows = data.draw(
                     st.lists(
@@ -233,9 +238,9 @@ class TestBlockFormat:
                         max_size=size,
                     )
                 )
-                batch = [InsertOp(*row) for row in rows]
-                store.append_inserts(batch)
-                keys += [(op.pl_id, op.element_id) for op in batch]
+                batch = rows
+                store.append_inserts(*as_columns(batch))
+                keys += [(pl, eid) for pl, eid, _group, _share in batch]
             ops += batch
             if data.draw(st.booleans(), label="compact"):
                 store.compact()
@@ -329,7 +334,7 @@ class TestBlockFormat:
     ):
         directory = tmp_path / "seat"
         store = SegmentedStore(directory, auto_compact=False)
-        store.append_inserts([ins(0, 1)])
+        store.append_inserts(*as_columns([ins(0, 1)]))
         store.close()
         with open(directory / segment_name(1), "ab") as handle:
             handle.write(
@@ -380,8 +385,8 @@ class TestCompaction:
             tmp_path / "seat", segment_bytes=128, auto_compact=False
         )
         for i in range(30):
-            store.append_inserts([ins(0, i)])
-        store.append_deletes([DeleteOp(pl_id=0, element_id=i) for i in range(25)])
+            store.append_inserts(*as_columns([ins(0, i)]))
+        store.append_deletes(*as_columns([(0, i) for i in range(25)], 2))
         before = store.replay()
         segments_before = scan_segment_numbers(tmp_path / "seat")
         written = store.compact()
@@ -397,9 +402,9 @@ class TestCompaction:
 
     def test_appends_after_compaction_land_in_the_suffix(self, tmp_path):
         store = SegmentedStore(tmp_path / "seat", auto_compact=False)
-        store.append_inserts([ins(0, 1)])
+        store.append_inserts(*as_columns([ins(0, 1)]))
         store.compact()
-        store.append_inserts([ins(0, 2)])
+        store.append_inserts(*as_columns([ins(0, 2)]))
         store.close()
         again = SegmentedStore(tmp_path / "seat", auto_compact=False)
         assert set(again.replay()[0].element_ids) == {1, 2}
@@ -407,7 +412,7 @@ class TestCompaction:
 
     def test_double_compact_is_a_noop(self, tmp_path):
         store = SegmentedStore(tmp_path / "seat", auto_compact=False)
-        store.append_inserts([ins(0, i) for i in range(5)])
+        store.append_inserts(*as_columns([ins(0, i) for i in range(5)]))
         assert store.compact() == 5
         assert store.compact() == 0
         store.close()
@@ -416,9 +421,11 @@ class TestCompaction:
         """After compaction, replay must not depend on the old segments
         (they are deleted) — the snapshot carries the prefix."""
         store = SegmentedStore(tmp_path / "seat", auto_compact=False)
-        store.append_inserts([ins(3, i, share=i * 7) for i in range(50)])
+        store.append_inserts(
+            *as_columns([ins(3, i, share=i * 7) for i in range(50)])
+        )
         store.compact()
-        store.append_deletes([DeleteOp(pl_id=3, element_id=0)])
+        store.append_deletes([3], [0])
         store.close()
         fresh = SegmentedStore(tmp_path / "seat", auto_compact=False)
         assert set(fresh.replay()[3].element_ids) == set(range(1, 50))
@@ -431,7 +438,7 @@ class TestCompaction:
             tmp_path / "seat", segment_bytes=256, compact_segments=2
         )
         for i in range(200):
-            store.append_inserts([ins(0, i)])
+            store.append_inserts(*as_columns([ins(0, i)]))
         store.wait_for_compaction()
         assert store.last_compaction_error is None
         status = store.status()
@@ -445,14 +452,14 @@ class TestCompaction:
         store = SegmentedStore(
             tmp_path / "seat", segment_bytes=512, auto_compact=False
         )
-        store.append_inserts([ins(0, i) for i in range(500)])
+        store.append_inserts(*as_columns([ins(0, i) for i in range(500)]))
         stop = threading.Event()
         written = []
 
         def writer():
             i = 1000
             while not stop.is_set():
-                store.append_inserts([ins(1, i)])
+                store.append_inserts(*as_columns([ins(1, i)]))
                 written.append(i)
                 i += 1
 
@@ -595,7 +602,7 @@ class TestSlotRestartOptions:
             auto_compact=False,
             segment_bytes=4096,
         )
-        store.append_inserts([ins(0, 1)])
+        store.append_inserts(*as_columns([ins(0, 1)]))
         coordinator = ClusterCoordinator(
             scheme=scheme, pods=[pod], auth=auth, groups=groups, share_bytes=9
         )
@@ -638,22 +645,22 @@ class TestPersistenceHook:
         server, token, store = hooked_server
         assert server.detach_store() is store
         assert server.persistence is None
-        server.insert_batch(token, [ins(0, 1)])
+        server.insert_batch(token, *as_columns([ins(0, 1)]))
         assert store.replay() == {}
         store.close()
 
     def test_accepted_mutations_reach_the_store(self, hooked_server):
         server, token, store = hooked_server
-        server.insert_batch(token, [ins(0, 1), ins(0, 2)])
-        server.delete(token, [DeleteOp(pl_id=0, element_id=1)])
+        server.insert_batch(token, *as_columns([ins(0, 1), ins(0, 2)]))
+        server.delete(token, [0], [1])
         assert set(store.replay()[0].element_ids) == {2}
         store.close()
 
     def test_rejected_batches_never_hit_disk(self, hooked_server):
         server, token, store = hooked_server
-        bad = InsertOp(pl_id=0, element_id=1, group_id=99, share_y=1)
+        bad = ins(0, 1, share=1, group=99)
         with pytest.raises(Exception):
-            server.insert_batch(token, [bad])
+            server.insert_batch(token, *as_columns([bad]))
         assert store.replay() == {}
         store.close()
 
@@ -662,11 +669,12 @@ class TestPersistenceHook:
         ops) must leave memory AND disk untouched — a partial apply
         that never reached the WAL would vanish on restart."""
         server, token, store = hooked_server
-        server.insert_batch(token, [ins(0, 7)])
+        server.insert_batch(token, *as_columns([ins(0, 7)]))
         with pytest.raises(IndexServerError):
-            server.insert_batch(token, [ins(0, 8), ins(0, 7)])
+            server.insert_batch(token, *as_columns([ins(0, 8), ins(0, 7)]))
         with pytest.raises(IndexServerError):
-            server.insert_batch(token, [ins(1, 5), ins(1, 5)])  # in-batch dup
+            # A duplicate inside the batch.
+            server.insert_batch(token, *as_columns([ins(1, 5), ins(1, 5)]))
         assert server.num_elements == 1
         assert set(store.replay()[0].element_ids) == {7}
         store.close()
@@ -675,17 +683,14 @@ class TestPersistenceHook:
         """ACLs are validated for the whole delete batch before any
         record is removed, so memory and WAL cannot diverge."""
         server, token, store = hooked_server
-        server.insert_batch(token, [ins(0, 1)])
+        server.insert_batch(token, *as_columns([ins(0, 1)]))
         # A foreign-group record adopted via replication (the ACL the
         # delete below must trip over).
         server.adopt_posting_list(0, [2], [99], [5])
         from repro.errors import AccessDeniedError
 
         with pytest.raises(AccessDeniedError):
-            server.delete(
-                token,
-                [DeleteOp(pl_id=0, element_id=1), DeleteOp(pl_id=0, element_id=2)],
-            )
+            server.delete(token, [0, 0], [1, 2])
         # Nothing was removed — not even the op the caller was allowed.
         assert {r.element_id for r in server.export_posting_list(0)} == {1, 2}
         assert set(store.replay()[0].element_ids) == {1, 2}
@@ -705,13 +710,15 @@ class TestPersistenceHook:
 
     def test_bulk_load_requires_empty_server(self, hooked_server):
         server, token, _store = hooked_server
-        server.insert_batch(token, [ins(0, 1)])
+        server.insert_batch(token, *as_columns([ins(0, 1)]))
         with pytest.raises(IndexServerError):
             server.bulk_load({0: SeatList()})
 
     def test_bulk_load_round_trips_a_replay(self, hooked_server, tmp_path):
         server, token, store = hooked_server
-        server.insert_batch(token, [ins(0, 1), ins(2, 3, share=9)])
+        server.insert_batch(
+            token, *as_columns([ins(0, 1), ins(2, 3, share=9)])
+        )
         replayed = store.replay()
         fresh = IndexServer(
             "s0b", x_coordinate=5, auth=AuthService(), groups=GroupDirectory()
@@ -748,8 +755,10 @@ class TestRecoveredRowOrder:
 
     def test_segment_replay_keeps_the_live_order(self, hooked_server, tmp_path):
         server, token, store = hooked_server
-        server.insert_batch(token, [ins(0, e) for e in (1, 2, 3, 4)])
-        server.delete(token, [DeleteOp(pl_id=0, element_id=1)])
+        server.insert_batch(
+            token, *as_columns([ins(0, e) for e in (1, 2, 3, 4)])
+        )
+        server.delete(token, [0], [1])
         (live,) = server.get_posting_lists(token, [0])
         assert live.element_ids == [4, 2, 3]
         assert store.replay()[0].element_ids == [4, 2, 3]
@@ -759,10 +768,12 @@ class TestRecoveredRowOrder:
 
     def test_compaction_keeps_the_live_order(self, hooked_server, tmp_path):
         server, token, store = hooked_server
-        server.insert_batch(token, [ins(0, e) for e in (1, 3, 7, 9)])
-        server.delete(token, [DeleteOp(pl_id=0, element_id=1)])
+        server.insert_batch(
+            token, *as_columns([ins(0, e) for e in (1, 3, 7, 9)])
+        )
+        server.delete(token, [0], [1])
         assert store.compact() == 3
-        server.insert_batch(token, [ins(0, 1)])
+        server.insert_batch(token, *as_columns([ins(0, 1)]))
         (live,) = server.get_posting_lists(token, [0])
         assert live.element_ids == [9, 3, 7, 1]
         assert store.replay()[0].element_ids == [9, 3, 7, 1]
@@ -820,7 +831,7 @@ class TestSnapshotRefusals:
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_the_wire_path_refuses_the_image(self, hooked_server, case):
         server, token, store = hooked_server
-        server.insert_batch(token, [ins(7, 1), ins(8, 2)])
+        server.insert_batch(token, *as_columns([ins(7, 1), ins(8, 2)]))
         before = [server.export_posting_list(pl) for pl in (7, 8)]
         appended = store.records_appended
         with pytest.raises(StorageError, match="list 7"):
@@ -854,9 +865,12 @@ class TestSnapshotShipmentLogging:
         )
         pl_ids = (0, 3, 5, 6)
         server.insert_batch(
-            token, [ins(pl, e, share=e) for pl in pl_ids for e in (1, 2, 3)]
+            token,
+            *as_columns(
+                [ins(pl, e, share=e) for pl in pl_ids for e in (1, 2, 3)]
+            ),
         )
-        server.delete(token, [DeleteOp(pl_id=3, element_id=1)])
+        server.delete(token, [3], [1])
         for pl in pl_ids[:3]:  # list 6 ships absent: the seat's copy dies
             source.adopt_posting_list(
                 pl, [9, 2, 4, 7], [1, 1, 1, 1], [pl, pl + 1, pl + 2, pl + 3]
