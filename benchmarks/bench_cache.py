@@ -10,9 +10,9 @@ same deterministic cluster scenario:
   searcher-local L1 of reconstructed postings in front of a small
   shared L2 cache tier running that admission/eviction policy. Both
   tiers are deliberately sized *below* the number of merged lists so
-  the policies actually have to choose what to keep; the coordinator's
-  own share cache is disabled (``cache_entries=0``) so every hit is
-  attributable to the subsystem under test.
+  the policies actually have to choose what to keep. They are the only
+  read caches, so every hit is attributable to the subsystem under
+  test.
 
 Every query's results are digested and the cached replays must be
 byte-identical to the uncached baseline — a cache that changes answers
@@ -119,8 +119,6 @@ def _build_cluster(documents, cached: bool, policy: str) -> ClusterDeployment:
             "cache_tier": policy,
             "cache_tier_entries": L2_ENTRIES,
             "l1_entries": L1_ENTRIES,
-            # Attribute every hit to the subsystem under test.
-            "cache_entries": 0,
         }
     cluster = ClusterDeployment(
         MappingTable({}, num_lists=NUM_LISTS),

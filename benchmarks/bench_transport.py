@@ -12,9 +12,10 @@ reconstruction CPU ("batch").
 Rows land in ``benchmarks/results/BENCH_transport.json``:
 
 - ``in_process`` / ``async_socket``: uncached qps, sequential
-  ("single") and 8-way concurrent ("batch"), plus cached qps (this
-  file measures the per-call cost; ``bench_load.py`` drives the socket
-  backend open loop);
+  ("single") and 8-way concurrent ("batch"), plus cached qps — one
+  searcher whose L1 holds every merged list (this file measures the
+  per-call cost; ``bench_load.py`` drives the socket backend open
+  loop);
 - ``baseline_uncached_qps``: the PR 3 single-pod number read from
   BENCH_cluster.json, for the within-10% acceptance check.
 
@@ -38,6 +39,7 @@ from repro.cluster import ClusterDeployment
 from repro.corpus.synthetic import SyntheticCorpusConfig, generate_corpus
 
 N, K = 3, 2
+NUM_LISTS = 64
 NUM_QUERIES = 40
 TERMS_PER_QUERY = 3
 BATCH_WORKERS = 8
@@ -75,7 +77,7 @@ def _build(corpus, transport):
     cluster = ClusterDeployment.bootstrap(
         corpus.term_probabilities(),
         heuristic="dfm",
-        num_lists=64,
+        num_lists=NUM_LISTS,
         num_pods=1,
         k=K,
         n=N,
@@ -102,8 +104,13 @@ PASSES = 3
 
 
 def _qps_sequential(cluster, queries, use_cache):
-    searcher = cluster.searcher("owner0", use_cache=use_cache)
-    if use_cache:  # warm pass the cache absorbs
+    # The cached row's L1 has room for every merged list.
+    searcher = cluster.searcher(
+        "owner0",
+        use_cache=use_cache,
+        l1_entries=NUM_LISTS if use_cache else 0,
+    )
+    if use_cache:  # warm pass the L1 absorbs
         for terms in queries:
             searcher.search(terms, top_k=10, fetch_snippets=False)
     best = 0.0

@@ -205,9 +205,6 @@ def metrics_snapshot(cluster) -> dict:
         ),
         "search_latency": quantiles_ms("zerber_search_latency_seconds"),
         "hit_rates": {
-            "share_cache": rate(
-                "zerber_share_cache_hits", "zerber_share_cache_misses"
-            ),
             "l1": rate("zerber_l1_hits", "zerber_l1_misses"),
             "l2": rate(
                 "zerber_cache_tier_hits", "zerber_cache_tier_misses"

@@ -8,7 +8,7 @@ Walks the sharded cluster engine end to end:
    consistent hashing;
 2. run batched multi-term queries: one lookup message per contacted
    server per query, not one per term;
-3. watch the share cache absorb a repeated query (zero messages);
+3. watch the searcher's own L1 absorb a repeated query (zero messages);
 4. kill one server in every pod — failover keeps every answer
    byte-identical;
 5. kill down to exactly k in one pod, then past it — the pod degrades
@@ -62,7 +62,7 @@ def main() -> None:
     # 2. Batched multi-term query.
     doc = corpus.documents_in_group(0)[0]
     terms = sorted(doc.term_counts)[:3]
-    searcher = cluster.searcher("owner0")
+    searcher = cluster.searcher("owner0", l1_entries=16)
     results = searcher.search(terms, top_k=5)
     diagnostics = searcher.last_cluster_diagnostics
     print(f"\nowner0 queried {terms}: {len(results)} hits")
@@ -70,11 +70,12 @@ def main() -> None:
           f"lookup messages: {diagnostics.lookup_messages} "
           "(one per server per query, not per term)")
 
-    # 3. The share cache absorbs the repeat.
+    # 3. The searcher-local L1 absorbs the repeat.
     repeated = searcher.search(terms, top_k=5)
     diagnostics = searcher.last_cluster_diagnostics
     assert repeated == results
-    print(f"repeat query: {diagnostics.cache_hits} cache hits, "
+    assert diagnostics.l1_hits > 0 and diagnostics.lookup_messages == 0
+    print(f"repeat query: {diagnostics.l1_hits} L1 hits, "
           f"{diagnostics.lookup_messages} messages — free")
 
     # 4. Kill one server per pod; answers must not move.

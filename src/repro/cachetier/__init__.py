@@ -11,10 +11,11 @@ Two tiers in front of the server fleet:
   backend, with pluggable eviction/admission policies
   (:mod:`repro.cachetier.policies`).
 
-Both tiers obey the share cache's two safety rules — invalidate before
-any write is delivered, re-key (and eagerly evict) on membership
-change — which is what keeps a cached read byte-identical to an
-uncached one.
+Both tiers obey the same two safety rules — invalidate before any
+write is delivered, re-key (and eagerly evict) on membership change —
+which is what keeps a cached read byte-identical to an uncached one.
+The L1 is the only process-local read cache; the coordinator keeps
+none of its own.
 """
 
 from repro.cachetier.l1 import L1PostingCache

@@ -1,11 +1,11 @@
 """The searcher-local L1: reconstructed postings, zero network on a hit.
 
-Where the coordinator's share cache and the L2 tier store *shares*
-(a hit still pays Lagrange reconstruction), the L1 sits past the
-reconstruction stage: it holds the decrypted-but-unfiltered postings
-of one list for one ``(user, group fingerprint, width)`` context, in
-the term-grouped form the bulk decode produces — ``({term_id:
-[(doc_id, tf), ...]}, elements decoded)`` — so a hot repeat query costs
+Where the L2 tier stores *shares* (a hit still pays Lagrange
+reconstruction), the L1 sits past the reconstruction stage: it holds
+the decrypted-but-unfiltered postings of one list for one ``(user,
+group fingerprint, width)`` context, in the term-grouped form the bulk
+decode produces — ``({term_id: [(doc_id, tf), ...]}, elements
+decoded)`` — so a hot repeat query costs
 no messages, no bytes, no field arithmetic, and a dict lookup per
 queried term instead of a scan of the merged list. Entries are shared
 with the reader, not copied: the searcher only ever reads them.
@@ -13,6 +13,8 @@ with the reader, not copied: the searcher only ever reads them.
 Because the values are plaintext postings, the L1 is strictly
 *searcher-local* — it lives inside the querying user's own client,
 which already sees these postings; nothing here weakens the §5 model.
+It is the only process-local read cache: the coordinator keeps none,
+so the control plane never holds k shares of a cached element.
 Two safety rules keep it byte-identical to a fresh fetch:
 
 - **invalidate-before-write**: the coordinator fans every write's
@@ -26,7 +28,7 @@ Two safety rules keep it byte-identical to a fresh fetch:
   stale fingerprint is somehow replayed.
 
 Shortfall entries are never stored: a list fetched with any element
-below k shares is served but uncacheable, same rule as the share cache.
+below k shares is served but uncacheable, same rule as the L2 tier.
 
 Thread safety: the owning searcher runs get/put on its query thread,
 but the coordinator mutates registered L1s from *other* threads —
@@ -57,10 +59,13 @@ class L1PostingCache:
         self._entries: OrderedDict[L1Key, tuple] = OrderedDict()
         self._keys_of_pl: dict[int, set[L1Key]] = {}
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.invalidations = 0
+        #: Lifetime hits / misses / evictions / invalidations. One dict
+        #: the cache only ever mutates, so the coordinator can fold its
+        #: totals into the fleet's after the cache itself is gone
+        #: (:meth:`~repro.cluster.ClusterCoordinator.register_l1`).
+        self.counts = dict.fromkeys(
+            ("hits", "misses", "evictions", "invalidations"), 0
+        )
 
     def __len__(self) -> int:
         with self._lock:
@@ -70,10 +75,10 @@ class L1PostingCache:
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.misses += 1
+                self.counts["misses"] += 1
                 return None
             self._entries.move_to_end(key)
-            self.hits += 1
+            self.counts["hits"] += 1
             return entry
 
     def put(self, key: L1Key, pl_id: int, postings: tuple) -> None:
@@ -85,7 +90,7 @@ class L1PostingCache:
             while len(self._entries) >= self.capacity:
                 victim, _ = self._entries.popitem(last=False)
                 self._unindex(victim)
-                self.evictions += 1
+                self.counts["evictions"] += 1
             self._entries[key] = postings
             self._keys_of_pl.setdefault(pl_id, set()).add(key)
 
@@ -97,7 +102,7 @@ class L1PostingCache:
                 return 0
             for key in keys:
                 self._entries.pop(key, None)
-            self.invalidations += len(keys)
+            self.counts["invalidations"] += len(keys)
             return len(keys)
 
     def evict_user(self, user_id: str) -> int:
@@ -106,7 +111,7 @@ class L1PostingCache:
             doomed = [key for key in self._entries if key[0] == user_id]
             for key in doomed:
                 self._drop(key)
-            self.invalidations += len(doomed)
+            self.counts["invalidations"] += len(doomed)
             return len(doomed)
 
     def clear(self) -> None:
@@ -133,8 +138,5 @@ class L1PostingCache:
             return {
                 "entries": len(self._entries),
                 "capacity": self.capacity,
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-                "invalidations": self.invalidations,
+                **self.counts,
             }

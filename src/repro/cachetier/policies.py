@@ -3,9 +3,9 @@
 Two policies, one interface:
 
 - :class:`LRUPolicy` — the baseline: admit everything, evict the least
-  recently used entry. It is the same discipline the coordinator's
-  per-process share cache uses, lifted behind a policy interface so the
-  bench can compare it head-to-head with smarter admission.
+  recently used entry — the searcher-local L1's discipline, behind a
+  policy interface so the bench can compare it head-to-head with
+  smarter admission.
 - :class:`TinyLFUPolicy` — LRU eviction order plus a TinyLFU-style
   admission filter: a count-min sketch estimates how often each key has
   been *asked for* lately, and a new key is only admitted when its

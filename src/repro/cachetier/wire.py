@@ -1,10 +1,10 @@
 """Byte format of one cache-tier value.
 
-A value is the exact thing the cluster client's share cache stores for
-one posting list: the sorted ``(slot_index, PostingListResponse)``
-pairs a fetch produced, each response in the wire protocol's packed
-column form (:func:`repro.protocol.codec.write_columns` — a width byte
-and fixed-width values per column, not three varints per record), so
+A value is what one fleet fetch of one posting list produced for the
+cluster client: the sorted ``(slot_index, PostingListResponse)`` pairs,
+each response in the wire protocol's packed column form
+(:func:`repro.protocol.codec.write_columns` — a width byte and
+fixed-width values per column, not three varints per record), so
 the byte discipline — bounds checks before allocation, width caps, no
 trailing garbage — is shared with the codec, not reimplemented.
 
@@ -73,8 +73,7 @@ def entry_key(
     only, so two users with identical group sets receive identical
     bytes and may share entries (that sharing is the point of a fleet-
     wide tier). A membership change rotates the fingerprint and thus
-    the key, exactly the re-keying rule the per-coordinator share cache
-    relies on.
+    the key, the same re-keying rule the searcher-local L1 relies on.
 
     ``epoch`` is the list's coordinator write epoch, captured *before*
     the fetch that produced the entry. Invalidation bumps the epoch, so

@@ -175,9 +175,7 @@ def _build_cluster(args: argparse.Namespace, **extra):
     probs = corpus.term_probabilities()
     if getattr(args, "cache_tier", None):
         extra.setdefault("cache_tier", args.cache_tier)
-        extra.setdefault(
-            "l1_entries", getattr(args, "l1_entries", 0) or 0
-        )
+    extra.setdefault("l1_entries", getattr(args, "l1_entries", 0) or 0)
     try:
         cluster = ClusterDeployment.bootstrap(
             probs,
@@ -270,15 +268,15 @@ def _cmd_cluster_search(args: argparse.Namespace) -> int:
     diag = searcher.last_cluster_diagnostics
     print(f"pods contacted: {diag.pods_contacted}, "
           f"lookup messages: {diag.lookup_messages}, "
-          f"cache hits: {diag.cache_hits}, failovers: {diag.failovers}")
+          f"failovers: {diag.failovers}")
     print(f"lookup bytes: {searcher.last_diagnostics.response_bytes}")
     repeated = searcher.search(terms, top_k=args.top_k)
     if repeated != results:
         print("ERROR: cached repeat query diverged from the first run")
         return 1
-    print(f"repeat query: {searcher.last_cluster_diagnostics.cache_hits} "
-          f"cache hits, {searcher.last_cluster_diagnostics.lookup_messages} "
-          "messages")
+    diag = searcher.last_cluster_diagnostics
+    print(f"repeat query: {diag.l1_hits} L1 hits, "
+          f"{diag.lookup_messages} lookup messages")
     return 0
 
 
@@ -466,25 +464,12 @@ def _pod_status_lines(view) -> list:
 
 
 def _cache_status_lines(view) -> list:
-    """Share-cache / L1 / L2 rows from a metrics view."""
+    """L1 / L2 rows from a metrics view."""
     lines = []
-    entries = view.value("zerber_share_cache_entries")
-    if entries is not None:
-        lines.append(
-            f"share cache: {int(entries)}"
-            f"/{int(view.value('zerber_share_cache_capacity', 0))} "
-            f"entries, {int(view.value('zerber_share_cache_hits', 0))} "
-            f"hits / {int(view.value('zerber_share_cache_misses', 0))} "
-            f"misses, "
-            f"{int(view.value('zerber_share_cache_evictions', 0))} "
-            f"evictions, "
-            f"{int(view.value('zerber_share_cache_invalidations', 0))} "
-            f"invalidations"
-        )
-    if view.value("zerber_l1_caches", 0):
-        hits = int(view.value("zerber_l1_hits", 0))
-        misses = int(view.value("zerber_l1_misses", 0))
-        total = hits + misses
+    hits = int(view.value("zerber_l1_hits", 0))
+    misses = int(view.value("zerber_l1_misses", 0))
+    total = hits + misses
+    if total or view.value("zerber_l1_caches", 0):
         rate = (hits / total * 100.0) if total else 0.0
         lines.append(
             f"L1 (searcher-local, "
@@ -951,8 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--l1-entries", type=int, default=0,
             help="searcher-local L1 capacity in reconstructed posting "
-                 "lists (0 disables; requires --cache-tier to matter "
-                 "for the shared tier, but works standalone too)",
+                 "lists (0 disables; independent of --cache-tier)",
         )
 
     deploy = cluster_sub.add_parser(
@@ -1103,8 +1087,8 @@ def build_parser() -> argparse.ArgumentParser:
     chstatus = cache_sub.add_parser(
         "status",
         help="stand up a cached cluster, run a warm-up workload, and "
-             "render L1/L2 hit statistics (L2 stats fetched over the "
-             "wire protocol's CacheStats message)",
+             "render L1/L2 hit statistics (fetched over the wire "
+             "protocol's MetricsDump message)",
     )
     _common_cluster_args(chstatus)
     chstatus.add_argument(

@@ -4,11 +4,11 @@ This package composes the seed's pieces — the §5 k-of-n server fleet,
 the §8 DHT placement sketch, Shamir reconstruction from any k shares,
 and the simulated transport — into a cluster that shards merged posting
 lists across server *pods*, batches multi-term lookups into one message
-per server, survives up to n - k server failures per pod, and fronts
-reads with an LRU share cache invalidated on writes.
+per server, and survives up to n - k server failures per pod. Repeat
+reads are served by the searcher's own L1 of reconstructed postings
+(:mod:`repro.cachetier`), which every write invalidates first.
 """
 
-from repro.cluster.cache import CacheStats, LRUShareCache
 from repro.cluster.clients import ClusterDiagnostics, ClusterSearchClient
 from repro.cluster.coordinator import (
     ClusterCoordinator,
@@ -21,12 +21,10 @@ from repro.cluster.coordinator import (
 from repro.cluster.deployment import ClusterDeployment
 
 __all__ = [
-    "CacheStats",
     "ClusterCoordinator",
     "ClusterDeployment",
     "ClusterDiagnostics",
     "ClusterSearchClient",
-    "LRUShareCache",
     "Pod",
     "RebalanceStats",
     "ServerSlot",

@@ -27,11 +27,14 @@ routing:
   already fetched (slot s shares are identical across replicas, so the
   merge dedups by slot). Only when every replica is exhausted below k
   trusted answered slots does the query degrade loudly;
-- **share cache**: reads are fronted by the coordinator's LRU cache
-  (invalidated on writes, re-keyed on membership changes); a cache hit
-  costs zero messages and zero bytes. Cache keys are pod-agnostic —
-  ``(user, group fingerprint, width, pl_id)`` — so an entry fetched
-  from one replica serves reads even after that pod dies;
+- **caches**: reads are fronted by the searcher-local L1 of
+  reconstructed postings (``l1_entries``) and, when one is attached,
+  the shared L2 tier of share bundles (``cache_tier``); both are
+  invalidated before every write and re-keyed on membership changes,
+  and an L1 hit costs zero messages and zero bytes. Cache keys are
+  pod-agnostic — ``(user, group fingerprint, width, pl_id, epoch)`` —
+  so an entry fetched from one replica serves reads even after that
+  pod dies;
 - **pipelined fetch rounds**: each failover round assigns disjoint
   list sets to its pods, and every pod's first-choice seat lookups
   leave in one :meth:`~repro.protocol.transport.Transport.call_many`
@@ -102,7 +105,6 @@ class ClusterDiagnostics:
     Attributes:
         pods_contacted: pods that actually received a lookup message.
         lookup_messages: lookup RPCs actually sent (cache hits send none).
-        cache_hits: posting lists served entirely from the share cache.
         failovers: servers skipped because they were down.
         escalations: extra fetches issued to cover share shortfalls.
         pod_failovers: lists retried on a further replica pod because
@@ -118,7 +120,6 @@ class ClusterDiagnostics:
 
     pods_contacted: int = 0
     lookup_messages: int = 0
-    cache_hits: int = 0
     failovers: int = 0
     escalations: int = 0
     pod_failovers: int = 0
@@ -170,7 +171,7 @@ class ClusterSearchClient(SearchClient):
         user_id: the searching principal (network endpoint name too).
         token: enterprise auth ticket.
         coordinator: the cluster control plane (placement, liveness,
-            share cache, public Shamir parameters).
+            write epochs, public Shamir parameters).
         mapping_table: public term -> posting-list resolver.
         dictionary: public term -> term_id registry.
         codec: posting-element unpacker.
@@ -178,7 +179,8 @@ class ClusterSearchClient(SearchClient):
         snippet_service: optional hosting-peer registry.
         verify_consistency: cross-check reconstructions when more than k
             shares arrive (see :class:`SearchClient`).
-        use_cache: front lookups with the coordinator's share cache.
+        use_cache: front lookups with the L1 and the L2 tier, when
+            either is attached (never under ``verify_consistency``).
         batch_lookups: one lookup message per server per query, each
             round's first-choice lookups pipelined (True, the default),
             vs one message per posting list per server, one at a time
@@ -200,10 +202,9 @@ class ClusterSearchClient(SearchClient):
             fetch latency (:meth:`ClusterCoordinator.hedge_delay_s`).
         cache_tier: endpoint name of a shared cache-tier service
             (:class:`repro.cachetier.CacheTierService`); None (default)
-            skips the L2 consult entirely. Obeys the same gating as
-            the share cache (``use_cache``, and never under
-            ``verify_consistency``); a dead or unknown tier degrades
-            silently to a fleet fetch.
+            skips the L2 consult entirely. Gated like the L1
+            (``use_cache``, and never under ``verify_consistency``); a
+            dead or unknown tier degrades silently to a fleet fetch.
         l1_entries: capacity of a searcher-local L1 of *reconstructed*
             postings; 0 (default) disables it. The L1 registers with
             the coordinator for write-fan-out invalidation and eager
@@ -287,81 +288,40 @@ class ClusterSearchClient(SearchClient):
         coordinator = self._coordinator
         # verify_consistency needs fresh shares from > k servers every
         # time — serving a k-share cached entry would silently disable
-        # the lying-server cross-check, so the cache steps aside. The
-        # same gate covers the shared cache tier.
-        caching = self._use_cache and not self._verify
-        cache = coordinator.cache if caching else None
-        tier = self._cache_tier if caching else None
-        fingerprint = (
-            coordinator.group_fingerprint(self.user_id)
-            if caching
+        # the lying-server cross-check, so the tier steps aside.
+        tier = (
+            self._cache_tier
+            if self._use_cache and not self._verify
             else None
         )
-        # Epochs are captured once, before any share leaves a seat: a
-        # fill is installed under the captured epoch, so a write that
-        # invalidates (and bumps) mid-fetch fences the fill into a key
-        # no later reader derives — re-installing pre-write shares
-        # after an invalidation is the race this closes.
-        epochs = (
-            {pl_id: coordinator.write_epoch(pl_id) for pl_id in pl_ids}
-            if caching
-            else {}
-        )
         out: list[tuple[int, list[PostingListResponse]]] = []
-        need: list[int] = []
-        with span("cache-lookup"):
-            for pl_id in pl_ids:
-                # num_servers is part of the key: a wider request must
-                # not be satisfied by a narrower fetch.
-                key = (
-                    self.user_id,
-                    fingerprint,
-                    num_servers,
-                    pl_id,
-                    epochs.get(pl_id),
-                )
-                entry = cache.get(key) if cache is not None else None
-                if entry is not None:
-                    diag.cache_hits += 1
-                    # Cache-hit-aware balancing: the pod whose fetch
-                    # produced this entry is still absorbing the list's
-                    # read traffic; tell the coordinator so its replica
-                    # ranking doesn't mistake it for idle.
-                    coordinator.note_cache_read(pl_id)
-                    for slot_index, response in entry:
-                        out.append((slot_index, [response]))
-                else:
-                    need.append(pl_id)
-        if tier is not None and need:
+        need = list(pl_ids)
+        if tier is not None:
+            fingerprint = coordinator.group_fingerprint(self.user_id)
+            # Epochs are captured once, before any share leaves a seat:
+            # a fill is installed under the captured epoch, so a write
+            # that invalidates (and bumps) mid-fetch fences the fill
+            # into a key no later reader derives — re-installing
+            # pre-write shares after an invalidation is the race this
+            # closes.
+            epochs = {
+                pl_id: coordinator.write_epoch(pl_id) for pl_id in pl_ids
+            }
             # Consult the shared tier before paying a fleet fetch. A
             # hit is the same sorted (slot, response) pairs a fetch
-            # would have produced; it also warms the local share cache
-            # so the next repeat stays process-local.
-            still: list[int] = []
-            for pl_id in need:
+            # would have produced.
+            need = []
+            for pl_id in pl_ids:
                 entry = self._cache_tier_get(
                     fingerprint, num_servers, pl_id, epochs[pl_id]
                 )
                 if entry is None:
-                    still.append(pl_id)
+                    need.append(pl_id)
                     continue
                 diag.l2_hits += 1
                 coordinator.note_cache_read(pl_id)
                 for slot_index, response in entry:
                     out.append((slot_index, [response]))
-                if cache is not None:
-                    cache.put(
-                        (
-                            self.user_id,
-                            fingerprint,
-                            num_servers,
-                            pl_id,
-                            epochs[pl_id],
-                        ),
-                        pl_id,
-                        entry,
-                    )
-            need = still
         if not need:
             return out
         merged, unresolved = self._fetch_with_failover(
@@ -376,23 +336,10 @@ class ClusterSearchClient(SearchClient):
             # never cached: the missing shares may reappear when a
             # server recovers, and a cached short entry would hide
             # them until an unrelated write evicted it.
-            if pairs and pl_id not in unresolved:
-                if cache is not None:
-                    cache.put(
-                        (
-                            self.user_id,
-                            fingerprint,
-                            num_servers,
-                            pl_id,
-                            epochs[pl_id],
-                        ),
-                        pl_id,
-                        pairs,
-                    )
-                if tier is not None:
-                    self._cache_tier_put(
-                        fingerprint, num_servers, pl_id, epochs[pl_id], pairs
-                    )
+            if tier is not None and pairs and pl_id not in unresolved:
+                self._cache_tier_put(
+                    fingerprint, num_servers, pl_id, epochs[pl_id], pairs
+                )
         return out
 
     def _cache_tier_get(
@@ -469,7 +416,7 @@ class ClusterSearchClient(SearchClient):
             return self._reconstruct_lists(pl_ids, num_servers)
         coordinator = self._coordinator
         fingerprint = coordinator.group_fingerprint(self.user_id)
-        # Same fence as the share tiers: the epoch rides in the key,
+        # Same fence as the L2 tier: the epoch rides in the key,
         # captured before any fetch, so an L1 fill racing the
         # coordinator's invalidation thread lands under a dead key
         # instead of resurrecting pre-write postings.

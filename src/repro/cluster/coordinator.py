@@ -23,7 +23,7 @@ cluster layer shards the merged lists across many pods:
 
 The :class:`ClusterCoordinator` is the control plane: it owns the
 placement, routes writes to every replica pod's live servers
-(invalidating the share cache first), remembers which seats missed
+(invalidating every cache tier first), remembers which seats missed
 which lists (the staleness ledger read preference and owner
 re-provisioning lean on), tracks which servers are dead, and restarts
 them — from their durable seat store (a
@@ -51,7 +51,6 @@ from random import Random
 from typing import Callable, Iterable, Sequence
 
 from repro.client.owner import DroppedRoute, WriteRoute
-from repro.cluster.cache import LRUShareCache
 from repro.errors import ClusterDegradedError, ClusterError, ReproError
 from repro.extensions.dht import ConsistentHashRing
 from repro.observability.metrics import MetricsRegistry
@@ -247,9 +246,9 @@ class ClusterCoordinator:
     """Control plane of a sharded Zerber cluster.
 
     Owners use it as their write router (:meth:`route_batch`); searchers use
-    it for read placement (:meth:`group_by_pod`), the shared
-    :attr:`cache`, and liveness. Operators use :meth:`kill_server` /
-    :meth:`restart_server` for failure drills.
+    it for read placement (:meth:`group_by_pod`), cache-key write
+    epochs (:meth:`write_epoch`), and liveness. Operators use
+    :meth:`kill_server` / :meth:`restart_server` for failure drills.
     """
 
     def __init__(
@@ -259,7 +258,6 @@ class ClusterCoordinator:
         auth: AuthService,
         groups: GroupDirectory,
         share_bytes: int,
-        cache_entries: int = 4096,
         virtual_nodes: int = 64,
         replication_factor: int = 1,
         transport: InProcessTransport | None = None,
@@ -273,10 +271,9 @@ class ClusterCoordinator:
             slots so shares stay slot-aligned.
         auth: enterprise auth service (needed to rebuild servers on
             WAL restart).
-        groups: the replicated group table (also feeds the cache's
-            membership fingerprints).
+        groups: the replicated group table (also feeds the cache
+            keys' membership fingerprints).
         share_bytes: wire size of one share value.
-        cache_entries: LRU share-cache capacity; 0 disables caching.
         virtual_nodes: ring smoothness for pod placement.
         replication_factor: pods each merged posting list lives on.
             1 reproduces the PR 1 single-owner sharding; >= 2 keeps
@@ -339,7 +336,6 @@ class ClusterCoordinator:
         self.clock = clock
         #: Optional observability registry note_pod_read publishes into.
         self.metrics = metrics
-        self.cache = LRUShareCache(cache_entries)
         #: Routing decisions (one per distinct posting list per batch,
         #: per dead seat, per replica pod) made while a seat was down,
         #: and one per list per seat that failed its message of a write
@@ -394,9 +390,9 @@ class ClusterCoordinator:
         #: are comparable). Fed by :meth:`note_pod_read`; consulted by
         #: :meth:`read_replicas`.
         self.pod_read_latency: dict[str, float] = {}
-        #: pod name -> posting lists served from share-cache entries
-        #: this pod originally fetched (cache-hit-aware accounting: a
-        #: pod whose entries absorb a hot list's reads is still carrying
+        #: pod name -> posting lists served from L1 / L2 entries this
+        #: pod originally fetched (cache-hit-aware accounting: a pod
+        #: whose entries absorb a hot list's reads is still carrying
         #: that list's traffic, and the balancer should know).
         self.pod_cache_reads: dict[str, int] = {}
         #: pl_id -> pod whose fetch last actually served the list (the
@@ -422,6 +418,12 @@ class ClusterCoordinator:
         #: Weakly referenced: a searcher that goes away takes its L1
         #: with it, with no unsubscribe ceremony.
         self._l1_caches: weakref.WeakSet = weakref.WeakSet()
+        #: Lifetime counters of the L1s already gone, folded in by
+        #: their finalizers so fleet totals never run backwards.
+        self._retired_l1_counts = dict.fromkeys(
+            ("hits", "misses", "evictions", "invalidations"), 0
+        )
+        self._l1_lock = threading.Lock()
         #: Endpoint name of the shared cache tier, when one is attached
         #: (:meth:`attach_cache_tier`); invalidations fan out to it
         #: through :attr:`transport` before any write is delivered.
@@ -479,9 +481,32 @@ class ClusterCoordinator:
         """Subscribe a searcher-local L1 to write invalidations.
 
         Weakly held: dropping the searcher (and its cache) is the
-        unsubscribe.
+        unsubscribe, and folds the cache's lifetime counters into
+        :meth:`l1_totals`.
         """
         self._l1_caches.add(cache)
+        weakref.finalize(cache, self._retire_l1, cache.counts)
+
+    def _retire_l1(self, counts: dict[str, int]) -> None:
+        with self._l1_lock:
+            for key, value in counts.items():
+                self._retired_l1_counts[key] += value
+
+    def l1_totals(self) -> dict[str, int]:
+        """Fleet view of the searcher-local L1s.
+
+        ``caches``, ``entries`` and ``capacity`` describe the live L1s
+        (0 when none is); the four counters are lifetime totals that
+        include every L1 already dropped.
+        """
+        live = list(self._l1_caches)
+        with self._l1_lock:
+            totals = dict(self._retired_l1_counts)
+        totals.update(caches=len(live), entries=0, capacity=0)
+        for l1 in live:
+            for key, value in l1.stats_snapshot().items():
+                totals[key] += value
+        return totals
 
     def attach_cache_tier(self, endpoint: str) -> None:
         """Route invalidations to a shared cache-tier endpoint too."""
@@ -520,8 +545,8 @@ class ClusterCoordinator:
         self._bump_epochs(pl_ids)
 
     def invalidate_list(self, *pl_ids: int) -> None:
-        """Evict lists from every tier: local share cache, subscribed
-        L1s, and the attached cache tier (one message for all of them).
+        """Evict lists from every tier: the subscribed L1s and the
+        attached cache tier (one message for all of them).
 
         Called *before* any write (or rebalance, or heal) touches the
         lists on any seat — the invalidate-before-write rule, applied
@@ -535,7 +560,6 @@ class ClusterCoordinator:
         self._bump_epochs(pl_ids)
         l1_caches = list(self._l1_caches)
         for pl_id in pl_ids:
-            self.cache.invalidate(pl_id)
             for l1 in l1_caches:
                 l1.invalidate(pl_id)
         if self.cache_tier_endpoint is not None:
@@ -548,9 +572,9 @@ class ClusterCoordinator:
     def _on_membership_change(self, group_id: int, user_id: str) -> None:
         """Group table changed: evict the affected user's L1 entries now.
 
-        The share cache and L2 keys rotate with the fingerprint (the
-        old entries become unreachable), but eager eviction frees the
-        space and removes even the theoretical stale-replay window.
+        L1 and L2 keys rotate with the fingerprint (the old entries
+        become unreachable), but eager eviction frees the space and
+        removes even the theoretical stale-replay window.
         """
         for l1 in list(self._l1_caches):
             l1.evict_user(user_id)
@@ -750,7 +774,7 @@ class ClusterCoordinator:
         (EWMA per list, compared in coarse buckets so jitter between
         equally healthy pods never flips the order), then the smallest
         effective read load — lookups actually routed *plus* lists the
-        pod's fetches keep serving from the share cache, so a pod whose
+        pod's fetches keep serving from the L1 and L2, so a pod whose
         entry absorbs a hot list's reads is not mistaken for idle. The
         rest stay as last resorts — even a sub-k pod contributes
         trusted slots that union with another replica's.
@@ -868,7 +892,7 @@ class ClusterCoordinator:
         return max(best, 1e-4)
 
     def note_cache_read(self, pl_id: int, num_lists: int = 1) -> None:
-        """A list was served from the share cache; charge its origin pod.
+        """A list was served from the L1 or L2; charge its origin pod.
 
         Cache keys are pod-agnostic, so the provenance comes from the
         last real fetch of the list (:meth:`note_pod_read`). Unknown
@@ -1464,7 +1488,8 @@ class ClusterCoordinator:
           (routed lookups + cache hits charged to the pod), and how many
           (pod, list) pairs the staleness ledger still distrusts;
         - cluster-wide: replication factor, outstanding (dropped minus
-          repaired) write routes, and share-cache counters.
+          repaired) write routes, breaker health and anti-entropy
+          counters.
         """
         shards = self.shard_distribution(num_lists)
         with self._read_stats_lock:
@@ -1511,14 +1536,6 @@ class ClusterCoordinator:
             "pods": pods,
             "dead_servers": self.dead_servers(),
             "outstanding_write_routes": self.outstanding_write_routes,
-            "cache": {
-                "hits": self.cache.stats.hits,
-                "misses": self.cache.stats.misses,
-                "evictions": self.cache.stats.evictions,
-                "invalidations": self.cache.stats.invalidations,
-                "entries": len(self.cache),
-                "capacity": self.cache.capacity,
-            },
             "health": self.breakers.snapshot(),
             "repair": {
                 "current_backoff_s": self.repair_backoff_s,
@@ -1593,16 +1610,6 @@ class ClusterCoordinator:
             registry.gauge("zerber_outstanding_write_routes").set(
                 snap["outstanding_write_routes"]
             )
-            cache = snap["cache"]
-            for key in (
-                "hits",
-                "misses",
-                "evictions",
-                "invalidations",
-                "entries",
-                "capacity",
-            ):
-                registry.gauge(f"zerber_share_cache_{key}").set(cache[key])
             for pod_name, health in snap["health"].items():
                 registry.gauge("zerber_breaker_state", pod=pod_name).set(
                     state_rank.get(health["state"], 0.0)

@@ -88,7 +88,7 @@ class ClusterDeployment:
         packing: PackingSpec | None = None,
         use_network: bool = True,
         batch_policy: BatchPolicy | None = None,
-        cache_entries: int = 4096,
+        cache_entries: int = 0,
         virtual_nodes: int = 64,
         wal_dir: str | pathlib.Path | None = None,
         replication_factor: int = 1,
@@ -118,7 +118,12 @@ class ClusterDeployment:
             :class:`SimulatedNetwork` for byte/message accounting (the
             socket backend moves real bytes instead).
         batch_policy: default owner batching policy.
-        cache_entries: coordinator share-cache capacity (0 disables).
+        cache_entries: must be 0, the default; anything else is a
+            :class:`~repro.errors.ClusterError` naming ``l1_entries``,
+            the searcher-local cache that replaced the coordinator's
+            share cache. The keyword stays only because the benchmark
+            scenario still passes ``cache_entries=0``, and goes once
+            that scenario stops.
         virtual_nodes: consistent-hash smoothness for pod placement.
         wal_dir: when given, every server gets a durable seat store
             under this directory and :meth:`restart_server` recovers
@@ -200,6 +205,14 @@ class ClusterDeployment:
         self._wal_dir = (
             pathlib.Path(wal_dir) if wal_dir is not None else None
         )
+        if l1_entries < 0:
+            raise ClusterError(f"l1_entries must be >= 0, got {l1_entries}")
+        if cache_entries != 0:
+            raise ClusterError(
+                f"cache_entries={cache_entries}: the coordinator share "
+                "cache is gone; size the searcher-local cache with "
+                "l1_entries instead"
+            )
         if storage != "segmented":
             raise ClusterError(
                 f"unknown storage engine {storage!r}; the only engine is "
@@ -235,7 +248,6 @@ class ClusterDeployment:
             auth=self.auth,
             groups=self.groups,
             share_bytes=share_bytes,
-            cache_entries=cache_entries,
             virtual_nodes=virtual_nodes,
             replication_factor=replication_factor,
             transport=self.registry,
@@ -339,17 +351,9 @@ class ClusterDeployment:
             ).set(1.0)
             for key, value in snap.items():
                 metrics.gauge(f"zerber_cache_tier_{key}").set(value)
-        # Searcher-local L1s are per-client; the fleet view sums the
-        # live ones (the coordinator's weak registry of caches that
-        # subscribed for invalidation).
-        l1_totals: dict[str, int] = {}
-        l1_count = 0
-        for l1 in list(self.coordinator._l1_caches):
-            l1_count += 1
-            for key, value in l1.stats_snapshot().items():
-                l1_totals[key] = l1_totals.get(key, 0) + value
-        metrics.gauge("zerber_l1_caches").set(l1_count)
-        for key, value in l1_totals.items():
+        # Searcher-local L1s are per-client; the coordinator keeps the
+        # fleet view (live sizes, lifetime counters).
+        for key, value in self.coordinator.l1_totals().items():
             metrics.gauge(f"zerber_l1_{key}").set(value)
         # Seat read snapshots, then seat-store / compactor state.
         for pod in self.coordinator.pods:

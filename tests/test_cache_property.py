@@ -2,8 +2,7 @@
 
 Hypothesis drives random interleavings of writes, membership changes
 (the invalidation triggers), and reads against a fully cached cluster
-(searcher-local L1 + shared L2 tier, coordinator share cache disabled
-so the new tiers carry all the weight) and an identically seeded
+(searcher-local L1 + shared L2 tier) and an identically seeded
 uncached twin. Every read must be byte-identical across the two — a
 cached read equals a read against a fresh fleet, no matter what
 writes and invalidations raced it.
@@ -65,11 +64,7 @@ def interleaving(draw):
 
 
 def _build(seed: int, cached: bool) -> ClusterDeployment:
-    kwargs = (
-        {"cache_tier": "lru", "l1_entries": 16, "cache_entries": 0}
-        if cached
-        else {"cache_entries": 0}
-    )
+    kwargs = {"cache_tier": "lru", "l1_entries": 16} if cached else {}
     cluster = ClusterDeployment(
         MappingTable({}, num_lists=6),
         num_pods=2,

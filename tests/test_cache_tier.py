@@ -8,6 +8,9 @@ an uncached read — the tiers may only change *cost*, never answers.
 from __future__ import annotations
 
 import copy
+import gc
+import sys
+import threading
 
 import pytest
 
@@ -25,6 +28,8 @@ from repro.cachetier import (
     make_policy,
 )
 from repro.cachetier.wire import parse_key
+from repro.cluster import ClusterDeployment
+from repro.core.mapping_table import MappingTable
 from repro.corpus.document import Document
 from repro.errors import (
     AccessDeniedError,
@@ -40,6 +45,7 @@ from repro.protocol.messages import (
     CacheStatsRequest,
     FetchListsRequest,
 )
+from repro.observability.metrics import SampleView
 from repro.protocol.transport import _RETRY_SAFE, InProcessTransport
 from repro.server.auth import AuthService, AuthToken
 from repro.server.groups import GroupDirectory
@@ -370,7 +376,7 @@ class TestL1PostingCache:
         assert l1.get(key_a) == ("ea",)
         l1.put(("u", frozenset({1}), 3, 2), 2, ("ec",))  # evicts b
         assert l1.get(key_b) is None
-        assert l1.evictions == 1
+        assert l1.counts["evictions"] == 1
 
     def test_invalidate_by_list(self):
         l1 = L1PostingCache(capacity=8)
@@ -462,7 +468,6 @@ class TestClusterIntegration:
             transport=transport,
             cache_tier="lru",
             l1_entries=32,
-            cache_entries=0,  # every hit comes from the new tiers
         )
         try:
             for cluster in (plain, cached):
@@ -499,7 +504,7 @@ class TestClusterIntegration:
         nothing joined."""
         documents = make_documents(num_docs=10)
         cluster = make_cluster(
-            documents, n=3, cache_tier=None, l1_entries=32, cache_entries=0
+            documents, n=3, l1_entries=32
         )
         try:
             cluster.add_member(0, "alice", actor="owner0")
@@ -541,7 +546,7 @@ class TestClusterIntegration:
         with the value it was stored with — no in-place sort."""
         documents = make_documents(num_docs=16)
         cluster = make_cluster(
-            documents, n=3, cache_tier=None, l1_entries=32, cache_entries=0
+            documents, n=3, l1_entries=32
         )
         with cluster:
             cluster.add_member(0, "alice", actor="owner0")
@@ -562,7 +567,7 @@ class TestClusterIntegration:
                 for terms in queries:
                     for top_k in (1, 10):
                         searcher.search(terms, top_k=top_k)
-            assert searcher.l1_cache.hits > 0
+            assert searcher.l1_cache.counts["hits"] > 0
             entries = dict(searcher.l1_cache._entries)
             assert entries and entries.keys() <= stored.keys()
             for key, entry in entries.items():
@@ -571,9 +576,7 @@ class TestClusterIntegration:
 
     def test_l2_serves_a_fresh_searcher(self):
         documents = make_documents(num_docs=10)
-        cluster = make_cluster(
-            documents, cache_tier="lru", cache_entries=0
-        )
+        cluster = make_cluster(documents, cache_tier="lru")
         try:
             cluster.add_member(0, "alice", actor="owner0")
             first = cluster.searcher("alice")
@@ -590,9 +593,7 @@ class TestClusterIntegration:
         """A torn or poisoned tier value must cost a refetch, never an
         answer: the searcher treats it as a miss."""
         documents = make_documents(num_docs=10)
-        cluster = make_cluster(
-            documents, cache_tier="lru", cache_entries=0
-        )
+        cluster = make_cluster(documents, cache_tier="lru")
         try:
             cluster.add_member(0, "alice", actor="owner0")
             r1 = cluster.searcher("alice").search(["w3", "w5"])
@@ -669,24 +670,102 @@ class TestClusterIntegration:
         finally:
             cluster.close()
 
-    def test_share_cache_counters_surface_in_status(self):
-        """Satellite: hit/miss/eviction counters in status_snapshot."""
+    def test_l1_counters_surface_in_the_registry(self):
+        """Hit/miss/eviction counters of the searcher-local L1 reach the
+        metrics registry that ``repro cluster status`` renders."""
         documents = make_documents(num_docs=8)
-        cluster = make_cluster(documents)
-        try:
+        cluster = make_cluster(documents, l1_entries=16)
+        with cluster:
             cluster.add_member(0, "alice", actor="owner0")
             searcher = cluster.searcher("alice")
             searcher.search(["w3"])
             searcher.search(["w3"])
-            cache = cluster.status_snapshot()["cache"]
+            view = SampleView(cluster.metrics.samples())
             for field in (
-                "hits", "misses", "evictions", "invalidations",
+                "caches", "hits", "misses", "evictions", "invalidations",
                 "entries", "capacity",
             ):
-                assert field in cache
-            assert cache["hits"] > 0
-        finally:
-            cluster.close()
+                assert view.value(f"zerber_l1_{field}") is not None
+            assert view.value("zerber_l1_hits") > 0
+            assert view.value("zerber_l1_capacity") == 16
+            assert "cache" not in cluster.status_snapshot()
+            assert not any(
+                sample.name.startswith("zerber_share_")
+                for sample in view.samples
+            )
+
+    def test_l1_counters_are_lifetime_totals(self):
+        """A dropped searcher's hits stay counted, and a fleet with no
+        live L1 reports no entries and no capacity."""
+        documents = make_documents(num_docs=8)
+        cluster = make_cluster(documents, l1_entries=16)
+
+        def read(name):
+            return SampleView(cluster.metrics.samples()).value(name)
+
+        with cluster:
+            cluster.add_member(0, "alice", actor="owner0")
+            first = cluster.searcher("alice")
+            for _ in range(3):
+                first.search(["w3", "w5", "w7"], fetch_snippets=False)
+            lists = first.last_diagnostics.posting_lists_requested
+            assert lists > 1
+            assert read("zerber_l1_hits") == 2 * lists
+            assert read("zerber_search_queries_total") == 3
+            del first
+            gc.collect()
+            assert read("zerber_l1_caches") == 0
+            assert read("zerber_l1_entries") == 0
+            assert read("zerber_l1_capacity") == 0
+            assert read("zerber_l1_hits") == 2 * lists
+            second = cluster.searcher("alice")
+            for _ in range(2):
+                second.search(["w3", "w5", "w7"], fetch_snippets=False)
+            assert read("zerber_l1_hits") == 3 * lists
+            assert read("zerber_l1_misses") == 2 * lists
+            assert read("zerber_search_queries_total") == 5
+
+    def test_l1_totals_lose_no_update_when_searchers_die_concurrently(self):
+        """Finalizers fold dying L1s' counters from whichever thread
+        drops the last reference; none of those folds may be lost."""
+        with ClusterDeployment(
+            MappingTable({}, num_lists=4), num_pods=1
+        ) as cluster:
+            coordinator = cluster.coordinator
+            workers, caches_each, gets_each = 8, 25, 4
+
+            def churn():
+                for _ in range(caches_each):
+                    l1 = L1PostingCache(4)
+                    coordinator.register_l1(l1)
+                    for key in range(gets_each):
+                        l1.get(("u", None, 2, key, 0))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=churn) for _ in range(workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            gc.collect()
+            totals = coordinator.l1_totals()
+            assert totals["misses"] == workers * caches_each * gets_each
+            assert totals["caches"] == 0 and totals["entries"] == 0
+
+    def test_cache_entries_accepts_only_zero(self):
+        """The coordinator share cache is gone: a non-zero
+        ``cache_entries`` is a typed error pointing at ``l1_entries``."""
+        table = MappingTable({}, num_lists=4)
+        with pytest.raises(ClusterError, match="l1_entries"):
+            ClusterDeployment(table, num_pods=1, cache_entries=4096)
+        ClusterDeployment(table, num_pods=1, cache_entries=0).close()
 
     def test_racing_fill_cannot_reinstall_pre_write_shares(self):
         """Fill-race regression: a reader holding pre-write shares runs
@@ -696,9 +775,7 @@ class TestClusterIntegration:
         under the pre-write epoch's key, which no post-write reader
         derives."""
         documents = make_documents(num_docs=10)
-        cluster = make_cluster(
-            documents, cache_tier="lru", cache_entries=0
-        )
+        cluster = make_cluster(documents, cache_tier="lru")
         try:
             cluster.add_member(0, "alice", actor="owner0")
             searcher = cluster.searcher("alice")
@@ -737,9 +814,7 @@ class TestClusterIntegration:
         dependency for write invalidation (loud failure keeps it from
         ever serving pre-write bytes)."""
         documents = make_documents(num_docs=8)
-        cluster = make_cluster(
-            documents, cache_tier="lru", cache_entries=0
-        )
+        cluster = make_cluster(documents, cache_tier="lru")
         try:
             cluster.add_member(0, "alice", actor="owner0")
             searcher = cluster.searcher("alice")
@@ -757,6 +832,146 @@ class TestClusterIntegration:
                 cluster.flush_all()
         finally:
             cluster.close()
+
+
+    # -- the L1's safety rules, one small cluster ------------------------
+
+    @pytest.fixture()
+    def budget_cluster(self):
+        cluster = ClusterDeployment(
+            MappingTable({}, num_lists=6),
+            num_pods=2,
+            k=2,
+            n=3,
+            use_network=False,
+            batch_policy=BatchPolicy(min_documents=1),
+            seed=11,
+            l1_entries=16,
+        )
+        cluster.create_group(0, coordinator="alice")
+        cluster.share_document(
+            "alice", _doc(1, ["budget", "merger"], group_id=0)
+        )
+        cluster.flush_all()
+        with cluster:
+            yield cluster
+
+    def test_insert_invalidates_and_refetch_sees_new_document(
+        self, budget_cluster
+    ):
+        cluster = budget_cluster
+        searcher = cluster.searcher("alice")
+        first = searcher.search(["budget"], top_k=5, fetch_snippets=False)
+        assert {h.doc_id for h in first} == {1}
+        # Warm: a repeat is served from the L1.
+        searcher.search(["budget"], top_k=5, fetch_snippets=False)
+        assert searcher.last_cluster_diagnostics.l1_hits > 0
+        cluster.share_document("alice", _doc(2, ["budget"], group_id=0))
+        cluster.flush_all()
+        after = searcher.search(["budget"], top_k=5, fetch_snippets=False)
+        assert {h.doc_id for h in after} == {1, 2}
+        assert searcher.last_cluster_diagnostics.l1_hits == 0
+        assert searcher.last_cluster_diagnostics.lookup_messages > 0
+
+    def test_delete_invalidates_and_refetch_drops_document(
+        self, budget_cluster
+    ):
+        cluster = budget_cluster
+        searcher = cluster.searcher("alice")
+        searcher.search(["budget"], top_k=5, fetch_snippets=False)
+        cluster.owner("alice").delete_document(1)
+        assert searcher.search(["budget"], top_k=5,
+                               fetch_snippets=False) == []
+
+    def test_unrelated_lists_stay_cached(self, budget_cluster):
+        """A write only evicts its own posting list's entries."""
+        cluster = budget_cluster
+        table = cluster.mapping_table
+        assert table.lookup("budget") != table.lookup("merger")
+        searcher = cluster.searcher("alice")
+        searcher.search(["budget", "merger"], top_k=5, fetch_snippets=False)
+        cluster.share_document("alice", _doc(2, ["budget"], group_id=0))
+        cluster.flush_all()
+        searcher.search(["budget", "merger"], top_k=5, fetch_snippets=False)
+        assert searcher.last_cluster_diagnostics.l1_hits == 1
+
+    def test_shortfall_fetches_are_not_cached(self, budget_cluster):
+        """A fetch that dropped an under-k element must not be cached.
+
+        Regression: slot 1 silently loses its shares of the budget list
+        (disk rot — nothing in the staleness ledger) and slot 2 dies.
+        Every budget element now has one live share, so the read drops
+        them — but once slot 2 recovers, the *same cached searcher*
+        must see the elements again instead of serving the short entry
+        forever.
+        """
+        cluster = budget_cluster
+        cluster.share_document("alice", _doc(3, ["budget"], group_id=0))
+        cluster.flush_all()
+        pl_id = cluster.mapping_table.lookup("budget")
+        pod_index = cluster.coordinator.pod_of(pl_id).index
+        pod = cluster.pods[pod_index]
+        assert pod.slots[1].server.drop_posting_list(pl_id)
+        cluster.kill_server(pod_index, 2)
+        searcher = cluster.searcher("alice")
+        degraded = searcher.search(["budget"], top_k=5,
+                                   fetch_snippets=False)
+        assert 3 not in {h.doc_id for h in degraded}
+        cluster.restart_server(pod_index, 2)  # the missing shares return
+        recovered = searcher.search(["budget"], top_k=5,
+                                    fetch_snippets=False)
+        assert 3 in {h.doc_id for h in recovered}
+
+    def test_verify_consistency_bypasses_cache(self, budget_cluster):
+        """k-share cached entries must not starve the > k cross-check."""
+        cluster = budget_cluster
+        verifier = cluster.searcher("alice", verify_consistency=True)
+        for _ in range(2):
+            hits = verifier.search(
+                ["budget"], top_k=5, num_servers=3, fetch_snippets=False
+            )
+            assert {h.doc_id for h in hits} == {1}
+            assert verifier.last_cluster_diagnostics.l1_hits == 0
+            assert verifier.last_cluster_diagnostics.lookup_messages > 0
+
+    def test_wider_requests_miss_narrower_entries(self, budget_cluster):
+        """num_servers is part of the cache key."""
+        searcher = budget_cluster.searcher("alice")
+        searcher.search(["budget"], top_k=5, fetch_snippets=False)
+        searcher.search(
+            ["budget"], top_k=5, num_servers=3, fetch_snippets=False
+        )
+        assert searcher.last_cluster_diagnostics.l1_hits == 0
+        assert searcher.last_cluster_diagnostics.lookup_messages > 0
+
+    def test_revoked_member_stops_seeing_cached_results(
+        self, budget_cluster
+    ):
+        cluster = budget_cluster
+        cluster.add_member(0, "carol", actor="alice")
+        searcher = cluster.searcher("carol")
+        hits = searcher.search(["budget"], top_k=5, fetch_snippets=False)
+        assert {h.doc_id for h in hits} == {1}
+        cluster.remove_member(0, "carol", actor="alice")
+        # The L1 entry was keyed to carol's old group set and evicted
+        # eagerly; the servers enforce the revocation on the refetch.
+        assert searcher.search(
+            ["budget"], top_k=5, fetch_snippets=False
+        ) == []
+        assert searcher.last_cluster_diagnostics.l1_hits == 0
+
+    def test_new_member_gets_fresh_results_not_another_users_cache(
+        self, budget_cluster
+    ):
+        cluster = budget_cluster
+        alice_searcher = cluster.searcher("alice")
+        alice_searcher.search(["budget"], top_k=5, fetch_snippets=False)
+        cluster.enroll_user("mallory")  # never in group 0
+        mallory = cluster.searcher("mallory")
+        assert mallory.search(
+            ["budget"], top_k=5, fetch_snippets=False
+        ) == []
+        assert mallory.last_cluster_diagnostics.l1_hits == 0
 
 
 # -- one invalidation per flush, still before the write -----------------------
@@ -810,9 +1025,7 @@ def _stored_ids(cluster):
 
 class TestOneInvalidationPerFlush:
     def _cluster(self):
-        return make_cluster(
-            make_documents(num_docs=6), cache_tier="lru", cache_entries=0
-        )
+        return make_cluster(make_documents(num_docs=6), cache_tier="lru")
 
     def test_a_flush_names_every_list_in_one_invalidation(self):
         cluster = self._cluster()

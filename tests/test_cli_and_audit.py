@@ -134,6 +134,7 @@ class TestCli:
                 "--k", "2",
                 "--kill", "0:1",
                 "--seed", "3",
+                "--l1-entries", "16",
             ]
         )
         assert code == 0
@@ -142,7 +143,37 @@ class TestCli:
         assert "pod0: 2/3 seats live" in out
         assert "dead: pod0-server-1" in out
         assert "ewma" in out
-        assert "share cache" in out
+        assert "L1 (searcher-local, 1 caches): " in out
+        assert "share cache" not in out
+
+    def test_cluster_search_l1_entries_serves_the_repeat(self, capsys):
+        """``--l1-entries`` sizes the searcher's L1 with no cache tier:
+        the repeat query is answered from it, sending no lookups."""
+        code = main(
+            [
+                "cluster", "search",
+                "--documents", "12",
+                "--pods", "2",
+                "--n", "3",
+                "--k", "2",
+                "--l1-entries", "32",
+            ]
+        )
+        assert code == 0
+        repeat = [
+            line
+            for line in capsys.readouterr().out.splitlines()
+            if line.startswith("repeat query:")
+        ]
+        assert len(repeat) == 1
+        hits = int(repeat[0].split()[2])
+        assert hits > 0
+        assert repeat[0].endswith(" L1 hits, 0 lookup messages")
+
+    def test_cluster_search_rejects_a_negative_l1_size(self):
+        with pytest.raises(SystemExit, match="l1_entries must be >= 0"):
+            main(["cluster", "search", "--documents", "4",
+                  "--l1-entries", "-1"])
 
     def test_serve_bounded_duration(self, capsys):
         code = main(

@@ -1,7 +1,7 @@
 """Property suite: the sharded cluster is indistinguishable from one fleet.
 
-The cluster layer (pods, consistent-hash sharding, batched lookups, the
-share cache, failover) is pure mechanism — it must never change an
+The cluster layer (pods, consistent-hash sharding, batched lookups,
+failover) is pure mechanism — it must never change an
 answer. Over dozens of seeded random corpora, group structures and
 queries, :class:`ClusterSearchClient` must return **byte-identical**
 ranked results to the single-fleet :class:`SearchClient` of the same

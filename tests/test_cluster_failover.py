@@ -721,7 +721,7 @@ class TestBatchedLookups:
         documents = make_documents()
         cluster = make_cluster(documents, use_network=True)
         terms = sorted(documents[0].term_counts)[:2]
-        searcher = cluster.searcher("owner0")
+        searcher = cluster.searcher("owner0", l1_entries=8)
         searcher.search(terms, top_k=5, fetch_snippets=False)
         ledger = cluster.network.stats.messages_by_kind
         before = ledger["lookup"]
@@ -730,4 +730,4 @@ class TestBatchedLookups:
         assert ledger["lookup"] == before
         assert cluster.network.stats.bytes_by_kind["lookup"] == bytes_before
         assert searcher.last_cluster_diagnostics.lookup_messages == 0
-        assert searcher.last_cluster_diagnostics.cache_hits > 0
+        assert searcher.last_cluster_diagnostics.l1_hits > 0

@@ -1,4 +1,8 @@
-"""Smoke runs of the shipped examples (each is self-checking)."""
+"""Smoke runs of the shipped examples (each is self-checking).
+
+Every script under ``examples/`` runs here; the two tours whose output
+carries a claim worth pinning get their own test with output asserts.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,20 @@ import pathlib
 import runpy
 import tempfile
 
+import pytest
+
 EXAMPLES = pathlib.Path(__file__).resolve().parent.parent / "examples"
+#: Examples with a dedicated test below.
+PINNED = {"operations_tour.py", "wire_protocol_tour.py"}
+
+
+@pytest.mark.parametrize(
+    "name",
+    sorted(p.name for p in EXAMPLES.glob("*.py") if p.name not in PINNED),
+)
+def test_example_runs(name, tmp_path, monkeypatch):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    runpy.run_path(str(EXAMPLES / name), run_name="__main__")
 
 
 def test_operations_tour_recovers_a_seat_from_its_store(

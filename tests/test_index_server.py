@@ -439,8 +439,8 @@ def test_delete_of_each_row_position(rows, victim):
 
 
 def test_a_response_does_not_change_under_later_writes(env):
-    """A response outlives the next write — inside the share cache, the
-    client's merge, the in-process transport — so it must hold copies,
+    """A response outlives the next write — inside the client's merge
+    and the in-process transport — so it must hold copies,
     filtered or not, never the store's own columns."""
     _, _, server, tokens = env
     # List 0 holds only alice's group (answered unfiltered), list 1 both

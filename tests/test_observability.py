@@ -646,7 +646,7 @@ class TestDashboards:
         code = cli_main(
             [
                 "cluster", "status", "--pods", "2", "--documents", "16",
-                "--kill", "1:0",
+                "--kill", "1:0", "--l1-entries", "8",
             ]
         )
         out = capsys.readouterr().out
@@ -654,7 +654,7 @@ class TestDashboards:
         assert "cluster: 2 pods" in out
         assert "seats live" in out
         assert "dead: pod1-server-0" in out
-        assert "share cache:" in out
+        assert "L1 (searcher-local" in out
 
     def test_cache_status_renders_from_the_metrics_dump(self, capsys):
         code = cli_main(

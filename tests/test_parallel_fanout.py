@@ -70,7 +70,7 @@ def _shared_counts(searcher):
     d = searcher.last_cluster_diagnostics
     return {
         "pods_contacted": d.pods_contacted,
-        "cache_hits": d.cache_hits,
+        "l1_hits": d.l1_hits,
         "failovers": d.failovers,
         "escalations": d.escalations,
         "pod_failovers": d.pod_failovers,
@@ -136,15 +136,17 @@ class TestParallelFanoutEquivalence:
     def test_parallel_cache_hits_match_sequential(self):
         pipelined_cluster, queries = _cluster(replication_factor=1)
         per_list_cluster, _ = _cluster(replication_factor=1)
-        pipelined = pipelined_cluster.searcher("owner0")
-        per_list = per_list_cluster.searcher("owner0", batch_lookups=False)
+        pipelined = pipelined_cluster.searcher("owner0", l1_entries=NUM_LISTS)
+        per_list = per_list_cluster.searcher(
+            "owner0", batch_lookups=False, l1_entries=NUM_LISTS
+        )
         for _warm in range(2):
             for terms in queries:
                 assert pipelined.search(
                     terms, top_k=10, fetch_snippets=False
                 ) == per_list.search(terms, top_k=10, fetch_snippets=False)
                 assert _shared_counts(pipelined) == _shared_counts(per_list)
-        assert pipelined.last_cluster_diagnostics.cache_hits > 0
+        assert pipelined.last_cluster_diagnostics.l1_hits > 0
 
 
 class TestNetworkLedger:
@@ -222,7 +224,7 @@ class TestLatencyAwareReplicaChoice:
         coordinator.note_pod_read(second.name, 1)
         # Tied on load (1 each) and latency (none): ring order wins.
         assert coordinator.read_replicas(pl_id)[0] is first
-        # Cache hits served from first's entry count as its traffic.
+        # L1 / L2 hits served from first's fetch count as its traffic.
         for _ in range(3):
             coordinator.note_cache_read(pl_id)
         assert coordinator.pod_cache_reads[first.name] == 3
@@ -230,11 +232,11 @@ class TestLatencyAwareReplicaChoice:
 
     def test_end_to_end_cache_hits_feed_accounting(self):
         cluster, queries = _cluster(replication_factor=2)
-        searcher = cluster.searcher("owner0")
+        searcher = cluster.searcher("owner0", l1_entries=NUM_LISTS)
         for _warm in range(2):
             for terms in queries:
                 searcher.search(terms, top_k=10, fetch_snippets=False)
-        assert searcher.last_cluster_diagnostics.cache_hits > 0
+        assert searcher.last_cluster_diagnostics.l1_hits > 0
         assert sum(cluster.coordinator.pod_cache_reads.values()) > 0
 
     def test_a_stalled_pod_is_charged_its_own_stall(self):

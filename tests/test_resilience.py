@@ -233,7 +233,7 @@ class TestDeadlines:
             make_documents(num_docs=4), transport=transport
         )
         with cluster:
-            # use_cache=False: a share-cache hit legitimately answers
+            # use_cache=False: a cache hit legitimately answers
             # without any fetch, which would dodge the deadline check
             # this test exists to exercise.
             searcher = cluster.searcher("owner0", use_cache=False)
