@@ -44,6 +44,7 @@ from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
 from repro.corpus.document import Document
 from repro.corpus.zipf import ZipfSampler
+from repro.observability import SampleView
 
 #: Corpus shape: enough distinct terms that the merged lists have a
 #: clear hot/cold split under Zipf ranks.
@@ -184,8 +185,19 @@ def _run_mode(documents, queries, cached: bool, policy: str = "lru"):
                 "response_bytes": response_bytes,
             }
             if cached:
-                tier = cluster.status_snapshot()["cache_tier"]
-                row["l2_stats"] = tier
+                view = SampleView(cluster.metrics.samples())
+                row["l2_stats"] = {
+                    "policy": view.label_values(
+                        "zerber_cache_tier_info", "policy"
+                    )[0],
+                    **{
+                        key: int(view.value(f"zerber_cache_tier_{key}"))
+                        for key in (
+                            "entries", "capacity", "hits", "misses",
+                            "evictions", "invalidations", "rejections",
+                        )
+                    },
+                }
             row["metrics"] = metrics_snapshot(cluster)
         finally:
             cluster.close()

@@ -34,7 +34,7 @@ from benchmarks.conftest import RESULTS_DIR, emit, metrics_snapshot
 from repro.client.batching import BatchPolicy
 from repro.cluster import ClusterDeployment
 from repro.corpus.synthetic import SyntheticCorpusConfig, generate_corpus
-from repro.observability import new_trace_id
+from repro.observability import SampleView, new_trace_id
 from repro.resilience import FaultPlan, FaultyTransport
 
 N, K = 3, 2
@@ -277,7 +277,7 @@ def test_slow_pod_hedging():
         hp50, hp95, hp99, hedged, wins = _slow_pod_run(
             cluster, queries, hedge_reads=True, seed=1723
         )
-        snap = cluster.status_snapshot()
+        view = SampleView(cluster.metrics.samples())
         row = {
             "queries": SLOW_POD_QUERIES,
             "stall_rate": SLOW_POD_STALL_RATE,
@@ -297,8 +297,13 @@ def test_slow_pod_hedging():
             },
             "p99_ratio": round(hp99 / up99, 3) if up99 else None,
             "gate_p99_ratio": GATE_HEDGE_P99_RATIO,
-            "admission": snap.get("admission"),
-            "health": snap.get("health"),
+            "admission": {
+                key: int(view.value(f"zerber_admission_{key}"))
+                for key in (
+                    "max_pending", "depth", "peak_depth", "admitted", "shed"
+                )
+            },
+            "health": cluster.coordinator.breakers.snapshot(),
             "metrics": metrics_snapshot(cluster),
         }
     # Merge into BENCH_load.json next to the instrumentation row (either

@@ -15,8 +15,9 @@ visible:
    byte-identical;
 4. kill a pod under the socket backend: the failover ladder works the
    same when every hop is a real TCP frame;
-5. read the observability snapshot (`repro cluster status` renders the
-   same structure).
+5. read the cluster's state the way a remote operator does: one
+   ``MetricsDump`` request over the same TCP transport (`repro cluster
+   status` renders the same series).
 
 Run:  PYTHONPATH=src python examples/wire_protocol_tour.py
 """
@@ -27,6 +28,7 @@ from repro.client.batching import BatchPolicy
 from repro.cluster import ClusterDeployment
 from repro.corpus.synthetic import SyntheticCorpusConfig, generate_corpus
 from repro.errors import ReproError, UnknownEndpointError
+from repro.observability import METRICS_ENDPOINT, SampleView
 from repro.protocol import (
     FetchListsRequest,
     IndexServerService,
@@ -35,6 +37,7 @@ from repro.protocol import (
     decode_message,
     encode_message,
 )
+from repro.protocol.messages import MetricsDumpRequest
 from repro.server.auth import AuthService
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import IndexServer
@@ -132,12 +135,16 @@ def both_backends() -> None:
             print(f"both pods dead -> loud degradation: "
                   f"{type(exc).__name__}")
 
-        snap = remote.status_snapshot()
-        print("status snapshot:")
-        for pod in snap["pods"]:
-            print(f"  {pod['name']}: {pod['live_seats']} live / "
-                  f"{pod['dead_seats']} dead seats, "
-                  f"{pod['hosted_lists']} lists")
+        dump = remote.transport.call(
+            src="operator", dst=METRICS_ENDPOINT, request=MetricsDumpRequest()
+        )
+        view = SampleView(dump.samples)
+        print(f"metrics dump over TCP: {len(dump.samples)} series")
+        for pod in view.label_values("zerber_pod_live_seats", "pod"):
+            live = int(view.value("zerber_pod_live_seats", pod=pod))
+            dead = int(view.value("zerber_pod_dead_seats", pod=pod))
+            lists = int(view.value("zerber_pod_hosted_lists", pod=pod))
+            print(f"  {pod}: {live} live / {dead} dead seats, {lists} lists")
     print("deployments closed: sockets, threads, and WALs reaped")
 
 

@@ -1,7 +1,7 @@
 """The cache tier as a protocol endpoint.
 
 :class:`CacheTierService` is just another PR 4 service: it answers the
-four cache messages and nothing else, so registering it on a transport
+three cache messages and nothing else, so registering it on a transport
 registry makes it reachable over the in-process, socket, and async
 backends alike — the transports neither know nor care that the endpoint
 is a cache.
@@ -20,10 +20,11 @@ index-server-filtered fetches would have produced anyway — the tier
 cannot be used to bypass the servers' token/group filtering, and a put
 cannot poison entries served to other fingerprints.
 
-``CacheInvalidate`` and ``CacheStats`` stay token-free: invalidation
-only evicts (always correctness-safe — the worst a forged invalidation
-costs is a refetch) and is issued by the coordinator, which holds no
-user token; stats expose counters only.
+``CacheInvalidate`` stays token-free: invalidation only evicts (always
+correctness-safe — the worst a forged invalidation costs is a refetch)
+and is issued by the coordinator, which holds no user token. The tier's
+counters leave through the deployment's ``MetricsDump`` as the
+``zerber_cache_tier_*`` series.
 """
 
 from __future__ import annotations
@@ -35,8 +36,6 @@ from repro.protocol.messages import (
     CacheGetRequest,
     CacheInvalidateRequest,
     CachePutRequest,
-    CacheStatsRequest,
-    CacheStatsResponse,
     CacheValueResponse,
     OpCountResponse,
 )
@@ -102,8 +101,6 @@ class CacheTierService:
                 self.store.invalidate(pl_id) for pl_id in request.pl_ids
             )
             return OpCountResponse(count=evicted)
-        if isinstance(request, CacheStatsRequest):
-            return CacheStatsResponse(**self.store.stats_snapshot())
         raise ProtocolError(
             f"cache tier cannot handle {type(request).__name__}"
         )

@@ -608,15 +608,22 @@ def _cmd_cluster_top(args: argparse.Namespace) -> int:
             target=workload, name="zerber-top-workload", daemon=True
         )
         thread.start()
-        previous_lists: dict = {}
-        previous_queries = previous_documents = 0.0
+        # Every rate is a delta between two dumps, the first frame's
+        # too: what happened before this baseline is not a rate.
+        previous = _fetch_metrics_view(cluster)
         try:
             for frame in range(args.iterations):
                 _time.sleep(args.interval)
                 view = _fetch_metrics_view(cluster)
+
+                def rate(name: str, **labels: str) -> float:
+                    delta = view.value(name, 0.0, **labels) - previous.value(
+                        name, 0.0, **labels
+                    )
+                    return delta / args.interval
+
                 queries = view.value("zerber_search_queries_total", 0.0)
-                qps = (queries - previous_queries) / args.interval
-                previous_queries = queries
+                qps = rate("zerber_search_queries_total")
                 print(
                     f"-- repro cluster top · frame "
                     f"{frame + 1}/{args.iterations} "
@@ -624,8 +631,7 @@ def _cmd_cluster_top(args: argparse.Namespace) -> int:
                     f"{int(queries)} queries, {qps:.1f} qps --"
                 )
                 documents = view.value("zerber_index_documents_total", 0.0)
-                docs_per_s = (documents - previous_documents) / args.interval
-                previous_documents = documents
+                docs_per_s = rate("zerber_index_documents_total")
                 flush_p50 = view.value(
                     "zerber_index_flush_seconds", 0.0, quantile="0.5"
                 )
@@ -640,13 +646,7 @@ def _cmd_cluster_top(args: argparse.Namespace) -> int:
                 for pod in view.label_values(
                     "zerber_pod_live_seats", "pod"
                 ):
-                    total = view.value(
-                        "zerber_pod_read_lists_total", 0.0, pod=pod
-                    )
-                    rate = (
-                        total - previous_lists.get(pod, 0.0)
-                    ) / args.interval
-                    previous_lists[pod] = total
+                    lists_per_s = rate("zerber_pod_read_lists_total", pod=pod)
                     quantiles = [
                         view.value(
                             "zerber_pod_fetch_latency_seconds",
@@ -670,7 +670,7 @@ def _cmd_cluster_top(args: argparse.Namespace) -> int:
                         f"{q * 1e3:7.2f}ms" for q in quantiles
                     )
                     print(
-                        f"{pod:>8} {rate:9.1f} {cols} "
+                        f"{pod:>8} {lists_per_s:9.1f} {cols} "
                         f"{int(view.value('zerber_pod_read_load', 0, pod=pod)):7d}"
                         f"  {live}/{live + dead}    {state}"
                     )
@@ -678,6 +678,7 @@ def _cmd_cluster_top(args: argparse.Namespace) -> int:
                     print(line)
                 for line in _health_status_lines(view):
                     print(line)
+                previous = view
         finally:
             stop.set()
             thread.join(timeout=5)

@@ -374,13 +374,12 @@ class ClusterCoordinator:
         #: the healed seat. Reentrant so coordinator-internal paths
         #: (retire_pod -> rebalance) can nest.
         self.repair_mutex = threading.RLock()
-        #: Lifetime anti-entropy accounting (surfaced in
-        #: :meth:`status_snapshot` and ``repro cluster status``).
+        #: Lifetime anti-entropy accounting (the ``zerber_repair_*``
+        #: series and ``repro cluster status``).
         self.repair_sweeps = 0
         self.repair_healed_seats = 0
         self.repair_shipped_bytes = 0
         self.repair_failures = 0
-        self.last_sweep: RepairSweepStats | None = None
         self._repair_thread: threading.Thread | None = None
         self._repair_stop = threading.Event()
         #: pod name -> posting-list lookups routed to it (read balancing).
@@ -412,7 +411,7 @@ class ClusterCoordinator:
         #: the raw material for :meth:`pod_latency_p95`.
         self._pod_latency_samples: dict[str, deque] = {}
         #: The repair thread's current backoff (None: not running);
-        #: surfaced in ``status_snapshot()["repair"]``.
+        #: surfaced as ``zerber_repair_backoff_seconds`` (0 when None).
         self.repair_backoff_s: float | None = None
         #: Searcher-local L1 caches subscribed to write invalidations.
         #: Weakly referenced: a searcher that goes away takes its L1
@@ -1313,7 +1312,6 @@ class ClusterCoordinator:
         self.repair_healed_seats += stats.healed_seats
         self.repair_shipped_bytes += stats.shipped_bytes
         self.repair_failures += stats.failed
-        self.last_sweep = stats
         return stats
 
     def _repair_entry(
@@ -1427,9 +1425,9 @@ class ClusterCoordinator:
         many coordinators recovering from the same outage spread their
         sweeps out instead of thundering in lockstep, and the same
         seed replays the same schedule. The *un*-jittered backoff is
-        exposed as :attr:`repair_backoff_s` (and in
-        ``status_snapshot()["repair"]["current_backoff_s"]``) so an
-        operator can see a sweeping-vs-backing-off thread at a glance.
+        exposed as :attr:`repair_backoff_s` (and as
+        ``zerber_repair_backoff_seconds``) so an operator can see a
+        sweeping-vs-backing-off thread at a glance.
         """
         if self._repair_thread is not None:
             raise ClusterError("repair thread is already running")
@@ -1477,20 +1475,23 @@ class ClusterCoordinator:
 
     # -- introspection ---------------------------------------------------------------
 
-    def status_snapshot(self, num_lists: int) -> dict:
-        """One observability snapshot of the whole cluster.
+    def register_collectors(
+        self, registry: MetricsRegistry, num_lists: int
+    ) -> None:
+        """Publish the coordinator's live state as dump-time series.
 
-        The structure ``repro cluster status`` renders — and the first
-        thing to pull from a socket deployment when a query slows down:
-
-        - per pod: seat liveness, hosted-list count (replicas included),
-          per-list read-latency EWMA (seconds), effective read load
-          (routed lookups + cache hits charged to the pod), and how many
-          (pod, list) pairs the staleness ledger still distrusts;
-        - cluster-wide: replication factor, outstanding (dropped minus
-          repaired) write routes, breaker health and anti-entropy
-          counters.
+        Pull-at-dump, not mirror-on-mutation: the collector runs at
+        ``registry.samples()`` time and reads pods, seats, breakers and
+        the repair ledger directly, under the locks their writers take.
+        Hot-path instruments (the fetch-latency histograms in
+        :meth:`note_pod_read`) update directly instead.
         """
+        registry.add_collector(lambda: self._series(num_lists))
+        self.metrics = registry
+
+    def _series(self, num_lists: int):
+        """The collector: ``(name, labels, value)`` for every live pod,
+        seat and breaker, plus the cluster-wide and repair counters."""
         shards = self.shard_distribution(num_lists)
         with self._read_stats_lock:
             latency = dict(self.pod_read_latency)
@@ -1502,145 +1503,48 @@ class ClusterCoordinator:
                 if seats:
                     stale_by_pod[name] = stale_by_pod.get(name, 0) + 1
             pending_entries = len(self._incomplete)
-        pods = []
         for pod in self.pods:
-            stale_lists = stale_by_pod.get(pod.name, 0)
-            pods.append(
-                {
-                    "name": pod.name,
-                    "index": pod.index,
-                    "seats": [
-                        {
-                            "server_id": slot.server_id,
-                            "slot": slot.slot_index,
-                            "alive": slot.alive,
-                            "wal": str(slot.wal_path)
-                            if slot.wal_path is not None
-                            else None,
-                        }
-                        for slot in pod.slots
-                    ],
-                    "live_seats": len(pod.live_slots()),
-                    "dead_seats": len(pod.slots) - len(pod.live_slots()),
-                    "hosted_lists": shards.get(pod.name, 0),
-                    "read_latency_ewma_s": latency.get(pod.name),
-                    "read_load": load.get(pod.name, 0)
-                    + cache_reads.get(pod.name, 0),
-                    "stale_lists": stale_lists,
-                }
-            )
-        last = self.last_sweep
-        return {
-            "replication_factor": self.replication_factor,
-            "num_lists": num_lists,
-            "pods": pods,
-            "dead_servers": self.dead_servers(),
-            "outstanding_write_routes": self.outstanding_write_routes,
-            "health": self.breakers.snapshot(),
-            "repair": {
-                "current_backoff_s": self.repair_backoff_s,
-                "sweeps": self.repair_sweeps,
-                "healed_seats": self.repair_healed_seats,
-                "shipped_bytes": self.repair_shipped_bytes,
-                "failures": self.repair_failures,
-                "pending_entries": pending_entries,
-                "thread_running": self._repair_thread is not None,
-                "last_sweep": None
-                if last is None
-                else {
-                    "examined": last.examined,
-                    "healed_seats": last.healed_seats,
-                    "repaired_routes": last.repaired_routes,
-                    "shipped_bytes": last.shipped_bytes,
-                    "skipped_no_source": last.skipped_no_source,
-                    "skipped_dead_seat": last.skipped_dead_seat,
-                    "failed": last.failed,
-                    "budget_exhausted": last.budget_exhausted,
-                },
-            },
-        }
-
-    def register_collectors(
-        self, registry: MetricsRegistry, num_lists: int
-    ) -> None:
-        """Publish the coordinator's state surfaces as registry gauges.
-
-        Pull-at-dump, not mirror-on-mutation: a collector callback runs
-        at ``registry.samples()`` time and sets gauges straight from
-        :meth:`status_snapshot`, so the metrics surface can never drift
-        from the snapshot dict the CLI used to render — they are the
-        same numbers read at the same instant. Hot-path instruments
-        (the fetch-latency histograms in :meth:`note_pod_read`) update
-        directly instead; only snapshot-style state goes through here.
-        """
+            labels = {"pod": pod.name}
+            live = len(pod.live_slots())
+            for key, value in (
+                ("live_seats", live),
+                ("dead_seats", len(pod.slots) - live),
+                ("hosted_lists", shards.get(pod.name, 0)),
+                (
+                    "read_load",
+                    load.get(pod.name, 0) + cache_reads.get(pod.name, 0),
+                ),
+                ("read_latency_ewma_seconds", latency.get(pod.name) or 0.0),
+                ("stale_lists", stale_by_pod.get(pod.name, 0)),
+            ):
+                yield f"zerber_pod_{key}", labels, value
+            for slot in pod.slots:
+                seat = {"pod": pod.name, "server": slot.server_id}
+                yield "zerber_seat_alive", seat, slot.alive
+        yield "zerber_replication_factor", {}, self.replication_factor
+        yield "zerber_num_lists", {}, num_lists
+        yield (
+            "zerber_outstanding_write_routes",
+            {},
+            self.outstanding_write_routes,
+        )
         state_rank = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
-
-        def collect(_registry: MetricsRegistry) -> None:
-            snap = self.status_snapshot(num_lists)
-            for pod in snap["pods"]:
-                name = pod["name"]
-                registry.gauge("zerber_pod_live_seats", pod=name).set(
-                    pod["live_seats"]
-                )
-                registry.gauge("zerber_pod_dead_seats", pod=name).set(
-                    pod["dead_seats"]
-                )
-                registry.gauge("zerber_pod_hosted_lists", pod=name).set(
-                    pod["hosted_lists"]
-                )
-                registry.gauge("zerber_pod_read_load", pod=name).set(
-                    pod["read_load"]
-                )
-                registry.gauge(
-                    "zerber_pod_read_latency_ewma_seconds", pod=name
-                ).set(pod["read_latency_ewma_s"] or 0.0)
-                registry.gauge("zerber_pod_stale_lists", pod=name).set(
-                    pod["stale_lists"]
-                )
-                for seat in pod["seats"]:
-                    registry.gauge(
-                        "zerber_seat_alive",
-                        pod=name,
-                        server=seat["server_id"],
-                    ).set(1.0 if seat["alive"] else 0.0)
-            registry.gauge("zerber_replication_factor").set(
-                snap["replication_factor"]
-            )
-            registry.gauge("zerber_num_lists").set(snap["num_lists"])
-            registry.gauge("zerber_outstanding_write_routes").set(
-                snap["outstanding_write_routes"]
-            )
-            for pod_name, health in snap["health"].items():
-                registry.gauge("zerber_breaker_state", pod=pod_name).set(
-                    state_rank.get(health["state"], 0.0)
-                )
-                registry.gauge(
-                    "zerber_breaker_consecutive_failures", pod=pod_name
-                ).set(health["consecutive_failures"])
-                registry.gauge(
-                    "zerber_breaker_times_opened", pod=pod_name
-                ).set(health["times_opened"])
-            repair = snap["repair"]
-            registry.gauge("zerber_repair_sweeps").set(repair["sweeps"])
-            registry.gauge("zerber_repair_healed_seats").set(
-                repair["healed_seats"]
-            )
-            registry.gauge("zerber_repair_shipped_bytes").set(
-                repair["shipped_bytes"]
-            )
-            registry.gauge("zerber_repair_failures").set(repair["failures"])
-            registry.gauge("zerber_repair_pending_entries").set(
-                repair["pending_entries"]
-            )
-            registry.gauge("zerber_repair_thread_running").set(
-                1.0 if repair["thread_running"] else 0.0
-            )
-            registry.gauge("zerber_repair_backoff_seconds").set(
-                repair["current_backoff_s"] or 0.0
-            )
-
-        registry.add_collector(collect)
-        self.metrics = registry
+        for pod_name, health in self.breakers.snapshot().items():
+            labels = {"pod": pod_name}
+            state = state_rank.get(health["state"], 0.0)
+            yield "zerber_breaker_state", labels, state
+            for key in ("consecutive_failures", "times_opened"):
+                yield f"zerber_breaker_{key}", labels, health[key]
+        for key, value in (
+            ("sweeps", self.repair_sweeps),
+            ("healed_seats", self.repair_healed_seats),
+            ("shipped_bytes", self.repair_shipped_bytes),
+            ("failures", self.repair_failures),
+            ("pending_entries", pending_entries),
+            ("thread_running", self._repair_thread is not None),
+            ("backoff_seconds", self.repair_backoff_s or 0.0),
+        ):
+            yield f"zerber_repair_{key}", {}, value
 
     def live_servers(self) -> list[str]:
         return [

@@ -318,15 +318,13 @@ class ClusterDeployment:
         self._tokens: dict[str, AuthToken] = {}
         self._owners: dict[str, DocumentOwner] = {}
 
-    def _collect_deployment_metrics(self, _registry: MetricsRegistry) -> None:
+    def _collect_deployment_metrics(self):
         """Registry collector for the deployment-owned surfaces.
 
-        Runs at dump time (``metrics.samples()``), setting gauges from
-        the live admission controller, cache tiers, and seat stores —
-        the same sources :meth:`status_snapshot` reads, so the two
-        surfaces can never disagree.
+        Runs at dump time (``metrics.samples()``) and returns series
+        read from the owners, the admission controller, the cache
+        tiers and the live seats' stores.
         """
-        metrics = self.metrics
         # Write side: lifetime totals summed over the owners (each keeps
         # its own; the flush-time histogram is observed by the owners).
         owners = list(self._owners.values())
@@ -335,33 +333,28 @@ class ClusterDeployment:
             ("elements", "elements_shared"),
             ("batches", "batches_flushed"),
         ):
-            metrics.gauge(f"zerber_index_{name}_total").set(
-                sum(getattr(owner, attribute) for owner in owners)
-            )
+            total = sum(getattr(owner, attribute) for owner in owners)
+            yield f"zerber_index_{name}_total", {}, total
         server = self._socket_server
         if server is not None and server.admission is not None:
             for key, value in server.admission.stats().items():
-                metrics.gauge(f"zerber_admission_{key}").set(
-                    float(value if value is not None else 0)
-                )
+                yield f"zerber_admission_{key}", {}, value or 0
         if self.cache_tier_store is not None:
             snap = self.cache_tier_store.stats_snapshot()
-            metrics.gauge(
-                "zerber_cache_tier_info", policy=snap.pop("policy")
-            ).set(1.0)
+            yield "zerber_cache_tier_info", {"policy": snap.pop("policy")}, 1
             for key, value in snap.items():
-                metrics.gauge(f"zerber_cache_tier_{key}").set(value)
+                yield f"zerber_cache_tier_{key}", {}, value
         # Searcher-local L1s are per-client; the coordinator keeps the
         # fleet view (live sizes, lifetime counters).
         for key, value in self.coordinator.l1_totals().items():
-            metrics.gauge(f"zerber_l1_{key}").set(value)
+            yield f"zerber_l1_{key}", {}, value
         # Seat read snapshots, then seat-store / compactor state.
         for pod in self.coordinator.pods:
             for slot in pod.slots:
+                seat = {"server": slot.server_id}
                 for key in ("snapshot_builds", "snapshot_reads"):
-                    metrics.gauge(
-                        f"zerber_server_{key}", server=slot.server_id
-                    ).set(getattr(slot.server, key))
+                    value = getattr(slot.server, key)
+                    yield f"zerber_server_{key}", seat, value
                 if slot.log is None:
                     continue
                 status = slot.log.status()
@@ -370,13 +363,9 @@ class ClusterDeployment:
                     "bytes_appended",
                     "disk_bytes",
                     "segments",
+                    "compacting",
                 ):
-                    metrics.gauge(
-                        f"zerber_storage_{key}", server=slot.server_id
-                    ).set(status[key])
-                metrics.gauge(
-                    "zerber_storage_compacting", server=slot.server_id
-                ).set(1.0 if status["compacting"] else 0.0)
+                    yield f"zerber_storage_{key}", seat, status[key]
 
     def _build_pod(self, pod_index: int, name: str, n: int) -> Pod:
         """One fleet of n slot-aligned servers (shared scheme/auth/groups)."""
@@ -669,20 +658,6 @@ class ClusterDeployment:
     def socket_server(self) -> AsyncSocketServer | None:
         """The embedded socket server (None for in-process transport)."""
         return self._socket_server
-
-    def status_snapshot(self) -> dict:
-        """The coordinator's cluster-status snapshot (``repro cluster
-        status`` renders this), plus this deployment's server-side
-        admission ledger when a socket backend is embedded."""
-        snapshot = self.coordinator.status_snapshot(
-            self.mapping_table.num_lists
-        )
-        server = self._socket_server
-        if server is not None and server.admission is not None:
-            snapshot["admission"] = server.admission.stats()
-        if self.cache_tier_store is not None:
-            snapshot["cache_tier"] = self.cache_tier_store.stats_snapshot()
-        return snapshot
 
     # -- fleet statistics ---------------------------------------------------------------
 

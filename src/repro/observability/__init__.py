@@ -3,10 +3,11 @@
 Three pieces, each usable on its own:
 
 - :mod:`repro.observability.metrics` — a thread-safe registry of
-  counters, gauges, and fixed-bucket histograms (p50/p95/p99 readout)
-  that every subsystem publishes into. One registry per deployment;
-  collectors pull point-in-time state (per-pod gauges, breaker states,
-  cache occupancy) at dump time so nothing polls in the hot path.
+  counters and fixed-bucket histograms (p50/p95/p99 readout) that
+  every subsystem publishes into. One registry per deployment;
+  collectors pull point-in-time state (per-pod seat liveness, breaker
+  states, cache occupancy) at dump time so nothing polls in the hot
+  path.
 - :mod:`repro.observability.tracing` — wire-level request tracing: a
   thread-local trace context (modeled on the deadline scope), per-hop
   span records in a bounded in-memory buffer, and the 8-byte trace id
@@ -19,7 +20,6 @@ Three pieces, each usable on its own:
 
 from repro.observability.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricSample,
     MetricsRegistry,
@@ -42,7 +42,6 @@ from repro.observability.service import METRICS_ENDPOINT, MetricsService
 
 __all__ = [
     "Counter",
-    "Gauge",
     "Histogram",
     "MetricSample",
     "MetricsRegistry",

@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, fixed-bucket histograms.
+"""The metrics registry: counters, fixed-bucket histograms, collectors.
 
 One :class:`MetricsRegistry` per deployment. Subsystems publish two
 ways:
@@ -8,11 +8,13 @@ ways:
   cache hits). Updates take one small lock per instrument, never the
   registry lock.
 - **collectors** — callbacks registered with :meth:`add_collector`
-  that push point-in-time gauges (per-pod seat liveness, breaker
+  that return point-in-time series (per-pod seat liveness, breaker
   states, cache occupancy, repair backlog) when a snapshot is taken.
   State that already lives in a subsystem object is *pulled* at dump
   time instead of being mirrored on every mutation, so the read hot
-  path pays nothing for observability it is not using.
+  path pays nothing for observability it is not using. Nothing a
+  collector returns is stored: a series leaves the dump with its
+  subject (a retired pod, a drained seat, a forgotten breaker).
 
 Quantiles come from fixed cumulative buckets with linear interpolation
 inside the landing bucket — the standard Prometheus estimation. They
@@ -32,6 +34,10 @@ from typing import Callable, Iterable
 #: Default latency buckets in seconds: 100 µs .. ~13 s, x2 per step.
 #: Fine enough to resolve loopback RPCs, wide enough for a stalled pod.
 DEFAULT_BUCKETS_S = tuple(100e-6 * 2**i for i in range(18))
+
+#: A collector: called at dump time, returns ``(name, labels, value)``
+#: series, ``labels`` a plain dict (empty when unlabelled).
+Collector = Callable[[], Iterable[tuple[str, dict[str, str], float]]]
 
 
 @dataclass(frozen=True)
@@ -66,33 +72,6 @@ class Counter:
             raise ValueError("counters only go up")
         with self._lock:
             self._value += amount
-
-    @property
-    def value(self) -> float:
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A value that goes up and down (depth, occupancy, liveness)."""
-
-    __slots__ = ("_lock", "_value")
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        with self._lock:
-            self._value = float(value)
-
-    def inc(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value += amount
-
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
 
     @property
     def value(self) -> float:
@@ -182,7 +161,7 @@ class MetricsRegistry:
         self._lock = threading.Lock()
         self._instruments: dict[tuple[str, str], object] = {}
         self._kinds: dict[str, type] = {}
-        self._collectors: list[Callable[["MetricsRegistry"], None]] = []
+        self._collectors: list[Collector] = []
 
     def _get(self, cls: type, name: str, labels: dict[str, str], **kwargs):
         key = (name, _label_key(labels))
@@ -207,9 +186,6 @@ class MetricsRegistry:
     def counter(self, name: str, **labels: str) -> Counter:
         return self._get(Counter, name, labels)
 
-    def gauge(self, name: str, **labels: str) -> Gauge:
-        return self._get(Gauge, name, labels)
-
     def histogram(
         self,
         name: str,
@@ -218,30 +194,32 @@ class MetricsRegistry:
     ) -> Histogram:
         return self._get(Histogram, name, labels, bounds=buckets)
 
-    def add_collector(
-        self, collector: Callable[["MetricsRegistry"], None]
-    ) -> None:
-        """Register a dump-time callback that sets gauges from live state."""
+    def add_collector(self, collector: Collector) -> None:
+        """Register a dump-time source of series read from live state."""
         with self._lock:
             self._collectors.append(collector)
 
-    def collect(self) -> None:
-        """Run every collector (each may set gauges on this registry)."""
+    def samples(self) -> list[MetricSample]:
+        """All series, the collectors' merged in, sorted by name and
+        labels; histograms exploded into ``_bucket``/``_sum``/``_count``
+        plus quantile series."""
         with self._lock:
             collectors = list(self._collectors)
-        for collector in collectors:
-            collector(self)
-
-    def samples(self) -> list[MetricSample]:
-        """All series, collectors included, histograms exploded into
-        ``_bucket``/``_sum``/``_count`` plus quantile series."""
-        self.collect()
+        pulled = [
+            ((name, _label_key(labels)), float(value))
+            for collector in collectors
+            for name, labels, value in collector()
+        ]
         with self._lock:
-            items = sorted(self._instruments.items())
+            items = sorted(
+                [*self._instruments.items(), *pulled], key=lambda item: item[0]
+            )
         out: list[MetricSample] = []
         for (name, labels), instrument in items:
-            if isinstance(instrument, (Counter, Gauge)):
-                out.append(MetricSample(name, labels, instrument.value))
+            if isinstance(instrument, Counter):
+                instrument = instrument.value
+            if isinstance(instrument, float):
+                out.append(MetricSample(name, labels, instrument))
                 continue
             assert isinstance(instrument, Histogram)
             counts, total_sum, count = instrument.snapshot()

@@ -7,9 +7,9 @@ backends alike. ``repro cluster top``, ``repro
 cluster status``, and a remote operator's scrape all read through this
 one door, so they can never disagree with each other.
 
-The dump is token-free by the same argument as ``ServerStatusRequest``
-and ``CacheStatsRequest``: it exposes counters, gauges, and latency
-quantiles only — never shares, keys, or tokens.
+The dump is token-free by the same argument as ``ServerStatusRequest``:
+it exposes counters, gauges, and latency quantiles only — never shares,
+keys, or tokens.
 """
 
 from __future__ import annotations

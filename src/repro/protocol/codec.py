@@ -332,14 +332,6 @@ def _dec_cache_invalidate(r: _Reader) -> m.CacheInvalidateRequest:
     )
 
 
-def _enc_cache_stats_req(out: bytearray, msg: m.CacheStatsRequest) -> None:
-    pass
-
-
-def _dec_cache_stats_req(r: _Reader) -> m.CacheStatsRequest:
-    return m.CacheStatsRequest()
-
-
 def _enc_cache_value(out: bytearray, msg: m.CacheValueResponse) -> None:
     _write_uint(out, 1 if msg.hit else 0)
     _write_bytes(out, msg.value)
@@ -349,30 +341,6 @@ def _dec_cache_value(r: _Reader) -> m.CacheValueResponse:
     return m.CacheValueResponse(hit=r.uint() != 0, value=r.blob())
 
 
-def _enc_cache_stats_resp(
-    out: bytearray, msg: m.CacheStatsResponse
-) -> None:
-    _write_str(out, msg.policy)
-    _write_uint(out, msg.entries)
-    _write_uint(out, msg.capacity)
-    _write_uint(out, msg.hits)
-    _write_uint(out, msg.misses)
-    _write_uint(out, msg.evictions)
-    _write_uint(out, msg.invalidations)
-    _write_uint(out, msg.rejections)
-
-
-def _dec_cache_stats_resp(r: _Reader) -> m.CacheStatsResponse:
-    return m.CacheStatsResponse(
-        policy=r.text(),
-        entries=r.uint(),
-        capacity=r.uint(),
-        hits=r.uint(),
-        misses=r.uint(),
-        evictions=r.uint(),
-        invalidations=r.uint(),
-        rejections=r.uint(),
-    )
 
 
 def _enc_metrics_dump_req(out: bytearray, msg: m.MetricsDumpRequest) -> None:
@@ -585,10 +553,11 @@ Reader = _Reader
 #: type byte -> (message class, encoder, decoder). Type bytes are wire
 #: contract: never renumber, only append. Retired bytes stay unassigned
 #: and decode as an unknown type: 0x05 (the per-list export), 0x43 (the
-#: records an adopt or drop touched; both now answer with a count), and
+#: records an adopt or drop touched; both now answer with a count),
 #: 0x01, 0x02, 0x06, 0x22 and 0x24 (the varint-per-record forms of the
 #: bulk messages, which travel as columns under 0x41, 0x45, 0x42 and
-#: 0x44).
+#: 0x44), and 0x0F / 0x2A (CacheStatsRequest / CacheStatsResponse, the
+#: L2 tier's own counters, which ``MetricsDump`` carries instead).
 _REGISTRY: dict[int, tuple[type, Callable, Callable]] = {
     0x03: (m.FetchListsRequest, _enc_fetch, _dec_fetch),
     0x04: (m.FetchSnippetRequest, _enc_snippet_req, _dec_snippet_req),
@@ -608,7 +577,6 @@ _REGISTRY: dict[int, tuple[type, Callable, Callable]] = {
         _enc_cache_invalidate,
         _dec_cache_invalidate,
     ),
-    0x0F: (m.CacheStatsRequest, _enc_cache_stats_req, _dec_cache_stats_req),
     0x10: (
         m.MetricsDumpRequest,
         _enc_metrics_dump_req,
@@ -621,11 +589,6 @@ _REGISTRY: dict[int, tuple[type, Callable, Callable]] = {
     0x27: (m.ErrorResponse, _enc_error, _dec_error),
     0x28: (m.SnapshotResponse, _enc_snapshot_resp, _dec_snapshot_resp),
     0x29: (m.CacheValueResponse, _enc_cache_value, _dec_cache_value),
-    0x2A: (
-        m.CacheStatsResponse,
-        _enc_cache_stats_resp,
-        _dec_cache_stats_resp,
-    ),
     0x2B: (
         m.MetricsDumpResponse,
         _enc_metrics_dump_resp,

@@ -26,7 +26,6 @@ EndpointsRequest      —  (transport discovery)         EndpointsResponse
 CacheGetRequest       token + cache key (cache tier)   CacheValueResponse
 CachePutRequest       token + key + pl_id + value      OpCountResponse
 CacheInvalidateRequest  pl_ids (cache tier)            OpCountResponse
-CacheStatsRequest     —  (cache tier observability)    CacheStatsResponse
 MetricsDumpRequest    —  (metrics observability)       MetricsDumpResponse
 (any, on failure)                                      ErrorResponse
 ====================  ==============================  ====================
@@ -307,22 +306,11 @@ class CacheInvalidateRequest:
 
 
 @dataclass(frozen=True)
-class CacheStatsRequest:
-    """Cache tier observability: counters and occupancy."""
-
-    kind = "cache"
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return 4
-
-
-@dataclass(frozen=True)
 class MetricsDumpRequest:
     """Metrics observability: every registry sample in one answer.
 
-    Token-free like :class:`ServerStatusRequest` and
-    :class:`CacheStatsRequest` — the dump carries counters and
-    quantiles only, never shares, keys, or tokens.
+    Token-free like :class:`ServerStatusRequest` — the dump carries
+    counters and quantiles only, never shares, keys, or tokens.
     """
 
     kind = "admin"
@@ -416,23 +404,6 @@ class CacheValueResponse:
 
 
 @dataclass(frozen=True)
-class CacheStatsResponse:
-    """Cache-tier counters: the memcache ``stats`` analogue."""
-
-    policy: str
-    entries: int
-    capacity: int
-    hits: int
-    misses: int
-    evictions: int
-    invalidations: int
-    rejections: int
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return len(self.policy) + 7 * 4
-
-
-@dataclass(frozen=True)
 class MetricsDumpResponse:
     """The metrics registry's sample set at one instant.
 
@@ -487,7 +458,6 @@ REQUEST_TYPES = (
     CacheGetRequest,
     CachePutRequest,
     CacheInvalidateRequest,
-    CacheStatsRequest,
     MetricsDumpRequest,
 )
 
@@ -500,6 +470,5 @@ RESPONSE_TYPES = (
     EndpointsResponse,
     ErrorResponse,
     CacheValueResponse,
-    CacheStatsResponse,
     MetricsDumpResponse,
 )

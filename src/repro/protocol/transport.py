@@ -54,7 +54,6 @@ from repro.protocol.messages import (
     DEFAULT_SHARE_BYTES,
     CacheGetRequest,
     CacheInvalidateRequest,
-    CacheStatsRequest,
     EndpointsRequest,
     EndpointsResponse,
     ErrorResponse,
@@ -100,7 +99,6 @@ _RETRY_SAFE = (
     # CachePut is *not* retry-safe by policy: a lost put only costs a
     # future miss, so it fails fast like every other write.
     CacheGetRequest,
-    CacheStatsRequest,
     CacheInvalidateRequest,
     # A metrics dump is a pure read of counters and gauges.
     MetricsDumpRequest,

@@ -11,7 +11,7 @@ it raises":
   ``retryable``-classified errors) shared by both socket transports;
 - :mod:`~repro.resilience.breaker` — per-pod circuit breakers
   (closed / open / half-open) feeding the coordinator's replica
-  ranking and ``status_snapshot()["health"]``;
+  ranking and the ``zerber_breaker_*`` series;
 - :mod:`~repro.resilience.admission` — bounded server-side dispatch
   with typed retryable :class:`~repro.errors.OverloadedError` shedding;
 - :mod:`~repro.resilience.faults` — the seeded :class:`FaultPlan` /

@@ -73,7 +73,7 @@ class AdmissionController:
             return self._depth
 
     def stats(self) -> dict:
-        """Counters for benches and ``status_snapshot`` surfaces."""
+        """Counters for benches and the ``zerber_admission_*`` series."""
         with self._lock:
             return {
                 "max_pending": self.max_pending,

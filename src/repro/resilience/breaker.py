@@ -56,7 +56,7 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._opened_at = 0.0
         self._probe_outstanding = False
-        #: Lifetime counters (surfaced in ``status_snapshot()["health"]``).
+        #: Lifetime counters (surfaced in :meth:`snapshot`).
         self.times_opened = 0
         self.recorded_failures = 0
         self.recorded_successes = 0
@@ -135,7 +135,7 @@ class CircuitBreaker:
             return self._state
 
     def snapshot(self) -> dict:
-        """The ``status_snapshot()["health"]`` entry for this breaker."""
+        """State and counters (the ``zerber_breaker_*`` series read it)."""
         state = self.state
         with self._lock:
             return {

@@ -25,6 +25,7 @@ from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Corpus, Document
+from repro.observability.metrics import SampleView
 from repro.server.index_server import PostingListResponse
 
 K, N = 3, 6  # the acceptance configuration: each pod tolerates 3 failures
@@ -283,6 +284,12 @@ def make_cluster(
         cluster.share_document(f"owner{document.group_id}", document)
     cluster.flush_all()
     return cluster
+
+
+def metric(cluster, name, **labels):
+    """One series of a fresh dump of the cluster's metrics registry
+    (None when the dump does not carry it)."""
+    return SampleView(cluster.metrics.samples()).value(name, **labels)
 
 
 def make_single_fleet(documents, k=2, n=3, num_lists=8):

@@ -23,7 +23,7 @@ import time
 
 import pytest
 
-from helpers import make_cluster, make_documents, make_single_fleet
+from helpers import make_cluster, make_documents, make_single_fleet, metric
 from repro.corpus.document import Document
 from repro.errors import (
     ClusterError,
@@ -158,9 +158,11 @@ class TestOwnerNeverReturnsDrill:
             assert stats.repaired_routes == dropped
             assert stats.shipped_bytes > 0
             assert coordinator.outstanding_write_routes == 0
-            snap = cluster.status_snapshot()
-            assert snap["repair"]["pending_entries"] == 0
-            assert snap["repair"]["healed_seats"] == stats.healed_seats
+            assert metric(cluster, "zerber_repair_pending_entries") == 0
+            assert (
+                metric(cluster, "zerber_repair_healed_seats")
+                == stats.healed_seats
+            )
             assert_byte_identical(
                 cluster, single, drill_queries(documents + [extra]),
                 context="after sweep-only repair",
@@ -225,7 +227,7 @@ class TestOwnerNeverReturnsDrill:
                 break
             cluster.repair_sweep()
         assert cluster.coordinator.outstanding_write_routes == 0
-        assert cluster.status_snapshot()["repair"]["pending_entries"] == 0
+        assert metric(cluster, "zerber_repair_pending_entries") == 0
         healed = cluster.pods[0].slots[1].server
         peer = cluster.pods[0].slots[0].server
         assert healed.num_elements == peer.num_elements
@@ -286,7 +288,7 @@ class TestOwnerNeverReturnsDrill:
             assert swept.healed_seats == 1
             total += 1
             assert total < 50  # must converge
-        assert cluster.status_snapshot()["repair"]["pending_entries"] == 0
+        assert metric(cluster, "zerber_repair_pending_entries") == 0
 
 
 class TestSourceDiesMidShip:
@@ -498,7 +500,7 @@ class TestRepairVsConcurrentWrites:
         finally:
             coordinator.stop_repair_thread()
         assert coordinator.outstanding_write_routes == 0
-        assert cluster.status_snapshot()["repair"]["pending_entries"] == 0
+        assert metric(cluster, "zerber_repair_pending_entries") == 0
         assert_byte_identical(
             cluster, single, drill_queries(documents + [first]),
             context="writes racing the repair thread",
@@ -672,8 +674,7 @@ class TestRepairThreadLifecycle:
         )
         with cluster:
             coordinator = cluster.coordinator
-            snap = cluster.status_snapshot()
-            assert snap["repair"]["thread_running"]
+            assert metric(cluster, "zerber_repair_thread_running") == 1
             extra = make_extra()
             cluster.kill_server(0, 1)
             cluster.share_document("owner0", extra)
@@ -692,4 +693,4 @@ class TestRepairThreadLifecycle:
                 cluster, single, drill_queries(documents + [extra]),
                 context="hands-off background healing",
             )
-        assert not cluster.status_snapshot()["repair"]["thread_running"]
+        assert metric(cluster, "zerber_repair_thread_running") == 0

@@ -42,7 +42,6 @@ from repro.protocol.messages import (
     CacheGetRequest,
     CacheInvalidateRequest,
     CachePutRequest,
-    CacheStatsRequest,
     FetchListsRequest,
 )
 from repro.observability.metrics import SampleView
@@ -253,29 +252,36 @@ class TestCacheTierService:
         return transport, auth, tokens
 
     def test_protocol_round_trip(self):
-        transport, _auth, tokens = self._tier()
-        key = entry_key({1}, 3, 4)
+        """Get, put and invalidate over the wire; the tier's counters
+        come back in the deployment's metrics registry."""
+        cluster = make_cluster(make_documents(num_docs=4), cache_tier="lru")
+        with cluster:
+            cluster.add_member(1, "alice", actor="owner1")
+            token = cluster.enroll_user("alice")
+            key = entry_key({1}, 3, 4)
 
-        def call(request):
-            return transport.call(
-                src="client", dst=CACHE_TIER_ENDPOINT, request=request
+            def call(request):
+                return cluster.transport.call(
+                    src="client", dst=CACHE_TIER_ENDPOINT, request=request
+                )
+
+            assert call(CacheGetRequest(token=token, key=key)).hit is False
+            assert (
+                call(
+                    CachePutRequest(token=token, key=key, pl_id=4, value=b"v")
+                ).count
+                == 1
             )
-
-        token = tokens["alice"]
-        assert call(CacheGetRequest(token=token, key=key)).hit is False
-        assert (
-            call(
-                CachePutRequest(token=token, key=key, pl_id=4, value=b"v")
-            ).count
-            == 1
-        )
-        got = call(CacheGetRequest(token=token, key=key))
-        assert (got.hit, got.value) == (True, b"v")
-        assert call(CacheInvalidateRequest(pl_ids=(4, 5))).count == 1
-        assert call(CacheGetRequest(token=token, key=key)).hit is False
-        stats = call(CacheStatsRequest())
-        assert (stats.hits, stats.misses) == (1, 2)
-        assert stats.policy == "lru"
+            got = call(CacheGetRequest(token=token, key=key))
+            assert (got.hit, got.value) == (True, b"v")
+            assert call(CacheInvalidateRequest(pl_ids=(4, 5))).count == 1
+            assert call(CacheGetRequest(token=token, key=key)).hit is False
+            view = SampleView(cluster.metrics.samples())
+            assert view.value("zerber_cache_tier_hits") == 1
+            assert view.value("zerber_cache_tier_misses") == 2
+            assert view.label_values("zerber_cache_tier_info", "policy") == [
+                "lru"
+            ]
 
     def test_forged_key_for_foreign_group_is_rejected(self):
         """The high-severity regression: a key claims a fingerprint the
@@ -360,7 +366,6 @@ class TestCacheTierService:
         # Reads and idempotent invalidations may be re-sent; a put is a
         # write and must fail fast like every other write.
         assert CacheGetRequest in _RETRY_SAFE
-        assert CacheStatsRequest in _RETRY_SAFE
         assert CacheInvalidateRequest in _RETRY_SAFE
         assert CachePutRequest not in _RETRY_SAFE
 
@@ -492,8 +497,8 @@ class TestClusterIntegration:
             got = searcher.search(["w3"])
             assert _result_bytes(got) == _result_bytes(expected)
             assert 900 in {r.doc_id for r in got}
-            tier = cached.status_snapshot()["cache_tier"]
-            assert tier["invalidations"] > 0
+            view = SampleView(cached.metrics.samples())
+            assert view.value("zerber_cache_tier_invalidations") > 0
         finally:
             plain.close()
             cached.close()
@@ -688,7 +693,6 @@ class TestClusterIntegration:
                 assert view.value(f"zerber_l1_{field}") is not None
             assert view.value("zerber_l1_hits") > 0
             assert view.value("zerber_l1_capacity") == 16
-            assert "cache" not in cluster.status_snapshot()
             assert not any(
                 sample.name.startswith("zerber_share_")
                 for sample in view.samples

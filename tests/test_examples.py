@@ -49,3 +49,5 @@ def test_wire_protocol_tour_matches_over_tcp(capsys):
     out = capsys.readouterr().out
     assert "byte-identical over TCP:" in out
     assert "pod 0 dead, still byte-identical" in out
+    assert "metrics dump over TCP:" in out
+    assert "pod0: 0 live / 3 dead seats" in out

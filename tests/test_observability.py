@@ -24,11 +24,11 @@ import pytest
 
 from helpers import make_cluster, make_documents
 
+from repro.cli import _fetch_metrics_view, _pod_status_lines
 from repro.cli import main as cli_main
 from repro.client.batching import BatchPolicy
 from repro.observability.metrics import (
     Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     SampleView,
@@ -84,13 +84,6 @@ class TestMetricsInstruments:
     def test_counters_only_go_up(self):
         with pytest.raises(ValueError):
             Counter().inc(-1)
-
-    def test_gauge_moves_both_ways(self):
-        gauge = Gauge()
-        gauge.set(5)
-        gauge.inc(2)
-        gauge.dec(3)
-        assert gauge.value == 4.0
 
     def test_concurrent_histogram_totals_are_exact(self):
         histogram = Histogram()
@@ -158,23 +151,39 @@ class TestMetricsRegistry:
         registry = MetricsRegistry()
         registry.counter("x")
         with pytest.raises(TypeError):
-            registry.gauge("x")
+            registry.histogram("x")
         with pytest.raises(TypeError):
-            registry.gauge("x", pod="p0")  # name owns the kind
+            registry.histogram("x", pod="p0")  # name owns the kind
 
     def test_collectors_run_at_dump_time(self):
+        """A collector's series are read at dump time, merged in name
+        order with the stored instruments, and never stored: a series
+        leaves the dump with its subject."""
         registry = MetricsRegistry()
+        registry.counter("a_total").inc()
+        registry.counter("z_total").inc()
         pulls = []
+        pods = ["p0", "p1"]
 
-        def collect(reg):
+        def collect():
             pulls.append(1)
-            reg.gauge("pulled").set(42)
+            for pod in pods:
+                yield "pulled", {"pod": pod}, 42
 
         registry.add_collector(collect)
         assert not pulls
-        view = SampleView(registry.samples())
+        samples = registry.samples()
         assert pulls == [1]
-        assert view.value("pulled") == 42.0
+        assert [(s.name, s.labels) for s in samples] == [
+            ("a_total", ""),
+            ("pulled", 'pod="p0"'),
+            ("pulled", 'pod="p1"'),
+            ("z_total", ""),
+        ]
+        assert SampleView(samples).value("pulled", pod="p1") == 42.0
+        pods.remove("p1")
+        view = SampleView(registry.samples())
+        assert view.label_values("pulled", "pod") == ["p0"]
 
     def test_histograms_explode_into_buckets_and_quantiles(self):
         registry = MetricsRegistry()
@@ -601,13 +610,15 @@ class TestInjectableClock:
         with cluster:
             searcher = cluster.searcher("owner0", use_cache=False)
             searcher.search(_query_terms(documents), top_k=5)
-            snap = cluster.status_snapshot()
-            read_pods = [
-                pod for pod in snap["pods"] if pod["read_load"] > 0
-            ]
+            view = SampleView(cluster.metrics.samples())
+            loads = view.by_label("zerber_pod_read_load", "pod")
+            read_pods = [pod for pod, load in loads.items() if load > 0]
             assert read_pods
             for pod in read_pods:
-                assert pod["read_latency_ewma_s"] == 0.0
+                assert cluster.coordinator.pod_read_latency[pod] == 0.0
+                assert view.value(
+                    "zerber_pod_read_latency_ewma_seconds", pod=pod
+                ) == 0.0
 
     def test_breakers_share_the_injected_clock(self):
         """Cooldown expiry driven by advancing a fake clock, no sleeps."""
@@ -634,13 +645,45 @@ class TestDashboards:
         out = capsys.readouterr().out
         assert code == 0
         assert "repro cluster top · frame 2/2" in out
-        assert "index: 16 documents (320.0 docs/s)" in out  # first frame
-        assert "index: 16 documents (0.0 docs/s)" in out
+        # Top indexes nothing: every frame's rate is a delta between two
+        # dumps, the first frame's against a baseline taken before it.
+        assert out.count("index: 16 documents (0.0 docs/s)") == 2
         assert "flush p50" in out and "flush p50 0.00ms" not in out
         assert "p50" in out and "p95" in out and "p99" in out
         assert "pod0" in out and "pod1" in out
         assert "breakers:" in out
         assert "anti-entropy:" in out
+
+    def test_a_retired_pod_leaves_the_dump(self, tmp_path):
+        """Collector series are never stored, so retiring a pod takes its
+        pod, seat, breaker, read-snapshot and storage series out of the
+        dump, and the status view counts the live pods only."""
+        cluster = make_cluster(
+            make_documents(), num_pods=3, replication_factor=2,
+            wal_dir=tmp_path,
+        )
+        with cluster:
+            cluster.coordinator.breakers.record_failure("pod2")
+
+            def naming_pod2(view):
+                return {s.name for s in view.samples if "pod2" in s.labels}
+
+            # No query has run: every series naming pod2 is collected.
+            collected = naming_pod2(_fetch_metrics_view(cluster))
+            assert {
+                "zerber_pod_live_seats",
+                "zerber_seat_alive",
+                "zerber_breaker_state",
+                "zerber_server_snapshot_reads",
+                "zerber_storage_segments",
+            } <= collected
+            cluster.retire_pod(2)
+            view = _fetch_metrics_view(cluster)
+            assert not naming_pod2(view) & collected
+            rows = _pod_status_lines(view)
+            assert [row.split(":")[0].strip() for row in rows] == [
+                "pod0", "pod1",
+            ]
 
     def test_cluster_status_renders_from_the_metrics_dump(self, capsys):
         code = cli_main(

@@ -10,7 +10,9 @@ and frames from protocol versions this peer does not speak.
 
 from __future__ import annotations
 
+import pathlib
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -130,22 +132,10 @@ messages = st.one_of(
         m.CacheInvalidateRequest,
         pl_ids=st.lists(small_uints, max_size=8).map(tuple),
     ),
-    st.just(m.CacheStatsRequest()),
     st.builds(
         m.CacheValueResponse,
         hit=st.booleans(),
         value=st.binary(max_size=64),
-    ),
-    st.builds(
-        m.CacheStatsResponse,
-        policy=texts,
-        entries=small_uints,
-        capacity=small_uints,
-        hits=small_uints,
-        misses=small_uints,
-        evictions=small_uints,
-        invalidations=small_uints,
-        rejections=small_uints,
     ),
 )
 
@@ -230,24 +220,27 @@ def test_retired_export_list_type_byte_rejected():
     assert not hasattr(m, "ExportListRequest")
 
 
-#: The retired varint-per-record forms of the bulk messages, and the
-#: packed type byte each message class travels under instead (None:
-#: the class is gone with both its forms).
+#: Retired type bytes — the varint-per-record forms of the bulk
+#: messages, and the L2 tier's own stats pair (its counters travel in
+#: MetricsDump) — and the packed type byte each message class travels
+#: under instead (None: the class is gone with all its forms).
 _RETIRED_CLASSIC = {
     0x01: (m.InsertBatchRequest, 0x41),
     0x02: (m.DeleteBatchRequest, 0x45),
     0x06: (m.AdoptListRequest, 0x44),
+    0x0F: (None, None),  # was CacheStatsRequest
     0x22: (m.FetchListsResponse, 0x42),
     0x24: (None, None),
+    0x2A: (None, None),  # was CacheStatsResponse
 }
 
 
 @pytest.mark.parametrize("type_byte", sorted(_RETIRED_CLASSIC))
 def test_retired_classic_bulk_type_bytes_rejected(type_byte):
-    """0x01, 0x02, 0x06, 0x22 and 0x24 (the classic bulk encodings) are
-    retired like 0x05: a frame carrying one is a typed unknown-type
-    error, whatever body follows, and the message class encodes only
-    under its packed byte."""
+    """0x01, 0x02, 0x06, 0x22 and 0x24 (the classic bulk encodings) and
+    0x0F / 0x2A (the cache-tier stats pair) are retired like 0x05: a
+    frame carrying one is a typed unknown-type error, whatever body
+    follows, and the message class encodes only under its packed byte."""
     for body in (b"", b"\x00", b"\x01\x02\x03\x04"):
         with pytest.raises(ProtocolError, match=f"0x{type_byte:02x}"):
             codec.decode_message(
@@ -271,6 +264,38 @@ def test_retired_record_list_type_byte_is_never_reassigned():
             )
     assert 0x43 not in codec._REGISTRY
     assert not hasattr(m, "RecordListResponse")
+
+
+ARCHITECTURE = (
+    pathlib.Path(__file__).resolve().parent.parent / "docs" / "ARCHITECTURE.md"
+)
+
+
+def _catalogue_classes(table: str) -> set[str]:
+    """The message classes a catalogue table names, retired rows aside."""
+    return {
+        name
+        for line in table.splitlines()
+        if "retired" not in line
+        for name in re.findall(r"\b[A-Z]\w*(?:Request|Response)\b", line)
+    }
+
+
+def test_message_catalogues_match_the_codec_registry():
+    """Every registered message class has a row in both catalogues —
+    the ``messages`` module table and ARCHITECTURE's — and every class
+    either table names is registered, so retiring a type byte cannot
+    leave a stale row behind."""
+    registered = {cls.__name__ for cls, _enc, _dec in codec._REGISTRY.values()}
+    module_table = m.__doc__.split("Catalogue")[1].split("Versioning rules")[0]
+    section = ARCHITECTURE.read_text().split("### Message catalogue")[1]
+    architecture_table = "\n".join(
+        line
+        for line in section.split("\n### ")[0].splitlines()
+        if line.startswith("|")
+    )
+    assert _catalogue_classes(module_table) == registered
+    assert _catalogue_classes(architecture_table) == registered
 
 
 def test_drop_request_is_its_pl_id_alone():
@@ -351,13 +376,7 @@ def test_wire_bytes_match_the_historical_cost_model():
     )
     assert put.wire_bytes() == token.wire_bytes() + 4 + 7 + 4 + 10
     assert m.CacheInvalidateRequest(pl_ids=(1, 2)).wire_bytes() == 4 + 8
-    assert m.CacheStatsRequest().wire_bytes() == 4
     assert m.CacheValueResponse(hit=True, value=b"ab").wire_bytes() == 3
-    stats = m.CacheStatsResponse(
-        policy="lru", entries=1, capacity=2, hits=3, misses=4,
-        evictions=5, invalidations=6, rejections=7,
-    )
-    assert stats.wire_bytes() == 3 + 7 * 4
 
 
 # -- packed encodings (the bulk messages' record forms) -----------------------

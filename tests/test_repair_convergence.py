@@ -18,7 +18,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import make_cluster, make_documents, make_single_fleet
+from helpers import make_cluster, make_documents, make_single_fleet, metric
 from repro.corpus.document import Document
 
 VOCAB = [f"w{i}" for i in range(16)]
@@ -112,7 +112,7 @@ def run_interleaving(data, max_actions: int) -> None:
         if cluster.repair_sweep().healed_seats == 0:
             cluster.reprovision_dropped_writes()
     assert coordinator.outstanding_write_routes == 0
-    assert cluster.status_snapshot()["repair"]["pending_entries"] == 0
+    assert metric(cluster, "zerber_repair_pending_entries") == 0
 
     # A fresh single fleet replays the same journal with no failures.
     single = make_single_fleet([], k=K, n=N)

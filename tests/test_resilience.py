@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from helpers import make_cluster, make_documents
+from helpers import make_cluster, make_documents, metric
 
 from repro.errors import (
     DeadlineExceededError,
@@ -347,8 +347,7 @@ class TestCircuitBreaker:
                     )
             finally:
                 coordinator.read_replicas = original
-            health = cluster.status_snapshot()["health"]
-            assert health["pod0"]["state"] == "open"
+            assert coordinator.breakers.of("pod0").state == "open"
             # The open pod ranks behind the live one for every list it
             # still nominally replicates.
             for pl_id in range(cluster.mapping_table.num_lists):
@@ -366,8 +365,7 @@ class TestCircuitBreaker:
                 )
             finally:
                 coordinator.read_replicas = original
-            health = cluster.status_snapshot()["health"]
-            assert health["pod0"]["state"] == "closed"
+            assert coordinator.breakers.of("pod0").state == "closed"
 
 
 class TestAdmissionControl:
@@ -431,10 +429,9 @@ class TestAdmissionControl:
         with cluster:
             searcher = cluster.searcher("owner0")
             searcher.search(["w1"], fetch_snippets=False)
-            stats = cluster.status_snapshot()["admission"]
-            assert stats["max_pending"] == 64
-            assert stats["admitted"] > 0
-            assert stats["shed"] == 0
+            assert metric(cluster, "zerber_admission_max_pending") == 64
+            assert metric(cluster, "zerber_admission_admitted") > 0
+            assert metric(cluster, "zerber_admission_shed") == 0
 
 
 class TestRepairBackoff:
@@ -442,21 +439,17 @@ class TestRepairBackoff:
         cluster = make_cluster(make_documents(num_docs=4))
         with cluster:
             coordinator = cluster.coordinator
-            assert (
-                cluster.status_snapshot()["repair"]["current_backoff_s"]
-                is None
-            )
+            assert coordinator.repair_backoff_s is None
+            assert metric(cluster, "zerber_repair_backoff_seconds") == 0
             coordinator.start_repair_thread(interval_s=0.01)
             try:
-                snap = cluster.status_snapshot()["repair"]
-                assert snap["thread_running"]
-                assert snap["current_backoff_s"] is not None
-                assert snap["current_backoff_s"] >= 0.01
+                assert metric(cluster, "zerber_repair_thread_running") == 1
+                assert coordinator.repair_backoff_s is not None
+                assert metric(cluster, "zerber_repair_backoff_seconds") >= 0.01
             finally:
                 coordinator.stop_repair_thread()
-            snap = cluster.status_snapshot()["repair"]
-            assert not snap["thread_running"]
-            assert snap["current_backoff_s"] is None
+            assert metric(cluster, "zerber_repair_thread_running") == 0
+            assert coordinator.repair_backoff_s is None
 
     def test_jitter_draws_are_seed_deterministic(self):
         from random import Random
