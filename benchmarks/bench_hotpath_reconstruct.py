@@ -9,8 +9,10 @@ products; ``reconstruct_cached`` memoises the Lagrange-at-zero weights
 per x-tuple, which leaves a k-term dot product per element but still
 one call, one ``Share`` list and one subset choice each;
 ``reconstruct_batch`` takes the k share *columns* of a joined list and
-runs k list passes plus one ``% p`` pass over plain ints, which is what
-the searcher's columnar read path calls once per fetched list.
+runs list passes over plain ints — at k = 2 one pass of
+``(a + w1 * (b - a)) % p`` (the weights sum to 1), above it k
+multiply-accumulate passes plus one ``% p`` pass — which is what the
+searcher's columnar read path calls once per fetched list.
 
 This bench times the three over the same shares (best of ``REPEATS``,
 cold weight memo each time), asserts they agree bit-for-bit, and

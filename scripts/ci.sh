@@ -19,7 +19,8 @@
 #   included;
 # - the hot-path perf smoke: weight-cached reconstruction must stay
 #   measurably faster than naive Lagrange, column reconstruction
-#   (reconstruct_batch) >= 3x the per-element cached path, and column
+#   (reconstruct_batch, one pass at k = 2) >= 3x the per-element
+#   cached path, and column
 #   splitting (split_many) >= 2x per-element split with share-for-share
 #   equal output at the same seed, and column packing (pack_many) >=
 #   1.5x per-element pack(PostingElement(...)) with value-for-value

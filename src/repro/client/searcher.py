@@ -82,8 +82,10 @@ class SearchDiagnostics:
             what a fresh fetch would report.
         false_positives: decrypted elements discarded as merged-in noise.
         elements_matched: elements surviving the term filter.
-        response_bytes: total lookup response bytes across servers
-            (0 unless a network is attached).
+        response_bytes: total lookup response bytes across servers,
+            each response sized by its ``wire_bytes``. Counted on every
+            lookup, whatever the transport: in process it equals what
+            the same lookups read over a socket.
         inconsistent_elements: under ``verify_consistency``, elements
             whose k-subsets of shares reconstructed to more than one
             value (a lying or corrupted server answered).

@@ -56,8 +56,10 @@ def threshold_top_k(
     sorted_lists: dict[str, list[tuple[int, float]]] = {}
     for term, postings in postings_by_term.items():
         # (-tf, doc_id) order from two C-level sorts: doc_id order,
-        # then a stable tf-descending pass. The inputs are not touched.
-        lst = sorted(postings)
+        # then a stable tf-descending pass. Rows equal in doc_id and tf
+        # are equal tuples, so sorting on doc_id alone orders as well as
+        # a tuple sort, and cheaper. The inputs are not touched.
+        lst = sorted(postings, key=itemgetter(0))
         lst.sort(key=itemgetter(1), reverse=True)
         if lst and lst[-1][1] < 0:  # the last row holds the least tf
             raise RankingError(f"negative tf in list for {term!r}")

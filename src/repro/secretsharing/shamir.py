@@ -368,9 +368,13 @@ class ShamirScheme:
         The query hot path joins each fetched list into columns: the
         slot at ``xs[j]`` contributes ``y_columns[j]``, and row ``i``
         across the columns is one element's canonical k shares. The
-        memoised weights of the x-tuple turn the column into k list
-        passes and one ``% p`` pass over plain ints — no per-element
-        objects. Returns the secrets, row for row.
+        memoised weights of the x-tuple turn the column into list passes
+        over plain ints — no per-element objects. At k = 2 that is one
+        pass of ``(a + w1 * (b - a)) % p``, since the weights sum to 1;
+        above it, k multiply-accumulate passes and one ``% p`` pass (the
+        subtraction form there costs an int per term more than the
+        multiply it saves). Either equals the plain weighted sum mod p
+        for any integer shares. Returns the secrets, row for row.
 
         Raises:
             InsufficientSharesError: fewer than k columns.
@@ -389,10 +393,15 @@ class ShamirScheme:
             )
         normalize = self.field.normalize
         weights = self.lagrange_weights(tuple(normalize(x) for x in xs))
+        p = self.field.p
+        if k == 2:
+            # The weights sum to 1 mod p, so w0*a + w1*b = a + w1*(b - a)
+            # mod p: one multiply an element, in one pass.
+            w1 = weights[1]
+            return [(a + w1 * (b - a)) % p for a, b in zip(*y_columns)]
         sums = [weights[0] * y for y in y_columns[0]]
         for weight, column in zip(weights[1:], y_columns[1:]):
             sums = [s + weight * y for s, y in zip(sums, column)]
-        p = self.field.p
         return [s % p for s in sums]
 
     def extend(self, additional_servers: int) -> list[int]:

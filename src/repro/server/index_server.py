@@ -17,6 +17,7 @@ information the §7.1 attack experiments are allowed to use.
 from __future__ import annotations
 
 import threading
+from array import array
 from collections import defaultdict, deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -135,6 +136,24 @@ class PostingListResponse:
         return 4 + len(self.element_ids) * (4 + 4 + share_bytes)
 
 
+#: The typecode of a 64-bit word. Where C's ``unsigned long`` is 64
+#: bits (LP64) it is ``L``: the same words as ``Q``, but CPython
+#: converts an int to one in a digit loop, about twice as fast as
+#: ``Q``'s byte-array path.
+_WORD = "L" if array("L").itemsize == 8 else "Q"
+
+
+def _words(values: Sequence) -> array | list:
+    """A share column as 64-bit words, or as a plain list when some
+    value does not fit one (a share in [2^64, p), a negative or a
+    non-int value): the rule the codec's ``_write_column`` follows. One
+    C-level conversion, no Python call per value."""
+    try:
+        return array(_WORD, values)
+    except (OverflowError, TypeError):
+        return list(values)
+
+
 class SeatList:
     """One merged list as the seat stores it — the only form a stored
     list takes, replay, snapshots and replication included: three
@@ -142,7 +161,14 @@ class SeatList:
     last row into the hole (O(1)), so row order is a function of the
     operations applied: seats that applied the same operations (from a
     log or a snapshot too) answer in the same order, which the client's
-    aligned join relies on. Equal lists have equal columns, in order.
+    aligned join relies on. Equal lists hold equal values, in order.
+
+    ``share_ys`` is an array of 64-bit words, 8 B a share and no object
+    to walk; a share outside [0, 2^64) (odds 13/2^64 in the field)
+    turns it into a plain list for good (:func:`_words`). The id
+    columns stay lists: the client's join compares two seats' id
+    columns, and the int objects a batch carried to every seat make
+    that comparison an identity check per element.
 
     Reads go through a **read snapshot**: ``(stamp, response, group
     set)``, one copy of the columns that repeated lookups share until
@@ -170,11 +196,15 @@ class SeatList:
         "copied",
     )
 
-    def __init__(self, *columns: list[int]) -> None:
-        """An empty list, or one owning the three aligned column lists
-        given. A repeated element ID leaves ``row_of`` shorter."""
-        self.columns = columns or ([], [], [])
-        self.element_ids, self.group_ids, self.share_ys = self.columns
+    def __init__(self, *columns: Sequence[int]) -> None:
+        """An empty list, or one over the three aligned columns given:
+        it owns the id lists and stores the shares as :func:`_words`. A
+        repeated element ID leaves ``row_of`` shorter."""
+        element_ids, group_ids, share_ys = columns or ([], [], [])
+        self.element_ids: list[int] = element_ids
+        self.group_ids: list[int] = group_ids
+        self.share_ys = _words(share_ys)
+        self.columns = (element_ids, group_ids, self.share_ys)
         self.row_of: dict[int, int] = dict(zip(self.element_ids, count()))
         self.writes = count(1)
         self.stamp: int | None = 0
@@ -182,13 +212,23 @@ class SeatList:
         #: The stamp of the last copy made and not kept.
         self.copied: int | None = None
 
+    def widen_shares(self) -> list:
+        """Turn the share column into a list, for a value no word holds."""
+        self.share_ys = self.share_ys.tolist()
+        self.columns = (self.element_ids, self.group_ids, self.share_ys)
+        return self.share_ys
+
     def __len__(self) -> int:
         return len(self.element_ids)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SeatList):
             return NotImplemented
-        return self.columns == other.columns
+        return (
+            self.element_ids == other.element_ids
+            and self.group_ids == other.group_ids
+            and list(self.share_ys) == list(other.share_ys)
+        )
 
     def extend(self, element_ids, group_ids, share_ys) -> None:
         """Append aligned columns (sequences of int) whose element IDs
@@ -198,7 +238,12 @@ class SeatList:
         self.row_of.update(zip(element_ids, rows))
         self.element_ids.extend(element_ids)
         self.group_ids.extend(group_ids)
-        self.share_ys.extend(share_ys)
+        # Converted whole first: array.extend keeps the values before a
+        # bad one.
+        words = _words(share_ys)
+        if type(words) is list and type(self.share_ys) is array:
+            self.widen_shares()
+        self.share_ys.extend(words)
         self.stamp = next(self.writes)
 
     def remove(self, element_id: int) -> bool:
@@ -221,11 +266,17 @@ class SeatList:
         row = self.row_of.setdefault(element_id, len(self.element_ids))
         if row < len(self.element_ids):
             self.group_ids[row] = group_id
-            self.share_ys[row] = share_y
+            try:
+                self.share_ys[row] = share_y
+            except (OverflowError, TypeError):
+                self.widen_shares()[row] = share_y
         else:
             self.element_ids.append(element_id)
             self.group_ids.append(group_id)
-            self.share_ys.append(share_y)
+            try:
+                self.share_ys.append(share_y)
+            except (OverflowError, TypeError):
+                self.widen_shares().append(share_y)
         self.stamp = next(self.writes)
 
     def build_snapshot(
@@ -236,8 +287,13 @@ class SeatList:
         one landed during the copy. A kept snapshot is current while its
         first field equals ``stamp``."""
         stamp = self.stamp
+        shares = self.share_ys
+        # Words copy out as fresh ints, laid out one after another.
         response = PostingListResponse(
-            pl_id, self.element_ids[:], self.group_ids[:], self.share_ys[:]
+            pl_id,
+            self.element_ids[:],
+            self.group_ids[:],
+            shares.tolist() if type(shares) is array else shares[:],
         )
         snapshot = (stamp, response, frozenset(response.group_ids))
         if stamp is not None and self.stamp == stamp:
@@ -487,7 +543,10 @@ class IndexServer:
         ):
             plist.element_ids.append(element_id)
             plist.group_ids.append(group_id)
-            plist.share_ys.append(share_y)
+            try:
+                plist.share_ys.append(share_y)
+            except (OverflowError, TypeError):
+                plist.widen_shares().append(share_y)
         for plist, _end in touched.values():
             plist.stamp = next(plist.writes)
         if pl_ids:

@@ -3,18 +3,28 @@
 from __future__ import annotations
 
 import copy
+import random
 import sys
 import tempfile
 import threading
+import tracemalloc
+from array import array
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import as_columns, segment_record
-from repro.errors import AccessDeniedError, AuthError, IndexServerError
+import repro.server.index_server as index_server
+from repro.errors import (
+    AccessDeniedError,
+    AuthError,
+    IndexServerError,
+    ReproError,
+)
 from repro.protocol.codec import encode_message
 from repro.protocol.messages import FetchListsResponse
+from repro.secretsharing.field import DEFAULT_PRIME
 from repro.server.auth import AuthService
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import (
@@ -26,6 +36,7 @@ from repro.server.index_server import (
     ShareRecord,
 )
 from repro.storage import SegmentedStore
+from repro.storage.engine import apply_block
 from repro.storage.segment import KIND_INSERT, segment_name
 from repro.storage.snapshot import snapshot_bytes
 
@@ -680,7 +691,8 @@ def test_one_pass_ingest_equals_the_per_list_model(data):
             # write to its list; an untouched list may keep serving it.
             for response in server.get_posting_lists(tokens["all"], pl_ids):
                 pl_id = response.pl_id
-                assert response.columns == model.get(pl_id, _NO_LIST).columns
+                expected = model.get(pl_id, _NO_LIST).columns
+                assert response.columns == tuple(map(list, expected))
                 if pl_id in written:
                     assert response is not served[pl_id]
         store.close()
@@ -977,3 +989,164 @@ def test_snapshots_are_isolated_from_later_writes(steps):
             assert response.columns == at_read.columns
     for response, _at_read in served:
         assert _encode(response) == _encode(_fresh_copy(response))
+
+
+# -- the share column as 64-bit words ---------------------------------------
+#
+# A seat keeps a list's shares as an array of 64-bit words and falls back
+# to a plain list for a value no word holds. Every path that writes the
+# column must treat both forms alike: the scenario below runs once as
+# shipped and once with every share column forced to a list, and the two
+# runs must observe the same things, errors included.
+
+#: Share values no 64-bit word holds — in the field past 2^64, negative,
+#: not an int — and one that fits, as a control.
+_ODD_SHARES = (1 << 64, DEFAULT_PRIME - 1, -1, 1.5, (1 << 64) - 1)
+
+
+@pytest.fixture()
+def list_form(monkeypatch):
+    """Run the seat with every share column a plain list."""
+    monkeypatch.setattr(index_server, "_words", list)
+
+
+def _attempt(log: list, step: str, call):
+    """Run one step; log its outcome, which must be typed if an error."""
+    try:
+        log.append((step, call()))
+    except ReproError as exc:
+        log.append((step, type(exc).__name__, str(exc)))
+
+
+def _values(lists: dict) -> dict:
+    return {
+        pl_id: tuple(map(list, plist.columns))
+        for pl_id, plist in sorted(lists.items())
+    }
+
+
+def _share_column_scenario(odd) -> tuple[list, dict]:
+    """Every write path of a seat with ``odd`` among the shares; returns
+    the log of outcomes and the share column type per stored list."""
+    (server, _b, stale), tokens = _fleet()
+    log: list = []
+    with tempfile.TemporaryDirectory() as seat:
+        store = SegmentedStore(seat, auto_compact=False)
+        server.attach_store(store)
+        token = tokens["all"]
+        _attempt(log, "insert", lambda: server.insert_batch(
+            token, [0, 0, 1, 1], [1, 2, 3, 4], [1, 2, 1, 3], [5, odd, 7, 8]
+        ))
+        for _ in range(3):
+            _attempt(log, "read", lambda: [
+                (response.columns, type(response.share_ys))
+                for response in server.get_posting_lists(token, [0, 1, 9])
+            ])
+        _attempt(log, "adopt", lambda: server.adopt_posting_list(
+            2, [10, 11], [1, 1], (9, odd)
+        ))
+        _attempt(log, "adopt-2", lambda: server.adopt_posting_list(
+            1, [12], [2], (odd,)
+        ))
+        _attempt(log, "delete", lambda: server.delete(token, [0, 1], [1, 3]))
+        _attempt(log, "insert-2", lambda: server.insert_batch(
+            token, [3, 3], [20, 21], [1, 1], [odd, 6]
+        ))
+        _attempt(log, "read-2", lambda: [
+            response.columns
+            for response in server.get_posting_lists(token, [0, 1, 2, 3])
+        ])
+        _attempt(log, "memory", lambda: _values(server._store))
+        _attempt(log, "compromise", lambda: server.compromise().posting_store)
+        replayed: dict = {}
+        _attempt(log, "put", lambda: (
+            apply_block(replayed, KIND_INSERT, [
+                [4, 4, 4, 5, 5], [30, 31, 30, 40, 40],
+                [1, 1, 2, 1, 1], [odd, 6, 8, 2, odd],
+            ]),
+            _values(replayed),
+        )[1])
+        _attempt(log, "segment-replay", lambda: _values(store.replay()))
+        _attempt(log, "compact", store.compact)
+        _attempt(log, "export", lambda: server.export_snapshot([0, 1, 2, 3]))
+        _attempt(log, "ship", lambda: (
+            stale.ingest_snapshot(
+                [0, 1, 2, 3], server.export_snapshot([0, 1, 2, 3])[0]
+            ),
+            _values(stale._store),
+        ))
+        server.detach_store()
+        store.close()
+        reopened = SegmentedStore(seat, auto_compact=False)
+        _attempt(log, "snapshot-replay", lambda: _values(reopened.replay()))
+        reopened.close()
+    kinds = {
+        pl_id: type(plist.share_ys)
+        for pl_id, plist in [*server._store.items(), *replayed.items()]
+    }
+    return log, kinds
+
+
+@pytest.mark.parametrize("odd", _ODD_SHARES)
+def test_a_word_column_behaves_like_the_list_form(odd, request):
+    got, kinds = _share_column_scenario(odd)
+    request.getfixturevalue("list_form")
+    expected, list_kinds = _share_column_scenario(odd)
+    assert got == expected
+    assert set(list_kinds.values()) == {list}
+    # A list that never met a value outside a word keeps its words;
+    # every list here met ``odd``.
+    fits = isinstance(odd, int) and 0 <= odd < 1 << 64
+    assert set(kinds) == {0, 1, 2, 3, 4, 5}
+    assert set(kinds.values()) == {array if fits else list}
+
+
+def test_seat_lists_are_equal_by_value_across_column_forms():
+    words = SeatList([1, 2], [1, 1], [5, (1 << 64) - 1])
+    assert type(words.share_ys) is array and words.share_ys.itemsize == 8
+    listed = SeatList([1, 2], [1, 1], [5, (1 << 64) - 1])
+    listed.widen_shares()
+    assert type(listed.share_ys) is list
+    assert listed.columns[2] is listed.share_ys
+    assert words == listed and listed == words
+    listed.put(2, 1, 6)
+    assert words != listed
+    # A snapshot hands out plain lists whatever the stored form.
+    for plist in (words, listed):
+        _stamp, response, _groups = plist.build_snapshot(0)
+        assert all(type(column) is list for column in response.columns)
+
+
+def _share_column_bytes_per_row(rows: int) -> float:
+    """What a ``rows``-row list's share column retains per row: its own
+    block plus whatever its values hold beyond the same list's with
+    all-zero shares (small ints are shared, random ones allocated)."""
+    element_ids, group_ids = list(range(rows)), [1] * rows
+    rng = random.Random(7)
+    retained = {}
+    for kind in ("zero", "random"):
+        plist = SeatList()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            if kind == "zero":
+                shares = [0] * rows
+            else:
+                shares = [rng.getrandbits(64) | 1 << 63 for _ in range(rows)]
+            plist.extend(element_ids, group_ids, shares)
+            del shares
+            retained[kind] = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+    column = sys.getsizeof(plist.share_ys)
+    return (column + retained["random"] - retained["zero"]) / rows
+
+
+def test_the_share_column_retains_a_word_per_row():
+    assert _share_column_bytes_per_row(100_000) <= 10
+
+
+def test_the_list_form_retains_an_int_per_row(list_form):
+    # The guard above measures what it claims: shares kept as ints cost
+    # the int objects too.
+    assert _share_column_bytes_per_row(100_000) >= 40

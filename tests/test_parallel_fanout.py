@@ -277,3 +277,25 @@ class TestLatencyAwareReplicaChoice:
             assert latency[healthy.name] < plan.latency_s / 8
             for pl_id in range(8):
                 assert coordinator.read_replicas(pl_id)[0] is healthy
+
+
+def test_response_bytes_match_in_process_and_over_the_socket():
+    """``SearchDiagnostics.response_bytes`` counts every lookup's
+    response on every transport: the same queries at the same seed read
+    the same bytes in process as over async-socket."""
+    documents = make_documents(num_docs=16, seed=11)
+    vocabulary = sorted({t for d in documents for t in d.term_counts})
+    rng = random.Random(5)
+    queries = [rng.sample(vocabulary, rng.randint(1, 4)) for _ in range(8)]
+    observed = {}
+    for transport in ("in-process", "async-socket"):
+        with make_cluster(documents, transport=transport) as cluster:
+            searcher = cluster.searcher("owner0", use_cache=False)
+            observed[transport] = []
+            for terms in queries:
+                hits = searcher.search(terms, fetch_snippets=False)
+                observed[transport].append(
+                    (hits, searcher.last_diagnostics.response_bytes)
+                )
+    assert observed["in-process"] == observed["async-socket"]
+    assert all(size > 0 for _hits, size in observed["in-process"])

@@ -72,7 +72,7 @@ class TestLogging:
         server.insert_batch(token, *as_columns([op(0, 1), op(0, 2), op(3, 9)]))
         replayed = log.replay()
         assert set(replayed[0].element_ids) == {1, 2}
-        assert replayed[3].share_ys == [111]
+        assert list(replayed[3].share_ys) == [111]
 
     def test_deletes_are_logged(self, env):
         _, _, server, token, log, _ = env

@@ -300,3 +300,47 @@ def test_property_columnar_rank_matches_the_head_pipeline(found, top_k):
     got = [(r.doc_id, r.score.hex(), r.matched_terms) for r in results]
     assert got == _head_rank(snapshot, term_of_id, top_k)
     assert found == snapshot
+
+
+#: Rows of one term's list: few doc ids and a coarse tf grid, so a list
+#: repeats documents, repeats whole rows and ties tfs across documents.
+_TIED_ROWS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=12),
+        st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    postings=st.dictionaries(st.sampled_from(_NAMES), _TIED_ROWS, max_size=4),
+    weights=st.dictionaries(
+        st.sampled_from(_NAMES), st.sampled_from([0.0, 0.5, 1.0, 2.5])
+    ),
+    k=st.integers(min_value=1, max_value=15),
+)
+def test_property_ta_with_repeated_docs_and_tied_tfs(postings, weights, k):
+    """The doc-id-keyed first sort orders rows as the tuple sort did:
+    hits and score bits equal the transcribed pipeline's, and the
+    scores equal the exhaustive oracle's over each term's kept rows
+    (a repeated document keeps its smaller tf)."""
+    hits = threshold_top_k(postings, weights, k)
+    assert [(h.doc_id, h.score.hex()) for h in hits] == [
+        (h.doc_id, h.score.hex())
+        for h in _head_threshold_top_k(postings, weights, k)
+    ]
+    kept = {
+        term: list({doc: tf for doc, tf in sorted(rows, reverse=True)}.items())
+        for term, rows in postings.items()
+    }
+    oracle = naive_top_k(kept, weights, k)
+    assert [h.score for h in hits] == [h.score for h in oracle]
+    # Tied scores at the cut may name different documents; above it,
+    # the documents agree.
+    if hits:
+        cut = hits[-1].score
+        assert {h.doc_id for h in hits if h.score > cut} == {
+            h.doc_id for h in oracle if h.score > cut
+        }

@@ -236,6 +236,32 @@ class TestShamirScheme:
         assert out[1] == 9  # the first column's width byte
         assert read_columns(Reader(bytes(out)), 3) == columns
 
+    @settings(max_examples=120, deadline=None)
+    @given(
+        field=st.sampled_from([FIELD, PrimeField(DEFAULT_PRIME)]),
+        k=st.integers(2, 5),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_reconstruct_batch_equals_the_weighted_sum(
+        self, field, k, seed, data
+    ):
+        """The k - 1 multiply form is the plain weighted sum mod p for
+        any integers: shares in the field, past p, past 2^64, negative."""
+        scheme = ShamirScheme(
+            k=k, n=k + 2, field=field, rng=random.Random(seed)
+        )
+        slots = data.draw(st.permutations(range(k + 2)), label="slots")[:k]
+        xs = [scheme.x_of(j) for j in slots]
+        ys = st.integers(0, field.p - 1) | st.integers(-(2**80), 2**80)
+        rows = data.draw(st.lists(st.tuples(*[ys] * k), max_size=12))
+        y_columns = [list(column) for column in zip(*rows)] or [[]] * k
+        weights = scheme.lagrange_weights(tuple(xs))
+        expected = [
+            sum(w * y for w, y in zip(weights, row)) % field.p for row in rows
+        ]
+        assert scheme.reconstruct_batch(xs, y_columns) == expected
+
     def test_split_many_empty_input_gives_n_empty_columns(self):
         for k, n in ((1, 1), (2, 3), (3, 5)):
             scheme = ShamirScheme(k=k, n=n, field=FIELD, rng=make_rng())
