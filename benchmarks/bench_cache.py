@@ -126,7 +126,6 @@ def _build_cluster(documents, cached: bool, policy: str) -> ClusterDeployment:
         num_pods=2,
         k=2,
         n=3,
-        use_network=False,
         batch_policy=BatchPolicy(min_documents=1),
         seed=CLUSTER_SEED,
         **kwargs,

@@ -1,13 +1,16 @@
-"""Cluster scaling: queries-per-second and bytes-per-query vs shards.
+"""Cluster scaling: queries-per-second and response bytes per query vs shards.
 
 Sweeps the sharded cluster over pod counts and failure rates, measuring
-the §7.3-style costs end to end through the simulated transport:
+the §7.3-style costs end to end, as the search diagnostics count them:
 
 - **qps** — wall-clock queries per second through the full Algorithm 2
   pipeline (route, batch, fetch, reconstruct, rank);
-- **bytes_per_query** — lookup bytes crossing the network per query;
-- **messages_per_query** — lookup round-trips per query, the number the
-  batched fan-out exists to shrink.
+- **response_bytes_per_query** — §7.3 share bytes the seats answered
+  with per query (``SearchDiagnostics.response_bytes``; requests are
+  not charged);
+- **messages_per_query** — lookup messages per query
+  (``ClusterDiagnostics.lookup_messages``), the number the batched
+  fan-out exists to shrink.
 
 A second sweep varies the **replication factor** (R = 1, 2, 3) and
 measures what replication buys and costs: read throughput healthy and
@@ -101,27 +104,23 @@ def _merge_results(update: dict) -> None:
 
 
 def _run_queries(cluster, queries, use_cache, batch_lookups):
-    """Returns (qps, bytes_per_query, messages_per_query, results)."""
+    """Returns (qps, response_bytes_per_query, messages_per_query,
+    results)."""
     searcher = cluster.searcher(
         "owner0", use_cache=use_cache, batch_lookups=batch_lookups
     )
-    stats = cluster.network.stats
-    bytes_before = stats.bytes_by_kind["lookup"]
-    messages_before = stats.messages_by_kind["lookup"]
     results = []
+    response_bytes = messages = 0
     start = time.perf_counter()
     for terms in queries:
         results.append(
             searcher.search(terms, top_k=10, fetch_snippets=False)
         )
+        response_bytes += searcher.last_diagnostics.response_bytes
+        messages += searcher.last_cluster_diagnostics.lookup_messages
     elapsed = time.perf_counter() - start
     n = len(queries)
-    return (
-        n / elapsed,
-        (stats.bytes_by_kind["lookup"] - bytes_before) / n,
-        (stats.messages_by_kind["lookup"] - messages_before) / n,
-        results,
-    )
+    return n / elapsed, response_bytes / n, messages / n, results
 
 
 def test_cluster_scaling_sweep(benchmark):
@@ -153,7 +152,7 @@ def test_cluster_scaling_sweep(benchmark):
                     {
                         "config": config,
                         "qps": round(qps, 1),
-                        "bytes_per_query": round(bpq, 1),
+                        "response_bytes_per_query": round(bpq, 1),
                         "messages_per_query": round(mpq, 2),
                         "metrics": metrics_snapshot(cluster),
                     }
@@ -171,7 +170,8 @@ def test_cluster_scaling_sweep(benchmark):
         iterations=1,
     )
     lines = [
-        "cluster scaling: qps / bytes-per-query / messages-per-query "
+        "cluster scaling: qps / response-bytes-per-query / "
+        "messages-per-query "
         f"({NUM_QUERIES} queries x {TERMS_PER_QUERY} terms, n={N}, k={K})",
     ]
     for row in rows:
@@ -180,16 +180,23 @@ def test_cluster_scaling_sweep(benchmark):
             f"pods={config['pods']} killed/pod={config['killed_per_pod']} "
             f"cache={'on ' if config['cache'] else 'off'}: "
             f"{row['qps']:8.1f} q/s  "
-            f"{row['bytes_per_query']:9.1f} B/q  "
+            f"{row['response_bytes_per_query']:9.1f} B/q  "
             f"{row['messages_per_query']:5.2f} msg/q"
         )
     emit("cluster_scaling", lines)
     _merge_results({"rows": rows})
-    # Sanity floor: the ledger actually accumulated traffic.
-    assert all(row["bytes_per_query"] > 0 for row in rows if not row["config"]["cache"])
-    # Cached passes send (almost) nothing.
+    # Sanity floor: uncached queries really fetched shares.
+    assert all(
+        row["response_bytes_per_query"] > 0
+        for row in rows
+        if not row["config"]["cache"]
+    )
+    # Cached passes fetch (almost) nothing.
     for cached, cold in zip(rows[1::2], rows[0::2]):
-        assert cached["bytes_per_query"] <= cold["bytes_per_query"]
+        assert (
+            cached["response_bytes_per_query"]
+            <= cold["response_bytes_per_query"]
+        )
 
 
 def test_batched_lookups_beat_naive_fanout(benchmark):
@@ -252,7 +259,7 @@ def test_replication_factor_sweep(benchmark):
             "k": K,
             "queries": NUM_QUERIES,
             "qps": round(qps, 1),
-            "bytes_per_query": round(bpq, 1),
+            "response_bytes_per_query": round(bpq, 1),
             "storage_bytes": storage,
             "storage_amplification": round(storage / base_storage, 3),
             "qps_pod_down": None,

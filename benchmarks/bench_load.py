@@ -87,7 +87,6 @@ def _build(corpus):
         num_pods=1,
         k=K,
         n=N,
-        use_network=False,
         batch_policy=BatchPolicy(min_documents=8),
         seed=1723,
         transport="async-socket",
@@ -198,7 +197,6 @@ def _build_replicated(corpus):
         num_pods=2,
         k=K,
         n=N,
-        use_network=False,
         batch_policy=BatchPolicy(min_documents=8),
         seed=1723,
         transport="async-socket",

@@ -43,7 +43,6 @@ def build_deployment(batch_docs: int, seed: int = 77):
         num_lists=48,
         k=2,
         n=3,
-        use_network=False,
         batch_policy=BatchPolicy(min_documents=batch_docs),
         seed=seed,
     )

@@ -33,7 +33,6 @@ def test_sec72_storage_overhead(benchmark):
         mapping_table=table,
         k=2,
         n=3,
-        use_network=False,
         batch_policy=BatchPolicy(min_documents=1000),
         seed=8,
     )

@@ -81,10 +81,6 @@ def _build(corpus, transport):
         num_pods=1,
         k=K,
         n=N,
-        # The PR 3 baseline row was measured with the simulated network
-        # attached; keep the in-process row comparable. The socket row
-        # moves real bytes and skips the simulated ledger.
-        use_network=(transport == "in-process"),
         batch_policy=BatchPolicy(min_documents=8),
         seed=1723,
         transport=transport,

@@ -49,7 +49,6 @@ def main() -> None:
         num_lists=16,
         k=2,
         n=3,
-        use_network=False,
         batch_policy=BatchPolicy(min_documents=4),
         seed=11,
     )

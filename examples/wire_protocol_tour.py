@@ -52,8 +52,7 @@ def codec_on_the_wire() -> None:
     frame = encode_message(request)
     print(f"FetchListsRequest -> {len(frame)} bytes: {frame[:24].hex()}...")
     assert decode_message(frame) == request
-    print(f"accounted §7.3 size (what benchmarks charge): "
-          f"{request.wire_bytes()} bytes\n")
+    print()
 
 
 def protocol_by_hand() -> None:

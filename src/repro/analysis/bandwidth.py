@@ -28,7 +28,11 @@ from dataclasses import dataclass
 from repro.errors import ReproError
 from repro.secretsharing.field import DEFAULT_PRIME, PrimeField
 from repro.secretsharing.shamir import ShamirScheme
-from repro.server.transport import LAN_100_MBPS, WLAN_55_MBPS
+
+#: §7.3 link rates: "users connect over a 55 Mb/s wireless LAN, while
+#: servers use 100 Mb/s LAN connections" (bits per second).
+WLAN_55_MBPS = 55_000_000.0
+LAN_100_MBPS = 100_000_000.0
 
 #: §7.3 comparison constants (top-10 response sizes, bytes).
 GOOGLE_TOP10_BYTES = 15_000

@@ -43,7 +43,6 @@ from repro.protocol.service import fleet_resolver
 from repro.protocol.transport import InProcessTransport, Transport
 from repro.secretsharing.shamir import ShamirScheme
 from repro.server.auth import AuthToken
-from repro.server.transport import SimulatedNetwork
 
 
 #: One row of a write round. An insert is one posting element fanned out
@@ -167,14 +166,13 @@ class DocumentOwner:
         dictionary: TermDictionary,
         servers: Sequence[IndexServer] | None,
         codec: PostingElementCodec | None = None,
-        network: SimulatedNetwork | None = None,
         batch_policy: BatchPolicy | None = None,
         rng: random.Random | None = None,
         router=None,
         transport: Transport | None = None,
     ) -> None:
         """Args:
-        owner_id: the owner's principal name (also its network endpoint).
+        owner_id: the owner's principal name (also its transport endpoint).
         token: the owner's enterprise auth ticket.
         scheme: the public Shamir deployment parameters.
         mapping_table: the public term -> posting-list table.
@@ -182,9 +180,6 @@ class DocumentOwner:
         servers: the n index servers, index-aligned with the scheme's
             x-coordinates.
         codec: posting-element packer (standard 64-bit layout by default).
-        network: when given (and no ``transport``), the private default
-            transport charges every call against this simulated network
-            for §7.3 byte accounting.
         batch_policy: §5.4.1 batching knobs; defaults to a 4-document
             batch. Use ``BatchPolicy(min_documents=1)`` for the paper's
             "if the user trusts that no index servers are compromised"
@@ -217,14 +212,8 @@ class DocumentOwner:
         self._servers = servers
         self._router = router
         self._codec = codec or PostingElementCodec()
-        self._network = network
-        self._share_bytes = (scheme.field.p.bit_length() + 7) // 8
         if transport is None:
-            transport = InProcessTransport(
-                network=network,
-                share_bytes=self._share_bytes,
-                resolver=fleet_resolver(servers),
-            )
+            transport = InProcessTransport(resolver=fleet_resolver(servers))
         self._transport = transport
         self._rng = rng or random.Random()
         self._batcher: UpdateBatcher[_Row] = UpdateBatcher(

@@ -42,7 +42,6 @@ from repro.ranking.threshold import threshold_top_k
 from repro.secretsharing.shamir import ShamirScheme, Share
 from repro.server.auth import AuthToken
 from repro.server.index_server import PostingListResponse
-from repro.server.transport import SimulatedNetwork
 
 
 @dataclass(frozen=True)
@@ -115,13 +114,12 @@ class SearchClient:
         dictionary: TermDictionary,
         servers: Sequence | None,
         codec: PostingElementCodec | None = None,
-        network: SimulatedNetwork | None = None,
         snippet_service: SnippetService | None = None,
         verify_consistency: bool = False,
         transport: Transport | None = None,
     ) -> None:
         """Args:
-        user_id: the searching principal (network endpoint name too).
+        user_id: the searching principal (transport endpoint name too).
         token: enterprise auth ticket.
         scheme: public Shamir parameters (k, n, x-coordinates).
         mapping_table: public term -> posting-list resolver.
@@ -130,8 +128,6 @@ class SearchClient:
             Subclasses that override :meth:`_fetch_lists` with their own
             routing (the cluster client) pass None instead.
         codec: posting-element unpacker.
-        network: optional simulated network for byte accounting (used by
-            the default transport when no ``transport`` is given).
         snippet_service: optional hosting-peer registry for step 6.
         verify_consistency: when querying more than k servers, cross-check
             every element by reconstructing from two different k-subsets
@@ -154,16 +150,11 @@ class SearchClient:
         # Live reference: fleet extension must be visible to old clients.
         self._servers = servers
         self._codec = codec or PostingElementCodec()
-        self._network = network
         self._snippets = snippet_service
         self._verify = verify_consistency
         self._share_bytes = (scheme.field.p.bit_length() + 7) // 8
         if transport is None:
-            transport = InProcessTransport(
-                network=network,
-                share_bytes=self._share_bytes,
-                resolver=fleet_resolver(servers),
-            )
+            transport = InProcessTransport(resolver=fleet_resolver(servers))
         self._transport = transport
         self.last_diagnostics = SearchDiagnostics()
 
@@ -387,9 +378,9 @@ class SearchClient:
         return verdict, len(counts)
 
     def _fetch_snippet(self, doc_id: int, terms: Sequence[str]):
-        """Step 6 of Algorithm 2: a protocol message to the hosting peer
-        (with §7.3 byte accounting on the in-process backend), falling
-        back to a local service read when the peer has no endpoint.
+        """Step 6 of Algorithm 2: a protocol message to the hosting peer,
+        falling back to a local service read when the peer has no
+        endpoint.
 
         The attempt-then-fall-back shape matters on the socket backend:
         probing ``has_endpoint`` first would cost an extra discovery

@@ -9,7 +9,7 @@ documents before presenting the search results to the user."
 Every hosting peer enforces access control on its own documents — the index
 never had the content, so a snippet request is an ordinary access-controlled
 document read. §7.3 sizes snippets at "about 250 B including XML
-formatting"; :meth:`SnippetService.wire_bytes` reproduces that framing.
+formatting"; :meth:`Snippet.wire_bytes` reproduces that framing.
 """
 
 from __future__ import annotations

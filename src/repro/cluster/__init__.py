@@ -2,7 +2,7 @@
 
 This package composes the seed's pieces — the §5 k-of-n server fleet,
 the §8 DHT placement sketch, Shamir reconstruction from any k shares,
-and the simulated transport — into a cluster that shards merged posting
+and the pluggable transports — into a cluster that shards merged posting
 lists across server *pods*, batches multi-term lookups into one message
 per server, and survives up to n - k server failures per pod. Repeat
 reads are served by the searcher's own L1 of reconstructed postings

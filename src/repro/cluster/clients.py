@@ -67,6 +67,7 @@ from repro.core.posting import PostingElementCodec, TermPostings
 from repro.errors import (
     ClusterDegradedError,
     ProtocolError,
+    ReproError,
     TransportError,
     UnknownEndpointError,
 )
@@ -90,7 +91,7 @@ from repro.resilience.deadline import (
 )
 from repro.server.auth import AuthToken
 from repro.server.index_server import PostingListResponse
-from repro.server.transport import ConcurrentDispatcher, SimulatedNetwork
+from repro.server.transport import ConcurrentDispatcher
 
 #: Shared worker pool for hedged legs. Module-level so the threads are
 #: reused across every client (and every test) instead of being churned
@@ -155,7 +156,6 @@ class ClusterSearchClient(SearchClient):
         mapping_table: MappingTable,
         dictionary: TermDictionary,
         codec: PostingElementCodec | None = None,
-        network: SimulatedNetwork | None = None,
         snippet_service: SnippetService | None = None,
         verify_consistency: bool = False,
         use_cache: bool = True,
@@ -168,14 +168,13 @@ class ClusterSearchClient(SearchClient):
         l1_entries: int = 0,
     ) -> None:
         """Args:
-        user_id: the searching principal (network endpoint name too).
+        user_id: the searching principal (transport endpoint name too).
         token: enterprise auth ticket.
         coordinator: the cluster control plane (placement, liveness,
             write epochs, public Shamir parameters).
         mapping_table: public term -> posting-list resolver.
         dictionary: public term -> term_id registry.
         codec: posting-element unpacker.
-        network: optional simulated network for byte accounting.
         snippet_service: optional hosting-peer registry.
         verify_consistency: cross-check reconstructions when more than k
             shares arrive (see :class:`SearchClient`).
@@ -220,7 +219,6 @@ class ClusterSearchClient(SearchClient):
             dictionary=dictionary,
             servers=None,
             codec=codec,
-            network=network,
             snippet_service=snippet_service,
             verify_consistency=verify_consistency,
             transport=transport or coordinator.transport,
@@ -914,7 +912,8 @@ class ClusterSearchClient(SearchClient):
         batched message, or one per list — with the wait added to the
         pod's latency. A dead seat raises :class:`TransportError` (the
         ladder treats it like a lost packet); a typed server error
-        propagates.
+        propagates. Every answer counts as a lookup message, an error
+        answer too: the request was sent.
         """
         clock = self._coordinator.clock
         started = clock()
@@ -923,27 +922,32 @@ class ClusterSearchClient(SearchClient):
                 chunks = [tuple(pl_ids)]
             else:
                 chunks = [(pl_id,) for pl_id in pl_ids]
-            answers = (
-                self._transport.call(
-                    self.user_id,
-                    slot.server_id,
-                    FetchListsRequest(token=self._token, pl_ids=chunk),
-                )
-                for chunk in chunks
-            )
+            answers = (self._ask_slot(slot, chunk) for chunk in chunks)
         else:
             answers = [answer]
         responses: list[PostingListResponse] = []
         try:
             for response in answers:
+                outcome.lookup_messages += 1
                 if isinstance(response, Exception):
                     raise response
                 outcome.response_bytes += response.wire_bytes(
                     self._share_bytes
                 )
-                outcome.lookup_messages += 1
                 responses.extend(response.lists)
         finally:
             if answer is None:
                 outcome.latency_s += clock() - started
         return responses
+
+    def _ask_slot(self, slot: ServerSlot, pl_ids: tuple[int, ...]):
+        """One lookup message to a seat: its response, or the
+        :class:`ReproError` it ended with (``call_many``'s form)."""
+        try:
+            return self._transport.call(
+                self.user_id,
+                slot.server_id,
+                FetchListsRequest(token=self._token, pl_ids=pl_ids),
+            )
+        except ReproError as exc:
+            return exc

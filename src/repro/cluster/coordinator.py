@@ -323,7 +323,7 @@ class ClusterCoordinator:
         self._groups = groups
         self._share_bytes = share_bytes
         if transport is None:
-            transport = InProcessTransport(share_bytes=share_bytes)
+            transport = InProcessTransport()
             for pod in self.pods:
                 for slot in pod.slots:
                     transport.register(slot.server_id, slot_service(slot))

@@ -50,7 +50,7 @@ from repro.core.dictionary import TermDictionary
 from repro.core.mapping_table import MappingTable
 from repro.core.merging.base import MergingHeuristic
 from repro.core.posting import PackingSpec, PostingElementCodec
-from repro.core.zerber_index import build_mapping_table
+from repro.core.zerber_index import NO_SIMULATED_NETWORK, build_mapping_table
 from repro.errors import ClusterError
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.service import METRICS_ENDPOINT, MetricsService
@@ -66,12 +66,7 @@ from repro.secretsharing.shamir import ShamirScheme
 from repro.server.auth import AuthService, AuthToken
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import IndexServer
-from repro.server.transport import (
-    ConcurrentDispatcher,
-    LinkSpec,
-    SimulatedNetwork,
-    WLAN_55_MBPS,
-)
+from repro.server.transport import ConcurrentDispatcher
 from repro.storage.engine import refuse_flat_wals
 
 
@@ -86,7 +81,7 @@ class ClusterDeployment:
         n: int = 3,
         field: PrimeField | None = None,
         packing: PackingSpec | None = None,
-        use_network: bool = True,
+        use_network: bool = False,
         batch_policy: BatchPolicy | None = None,
         cache_entries: int = 0,
         virtual_nodes: int = 64,
@@ -114,9 +109,11 @@ class ClusterDeployment:
         n: servers per pod (each pod tolerates n - k failures).
         field: the Z_p field; defaults to the 64-bit+ prime.
         packing: posting-element bit layout.
-        use_network: charge all in-process traffic against a
-            :class:`SimulatedNetwork` for byte/message accounting (the
-            socket backend moves real bytes instead).
+        use_network: must be False, the default; True is a
+            :class:`~repro.errors.ClusterError` naming the counters that
+            replaced the simulated network's ledger. The keyword stays
+            only because the benchmark scenario still passes
+            ``use_network=False``, and goes once that scenario stops.
         batch_policy: default owner batching policy.
         cache_entries: must be 0, the default; anything else is a
             :class:`~repro.errors.ClusterError` naming ``l1_entries``,
@@ -213,6 +210,8 @@ class ClusterDeployment:
                 "cache is gone; size the searcher-local cache with "
                 "l1_entries instead"
             )
+        if use_network:
+            raise ClusterError(NO_SIMULATED_NETWORK)
         if storage != "segmented":
             raise ClusterError(
                 f"unknown storage engine {storage!r}; the only engine is "
@@ -225,14 +224,7 @@ class ClusterDeployment:
             for pod_index in range(num_pods)
         ]
         self._next_pod_ordinal = num_pods
-        self.network: SimulatedNetwork | None = None
-        if use_network:
-            self.network = SimulatedNetwork(
-                default_link=LinkSpec(bandwidth_bps=WLAN_55_MBPS)
-            )
-        self.registry = InProcessTransport(
-            network=self.network, share_bytes=share_bytes
-        )
+        self.registry = InProcessTransport()
         for pod in pods:
             for slot in pod.slots:
                 self.registry.register(slot.server_id, slot_service(slot))
@@ -456,7 +448,6 @@ class ClusterDeployment:
                 dictionary=self.dictionary,
                 servers=None,
                 codec=self.codec,
-                network=self.network,
                 batch_policy=batch_policy or self._batch_policy,
                 rng=random.Random(self._rng.getrandbits(64)),
                 router=self.coordinator,
@@ -479,7 +470,6 @@ class ClusterDeployment:
             mapping_table=self.mapping_table,
             dictionary=self.dictionary,
             codec=self.codec,
-            network=self.network,
             snippet_service=self.snippets,
             **kwargs,
         )
@@ -554,7 +544,7 @@ class ClusterDeployment:
 
         Only the lists whose replica set changed move (slot-aligned
         share transfers from surviving owners); returns the movement
-        stats. The new pod gets WALs/network endpoints matching the
+        stats. The new pod gets WALs/transport endpoints matching the
         deployment's configuration.
         """
         name = name or f"pod{self._next_pod_ordinal}"
@@ -578,7 +568,7 @@ class ClusterDeployment:
 
         After the coordinator re-homes its lists, the pod is fully
         decommissioned: seat stores closed *and deleted* (the whole
-        segment/snapshot directory), network endpoints released
+        segment/snapshot directory), transport endpoints released
         (so the name can be reused), and its share stores wiped — a
         drained pod must not keep its index fraction around, on disk
         any more than in memory. The store delete closes the

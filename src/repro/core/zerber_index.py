@@ -12,8 +12,8 @@ installation needs:
   :class:`~repro.server.groups.GroupDirectory`;
 - the public :class:`~repro.core.mapping_table.MappingTable` and
   :class:`~repro.core.dictionary.TermDictionary`;
-- an optional :class:`~repro.server.transport.SimulatedNetwork` that
-  accounts every byte for the §7.3 experiments;
+- an :class:`~repro.protocol.transport.InProcessTransport` registry
+  every client speaks through;
 - a :class:`~repro.client.snippets.SnippetService` registry of hosting peers.
 
 Typical use (see ``examples/quickstart.py``)::
@@ -56,10 +56,18 @@ from repro.secretsharing.shamir import ShamirScheme
 from repro.server.auth import AuthService, AuthToken
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import IndexServer
-from repro.server.transport import LinkSpec, SimulatedNetwork, WLAN_55_MBPS
 
 #: Re-export under the name the core package advertises.
 ZerberSearchResult = SearchResult
+
+#: Why both deployments refuse ``use_network=True``: the simulated
+#: network is gone, and traffic is counted where it crosses.
+NO_SIMULATED_NETWORK = (
+    "use_network=True: the simulated network is gone; read traffic from "
+    "the search diagnostics (response_bytes, lookup_messages), the "
+    "seats' query_log / update_log, or the zerber_server_* counters "
+    "(zerber_server_frames_total, zerber_server_request_bytes_total)"
+)
 
 
 def build_mapping_table(
@@ -137,7 +145,7 @@ class ZerberDeployment:
         n: int = 3,
         field: PrimeField | None = None,
         packing: PackingSpec | None = None,
-        use_network: bool = True,
+        use_network: bool = False,
         batch_policy: BatchPolicy | None = None,
         seed: int = 0x2E4B,
     ) -> None:
@@ -148,12 +156,16 @@ class ZerberDeployment:
         n: number of index servers (paper default 3).
         field: the Z_p field; defaults to the 64-bit+ prime.
         packing: posting-element bit layout.
-        use_network: charge client/server traffic against a
-            :class:`SimulatedNetwork` (55 Mb/s client links, 100 Mb/s
-            server links per §7.3) and account every byte.
+        use_network: must be False, the default; True is a
+            :class:`~repro.errors.ReproError` naming the counters that
+            replaced the simulated network's ledger. The keyword stays
+            only because the benchmark scenario still passes
+            ``use_network=False``, and goes once that scenario stops.
         batch_policy: default owner batching policy.
         seed: master seed for all deployment randomness.
         """
+        if use_network:
+            raise ReproError(NO_SIMULATED_NETWORK)
         self._rng = random.Random(seed)
         self.field = field or PrimeField(DEFAULT_PRIME)
         self.scheme = ShamirScheme(k=k, n=n, field=self.field, rng=self._rng)
@@ -176,20 +188,13 @@ class ZerberDeployment:
             )
             for i in range(n)
         ]
-        self.network: SimulatedNetwork | None = None
-        if use_network:
-            self.network = SimulatedNetwork(
-                default_link=LinkSpec(bandwidth_bps=WLAN_55_MBPS)
-            )
         # The registry resolves against the *live* server list as a
         # fallback, so operators who splice a replacement box into
         # ``deployment.servers`` (see examples/operations_tour.py) stay
         # addressable without re-wiring — the old direct-dispatch
         # semantics, kept at the transport layer.
         self.registry = InProcessTransport(
-            network=self.network,
-            share_bytes=share_bytes,
-            resolver=fleet_resolver(self.servers),
+            resolver=fleet_resolver(self.servers)
         )
         for server in self.servers:
             self.registry.register(
@@ -282,7 +287,6 @@ class ZerberDeployment:
                 dictionary=self.dictionary,
                 servers=self.servers,
                 codec=self.codec,
-                network=self.network,
                 batch_policy=batch_policy or self._batch_policy,
                 rng=random.Random(self._rng.getrandbits(64)),
                 transport=self.transport,
@@ -301,7 +305,6 @@ class ZerberDeployment:
             dictionary=self.dictionary,
             servers=self.servers,
             codec=self.codec,
-            network=self.network,
             snippet_service=self.snippets,
             **kwargs,
         )
@@ -345,13 +348,12 @@ class ZerberDeployment:
         """
         new_x = self.scheme.extend(1)[0]
         index = len(self.servers)
-        share_bytes = (self.field.p.bit_length() + 7) // 8
         server = IndexServer(
             server_id=f"index-server-{index}",
             x_coordinate=new_x,
             auth=self.auth,
             groups=self.groups,
-            share_bytes=share_bytes,
+            share_bytes=self._share_bytes,
         )
         self.servers.append(server)
         self.registry.register(

@@ -11,7 +11,7 @@ again.
   versioning rules;
 - :mod:`repro.protocol.codec`     — the compact binary frame codec;
 - :mod:`repro.protocol.service`   — server-side dispatchers;
-- :mod:`repro.protocol.transport` — the in-process (simulated-network)
+- :mod:`repro.protocol.transport` — the in-process
   backend, the frame and request-envelope layout, and the server's
   request leg;
 - :mod:`repro.protocol.async_transport` — the socket backend: an

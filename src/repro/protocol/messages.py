@@ -42,12 +42,12 @@ Versioning rules:
 - Integers are unsigned LEB128 varints, so widening a counter or a
   share never changes the format.
 
-Every message also knows its **accounted** wire size
-(:meth:`wire_bytes`): the §7.3 cost model the benchmarks have always
-charged (4-byte ids, ``share_bytes``-byte shares, the token's
-``wire_bytes``). The in-process transport charges these sizes against
-the simulated network so every historical benchmark number stays
-comparable; the socket transport moves real encoded bytes instead.
+The two answers that carry shares, :class:`FetchListsResponse` and
+:class:`CacheValueResponse`, know their §7.3 payload size
+(:meth:`wire_bytes`: 4-byte ids, ``share_bytes``-byte shares); a search
+client sums it into ``SearchDiagnostics.response_bytes`` on every
+transport. Everything else crosses the wire uncounted here: the socket
+server counts its frames and bytes, and the seats log what they served.
 """
 
 from __future__ import annotations
@@ -87,14 +87,6 @@ class InsertBatchRequest:
     group_ids: Sequence[int]
     share_ys: Sequence[int]
 
-    kind = "insert"
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        # Fixed-width rows: pl id + element id + group id + share.
-        return self.token.wire_bytes() + len(self.pl_ids) * (
-            4 + 4 + 4 + share_bytes
-        )
-
 
 @dataclass(frozen=True)
 class DeleteBatchRequest:
@@ -106,11 +98,6 @@ class DeleteBatchRequest:
     pl_ids: Sequence[int]
     element_ids: Sequence[int]
 
-    kind = "delete"
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return self.token.wire_bytes() + len(self.pl_ids) * (4 + 4)
-
 
 @dataclass(frozen=True)
 class FetchListsRequest:
@@ -118,11 +105,6 @@ class FetchListsRequest:
 
     token: AuthToken
     pl_ids: tuple[int, ...]
-
-    kind = "lookup"
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return self.token.wire_bytes() + 4 * len(self.pl_ids)
 
 
 @dataclass(frozen=True)
@@ -132,11 +114,6 @@ class FetchSnippetRequest:
     token: AuthToken
     doc_id: int
     terms: tuple[str, ...]
-
-    kind = "snippet"
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return self.token.wire_bytes() + 8 + sum(len(t) for t in self.terms)
 
 
 @dataclass(frozen=True)
@@ -149,11 +126,6 @@ class AdoptListRequest:
     group_ids: Sequence[int]
     share_ys: Sequence[int]
 
-    kind = "admin"
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return 4 + len(self.element_ids) * (4 + 4 + share_bytes)
-
 
 @dataclass(frozen=True)
 class DropListRequest:
@@ -161,11 +133,6 @@ class DropListRequest:
     answered with the count of rows dropped."""
 
     pl_id: int
-
-    kind = "admin"
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return 5
 
 
 @dataclass(frozen=True)
@@ -179,11 +146,6 @@ class ShipSnapshotRequest:
     """
 
     pl_ids: tuple[int, ...]
-
-    kind = "admin"
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return 4 + 4 * len(self.pl_ids)
 
 
 @dataclass(frozen=True)
@@ -208,20 +170,10 @@ class AdoptSnapshotRequest:
     pl_ids: tuple[int, ...]
     snapshot: bytes
 
-    kind = "admin"
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return 4 + 4 * len(self.pl_ids) + len(self.snapshot)
-
 
 @dataclass(frozen=True)
 class ServerStatusRequest:
     """Admin/observability: one seat's store statistics."""
-
-    kind = "admin"
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return 4
 
 
 @dataclass(frozen=True)
@@ -232,11 +184,6 @@ class EndpointsRequest:
     the socket client uses it to answer ``has_endpoint`` questions the
     in-process registry can answer locally.
     """
-
-    kind = "admin"
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return 4
 
 
 @dataclass(frozen=True)
@@ -257,11 +204,6 @@ class CacheGetRequest:
     token: AuthToken
     key: str
 
-    kind = "cache"
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return self.token.wire_bytes() + 4 + len(self.key)
-
 
 @dataclass(frozen=True)
 class CachePutRequest:
@@ -281,11 +223,6 @@ class CachePutRequest:
     pl_id: int
     value: bytes
 
-    kind = "cache"
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return self.token.wire_bytes() + 4 + len(self.key) + 4 + len(self.value)
-
 
 @dataclass(frozen=True)
 class CacheInvalidateRequest:
@@ -299,11 +236,6 @@ class CacheInvalidateRequest:
 
     pl_ids: tuple[int, ...]
 
-    kind = "cache"
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return 4 + 4 * len(self.pl_ids)
-
 
 @dataclass(frozen=True)
 class MetricsDumpRequest:
@@ -312,11 +244,6 @@ class MetricsDumpRequest:
     Token-free like :class:`ServerStatusRequest` — the dump carries
     counters and quantiles only, never shares, keys, or tokens.
     """
-
-    kind = "admin"
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return 4
 
 
 # -- responses ----------------------------------------------------------------
@@ -327,9 +254,6 @@ class OpCountResponse:
     """Insert/delete acknowledgement: how many operations took effect."""
 
     count: int
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return 8
 
 
 @dataclass(frozen=True)
@@ -348,9 +272,6 @@ class SnippetResponse:
 
     snippet: Snippet
 
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return self.snippet.wire_bytes()
-
 
 @dataclass(frozen=True)
 class SnapshotResponse:
@@ -359,9 +280,6 @@ class SnapshotResponse:
 
     snapshot: bytes
     record_count: int
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return len(self.snapshot) + 8
 
 
 @dataclass(frozen=True)
@@ -374,18 +292,12 @@ class ServerStatusResponse:
     num_elements: int
     storage_bytes: int
 
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return len(self.server_id) + 4 * 4
-
 
 @dataclass(frozen=True)
 class EndpointsResponse:
     """The far transport's endpoint names, sorted."""
 
     names: tuple[str, ...]
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return 4 + sum(len(n) + 1 for n in self.names)
 
 
 @dataclass(frozen=True)
@@ -415,11 +327,6 @@ class MetricsDumpResponse:
 
     samples: tuple[tuple[str, str, float], ...]
 
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return 4 + sum(
-            len(name) + len(labels) + 8 for name, labels, _ in self.samples
-        )
-
 
 @dataclass(frozen=True)
 class ErrorResponse:
@@ -437,9 +344,6 @@ class ErrorResponse:
     error: str
     message: str
     endpoint: str = ""
-
-    def wire_bytes(self, share_bytes: int = DEFAULT_SHARE_BYTES) -> int:
-        return len(self.error) + len(self.message) + len(self.endpoint) + 3
 
 
 #: Requests a seat's service understands (EndpointsRequest is handled by

@@ -2,12 +2,10 @@
 
 Two interchangeable backends behind one :class:`Transport` contract:
 
-- :class:`InProcessTransport` — endpoints are services in this process.
-  When a :class:`~repro.server.transport.SimulatedNetwork` is attached,
-  every call is routed through it with the *accounted* message sizes
-  (:meth:`wire_bytes`), so the §7.3 latency/byte ledger — and therefore
-  every historical benchmark number — is preserved bit for bit. Without
-  a network, dispatch is a plain function call (the read hot path).
+- :class:`InProcessTransport` — endpoints are services in this process
+  and dispatch is a plain function call: no bytes exist, so none are
+  counted here. Traffic is counted where it is consumed (the search
+  diagnostics, the seats' own logs) or, on the socket, where it crosses.
 - :class:`~repro.protocol.async_transport.AsyncSocketServer` /
   :class:`~repro.protocol.async_transport.AsyncSocketTransport`
   (``repro.protocol.async_transport``) — real TCP, real bytes: one
@@ -51,7 +49,6 @@ from repro.errors import (
 )
 from repro.protocol.codec import decode_message, encode_message
 from repro.protocol.messages import (
-    DEFAULT_SHARE_BYTES,
     CacheGetRequest,
     CacheInvalidateRequest,
     EndpointsRequest,
@@ -77,7 +74,6 @@ from repro.observability.tracing import (
 # the chaos harness, which imports this module back.
 from repro.resilience.admission import AdmissionController
 from repro.resilience.deadline import Deadline, check_deadline, deadline_scope
-from repro.server.transport import SimulatedNetwork
 
 #: A frame longer than this is garbage (or hostile), not a message.
 MAX_FRAME_BYTES = 1 << 26  # 64 MiB
@@ -204,30 +200,16 @@ class InProcessTransport(Transport):
     """Endpoint registry dispatching to services in this process.
 
     Args:
-        network: optional :class:`SimulatedNetwork`. When given, every
-            call is charged against it (same endpoint names, same
-            message kinds, same accounted sizes as the pre-protocol
-            code), and endpoints are mirrored into its registry.
-        share_bytes: wire width of one share for the accounted sizes.
         resolver: optional fallback ``name -> service | None``. Lets a
             standalone client resolve a fleet that grows after the
             transport was built (``ZerberDeployment.add_server``).
     """
 
     def __init__(
-        self,
-        network: SimulatedNetwork | None = None,
-        share_bytes: int = DEFAULT_SHARE_BYTES,
-        resolver: Callable[[str], Any] | None = None,
+        self, resolver: Callable[[str], Any] | None = None
     ) -> None:
         self._services: dict[str, Any] = {}
-        self._network = network
-        self._share_bytes = share_bytes
         self._resolver = resolver
-
-    @property
-    def network(self) -> SimulatedNetwork | None:
-        return self._network
 
     # -- registry -------------------------------------------------------------
 
@@ -236,8 +218,6 @@ class InProcessTransport(Transport):
         if name in self._services:
             raise TransportError(f"endpoint {name!r} already registered")
         self._services[name] = service
-        if self._network is not None and not self._network.has_endpoint(name):
-            self._network.register(name, _network_adapter(service))
 
     def unregister(self, name: str) -> None:
         """Drop one endpoint (a retired seat leaves the transport)."""
@@ -246,8 +226,6 @@ class InProcessTransport(Transport):
                 name, f"endpoint {name!r} is not registered"
             )
         del self._services[name]
-        if self._network is not None and self._network.has_endpoint(name):
-            self._network.unregister(name)
 
     def has_endpoint(self, name: str) -> bool:
         return name in self._services
@@ -273,35 +251,16 @@ class InProcessTransport(Transport):
         # propagated one. Enforce it at the same point the socket
         # server does — before dispatch.
         check_deadline(f"call to {dst!r}")
-        service = self._resolve(dst)
-        if self._network is not None:
-            share_bytes = self._share_bytes
-            return self._network.call(
-                src,
-                dst,
-                request.kind,
-                request,
-                request_bytes=request.wire_bytes(share_bytes),
-                response_bytes_of=lambda r: r.wire_bytes(share_bytes),
-            )
-        return service.handle(request)
-
-    def dispatch_local(self, dst: str, request: Any) -> Any:
-        """Hand a request straight to the service, no network accounting.
-
-        The socket server uses this: its bytes are real, charging the
-        simulated ledger on top would double-count.
-        """
         return self._resolve(dst).handle(request)
 
+    def dispatch_local(self, dst: str, request: Any) -> Any:
+        """Hand a request straight to the service, no deadline check.
 
-def _network_adapter(service: Any) -> Callable[[str, Any], Any]:
-    """A :class:`SimulatedNetwork` handler fronting one service."""
-
-    def handler(_kind: str, message: Any) -> Any:
-        return service.handle(message)
-
-    return handler
+        The socket server uses this: it checked the request's wire
+        budget before dispatch, and serving a frame is not a client
+        :meth:`call`.
+        """
+        return self._resolve(dst).handle(request)
 
 
 # -- the wire ----------------------------------------------------------------

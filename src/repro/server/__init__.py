@@ -13,8 +13,8 @@ elements through its user-group table (Fig. 3) before answering.
 - :mod:`repro.server.groups` — the user-group metadata tables;
 - :mod:`repro.server.index_server` — the index server proper, including the
   compromise hook the §7.1 attack experiments use;
-- :mod:`repro.server.transport` — a simulated network with per-link
-  bandwidth accounting for the §7.3 experiments.
+- :mod:`repro.server.transport` — the worker pool hedged reads race
+  their legs on.
 """
 
 from repro.server.auth import AuthService, AuthToken
@@ -26,7 +26,6 @@ from repro.server.index_server import (
     SeatList,
     ShareRecord,
 )
-from repro.server.transport import NetworkStats, SimulatedNetwork, LinkSpec
 
 __all__ = [
     "AuthService",
@@ -37,7 +36,4 @@ __all__ = [
     "SeatList",
     "PostingListResponse",
     "CompromisedView",
-    "SimulatedNetwork",
-    "NetworkStats",
-    "LinkSpec",
 ]

@@ -44,10 +44,6 @@ class AuthToken:
         """The byte string the signature covers."""
         return f"{self.user_id}\x00{self.issued_at}\x00{self.expires_at}".encode()
 
-    def wire_bytes(self) -> int:
-        """Approximate on-the-wire size (user id + 2 ints + 32-byte MAC)."""
-        return len(self.user_id) + 8 + 8 + 32
-
 
 class AuthService:
     """The enterprise-wide token issuer and verifier.

@@ -102,7 +102,6 @@ def deploy_corpus(
     n: int = 3,
     num_lists: int = 32,
     heuristic: str = "dfm",
-    use_network: bool = False,
     batch_policy: BatchPolicy | None = None,
     seed: int = 0xBEEF,
 ) -> ZerberDeployment:
@@ -118,7 +117,6 @@ def deploy_corpus(
         num_lists=min(num_lists, len(probs)),
         k=k,
         n=n,
-        use_network=use_network,
         batch_policy=batch_policy,
         seed=seed,
     )
@@ -197,7 +195,6 @@ def build_twins(
         MappingTable({}, num_lists=num_lists),
         k=K,
         n=N,
-        use_network=False,
         batch_policy=BatchPolicy(min_documents=2),
         seed=seed,
     )
@@ -206,7 +203,6 @@ def build_twins(
         num_pods=max(num_pods, replication_factor),
         k=K,
         n=N,
-        use_network=False,
         batch_policy=BatchPolicy(min_documents=2),
         replication_factor=replication_factor,
         seed=seed,
@@ -263,7 +259,6 @@ def make_cluster(
     k=2,
     n=4,
     num_lists=8,
-    use_network=False,
     **kwargs,
 ):
     """A fully indexed cluster over ``documents`` (one owner per group)."""
@@ -272,7 +267,6 @@ def make_cluster(
         num_pods=num_pods,
         k=k,
         n=n,
-        use_network=use_network,
         batch_policy=BatchPolicy(min_documents=1),
         seed=77,
         **kwargs,
@@ -292,13 +286,28 @@ def metric(cluster, name, **labels):
     return SampleView(cluster.metrics.samples()).value(name, **labels)
 
 
+def seat_servers(deployment) -> list:
+    """Every seat's :class:`IndexServer`, of a single fleet or a cluster."""
+    if isinstance(deployment, ClusterDeployment):
+        return [slot.server for pod in deployment.pods for slot in pod.slots]
+    return list(deployment.servers)
+
+
+def lookups_logged(deployment) -> int:
+    """Lookups the seats have logged: one ``query_log`` row a lookup,
+    counted by each box itself on every transport."""
+    return sum(
+        len(server.compromise().query_log)
+        for server in seat_servers(deployment)
+    )
+
+
 def make_single_fleet(documents, k=2, n=3, num_lists=8):
     """The paper's single fleet over the same deterministic corpus."""
     single = ZerberDeployment(
         MappingTable({}, num_lists=num_lists),
         k=k,
         n=n,
-        use_network=False,
         batch_policy=BatchPolicy(min_documents=1),
         seed=77,
     )

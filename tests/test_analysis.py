@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.analysis.bandwidth import (
+    LAN_100_MBPS,
+    WLAN_55_MBPS,
     BandwidthModel,
     compression_experiment,
 )
@@ -172,6 +174,14 @@ class TestStorage:
 
 
 class TestBandwidth:
+    def test_link_presets(self):
+        # §7.3: 55 Mb/s wireless clients, 100 Mb/s LAN servers.
+        assert WLAN_55_MBPS == 55e6
+        assert LAN_100_MBPS == 100e6
+        model = BandwidthModel()
+        assert model.user_bandwidth_bps == WLAN_55_MBPS
+        assert model.server_bandwidth_bps == LAN_100_MBPS
+
     def test_paper_defaults_reproduce_sec_7_3(self):
         report = BandwidthModel().report()
         # "approximately 170 Kb (21.5 KB) per query term response"

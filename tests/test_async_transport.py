@@ -211,6 +211,14 @@ class TestCallMany:
         )
 
 
+def _frames(cluster) -> float:
+    """The server's frame counter, from a fresh metrics dump."""
+    view = SampleView(cluster.metrics.samples())
+    return view.value(
+        "zerber_server_frames_total", transport="async-socket"
+    ) or 0
+
+
 class TestPipelinedFetchRound:
     def test_a_fetch_round_is_one_write(self, monkeypatch):
         """A healthy uncached query over two pods sends every seat
@@ -228,16 +236,9 @@ class TestPipelinedFetchRound:
         vocabulary = sorted({t for d in documents for t in d.term_counts})
         with make_cluster(documents, transport="async-socket") as cluster:
             searcher = cluster.searcher("owner0", use_cache=False)
-
-            def frames() -> float:
-                view = SampleView(cluster.metrics.samples())
-                return view.value(
-                    "zerber_server_frames_total", transport="async-socket"
-                ) or 0
-
             two_pod_rounds = 0
             for start in range(0, len(vocabulary), 4):
-                before = frames()
+                before = _frames(cluster)
                 writes.clear()
                 searcher.search(
                     vocabulary[start : start + 4], fetch_snippets=False
@@ -245,9 +246,43 @@ class TestPipelinedFetchRound:
                 diag = searcher.last_cluster_diagnostics
                 two_pod_rounds += diag.pods_contacted == 2
                 assert len(writes) == 1
-                assert frames() - before == diag.lookup_messages
+                assert _frames(cluster) - before == diag.lookup_messages
             # The claim is about rounds that span pods.
             assert two_pod_rounds >= 2
+
+    def test_a_dead_seats_error_answer_is_a_lookup_message(self):
+        """A lookup a dead seat answers with an error was still sent:
+        over the socket ``lookup_messages`` grows exactly as the
+        server's frame counter does, and in process the same query
+        reports the same count."""
+        documents = make_documents()
+        vocabulary = sorted({t for d in documents for t in d.term_counts})
+        queries = [
+            vocabulary[start : start + 3]
+            for start in range(0, len(vocabulary), 3)
+        ]
+        counts: dict[str, list[int]] = {}
+        for transport in ("async-socket", "in-process"):
+            with make_cluster(
+                documents, num_pods=2, k=2, n=4, transport=transport
+            ) as cluster:
+                cluster.kill_server(0, 0)
+                searcher = cluster.searcher("owner0", use_cache=False)
+                failovers = 0
+                for terms in queries:
+                    before = _frames(cluster)
+                    searcher.search(terms, fetch_snippets=False)
+                    diag = searcher.last_cluster_diagnostics
+                    failovers += diag.failovers
+                    counts.setdefault(transport, []).append(
+                        diag.lookup_messages
+                    )
+                    if transport == "async-socket":
+                        grown = _frames(cluster) - before
+                        assert grown == diag.lookup_messages
+                # The claim is about queries that met the dead seat.
+                assert failovers > 0
+        assert counts["in-process"] == counts["async-socket"]
 
 
 class TestPipelinedWriteRound:
@@ -270,13 +305,6 @@ class TestPipelinedWriteRound:
             yield cluster, writes
 
     @staticmethod
-    def frames(cluster) -> float:
-        view = SampleView(cluster.metrics.samples())
-        return view.value(
-            "zerber_server_frames_total", transport="async-socket"
-        ) or 0
-
-    @staticmethod
     def seats_of(cluster, terms) -> set[str]:
         coordinator = cluster.coordinator
         pods = {
@@ -296,13 +324,13 @@ class TestPipelinedWriteRound:
             doc_id=920, host="host0", group_id=0,
             term_counts=dict.fromkeys(terms, 1), length=len(terms),
         )
-        before = self.frames(cluster)
+        before = _frames(cluster)
         writes.clear()
         owner.share_document(extra)
         owner.flush_updates()
         assert len(writes) == 1
         seats = self.seats_of(cluster, terms)
-        assert self.frames(cluster) - before == len(seats)
+        assert _frames(cluster) - before == len(seats)
 
     def test_a_delete_is_one_write(self, counted):
         cluster, writes = counted
@@ -312,11 +340,11 @@ class TestPipelinedWriteRound:
             key=lambda d: len(d.term_counts),
         )
         seats = self.seats_of(cluster, target.term_counts)
-        before = self.frames(cluster)
+        before = _frames(cluster)
         writes.clear()
         assert owner.delete_document(target.doc_id) == len(target.term_counts)
         assert len(writes) == 1
-        assert self.frames(cluster) - before == len(seats)
+        assert _frames(cluster) - before == len(seats)
 
 
 class TestAsyncFailureSemantics:

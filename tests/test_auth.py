@@ -5,6 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import AuthError
+from repro.protocol.codec import encode_message
+from repro.protocol.messages import FetchListsRequest
 from repro.server.auth import AuthService, AuthToken
 
 
@@ -89,9 +91,12 @@ class TestTokens:
             service.advance_clock(-1)
 
     def test_wire_bytes_positive(self, service):
+        # Measured on the real wire: a token-only lookup request is
+        # the user id, two timestamps and a 32-byte MAC, plus framing.
         credential = service.register_user("alice")
         token = service.issue_token("alice", credential)
-        assert token.wire_bytes() > 40
+        request = FetchListsRequest(token=token, pl_ids=())
+        assert len(encode_message(request)) > 40
 
     def test_lifetime_validation(self):
         with pytest.raises(AuthError):

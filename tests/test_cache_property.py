@@ -70,7 +70,6 @@ def _build(seed: int, cached: bool) -> ClusterDeployment:
         num_pods=2,
         k=2,
         n=3,
-        use_network=False,
         batch_policy=BatchPolicy(min_documents=4),  # flush_all releases
         seed=seed,
         **kwargs,

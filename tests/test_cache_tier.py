@@ -847,7 +847,6 @@ class TestClusterIntegration:
             num_pods=2,
             k=2,
             n=3,
-            use_network=False,
             batch_policy=BatchPolicy(min_documents=1),
             seed=11,
             l1_entries=16,

@@ -250,19 +250,29 @@ class TestCli:
 
 
 class TestSnippetNetworkAccounting:
-    def test_snippet_bytes_hit_the_ledger(self, small_corpus):
+    def test_snippet_bytes_hit_the_ledger(self, small_corpus, monkeypatch):
+        """Each hit's snippet is a protocol message to its hosting peer
+        (not the local fallback), sized with §7.3's XML envelope."""
+        from repro.protocol.messages import FetchSnippetRequest
         from tests.helpers import deploy_corpus, owner_of_group
 
-        deployment = deploy_corpus(
-            small_corpus, use_network=True, num_lists=16
-        )
+        deployment = deploy_corpus(small_corpus, num_lists=16)
+        served = []
+        call = deployment.transport.call
+
+        def watching_call(src, dst, request):
+            response = call(src, dst, request)
+            if isinstance(request, FetchSnippetRequest):
+                served.append(response.snippet)
+            return response
+
+        monkeypatch.setattr(deployment.transport, "call", watching_call)
         doc = next(iter(small_corpus))
         term = sorted(doc.term_counts)[0]
         user = owner_of_group(doc.group_id)
         searcher = deployment.searcher(user)
-        before = deployment.network.stats.bytes_by_kind.get("snippet", 0)
         results = searcher.search([term], top_k=3)
-        after = deployment.network.stats.bytes_by_kind.get("snippet", 0)
         assert results and all(r.snippet for r in results)
+        assert [s.text for s in served] == [r.snippet for r in results]
         # Each snippet response carries its XML envelope (§7.3's ~250 B).
-        assert after - before >= len(results) * 130
+        assert sum(s.wire_bytes() for s in served) >= len(results) * 130

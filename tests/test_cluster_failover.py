@@ -20,7 +20,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import make_cluster, make_documents, make_single_fleet
+from helpers import (
+    lookups_logged,
+    make_cluster,
+    make_documents,
+    make_single_fleet,
+)
 from repro.client.batching import BatchPolicy
 from repro.cluster.clients import ClusterSearchClient
 from repro.core.mapping_table import MappingTable
@@ -113,8 +118,7 @@ class TestDegradation:
 class TestFailoverAndEscalation:
     def test_failover_over_dead_servers(self):
         documents = make_documents()
-        cluster = make_cluster(documents, num_pods=2, k=2, n=4,
-                               use_network=True)
+        cluster = make_cluster(documents, num_pods=2, k=2, n=4)
         terms = sorted(documents[0].term_counts)[:2]
         healthy = cluster.searcher("owner0", use_cache=False)
         expected = healthy.search(terms, top_k=5, fetch_snippets=False)
@@ -141,7 +145,6 @@ class TestFailoverAndEscalation:
             MappingTable({}, num_lists=8),
             k=2,
             n=3,
-            use_network=False,
             batch_policy=BatchPolicy(min_documents=1),
             seed=77,
         )
@@ -235,8 +238,7 @@ class TestPodLifecycle:
 class TestReplicaFailover:
     def test_whole_pod_loss_keeps_answers_identical(self):
         documents = make_documents()
-        cluster = make_cluster(documents, num_pods=2, replication_factor=2,
-                               use_network=True)
+        cluster = make_cluster(documents, num_pods=2, replication_factor=2)
         terms = sorted(documents[0].term_counts)[:3]
         expected = cluster.searcher("owner0", use_cache=False).search(
             terms, top_k=5, fetch_snippets=False
@@ -687,27 +689,27 @@ class TestSeatFailingMidRound:
 
 class TestBatchedLookups:
     def test_batching_reduces_lookup_messages(self):
-        """Acceptance: batched lookups beat per-term fan-out in the ledger."""
+        """Acceptance: batched lookups beat per-term fan-out, counted
+        by the seats' own query logs."""
         documents = make_documents(num_docs=16, vocab_size=30)
         cluster = make_cluster(
-            documents, num_pods=1, k=2, n=3, num_lists=16, use_network=True
+            documents, num_pods=1, k=2, n=3, num_lists=16
         )
         # A query whose terms land in several merged lists of one pod.
         terms = sorted(
             {t for d in documents for t in d.term_counts}
         )[:6]
-        ledger = cluster.network.stats.messages_by_kind
-        before = ledger["lookup"]
+        before = lookups_logged(cluster)
         batched = cluster.searcher("owner0", use_cache=False)
         batched_results = batched.search(terms, top_k=5,
                                          fetch_snippets=False)
-        batched_messages = ledger["lookup"] - before
-        before = ledger["lookup"]
+        batched_messages = lookups_logged(cluster) - before
+        before = lookups_logged(cluster)
         naive = cluster.searcher(
             "owner0", use_cache=False, batch_lookups=False
         )
         naive_results = naive.search(terms, top_k=5, fetch_snippets=False)
-        naive_messages = ledger["lookup"] - before
+        naive_messages = lookups_logged(cluster) - before
         assert batched_results == naive_results
         assert batched.last_diagnostics.posting_lists_requested > 1
         assert batched_messages < naive_messages
@@ -716,18 +718,20 @@ class TestBatchedLookups:
         assert naive_messages == (
             2 * batched.last_diagnostics.posting_lists_requested
         )
+        assert batched.last_cluster_diagnostics.lookup_messages == 2
+        assert naive.last_cluster_diagnostics.lookup_messages == (
+            naive_messages
+        )
 
     def test_cache_hits_send_zero_messages(self):
         documents = make_documents()
-        cluster = make_cluster(documents, use_network=True)
+        cluster = make_cluster(documents)
         terms = sorted(documents[0].term_counts)[:2]
         searcher = cluster.searcher("owner0", l1_entries=8)
         searcher.search(terms, top_k=5, fetch_snippets=False)
-        ledger = cluster.network.stats.messages_by_kind
-        before = ledger["lookup"]
-        bytes_before = cluster.network.stats.bytes_by_kind["lookup"]
+        before = lookups_logged(cluster)
         searcher.search(terms, top_k=5, fetch_snippets=False)
-        assert ledger["lookup"] == before
-        assert cluster.network.stats.bytes_by_kind["lookup"] == bytes_before
+        assert lookups_logged(cluster) == before
+        assert searcher.last_diagnostics.response_bytes == 0
         assert searcher.last_cluster_diagnostics.lookup_messages == 0
         assert searcher.last_cluster_diagnostics.l1_hits > 0

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Document
-from repro.errors import AuthError, ReproError, TransportError
+from repro.errors import AuthError, ClusterError, ReproError, TransportError
 
 
 def zipf_probs(n: int) -> dict[str, float]:
@@ -22,21 +23,21 @@ PROBS = zipf_probs(120)
 class TestBootstrap:
     def test_dfm_by_name(self):
         deployment = ZerberDeployment.bootstrap(
-            PROBS, heuristic="dfm", num_lists=8, use_network=False
+            PROBS, heuristic="dfm", num_lists=8
         )
         assert deployment.mapping_table.num_lists == 8
         assert deployment.merge_result.heuristic == "DFM"
 
     def test_bfm_by_name_with_target_r(self):
         deployment = ZerberDeployment.bootstrap(
-            PROBS, heuristic="bfm", target_r=10.0, use_network=False
+            PROBS, heuristic="bfm", target_r=10.0
         )
         assert deployment.merge_result.heuristic == "BFM"
         assert deployment.merge_result.resulting_r(PROBS) <= 10.0 + 1e-9
 
     def test_udm_by_name(self):
         deployment = ZerberDeployment.bootstrap(
-            PROBS, heuristic="udm", num_lists=6, use_network=False
+            PROBS, heuristic="udm", num_lists=6
         )
         assert deployment.merge_result.heuristic == "UDM"
 
@@ -46,7 +47,6 @@ class TestBootstrap:
         deployment = ZerberDeployment.bootstrap(
             PROBS,
             heuristic=UniformDistributionMerging(5),
-            use_network=False,
         )
         assert deployment.mapping_table.num_lists == 5
 
@@ -57,7 +57,6 @@ class TestBootstrap:
             heuristic="udm",
             num_lists=6,
             rare_cutoff=cutoff,
-            use_network=False,
         )
         assert deployment.mapping_table.table_size < len(PROBS)
 
@@ -77,7 +76,6 @@ class TestPrincipals:
     def deployment(self):
         return ZerberDeployment(
             mapping_table=MappingTable({}, num_lists=4),
-            use_network=False,
             seed=2,
         )
 
@@ -102,8 +100,7 @@ class TestPrincipals:
 class TestNetworkWiring:
     def test_unknown_message_rejected(self):
         # A frame that is not a protocol message the index-server
-        # service understands is rejected with a typed error, whichever
-        # path (transport or raw network) delivered it.
+        # service understands is rejected with a typed error.
         from repro.errors import ProtocolError
         from repro.protocol import FetchSnippetRequest
 
@@ -147,11 +144,28 @@ class TestNetworkWiring:
             owner.flush_updates()
 
 
+@pytest.mark.parametrize(
+    "deployment_class, error",
+    [(ZerberDeployment, ReproError), (ClusterDeployment, ClusterError)],
+)
+def test_use_network_true_is_a_typed_error(deployment_class, error):
+    """The simulated network is gone: ``use_network`` accepts only
+    False, and True names the counters that replaced its ledger."""
+    with pytest.raises(error) as excinfo:
+        deployment_class(MappingTable({}, num_lists=4), use_network=True)
+    message = str(excinfo.value)
+    for counter in ("response_bytes", "lookup_messages", "zerber_server_"):
+        assert counter in message
+    with deployment_class(
+        MappingTable({}, num_lists=4), use_network=False
+    ) as deployment:
+        assert not hasattr(deployment, "network")
+
+
 class TestFleetAccounting:
     def test_storage_and_elements(self):
         deployment = ZerberDeployment(
             mapping_table=MappingTable({}, num_lists=4),
-            use_network=False,
             seed=5,
         )
         deployment.create_group(0, coordinator="alice")
@@ -173,7 +187,6 @@ class TestFleetAccounting:
             mapping_table=MappingTable({}, num_lists=4),
             k=3,
             n=5,
-            use_network=False,
             seed=6,
         )
         assert len(deployment.servers) == 5

@@ -41,7 +41,6 @@ def _cluster(**kwargs):
     kwargs.setdefault("num_pods", 2)
     kwargs.setdefault("k", 2)
     kwargs.setdefault("n", 3)
-    kwargs.setdefault("use_network", False)
     kwargs.setdefault("replication_factor", 2)
     kwargs.setdefault("seed", 77)
     cluster = ClusterDeployment(

@@ -153,7 +153,6 @@ class TestClusterPodJoinReplicaMovement:
             num_pods=2,
             k=2,
             n=3,
-            use_network=False,
             batch_policy=BatchPolicy(min_documents=1),
             replication_factor=2,
             seed=29,
@@ -259,7 +258,6 @@ class TestClusterPodJoinReplicaMovement:
             num_pods=2,
             k=2,
             n=3,
-            use_network=False,
             batch_policy=BatchPolicy(min_documents=1),
             replication_factor=2,
             wal_dir=tmp_path,

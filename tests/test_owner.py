@@ -32,7 +32,7 @@ def make_doc(doc_id: int, terms: dict[str, int], group: int = 0) -> Document:
 def deployment():
     table = MappingTable({}, num_lists=16)  # all terms hash-routed
     dep = ZerberDeployment(
-        mapping_table=table, k=2, n=3, use_network=False, seed=1
+        mapping_table=table, k=2, n=3, seed=1
     )
     dep.create_group(0, coordinator="alice")
     return dep
@@ -102,7 +102,6 @@ class TestSharing:
             mapping_table=MappingTable({}, num_lists=16),
             k=2,
             n=3,
-            use_network=False,
             seed=1,
             packing=PackingSpec(term_id_bits=4),
             batch_policy=BatchPolicy(min_documents=1),

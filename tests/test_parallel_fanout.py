@@ -5,8 +5,8 @@ together (``Transport.call_many``), so its lookups run in parallel;
 ``batch_lookups=False`` is the sequential per-list path that sends one
 message per list, one at a time. The two must answer byte-identically,
 with the same diagnostics counts (bar the message count the per-list
-path multiplies by design) and the same response bytes on the network
-ledger. The EWMA replica ranking must prefer measurably faster pods,
+path multiplies by design), the same response bytes, and the same lists
+asked of every seat, as each seat's own query log records them. The EWMA replica ranking must prefer measurably faster pods,
 fall back to load counters on ties, charge cache hits to the pod whose
 fetch produced the entry, and time each pod of a round on its own.
 """
@@ -14,7 +14,6 @@ fetch produced the entry, and time each pod of a round on its own.
 from __future__ import annotations
 
 import random
-import threading
 
 from helpers import make_cluster, make_documents
 from repro.client.batching import BatchPolicy
@@ -23,13 +22,12 @@ from repro.cluster.coordinator import READ_LATENCY_BUCKET_S
 from repro.core.mapping_table import MappingTable
 from repro.corpus.document import Document
 from repro.resilience.faults import FaultPlan, FaultyTransport
-from repro.server.transport import SimulatedNetwork
 
 
 NUM_LISTS = 24
 
 
-def _cluster(num_pods=3, replication_factor=2, seed=47, use_network=True):
+def _cluster(num_pods=3, replication_factor=2, seed=47):
     rng = random.Random(seed)
     vocab = [f"w{i}" for i in range(60)]
     cluster = ClusterDeployment(
@@ -37,7 +35,6 @@ def _cluster(num_pods=3, replication_factor=2, seed=47, use_network=True):
         num_pods=num_pods,
         k=2,
         n=3,
-        use_network=use_network,
         batch_policy=BatchPolicy(min_documents=1),
         replication_factor=replication_factor,
         seed=seed,
@@ -77,13 +74,19 @@ def _shared_counts(searcher):
     }
 
 
-def _response_bytes(cluster):
-    """Ledger bytes the seats sent back."""
-    return sum(
-        size
-        for (src, _dst), size in cluster.network.stats.bytes_by_link.items()
-        if "-server-" in src
-    )
+def _lists_asked(cluster):
+    """Per seat, every list its lookups asked for, from the seat's own
+    query log — sorted, so one message per list and one per seat
+    compare equal when they carried the same lists."""
+    return {
+        slot.server_id: sorted(
+            pl_id
+            for _user, pl_ids in slot.server.compromise().query_log
+            for pl_id in pl_ids
+        )
+        for pod in cluster.pods
+        for slot in pod.slots
+    }
 
 
 class TestParallelFanoutEquivalence:
@@ -114,7 +117,7 @@ class TestParallelFanoutEquivalence:
             saw_multi_pod_round |= diag.pods_contacted > 1
         # The test only proves something if multi-pod rounds happened.
         assert saw_multi_pod_round
-        assert _response_bytes(pipelined_cluster) == _response_bytes(
+        assert _lists_asked(pipelined_cluster) == _lists_asked(
             per_list_cluster
         )
 
@@ -149,41 +152,9 @@ class TestParallelFanoutEquivalence:
         assert pipelined.last_cluster_diagnostics.l1_hits > 0
 
 
-class TestNetworkLedger:
-    def test_network_ledger_is_race_safe(self):
-        """Hammer one SimulatedNetwork from many threads (hedged legs
-        share it); the byte/message ledger must not lose an increment."""
-        net = SimulatedNetwork()
-        net.register("sink", lambda kind, message: message)
-        calls_per_thread, num_threads = 50, 8
-
-        def blast(thread_id):
-            for i in range(calls_per_thread):
-                net.call(
-                    src=f"t{thread_id}",
-                    dst="sink",
-                    kind="lookup",
-                    message=i,
-                    request_bytes=10,
-                    response_bytes_of=lambda _r: 7,
-                )
-
-        threads = [
-            threading.Thread(target=blast, args=(t,))
-            for t in range(num_threads)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        total_messages = num_threads * calls_per_thread
-        assert net.stats.messages_by_kind["lookup"] == total_messages
-        assert net.stats.bytes_by_kind["lookup"] == total_messages * 17
-
-
 class TestLatencyAwareReplicaChoice:
     def test_ewma_prefers_measurably_faster_pod(self):
-        cluster, _queries = _cluster(replication_factor=2, use_network=False)
+        cluster, _queries = _cluster(replication_factor=2)
         coordinator = cluster.coordinator
         pl_id = 0
         first, second = coordinator.pods_of(pl_id)
@@ -201,7 +172,7 @@ class TestLatencyAwareReplicaChoice:
         assert {p.name for p in ranked[:2]} == {first.name, second.name}
 
     def test_jitter_within_a_bucket_never_flips_ranking(self):
-        cluster, _queries = _cluster(replication_factor=2, use_network=False)
+        cluster, _queries = _cluster(replication_factor=2)
         coordinator = cluster.coordinator
         pl_id = 3
         first, second = coordinator.pods_of(pl_id)
@@ -216,7 +187,7 @@ class TestLatencyAwareReplicaChoice:
         assert coordinator.read_replicas(pl_id)[0] is first
 
     def test_cache_hits_charge_the_origin_pod(self):
-        cluster, _queries = _cluster(replication_factor=2, use_network=False)
+        cluster, _queries = _cluster(replication_factor=2)
         coordinator = cluster.coordinator
         pl_id = 5
         first, second = coordinator.pods_of(pl_id)

@@ -211,7 +211,6 @@ def wal_cluster(tmp_path):
         num_pods=2,
         k=2,
         n=3,
-        use_network=False,
         batch_policy=BatchPolicy(min_documents=1),
         wal_dir=tmp_path / "wals",
         seed=55,
@@ -273,7 +272,6 @@ class TestClusterWalRecovery:
             MappingTable({}, num_lists=10),
             k=2,
             n=3,
-            use_network=False,
             batch_policy=BatchPolicy(min_documents=1),
             seed=55,
         )

@@ -67,7 +67,6 @@ def test_property_zerber_equals_ideal(world):
         mapping_table=table,
         k=2,
         n=3,
-        use_network=False,
         batch_policy=BatchPolicy(min_documents=2),
         seed=seed,
     )

@@ -3,9 +3,8 @@
 Covers the contract every backend must honour: request dispatch onto
 the narrow server interface, typed failures (a dead seat, an unknown
 endpoint, an ACL denial) surfacing as the *same* exception class across
-the in-process and async-socket transports, byte accounting preserved
-on the simulated network, and the socket pair's framing/reconnect
-behaviour.
+the in-process and async-socket transports, and the socket pair's
+framing/reconnect behaviour.
 """
 
 from __future__ import annotations
@@ -35,7 +34,6 @@ from repro.protocol import (
 from repro.server.auth import AuthService
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import IndexServer
-from repro.server.transport import SimulatedNetwork
 
 
 @pytest.fixture()
@@ -51,8 +49,8 @@ def world():
     return auth, groups, token, server
 
 
-def _registry(server, network=None):
-    registry = InProcessTransport(network=network)
+def _registry(server):
+    registry = InProcessTransport()
     registry.register(server.server_id, IndexServerService.for_server(server))
     return registry
 
@@ -84,28 +82,12 @@ class TestInProcessTransport:
         with pytest.raises(TransportError):
             registry.register("s0", IndexServerService.for_server(server))
 
-    def test_network_accounting_preserved(self, world):
-        """The in-process backend charges the historical §7.3 sizes
-        (token + 4 bytes per id requested) under the historical kinds."""
-        _auth, _groups, token, server = world
-        network = SimulatedNetwork()
-        registry = _registry(server, network=network)
-        request = FetchListsRequest(token=token, pl_ids=(1, 2))
-        registry.call("alice", "s0", request)
-        assert network.stats.messages_by_kind["lookup"] == 1
-        assert (
-            network.stats.bytes_by_link[("alice", "s0")]
-            == request.wire_bytes()
-            == token.wire_bytes() + 8
-        )
-
     def test_unregister_releases_network_endpoint(self, world):
         *_rest, server = world
-        network = SimulatedNetwork()
-        registry = _registry(server, network=network)
-        assert network.has_endpoint("s0")
+        registry = _registry(server)
+        assert registry.has_endpoint("s0")
         registry.unregister("s0")
-        assert not network.has_endpoint("s0")
+        assert not registry.has_endpoint("s0")
         with pytest.raises(UnknownEndpointError):
             registry.unregister("s0")
 

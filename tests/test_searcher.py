@@ -251,7 +251,7 @@ def test_a_doc_id_shared_by_two_owners_is_matched_and_counted_once(build):
     """The duplicate-doc_id rule: each term named once in
     ``matched_terms``, the doc counted once in df and N, and its tf the
     last row of the term in ``(-tf, doc_id)`` order (the smallest)."""
-    deployment = build(k=2, n=3, use_network=False,
+    deployment = build(k=2, n=3,
                        batch_policy=BatchPolicy(min_documents=1))
     with deployment:
         for group_id in (0, 1):

@@ -351,7 +351,6 @@ class TestBlockFormat:
         cluster = ClusterDeployment(
             MappingTable({}, num_lists=8),
             num_pods=1,
-            use_network=False,
             batch_policy=BatchPolicy(min_documents=16),
             wal_dir=tmp_path,
             seed=77,
@@ -486,7 +485,6 @@ class TestEngineSelection:
         return ClusterDeployment(
             MappingTable({}, num_lists=4),
             num_pods=1,
-            use_network=False,
             **kwargs,
         )
 

@@ -1,100 +1,53 @@
-"""Tests for the simulated network (§7.3 substrate)."""
+"""Tests for the in-process endpoint registry (:class:`InProcessTransport`).
+
+The registry is the only place in-process endpoints live: services
+register by name, calls dispatch to them, and the failures a caller can
+race (a duplicate name, a missing endpoint) are typed.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import TransportError
-from repro.server.transport import (
-    LAN_100_MBPS,
-    WLAN_55_MBPS,
-    LinkSpec,
-    NetworkStats,
-    SimulatedNetwork,
-)
+from repro.errors import TransportError, UnknownEndpointError
+from repro.protocol.transport import InProcessTransport
 
 
-class TestLinkSpec:
-    def test_transfer_time(self):
-        link = LinkSpec(bandwidth_bps=1_000_000, latency_s=0.01)
-        # 125,000 bytes = 1,000,000 bits -> 1 second + latency.
-        assert link.transfer_time(125_000) == pytest.approx(1.01)
+class _Echo:
+    """A service answering every request with ``(name, request)``."""
 
-    def test_presets(self):
-        assert WLAN_55_MBPS == 55e6
-        assert LAN_100_MBPS == 100e6
+    def __init__(self, name: str) -> None:
+        self.name = name
 
-    def test_validation(self):
-        with pytest.raises(TransportError):
-            LinkSpec(bandwidth_bps=0)
-        with pytest.raises(TransportError):
-            LinkSpec(latency_s=-1)
-        with pytest.raises(TransportError):
-            LinkSpec().transfer_time(-5)
+    def handle(self, request):
+        return self.name, request
 
 
 class TestNetwork:
+    """Endpoints by name: register, dispatch, typed failures."""
+
     def test_register_and_call(self):
-        net = SimulatedNetwork()
-        net.register("server", lambda kind, msg: f"{kind}:{msg}")
-        reply = net.call(
-            "client", "server", "ping", "hello", request_bytes=10
+        registry = InProcessTransport()
+        registry.register("server", _Echo("server"))
+        assert registry.call("client", "server", "hello") == (
+            "server",
+            "hello",
         )
-        assert reply == "ping:hello"
 
     def test_duplicate_endpoint_rejected(self):
-        net = SimulatedNetwork()
-        net.register("a", lambda k, m: None)
+        registry = InProcessTransport()
+        registry.register("a", _Echo("a"))
         with pytest.raises(TransportError):
-            net.register("a", lambda k, m: None)
+            registry.register("a", _Echo("a"))
 
     def test_unknown_destination(self):
-        net = SimulatedNetwork()
-        with pytest.raises(TransportError):
-            net.call("c", "missing", "k", None, request_bytes=1)
-
-    def test_negative_request_size_rejected(self):
-        net = SimulatedNetwork()
-        net.register("s", lambda k, m: None)
-        with pytest.raises(TransportError):
-            net.call("c", "s", "k", None, request_bytes=-1)
-
-    def test_byte_accounting_both_directions(self):
-        net = SimulatedNetwork()
-        net.register("s", lambda k, m: "four")
-        net.call(
-            "c", "s", "lookup", None,
-            request_bytes=100,
-            response_bytes_of=lambda r: len(r),
-        )
-        assert net.stats.bytes_by_link[("c", "s")] == 100
-        assert net.stats.bytes_by_link[("s", "c")] == 4
-        assert net.stats.bytes_by_kind["lookup"] == 104
-        assert net.stats.messages_by_kind["lookup"] == 1
-        assert net.stats.total_bytes == 104
-
-    def test_simulated_time_accumulates(self):
-        net = SimulatedNetwork(default_link=LinkSpec(1_000_000, latency_s=0.0))
-        net.register("s", lambda k, m: None)
-        net.call("c", "s", "k", None, request_bytes=125_000)
-        assert net.stats.simulated_seconds == pytest.approx(1.0)
-
-    def test_per_link_overrides(self):
-        net = SimulatedNetwork(default_link=LinkSpec(1_000_000))
-        net.set_link("c", "s", LinkSpec(2_000_000))
-        assert net.link("c", "s").bandwidth_bps == 2_000_000
-        assert net.link("s", "c").bandwidth_bps == 1_000_000
-
-    def test_stats_reset(self):
-        stats = NetworkStats()
-        stats.bytes_by_kind["x"] = 5
-        stats.simulated_seconds = 2.0
-        stats.reset()
-        assert stats.total_bytes == 0
-        assert stats.simulated_seconds == 0.0
+        registry = InProcessTransport()
+        with pytest.raises(UnknownEndpointError) as excinfo:
+            registry.call("c", "missing", None)
+        assert excinfo.value.endpoint == "missing"
 
     def test_endpoints_listing(self):
-        net = SimulatedNetwork()
-        net.register("b", lambda k, m: None)
-        net.register("a", lambda k, m: None)
-        assert net.endpoints() == ["a", "b"]
+        registry = InProcessTransport()
+        registry.register("b", _Echo("b"))
+        registry.register("a", _Echo("a"))
+        assert registry.endpoints() == ["a", "b"]
