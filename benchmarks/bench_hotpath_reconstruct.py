@@ -1,7 +1,8 @@
 """Owner, searcher and seat hot paths: reconstruction (naive vs cached
-vs batch columns), splitting (per element vs ``split_many`` columns),
-packing (per element vs ``pack_many`` columns) and encoding a served
-list (first encode vs re-encode).
+vs batch columns), decoding a merged list (group every term vs filter
+by the queried term first), splitting (per element vs ``split_many``
+columns), packing (per element vs ``pack_many`` columns) and encoding a
+served list (first encode vs re-encode).
 
 The read path's arithmetic is Shamir reconstruction. Naive Lagrange
 pays the full basis per element — k modular inversions and the basis
@@ -21,6 +22,15 @@ runs it as the perf smoke gate, in the same run: cached must beat naive
 and batch must beat cached by ``GATE_BATCH_OVER_CACHED`` in elements/s
 (ratios only — no absolute number can flake on a slow machine; the
 absolute elements/s are recorded beside them).
+
+After reconstruction the searcher decodes a merged list's secrets and
+keeps the queried term's postings (Algorithm 2's ``filterElements``).
+The decode arm times ``unpack_by_term`` plus the per-term lookup — the
+L1's query-independent form, which builds a posting for every secret —
+against ``unpack_terms``, which tests the term field first and builds
+postings for the survivors only, over one ``ELEMENTS``-secret column
+that is half merged-in noise. It asserts equal rows and gates the
+filtered decode at ``GATE_FILTERED_OVER_GROUPED`` times faster.
 
 The write path's arithmetic is the other direction: the owner splits a
 document's packed elements. ``split`` builds one polynomial, one
@@ -76,6 +86,9 @@ CONFIGS = ((2, 3), (3, 5))
 GATE_CACHED_OVER_NAIVE = 1.25
 #: The column form must beat per-element calls (measured 7-8x).
 GATE_BATCH_OVER_CACHED = 3.0
+#: Filtering a half-noise list before decoding it must beat decoding
+#: every term (measured 1.7-2.3x on one queried term).
+GATE_FILTERED_OVER_GROUPED = 1.3
 #: Column splitting must beat per-element splitting (measured 3-4x).
 GATE_SPLIT_MANY_OVER_SPLIT = 2.0
 #: Column packing must beat per-element packing (measured ~10x; ``pack``
@@ -114,6 +127,52 @@ def _best_of(fn, scheme=None):
         out = fn()
         best = min(best, time.perf_counter() - start)
     return best, out
+
+
+def _decode_arm() -> tuple[dict, list[str]]:
+    """``unpack_by_term`` + lookup vs ``unpack_terms`` on one term."""
+    codec = PostingElementCodec()
+    draw = random.Random(17)
+    term_id = 7
+    secrets_ = [
+        codec.pack(
+            PostingElement(
+                doc_id=draw.randrange(codec.spec.max_doc_id),
+                # Every other secret is a merged-in term's.
+                term_id=term_id if i % 2 else draw.randrange(8, 40),
+                tf=draw.uniform(0.01, 1.0),
+            )
+        )
+        for i in range(ELEMENTS)
+    ]
+    grouped, rows = _best_of(
+        lambda: codec.unpack_by_term(secrets_)[0].get(term_id)
+    )
+    filtered, kept = _best_of(
+        lambda: codec.unpack_terms(secrets_, {term_id})[0].get(term_id)
+    )
+    assert kept == rows and len(rows) == ELEMENTS // 2, (
+        "unpack_terms diverged from unpack_by_term"
+    )
+    ratio = grouped / filtered
+    row = {
+        "elements": ELEMENTS,
+        "kept": len(kept),
+        "grouped_us": round(grouped * 1e6, 1),
+        "filtered_us": round(filtered * 1e6, 1),
+        "filtered_over_grouped": round(ratio, 2),
+    }
+    lines = [
+        f"merged-list decode ({ELEMENTS} secrets, {len(kept)} queried, "
+        f"best of {REPEATS}): unpack_by_term {grouped * 1e6:.1f} us, "
+        f"unpack_terms {filtered * 1e6:.1f} us ({ratio:.2f}x)",
+    ]
+    assert ratio >= GATE_FILTERED_OVER_GROUPED, (
+        f"filtered decode under {GATE_FILTERED_OVER_GROUPED}x the grouped "
+        f"decode: unpack_by_term={grouped * 1e6:.1f}us "
+        f"unpack_terms={filtered * 1e6:.1f}us"
+    )
+    return row, lines
 
 
 def _split_arm() -> tuple[list[dict], list[str]]:
@@ -351,21 +410,23 @@ def test_hotpath_reconstruct_paths(benchmark):
         rounds=1,
         iterations=1,
     )
+    decode_row, decode_lines = _decode_arm()
     split_rows, split_lines = _split_arm()
     pack_rows, pack_lines = _pack_arm()
     encode_row, encode_lines = _encode_arm()
     emit(
         "hotpath_reconstruct",
-        lines + split_lines + pack_lines + encode_lines,
+        lines + decode_lines + split_lines + pack_lines + encode_lines,
     )
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / "BENCH_hotpath.json").write_text(
         json.dumps(
             {
-                "schema": "zerber.bench_hotpath.v5",
+                "schema": "zerber.bench_hotpath.v6",
                 "gates": {
                     "cached_over_naive": GATE_CACHED_OVER_NAIVE,
                     "batch_over_cached": GATE_BATCH_OVER_CACHED,
+                    "filtered_over_grouped": GATE_FILTERED_OVER_GROUPED,
                     "split_many_over_split": GATE_SPLIT_MANY_OVER_SPLIT,
                     "pack_many_over_pack": GATE_PACK_MANY_OVER_PACK,
                     "reencode_over_first": GATE_REENCODE_OVER_FIRST,
@@ -377,6 +438,7 @@ def test_hotpath_reconstruct_paths(benchmark):
                     "ratio": over_mapping_form,
                 },
                 "rows": rows_out,
+                "decode_row": decode_row,
                 "split_rows": split_rows,
                 "pack_rows": pack_rows,
                 "encode_row": encode_row,

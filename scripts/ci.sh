@@ -20,7 +20,9 @@
 # - the hot-path perf smoke: weight-cached reconstruction must stay
 #   measurably faster than naive Lagrange, column reconstruction
 #   (reconstruct_batch, one pass at k = 2) >= 3x the per-element
-#   cached path, and column
+#   cached path, decoding a half-noise merged list filtered by the
+#   queried term first (unpack_terms) >= 1.3x grouping every term
+#   (unpack_by_term) with equal rows, and column
 #   splitting (split_many) >= 2x per-element split with share-for-share
 #   equal output at the same seed, and column packing (pack_many) >=
 #   1.5x per-element pack(PostingElement(...)) with value-for-value

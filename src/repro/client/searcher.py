@@ -79,7 +79,9 @@ class SearchDiagnostics:
             searcher-local L1 joins nothing, so a full L1 hit reads 0
             here while ``false_positives`` / ``elements_matched`` are
             what a fresh fetch would report.
-        false_positives: decrypted elements discarded as merged-in noise.
+        false_positives: reconstructed elements discarded: merged-in
+            noise and secrets that do not decode. With every list
+            fetched, exactly ``elements_received - elements_matched``.
         elements_matched: elements surviving the term filter.
         response_bytes: total lookup response bytes across servers,
             each response sized by its ``wire_bytes``. Counted on every
@@ -185,7 +187,7 @@ class SearchClient:
         return out
 
     def _reconstruct_lists(
-        self, pl_ids: Sequence[int], num_servers: int
+        self, pl_ids: Sequence[int], num_servers: int, wanted=None
     ) -> dict[int, TermPostings]:
         """Steps 2-3 for the named lists: fetch, join, reconstruct, unpack.
 
@@ -193,14 +195,15 @@ class SearchClient:
         contributes an ``(x, element_id[], share_y[])`` column per list;
         joined, a whole column is reconstructed and bulk-decoded at once.
 
-        Returns every decrypted element per list, grouped by term —
-        *no* term filtering, so the result depends only on (user's
-        groups, num_servers, list), never on which query asked. That
-        property is what makes the per-list output safely cacheable by
-        the searcher-local L1 (see :class:`repro.cachetier
-        .L1PostingCache`); the term filter stays per-query in
-        :meth:`fetch_postings`. A list with no reconstructible elements
-        maps to an empty entry — emptiness is a cacheable fact too.
+        With ``wanted`` (``pl_id -> queried term IDs``) only those
+        terms' secrets are decoded (step 4's filter first). Without it,
+        every decrypted element per list comes back, grouped by term —
+        so the result depends only on (user's groups, num_servers,
+        list), never on which query asked. That property is what makes
+        the per-list output safely cacheable by the searcher-local L1
+        (see :class:`repro.cachetier.L1PostingCache`). A list with no
+        reconstructible elements maps to an empty entry — emptiness is
+        a cacheable fact too.
         """
         scheme, k = self._scheme, self._scheme.k
         columns_of: dict[int, list] = {pl_id: [] for pl_id in pl_ids}
@@ -212,10 +215,10 @@ class SearchClient:
                     columns_of[response.pl_id].append(
                         (x, response.element_ids, response.share_ys)
                     )
-            by_list: dict[int, TermPostings] = {}
+            secrets_of: dict[int, list[int]] = {}
             received = 0
             for pl_id, columns in columns_of.items():
-                secrets: list[int] = []
+                secrets = secrets_of[pl_id] = []
                 for xs, y_columns in self._join_columns(columns):
                     # Every row shares the x-tuple, hence one weight
                     # vector; the first k columns are the canonical subset.
@@ -224,11 +227,17 @@ class SearchClient:
                     if self._verify and len(xs) > k:
                         column = self._cross_check(xs, y_columns, column)
                     secrets += column
-                # Inconsistent shares decode to garbage; the bulk decode
-                # drops what unpack() would reject.
-                by_list[pl_id] = self._codec.unpack_by_term(secrets)
             self.last_diagnostics.elements_received = received
-        return by_list
+        # Inconsistent shares decode to garbage; the bulk decode drops
+        # what unpack() would reject.
+        codec = self._codec
+        with span("unpack"):
+            return {
+                pl_id: codec.unpack_by_term(secrets)
+                if wanted is None
+                else codec.unpack_terms(secrets, wanted[pl_id])
+                for pl_id, secrets in secrets_of.items()
+            }
 
     def _join_columns(
         self, columns: list[tuple[int, list[int], list[int]]]
@@ -266,28 +275,28 @@ class SearchClient:
     def _cross_check(self, xs, y_columns, secrets: list[int]) -> list[int]:
         """``verify_consistency`` over a group with > k shares per
         element: where the shares disagree, the plurality secret of the
-        k-subsets replaces the canonical one, or the element is dropped."""
+        k-subsets replaces the canonical one, or the element becomes 0,
+        which no codec decodes (tf field 0): dropped, but counted."""
         diagnostics = self.last_diagnostics
-        kept = []
+        checked = []
         for secret, *ys in zip(secrets, *y_columns):
             verdict, distinct = self._majority_reconstruct(
                 [Share(x=x, y=y) for x, y in zip(xs, ys)], self._scheme.k
             )
             if distinct > 1:
                 diagnostics.inconsistent_elements += 1
-                if verdict is None:
-                    continue  # detectable, not correctable: drop
-                diagnostics.recovered_elements += 1
-                secret = verdict
-            kept.append(secret)
-        return kept
+                if verdict is not None:
+                    diagnostics.recovered_elements += 1
+                secret = verdict or 0
+            checked.append(secret)
+        return checked
 
     def _elements_by_list(
-        self, pl_ids: Sequence[int], num_servers: int
+        self, pl_ids: Sequence[int], num_servers: int, wanted=None
     ) -> dict[int, TermPostings]:
         """Override point for caching tiers that sit past reconstruction
         (the cluster client's L1); the base client always reconstructs."""
-        return self._reconstruct_lists(pl_ids, num_servers)
+        return self._reconstruct_lists(pl_ids, num_servers, wanted)
 
     def fetch_postings(
         self, terms: Sequence[str], num_servers: int | None = None
@@ -303,14 +312,15 @@ class SearchClient:
         self.last_diagnostics = SearchDiagnostics()
         if not terms:
             return []
-        wanted_term_ids = sorted(
-            {
-                self._dictionary.id_of(t)
-                for t in terms
-                if self._dictionary.id_of(t) is not None
-            }
-        )
-        pl_ids = sorted({self._mapping.lookup(t) for t in terms})
+        # The owner routes a term's postings by the same mapping table,
+        # so each list is filtered for its own queried terms only.
+        wanted: dict[int, set[int]] = {}
+        for term in terms:
+            term_ids = wanted.setdefault(self._mapping.lookup(term), set())
+            term_id = self._dictionary.id_of(term)
+            if term_id is not None:
+                term_ids.add(term_id)
+        pl_ids = sorted(wanted)
         self.last_diagnostics.posting_lists_requested = len(pl_ids)
         k = self._scheme.k
         num_servers = num_servers or k
@@ -318,7 +328,7 @@ class SearchClient:
             raise ReproError(
                 f"must query at least k={k} servers, asked {num_servers}"
             )
-        by_list = self._elements_by_list(pl_ids, num_servers)
+        by_list = self._elements_by_list(pl_ids, num_servers, wanted)
         found: list[tuple[int, list[tuple[int, float]]]] = []
         decoded = matched = 0
         for pl_id in pl_ids:
@@ -326,7 +336,7 @@ class SearchClient:
             decoded += count
             # The term filter is a lookup per queried term: merged-in
             # terms' postings are never touched.
-            for term_id in wanted_term_ids:
+            for term_id in sorted(wanted[pl_id]):
                 postings = by_term.get(term_id)
                 if postings:
                     found.append((term_id, postings))

@@ -391,7 +391,7 @@ class ClusterSearchClient(SearchClient):
     # -- the searcher-local L1 ---------------------------------------------------
 
     def _elements_by_list(
-        self, pl_ids: Sequence[int], num_servers: int
+        self, pl_ids: Sequence[int], num_servers: int, wanted=None
     ) -> dict[int, TermPostings]:
         """Front reconstruction with the L1 when one is attached.
 
@@ -399,9 +399,10 @@ class ClusterSearchClient(SearchClient):
         postings of one list for this exact (user, group fingerprint,
         width) — the same inputs that determine a fresh fetch's bytes,
         so a hit is byte-identical by construction, and the term filter
-        is a lookup per queried term instead of a scan. Shortfall lists
-        are never stored; verify_consistency bypasses the L1 exactly
-        like every other cache.
+        is a lookup per queried term instead of a scan; only with no L1
+        in play is the decode limited to the ``wanted`` terms. Shortfall
+        lists are never stored; verify_consistency bypasses the L1
+        exactly like every other cache.
         """
         l1 = (
             self._l1
@@ -411,7 +412,7 @@ class ClusterSearchClient(SearchClient):
             else None
         )
         if l1 is None:
-            return self._reconstruct_lists(pl_ids, num_servers)
+            return self._reconstruct_lists(pl_ids, num_servers, wanted)
         coordinator = self._coordinator
         fingerprint = coordinator.group_fingerprint(self.user_id)
         # Same fence as the L2 tier: the epoch rides in the key,

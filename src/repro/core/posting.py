@@ -20,7 +20,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
 from operator import lt
-from typing import Iterable, Sequence
+from typing import Collection, Sequence
 
 from repro.errors import PackingError
 
@@ -112,7 +112,8 @@ class PostingElement:
 
 
 #: One decoded list as the read path carries it:
-#: ``({term_id: [(doc_id, tf), ...]}, number of elements decoded)``.
+#: ``({term_id: [(doc_id, tf), ...]}, number of secrets decoded)``; the
+#: count includes merged-in noise and undecodable secrets.
 TermPostings = tuple[dict[int, list[tuple[int, float]]], int]
 
 
@@ -197,7 +198,7 @@ class PostingElementCodec:
             tf=quantized_tf / self._tf_scale,
         )
 
-    def unpack_by_term(self, secrets: Iterable[int]) -> TermPostings:
+    def unpack_by_term(self, secrets: Sequence[int]) -> TermPostings:
         """Bulk :meth:`unpack`, grouped by term for the read path's filter.
 
         A secret :meth:`unpack` would reject (out of range, zero tf
@@ -213,7 +214,31 @@ class PostingElementCodec:
                 by_term[(secret >> tf_bits) & term_mask].append(
                     (secret >> doc_shift, quantized_tf / tf_scale)
                 )
-        return dict(by_term), sum(map(len, by_term.values()))
+        return dict(by_term), len(secrets)
+
+    def unpack_terms(
+        self, secrets: Sequence[int], term_ids: Collection[int]
+    ) -> TermPostings:
+        """:meth:`unpack_by_term` restricted to ``term_ids``, filtering
+        on the term field before any posting is built (same drop rule,
+        arrival order, ``tf`` floats and count)."""
+        tf_bits, term_mask = self._tf_bits, self._max_term_id
+        if len(term_ids) != 1:
+            wanted = frozenset(term_ids)
+            kept = [s for s in secrets if (s >> tf_bits) & term_mask in wanted]
+            return self.unpack_by_term(kept)[0], len(secrets)
+        # The usual list holds one queried term: filter and decode at once.
+        (term_id,) = term_ids
+        limit, tf_scale = self._secret_limit, self._tf_scale
+        doc_shift = tf_bits + self._term_bits
+        rows = [
+            (secret >> doc_shift, quantized_tf / tf_scale)
+            for secret in secrets
+            if (secret >> tf_bits) & term_mask == term_id
+            and (quantized_tf := secret & tf_scale)
+            and 0 <= secret < limit
+        ]
+        return ({term_id: rows} if rows else {}), len(secrets)
 
 
 def new_element_id(rng: random.Random, bits: int = 32) -> int:

@@ -14,7 +14,7 @@ import threading
 
 import pytest
 
-from helpers import make_cluster, make_documents
+from helpers import make_cluster, make_documents, rewrite_stored_list
 from repro.client.batching import BatchPolicy
 from repro.cachetier import (
     CACHE_TIER_ENDPOINT,
@@ -544,6 +544,50 @@ class TestClusterIntegration:
             assert noise > 0  # the merged lists did carry other terms
         finally:
             cluster.close()
+
+    def test_lying_seat_filter_counts_match_with_the_l1_on_and_off(self):
+        """A seat lying about every share of a list but the first: the
+        garbage secrets are discarded like merged-in noise, whether the
+        L1 decoded every term of the list (a fill, then a hit) or the
+        uncached path decoded only the queried ones."""
+        documents = make_documents(num_docs=10)
+        cluster = make_cluster(documents, n=3, l1_entries=32)
+        with cluster:
+            cluster.add_member(0, "alice", actor="owner0")
+            readable = sorted(
+                {t for d in documents if d.group_id == 0 for t in d.term_counts}
+            )
+            terms = readable[:3]
+            plain = cluster.searcher("alice", use_cache=False)
+            honest = len(plain.fetch_elements(terms))
+            pl_id = cluster.mapping_table.lookup(terms[0])
+            p = cluster.scheme.field.p
+            rewrite_stored_list(
+                cluster.coordinator.pod_of(pl_id).servers[0],
+                pl_id,
+                lambda records: [
+                    ShareRecord(r.element_id, r.group_id, (r.share_y + i) % p)
+                    for i, r in enumerate(records)
+                ],
+            )
+            expected = plain.fetch_elements(terms)
+            off = plain.last_diagnostics
+            assert len(expected) < honest  # the lie reached the decode
+            assert off.false_positives == (
+                off.elements_received - off.elements_matched
+            )
+            cached = cluster.searcher("alice")
+            for l1_hits in (0, off.posting_lists_requested):
+                assert cached.fetch_elements(terms) == expected
+                on = cached.last_diagnostics
+                assert cached.last_cluster_diagnostics.l1_hits == l1_hits
+                assert (on.false_positives, on.elements_matched) == (
+                    off.false_positives,
+                    off.elements_matched,
+                )
+            assert cluster.search("alice", terms, use_cache=False) == (
+                cached.search(terms)
+            )
 
     def test_ranking_never_mutates_the_l1_entries_it_reads(self):
         """The rank stage works on the L1's own term columns: after many

@@ -178,6 +178,8 @@ class TestByzantineDetection:
         assert diag.elements_received == 21
         assert diag.inconsistent_elements == 21
         assert diag.recovered_elements == 0
+        # An element the vote cannot decide is discarded, and counted so.
+        assert (diag.elements_matched, diag.false_positives) == (0, 21)
 
     def test_lying_server_corrected_at_k_plus_2(self, corpus):
         # m = k + 2 = 4 shares with one liar: the true secret wins the

@@ -202,7 +202,8 @@ def test_columnar_path_matches_per_element_oracle(case):
     client = ColumnClient(scheme, codec, fetched)
     by_term, count = client._reconstruct_lists([PL_ID], scheme.k)[PL_ID]
     assert _flatten(by_term) == sorted(expected)
-    assert count == len(expected)
+    # The count is every reconstructed secret, undecodable ones included.
+    assert count == joined
     assert client.last_diagnostics.elements_received == joined
 
 
@@ -443,11 +444,62 @@ class TestBulkDecode:
         by_term, count = codec.unpack_by_term(
             secrets[:25] + bad + secrets[25:]
         )
-        assert count == 50
+        assert count == 54
         assert _flatten(by_term) == sorted(
             (e.term_id, e.doc_id, e.tf) for e in map(codec.unpack, secrets)
         )
         assert codec.unpack_by_term([]) == ({}, 0)
+
+
+@st.composite
+def merged_column(draw):
+    """A codec, one list's reconstructed secrets and a wanted set.
+
+    Terms 0-4 fill the list; doc IDs come from a small pool, so a doc
+    repeats within a term. The wanted set may be empty, and may name
+    IDs (5-7) the list does not hold.
+    """
+    p, spec = draw(st.sampled_from(LAYOUTS))
+    codec = PostingElementCodec(spec)
+    limit = 1 << spec.secret_bits
+    rng = random.Random(draw(st.integers(0, 2**24)))
+    secrets = []
+    for _ in range(draw(st.integers(0, 40))):
+        kind = rng.random()
+        if kind < 0.1:  # does not fit the packed width
+            secrets.append(rng.randrange(limit, p))
+        elif kind < 0.2:  # tf field of zero
+            secrets.append(rng.randrange(limit) & ~spec.tf_scale)
+        else:
+            secrets.append(
+                codec.pack(
+                    PostingElement(
+                        doc_id=rng.randrange(min(spec.max_doc_id + 1, 6)),
+                        term_id=rng.randrange(5),
+                        tf=rng.uniform(0.01, 1.0),
+                    )
+                )
+            )
+    wanted = draw(st.sets(st.integers(0, 7), max_size=4))
+    return codec, secrets, wanted
+
+
+@relaxed
+@given(merged_column())
+def test_filtered_decode_is_unpack_restricted_to_the_wanted_terms(case):
+    codec, secrets, wanted = case
+    expected = defaultdict(list)
+    for secret in secrets:
+        try:
+            element = codec.unpack(secret)
+        except PackingError:
+            continue
+        if element.term_id in wanted:
+            expected[element.term_id].append((element.doc_id, element.tf))
+    by_term, count = codec.unpack_terms(secrets, wanted)
+    assert by_term == expected and count == len(secrets)
+    grouped, _ = codec.unpack_by_term(secrets)
+    assert by_term == {t: rows for t, rows in grouped.items() if t in wanted}
 
 
 class TestFieldHelpers:

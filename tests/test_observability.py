@@ -454,7 +454,9 @@ class TestEndToEnd:
             assert len(search_spans) == 1
             assert search_spans[0].duration_s >= 0.95 * wall_s
             stages = {s.stage for s in spans}
-            assert {"search", "fetch-elements", "rank"} <= stages
+            assert {
+                "search", "fetch-elements", "reconstruct", "unpack", "rank"
+            } <= stages
             assert any(s.startswith("fetch:pod") for s in stages)
             assert any(s.startswith("server:") for s in stages)
             assert any(s.startswith("call:") for s in stages)
