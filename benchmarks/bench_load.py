@@ -35,7 +35,7 @@ from repro.client.batching import BatchPolicy
 from repro.cluster import ClusterDeployment
 from repro.corpus.synthetic import SyntheticCorpusConfig, generate_corpus
 from repro.observability import SampleView, new_trace_id
-from repro.resilience import FaultPlan, FaultyTransport
+from repro.resilience import FaultPlan
 
 N, K = 3, 2
 TERMS_PER_QUERY = 3
@@ -52,7 +52,9 @@ OVERLOAD_RATE_QPS = 2400.0
 
 #: Slow-pod scenario (PR 8): one replica pod stalls on a seeded
 #: schedule; hedged reads must keep tail latency bounded. The gate is
-#: hedged p99 <= GATE_HEDGE_P99_RATIO x unhedged p99.
+#: hedged p99 <= GATE_HEDGE_P99_RATIO x unhedged p99. The stall is
+#: server-side (the socket server's fault seam), so both runs fetch in
+#: pipelined rounds and a stalled seat holds up only its own answer.
 SLOW_POD_QUERIES = 120
 SLOW_POD_STALL_RATE = 0.35
 SLOW_POD_STALL_S = 0.12
@@ -214,7 +216,10 @@ def _build_replicated(corpus):
 def _slow_pod_run(cluster, queries, hedge_reads, seed):
     """Sequential latency sweep against a cluster whose pod0 stalls.
 
-    Routing is pinned (stalled pod primary for every list) so the EWMA
+    The stall holds back pod0's answers on the server loop
+    (``AsyncSocketServer._fault_plan``); a client-side stall would make
+    every round sequential, and a hedge could never leave. Routing is
+    pinned (stalled pod primary for every list) so the EWMA
     ranker cannot rescue the unhedged run by routing around the stall —
     the comparison isolates exactly what hedging buys.
 
@@ -230,10 +235,9 @@ def _slow_pod_run(cluster, queries, hedge_reads, seed):
         stall_s=SLOW_POD_STALL_S,
         endpoints=stalled,
     )
-    faulty = FaultyTransport(cluster.transport, plan)
+    cluster.socket_server._fault_plan = plan
     searcher = cluster.searcher(
         "owner0",
-        transport=faulty,
         use_cache=False,
         hedge_reads=hedge_reads,
         hedge_delay_s=SLOW_POD_HEDGE_DELAY_S if hedge_reads else None,
@@ -255,6 +259,7 @@ def _slow_pod_run(cluster, queries, hedge_reads, seed):
             wins += diag.hedge_wins
     finally:
         coordinator.read_replicas = original
+        cluster.socket_server._fault_plan = None
     ordered = sorted(latencies)
     return (
         _percentile(ordered, 0.50) * 1e3,
@@ -319,7 +324,7 @@ def test_slow_pod_hedging():
         "slow_pod_hedging",
         [
             "one stalled replica pod (2 pods, R=2, async-socket), "
-            f"stall {SLOW_POD_STALL_S * 1e3:.0f} ms at "
+            f"server-side stall {SLOW_POD_STALL_S * 1e3:.0f} ms at "
             f"p={SLOW_POD_STALL_RATE}, sequential queries",
             f"  unhedged: p50 {up50:7.1f}  p95 {up95:7.1f}  "
             f"p99 {up99:7.1f} ms",

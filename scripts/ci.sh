@@ -58,7 +58,11 @@
 #   unframeable and silent peers, the pinned wire bytes, call_many's
 #   batch contract and the one-write fetch round (a healthy two-pod
 #   query sends its seat lookups in exactly one _send_frame, and the
-#   server's frame counter grows by exactly its lookup messages);
+#   server's frame counter grows by exactly its lookup messages), and
+#   the hedged round: backups leave only for calls unsettled at the
+#   hedge delay, all in one more write (a hedged round makes <= 2
+#   writes), the first response wins, and a loser's late frame is
+#   dropped; seats stall server-side through the _fault_plan seam;
 # - the anti-entropy drill suite runs in full, including the
 #   drill-marked over-the-wire variant that tier-1 deselects: dropped
 #   writes must heal via sweep alone (no owner), over both transports,
@@ -71,9 +75,11 @@
 #   under any fault schedule every query must return
 #   byte-identical results or a typed error — never silently wrong,
 #   never hung;
-# - the slow-pod bench stalls one replica pod and gates hedged-read
-#   p99 at <= 0.5x the unhedged p99, recording hedge/breaker/shed
-#   counters into BENCH_load.json (ratio gate);
+# - the slow-pod bench stalls one replica pod server-side (the socket
+#   server's _fault_plan seam, so both runs fetch in pipelined rounds
+#   and hedges ride them) and gates hedged-read p99 at <= 0.5x the
+#   unhedged p99, recording hedge/breaker/shed counters into
+#   BENCH_load.json (ratio gate);
 # - the cache-equivalence gate runs the tiered-cache suite in full:
 #   cached reads must be byte-identical to uncached reads over both
 #   transports, mid-run invalidation included, plus the
@@ -156,7 +162,8 @@ gate "segmented storage (v2 blocks, crash, equivalence)" \
     tests/test_storage_crash.py tests/test_storage_engine.py \
     tests/test_segmented_equivalence.py -m ""
 # TestPipelinedFetchRound and TestPipelinedWriteRound: a query's fetch
-# round, an owner's flush and a document's deletes are one write each.
+# round, an owner's flush and a document's deletes are one write each;
+# TestHedgedCallMany: a hedged round is at most two.
 gate "async transport (pipelined fetch + write rounds, socket regressions)" \
     "failed|skipped|deselected|no tests ran|error" \
     tests/test_async_transport.py

@@ -16,7 +16,7 @@ Package map (see DESIGN.md for the paper-section cross-reference):
 - :mod:`repro.secretsharing` — Z_p arithmetic, Shamir split/reconstruct,
   proactive refresh;
 - :mod:`repro.invindex` — the ordinary inverted index substrate;
-- :mod:`repro.server` — index servers, auth, groups, the hedging pool;
+- :mod:`repro.server` — index servers, auth, groups;
 - :mod:`repro.client` — owner daemon, search client, batching, snippets;
 - :mod:`repro.ranking` — personalized tf-idf and Fagin's TA;
 - :mod:`repro.baselines` — ordinary index, ideal trusted index, μ-Serv;

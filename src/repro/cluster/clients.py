@@ -44,14 +44,19 @@ routing:
   bytes and every diagnostics count are those of one call per seat;
   only their timing overlaps. Each pod is timed from its first request
   leaving to its last answer arriving, so the replica ranking never
-  charges one pod's stall to another.
+  charges one pod's stall to another;
+- **hedged reads** (Dean and Barroso's hedged request): each
+  first-choice lookup of a round names a backup, the same slot's seat
+  in another replica pod, which the socket sends if the lookup is still
+  unanswered after the hedge delay; the first answer wins, and
+  slot-aligned replicas make it byte-identical. Failover and escalation
+  calls after the round stay single and unhedged.
 """
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from concurrent.futures import FIRST_COMPLETED, wait as futures_wait
 from dataclasses import dataclass
 from itertools import chain
 from typing import Sequence
@@ -76,27 +81,11 @@ from repro.protocol.messages import (
     CachePutRequest,
     FetchListsRequest,
 )
-from repro.observability.tracing import (
-    TraceContext,
-    current_trace,
-    record_span,
-    span,
-    trace_scope,
-)
+from repro.observability.tracing import record_span, span
 from repro.protocol.transport import Transport
-from repro.resilience.deadline import (
-    Deadline,
-    current_deadline,
-    deadline_scope,
-)
+from repro.resilience.deadline import current_deadline
 from repro.server.auth import AuthToken
 from repro.server.index_server import PostingListResponse
-from repro.server.transport import ConcurrentDispatcher
-
-#: Shared worker pool for hedged legs. Module-level so the threads are
-#: reused across every client (and every test) instead of being churned
-#: per searcher; unhedged reads never touch it.
-_FANOUT_DISPATCHER = ConcurrentDispatcher(max_workers=8)
 
 
 @dataclass
@@ -110,9 +99,10 @@ class ClusterDiagnostics:
         escalations: extra fetches issued to cover share shortfalls.
         pod_failovers: lists retried on a further replica pod because
             the preferred pod could not finish them.
-        hedged_fetches: backup replica legs actually fired because the
-            primary leg outlived the hedge delay.
-        hedge_wins: hedged fetches where the backup leg answered first.
+        hedged_fetches: pods whose backup legs left because a
+            first-choice lookup was still unanswered at the hedge delay
+            (async socket only: in process every lookup settles first).
+        hedge_wins: hedged pods where a backup leg answered first.
         l1_hits: lists served from the searcher-local L1 (no network,
             no reconstruction).
         l2_hits: lists served from the shared cache tier (one cache
@@ -132,10 +122,10 @@ class ClusterDiagnostics:
 
 @dataclass
 class _PodFetchOutcome:
-    """One pod's leg of a fetch round, tallied apart (hedged legs race
-    on pool threads) and folded in pod order once the round completes.
-    ``latency_s`` is how long its lookups were in flight, on the
-    coordinator clock."""
+    """One pod's share of a fetch round, tallied apart and folded in pod
+    order once the round completes. ``latency_s`` is how long its
+    lookups were in flight, on the coordinator clock; ``backup_*`` is
+    the same for its hedge's replica pod."""
 
     contacted: bool = False
     failovers: int = 0
@@ -143,6 +133,10 @@ class _PodFetchOutcome:
     lookup_messages: int = 0
     response_bytes: int = 0
     latency_s: float = 0.0
+    backup: Pod | None = None
+    hedged: bool = False
+    backup_answered: bool = False
+    backup_latency_s: float = 0.0
 
 
 class ClusterSearchClient(SearchClient):
@@ -161,7 +155,6 @@ class ClusterSearchClient(SearchClient):
         use_cache: bool = True,
         batch_lookups: bool = True,
         transport: Transport | None = None,
-        dispatcher: ConcurrentDispatcher | None = None,
         hedge_reads: bool = False,
         hedge_delay_s: float | None = None,
         cache_tier: str | None = None,
@@ -187,18 +180,16 @@ class ClusterSearchClient(SearchClient):
         transport: where lookup messages go; defaults to the
             coordinator's transport (deployments pass their own — the
             in-process registry or a socket client).
-        dispatcher: worker pool for hedged legs; deployments pass
-            their own so ``close()`` can reap the threads. Falls back
-            to a module-shared pool.
-        hedge_reads: race a delayed backup replica leg against a slow
-            primary leg (first answer wins, the loser's result is
-            discarded). Opt-in: replicas hold byte-identical slot
-            shares so results never differ, but hedging spends extra
-            lookup messages — the historical message-count invariants
-            assume it off.
+        hedge_reads: re-send a round's lookups still unanswered after
+            the hedge delay to a backup replica pod, first answer wins.
+            Replicas hold byte-identical slot shares, so results never
+            differ; hedging spends extra lookup messages. Needs the
+            async socket and batched lookups: in process every lookup
+            settles before the delay, so it is a no-op there.
         hedge_delay_s: fixed hedge delay override; None (default)
-            derives it per list from the replica pods' observed p95
-            fetch latency (:meth:`ClusterCoordinator.hedge_delay_s`).
+            derives it per round, the minimum over its pods of
+            :meth:`ClusterCoordinator.hedge_delay_s` (the replica pods'
+            observed p95 fetch latency).
         cache_tier: endpoint name of a shared cache-tier service
             (:class:`repro.cachetier.CacheTierService`); None (default)
             skips the L2 consult entirely. Gated like the L1
@@ -226,7 +217,6 @@ class ClusterSearchClient(SearchClient):
         self._coordinator = coordinator
         self._use_cache = use_cache
         self._batch_lookups = batch_lookups
-        self._dispatcher = dispatcher or _FANOUT_DISPATCHER
         self._hedge_reads = hedge_reads
         self._hedge_delay_s = hedge_delay_s
         self._cache_tier = cache_tier
@@ -484,15 +474,10 @@ class ClusterSearchClient(SearchClient):
         }
         tried: dict[int, set[str]] = {pl_id: set() for pl_id in need}
         contacted: set[str] = set()
-        # Sampled once: hedged legs re-apply it on their pool threads
-        # (the scope is thread-local), and every failover round checks
-        # it — a degraded query walks the replica chain only as far as
-        # its caller's remaining budget allows, never past it.
+        # Every failover round checks it: a degraded query walks the
+        # replica chain only as far as its caller's remaining budget
+        # allows, never past it.
         deadline = current_deadline()
-        # The ambient trace is thread-local for the same reason; hedged
-        # legs re-apply it so their spans (and the TRACE-flagged frames
-        # they send) stay on the query's trace.
-        trace = current_trace()
         pending = list(need)
         while pending:
             if deadline is not None:
@@ -515,38 +500,14 @@ class ClusterSearchClient(SearchClient):
                 assignment.setdefault(pod, []).append(pl_id)
             if not assignment:
                 break
-            # One job per assigned pod. The jobs are independent: each
-            # list belongs to exactly one pod this round, so the merges
-            # mutate disjoint per-list state, and every job tallies its
-            # accounting apart in a _PodFetchOutcome.
+            # One job per assigned pod. Each list belongs to exactly one
+            # pod this round, so the merges mutate disjoint per-list
+            # state, and every job tallies its accounting apart.
             jobs = [
                 (pod, assignment[pod])
                 for pod in sorted(assignment, key=lambda p: p.index)
             ]
-            if self._hedge_reads:
-                for pod, lists in jobs:
-                    self._hedged_job(
-                        deadline,
-                        trace,
-                        pod,
-                        lists,
-                        num_servers,
-                        merged,
-                        tried,
-                        contacted,
-                        diag,
-                    )
-                pending = [
-                    pl_id
-                    for pl_id in need
-                    if self._needs_more(merged[pl_id], k)
-                    and any(
-                        pod.name not in tried[pl_id]
-                        for pod in coordinator.pods_of(pl_id)
-                    )
-                ]
-                continue
-            outcomes = self._fetch_round(jobs, num_servers, merged)
+            outcomes = self._fetch_round(jobs, num_servers, merged, tried)
             # Deterministic merge: outcomes fold in pod-index order.
             for (pod, lists), outcome in zip(jobs, outcomes):
                 diag.failovers += outcome.failovers
@@ -555,20 +516,35 @@ class ClusterSearchClient(SearchClient):
                 self.last_diagnostics.response_bytes += (
                     outcome.response_bytes
                 )
+                answered = []
                 if outcome.contacted:
-                    contacted.add(pod.name)
-                    coordinator.breakers.record_success(pod.name)
+                    answered.append((pod, outcome.latency_s))
+                if outcome.hedged:
+                    backup = outcome.backup
+                    diag.hedged_fetches += 1
+                    # The backup was asked: a later failover round must
+                    # not ask it again.
+                    for pl_id in lists:
+                        tried[pl_id].add(backup.name)
+                    if outcome.backup_answered:
+                        diag.hedge_wins += 1
+                        answered.append((backup, outcome.backup_latency_s))
+                for target, latency_s in answered:
+                    contacted.add(target.name)
+                    coordinator.breakers.record_success(target.name)
                     coordinator.note_pod_read(
-                        pod.name,
+                        target.name,
                         len(lists),
-                        latency_s=outcome.latency_s,
+                        latency_s=latency_s,
                         pl_ids=lists,
                     )
-                else:
-                    # No seat of the pod answered a thing: the whole
-                    # leg failed. (A partially degraded pod that still
-                    # answered counts as success — the breaker guards
-                    # against dead pods, not slow seats.)
+                if not answered:
+                    # No seat of the pod or its backup answered a thing:
+                    # the whole leg failed. (A partially degraded pod
+                    # that still answered counts as success — the
+                    # breaker guards against dead pods, not slow seats.
+                    # A pod whose every lookup its backup answered first
+                    # was abandoned, not failed, and records nothing.)
                     coordinator.breakers.record_failure(pod.name)
             pending = [
                 pl_id
@@ -643,21 +619,17 @@ class ClusterSearchClient(SearchClient):
             )
 
     def _hedge_backup(
-        self,
-        pod: Pod,
-        lists: Sequence[int],
-        tried: dict[int, set[str]],
+        self, lists: Sequence[int], tried: dict[int, set[str]]
     ) -> Pod | None:
-        """The backup replica a hedged leg would race against ``pod``.
+        """The replica pod whose seats back up a job's lookups.
 
-        Must replicate *every* list of the leg and be untried for all
-        of them; preference order from the first list's ranking. None
-        when the leg cannot be hedged (no common untried replica).
+        Must replicate *every* list of the job and be untried for all
+        of them (the job's own pod is tried); preference order from the
+        first list's ranking. None when the job cannot be hedged (no
+        common untried replica).
         """
         coordinator = self._coordinator
         for candidate in coordinator.read_replicas(lists[0]):
-            if candidate.name == pod.name:
-                continue
             if all(
                 candidate.name not in tried[pl_id]
                 and any(
@@ -669,139 +641,12 @@ class ClusterSearchClient(SearchClient):
                 return candidate
         return None
 
-    def _hedged_job(
-        self,
-        deadline: Deadline | None,
-        trace: TraceContext | None,
-        pod: Pod,
-        lists: list[int],
-        num_servers: int,
-        merged: dict[int, dict[int, PostingListResponse]],
-        tried: dict[int, set[str]],
-        contacted: set[str],
-        diag: ClusterDiagnostics,
-    ) -> None:
-        """One hedged leg of a failover round (Dean-style backup read).
-
-        The primary leg runs on the dispatcher; if it has not answered
-        within the hedge delay (p95-derived — "the best replica would
-        have answered by now"), a backup leg fires against the next
-        untried replica and the first *successful* answer wins. Each
-        leg fetches into private dicts, so the racing legs never touch
-        shared state; only the winner's responses are folded in (on
-        this thread, deterministically). Replica pods hold identical
-        slot-aligned shares, so whichever leg wins, the folded bytes
-        are the same — hedging buys latency, never different results.
-        The loser is abandoned, its result discarded on completion.
-        """
-        coordinator = self._coordinator
-        backup = self._hedge_backup(pod, lists, tried)
-
-        def leg(target: Pod):
-            local_merged: dict[int, dict[int, PostingListResponse]] = {
-                pl_id: {} for pl_id in lists
-            }
-            with deadline_scope(deadline=deadline), trace_scope(trace=trace):
-                (outcome,) = self._fetch_round(
-                    [(target, lists)], num_servers, local_merged
-                )
-            return target, outcome, local_merged
-
-        completed: list[tuple] = []  # (target, outcome, merged, is_backup)
-        error: BaseException | None = None
-        winner: tuple | None = None
-        if backup is None:
-            completed.append((*leg(pod), False))
-            if completed[0][1].contacted:
-                winner = completed[0]
-        else:
-            delay = self._hedge_delay_s
-            if delay is None:
-                delay = coordinator.hedge_delay_s(lists[0])
-            primary = self._dispatcher.submit(lambda: leg(pod))
-            done, _running = futures_wait([primary], timeout=delay)
-            if done:
-                try:
-                    completed.append((*primary.result(), False))
-                    if completed[0][1].contacted:
-                        winner = completed[0]
-                except Exception as exc:  # noqa: BLE001 - re-raised below
-                    error = exc
-            else:
-                diag.hedged_fetches += 1
-                backup_future = self._dispatcher.submit(lambda: leg(backup))
-                # The backup attempt is consumed whether it wins or
-                # not — a later failover round must not re-ask it.
-                for pl_id in lists:
-                    tried[pl_id].add(backup.name)
-                remaining = {primary, backup_future}
-                while remaining and winner is None:
-                    if deadline is not None:
-                        deadline.check("hedged fetch")
-                    done, remaining = futures_wait(
-                        remaining,
-                        timeout=(
-                            None
-                            if deadline is None
-                            else max(deadline.remaining_s(), 1e-4)
-                        ),
-                        return_when=FIRST_COMPLETED,
-                    )
-                    # Primary first on a simultaneous finish, for a
-                    # deterministic tiebreak.
-                    for future in sorted(
-                        done, key=lambda f: f is backup_future
-                    ):
-                        try:
-                            target, outcome, lm = future.result()
-                        except Exception as exc:  # noqa: BLE001
-                            if error is None:
-                                error = exc
-                            continue
-                        entry = (target, outcome, lm, future is backup_future)
-                        completed.append(entry)
-                        if outcome.contacted and winner is None:
-                            winner = entry
-                if winner is not None and winner[3]:
-                    diag.hedge_wins += 1
-        # Every completed leg is a real observation for the breaker,
-        # winner or not.
-        for target, outcome, _lm, _is_backup in completed:
-            if outcome.contacted:
-                coordinator.breakers.record_success(target.name)
-            else:
-                coordinator.breakers.record_failure(target.name)
-        folded = winner if winner is not None else (
-            completed[0] if completed else None
-        )
-        if folded is None:
-            if error is not None:
-                raise error
-            return
-        target, outcome, local_merged, _is_backup = folded
-        diag.failovers += outcome.failovers
-        diag.escalations += outcome.escalations
-        diag.lookup_messages += outcome.lookup_messages
-        self.last_diagnostics.response_bytes += outcome.response_bytes
-        for pl_id in lists:
-            for slot_index, response in sorted(local_merged[pl_id].items()):
-                self._merge_response(merged[pl_id], slot_index, response)
-        if outcome.contacted:
-            contacted.add(target.name)
-            coordinator.note_pod_read(
-                target.name,
-                len(lists),
-                latency_s=outcome.latency_s,
-                pl_ids=lists,
-            )
-        elif error is not None:
-            raise error
-
     def _fetch_round(
         self,
         jobs: list[tuple[Pod, list[int]]],
         num_servers: int,
         merged: dict[int, dict[int, PostingListResponse]],
+        tried: dict[int, set[str]],
     ) -> list[_PodFetchOutcome]:
         """One round of the ladder over ``(pod, lists)`` jobs, pod order.
 
@@ -814,6 +659,11 @@ class ClusterSearchClient(SearchClient):
         seat's replacement and escalations one call at a time. A pod is
         timed on the coordinator clock from its first request leaving to
         its last answer arriving. Never raises on a degraded pod.
+
+        With ``hedge_reads`` a first-choice lookup's backup is the same
+        request to the seat at its slot index in the pod's backup
+        replica (:meth:`_hedge_backup`), which holds the same
+        x-coordinate's shares, unless the ledger marks it incomplete.
         """
         k = self._scheme.k
         coordinator = self._coordinator
@@ -836,31 +686,66 @@ class ClusterSearchClient(SearchClient):
             for slot, request in [s for s in plan if s[1]][: wants[job]]
         ] if self._batch_lookups else []
         outcomes = [_PodFetchOutcome() for _ in jobs]
-        sent: dict[int, float] = {}
+        calls = [
+            (slot.server_id, FetchListsRequest(self._token, tuple(ids)))
+            for _job, slot, ids in batch
+        ]
+        backups = None
+        delay_s = 0.0
+        if self._hedge_reads and batch:
+            for outcome, (_pod, lists) in zip(outcomes, jobs):
+                outcome.backup = self._hedge_backup(lists, tried)
+            backups = []
+            for (job, slot, ids), (_seat, request) in zip(batch, calls):
+                pod = outcomes[job].backup
+                seat = pod and pod.slots[slot.slot_index].server_id
+                trusted = seat and not any(
+                    seat in coordinator.incomplete_seats(pod.name, p)
+                    for p in ids
+                )
+                backups.append((seat, request) if trusted else None)
+            delay_s = self._hedge_delay_s
+            if delay_s is None:
+                delay_s = min(
+                    coordinator.hedge_delay_s(lists[0]) for _pod, lists in jobs
+                )
+        # Leg ``index`` of the round is a first choice, or past the
+        # batch the backup of first choice ``index % len(batch)``.
+        sent: dict[tuple[int, bool], float] = {}
+        from_backup: set[int] = set()
 
         def on_sent(index: int) -> None:
-            sent.setdefault(batch[index][0], clock())
+            leg = batch[index % len(batch)][0], index >= len(batch)
+            sent.setdefault(leg, clock())
 
         def on_done(index: int) -> None:
-            job = batch[index][0]
-            outcomes[job].latency_s = clock() - sent[job]
+            job, backup = batch[index % len(batch)][0], index >= len(batch)
+            latency_s = clock() - sent[job, backup]
+            if backup:
+                from_backup.add(index % len(batch))
+                outcomes[job].backup_latency_s = latency_s
+            else:
+                from_backup.discard(index)
+                outcomes[job].latency_s = latency_s
 
         span_start = time.perf_counter()
         replies = self._transport.call_many(
             self.user_id,
-            [
-                (slot.server_id, FetchListsRequest(self._token, tuple(ids)))
-                for _job, slot, ids in batch
-            ],
+            calls,
             on_sent=on_sent,
             on_done=on_done,
+            backups=backups,
+            hedge_after_s=delay_s,
         ) if batch else []
         answers = {
-            (job, slot.slot_index): reply
-            for (job, slot, _request), reply in zip(batch, replies)
+            (job, slot.slot_index): (reply, index in from_backup)
+            for index, ((job, slot, _request), reply) in enumerate(
+                zip(batch, replies)
+            )
         }
         for job, (pod, lists) in enumerate(jobs):
             outcome = outcomes[job]
+            outcome.hedged = (job, True) in sent
             successes = 0
             shortfall: set[int] = set()
             for slot, trusted in plans[job]:
@@ -872,7 +757,9 @@ class ClusterSearchClient(SearchClient):
                 )
                 if not request:
                     continue  # nothing trustworthy to ask this seat for
-                answer = answers.pop((job, slot.slot_index), None)
+                answer, backup_answered = answers.pop(
+                    (job, slot.slot_index), (None, False)
+                )
                 try:
                     responses = self._lookup_slot(
                         slot, request, outcome, answer
@@ -880,7 +767,10 @@ class ClusterSearchClient(SearchClient):
                 except TransportError:
                     outcome.failovers += 1
                     continue
-                outcome.contacted = True
+                if backup_answered:
+                    outcome.backup_answered = True
+                else:
+                    outcome.contacted = True
                 if escalating:
                     outcome.escalations += 1
                 else:

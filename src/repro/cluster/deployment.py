@@ -66,7 +66,6 @@ from repro.secretsharing.shamir import ShamirScheme
 from repro.server.auth import AuthService, AuthToken
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import IndexServer
-from repro.server.transport import ConcurrentDispatcher
 from repro.storage.engine import refuse_flat_wals
 
 
@@ -92,7 +91,6 @@ class ClusterDeployment:
         socket_host: str = "127.0.0.1",
         socket_port: int = 0,
         socket_idle_timeout_s: float | None = None,
-        fanout_workers: int = 8,
         storage: str = "segmented",
         anti_entropy_interval_s: float | None = None,
         repair_budget: int | None = None,
@@ -141,8 +139,6 @@ class ClusterDeployment:
             picks a free port; see ``self.transport.address``).
         socket_idle_timeout_s: close server-side connections idle for
             this long (None: never).
-        fanout_workers: width of this deployment's hedged-read worker
-            pool (reaped by :meth:`close`).
         storage: the seat-store engine under ``wal_dir``. It has one
             legal value, ``"segmented"`` (a per-seat directory holding a
             binary segment log, immutable snapshots written by a
@@ -299,12 +295,6 @@ class ClusterDeployment:
                 metrics=self.metrics,
             )
             self.transport = AsyncSocketTransport(self._socket_server.address)
-        #: Per-deployment hedged-read pool: closing the deployment reaps
-        #: its worker threads (the dispatcher-leak regression).
-        self.dispatcher = ConcurrentDispatcher(
-            max_workers=fanout_workers,
-            thread_name_prefix=f"zerber-fanout-{id(self):x}",
-        )
         self._closed = False
         self.snippets = SnippetService(self.groups)
         self._tokens: dict[str, AuthToken] = {}
@@ -459,7 +449,6 @@ class ClusterDeployment:
         """A fresh cluster search client for a principal."""
         token = self.enroll_user(user_id)
         kwargs.setdefault("transport", self.transport)
-        kwargs.setdefault("dispatcher", self.dispatcher)
         if self.cache_tier_store is not None:
             kwargs.setdefault("cache_tier", CACHE_TIER_ENDPOINT)
         kwargs.setdefault("l1_entries", self._l1_entries)
@@ -615,17 +604,16 @@ class ClusterDeployment:
     def close(self) -> None:
         """Shut the whole deployment down (idempotent).
 
-        Reaps the hedged-read worker threads (the dispatcher-leak fix),
-        closes the client transport and the embedded
-        socket server when ``transport="async-socket"``, and closes every
-        seat's WAL handle — after ``close()`` returns, no thread, TCP
-        socket, or file handle of this deployment outlives it.
+        Stops the repair thread, closes the client transport and the
+        embedded socket server when ``transport="async-socket"``, and
+        closes every seat's WAL handle — after ``close()`` returns, no
+        thread, TCP socket, or file handle of this deployment outlives
+        it.
         """
         if self._closed:
             return
         self._closed = True
         self.coordinator.stop_repair_thread()
-        self.dispatcher.shutdown()
         if self.transport is not self.registry:
             self.transport.close()
         if self._socket_server is not None:

@@ -1,10 +1,11 @@
 """Wire-level request tracing: ambient trace context + span records.
 
 The design copies :mod:`repro.resilience.deadline` deliberately: a
-trace is a thread-local ambient context set by :func:`trace_scope`,
-sampled by the transports at send time, and re-applied explicitly on
-fan-out worker threads (the dispatcher does not inherit thread-locals).
-On the wire the context is an 8-byte trace id plus a 2-byte hop
+trace is a thread-local ambient context set by :func:`trace_scope` and
+sampled by the transports at send time. A query's whole read path, its
+hedged backups included, runs on the query's own thread, so the scope
+reaches every frame it sends; the socket server restores the wire
+context around dispatch. On the wire the context is an 8-byte trace id plus a 2-byte hop
 counter riding the request envelope under ``TRACE_FLAG`` — see
 :mod:`repro.protocol.transport`.
 
@@ -146,9 +147,8 @@ def trace_scope(
 ) -> Iterator[TraceContext | None]:
     """Run the body under a trace context (thread-local, nested).
 
-    Pass an existing ``trace`` (re-applying a caller's context on a
-    worker thread, or restoring the wire context server-side) or a
-    bare ``trace_id`` to start hop 0. With neither, the body runs
+    Pass an existing ``trace`` (restoring the wire context
+    server-side) or a bare ``trace_id`` to start hop 0. With neither, the body runs
     untraced — callers can pass through their arguments unconditionally.
     """
     if trace is None:

@@ -38,7 +38,9 @@ form every ``call`` goes through: it frames a whole batch (a query's
 fetch round) under fresh correlation ids, puts it on the wire in one
 write, collects the responses in arrival order on the calling thread
 and decodes them there, so n independent lookups cost one write and
-one wait instead of n round trips.
+one wait instead of n round trips. A hedged batch sends the backups of
+its still-unsettled calls in one more write from the same collect loop
+(Dean and Barroso's hedged request), so hedging needs no thread.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ from repro.protocol.transport import (
     MAX_FRAME_BYTES,
     _LEN,
     _pack_request,
+    _unpack_envelope,
     _wire_trace,
     frame_bytes,
     handle_request_payload,
@@ -227,6 +230,11 @@ class AsyncSocketServer:
         self.drain_aborted = False
         self._connections: set[_ServerConnection] = set()
         self._closed = False
+        #: Test seam, in the style of ``SegmentedStore._crash_hook``: a
+        #: :class:`~repro.resilience.faults.FaultPlan` whose ``latency``
+        #: and ``stall`` draws hold a targeted endpoint's answer back on
+        #: the loop while other frames answer on time. None: no faults.
+        self._fault_plan: "FaultPlan | None" = None
         self._loop_thread = _LoopThread("zerber-async-server-loop")
         try:
             self._server: asyncio.Server = self._loop_thread.call(
@@ -302,7 +310,7 @@ class AsyncSocketServer:
             # then enqueue the coalesced responses as one item.
             out = bytearray()
             for corr_id, payload in frames:
-                out += frame_bytes(
+                frame = frame_bytes(
                     handle_request_payload(
                         self._registry,
                         payload,
@@ -312,7 +320,26 @@ class AsyncSocketServer:
                     ),
                     corr_id,
                 )
-            await conn.queue.put(bytes(out))
+                delay_s = self._fault_delay(payload)
+                if delay_s:
+                    asyncio.get_running_loop().call_later(
+                        delay_s, conn.queue.put_nowait, frame
+                    )
+                else:
+                    out += frame
+            if out:
+                await conn.queue.put(bytes(out))
+
+    def _fault_delay(self, payload: bytes) -> float:
+        """Seconds the fault seam holds this frame's answer (0: none)."""
+        plan = self._fault_plan
+        try:
+            if plan is None or not plan.targets(_unpack_envelope(payload)[0]):
+                return 0.0
+        except ProtocolError:
+            return 0.0
+        delays = {"latency": plan.latency_s, "stall": plan.stall_s}
+        return delays.get(plan.draw(), 0.0)
 
     async def _write_loop(self, conn: _ServerConnection) -> None:
         """Drain the bounded queue of pre-framed response bytes."""
@@ -420,6 +447,17 @@ class AsyncSocketServer:
         self.close()
 
 
+def _encode(dst: str, request: Any, deadline) -> bytes:
+    """One request envelope under the remaining budget and trace."""
+    start = time.perf_counter()
+    budget_us = None if deadline is None else deadline.budget_us()
+    payload = _pack_request(
+        dst, request, budget_us=budget_us, trace=_wire_trace()
+    )
+    record_span("encode", start, time.perf_counter() - start, len(payload))
+    return payload
+
+
 class _PendingCall:
     """One in-flight request; resolving it queues its index for the
     thread collecting its batch, in completion order."""
@@ -473,7 +511,8 @@ class AsyncSocketTransport(Transport):
     write buffer (one elected caller flushes each batch with a single
     ``sendall`` — no hop through an event loop, no per-frame lock
     convoy), then parks until the reader thread resolves each with the
-    matching response frame. Hedged legs need no socket per thread.
+    matching response frame. A hedged batch's backups go out on the
+    same connection, in one more write from the same collect loop.
 
     Failures retry under a shared
     :class:`~repro.resilience.retry.RetryPolicy` (a broken connection
@@ -532,17 +571,22 @@ class AsyncSocketTransport(Transport):
         calls: Sequence[tuple[str, Any]],
         on_sent: Callable[[int], None] | None = None,
         on_done: Callable[[int], None] | None = None,
+        backups: Sequence[tuple[str, Any] | None] | None = None,
+        hedge_after_s: float = 0.0,
     ) -> list[Any]:
-        """The whole batch in one write (:meth:`Transport.call_many`).
+        """The whole batch in one write, its backups in at most one more
+        (:meth:`Transport.call_many`, :meth:`_attempt`).
 
         A retryable outcome — a lost connection under a pure read, a
-        typed ``OverloadedError`` — then resumes alone under the
-        :class:`RetryPolicy` schedule :meth:`call` runs, and its
+        typed ``OverloadedError`` — then resumes alone, unhedged, under
+        the :class:`RetryPolicy` schedule :meth:`call` runs, and its
         ``on_done`` fires again once it settles.
         """
         if not calls:
             return []
-        outcomes = self._attempt(calls, on_sent, on_done)
+        outcomes = self._attempt(
+            calls, on_sent, on_done, backups, hedge_after_s
+        )
         policy = self._retry_policy
         for index, outcome in enumerate(outcomes):
             if isinstance(outcome, ReproError) and policy.should_retry(
@@ -607,84 +651,108 @@ class AsyncSocketTransport(Transport):
         calls: Sequence[tuple[str, Any]],
         on_sent: Callable[[int], None] | None = None,
         on_done: Callable[[int], None] | None = None,
+        backups: Sequence[tuple[str, Any] | None] | None = None,
+        hedge_after_s: float = 0.0,
     ) -> list[Any]:
         """One try at every call: frame them all under fresh correlation
         ids, send them in one write, then take each response as it
         arrives (``on_done``; the wait is capped by the ambient
         deadline) and decode it on this thread. Each slot is the
         response or the ``ReproError`` it ended with.
+
+        The backups of calls still unsettled ``hedge_after_s`` after
+        that write (at once for 0) leave in one more, onto the same
+        queue. A slot takes its legs' first response, an error only
+        once no leg is left in flight; a loser's late frame is dropped.
         """
+        count = len(calls)
         try:
             if self._closed:
                 raise TransportError("async socket transport is closed")
             deadline = current_deadline()
-            budget_us = None
             if deadline is not None:
                 deadline.check(f"call to {calls[0][0]!r}")
-                budget_us = deadline.budget_us()
-            payloads = []
-            for dst, request in calls:
-                start = time.perf_counter()
-                payloads.append(
-                    _pack_request(
-                        dst, request, budget_us=budget_us, trace=_wire_trace()
-                    )
-                )
-                took = time.perf_counter() - start
-                record_span("encode", start, took, len(payloads[-1]))
+            payloads = [_encode(dst, req, deadline) for dst, req in calls]
             sock, wstate = self._ensure_connection()
         except ReproError as exc:
-            return [exc] * len(calls)
+            return [exc] * count
         completions: queue.SimpleQueue = queue.SimpleQueue()
-        pending = [_PendingCall(completions, i) for i in range(len(calls))]
+        pending = [_PendingCall(completions, i) for i in range(count)]
+        # slot -> its backup leg's (call, payload, start), once sent.
+        hedged: dict[int, tuple[_PendingCall, bytes, float]] = {}
+        errors: dict[int, ReproError] = {}
+        outcomes: list[Any] = [None] * count
+        unsettled = count
         corr_ids: list[int] = []
-        with self._lock:
-            if self._closed or self._conn is None or self._conn[0] is not sock:
-                # The connection died since _ensure_connection; calls
-                # registered on it would outlive the drop's sweep.
-                for call in pending:
-                    call.resolve(error=ConnectionResetError("dropped"))
-            else:
-                first = self._next_corr
-                self._next_corr = (first + len(calls)) & 0xFFFF_FFFF
-                corr_ids = [
-                    n & 0xFFFF_FFFF for n in range(first, first + len(calls))
-                ]
-                self._pending.update(zip(corr_ids, pending))
         start = time.perf_counter()
-        outcomes: list[Any] = [None] * len(calls)
         try:
             if on_sent is not None:
-                for index in range(len(calls)):
+                for index in range(count):
                     on_sent(index)
-            if corr_ids:
-                try:
-                    frames = map(frame_bytes, payloads, corr_ids)
-                    self._send_frame(sock, wstate, b"".join(frames))
-                except (ConnectionError, OSError) as exc:
-                    # Fails every registered call, these included.
-                    self._drop_connection(sock, exc)
+            corr_ids += self._send_legs(sock, wstate, payloads, pending)
             wait_s = self._timeout_s
             if deadline is not None:
                 wait_s = min(wait_s, max(deadline.remaining_s(), 1e-4))
             give_up = time.monotonic() + wait_s
-            for _ in calls:
+            hedge_at = None
+            if backups is not None and any(backups):
+                hedge_at = time.monotonic() + hedge_after_s
+            while unsettled:
+                if hedge_at is not None and time.monotonic() >= hedge_at:
+                    hedge_at = None
+                    leaving = [
+                        i for i in range(count)
+                        if outcomes[i] is None and backups[i] is not None
+                    ]
+                    for i in leaving:
+                        hedged[i] = (
+                            _PendingCall(completions, count + i),
+                            _encode(*backups[i], deadline),
+                            time.perf_counter(),
+                        )
+                        if on_sent is not None:
+                            on_sent(count + i)
+                    if leaving:
+                        corr_ids += self._send_legs(
+                            sock, wstate,
+                            [hedged[i][1] for i in leaving],
+                            [hedged[i][0] for i in leaving],
+                        )
+                wake = give_up if hedge_at is None else min(give_up, hedge_at)
                 try:
                     index = completions.get(
-                        timeout=max(give_up - time.monotonic(), 0.0)
+                        timeout=max(wake - time.monotonic(), 0.0)
                     )
                 except queue.Empty:
-                    break
+                    if time.monotonic() >= give_up:
+                        break
+                    continue
+                if index < count:
+                    slot, call, payload, sent_at = (
+                        index, pending[index], payloads[index], start
+                    )
+                    dst, request = calls[index]
+                else:
+                    slot = index - count
+                    call, payload, sent_at = hedged[slot]
+                    dst, request = backups[slot]
+                if outcomes[slot] is not None:
+                    continue  # the slot's other leg answered first
+                result = self._outcome(call, dst, request, payload, sent_at)
+                if isinstance(result, ReproError):
+                    if slot in hedged and slot not in errors:
+                        errors[slot] = result  # the other leg may answer
+                        continue
+                    result = errors.get(slot, result)
+                outcomes[slot] = result
+                unsettled -= 1
                 if on_done is not None:
                     on_done(index)
-                outcomes[index] = self._outcome(
-                    pending[index], *calls[index], payloads[index], start
-                )
         finally:
             with self._lock:
                 for corr_id in corr_ids:
                     self._pending.pop(corr_id, None)
-        if any(outcome is None for outcome in outcomes):
+        if unsettled:
             if deadline is not None and deadline.expired:
                 late = DeadlineExceededError(
                     f"no response from {self._address[0]}:"
@@ -697,6 +765,36 @@ class AsyncSocketTransport(Transport):
                 )
             outcomes = [late if o is None else o for o in outcomes]
         return outcomes
+
+    def _send_legs(
+        self,
+        sock: socket.socket,
+        wstate: _WriteState,
+        payloads: list[bytes],
+        calls: list[_PendingCall],
+    ) -> list[int]:
+        """Register ``calls`` under fresh correlation ids, send their
+        ``payloads`` in one write, and return the ids."""
+        with self._lock:
+            if self._closed or self._conn is None or self._conn[0] is not sock:
+                # The connection died since _ensure_connection; calls
+                # registered on it would outlive the drop's sweep.
+                for call in calls:
+                    call.resolve(error=ConnectionResetError("dropped"))
+                return []
+            first = self._next_corr
+            self._next_corr = (first + len(calls)) & 0xFFFF_FFFF
+            corr_ids = [
+                n & 0xFFFF_FFFF for n in range(first, first + len(calls))
+            ]
+            self._pending.update(zip(corr_ids, calls))
+        try:
+            frames = map(frame_bytes, payloads, corr_ids)
+            self._send_frame(sock, wstate, b"".join(frames))
+        except (ConnectionError, OSError) as exc:
+            # Fails every registered call, these included.
+            self._drop_connection(sock, exc)
+        return corr_ids
 
     def _outcome(
         self, call: _PendingCall, dst: str, request: Any, payload, start

@@ -30,7 +30,8 @@ The contract both backends honour, and any future backend
   absorbs identically on every backend;
 - ``call_many(src, calls)`` answers a batch in call order with each
   failure in its call's place — one write for the whole batch on the
-  socket, one call at a time in process;
+  socket (its hedged backups in one more), one call at a time in
+  process;
 - responses are byte-identical across backends for identical stores —
   the CI equivalence gate runs the same seeds over both.
 """
@@ -73,7 +74,7 @@ from repro.observability.tracing import (
 # Submodule imports on purpose: the repro.resilience *package* pulls in
 # the chaos harness, which imports this module back.
 from repro.resilience.admission import AdmissionController
-from repro.resilience.deadline import Deadline, check_deadline, deadline_scope
+from repro.resilience.deadline import Deadline, check_deadline
 
 #: A frame longer than this is garbage (or hostile), not a message.
 MAX_FRAME_BYTES = 1 << 26  # 64 MiB
@@ -161,12 +162,18 @@ class Transport:
         calls: Sequence[tuple[str, Any]],
         on_sent: Callable[[int], None] | None = None,
         on_done: Callable[[int], None] | None = None,
+        backups: Sequence[tuple[str, Any] | None] | None = None,
+        hedge_after_s: float = 0.0,
     ) -> list[Any]:
         """Send ``[(dst, request), ...]``; results come back in call order,
         a call's ``ReproError`` (dead endpoint, typed server error) in its
         place. ``on_sent(i)`` / ``on_done(i)`` run on the calling thread
-        as call ``i`` leaves and as its outcome arrives. This form sends
-        one :meth:`call` at a time; a pipelining backend overrides it.
+        as call ``i`` leaves and as its outcome is taken. ``backups[i]``
+        (or None) is call ``i``'s hedge, sent by a pipelining backend if
+        the call is unsettled ``hedge_after_s`` after the batch left and
+        reported to the hooks as index ``len(calls) + i``. This form
+        sends one :meth:`call` at a time, so every call has settled
+        before any delay passes and no backup is ever sent.
         """
         results: list[Any] = []
         for index, (dst, request) in enumerate(calls):
@@ -328,9 +335,11 @@ def handle_request_payload(
             if admission is not None:
                 admission.admit(f"request for {dst!r}")
             try:
-                with deadline_scope(deadline=deadline), trace_scope(
-                    trace=trace
-                ), span(f"server:{dst}") as server_span:
+                # The budget was checked above; nothing under dispatch
+                # reads the ambient deadline, so none is set here.
+                with trace_scope(trace=trace), span(
+                    f"server:{dst}"
+                ) as server_span:
                     server_span.wire_bytes = len(payload)
                     response = registry.dispatch_local(dst, request)
             finally:

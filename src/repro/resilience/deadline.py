@@ -11,10 +11,11 @@ instants don't survive clock skew between machines — a remaining
 budget does, minus transit time, which only makes the server side
 *more* conservative).
 
-The scope is per thread by design: the cluster's fan-out dispatcher
-runs pod legs on worker threads, so code that hands work to another
-thread re-applies the deadline explicitly (``deadline_scope(
-deadline=...)``) — see :meth:`ClusterSearchClient._fetch_with_failover`.
+The scope is per thread by design. A query's fetch rounds, their
+hedged backups included, run on the query's own thread (the async
+socket collects a round's answers on the calling thread), so the scope
+covers every frame a query sends; code that hands work to another
+thread must pass the deadline along itself.
 """
 
 from __future__ import annotations
@@ -98,22 +99,18 @@ def check_deadline(what: str = "request") -> None:
 
 
 @contextmanager
-def deadline_scope(
-    budget_s: float | None = None, deadline: Deadline | None = None
-):
-    """Run the body under a deadline (thread-local, properly nested).
+def deadline_scope(budget_s: float | None = None):
+    """Run the body under a deadline ``budget_s`` seconds from now
+    (thread-local, properly nested; None runs the body unbounded).
 
-    Pass either a relative ``budget_s`` or an existing ``deadline``
-    object (re-applying a caller's deadline on a worker thread). A
-    nested scope can only *tighten* the deadline: when an outer scope
+    A nested scope can only *tighten* the deadline: when an outer scope
     is already closer, the outer expiry stays in force — a callee must
     never outlive its caller's patience.
     """
-    if deadline is None:
-        if budget_s is None:
-            yield None
-            return
-        deadline = Deadline.after(budget_s)
+    if budget_s is None:
+        yield None
+        return
+    deadline = Deadline.after(budget_s)
     previous = current_deadline()
     if previous is not None and previous.expires_at < deadline.expires_at:
         deadline = previous

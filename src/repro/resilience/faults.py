@@ -23,7 +23,10 @@ over the async TCP stack) and keeps fault *semantics* honest:
   write classification exists precisely because a transport can never
   know whether an unacknowledged write landed;
 - **latency** and **stall** sleep before forwarding, which exercises
-  deadline enforcement and hedged reads.
+  deadline enforcement but not hedged reads: a wrapped transport's
+  ``call_many`` is sequential, so no hedge delay ever passes. Hedging
+  tests hand the plan to the socket server's ``_fault_plan`` seam,
+  which holds back only the targeted seats' answers, on its loop.
 
 For storage-level chaos, :meth:`FaultPlan.storage_crash_hook` reuses
 the PR 5 crash-injection seam (``SegmentedStore._crash_hook``) to

@@ -12,9 +12,9 @@ elements through its user-group table (Fig. 3) before answering.
   can be adopted here");
 - :mod:`repro.server.groups` — the user-group metadata tables;
 - :mod:`repro.server.index_server` — the index server proper, including the
-  compromise hook the §7.1 attack experiments use;
-- :mod:`repro.server.transport` — the worker pool hedged reads race
-  their legs on.
+  compromise hook the §7.1 attack experiments use.
+
+How requests reach a server is :mod:`repro.protocol`'s business.
 """
 
 from repro.server.auth import AuthService, AuthToken

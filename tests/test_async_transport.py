@@ -8,7 +8,9 @@ Five contracts live here:
   over one connection;
 - ``call_many`` answers a batch in call order with each failure in its
   call's place, and a cluster query's fetch round, an owner's flush and
-  a document's deletes each leave in one write;
+  a document's deletes each leave in one write; a hedged batch sends
+  its backups in at most one more write and takes each call's first
+  response (stalls come from the server's ``_fault_plan`` seam);
 - the server hangs up on what it cannot frame (a frame without a
   correlation id) and on silent clients, without dispatching anything
   and without disturbing its other connections;
@@ -50,6 +52,7 @@ from repro.protocol.transport import (
     frame_bytes,
 )
 from repro.observability.metrics import SampleView
+from repro.resilience.faults import FaultPlan
 from repro.server.auth import AuthService, AuthToken
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import IndexServer
@@ -250,6 +253,34 @@ class TestPipelinedFetchRound:
             # The claim is about rounds that span pods.
             assert two_pod_rounds >= 2
 
+    def test_a_hedged_fetch_round_is_at_most_two_writes(self, monkeypatch):
+        """With hedging on (R=2, zero delay: every backup leaves), a
+        healthy query sends its primaries in one write and all their
+        backups in one more."""
+        writes: list[int] = []
+        send_frame = AsyncSocketTransport._send_frame
+
+        def counting(self, sock, wstate, frame):
+            writes.append(len(frame))
+            return send_frame(self, sock, wstate, frame)
+
+        monkeypatch.setattr(AsyncSocketTransport, "_send_frame", counting)
+        documents = make_documents()
+        vocabulary = sorted({t for d in documents for t in d.term_counts})
+        with make_cluster(
+            documents, replication_factor=2, transport="async-socket"
+        ) as cluster:
+            searcher = cluster.searcher(
+                "owner0", use_cache=False, hedge_reads=True, hedge_delay_s=0.0
+            )
+            for start in range(0, len(vocabulary), 4):
+                writes.clear()
+                searcher.search(
+                    vocabulary[start : start + 4], fetch_snippets=False
+                )
+                assert searcher.last_cluster_diagnostics.hedged_fetches > 0
+                assert len(writes) == 2
+
     def test_a_dead_seats_error_answer_is_a_lookup_message(self):
         """A lookup a dead seat answers with an error was still sent:
         over the socket ``lookup_messages`` grows exactly as the
@@ -345,6 +376,185 @@ class TestPipelinedWriteRound:
         assert owner.delete_document(target.doc_id) == len(target.term_counts)
         assert len(writes) == 1
         assert _frames(cluster) - before == len(seats)
+
+
+@pytest.fixture()
+def twin_seats(world, monkeypatch):
+    """Two seats holding the same rows behind one server, a stall seam
+    on the server, and a counter of the client's writes."""
+    auth, groups, token, _server = world
+    registry = InProcessTransport()
+    columns = [1, 2], [7, 8], [0, 0], [99, 98]
+    for name, x in (("s0", 1), ("s1", 2)):
+        seat = IndexServer(server_id=name, x_coordinate=x, auth=auth,
+                           groups=groups)
+        seat.insert_batch(token, *columns)
+        registry.register(name, IndexServerService.for_server(seat))
+    writes: list[int] = []
+    send_frame = AsyncSocketTransport._send_frame
+
+    def counting(self, sock, wstate, frame):
+        writes.append(len(frame))
+        return send_frame(self, sock, wstate, frame)
+
+    monkeypatch.setattr(AsyncSocketTransport, "_send_frame", counting)
+    with AsyncSocketServer(registry) as srv:
+        with AsyncSocketTransport(srv.address) as transport:
+            transport.endpoints()  # connect before counting writes
+            writes.clear()
+            yield token, srv, transport, writes
+
+
+def _stall(srv, seat, stall_s):
+    """Hold back every answer of ``seat`` by ``stall_s`` (server-side)."""
+    srv._fault_plan = FaultPlan(
+        seed=1, stall_rate=1.0, stall_s=stall_s, endpoints=[seat]
+    )
+
+
+def _fetch(token, pl_id):
+    return FetchListsRequest(token=token, pl_ids=(pl_id,))
+
+
+class TestHedgedCallMany:
+    """A batch's backups ride the same connection and completion queue:
+    they leave only for calls unsettled at the hedge delay, all in one
+    more write, and each slot takes its first response."""
+
+    def test_a_backup_leaves_only_for_calls_unsettled_at_the_delay(
+        self, twin_seats
+    ):
+        token, srv, transport, writes = twin_seats
+        _stall(srv, "s0", 1.0)
+        sent, done = [], []
+        results = transport.call_many(
+            "alice",
+            [("s0", _fetch(token, 1)), ("s1", _fetch(token, 2))],
+            on_sent=sent.append,
+            on_done=done.append,
+            backups=[("s1", _fetch(token, 1)), ("s0", _fetch(token, 2))],
+            hedge_after_s=0.05,
+        )
+        assert [r.lists[0].pl_id for r in results] == [1, 2]
+        # Call 1 answered before the delay, so only call 0's backup
+        # (index 2 + 0) left, and it answered first.
+        assert sent == [0, 1, 2]
+        assert sorted(done) == [1, 2]
+        assert len(writes) == 2
+
+    def test_the_first_response_wins(self, twin_seats):
+        token, srv, transport, _writes = twin_seats
+        _stall(srv, "s0", 1.0)
+        done = []
+        started = time.monotonic()
+        (result,) = transport.call_many(
+            "alice",
+            [("s0", _fetch(token, 1))],
+            on_done=done.append,
+            backups=[("s1", _fetch(token, 1))],
+            hedge_after_s=0.01,
+        )
+        assert time.monotonic() - started < 0.5
+        assert done == [1]
+        assert result.lists[0].element_ids == [7]
+
+    def test_a_settled_batch_sends_no_backup(self, twin_seats):
+        token, _srv, transport, writes = twin_seats
+        sent = []
+        results = transport.call_many(
+            "alice",
+            [("s0", _fetch(token, 1)), ("s1", _fetch(token, 2))],
+            on_sent=sent.append,
+            backups=[("s1", _fetch(token, 1)), ("s0", _fetch(token, 2))],
+            hedge_after_s=5.0,
+        )
+        assert [r.lists[0].pl_id for r in results] == [1, 2]
+        assert sent == [0, 1]
+        assert len(writes) == 1
+
+    def test_a_zero_delay_sends_every_backup_behind_the_calls(
+        self, twin_seats
+    ):
+        """Pinned: a zero delay fires before the collect loop takes any
+        answer, so every backup leaves however fast the calls answer."""
+        token, _srv, transport, writes = twin_seats
+        for _ in range(20):
+            writes.clear()
+            sent = []
+            transport.call_many(
+                "alice",
+                [("s0", _fetch(token, 1)), ("s1", _fetch(token, 2))],
+                on_sent=sent.append,
+                backups=[("s1", _fetch(token, 1)), ("s0", _fetch(token, 2))],
+                hedge_after_s=0.0,
+            )
+            assert sent == [0, 1, 2, 3]
+            assert len(writes) == 2
+
+    def test_an_error_waits_for_its_backup(self, twin_seats):
+        token, srv, transport, _writes = twin_seats
+        _stall(srv, "s0", 0.05)
+        done = []
+        (result,) = transport.call_many(
+            "alice",
+            [("ghost", _fetch(token, 1))],
+            on_done=done.append,
+            backups=[("s0", _fetch(token, 1))],
+            hedge_after_s=0.0,
+        )
+        assert result.lists[0].pl_id == 1
+        assert done == [1]
+
+    def test_a_slot_fails_typed_only_when_both_legs_fail(self, twin_seats):
+        token, _srv, transport, _writes = twin_seats
+        (result,) = transport.call_many(
+            "alice",
+            [("ghost", _fetch(token, 1))],
+            backups=[("phantom", _fetch(token, 1))],
+            hedge_after_s=0.0,
+        )
+        assert isinstance(result, UnknownEndpointError)
+
+    def test_a_late_losers_frame_is_dropped(self, twin_seats):
+        token, srv, transport, _writes = twin_seats
+        _stall(srv, "s0", 0.1)
+        (result,) = transport.call_many(
+            "alice",
+            [("s0", _fetch(token, 1))],
+            backups=[("s1", _fetch(token, 1))],
+            hedge_after_s=0.01,
+        )
+        assert result.lists[0].pl_id == 1
+        assert transport._pending == {}
+        time.sleep(0.2)  # the stalled primary's answer arrives now
+        assert transport._pending == {}
+        srv._fault_plan = None
+        assert transport.call("alice", "s1", _fetch(token, 2)).lists
+        assert srv.connection_count == 1
+
+
+class TestServerFaultSeam:
+    def test_a_stalled_seats_answer_does_not_hold_up_its_neighbour(
+        self, twin_seats
+    ):
+        """The seam delays only the targeted frame's answer: on one
+        connection, in one write, the other seat answers on time."""
+        token, srv, transport, writes = twin_seats
+        _stall(srv, "s0", 0.3)
+        arrived = {}
+        started = time.monotonic()
+        results = transport.call_many(
+            "alice",
+            [("s0", _fetch(token, 1)), ("s1", _fetch(token, 2))],
+            on_done=lambda i: arrived.setdefault(
+                i, time.monotonic() - started
+            ),
+        )
+        assert [r.lists[0].pl_id for r in results] == [1, 2]
+        assert arrived[1] < 0.15 < 0.3 <= arrived[0]
+        assert len(writes) == 1
+        assert srv.connection_count == 1
+        assert srv._fault_plan.injected["stall"] == 1
 
 
 class TestAsyncFailureSemantics:

@@ -174,13 +174,19 @@ class TestWireChaos:
 
 
 class TestSlowSeatStalls:
-    def test_stalled_pod_with_hedging_stays_identical(self):
+    def test_stalled_pod_with_hedging_stays_identical(self, monkeypatch):
+        """Hedging races legs inside the socket's pipelined round, so the
+        stall is server-side: the seam holds back pod0's answers on the
+        server loop, and the hedged backups read the untouched replica.
+        The race must never change bytes."""
         cluster = make_cluster(
-            make_documents(num_docs=10), num_pods=2, replication_factor=2
+            make_documents(num_docs=10),
+            num_pods=2,
+            replication_factor=2,
+            transport="async-socket",
         )
         with cluster:
-            # Stall only pod0's seats; the hedged backup leg reads the
-            # untouched replica and the race must never change bytes.
+            expected = clean_baseline(cluster)
             stalled = frozenset(
                 slot.server_id for slot in cluster.pods[0].slots
             )
@@ -190,16 +196,30 @@ class TestSlowSeatStalls:
                 stall_s=0.03,
                 endpoints=stalled,
             )
-            outcomes, results = run_drill(
-                cluster,
-                plan,
-                rounds=2,
+            cluster.socket_server._fault_plan = plan
+            # Pin pod0 first, so the latency ranking cannot route every
+            # round around the stall and leave it untested.
+            coordinator = cluster.coordinator
+            ranked = coordinator.read_replicas
+            monkeypatch.setattr(
+                coordinator,
+                "read_replicas",
+                lambda pl_id: sorted(ranked(pl_id), key=lambda p: p.index),
+            )
+            searcher = cluster.searcher(
+                "owner0",
+                use_cache=False,
                 hedge_reads=True,
                 hedge_delay_s=0.005,
             )
-            ok = assert_identical_or_typed(cluster, outcomes, results)
-            assert ok == len(outcomes)
+            hedged = 0
+            for _round in range(2):
+                for terms, want in zip(QUERIES, expected):
+                    got = searcher.search(terms, fetch_snippets=False)
+                    assert got == want
+                    hedged += searcher.last_cluster_diagnostics.hedged_fetches
             assert plan.injected["stall"] > 0
+            assert hedged > 0
 
     def test_endpoint_filter_spares_other_seats(self):
         cluster = make_cluster(

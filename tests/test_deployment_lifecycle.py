@@ -1,12 +1,15 @@
 """Deployment lifecycle: ``close()``, context managers, and leak fixes.
 
 The dispatcher-leak regression: ``ClusterDeployment`` used to spin up
-``ConcurrentDispatcher`` worker threads (and, with the socket backend,
+worker threads for hedged reads (and, with the socket backend,
 server-loop and client-reader threads and WAL handles) that nothing
-ever shut down. ``close()`` — and the ``with`` form — must reap all of it,
-idempotently. Plus the unregistered-endpoint race: a seat leaving the
-transport mid-query must surface as a typed, *named* failure that the
-failover ladder absorbs.
+ever shut down. The worker pool is gone — hedged backups ride the
+socket's pipelined round — so a hedged search must start no thread
+beyond the server loop and the client reader, and ``close()`` — and
+the ``with`` form — must reap those, idempotently. Plus the
+unregistered-endpoint race: a seat leaving the transport mid-query
+must surface as a typed, *named* failure that the failover ladder
+absorbs.
 """
 
 from __future__ import annotations
@@ -55,13 +58,6 @@ def _cluster(**kwargs):
     return cluster
 
 
-def _threads_with_prefix(prefix: str) -> list[threading.Thread]:
-    return [
-        t for t in threading.enumerate()
-        if t.is_alive() and t.name.startswith(prefix)
-    ]
-
-
 def _socket_threads_since(before: set[threading.Thread]) -> list:
     """Live socket-stack threads (server loop, client reader) started
     after ``before`` was taken."""
@@ -74,19 +70,26 @@ def _socket_threads_since(before: set[threading.Thread]) -> list:
 
 
 class TestDispatcherLeak:
-    def test_no_fanout_threads_outlive_a_closed_deployment(self):
-        """Regression: ConcurrentDispatcher.shutdown() was never called."""
-        cluster = _cluster()
-        prefix = cluster.dispatcher.thread_name_prefix
-        # Hedged legs run on the pool: R=2 gives every leg a backup.
+    def test_a_hedged_socket_search_starts_no_other_thread(self):
+        """The thread census of a hedged read: backups leave from the
+        query's own thread, so only the server loop and the client
+        reader exist beside it, and neither outlives ``close()``."""
+        before = set(threading.enumerate())
+        cluster = _cluster(transport="async-socket")
+        # R=2 gives every pod a backup; a zero delay sends all of them.
         searcher = cluster.searcher(
             "alice", use_cache=False, hedge_reads=True, hedge_delay_s=0.0
         )
         searcher.search(["alpha", "beta", "w0", "w3"], top_k=5,
                         fetch_snippets=False)
-        assert _threads_with_prefix(prefix)
+        assert searcher.last_cluster_diagnostics.hedged_fetches > 0
+        started = [t for t in threading.enumerate() if t not in before]
+        assert sorted(t.name for t in started) == [
+            "zerber-async-client-reader",
+            "zerber-async-server-loop",
+        ]
         cluster.close()
-        assert _threads_with_prefix(prefix) == []
+        assert _socket_threads_since(before) == []
 
     def test_no_socket_threads_outlive_a_closed_deployment(self):
         before = set(threading.enumerate())

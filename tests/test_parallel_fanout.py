@@ -21,7 +21,7 @@ from repro.cluster import ClusterDeployment
 from repro.cluster.coordinator import READ_LATENCY_BUCKET_S
 from repro.core.mapping_table import MappingTable
 from repro.corpus.document import Document
-from repro.resilience.faults import FaultPlan, FaultyTransport
+from repro.resilience.faults import FaultPlan
 
 
 NUM_LISTS = 24
@@ -211,11 +211,12 @@ class TestLatencyAwareReplicaChoice:
         assert sum(cluster.coordinator.pod_cache_reads.values()) > 0
 
     def test_a_stalled_pod_is_charged_its_own_stall(self):
-        """R=2 over async-socket, every lookup to pod0's seats delayed
-        client-side. A round asking both pods charges pod0 its stall and
-        pod1 only its own answers, so the ranking turns to pod1.
-        Charging every pod the round's wall time (pod1 would then carry
-        pod0's stall) or ~0 (the post-processing alone) fails here."""
+        """R=2 over async-socket, every answer of pod0's seats held back
+        server-side (the socket server's fault seam). A pipelined round
+        asking both pods charges pod0 its stall and pod1 only its own
+        answers, so the ranking turns to pod1. Charging every pod the
+        round's wall time (pod1 would then carry pod0's stall) or ~0
+        (the post-processing alone) fails here."""
         documents = make_documents()
         vocabulary = sorted({t for d in documents for t in d.term_counts})
         cluster = make_cluster(
@@ -230,15 +231,13 @@ class TestLatencyAwareReplicaChoice:
                 latency_s=0.05,
                 endpoints=[slot.server_id for slot in stalled.slots],
             )
-            searcher = cluster.searcher(
-                "owner0",
-                use_cache=False,
-                transport=FaultyTransport(cluster.transport, plan),
-            )
+            cluster.socket_server._fault_plan = plan
+            searcher = cluster.searcher("owner0", use_cache=False)
             searcher.search(vocabulary, fetch_snippets=False)
             assert searcher.last_cluster_diagnostics.pods_contacted == 2
             for _ in range(4):
                 searcher.search(vocabulary[:6], fetch_snippets=False)
+            assert plan.injected["latency"] > 0
             latency = coordinator.pod_read_latency
             assert (
                 latency[stalled.name]

@@ -32,6 +32,7 @@ from repro.protocol.transport import (
 )
 from repro.resilience import (
     AdmissionController,
+    FaultPlan,
     CircuitBreaker,
     BreakerRegistry,
     Deadline,
@@ -521,14 +522,22 @@ class TestGracefulDrain:
 
 
 class TestHedgedReads:
+    """Hedging rides the pipelined round, so it needs the async socket;
+    stalls come from the socket server's ``_fault_plan`` seam."""
+
     def test_hedged_search_stays_byte_identical(self):
         documents = make_documents(num_docs=10)
         plain = make_cluster(documents, num_pods=2, replication_factor=2)
-        hedged = make_cluster(documents, num_pods=2, replication_factor=2)
+        hedged = make_cluster(
+            documents,
+            num_pods=2,
+            replication_factor=2,
+            transport="async-socket",
+        )
         with plain, hedged:
             baseline = plain.searcher("owner0", use_cache=False)
-            # hedge_delay_s=0 forces the backup leg on every fetch —
-            # the maximally racy configuration.
+            # hedge_delay_s=0 sends every backup right behind its
+            # primary — the maximally racy configuration.
             racy = hedged.searcher(
                 "owner0",
                 hedge_reads=True,
@@ -539,13 +548,52 @@ class TestHedgedReads:
                 assert racy.search(
                     terms, fetch_snippets=False
                 ) == baseline.search(terms, fetch_snippets=False)
-            diag = racy.last_cluster_diagnostics
-            assert diag.hedged_fetches > 0
+                diag = racy.last_cluster_diagnostics
+                assert diag.hedged_fetches > 0
+
+    def test_a_stalled_pod_loses_to_its_backup(self):
+        documents = make_documents(num_docs=10)
+        cluster = make_cluster(
+            documents,
+            num_pods=2,
+            replication_factor=2,
+            transport="async-socket",
+        )
+        with cluster:
+            expected = cluster.searcher("owner0", use_cache=False).search(
+                ["w1"], fetch_snippets=False
+            )
+            pl_id = cluster.mapping_table.lookup("w1")
+            slow, fast = cluster.coordinator.read_replicas(pl_id)
+            cluster.socket_server._fault_plan = FaultPlan(
+                seed=3,
+                stall_rate=1.0,
+                stall_s=1.0,
+                endpoints=[slot.server_id for slot in slow.slots],
+            )
+            searcher = cluster.searcher(
+                "owner0",
+                hedge_reads=True,
+                hedge_delay_s=0.02,
+                use_cache=False,
+            )
+            started = time.monotonic()
+            assert searcher.search(["w1"], fetch_snippets=False) == expected
+            assert time.monotonic() - started < 0.5
+            diag = searcher.last_cluster_diagnostics
+            assert (diag.hedged_fetches, diag.hedge_wins) == (1, 1)
+            # Only the backup answered; the stalled pod was abandoned.
+            assert diag.pods_contacted == 1
+            breaker = cluster.coordinator.breakers.of(slow.name)
+            assert breaker.snapshot()["failures"] == 0
 
     def test_hedge_needs_a_second_replica(self):
         documents = make_documents(num_docs=6)
         cluster = make_cluster(
-            documents, num_pods=2, replication_factor=1
+            documents,
+            num_pods=2,
+            replication_factor=1,
+            transport="async-socket",
         )
         with cluster:
             searcher = cluster.searcher(
@@ -560,6 +608,26 @@ class TestHedgedReads:
             ) == plain.search(["w1"], fetch_snippets=False)
             # R=1: no pod holds a full backup, so no hedge ever fires.
             assert searcher.last_cluster_diagnostics.hedged_fetches == 0
+
+    def test_hedging_in_process_is_a_no_op(self):
+        """In process every lookup settles before any delay passes, so
+        ``hedge_reads=True`` sends no backup and answers identically."""
+        documents = make_documents(num_docs=10)
+        cluster = make_cluster(documents, num_pods=2, replication_factor=2)
+        with cluster:
+            plain = cluster.searcher("owner0", use_cache=False)
+            hedged = cluster.searcher(
+                "owner0",
+                hedge_reads=True,
+                hedge_delay_s=0.0,
+                use_cache=False,
+            )
+            for terms in (["w1"], ["w2", "w3"], ["w0", "w5"]):
+                assert hedged.search(
+                    terms, fetch_snippets=False
+                ) == plain.search(terms, fetch_snippets=False)
+                diag = hedged.last_cluster_diagnostics
+                assert (diag.hedged_fetches, diag.hedge_wins) == (0, 0)
 
     def test_hedge_delay_derives_from_p95_samples(self):
         documents = make_documents(num_docs=6)
