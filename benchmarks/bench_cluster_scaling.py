@@ -9,8 +9,8 @@ the §7.3-style costs end to end, as the search diagnostics count them:
   with per query (``SearchDiagnostics.response_bytes``; requests are
   not charged);
 - **messages_per_query** — lookup messages per query
-  (``ClusterDiagnostics.lookup_messages``), the number the batched
-  fan-out exists to shrink.
+  (``ClusterDiagnostics.lookup_messages``): one per contacted seat, plus
+  one per dead seat a failover skipped.
 
 A second sweep varies the **replication factor** (R = 1, 2, 3) and
 measures what replication buys and costs: read throughput healthy and
@@ -103,12 +103,10 @@ def _merge_results(update: dict) -> None:
     path.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def _run_queries(cluster, queries, use_cache, batch_lookups):
-    """Returns (qps, response_bytes_per_query, messages_per_query,
-    results)."""
-    searcher = cluster.searcher(
-        "owner0", use_cache=use_cache, batch_lookups=batch_lookups
-    )
+def _run_queries(cluster, queries):
+    """Uncached queries through a fresh searcher; returns (qps,
+    response_bytes_per_query, messages_per_query, results)."""
+    searcher = cluster.searcher("owner0", use_cache=False)
     results = []
     response_bytes = messages = 0
     start = time.perf_counter()
@@ -131,41 +129,33 @@ def test_cluster_scaling_sweep(benchmark):
     for num_pods in (1, 2, 4):
         for kill_per_pod in (0, N - K):
             cluster = _build_cluster(corpus, num_pods, kill_per_pod)
-            for use_cache in (False, True):
-                if use_cache:
-                    # Warm pass over the same query set: cache absorbs it.
-                    _run_queries(cluster, queries, True, True)
-                qps, bpq, mpq, results = _run_queries(
-                    cluster, queries, use_cache, batch_lookups=True
-                )
-                config = {
-                    "pods": num_pods,
-                    "n": N,
-                    "k": K,
-                    "killed_per_pod": kill_per_pod,
-                    "batched": True,
-                    "cache": use_cache,
-                    "queries": NUM_QUERIES,
-                    "terms_per_query": TERMS_PER_QUERY,
+            qps, bpq, mpq, results = _run_queries(cluster, queries)
+            config = {
+                "pods": num_pods,
+                "n": N,
+                "k": K,
+                "killed_per_pod": kill_per_pod,
+                "queries": NUM_QUERIES,
+                "terms_per_query": TERMS_PER_QUERY,
+            }
+            rows.append(
+                {
+                    "config": config,
+                    "qps": round(qps, 1),
+                    "response_bytes_per_query": round(bpq, 1),
+                    "messages_per_query": round(mpq, 2),
+                    "metrics": metrics_snapshot(cluster),
                 }
-                rows.append(
-                    {
-                        "config": config,
-                        "qps": round(qps, 1),
-                        "response_bytes_per_query": round(bpq, 1),
-                        "messages_per_query": round(mpq, 2),
-                        "metrics": metrics_snapshot(cluster),
-                    }
-                )
-                if num_pods == 1 and kill_per_pod == 0 and not use_cache:
-                    baseline_results = results
-                elif not use_cache and kill_per_pod == 0:
-                    # Sharding must never change answers.
-                    assert results == baseline_results
+            )
+            if baseline_results is None:
+                baseline_results = results
+            else:
+                # Sharding and failover must never change answers.
+                assert results == baseline_results
     # One benchmarked reference pass for pytest-benchmark's ledger.
     reference = _build_cluster(corpus, 2, 0)
     benchmark.pedantic(
-        lambda: _run_queries(reference, queries, False, True),
+        lambda: _run_queries(reference, queries),
         rounds=1,
         iterations=1,
     )
@@ -177,52 +167,15 @@ def test_cluster_scaling_sweep(benchmark):
     for row in rows:
         config = row["config"]
         lines.append(
-            f"pods={config['pods']} killed/pod={config['killed_per_pod']} "
-            f"cache={'on ' if config['cache'] else 'off'}: "
+            f"pods={config['pods']} killed/pod={config['killed_per_pod']}: "
             f"{row['qps']:8.1f} q/s  "
             f"{row['response_bytes_per_query']:9.1f} B/q  "
             f"{row['messages_per_query']:5.2f} msg/q"
         )
     emit("cluster_scaling", lines)
     _merge_results({"rows": rows})
-    # Sanity floor: uncached queries really fetched shares.
-    assert all(
-        row["response_bytes_per_query"] > 0
-        for row in rows
-        if not row["config"]["cache"]
-    )
-    # Cached passes fetch (almost) nothing.
-    for cached, cold in zip(rows[1::2], rows[0::2]):
-        assert (
-            cached["response_bytes_per_query"]
-            <= cold["response_bytes_per_query"]
-        )
-
-
-def test_batched_lookups_beat_naive_fanout(benchmark):
-    """The acceptance criterion: fewer lookup messages than per-term fan-out."""
-    corpus = _corpus()
-    queries = _queries(corpus, random.Random(43))
-    cluster = _build_cluster(corpus, 2, 0)
-    _, _, batched_mpq, batched_results = benchmark.pedantic(
-        lambda: _run_queries(cluster, queries, False, True),
-        rounds=1,
-        iterations=1,
-    )
-    _, _, naive_mpq, naive_results = _run_queries(
-        cluster, queries, False, False
-    )
-    emit(
-        "cluster_batching",
-        [
-            "batched vs naive lookup fan-out (2 pods, n=3, k=2, "
-            f"{TERMS_PER_QUERY}-term queries)",
-            f"batched: {batched_mpq:.2f} lookup messages per query",
-            f"naive:   {naive_mpq:.2f} lookup messages per query",
-        ],
-    )
-    assert naive_results == batched_results
-    assert batched_mpq < naive_mpq
+    # Sanity floor: every query really fetched shares.
+    assert all(row["response_bytes_per_query"] > 0 for row in rows)
 
 
 def test_replication_factor_sweep(benchmark):
@@ -245,9 +198,7 @@ def test_replication_factor_sweep(benchmark):
         storage = cluster.storage_bytes()
         if base_storage is None:
             base_storage = storage
-        qps, bpq, _mpq, results = _run_queries(
-            cluster, queries, use_cache=False, batch_lookups=True
-        )
+        qps, bpq, _mpq, results = _run_queries(cluster, queries)
         if baseline_results is None:
             baseline_results = results
         else:
@@ -267,7 +218,7 @@ def test_replication_factor_sweep(benchmark):
         if replication >= 2:
             cluster.kill_pod(0)
             down_qps, _bpq, _mpq, down_results = _run_queries(
-                cluster, queries, use_cache=False, batch_lookups=True
+                cluster, queries
             )
             assert down_results == baseline_results  # pod loss is invisible
             row["qps_pod_down"] = round(down_qps, 1)
@@ -275,7 +226,7 @@ def test_replication_factor_sweep(benchmark):
     # One benchmarked reference pass for pytest-benchmark's ledger.
     reference = _build_cluster(corpus, 3, replication_factor=2)
     benchmark.pedantic(
-        lambda: _run_queries(reference, queries, False, True),
+        lambda: _run_queries(reference, queries),
         rounds=1,
         iterations=1,
     )

@@ -16,7 +16,7 @@ Rows land in ``benchmarks/results/BENCH_transport.json``:
   searcher whose L1 holds every merged list (this file measures the
   per-call cost; ``bench_load.py`` drives the socket backend open
   loop);
-- ``baseline_uncached_qps``: the PR 3 single-pod number read from
+- ``baseline_uncached_qps``: the single-pod uncached number read from
   BENCH_cluster.json, for the within-10% acceptance check.
 
 The CI gate runs this file; the in-process assertion is a generous
@@ -165,7 +165,7 @@ def _qps_batch(cluster, queries):
 
 
 def _baseline_uncached_qps():
-    """PR 3's recorded single-pod uncached qps (None when absent)."""
+    """The recorded single-pod uncached qps (None when absent)."""
     path = RESULTS_DIR / "BENCH_cluster.json"
     if not path.exists():
         return None
@@ -175,12 +175,7 @@ def _baseline_uncached_qps():
         return None
     for row in payload.get("rows", ()):
         config = row.get("config", {})
-        if (
-            config.get("pods") == 1
-            and config.get("killed_per_pod") == 0
-            and config.get("cache") is False
-            and config.get("batched") is True
-        ):
+        if config.get("pods") == 1 and config.get("killed_per_pod") == 0:
             return row.get("qps")
     return None
 
@@ -240,7 +235,7 @@ def test_transport_benchmark():
             f"{row['uncached_qps_batch']:10.1f}  {row['cached_qps']:10.1f}"
             for name, row in rows.items()
         ),
-        f"  PR3 baseline (BENCH_cluster.json): "
+        f"  single-pod baseline (BENCH_cluster.json): "
         f"{baseline if baseline is not None else 'n/a'} q/s",
     ]
     emit("transport_backends", lines)

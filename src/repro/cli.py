@@ -256,7 +256,7 @@ def _cmd_cluster_search(args: argparse.Namespace) -> int:
     corpus, cluster = _build_cluster(args)
     _kill_servers(cluster, _parse_kills(args.kill))
     terms = _cluster_query_terms(corpus, args)
-    searcher = cluster.searcher("owner0", batch_lookups=not args.naive)
+    searcher = cluster.searcher("owner0")
     try:
         results = searcher.search(terms, top_k=args.top_k)
     except ClusterDegradedError as exc:
@@ -955,10 +955,6 @@ def build_parser() -> argparse.ArgumentParser:
     csearch.add_argument(
         "--kill", action="append", metavar="POD:SLOT",
         help="take servers down before querying (repeatable)",
-    )
-    csearch.add_argument(
-        "--naive", action="store_true",
-        help="per-term fan-out instead of batched lookups",
     )
     csearch.set_defaults(func=_cmd_cluster_search)
 

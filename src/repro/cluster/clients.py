@@ -8,8 +8,7 @@ routing:
 - **batched lookups**: a query's posting lists are grouped by owning pod
   and each contacted server receives *one* lookup message carrying every
   list it owns that the query needs — one round-trip per server per
-  query instead of one per term (set ``batch_lookups=False`` to get the
-  naive fan-out for comparison benches);
+  query instead of one per term;
 - **replica choice**: with ``replication_factor >= 2`` each list lives
   on several pods holding the *same* slot-aligned shares; the client
   reads from the least-loaded replica with the most *trusted* live
@@ -36,21 +35,23 @@ routing:
   so an entry fetched from one replica serves reads even after that
   pod dies;
 - **pipelined fetch rounds**: each failover round assigns disjoint
-  list sets to its pods, and every pod's first-choice seat lookups
-  leave in one :meth:`~repro.protocol.transport.Transport.call_many`
-  — one write on the socket, so the round costs one wait instead of a
-  round trip per seat — and the ladder then consumes the answers in
-  deterministic pod order on the query thread. The requests, their
-  bytes and every diagnostics count are those of one call per seat;
-  only their timing overlaps. Each pod is timed from its first request
-  leaving to its last answer arriving, so the replica ranking never
-  charges one pod's stall to another;
-- **hedged reads** (Dean and Barroso's hedged request): each
-  first-choice lookup of a round names a backup, the same slot's seat
-  in another replica pod, which the socket sends if the lookup is still
-  unanswered after the hedge delay; the first answer wins, and
-  slot-aligned replicas make it byte-identical. Failover and escalation
-  calls after the round stay single and unhedged.
+  list sets to its pods and asks their seats in waves: every pod's
+  first-choice lookups leave in one
+  :meth:`~repro.protocol.transport.Transport.call_many` — one write on
+  the socket, so a healthy round costs one wait instead of a round trip
+  per seat — then the replacements for seats that failed, then the
+  share-shortfall escalations, each wave one ``call_many`` over every
+  pod still short. Answers are consumed in deterministic pod order on
+  the query thread; a pod asks the same seats for the same lists as
+  asking one seat at a time would, so every diagnostics count is that
+  of one call per seat and only the timing overlaps. Each pod is timed
+  from its first request leaving to its last answer arriving, so the
+  replica ranking never charges one pod's stall to another;
+- **hedged reads** (Dean and Barroso's hedged request): each lookup of
+  a wave names a backup, the same slot's seat in another replica pod,
+  which the socket sends if the lookup is still unanswered after the
+  hedge delay; the first answer wins, and slot-aligned replicas make it
+  byte-identical.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ from __future__ import annotations
 import time
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Sequence
 
 from repro.cachetier.l1 import L1PostingCache
@@ -139,6 +140,42 @@ class _PodFetchOutcome:
     backup_latency_s: float = 0.0
 
 
+class _SeatLadder:
+    """One pod's walk over its seats in slot order, one wave at a time:
+    the first ``want`` seats with a trusted request, then a replacement
+    for each seat that failed, then, once ``want`` seats answered, one
+    escalation a wave for the lists still short of k shares (a seat
+    with no trusted request for them is skipped). ``plan`` is
+    ``[(slot, trusted lists)]``; a seat is passed once, asked or not."""
+
+    def __init__(
+        self, plan: list[tuple[ServerSlot, list[int]]], want: int
+    ) -> None:
+        self._seats = iter(plan)
+        self._want = want
+        self.successes = 0
+        #: Lists still short of k shares (set by the round once
+        #: ``want`` seats answered).
+        self.shortfall: set[int] = set()
+
+    @property
+    def escalating(self) -> bool:
+        return self.successes >= self._want
+
+    def next_asks(self) -> list[tuple[ServerSlot, list[int]]]:
+        """The next wave's ``[(slot, request)]``; empty once done, and
+        on every later call."""
+        if not self.escalating:
+            trusted = ((slot, ids) for slot, ids in self._seats if ids)
+            return list(islice(trusted, self._want - self.successes))
+        if self.shortfall:
+            for slot, ids in self._seats:
+                request = sorted(p for p in ids if p in self.shortfall)
+                if request:
+                    return [(slot, request)]
+        return []
+
+
 class ClusterSearchClient(SearchClient):
     """A group member searching the sharded cluster."""
 
@@ -153,7 +190,6 @@ class ClusterSearchClient(SearchClient):
         snippet_service: SnippetService | None = None,
         verify_consistency: bool = False,
         use_cache: bool = True,
-        batch_lookups: bool = True,
         transport: Transport | None = None,
         hedge_reads: bool = False,
         hedge_delay_s: float | None = None,
@@ -173,19 +209,16 @@ class ClusterSearchClient(SearchClient):
             shares arrive (see :class:`SearchClient`).
         use_cache: front lookups with the L1 and the L2 tier, when
             either is attached (never under ``verify_consistency``).
-        batch_lookups: one lookup message per server per query, each
-            round's first-choice lookups pipelined (True, the default),
-            vs one message per posting list per server, one at a time
-            (False — the naive fan-out, kept for benches).
         transport: where lookup messages go; defaults to the
             coordinator's transport (deployments pass their own — the
             in-process registry or a socket client).
-        hedge_reads: re-send a round's lookups still unanswered after
-            the hedge delay to a backup replica pod, first answer wins.
-            Replicas hold byte-identical slot shares, so results never
-            differ; hedging spends extra lookup messages. Needs the
-            async socket and batched lookups: in process every lookup
-            settles before the delay, so it is a no-op there.
+        hedge_reads: re-send a wave's lookups still unanswered after
+            the hedge delay to a backup replica pod, first answer wins;
+            failover replacements and escalations are hedged like
+            first choices. Replicas hold byte-identical slot shares, so
+            results never differ; hedging spends extra lookup messages.
+            Needs the async socket: in process every lookup settles
+            before the delay, so it is a no-op there.
         hedge_delay_s: fixed hedge delay override; None (default)
             derives it per round, the minimum over its pods of
             :meth:`ClusterCoordinator.hedge_delay_s` (the replica pods'
@@ -216,7 +249,6 @@ class ClusterSearchClient(SearchClient):
         )
         self._coordinator = coordinator
         self._use_cache = use_cache
-        self._batch_lookups = batch_lookups
         self._hedge_reads = hedge_reads
         self._hedge_delay_s = hedge_delay_s
         self._cache_tier = cache_tier
@@ -307,7 +339,6 @@ class ClusterSearchClient(SearchClient):
                     need.append(pl_id)
                     continue
                 diag.l2_hits += 1
-                coordinator.note_cache_read(pl_id)
                 for slot_index, response in entry:
                     out.append((slot_index, [response]))
         if not need:
@@ -430,7 +461,6 @@ class ClusterSearchClient(SearchClient):
                 else:
                     out[pl_id] = entry
                     l1_hits += 1
-                    coordinator.note_cache_read(pl_id)
         if missing:
             # _fetch_lists (inside) resets last_cluster_diagnostics for
             # this query; the L1 tallies are re-applied after.
@@ -455,7 +485,7 @@ class ClusterSearchClient(SearchClient):
         Each round assigns every still-unfinished list to its next
         untried replica pod (preference order from
         :meth:`ClusterCoordinator.read_replicas`), fetches from all
-        assigned pods in one pipelined batch (:meth:`_fetch_round`; the
+        assigned pods in pipelined waves (:meth:`_fetch_round`; the
         pods' list sets are disjoint within a round, so their merges
         touch disjoint state) and merges slot-deduplicated responses in
         deterministic pod order. A list is finished when
@@ -533,10 +563,7 @@ class ClusterSearchClient(SearchClient):
                     contacted.add(target.name)
                     coordinator.breakers.record_success(target.name)
                     coordinator.note_pod_read(
-                        target.name,
-                        len(lists),
-                        latency_s=latency_s,
-                        pl_ids=lists,
+                        target.name, len(lists), latency_s=latency_s
                     )
                 if not answered:
                     # No seat of the pod or its backup answered a thing:
@@ -648,197 +675,138 @@ class ClusterSearchClient(SearchClient):
         merged: dict[int, dict[int, PostingListResponse]],
         tried: dict[int, set[str]],
     ) -> list[_PodFetchOutcome]:
-        """One round of the ladder over ``(pod, lists)`` jobs, pod order.
+        """One round of the ladder over ``(pod, lists)`` jobs, in waves.
 
         The one place a read meets the staleness ledger: a seat marked
         incomplete for a list is never asked for it (a stale seat's
-        answer is wrong in ways no shortfall signal catches). With
-        batched lookups every pod's first choice — its first ``want``
-        seats with a trusted request — leaves in one ``call_many``; each
-        ladder then walks its seats in slot order, asking a failed
-        seat's replacement and escalations one call at a time. A pod is
-        timed on the coordinator clock from its first request leaving to
-        its last answer arriving. Never raises on a degraded pod.
+        answer is wrong in ways no shortfall signal catches). Each wave
+        collects every pod's next asks (:class:`_SeatLadder`), sends
+        them in one ``call_many`` and consumes the answers in pod order;
+        the round ends when no pod has a seat left to ask. A pod is
+        timed on the coordinator clock from its first request leaving
+        to its last answer arriving. Never raises on a degraded pod.
 
-        With ``hedge_reads`` a first-choice lookup's backup is the same
-        request to the seat at its slot index in the pod's backup
-        replica (:meth:`_hedge_backup`), which holds the same
-        x-coordinate's shares, unless the ledger marks it incomplete.
+        With ``hedge_reads`` a lookup's backup is the same request to
+        the seat at its slot index in the pod's backup replica
+        (:meth:`_hedge_backup`, named once a round), which holds the
+        same x-coordinate's shares, unless the ledger marks it
+        incomplete.
         """
         k = self._scheme.k
         coordinator = self._coordinator
         # The injected clock times pods: breakers, hedge p95s and the
         # EWMA share one source, so a fake clock moves them together.
         clock = coordinator.clock
-        plans = []
+        ladders = []
         for pod, ids in jobs:
             stale = {p: coordinator.incomplete_seats(pod.name, p) for p in ids}
-            plans.append(
-                [
-                    (slot, [p for p in ids if slot.server_id not in stale[p]])
-                    for slot in pod.slots
-                ]
-            )
-        wants = [max(k, min(num_servers, len(pod.slots))) for pod, _ in jobs]
-        batch = [
-            (job, slot, request)
-            for job, plan in enumerate(plans)
-            for slot, request in [s for s in plan if s[1]][: wants[job]]
-        ] if self._batch_lookups else []
+            plan = [
+                (slot, [p for p in ids if slot.server_id not in stale[p]])
+                for slot in pod.slots
+            ]
+            want = max(k, min(num_servers, len(pod.slots)))
+            ladders.append(_SeatLadder(plan, want))
         outcomes = [_PodFetchOutcome() for _ in jobs]
-        calls = [
-            (slot.server_id, FetchListsRequest(self._token, tuple(ids)))
-            for _job, slot, ids in batch
-        ]
-        backups = None
         delay_s = 0.0
-        if self._hedge_reads and batch:
+        if self._hedge_reads:
             for outcome, (_pod, lists) in zip(outcomes, jobs):
                 outcome.backup = self._hedge_backup(lists, tried)
-            backups = []
-            for (job, slot, ids), (_seat, request) in zip(batch, calls):
-                pod = outcomes[job].backup
-                seat = pod and pod.slots[slot.slot_index].server_id
-                trusted = seat and not any(
-                    seat in coordinator.incomplete_seats(pod.name, p)
-                    for p in ids
-                )
-                backups.append((seat, request) if trusted else None)
             delay_s = self._hedge_delay_s
             if delay_s is None:
                 delay_s = min(
                     coordinator.hedge_delay_s(lists[0]) for _pod, lists in jobs
                 )
-        # Leg ``index`` of the round is a first choice, or past the
-        # batch the backup of first choice ``index % len(batch)``.
+        # Leg ``index`` of a wave is an ask, or past the wave's asks the
+        # backup of ask ``index % len(wave)``. A pod's first send of
+        # each leg kind is kept across waves.
         sent: dict[tuple[int, bool], float] = {}
-        from_backup: set[int] = set()
-
-        def on_sent(index: int) -> None:
-            leg = batch[index % len(batch)][0], index >= len(batch)
-            sent.setdefault(leg, clock())
-
-        def on_done(index: int) -> None:
-            job, backup = batch[index % len(batch)][0], index >= len(batch)
-            latency_s = clock() - sent[job, backup]
-            if backup:
-                from_backup.add(index % len(batch))
-                outcomes[job].backup_latency_s = latency_s
-            else:
-                from_backup.discard(index)
-                outcomes[job].latency_s = latency_s
-
         span_start = time.perf_counter()
-        replies = self._transport.call_many(
-            self.user_id,
-            calls,
-            on_sent=on_sent,
-            on_done=on_done,
-            backups=backups,
-            hedge_after_s=delay_s,
-        ) if batch else []
-        answers = {
-            (job, slot.slot_index): (reply, index in from_backup)
-            for index, ((job, slot, _request), reply) in enumerate(
-                zip(batch, replies)
-            )
-        }
-        for job, (pod, lists) in enumerate(jobs):
-            outcome = outcomes[job]
-            outcome.hedged = (job, True) in sent
-            successes = 0
-            shortfall: set[int] = set()
-            for slot, trusted in plans[job]:
-                escalating = successes >= wants[job]
-                if escalating and not shortfall:
-                    break
-                request = trusted if not escalating else sorted(
-                    p for p in trusted if p in shortfall
-                )
-                if not request:
-                    continue  # nothing trustworthy to ask this seat for
-                answer, backup_answered = answers.pop(
-                    (job, slot.slot_index), (None, False)
-                )
-                try:
-                    responses = self._lookup_slot(
-                        slot, request, outcome, answer
+        ended: dict[int, float] = {}  # job -> when its ladder ran out
+        while True:
+            wave = []
+            for job, ladder in enumerate(ladders):
+                asks = ladder.next_asks()
+                if not asks:
+                    ended.setdefault(job, time.perf_counter())
+                wave += [(job, slot, request) for slot, request in asks]
+            if not wave:
+                break
+            calls = [
+                (slot.server_id, FetchListsRequest(self._token, tuple(ids)))
+                for _job, slot, ids in wave
+            ]
+            backups = None
+            if self._hedge_reads:
+                backups = []
+                for (job, slot, ids), (_seat, request) in zip(wave, calls):
+                    pod = outcomes[job].backup
+                    seat = pod and pod.slots[slot.slot_index].server_id
+                    trusted = seat and not any(
+                        seat in coordinator.incomplete_seats(pod.name, p)
+                        for p in ids
                     )
-                except TransportError:
-                    outcome.failovers += 1
+                    backups.append((seat, request) if trusted else None)
+            from_backup: set[int] = set()
+
+            def on_sent(index: int) -> None:
+                leg = wave[index % len(wave)][0], index >= len(wave)
+                sent.setdefault(leg, clock())
+
+            def on_done(index: int) -> None:
+                job, backup = wave[index % len(wave)][0], index >= len(wave)
+                latency_s = clock() - sent[job, backup]
+                if backup:
+                    from_backup.add(index % len(wave))
+                    outcomes[job].backup_latency_s = latency_s
+                else:
+                    from_backup.discard(index)
+                    outcomes[job].latency_s = latency_s
+
+            replies = self._transport.call_many(
+                self.user_id,
+                calls,
+                on_sent=on_sent,
+                on_done=on_done,
+                backups=backups,
+                hedge_after_s=delay_s,
+            )
+            for index, ((job, slot, _ids), reply) in enumerate(
+                zip(wave, replies)
+            ):
+                outcome = outcomes[job]
+                ladder = ladders[job]
+                # Every answer was a lookup sent, an error answer too.
+                outcome.lookup_messages += 1
+                if isinstance(reply, TransportError):
+                    outcome.failovers += 1  # like a lost packet
                     continue
-                if backup_answered:
+                if isinstance(reply, ReproError):
+                    raise reply  # a typed server error ends the query
+                outcome.response_bytes += reply.wire_bytes(self._share_bytes)
+                if index in from_backup:
                     outcome.backup_answered = True
                 else:
                     outcome.contacted = True
-                if escalating:
+                if ladder.escalating:
                     outcome.escalations += 1
                 else:
-                    successes += 1
-                for response in responses:
+                    ladder.successes += 1
+                for response in reply.lists:
                     self._merge_response(
                         merged[response.pl_id], slot.slot_index, response
                     )
-                if successes >= wants[job]:
-                    shortfall = {
-                        p for p in lists if self._share_shortfall(merged[p], k)
+                if ladder.escalating:
+                    ladder.shortfall = {
+                        p
+                        for p in jobs[job][1]
+                        if self._share_shortfall(merged[p], k)
                     }
+        for job, ((pod, _lists), outcome) in enumerate(zip(jobs, outcomes)):
+            outcome.hedged = (job, True) in sent
             record_span(
                 f"fetch:{pod.name}",
                 start_s=span_start,
-                duration_s=time.perf_counter() - span_start,
+                duration_s=ended[job] - span_start,
                 wire_bytes=outcome.response_bytes,
             )
         return outcomes
-
-    def _lookup_slot(
-        self,
-        slot: ServerSlot,
-        pl_ids: Sequence[int],
-        outcome: _PodFetchOutcome,
-        answer=None,
-    ) -> list[PostingListResponse]:
-        """One seat's lookup traffic: its pipelined ``answer`` (a
-        response, or the error it ended with), or else asked now — one
-        batched message, or one per list — with the wait added to the
-        pod's latency. A dead seat raises :class:`TransportError` (the
-        ladder treats it like a lost packet); a typed server error
-        propagates. Every answer counts as a lookup message, an error
-        answer too: the request was sent.
-        """
-        clock = self._coordinator.clock
-        started = clock()
-        if answer is None:
-            if self._batch_lookups:
-                chunks = [tuple(pl_ids)]
-            else:
-                chunks = [(pl_id,) for pl_id in pl_ids]
-            answers = (self._ask_slot(slot, chunk) for chunk in chunks)
-        else:
-            answers = [answer]
-        responses: list[PostingListResponse] = []
-        try:
-            for response in answers:
-                outcome.lookup_messages += 1
-                if isinstance(response, Exception):
-                    raise response
-                outcome.response_bytes += response.wire_bytes(
-                    self._share_bytes
-                )
-                responses.extend(response.lists)
-        finally:
-            if answer is None:
-                outcome.latency_s += clock() - started
-        return responses
-
-    def _ask_slot(self, slot: ServerSlot, pl_ids: tuple[int, ...]):
-        """One lookup message to a seat: its response, or the
-        :class:`ReproError` it ended with (``call_many``'s form)."""
-        try:
-            return self._transport.call(
-                self.user_id,
-                slot.server_id,
-                FetchListsRequest(token=self._token, pl_ids=pl_ids),
-            )
-        except ReproError as exc:
-            return exc

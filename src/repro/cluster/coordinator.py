@@ -389,14 +389,6 @@ class ClusterCoordinator:
         #: are comparable). Fed by :meth:`note_pod_read`; consulted by
         #: :meth:`read_replicas`.
         self.pod_read_latency: dict[str, float] = {}
-        #: pod name -> posting lists served from L1 / L2 entries this
-        #: pod originally fetched (cache-hit-aware accounting: a pod
-        #: whose entries absorb a hot list's reads is still carrying
-        #: that list's traffic, and the balancer should know).
-        self.pod_cache_reads: dict[str, int] = {}
-        #: pl_id -> pod whose fetch last actually served the list (the
-        #: provenance note_cache_read charges hits against).
-        self._read_origin: dict[int, str] = {}
         #: The parallel fan-out reports per-pod accounting from the
         #: query thread after every round, but nothing stops multiple
         #: searchers (or future async paths) from reporting
@@ -772,11 +764,10 @@ class ClusterCoordinator:
         come first; among those, the lowest observed fetch latency wins
         (EWMA per list, compared in coarse buckets so jitter between
         equally healthy pods never flips the order), then the smallest
-        effective read load — lookups actually routed *plus* lists the
-        pod's fetches keep serving from the L1 and L2, so a pod whose
-        entry absorbs a hot list's reads is not mistaken for idle. The
-        rest stay as last resorts — even a sub-k pod contributes
-        trusted slots that union with another replica's.
+        read load — lookups the pod actually served (a cache hit sends
+        no lookup and charges no pod). The rest stay as last resorts —
+        even a sub-k pod contributes trusted slots that union with
+        another replica's.
 
         An *open circuit breaker* outranks everything: a pod that has
         failed its last N legs outright goes behind every healthy pod
@@ -790,7 +781,6 @@ class ClusterCoordinator:
         with self._read_stats_lock:
             latency = dict(self.pod_read_latency)
             load = dict(self.pod_read_load)
-            cache_reads = dict(self.pod_cache_reads)
         ranked.sort(
             key=lambda item: (
                 self.breakers.deprioritize(item[1].name),
@@ -798,8 +788,7 @@ class ClusterCoordinator:
                 int(
                     latency.get(item[1].name, 0.0) / READ_LATENCY_BUCKET_S
                 ),
-                load.get(item[1].name, 0)
-                + cache_reads.get(item[1].name, 0),
+                load.get(item[1].name, 0),
                 item[0],
             )
         )
@@ -810,7 +799,6 @@ class ClusterCoordinator:
         pod_name: str,
         num_lists: int,
         latency_s: float | None = None,
-        pl_ids: Iterable[int] = (),
     ) -> None:
         """Account lookups routed to one pod (feeds read balancing).
 
@@ -819,8 +807,6 @@ class ClusterCoordinator:
             num_lists: posting lists the fetch covered.
             latency_s: observed wall-clock duration of the fetch; folded
                 into the pod's per-list latency EWMA when given.
-            pl_ids: the fetched lists — recorded as cache provenance so
-                later cache hits can be charged to this pod.
 
         Race-safe: callers may report from concurrent query threads.
         """
@@ -846,8 +832,6 @@ class ClusterCoordinator:
                         maxlen=LATENCY_SAMPLE_WINDOW
                     )
                 samples.append(latency_s)
-            for pl_id in pl_ids:
-                self._read_origin[pl_id] = pod_name
         # Registry publication happens outside _read_stats_lock: the
         # instruments carry their own locks, and holding two at once
         # would order this lock against every metrics reader.
@@ -889,25 +873,6 @@ class ClusterCoordinator:
         if best is None:
             return fallback
         return max(best, 1e-4)
-
-    def note_cache_read(self, pl_id: int, num_lists: int = 1) -> None:
-        """A list was served from the L1 or L2; charge its origin pod.
-
-        Cache keys are pod-agnostic, so the provenance comes from the
-        last real fetch of the list (:meth:`note_pod_read`). Unknown
-        provenance (entry outlived its origin pod, or predates the
-        ledger) is simply not charged.
-        """
-        with self._read_stats_lock:
-            # Checked under the lock so a concurrent retire_pod purge
-            # cannot interleave between the check and the increment and
-            # leave a phantom counter behind for a reused pod name.
-            origin = self._read_origin.get(pl_id)
-            if origin is None or origin not in self._pod_by_name:
-                return
-            self.pod_cache_reads[origin] = (
-                self.pod_cache_reads.get(origin, 0) + num_lists
-            )
 
     # -- failure injection & recovery ----------------------------------------------
 
@@ -1069,14 +1034,7 @@ class ClusterCoordinator:
             with self._read_stats_lock:
                 self.pod_read_load.pop(pod.name, None)
                 self.pod_read_latency.pop(pod.name, None)
-                self.pod_cache_reads.pop(pod.name, None)
                 self._pod_latency_samples.pop(pod.name, None)
-                for pl_id in [
-                    pl_id
-                    for pl_id, origin in self._read_origin.items()
-                    if origin == pod.name
-                ]:
-                    del self._read_origin[pl_id]
             # A later pod under a reused name starts with a clean
             # breaker, not the retiree's failure history.
             self.breakers.forget(pod.name)
@@ -1496,7 +1454,6 @@ class ClusterCoordinator:
         with self._read_stats_lock:
             latency = dict(self.pod_read_latency)
             load = dict(self.pod_read_load)
-            cache_reads = dict(self.pod_cache_reads)
         with self._ledger_lock:
             stale_by_pod: dict[str, int] = {}
             for (name, _pl), seats in self._incomplete.items():
@@ -1510,10 +1467,7 @@ class ClusterCoordinator:
                 ("live_seats", live),
                 ("dead_seats", len(pod.slots) - live),
                 ("hosted_lists", shards.get(pod.name, 0)),
-                (
-                    "read_load",
-                    load.get(pod.name, 0) + cache_reads.get(pod.name, 0),
-                ),
+                ("read_load", load.get(pod.name, 0)),
                 ("read_latency_ewma_seconds", latency.get(pod.name) or 0.0),
                 ("stale_lists", stale_by_pod.get(pod.name, 0)),
             ):

@@ -24,10 +24,11 @@ from __future__ import annotations
 import socket
 import threading
 import time
+from collections import Counter
 
 import pytest
 
-from helpers import make_cluster, make_documents
+from helpers import make_cluster, make_documents, make_single_fleet
 from repro.corpus.document import Document
 from repro.errors import (
     AccessDeniedError,
@@ -214,6 +215,21 @@ class TestCallMany:
         )
 
 
+@pytest.fixture()
+def writes(monkeypatch) -> list[int]:
+    """The byte length of every ``_send_frame`` a socket client makes:
+    one entry per write."""
+    sizes: list[int] = []
+    send_frame = AsyncSocketTransport._send_frame
+
+    def counting(self, sock, wstate, frame):
+        sizes.append(len(frame))
+        return send_frame(self, sock, wstate, frame)
+
+    monkeypatch.setattr(AsyncSocketTransport, "_send_frame", counting)
+    return sizes
+
+
 def _frames(cluster) -> float:
     """The server's frame counter, from a fresh metrics dump."""
     view = SampleView(cluster.metrics.samples())
@@ -223,18 +239,10 @@ def _frames(cluster) -> float:
 
 
 class TestPipelinedFetchRound:
-    def test_a_fetch_round_is_one_write(self, monkeypatch):
+    def test_a_fetch_round_is_one_write(self, writes):
         """A healthy uncached query over two pods sends every seat
         lookup of its fetch round in one write, and the server counts
         exactly the lookup messages the diagnostics report."""
-        writes: list[int] = []
-        send_frame = AsyncSocketTransport._send_frame
-
-        def counting(self, sock, wstate, frame):
-            writes.append(len(frame))
-            return send_frame(self, sock, wstate, frame)
-
-        monkeypatch.setattr(AsyncSocketTransport, "_send_frame", counting)
         documents = make_documents()
         vocabulary = sorted({t for d in documents for t in d.term_counts})
         with make_cluster(documents, transport="async-socket") as cluster:
@@ -253,18 +261,10 @@ class TestPipelinedFetchRound:
             # The claim is about rounds that span pods.
             assert two_pod_rounds >= 2
 
-    def test_a_hedged_fetch_round_is_at_most_two_writes(self, monkeypatch):
+    def test_a_hedged_fetch_round_is_at_most_two_writes(self, writes):
         """With hedging on (R=2, zero delay: every backup leaves), a
         healthy query sends its primaries in one write and all their
         backups in one more."""
-        writes: list[int] = []
-        send_frame = AsyncSocketTransport._send_frame
-
-        def counting(self, sock, wstate, frame):
-            writes.append(len(frame))
-            return send_frame(self, sock, wstate, frame)
-
-        monkeypatch.setattr(AsyncSocketTransport, "_send_frame", counting)
         documents = make_documents()
         vocabulary = sorted({t for d in documents for t in d.term_counts})
         with make_cluster(
@@ -315,6 +315,83 @@ class TestPipelinedFetchRound:
                 assert failovers > 0
         assert counts["in-process"] == counts["async-socket"]
 
+    def test_failover_replacements_leave_in_one_more_write(self, writes):
+        """A first-choice seat dead in each of two pods: the round's
+        first write asks both, and both replacements leave together in
+        a second write (asking them one at a time would be three)."""
+        documents = make_documents()
+        vocabulary = sorted({t for d in documents for t in d.term_counts})
+        with make_cluster(documents, transport="async-socket") as cluster:
+            cluster.kill_server(0, 0)
+            cluster.kill_server(1, 0)
+            searcher = cluster.searcher("owner0", use_cache=False)
+            two_pod_rounds = 0
+            for start in range(0, len(vocabulary), 4):
+                writes.clear()
+                searcher.search(
+                    vocabulary[start : start + 4], fetch_snippets=False
+                )
+                diag = searcher.last_cluster_diagnostics
+                if diag.pods_contacted < 2:
+                    continue
+                two_pod_rounds += 1
+                assert len(writes) == 2
+                assert (diag.failovers, diag.lookup_messages) == (2, 6)
+            assert two_pod_rounds >= 2
+
+    def test_fetch_postings_never_calls_one_seat_at_a_time(self):
+        """Failover replacements, escalations and hedged lookups all
+        leave through ``call_many``: ``Transport.call`` is never used by
+        a query, and every query still equals the single fleet."""
+        documents = make_documents()
+        vocabulary = sorted({t for d in documents for t in d.term_counts})
+        queries = [
+            vocabulary[start : start + 4]
+            for start in range(0, len(vocabulary), 4)
+        ]
+        single = make_single_fleet(documents, k=2, n=4)
+        oracle = single.searcher("owner0")
+
+        def run(cluster, escalate=False, **searcher_kwargs):
+            called = []
+
+            def call(*args, **kwargs):
+                called.append(args)
+                return type(cluster.transport).call(
+                    cluster.transport, *args, **kwargs
+                )
+
+            cluster.transport.call = call
+            searcher = cluster.searcher(
+                "owner0", use_cache=False, **searcher_kwargs
+            )
+            totals = Counter()
+            for terms in queries:
+                if escalate:
+                    for term in terms:
+                        pl_id = cluster.mapping_table.lookup(term)
+                        pod = cluster.coordinator.pods_of(pl_id)[0]
+                        pod.slots[0].server.drop_posting_list(pl_id)
+                assert searcher.search(
+                    terms, fetch_snippets=False
+                ) == oracle.search(terms, fetch_snippets=False)
+                totals.update(vars(searcher.last_cluster_diagnostics))
+            assert called == []
+            return totals
+
+        with make_cluster(documents, transport="async-socket") as cluster:
+            for pod in cluster.pods:
+                cluster.kill_server(pod.index, 0)
+            assert run(cluster)["failovers"] > 0
+        with make_cluster(documents, transport="async-socket") as cluster:
+            assert run(cluster, escalate=True)["escalations"] > 0
+        with make_cluster(
+            documents, replication_factor=2, transport="async-socket"
+        ) as cluster:
+            cluster.kill_server(0, 0)
+            totals = run(cluster, hedge_reads=True, hedge_delay_s=0.0)
+            assert totals["hedged_fetches"] > 0
+
 
 class TestPipelinedWriteRound:
     """An owner's write round is one write too: a flushed insert batch,
@@ -322,15 +399,7 @@ class TestPipelinedWriteRound:
     and the server counts exactly one frame per seat."""
 
     @pytest.fixture()
-    def counted(self, monkeypatch):
-        writes: list[int] = []
-        send_frame = AsyncSocketTransport._send_frame
-
-        def counting(self, sock, wstate, frame):
-            writes.append(len(frame))
-            return send_frame(self, sock, wstate, frame)
-
-        monkeypatch.setattr(AsyncSocketTransport, "_send_frame", counting)
+    def counted(self, writes):
         documents = make_documents()
         with make_cluster(documents, transport="async-socket") as cluster:
             yield cluster, writes
@@ -379,7 +448,7 @@ class TestPipelinedWriteRound:
 
 
 @pytest.fixture()
-def twin_seats(world, monkeypatch):
+def twin_seats(world, writes):
     """Two seats holding the same rows behind one server, a stall seam
     on the server, and a counter of the client's writes."""
     auth, groups, token, _server = world
@@ -390,14 +459,6 @@ def twin_seats(world, monkeypatch):
                            groups=groups)
         seat.insert_batch(token, *columns)
         registry.register(name, IndexServerService.for_server(seat))
-    writes: list[int] = []
-    send_frame = AsyncSocketTransport._send_frame
-
-    def counting(self, sock, wstate, frame):
-        writes.append(len(frame))
-        return send_frame(self, sock, wstate, frame)
-
-    monkeypatch.setattr(AsyncSocketTransport, "_send_frame", counting)
     with AsyncSocketServer(registry) as srv:
         with AsyncSocketTransport(srv.address) as transport:
             transport.endpoints()  # connect before counting writes

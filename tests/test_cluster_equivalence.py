@@ -162,22 +162,24 @@ def test_cluster_equals_single_fleet_pod_killed_mid_run(seed):
 
 @pytest.mark.parametrize("seed", SEEDS[::4])
 def test_cached_and_naive_paths_agree(seed):
-    """Cache hits and per-term naive fan-out return the same bytes too."""
+    """An L1 fill, an L1 hit and an uncached fetch return the same bytes
+    as the single fleet."""
     world = make_world(seed)
     single, cluster = build_twins(world, seed)
     for terms in world[3]:
         expected = single.searcher("the-user").search(
             terms, top_k=5, fetch_snippets=False
         )
-        cached = cluster.searcher("the-user")
+        cached = cluster.searcher("the-user", l1_entries=world[4])
         first = cached.search(terms, top_k=5, fetch_snippets=False)
         second = cached.search(terms, top_k=5, fetch_snippets=False)
-        naive = cluster.searcher(
-            "the-user", use_cache=False, batch_lookups=False
-        ).search(terms, top_k=5, fetch_snippets=False)
+        assert cached.last_cluster_diagnostics.lookup_messages == 0
+        uncached = cluster.searcher("the-user", use_cache=False).search(
+            terms, top_k=5, fetch_snippets=False
+        )
         assert first == expected
         assert second == expected
-        assert naive == expected
+        assert uncached == expected
 
 
 @settings(

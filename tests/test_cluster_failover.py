@@ -2,8 +2,8 @@
 
 Covers the operational properties the equivalence suite assumes: a pod
 answers with any k live servers, degrades loudly below k, counts the
-writes its dead seats miss, recovers via restart, and actually sends
-fewer lookup messages when batching than the naive per-term fan-out.
+writes its dead seats miss, recovers via restart, and sends one lookup
+message per contacted seat, however many lists the query needs there.
 With ``replication_factor >= 2`` the same drills extend to whole pods:
 kill-pod/restart-pod lifecycle, per-replica dropped-write accounting,
 replica read failover, and owner-side re-provisioning of the writes a
@@ -689,8 +689,9 @@ class TestSeatFailingMidRound:
 
 class TestBatchedLookups:
     def test_batching_reduces_lookup_messages(self):
-        """Acceptance: batched lookups beat per-term fan-out, counted
-        by the seats' own query logs."""
+        """Acceptance: a query that needs several lists of one pod sends
+        one lookup message to each of k seats, carrying every list —
+        counted by the seats' own query logs."""
         documents = make_documents(num_docs=16, vocab_size=30)
         cluster = make_cluster(
             documents, num_pods=1, k=2, n=3, num_lists=16
@@ -701,26 +702,18 @@ class TestBatchedLookups:
         )[:6]
         before = lookups_logged(cluster)
         batched = cluster.searcher("owner0", use_cache=False)
-        batched_results = batched.search(terms, top_k=5,
-                                         fetch_snippets=False)
-        batched_messages = lookups_logged(cluster) - before
-        before = lookups_logged(cluster)
-        naive = cluster.searcher(
-            "owner0", use_cache=False, batch_lookups=False
-        )
-        naive_results = naive.search(terms, top_k=5, fetch_snippets=False)
-        naive_messages = lookups_logged(cluster) - before
-        assert batched_results == naive_results
-        assert batched.last_diagnostics.posting_lists_requested > 1
-        assert batched_messages < naive_messages
-        # Exactly one message per contacted server for the batched path.
-        assert batched_messages == 2  # k = 2 servers, one pod
-        assert naive_messages == (
-            2 * batched.last_diagnostics.posting_lists_requested
-        )
+        batched.search(terms, top_k=5, fetch_snippets=False)
+        requested = batched.last_diagnostics.posting_lists_requested
+        assert requested > 1
+        assert lookups_logged(cluster) - before == 2  # k = 2 seats
         assert batched.last_cluster_diagnostics.lookup_messages == 2
-        assert naive.last_cluster_diagnostics.lookup_messages == (
-            naive_messages
+        logs = [
+            slot.server.compromise().query_log
+            for slot in cluster.pods[0].slots
+        ]
+        assert sorted(len(log) for log in logs) == [0, 1, 1]
+        assert all(
+            len(pl_ids) == requested for log in logs for _u, pl_ids in log
         )
 
     def test_cache_hits_send_zero_messages(self):

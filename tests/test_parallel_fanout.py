@@ -1,14 +1,14 @@
 """Pipelined fetch rounds and latency-aware replica choice.
 
-A fetch round puts every pod's first-choice seat lookups on the wire
-together (``Transport.call_many``), so its lookups run in parallel;
-``batch_lookups=False`` is the sequential per-list path that sends one
-message per list, one at a time. The two must answer byte-identically,
-with the same diagnostics counts (bar the message count the per-list
-path multiplies by design), the same response bytes, and the same lists
-asked of every seat, as each seat's own query log records them. The EWMA replica ranking must prefer measurably faster pods,
-fall back to load counters on ties, charge cache hits to the pod whose
-fetch produced the entry, and time each pod of a round on its own.
+A fetch round asks its seats in waves, each wave one
+``Transport.call_many``: over async-socket a wave is one write, so its
+lookups run in parallel; in process ``call_many`` runs one call at a
+time. The two must answer byte-identically, with the same diagnostics
+counts, the same response bytes, and the same lists asked of every
+seat, as each seat's own query log records them. The EWMA replica
+ranking must prefer measurably faster pods, fall back to load counters
+on ties, count only lookups a pod served (never an L1 hit), and time
+each pod of a round on its own.
 """
 
 from __future__ import annotations
@@ -21,13 +21,16 @@ from repro.cluster import ClusterDeployment
 from repro.cluster.coordinator import READ_LATENCY_BUCKET_S
 from repro.core.mapping_table import MappingTable
 from repro.corpus.document import Document
+from repro.observability.metrics import SampleView
 from repro.resilience.faults import FaultPlan
 
 
 NUM_LISTS = 24
 
 
-def _cluster(num_pods=3, replication_factor=2, seed=47):
+def _cluster(
+    num_pods=3, replication_factor=2, seed=47, transport="in-process"
+):
     rng = random.Random(seed)
     vocab = [f"w{i}" for i in range(60)]
     cluster = ClusterDeployment(
@@ -38,6 +41,7 @@ def _cluster(num_pods=3, replication_factor=2, seed=47):
         batch_policy=BatchPolicy(min_documents=1),
         replication_factor=replication_factor,
         seed=seed,
+        transport=transport,
     )
     cluster.create_group(0, coordinator="owner0")
     for doc_id in range(25):
@@ -62,11 +66,12 @@ def _cluster(num_pods=3, replication_factor=2, seed=47):
 
 
 def _shared_counts(searcher):
-    """Diagnostics both paths must agree on: all but the message count,
-    which the per-list path multiplies by design."""
+    """Diagnostics both transports must agree on: all but the hedge
+    counts, which only a pipelining transport can move."""
     d = searcher.last_cluster_diagnostics
     return {
         "pods_contacted": d.pods_contacted,
+        "lookup_messages": d.lookup_messages,
         "l1_hits": d.l1_hits,
         "failovers": d.failovers,
         "escalations": d.escalations,
@@ -76,14 +81,11 @@ def _shared_counts(searcher):
 
 def _lists_asked(cluster):
     """Per seat, every list its lookups asked for, from the seat's own
-    query log — sorted, so one message per list and one per seat
-    compare equal when they carried the same lists."""
+    query log, in the order they were asked."""
     return {
-        slot.server_id: sorted(
-            pl_id
-            for _user, pl_ids in slot.server.compromise().query_log
-            for pl_id in pl_ids
-        )
+        slot.server_id: [
+            pl_ids for _user, pl_ids in slot.server.compromise().query_log
+        ]
         for pod in cluster.pods
         for slot in pod.slots
     }
@@ -91,65 +93,95 @@ def _lists_asked(cluster):
 
 class TestParallelFanoutEquivalence:
     def test_parallel_matches_sequential_byte_for_byte(self):
-        """Same answers, same counts, same response bytes on the wire —
-        pipelining changes when lookups leave, never what they carry.
-        R=1 pins every list to one pod so replica choice cannot diverge
-        between the runs, and one message goes to each of the k
-        first-choice seats of every contacted pod."""
-        pipelined_cluster, queries = _cluster(replication_factor=1)
-        per_list_cluster, _ = _cluster(replication_factor=1)
-        pipelined = pipelined_cluster.searcher("owner0", use_cache=False)
-        per_list = per_list_cluster.searcher(
-            "owner0", use_cache=False, batch_lookups=False
+        """Same answers, same counts, same response bytes and the same
+        lists asked of every seat over async-socket (one write a wave)
+        as in process (one call at a time) — pipelining changes when
+        lookups leave, never what they carry. R=1 pins every list to
+        one pod so replica choice cannot diverge between the runs; the
+        second pass, with a seat dead in every pod, adds a failover
+        wave."""
+        sequential_cluster, queries = _cluster(replication_factor=1)
+        pipelined_cluster, _ = _cluster(
+            replication_factor=1, transport="async-socket"
         )
-        saw_multi_pod_round = False
-        for terms in queries:
-            assert pipelined.search(
-                terms, top_k=10, fetch_snippets=False
-            ) == per_list.search(terms, top_k=10, fetch_snippets=False)
-            assert _shared_counts(pipelined) == _shared_counts(per_list)
-            assert (
-                pipelined.last_diagnostics.response_bytes
-                == per_list.last_diagnostics.response_bytes
+        with pipelined_cluster:
+            pipelined = pipelined_cluster.searcher("owner0", use_cache=False)
+            sequential = sequential_cluster.searcher(
+                "owner0", use_cache=False
             )
-            diag = pipelined.last_cluster_diagnostics
-            assert diag.lookup_messages == 2 * diag.pods_contacted
-            saw_multi_pod_round |= diag.pods_contacted > 1
-        # The test only proves something if multi-pod rounds happened.
-        assert saw_multi_pod_round
-        assert _lists_asked(pipelined_cluster) == _lists_asked(
-            per_list_cluster
-        )
+            saw_multi_pod_round = False
+            for dead_seats in (False, True):
+                if dead_seats:
+                    for cluster in (pipelined_cluster, sequential_cluster):
+                        for pod in cluster.pods:
+                            cluster.kill_server(pod.index, 0)
+                for terms in queries:
+                    assert pipelined.search(
+                        terms, top_k=10, fetch_snippets=False
+                    ) == sequential.search(
+                        terms, top_k=10, fetch_snippets=False
+                    )
+                    assert _shared_counts(pipelined) == _shared_counts(
+                        sequential
+                    )
+                    assert (
+                        pipelined.last_diagnostics.response_bytes
+                        == sequential.last_diagnostics.response_bytes
+                    )
+                    diag = pipelined.last_cluster_diagnostics
+                    assert diag.lookup_messages == (
+                        2 * diag.pods_contacted + diag.failovers
+                    )
+                    assert (diag.failovers > 0) == (
+                        dead_seats and diag.pods_contacted > 0
+                    )
+                    saw_multi_pod_round |= diag.pods_contacted > 1
+            # The test only proves something if multi-pod rounds happened.
+            assert saw_multi_pod_round
+            assert _lists_asked(pipelined_cluster) == _lists_asked(
+                sequential_cluster
+            )
 
     def test_parallel_replicated_with_pod_dead_stays_identical(self):
-        """R=2 with a whole pod dead: the pipelined ladder still answers
-        byte-identically to a healthy per-list cluster."""
+        """R=2 with a whole pod dead: the pipelined ladder over
+        async-socket still answers byte-identically to a healthy
+        in-process cluster."""
         healthy_cluster, queries = _cluster(replication_factor=2)
-        degraded_cluster, _ = _cluster(replication_factor=2)
-        degraded_cluster.kill_pod(0)
-        healthy = healthy_cluster.searcher(
-            "owner0", use_cache=False, batch_lookups=False
+        degraded_cluster, _ = _cluster(
+            replication_factor=2, transport="async-socket"
         )
-        degraded = degraded_cluster.searcher("owner0", use_cache=False)
-        for terms in queries:
-            assert degraded.search(
-                terms, top_k=10, fetch_snippets=False
-            ) == healthy.search(terms, top_k=10, fetch_snippets=False)
+        with degraded_cluster:
+            degraded_cluster.kill_pod(0)
+            healthy = healthy_cluster.searcher("owner0", use_cache=False)
+            degraded = degraded_cluster.searcher("owner0", use_cache=False)
+            for terms in queries:
+                assert degraded.search(
+                    terms, top_k=10, fetch_snippets=False
+                ) == healthy.search(terms, top_k=10, fetch_snippets=False)
 
     def test_parallel_cache_hits_match_sequential(self):
-        pipelined_cluster, queries = _cluster(replication_factor=1)
-        per_list_cluster, _ = _cluster(replication_factor=1)
-        pipelined = pipelined_cluster.searcher("owner0", l1_entries=NUM_LISTS)
-        per_list = per_list_cluster.searcher(
-            "owner0", batch_lookups=False, l1_entries=NUM_LISTS
+        sequential_cluster, queries = _cluster(replication_factor=1)
+        pipelined_cluster, _ = _cluster(
+            replication_factor=1, transport="async-socket"
         )
-        for _warm in range(2):
-            for terms in queries:
-                assert pipelined.search(
-                    terms, top_k=10, fetch_snippets=False
-                ) == per_list.search(terms, top_k=10, fetch_snippets=False)
-                assert _shared_counts(pipelined) == _shared_counts(per_list)
-        assert pipelined.last_cluster_diagnostics.l1_hits > 0
+        with pipelined_cluster:
+            pipelined = pipelined_cluster.searcher(
+                "owner0", l1_entries=NUM_LISTS
+            )
+            sequential = sequential_cluster.searcher(
+                "owner0", l1_entries=NUM_LISTS
+            )
+            for _warm in range(2):
+                for terms in queries:
+                    assert pipelined.search(
+                        terms, top_k=10, fetch_snippets=False
+                    ) == sequential.search(
+                        terms, top_k=10, fetch_snippets=False
+                    )
+                    assert _shared_counts(pipelined) == _shared_counts(
+                        sequential
+                    )
+            assert pipelined.last_cluster_diagnostics.l1_hits > 0
 
 
 class TestLatencyAwareReplicaChoice:
@@ -186,29 +218,28 @@ class TestLatencyAwareReplicaChoice:
         )
         assert coordinator.read_replicas(pl_id)[0] is first
 
-    def test_cache_hits_charge_the_origin_pod(self):
-        cluster, _queries = _cluster(replication_factor=2)
-        coordinator = cluster.coordinator
-        pl_id = 5
-        first, second = coordinator.pods_of(pl_id)
-        coordinator.note_pod_read(first.name, 1, pl_ids=[pl_id])
-        coordinator.note_pod_read(second.name, 1)
-        # Tied on load (1 each) and latency (none): ring order wins.
-        assert coordinator.read_replicas(pl_id)[0] is first
-        # L1 / L2 hits served from first's fetch count as its traffic.
-        for _ in range(3):
-            coordinator.note_cache_read(pl_id)
-        assert coordinator.pod_cache_reads[first.name] == 3
-        assert coordinator.read_replicas(pl_id)[0] is second
-
-    def test_end_to_end_cache_hits_feed_accounting(self):
+    def test_l1_hits_charge_no_pod(self):
+        """A pass the L1 answers whole sends no lookup, so no pod's
+        read load moves: the load counts only lookups a pod served."""
         cluster, queries = _cluster(replication_factor=2)
         searcher = cluster.searcher("owner0", l1_entries=NUM_LISTS)
-        for _warm in range(2):
-            for terms in queries:
-                searcher.search(terms, top_k=10, fetch_snippets=False)
-        assert searcher.last_cluster_diagnostics.l1_hits > 0
-        assert sum(cluster.coordinator.pod_cache_reads.values()) > 0
+        for terms in queries:
+            searcher.search(terms, top_k=10, fetch_snippets=False)
+
+        def read_load():
+            view = SampleView(cluster.metrics.samples())
+            return view.by_label("zerber_pod_read_load", "pod")
+
+        before = read_load()
+        assert sum(before.values()) > 0
+        l1_hits = 0
+        for terms in queries:
+            searcher.search(terms, top_k=10, fetch_snippets=False)
+            diag = searcher.last_cluster_diagnostics
+            assert diag.lookup_messages == 0
+            l1_hits += diag.l1_hits
+        assert l1_hits > 0
+        assert read_load() == before
 
     def test_a_stalled_pod_is_charged_its_own_stall(self):
         """R=2 over async-socket, every answer of pod0's seats held back
