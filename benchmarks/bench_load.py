@@ -53,8 +53,9 @@ OVERLOAD_RATE_QPS = 2400.0
 #: Slow-pod scenario (PR 8): one replica pod stalls on a seeded
 #: schedule; hedged reads must keep tail latency bounded. The gate is
 #: hedged p99 <= GATE_HEDGE_P99_RATIO x unhedged p99. The stall is
-#: server-side (the socket server's fault seam), so both runs fetch in
-#: pipelined rounds and a stalled seat holds up only its own answer.
+#: server-side (``cluster.registry.fault_plan``, acted out by the
+#: socket server), so both runs fetch in pipelined rounds and a stalled
+#: seat holds up only its own answer.
 SLOW_POD_QUERIES = 120
 SLOW_POD_STALL_RATE = 0.35
 SLOW_POD_STALL_S = 0.12
@@ -216,9 +217,10 @@ def _build_replicated(corpus):
 def _slow_pod_run(cluster, queries, hedge_reads, seed):
     """Sequential latency sweep against a cluster whose pod0 stalls.
 
-    The stall holds back pod0's answers on the server loop
-    (``AsyncSocketServer._fault_plan``); a client-side stall would make
-    every round sequential, and a hedge could never leave. Routing is
+    The stall holds back pod0's answers on the server loop: the plan is
+    set on the one fault seam, ``cluster.registry.fault_plan``, which
+    the socket server acts out before it answers, so the rounds stay
+    pipelined and a hedge can leave. Routing is
     pinned (stalled pod primary for every list) so the EWMA
     ranker cannot rescue the unhedged run by routing around the stall —
     the comparison isolates exactly what hedging buys.
@@ -235,7 +237,7 @@ def _slow_pod_run(cluster, queries, hedge_reads, seed):
         stall_s=SLOW_POD_STALL_S,
         endpoints=stalled,
     )
-    cluster.socket_server._fault_plan = plan
+    cluster.registry.fault_plan = plan
     searcher = cluster.searcher(
         "owner0",
         use_cache=False,
@@ -259,7 +261,7 @@ def _slow_pod_run(cluster, queries, hedge_reads, seed):
             wins += diag.hedge_wins
     finally:
         coordinator.read_replicas = original
-        cluster.socket_server._fault_plan = None
+        cluster.registry.fault_plan = None
     ordered = sorted(latencies)
     return (
         _percentile(ordered, 0.50) * 1e3,

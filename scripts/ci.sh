@@ -43,9 +43,10 @@
 #   pass and the slow-marked wide pass: random interleavings of
 #   writes, deletes, kills, restarts, and sweeps must always quiesce
 #   to an empty ledger and a byte-identical index;
-# - the slow-pod bench stalls one replica pod server-side (the socket
-#   server's _fault_plan seam, so both runs fetch in pipelined rounds
-#   and hedges ride them) and gates hedged-read p99 at <= 0.5x the
+# - the slow-pod bench stalls one replica pod server-side (the public
+#   fault seam, cluster.registry.fault_plan, which the socket server
+#   acts out, so both runs fetch in pipelined rounds and hedges ride
+#   them) and gates hedged-read p99 at <= 0.5x the
 #   unhedged p99, recording hedge/breaker/shed counters into
 #   BENCH_load.json (ratio gate);
 # - the cache bench records BENCH_cache.json and gates Zipf-workload

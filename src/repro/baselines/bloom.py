@@ -29,7 +29,6 @@ class BloomFilter:
         self.num_bits = num_bits
         self.num_hashes = num_hashes
         self._bits = bytearray((num_bits + 7) // 8)
-        self._count = 0
 
     # -- construction helpers ---------------------------------------------------
 
@@ -66,7 +65,6 @@ class BloomFilter:
     def add(self, item: str) -> None:
         for pos in self._positions(item):
             self._bits[pos // 8] |= 1 << (pos % 8)
-        self._count += 1
 
     def add_all(self, items: Iterable[str]) -> None:
         for item in items:
@@ -80,10 +78,6 @@ class BloomFilter:
     # -- statistics --------------------------------------------------------------------
 
     @property
-    def items_added(self) -> int:
-        return self._count
-
-    @property
     def fill_ratio(self) -> float:
         """Fraction of set bits."""
         set_bits = sum(bin(b).count("1") for b in self._bits)
@@ -92,6 +86,3 @@ class BloomFilter:
     def estimated_fp_rate(self) -> float:
         """Current false-positive probability, ``fill_ratio ** h``."""
         return self.fill_ratio ** self.num_hashes
-
-    def size_bytes(self) -> int:
-        return len(self._bits)

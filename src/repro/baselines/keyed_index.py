@@ -142,10 +142,6 @@ class KeyedInvertedIndex:
         #: cumulative elements re-encrypted across all revocations.
         self.reencrypted_elements = 0
 
-    @property
-    def num_entries(self) -> int:
-        return len(self._entries)
-
     def _handle(self, term: str, key: bytes) -> bytes:
         return _derive(key, f"term:{term}")[:16]
 

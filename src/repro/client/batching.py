@@ -85,10 +85,6 @@ class UpdateBatcher(Generic[T]):
     def pending_documents(self) -> int:
         return len(self._pending)
 
-    @property
-    def pending_elements(self) -> int:
-        return self._pending_elements
-
     # -- operations -----------------------------------------------------------
 
     def enqueue_document(self, operations: Sequence[T]) -> bool:

@@ -62,10 +62,6 @@ class IndexServerError(ReproError):
     """An index server rejected a structurally invalid request."""
 
 
-class UnknownPostingListError(IndexServerError):
-    """A lookup referenced a posting-list ID the server has never seen."""
-
-
 class StorageError(ReproError):
     """A seat's durable store is corrupt, inconsistent, or misused
     (interior segment corruption, bad manifest, a closed store, or a

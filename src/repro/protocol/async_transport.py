@@ -78,6 +78,7 @@ from repro.protocol.transport import (
 )
 from repro.resilience.admission import AdmissionController
 from repro.resilience.deadline import current_deadline
+from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy
 
 #: Coalesce at most this many buffered response bytes into one write()
@@ -137,6 +138,16 @@ def _parse_frames(buffer: bytearray) -> list[tuple[int, bytes]]:
     return frames
 
 
+def _draw(plan: FaultPlan, payload: bytes) -> str | None:
+    """The fault ``plan`` draws for one request frame (None: clean; an
+    unparseable envelope is left to the dispatch leg to answer)."""
+    try:
+        dst = _unpack_envelope(payload)[0]
+    except ProtocolError:
+        return None
+    return plan.draw() if plan.targets(dst) else None
+
+
 class _LoopThread:
     """An event loop on a daemon thread, shared by both halves."""
 
@@ -194,7 +205,9 @@ class AsyncSocketServer:
     One event loop accepts every connection. Each read chunk's complete
     frames are answered back to back, inline on the loop (pure CPU
     under the GIL; see the module docstring), and their responses join
-    the connection's bounded write queue as one item.
+    the connection's bounded write queue as one item. A frame for an
+    endpoint the registry's ``fault_plan`` targets meets its fault here
+    first (:mod:`repro.resilience.faults`).
 
     Args:
         registry: the endpoint registry to serve.
@@ -230,11 +243,6 @@ class AsyncSocketServer:
         self.drain_aborted = False
         self._connections: set[_ServerConnection] = set()
         self._closed = False
-        #: Test seam, in the style of ``SegmentedStore._crash_hook``: a
-        #: :class:`~repro.resilience.faults.FaultPlan` whose ``latency``
-        #: and ``stall`` draws hold a targeted endpoint's answer back on
-        #: the loop while other frames answer on time. None: no faults.
-        self._fault_plan: "FaultPlan | None" = None
         self._loop_thread = _LoopThread("zerber-async-server-loop")
         try:
             self._server: asyncio.Server = self._loop_thread.call(
@@ -309,37 +317,41 @@ class AsyncSocketServer:
             # Answer every complete frame of this chunk back to back,
             # then enqueue the coalesced responses as one item.
             out = bytearray()
+            plan = self._registry.fault_plan
             for corr_id, payload in frames:
-                frame = frame_bytes(
-                    handle_request_payload(
-                        self._registry,
-                        payload,
-                        received_at=received_at,
-                        admission=self.admission,
-                        metrics=self.metrics,
-                    ),
-                    corr_id,
-                )
-                delay_s = self._fault_delay(payload)
-                if delay_s:
+                if plan is None or (fault := _draw(plan, payload)) is None:
+                    out += self._answer(corr_id, payload, received_at)
+                elif fault == "reset":
+                    # Before dispatch: every call in flight here fails.
+                    conn.writer.transport.abort()
+                    return
+                elif fault == "duplicate":
+                    # The second copy finds no caller waiting on its
+                    # correlation id; the client drops it.
+                    out += self._answer(corr_id, payload, received_at) * 2
+                elif fault != "drop":  # a drop is never answered
                     asyncio.get_running_loop().call_later(
-                        delay_s, conn.queue.put_nowait, frame
+                        plan.hold_s(fault),
+                        conn.queue.put_nowait,
+                        self._answer(corr_id, payload, received_at),
                     )
-                else:
-                    out += frame
             if out:
                 await conn.queue.put(bytes(out))
 
-    def _fault_delay(self, payload: bytes) -> float:
-        """Seconds the fault seam holds this frame's answer (0: none)."""
-        plan = self._fault_plan
-        try:
-            if plan is None or not plan.targets(_unpack_envelope(payload)[0]):
-                return 0.0
-        except ProtocolError:
-            return 0.0
-        delays = {"latency": plan.latency_s, "stall": plan.stall_s}
-        return delays.get(plan.draw(), 0.0)
+    def _answer(
+        self, corr_id: int, payload: bytes, received_at: float
+    ) -> bytes:
+        """One request frame dispatched and its answer framed."""
+        return frame_bytes(
+            handle_request_payload(
+                self._registry,
+                payload,
+                received_at=received_at,
+                admission=self.admission,
+                metrics=self.metrics,
+            ),
+            corr_id,
+        )
 
     async def _write_loop(self, conn: _ServerConnection) -> None:
         """Drain the bounded queue of pre-framed response bytes."""

@@ -62,8 +62,8 @@ from repro.protocol.messages import (
     ShipSnapshotRequest,
 )
 from repro.protocol.service import error_response
-# Submodule import (not the repro.observability package __init__) for
-# the same cycle-avoidance reason as the resilience imports below.
+# Submodule import (not the repro.observability package __init__): the
+# package pulls in its metrics service, which imports this package back.
 from repro.observability.tracing import (
     TraceContext,
     current_trace,
@@ -71,10 +71,9 @@ from repro.observability.tracing import (
     span,
     trace_scope,
 )
-# Submodule imports on purpose: the repro.resilience *package* pulls in
-# the chaos harness, which imports this module back.
 from repro.resilience.admission import AdmissionController
 from repro.resilience.deadline import Deadline, check_deadline
+from repro.resilience.faults import FaultPlan
 
 #: A frame longer than this is garbage (or hostile), not a message.
 MAX_FRAME_BYTES = 1 << 26  # 64 MiB
@@ -206,6 +205,12 @@ class Transport:
 class InProcessTransport(Transport):
     """Endpoint registry dispatching to services in this process.
 
+    The registry is also the one fault seam: every request that reaches
+    a registered endpoint passes it, whichever transport carried it.
+    Set :attr:`fault_plan` (``cluster.registry.fault_plan = plan``) and
+    :meth:`call` acts the plan out in process, the socket server's read
+    loop over the wire (see :mod:`repro.resilience.faults`).
+
     Args:
         resolver: optional fallback ``name -> service | None``. Lets a
             standalone client resolve a fleet that grows after the
@@ -217,6 +222,9 @@ class InProcessTransport(Transport):
     ) -> None:
         self._services: dict[str, Any] = {}
         self._resolver = resolver
+        #: The seeded chaos schedule requests to this registry's
+        #: endpoints meet (None: no faults, one ``is None`` check).
+        self.fault_plan: FaultPlan | None = None
 
     # -- registry -------------------------------------------------------------
 
@@ -253,6 +261,20 @@ class InProcessTransport(Transport):
     # -- dispatch ------------------------------------------------------------
 
     def call(self, src: str, dst: str, request: Any) -> Any:
+        plan = self.fault_plan
+        if plan is not None and plan.targets(dst):
+            fault = plan.draw()
+            if fault in ("latency", "stall"):
+                time.sleep(plan.hold_s(fault))
+            elif fault in ("reset", "drop"):
+                lost = "connection reset" if fault == "reset" else "drop"
+                error = TransportError(f"injected {lost} for {dst!r}")
+                # The socket's classification: a lost pure read is safe
+                # to re-send, a lost write may have landed.
+                error.retryable = isinstance(request, _RETRY_SAFE)
+                raise error
+            elif fault == "duplicate" and isinstance(request, _RETRY_SAFE):
+                self._resolve(dst).handle(request)  # the first copy
         # In-process there is no wire to carry a budget: caller and
         # service share the thread, so the ambient deadline *is* the
         # propagated one. Enforce it at the same point the socket

@@ -14,9 +14,10 @@ it raises":
   ranking and the ``zerber_breaker_*`` series;
 - :mod:`~repro.resilience.admission` — bounded server-side dispatch
   with typed retryable :class:`~repro.errors.OverloadedError` shedding;
-- :mod:`~repro.resilience.faults` — the seeded :class:`FaultPlan` /
-  :class:`FaultyTransport` chaos harness behind
-  ``tests/test_chaos_drill.py``.
+- :mod:`~repro.resilience.faults` — the seeded :class:`FaultPlan`
+  chaos schedule, acted out where requests reach a seat on both
+  transports (set it as ``cluster.registry.fault_plan``); the drills
+  in ``tests/test_chaos_drill.py`` run on it.
 
 All randomness in this package is seeded: two runs with the same seeds
 make the same retry jitter, the same fault schedule, the same breaker
@@ -32,22 +33,8 @@ from repro.resilience.deadline import (
     deadline_scope,
     remaining_budget_s,
 )
+from repro.resilience.faults import FaultPlan
 from repro.resilience.retry import RetryPolicy, is_retryable
-
-_LAZY = ("FaultPlan", "FaultyTransport")
-
-
-def __getattr__(name: str):
-    # The chaos harness imports the transport layer, and the transport
-    # layer imports this package's deadline/retry submodules — loading
-    # faults lazily keeps that dependency loop open at import time.
-    if name in _LAZY:
-        from repro.resilience import faults
-
-        return getattr(faults, name)
-    raise AttributeError(
-        f"module {__name__!r} has no attribute {name!r}"
-    )
 
 __all__ = [
     "AdmissionController",
@@ -55,7 +42,6 @@ __all__ = [
     "CircuitBreaker",
     "Deadline",
     "FaultPlan",
-    "FaultyTransport",
     "RetryPolicy",
     "check_deadline",
     "current_deadline",

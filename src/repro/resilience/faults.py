@@ -1,48 +1,46 @@
-"""Deterministic chaos: seeded fault schedules over any transport.
+"""Deterministic chaos: a seeded fault schedule acted out at the seat.
 
-:class:`FaultyTransport` wraps any :class:`~repro.protocol.transport
-.Transport` and injects the unpolite failure modes the real network
+A :class:`FaultPlan` draws the unpolite failure modes the real network
 produces — latency spikes, connection resets, dropped frames,
-duplicated frames, slow-seat stalls — on a schedule drawn from a
-seeded :class:`FaultPlan`. Same seed, same schedule: a chaos drill
-that fails replays exactly.
+duplicated frames, slow-seat stalls — on a schedule that is a pure
+function of its seed. Same seed, same schedule: a chaos drill that
+fails replays exactly.
 
-The injection point is the client-side ``call`` boundary, which makes
-the harness transport-agnostic (the same plan runs in-process and
-over the async TCP stack) and keeps fault *semantics* honest:
+There is one place a plan acts: the endpoint registry, where requests
+reach a seat. Set it as ``cluster.registry.fault_plan = plan``
+(:attr:`~repro.protocol.transport.InProcessTransport.fault_plan`);
+``None`` turns faults off. Every request to a registered endpoint
+passes that seam whichever transport carried it, and each transport
+acts the five kinds out in one place:
 
-- a **reset** or **drop** surfaces as the same typed
-  :class:`~repro.errors.TransportError` a real broken socket produces,
-  with the same read-vs-write ``retryable`` classification the
-  transports apply (a lost write response is ambiguous — it may have
-  been applied — so it must fail fast);
-- a **duplicate** re-delivers a *pure read* and returns the second
-  response (byte-identical stores answer byte-identically — that is
-  the invariant the drill checks). Write frames are never duplicated:
-  TCP cannot duplicate a frame inside one stream, and the fail-fast
-  write classification exists precisely because a transport can never
-  know whether an unacknowledged write landed;
-- **latency** and **stall** sleep before forwarding, which exercises
-  deadline enforcement but not hedged reads: a wrapped transport's
-  ``call_many`` is sequential, so no hedge delay ever passes. Hedging
-  tests hand the plan to the socket server's ``_fault_plan`` seam,
-  which holds back only the targeted seats' answers, on its loop.
+- **in process** (``InProcessTransport.call``): latency and stall
+  sleep before dispatch; a reset or drop raises the same typed
+  :class:`~repro.errors.TransportError` a broken socket produces,
+  ``retryable`` only for a pure read (a lost write may have landed, so
+  it fails fast); a duplicate dispatches a pure read twice;
+- **over the socket** (``AsyncSocketServer``'s read loop): latency and
+  stall hold the answer back on the server loop; a reset aborts the
+  connection before dispatch, failing every call in flight on it (pure
+  reads retry on a fresh connection, writes fail fast); a drop
+  discards the frame undispatched, so the caller's deadline or timeout
+  fires; a duplicate sends the answer frame twice and the client drops
+  the second by correlation id.
+
+So a drill over async-socket runs the pipelined waves and hedges that
+queries take.
 
 For storage-level chaos, :meth:`FaultPlan.storage_crash_hook` reuses
-the PR 5 crash-injection seam (``SegmentedStore._crash_hook``) to
-crash compactions at seeded points.
+the crash-injection seam (``SegmentedStore._crash_hook``) to crash
+compactions at seeded points.
 """
 
 from __future__ import annotations
 
 import threading
-import time
-from typing import Any, Callable, Collection
-
-from repro.errors import ReproError, TransportError
-from repro.protocol.transport import _RETRY_SAFE, Transport
-
 from random import Random
+from typing import Callable, Collection
+
+from repro.errors import ReproError
 
 #: The injectable fault kinds, in draw order.
 FAULT_KINDS = ("latency", "stall", "reset", "drop", "duplicate")
@@ -62,7 +60,9 @@ class FaultPlan:
         stall_rate / stall_s: long slow-seat stalls.
         reset_rate: injected connection resets.
         drop_rate: dropped frames (no response ever arrives).
-        duplicate_rate: duplicated read frames.
+        duplicate_rate: duplicated frames (in process, a pure read is
+            dispatched twice; over the socket, the answer frame is sent
+            twice).
         endpoints: when given, faults only strike calls to these
             destination names (the "one slow pod" shape); other calls
             pass through untouched *without consuming a draw*, so the
@@ -128,6 +128,13 @@ class FaultPlan:
                     return kind
             return None
 
+    def hold_s(self, fault: str | None) -> float:
+        """Seconds a drawn fault holds its request back (0.0 unless it
+        is a latency spike or a stall)."""
+        if fault == "latency":
+            return self.latency_s
+        return self.stall_s if fault == "stall" else 0.0
+
     def total_injected(self) -> int:
         with self._lock:
             return sum(self.injected.values())
@@ -151,56 +158,3 @@ class FaultPlan:
                 raise crash_exception(label)
 
         return hook
-
-
-class FaultyTransport(Transport):
-    """A transport wrapper executing a :class:`FaultPlan`.
-
-    Endpoint listing and registration-ish surfaces pass straight
-    through; only ``call`` draws faults.
-    """
-
-    def __init__(
-        self,
-        inner: Transport,
-        plan: FaultPlan,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self._inner = inner
-        self.plan = plan
-        self._sleep = sleep
-
-    def call(self, src: str, dst: str, request: Any) -> Any:
-        if not self.plan.targets(dst):
-            return self._inner.call(src, dst, request)
-        fault = self.plan.draw()
-        if fault == "latency":
-            self._sleep(self.plan.latency_s)
-        elif fault == "stall":
-            self._sleep(self.plan.stall_s)
-        elif fault in ("reset", "drop"):
-            detail = (
-                "injected connection reset"
-                if fault == "reset"
-                else "injected dropped frame (no response)"
-            )
-            error = TransportError(f"{detail} for {dst!r}")
-            # Same classification the real transports apply: a lost
-            # pure read is safely retryable, a lost write is ambiguous.
-            error.retryable = isinstance(request, _RETRY_SAFE)
-            raise error
-        elif fault == "duplicate" and isinstance(request, _RETRY_SAFE):
-            self._inner.call(src, dst, request)
-            return self._inner.call(src, dst, request)
-        return self._inner.call(src, dst, request)
-
-    def has_endpoint(self, name: str) -> bool:
-        return self._inner.has_endpoint(name)
-
-    def endpoints(self) -> list[str]:
-        return self._inner.endpoints()
-
-    def close(self) -> None:
-        # The wrapped transport usually belongs to a deployment that
-        # closes it itself; closing here too is harmless (idempotent).
-        self._inner.close()

@@ -10,7 +10,7 @@ Five contracts live here:
   call's place, and a cluster query's fetch round, an owner's flush and
   a document's deletes each leave in one write; a hedged batch sends
   its backups in at most one more write and takes each call's first
-  response (stalls come from the server's ``_fault_plan`` seam);
+  response (stalls come from the registry's ``fault_plan`` seam);
 - the server hangs up on what it cannot frame (a frame without a
   correlation id) and on silent clients, without dispatching anything
   and without disturbing its other connections;
@@ -32,6 +32,7 @@ from helpers import make_cluster, make_documents, make_single_fleet
 from repro.corpus.document import Document
 from repro.errors import (
     AccessDeniedError,
+    DeadlineExceededError,
     ProtocolError,
     TransportError,
     UnknownEndpointError,
@@ -53,7 +54,7 @@ from repro.protocol.transport import (
     frame_bytes,
 )
 from repro.observability.metrics import SampleView
-from repro.resilience.faults import FaultPlan
+from repro.resilience import FaultPlan, deadline_scope
 from repro.server.auth import AuthService, AuthToken
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import IndexServer
@@ -449,8 +450,8 @@ class TestPipelinedWriteRound:
 
 @pytest.fixture()
 def twin_seats(world, writes):
-    """Two seats holding the same rows behind one server, a stall seam
-    on the server, and a counter of the client's writes."""
+    """Two seats holding the same rows behind one server, their
+    registry (the fault seam), and a counter of the client's writes."""
     auth, groups, token, _server = world
     registry = InProcessTransport()
     columns = [1, 2], [7, 8], [0, 0], [99, 98]
@@ -463,12 +464,12 @@ def twin_seats(world, writes):
         with AsyncSocketTransport(srv.address) as transport:
             transport.endpoints()  # connect before counting writes
             writes.clear()
-            yield token, srv, transport, writes
+            yield token, registry, srv, transport, writes
 
 
-def _stall(srv, seat, stall_s):
+def _stall(registry, seat, stall_s):
     """Hold back every answer of ``seat`` by ``stall_s`` (server-side)."""
-    srv._fault_plan = FaultPlan(
+    registry.fault_plan = FaultPlan(
         seed=1, stall_rate=1.0, stall_s=stall_s, endpoints=[seat]
     )
 
@@ -485,8 +486,8 @@ class TestHedgedCallMany:
     def test_a_backup_leaves_only_for_calls_unsettled_at_the_delay(
         self, twin_seats
     ):
-        token, srv, transport, writes = twin_seats
-        _stall(srv, "s0", 1.0)
+        token, registry, _srv, transport, writes = twin_seats
+        _stall(registry, "s0", 1.0)
         sent, done = [], []
         results = transport.call_many(
             "alice",
@@ -504,8 +505,8 @@ class TestHedgedCallMany:
         assert len(writes) == 2
 
     def test_the_first_response_wins(self, twin_seats):
-        token, srv, transport, _writes = twin_seats
-        _stall(srv, "s0", 1.0)
+        token, registry, _srv, transport, _writes = twin_seats
+        _stall(registry, "s0", 1.0)
         done = []
         started = time.monotonic()
         (result,) = transport.call_many(
@@ -520,7 +521,7 @@ class TestHedgedCallMany:
         assert result.lists[0].element_ids == [7]
 
     def test_a_settled_batch_sends_no_backup(self, twin_seats):
-        token, _srv, transport, writes = twin_seats
+        token, _, _srv, transport, writes = twin_seats
         sent = []
         results = transport.call_many(
             "alice",
@@ -538,7 +539,7 @@ class TestHedgedCallMany:
     ):
         """Pinned: a zero delay fires before the collect loop takes any
         answer, so every backup leaves however fast the calls answer."""
-        token, _srv, transport, writes = twin_seats
+        token, _, _srv, transport, writes = twin_seats
         for _ in range(20):
             writes.clear()
             sent = []
@@ -553,8 +554,8 @@ class TestHedgedCallMany:
             assert len(writes) == 2
 
     def test_an_error_waits_for_its_backup(self, twin_seats):
-        token, srv, transport, _writes = twin_seats
-        _stall(srv, "s0", 0.05)
+        token, registry, _srv, transport, _writes = twin_seats
+        _stall(registry, "s0", 0.05)
         done = []
         (result,) = transport.call_many(
             "alice",
@@ -567,7 +568,7 @@ class TestHedgedCallMany:
         assert done == [1]
 
     def test_a_slot_fails_typed_only_when_both_legs_fail(self, twin_seats):
-        token, _srv, transport, _writes = twin_seats
+        token, _, _srv, transport, _writes = twin_seats
         (result,) = transport.call_many(
             "alice",
             [("ghost", _fetch(token, 1))],
@@ -577,8 +578,8 @@ class TestHedgedCallMany:
         assert isinstance(result, UnknownEndpointError)
 
     def test_a_late_losers_frame_is_dropped(self, twin_seats):
-        token, srv, transport, _writes = twin_seats
-        _stall(srv, "s0", 0.1)
+        token, registry, srv, transport, _writes = twin_seats
+        _stall(registry, "s0", 0.1)
         (result,) = transport.call_many(
             "alice",
             [("s0", _fetch(token, 1))],
@@ -589,7 +590,7 @@ class TestHedgedCallMany:
         assert transport._pending == {}
         time.sleep(0.2)  # the stalled primary's answer arrives now
         assert transport._pending == {}
-        srv._fault_plan = None
+        registry.fault_plan = None
         assert transport.call("alice", "s1", _fetch(token, 2)).lists
         assert srv.connection_count == 1
 
@@ -600,8 +601,8 @@ class TestServerFaultSeam:
     ):
         """The seam delays only the targeted frame's answer: on one
         connection, in one write, the other seat answers on time."""
-        token, srv, transport, writes = twin_seats
-        _stall(srv, "s0", 0.3)
+        token, registry, srv, transport, writes = twin_seats
+        _stall(registry, "s0", 0.3)
         arrived = {}
         started = time.monotonic()
         results = transport.call_many(
@@ -615,7 +616,51 @@ class TestServerFaultSeam:
         assert arrived[1] < 0.15 < 0.3 <= arrived[0]
         assert len(writes) == 1
         assert srv.connection_count == 1
-        assert srv._fault_plan.injected["stall"] == 1
+        assert registry.fault_plan.injected["stall"] == 1
+
+    def test_a_reset_retries_the_read_and_fails_the_write(self, twin_seats):
+        """A reset aborts the connection before dispatch: both calls in
+        flight on it fail, the read resumes on a fresh connection, the
+        write (never applied) fails fast."""
+        token, registry, _srv, transport, _writes = twin_seats
+        registry.fault_plan = FaultPlan(
+            seed=1, reset_rate=1.0, endpoints=["s0"], max_faults=1
+        )
+        insert = InsertBatchRequest(token, [3], [9], [0], [97])
+        read, write = transport.call_many(
+            "alice", [("s0", _fetch(token, 1)), ("s1", insert)]
+        )
+        assert read.lists[0].element_ids == [7]
+        assert isinstance(write, TransportError)
+        assert write.retryable is False
+        status = transport.call("alice", "s1", ServerStatusRequest())
+        assert status.num_elements == 2
+        assert transport._pending == {}
+
+    def test_a_dropped_frame_fails_at_the_deadline(self, twin_seats):
+        token, registry, _srv, transport, _writes = twin_seats
+        registry.fault_plan = FaultPlan(
+            seed=1, drop_rate=1.0, endpoints=["s0"]
+        )
+        with deadline_scope(budget_s=0.1):
+            with pytest.raises(DeadlineExceededError):
+                transport.call("alice", "s0", _fetch(token, 1))
+        assert transport._pending == {}
+        assert transport.call("alice", "s1", _fetch(token, 1)).lists
+
+    def test_a_duplicated_answer_is_dropped_by_correlation_id(
+        self, twin_seats
+    ):
+        token, registry, srv, transport, writes = twin_seats
+        registry.fault_plan = FaultPlan(
+            seed=1, duplicate_rate=1.0, endpoints=["s0"]
+        )
+        for pl_id in (1, 2, 1):
+            response = transport.call("alice", "s0", _fetch(token, pl_id))
+            assert response.lists[0].pl_id == pl_id
+        assert registry.fault_plan.injected["duplicate"] == 3
+        assert transport._pending == {}
+        assert srv.connection_count == 1
 
 
 class TestAsyncFailureSemantics:
@@ -629,12 +674,17 @@ class TestAsyncFailureSemantics:
         assert response.lists[0].pl_id == 1
 
     def test_writes_never_retry_on_a_broken_connection(self, world):
+        """The seam resets the connection on the insert's own frame,
+        once. A lost write answer fails fast: a retry would pass once
+        the fault is spent, and land."""
         _auth, _groups, token, server = world
         registry = _registry(server)
+        registry.fault_plan = FaultPlan(
+            seed=0, reset_rate=1.0, endpoints={"s0"}, max_faults=1
+        )
         with AsyncSocketServer(registry) as srv:
             with AsyncSocketTransport(srv.address) as transport:
                 assert transport.endpoints() == ["s0"]
-                transport._sock.close()
                 request = InsertBatchRequest(
                     token=token,
                     pl_ids=[1],
@@ -642,8 +692,10 @@ class TestAsyncFailureSemantics:
                     group_ids=[0],
                     share_ys=[9],
                 )
-                with pytest.raises(TransportError):
+                with pytest.raises(TransportError) as caught:
                     transport.call("alice", "s0", request)
+                assert caught.value.retryable is False
+                assert registry.fault_plan.injected["reset"] == 1
                 assert server.num_elements == 0
 
     def test_closed_server_fails_typed(self, world):

@@ -1,14 +1,17 @@
 """Deterministic chaos drills: seeded faults, byte-identical-or-typed.
 
-The PR 8 acceptance invariant: under *any* seeded fault schedule —
-latency spikes, connection resets, dropped frames, duplicated frames,
+The acceptance invariant: under *any* seeded fault schedule — latency
+spikes, connection resets, dropped frames, duplicated frames,
 slow-seat stalls, storage crashes — every query either returns results
 byte-identical to a clean run or raises a typed
 :class:`~repro.errors.ReproError`. Never silently wrong, never hung.
 
-Determinism is the point: every :class:`FaultPlan` is seeded, so a
-failing schedule replays exactly, and a fixed seed plus sequential
-dispatch replays the same injection pattern run after run.
+Every drill sets its :class:`FaultPlan` on the one fault seam, the
+endpoint registry (``cluster.registry.fault_plan``), so a drill over
+async-socket meets its faults on the server, under the pipelined waves
+and hedges queries take. Determinism is the point: every plan is
+seeded, so a failing schedule replays exactly, and a fixed seed plus
+sequential dispatch replays the same injection pattern run after run.
 """
 
 import pytest
@@ -16,7 +19,7 @@ import pytest
 from helpers import make_cluster, make_documents
 
 from repro.errors import ReproError
-from repro.resilience import FaultPlan, FaultyTransport
+from repro.resilience import FaultPlan
 from repro.storage import SegmentedStore
 
 QUERIES = (
@@ -39,35 +42,45 @@ def clean_baseline(cluster):
     ]
 
 
-def run_drill(cluster, plan, rounds=3, **searcher_kwargs):
-    """Query through a faulty transport; classify every outcome.
+def run_drill(cluster, plan, rounds=3, budget_s=None, **searcher_kwargs):
+    """Query with ``plan`` on the cluster's fault seam; classify every
+    outcome.
 
-    Returns (outcomes, results): ``outcomes[i]`` is ``"ok"`` or the
-    typed error class name; ``results[i]`` is the result list for ok
-    outcomes, None otherwise.
+    The plan is set only while the drill queries: the seam strikes
+    every request that reaches a seat, the clean baseline's and the
+    owners' too. Returns (outcomes, results, hedged): ``outcomes[i]``
+    is ``"ok"`` or the typed error class name; ``results[i]`` is the
+    result list for ok outcomes, None otherwise; ``hedged`` sums the
+    hedged fetches of the ok searches.
     """
     searcher_kwargs.setdefault("use_cache", False)
-    faulty = FaultyTransport(cluster.transport, plan)
-    searcher = cluster.searcher(
-        "owner0", transport=faulty, **searcher_kwargs
-    )
+    searcher = cluster.searcher("owner0", **searcher_kwargs)
     outcomes, results = [], []
-    for _ in range(rounds):
-        for terms in QUERIES:
-            try:
-                outcome = searcher.search(terms, fetch_snippets=False)
-            except ReproError as exc:
-                outcomes.append(type(exc).__name__)
-                results.append(None)
-            except BaseException as exc:  # noqa: BLE001 - the invariant
-                pytest.fail(
-                    f"untyped failure escaped the drill: "
-                    f"{type(exc).__name__}: {exc}"
-                )
-            else:
-                outcomes.append("ok")
-                results.append(outcome)
-    return outcomes, results
+    hedged = 0
+    cluster.registry.fault_plan = plan
+    try:
+        for _ in range(rounds):
+            for terms in QUERIES:
+                try:
+                    outcome = searcher.search(
+                        terms, fetch_snippets=False, budget_s=budget_s
+                    )
+                except ReproError as exc:
+                    outcomes.append(type(exc).__name__)
+                    results.append(None)
+                except BaseException as exc:  # noqa: BLE001 - the invariant
+                    pytest.fail(
+                        f"untyped failure escaped the drill: "
+                        f"{type(exc).__name__}: {exc}"
+                    )
+                else:
+                    outcomes.append("ok")
+                    results.append(outcome)
+                    diagnostics = searcher.last_cluster_diagnostics
+                    hedged += diagnostics.hedged_fetches
+    finally:
+        cluster.registry.fault_plan = None
+    return outcomes, results, hedged
 
 
 def assert_identical_or_typed(cluster, outcomes, results):
@@ -91,7 +104,7 @@ class TestInProcessChaos:
         )
         with cluster:
             plan = FaultPlan(seed=0xC405, drop_rate=0.08, reset_rate=0.08)
-            outcomes, results = run_drill(cluster, plan)
+            outcomes, results, _hedged = run_drill(cluster, plan)
             ok = assert_identical_or_typed(cluster, outcomes, results)
             assert plan.total_injected() > 0
             # R=2 plus the failover ladder should absorb most faults.
@@ -103,7 +116,7 @@ class TestInProcessChaos:
         )
         with cluster:
             plan = FaultPlan(seed=0xC406, reset_rate=0.45)
-            outcomes, results = run_drill(cluster, plan)
+            outcomes, results, _hedged = run_drill(cluster, plan)
             assert_identical_or_typed(cluster, outcomes, results)
             assert plan.injected["reset"] > 0
             # Heavy unreplicated resets must produce *some* typed
@@ -117,7 +130,7 @@ class TestInProcessChaos:
         )
         with cluster:
             plan = FaultPlan(seed=0xC407, duplicate_rate=0.5)
-            outcomes, results = run_drill(cluster, plan)
+            outcomes, results, _hedged = run_drill(cluster, plan)
             ok = assert_identical_or_typed(cluster, outcomes, results)
             assert ok == len(outcomes)  # duplication never corrupts
             assert plan.injected["duplicate"] > 0
@@ -130,24 +143,27 @@ class TestInProcessChaos:
             plan = FaultPlan(
                 seed=0xC408, latency_rate=0.4, latency_s=0.002
             )
-            outcomes, results = run_drill(cluster, plan)
+            outcomes, results, _hedged = run_drill(cluster, plan)
             ok = assert_identical_or_typed(cluster, outcomes, results)
             assert ok == len(outcomes)
             assert plan.injected["latency"] > 0
 
     def test_seeded_schedule_replays_identically(self):
         documents = make_documents(num_docs=10)
-        # The read path draws every fault on the query thread, in call
-        # order, so the injection schedule replays at any pool width.
         first = make_cluster(documents, num_pods=2, replication_factor=1)
         second = make_cluster(documents, num_pods=2, replication_factor=1)
         with first, second:
             plan_a = FaultPlan(seed=0xC409, reset_rate=0.3)
             plan_b = FaultPlan(seed=0xC409, reset_rate=0.3)
-            outcomes_a, _ = run_drill(first, plan_a)
-            outcomes_b, _ = run_drill(second, plan_b)
+            outcomes_a, _, _ = run_drill(first, plan_a)
+            outcomes_b, _, _ = run_drill(second, plan_b)
             assert outcomes_a == outcomes_b
             assert plan_a.injected == plan_b.injected
+
+
+#: A dropped frame never answers: over the socket each drill search
+#: runs under this budget, so a drop costs at most this much.
+WIRE_BUDGET_S = 0.25
 
 
 class TestWireChaos:
@@ -167,10 +183,46 @@ class TestWireChaos:
                 latency_rate=0.1,
                 latency_s=0.001,
             )
-            outcomes, results = run_drill(cluster, plan)
+            outcomes, results, _hedged = run_drill(
+                cluster, plan, budget_s=WIRE_BUDGET_S
+            )
             ok = assert_identical_or_typed(cluster, outcomes, results)
             assert plan.total_injected() > 0
             assert ok > len(outcomes) // 2
+
+    def test_every_fault_kind_meets_hedged_waves(self):
+        """R = 2 over async-socket with hedged reads: all five kinds
+        strike the seats under the waves and backups queries send."""
+        cluster = make_cluster(
+            make_documents(num_docs=10),
+            num_pods=2,
+            replication_factor=2,
+            transport="async-socket",
+        )
+        with cluster:
+            plan = FaultPlan(
+                seed=0xC40F,
+                latency_rate=0.08,
+                latency_s=0.002,
+                stall_rate=0.08,
+                stall_s=0.05,
+                reset_rate=0.06,
+                drop_rate=0.06,
+                duplicate_rate=0.1,
+            )
+            outcomes, results, hedged = run_drill(
+                cluster,
+                plan,
+                budget_s=WIRE_BUDGET_S,
+                hedge_reads=True,
+                hedge_delay_s=0.005,
+            )
+            assert_identical_or_typed(cluster, outcomes, results)
+            assert all(count > 0 for count in plan.injected.values()), (
+                plan.injected
+            )
+            assert hedged > 0
+            assert cluster.transport._pending == {}
 
 
 class TestSlowSeatStalls:
@@ -196,7 +248,7 @@ class TestSlowSeatStalls:
                 stall_s=0.03,
                 endpoints=stalled,
             )
-            cluster.socket_server._fault_plan = plan
+            cluster.registry.fault_plan = plan
             # Pin pod0 first, so the latency ranking cannot route every
             # round around the stall and leave it untested.
             coordinator = cluster.coordinator
@@ -231,7 +283,7 @@ class TestSlowSeatStalls:
                 reset_rate=1.0,
                 endpoints=frozenset({"nonexistent-server"}),
             )
-            outcomes, results = run_drill(cluster, plan, rounds=1)
+            outcomes, results, _hedged = run_drill(cluster, plan, rounds=1)
             ok = assert_identical_or_typed(cluster, outcomes, results)
             assert ok == len(outcomes)  # nothing targeted, nothing hurt
             assert plan.total_injected() == 0
@@ -242,7 +294,7 @@ class _InjectedCrash(BaseException):
 
 
 class TestStorageChaos:
-    def test_crash_hook_under_a_fault_plan_loses_nothing(self, tmp_path):
+    def test_crash_hook_of_a_seeded_plan_loses_nothing(self, tmp_path):
         rows = range(24)
         store = SegmentedStore(
             tmp_path / "seat", segment_bytes=128, auto_compact=False

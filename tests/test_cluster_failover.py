@@ -37,7 +37,7 @@ from repro.errors import (
     ClusterError,
     TransportError,
 )
-from repro.resilience.faults import FaultPlan, FaultyTransport
+from repro.resilience.faults import FaultPlan
 from repro.server.index_server import PostingListResponse
 
 
@@ -566,11 +566,11 @@ class TestReprovisioning:
 
 
 def _failing_seat_owner(cluster, seat: str):
-    """owner0, its transport failing the next call to ``seat`` once."""
-    owner = cluster.owner("owner0")
-    plan = FaultPlan(seed=3, reset_rate=1.0, endpoints={seat}, max_faults=1)
-    owner._transport = FaultyTransport(cluster.transport, plan)
-    return owner
+    """owner0, with the next request to ``seat`` failing once."""
+    cluster.registry.fault_plan = FaultPlan(
+        seed=3, reset_rate=1.0, endpoints={seat}, max_faults=1
+    )
+    return cluster.owner("owner0")
 
 
 def _assert_pods_agree_row_for_row(cluster, num_lists=8):

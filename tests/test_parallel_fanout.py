@@ -243,7 +243,7 @@ class TestLatencyAwareReplicaChoice:
 
     def test_a_stalled_pod_is_charged_its_own_stall(self):
         """R=2 over async-socket, every answer of pod0's seats held back
-        server-side (the socket server's fault seam). A pipelined round
+        server-side (the registry's fault seam). A pipelined round
         asking both pods charges pod0 its stall and pod1 only its own
         answers, so the ranking turns to pod1. Charging every pod the
         round's wall time (pod1 would then carry pod0's stall) or ~0
@@ -262,7 +262,7 @@ class TestLatencyAwareReplicaChoice:
                 latency_s=0.05,
                 endpoints=[slot.server_id for slot in stalled.slots],
             )
-            cluster.socket_server._fault_plan = plan
+            cluster.registry.fault_plan = plan
             searcher = cluster.searcher("owner0", use_cache=False)
             searcher.search(vocabulary, fetch_snippets=False)
             assert searcher.last_cluster_diagnostics.pods_contacted == 2

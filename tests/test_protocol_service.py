@@ -31,6 +31,7 @@ from repro.protocol import (
     ServerStatusRequest,
     raise_for_error,
 )
+from repro.resilience import FaultPlan
 from repro.server.auth import AuthService
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import IndexServer
@@ -236,10 +237,14 @@ class TestSocketTransport:
         once."""
         _auth, _groups, token, server = world
         registry = _registry(server)
+        # Reset the connection on the insert's own frame, once: a retry
+        # would pass once the fault is spent, and land.
+        registry.fault_plan = FaultPlan(
+            seed=0, reset_rate=1.0, endpoints={"s0"}, max_faults=1
+        )
         with AsyncSocketServer(registry) as srv:
             with AsyncSocketTransport(srv.address) as transport:
                 assert transport.endpoints() == ["s0"]
-                transport._sock.close()
                 request = InsertBatchRequest(
                     token=token,
                     pl_ids=[1],
@@ -247,8 +252,9 @@ class TestSocketTransport:
                     group_ids=[0],
                     share_ys=[9],
                 )
-                with pytest.raises(TransportError):
+                with pytest.raises(TransportError) as caught:
                     transport.call("alice", "s0", request)
+                assert caught.value.retryable is False
                 assert server.num_elements == 0  # applied zero times
 
     def test_internal_server_bug_ships_back_typed(self, world):

@@ -523,7 +523,8 @@ class TestGracefulDrain:
 
 class TestHedgedReads:
     """Hedging rides the pipelined round, so it needs the async socket;
-    stalls come from the socket server's ``_fault_plan`` seam."""
+    stalls come from the registry's ``fault_plan`` seam, acted out on
+    the socket server."""
 
     def test_hedged_search_stays_byte_identical(self):
         documents = make_documents(num_docs=10)
@@ -565,7 +566,7 @@ class TestHedgedReads:
             )
             pl_id = cluster.mapping_table.lookup("w1")
             slow, fast = cluster.coordinator.read_replicas(pl_id)
-            cluster.socket_server._fault_plan = FaultPlan(
+            cluster.registry.fault_plan = FaultPlan(
                 seed=3,
                 stall_rate=1.0,
                 stall_s=1.0,
