@@ -13,10 +13,9 @@
 # pass/fail table is printed and the exit status is non-zero if any
 # gate failed:
 #
-# - the hot-path perf smoke: weight-cached reconstruction must stay
-#   measurably faster than naive Lagrange, column reconstruction
-#   (reconstruct_batch, one pass at k = 2) >= 3x the per-element
-#   cached path, decoding a half-noise merged list filtered by the
+# - the hot-path perf smoke: column reconstruction (reconstruct_batch,
+#   one pass at k = 2) >= 3.75x per-element naive Lagrange, decoding a
+#   half-noise merged list filtered by the
 #   queried term first (unpack_terms) >= 1.3x grouping every term
 #   (unpack_by_term) with equal rows, and column
 #   splitting (split_many) >= 2x per-element split with share-for-share

@@ -38,8 +38,8 @@ from repro.protocol.service import fleet_resolver
 from repro.protocol.transport import InProcessTransport, Transport
 from repro.resilience.deadline import deadline_scope
 from repro.ranking.scores import CollectionStatistics, TfIdfScorer
-from repro.ranking.threshold import threshold_top_k
-from repro.secretsharing.shamir import ShamirScheme, Share
+from repro.ranking.threshold import term_tf_maps, threshold_top_k
+from repro.secretsharing.shamir import ShamirScheme
 from repro.server.auth import AuthToken
 from repro.server.index_server import PostingListResponse
 
@@ -57,8 +57,8 @@ class SearchResult:
             each named once and in sorted order — also when several
             owners share one ``doc_id``, so a term's list carries the
             document more than once. Such a document counts once in a
-            term's df, and its tf is the last row of the term in
-            ``(-tf, doc_id)`` order, the Threshold Algorithm's rule.
+            term's df, and its tf is the least of its rows in the term
+            (:func:`~repro.ranking.threshold.term_tf_maps`).
     """
 
     doc_id: int
@@ -276,18 +276,41 @@ class SearchClient:
         """``verify_consistency`` over a group with > k shares per
         element: where the shares disagree, the plurality secret of the
         k-subsets replaces the canonical one, or the element becomes 0,
-        which no codec decodes (tf field 0): dropped, but counted."""
-        diagnostics = self.last_diagnostics
-        checked = []
-        for secret, *ys in zip(secrets, *y_columns):
-            verdict, distinct = self._majority_reconstruct(
-                [Share(x=x, y=y) for x, y in zip(xs, ys)], self._scheme.k
+        which no codec decodes (tf field 0): dropped, but counted.
+
+        Each of (up to 21) k-subsets of the group's distinct x's is one
+        :meth:`~repro.secretsharing.shamir.ShamirScheme.reconstruct_batch`
+        over its columns. A single corrupted share among ``m`` shares
+        poisons every subset containing it with a *distinct* garbage
+        value, while the true secret repeats across all C(m-1, k) honest
+        subsets — so strict plurality identifies it whenever m >= k + 2
+        (standard error-correction bound: detection needs k + 1,
+        correction k + 2e); a tie is detection without correction.
+        Colluding servers injecting *identical* wrong shares can defeat
+        plurality; that stronger adversary needs verifiable secret
+        sharing, out of the paper's scope.
+        """
+        scheme, diagnostics = self._scheme, self.last_diagnostics
+        # The first subset is the canonical one: ``secrets`` already.
+        subsets = islice(combinations(range(len(xs)), scheme.k), 1, 21)
+        candidates = [
+            scheme.reconstruct_batch(
+                [xs[i] for i in subset], [y_columns[i] for i in subset]
             )
-            if distinct > 1:
+            for subset in subsets
+        ]
+        checked = []
+        for values in zip(secrets, *candidates):
+            counts = Counter(values)
+            secret = values[0]
+            if len(counts) > 1:
                 diagnostics.inconsistent_elements += 1
-                if verdict is not None:
+                (value, top), (_, runner_up) = counts.most_common(2)
+                if top > runner_up:
                     diagnostics.recovered_elements += 1
-                secret = verdict or 0
+                    secret = value
+                else:
+                    secret = 0
             checked.append(secret)
         return checked
 
@@ -355,37 +378,6 @@ class SearchClient:
             for term_id, postings in self.fetch_postings(terms, num_servers)
             for doc_id, tf in postings
         ]
-
-    def _majority_reconstruct(self, shares, k: int) -> tuple[int | None, int]:
-        """Plurality secret over (up to 21) k-subsets of the shares.
-
-        A single corrupted share among ``m`` shares poisons every subset
-        containing it with a *distinct* garbage value, while the true
-        secret repeats across all C(m-1, k) honest subsets — so strict
-        plurality identifies it whenever m >= k + 2 (standard
-        error-correction bound: detection needs k + 1, correction k + 2e).
-        Colluding servers injecting *identical* wrong shares can defeat
-        plurality; that stronger adversary needs verifiable secret
-        sharing, out of the paper's scope.
-
-        Returns:
-            ``(verdict, distinct_values)`` — verdict is the plurality
-            secret, or None on a tie (detection without correction);
-            distinct_values is how many different reconstructions were
-            observed (1 means all subsets agree).
-        """
-        # The 21 subsets draw from at most C(m, k) distinct x-tuples
-        # whose weights the scheme memoizes.
-        counts = Counter(
-            self._scheme.reconstruct_cached(subset)
-            for subset in islice(combinations(shares, k), 21)
-        )
-        ranked = counts.most_common(2)
-        if len(ranked) == 1:
-            return ranked[0][0], 1
-        (value, top), (_, runner_up) = ranked
-        verdict = value if top > runner_up else None
-        return verdict, len(counts)
 
     def _fetch_snippet(self, doc_id: int, terms: Sequence[str]):
         """Step 6 of Algorithm 2: a protocol message to the hosting peer,
@@ -487,14 +479,17 @@ class SearchClient:
                 postings_by_term = {t: collected[t] for t in sorted(collected)}
                 # Personalized collection statistics from the accessible
                 # postings: a doc listed twice (two owners) counts once.
-                tf_of = {t: dict(ps) for t, ps in postings_by_term.items()}
+                # One set of maps serves them, TA and matched_terms.
+                tf_of = term_tf_maps(postings_by_term)
                 statistics = CollectionStatistics(
                     num_documents=len(set().union(*tf_of.values())),
                     document_frequencies={t: len(d) for t, d in tf_of.items()},
                 )
                 scorer = TfIdfScorer(statistics)
                 weights = {t: scorer.weight(t) for t in postings_by_term}
-                hits = threshold_top_k(postings_by_term, weights, top_k)
+                hits = threshold_top_k(
+                    postings_by_term, weights, top_k, tf_of=tf_of
+                )
                 matched = [
                     tuple(t for t, docs in tf_of.items() if hit.doc_id in docs)
                     for hit in hits

@@ -4,9 +4,9 @@ After decryption the client holds, per query term, a posting list it can
 sort by term frequency. The Threshold Algorithm walks these lists in
 parallel in tf-descending order, maintaining the invariant that no unseen
 document can beat the threshold ``T = sum_t w_t * tf_t(current depth)``;
-once K seen documents score >= T, the scan stops — typically long before
-the lists are exhausted, which is how Zerber keeps client-side ranking
-cheap despite receiving *all* accessible elements.
+once K seen documents score strictly above T, the scan stops — typically
+long before the lists are exhausted, which is how Zerber keeps
+client-side ranking cheap despite receiving *all* accessible elements.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from repro.errors import RankingError
 
@@ -32,20 +32,52 @@ class RankedHit:
     score: float
 
 
+def term_tf_maps(
+    postings_by_term: Mapping[str, Sequence[tuple[int, float]]],
+) -> dict[str, dict[int, float]]:
+    """Random access into each term's rows: term -> {doc_id: tf}.
+
+    A document listed twice in one term (two owners share a ``doc_id``)
+    keeps its least tf; only such a term is sorted first, so the last
+    row per document is the least.
+    """
+    maps: dict[str, dict[int, float]] = {}
+    for term, rows in postings_by_term.items():
+        tf_of = dict(rows)
+        if len(tf_of) != len(rows):
+            tf_of = dict(sorted(rows, key=itemgetter(1), reverse=True))
+        maps[term] = tf_of
+    return maps
+
+
 def threshold_top_k(
     postings_by_term: Mapping[str, Sequence[tuple[int, float]]],
     weights: Mapping[str, float],
     k: int,
+    tf_of: Mapping[str, Mapping[int, float]] | None = None,
 ) -> list[RankedHit]:
     """Top-K documents under the weighted-sum score, via Fagin's TA.
+
+    The result is exactly :func:`naive_top_k` over the kept rows (each
+    term's :func:`term_tf_maps`), documents and score bits alike, in
+    whatever order the rows arrive: a document's score sums its
+    weighted tfs in term order, the threshold sums the frontier's in
+    the same order, and the scan stops only once the K-th best seen
+    score is strictly above the threshold. An unseen document scores
+    at most the threshold, so it can neither beat nor tie a kept hit.
 
     Args:
         postings_by_term: term -> [(doc_id, tf), ...]; order is irrelevant,
             the algorithm sorts each list tf-descending itself (the client
-            just decrypted them, so no order is available anyway).
+            just decrypted them, so no order is available anyway). The
+            lists are read, never modified.
         weights: term -> non-negative query weight (idf). Terms missing
             from ``weights`` default to weight 1.0.
         k: result count (>= 1).
+        tf_of: ``term_tf_maps(postings_by_term)`` when the caller has
+            already built it (the searcher reads its key sets for the
+            statistics); None builds it here. Any other value gives
+            undefined hits.
 
     Returns:
         Up to ``k`` hits, score-descending (ties broken by doc_id for
@@ -53,62 +85,47 @@ def threshold_top_k(
     """
     if k < 1:
         raise RankingError(f"k must be >= 1, got {k}")
-    sorted_lists: dict[str, list[tuple[int, float]]] = {}
-    for term, postings in postings_by_term.items():
-        # (-tf, doc_id) order from two C-level sorts: doc_id order,
-        # then a stable tf-descending pass. Rows equal in doc_id and tf
-        # are equal tuples, so sorting on doc_id alone orders as well as
-        # a tuple sort, and cheaper. The inputs are not touched.
-        lst = sorted(postings, key=itemgetter(0))
-        lst.sort(key=itemgetter(1), reverse=True)
-        if lst and lst[-1][1] < 0:  # the last row holds the least tf
+    if tf_of is None:
+        tf_of = term_tf_maps(postings_by_term)
+    # Per non-empty term, in term order: its rows tf-descending, its
+    # weight, and the random access into its kept rows.
+    lists: list[tuple[list[tuple[int, float]], float]] = []
+    scorers: list[tuple[float, Callable[[int, float], float]]] = []
+    for term, rows in postings_by_term.items():
+        if not rows:
+            continue
+        lst = sorted(rows, key=itemgetter(1), reverse=True)
+        if lst[-1][1] < 0:  # the last row holds the least tf
             raise RankingError(f"negative tf in list for {term!r}")
-        sorted_lists[term] = lst
-    terms = [t for t, lst in sorted_lists.items() if lst]
-    if not terms:
+        weight = float(weights.get(term, 1.0))
+        lists.append((lst, weight))
+        scorers.append((weight, tf_of[term].get))
+    if not lists:
         return []
-    term_weights = {t: float(weights.get(t, 1.0)) for t in terms}
-    if any(w < 0 for w in term_weights.values()):
+    if any(weight < 0 for weight, _ in scorers):
         raise RankingError("negative term weight")
-    # Random-access structures: doc -> tf per term. A doc listed twice
-    # keeps its last row in (-tf, doc_id) order.
-    tf_of: dict[str, dict[int, float]] = {
-        t: dict(lst) for t, lst in sorted_lists.items()
-    }
-
-    def full_score(doc_id: int) -> float:
-        return sum(
-            term_weights[t] * tf_of[t].get(doc_id, 0.0) for t in terms
-        )
 
     seen: set[int] = set()
     # Min-heap of (score, -doc_id) keeps the current top-K.
     heap: list[tuple[float, int]] = []
-    depth = 0
-    max_depth = max(len(lst) for lst in sorted_lists.values())
-    while depth < max_depth:
-        frontier_tfs = {}
-        for t in terms:
-            lst = sorted_lists[t]
+    for depth in range(max(len(lst) for lst, _ in lists)):
+        # The best score any unseen document could still reach: an
+        # exhausted list adds nothing.
+        threshold = 0.0
+        for lst, weight in lists:
             if depth < len(lst):
                 doc_id, tf = lst[depth]
-                frontier_tfs[t] = tf
+                threshold += weight * tf
                 if doc_id not in seen:
                     seen.add(doc_id)
-                    score = full_score(doc_id)
+                    score = 0.0
+                    for term_weight, tf_at in scorers:
+                        score += term_weight * tf_at(doc_id, 0.0)
                     if len(heap) < k:
                         heapq.heappush(heap, (score, -doc_id))
                     elif (score, -doc_id) > heap[0]:
                         heapq.heapreplace(heap, (score, -doc_id))
-            else:
-                frontier_tfs[t] = 0.0
-        depth += 1
-        # TA stopping rule: threshold is the best score any unseen
-        # document could still achieve.
-        threshold = sum(
-            term_weights[t] * frontier_tfs[t] for t in terms
-        )
-        if len(heap) == k and heap[0][0] >= threshold:
+        if len(heap) == k and heap[0][0] > threshold:
             break
     # (score, -doc_id) descending is (-score, doc_id) ascending.
     return [

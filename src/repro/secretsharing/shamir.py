@@ -146,10 +146,10 @@ def _choose_k_shares(
     """The canonical k-share subset every reconstruction back-end uses.
 
     First occurrence wins per distinct (normalized) x-coordinate, then
-    the first ``k`` in arrival order — shared by the naive, Gaussian and
-    weight-cached paths (the searcher's column join applies the same
-    rule) so that, when shares disagree (a lying server), every
-    back-end reconstructs from the *same* subset and stays byte-identical.
+    the first ``k`` in arrival order — shared by the naive and Gaussian
+    paths (the searcher's column join applies the same rule) so that,
+    when shares disagree (a lying server), every back-end reconstructs
+    from the *same* subset and stays byte-identical.
     """
     unique: dict[int, Share] = {}
     for share in shares:
@@ -326,8 +326,8 @@ class ShamirScheme:
         """Recover a secret from any ``k`` of its shares.
 
         The naive ``"lagrange"`` / ``"gaussian"`` back-ends: the reference
-        :meth:`reconstruct_cached` and :meth:`reconstruct_batch` are
-        benchmarked and property-tested against.
+        :meth:`reconstruct_batch` is benchmarked and property-tested
+        against.
         """
         return reconstruct_secret(shares, self.k, self.field, method)
 
@@ -342,23 +342,6 @@ class ShamirScheme:
             weights = self.field.lagrange_weights_at_zero(xs)
             self._weight_memo[xs] = weights
         return weights
-
-    def reconstruct_cached(self, shares: Iterable[Share]) -> int:
-        """Weight-cached reconstruction: a k-term dot product mod p.
-
-        Chooses the same k-share subset as :meth:`reconstruct` (first
-        occurrence per x, first k in arrival order), so results are
-        byte-identical to the naive Lagrange path — including which
-        (possibly corrupted) shares a > k fetch reconstructs from.
-        """
-        chosen = _choose_k_shares(shares, self.k, self.field)
-        field = self.field
-        weights = self.lagrange_weights(
-            tuple(field.normalize(s.x) for s in chosen)
-        )
-        return (
-            sum(w * s.y for w, s in zip(weights, chosen)) % field.p
-        )
 
     def reconstruct_batch(
         self, xs: Sequence[int], y_columns: Sequence[Sequence[int]]

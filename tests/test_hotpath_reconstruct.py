@@ -361,8 +361,8 @@ class TestReconstructBatch:
             scheme.reconstruct_batch(*self._columns(scheme, [5, 6], slots))
         # Same slot subset -> one memo entry; a new subset -> a second.
         assert len(scheme._weight_memo) == 2
-        shares = scheme.split(42)
-        assert scheme.reconstruct_cached(shares[:3]) == 42
+        xs, y_columns = self._columns(scheme, [42], (0, 1, 2))
+        assert scheme.reconstruct_batch(xs, y_columns) == [42]
         assert len(scheme._weight_memo) == 2
 
     def test_weights_match_lagrange_basis(self):
@@ -391,7 +391,7 @@ class TestReconstructBatch:
         with pytest.raises(InsufficientSharesError):
             scheme.reconstruct(dup, method="lagrange")
         with pytest.raises(InsufficientSharesError):
-            scheme.reconstruct_cached(dup)
+            scheme.reconstruct(dup, method="gaussian")
         xs, y_columns = self._columns(scheme, [42], (0, 1))
         with pytest.raises(InsufficientSharesError):
             scheme.reconstruct_batch(xs, y_columns)
@@ -416,10 +416,13 @@ class TestReconstructBatch:
         shares = scheme.split(7)
         echo = Share(x=shares[0].x, y=(shares[0].y + 5) % 101)
         fetched = [shares[0], echo, shares[1]]
+        # The join's canonical columns: first occurrence per x.
         assert (
             scheme.reconstruct(fetched, "lagrange")
             == scheme.reconstruct(fetched, "gaussian")
-            == scheme.reconstruct_cached(fetched)
+            == scheme.reconstruct_batch(
+                [shares[0].x, shares[1].x], [[shares[0].y], [shares[1].y]]
+            )[0]
             == 7
         )
 

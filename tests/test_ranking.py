@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import heapq
 import random
 from collections import defaultdict
 
@@ -14,7 +13,11 @@ from repro.client.searcher import SearchClient
 from repro.core.dictionary import TermDictionary
 from repro.errors import RankingError
 from repro.ranking.scores import CollectionStatistics, TfIdfScorer
-from repro.ranking.threshold import RankedHit, naive_top_k, threshold_top_k
+from repro.ranking.threshold import (
+    naive_top_k,
+    term_tf_maps,
+    threshold_top_k,
+)
 
 
 class TestCollectionStatistics:
@@ -172,6 +175,38 @@ class TestThresholdInputs:
             hits = threshold_top_k({"a": list(rows)}, {"a": 1.0}, k=5)
             assert [h.doc_id for h in hits] == expected
 
+    def test_tied_tfs_at_the_cut_return_the_least_doc_id(self):
+        # A stable tf-descending sort meets doc 8 first when it arrives
+        # first; stopping on a tie with the threshold would return it.
+        for rows in ([(8, 0.5), (2, 0.5)], [(2, 0.5), (8, 0.5)]):
+            hits = threshold_top_k({"a": rows}, {"a": 1.0}, k=1)
+            assert [(h.doc_id, h.score) for h in hits] == [(2, 0.5)]
+
+    def test_a_zero_weight_ties_every_document(self):
+        # Every score is 0.0, so the least doc id wins, although doc 1
+        # has the higher tf and is seen first.
+        postings = {"delta": [(0, 0.0), (1, 0.25)]}
+        hits = threshold_top_k(postings, {"delta": 0.0}, k=1)
+        assert [(h.doc_id, h.score) for h in hits] == [(0, 0.0)]
+
+    def test_term_tf_maps_keep_a_repeated_documents_least_tf(self):
+        postings = {
+            "a": [(9, 0.5), (3, 0.25), (9, 0.75), (1, 0.5), (9, 0.25)],
+            "b": ((4, 0.5), (2, 1.0)),
+            "c": [],
+        }
+        tf_of = term_tf_maps(postings)
+        assert tf_of == {
+            "a": {9: 0.25, 3: 0.25, 1: 0.5},
+            "b": {4: 0.5, 2: 1.0},
+            "c": {},
+        }
+        weights = {"a": 1.5, "b": 0.5}
+        for k in (1, 2, 5):
+            assert threshold_top_k(
+                postings, weights, k, tf_of=tf_of
+            ) == threshold_top_k(postings, weights, k)
+
     def test_negative_tf_anywhere_in_the_list_is_rejected(self):
         for rows in ([(1, -0.5), (2, 0.5)], [(2, 0.5), (1, -0.5)]):
             with pytest.raises(RankingError):
@@ -184,57 +219,20 @@ class TestThresholdInputs:
 _NAMES = ("delta", "alpha", "charlie", "bravo")
 
 
-def _head_threshold_top_k(postings_by_term, weights, k):
-    """``threshold_top_k`` as it was before the rank went columnar."""
-    sorted_lists = {}
-    for term, postings in postings_by_term.items():
-        if any(tf < 0 for _, tf in postings):
-            raise RankingError(f"negative tf in list for {term!r}")
-        sorted_lists[term] = sorted(postings, key=lambda p: (-p[1], p[0]))
-    terms = [t for t, lst in sorted_lists.items() if lst]
-    if not terms:
-        return []
-    term_weights = {t: float(weights.get(t, 1.0)) for t in terms}
-    tf_of = {
-        t: {doc: tf for doc, tf in lst} for t, lst in sorted_lists.items()
+def _kept_rows(postings_by_term):
+    """Each term's rows with a repeated document's least tf kept, built
+    without the code under test: the exhaustive oracle's input."""
+    return {
+        term: list({doc: tf for doc, tf in sorted(rows, reverse=True)}.items())
+        for term, rows in postings_by_term.items()
     }
-
-    def full_score(doc_id):
-        return sum(
-            term_weights[t] * tf_of[t].get(doc_id, 0.0) for t in terms
-        )
-
-    seen, heap, depth = set(), [], 0
-    max_depth = max(len(lst) for lst in sorted_lists.values())
-    while depth < max_depth:
-        frontier_tfs = {}
-        for t in terms:
-            lst = sorted_lists[t]
-            if depth < len(lst):
-                doc_id, tf = lst[depth]
-                frontier_tfs[t] = tf
-                if doc_id not in seen:
-                    seen.add(doc_id)
-                    score = full_score(doc_id)
-                    if len(heap) < k:
-                        heapq.heappush(heap, (score, -doc_id))
-                    elif (score, -doc_id) > heap[0]:
-                        heapq.heapreplace(heap, (score, -doc_id))
-            else:
-                frontier_tfs[t] = 0.0
-        depth += 1
-        threshold = sum(term_weights[t] * frontier_tfs[t] for t in terms)
-        if len(heap) == k and heap[0][0] >= threshold:
-            break
-    hits = [RankedHit(doc_id=-neg, score=score) for score, neg in heap]
-    hits.sort(key=lambda h: (-h.score, h.doc_id))
-    return hits
 
 
 def _head_rank(found, term_of_id, top_k):
-    """The rank stage of ``SearchClient.search`` before it went columnar:
-    pairs regrouped per term, sorted by doc id, a set per term for the
-    statistics, ``matched`` over every posting (de-duplicated here)."""
+    """The rank stage of ``SearchClient.search`` before it went columnar,
+    ranked by the exhaustive oracle: pairs regrouped per term, sorted by
+    doc id, a set per term for the statistics, ``naive_top_k`` over the
+    kept rows, ``matched`` over every posting (de-duplicated here)."""
     collected = defaultdict(list)
     for term_id, postings in found:
         for doc_id, tf in postings:
@@ -245,7 +243,7 @@ def _head_rank(found, term_of_id, top_k):
     )
     scorer = TfIdfScorer(statistics)
     weights = {t: scorer.weight(t) for t in postings_by_term}
-    hits = _head_threshold_top_k(postings_by_term, weights, top_k)
+    hits = naive_top_k(_kept_rows(postings_by_term), weights, top_k)
     matched = defaultdict(set)
     for term, postings in postings_by_term.items():
         for doc_id, _ in postings:
@@ -289,8 +287,9 @@ def _term_columns(draw):
 @given(found=_term_columns(), top_k=st.integers(min_value=1, max_value=50))
 def test_property_columnar_rank_matches_the_head_pipeline(found, top_k):
     """``search`` on term columns is byte-identical to the pipeline it
-    replaced — same hits, same score bits — with ``matched_terms``
-    naming each term once, and the fetched columns left untouched."""
+    replaced, ranked exhaustively — same hits, same score bits, ties at
+    the cut included — with ``matched_terms`` naming each term once, and
+    the fetched columns left untouched."""
     dictionary = TermDictionary()
     dictionary.assign_all(_NAMES)
     term_of_id = {dictionary.id_of(t): t for t in _NAMES}
@@ -320,27 +319,20 @@ _TIED_ROWS = st.lists(
         st.sampled_from(_NAMES), st.sampled_from([0.0, 0.5, 1.0, 2.5])
     ),
     k=st.integers(min_value=1, max_value=15),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-def test_property_ta_with_repeated_docs_and_tied_tfs(postings, weights, k):
-    """The doc-id-keyed first sort orders rows as the tuple sort did:
-    hits and score bits equal the transcribed pipeline's, and the
-    scores equal the exhaustive oracle's over each term's kept rows
-    (a repeated document keeps its smaller tf)."""
-    hits = threshold_top_k(postings, weights, k)
-    assert [(h.doc_id, h.score.hex()) for h in hits] == [
+def test_property_ta_with_repeated_docs_and_tied_tfs(postings, weights, k, seed):
+    """TA is exactly the exhaustive oracle over each term's kept rows (a
+    repeated document keeps its smaller tf): the same documents, ties at
+    the cut included, and the same score bits, in any arrival order of
+    the rows, with or without the caller's maps."""
+    oracle = [
         (h.doc_id, h.score.hex())
-        for h in _head_threshold_top_k(postings, weights, k)
+        for h in naive_top_k(_kept_rows(postings), weights, k)
     ]
-    kept = {
-        term: list({doc: tf for doc, tf in sorted(rows, reverse=True)}.items())
-        for term, rows in postings.items()
-    }
-    oracle = naive_top_k(kept, weights, k)
-    assert [h.score for h in hits] == [h.score for h in oracle]
-    # Tied scores at the cut may name different documents; above it,
-    # the documents agree.
-    if hits:
-        cut = hits[-1].score
-        assert {h.doc_id for h in hits if h.score > cut} == {
-            h.doc_id for h in oracle if h.score > cut
-        }
+    rng = random.Random(seed)
+    shuffled = {t: rng.sample(rows, len(rows)) for t, rows in postings.items()}
+    for rows in (postings, shuffled):
+        for tf_of in (None, term_tf_maps(rows)):
+            hits = threshold_top_k(rows, weights, k, tf_of=tf_of)
+            assert [(h.doc_id, h.score.hex()) for h in hits] == oracle

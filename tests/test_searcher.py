@@ -250,7 +250,7 @@ def _cluster(**kwargs):
 def test_a_doc_id_shared_by_two_owners_is_matched_and_counted_once(build):
     """The duplicate-doc_id rule: each term named once in
     ``matched_terms``, the doc counted once in df and N, and its tf the
-    last row of the term in ``(-tf, doc_id)`` order (the smallest)."""
+    least of its rows in the term."""
     deployment = build(k=2, n=3,
                        batch_policy=BatchPolicy(min_documents=1))
     with deployment:
