@@ -15,13 +15,21 @@ one ``% p`` pass — which is what the searcher's columnar read path
 calls once per fetched list (and once per k-subset when it
 cross-checks a > k fetch).
 
-This bench times the two over the same shares (best of ``REPEATS``,
-cold weight memo each time), asserts they agree bit-for-bit, and
-records ``benchmarks/results/BENCH_hotpath.json``. ``scripts/ci.sh``
-runs it as the perf smoke gate, in the same run: batch must beat naive
-by ``GATE_BATCH_OVER_NAIVE`` in elements/s (ratios only — no absolute
-number can flake on a slow machine; the absolute elements/s are
-recorded beside them).
+Server ``s`` has x = s + 1, and the memo keeps each weight's
+least-magnitude representative, so the canonical subset of the first k
+servers — x = (1, 2) at k = 2 — multiplies by small ints ((2, -1)),
+while a failover subset such as x = (1, 3) has ~p/2-wide weights (3/2
+and -1/2 in Z_p). Each configuration is timed over both subsets:
+``SUBSETS`` names the slots of each.
+
+This bench times the two paths over the same shares (best of
+``REPEATS``, cold weight memo each time), asserts they agree
+bit-for-bit, and records ``benchmarks/results/BENCH_hotpath.json``.
+``scripts/ci.sh`` runs it as the perf smoke gate, in the same run:
+batch must beat naive by ``GATE_BATCH_OVER_NAIVE`` in elements/s over
+the canonical subset (ratios only — no absolute number can flake on a
+slow machine; the absolute elements/s are recorded beside them, the
+failover subset's too).
 
 After reconstruction the searcher decodes a merged list's secrets and
 keeps the queried term's postings (Algorithm 2's ``filterElements``).
@@ -62,6 +70,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from itertools import product
 
 from benchmarks.conftest import RESULTS_DIR, emit
 from repro.core.posting import PostingElement, PostingElementCodec
@@ -82,8 +91,17 @@ REPEATS = 5
 #: wider 3-of-5.
 CONFIGS = ((2, 3), (3, 5))
 
-#: The column form must beat per-element naive Lagrange (measured
-#: 77-117x). The product of the two gates it replaced (a per-element
+#: The slots reconstructed from, per k: the first k (the canonical
+#: subset, small weights), and the first k - 1 plus slot k (the subset a
+#: failover of slot k - 1 leaves, ~p/2-wide weights).
+SUBSETS = {
+    "canonical": lambda k: tuple(range(k)),
+    "failover": lambda k: (*range(k - 1), k),
+}
+
+#: The column form must beat per-element naive Lagrange over the
+#: canonical subset (measured 77-117x under random x's, 48-69x over
+#: x = 1..k, where naive got faster too). The product of the two gates it replaced (a per-element
 #: weight-cached arm >= 1.25x naive, batch >= 3x that arm), so the
 #: bar is no lower than before.
 GATE_BATCH_OVER_NAIVE = 3.75
@@ -107,15 +125,19 @@ GATE_REENCODE_OVER_FIRST = 10.0
 MAPPING_FORM_ELEMENTS_PER_SEC = 217_532
 
 
-def _share_columns(k: int, n: int, seed: int):
-    """One scheme, ELEMENTS secrets, their share rows and share columns."""
+def _share_columns(k: int, n: int, seed: int, slots: tuple[int, ...]):
+    """One scheme, ELEMENTS secrets, and their shares at ``slots`` as
+    rows and as columns."""
     rng = random.Random(seed)
     field = PrimeField(DEFAULT_PRIME)
     scheme = ShamirScheme(k=k, n=n, field=field, rng=rng)
     secrets_ = [rng.randrange(field.p) for _ in range(ELEMENTS)]
-    rows = [scheme.split(s)[:k] for s in secrets_]
-    xs = [scheme.x_of(slot) for slot in range(k)]
-    y_columns = [[row[slot].y for row in rows] for slot in range(k)]
+    rows = [
+        [shares[slot] for slot in slots]
+        for shares in map(scheme.split, secrets_)
+    ]
+    xs = [scheme.x_of(slot) for slot in slots]
+    y_columns = [[row[j].y for row in rows] for j in range(k)]
     return scheme, secrets_, rows, xs, y_columns
 
 
@@ -341,9 +363,9 @@ def test_hotpath_reconstruct_paths(benchmark):
         "reconstruction hot path: naive lagrange per element vs batch "
         f"columns ({ELEMENTS} elements, best of {REPEATS})",
     ]
-    for k, n in CONFIGS:
+    for (k, n), (subset, slots_of) in product(CONFIGS, SUBSETS.items()):
         scheme, secrets_, rows, xs, y_columns = _share_columns(
-            k, n, seed=1000 * k + n
+            k, n, seed=1000 * k + n, slots=slots_of(k)
         )
         field = scheme.field
         paths = {
@@ -356,7 +378,9 @@ def test_hotpath_reconstruct_paths(benchmark):
         timings = {}
         for name, fn in paths.items():
             seconds, out = _best_of(fn, scheme)
-            assert out == secrets_, f"{name} path diverged at k={k} n={n}"
+            assert out == secrets_, (
+                f"{name} path diverged at k={k} n={n} x={tuple(xs)}"
+            )
             timings[name] = seconds
         for name, seconds in timings.items():
             rows_out.append(
@@ -364,6 +388,8 @@ def test_hotpath_reconstruct_paths(benchmark):
                     "path": name,
                     "k": k,
                     "n": n,
+                    "subset": subset,
+                    "xs": list(xs),
                     "elements": ELEMENTS,
                     "seconds": round(seconds, 6),
                     "elements_per_sec": round(ELEMENTS / seconds, 1),
@@ -373,9 +399,12 @@ def test_hotpath_reconstruct_paths(benchmark):
                 }
             )
             lines.append(
-                f"k={k} n={n} {name:7s}: {ELEMENTS / seconds:12.0f} "
-                f"elem/s  ({timings['naive'] / seconds:7.2f}x naive)"
+                f"k={k} n={n} x={str(tuple(xs)):9s} {name:5s}: "
+                f"{ELEMENTS / seconds:12.0f} elem/s  "
+                f"({timings['naive'] / seconds:7.2f}x naive)"
             )
+        if subset != "canonical":
+            continue
         assert timings["naive"] > timings["batch"] * GATE_BATCH_OVER_NAIVE, (
             f"column reconstruction under {GATE_BATCH_OVER_NAIVE}x the "
             f"per-element naive path at k={k} n={n}: "
@@ -384,7 +413,9 @@ def test_hotpath_reconstruct_paths(benchmark):
     batch_k2 = next(
         row["elements_per_sec"]
         for row in rows_out
-        if row["path"] == "batch" and row["k"] == 2
+        if row["path"] == "batch"
+        and row["k"] == 2
+        and row["subset"] == "canonical"
     )
     over_mapping_form = round(batch_k2 / MAPPING_FORM_ELEMENTS_PER_SEC, 2)
     lines.append(
@@ -393,7 +424,10 @@ def test_hotpath_reconstruct_paths(benchmark):
         f"an earlier machine): {over_mapping_form}x"
     )
     # One benchmarked reference pass for pytest-benchmark's ledger.
-    scheme, _, _, xs, y_columns = _share_columns(*CONFIGS[0], seed=77)
+    k, n = CONFIGS[0]
+    scheme, _, _, xs, y_columns = _share_columns(
+        k, n, seed=77, slots=SUBSETS["canonical"](k)
+    )
     benchmark.pedantic(
         lambda: scheme.reconstruct_batch(xs, y_columns),
         rounds=1,
@@ -411,7 +445,7 @@ def test_hotpath_reconstruct_paths(benchmark):
     (RESULTS_DIR / "BENCH_hotpath.json").write_text(
         json.dumps(
             {
-                "schema": "zerber.bench_hotpath.v7",
+                "schema": "zerber.bench_hotpath.v8",
                 "gates": {
                     "batch_over_naive": GATE_BATCH_OVER_NAIVE,
                     "filtered_over_grouped": GATE_FILTERED_OVER_GROUPED,

@@ -58,10 +58,10 @@ def threshold_top_k(
 ) -> list[RankedHit]:
     """Top-K documents under the weighted-sum score, via Fagin's TA.
 
-    The result is exactly :func:`naive_top_k` over the kept rows (each
-    term's :func:`term_tf_maps`), documents and score bits alike, in
-    whatever order the rows arrive: a document's score sums its
-    weighted tfs in term order, the threshold sums the frontier's in
+    The result is exactly :func:`naive_top_k` over the same rows (a
+    repeated document keeps its least tf), documents and score bits
+    alike, in whatever order the rows arrive: a document's score sums
+    its weighted tfs in term order, the threshold sums the frontier's in
     the same order, and the scan stops only once the K-th best seen
     score is strictly above the threshold. An unseen document scores
     at most the threshold, so it can neither beat nor tie a kept hit.
@@ -139,13 +139,17 @@ def naive_top_k(
     weights: Mapping[str, float],
     k: int,
 ) -> list[RankedHit]:
-    """Exhaustive scorer used as the TA's correctness oracle in tests."""
+    """Exhaustive scorer used as the TA's correctness oracle in tests; a
+    document listed twice in one term keeps its least tf there."""
     if k < 1:
         raise RankingError(f"k must be >= 1, got {k}")
     scores: dict[int, float] = {}
     for term, postings in postings_by_term.items():
         w = float(weights.get(term, 1.0))
+        least: dict[int, float] = {}
         for doc_id, tf in postings:
+            least[doc_id] = min(tf, least.get(doc_id, tf))
+        for doc_id, tf in least.items():
             scores[doc_id] = scores.get(doc_id, 0.0) + w * tf
     ranked = sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))
     return [RankedHit(doc_id=d, score=s) for d, s in ranked[:k]]

@@ -185,10 +185,6 @@ class PrimeField:
         """Uniform element of Z_p (used for Shamir coefficients)."""
         return rng.randrange(self.p)
 
-    def random_nonzero(self, rng: random.Random) -> int:
-        """Uniform element of Z_p \\ {0} (used for server x-coordinates)."""
-        return rng.randrange(1, self.p)
-
     # -- linear algebra ----------------------------------------------------
 
     def solve_linear_system(

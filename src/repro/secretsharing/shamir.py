@@ -5,7 +5,9 @@ encryption: the document owner builds a random polynomial ``f`` of degree
 ``k - 1`` whose constant term is the secret, and hands server ``i`` the point
 ``f(x_i)`` where ``x_i`` is that server's public x-coordinate. Any ``k``
 shares reconstruct the secret; ``k - 1`` shares are information-theoretically
-useless. This module implements:
+useless under any public, distinct, non-zero x's, so server ``s`` gets the
+textbook ``x = s + 1``: the first k servers' Lagrange weights at zero are
+then small signed integers, (2, -1) at k = 2. This module implements:
 
 - :func:`split_secret` — Algorithm 1a (compute k-out-of-n shares);
 - :func:`reconstruct_secret` — Algorithm 1b, with two interchangeable
@@ -218,29 +220,28 @@ class ShamirScheme:
             k: reconstruction threshold (1 <= k <= n).
             n: number of index servers.
             field: field to operate in; defaults to the 64-bit+ prime.
-            rng: randomness for x-coordinate assignment and, if no per-call
-                rng is given, share generation.
+            rng: share randomness when no per-call rng is given; the
+                x-coordinates draw nothing from it.
             x_coordinates: explicit server x-coordinates (distinct, non-zero).
-                When omitted, unique random coordinates are drawn.
+                When omitted, server ``s`` gets ``x = s + 1``.
         """
         if k < 1 or n < k:
             raise SecretSharingError(f"require 1 <= k <= n, got k={k} n={n}")
         self.field = field or PrimeField(DEFAULT_PRIME)
         self.k = k
         self._rng = rng or _DEFAULT_RNG
-        if x_coordinates is not None:
-            coords = [self.field.normalize(x) for x in x_coordinates]
-            if len(coords) != n:
-                raise SecretSharingError(
-                    f"expected {n} x-coordinates, got {len(coords)}"
-                )
-            if len(set(coords)) != n or any(x == 0 for x in coords):
-                raise SecretSharingError(
-                    "x-coordinates must be distinct and non-zero"
-                )
-            self._x_coordinates = coords
-        else:
-            self._x_coordinates = self._draw_coordinates(n)
+        if x_coordinates is None:
+            x_coordinates = range(1, n + 1)
+        coords = [self.field.normalize(x) for x in x_coordinates]
+        if len(coords) != n:
+            raise SecretSharingError(
+                f"expected {n} x-coordinates, got {len(coords)}"
+            )
+        if len(set(coords)) != n or any(x == 0 for x in coords):
+            raise SecretSharingError(
+                "x-coordinates must be distinct and non-zero"
+            )
+        self._x_coordinates = coords
         #: Lagrange-at-zero basis weights, memoized per frozen x-tuple.
         #: The weights depend only on which server slots answered, so a
         #: query reconstructing thousands of posting elements from the
@@ -249,12 +250,6 @@ class ShamirScheme:
         #: mod p. Values are idempotent, so concurrent readers may
         #: recompute the same entry harmlessly (no lock needed).
         self._weight_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
-
-    def _draw_coordinates(self, count: int) -> list[int]:
-        coords: set[int] = set()
-        while len(coords) < count:
-            coords.add(self.field.random_nonzero(self._rng))
-        return sorted(coords)
 
     # -- public parameters -------------------------------------------------
 
@@ -332,14 +327,17 @@ class ShamirScheme:
         return reconstruct_secret(shares, self.k, self.field, method)
 
     def lagrange_weights(self, xs: tuple[int, ...]) -> tuple[int, ...]:
-        """Memoized Lagrange-at-zero basis weights for one x-tuple.
-
-        ``xs`` must already be normalized into [0, p) — the memo is
-        keyed on the tuple verbatim.
+        """Memoized Lagrange-at-zero basis weights for one x-tuple, each
+        its least-magnitude representative in (-p/2, p/2]: congruent to
+        the field weight, and (2, -1) at x = (1, 2), (3, -3, 1) at
+        x = (1, 2, 3). ``xs`` must already be normalized into [0, p) —
+        the memo is keyed on the tuple verbatim.
         """
         weights = self._weight_memo.get(xs)
         if weights is None:
-            weights = self.field.lagrange_weights_at_zero(xs)
+            p = self.field.p
+            field_weights = self.field.lagrange_weights_at_zero(xs)
+            weights = tuple(w - p if w > p >> 1 else w for w in field_weights)
             self._weight_memo[xs] = weights
         return weights
 
@@ -356,8 +354,10 @@ class ShamirScheme:
         pass of ``(a + w1 * (b - a)) % p``, since the weights sum to 1;
         above it, k multiply-accumulate passes and one ``% p`` pass (the
         subtraction form there costs an int per term more than the
-        multiply it saves). Either equals the plain weighted sum mod p
-        for any integer shares. Returns the secrets, row for row.
+        multiply it saves). Least-magnitude weights keep each product
+        narrow over x = (1, 2, ...): ``w1 = -1`` at k = 2. Either form
+        equals the plain weighted sum mod p for any integer shares.
+        Returns the secrets, row for row.
 
         Raises:
             InsufficientSharesError: fewer than k columns.
@@ -389,7 +389,7 @@ class ShamirScheme:
 
     def extend(self, additional_servers: int) -> list[int]:
         """Dynamically add servers by "just selecting additional points on the
-        polynomial curve" — i.e. minting fresh x-coordinates.
+        polynomial curve": x-coordinates past the largest, ``n+1 .. n+m``.
 
         Existing shares are untouched; the caller is responsible for
         re-running :meth:`split` (or a resharing protocol) to populate the
@@ -401,13 +401,10 @@ class ShamirScheme:
         """
         if additional_servers < 1:
             raise SecretSharingError("must add at least one server")
-        existing = set(self._x_coordinates)
-        new_coords: list[int] = []
-        while len(new_coords) < additional_servers:
-            candidate = self.field.random_nonzero(self._rng)
-            if candidate not in existing:
-                existing.add(candidate)
-                new_coords.append(candidate)
+        start = max(self._x_coordinates) + 1
+        if start + additional_servers > self.field.p:
+            raise SecretSharingError("no x-coordinates left in the field")
+        new_coords = list(range(start, start + additional_servers))
         self._x_coordinates.extend(new_coords)
         return new_coords
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import random
 import sys
 import threading
 
@@ -546,10 +547,11 @@ class TestClusterIntegration:
             cluster.close()
 
     def test_lying_seat_filter_counts_match_with_the_l1_on_and_off(self):
-        """A seat lying about every share of a list but the first: the
-        garbage secrets are discarded like merged-in noise, whether the
-        L1 decoded every term of the list (a fill, then a hit) or the
-        uncached path decoded only the queried ones."""
+        """A seat lying about every share of a list but the first, each
+        by a delta drawn uniformly from Z_p: the garbage secrets are
+        discarded like merged-in noise, whether the L1 decoded every
+        term of the list (a fill, then a hit) or the uncached path
+        decoded only the queried ones."""
         documents = make_documents(num_docs=10)
         cluster = make_cluster(documents, n=3, l1_entries=32)
         with cluster:
@@ -562,11 +564,16 @@ class TestClusterIntegration:
             honest = len(plain.fetch_elements(terms))
             pl_id = cluster.mapping_table.lookup(terms[0])
             p = cluster.scheme.field.p
+            draw = random.Random(11)
             rewrite_stored_list(
                 cluster.coordinator.pod_of(pl_id).servers[0],
                 pl_id,
                 lambda records: [
-                    ShareRecord(r.element_id, r.group_id, (r.share_y + i) % p)
+                    ShareRecord(
+                        r.element_id,
+                        r.group_id,
+                        (r.share_y + (draw.randrange(p) if i else 0)) % p,
+                    )
                     for i, r in enumerate(records)
                 ],
             )
@@ -588,6 +595,67 @@ class TestClusterIntegration:
             assert cluster.search("alice", terms, use_cache=False) == (
                 cached.search(terms)
             )
+
+    def test_a_small_lie_shifts_secrets_and_only_verification_drops_it(self):
+        """A seat at x = 1 adding ``i`` to the i-th share of a list. Under
+        the canonical weights (2, -1) each secret moves by ``2i``, so the
+        lied rows decode as plausible postings: without
+        ``verify_consistency`` the answer silently differs from the
+        honest one. With it, over all n = 3 seats, every lied element
+        disagrees across the k-subsets, counts as inconsistent and is
+        dropped (three shares detect, they cannot correct): the answer
+        is the honest list without the lied rows."""
+        documents = make_documents(num_docs=10)
+        cluster = make_cluster(documents, n=3)
+        with cluster:
+            cluster.add_member(0, "alice", actor="owner0")
+            readable = sorted(
+                {t for d in documents if d.group_id == 0 for t in d.term_counts}
+            )
+            terms = readable[:3]
+            plain = cluster.searcher("alice", use_cache=False)
+            honest = plain.fetch_elements(terms)
+            pl_id = cluster.mapping_table.lookup(terms[0])
+            seats = cluster.coordinator.pod_of(pl_id).servers
+            assert seats[0].x_coordinate == 1
+            records = seats[0].export_posting_list(pl_id)
+            lied = {
+                r.element_id
+                for i, r in enumerate(records)
+                if i and r.group_id == 0  # the rows alice can read
+            }
+            assert lied
+            p = cluster.scheme.field.p
+            rewrite_stored_list(
+                seats[0],
+                pl_id,
+                lambda records: [
+                    ShareRecord(r.element_id, r.group_id, (r.share_y + i) % p)
+                    for i, r in enumerate(records)
+                ],
+            )
+            # The shifted rows survive the decode: a changed answer of
+            # the same length, nothing flagged.
+            lying = plain.fetch_elements(terms)
+            assert lying != honest and len(lying) == len(honest)
+            checker = cluster.searcher("alice", verify_consistency=True)
+            verified = checker.fetch_elements(terms, num_servers=3)
+            diagnostics = checker.last_diagnostics
+            assert diagnostics.inconsistent_elements == len(lied)
+            assert diagnostics.recovered_elements == 0
+            verified_hits = checker.search(terms, num_servers=3)
+            # The same answer as an honest fleet that never held the
+            # lied rows.
+            for seat in seats:
+                rewrite_stored_list(
+                    seat,
+                    pl_id,
+                    lambda stored: [
+                        r for r in stored if r.element_id not in lied
+                    ],
+                )
+            assert verified == plain.fetch_elements(terms) != honest
+            assert verified_hits == plain.search(terms)
 
     def test_ranking_never_mutates_the_l1_entries_it_reads(self):
         """The rank stage works on the L1's own term columns: after many

@@ -384,6 +384,25 @@ class TestReconstructBatch:
             % field.p
         )
 
+    @pytest.mark.parametrize("p", [DEFAULT_PRIME, 65537, 101])
+    def test_weights_are_least_magnitude_and_congruent(self, p):
+        field = PrimeField(p)
+        scheme = ShamirScheme(k=2, n=6, field=field)
+        for k in (2, 3, 4):
+            for xs in combinations(range(1, 7), k):
+                weights = scheme.lagrange_weights(xs)
+                assert all(-p < 2 * w <= p for w in weights)
+                assert tuple(
+                    w % p for w in weights
+                ) == field.lagrange_weights_at_zero(xs)
+        assert scheme.lagrange_weights((1, 2)) == (2, -1)
+        assert scheme.lagrange_weights((1, 2, 3)) == (3, -3, 1)
+        # A failover subset's weights are ~p/2 wide: 3/2 and -1/2.
+        if p == DEFAULT_PRIME:
+            w1, w3 = scheme.lagrange_weights((1, 3))
+            assert w1.bit_length() == w3.bit_length() == 64
+            assert (2 * w1 - 3) % p == (2 * w3 + 1) % p == 0
+
     def test_too_few_columns_raise_like_naive(self):
         scheme = self._scheme(k=3, n=5)
         shares = scheme.split(42)

@@ -207,6 +207,24 @@ class TestThresholdInputs:
                 postings, weights, k, tf_of=tf_of
             ) == threshold_top_k(postings, weights, k)
 
+    def test_naive_oracle_keeps_a_repeated_documents_least_tf_too(self):
+        # Raw rows: doc 9 twice in "a", doc 4 twice in "b"; the oracle
+        # scores 9 as 1.5 * 0.25 + 0.5 * 1.0, not with both rows of "a".
+        postings = {
+            "a": [(9, 0.75), (3, 0.5), (9, 0.25), (1, 0.5)],
+            "b": [(4, 1.0), (9, 1.0), (4, 0.25)],
+        }
+        weights = {"a": 1.5, "b": 0.5}
+        for k in (1, 2, 4, 10):
+            naive = naive_top_k(postings, weights, k)
+            ta = threshold_top_k(postings, weights, k)
+            assert [(h.doc_id, h.score.hex()) for h in naive] == [
+                (h.doc_id, h.score.hex()) for h in ta
+            ]
+        assert [(h.doc_id, h.score) for h in naive] == [
+            (9, 0.875), (1, 0.75), (3, 0.75), (4, 0.125)
+        ]
+
     def test_negative_tf_anywhere_in_the_list_is_rejected(self):
         for rows in ([(1, -0.5), (2, 0.5)], [(2, 0.5), (1, -0.5)]):
             with pytest.raises(RankingError):
@@ -219,20 +237,11 @@ class TestThresholdInputs:
 _NAMES = ("delta", "alpha", "charlie", "bravo")
 
 
-def _kept_rows(postings_by_term):
-    """Each term's rows with a repeated document's least tf kept, built
-    without the code under test: the exhaustive oracle's input."""
-    return {
-        term: list({doc: tf for doc, tf in sorted(rows, reverse=True)}.items())
-        for term, rows in postings_by_term.items()
-    }
-
-
 def _head_rank(found, term_of_id, top_k):
     """The rank stage of ``SearchClient.search`` before it went columnar,
     ranked by the exhaustive oracle: pairs regrouped per term, sorted by
     doc id, a set per term for the statistics, ``naive_top_k`` over the
-    kept rows, ``matched`` over every posting (de-duplicated here)."""
+    rows, ``matched`` over every posting (de-duplicated here)."""
     collected = defaultdict(list)
     for term_id, postings in found:
         for doc_id, tf in postings:
@@ -243,7 +252,7 @@ def _head_rank(found, term_of_id, top_k):
     )
     scorer = TfIdfScorer(statistics)
     weights = {t: scorer.weight(t) for t in postings_by_term}
-    hits = naive_top_k(_kept_rows(postings_by_term), weights, top_k)
+    hits = naive_top_k(postings_by_term, weights, top_k)
     matched = defaultdict(set)
     for term, postings in postings_by_term.items():
         for doc_id, _ in postings:
@@ -322,13 +331,12 @@ _TIED_ROWS = st.lists(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
 def test_property_ta_with_repeated_docs_and_tied_tfs(postings, weights, k, seed):
-    """TA is exactly the exhaustive oracle over each term's kept rows (a
-    repeated document keeps its smaller tf): the same documents, ties at
+    """TA is exactly the exhaustive oracle over the same rows (a repeated
+    document keeps its smaller tf in both): the same documents, ties at
     the cut included, and the same score bits, in any arrival order of
     the rows, with or without the caller's maps."""
     oracle = [
-        (h.doc_id, h.score.hex())
-        for h in naive_top_k(_kept_rows(postings), weights, k)
+        (h.doc_id, h.score.hex()) for h in naive_top_k(postings, weights, k)
     ]
     rng = random.Random(seed)
     shuffled = {t: rng.sample(rows, len(rows)) for t, rows in postings.items()}

@@ -262,6 +262,39 @@ class TestShamirScheme:
         ]
         assert scheme.reconstruct_batch(xs, y_columns) == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        field=st.sampled_from([FIELD, PrimeField(DEFAULT_PRIME)]),
+        k=st.integers(2, 5),
+        extra=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_reconstruct_batch_over_every_subset_of_the_default_xs(
+        self, field, k, extra, data
+    ):
+        """x = 1..n by default; over every k-subset of it, consecutive
+        or not, the column form equals naive Lagrange per row and the
+        field-weighted sum, for shares in the field, past p, past 2^64
+        and negative."""
+        n = k + extra
+        scheme = ShamirScheme(k=k, n=n, field=field)
+        assert scheme.x_coordinates == tuple(range(1, n + 1))
+        ys = (
+            st.integers(0, field.p - 1)
+            | st.integers(field.p, 2**80)
+            | st.integers(-(2**80), -1)
+        )
+        rows = data.draw(st.lists(st.tuples(*[ys] * k), max_size=8))
+        y_columns = [list(column) for column in zip(*rows)] or [[]] * k
+        for xs in itertools.combinations(scheme.x_coordinates, k):
+            field_weights = field.lagrange_weights_at_zero(xs)
+            assert scheme.reconstruct_batch(xs, y_columns) == [
+                field.lagrange_at_zero(list(zip(xs, row))) for row in rows
+            ] == [
+                sum(w * y for w, y in zip(field_weights, row)) % field.p
+                for row in rows
+            ]
+
     def test_split_many_empty_input_gives_n_empty_columns(self):
         for k, n in ((1, 1), (2, 3), (3, 5)):
             scheme = ShamirScheme(k=k, n=n, field=FIELD, rng=make_rng())
@@ -306,6 +339,27 @@ class TestShamirScheme:
         assert scheme.n == 5
         assert len(new) == 2
         assert before.isdisjoint(new)
+
+    def test_default_coordinates_draw_nothing_and_extend_continues_them(
+        self,
+    ):
+        rng = make_rng()
+        scheme = ShamirScheme(k=2, n=3, field=FIELD, rng=rng)
+        assert rng.getstate() == make_rng().getstate()
+        assert scheme.x_coordinates == (1, 2, 3)
+        assert scheme.extend(2) == [4, 5]
+        assert scheme.x_coordinates == (1, 2, 3, 4, 5)
+        assert scheme.x_of(4) == 5
+        assert rng.getstate() == make_rng().getstate()
+
+    def test_default_coordinates_need_a_field_wider_than_n(self):
+        small = PrimeField(7)
+        with pytest.raises(SecretSharingError):
+            ShamirScheme(k=2, n=7, field=small)  # x = 7 is 0 in Z_7
+        scheme = ShamirScheme(k=2, n=5, field=small)
+        with pytest.raises(SecretSharingError):
+            scheme.extend(2)
+        assert scheme.extend(1) == [6]
 
     def test_extend_requires_positive(self):
         scheme = ShamirScheme(k=2, n=3, field=FIELD, rng=make_rng())
