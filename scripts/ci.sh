@@ -57,8 +57,8 @@
 #   metrics hot and a trace per query at >= 0.9x the uninstrumented
 #   figure, recorded into BENCH_load.json (ratio gate).
 #
-# The table ends with the two numbers the roadmap tracks for the whole
-# tree: the line count of src/ and the wall time of this run.
+# The table ends with the numbers the roadmap tracks for the whole
+# tree: the line counts of src/ and tests/ and the wall time of this run.
 
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -138,8 +138,10 @@ echo "== summary =="
 for row in "${results[@]}"; do
     printf '  %-28s %s\n' "${row%%|*}" "${row#*|}"
 done
-printf '  %-28s %s\n' "$(find src -name '*.py' -exec cat {} + | wc -l)" \
-    "lines in src/"
+for tree in src tests; do
+    printf '  %-28s %s\n' "$(find "$tree" -name '*.py' -exec cat {} + | wc -l)" \
+        "lines in ${tree}/"
+done
 printf '  %-28s %s\n' "$(($(date +%s) - started)) s" "wall time"
 if [ "$failed" -ne 0 ]; then
     echo "CI gate FAILED: ${failed} of ${#results[@]} gates" >&2

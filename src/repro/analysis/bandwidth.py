@@ -174,7 +174,7 @@ def compression_experiment(
     rng = random.Random(seed)
     field = PrimeField(DEFAULT_PRIME)
     scheme = ShamirScheme(k=k, n=n, field=field, rng=rng)
-    share_bytes = (field.p.bit_length() + 7) // 8
+    share_bytes = field.share_bytes
     plain_parts: list[bytes] = []
     share_parts: list[bytes] = []
     for i in range(num_elements):

@@ -154,7 +154,7 @@ class SearchClient:
         self._codec = codec or PostingElementCodec()
         self._snippets = snippet_service
         self._verify = verify_consistency
-        self._share_bytes = (scheme.field.p.bit_length() + 7) // 8
+        self._share_bytes = scheme.field.share_bytes
         if transport is None:
             transport = InProcessTransport(resolver=fleet_resolver(servers))
         self._transport = transport

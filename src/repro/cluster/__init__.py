@@ -16,7 +16,6 @@ from repro.cluster.coordinator import (
     RebalanceStats,
     ServerSlot,
     attach_wal_to_slot,
-    slot_service,
 )
 from repro.cluster.deployment import ClusterDeployment
 
@@ -29,5 +28,4 @@ __all__ = [
     "RebalanceStats",
     "ServerSlot",
     "attach_wal_to_slot",
-    "slot_service",
 ]

@@ -64,7 +64,6 @@ from repro.protocol.service import IndexServerService
 from repro.protocol.transport import InProcessTransport
 from repro.resilience.breaker import BreakerRegistry
 from repro.secretsharing.shamir import ShamirScheme
-from repro.server.auth import AuthService
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import IndexServer
 from repro.storage.engine import SegmentedStore
@@ -165,15 +164,6 @@ def attach_wal_to_slot(slot: ServerSlot, path, **store_options):
     return store
 
 
-def slot_service(slot: ServerSlot) -> IndexServerService:
-    """The protocol endpoint for one seat; a dead seat drops every request.
-
-    The service reads ``slot.server`` at call time, so a WAL restart
-    that swaps the server object needs no transport re-registration.
-    """
-    return IndexServerService.for_slot(slot)
-
-
 @dataclass
 class RebalanceStats:
     """What one ring-membership change actually moved.
@@ -255,13 +245,10 @@ class ClusterCoordinator:
         self,
         scheme: ShamirScheme,
         pods: Sequence[Pod],
-        auth: AuthService,
         groups: GroupDirectory,
-        share_bytes: int,
         virtual_nodes: int = 64,
         replication_factor: int = 1,
         transport: InProcessTransport | None = None,
-        repair_budget: int | None = None,
         clock: Callable[[], float] = time.monotonic,
         metrics: "MetricsRegistry | None" = None,
     ) -> None:
@@ -269,11 +256,8 @@ class ClusterCoordinator:
         scheme: the k-of-n scheme every pod shares (n = pod size).
         pods: the server fleets; every pod must have exactly ``scheme.n``
             slots so shares stay slot-aligned.
-        auth: enterprise auth service (needed to rebuild servers on
-            WAL restart).
-        groups: the replicated group table (also feeds the cache
-            keys' membership fingerprints).
-        share_bytes: wire size of one share value.
+        groups: the replicated group table (feeds the cache keys'
+            membership fingerprints).
         virtual_nodes: ring smoothness for pod placement.
         replication_factor: pods each merged posting list lives on.
             1 reproduces the PR 1 single-owner sharding; >= 2 keeps
@@ -283,10 +267,6 @@ class ClusterCoordinator:
             through. A deployment passes its shared registry — with
             every seat already registered; standalone coordinators get
             a private registry with the seats registered here.
-        repair_budget: default per-sweep heal cap for
-            :meth:`repair_sweep` (None = unbounded). A budget turns the
-            sweep into a rate limiter: a huge backlog is worked off
-            across sweeps instead of one long stop-the-world pass.
         clock: the single monotonic clock behind every latency-
             sensitive path the coordinator owns — breaker open/half-open
             windows, :meth:`note_pod_read` EWMA + p95 samples, and
@@ -319,16 +299,15 @@ class ClusterCoordinator:
         self._pod_by_name = {pod.name: pod for pod in self.pods}
         self._ring = ConsistentHashRing(names, virtual_nodes=virtual_nodes)
         self._placement_memo: dict[int, tuple[Pod, ...]] = {}
-        self._auth = auth
         self._groups = groups
-        self._share_bytes = share_bytes
         if transport is None:
             transport = InProcessTransport()
             for pod in self.pods:
                 for slot in pod.slots:
-                    transport.register(slot.server_id, slot_service(slot))
+                    transport.register(
+                        slot.server_id, IndexServerService.for_slot(slot)
+                    )
         self.transport = transport
-        self.repair_budget = repair_budget
         #: The injected monotonic clock (satellite of the observability
         #: PR): breakers, hedge-delay p95 samples, and the clients'
         #: fetch timing all read this one source, so a fake clock moves
@@ -902,14 +881,7 @@ class ClusterCoordinator:
         if slot.alive:
             raise ClusterError(f"server {slot.server_id!r} is not down")
         if slot.wal_path is not None:
-            old = slot.server
-            fresh = IndexServer(
-                server_id=old.server_id,
-                x_coordinate=old.x_coordinate,
-                auth=self._auth,
-                groups=self._groups,
-                share_bytes=self._share_bytes,
-            )
+            fresh = slot.server.empty_twin()
             store = SegmentedStore(slot.wal_path, **slot.storage_options)
             fresh.bulk_load(store.replay())
             fresh.attach_store(store)
@@ -947,10 +919,6 @@ class ClusterCoordinator:
         return [
             self.restart_server(pod_index, slot.slot_index) for slot in dead
         ]
-
-    def attach_wal(self, pod_index: int, slot_index: int, path):
-        """Give one seat a durable store (once per seat); returns it."""
-        return attach_wal_to_slot(self._slot(pod_index, slot_index), path)
 
     def _pod(self, pod_index: int) -> Pod:
         if not 0 <= pod_index < len(self.pods):
@@ -1241,12 +1209,10 @@ class ClusterCoordinator:
         or the sweep gets there first.
 
         Args:
-            budget: max heals this sweep (None falls back to the
-                coordinator's ``repair_budget``; that too being None
-                means unbounded). Exhausting it sets
-                ``budget_exhausted`` and leaves the rest for the next
-                sweep — the sweep is a rate-limited background chore,
-                not a stop-the-world pass.
+            budget: max heals this sweep (None means unbounded).
+                Exhausting it sets ``budget_exhausted`` and leaves the
+                rest for the next sweep — the sweep is a rate-limited
+                background chore, not a stop-the-world pass.
 
         Unhealable gaps are left in place and classified: a dead target
         seat waits for its restart; a gap with no trusted source
@@ -1255,8 +1221,6 @@ class ClusterCoordinator:
         between election and transfer) are counted and retried next
         sweep.
         """
-        if budget is None:
-            budget = self.repair_budget
         stats = RepairSweepStats()
         with self._ledger_lock:
             backlog = sorted(self._incomplete)

@@ -1,12 +1,15 @@
-"""The sharded cluster facade — a multi-pod :class:`ZerberDeployment` (§8).
+"""The sharded cluster facade — a multi-pod Zerber installation (§8).
 
 Where :class:`~repro.core.zerber_index.ZerberDeployment` stands up one
 pod of n servers replicating the whole index, :class:`ClusterDeployment`
 stands up ``num_pods`` of them and shards the merged posting lists
-across pods by consistent hashing. The enterprise plane (auth service,
-group table, dictionary, mapping table, snippet registry) stays shared
-— there is still one logical Zerber installation, it just no longer fits
-on one fleet.
+across pods by consistent hashing. Both subclass
+:class:`~repro.core.zerber_index.Installation`, the one enterprise
+plane (scheme, auth service, group table, dictionary, mapping table,
+snippet registry, principals, owners, one-shot search): there is still
+one logical Zerber installation, it just no longer fits on one fleet.
+This module adds what the shape needs on top — pods, the coordinator,
+transports, caches, operations and statistics.
 
 Typical use (see ``examples/cluster_tour.py``)::
 
@@ -24,9 +27,8 @@ Typical use (see ``examples/cluster_tour.py``)::
 from __future__ import annotations
 
 import pathlib
-import random
 import time
-from typing import Callable, Mapping, Sequence
+from typing import Callable
 
 from repro.cachetier import (
     CACHE_TIER_ENDPOINT,
@@ -34,9 +36,6 @@ from repro.cachetier import (
     CacheTierStore,
 )
 from repro.client.batching import BatchPolicy
-from repro.client.owner import DocumentOwner
-from repro.client.searcher import SearchResult
-from repro.client.snippets import SnippetService
 from repro.cluster.clients import ClusterSearchClient
 from repro.cluster.coordinator import (
     ClusterCoordinator,
@@ -44,13 +43,10 @@ from repro.cluster.coordinator import (
     RebalanceStats,
     ServerSlot,
     attach_wal_to_slot,
-    slot_service,
 )
-from repro.core.dictionary import TermDictionary
 from repro.core.mapping_table import MappingTable
-from repro.core.merging.base import MergingHeuristic
-from repro.core.posting import PackingSpec, PostingElementCodec
-from repro.core.zerber_index import NO_SIMULATED_NETWORK, build_mapping_table
+from repro.core.posting import PackingSpec
+from repro.core.zerber_index import Installation
 from repro.errors import ClusterError
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.service import METRICS_ENDPOINT, MetricsService
@@ -59,18 +55,17 @@ from repro.protocol.async_transport import (
     AsyncSocketTransport,
 )
 from repro.protocol.messages import DropListRequest
-from repro.protocol.service import SnippetHostService
+from repro.protocol.service import IndexServerService
 from repro.protocol.transport import InProcessTransport, Transport
-from repro.secretsharing.field import DEFAULT_PRIME, PrimeField
-from repro.secretsharing.shamir import ShamirScheme
-from repro.server.auth import AuthService, AuthToken
-from repro.server.groups import GroupDirectory
+from repro.secretsharing.field import PrimeField
 from repro.server.index_server import IndexServer
 from repro.storage.engine import refuse_flat_wals
 
 
-class ClusterDeployment:
+class ClusterDeployment(Installation):
     """A complete sharded Zerber installation: pods, placement, clients."""
+
+    _error = ClusterError
 
     def __init__(
         self,
@@ -93,7 +88,6 @@ class ClusterDeployment:
         socket_idle_timeout_s: float | None = None,
         storage: str = "segmented",
         anti_entropy_interval_s: float | None = None,
-        repair_budget: int | None = None,
         admission_max_pending: int | None = None,
         cache_tier: str | None = None,
         cache_tier_entries: int = 4096,
@@ -101,18 +95,12 @@ class ClusterDeployment:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         """Args:
-        mapping_table: the public term -> posting-list table.
+        mapping_table, k, field, packing, use_network, batch_policy,
+        seed: the enterprise plane, as
+            :class:`~repro.core.zerber_index.Installation`'s (a refused
+            ``use_network`` is a :class:`~repro.errors.ClusterError`).
         num_pods: server fleets to shard the merged lists across.
-        k: Shamir reconstruction threshold within each pod.
         n: servers per pod (each pod tolerates n - k failures).
-        field: the Z_p field; defaults to the 64-bit+ prime.
-        packing: posting-element bit layout.
-        use_network: must be False, the default; True is a
-            :class:`~repro.errors.ClusterError` naming the counters that
-            replaced the simulated network's ledger. The keyword stays
-            only because the benchmark scenario still passes
-            ``use_network=False``, and goes once that scenario stops.
-        batch_policy: default owner batching policy.
         cache_entries: must be 0, the default; anything else is a
             :class:`~repro.errors.ClusterError` naming ``l1_entries``,
             the searcher-local cache that replaced the coordinator's
@@ -126,7 +114,6 @@ class ClusterDeployment:
         replication_factor: pods each merged posting list lives on;
             >= 2 keeps the cluster byte-identical with a whole pod dead
             at the cost of R x storage and write fan-out.
-        seed: master seed for all deployment randomness.
         transport: ``"in-process"`` (default) or ``"async-socket"``.
             With ``"async-socket"`` the deployment embeds a loopback
             :class:`AsyncSocketServer` and every client (owners,
@@ -152,8 +139,6 @@ class ClusterDeployment:
             thread runs :meth:`repair_sweep` at this cadence (with
             failure backoff) until :meth:`close`; None leaves repair
             to explicit sweeps and owner re-provisioning.
-        repair_budget: per-sweep heal cap for the repair thread and
-            default for :meth:`repair_sweep` (None = unbounded).
         admission_max_pending: bound on concurrently dispatched
             requests at the embedded socket server; excess requests
             are shed with a retryable
@@ -183,21 +168,6 @@ class ClusterDeployment:
                 f"unknown transport {transport!r}; expected "
                 "'in-process' or 'async-socket'"
             )
-        self._rng = random.Random(seed)
-        self.field = field or PrimeField(DEFAULT_PRIME)
-        self.scheme = ShamirScheme(k=k, n=n, field=self.field, rng=self._rng)
-        self.mapping_table = mapping_table
-        self.dictionary = TermDictionary()
-        self.packing = packing or PackingSpec()
-        self.codec = PostingElementCodec(self.packing)
-        self.auth = AuthService()
-        self.groups = GroupDirectory()
-        self._batch_policy = batch_policy or BatchPolicy()
-        share_bytes = (self.field.p.bit_length() + 7) // 8
-        self._share_bytes = share_bytes
-        self._wal_dir = (
-            pathlib.Path(wal_dir) if wal_dir is not None else None
-        )
         if l1_entries < 0:
             raise ClusterError(f"l1_entries must be >= 0, got {l1_entries}")
         if cache_entries != 0:
@@ -206,13 +176,17 @@ class ClusterDeployment:
                 "cache is gone; size the searcher-local cache with "
                 "l1_entries instead"
             )
-        if use_network:
-            raise ClusterError(NO_SIMULATED_NETWORK)
         if storage != "segmented":
             raise ClusterError(
                 f"unknown storage engine {storage!r}; the only engine is "
                 "'segmented'"
             )
+        super().__init__(
+            mapping_table, k, n, field, packing, use_network, batch_policy, seed
+        )
+        self._wal_dir = (
+            pathlib.Path(wal_dir) if wal_dir is not None else None
+        )
         if self._wal_dir is not None:
             refuse_flat_wals(self._wal_dir)
         pods: list[Pod] = [
@@ -223,7 +197,9 @@ class ClusterDeployment:
         self.registry = InProcessTransport()
         for pod in pods:
             for slot in pod.slots:
-                self.registry.register(slot.server_id, slot_service(slot))
+                self.registry.register(
+                    slot.server_id, IndexServerService.for_slot(slot)
+                )
         #: The deployment-wide observability registry. Every subsystem
         #: publishes into this one object — coordinator read/write
         #: paths, socket-server frame counters, cache tiers, breakers,
@@ -233,13 +209,10 @@ class ClusterDeployment:
         self.coordinator = ClusterCoordinator(
             scheme=self.scheme,
             pods=pods,
-            auth=self.auth,
             groups=self.groups,
-            share_bytes=share_bytes,
             virtual_nodes=virtual_nodes,
             replication_factor=replication_factor,
             transport=self.registry,
-            repair_budget=repair_budget,
             clock=clock,
             metrics=self.metrics,
         )
@@ -273,16 +246,12 @@ class ClusterDeployment:
         self._l1_entries = l1_entries
         if anti_entropy_interval_s is not None:
             self.coordinator.start_repair_thread(
-                interval_s=anti_entropy_interval_s, budget=repair_budget
+                interval_s=anti_entropy_interval_s
             )
         if self._wal_dir is not None:
             for pod in pods:
                 for slot in pod.slots:
-                    self.coordinator.attach_wal(
-                        pod.index,
-                        slot.slot_index,
-                        self._wal_dir / slot.server_id,
-                    )
+                    attach_wal_to_slot(slot, self._wal_dir / slot.server_id)
         self._socket_server: AsyncSocketServer | None = None
         self.transport: Transport = self.registry
         if transport == "async-socket":
@@ -296,9 +265,6 @@ class ClusterDeployment:
             )
             self.transport = AsyncSocketTransport(self._socket_server.address)
         self._closed = False
-        self.snippets = SnippetService(self.groups)
-        self._tokens: dict[str, AuthToken] = {}
-        self._owners: dict[str, DocumentOwner] = {}
 
     def _collect_deployment_metrics(self):
         """Registry collector for the deployment-owned surfaces.
@@ -355,95 +321,16 @@ class ClusterDeployment:
             ServerSlot(
                 pod_index=pod_index,
                 slot_index=slot_index,
-                server=IndexServer(
-                    server_id=f"{name}-server-{slot_index}",
-                    x_coordinate=self.scheme.x_of(slot_index),
-                    auth=self.auth,
-                    groups=self.groups,
-                    share_bytes=self._share_bytes,
+                server=self._index_server(
+                    f"{name}-server-{slot_index}",
+                    self.scheme.x_of(slot_index),
                 ),
             )
             for slot_index in range(n)
         ]
         return Pod(index=pod_index, name=name, slots=slots)
 
-    # -- construction from corpus statistics --------------------------------------
-
-    @classmethod
-    def bootstrap(
-        cls,
-        term_probabilities: Mapping[str, float],
-        heuristic: MergingHeuristic | str = "dfm",
-        num_lists: int | None = None,
-        target_r: float | None = None,
-        rare_cutoff: float = 0.0,
-        **kwargs,
-    ) -> "ClusterDeployment":
-        """Build a cluster by running a §6 merging heuristic first.
-
-        Same contract as :meth:`ZerberDeployment.bootstrap`; extra
-        ``**kwargs`` (num_pods, k, n, wal_dir, ...) reach the constructor.
-        """
-        table, merge = build_mapping_table(
-            term_probabilities,
-            heuristic=heuristic,
-            num_lists=num_lists,
-            target_r=target_r,
-            rare_cutoff=rare_cutoff,
-        )
-        deployment = cls(mapping_table=table, **kwargs)
-        deployment.merge_result = merge
-        return deployment
-
-    # -- principals ---------------------------------------------------------------
-
-    def enroll_user(self, user_id: str) -> AuthToken:
-        """Provision a user with the enterprise and cache their ticket."""
-        if user_id in self._tokens:
-            return self._tokens[user_id]
-        credential = self.auth.register_user(user_id)
-        token = self.auth.issue_token(user_id, credential)
-        self._tokens[user_id] = token
-        return token
-
-    def create_group(self, group_id: int, coordinator: str) -> None:
-        """Create a collaboration group; enrolls the coordinator if needed."""
-        self.enroll_user(coordinator)
-        self.groups.create_group(group_id, coordinator)
-
-    def add_member(
-        self, group_id: int, user_id: str, actor: str | None = None
-    ) -> None:
-        self.enroll_user(user_id)
-        self.groups.add_member(group_id, user_id, actor=actor)
-
-    def remove_member(
-        self, group_id: int, user_id: str, actor: str | None = None
-    ) -> None:
-        self.groups.remove_member(group_id, user_id, actor=actor)
-
     # -- clients ---------------------------------------------------------------------
-
-    def owner(
-        self, owner_id: str, batch_policy: BatchPolicy | None = None
-    ) -> DocumentOwner:
-        """The (cached) owner client, routing writes through the cluster."""
-        if owner_id not in self._owners:
-            token = self.enroll_user(owner_id)
-            self._owners[owner_id] = DocumentOwner(
-                owner_id=owner_id,
-                token=token,
-                scheme=self.scheme,
-                mapping_table=self.mapping_table,
-                dictionary=self.dictionary,
-                servers=None,
-                codec=self.codec,
-                batch_policy=batch_policy or self._batch_policy,
-                rng=random.Random(self._rng.getrandbits(64)),
-                router=self.coordinator,
-                transport=self.transport,
-            )
-        return self._owners[owner_id]
 
     def searcher(self, user_id: str, **kwargs) -> ClusterSearchClient:
         """A fresh cluster search client for a principal."""
@@ -462,29 +349,6 @@ class ClusterDeployment:
             snippet_service=self.snippets,
             **kwargs,
         )
-
-    # -- convenience -------------------------------------------------------------------
-
-    def share_document(self, owner_id: str, document) -> int:
-        """Share one document and host it for snippet requests."""
-        owner = self.owner(owner_id)
-        count = owner.share_document(document)
-        self.snippets.host_document(document)
-        if not self.registry.has_endpoint(document.host):
-            self.registry.register(
-                document.host, SnippetHostService(self.snippets)
-            )
-        return count
-
-    def search(
-        self, user_id: str, terms: Sequence[str], top_k: int = 10, **kwargs
-    ) -> list[SearchResult]:
-        """One-shot search for a principal."""
-        return self.searcher(user_id, **kwargs).search(terms, top_k=top_k)
-
-    def flush_all(self) -> int:
-        """Flush every owner's pending batches (test/bench convenience)."""
-        return sum(owner.flush_updates() for owner in self._owners.values())
 
     # -- operations --------------------------------------------------------------------
 
@@ -537,6 +401,10 @@ class ClusterDeployment:
         deployment's configuration.
         """
         name = name or f"pod{self._next_pod_ordinal}"
+        # Before any seat store opens: opening one runs crash cleanup
+        # in its directory, which a live same-named seat still uses.
+        if any(pod.name == name for pod in self.pods):
+            raise ClusterError(f"duplicate pod name {name!r}")
         pod = self._build_pod(len(self.pods), name, self.scheme.n)
         # WAL and transport wiring must precede the join so migrated
         # records are logged and the seats are reachable immediately.
@@ -545,7 +413,9 @@ class ClusterDeployment:
             for slot in pod.slots:
                 attach_wal_to_slot(slot, self._wal_dir / slot.server_id)
         for slot in pod.slots:
-            self.registry.register(slot.server_id, slot_service(slot))
+            self.registry.register(
+                slot.server_id, IndexServerService.for_slot(slot)
+            )
         stats = self.coordinator.add_pod(
             pod, self.mapping_table.num_lists
         )
@@ -623,12 +493,6 @@ class ClusterDeployment:
             for slot in pod.slots:
                 if slot.log is not None:
                     slot.log.close()
-
-    def __enter__(self) -> "ClusterDeployment":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
     # -- observability ------------------------------------------------------------------
 

@@ -1,20 +1,24 @@
-"""The Zerber deployment facade — the library's top-level public API (§5).
+"""The Zerber deployment facades — the library's top-level public API (§5).
 
-A :class:`ZerberDeployment` wires together everything a working Zerber
-installation needs:
+:class:`Installation` is the enterprise plane one Zerber installation
+runs, whatever its shape:
 
 - a :class:`~repro.secretsharing.shamir.ShamirScheme` with the public
   (p, x_i) parameters;
-- n :class:`~repro.server.index_server.IndexServer` boxes, each holding one
-  share of every element ("Each index server should be owned and managed by
-  a different part of the enterprise");
 - the enterprise :class:`~repro.server.auth.AuthService` and the replicated
-  :class:`~repro.server.groups.GroupDirectory`;
+  :class:`~repro.server.groups.GroupDirectory` every index server trusts;
 - the public :class:`~repro.core.mapping_table.MappingTable` and
   :class:`~repro.core.dictionary.TermDictionary`;
-- an :class:`~repro.protocol.transport.InProcessTransport` registry
-  every client speaks through;
-- a :class:`~repro.client.snippets.SnippetService` registry of hosting peers.
+- a :class:`~repro.client.snippets.SnippetService` registry of hosting
+  peers, and the principals' tokens and owner clients.
+
+:class:`ZerberDeployment` is the paper's single fleet on that plane: n
+:class:`~repro.server.index_server.IndexServer` boxes, each holding one
+share of every element ("Each index server should be owned and managed
+by a different part of the enterprise"), behind an
+:class:`~repro.protocol.transport.InProcessTransport` registry every
+client speaks through. The sharded shape,
+:class:`~repro.cluster.ClusterDeployment`, is the same plane over pods.
 
 Typical use (see ``examples/quickstart.py``)::
 
@@ -31,7 +35,7 @@ Typical use (see ``examples/quickstart.py``)::
 from __future__ import annotations
 
 import random
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.client.batching import BatchPolicy
 from repro.client.owner import DocumentOwner
@@ -57,6 +61,9 @@ from repro.server.auth import AuthService, AuthToken
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import IndexServer
 
+if TYPE_CHECKING:
+    from typing import Self  # Python 3.11+; annotations only
+
 #: Re-export under the name the core package advertises.
 ZerberSearchResult = SearchResult
 
@@ -80,8 +87,8 @@ def build_mapping_table(
 ):
     """Run a §6 merging heuristic and build the public mapping table.
 
-    Shared by :meth:`ZerberDeployment.bootstrap` and the cluster
-    deployment's bootstrap — the merge is deployment-shape-agnostic.
+    :meth:`Installation.bootstrap` runs it for either shape — the
+    merge is deployment-shape-agnostic.
 
     Args:
         term_probabilities: formula-(2) probabilities from training data.
@@ -128,15 +135,22 @@ def build_mapping_table(
     return table, merge
 
 
-class ZerberDeployment:
-    """A complete, running Zerber installation: the paper's single fleet.
+class Installation:
+    """One Zerber installation's enterprise plane (§5), whatever its shape.
 
-    Its servers answer in this process over an
-    :class:`~repro.protocol.transport.InProcessTransport`; it is the
-    reference every :class:`~repro.cluster.ClusterDeployment` is
-    checked against, over the wire included. A deployment is also a
-    context manager, like the cluster.
+    A shape adds where the lists live: the single fleet
+    (:class:`ZerberDeployment`) sets :attr:`servers`, the cluster
+    (:class:`~repro.cluster.ClusterDeployment`) sets :attr:`coordinator`;
+    each also sets ``registry`` and ``transport`` and defines
+    ``searcher()`` and ``close()``.
     """
+
+    #: The error type the shape raises for a refused keyword.
+    _error: type[ReproError] = ReproError
+    #: The single fleet's servers, which owners write to in full.
+    servers: list[IndexServer] | None = None
+    #: The cluster's write router, which places each list on its pods.
+    coordinator = None
 
     def __init__(
         self,
@@ -153,19 +167,21 @@ class ZerberDeployment:
         mapping_table: the public term -> posting-list table (build one
             with :meth:`bootstrap` if starting from corpus statistics).
         k: Shamir reconstruction threshold (paper default 2).
-        n: number of index servers (paper default 3).
+        n: servers per fleet (paper default 3).
         field: the Z_p field; defaults to the 64-bit+ prime.
         packing: posting-element bit layout.
-        use_network: must be False, the default; True is a
-            :class:`~repro.errors.ReproError` naming the counters that
-            replaced the simulated network's ledger. The keyword stays
-            only because the benchmark scenario still passes
-            ``use_network=False``, and goes once that scenario stops.
+        use_network: must be False, the default; True raises the
+            shape's error naming the counters that replaced the
+            simulated network's ledger. The keyword stays only because
+            the benchmark scenario still passes ``use_network=False``,
+            and goes once that scenario stops.
         batch_policy: default owner batching policy.
-        seed: master seed for all deployment randomness.
+        seed: master seed for all deployment randomness: the scheme
+            draws from it first, then each owner one 64-bit seed in
+            creation order.
         """
         if use_network:
-            raise ReproError(NO_SIMULATED_NETWORK)
+            raise self._error(NO_SIMULATED_NETWORK)
         self._rng = random.Random(seed)
         self.field = field or PrimeField(DEFAULT_PRIME)
         self.scheme = ShamirScheme(k=k, n=n, field=self.field, rng=self._rng)
@@ -176,35 +192,19 @@ class ZerberDeployment:
         self.auth = AuthService()
         self.groups = GroupDirectory()
         self._batch_policy = batch_policy or BatchPolicy()
-        share_bytes = (self.field.p.bit_length() + 7) // 8
-        self._share_bytes = share_bytes
-        self.servers: list[IndexServer] = [
-            IndexServer(
-                server_id=f"index-server-{i}",
-                x_coordinate=self.scheme.x_of(i),
-                auth=self.auth,
-                groups=self.groups,
-                share_bytes=share_bytes,
-            )
-            for i in range(n)
-        ]
-        # The registry resolves against the *live* server list as a
-        # fallback, so operators who splice a replacement box into
-        # ``deployment.servers`` (see examples/operations_tour.py) stay
-        # addressable without re-wiring — the old direct-dispatch
-        # semantics, kept at the transport layer.
-        self.registry = InProcessTransport(
-            resolver=fleet_resolver(self.servers)
-        )
-        for server in self.servers:
-            self.registry.register(
-                server.server_id, IndexServerService.for_server(server)
-            )
-        #: Every client speaks through the registry itself.
-        self.transport = self.registry
         self.snippets = SnippetService(self.groups)
         self._tokens: dict[str, AuthToken] = {}
         self._owners: dict[str, DocumentOwner] = {}
+
+    def _index_server(self, server_id: str, x_coordinate: int) -> IndexServer:
+        """An empty index server trusting this installation's plane."""
+        return IndexServer(
+            server_id=server_id,
+            x_coordinate=x_coordinate,
+            auth=self.auth,
+            groups=self.groups,
+            share_bytes=self.field.share_bytes,
+        )
 
     # -- construction from corpus statistics --------------------------------------
 
@@ -217,8 +217,8 @@ class ZerberDeployment:
         target_r: float | None = None,
         rare_cutoff: float = 0.0,
         **kwargs,
-    ) -> "ZerberDeployment":
-        """Build a deployment by running a §6 merging heuristic.
+    ) -> Self:
+        """Build an installation by running a §6 merging heuristic.
 
         Args:
             term_probabilities: formula-(2) probabilities learned from a
@@ -231,7 +231,8 @@ class ZerberDeployment:
                 BFM-calibration at ``num_lists`` (the §7.5 procedure).
             rare_cutoff: §6.4 probability cutoff below which terms stay out
                 of the public table and are hash-routed.
-            **kwargs: forwarded to the constructor (k, n, seed, ...).
+            **kwargs: forwarded to the constructor (k, n, seed, and the
+                shape's own: num_pods, wal_dir, ...).
         """
         table, merge = build_mapping_table(
             term_probabilities,
@@ -276,7 +277,8 @@ class ZerberDeployment:
     def owner(
         self, owner_id: str, batch_policy: BatchPolicy | None = None
     ) -> DocumentOwner:
-        """The (cached) owner client for a principal."""
+        """The (cached) owner client for a principal, writing to the
+        fleet's servers or through the cluster's coordinator."""
         if owner_id not in self._owners:
             token = self.enroll_user(owner_id)
             self._owners[owner_id] = DocumentOwner(
@@ -289,9 +291,93 @@ class ZerberDeployment:
                 codec=self.codec,
                 batch_policy=batch_policy or self._batch_policy,
                 rng=random.Random(self._rng.getrandbits(64)),
+                router=self.coordinator,
                 transport=self.transport,
             )
         return self._owners[owner_id]
+
+    # -- convenience -------------------------------------------------------------------
+
+    def share_document(self, owner_id: str, document) -> int:
+        """Share one document and host it for snippet requests."""
+        owner = self.owner(owner_id)
+        count = owner.share_document(document)
+        self.snippets.host_document(document)
+        if not self.registry.has_endpoint(document.host):
+            self.registry.register(
+                document.host, SnippetHostService(self.snippets)
+            )
+        return count
+
+    def search(
+        self,
+        user_id: str,
+        terms: Sequence[str],
+        top_k: int = 10,
+        **searcher_kwargs,
+    ) -> list[SearchResult]:
+        """One-shot search for a principal; ``searcher_kwargs`` reach
+        :meth:`searcher`."""
+        return self.searcher(user_id, **searcher_kwargs).search(
+            terms, top_k=top_k
+        )
+
+    def flush_all(self) -> int:
+        """Flush every owner's pending batches (test/bench convenience)."""
+        return sum(owner.flush_updates() for owner in self._owners.values())
+
+    # -- lifecycle ------------------------------------------------------------------------
+
+    def __enter__(self) -> Self:
+        return self
+
+    def __exit__(self, *_exc) -> None:
+        self.close()
+
+
+class ZerberDeployment(Installation):
+    """A complete, running Zerber installation: the paper's single fleet.
+
+    Its n servers each hold one share of every element and answer in
+    this process over an
+    :class:`~repro.protocol.transport.InProcessTransport`; it is the
+    reference every :class:`~repro.cluster.ClusterDeployment` is
+    checked against, over the wire included.
+    """
+
+    def __init__(
+        self,
+        mapping_table: MappingTable,
+        k: int = 2,
+        n: int = 3,
+        field: PrimeField | None = None,
+        packing: PackingSpec | None = None,
+        use_network: bool = False,
+        batch_policy: BatchPolicy | None = None,
+        seed: int = 0x2E4B,
+    ) -> None:
+        """Args: as :class:`Installation`'s; ``n`` is the fleet size."""
+        super().__init__(
+            mapping_table, k, n, field, packing, use_network, batch_policy, seed
+        )
+        self.servers = [
+            self._index_server(f"index-server-{i}", self.scheme.x_of(i))
+            for i in range(n)
+        ]
+        # The registry resolves against the *live* server list as a
+        # fallback, so operators who splice a replacement box into
+        # ``deployment.servers`` (see examples/operations_tour.py) stay
+        # addressable without re-wiring — the old direct-dispatch
+        # semantics, kept at the transport layer.
+        self.registry = InProcessTransport(
+            resolver=fleet_resolver(self.servers)
+        )
+        for server in self.servers:
+            self.registry.register(
+                server.server_id, IndexServerService.for_server(server)
+            )
+        #: Every client speaks through the registry itself.
+        self.transport = self.registry
 
     def searcher(self, user_id: str, **kwargs) -> SearchClient:
         """A fresh search client for a principal."""
@@ -309,29 +395,6 @@ class ZerberDeployment:
             **kwargs,
         )
 
-    # -- convenience -------------------------------------------------------------------
-
-    def share_document(self, owner_id: str, document) -> int:
-        """Share one document and host it for snippet requests."""
-        owner = self.owner(owner_id)
-        count = owner.share_document(document)
-        self.snippets.host_document(document)
-        if not self.registry.has_endpoint(document.host):
-            self.registry.register(
-                document.host, SnippetHostService(self.snippets)
-            )
-        return count
-
-    def search(
-        self, user_id: str, terms: Sequence[str], top_k: int = 10
-    ) -> list[SearchResult]:
-        """One-shot search for a principal."""
-        return self.searcher(user_id).search(terms, top_k=top_k)
-
-    def flush_all(self) -> int:
-        """Flush every owner's pending batches (test/bench convenience)."""
-        return sum(owner.flush_updates() for owner in self._owners.values())
-
     # -- fleet extension (§5.1) -----------------------------------------------------------
 
     def add_server(self) -> IndexServer:
@@ -348,13 +411,7 @@ class ZerberDeployment:
         """
         new_x = self.scheme.extend(1)[0]
         index = len(self.servers)
-        server = IndexServer(
-            server_id=f"index-server-{index}",
-            x_coordinate=new_x,
-            auth=self.auth,
-            groups=self.groups,
-            share_bytes=self._share_bytes,
-        )
+        server = self._index_server(f"index-server-{index}", new_x)
         self.servers.append(server)
         self.registry.register(
             server.server_id, IndexServerService.for_server(server)
@@ -370,12 +427,6 @@ class ZerberDeployment:
         registry holds no OS resources; it is closed for symmetry with
         the cluster."""
         self.registry.close()
-
-    def __enter__(self) -> "ZerberDeployment":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
     # -- fleet statistics ---------------------------------------------------------------
 

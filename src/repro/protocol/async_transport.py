@@ -102,6 +102,10 @@ _DRAIN_TIMEOUT_S = 5.0
 #: drain is reported aborted.
 _SHUTDOWN_GRACE_S = 0.5
 
+#: How long a client waits for the TCP connect before a typed
+#: "connect timed out" TransportError.
+_CONNECT_TIMEOUT_S = 5.0
+
 
 def _parse_frames(buffer: bytearray) -> list[tuple[int, bytes]]:
     """Consume every complete frame at the front of ``buffer``.
@@ -540,15 +544,10 @@ class AsyncSocketTransport(Transport):
         self,
         address: tuple[str, int],
         timeout_s: float = 30.0,
-        connect_timeout_s: float = 5.0,
-        retry_policy: RetryPolicy | None = None,
     ) -> None:
         self._address = (address[0], int(address[1]))
         self._timeout_s = timeout_s
-        self._connect_timeout_s = connect_timeout_s
-        self._retry_policy = (
-            retry_policy if retry_policy is not None else RetryPolicy()
-        )
+        self._retry_policy = RetryPolicy()
         self._closed = False
         #: The live connection as one atomically-swapped pair, so an
         #: unlocked fast-path read can never see a socket from one
@@ -883,7 +882,7 @@ class AsyncSocketTransport(Transport):
                 return self._conn
             try:
                 sock = socket.create_connection(
-                    self._address, timeout=self._connect_timeout_s
+                    self._address, timeout=_CONNECT_TIMEOUT_S
                 )
             except socket.timeout as exc:
                 raise TransportError(

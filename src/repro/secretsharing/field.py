@@ -105,6 +105,11 @@ class PrimeField:
         if self.p < 2 or not is_prime(self.p):
             raise FieldError(f"modulus {self.p} is not prime")
 
+    @property
+    def share_bytes(self) -> int:
+        """Wire width of one share value: ceil(bits(p) / 8) bytes."""
+        return (self.p.bit_length() + 7) // 8
+
     # -- basic operations -------------------------------------------------
 
     def normalize(self, a: int) -> int:

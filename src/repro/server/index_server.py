@@ -411,6 +411,18 @@ class IndexServer:
         self.snapshot_reads = 0
         self._counts_lock = threading.Lock()
 
+    def empty_twin(self) -> "IndexServer":
+        """An empty server in this one's seat: the same id, x-coordinate,
+        auth, group table and share width, with no lists and no store
+        (a crashed seat's replacement, before it replays its store)."""
+        return IndexServer(
+            self.server_id,
+            self.x_coordinate,
+            self._auth,
+            self._groups,
+            self.share_bytes,
+        )
+
     # -- persistence hook ------------------------------------------------------
     #
     # Durability is the seat's own concern: every *accepted* mutation —

@@ -20,7 +20,7 @@ from repro.client.batching import BatchPolicy
 from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
 from repro.corpus.document import Document
-from repro.errors import ReproError
+from repro.errors import ClusterError, ReproError
 from repro.extensions.dht import ConsistentHashRing, DHTPlacement
 
 KEYS = [f"pl:{i}" for i in range(400)]
@@ -304,6 +304,34 @@ class TestClusterPodJoinReplicaMovement:
         assert cluster.searcher("owner0", use_cache=False).search(
             query, top_k=10, fetch_snippets=False
         ) == baseline
+
+    @pytest.mark.parametrize("durable", [False, True])
+    def test_add_pod_refuses_a_live_name_before_touching_its_seats(
+        self, tmp_path, durable
+    ):
+        """Regression: ``add_pod(name=<a live pod's name>)`` used to open
+        a second store on each live seat's directory (whose crash cleanup
+        deletes an in-progress ``.tmp`` snapshot) and only then fail
+        with a transport error. The name is refused first, as a
+        ClusterError, and the cluster stays usable."""
+        cluster = ClusterDeployment(
+            MappingTable({}, num_lists=self.NUM_LISTS),
+            num_pods=2,
+            wal_dir=tmp_path if durable else None,
+            seed=37,
+        )
+        with cluster:
+            sentinel = tmp_path / "pod0-server-0" / "snap-00000001.zsnap.tmp"
+            if durable:
+                sentinel.write_bytes(b"in progress")
+            names = [pod.name for pod in cluster.pods]
+            with pytest.raises(ClusterError, match="duplicate pod name"):
+                cluster.add_pod(name="pod0")
+            assert [pod.name for pod in cluster.pods] == names
+            if durable:
+                assert sentinel.read_bytes() == b"in progress"
+            cluster.add_pod()
+            assert [pod.name for pod in cluster.pods] == names + ["pod2"]
 
 
 class TestPlacementRebalanceCosts:

@@ -157,6 +157,22 @@ class TestSearch:
         results = deployment.search(owner_of_group(0), [term], top_k=2)
         assert len(results) <= 2
 
+    def test_one_shot_search_passes_searcher_keywords_on(self, deployed):
+        """Both shapes' ``search`` share one signature: extra keywords
+        configure the searcher, so the fleet's one-shot search answers
+        like the searcher it names."""
+        corpus, deployment = deployed
+        term = a_term_of_group(corpus, 0)
+        user = owner_of_group(0)
+        expected = deployment.searcher(user, verify_consistency=True).search(
+            [term]
+        )
+        assert expected
+        assert (
+            deployment.search(user, [term], verify_consistency=True)
+            == expected
+        )
+
     def test_snippets_can_be_disabled(self, deployed):
         corpus, deployment = deployed
         term = a_term_of_group(corpus, 0)

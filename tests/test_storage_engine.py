@@ -601,12 +601,19 @@ class TestSlotRestartOptions:
             segment_bytes=4096,
         )
         store.append_inserts(*as_columns([ins(0, 1)]))
-        coordinator = ClusterCoordinator(
-            scheme=scheme, pods=[pod], auth=auth, groups=groups, share_bytes=9
-        )
+        coordinator = ClusterCoordinator(scheme=scheme, pods=[pod], groups=groups)
+        crashed = slots[1].server
         coordinator.kill_server(0, 1)
         restarted = coordinator.restart_server(0, 1)
         assert restarted.num_elements == 1
+        # The fresh seat is rebuilt from the crashed one, not from
+        # anchors the coordinator keeps.
+        assert restarted is not crashed
+        assert (restarted.server_id, restarted.x_coordinate) == (
+            crashed.server_id,
+            crashed.x_coordinate,
+        )
+        assert restarted.share_bytes == crashed.share_bytes
         reopened = slots[1].log
         assert reopened._auto_compact is False
         assert reopened._segment_bytes == 4096
