@@ -111,7 +111,7 @@ def main() -> None:
                 cluster.restart_server(pod.index, slot.slot_index)
     final = cluster.searcher("owner0", use_cache=False).search(terms, top_k=5)
     assert final == results
-    print(f"\nall servers restarted: {len(cluster.coordinator.live_servers())}"
+    print(f"\nall servers restarted: {PODS * N - len(cluster.dead_servers())}"
           f"/{PODS * N} live, answers unchanged")
 
     # 7. Replication: an entire pod can die without moving an answer.
@@ -146,11 +146,11 @@ def main() -> None:
     replicated.flush_all()
     coordinator = replicated.coordinator
     print(f"re-shared a document with pod0 dead: "
-          f"{coordinator.outstanding_write_routes} write routes dropped "
+          f"{coordinator.ledger.outstanding} write routes dropped "
           "(ledgered per seat)")
     replicated.restart_pod(0)
     repaired = replicated.reprovision_dropped_writes()
-    assert coordinator.outstanding_write_routes == 0
+    assert coordinator.ledger.outstanding == 0
     assert replicated.searcher("owner0", use_cache=False).search(
         terms, top_k=5
     ) == baseline

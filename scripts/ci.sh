@@ -58,7 +58,9 @@
 #   figure, recorded into BENCH_load.json (ratio gate).
 #
 # The table ends with the numbers the roadmap tracks for the whole
-# tree: the line counts of src/ and tests/ and the wall time of this run.
+# tree: the line counts of src/ and tests/, of the largest module under
+# src/repro/cluster/ and under src/repro/protocol/, and of cli.py, and
+# the wall time of this run.
 
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -142,6 +144,15 @@ for tree in src tests; do
     printf '  %-28s %s\n' "$(find "$tree" -name '*.py' -exec cat {} + | wc -l)" \
         "lines in ${tree}/"
 done
+# Module sizes the roadmap tracks (item 10), counted the same way.
+for tree in src/repro/cluster src/repro/protocol; do
+    largest=$(for f in "$tree"/*.py; do
+        printf '%s %s\n' "$(wc -l <"$f")" "$f"
+    done | sort -n | tail -n 1)
+    printf '  %-28s %s\n' "${largest%% *}" \
+        "lines in ${largest#* } (largest in ${tree#src/})"
+done
+printf '  %-28s %s\n' "$(wc -l <src/repro/cli.py)" "lines in src/repro/cli.py"
 printf '  %-28s %s\n' "$(($(date +%s) - started)) s" "wall time"
 if [ "$failed" -ne 0 ]; then
     echo "CI gate FAILED: ${failed} of ${#results[@]} gates" >&2

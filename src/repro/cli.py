@@ -346,11 +346,11 @@ def _cmd_cluster_kill_pod(args: argparse.Namespace) -> int:
         print("(run with --replication 2 to keep writing through pod loss)")
         return 1
     print(f"wrote 1 document with the pod dead: "
-          f"{coordinator.outstanding_write_routes} write routes dropped")
+          f"{coordinator.ledger.outstanding} write routes dropped")
     cluster.restart_pod(args.pod)
     repaired = cluster.reprovision_dropped_writes()
     print(f"pod restarted; owners re-provisioned {repaired} operations "
-          f"({coordinator.outstanding_write_routes} routes outstanding)")
+          f"({coordinator.ledger.outstanding} routes outstanding)")
     final = cluster.searcher("owner0", use_cache=False)
     final_results = final.search(terms, top_k=args.top_k)
     print("results identical after restart + repair:",
@@ -377,7 +377,7 @@ def _cmd_cluster_repair(args: argparse.Namespace) -> int:
             print("(kill fewer than n-k seats per pod to keep writing)")
             return 1
         print(f"wrote 1 document with {len(kills)} seats dead: "
-              f"{coordinator.outstanding_write_routes} write routes dropped")
+              f"{coordinator.ledger.outstanding} write routes dropped")
         expected = cluster.searcher("owner0", use_cache=False).search(
             terms, top_k=args.top_k
         )
@@ -395,11 +395,11 @@ def _cmd_cluster_repair(args: argparse.Namespace) -> int:
                   f"{stats.shipped_bytes} bytes shipped, "
                   f"{stats.skipped_no_source} no-source, "
                   f"{stats.failed} failed)")
-            if coordinator.outstanding_write_routes == 0:
+            if coordinator.ledger.outstanding == 0:
                 break
             if stats.healed_seats == 0 and not stats.budget_exhausted:
                 break
-        outstanding = coordinator.outstanding_write_routes
+        outstanding = coordinator.ledger.outstanding
         print(f"outstanding write routes after repair: {outstanding}")
         if outstanding and coordinator.replication_factor < 2:
             print("(run with --replication 2 so the sweep has a trusted "

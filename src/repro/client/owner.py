@@ -438,7 +438,7 @@ class DocumentOwner:
         """Replay writes that dead seats missed onto their restarted seats.
 
         A seat that was down while this owner wrote dropped those routes
-        (the router counted them in ``dropped_write_routes``); a restart
+        (the router counted them in its ledger's ``dropped``); a restart
         from the seat's WAL replays only what the seat *received*, so the
         element would live on fewer than n servers forever. The owner —
         who minted the shares — closes the gap: every undelivered insert

@@ -7,17 +7,29 @@ lists across server *pods*, batches multi-term lookups into one message
 per server, and survives up to n - k server failures per pod. Repeat
 reads are served by the searcher's own L1 of reconstructed postings
 (:mod:`repro.cachetier`), which every write invalidates first.
+
+One module per decision:
+
+- :mod:`~repro.cluster.coordinator` — where lists live and who is
+  asked: placement, write routing, read ranking, cache epochs, metrics;
+- :mod:`~repro.cluster.membership` — seats and pods, kill/restart,
+  join/retire, and the one list-transfer path (``ship``);
+- :mod:`~repro.cluster.repair` — the staleness ledger and the
+  anti-entropy sweep that empties it;
+- :mod:`~repro.cluster.clients` — the cluster search client;
+- :mod:`~repro.cluster.deployment` — the facade that wires them up.
 """
 
 from repro.cluster.clients import ClusterDiagnostics, ClusterSearchClient
-from repro.cluster.coordinator import (
-    ClusterCoordinator,
+from repro.cluster.coordinator import ClusterCoordinator
+from repro.cluster.deployment import ClusterDeployment
+from repro.cluster.membership import (
     Pod,
     RebalanceStats,
     ServerSlot,
     attach_wal_to_slot,
 )
-from repro.cluster.deployment import ClusterDeployment
+from repro.cluster.repair import RepairSweepStats, StalenessLedger
 
 __all__ = [
     "ClusterCoordinator",
@@ -26,6 +38,8 @@ __all__ = [
     "ClusterSearchClient",
     "Pod",
     "RebalanceStats",
+    "RepairSweepStats",
     "ServerSlot",
+    "StalenessLedger",
     "attach_wal_to_slot",
 ]

@@ -66,7 +66,8 @@ from repro.cachetier.l1 import L1PostingCache
 from repro.cachetier.wire import decode_entry, encode_entry, entry_key
 from repro.client.searcher import SearchClient
 from repro.client.snippets import SnippetService
-from repro.cluster.coordinator import ClusterCoordinator, Pod, ServerSlot
+from repro.cluster.coordinator import ClusterCoordinator
+from repro.cluster.membership import Pod, ServerSlot
 from repro.core.dictionary import TermDictionary
 from repro.core.mapping_table import MappingTable
 from repro.core.posting import PostingElementCodec, TermPostings
@@ -697,9 +698,10 @@ class ClusterSearchClient(SearchClient):
         # The injected clock times pods: breakers, hedge p95s and the
         # EWMA share one source, so a fake clock moves them together.
         clock = coordinator.clock
+        stale_seats = coordinator.ledger.stale_seats
         ladders = []
         for pod, ids in jobs:
-            stale = {p: coordinator.incomplete_seats(pod.name, p) for p in ids}
+            stale = {p: stale_seats(pod.name, p) for p in ids}
             plan = [
                 (slot, [p for p in ids if slot.server_id not in stale[p]])
                 for slot in pod.slots
@@ -742,7 +744,7 @@ class ClusterSearchClient(SearchClient):
                     pod = outcomes[job].backup
                     seat = pod and pod.slots[slot.slot_index].server_id
                     trusted = seat and not any(
-                        seat in coordinator.incomplete_seats(pod.name, p)
+                        seat in stale_seats(pod.name, p)
                         for p in ids
                     )
                     backups.append((seat, request) if trusted else None)

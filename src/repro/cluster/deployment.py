@@ -37,13 +37,9 @@ from repro.cachetier import (
 )
 from repro.client.batching import BatchPolicy
 from repro.cluster.clients import ClusterSearchClient
-from repro.cluster.coordinator import (
-    ClusterCoordinator,
-    Pod,
-    RebalanceStats,
-    ServerSlot,
-    attach_wal_to_slot,
-)
+from repro.cluster.coordinator import ClusterCoordinator
+from repro.cluster.membership import Membership, Pod
+from repro.cluster.repair import AntiEntropy
 from repro.core.mapping_table import MappingTable
 from repro.core.posting import PackingSpec
 from repro.core.zerber_index import Installation
@@ -54,16 +50,18 @@ from repro.protocol.async_transport import (
     AsyncSocketServer,
     AsyncSocketTransport,
 )
-from repro.protocol.messages import DropListRequest
-from repro.protocol.service import IndexServerService
 from repro.protocol.transport import InProcessTransport, Transport
 from repro.secretsharing.field import PrimeField
-from repro.server.index_server import IndexServer
 from repro.storage.engine import refuse_flat_wals
 
 
-class ClusterDeployment(Installation):
-    """A complete sharded Zerber installation: pods, placement, clients."""
+class ClusterDeployment(Installation, Membership, AntiEntropy):
+    """A complete sharded Zerber installation: pods, placement, clients.
+
+    Seat and pod lifecycle (kill, restart, join, retire) come from
+    :class:`~repro.cluster.membership.Membership`, the repair sweep and
+    its thread from :class:`~repro.cluster.repair.AntiEntropy`.
+    """
 
     _error = ClusterError
 
@@ -189,82 +187,79 @@ class ClusterDeployment(Installation):
         )
         if self._wal_dir is not None:
             refuse_flat_wals(self._wal_dir)
-        pods: list[Pod] = [
-            self._build_pod(pod_index, f"pod{pod_index}", n)
-            for pod_index in range(num_pods)
-        ]
         self._next_pod_ordinal = num_pods
-        self.registry = InProcessTransport()
-        for pod in pods:
-            for slot in pod.slots:
-                self.registry.register(
-                    slot.server_id, IndexServerService.for_slot(slot)
-                )
-        #: The deployment-wide observability registry. Every subsystem
-        #: publishes into this one object — coordinator read/write
-        #: paths, socket-server frame counters, cache tiers, breakers,
-        #: admission, repair — and the ``metrics`` endpoint serves it
-        #: over every transport backend.
-        self.metrics = MetricsRegistry()
-        self.coordinator = ClusterCoordinator(
-            scheme=self.scheme,
-            pods=pods,
-            groups=self.groups,
-            virtual_nodes=virtual_nodes,
-            replication_factor=replication_factor,
-            transport=self.registry,
-            clock=clock,
-            metrics=self.metrics,
-        )
-        self.coordinator.register_collectors(
-            self.metrics, mapping_table.num_lists
-        )
-        self.metrics.add_collector(self._collect_deployment_metrics)
-        self.registry.register(
-            METRICS_ENDPOINT, MetricsService(self.metrics)
-        )
-        self.cache_tier_store: CacheTierStore | None = None
-        if cache_tier is not None:
-            # The L2 tier is just another endpoint on the shared
-            # registry, so every transport backend reaches it through
-            # the same dispatch path as the index servers.
-            self.cache_tier_store = CacheTierStore(
-                capacity=cache_tier_entries, policy=cache_tier
-            )
-            # The tier holds the same enterprise trust anchors an index
-            # server holds: it authenticates every get/put and checks
-            # the key's fingerprint against the live group table.
-            self.registry.register(
-                CACHE_TIER_ENDPOINT,
-                CacheTierService(
-                    self.cache_tier_store,
-                    auth=self.auth,
-                    groups=self.groups,
-                ),
-            )
-            self.coordinator.attach_cache_tier(CACHE_TIER_ENDPOINT)
         self._l1_entries = l1_entries
-        if anti_entropy_interval_s is not None:
-            self.coordinator.start_repair_thread(
-                interval_s=anti_entropy_interval_s
-            )
-        if self._wal_dir is not None:
-            for pod in pods:
-                for slot in pod.slots:
-                    attach_wal_to_slot(slot, self._wal_dir / slot.server_id)
-        self._socket_server: AsyncSocketServer | None = None
+        self.registry = InProcessTransport()
         self.transport: Transport = self.registry
-        if transport == "async-socket":
-            self._socket_server = AsyncSocketServer(
-                self.registry,
-                host=socket_host,
-                port=socket_port,
-                idle_timeout_s=socket_idle_timeout_s,
-                max_pending=admission_max_pending,
+        self._socket_server: AsyncSocketServer | None = None
+        self._closed = False
+        pods: list[Pod] = []
+        try:
+            for pod_index in range(num_pods):
+                pods.append(self._build_pod(pod_index, f"pod{pod_index}"))
+            #: The deployment-wide observability registry. Every subsystem
+            #: publishes into this one object — coordinator read/write
+            #: paths, socket-server frame counters, cache tiers, breakers,
+            #: admission, repair — and the ``metrics`` endpoint serves it
+            #: over every transport backend.
+            self.metrics = MetricsRegistry()
+            self.coordinator = ClusterCoordinator(
+                scheme=self.scheme,
+                pods=pods,
+                groups=self.groups,
+                transport=self.registry,
+                virtual_nodes=virtual_nodes,
+                replication_factor=replication_factor,
+                clock=clock,
                 metrics=self.metrics,
             )
-            self.transport = AsyncSocketTransport(self._socket_server.address)
-        self._closed = False
+            self.coordinator.register_collectors(
+                self.metrics, mapping_table.num_lists
+            )
+            self.metrics.add_collector(self._repair_series)
+            self.metrics.add_collector(self._collect_deployment_metrics)
+            self.registry.register(
+                METRICS_ENDPOINT, MetricsService(self.metrics)
+            )
+            self.cache_tier_store: CacheTierStore | None = None
+            if cache_tier is not None:
+                # The L2 tier is just another endpoint on the shared
+                # registry, so every transport backend reaches it through
+                # the same dispatch path as the index servers.
+                self.cache_tier_store = CacheTierStore(
+                    capacity=cache_tier_entries, policy=cache_tier
+                )
+                # The tier holds the same enterprise trust anchors an index
+                # server holds: it authenticates every get/put and checks
+                # the key's fingerprint against the live group table.
+                self.registry.register(
+                    CACHE_TIER_ENDPOINT,
+                    CacheTierService(
+                        self.cache_tier_store,
+                        auth=self.auth,
+                        groups=self.groups,
+                    ),
+                )
+                self.coordinator.cache_tier_endpoint = CACHE_TIER_ENDPOINT
+            if transport == "async-socket":
+                self._socket_server = AsyncSocketServer(
+                    self.registry,
+                    host=socket_host,
+                    port=socket_port,
+                    idle_timeout_s=socket_idle_timeout_s,
+                    max_pending=admission_max_pending,
+                    metrics=self.metrics,
+                )
+                self.transport = AsyncSocketTransport(
+                    self._socket_server.address
+                )
+        except BaseException:
+            # Nothing the constructor started may outlive it: no caller
+            # holds an object to close() yet.
+            self._shut(pods)
+            raise
+        if anti_entropy_interval_s is not None:
+            self.start_repair_thread(interval_s=anti_entropy_interval_s)
 
     def _collect_deployment_metrics(self):
         """Registry collector for the deployment-owned surfaces.
@@ -315,21 +310,6 @@ class ClusterDeployment(Installation):
                 ):
                     yield f"zerber_storage_{key}", seat, status[key]
 
-    def _build_pod(self, pod_index: int, name: str, n: int) -> Pod:
-        """One fleet of n slot-aligned servers (shared scheme/auth/groups)."""
-        slots = [
-            ServerSlot(
-                pod_index=pod_index,
-                slot_index=slot_index,
-                server=self._index_server(
-                    f"{name}-server-{slot_index}",
-                    self.scheme.x_of(slot_index),
-                ),
-            )
-            for slot_index in range(n)
-        ]
-        return Pod(index=pod_index, name=name, slots=slots)
-
     # -- clients ---------------------------------------------------------------------
 
     def searcher(self, user_id: str, **kwargs) -> ClusterSearchClient:
@@ -352,122 +332,17 @@ class ClusterDeployment(Installation):
 
     # -- operations --------------------------------------------------------------------
 
-    def kill_server(self, pod_index: int, slot_index: int) -> str:
-        """Take one server down (failure drill); returns its id."""
-        return self.coordinator.kill_server(pod_index, slot_index)
-
-    def restart_server(self, pod_index: int, slot_index: int) -> IndexServer:
-        """Bring a dead server back (recovering from its WAL if it has one)."""
-        return self.coordinator.restart_server(pod_index, slot_index)
-
-    def kill_pod(self, pod_index: int) -> list[str]:
-        """Take an entire pod down; returns the downed server ids.
-
-        With ``replication_factor >= 2`` every list the pod owned stays
-        fully readable from its surviving replicas.
-        """
-        return self.coordinator.kill_pod(pod_index)
-
-    def restart_pod(self, pod_index: int) -> list[IndexServer]:
-        """Bring a whole pod back (per-seat WAL recovery)."""
-        return self.coordinator.restart_pod(pod_index)
-
     def reprovision_dropped_writes(self) -> int:
         """Every owner replays the writes dead seats missed (post-restart).
 
         Returns the number of operations re-delivered; afterwards
-        ``coordinator.outstanding_write_routes`` is 0 when every seat
+        ``coordinator.ledger.outstanding`` is 0 when every seat
         with a ledger entry is back up.
         """
         return sum(
             owner.reprovision_dropped_writes()
             for owner in self._owners.values()
         )
-
-    def repair_sweep(self, budget: int | None = None):
-        """One anti-entropy pass over the staleness ledger (see
-        :meth:`ClusterCoordinator.repair_sweep`). Heals stale seats
-        from trusted same-slot replicas without involving any owner."""
-        return self.coordinator.repair_sweep(budget)
-
-    # -- ring membership --------------------------------------------------------
-
-    def add_pod(self, name: str | None = None) -> RebalanceStats:
-        """Join a fresh pod to the ring and rebalance onto it.
-
-        Only the lists whose replica set changed move (slot-aligned
-        share transfers from surviving owners); returns the movement
-        stats. The new pod gets WALs/transport endpoints matching the
-        deployment's configuration.
-        """
-        name = name or f"pod{self._next_pod_ordinal}"
-        # Before any seat store opens: opening one runs crash cleanup
-        # in its directory, which a live same-named seat still uses.
-        if any(pod.name == name for pod in self.pods):
-            raise ClusterError(f"duplicate pod name {name!r}")
-        pod = self._build_pod(len(self.pods), name, self.scheme.n)
-        # WAL and transport wiring must precede the join so migrated
-        # records are logged and the seats are reachable immediately.
-        if self._wal_dir is not None:
-            refuse_flat_wals(self._wal_dir)
-            for slot in pod.slots:
-                attach_wal_to_slot(slot, self._wal_dir / slot.server_id)
-        for slot in pod.slots:
-            self.registry.register(
-                slot.server_id, IndexServerService.for_slot(slot)
-            )
-        stats = self.coordinator.add_pod(
-            pod, self.mapping_table.num_lists
-        )
-        self._next_pod_ordinal += 1
-        return stats
-
-    def retire_pod(self, pod_index: int) -> RebalanceStats:
-        """Drain one pod off the ring (graceful leave) with rebalancing.
-
-        After the coordinator re-homes its lists, the pod is fully
-        decommissioned: seat stores closed *and deleted* (the whole
-        segment/snapshot directory), transport endpoints released
-        (so the name can be reused), and its share stores wiped — a
-        drained pod must not keep its index fraction around, on disk
-        any more than in memory. The store delete closes the
-        durability story: the seats' lists now live (and are logged) on
-        their new owners, so a retired seat's store is an orphan that
-        would otherwise accumulate forever — and hand a future
-        same-named seat a stale state to replay.
-        """
-        pods = self.coordinator.pods
-        pod = pods[pod_index] if 0 <= pod_index < len(pods) else None
-        stats = self.coordinator.retire_pod(
-            pod_index, self.mapping_table.num_lists
-        )
-        assert pod is not None  # coordinator validated the index
-        for slot in pod.slots:
-            # Unhook persistence first: the wipe below must not log into
-            # a store that is about to be destroyed (and a dead seat's
-            # store handle is already closed).
-            slot.server.detach_store()
-            if slot.log is not None:
-                slot.log.destroy()
-                slot.log = None
-                slot.wal_path = None
-            # Wipe the drained seat's store — through the same admin
-            # messages replication uses while the seat still serves; a
-            # dead seat's store is wiped locally (its box is being
-            # decommissioned either way) — then release its endpoint.
-            if slot.alive and self.registry.has_endpoint(slot.server_id):
-                for pl_id in range(self.mapping_table.num_lists):
-                    self.registry.call(
-                        "coordinator",
-                        slot.server_id,
-                        DropListRequest(pl_id=pl_id),
-                    )
-            else:
-                for pl_id in range(self.mapping_table.num_lists):
-                    slot.server.drop_posting_list(pl_id)
-            if self.registry.has_endpoint(slot.server_id):
-                self.registry.unregister(slot.server_id)
-        return stats
 
     # -- lifecycle ----------------------------------------------------------------------
 
@@ -480,16 +355,18 @@ class ClusterDeployment(Installation):
         thread, TCP socket, or file handle of this deployment outlives
         it.
         """
-        if self._closed:
-            return
+        if not self._closed:
+            self._shut(self.pods)
+
+    def _shut(self, pods: list[Pod]) -> None:
         self._closed = True
-        self.coordinator.stop_repair_thread()
+        self.stop_repair_thread()
         if self.transport is not self.registry:
             self.transport.close()
         if self._socket_server is not None:
             self._socket_server.close()
         self.registry.close()
-        for pod in self.coordinator.pods:
+        for pod in pods:
             for slot in pod.slots:
                 if slot.log is not None:
                     slot.log.close()
@@ -509,8 +386,16 @@ class ClusterDeployment(Installation):
 
     def total_elements(self) -> int:
         """Posting elements stored across all live servers."""
-        return self.coordinator.total_elements()
+        return sum(
+            slot.server.num_elements
+            for pod in self.pods
+            for slot in pod.live_slots()
+        )
 
     def storage_bytes(self) -> int:
-        """Total wire-encoded storage across the cluster."""
-        return self.coordinator.storage_bytes()
+        """Wire-encoded storage across the cluster (n x per-pod shard)."""
+        return sum(
+            slot.server.storage_bytes()
+            for pod in self.pods
+            for slot in pod.live_slots()
+        )

@@ -62,34 +62,21 @@ class IndexServerService:
     """One seat's protocol endpoint: liveness gate + request dispatch.
 
     The service holds the *seat* (anything with ``server`` and ``alive``
-    attributes — a cluster :class:`~repro.cluster.coordinator.ServerSlot`
-    or a :class:`_StaticSeat`), not the server object: a WAL restart
-    swaps ``seat.server`` and the service follows automatically, exactly
-    like the old closure-based network handler did.
-
-    An optional :class:`~repro.resilience.admission.AdmissionController`
-    bounds dispatch concurrency at the service itself — the seat-level
-    twin of the socket servers' queue bound, for deployments whose
-    transport has no server process (in-process).
+    attributes — a cluster :class:`~repro.cluster.membership.ServerSlot`,
+    whose ``alive`` flag gates every request, or a :class:`_StaticSeat`),
+    not the server object: a WAL restart swaps ``seat.server`` and the
+    service follows automatically. Admission control is the socket
+    server's (``ClusterDeployment(admission_max_pending=)``), not the
+    service's.
     """
 
-    def __init__(self, seat: Any, admission: Any = None) -> None:
+    def __init__(self, seat: Any) -> None:
         self._seat = seat
-        self.admission = admission
 
     @classmethod
-    def for_server(
-        cls, server: Any, admission: Any = None
-    ) -> "IndexServerService":
+    def for_server(cls, server: Any) -> "IndexServerService":
         """Wrap an always-alive server (the paper's single fleet)."""
-        return cls(_StaticSeat(server), admission=admission)
-
-    @classmethod
-    def for_slot(
-        cls, slot: Any, admission: Any = None
-    ) -> "IndexServerService":
-        """Wrap a cluster seat; its ``alive`` flag gates every request."""
-        return cls(slot, admission=admission)
+        return cls(_StaticSeat(server))
 
     def handle(self, request: Any) -> Any:
         """Dispatch one decoded request; returns the response message.
@@ -97,7 +84,6 @@ class IndexServerService:
         Raises:
             TransportError: the seat is down (every request kind — a
                 dead box serves neither users nor replication).
-            OverloadedError: the admission bound is full (retryable).
             ProtocolError: a message this service does not understand.
             AuthError / AccessDeniedError / IndexServerError: surfaced
                 from the narrow interface unchanged.
@@ -105,12 +91,6 @@ class IndexServerService:
         seat = self._seat
         if not seat.alive:
             raise TransportError(f"server {seat.server.server_id!r} is down")
-        if self.admission is not None:
-            self.admission.admit(f"server {seat.server.server_id!r}")
-            try:
-                return self._dispatch(seat.server, request)
-            finally:
-                self.admission.release()
         return self._dispatch(seat.server, request)
 
     def _dispatch(self, server: Any, request: Any) -> Any:

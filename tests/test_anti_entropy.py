@@ -38,6 +38,7 @@ from repro.protocol.messages import (
     SnapshotResponse,
 )
 from repro.protocol.transport import frame_bytes
+from repro.resilience.faults import FaultPlan
 
 
 def make_extra(doc_id=900, terms=("w1", "w2", "w7")):
@@ -149,7 +150,7 @@ class TestOwnerNeverReturnsDrill:
             cluster.flush_all()
             single.share_document("owner0", extra)
             single.flush_all()
-            dropped = coordinator.outstanding_write_routes
+            dropped = coordinator.ledger.outstanding
             assert dropped > 0
             cluster.restart_server(0, 1)
             # The owner never re-provisions: only the sweep runs.
@@ -157,7 +158,7 @@ class TestOwnerNeverReturnsDrill:
             assert stats.healed_seats > 0
             assert stats.repaired_routes == dropped
             assert stats.shipped_bytes > 0
-            assert coordinator.outstanding_write_routes == 0
+            assert coordinator.ledger.outstanding == 0
             assert metric(cluster, "zerber_repair_pending_entries") == 0
             assert (
                 metric(cluster, "zerber_repair_healed_seats")
@@ -193,7 +194,7 @@ class TestOwnerNeverReturnsDrill:
         cluster.restart_server(0, 1)
         stats = cluster.repair_sweep()
         assert stats.healed_seats > 0
-        assert cluster.coordinator.outstanding_write_routes == 0
+        assert cluster.coordinator.ledger.outstanding == 0
         assert_byte_identical(
             cluster, single, drill_queries(documents),
             context="missed delete healed",
@@ -223,10 +224,10 @@ class TestOwnerNeverReturnsDrill:
         single.owner("owner0").delete_document(extra.doc_id)
         cluster.reprovision_dropped_writes()
         for _ in range(8):
-            if cluster.coordinator.outstanding_write_routes == 0:
+            if cluster.coordinator.ledger.outstanding == 0:
                 break
             cluster.repair_sweep()
-        assert cluster.coordinator.outstanding_write_routes == 0
+        assert cluster.coordinator.ledger.outstanding == 0
         assert metric(cluster, "zerber_repair_pending_entries") == 0
         healed = cluster.pods[0].slots[1].server
         peer = cluster.pods[0].slots[0].server
@@ -245,14 +246,14 @@ class TestOwnerNeverReturnsDrill:
         cluster.share_document("owner0", make_extra())
         cluster.flush_all()
         cluster.restart_server(0, 1)
-        before = cluster.coordinator.outstanding_write_routes
+        before = cluster.coordinator.ledger.outstanding
         stats = cluster.repair_sweep()
         assert stats.healed_seats == 0
         assert stats.skipped_no_source > 0
-        assert cluster.coordinator.outstanding_write_routes == before
+        assert cluster.coordinator.ledger.outstanding == before
         # The owner path still works afterwards.
         assert cluster.reprovision_dropped_writes() > 0
-        assert cluster.coordinator.outstanding_write_routes == 0
+        assert cluster.coordinator.ledger.outstanding == 0
 
     def test_dead_seat_waits_for_restart(self):
         documents = make_documents()
@@ -265,7 +266,7 @@ class TestOwnerNeverReturnsDrill:
         assert stats.skipped_dead_seat > 0
         cluster.restart_server(0, 1)
         assert cluster.repair_sweep().healed_seats > 0
-        assert cluster.coordinator.outstanding_write_routes == 0
+        assert cluster.coordinator.ledger.outstanding == 0
 
     def test_repair_budget_rate_limits_the_sweep(self):
         documents = make_documents()
@@ -281,9 +282,9 @@ class TestOwnerNeverReturnsDrill:
         first = cluster.repair_sweep(budget=1)
         assert first.healed_seats == 1
         assert first.budget_exhausted
-        assert cluster.coordinator.outstanding_write_routes > 0
+        assert cluster.coordinator.ledger.outstanding > 0
         total = 1
-        while cluster.coordinator.outstanding_write_routes:
+        while cluster.coordinator.ledger.outstanding:
             swept = cluster.repair_sweep(budget=1)
             assert swept.healed_seats == 1
             total += 1
@@ -303,20 +304,20 @@ class TestSourceDiesMidShip:
         single.share_document("owner0", extra)
         single.flush_all()
         cluster.restart_server(0, 1)
-        dropped = coordinator.outstanding_write_routes
+        dropped = coordinator.ledger.outstanding
         real = coordinator.transport
         coordinator.transport = FlakyTransport(real, fail_ships=10**9)
         try:
             stats = cluster.repair_sweep()
             assert stats.healed_seats == 0
             assert stats.failed > 0
-            assert coordinator.outstanding_write_routes == dropped
+            assert coordinator.ledger.outstanding == dropped
         finally:
             coordinator.transport = real
         # The source is back: the next sweep re-elects and converges.
         retry = cluster.repair_sweep()
         assert retry.healed_seats > 0
-        assert coordinator.outstanding_write_routes == 0
+        assert coordinator.ledger.outstanding == 0
         assert_byte_identical(
             cluster, single, drill_queries(documents + [extra]),
             context="after mid-ship failure retry",
@@ -341,7 +342,7 @@ class TestSourceDiesMidShip:
         assert stats.skipped_no_source > 0
         cluster.restart_server(1, 1)
         assert cluster.repair_sweep().healed_seats > 0
-        assert coordinator.outstanding_write_routes == 0
+        assert coordinator.ledger.outstanding == 0
         assert_byte_identical(
             cluster, single, drill_queries(documents + [extra]),
             context="after source restart",
@@ -364,19 +365,19 @@ class TestSourceDiesMidShip:
         flaky = FlakyTransport(real, fail_ships=3)
         coordinator.transport = flaky
         try:
-            coordinator.start_repair_thread(interval_s=0.005)
+            cluster.start_repair_thread(interval_s=0.005)
             deadline = time.monotonic() + 10.0
             while (
-                coordinator.outstanding_write_routes
+                coordinator.ledger.outstanding
                 and time.monotonic() < deadline
             ):
                 time.sleep(0.01)
         finally:
-            coordinator.stop_repair_thread()
+            cluster.stop_repair_thread()
             coordinator.transport = real
         assert flaky.fail_ships == 0  # the drill actually fired
-        assert coordinator.repair_failures >= 1
-        assert coordinator.outstanding_write_routes == 0
+        assert cluster.repair_failures >= 1
+        assert coordinator.ledger.outstanding == 0
         assert_byte_identical(
             cluster, single, drill_queries(documents + [extra]),
             context="background thread through flapping source",
@@ -453,11 +454,11 @@ class TestTornSnapshotFrame:
             stats = cluster.repair_sweep()
             assert stats.healed_seats == 0
             assert stats.failed > 0
-            assert coordinator.outstanding_write_routes > 0
+            assert coordinator.ledger.outstanding > 0
         finally:
             coordinator.transport = real
         assert cluster.repair_sweep().healed_seats > 0
-        assert coordinator.outstanding_write_routes == 0
+        assert coordinator.ledger.outstanding == 0
         assert_byte_identical(
             cluster, single, drill_queries(documents + [extra]),
             context="after torn-frame retry",
@@ -479,7 +480,7 @@ class TestRepairVsConcurrentWrites:
         single.share_document("owner0", first)
         single.flush_all()
         cluster.restart_server(0, 1)
-        coordinator.start_repair_thread(interval_s=0.001)
+        cluster.start_repair_thread(interval_s=0.001)
         try:
             # Live writes land on the same lists the sweep is healing.
             for doc_id in range(921, 933):
@@ -493,13 +494,13 @@ class TestRepairVsConcurrentWrites:
                 documents = documents + [extra]
             deadline = time.monotonic() + 10.0
             while (
-                coordinator.outstanding_write_routes
+                coordinator.ledger.outstanding
                 and time.monotonic() < deadline
             ):
                 time.sleep(0.005)
         finally:
-            coordinator.stop_repair_thread()
-        assert coordinator.outstanding_write_routes == 0
+            cluster.stop_repair_thread()
+        assert coordinator.ledger.outstanding == 0
         assert metric(cluster, "zerber_repair_pending_entries") == 0
         assert_byte_identical(
             cluster, single, drill_queries(documents + [first]),
@@ -543,9 +544,9 @@ class TestRepairVsConcurrentWrites:
                 thread.join()
             assert not errors
             # Exactly-once crediting: outstanding is zero, not negative.
-            assert coordinator.outstanding_write_routes == 0
-            assert coordinator.repaired_write_routes == (
-                coordinator.dropped_write_routes
+            assert coordinator.ledger.outstanding == 0
+            assert coordinator.ledger.repaired == (
+                coordinator.ledger.dropped
             )
             assert_byte_identical(
                 cluster, single, drill_queries(documents + [extra]),
@@ -572,7 +573,7 @@ class TestSnapshotShippingRebalance:
         assert stats.copied_elements == sum(
             slot.server.num_elements for slot in joined.slots
         )
-        assert cluster.coordinator.outstanding_write_routes == 0
+        assert cluster.coordinator.ledger.outstanding == 0
         assert_byte_identical(
             cluster, single, drill_queries(documents), "after add_pod"
         )
@@ -586,7 +587,7 @@ class TestSnapshotShippingRebalance:
         assert_byte_identical(cluster, single, queries, "after add_pod")
         shrunk = cluster.retire_pod(0)
         assert shrunk.action == "leave"
-        assert cluster.coordinator.outstanding_write_routes == 0
+        assert cluster.coordinator.ledger.outstanding == 0
         assert_byte_identical(cluster, single, queries, "after retire_pod")
 
     def test_rebalance_with_dead_seat_ledgers_the_gap_for_the_sweep(self):
@@ -601,15 +602,55 @@ class TestSnapshotShippingRebalance:
         # full — the invariant is that any gap it could not transfer is
         # ledgered, and a restart + sweep converges either way.
         cluster.restart_server(0, 2)
-        while cluster.coordinator.outstanding_write_routes:
+        while cluster.coordinator.ledger.outstanding:
             if cluster.repair_sweep().healed_seats == 0:
                 break
-        assert cluster.coordinator.outstanding_write_routes == 0
+        assert cluster.coordinator.ledger.outstanding == 0
         assert_byte_identical(
             cluster, single, drill_queries(documents),
             context="rebalance with a dead seat, then sweep",
         )
         assert stats.moved_lists >= 0
+
+    def test_failed_shipment_ledgers_its_seat_and_the_sweep_heals_it(self):
+        """An R = 2 join whose adopt on one new seat resets mid-flight:
+        the group's routes count as dropped copy routes, the seat is
+        ledgered for those lists, reads route around it, and one sweep
+        heals it from the surviving replica."""
+        documents = make_documents()
+        single, cluster = make_twins(documents)
+        coordinator = cluster.coordinator
+        victim = "pod2-server-1"
+        cluster.registry.fault_plan = FaultPlan(
+            0, reset_rate=1.0, endpoints={victim}, max_faults=1
+        )
+        try:
+            stats = cluster.add_pod()
+        finally:
+            cluster.registry.fault_plan = None
+        joined = cluster.pods[-1]
+        assert joined.slots[1].server_id == victim
+        assert stats.dropped_copy_routes > 0
+        ledgered = [
+            pl_id
+            for pl_id in range(8)
+            if victim in coordinator.ledger.stale_seats(joined.name, pl_id)
+        ]
+        assert len(ledgered) == stats.dropped_copy_routes
+        assert_byte_identical(
+            cluster, single, drill_queries(documents), "after a failed ship"
+        )
+        swept = cluster.repair_sweep()
+        assert swept.healed_seats == len(ledgered)
+        assert not any(
+            coordinator.ledger.stale_seats(pod.name, pl_id)
+            for pod in cluster.pods
+            for pl_id in range(8)
+        )
+        assert coordinator.ledger.outstanding == 0
+        assert_byte_identical(
+            cluster, single, drill_queries(documents), "after the sweep"
+        )
 
     def test_ship_empty_posting_list_kills_stale_copy(self):
         """Shipping a list the source does not hold is the idiom for
@@ -656,14 +697,13 @@ class TestRepairThreadLifecycle:
     def test_double_start_rejected_and_stop_idempotent(self):
         cluster = make_cluster(make_documents(), num_pods=2,
                                replication_factor=2)
-        coordinator = cluster.coordinator
-        coordinator.start_repair_thread(interval_s=0.01)
+        cluster.start_repair_thread(interval_s=0.01)
         with pytest.raises(ClusterError):
-            coordinator.start_repair_thread(interval_s=0.01)
-        coordinator.stop_repair_thread()
-        coordinator.stop_repair_thread()  # idempotent
-        coordinator.start_repair_thread(interval_s=0.01)  # restartable
-        coordinator.stop_repair_thread()
+            cluster.start_repair_thread(interval_s=0.01)
+        cluster.stop_repair_thread()
+        cluster.stop_repair_thread()  # idempotent
+        cluster.start_repair_thread(interval_s=0.01)  # restartable
+        cluster.stop_repair_thread()
 
     def test_deployment_kwarg_spins_the_thread_and_close_stops_it(self):
         documents = make_documents()
@@ -684,11 +724,11 @@ class TestRepairThreadLifecycle:
             cluster.restart_server(0, 1)
             deadline = time.monotonic() + 10.0
             while (
-                coordinator.outstanding_write_routes
+                coordinator.ledger.outstanding
                 and time.monotonic() < deadline
             ):
                 time.sleep(0.005)
-            assert coordinator.outstanding_write_routes == 0
+            assert coordinator.ledger.outstanding == 0
             assert_byte_identical(
                 cluster, single, drill_queries(documents + [extra]),
                 context="hands-off background healing",

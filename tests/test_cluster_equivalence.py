@@ -149,7 +149,7 @@ def test_cluster_equals_single_fleet_pod_killed_mid_run(seed):
     cluster.restart_pod(victim)
     assert_identical()  # 2. pod back but stale
     cluster.reprovision_dropped_writes()
-    assert cluster.coordinator.outstanding_write_routes == 0
+    assert cluster.coordinator.ledger.outstanding == 0
     assert_identical()  # 3. repaired
     # After repair the other replica may die outright: the previously
     # stale pod must now carry every answer alone.

@@ -46,11 +46,11 @@ class TestKillRestartLifecycle:
         cluster = make_cluster(make_documents())
         downed = cluster.kill_server(0, 1)
         assert downed == "pod0-server-1"
-        assert downed in cluster.coordinator.dead_servers()
+        assert downed in cluster.dead_servers()
         with pytest.raises(ClusterError):
             cluster.kill_server(0, 1)  # already down
         cluster.restart_server(0, 1)
-        assert not cluster.coordinator.dead_servers()
+        assert not cluster.dead_servers()
         with pytest.raises(ClusterError):
             cluster.restart_server(0, 1)  # not down
 
@@ -96,7 +96,7 @@ class TestDegradation:
         documents = make_documents()
         cluster = make_cluster(documents, num_pods=1, k=2, n=3)
         cluster.kill_server(0, 1)
-        assert cluster.coordinator.dropped_write_routes == 0
+        assert cluster.coordinator.ledger.dropped == 0
         extra = Document(
             doc_id=500,
             host="host0",
@@ -108,7 +108,7 @@ class TestDegradation:
         cluster.flush_all()
         # One skipped route per distinct list routed while the seat was
         # down (the two terms land in two lists here).
-        assert cluster.coordinator.dropped_write_routes == 2
+        assert cluster.coordinator.ledger.dropped == 2
         # The dead server holds nothing new; its peers do.
         dead = cluster.pods[0].slots[1].server
         live = cluster.pods[0].slots[0].server
@@ -210,12 +210,12 @@ class TestPodLifecycle:
                                replication_factor=2)
         downed = cluster.kill_pod(0)
         assert downed == [f"pod0-server-{i}" for i in range(4)]
-        assert set(downed) == set(cluster.coordinator.dead_servers())
+        assert set(downed) == set(cluster.dead_servers())
         with pytest.raises(ClusterError):
             cluster.kill_pod(0)  # already fully down
         restarted = cluster.restart_pod(0)
         assert len(restarted) == 4
-        assert not cluster.coordinator.dead_servers()
+        assert not cluster.dead_servers()
         with pytest.raises(ClusterError):
             cluster.restart_pod(0)  # nothing dead
 
@@ -226,7 +226,7 @@ class TestPodLifecycle:
         downed = cluster.kill_pod(1)
         assert "pod1-server-2" not in downed  # already down
         assert len(downed) == 3
-        assert len(cluster.coordinator.dead_servers()) == 4
+        assert len(cluster.dead_servers()) == 4
 
     def test_replication_factor_validated(self):
         for bad in (0, 3):
@@ -296,9 +296,9 @@ class TestReplicaFailover:
         coordinator = cluster.coordinator
         # The two terms land in two lists; the dead pod missed all
         # n = 4 seats of each -> 8 dropped routes, all charged to pod1.
-        assert coordinator.dropped_write_routes == 8
-        assert coordinator.dropped_write_routes_by_pod == {"pod1": 8}
-        assert coordinator.outstanding_write_routes == 8
+        assert coordinator.ledger.dropped == 8
+        assert coordinator.ledger.dropped_by_pod == {"pod1": 8}
+        assert coordinator.ledger.outstanding == 8
 
     def test_stale_replica_never_resurrects_deleted_documents(self):
         """A missed delete must not come back — degrade loudly instead.
@@ -487,14 +487,14 @@ class TestReprovisioning:
         )
         cluster.share_document("owner0", extra)
         cluster.flush_all()
-        assert cluster.coordinator.outstanding_write_routes == 2
+        assert cluster.coordinator.ledger.outstanding == 2
         cluster.restart_server(0, 1)  # WAL replay misses `extra`
         stale = cluster.pods[0].slots[1].server
         peer = cluster.pods[0].slots[0].server
         assert stale.num_elements == peer.num_elements - 2
         redelivered = cluster.reprovision_dropped_writes()
         assert redelivered == 2
-        assert cluster.coordinator.outstanding_write_routes == 0
+        assert cluster.coordinator.ledger.outstanding == 0
         # The seat (a fresh object after the WAL restart) caught up...
         assert cluster.pods[0].slots[1].server.num_elements == (
             peer.num_elements
@@ -626,13 +626,13 @@ class TestSeatFailingMidRound:
         assert peer.num_elements == failed.num_elements + 3
         assert owner.undelivered_operations == 3
         coordinator = cluster.coordinator
-        assert coordinator.outstanding_write_routes == len(lists)
+        assert coordinator.ledger.outstanding == len(lists)
         assert all(
-            coordinator.incomplete_seats("pod0", pl_id) == {self.SEAT}
+            coordinator.ledger.stale_seats("pod0", pl_id) == {self.SEAT}
             for pl_id in lists
         )
         assert cluster.reprovision_dropped_writes() == 3
-        assert coordinator.outstanding_write_routes == 0
+        assert coordinator.ledger.outstanding == 0
         _assert_pods_agree_row_for_row(cluster)
         single = make_single_fleet([*documents, extra], k=2, n=4)
         for terms in (["w1", "w4"], ["w9"], ["w0", "w1", "w2"]):
@@ -678,13 +678,13 @@ class TestSeatFailingMidRound:
             doc_id=911, host="host1", group_id=0,
             term_counts={"w3": 1}, length=1,
         )
-        before = cluster.coordinator.total_elements()
+        before = cluster.total_elements()
         with pytest.raises(AccessDeniedError):
             outsider.share_document(stray)
             outsider.flush_updates()
         assert outsider.undelivered_operations == 0
-        assert cluster.coordinator.outstanding_write_routes == 0
-        assert cluster.coordinator.total_elements() == before
+        assert cluster.coordinator.ledger.outstanding == 0
+        assert cluster.total_elements() == before
 
 
 class TestBatchedLookups:

@@ -14,6 +14,7 @@ absorbs.
 
 from __future__ import annotations
 
+import socket
 import threading
 
 import pytest
@@ -23,7 +24,12 @@ from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Document
-from repro.errors import ClusterError, StorageError, UnknownEndpointError
+from repro.errors import (
+    ClusterError,
+    StorageError,
+    TransportError,
+    UnknownEndpointError,
+)
 
 
 def _documents(count=6):
@@ -120,6 +126,31 @@ class TestDispatcherLeak:
         for log in logs:
             with pytest.raises(StorageError, match="store is closed"):
                 log.append_inserts([0], [1], [0], [1])
+
+    def test_a_failed_bind_stops_what_the_constructor_started(
+        self, tmp_path
+    ):
+        """Regression: the repair thread and the seat stores came up
+        before the socket listener bound, so a taken port raised with
+        the thread still running and nothing left to ``close()``."""
+        taken = socket.socket()
+        taken.bind(("127.0.0.1", 0))
+        taken.listen()
+        with taken:
+            with pytest.raises(TransportError):
+                ClusterDeployment(
+                    MappingTable({}, num_lists=12),
+                    wal_dir=tmp_path,
+                    anti_entropy_interval_s=0.05,
+                    transport="async-socket",
+                    socket_port=taken.getsockname()[1],
+                )
+        assert not [
+            t for t in threading.enumerate()
+            if t.name == "repro-anti-entropy" and t.is_alive()
+        ]
+        with _cluster(wal_dir=tmp_path) as cluster:
+            assert cluster.search("alice", ["alpha"], top_k=3)
 
     def test_single_fleet_deployment_context_manager(self):
         """The single fleet is the in-process reference: a ``with``

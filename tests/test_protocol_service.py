@@ -209,7 +209,7 @@ class TestSocketTransport:
 
         seat = Seat(server=server)
         registry = InProcessTransport()
-        registry.register("s0", IndexServerService.for_slot(seat))
+        registry.register("s0", IndexServerService(seat))
         with AsyncSocketServer(registry) as srv:
             with AsyncSocketTransport(srv.address) as transport:
                 seat.alive = False

@@ -107,11 +107,11 @@ def run_interleaving(data, max_actions: int) -> None:
     for pod, slot in sorted(dead):
         cluster.restart_server(pod, slot)
     for _ in range(30):
-        if coordinator.outstanding_write_routes == 0:
+        if coordinator.ledger.outstanding == 0:
             break
         if cluster.repair_sweep().healed_seats == 0:
             cluster.reprovision_dropped_writes()
-    assert coordinator.outstanding_write_routes == 0
+    assert coordinator.ledger.outstanding == 0
     assert metric(cluster, "zerber_repair_pending_entries") == 0
 
     # A fresh single fleet replays the same journal with no failures.

@@ -22,7 +22,7 @@ from repro.errors import (
 )
 from repro.protocol.codec import decode_message, encode_message
 from repro.protocol.messages import ErrorResponse, ServerStatusRequest
-from repro.protocol.service import IndexServerService, raise_for_error
+from repro.protocol.service import raise_for_error
 from repro.protocol.transport import (
     DEADLINE_FLAG,
     _LEN,
@@ -390,19 +390,6 @@ class TestAdmissionControl:
             gate.admit("server 's0'")
         assert excinfo.value.retryable
 
-    def test_service_sheds_when_full(self):
-        cluster = make_cluster(make_documents(num_docs=4))
-        with cluster:
-            slot = cluster.pods[0].slots[0]
-            gate = AdmissionController(max_pending=1)
-            service = IndexServerService.for_slot(slot, admission=gate)
-            gate.try_acquire()  # simulate a stuck in-flight request
-            with pytest.raises(OverloadedError):
-                service.handle(ServerStatusRequest())
-            gate.release()
-            response = service.handle(ServerStatusRequest())
-            assert response.server_id == slot.server_id
-
     def test_overload_travels_the_wire_as_retryable(self):
         cluster = make_cluster(make_documents(num_docs=4))
         with cluster:
@@ -439,18 +426,17 @@ class TestRepairBackoff:
     def test_backoff_is_exposed_while_running_and_cleared_after(self):
         cluster = make_cluster(make_documents(num_docs=4))
         with cluster:
-            coordinator = cluster.coordinator
-            assert coordinator.repair_backoff_s is None
+            assert cluster.repair_backoff_s is None
             assert metric(cluster, "zerber_repair_backoff_seconds") == 0
-            coordinator.start_repair_thread(interval_s=0.01)
+            cluster.start_repair_thread(interval_s=0.01)
             try:
                 assert metric(cluster, "zerber_repair_thread_running") == 1
-                assert coordinator.repair_backoff_s is not None
+                assert cluster.repair_backoff_s is not None
                 assert metric(cluster, "zerber_repair_backoff_seconds") >= 0.01
             finally:
-                coordinator.stop_repair_thread()
+                cluster.stop_repair_thread()
             assert metric(cluster, "zerber_repair_thread_running") == 0
-            assert coordinator.repair_backoff_s is None
+            assert cluster.repair_backoff_s is None
 
     def test_jitter_draws_are_seed_deterministic(self):
         from random import Random

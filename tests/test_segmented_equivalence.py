@@ -121,7 +121,7 @@ def test_segmented_whole_pod_dead_and_restarted(seed, tmp_path):
         cluster.restart_pod(victim)
         assert_identical()  # pod back but stale
         cluster.reprovision_dropped_writes()
-        assert cluster.coordinator.outstanding_write_routes == 0
+        assert cluster.coordinator.ledger.outstanding == 0
         assert_identical()  # repaired
 
 

@@ -104,7 +104,7 @@ def test_socket_writes_survive_pod_death_and_repair(transport):
         cluster.flush_all()
         cluster.restart_pod(victim)
         cluster.reprovision_dropped_writes()
-        assert cluster.coordinator.outstanding_write_routes == 0
+        assert cluster.coordinator.ledger.outstanding == 0
         for terms in world[3]:
             searcher = cluster.searcher("the-user", use_cache=False)
             assert (

@@ -568,56 +568,36 @@ class TestSlotRestartOptions:
         """A seat attached with custom engine options must come back
         with the same options after a kill/restart — a seat configured
         ``auto_compact=False`` must not restart into a compacting one."""
-        from repro.cluster.coordinator import (
-            ClusterCoordinator,
-            Pod,
-            ServerSlot,
-            attach_wal_to_slot,
-        )
-        from repro.secretsharing.field import DEFAULT_PRIME, PrimeField
-        from repro.secretsharing.shamir import ShamirScheme
+        from repro.cluster import ClusterDeployment, attach_wal_to_slot
+        from repro.core.mapping_table import MappingTable
 
-        scheme = ShamirScheme(k=2, n=3, field=PrimeField(DEFAULT_PRIME))
-        auth = AuthService()
-        groups = GroupDirectory()
-        slots = [
-            ServerSlot(
-                pod_index=0,
-                slot_index=i,
-                server=IndexServer(
-                    f"p0-s{i}",
-                    x_coordinate=scheme.x_of(i),
-                    auth=auth,
-                    groups=groups,
-                ),
-            )
-            for i in range(3)
-        ]
-        pod = Pod(index=0, name="p0", slots=slots)
+        cluster = ClusterDeployment(
+            MappingTable({}, num_lists=4), num_pods=1, k=2, n=3
+        )
+        slot = cluster.pods[0].slots[1]
         store = attach_wal_to_slot(
-            slots[1],
+            slot,
             tmp_path / "p0-s1",
             auto_compact=False,
             segment_bytes=4096,
         )
         store.append_inserts(*as_columns([ins(0, 1)]))
-        coordinator = ClusterCoordinator(scheme=scheme, pods=[pod], groups=groups)
-        crashed = slots[1].server
-        coordinator.kill_server(0, 1)
-        restarted = coordinator.restart_server(0, 1)
+        crashed = slot.server
+        cluster.kill_server(0, 1)
+        restarted = cluster.restart_server(0, 1)
         assert restarted.num_elements == 1
         # The fresh seat is rebuilt from the crashed one, not from
-        # anchors the coordinator keeps.
+        # anchors the deployment keeps.
         assert restarted is not crashed
         assert (restarted.server_id, restarted.x_coordinate) == (
             crashed.server_id,
             crashed.x_coordinate,
         )
         assert restarted.share_bytes == crashed.share_bytes
-        reopened = slots[1].log
+        reopened = slot.log
         assert reopened._auto_compact is False
         assert reopened._segment_bytes == 4096
-        reopened.close()
+        cluster.close()
 
 
 # -- the first-class IndexServer persistence hook ---------------------------
