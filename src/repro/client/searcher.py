@@ -245,20 +245,27 @@ class SearchClient:
         """Join one list's slot columns on the element ID.
 
         Returns ``(xs, y_columns)`` groups; row ``i`` of a group is one
-        element's shares in canonical order: first occurrence per
-        distinct x, arrival order. Elements short of k shares (a
-        lagging or lying server) are dropped here.
+        element's shares in canonical order. When the slots are distinct
+        and every column names the same IDs in the same order (the
+        healthy fetch), the columns are the join and their rows are
+        taken as they come. Otherwise: first occurrence per distinct x,
+        arrival order, and elements short of k shares (a lagging or
+        lying server) are dropped here.
+
+        The aligned rule takes a repeated ID as two elements. No seat
+        ever serves one (every write path refuses or replaces it, see
+        :class:`~repro.server.index_server.SeatList`), so aligned
+        columns repeat an ID only if every answering seat lies alike:
+        k colluding seats (or the L2 tier, which holds k shares), which
+        can forge any posting with fresh IDs anyway, so a uniqueness
+        check here would catch nothing.
         """
         k = self._scheme.k
         xs = tuple(x for x, _, _ in columns)
         ids = columns[0][1] if columns else []
-        if (
-            len(set(xs)) == len(xs)
-            and all(other == ids for _, other, _ in columns[1:])
-            and len(set(ids)) == len(ids)
+        if len(set(xs)) == len(xs) and all(
+            other == ids for _, other, _ in columns[1:]
         ):
-            # Healthy fetch: every slot answered the same elements in
-            # the same order, so the columns are already joined.
             return [(xs, [ys for _, _, ys in columns])] if len(xs) >= k else []
         shares_of: dict[int, dict[int, int]] = defaultdict(dict)
         for x, column_ids, ys in columns:

@@ -509,7 +509,7 @@ class ClusterSearchClient(SearchClient):
         # replica chain only as far as its caller's remaining budget
         # allows, never past it.
         deadline = current_deadline()
-        pending = list(need)
+        pending = short = list(need)
         while pending:
             if deadline is not None:
                 deadline.check("cluster fetch")
@@ -574,11 +574,13 @@ class ClusterSearchClient(SearchClient):
                     # A pod whose every lookup its backup answered first
                     # was abandoned, not failed, and records nothing.)
                     coordinator.breakers.record_failure(pod.name)
+            short = [
+                pl_id for pl_id in need if self._needs_more(merged[pl_id], k)
+            ]
             pending = [
                 pl_id
-                for pl_id in need
-                if self._needs_more(merged[pl_id], k)
-                and any(
+                for pl_id in short
+                if any(
                     pod.name not in tried[pl_id]
                     for pod in coordinator.pods_of(pl_id)
                 )
@@ -592,12 +594,9 @@ class ClusterSearchClient(SearchClient):
                     f"k={k} trusted server slots answered across "
                     f"{len(tried[pl_id])} replica pod(s)"
                 )
-        unresolved = {
-            pl_id
-            for pl_id in need
-            if self._share_shortfall(merged[pl_id], k)
-        }
-        return merged, unresolved
+        # Every list answered >= k slots, so the last pass's ``short``
+        # (taken on this same state) is the lists with a shortfall.
+        return merged, set(short)
 
     @staticmethod
     def _share_shortfall(

@@ -132,6 +132,7 @@ class PostingElementCodec:
         self._tf_scale = spec.tf_scale
         self._term_bits = spec.term_id_bits
         self._max_term_id = spec.max_term_id
+        self._term_field = spec.max_term_id << spec.tf_bits
         self._max_doc_id = spec.max_doc_id
         self._secret_limit = 1 << spec.secret_bits
 
@@ -222,19 +223,23 @@ class PostingElementCodec:
         """:meth:`unpack_by_term` restricted to ``term_ids``, filtering
         on the term field before any posting is built (same drop rule,
         arrival order, ``tf`` floats and count)."""
-        tf_bits, term_mask = self._tf_bits, self._max_term_id
+        # The term field is tested in place, one mask and one compare:
+        # ``secret & term_field == term_id << tf_bits`` holds exactly
+        # when ``(secret >> tf_bits) & max_term_id == term_id``.
+        tf_bits, term_field = self._tf_bits, self._term_field
         if len(term_ids) != 1:
-            wanted = frozenset(term_ids)
-            kept = [s for s in secrets if (s >> tf_bits) & term_mask in wanted]
+            keys = frozenset(term_id << tf_bits for term_id in term_ids)
+            kept = [s for s in secrets if s & term_field in keys]
             return self.unpack_by_term(kept)[0], len(secrets)
         # The usual list holds one queried term: filter and decode at once.
         (term_id,) = term_ids
+        term_key = term_id << tf_bits
         limit, tf_scale = self._secret_limit, self._tf_scale
         doc_shift = tf_bits + self._term_bits
         rows = [
             (secret >> doc_shift, quantized_tf / tf_scale)
             for secret in secrets
-            if (secret >> tf_bits) & term_mask == term_id
+            if secret & term_field == term_key
             and (quantized_tf := secret & tf_scale)
             and 0 <= secret < limit
         ]

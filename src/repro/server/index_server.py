@@ -163,6 +163,15 @@ class SeatList:
     log or a snapshot too) answer in the same order, which the client's
     aligned join relies on. Equal lists hold equal values, in order.
 
+    No list ever holds an element ID twice (§5.4.1: "globally unique
+    within its posting list"), and every path that builds one keeps it
+    so: :meth:`IndexServer.insert_batch` refuses a batch that repeats a
+    held or carried ID, atomically; log replay's :meth:`put` replaces
+    the row in place; :meth:`IndexServer.adopt_posting_list` skips held
+    rows and de-duplicates the new ones; the snapshot parser refuses an
+    image that repeats one; :meth:`remove` swap-deletes. The client's
+    aligned join takes rows as they come on the strength of this.
+
     ``share_ys`` is an array of 64-bit words, 8 B a share and no object
     to walk; a share outside [0, 2^64) (odds 13/2^64 in the field)
     turns it into a plain list for good (:func:`_words`). The id
@@ -198,8 +207,10 @@ class SeatList:
 
     def __init__(self, *columns: Sequence[int]) -> None:
         """An empty list, or one over the three aligned columns given:
-        it owns the id lists and stores the shares as :func:`_words`. A
-        repeated element ID leaves ``row_of`` shorter."""
+        it owns the id lists and stores the shares as :func:`_words`.
+        The columns are not checked here; their one source, the snapshot
+        parser, refuses a list whose ``row_of`` comes out shorter than
+        its columns (a repeated element ID)."""
         element_ids, group_ids, share_ys = columns or ([], [], [])
         self.element_ids: list[int] = element_ids
         self.group_ids: list[int] = group_ids
@@ -623,7 +634,8 @@ class IndexServer:
         and returns a share of every element in a group she belongs to.
         Unknown posting lists yield empty responses rather than errors: an
         error would tell the caller the list has never been used anywhere,
-        which §6.4 works to conceal.
+        which §6.4 works to conceal. A response never names an element
+        ID twice (see :class:`SeatList`).
 
         A response never aliases the store's columns: it outlives the
         next write inside caches and the in-process transport. A caller

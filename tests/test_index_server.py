@@ -21,6 +21,7 @@ from repro.errors import (
     AuthError,
     IndexServerError,
     ReproError,
+    StorageError,
 )
 from repro.protocol.codec import encode_message
 from repro.protocol.messages import FetchListsResponse
@@ -748,6 +749,112 @@ def test_a_rejected_batch_leaves_store_log_and_wal_untouched(
     }
     assert server.compromise().update_log[-1] == [(2, 1), (3, 1)]
     store.close()
+
+
+# -- element-ID uniqueness ---------------------------------------------------
+#
+# The client's aligned join takes rows as they come: it trusts that no
+# seat ever serves an element ID twice in one list. Every write path
+# keeps that so, the log replay and the snapshot parser included, and a
+# seat driven through all of them must never answer with a repeat.
+
+_UNIQUENESS_STEP = st.one_of(
+    st.tuples(st.just("insert"), _INSERT_BATCH),
+    st.tuples(st.just("delete"), st.lists(st.tuples(_PL, _EID), max_size=4)),
+    st.tuples(st.just("adopt"), _PL, st.lists(_RECORD, max_size=5)),
+    st.tuples(st.just("ship"), st.lists(_PL, max_size=3, unique=True)),
+    st.tuples(st.just("forged"), _PL),
+    st.tuples(st.just("relog"),),
+    st.tuples(st.just("reopen"), st.booleans()),
+)
+
+
+def _assert_no_repeated_id(server, tokens) -> None:
+    for plist in server._store.values():
+        assert len(plist.row_of) == len(plist.element_ids)
+        assert plist.row_of == {e: i for i, e in enumerate(plist.element_ids)}
+    for token in tokens.values():
+        for response in server.get_posting_lists(token, range(4)):
+            ids = response.element_ids
+            assert len(set(ids)) == len(ids), (response.pl_id, ids)
+
+
+def _reopened(server, seat, compact):
+    """The seat after a restart: its store closed, reopened and
+    replayed into an empty twin, which must hold what the seat held."""
+    store = server.detach_store()
+    if compact:
+        store.compact()
+    store.close()
+    reopened = SegmentedStore(seat, auto_compact=False)
+    replayed = reopened.replay()
+    assert replayed == {pl: s for pl, s in server._store.items() if s}
+    server = server.empty_twin()
+    server.bulk_load(replayed)
+    server.attach_store(reopened)
+    return server
+
+
+@settings(max_examples=30, deadline=None)
+@given(steps=st.lists(_UNIQUENESS_STEP, max_size=12))
+def test_a_seat_never_serves_a_repeated_element_id(steps):
+    """One durable seat through every write path: inserts (a rejected
+    batch rolls back), deletes, adopted rows that repeat IDs, a peer's
+    shipped image, a forged image that repeats an ID, a log that
+    carries a held row again, and reopening the store, with or without
+    a compaction first, so the seat is rebuilt by replay."""
+    (server, peer, _stale), tokens = _fleet()
+    token = tokens["all"]
+    with tempfile.TemporaryDirectory() as seat:
+        server.attach_store(SegmentedStore(seat, auto_compact=False))
+        for step in steps:
+            kind = step[0]
+            before = _seat_state(server)
+            if kind == "insert":
+                # The batch with its first row again is refused whole,
+                # whatever its earlier rows indexed; then the batch.
+                for ops in (step[1] + step[1][:1], step[1]):
+                    for target in (peer, server):
+                        try:
+                            target.insert_batch(token, *as_columns(ops))
+                        except IndexServerError:
+                            assert target is peer or (
+                                _seat_state(server) == before
+                            )
+            elif kind == "delete":
+                columns = as_columns(step[1], 2)
+                peer.delete(token, *columns)
+                server.delete(token, *columns)
+            elif kind == "adopt":
+                server.adopt_posting_list(step[1], *_columns(step[2]))
+            elif kind == "ship":
+                image, _ = peer.export_snapshot(step[1])
+                server.ingest_snapshot(step[1], image)
+            elif kind == "forged":
+                held = peer._store.get(step[1]) or SeatList([7], [1], [8])
+                ids, groups, shares = held.columns
+                forged = SeatList(
+                    [*ids, ids[0]], [*groups, groups[0]], [*shares, 9]
+                )
+                image, _ = snapshot_bytes({step[1]: forged})
+                with pytest.raises(StorageError, match="repeated element"):
+                    server.ingest_snapshot([step[1]], image)
+                assert _seat_state(server) == before
+            elif kind == "relog":
+                # A log that carries held rows again: replay must put
+                # each in place of the row it already holds.
+                rows = [
+                    (pl_id, *(column[-1] for column in plist.columns))
+                    for pl_id, plist in server._store.items()
+                    if plist
+                ]
+                server.persistence.append_inserts(*as_columns(rows * 2))
+            else:
+                server = _reopened(server, seat, compact=step[1])
+            _assert_no_repeated_id(server, tokens)
+        server = _reopened(server, seat, compact=False)
+        _assert_no_repeated_id(server, tokens)
+        server.detach_store().close()
 
 
 # -- read snapshots -----------------------------------------------------------
