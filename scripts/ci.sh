@@ -61,6 +61,12 @@
 # tree: the line counts of src/ and tests/, of the largest module under
 # src/repro/cluster/ and under src/repro/protocol/, and of cli.py, and
 # the wall time of this run.
+#
+# The benches write their records under benchmarks/results/ as they
+# run. This script copies that directory aside at start and puts it
+# back on exit, so a CI run leaves the checked-in results as they were.
+# Regenerating them is running the bench by hand, e.g.
+# `PYTHONPATH=src python -m pytest benchmarks/bench_cache.py -q`.
 
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -69,7 +75,15 @@ started=$(date +%s)
 results=()
 failed=0
 log=$(mktemp)
-trap 'rm -f "$log"' EXIT
+results_dir=benchmarks/results
+saved_results=$(mktemp -d)
+cp -a "$results_dir"/. "$saved_results"/
+restore_results() {
+    find "$results_dir" -mindepth 1 -delete
+    cp -a "$saved_results"/. "$results_dir"/
+    rm -rf "$saved_results" "$log"
+}
+trap restore_results EXIT
 
 gate() {
     # gate <label> <forbidden-pattern> <pytest args...>

@@ -1,16 +1,16 @@
-"""The searcher-local L1: reconstructed postings, zero network on a hit.
+"""The searcher-local L1: reconstructed secrets, zero network on a hit.
 
 Where the L2 tier stores *shares* (a hit still pays Lagrange
 reconstruction), the L1 sits past the reconstruction stage: it holds
-the decrypted-but-unfiltered postings of one list for one ``(user,
-group fingerprint, width)`` context, in the term-grouped form the bulk
-decode produces — ``({term_id: [(doc_id, tf), ...]}, elements
-decoded)`` — so a hot repeat query costs
-no messages, no bytes, no field arithmetic, and a dict lookup per
-queried term instead of a scan of the merged list. Entries are shared
-with the reader, not copied: the searcher only ever reads them.
+the list of secrets ``reconstruct_batch`` produced for one merged list
+and one ``(user, group fingerprint, width)`` context, every readable
+element, so a hot repeat query costs no messages, no bytes and no field
+arithmetic, only the decode every read pays (``unpack_terms``: the
+queried terms alone). An entry does not depend on the query that
+filled it, so a hit serves any term set over the list. Entries are
+shared with the reader, not copied: the searcher only ever reads them.
 
-Because the values are plaintext postings, the L1 is strictly
+Because the values are plaintext secrets, the L1 is strictly
 *searcher-local* — it lives inside the querying user's own client,
 which already sees these postings; nothing here weakens the §5 model.
 It is the only process-local read cache: the coordinator keeps none,
@@ -50,13 +50,13 @@ L1Key = tuple
 
 
 class L1PostingCache:
-    """A small LRU of reconstructed, unfiltered, term-grouped postings."""
+    """A small LRU of reconstructed, unfiltered secrets, one list each."""
 
     def __init__(self, capacity: int) -> None:
         if capacity < 0:
             raise ClusterError(f"L1 capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[L1Key, tuple] = OrderedDict()
+        self._entries: OrderedDict[L1Key, list[int]] = OrderedDict()
         self._keys_of_pl: dict[int, set[L1Key]] = {}
         self._lock = threading.Lock()
         #: Lifetime hits / misses / evictions / invalidations. One dict
@@ -81,7 +81,7 @@ class L1PostingCache:
             self.counts["hits"] += 1
             return entry
 
-    def put(self, key: L1Key, pl_id: int, postings: tuple) -> None:
+    def put(self, key: L1Key, pl_id: int, secrets: list[int]) -> None:
         if self.capacity == 0:
             return
         with self._lock:
@@ -91,7 +91,7 @@ class L1PostingCache:
                 victim, _ = self._entries.popitem(last=False)
                 self._unindex(victim)
                 self.counts["evictions"] += 1
-            self._entries[key] = postings
+            self._entries[key] = secrets
             self._keys_of_pl.setdefault(pl_id, set()).add(key)
 
     def invalidate(self, pl_id: int) -> int:

@@ -4,9 +4,11 @@ A value is what one fleet fetch of one posting list produced for the
 cluster client: the sorted ``(slot_index, PostingListResponse)`` pairs,
 each response in the wire protocol's packed column form
 (:func:`repro.protocol.codec.write_columns` — a width byte and
-fixed-width values per column, not three varints per record), so
-the byte discipline — bounds checks before allocation, width caps, no
-trailing garbage — is shared with the codec, not reimplemented.
+fixed-width values per column, not three varints per record; a fill
+ships the bytes a seat's answer arrived as, via
+:func:`~repro.protocol.codec.packed_columns`), so the byte discipline
+— bounds checks before allocation, width caps, no trailing garbage — is
+shared with the codec, not reimplemented.
 
 Shares only, never reconstructed postings: an L2 value decodes to the
 same slot-aligned share responses a server fleet would have returned,
@@ -26,8 +28,8 @@ from __future__ import annotations
 from repro.errors import ProtocolError
 from repro.protocol.codec import (
     Reader,
+    packed_columns,
     read_columns,
-    write_columns,
     write_uint,
 )
 from repro.server.index_server import PostingListResponse
@@ -42,7 +44,7 @@ def encode_entry(pairs: Entry) -> bytes:
     for slot_index, response in pairs:
         write_uint(out, slot_index)
         write_uint(out, response.pl_id)
-        write_columns(out, *response.columns)
+        out += packed_columns(response)
     return bytes(out)
 
 

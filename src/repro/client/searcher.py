@@ -26,11 +26,7 @@ from typing import Sequence
 from repro.client.snippets import SnippetService
 from repro.core.dictionary import TermDictionary
 from repro.core.mapping_table import MappingTable
-from repro.core.posting import (
-    PostingElement,
-    PostingElementCodec,
-    TermPostings,
-)
+from repro.core.posting import PostingElement, PostingElementCodec
 from repro.errors import ReproError, UnknownEndpointError
 from repro.observability.tracing import span, trace_scope
 from repro.protocol.messages import FetchListsRequest, FetchSnippetRequest
@@ -187,23 +183,23 @@ class SearchClient:
         return out
 
     def _reconstruct_lists(
-        self, pl_ids: Sequence[int], num_servers: int, wanted=None
-    ) -> dict[int, TermPostings]:
-        """Steps 2-3 for the named lists: fetch, join, reconstruct, unpack.
+        self, pl_ids: Sequence[int], num_servers: int
+    ) -> dict[int, list[int]]:
+        """Steps 2-3 for the named lists: fetch, join, reconstruct.
 
         Works on columns, no object per element: each answering slot
         contributes an ``(x, element_id[], share_y[])`` column per list;
-        joined, a whole column is reconstructed and bulk-decoded at once.
+        joined, a whole column is reconstructed at once.
 
-        With ``wanted`` (``pl_id -> queried term IDs``) only those
-        terms' secrets are decoded (step 4's filter first). Without it,
-        every decrypted element per list comes back, grouped by term —
-        so the result depends only on (user's groups, num_servers,
-        list), never on which query asked. That property is what makes
-        the per-list output safely cacheable by the searcher-local L1
-        (see :class:`repro.cachetier.L1PostingCache`). A list with no
-        reconstructible elements maps to an empty entry — emptiness is
-        a cacheable fact too.
+        Returns each list's reconstructed secrets, every element the
+        user may read, merged-in terms and undecodable secrets included
+        (:meth:`fetch_postings` decodes the queried terms alone). The
+        result depends only on (user's groups, num_servers, list),
+        never on which query asked: that is what makes it safely
+        cacheable by the searcher-local L1 (see
+        :class:`repro.cachetier.L1PostingCache`). A list with no
+        reconstructible elements maps to an empty list — emptiness is a
+        cacheable fact too.
         """
         scheme, k = self._scheme, self._scheme.k
         columns_of: dict[int, list] = {pl_id: [] for pl_id in pl_ids}
@@ -228,16 +224,7 @@ class SearchClient:
                         column = self._cross_check(xs, y_columns, column)
                     secrets += column
             self.last_diagnostics.elements_received = received
-        # Inconsistent shares decode to garbage; the bulk decode drops
-        # what unpack() would reject.
-        codec = self._codec
-        with span("unpack"):
-            return {
-                pl_id: codec.unpack_by_term(secrets)
-                if wanted is None
-                else codec.unpack_terms(secrets, wanted[pl_id])
-                for pl_id, secrets in secrets_of.items()
-            }
+        return secrets_of
 
     def _join_columns(
         self, columns: list[tuple[int, list[int], list[int]]]
@@ -322,11 +309,11 @@ class SearchClient:
         return checked
 
     def _elements_by_list(
-        self, pl_ids: Sequence[int], num_servers: int, wanted=None
-    ) -> dict[int, TermPostings]:
+        self, pl_ids: Sequence[int], num_servers: int
+    ) -> dict[int, list[int]]:
         """Override point for caching tiers that sit past reconstruction
         (the cluster client's L1); the base client always reconstructs."""
-        return self._reconstruct_lists(pl_ids, num_servers, wanted)
+        return self._reconstruct_lists(pl_ids, num_servers)
 
     def fetch_postings(
         self, terms: Sequence[str], num_servers: int | None = None
@@ -335,9 +322,8 @@ class SearchClient:
 
         Returns ``(term_id, [(doc_id, tf), ...])`` for each queried term
         a fetched list holds, in ``(pl_id, term_id)`` order, false
-        positives already removed. The postings lists are the decoded
-        lists themselves — the L1's own on a hit — so callers must
-        treat them as read-only. Populates :attr:`last_diagnostics`.
+        positives already removed; every call decodes its own, the L1
+        holds secrets. Populates :attr:`last_diagnostics`.
         """
         self.last_diagnostics = SearchDiagnostics()
         if not terms:
@@ -358,19 +344,26 @@ class SearchClient:
             raise ReproError(
                 f"must query at least k={k} servers, asked {num_servers}"
             )
-        by_list = self._elements_by_list(pl_ids, num_servers, wanted)
+        secrets_of = self._elements_by_list(pl_ids, num_servers)
         found: list[tuple[int, list[tuple[int, float]]]] = []
         decoded = matched = 0
-        for pl_id in pl_ids:
-            by_term, count = by_list[pl_id]
-            decoded += count
-            # The term filter is a lookup per queried term: merged-in
-            # terms' postings are never touched.
-            for term_id in sorted(wanted[pl_id]):
-                postings = by_term.get(term_id)
-                if postings:
-                    found.append((term_id, postings))
-                    matched += len(postings)
+        codec = self._codec
+        # Step 4's filter first: only the queried terms' secrets are
+        # decoded, merged-in terms are never built. Inconsistent shares
+        # decode to garbage; the bulk decode drops what unpack() would
+        # reject.
+        with span("unpack"):
+            for pl_id in pl_ids:
+                term_ids = wanted[pl_id]
+                by_term, count = codec.unpack_terms(
+                    secrets_of[pl_id], term_ids
+                )
+                decoded += count
+                for term_id in sorted(term_ids):
+                    postings = by_term.get(term_id)
+                    if postings:
+                        found.append((term_id, postings))
+                        matched += len(postings)
         self.last_diagnostics.elements_matched = matched
         self.last_diagnostics.false_positives = decoded - matched
         return found

@@ -70,7 +70,7 @@ from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.membership import Pod, ServerSlot
 from repro.core.dictionary import TermDictionary
 from repro.core.mapping_table import MappingTable
-from repro.core.posting import PostingElementCodec, TermPostings
+from repro.core.posting import PostingElementCodec
 from repro.errors import (
     ClusterDegradedError,
     ProtocolError,
@@ -325,17 +325,25 @@ class ClusterSearchClient(SearchClient):
             # into a key no later reader derives — re-installing
             # pre-write shares after an invalidation is the race this
             # closes.
-            epochs = {
-                pl_id: coordinator.write_epoch(pl_id) for pl_id in pl_ids
-            }
-            # Consult the shared tier before paying a fleet fetch. A
-            # hit is the same sorted (slot, response) pairs a fetch
-            # would have produced.
-            need = []
-            for pl_id in pl_ids:
-                entry = self._cache_tier_get(
-                    fingerprint, num_servers, pl_id, epochs[pl_id]
+            keys = {
+                pl_id: entry_key(
+                    fingerprint,
+                    num_servers,
+                    pl_id,
+                    coordinator.write_epoch(pl_id),
                 )
+                for pl_id in pl_ids
+            }
+            # Consult the shared tier before paying a fleet fetch, every
+            # list in one batch. A hit is the same sorted (slot,
+            # response) pairs a fetch would have produced.
+            with span("l2-get"):
+                replies = self._cache_tier_calls(
+                    [CacheGetRequest(self._token, keys[p]) for p in pl_ids]
+                )
+            need = []
+            for pl_id, reply in zip(pl_ids, replies):
+                entry = self._l2_entry(reply)
                 if entry is None:
                     need.append(pl_id)
                     continue
@@ -348,6 +356,7 @@ class ClusterSearchClient(SearchClient):
             need, num_servers, diag
         )
         self._last_unresolved = set(unresolved)
+        fills = []
         for pl_id in need:
             pairs = sorted(merged[pl_id].items())
             for slot_index, response in pairs:
@@ -355,74 +364,58 @@ class ClusterSearchClient(SearchClient):
             # A list with an unresolved share shortfall is served but
             # never cached: the missing shares may reappear when a
             # server recovers, and a cached short entry would hide
-            # them until an unrelated write evicted it.
+            # them until an unrelated write evicted it. A fill ships the
+            # column bytes the seats sent.
             if tier is not None and pairs and pl_id not in unresolved:
-                self._cache_tier_put(
-                    fingerprint, num_servers, pl_id, epochs[pl_id], pairs
+                fills.append(
+                    CachePutRequest(
+                        self._token, keys[pl_id], pl_id, encode_entry(pairs)
+                    )
                 )
+        if fills:
+            self._cache_tier_calls(fills)  # best effort, in one batch
         return out
 
-    def _cache_tier_get(
-        self, fingerprint, num_servers: int, pl_id: int, epoch: int
-    ) -> list[tuple[int, PostingListResponse]] | None:
-        """One L2 lookup; None on miss, tier failure, or a torn entry."""
-        key = entry_key(fingerprint, num_servers, pl_id, epoch)
-        try:
-            with span("l2-get"):
-                response = self._transport.call(
-                    src=self.user_id,
-                    dst=self._cache_tier,
-                    request=CacheGetRequest(token=self._token, key=key),
-                )
-        except (TransportError, UnknownEndpointError):
-            return None  # the tier is an accelerator, never a dependency
-        self.last_diagnostics.response_bytes += response.wire_bytes(
+    def _cache_tier_calls(self, requests: list) -> list:
+        """One ``call_many`` to the tier. A dead or unknown tier answers
+        None in its slot, a miss or a lost put (the tier is an
+        accelerator, never a dependency); any other typed error ends
+        the query."""
+        replies = self._transport.call_many(
+            self.user_id, [(self._cache_tier, r) for r in requests]
+        )
+        for reply in replies:
+            if isinstance(reply, ReproError) and not isinstance(
+                reply, (TransportError, UnknownEndpointError)
+            ):
+                raise reply
+        return [None if isinstance(r, ReproError) else r for r in replies]
+
+    def _l2_entry(self, reply) -> list[tuple[int, PostingListResponse]] | None:
+        """A get's answer as (slot, response) pairs; None on a miss, a
+        tier failure, or a torn entry."""
+        if reply is None:
+            return None
+        self.last_diagnostics.response_bytes += reply.wire_bytes(
             self._share_bytes
         )
-        if not response.hit:
-            return None
         try:
-            return decode_entry(response.value)
+            return decode_entry(reply.value) if reply.hit else None
         except ProtocolError:
             return None  # corrupt value: treat as a miss, refetch
-
-    def _cache_tier_put(
-        self, fingerprint, num_servers: int, pl_id: int, epoch: int, pairs
-    ) -> None:
-        """Best-effort L2 fill; a lost put only costs a future miss.
-
-        ``epoch`` is the value captured before the fetch that produced
-        ``pairs`` — never re-read here, or a fill racing an
-        invalidation could install pre-write shares under the current
-        key.
-        """
-        try:
-            self._transport.call(
-                src=self.user_id,
-                dst=self._cache_tier,
-                request=CachePutRequest(
-                    token=self._token,
-                    key=entry_key(fingerprint, num_servers, pl_id, epoch),
-                    pl_id=pl_id,
-                    value=encode_entry(pairs),
-                ),
-            )
-        except (TransportError, UnknownEndpointError):
-            pass
 
     # -- the searcher-local L1 ---------------------------------------------------
 
     def _elements_by_list(
-        self, pl_ids: Sequence[int], num_servers: int, wanted=None
-    ) -> dict[int, TermPostings]:
+        self, pl_ids: Sequence[int], num_servers: int
+    ) -> dict[int, list[int]]:
         """Front reconstruction with the L1 when one is attached.
 
-        An L1 entry is the reconstructed-but-unfiltered, term-grouped
-        postings of one list for this exact (user, group fingerprint,
-        width) — the same inputs that determine a fresh fetch's bytes,
-        so a hit is byte-identical by construction, and the term filter
-        is a lookup per queried term instead of a scan; only with no L1
-        in play is the decode limited to the ``wanted`` terms. Shortfall
+        An L1 entry is the reconstructed secrets of one list for this
+        exact (user, group fingerprint, width) — the same inputs that
+        determine a fresh fetch's bytes, so a hit is byte-identical by
+        construction, and a hit, a miss and an uncached read all decode
+        only the queried terms (:meth:`fetch_postings`). Shortfall
         lists are never stored; verify_consistency bypasses the L1
         exactly like every other cache.
         """
@@ -434,7 +427,7 @@ class ClusterSearchClient(SearchClient):
             else None
         )
         if l1 is None:
-            return self._reconstruct_lists(pl_ids, num_servers, wanted)
+            return self._reconstruct_lists(pl_ids, num_servers)
         coordinator = self._coordinator
         fingerprint = coordinator.group_fingerprint(self.user_id)
         # Same fence as the L2 tier: the epoch rides in the key,
@@ -451,7 +444,7 @@ class ClusterSearchClient(SearchClient):
             )
             for pl_id in pl_ids
         }
-        out: dict[int, TermPostings] = {}
+        out: dict[int, list[int]] = {}
         missing: list[int] = []
         l1_hits = 0
         with span("l1-lookup"):

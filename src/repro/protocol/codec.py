@@ -486,28 +486,32 @@ def read_columns(r: _Reader, n: int) -> list[list[int]]:
     return [_read_column(r, count) for _ in range(n)]
 
 
+def packed_columns(response: PostingListResponse) -> bytes:
+    """A read-only response's columns in the packed form, encoded once
+    and memoised on it: a seat's read snapshot serves every lookup until
+    the next write, and a decoded response keeps the bytes it arrived
+    as, so frames and L2 fills (``encode_entry``) copy them."""
+    if response.packed is None:
+        block = bytearray()
+        write_columns(block, *response.columns)
+        object.__setattr__(response, "packed", bytes(block))
+    return response.packed
+
+
 def _enc_lists(out: bytearray, msg: m.FetchListsResponse) -> None:
-    # A response is read-only, so its packed columns are encoded once
-    # and memoised on it: a seat's read snapshot is served to every
-    # lookup until the next write, and each later encode is a copy.
     _write_uint(out, len(msg.lists))
     for pl in msg.lists:
         _write_uint(out, pl.pl_id)
-        packed = pl.packed
-        if packed is None:
-            block = bytearray()
-            write_columns(block, *pl.columns)
-            packed = bytes(block)
-            object.__setattr__(pl, "packed", packed)
-        out += packed
+        out += packed_columns(pl)
 
 
 def _dec_lists(r: _Reader) -> m.FetchListsResponse:
-    lists = tuple(
-        PostingListResponse(r.uint(), *read_columns(r, 3))
-        for _ in range(r.uint())
-    )
-    return m.FetchListsResponse(lists=lists)
+    lists = []
+    for _ in range(r.uint()):
+        pl_id, start = r.uint(), r.pos
+        lists.append(PostingListResponse(pl_id, *read_columns(r, 3)))
+        object.__setattr__(lists[-1], "packed", bytes(r.data[start : r.pos]))
+    return m.FetchListsResponse(lists=tuple(lists))
 
 
 def _enc_insert(out: bytearray, msg: m.InsertBatchRequest) -> None:

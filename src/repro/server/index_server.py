@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import threading
 from array import array
-from collections import defaultdict, deque
+from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from itertools import compress, count, repeat
@@ -108,10 +108,12 @@ class PostingListResponse:
     group_ids: list[int]
     share_ys: list[int]
 
-    #: The columns in the wire's packed form, memoised by the codec the
-    #: first time it encodes this response (``_enc_lists``), so a shared
-    #: snapshot is encoded once. Unannotated, so not a field: it takes
-    #: no part in ``==``, ``repr`` or the constructor.
+    #: The columns in the wire's packed form, memoised by the codec
+    #: (``packed_columns``) the first time it encodes this response, or
+    #: kept as they arrived when it decodes one, so a shared snapshot is
+    #: encoded once and an L2 fill re-encodes nothing. Unannotated, so
+    #: not a field: it takes no part in ``==``, ``repr`` or the
+    #: constructor.
     packed = None
 
     @classmethod
@@ -404,7 +406,7 @@ class IndexServer:
         self.share_bytes = share_bytes
         self._auth = auth
         self._groups = groups
-        self._store: dict[int, SeatList] = defaultdict(SeatList)
+        self._store: dict[int, SeatList] = {}
         #: Per accepted batch, its ``(pl_ids, element_ids)`` columns (no
         #: tuple per element: :meth:`compromise` zips the pairs on demand).
         self._update_log: deque[tuple[tuple[int, ...], tuple[int, ...]]] = (
@@ -634,8 +636,10 @@ class IndexServer:
         and returns a share of every element in a group she belongs to.
         Unknown posting lists yield empty responses rather than errors: an
         error would tell the caller the list has never been used anywhere,
-        which §6.4 works to conceal. A response never names an element
-        ID twice (see :class:`SeatList`).
+        which §6.4 works to conceal. A list deleted down to empty answers
+        the same way: a fresh empty response, no snapshot read or build.
+        A response never names an element ID twice (see
+        :class:`SeatList`).
 
         A response never aliases the store's columns: it outlives the
         next write inside caches and the in-process transport. A caller
@@ -653,7 +657,7 @@ class IndexServer:
         builds = reads = 0
         for pl_id in requested:
             stored = self._store.get(pl_id)
-            if stored is None:
+            if not stored:  # unknown, or deleted down to empty
                 responses.append(PostingListResponse(pl_id, [], [], []))
                 continue
             reads += 1
@@ -698,13 +702,15 @@ class IndexServer:
         """Merge transferred share columns into one list (idempotent: a
         row whose element is held is skipped), logged as one insert
         block; returns the number of rows added."""
-        stored = self._store[pl_id]
+        stored = self._store.get(pl_id, _NO_LIST)
         fresh = {}
         for row in zip(element_ids, group_ids, share_ys):
             if row[0] not in stored.row_of:
                 fresh.setdefault(row[0], row)
         if not fresh:
             return 0
+        if stored is _NO_LIST:
+            stored = self._store[pl_id] = SeatList()
         columns = tuple(zip(*fresh.values()))
         stored.extend(*columns)
         if self._persistence is not None:

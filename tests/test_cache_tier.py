@@ -46,7 +46,12 @@ from repro.protocol.messages import (
     FetchListsRequest,
 )
 from repro.observability.metrics import SampleView
-from repro.protocol.transport import _RETRY_SAFE, InProcessTransport
+from repro.protocol.transport import (
+    _RETRY_SAFE,
+    InProcessTransport,
+    Transport,
+)
+from repro.resilience.faults import FaultPlan
 from repro.server.auth import AuthService, AuthToken
 from repro.server.groups import GroupDirectory
 from repro.server.index_server import PostingListResponse, ShareRecord
@@ -505,9 +510,9 @@ class TestClusterIntegration:
             cached.close()
 
     def test_l1_hit_matches_miss_results_and_filter_counts(self):
-        """The L1 value is the term-grouped postings, so a hit answers
-        the term filter by lookup — same elements, same filter counts,
-        nothing joined."""
+        """The L1 value is the list's reconstructed secrets, so a hit
+        decodes the queried terms like a miss — same elements, same
+        filter counts, nothing joined."""
         documents = make_documents(num_docs=10)
         cluster = make_cluster(
             documents, n=3, l1_entries=32
@@ -549,9 +554,9 @@ class TestClusterIntegration:
     def test_lying_seat_filter_counts_match_with_the_l1_on_and_off(self):
         """A seat lying about every share of a list but the first, each
         by a delta drawn uniformly from Z_p: the garbage secrets are
-        discarded like merged-in noise, whether the L1 decoded every
-        term of the list (a fill, then a hit) or the uncached path
-        decoded only the queried ones."""
+        discarded like merged-in noise, whether the L1 holds the
+        secrets (a fill, then a hit) or the uncached path decodes
+        them."""
         documents = make_documents(num_docs=10)
         cluster = make_cluster(documents, n=3, l1_entries=32)
         with cluster:
@@ -658,9 +663,9 @@ class TestClusterIntegration:
             assert verified_hits == plain.search(terms)
 
     def test_ranking_never_mutates_the_l1_entries_it_reads(self):
-        """The rank stage works on the L1's own term columns: after many
-        repeat searches every entry is still the very object stored,
-        with the value it was stored with — no in-place sort."""
+        """The decode and rank stages read the L1's own secrets lists:
+        after many repeat searches every entry is still the very object
+        stored, with the value it was stored with — no in-place sort."""
         documents = make_documents(num_docs=16)
         cluster = make_cluster(
             documents, n=3, l1_entries=32
@@ -1232,3 +1237,169 @@ class TestOneInvalidationPerFlush:
             assert {r.doc_id for r in got} == {830, 831, 832}
         finally:
             cluster.close()
+
+
+class _CountingTransport(Transport):
+    """Passes every call through to ``inner`` and records each batch:
+    a ``call`` as a batch of one, a ``call_many`` as its calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.batches: list[list[tuple[str, object]]] = []
+
+    def call(self, src, dst, request):
+        self.batches.append([(dst, request)])
+        return self.inner.call(src, dst, request)
+
+    def call_many(self, src, calls, **kwargs):
+        self.batches.append(list(calls))
+        return self.inner.call_many(src, calls, **kwargs)
+
+    def tier_batches(self):
+        return [
+            [type(request) for _dst, request in batch]
+            for batch in self.batches
+            if any(dst == CACHE_TIER_ENDPOINT for dst, _ in batch)
+        ]
+
+
+def _hex_results(results):
+    return [(r.doc_id, r.score.hex()) for r in results]
+
+
+def _readable_terms(documents, group_id=0):
+    return sorted(
+        {t for d in documents if d.group_id == group_id for t in d.term_counts}
+    )
+
+
+class TestTierRoundTrips:
+    """A query's L2 gets leave in one batch and its fills in one more;
+    a fill ships the column bytes the seats sent; the L1 holds a list's
+    secrets, so a hit decodes whichever terms the query names."""
+
+    def _cluster(self, transport, **kwargs):
+        documents = make_documents(num_docs=16)
+        cluster = make_cluster(
+            documents, n=3, transport=transport, cache_tier="lru", **kwargs
+        )
+        cluster.add_member(0, "alice", actor="owner0")
+        return documents, cluster
+
+    def test_a_cold_query_pays_one_get_batch_and_one_fill_batch(self):
+        documents, cluster = self._cluster("async-socket", l1_entries=32)
+        with cluster:
+            by_list = {}
+            for term in _readable_terms(documents):
+                by_list.setdefault(cluster.mapping_table.lookup(term), term)
+            terms = list(by_list.values())[:3]
+            assert len(terms) == 3
+            counting = _CountingTransport(cluster.transport)
+            searcher = cluster.searcher("alice", transport=counting)
+            got = searcher.search(terms, fetch_snippets=False)
+            diag = searcher.last_cluster_diagnostics
+            assert (diag.l1_hits, diag.l2_hits) == (0, 0)
+            assert counting.tier_batches() == [
+                [CacheGetRequest] * 3,
+                [CachePutRequest] * 3,
+            ]
+            assert _hex_results(got) == _hex_results(
+                cluster.search("alice", terms, use_cache=False)
+            )
+
+    @pytest.mark.parametrize("transport", ["in-process", "async-socket"])
+    @pytest.mark.parametrize("fault", ["unregistered", "reset"])
+    def test_a_failing_tier_answers_like_no_cache(self, transport, fault):
+        documents, cluster = self._cluster(transport, l1_entries=32)
+        with cluster:
+            terms = _readable_terms(documents)[:4]
+            expected = _hex_results(
+                cluster.search("alice", terms, use_cache=False)
+            )
+            off = cluster.searcher("alice", use_cache=False)
+            off.fetch_elements(terms)
+            if fault == "unregistered":
+                cluster.registry.unregister(CACHE_TIER_ENDPOINT)
+            else:
+                cluster.registry.fault_plan = FaultPlan(
+                    seed=3, reset_rate=1.0, endpoints=[CACHE_TIER_ENDPOINT]
+                )
+            try:
+                searcher = cluster.searcher("alice")
+                for _ in range(2):  # a miss, then an L1 hit
+                    got = searcher.search(terms, fetch_snippets=False)
+                    assert _hex_results(got) == expected
+                    assert searcher.last_cluster_diagnostics.l2_hits == 0
+                    searcher.fetch_elements(terms)
+                    on = searcher.last_diagnostics
+                    assert (on.false_positives, on.elements_matched) == (
+                        off.last_diagnostics.false_positives,
+                        off.last_diagnostics.elements_matched,
+                    )
+                if fault == "reset":
+                    assert cluster.registry.fault_plan.injected["reset"] > 0
+            finally:
+                cluster.registry.fault_plan = None
+
+    @pytest.mark.parametrize("transport", ["in-process", "async-socket"])
+    def test_a_fill_is_the_entry_of_freshly_encoded_columns(self, transport):
+        documents, cluster = self._cluster(transport)
+        with cluster:
+            searcher = cluster.searcher("alice")
+            fetched = {}
+            real = searcher._fetch_with_failover
+
+            def recording_fetch(need, num_servers, diag):
+                merged, unresolved = real(need, num_servers, diag)
+                for pl_id in need:
+                    fetched[pl_id] = sorted(merged[pl_id].items())
+                return merged, unresolved
+
+            searcher._fetch_with_failover = recording_fetch
+            terms = _readable_terms(documents)[:4]
+            searcher.search(terms, fetch_snippets=False)
+            if transport == "async-socket":
+                # The responses kept the bytes they arrived as.
+                assert all(
+                    response.packed is not None
+                    for pairs in fetched.values()
+                    for _slot, response in pairs
+                )
+            stored = dict(cluster.cache_tier_store._entries.values())
+            assert stored.keys() == fetched.keys() and stored
+            for pl_id, pairs in fetched.items():
+                fresh = [
+                    (slot, PostingListResponse(
+                        r.pl_id, *(list(column) for column in r.columns)
+                    ))
+                    for slot, r in pairs
+                ]
+                assert all(r.packed is None for _slot, r in fresh)
+                assert stored[pl_id] == encode_entry(fresh)
+
+    def test_an_l1_hit_serves_another_term_set_over_the_same_list(self):
+        documents, cluster = self._cluster("in-process", l1_entries=32)
+        with cluster:
+            by_list = {}
+            for term in _readable_terms(documents):
+                by_list.setdefault(
+                    cluster.mapping_table.lookup(term), []
+                ).append(term)
+            first, second = next(
+                terms for terms in by_list.values() if len(terms) >= 2
+            )[:2]
+            searcher = cluster.searcher("alice")
+            plain = cluster.searcher("alice", use_cache=False)
+            searcher.search([first], fetch_snippets=False)
+            assert searcher.last_cluster_diagnostics.l1_hits == 0
+            for terms in ([second], [first, second]):
+                got = searcher.search(terms, fetch_snippets=False)
+                assert searcher.last_cluster_diagnostics.l1_hits == 1
+                hit = searcher.last_diagnostics
+                expected = plain.search(terms, fetch_snippets=False)
+                assert got and _hex_results(got) == _hex_results(expected)
+                miss = plain.last_diagnostics
+                assert (hit.false_positives, hit.elements_matched) == (
+                    miss.false_positives,
+                    miss.elements_matched,
+                )

@@ -96,6 +96,13 @@ def _response(column):
     )
 
 
+def _decoded(client, num_servers):
+    """The client's reconstructed secrets of ``PL_ID``, grouped by term
+    as ``(by_term, count)`` by the bulk decode."""
+    secrets = client._reconstruct_lists([PL_ID], num_servers)[PL_ID]
+    return client._codec.unpack_by_term(secrets)
+
+
 def _flatten(by_term):
     return sorted(
         (term_id, doc_id, tf)
@@ -260,7 +267,7 @@ def test_columnar_path_matches_per_element_oracle(case):
             continue
         expected.append((element.term_id, element.doc_id, element.tf))
     client = ColumnClient(scheme, codec, fetched)
-    by_term, count = client._reconstruct_lists([PL_ID], scheme.k)[PL_ID]
+    by_term, count = _decoded(client, scheme.k)
     assert _flatten(by_term) == sorted(expected)
     # The count is every reconstructed secret, undecodable ones included.
     assert count == joined
@@ -300,7 +307,7 @@ def test_verify_consistency_matches_naive_subset_vote(case):
             continue
         expected.append((element.term_id, element.doc_id, element.tf))
     client = ColumnClient(scheme, codec, fetched, verify=True)
-    by_term, _ = client._reconstruct_lists([PL_ID], scheme.n)[PL_ID]
+    by_term, _ = _decoded(client, scheme.n)
     assert _flatten(by_term) == sorted(expected)
     diagnostics = client.last_diagnostics
     assert diagnostics.inconsistent_elements == inconsistent
@@ -328,7 +335,7 @@ def test_one_liar_among_k_plus_2_is_outvoted(case, data):
             continue
         truth.append((element.term_id, element.doc_id, element.tf))
     client = ColumnClient(scheme, codec, fetched, verify=True)
-    by_term, _ = client._reconstruct_lists([PL_ID], scheme.n)[PL_ID]
+    by_term, _ = _decoded(client, scheme.n)
     assert _flatten(by_term) == sorted(truth)
     diagnostics = client.last_diagnostics
     assert diagnostics.inconsistent_elements == len(secrets)
@@ -361,7 +368,7 @@ class TestJoin:
             column(2, (11, 22, 33)),
         ]
         client = ColumnClient(scheme, codec, fetched)
-        by_term, count = client._reconstruct_lists([PL_ID], 3)[PL_ID]
+        by_term, count = _decoded(client, 3)
         assert sorted(doc for doc, _ in by_term[1]) == [11, 22, 33]
         assert count == client.last_diagnostics.elements_received == 3
 
@@ -372,7 +379,7 @@ class TestJoin:
             (1, [_response([(11, shares[11][1].y)])]),
         ]
         client = ColumnClient(scheme, codec, fetched)
-        by_term, count = client._reconstruct_lists([PL_ID], 2)[PL_ID]
+        by_term, count = _decoded(client, 2)
         assert [doc for doc, _ in by_term[1]] == [11] and count == 1
         assert client.last_diagnostics.elements_received == 1
 
@@ -404,7 +411,7 @@ class TestJoin:
             return searcher
 
         repeated = client(0, 1)
-        by_term, count = repeated._reconstruct_lists([PL_ID], 2)[PL_ID]
+        by_term, count = _decoded(repeated, 2)
         assert by_term == {
             1: [(42, quantized / tf_scale), (42, (quantized + 1) / tf_scale)]
         }
@@ -429,7 +436,7 @@ class TestJoin:
 
         monkeypatch.setattr(ShamirScheme, "reconstruct_batch", counting)
         client = ColumnClient(scheme, codec, fetched)
-        by_term, _ = client._reconstruct_lists([PL_ID], 2)[PL_ID]
+        by_term, _ = _decoded(client, 2)
         assert calls == [(scheme.x_of(2), scheme.x_of(0))]
         assert sorted(doc for doc, _ in by_term[1]) == [11, 22, 33]
 

@@ -957,6 +957,28 @@ class TestReadSnapshots:
         assert (server.snapshot_builds, server.snapshot_reads) == (0, 0)
         assert _NO_LIST.snapshot is None and len(_NO_LIST) == 0
 
+    def test_an_empty_list_costs_what_an_unknown_one_does(self):
+        """An adopt that adds no row stores no list, and a list deleted
+        down to empty answers like an unknown one: a fresh empty
+        response, no snapshot read or build."""
+        (server, _b, _stale), tokens = _fleet()
+        assert server.adopt_posting_list(3, [], [], []) == 0
+        for _ in range(2):
+            assert server.get_posting_lists(tokens["all"], [3]) == [
+                PostingListResponse(3, [], [], [])
+            ]
+        assert (server.snapshot_builds, server.snapshot_reads) == (0, 0)
+        assert server.num_posting_lists == 0
+        server.insert_batch(tokens["all"], *as_columns([op(5, 1, 1)]))
+        server.delete(tokens["all"], [5], [1])
+        first, second = (
+            server.get_posting_lists(tokens["all"], [5])[0] for _ in range(2)
+        )
+        assert first == second == PostingListResponse(5, [], [], [])
+        assert first is not second
+        assert (server.snapshot_builds, server.snapshot_reads) == (0, 0)
+        assert server.num_posting_lists == 0
+
     def test_the_packed_memo_is_not_part_of_the_value(self):
         response = PostingListResponse(3, [1, 2], [1, 1], [2**64 + 5, 7])
         plain = _fresh_copy(response)
