@@ -23,9 +23,12 @@ from repro.baselines.plain_index import IdealTrustedIndex
 from repro.client.batching import BatchPolicy
 from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
+from repro.core.posting import PackingSpec
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Corpus, Document
 from repro.observability.metrics import SampleView
+from repro.ranking.scores import CollectionStatistics, TfIdfScorer
+from repro.ranking.threshold import naive_top_k
 from repro.server.index_server import PostingListResponse
 
 K, N = 3, 6  # the acceptance configuration: each pod tolerates 3 failures
@@ -134,6 +137,56 @@ def ideal_twin(corpus: Corpus, deployment: ZerberDeployment) -> IdealTrustedInde
     for document in corpus:
         ideal.index_document(document)
     return ideal
+
+
+def scored_oracle(documents, groups, user, terms, top_k):
+    """§2's answer, scored: "a trusted centralized ordinary inverted
+    index ... with an access control list check", ranked the way the
+    client ranks, as ``[(doc_id, score.hex())]``.
+
+    Built from the plaintext ``documents`` and the group table alone:
+    it shares no fetch, join, reconstruction or codec with the program.
+    A tf is quantized as the codec packs it (``round(tf * tf_scale)``,
+    floored at one quantum); statistics are the user's personalized
+    ones over the readable postings of the queried terms, in sorted
+    term order; the ranking is :func:`naive_top_k`, never the TA the
+    client runs.
+    """
+    tf_scale = PackingSpec().tf_scale
+    postings_by_term = {}
+    for term in sorted(set(terms)):
+        rows = [
+            (
+                document.doc_id,
+                (
+                    round(document.term_counts[term] / document.length * tf_scale)
+                    or 1
+                )
+                / tf_scale,
+            )
+            for document in documents
+            if term in document.term_counts
+            and groups.is_member(user, document.group_id)
+        ]
+        if rows:
+            postings_by_term[term] = rows
+    if not postings_by_term:
+        return []
+    docs_of = {
+        term: {doc_id for doc_id, _ in rows}
+        for term, rows in postings_by_term.items()
+    }
+    scorer = TfIdfScorer(
+        CollectionStatistics(
+            num_documents=len(set().union(*docs_of.values())),
+            document_frequencies={t: len(d) for t, d in docs_of.items()},
+        )
+    )
+    weights = {term: scorer.weight(term) for term in postings_by_term}
+    return [
+        (hit.doc_id, hit.score.hex())
+        for hit in naive_top_k(postings_by_term, weights, top_k)
+    ]
 
 
 def make_world(seed: int):
