@@ -65,7 +65,7 @@ def main() -> None:
     print(f"deployment: k=2 of n=3, M={deployment.mapping_table.num_lists} "
           f"merged lists, configured r={r:.1f}\n")
 
-    # -- 1+2: Alice owns index-server-0 and runs statistics ----------------
+    # -- 1+2: Alice owns pod0-server-0 and runs statistics -----------------
     view = deployment.servers[0].compromise()
     members = {
         i: list(ms) for i, ms in enumerate(deployment.merge_result.lists)

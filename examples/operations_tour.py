@@ -4,8 +4,9 @@
 Day-2 concerns a real deployment hits, all built into this reproduction:
 
 1. **Durability** — index servers log every accepted mutation to a
-   segmented seat store; a crashed box recovers its share store from
-   disk (§5.4.1's "element IDs help an index recover after failure");
+   segmented seat store; a crashed box restarts and recovers its share
+   store from disk (§5.4.1's "element IDs help an index recover after
+   failure");
 2. **Fleet extension** — an (n+1)-th server joins without re-encrypting
    anything: owners evaluate their elements' polynomials at the new
    x-coordinate (§5.1);
@@ -28,8 +29,6 @@ from repro.client.batching import BatchPolicy
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.synthetic import SyntheticCorpusConfig, generate_corpus
 from repro.extensions.mixnet import MixMessage, MixRelay
-from repro.server.index_server import IndexServer
-from repro.storage import SegmentedStore
 
 
 def main() -> None:
@@ -43,6 +42,8 @@ def main() -> None:
         )
     )
     probs = corpus.term_probabilities()
+    # -- 1. durability -------------------------------------------------------
+    workdir = Path(tempfile.mkdtemp(prefix="zerber-ops-"))
     deployment = ZerberDeployment.bootstrap(
         probs,
         heuristic="bfm",
@@ -51,17 +52,10 @@ def main() -> None:
         n=3,
         batch_policy=BatchPolicy(min_documents=4),
         seed=11,
+        wal_dir=workdir,
     )
     for g in corpus.group_ids():
         deployment.create_group(g, coordinator=f"owner{g}")
-
-    # -- 1. durability -------------------------------------------------------
-    workdir = Path(tempfile.mkdtemp(prefix="zerber-ops-"))
-    stores = []
-    for server in deployment.servers:
-        store = SegmentedStore(workdir / server.server_id)
-        server.attach_store(store)
-        stores.append(store)
     for document in corpus:
         deployment.share_document(f"owner{document.group_id}", document)
     deployment.flush_all()
@@ -69,22 +63,12 @@ def main() -> None:
     print(f"[durability] {elements} elements per server, "
           f"seat stores at {workdir}")
 
-    # Crash server 0 and recover a replacement from its store.
-    dead = deployment.servers[0]
-    replacement = IndexServer(
-        server_id="index-server-0-replacement",
-        x_coordinate=dead.x_coordinate,
-        auth=deployment.auth,
-        groups=deployment.groups,
-        share_bytes=dead.share_bytes,
-    )
-    stores[0].close()
-    reopened = SegmentedStore(workdir / dead.server_id)
-    recovered = replacement.bulk_load(reopened.replay())
-    replacement.attach_store(reopened)
+    # Crash seat 0 (its memory is lost) and restart it from its store.
+    deployment.kill_server(0, 0)
+    replacement = deployment.restart_server(0, 0)
+    recovered = replacement.num_elements
     print(f"[durability] replacement recovered {recovered} elements "
           f"from the seat store (match: {recovered == elements})")
-    deployment.servers[0] = replacement
 
     # -- 2. fleet extension -----------------------------------------------------
     new_server = deployment.add_server()
@@ -128,7 +112,7 @@ def main() -> None:
         mix.submit(
             sender,
             MixMessage(
-                destination="index-server-2",
+                destination="pod0-server-2",
                 kind="insert",
                 payload=b"opaque",
                 payload_bytes=random.Random(len(deliveries)).randrange(40, 400),
@@ -138,8 +122,7 @@ def main() -> None:
     sizes = sorted({size for _, _, size in deliveries})
     print(f"[mixnet] flushed {messages} messages pooled from {senders} "
           f"senders; on-the-wire sizes padded to {sizes}")
-    for store in stores[1:] + [reopened]:
-        store.close()
+    deployment.close()
     print("\nall four operational drills passed.")
 
 

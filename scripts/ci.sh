@@ -2,7 +2,7 @@
 # Tier-1 CI gate.
 #
 # Runs the full test suite, then the gates that add something to it:
-# the two files whose slow- or drill-marked cases the tier-1 filter
+# the three files whose slow- or drill-marked cases the tier-1 filter
 # deselects (run again in full), the ratio benches and the
 # benchmark-of-record self-tests. No other test file runs twice. The
 # tier-1 gate also fails when the number of tests it deselected differs
@@ -42,6 +42,11 @@
 #   pass and the slow-marked wide pass: random interleavings of
 #   writes, deletes, kills, restarts, and sweeps must always quiesce
 #   to an empty ledger and a byte-identical index;
+# - the scored oracle property suite runs both the tier-1 smoke pass
+#   and the slow-marked wide pass (200 worlds): the single fleet and a
+#   two-pod R = 2 cluster must rank exactly as a plaintext trusted
+#   index with an ACL check, scored as the client scores, score bits
+#   included;
 # - the slow-pod bench stalls one replica pod server-side (the public
 #   fault seam, cluster.registry.fault_plan, which the socket server
 #   acts out, so both runs fetch in pipelined rounds and hedges ride
@@ -140,6 +145,9 @@ gate "anti-entropy drills (sweep-only heal, all transports)" \
 gate "repair convergence property (smoke + wide)" \
     "failed|skipped|deselected|no tests ran|error" \
     tests/test_repair_convergence.py -m ""
+gate "scored oracle property (smoke + wide)" \
+    "failed|skipped|deselected|no tests ran|error" \
+    tests/test_scored_oracle.py -m ""
 gate "slow-pod hedging bench (hedged p99 <= 0.5x unhedged)" \
     "failed|skipped|no tests ran|error" \
     benchmarks/bench_load.py -k slow_pod

@@ -11,12 +11,13 @@ control instead of trusting keys: an L2 value bundles the whole
 slot-aligned fetch for a list — at least k shares per element, enough
 to Lagrange-reconstruct plaintext postings — and the key that names it
 is trivially forgeable. So ``CacheGet`` and ``CachePut`` carry the same
-enterprise :class:`~repro.server.auth.AuthToken` every index-server
-request carries; the tier verifies it and then checks that the key's
+enterprise :class:`~repro.server.auth.AuthToken` every request to an
+index server carries; the tier verifies it and then checks that the key's
 group fingerprint equals the caller's *live* group set (looked up in
 the shared :class:`~repro.server.groups.GroupDirectory`, never taken
 from the key). A client can therefore only read or write entries its
-index-server-filtered fetches would have produced anyway — the tier
+own fetches from the seats, filtered by group, would have produced
+anyway — the tier
 cannot be used to bypass the servers' token/group filtering, and a put
 cannot poison entries served to other fingerprints.
 

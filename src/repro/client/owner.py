@@ -20,12 +20,11 @@ elements by document, but the owner can.
 
 from __future__ import annotations
 
-import contextlib
 import random
 import time
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.client.batching import BatchPolicy, UpdateBatcher
 from repro.core.dictionary import TermDictionary
@@ -38,11 +37,14 @@ from repro.protocol.messages import (
     DeleteBatchRequest,
     FetchListsRequest,
     InsertBatchRequest,
+    ServerStatusRequest,
 )
-from repro.protocol.service import fleet_resolver
-from repro.protocol.transport import InProcessTransport, Transport
+from repro.protocol.transport import Transport
 from repro.secretsharing.shamir import ShamirScheme
 from repro.server.auth import AuthToken
+
+if TYPE_CHECKING:
+    from repro.cluster.coordinator import ClusterCoordinator
 
 
 #: One row of a write round. An insert is one posting element fanned out
@@ -77,8 +79,7 @@ class DroppedRoute:
     """One (share_slot, server) pair a write could not reach.
 
     Attributes:
-        pod_name: the replica pod the seat belongs to ("" for the
-            single-fleet router, which never drops).
+        pod_name: the replica pod the seat belongs to.
         share_slot: the seat's share slot — ``shares_y[share_slot]`` is
             the share that failed to land.
         server_id: the seat's stable server name (survives WAL restarts,
@@ -92,7 +93,9 @@ class DroppedRoute:
 
 @dataclass(frozen=True)
 class WriteRoute:
-    """A router's full answer for one posting list: who gets the write,
+    """The coordinator's full answer for one posting list (see
+    :meth:`~repro.cluster.coordinator.ClusterCoordinator.route_batch`):
+    who gets the write,
     and which seats missed it (the owner's re-provisioning ledger feeds
     off ``dropped``).
 
@@ -104,48 +107,6 @@ class WriteRoute:
 
     live: tuple[tuple[int, str], ...]
     dropped: tuple[DroppedRoute, ...] = ()
-
-
-class FleetRouter:
-    """The paper's §5 placement: every posting list lives on every server.
-
-    A router decides which ``(share_slot, server_id)`` pairs an operation
-    on one posting list must reach; ``shares_y[share_slot]`` is the share
-    delivered to that endpoint. The contract is the batch form,
-    ``route_batch(pl_ids) -> {pl_id: WriteRoute}``, asked once per write
-    batch with its rows' list ids (repeats are routed once), plus
-    ``note_dropped(server_id, pl_ids)`` for a routed seat that failed
-    its message. This default routes everything to the whole fleet;
-    the cluster's :class:`~repro.cluster.coordinator.ClusterCoordinator`
-    implements the same contract to route each list to its replica pods
-    instead (and to invalidate its caches once per batch).
-    """
-
-    #: The single fleet has no metrics registry (a cluster router's
-    #: receives the owners' flush timings), no repair machinery for a
-    #: write span to exclude or failed seat to ledger, and no caches to
-    #: fence after a write.
-    metrics = None
-    repair_mutex = contextlib.nullcontext()
-
-    def __init__(self, servers: Sequence) -> None:
-        self._servers = servers
-
-    def complete_write(self, *pl_ids: int) -> None:
-        pass
-
-    def note_dropped(self, server_id: str, pl_ids: Iterable[int]) -> None:
-        pass
-
-    def route_batch(self, pl_ids: Iterable[int]) -> dict[int, WriteRoute]:
-        """Full replication never drops a seat: every server is live."""
-        route = WriteRoute(
-            live=tuple(
-                (slot, server.server_id)
-                for slot, server in enumerate(self._servers)
-            )
-        )
-        return dict.fromkeys(pl_ids, route)
 
 
 class DocumentOwner:
@@ -164,11 +125,10 @@ class DocumentOwner:
         scheme: ShamirScheme,
         mapping_table: MappingTable,
         dictionary: TermDictionary,
-        servers: Sequence[IndexServer] | None,
+        router: ClusterCoordinator,
         codec: PostingElementCodec | None = None,
         batch_policy: BatchPolicy | None = None,
         rng: random.Random | None = None,
-        router=None,
         transport: Transport | None = None,
     ) -> None:
         """Args:
@@ -177,44 +137,28 @@ class DocumentOwner:
         scheme: the public Shamir deployment parameters.
         mapping_table: the public term -> posting-list table.
         dictionary: the public term -> term_id registry.
-        servers: the n index servers, index-aligned with the scheme's
-            x-coordinates.
+        router: the coordinator that places each posting list on its
+            replica pods' seats (``route_batch``), ledgers the seats a
+            write missed and fences the caches after it. The paper's
+            full replication is its one-pod shape.
         codec: posting-element packer (standard 64-bit layout by default).
         batch_policy: §5.4.1 batching knobs; defaults to a 4-document
             batch. Use ``BatchPolicy(min_documents=1)`` for the paper's
             "if the user trusts that no index servers are compromised"
             immediate-update mode.
         rng: element-ID/shuffle randomness (seed it in tests).
-        router: placement of posting lists onto servers; defaults to the
-            paper's full replication (:class:`FleetRouter` over
-            ``servers``). A cluster coordinator routes each list to its
-            owning pod instead, in which case ``servers`` may be None.
-        transport: where protocol messages go. Deployments pass their
-            shared transport; when omitted, a private in-process
-            transport over ``servers`` is built (resolving the live
-            sequence lazily, so fleet extension keeps working).
+        transport: where protocol messages go; defaults to the
+            router's transport (deployments pass their own — the
+            in-process registry or a socket client).
         """
-        if router is None:
-            if servers is None:
-                raise ReproError("need servers, a router, or both")
-            if len(servers) != scheme.n:
-                raise ReproError(
-                    f"scheme expects {scheme.n} servers, got {len(servers)}"
-                )
-            router = FleetRouter(servers)
         self.owner_id = owner_id
         self._token = token
         self._scheme = scheme
         self._mapping = mapping_table
         self._dictionary = dictionary
-        # Kept as the caller's live sequence so fleet extension
-        # (ZerberDeployment.add_server) is visible to existing owners.
-        self._servers = servers
         self._router = router
         self._codec = codec or PostingElementCodec()
-        if transport is None:
-            transport = InProcessTransport(resolver=fleet_resolver(servers))
-        self._transport = transport
+        self._transport = transport or router.transport
         self._rng = rng or random.Random()
         self._batcher: UpdateBatcher[_Row] = UpdateBatcher(
             batch_policy or BatchPolicy(),
@@ -461,15 +405,13 @@ class DocumentOwner:
         check, delivery, ledger note) holds the router's repair mutex so
         a concurrent sweep can never heal-then-lose against it.
         """
-        find_slot = getattr(self._router, "find_slot", None)
-        if find_slot is None or not self._backlog:
+        if not self._backlog:
             return 0
         self._batcher.flush()
-        note = getattr(self._router, "note_repaired", None)
         redelivered = 0
         for server_id in sorted(self._backlog):
             with self._router.repair_mutex:
-                slot = find_slot(server_id)
+                slot = self._router.find_slot(server_id)
                 if slot is None or not slot.alive:
                     continue
                 backlog = self._backlog.pop(server_id)
@@ -495,93 +437,115 @@ class DocumentOwner:
                     )
                 redelivered += len(backlog.inserts) - len(cancelled)
                 redelivered += len(deletes)
-                if note is not None:
-                    keys = backlog.inserts.keys() | backlog.deletes.keys()
-                    note(server_id, {pl_id for pl_id, _ in keys})
+                keys = backlog.inserts.keys() | backlog.deletes.keys()
+                self._router.note_repaired(
+                    server_id, {pl_id for pl_id, _ in keys}
+                )
         return redelivered
 
     # -- fleet extension (§5.1) ------------------------------------------------
 
-    def provision_new_server(self, new_server_index: int) -> int:
-        """Hand a newly added server shares of this owner's existing elements.
+    def provision_new_server(self, slot_index: int) -> int:
+        """Hand a newly added slot shares of this owner's existing elements.
 
         §5.1: Shamir "allows dynamic extension of the number n of servers
         without recalculating the existing secret shares, by just selecting
         additional points on the polynomial curve." The owner — who is
         entitled to read its own documents — gathers k shares of each of
-        its elements from the old servers, interpolates the original
-        polynomial, evaluates it at the new server's x-coordinate, and
-        inserts that single new point. Element IDs and posting-list IDs
-        are unchanged, so queries spanning old and new servers keep
-        joining correctly.
+        its elements from the old seats of one replica pod per list set,
+        interpolates the original polynomial, evaluates it at the new
+        slot's x-coordinate, and delivers that single new point to the
+        new seat of every replica pod of the list. Element IDs and
+        posting-list IDs are unchanged, so queries spanning old and new
+        seats keep joining correctly. An element the old seats hold
+        fewer than k shares of is skipped, not guessed at.
 
         Args:
-            new_server_index: index of the already-registered new server
-                (its x-coordinate must be the scheme's ``x_of(index)``).
+            slot_index: the new slot, already a seat of every pod; its
+                x-coordinate must be the scheme's ``x_of(slot_index)``.
 
         Returns:
-            The number of elements provisioned.
+            The number of elements provisioned (once each, whatever the
+            replica count).
+
+        Raises:
+            ReproError: a new seat reports an x-coordinate other than
+                the scheme's, before any share is delivered.
         """
         self._batcher.flush()
-        if self._servers is None:
-            raise ReproError(
-                "fleet extension needs the full server list; cluster "
-                "deployments add whole pods instead"
-            )
-        new_server = self._servers[new_server_index]
-        field = self._scheme.field
-        new_x = self._scheme.x_of(new_server_index)
-        if new_server.x_coordinate != new_x:
-            raise ReproError(
-                "new server's x-coordinate disagrees with the scheme"
-            )
-        my_entries = {
-            (pl_id, element_id)
+        mine = {
+            entry
             for entries in self._shadow.values()
-            for pl_id, element_id in zip(*entries)
+            for entry in zip(*entries)
         }
-        if not my_entries:
+        if not mine:
             return 0
-        pl_ids = sorted({pl_id for pl_id, _ in my_entries})
-        k = self._scheme.k
-        # Gather k shares of every element from the first k old servers.
-        points: dict[tuple[int, int], list[tuple[int, int]]] = {}
-        for server_index in range(k):
-            x = self._scheme.x_of(server_index)
-            fetched = self._transport.call(
-                src=self.owner_id,
-                dst=self._servers[server_index].server_id,
-                request=FetchListsRequest(
-                    token=self._token, pl_ids=tuple(pl_ids)
-                ),
-            )
-            for response in fetched.lists:
-                for element_id, share_y in zip(
-                    response.element_ids, response.share_ys
-                ):
-                    key = (response.pl_id, element_id)
-                    if key in my_entries:
-                        points.setdefault(key, []).append((x, share_y))
-        group_of_entry = {
+        scheme, k = self._scheme, self._scheme.k
+        new_x = scheme.x_of(slot_index)
+        group_of = {
             entry: document.group_id
             for doc_id, entries in self._shadow.items()
-            for entry in zip(*entries)
             if (document := self._documents.get(doc_id)) is not None
+            for entry in zip(*entries)
         }
-        # An element an old server is missing data for is skipped, not
-        # guessed at.
-        rows = [
-            (*key, group_of_entry[key], field.lagrange_eval(xy[:k], new_x))
-            for key, xy in sorted(points.items())
-            if len(xy) >= k
-        ]
-        if rows:
-            self._transport.call(
-                src=self.owner_id,
-                dst=new_server.server_id,
-                request=InsertBatchRequest(self._token, *zip(*rows)),
-            )
-        return len(rows)
+        lists_by_pods: dict[tuple, list[int]] = {}
+        for pl_id in sorted({pl_id for pl_id, _ in mine}):
+            pods = self._router.pods_of(pl_id)
+            lists_by_pods.setdefault(pods, []).append(pl_id)
+        provisioned = 0
+        with self._router.repair_mutex:
+            for pods, pl_ids in lists_by_pods.items():
+                new_seats = [pod.slots[slot_index].server_id for pod in pods]
+                for status in self._ask_each(new_seats, ServerStatusRequest()):
+                    if status.x_coordinate != new_x:
+                        raise ReproError(
+                            f"new seat {status.server_id!r} has x="
+                            f"{status.x_coordinate}; the scheme says {new_x}"
+                        )
+                # k live old seats of the first replica pod that has them.
+                source = []
+                for pod in pods:
+                    old = [s for s in pod.live_slots() if s.slot_index < slot_index]
+                    if len(old) >= k:
+                        source = old[:k]
+                        break
+                points: dict[tuple[int, int], list[tuple[int, int]]] = {}
+                request = FetchListsRequest(self._token, tuple(pl_ids))
+                for slot, fetched in zip(
+                    source,
+                    self._ask_each([s.server_id for s in source], request),
+                ):
+                    x = scheme.x_of(slot.slot_index)
+                    for response in fetched.lists:
+                        for element_id, share_y in zip(
+                            response.element_ids, response.share_ys
+                        ):
+                            key = (response.pl_id, element_id)
+                            if key in mine:
+                                points.setdefault(key, []).append((x, share_y))
+                # In the first source seat's row order, list by list.
+                rows = [
+                    (*key, group_of[key], scheme.field.lagrange_eval(xy, new_x))
+                    for key, xy in points.items()
+                    if len(xy) >= k
+                ]
+                if rows:
+                    self._ask_each(
+                        new_seats, InsertBatchRequest(self._token, *zip(*rows))
+                    )
+                provisioned += len(rows)
+        return provisioned
+
+    def _ask_each(self, server_ids: Sequence[str], request) -> list:
+        """One request to each seat in one ``call_many``; the first
+        failure is raised."""
+        replies = self._transport.call_many(
+            self.owner_id, [(server_id, request) for server_id in server_ids]
+        )
+        for reply in replies:
+            if isinstance(reply, ReproError):
+                raise reply
+        return replies
 
     # -- introspection ---------------------------------------------------------
 

@@ -14,30 +14,73 @@ Query processing, exactly as Algorithm 2 stages it:
 5. rank client-side with personalized collection statistics and Fagin's
    Threshold Algorithm;
 6. fetch snippets for the top-K from the hosting peers.
+
+Step 2 is one fetch stage whatever the deployment's shape: the paper's
+single fleet is one pod of n seats holding every list (§5), the sharded
+cluster many pods (§8), and the
+:class:`~repro.cluster.coordinator.ClusterCoordinator` places the lists
+on them either way. A query's lists are grouped by pod, and each
+contacted seat gets *one* lookup carrying every list it owns that the
+query needs. Replicas are ranked by trusted live seats (the staleness
+ledger's stale seats are never asked), seats are walked in slot order
+with failover and share-shortfall escalation, and a pod that cannot
+finish hands its lists to the next replica (:meth:`_fetch_with_failover`).
+Each round leaves in pipelined waves, one
+:meth:`~repro.protocol.transport.Transport.call_many` each, with
+optional hedged backups on another replica (:meth:`_fetch_round`).
+Reads are fronted by the searcher-local L1 of reconstructed secrets
+and the shared L2 tier of share bundles, both keyed pod-agnostically
+and invalidated before every write (:meth:`_reconstruct_lists`,
+:meth:`_fetch_lists`). See ``docs/ARCHITECTURE.md``, "Reads and the
+failover ladder".
 """
 
 from __future__ import annotations
 
+import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
+from repro.cachetier.l1 import L1PostingCache
+from repro.cachetier.wire import decode_entry, encode_entry, entry_key
+from repro.client.fetch_round import (
+    ClusterDiagnostics,
+    PodFetchOutcome,
+    SeatLadder,
+    merge_response,
+    needs_more,
+    share_shortfall,
+)
 from repro.client.snippets import SnippetService
 from repro.core.dictionary import TermDictionary
 from repro.core.mapping_table import MappingTable
 from repro.core.posting import PostingElement, PostingElementCodec
-from repro.errors import ReproError, UnknownEndpointError
-from repro.observability.tracing import span, trace_scope
-from repro.protocol.messages import FetchListsRequest, FetchSnippetRequest
-from repro.protocol.service import fleet_resolver
-from repro.protocol.transport import InProcessTransport, Transport
-from repro.resilience.deadline import deadline_scope
+from repro.errors import (
+    ClusterDegradedError,
+    ProtocolError,
+    ReproError,
+    TransportError,
+    UnknownEndpointError,
+)
+from repro.observability.tracing import record_span, span, trace_scope
+from repro.protocol.messages import (
+    CacheGetRequest,
+    CachePutRequest,
+    FetchListsRequest,
+    FetchSnippetRequest,
+)
+from repro.protocol.transport import Transport
+from repro.resilience.deadline import current_deadline, deadline_scope
 from repro.ranking.scores import CollectionStatistics, TfIdfScorer
 from repro.ranking.threshold import term_tf_maps, threshold_top_k
-from repro.secretsharing.shamir import ShamirScheme
 from repro.server.auth import AuthToken
 from repro.server.index_server import PostingListResponse
+
+if TYPE_CHECKING:
+    from repro.cluster.coordinator import ClusterCoordinator
+    from repro.cluster.membership import Pod
 
 
 @dataclass(frozen=True)
@@ -107,24 +150,26 @@ class SearchClient:
         self,
         user_id: str,
         token: AuthToken,
-        scheme: ShamirScheme,
+        coordinator: ClusterCoordinator,
         mapping_table: MappingTable,
         dictionary: TermDictionary,
-        servers: Sequence | None,
         codec: PostingElementCodec | None = None,
         snippet_service: SnippetService | None = None,
         verify_consistency: bool = False,
+        use_cache: bool = True,
         transport: Transport | None = None,
+        hedge_reads: bool = False,
+        hedge_delay_s: float | None = None,
+        cache_tier: str | None = None,
+        l1_entries: int = 0,
     ) -> None:
         """Args:
         user_id: the searching principal (transport endpoint name too).
         token: enterprise auth ticket.
-        scheme: public Shamir parameters (k, n, x-coordinates).
+        coordinator: the control plane (placement, liveness, write
+            epochs, the public Shamir parameters).
         mapping_table: public term -> posting-list resolver.
         dictionary: public term -> term_id registry.
-        servers: the full server fleet, index-aligned with the scheme.
-            Subclasses that override :meth:`_fetch_lists` with their own
-            routing (the cluster client) pass None instead.
         codec: posting-element unpacker.
         snippet_service: optional hosting-peer registry for step 6.
         verify_consistency: when querying more than k servers, cross-check
@@ -132,55 +177,467 @@ class SearchClient:
             of its shares; elements whose reconstructions disagree (a
             lying or corrupted server) are dropped and counted in
             :attr:`SearchDiagnostics.inconsistent_elements`.
-        transport: where protocol messages go. Deployments pass their
-            shared transport (in-process or socket); when omitted, a
-            private in-process transport over ``servers`` is built.
+        use_cache: front lookups with the L1 and the L2 tier, when
+            either is attached (never under ``verify_consistency``).
+        transport: where protocol messages go; defaults to the
+            coordinator's transport (deployments pass their own — the
+            in-process registry or a socket client).
+        hedge_reads: re-send a wave's lookups still unanswered after
+            the hedge delay to a backup replica pod, first answer wins;
+            failover replacements and escalations are hedged like
+            first choices. Replicas hold byte-identical slot shares, so
+            results never differ; hedging spends extra lookup messages.
+            Needs the async socket: in process every lookup settles
+            before the delay, so it is a no-op there.
+        hedge_delay_s: fixed hedge delay override; None (default)
+            derives it per round, the minimum over its pods of
+            :meth:`ClusterCoordinator.hedge_delay_s` (the replica pods'
+            observed p95 fetch latency).
+        cache_tier: endpoint name of a shared cache-tier service
+            (:class:`repro.cachetier.CacheTierService`); None (default)
+            skips the L2 consult entirely. Gated like the L1
+            (``use_cache``, and never under ``verify_consistency``); a
+            dead or unknown tier degrades silently to a fleet fetch.
+        l1_entries: capacity of a searcher-local L1 of *reconstructed*
+            postings; 0 (default) disables it. The L1 registers with
+            the coordinator for write-fan-out invalidation and eager
+            membership eviction, so hot repeat queries skip the
+            network and Lagrange reconstruction while staying
+            byte-identical to fresh fetches.
         """
-        if servers is not None and len(servers) != scheme.n:
-            raise ReproError(
-                f"scheme expects {scheme.n} servers, got {len(servers)}"
-            )
         self.user_id = user_id
         self._token = token
-        self._scheme = scheme
+        self._coordinator = coordinator
+        self._scheme = coordinator.scheme
         self._mapping = mapping_table
         self._dictionary = dictionary
-        # Live reference: fleet extension must be visible to old clients.
-        self._servers = servers
         self._codec = codec or PostingElementCodec()
         self._snippets = snippet_service
         self._verify = verify_consistency
-        self._share_bytes = scheme.field.share_bytes
-        if transport is None:
-            transport = InProcessTransport(resolver=fleet_resolver(servers))
-        self._transport = transport
+        self._share_bytes = self._scheme.field.share_bytes
+        self._transport = transport or coordinator.transport
+        self._use_cache = use_cache
+        self._hedge_reads = hedge_reads
+        self._hedge_delay_s = hedge_delay_s
+        self._cache_tier = cache_tier
+        self._l1: L1PostingCache | None = None
+        if l1_entries:
+            self._l1 = L1PostingCache(l1_entries)
+            coordinator.register_l1(self._l1)
+        #: Lists whose last fetch left an element below k shares — never
+        #: cacheable, in any tier (set per _fetch_lists call).
+        self._last_unresolved: set[int] = set()
         self.last_diagnostics = SearchDiagnostics()
+        self.last_cluster_diagnostics = ClusterDiagnostics()
 
-    # -- low level: fetch + decrypt -------------------------------------------
+    @property
+    def l1_cache(self) -> L1PostingCache | None:
+        """The searcher-local L1, for observability (None when off)."""
+        return self._l1
+
+    # -- step 2: the fetch stage ------------------------------------------------
 
     def _fetch_lists(
         self, pl_ids: Sequence[int], num_servers: int
-    ) -> list[tuple[int, list[PostingListResponse]]]:
-        """Ask ``num_servers`` servers for the lists; returns (server_index, responses)."""
-        if self._servers is None:
-            raise ReproError(
-                "no server fleet attached; servers=None is only valid for "
-                "subclasses that override _fetch_lists with their own routing"
-            )
-        chosen = list(range(len(self._servers)))[:num_servers]
-        request = FetchListsRequest(token=self._token, pl_ids=tuple(pl_ids))
-        out = []
-        for server_index in chosen:
-            response = self._transport.call(
-                src=self.user_id,
-                dst=self._servers[server_index].server_id,
-                request=request,
-            )
-            self.last_diagnostics.response_bytes += response.wire_bytes(
-                self._share_bytes
-            )
-            out.append((server_index, list(response.lists)))
+    ) -> list[tuple[int, PostingListResponse]]:
+        """Consult the L2 tier, then route, batch, fail over, escalate;
+        returns (slot_index, response) pairs, list by list.
+
+        Slot indices repeat across pods, but replica pods of a list hold
+        *identical* slot-aligned shares, so the ``(pl_id, element_id)``
+        share join never mixes incompatible shares — slot ``s`` of every
+        pod shares the x-coordinate ``scheme.x_of(s)``, and the per-list
+        merge keeps at most one response per slot.
+        """
+        self._last_unresolved = set()
+        diag = self.last_cluster_diagnostics
+        coordinator = self._coordinator
+        # verify_consistency needs fresh shares from > k servers every
+        # time — serving a k-share cached entry would silently disable
+        # the lying-server cross-check, so the tier steps aside.
+        tier = (
+            self._cache_tier
+            if self._use_cache and not self._verify
+            else None
+        )
+        out: list[tuple[int, PostingListResponse]] = []
+        need = list(pl_ids)
+        if tier is not None:
+            fingerprint = coordinator.group_fingerprint(self.user_id)
+            # Epochs are captured once, before any share leaves a seat:
+            # a fill is installed under the captured epoch, so a write
+            # that invalidates (and bumps) mid-fetch fences the fill
+            # into a key no later reader derives — re-installing
+            # pre-write shares after an invalidation is the race this
+            # closes.
+            keys = {
+                pl_id: entry_key(
+                    fingerprint,
+                    num_servers,
+                    pl_id,
+                    coordinator.write_epoch(pl_id),
+                )
+                for pl_id in pl_ids
+            }
+            # Consult the shared tier before paying a fleet fetch, every
+            # list in one batch. A hit is the same sorted (slot,
+            # response) pairs a fetch would have produced.
+            with span("l2-get"):
+                replies = self._cache_tier_calls(
+                    [CacheGetRequest(self._token, keys[p]) for p in pl_ids]
+                )
+            need = []
+            for pl_id, reply in zip(pl_ids, replies):
+                entry = self._l2_entry(reply)
+                if entry is None:
+                    need.append(pl_id)
+                    continue
+                diag.l2_hits += 1
+                out += entry
+        if not need:
+            return out
+        merged, unresolved = self._fetch_with_failover(
+            need, num_servers, diag
+        )
+        self._last_unresolved = set(unresolved)
+        fills = []
+        for pl_id in need:
+            pairs = sorted(merged[pl_id].items())
+            out += pairs
+            # A list with an unresolved share shortfall is served but
+            # never cached: the missing shares may reappear when a
+            # server recovers, and a cached short entry would hide
+            # them until an unrelated write evicted it. A fill ships the
+            # column bytes the seats sent.
+            if tier is not None and pairs and pl_id not in unresolved:
+                fills.append(
+                    CachePutRequest(
+                        self._token, keys[pl_id], pl_id, encode_entry(pairs)
+                    )
+                )
+        if fills:
+            self._cache_tier_calls(fills)  # best effort, in one batch
         return out
+
+    def _cache_tier_calls(self, requests: list) -> list:
+        """One ``call_many`` to the tier. A dead or unknown tier answers
+        None in its slot, a miss or a lost put (the tier is an
+        accelerator, never a dependency); any other typed error ends
+        the query."""
+        replies = self._transport.call_many(
+            self.user_id, [(self._cache_tier, r) for r in requests]
+        )
+        for reply in replies:
+            if isinstance(reply, ReproError) and not isinstance(
+                reply, (TransportError, UnknownEndpointError)
+            ):
+                raise reply
+        return [None if isinstance(r, ReproError) else r for r in replies]
+
+    def _l2_entry(self, reply) -> list[tuple[int, PostingListResponse]] | None:
+        """A get's answer as (slot, response) pairs; None on a miss, a
+        tier failure, or a torn entry."""
+        if reply is None:
+            return None
+        self.last_diagnostics.response_bytes += reply.wire_bytes(
+            self._share_bytes
+        )
+        try:
+            return decode_entry(reply.value) if reply.hit else None
+        except ProtocolError:
+            return None  # corrupt value: treat as a miss, refetch
+
+    def _fetch_with_failover(
+        self,
+        need: Sequence[int],
+        num_servers: int,
+        diag: ClusterDiagnostics,
+    ) -> tuple[dict[int, dict[int, PostingListResponse]], set[int]]:
+        """Fetch every list from its replica chain, best pod first.
+
+        Each round assigns every still-unfinished list to its next
+        untried replica pod (preference order from
+        :meth:`ClusterCoordinator.read_replicas`), fetches from all
+        assigned pods in pipelined waves (:meth:`_fetch_round`; the
+        pods' list sets are disjoint within a round, so their merges
+        touch disjoint state) and merges slot-deduplicated responses in
+        deterministic pod order. A list is finished when
+        >= k slots answered for it and no element is short of k shares;
+        it degrades loudly only when the whole replica chain is
+        exhausted below k answered slots.
+
+        Returns ``(merged, unresolved)`` — per list, one response per
+        answering slot; and the lists that still contain an element with
+        fewer than k shares after the whole ladder (uncacheable).
+        """
+        coordinator = self._coordinator
+        k = self._scheme.k
+        merged: dict[int, dict[int, PostingListResponse]] = {
+            pl_id: {} for pl_id in need
+        }
+        tried: dict[int, set[str]] = {pl_id: set() for pl_id in need}
+        contacted: set[str] = set()
+        # Every failover round checks it: a degraded query walks the
+        # replica chain only as far as its caller's remaining budget
+        # allows, never past it.
+        deadline = current_deadline()
+        pending = short = list(need)
+        while pending:
+            if deadline is not None:
+                deadline.check("cluster fetch")
+            assignment: dict[Pod, list[int]] = {}
+            for pl_id in pending:
+                pod = next(
+                    (
+                        p
+                        for p in coordinator.read_replicas(pl_id)
+                        if p.name not in tried[pl_id]
+                    ),
+                    None,
+                )
+                if pod is None:
+                    continue  # replica chain exhausted
+                if tried[pl_id]:
+                    diag.pod_failovers += 1
+                tried[pl_id].add(pod.name)
+                assignment.setdefault(pod, []).append(pl_id)
+            if not assignment:
+                break
+            # One job per assigned pod. Each list belongs to exactly one
+            # pod this round, so the merges mutate disjoint per-list
+            # state, and every job tallies its accounting apart.
+            jobs = [
+                (pod, assignment[pod])
+                for pod in sorted(assignment, key=lambda p: p.index)
+            ]
+            outcomes = self._fetch_round(jobs, num_servers, merged, tried)
+            # Deterministic merge: outcomes fold in pod-index order.
+            for (pod, lists), outcome in zip(jobs, outcomes):
+                diag.failovers += outcome.failovers
+                diag.escalations += outcome.escalations
+                diag.lookup_messages += outcome.lookup_messages
+                self.last_diagnostics.response_bytes += (
+                    outcome.response_bytes
+                )
+                answered = []
+                if outcome.contacted:
+                    answered.append((pod, outcome.latency_s))
+                if outcome.hedged:
+                    backup = outcome.backup
+                    diag.hedged_fetches += 1
+                    # The backup was asked: a later failover round must
+                    # not ask it again.
+                    for pl_id in lists:
+                        tried[pl_id].add(backup.name)
+                    if outcome.backup_answered:
+                        diag.hedge_wins += 1
+                        answered.append((backup, outcome.backup_latency_s))
+                for target, latency_s in answered:
+                    contacted.add(target.name)
+                    coordinator.breakers.record_success(target.name)
+                    coordinator.note_pod_read(
+                        target.name, len(lists), latency_s=latency_s
+                    )
+                if not answered:
+                    # No seat of the pod or its backup answered a thing:
+                    # the whole leg failed. (A partially degraded pod
+                    # that still answered counts as success — the
+                    # breaker guards against dead pods, not slow seats.
+                    # A pod whose every lookup its backup answered first
+                    # was abandoned, not failed, and records nothing.)
+                    coordinator.breakers.record_failure(pod.name)
+            short = [
+                pl_id for pl_id in need if needs_more(merged[pl_id], k)
+            ]
+            pending = [
+                pl_id
+                for pl_id in short
+                if any(
+                    pod.name not in tried[pl_id]
+                    for pod in coordinator.pods_of(pl_id)
+                )
+            ]
+        diag.pods_contacted = len(contacted)
+        for pl_id in need:
+            answered = len(merged[pl_id])
+            if answered < k:
+                raise ClusterDegradedError(
+                    f"list {pl_id}: only {answered} of the required "
+                    f"k={k} trusted server slots answered across "
+                    f"{len(tried[pl_id])} replica pod(s)"
+                )
+        # Every list answered >= k slots, so the last pass's ``short``
+        # (taken on this same state) is the lists with a shortfall.
+        return merged, set(short)
+
+    def _hedge_backup(
+        self, lists: Sequence[int], tried: dict[int, set[str]]
+    ) -> Pod | None:
+        """The replica pod whose seats back up a job's lookups.
+
+        Must replicate *every* list of the job and be untried for all
+        of them (the job's own pod is tried); preference order from the
+        first list's ranking. None when the job cannot be hedged (no
+        common untried replica).
+        """
+        coordinator = self._coordinator
+        for candidate in coordinator.read_replicas(lists[0]):
+            if all(
+                candidate.name not in tried[pl_id]
+                and any(
+                    p.name == candidate.name
+                    for p in coordinator.pods_of(pl_id)
+                )
+                for pl_id in lists
+            ):
+                return candidate
+        return None
+
+    def _fetch_round(
+        self,
+        jobs: list[tuple[Pod, list[int]]],
+        num_servers: int,
+        merged: dict[int, dict[int, PostingListResponse]],
+        tried: dict[int, set[str]],
+    ) -> list[PodFetchOutcome]:
+        """One round of the ladder over ``(pod, lists)`` jobs, in waves.
+
+        The one place a read meets the staleness ledger: a seat marked
+        incomplete for a list is never asked for it (a stale seat's
+        answer is wrong in ways no shortfall signal catches). Each wave
+        collects every pod's next asks (:class:`~repro.client.fetch_round.SeatLadder`), sends
+        them in one ``call_many`` and consumes the answers in pod order;
+        the round ends when no pod has a seat left to ask. A pod is
+        timed on the coordinator clock from its first request leaving
+        to its last answer arriving. Never raises on a degraded pod.
+
+        With ``hedge_reads`` a lookup's backup is the same request to
+        the seat at its slot index in the pod's backup replica
+        (:meth:`_hedge_backup`, named once a round), which holds the
+        same x-coordinate's shares, unless the ledger marks it
+        incomplete.
+        """
+        k = self._scheme.k
+        coordinator = self._coordinator
+        # The injected clock times pods: breakers, hedge p95s and the
+        # EWMA share one source, so a fake clock moves them together.
+        clock = coordinator.clock
+        stale_seats = coordinator.ledger.stale_seats
+        ladders = []
+        for pod, ids in jobs:
+            stale = {p: stale_seats(pod.name, p) for p in ids}
+            plan = [
+                (slot, [p for p in ids if slot.server_id not in stale[p]])
+                for slot in pod.slots
+            ]
+            want = max(k, min(num_servers, len(pod.slots)))
+            ladders.append(SeatLadder(plan, want))
+        outcomes = [PodFetchOutcome() for _ in jobs]
+        delay_s = 0.0
+        if self._hedge_reads:
+            for outcome, (_pod, lists) in zip(outcomes, jobs):
+                outcome.backup = self._hedge_backup(lists, tried)
+            delay_s = self._hedge_delay_s
+            if delay_s is None:
+                delay_s = min(
+                    coordinator.hedge_delay_s(lists[0]) for _pod, lists in jobs
+                )
+        # Leg ``index`` of a wave is an ask, or past the wave's asks the
+        # backup of ask ``index % len(wave)``. A pod's first send of
+        # each leg kind is kept across waves.
+        sent: dict[tuple[int, bool], float] = {}
+        span_start = time.perf_counter()
+        ended: dict[int, float] = {}  # job -> when its ladder ran out
+        while True:
+            wave = []
+            for job, ladder in enumerate(ladders):
+                asks = ladder.next_asks()
+                if not asks:
+                    ended.setdefault(job, time.perf_counter())
+                wave += [(job, slot, request) for slot, request in asks]
+            if not wave:
+                break
+            calls = [
+                (slot.server_id, FetchListsRequest(self._token, tuple(ids)))
+                for _job, slot, ids in wave
+            ]
+            backups = None
+            if self._hedge_reads:
+                backups = []
+                for (job, slot, ids), (_seat, request) in zip(wave, calls):
+                    pod = outcomes[job].backup
+                    seat = pod and pod.slots[slot.slot_index].server_id
+                    trusted = seat and not any(
+                        seat in stale_seats(pod.name, p)
+                        for p in ids
+                    )
+                    backups.append((seat, request) if trusted else None)
+            from_backup: set[int] = set()
+
+            def on_sent(index: int) -> None:
+                leg = wave[index % len(wave)][0], index >= len(wave)
+                sent.setdefault(leg, clock())
+
+            def on_done(index: int) -> None:
+                job, backup = wave[index % len(wave)][0], index >= len(wave)
+                latency_s = clock() - sent[job, backup]
+                if backup:
+                    from_backup.add(index % len(wave))
+                    outcomes[job].backup_latency_s = latency_s
+                else:
+                    from_backup.discard(index)
+                    outcomes[job].latency_s = latency_s
+
+            replies = self._transport.call_many(
+                self.user_id,
+                calls,
+                on_sent=on_sent,
+                on_done=on_done,
+                backups=backups,
+                hedge_after_s=delay_s,
+            )
+            for index, ((job, slot, _ids), reply) in enumerate(
+                zip(wave, replies)
+            ):
+                outcome = outcomes[job]
+                ladder = ladders[job]
+                # Every answer was a lookup sent, an error answer too.
+                outcome.lookup_messages += 1
+                if isinstance(reply, TransportError):
+                    outcome.failovers += 1  # like a lost packet
+                    continue
+                if isinstance(reply, ReproError):
+                    raise reply  # a typed server error ends the query
+                outcome.response_bytes += reply.wire_bytes(self._share_bytes)
+                if index in from_backup:
+                    outcome.backup_answered = True
+                else:
+                    outcome.contacted = True
+                if ladder.escalating:
+                    outcome.escalations += 1
+                else:
+                    ladder.successes += 1
+                for response in reply.lists:
+                    merge_response(
+                        merged[response.pl_id], slot.slot_index, response
+                    )
+                if ladder.escalating:
+                    ladder.shortfall = {
+                        p
+                        for p in jobs[job][1]
+                        if share_shortfall(merged[p], k)
+                    }
+        for job, ((pod, _lists), outcome) in enumerate(zip(jobs, outcomes)):
+            outcome.hedged = (job, True) in sent
+            record_span(
+                f"fetch:{pod.name}",
+                start_s=span_start,
+                duration_s=ended[job] - span_start,
+                wire_bytes=outcome.response_bytes,
+            )
+        return outcomes
+
+    # -- steps 3-4: join, reconstruct, filter ----------------------------------
 
     def _reconstruct_lists(
         self, pl_ids: Sequence[int], num_servers: int
@@ -195,23 +652,59 @@ class SearchClient:
         user may read, merged-in terms and undecodable secrets included
         (:meth:`fetch_postings` decodes the queried terms alone). The
         result depends only on (user's groups, num_servers, list),
-        never on which query asked: that is what makes it safely
-        cacheable by the searcher-local L1 (see
-        :class:`repro.cachetier.L1PostingCache`). A list with no
-        reconstructible elements maps to an empty list — emptiness is a
-        cacheable fact too.
+        never on which query asked, so the searcher-local L1 (see
+        :class:`repro.cachetier.L1PostingCache`) fronts it when one is
+        attached: an entry is one list's secrets for this exact (user,
+        group fingerprint, width), the inputs that determine a fresh
+        fetch's bytes, so a hit is byte-identical by construction. Only
+        the misses are fetched; a list with an unresolved shortfall is
+        never stored, and ``verify_consistency`` bypasses the L1 like
+        every other cache. A list with no reconstructible elements maps
+        to an empty list — emptiness is a cacheable fact too.
         """
         scheme, k = self._scheme, self._scheme.k
-        columns_of: dict[int, list] = {pl_id: [] for pl_id in pl_ids}
-        fetched = self._fetch_lists(pl_ids, num_servers)
+        secrets_of: dict[int, list[int]] = {}
+        l1 = self._l1 if self._use_cache and not self._verify else None
+        missing = list(pl_ids)
+        if l1 is not None:
+            coordinator = self._coordinator
+            fingerprint = coordinator.group_fingerprint(self.user_id)
+            # Same fence as the L2 tier: the epoch rides in the key,
+            # captured before any fetch, so an L1 fill racing the
+            # coordinator's invalidation thread lands under a dead key
+            # instead of resurrecting pre-write postings.
+            keys = {
+                pl_id: (
+                    self.user_id,
+                    fingerprint,
+                    num_servers,
+                    pl_id,
+                    coordinator.write_epoch(pl_id),
+                )
+                for pl_id in pl_ids
+            }
+            missing = []
+            with span("l1-lookup"):
+                for pl_id in pl_ids:
+                    entry = l1.get(keys[pl_id])
+                    if entry is None:
+                        missing.append(pl_id)
+                    else:
+                        secrets_of[pl_id] = entry
+            self.last_cluster_diagnostics.l1_hits += len(pl_ids) - len(missing)
+            if not missing:
+                return secrets_of
+        columns_of: dict[int, list] = {pl_id: [] for pl_id in missing}
+        fetched = self._fetch_lists(missing, num_servers)
         with span("reconstruct"):
-            for server_index, responses in fetched:
-                x = scheme.x_of(server_index)
-                for response in responses:
-                    columns_of[response.pl_id].append(
-                        (x, response.element_ids, response.share_ys)
+            for slot_index, response in fetched:
+                columns_of[response.pl_id].append(
+                    (
+                        scheme.x_of(slot_index),
+                        response.element_ids,
+                        response.share_ys,
                     )
-            secrets_of: dict[int, list[int]] = {}
+                )
             received = 0
             for pl_id, columns in columns_of.items():
                 secrets = secrets_of[pl_id] = []
@@ -224,6 +717,10 @@ class SearchClient:
                         column = self._cross_check(xs, y_columns, column)
                     secrets += column
             self.last_diagnostics.elements_received = received
+        if l1 is not None:
+            for pl_id in missing:
+                if pl_id not in self._last_unresolved:
+                    l1.put(keys[pl_id], pl_id, secrets_of[pl_id])
         return secrets_of
 
     def _join_columns(
@@ -308,13 +805,6 @@ class SearchClient:
             checked.append(secret)
         return checked
 
-    def _elements_by_list(
-        self, pl_ids: Sequence[int], num_servers: int
-    ) -> dict[int, list[int]]:
-        """Override point for caching tiers that sit past reconstruction
-        (the cluster client's L1); the base client always reconstructs."""
-        return self._reconstruct_lists(pl_ids, num_servers)
-
     def fetch_postings(
         self, terms: Sequence[str], num_servers: int | None = None
     ) -> list[tuple[int, list[tuple[int, float]]]]:
@@ -323,50 +813,68 @@ class SearchClient:
         Returns ``(term_id, [(doc_id, tf), ...])`` for each queried term
         a fetched list holds, in ``(pl_id, term_id)`` order, false
         positives already removed; every call decodes its own, the L1
-        holds secrets. Populates :attr:`last_diagnostics`.
+        holds secrets. Resets :attr:`last_diagnostics` and
+        :attr:`last_cluster_diagnostics` first (an empty query reads
+        zeros in both), then populates them.
+
+        Every call also lands in the coordinator's metrics registry:
+        ``zerber_search_queries_total`` and the fetch-latency histogram,
+        which ``repro cluster top`` derives its qps and quantile columns
+        from. Both :meth:`search` and :meth:`fetch_elements` fetch
+        through here, so each counts once.
         """
         self.last_diagnostics = SearchDiagnostics()
-        if not terms:
-            return []
-        # The owner routes a term's postings by the same mapping table,
-        # so each list is filtered for its own queried terms only.
-        wanted: dict[int, set[int]] = {}
-        for term in terms:
-            term_ids = wanted.setdefault(self._mapping.lookup(term), set())
-            term_id = self._dictionary.id_of(term)
-            if term_id is not None:
-                term_ids.add(term_id)
-        pl_ids = sorted(wanted)
-        self.last_diagnostics.posting_lists_requested = len(pl_ids)
-        k = self._scheme.k
-        num_servers = num_servers or k
-        if num_servers < k:
-            raise ReproError(
-                f"must query at least k={k} servers, asked {num_servers}"
-            )
-        secrets_of = self._elements_by_list(pl_ids, num_servers)
-        found: list[tuple[int, list[tuple[int, float]]]] = []
-        decoded = matched = 0
-        codec = self._codec
-        # Step 4's filter first: only the queried terms' secrets are
-        # decoded, merged-in terms are never built. Inconsistent shares
-        # decode to garbage; the bulk decode drops what unpack() would
-        # reject.
-        with span("unpack"):
-            for pl_id in pl_ids:
-                term_ids = wanted[pl_id]
-                by_term, count = codec.unpack_terms(
-                    secrets_of[pl_id], term_ids
+        self.last_cluster_diagnostics = ClusterDiagnostics()
+        started = time.perf_counter()
+        try:
+            if not terms:
+                return []
+            # The owner routes a term's postings by the same mapping
+            # table, so each list is filtered for its own queried terms.
+            wanted: dict[int, set[int]] = {}
+            for term in terms:
+                term_ids = wanted.setdefault(self._mapping.lookup(term), set())
+                term_id = self._dictionary.id_of(term)
+                if term_id is not None:
+                    term_ids.add(term_id)
+            pl_ids = sorted(wanted)
+            self.last_diagnostics.posting_lists_requested = len(pl_ids)
+            k = self._scheme.k
+            num_servers = num_servers or k
+            if num_servers < k:
+                raise ReproError(
+                    f"must query at least k={k} servers, asked {num_servers}"
                 )
-                decoded += count
-                for term_id in sorted(term_ids):
-                    postings = by_term.get(term_id)
-                    if postings:
-                        found.append((term_id, postings))
-                        matched += len(postings)
-        self.last_diagnostics.elements_matched = matched
-        self.last_diagnostics.false_positives = decoded - matched
-        return found
+            secrets_of = self._reconstruct_lists(pl_ids, num_servers)
+            found: list[tuple[int, list[tuple[int, float]]]] = []
+            decoded = matched = 0
+            codec = self._codec
+            # Step 4's filter first: only the queried terms' secrets are
+            # decoded, merged-in terms are never built. Inconsistent
+            # shares decode to garbage; the bulk decode drops what
+            # unpack() would reject.
+            with span("unpack"):
+                for pl_id in pl_ids:
+                    term_ids = wanted[pl_id]
+                    by_term, count = codec.unpack_terms(
+                        secrets_of[pl_id], term_ids
+                    )
+                    decoded += count
+                    for term_id in sorted(term_ids):
+                        postings = by_term.get(term_id)
+                        if postings:
+                            found.append((term_id, postings))
+                            matched += len(postings)
+            self.last_diagnostics.elements_matched = matched
+            self.last_diagnostics.false_positives = decoded - matched
+            return found
+        finally:
+            metrics = self._coordinator.metrics
+            if metrics is not None:
+                metrics.counter("zerber_search_queries_total").inc()
+                metrics.histogram("zerber_search_latency_seconds").observe(
+                    time.perf_counter() - started
+                )
 
     def fetch_elements(
         self, terms: Sequence[str], num_servers: int | None = None

@@ -16,11 +16,13 @@ One module per decision:
   join/retire, and the one list-transfer path (``ship``);
 - :mod:`~repro.cluster.repair` — the staleness ledger and the
   anti-entropy sweep that empties it;
-- :mod:`~repro.cluster.clients` — the cluster search client;
 - :mod:`~repro.cluster.deployment` — the facade that wires them up.
+
+The paper's single fleet (:class:`~repro.core.zerber_index.ZerberDeployment`)
+is this shape at one pod, and one search client
+(:class:`~repro.client.searcher.SearchClient`) reads both.
 """
 
-from repro.cluster.clients import ClusterDiagnostics, ClusterSearchClient
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.deployment import ClusterDeployment
 from repro.cluster.membership import (
@@ -34,8 +36,6 @@ from repro.cluster.repair import RepairSweepStats, StalenessLedger
 __all__ = [
     "ClusterCoordinator",
     "ClusterDeployment",
-    "ClusterDiagnostics",
-    "ClusterSearchClient",
     "Pod",
     "RebalanceStats",
     "RepairSweepStats",

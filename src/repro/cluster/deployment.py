@@ -1,10 +1,11 @@
 """The sharded cluster facade — a multi-pod Zerber installation (§8).
 
-Where :class:`~repro.core.zerber_index.ZerberDeployment` stands up one
-pod of n servers replicating the whole index, :class:`ClusterDeployment`
-stands up ``num_pods`` of them and shards the merged posting lists
-across pods by consistent hashing. Both subclass
-:class:`~repro.core.zerber_index.Installation`, the one enterprise
+:class:`ClusterDeployment` stands up ``num_pods`` fleets of n servers
+and shards the merged posting lists across them by consistent hashing;
+the paper's single fleet,
+:class:`~repro.core.zerber_index.ZerberDeployment`, is the same shape
+at one pod. It subclasses
+:class:`~repro.core.installation.Installation`, the one enterprise
 plane (scheme, auth service, group table, dictionary, mapping table,
 snippet registry, principals, owners, one-shot search): there is still
 one logical Zerber installation, it just no longer fits on one fleet.
@@ -36,13 +37,13 @@ from repro.cachetier import (
     CacheTierStore,
 )
 from repro.client.batching import BatchPolicy
-from repro.cluster.clients import ClusterSearchClient
+from repro.client.searcher import SearchClient
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.membership import Membership, Pod
 from repro.cluster.repair import AntiEntropy
 from repro.core.mapping_table import MappingTable
 from repro.core.posting import PackingSpec
-from repro.core.zerber_index import Installation
+from repro.core.installation import Installation
 from repro.errors import ClusterError
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.service import METRICS_ENDPOINT, MetricsService
@@ -62,8 +63,6 @@ class ClusterDeployment(Installation, Membership, AntiEntropy):
     :class:`~repro.cluster.membership.Membership`, the repair sweep and
     its thread from :class:`~repro.cluster.repair.AntiEntropy`.
     """
-
-    _error = ClusterError
 
     def __init__(
         self,
@@ -95,7 +94,7 @@ class ClusterDeployment(Installation, Membership, AntiEntropy):
         """Args:
         mapping_table, k, field, packing, use_network, batch_policy,
         seed: the enterprise plane, as
-            :class:`~repro.core.zerber_index.Installation`'s (a refused
+            :class:`~repro.core.installation.Installation`'s (a refused
             ``use_network`` is a :class:`~repro.errors.ClusterError`).
         num_pods: server fleets to shard the merged lists across.
         n: servers per pod (each pod tolerates n - k failures).
@@ -312,14 +311,14 @@ class ClusterDeployment(Installation, Membership, AntiEntropy):
 
     # -- clients ---------------------------------------------------------------------
 
-    def searcher(self, user_id: str, **kwargs) -> ClusterSearchClient:
-        """A fresh cluster search client for a principal."""
+    def searcher(self, user_id: str, **kwargs) -> SearchClient:
+        """A fresh search client for a principal."""
         token = self.enroll_user(user_id)
         kwargs.setdefault("transport", self.transport)
         if self.cache_tier_store is not None:
             kwargs.setdefault("cache_tier", CACHE_TIER_ENDPOINT)
         kwargs.setdefault("l1_entries", self._l1_entries)
-        return ClusterSearchClient(
+        return SearchClient(
             user_id=user_id,
             token=token,
             coordinator=self.coordinator,

@@ -6,8 +6,8 @@ it (a restart from the seat's durable store swaps the object). This
 module decides who is a member and moves the lists that membership
 changes move:
 
-- :class:`Membership` kills and restarts seats and pods, and joins and
-  retires pods. A join or retire re-rings the coordinator's placement
+- :class:`Membership` kills and restarts seats and pods, joins and
+  retires pods, and adds a seat to every pod (§5.1's "extend n"). A join or retire re-rings the coordinator's placement
   and transfers only the lists whose replica set changed — the
   operational win the paper's §8 DHT direction points at: churn moves
   single lists, never whole indexes.
@@ -222,13 +222,13 @@ def drop(
 
 
 class Membership:
-    """Seat and pod lifecycle: kill, restart, join, retire.
+    """Seat and pod lifecycle: kill, restart, join, retire, extend n.
 
     A mixin of :class:`~repro.cluster.deployment.ClusterDeployment`. It
     reads the host's ``coordinator`` (placement, ledger, transport,
     repair mutex), ``registry`` (where seats are reachable),
-    ``scheme``, ``mapping_table`` and ``_wal_dir``, and numbers new
-    pods with ``_next_pod_ordinal``.
+    ``scheme``, ``mapping_table``, ``_wal_dir`` and ``_owners``, and
+    numbers new pods with ``_next_pod_ordinal``.
     """
 
     # -- seats -------------------------------------------------------------
@@ -313,24 +313,61 @@ class Membership:
     # -- pods --------------------------------------------------------------
 
     def _build_pod(self, pod_index: int, name: str) -> Pod:
-        """One fleet of n slot-aligned seats, each with its WAL (when
-        the deployment is durable) and its endpoint on the registry."""
+        """One fleet of n slot-aligned seats."""
         slots = [
-            ServerSlot(
-                pod_index=pod_index,
-                slot_index=slot_index,
-                server=self._index_server(
-                    f"{name}-server-{slot_index}",
-                    self.scheme.x_of(slot_index),
-                ),
-            )
+            self._build_seat(pod_index, name, slot_index)
             for slot_index in range(self.scheme.n)
         ]
-        for slot in slots:
-            if self._wal_dir is not None:
-                attach_wal_to_slot(slot, self._wal_dir / slot.server_id)
-            self.registry.register(slot.server_id, IndexServerService(slot))
         return Pod(index=pod_index, name=name, slots=slots)
+
+    def _build_seat(
+        self, pod_index: int, pod_name: str, slot_index: int
+    ) -> ServerSlot:
+        """One empty seat at ``scheme.x_of(slot_index)``, with its WAL
+        (when the deployment is durable) and its endpoint on the
+        registry."""
+        slot = ServerSlot(
+            pod_index=pod_index,
+            slot_index=slot_index,
+            server=self._index_server(
+                f"{pod_name}-server-{slot_index}",
+                self.scheme.x_of(slot_index),
+            ),
+        )
+        if self._wal_dir is not None:
+            attach_wal_to_slot(slot, self._wal_dir / slot.server_id)
+        self.registry.register(slot.server_id, IndexServerService(slot))
+        return slot
+
+    def add_server(self) -> list[IndexServer]:
+        """§5.1: "dynamic extension of the number n of servers without
+        recalculating the existing secret shares, by just selecting
+        additional points on the polynomial curve".
+
+        Slot n joins every pod: the scheme mints the next x-coordinate
+        (:meth:`~repro.secretsharing.shamir.ShamirScheme.extend`), each
+        pod gets a new seat there, and every known owner interpolates
+        its own elements at the new x and delivers the points to the
+        new seats of their lists' replica pods
+        (:meth:`~repro.client.owner.DocumentOwner.provision_new_server`).
+        No element is re-encrypted and no ID changes, so queries may
+        use the new seats as sources at once; later writes reach all
+        n + 1 seats.
+
+        Returns:
+            The new seats' servers, one per pod in pod order.
+        """
+        coordinator = self.coordinator
+        with coordinator.repair_mutex:
+            slot_index = self.scheme.n
+            self.scheme.extend(1)
+            for pod in coordinator.pods:
+                pod.slots.append(
+                    self._build_seat(pod.index, pod.name, slot_index)
+                )
+            for owner in self._owners.values():
+                owner.provision_new_server(slot_index)
+        return [pod.slots[slot_index].server for pod in coordinator.pods]
 
     def add_pod(self, name: str | None = None) -> RebalanceStats:
         """Join a fresh pod to the ring and rebalance onto it.

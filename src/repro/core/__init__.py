@@ -9,9 +9,11 @@
   hash-based rare-term assignment of §6.4;
 - :mod:`repro.core.mapping_table` — the "publicly available mapping table
   that maps a term to the ID of its posting list" (§6, Fig. 4);
-- :mod:`repro.core.zerber_index` — the installation plane and the
-  single-fleet deployment facade tying servers, clients and the mapping
-  table into the end-to-end system of §5.4.
+- :mod:`repro.core.installation` — the installation plane (scheme,
+  auth, groups, mapping table, principals and owners) tying servers,
+  clients and the mapping table into the end-to-end system of §5.4;
+- :mod:`repro.core.zerber_index` — the paper's single fleet, the
+  cluster shape at one pod.
 """
 
 from repro.core.posting import (

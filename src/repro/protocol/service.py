@@ -48,7 +48,7 @@ from repro.protocol.messages import (
 
 @dataclass
 class _StaticSeat:
-    """Adapter giving a bare (single-fleet) server the seat interface."""
+    """Adapter giving a bare server the seat interface."""
 
     server: Any
     alive: bool = True
@@ -75,7 +75,7 @@ class IndexServerService:
 
     @classmethod
     def for_server(cls, server: Any) -> "IndexServerService":
-        """Wrap an always-alive server (the paper's single fleet)."""
+        """Wrap an always-alive standalone server."""
         return cls(_StaticSeat(server))
 
     def handle(self, request: Any) -> Any:
@@ -169,23 +169,6 @@ class SnippetHostService:
         raise ProtocolError(
             f"snippet host cannot handle {type(request).__name__}"
         )
-
-
-def fleet_resolver(servers: Any) -> Any:
-    """An endpoint resolver over a *live* server sequence.
-
-    Standalone clients (constructed with ``servers=`` and no transport)
-    use this so fleet extension — a server appended to the sequence
-    after the client was built — is addressable without re-wiring.
-    """
-
-    def resolve(name: str):
-        for server in servers or ():
-            if server.server_id == name:
-                return IndexServerService.for_server(server)
-        return None
-
-    return resolve
 
 
 def error_response(exc: ReproError) -> ErrorResponse:

@@ -210,18 +210,10 @@ class InProcessTransport(Transport):
     Set :attr:`fault_plan` (``cluster.registry.fault_plan = plan``) and
     :meth:`call` acts the plan out in process, the socket server's read
     loop over the wire (see :mod:`repro.resilience.faults`).
-
-    Args:
-        resolver: optional fallback ``name -> service | None``. Lets a
-            standalone client resolve a fleet that grows after the
-            transport was built (``ZerberDeployment.add_server``).
     """
 
-    def __init__(
-        self, resolver: Callable[[str], Any] | None = None
-    ) -> None:
+    def __init__(self) -> None:
         self._services: dict[str, Any] = {}
-        self._resolver = resolver
         #: The seeded chaos schedule requests to this registry's
         #: endpoints meet (None: no faults, one ``is None`` check).
         self.fault_plan: FaultPlan | None = None
@@ -250,10 +242,6 @@ class InProcessTransport(Transport):
 
     def _resolve(self, name: str) -> Any:
         service = self._services.get(name)
-        if service is None and self._resolver is not None:
-            service = self._resolver(name)
-            if service is not None:
-                self.register(name, service)
         if service is None:
             raise UnknownEndpointError(name)
         return service

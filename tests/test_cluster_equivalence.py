@@ -3,10 +3,10 @@
 The cluster layer (pods, consistent-hash sharding, batched lookups,
 failover) is pure mechanism — it must never change an
 answer. Over dozens of seeded random corpora, group structures and
-queries, :class:`ClusterSearchClient` must return **byte-identical**
-ranked results to the single-fleet :class:`SearchClient` of the same
-k/n, including while up to n - k servers per pod are dead, including
-when servers die *mid-run* (so late writes miss them entirely).
+queries, the cluster must return **byte-identical** ranked results to
+the single fleet (the same shape at one pod) of the same k/n,
+including while up to n - k servers per pod are dead, including when
+servers die *mid-run* (so late writes miss them entirely).
 """
 
 from __future__ import annotations

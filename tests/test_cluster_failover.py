@@ -27,7 +27,7 @@ from helpers import (
     make_single_fleet,
 )
 from repro.client.batching import BatchPolicy
-from repro.cluster.clients import ClusterSearchClient
+from repro.client.fetch_round import merge_response, share_shortfall
 from repro.core.mapping_table import MappingTable
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Document
@@ -394,7 +394,7 @@ def _tally_merge(slot_map, share_counts, slot_index, response):
 
 
 class TestMergeResponse:
-    """``_merge_response`` folds replica answers per slot on columns."""
+    """``merge_response`` folds replica answers per slot on columns."""
 
     @staticmethod
     def _response(rows):
@@ -405,7 +405,7 @@ class TestMergeResponse:
     def test_first_answer_is_kept_as_is_and_counted(self):
         slot_map = {}
         first = self._response([(30, 1, 300), (10, 1, 100)])
-        ClusterSearchClient._merge_response(slot_map, 0, first)
+        merge_response(slot_map, 0, first)
         assert slot_map[0] is first  # arrival order, no copy
         assert _share_counts(slot_map) == {30: 1, 10: 1}
 
@@ -415,8 +415,8 @@ class TestMergeResponse:
         fuller = self._response(
             [(40, 2, 400), (10, 1, 100), (20, 2, 200), (30, 1, 300)]
         )
-        ClusterSearchClient._merge_response(slot_map, 0, short)
-        ClusterSearchClient._merge_response(slot_map, 0, fuller)
+        merge_response(slot_map, 0, short)
+        merge_response(slot_map, 0, fuller)
         merged = slot_map[0]
         assert merged.pl_id == 9
         assert merged.element_ids == [10, 20, 30, 40]
@@ -429,13 +429,13 @@ class TestMergeResponse:
     def test_a_replica_with_nothing_new_changes_nothing(self):
         slot_map = {}
         first = self._response([(30, 1, 300), (10, 1, 100)])
-        ClusterSearchClient._merge_response(slot_map, 0, first)
+        merge_response(slot_map, 0, first)
         for again in (self._response([(10, 1, 100)]), self._response([])):
-            ClusterSearchClient._merge_response(slot_map, 0, again)
+            merge_response(slot_map, 0, again)
         assert slot_map[0] is first
         assert _share_counts(slot_map) == {30: 1, 10: 1}
         # Another slot's share of the same elements counts separately.
-        ClusterSearchClient._merge_response(slot_map, 1, first)
+        merge_response(slot_map, 1, first)
         assert _share_counts(slot_map) == {30: 2, 10: 2}
 
     @settings(max_examples=300, deadline=None)
@@ -462,10 +462,10 @@ class TestMergeResponse:
                 rng.shuffle(ids)
             response = self._response([(i, 1, i * 7) for i in ids])
             slot = rng.randrange(6)  # a repeat slot is a replica gap-fill
-            ClusterSearchClient._merge_response(slot_map, slot, response)
+            merge_response(slot_map, slot, response)
             _tally_merge(tally_map, tally, slot, response)
             assert slot_map == tally_map
-            assert ClusterSearchClient._share_shortfall(slot_map, k) == (
+            assert share_shortfall(slot_map, k) == (
                 bool(tally) and min(tally.values()) < k
             )
             assert _share_counts(slot_map) == tally
@@ -728,3 +728,17 @@ class TestBatchedLookups:
         assert searcher.last_diagnostics.response_bytes == 0
         assert searcher.last_cluster_diagnostics.lookup_messages == 0
         assert searcher.last_cluster_diagnostics.l1_hits > 0
+
+    def test_an_empty_query_resets_both_diagnostics(self):
+        """An empty query fetches nothing, and says so: the previous
+        query's lookup and pod counts do not linger."""
+        documents = make_documents()
+        cluster = make_cluster(documents)
+        searcher = cluster.searcher("owner0")
+        searcher.search(sorted(documents[0].term_counts)[:2])
+        assert searcher.last_cluster_diagnostics.lookup_messages > 0
+        assert searcher.search([]) == []
+        assert searcher.last_diagnostics == type(searcher.last_diagnostics)()
+        assert searcher.last_cluster_diagnostics == type(
+            searcher.last_cluster_diagnostics
+        )()

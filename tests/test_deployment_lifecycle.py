@@ -153,9 +153,9 @@ class TestDispatcherLeak:
             assert cluster.search("alice", ["alpha"], top_k=3)
 
     def test_single_fleet_deployment_context_manager(self):
-        """The single fleet is the in-process reference: a ``with``
-        block works, starts no thread, and there is no transport to
-        choose."""
+        """The single fleet is the cluster shape at one pod: a ``with``
+        block works, starts no thread in process, and the pod count and
+        replication are fixed."""
         before = set(threading.enumerate())
         with ZerberDeployment(
             MappingTable({}, num_lists=4),
@@ -168,10 +168,9 @@ class TestDispatcherLeak:
             assert deployment.transport is deployment.registry
         assert set(threading.enumerate()) <= before
         deployment.close()  # idempotent
-        with pytest.raises(TypeError, match="transport"):
-            ZerberDeployment(
-                MappingTable({}, num_lists=4), transport="in-process"
-            )
+        for fixed in ("num_pods", "replication_factor"):
+            with pytest.raises(TypeError, match=fixed):
+                ZerberDeployment(MappingTable({}, num_lists=4), **{fixed: 2})
 
 
 class TestTransportChoice:

@@ -72,10 +72,9 @@ class ColumnClient(SearchClient):
         super().__init__(
             user_id="u",
             token=None,
-            scheme=scheme,
+            coordinator=SimpleNamespace(scheme=scheme, metrics=None),
             mapping_table=None,
             dictionary=None,
-            servers=None,
             codec=codec,
             verify_consistency=verify,
             transport=object(),
@@ -83,7 +82,7 @@ class ColumnClient(SearchClient):
         self._fetched = fetched
 
     def _fetch_lists(self, pl_ids, num_servers):
-        return self._fetched
+        return [(slot, r) for slot, responses in self._fetched for r in responses]
 
 
 def _response(column):

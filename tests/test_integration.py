@@ -194,29 +194,16 @@ class TestServerCompromiseResilience:
         rng = random.Random(41)
         terms = sample_query_terms(corpus, rng)
         user = owner_of_group(corpus.group_ids()[0])
-        # Query only servers 1 and 2 (server 0 is down/distrusted).
         searcher = deployment.searcher(user)
         all_docs = {e.doc_id for e in searcher.fetch_elements(terms)}
-
-        class _Shifted(list):
-            pass
-
-        # Reorder the fleet so the first k servers exclude server 0.
-        from repro.client.searcher import SearchClient
-
-        shifted = SearchClient(
-            user_id=user,
-            token=deployment.enroll_user(user),
-            scheme=deployment.scheme,
-            mapping_table=deployment.mapping_table,
-            dictionary=deployment.dictionary,
-            servers=deployment.servers,
-            codec=deployment.codec,
-        )
-        docs_full = {
-            e.doc_id for e in shifted.fetch_elements(terms, num_servers=3)
-        }
-        assert docs_full == all_docs
+        # With server 0 down, servers 1 and 2 answer alone.
+        deployment.kill_server(0, 0)
+        try:
+            survivors = {e.doc_id for e in searcher.fetch_elements(terms)}
+            assert searcher.last_cluster_diagnostics.failovers == 1
+        finally:
+            deployment.restart_server(0, 0)
+        assert survivors == all_docs
 
 
 class TestNetworkAccounting:

@@ -187,22 +187,6 @@ class TestDeletion:
         assert all(s.num_elements == 0 for s in deployment.servers)
 
 
-class TestConstruction:
-    def test_server_count_must_match_scheme(self, deployment):
-        from repro.client.owner import DocumentOwner
-
-        token = deployment.enroll_user("zed")
-        with pytest.raises(ReproError):
-            DocumentOwner(
-                owner_id="zed",
-                token=token,
-                scheme=deployment.scheme,
-                mapping_table=deployment.mapping_table,
-                dictionary=deployment.dictionary,
-                servers=deployment.servers[:2],  # n=3 scheme
-            )
-
-
 class TestBatchCorrelationSurface:
     def test_batched_updates_share_one_log_entry(self, small_corpus):
         deployment = deploy_corpus(

@@ -189,7 +189,7 @@ def _head_fetch_elements(searcher, terms):
         {dictionary.id_of(t) for t in terms if dictionary.id_of(t) is not None}
     )
     pl_ids = sorted({searcher._mapping.lookup(t) for t in terms})
-    secrets_of = searcher._elements_by_list(pl_ids, searcher._scheme.k)
+    secrets_of = searcher._reconstruct_lists(pl_ids, searcher._scheme.k)
     by_list = {
         pl_id: searcher._codec.unpack_by_term(secrets)
         for pl_id, secrets in secrets_of.items()
