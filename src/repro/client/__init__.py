@@ -4,11 +4,14 @@
   frequency, and other batch parameters can be tuned by each document owner
   to trade off security and index freshness", §5.4.1);
 - :mod:`repro.client.owner` — the document owner's daemon: parse, build
-  posting elements, Shamir-split, distribute to the n servers, track local
-  changes, and delete element-by-element;
+  posting elements, Shamir-split, distribute to the n servers through
+  the coordinator, track local changes, and delete element-by-element;
 - :mod:`repro.client.searcher` — the querying user: resolve terms through
   the mapping table, gather ≥ k shares, reconstruct, filter false
-  positives, rank with Fagin's TA, fetch snippets (Algorithm 2);
+  positives, rank with Fagin's TA, fetch snippets (Algorithm 2), over
+  one fetch stage for every deployment shape;
+- :mod:`repro.client.fetch_round` — that fetch stage's per-round
+  bookkeeping (diagnostics, the seat ladder, slot-map merges);
 - :mod:`repro.client.snippets` — the hosting peers' snippet service.
 """
 

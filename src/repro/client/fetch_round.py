@@ -123,11 +123,6 @@ def share_shortfall(slot_map: dict[int, PostingListResponse], k: int) -> bool:
     return min(Counter(chain.from_iterable(columns)).values()) < k
 
 
-def needs_more(slot_map: dict[int, PostingListResponse], k: int) -> bool:
-    """The list has fewer than k answered slots or an element short."""
-    return len(slot_map) < k or share_shortfall(slot_map, k)
-
-
 def merge_response(
     slot_map: dict[int, PostingListResponse],
     slot_index: int,

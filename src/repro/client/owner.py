@@ -505,7 +505,9 @@ class DocumentOwner:
                 # k live old seats of the first replica pod that has them.
                 source = []
                 for pod in pods:
-                    old = [s for s in pod.live_slots() if s.slot_index < slot_index]
+                    old = [
+                        s for s in pod.live_slots() if s.slot_index < slot_index
+                    ]
                     if len(old) >= k:
                         source = old[:k]
                         break
@@ -524,8 +526,9 @@ class DocumentOwner:
                             if key in mine:
                                 points.setdefault(key, []).append((x, share_y))
                 # In the first source seat's row order, list by list.
+                lagrange_eval = scheme.field.lagrange_eval
                 rows = [
-                    (*key, group_of[key], scheme.field.lagrange_eval(xy, new_x))
+                    (*key, group_of[key], lagrange_eval(xy, new_x))
                     for key, xy in points.items()
                     if len(xy) >= k
                 ]

@@ -50,7 +50,6 @@ from repro.client.fetch_round import (
     PodFetchOutcome,
     SeatLadder,
     merge_response,
-    needs_more,
     share_shortfall,
 )
 from repro.client.snippets import SnippetService
@@ -235,7 +234,7 @@ class SearchClient:
         """The searcher-local L1, for observability (None when off)."""
         return self._l1
 
-    # -- step 2: the fetch stage ------------------------------------------------
+    # -- step 2: the fetch stage -----------------------------------------------
 
     def _fetch_lists(
         self, pl_ids: Sequence[int], num_servers: int
@@ -447,7 +446,9 @@ class SearchClient:
                     # was abandoned, not failed, and records nothing.)
                     coordinator.breakers.record_failure(pod.name)
             short = [
-                pl_id for pl_id in need if needs_more(merged[pl_id], k)
+                pl_id
+                for pl_id in need
+                if len(merged[pl_id]) < k or share_shortfall(merged[pl_id], k)
             ]
             pending = [
                 pl_id
@@ -505,7 +506,8 @@ class SearchClient:
         The one place a read meets the staleness ledger: a seat marked
         incomplete for a list is never asked for it (a stale seat's
         answer is wrong in ways no shortfall signal catches). Each wave
-        collects every pod's next asks (:class:`~repro.client.fetch_round.SeatLadder`), sends
+        collects every pod's next asks
+        (:class:`~repro.client.fetch_round.SeatLadder`), sends
         them in one ``call_many`` and consumes the answers in pod order;
         the round ends when no pod has a seat left to ask. A pod is
         timed on the coordinator clock from its first request leaving
@@ -637,7 +639,7 @@ class SearchClient:
             )
         return outcomes
 
-    # -- steps 3-4: join, reconstruct, filter ----------------------------------
+    # -- steps 3-4: join, reconstruct, filter ---------------------------------
 
     def _reconstruct_lists(
         self, pl_ids: Sequence[int], num_servers: int

@@ -7,8 +7,9 @@ module decides who is a member and moves the lists that membership
 changes move:
 
 - :class:`Membership` kills and restarts seats and pods, joins and
-  retires pods, and adds a seat to every pod (§5.1's "extend n"). A join or retire re-rings the coordinator's placement
-  and transfers only the lists whose replica set changed — the
+  retires pods, and adds a seat to every pod (§5.1's "extend n"). A
+  join or retire re-rings the coordinator's placement and transfers
+  only the lists whose replica set changed — the
   operational win the paper's §8 DHT direction points at: churn moves
   single lists, never whole indexes.
 - :func:`ship` is the one path shares travel between seats: a source

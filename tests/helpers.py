@@ -341,9 +341,7 @@ def metric(cluster, name, **labels):
 
 def seat_servers(deployment) -> list:
     """Every seat's :class:`IndexServer`, of a single fleet or a cluster."""
-    if isinstance(deployment, ClusterDeployment):
-        return [slot.server for pod in deployment.pods for slot in pod.slots]
-    return list(deployment.servers)
+    return [slot.server for pod in deployment.pods for slot in pod.slots]
 
 
 def lookups_logged(deployment) -> int:

@@ -151,7 +151,9 @@ class TestAddServerToEveryPod:
             seed=9,
         )
         for group_id in corpus.group_ids():
-            cluster.create_group(group_id, coordinator=owner_of_group(group_id))
+            cluster.create_group(
+                group_id, coordinator=owner_of_group(group_id)
+            )
         for document in corpus:
             cluster.share_document(owner_of_group(document.group_id), document)
         cluster.flush_all()

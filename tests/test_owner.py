@@ -9,7 +9,7 @@ import pytest
 from repro.client.batching import BatchPolicy
 from repro.core.posting import PackingSpec, PostingElement
 from repro.corpus.document import Document
-from repro.errors import PackingError, ReproError
+from repro.errors import PackingError
 from repro.invindex.postings import Posting
 
 from tests.helpers import deploy_corpus, owner_of_group

@@ -45,22 +45,22 @@ def _index(deployment, world):
 def check_world(seed: int) -> None:
     world = make_world(seed)
     documents, _, _, queries, num_lists, _ = world
-    common = dict(k=K, n=N, batch_policy=BatchPolicy(min_documents=2), seed=seed)
-    fleet = _index(
-        ZerberDeployment(MappingTable({}, num_lists=num_lists), **common), world
+    table = MappingTable({}, num_lists=num_lists)
+    common = dict(
+        k=K, n=N, batch_policy=BatchPolicy(min_documents=2), seed=seed
     )
+    fleet = _index(ZerberDeployment(table, **common), world)
     cluster = _index(
         ClusterDeployment(
-            MappingTable({}, num_lists=num_lists),
-            num_pods=2,
-            replication_factor=2,
-            **common,
+            table, num_pods=2, replication_factor=2, **common
         ),
         world,
     )
     with fleet, cluster:
         for terms in queries:
-            expected = scored_oracle(documents, fleet.groups, USER, terms, TOP_K)
+            expected = scored_oracle(
+                documents, fleet.groups, USER, terms, TOP_K
+            )
             for shape in (fleet, cluster):
                 results = shape.searcher(USER).search(
                     terms, top_k=TOP_K, fetch_snippets=False
