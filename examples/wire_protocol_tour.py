@@ -25,7 +25,7 @@ Run:  PYTHONPATH=src python examples/wire_protocol_tour.py
 from __future__ import annotations
 
 from repro.client.batching import BatchPolicy
-from repro.cluster import ClusterDeployment
+from repro.cluster import ClusterDeployment, ServerSlot
 from repro.corpus.synthetic import SyntheticCorpusConfig, generate_corpus
 from repro.errors import ReproError, UnknownEndpointError
 from repro.observability import METRICS_ENDPOINT, SampleView
@@ -65,7 +65,8 @@ def protocol_by_hand() -> None:
         server_id="s0", x_coordinate=1, auth=auth, groups=groups
     )
     transport = InProcessTransport()
-    transport.register("s0", IndexServerService.for_server(server))
+    seat = ServerSlot(pod_index=0, slot_index=0, server=server)
+    transport.register("s0", IndexServerService(seat))
     # A write batch is aligned columns: row i puts (element_ids[i],
     # group_ids[i], share_ys[i]) into list pl_ids[i].
     ack = transport.call("alice", "s0", InsertBatchRequest(

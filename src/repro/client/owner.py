@@ -452,8 +452,8 @@ class DocumentOwner:
         without recalculating the existing secret shares, by just selecting
         additional points on the polynomial curve." The owner — who is
         entitled to read its own documents — gathers k shares of each of
-        its elements from the old seats of one replica pod per list set,
-        interpolates the original polynomial, evaluates it at the new
+        its elements from trusted old seats of one replica pod per list
+        set, interpolates the original polynomial, evaluates it at the new
         slot's x-coordinate, and delivers that single new point to the
         new seat of every replica pod of the list. Element IDs and
         posting-list IDs are unchanged, so queries spanning old and new
@@ -488,6 +488,7 @@ class DocumentOwner:
             if (document := self._documents.get(doc_id)) is not None
             for entry in zip(*entries)
         }
+        stale_seats = self._router.ledger.stale_seats
         lists_by_pods: dict[tuple, list[int]] = {}
         for pl_id in sorted({pl_id for pl_id, _ in mine}):
             pods = self._router.pods_of(pl_id)
@@ -502,11 +503,18 @@ class DocumentOwner:
                             f"new seat {status.server_id!r} has x="
                             f"{status.x_coordinate}; the scheme says {new_x}"
                         )
-                # k live old seats of the first replica pod that has them.
+                # k live old seats of the first replica pod that has them,
+                # none ledgered stale for the lists (it may lack rows).
                 source = []
                 for pod in pods:
+                    stale = set().union(
+                        *(stale_seats(pod.name, pl_id) for pl_id in pl_ids)
+                    )
                     old = [
-                        s for s in pod.live_slots() if s.slot_index < slot_index
+                        s
+                        for s in pod.live_slots()
+                        if s.slot_index < slot_index
+                        and s.server_id not in stale
                     ]
                     if len(old) >= k:
                         source = old[:k]

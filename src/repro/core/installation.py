@@ -1,7 +1,7 @@
 """The enterprise plane one Zerber installation runs (§5).
 
 :class:`Installation` holds what every deployment shares, whatever its
-shape:
+pod count:
 
 - a :class:`~repro.secretsharing.shamir.ShamirScheme` with the public
   (p, x_i) parameters;
@@ -47,7 +47,7 @@ from repro.server.index_server import IndexServer
 if TYPE_CHECKING:
     from typing import Self  # Python 3.11+; annotations only
 
-#: Why both deployments refuse ``use_network=True``: the simulated
+#: Why a deployment refuses ``use_network=True``: the simulated
 #: network is gone, and traffic is counted where it crosses.
 NO_SIMULATED_NETWORK = (
     "use_network=True: the simulated network is gone; read traffic from "
@@ -67,8 +67,8 @@ def build_mapping_table(
 ):
     """Run a §6 merging heuristic and build the public mapping table.
 
-    :meth:`Installation.bootstrap` runs it for either shape — the
-    merge is deployment-shape-agnostic.
+    :meth:`Installation.bootstrap` runs it; the merge does not depend
+    on where the lists are placed.
 
     Args:
         term_probabilities: formula-(2) probabilities from training data.

@@ -16,7 +16,6 @@ client re-raises as the same class — one failure model across backends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.client.snippets import SnippetService
@@ -46,37 +45,20 @@ from repro.protocol.messages import (
 )
 
 
-@dataclass
-class _StaticSeat:
-    """Adapter giving a bare server the seat interface."""
-
-    server: Any
-    alive: bool = True
-
-    @property
-    def server_id(self) -> str:
-        return self.server.server_id
-
-
 class IndexServerService:
     """One seat's protocol endpoint: liveness gate + request dispatch.
 
     The service holds the *seat* (anything with ``server`` and ``alive``
-    attributes — a cluster :class:`~repro.cluster.membership.ServerSlot`,
-    whose ``alive`` flag gates every request, or a :class:`_StaticSeat`),
-    not the server object: a WAL restart swaps ``seat.server`` and the
-    service follows automatically. Admission control is the socket
+    attributes — a :class:`~repro.cluster.membership.ServerSlot`, whose
+    ``alive`` flag gates every request), not the server object: a WAL
+    restart swaps ``seat.server`` and the service follows
+    automatically. Admission control is the socket
     server's (``ClusterDeployment(admission_max_pending=)``), not the
     service's.
     """
 
     def __init__(self, seat: Any) -> None:
         self._seat = seat
-
-    @classmethod
-    def for_server(cls, server: Any) -> "IndexServerService":
-        """Wrap an always-alive standalone server."""
-        return cls(_StaticSeat(server))
 
     def handle(self, request: Any) -> Any:
         """Dispatch one decoded request; returns the response message.

@@ -37,6 +37,7 @@ from repro.errors import (
     TransportError,
     UnknownEndpointError,
 )
+from repro.cluster import ServerSlot
 from repro.protocol import (
     AsyncSocketServer,
     AsyncSocketTransport,
@@ -73,9 +74,14 @@ def world():
     return auth, groups, token, server
 
 
+def _service(server):
+    """A bare server's endpoint, behind an always-alive seat."""
+    return IndexServerService(ServerSlot(0, 0, server))
+
+
 def _registry(server):
     registry = InProcessTransport()
-    registry.register(server.server_id, IndexServerService.for_server(server))
+    registry.register(server.server_id, _service(server))
     return registry
 
 
@@ -459,7 +465,7 @@ def twin_seats(world, writes):
         seat = IndexServer(server_id=name, x_coordinate=x, auth=auth,
                            groups=groups)
         seat.insert_batch(token, *columns)
-        registry.register(name, IndexServerService.for_server(seat))
+        registry.register(name, _service(seat))
     with AsyncSocketServer(registry) as srv:
         with AsyncSocketTransport(srv.address) as transport:
             transport.endpoints()  # connect before counting writes
@@ -716,7 +722,7 @@ class TestAsyncFailureSemantics:
         _auth, _groups, _token, server = world
         registry = InProcessTransport()
         registry.register(
-            "slow", _SlowService(IndexServerService.for_server(server), 0.6)
+            "slow", _SlowService(_service(server), 0.6)
         )
         with AsyncSocketServer(registry) as srv:
             transport = AsyncSocketTransport(srv.address)
@@ -768,7 +774,7 @@ class TestAsyncServerLifecycle:
         _auth, _groups, _token, server = world
         registry = InProcessTransport()
         registry.register(
-            "slow", _SlowService(IndexServerService.for_server(server), 0.3)
+            "slow", _SlowService(_service(server), 0.3)
         )
         with AsyncSocketTransport_ctx(registry) as (srv, transport):
             results: list[object] = []

@@ -125,6 +125,33 @@ class TestAddServer:
         counts = {s.num_elements for s in deployment.servers}
         assert len(counts) == 1  # every server got the new element
 
+    def test_provisioning_reads_no_stale_seat(self, corpus):
+        # Seat 0 sleeps through a write and comes back without it (no
+        # store: a partition, not a crash); the ledger marks it stale.
+        # The new seat must be interpolated from seats 1 and 2, or the
+        # write's elements would reach it with one share short.
+        deployment = deploy_corpus(corpus, num_lists=16)
+        deployment.kill_server(0, 0)
+        from repro.corpus.document import Document
+
+        deployment.share_document(
+            owner_of_group(0),
+            Document(
+                doc_id=9_998,
+                host="hostX",
+                group_id=0,
+                term_counts={"whileasleep": 1, "budget": 2},
+                length=3,
+                text="whileasleep budget budget",
+            ),
+        )
+        deployment.flush_all()
+        deployment.restart_server(0, 0)
+        assert deployment.coordinator.ledger.outstanding > 0
+        new_server = deployment.add_server()
+        assert new_server.num_elements == deployment.servers[1].num_elements
+        assert new_server.num_elements > deployment.servers[0].num_elements
+
     def test_owner_detects_x_coordinate_mismatch(self, corpus):
         deployment = deploy_corpus(corpus, num_lists=16)
         deployment.add_server()
@@ -138,9 +165,11 @@ class TestAddServer:
 
 
 class TestAddServerToEveryPod:
-    def test_replicated_cluster_extends_every_pod(self, corpus):
+    @pytest.mark.parametrize("transport", ["in-process", "async-socket"])
+    def test_replicated_cluster_extends_every_pod(self, corpus, transport):
         # §5.1 on the cluster shape: slot n joins each of three pods at
-        # R = 2, and every owner provisions its own elements there.
+        # R = 2, and every owner provisions its own elements there,
+        # over either transport.
         cluster = ClusterDeployment.bootstrap(
             corpus.term_probabilities(),
             num_lists=16,
@@ -149,55 +178,57 @@ class TestAddServerToEveryPod:
             k=2,
             n=3,
             seed=9,
+            transport=transport,
         )
-        for group_id in corpus.group_ids():
-            cluster.create_group(
-                group_id, coordinator=owner_of_group(group_id)
-            )
-        for document in corpus:
-            cluster.share_document(owner_of_group(document.group_id), document)
-        cluster.flush_all()
-        new_servers = cluster.add_server()
-        assert cluster.scheme.n == 4 and len(new_servers) == 3
-        assert [pod.slots[3].server for pod in cluster.pods] == new_servers
-        user = owner_of_group(0)
-        searcher = cluster.searcher(user, verify_consistency=True)
-        vocabulary = sorted(
-            {t for d in corpus.documents_in_group(0) for t in d.term_counts}
-        )
-        for terms in (vocabulary[:1], vocabulary[2:5], vocabulary[::25]):
-            results = searcher.search(
-                terms, top_k=10, num_servers=4, fetch_snippets=False
-            )
-            assert [(r.doc_id, r.score.hex()) for r in results] == (
-                scored_oracle(list(corpus), cluster.groups, user, terms, 10)
-            )
-            # All four seats of a pod answered, and agreed.
-            assert searcher.last_diagnostics.inconsistent_elements == 0
-        checked = 0
-        for pod in cluster.pods:
-            old, new = pod.slots[0].server, pod.slots[3].server
-            for pl_id in range(cluster.mapping_table.num_lists):
-                old_ys = {
-                    r.element_id: r.share_y
-                    for r in old.export_posting_list(pl_id)
-                }
-                new_ys = {
-                    r.element_id: r.share_y
-                    for r in new.export_posting_list(pl_id)
-                }
-                assert new_ys.keys() == old_ys.keys()
-                for element_id, y in old_ys.items():
-                    secret = cluster.scheme.reconstruct(
-                        [
+        with cluster:
+            for group_id in corpus.group_ids():
+                cluster.create_group(
+                    group_id, coordinator=owner_of_group(group_id)
+                )
+            for document in corpus:
+                owner = owner_of_group(document.group_id)
+                cluster.share_document(owner, document)
+            cluster.flush_all()
+            new_servers = cluster.add_server()
+            assert cluster.scheme.n == 4 and len(new_servers) == 3
+            assert [pod.slots[3].server for pod in cluster.pods] == new_servers
+            user = owner_of_group(0)
+            searcher = cluster.searcher(user, verify_consistency=True)
+            documents = corpus.documents_in_group(0)
+            vocabulary = sorted({t for d in documents for t in d.term_counts})
+            for terms in (vocabulary[:1], vocabulary[2:5], vocabulary[::25]):
+                results = searcher.search(
+                    terms, top_k=10, num_servers=4, fetch_snippets=False
+                )
+                expected = scored_oracle(
+                    list(corpus), cluster.groups, user, terms, 10
+                )
+                assert [(r.doc_id, r.score.hex()) for r in results] == expected
+                # All four seats of a pod answered, and agreed.
+                assert searcher.last_diagnostics.inconsistent_elements == 0
+            checked = 0
+            for pod in cluster.pods:
+                old, new = pod.slots[0].server, pod.slots[3].server
+                for pl_id in range(cluster.mapping_table.num_lists):
+                    old_ys = {
+                        r.element_id: r.share_y
+                        for r in old.export_posting_list(pl_id)
+                    }
+                    new_ys = {
+                        r.element_id: r.share_y
+                        for r in new.export_posting_list(pl_id)
+                    }
+                    assert new_ys.keys() == old_ys.keys()
+                    for element_id, y in old_ys.items():
+                        shares = [
                             Share(x=old.x_coordinate, y=y),
                             Share(x=new.x_coordinate, y=new_ys[element_id]),
                         ]
-                    )
-                    assert cluster.codec.unpack(secret).doc_id >= 0
-                    checked += 1
-        # Every element of every replica: a quarter of all stored shares.
-        assert checked == cluster.total_elements() // 4
+                        secret = cluster.scheme.reconstruct(shares)
+                        assert cluster.codec.unpack(secret).doc_id >= 0
+                        checked += 1
+            # Every element of every replica: a quarter of all stored shares.
+            assert checked == cluster.total_elements() // 4
 
 
 class TestByzantineDetection:

@@ -19,6 +19,7 @@ from repro.errors import (
     UnknownEndpointError,
     error_class,
 )
+from repro.cluster import ServerSlot
 from repro.protocol import (
     AsyncSocketServer,
     AsyncSocketTransport,
@@ -50,9 +51,14 @@ def world():
     return auth, groups, token, server
 
 
+def _service(server):
+    """A bare server's endpoint, behind an always-alive seat."""
+    return IndexServerService(ServerSlot(0, 0, server))
+
+
 def _registry(server):
     registry = InProcessTransport()
-    registry.register(server.server_id, IndexServerService.for_server(server))
+    registry.register(server.server_id, _service(server))
     return registry
 
 
@@ -81,7 +87,7 @@ class TestInProcessTransport:
         *_rest, server = world
         registry = _registry(server)
         with pytest.raises(TransportError):
-            registry.register("s0", IndexServerService.for_server(server))
+            registry.register("s0", _service(server))
 
     def test_unregister_releases_network_endpoint(self, world):
         *_rest, server = world

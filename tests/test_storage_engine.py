@@ -26,7 +26,7 @@ from helpers import (
     state_rows,
 )
 from repro.client.batching import BatchPolicy
-from repro.cluster import ClusterDeployment
+from repro.cluster import ClusterDeployment, ServerSlot
 from repro.core.mapping_table import MappingTable
 from repro.errors import ClusterError, IndexServerError, StorageError
 from repro.server.auth import AuthService, AuthToken
@@ -865,7 +865,8 @@ class TestSnapshotShipmentLogging:
         blocks = len(_blocks(directory))
         appended = store.records_appended
         dropped = server.num_elements
-        response = IndexServerService.for_server(server).handle(
+        seat = ServerSlot(pod_index=0, slot_index=0, server=server)
+        response = IndexServerService(seat).handle(
             AdoptSnapshotRequest(pl_ids=pl_ids, snapshot=image)
         )
         assert response.count == count == 12
