@@ -533,7 +533,9 @@ class DocumentOwner:
                             key = (response.pl_id, element_id)
                             if key in mine:
                                 points.setdefault(key, []).append((x, share_y))
-                # In the first source seat's row order, list by list.
+                # In the first source seat's row order, so a lone owner's
+                # new seat lists its rows as the old seats do (the
+                # searcher's aligned join needs that order).
                 lagrange_eval = scheme.field.lagrange_eval
                 rows = [
                     (*key, group_of[key], lagrange_eval(xy, new_x))
