@@ -1,18 +1,17 @@
 """The tiered cache under a Zipf query workload: hit rates, qps, bytes.
 
 A Zipf-shaped query log (the paper's own workload model, §7.4.3 — query
-frequencies track document ranks) is replayed three times against the
-same deterministic cluster scenario:
+frequencies track document ranks) is replayed twice against the same
+deterministic cluster scenario:
 
 - ``uncached``: every query pays the full fleet fan-out and Lagrange
   reconstruction (``use_cache=False``);
-- ``lru`` / ``tinylfu``: the tiered cache subsystem is on — a small
-  searcher-local L1 of reconstructed postings in front of a small
-  shared L2 cache tier running that admission/eviction policy. Both
-  tiers are deliberately sized *below* the number of merged lists so
-  the policies actually have to choose what to keep. They are the only
-  read caches, so every hit is attributable to the subsystem under
-  test.
+- ``lru``: the tiered cache subsystem is on — a small searcher-local
+  L1 of reconstructed postings in front of a small shared L2 cache
+  tier, both evicting least-recently-used entries. Both tiers are
+  deliberately sized *below* the number of merged lists so they
+  actually have to choose what to keep. They are the only read caches,
+  so every hit is attributable to the subsystem under test.
 
 Every query's results are digested and the cached replays must be
 byte-identical to the uncached baseline — a cache that changes answers
@@ -54,7 +53,7 @@ NUM_LISTS = 24
 NUM_GROUPS = 2
 #: Replayed queries per pass (1-2 terms each, Zipf-ranked).
 NUM_QUERIES = 300
-#: Both cache tiers are smaller than NUM_LISTS: policies must choose.
+#: Both cache tiers are smaller than NUM_LISTS: they must choose.
 L1_ENTRIES = 16
 L2_ENTRIES = 16
 #: Timing passes per mode; best-of (noise only ever slows a pass). A
@@ -113,11 +112,11 @@ def _make_queries() -> list[list[str]]:
     return queries
 
 
-def _build_cluster(documents, cached: bool, policy: str) -> ClusterDeployment:
+def _build_cluster(documents, cached: bool) -> ClusterDeployment:
     kwargs = {}
     if cached:
         kwargs = {
-            "cache_tier": policy,
+            "cache_tier": "lru",
             "cache_tier_entries": L2_ENTRIES,
             "l1_entries": L1_ENTRIES,
         }
@@ -140,13 +139,13 @@ def _build_cluster(documents, cached: bool, policy: str) -> ClusterDeployment:
     return cluster
 
 
-def _run_mode(documents, queries, cached: bool, policy: str = "lru"):
+def _run_mode(documents, queries, cached: bool):
     """Replay the log; return (row, per-query digests) for one mode."""
     best_qps = 0.0
     row = {}
     digests = []
     for _ in range(PASSES):
-        cluster = _build_cluster(documents, cached, policy)
+        cluster = _build_cluster(documents, cached)
         try:
             searcher = cluster.searcher("the-user", use_cache=cached)
             digests = []
@@ -186,16 +185,11 @@ def _run_mode(documents, queries, cached: bool, policy: str = "lru"):
             if cached:
                 view = SampleView(cluster.metrics.samples())
                 row["l2_stats"] = {
-                    "policy": view.label_values(
-                        "zerber_cache_tier_info", "policy"
-                    )[0],
-                    **{
-                        key: int(view.value(f"zerber_cache_tier_{key}"))
-                        for key in (
-                            "entries", "capacity", "hits", "misses",
-                            "evictions", "invalidations", "rejections",
-                        )
-                    },
+                    key: int(view.value(f"zerber_cache_tier_{key}"))
+                    for key in (
+                        "entries", "capacity", "hits", "misses",
+                        "evictions", "invalidations",
+                    )
                 }
             row["metrics"] = metrics_snapshot(cluster)
         finally:
@@ -211,26 +205,20 @@ def test_cache_benchmark():
     rows["uncached"], baseline_digests = _run_mode(
         documents, queries, cached=False
     )
-    all_digests = {"uncached": baseline_digests}
-    for policy in ("lru", "tinylfu"):
-        rows[policy], all_digests[policy] = _run_mode(
-            documents, queries, cached=True, policy=policy
-        )
-        rows[policy]["bytes_saved"] = (
-            rows["uncached"]["response_bytes"]
-            - rows[policy]["response_bytes"]
-        )
-        rows[policy]["speedup"] = round(
-            rows[policy]["qps"] / max(rows["uncached"]["qps"], 1e-9), 2
-        )
+    rows["lru"], cached_digests = _run_mode(documents, queries, cached=True)
+    cached = rows["lru"]
+    cached["bytes_saved"] = (
+        rows["uncached"]["response_bytes"] - cached["response_bytes"]
+    )
+    cached["speedup"] = round(
+        cached["qps"] / max(rows["uncached"]["qps"], 1e-9), 2
+    )
 
     # A faster cache that changes answers is worthless: every cached
     # replay must be byte-identical to the uncached baseline per query.
-    for policy in ("lru", "tinylfu"):
-        assert all_digests[policy] == baseline_digests, (
-            f"{policy}: cached results diverged from the uncached "
-            "baseline"
-        )
+    assert cached_digests == baseline_digests, (
+        "cached results diverged from the uncached baseline"
+    )
 
     # A hit rate outside [0, 1] is a bug in the bench, not a result.
     for name, row in rows.items():
@@ -279,9 +267,7 @@ def test_cache_benchmark():
             "byte-identical results",
         ],
     )
-    for policy in ("lru", "tinylfu"):
-        assert rows[policy]["speedup"] >= GATE_MIN_SPEEDUP, (
-            f"{policy}: cached qps only {rows[policy]['speedup']:.2f}x "
-            f"the uncached baseline (acceptance requires >= "
-            f"{GATE_MIN_SPEEDUP}x)"
-        )
+    assert cached["speedup"] >= GATE_MIN_SPEEDUP, (
+        f"cached qps only {cached['speedup']:.2f}x the uncached "
+        f"baseline (acceptance requires >= {GATE_MIN_SPEEDUP}x)"
+    )

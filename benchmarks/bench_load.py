@@ -16,15 +16,18 @@ Rows land in ``benchmarks/results/BENCH_load.json``:
 - ``slow_pod``: one stalled replica pod, hedged against unhedged
   p50/p95/p99 (gate: hedged p99 <= ``GATE_HEDGE_P99_RATIO`` x
   unhedged);
-- ``instrumentation``: saturation qps with metrics hot and a trace per
-  query against the uninstrumented figure (gate:
-  ``GATE_INSTRUMENTATION_RATIO``).
+- ``instrumentation``: spans per traced query and registry updates
+  per query (gates: no more than ``SPANS_PER_TRACED_QUERY`` and
+  ``REGISTRY_UPDATES_PER_QUERY``), single-thread untraced over traced
+  time per query (gate: ``GATE_TRACE_TIME_RATIO``), and one traced
+  open-loop overload run (information, not gated).
 
 Run: ``PYTHONPATH=src python -m pytest benchmarks/bench_load.py``
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import threading
@@ -34,7 +37,13 @@ from benchmarks.conftest import RESULTS_DIR, emit, metrics_snapshot
 from repro.client.batching import BatchPolicy
 from repro.cluster import ClusterDeployment
 from repro.corpus.synthetic import SyntheticCorpusConfig, generate_corpus
-from repro.observability import SampleView, new_trace_id
+from repro.observability import (
+    Counter,
+    Histogram,
+    SampleView,
+    global_spans,
+    new_trace_id,
+)
 from repro.resilience import FaultPlan
 
 N, K = 3, 2
@@ -45,10 +54,10 @@ WORKERS = 200
 
 #: Offered overload rate (queries/second). It must exceed capacity *by
 #: a wide margin*, so achieved throughput there *is* the saturation
-#: qps. The backend serves 450-650 q/s since the wire went columnar (it
-#: served 250 when 600 was chosen, and then quietly stopped
-#: saturating); keep this at >= 2x the recorded saturation figure.
-OVERLOAD_RATE_QPS = 2400.0
+#: qps. The one-pod cluster serves ~2 000 traced q/s (it served 250
+#: when 600 was chosen, and then quietly stopped saturating); keep
+#: this at >= 2x the recorded saturation figure.
+OVERLOAD_RATE_QPS = 4800.0
 
 #: Slow-pod scenario (PR 8): one replica pod stalls on a seeded
 #: schedule; hedged reads must keep tail latency bounded. The gate is
@@ -214,7 +223,7 @@ def _build_replicated(corpus):
     return cluster
 
 
-def _slow_pod_run(cluster, queries, hedge_reads, seed):
+def _slow_pod_run(cluster, queries, hedge_after_s, seed):
     """Sequential latency sweep against a cluster whose pod0 stalls.
 
     The stall holds back pod0's answers on the server loop: the plan is
@@ -239,10 +248,7 @@ def _slow_pod_run(cluster, queries, hedge_reads, seed):
     )
     cluster.registry.fault_plan = plan
     searcher = cluster.searcher(
-        "owner0",
-        use_cache=False,
-        hedge_reads=hedge_reads,
-        hedge_delay_s=SLOW_POD_HEDGE_DELAY_S if hedge_reads else None,
+        "owner0", use_cache=False, hedge_after_s=hedge_after_s
     )
     original = coordinator.read_replicas
     coordinator.read_replicas = lambda pl_id: sorted(
@@ -277,10 +283,11 @@ def test_slow_pod_hedging():
     queries = _queries(corpus, random.Random(42))
     with _build_replicated(corpus) as cluster:
         up50, up95, up99, _h, _w = _slow_pod_run(
-            cluster, queries, hedge_reads=False, seed=1723
+            cluster, queries, hedge_after_s=None, seed=1723
         )
         hp50, hp95, hp99, hedged, wins = _slow_pod_run(
-            cluster, queries, hedge_reads=True, seed=1723
+            cluster, queries, hedge_after_s=SLOW_POD_HEDGE_DELAY_S,
+            seed=1723,
         )
         view = SampleView(cluster.metrics.samples())
         row = {
@@ -347,55 +354,114 @@ def test_slow_pod_hedging():
 
 # -- PR 10: instrumentation overhead ------------------------------------------
 
-#: Observability must be (nearly) free on the hot path: saturation qps
-#: with metrics hot and every query traced must stay at or above this
-#: fraction of the uninstrumented figure.
-GATE_INSTRUMENTATION_RATIO = 0.9
-#: Same rule as OVERLOAD_RATE_QPS: >= 2x the uninstrumented capacity,
-#: or the faster arm is capped by the offer and the ratio means nothing.
-INSTRUMENTATION_RATE_QPS = OVERLOAD_RATE_QPS
-INSTRUMENTATION_DURATION_S = 6.0
+#: Pinned per-query work of observability on the one-pod async-socket
+#: cluster (``_build``, 64-query log): spans a traced query records
+#: (client and server side, evictions included) and registry updates
+#: (``Counter.inc`` + ``Histogram.observe``) a query makes. Both are
+#: counts, not timings, so they cannot flake; the gate fails when
+#: either grows.
+SPANS_PER_TRACED_QUERY = 19.0
+REGISTRY_UPDATES_PER_QUERY = 8.0
+#: Untraced over traced time per query, one client thread, best of
+#: TIMING_PASSES interleaved passes, span ring full. On a 2-vCPU box it
+#: read 0.934-0.961 alone and 0.866-0.881 beside another test run, so
+#: the bar sits below both; a tracing cost grown by a quarter of a
+#: query still fails it.
+GATE_TRACE_TIME_RATIO = 0.8
+TIMING_PASSES = 9
+#: The open-loop overload run recorded beside the gates as
+#: information: saturation qps with metrics hot and a trace per query.
+INSTRUMENTATION_DURATION_S = 2.0
+
+
+def _run_log(searcher, queries, traced):
+    """Run the log once on this thread; returns seconds per query."""
+    begin = time.perf_counter()
+    for terms in queries:
+        searcher.search(
+            terms, top_k=10, fetch_snippets=False,
+            trace_id=new_trace_id() if traced else None,
+        )
+    return (time.perf_counter() - begin) / len(queries)
+
+
+def _registry_updates(searcher, queries):
+    """Registry updates the log makes, from every thread, per query."""
+    calls = itertools.count()
+    inc, observe = Counter.inc, Histogram.observe
+
+    def counted(original):
+        def wrapper(self, *args, **kwargs):
+            next(calls)  # one C-level step: no lost update across threads
+            return original(self, *args, **kwargs)
+        return wrapper
+
+    Counter.inc, Histogram.observe = counted(inc), counted(observe)
+    try:
+        _run_log(searcher, queries, traced=False)
+    finally:
+        Counter.inc, Histogram.observe = inc, observe
+    return next(calls) / len(queries)
 
 
 def test_instrumentation_overhead():
-    """Two saturation runs over the async backend: one with every
-    hot-path instrument disarmed and no traces, one with metrics hot
-    and a fresh trace id on every query. The gate is the PR 10
-    acceptance bar: instrumented saturation >=
-    ``GATE_INSTRUMENTATION_RATIO`` x uninstrumented saturation."""
+    """Observability's cost on the hot path, from quantities a busy box
+    cannot move (spans and registry updates per query) plus one timing
+    that it moves little (single-thread untraced over traced time, best
+    of interleaved passes). One open-loop overload run is recorded as
+    information, not gated: at 200 threads its ratio measured the box
+    more than the change."""
     corpus = _corpus()
     queries = _queries(corpus, random.Random(42))
-    saturation = {}
-    for arm in ("uninstrumented", "instrumented"):
-        with _build(corpus) as cluster:
-            if arm == "uninstrumented":
-                # Disarm every hot-path instrument: the client checks
-                # the coordinator's registry handle, the server its
-                # own. Collectors only run at dump time, so nothing
-                # else publishes on the hot path.
-                cluster.coordinator.metrics = None
-                cluster._socket_server.metrics = None
-            qps, _p50, _p95, _p99, completed = open_loop(
-                cluster,
-                queries,
-                INSTRUMENTATION_RATE_QPS,
-                INSTRUMENTATION_DURATION_S,
-                seed=1723,
-                traced=arm == "instrumented",
-            )
-            assert completed > 0
-            saturation[arm] = round(qps, 1)
-    ratio = saturation["instrumented"] / max(
-        saturation["uninstrumented"], 1e-9
-    )
+    with _build(corpus) as cluster:
+        searcher = cluster.searcher("owner0", use_cache=False)
+        _run_log(searcher, queries, traced=True)  # warm connection, caches
+        ring = global_spans()
+        ring.clear()
+        _run_log(searcher, queries, traced=True)
+        spans = (len(ring) + ring.dropped) / len(queries)
+        updates = _registry_updates(searcher, queries)
+        # Time the steady state of a long-lived process: the span ring
+        # full, so every traced record also evicts.
+        while not ring.dropped:
+            _run_log(searcher, queries, traced=True)
+        best = {"untraced": float("inf"), "traced": float("inf")}
+        for index in range(TIMING_PASSES):
+            arms = ("untraced", "traced")
+            for arm in arms if index % 2 == 0 else arms[::-1]:
+                best[arm] = min(
+                    best[arm], _run_log(searcher, queries, arm == "traced")
+                )
+        ring.clear()
+        qps, p50, _p95, p99, completed = open_loop(
+            cluster,
+            queries,
+            OVERLOAD_RATE_QPS,
+            INSTRUMENTATION_DURATION_S,
+            seed=1723,
+            traced=True,
+        )
+        assert completed > 0
+    ratio = best["untraced"] / best["traced"]
     row = {
-        "rate_qps": INSTRUMENTATION_RATE_QPS,
-        "duration_s": INSTRUMENTATION_DURATION_S,
-        "workers": WORKERS,
-        "uninstrumented_qps": saturation["uninstrumented"],
-        "instrumented_qps": saturation["instrumented"],
-        "ratio": round(ratio, 3),
-        "gate_ratio": GATE_INSTRUMENTATION_RATIO,
+        "queries": len(queries),
+        "spans_per_traced_query": spans,
+        "gate_spans_per_traced_query": SPANS_PER_TRACED_QUERY,
+        "registry_updates_per_query": updates,
+        "gate_registry_updates_per_query": REGISTRY_UPDATES_PER_QUERY,
+        "timing_passes": TIMING_PASSES,
+        "untraced_us_per_query": round(best["untraced"] * 1e6, 1),
+        "traced_us_per_query": round(best["traced"] * 1e6, 1),
+        "time_ratio": round(ratio, 3),
+        "gate_time_ratio": GATE_TRACE_TIME_RATIO,
+        "open_loop": {
+            "rate_qps": OVERLOAD_RATE_QPS,
+            "duration_s": INSTRUMENTATION_DURATION_S,
+            "workers": WORKERS,
+            "traced_qps": round(qps, 1),
+            "p50_ms": round(p50, 2),
+            "p99_ms": round(p99, 2),
+        },
     }
     # Merge into BENCH_load.json next to the slow-pod row (either test
     # may run alone; neither clobbers the other's numbers).
@@ -411,17 +477,33 @@ def test_instrumentation_overhead():
     emit(
         "instrumentation_overhead",
         [
-            "instrumentation overhead at saturation "
-            f"({WORKERS} workers, async-socket, "
-            f"{INSTRUMENTATION_DURATION_S:.0f} s overload)",
-            f"  uninstrumented: {saturation['uninstrumented']:8.1f} q/s",
-            f"  instrumented:   {saturation['instrumented']:8.1f} q/s "
-            "(metrics + a trace per query)",
-            f"  ratio {ratio:.3f} (gate >= {GATE_INSTRUMENTATION_RATIO})",
+            f"instrumentation overhead (one-pod async-socket cluster, "
+            f"{len(queries)}-query log)",
+            f"  spans per traced query:     {spans:6.1f} "
+            f"(gate <= {SPANS_PER_TRACED_QUERY})",
+            f"  registry updates per query: {updates:6.1f} "
+            f"(gate <= {REGISTRY_UPDATES_PER_QUERY})",
+            f"  one thread, best of {TIMING_PASSES}: untraced "
+            f"{best['untraced'] * 1e6:7.1f} us, traced "
+            f"{best['traced'] * 1e6:7.1f} us per query, ratio "
+            f"{ratio:.3f} (gate >= {GATE_TRACE_TIME_RATIO})",
+            f"  open loop, {WORKERS} workers, "
+            f"{INSTRUMENTATION_DURATION_S:.0f} s at "
+            f"{OVERLOAD_RATE_QPS:.0f} q/s offered, traced: "
+            f"{qps:.1f} q/s, p50 {p50:.1f} ms, p99 {p99:.1f} ms "
+            "(information, not gated)",
         ],
     )
-    assert ratio >= GATE_INSTRUMENTATION_RATIO, (
-        f"instrumented saturation {saturation['instrumented']:.1f} qps "
-        f"fell below {GATE_INSTRUMENTATION_RATIO}x the uninstrumented "
-        f"{saturation['uninstrumented']:.1f} qps"
+    assert spans <= SPANS_PER_TRACED_QUERY, (
+        f"a traced query records {spans:.2f} spans, more than the "
+        f"pinned {SPANS_PER_TRACED_QUERY}"
+    )
+    assert updates <= REGISTRY_UPDATES_PER_QUERY, (
+        f"a query makes {updates:.2f} registry updates, more than the "
+        f"pinned {REGISTRY_UPDATES_PER_QUERY}"
+    )
+    assert ratio >= GATE_TRACE_TIME_RATIO, (
+        f"a traced query took {best['traced'] * 1e6:.1f} us against "
+        f"{best['untraced'] * 1e6:.1f} us untraced (ratio {ratio:.3f} < "
+        f"{GATE_TRACE_TIME_RATIO})"
     )

@@ -8,8 +8,7 @@ Two tiers in front of the server fleet:
 - **L2** (:mod:`repro.cachetier.store` / :mod:`~repro.cachetier.service`):
   a memcache-shaped cache-tier server holding share-level entries,
   reachable as an ordinary protocol endpoint over every transport
-  backend, with pluggable eviction/admission policies
-  (:mod:`repro.cachetier.policies`).
+  backend, evicting least-recently-used entries.
 
 Both tiers obey the same two safety rules — invalidate before any
 write is delivered, re-key (and eagerly evict) on membership change —
@@ -19,13 +18,6 @@ none of its own.
 """
 
 from repro.cachetier.l1 import L1PostingCache
-from repro.cachetier.policies import (
-    POLICIES,
-    FrequencySketch,
-    LRUPolicy,
-    TinyLFUPolicy,
-    make_policy,
-)
 from repro.cachetier.service import CACHE_TIER_ENDPOINT, CacheTierService
 from repro.cachetier.store import CacheTierStore
 from repro.cachetier.wire import (
@@ -39,14 +31,9 @@ __all__ = [
     "CACHE_TIER_ENDPOINT",
     "CacheTierService",
     "CacheTierStore",
-    "FrequencySketch",
     "L1PostingCache",
-    "LRUPolicy",
-    "POLICIES",
-    "TinyLFUPolicy",
     "decode_entry",
     "encode_entry",
     "entry_key",
-    "make_policy",
     "parse_key",
 ]

@@ -12,33 +12,34 @@ not here. Note the values are share-*encoded* but not share-*safe*: an
 entry aggregates >= k shares per element, so the host this store runs
 on sits inside the trust boundary (see ``docs/ARCHITECTURE.md``).
 
+Eviction is least-recently-used, the searcher-local L1's discipline: a
+hit or an overwrite refreshes a key, a miss touches nothing, and a new
+key at capacity evicts the oldest one.
+
 Thread safety: the socket and async servers dispatch requests from
 multiple connection threads, so every public method takes the store
-lock. Eviction/admission decisions are delegated to a policy object
-(:mod:`repro.cachetier.policies`).
+lock.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 
 from repro.errors import ClusterError
-from repro.cachetier.policies import make_policy
 
 
 class CacheTierStore:
-    """A bounded, policy-driven, invalidation-indexed byte store."""
+    """A bounded, LRU-evicting, invalidation-indexed byte store."""
 
-    def __init__(self, capacity: int = 4096, policy: str = "lru") -> None:
+    def __init__(self, capacity: int = 4096) -> None:
         if capacity < 0:
             raise ClusterError(
                 f"cache-tier capacity must be >= 0, got {capacity}"
             )
         self.capacity = capacity
-        self.policy_name = policy
-        self._policy = make_policy(policy, capacity)
-        #: key -> (pl_id, value)
-        self._entries: dict[str, tuple[int, bytes]] = {}
+        #: key -> (pl_id, value), least recently used first
+        self._entries: OrderedDict[str, tuple[int, bytes]] = OrderedDict()
         #: pl_id -> keys currently cached for that list (the
         #: invalidation index — a write must evict every entry of its
         #: list without scanning the store).
@@ -48,7 +49,6 @@ class CacheTierStore:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        self.rejections = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -56,16 +56,16 @@ class CacheTierStore:
 
     def get(self, key: str) -> bytes | None:
         with self._lock:
-            self._policy.touch(key)
             entry = self._entries.get(key)
             if entry is None:
                 self.misses += 1
                 return None
+            self._entries.move_to_end(key)
             self.hits += 1
             return entry[1]
 
     def put(self, key: str, pl_id: int, value: bytes) -> bool:
-        """Store ``value``; returns False when admission rejected it."""
+        """Store ``value``; returns False when the capacity is 0."""
         if self.capacity == 0:
             return False
         with self._lock:
@@ -75,17 +75,14 @@ class CacheTierStore:
                     self._unindex(key, old_pl)
                     self._keys_of_pl.setdefault(pl_id, set()).add(key)
                 self._entries[key] = (pl_id, value)
-                self._policy.touch(key)
+                self._entries.move_to_end(key)
                 return True
             if len(self._entries) >= self.capacity:
-                victim = self._policy.admit(key)
-                if victim is None:
-                    self.rejections += 1
-                    return False
-                self._evict(victim)
+                victim, (victim_pl, _) = self._entries.popitem(last=False)
+                self._unindex(victim, victim_pl)
+                self.evictions += 1
             self._entries[key] = (pl_id, value)
             self._keys_of_pl.setdefault(pl_id, set()).add(key)
-            self._policy.record_insert(key)
             return True
 
     def invalidate(self, pl_id: int) -> int:
@@ -96,22 +93,13 @@ class CacheTierStore:
                 return 0
             for key in keys:
                 self._entries.pop(key, None)
-                self._policy.record_evict(key)
             self.invalidations += len(keys)
             return len(keys)
 
     def clear(self) -> None:
         with self._lock:
-            for key in list(self._entries):
-                self._policy.record_evict(key)
             self._entries.clear()
             self._keys_of_pl.clear()
-
-    def _evict(self, key: str) -> None:
-        pl_id, _ = self._entries.pop(key)
-        self._unindex(key, pl_id)
-        self._policy.record_evict(key)
-        self.evictions += 1
 
     def _unindex(self, key: str, pl_id: int) -> None:
         keys = self._keys_of_pl.get(pl_id)
@@ -123,12 +111,10 @@ class CacheTierStore:
     def stats_snapshot(self) -> dict:
         with self._lock:
             return {
-                "policy": self.policy_name,
                 "entries": len(self._entries),
                 "capacity": self.capacity,
                 "hits": self.hits,
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
-                "rejections": self.rejections,
             }

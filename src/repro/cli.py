@@ -481,14 +481,13 @@ def _cache_status_lines(view) -> list:
             f"{int(view.value('zerber_l1_invalidations', 0))} "
             f"invalidations"
         )
-    policies = view.label_values("zerber_cache_tier_info", "policy")
-    if policies:
+    if view.value("zerber_cache_tier_capacity") is not None:
         hits = int(view.value("zerber_cache_tier_hits", 0))
         misses = int(view.value("zerber_cache_tier_misses", 0))
         total = hits + misses
         rate = (hits / total * 100.0) if total else 0.0
         lines.append(
-            f"L2 (shared tier, policy {policies[0]}): "
+            "L2 (shared tier, LRU): "
             f"{int(view.value('zerber_cache_tier_entries', 0))}"
             f"/{int(view.value('zerber_cache_tier_capacity', 0))} "
             f"entries, {hits} hits / {misses} misses "
@@ -496,9 +495,7 @@ def _cache_status_lines(view) -> list:
             f"{int(view.value('zerber_cache_tier_evictions', 0))} "
             f"evictions, "
             f"{int(view.value('zerber_cache_tier_invalidations', 0))} "
-            f"invalidations, "
-            f"{int(view.value('zerber_cache_tier_rejections', 0))} "
-            f"rejections"
+            f"invalidations"
         )
     return lines
 
@@ -930,9 +927,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--documents", type=int, default=40)
         p.add_argument("--seed", type=int, default=7)
         p.add_argument(
-            "--cache-tier", choices=("lru", "tinylfu"), default=None,
-            help="embed a shared L2 cache-tier endpoint with this "
-                 "eviction/admission policy",
+            "--cache-tier", choices=("lru",), default=None,
+            help="embed a shared L2 cache-tier endpoint (least-recently-"
+                 "used eviction)",
         )
         p.add_argument(
             "--l1-entries", type=int, default=0,
@@ -1069,9 +1066,9 @@ def build_parser() -> argparse.ArgumentParser:
              "before cutting them off and exiting nonzero (default: 5)",
     )
     serve.add_argument(
-        "--cache-tier", choices=("lru", "tinylfu"), default=None,
-        help="also serve a shared cache-tier endpoint ('cache-tier') "
-             "with this eviction/admission policy",
+        "--cache-tier", choices=("lru",), default=None,
+        help="also serve a shared cache-tier endpoint ('cache-tier', "
+             "least-recently-used eviction)",
     )
     serve.set_defaults(func=_cmd_serve, l1_entries=0)
 

@@ -157,8 +157,7 @@ class SearchClient:
         verify_consistency: bool = False,
         use_cache: bool = True,
         transport: Transport | None = None,
-        hedge_reads: bool = False,
-        hedge_delay_s: float | None = None,
+        hedge_after_s: float | None = None,
         cache_tier: str | None = None,
         l1_entries: int = 0,
     ) -> None:
@@ -181,17 +180,16 @@ class SearchClient:
         transport: where protocol messages go; defaults to the
             coordinator's transport (deployments pass their own — the
             in-process registry or a socket client).
-        hedge_reads: re-send a wave's lookups still unanswered after
-            the hedge delay to a backup replica pod, first answer wins;
-            failover replacements and escalations are hedged like
-            first choices. Replicas hold byte-identical slot shares, so
-            results never differ; hedging spends extra lookup messages.
-            Needs the async socket: in process every lookup settles
-            before the delay, so it is a no-op there.
-        hedge_delay_s: fixed hedge delay override; None (default)
-            derives it per round, the minimum over its pods of
-            :meth:`ClusterCoordinator.hedge_delay_s` (the replica pods'
-            observed p95 fetch latency).
+        hedge_after_s: when given, re-send a wave's lookups still
+            unanswered after this many seconds to a backup replica pod,
+            first answer wins; 0 sends each backup right behind its
+            primary, and a negative value is a
+            :class:`~repro.errors.ReproError`. None (default) never
+            hedges. Failover replacements and escalations are hedged
+            like first choices. Replicas hold byte-identical slot
+            shares, so results never differ; hedging spends extra
+            lookup messages. Needs the async socket: in process every
+            lookup settles before the delay, so it is a no-op there.
         cache_tier: endpoint name of a shared cache-tier service
             (:class:`repro.cachetier.CacheTierService`); None (default)
             skips the L2 consult entirely. Gated like the L1
@@ -204,6 +202,10 @@ class SearchClient:
             network and Lagrange reconstruction while staying
             byte-identical to fresh fetches.
         """
+        if hedge_after_s is not None and hedge_after_s < 0:
+            raise ReproError(
+                f"hedge_after_s must be >= 0 or None, got {hedge_after_s}"
+            )
         self.user_id = user_id
         self._token = token
         self._coordinator = coordinator
@@ -216,8 +218,7 @@ class SearchClient:
         self._share_bytes = self._scheme.field.share_bytes
         self._transport = transport or coordinator.transport
         self._use_cache = use_cache
-        self._hedge_reads = hedge_reads
-        self._hedge_delay_s = hedge_delay_s
+        self._hedge_after_s = hedge_after_s
         self._cache_tier = cache_tier
         self._l1: L1PostingCache | None = None
         if l1_entries:
@@ -513,16 +514,16 @@ class SearchClient:
         timed on the coordinator clock from its first request leaving
         to its last answer arriving. Never raises on a degraded pod.
 
-        With ``hedge_reads`` a lookup's backup is the same request to
-        the seat at its slot index in the pod's backup replica
-        (:meth:`_hedge_backup`, named once a round), which holds the
-        same x-coordinate's shares, unless the ledger marks it
-        incomplete.
+        With ``hedge_after_s`` set, a lookup's backup is the same
+        request to the seat at its slot index in the pod's backup
+        replica (:meth:`_hedge_backup`, named once a round), which
+        holds the same x-coordinate's shares, unless the ledger marks
+        it incomplete.
         """
         k = self._scheme.k
         coordinator = self._coordinator
-        # The injected clock times pods: breakers, hedge p95s and the
-        # EWMA share one source, so a fake clock moves them together.
+        # The injected clock times pods: breakers and the EWMA share
+        # one source, so a fake clock moves them together.
         clock = coordinator.clock
         stale_seats = coordinator.ledger.stale_seats
         ladders = []
@@ -535,15 +536,10 @@ class SearchClient:
             want = max(k, min(num_servers, len(pod.slots)))
             ladders.append(SeatLadder(plan, want))
         outcomes = [PodFetchOutcome() for _ in jobs]
-        delay_s = 0.0
-        if self._hedge_reads:
+        hedge_after_s = self._hedge_after_s
+        if hedge_after_s is not None:
             for outcome, (_pod, lists) in zip(outcomes, jobs):
                 outcome.backup = self._hedge_backup(lists, tried)
-            delay_s = self._hedge_delay_s
-            if delay_s is None:
-                delay_s = min(
-                    coordinator.hedge_delay_s(lists[0]) for _pod, lists in jobs
-                )
         # Leg ``index`` of a wave is an ask, or past the wave's asks the
         # backup of ask ``index % len(wave)``. A pod's first send of
         # each leg kind is kept across waves.
@@ -564,7 +560,7 @@ class SearchClient:
                 for _job, slot, ids in wave
             ]
             backups = None
-            if self._hedge_reads:
+            if hedge_after_s is not None:
                 backups = []
                 for (job, slot, ids), (_seat, request) in zip(wave, calls):
                     pod = outcomes[job].backup
@@ -596,7 +592,7 @@ class SearchClient:
                 on_sent=on_sent,
                 on_done=on_done,
                 backups=backups,
-                hedge_after_s=delay_s,
+                hedge_after_s=hedge_after_s or 0.0,
             )
             for index, ((job, slot, _ids), reply) in enumerate(
                 zip(wave, replies)

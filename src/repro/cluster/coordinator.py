@@ -33,7 +33,6 @@ from __future__ import annotations
 import threading
 import time
 import weakref
-from collections import deque
 from typing import Callable, Iterable, Sequence
 
 from repro.client.owner import DroppedRoute, WriteRoute
@@ -58,13 +57,6 @@ READ_LATENCY_ALPHA = 0.25
 #: place, and ties fall back to the load counters deterministically.
 READ_LATENCY_BUCKET_S = 1e-4
 
-#: Recent whole-fetch latency samples kept per pod for the p95 the
-#: hedged-read delay derives from.
-LATENCY_SAMPLE_WINDOW = 64
-
-#: Hedge delay when no pod of the list has latency samples yet.
-DEFAULT_HEDGE_DELAY_S = 0.05
-
 
 class ClusterCoordinator:
     """Control plane of a sharded Zerber cluster.
@@ -82,7 +74,6 @@ class ClusterCoordinator:
         pods: Sequence[Pod],
         groups: GroupDirectory,
         transport: Transport,
-        virtual_nodes: int = 64,
         replication_factor: int = 1,
         clock: Callable[[], float] = time.monotonic,
         metrics: "MetricsRegistry | None" = None,
@@ -96,16 +87,15 @@ class ClusterCoordinator:
         transport: the endpoint registry, with every seat registered,
             that the control plane's admin traffic (cache-tier
             invalidations, list transfers and drops) flows through.
-        virtual_nodes: ring smoothness for pod placement.
         replication_factor: pods each merged posting list lives on.
             1 reproduces the PR 1 single-owner sharding; >= 2 keeps
             every list fully readable with an entire pod dead.
         clock: the single monotonic clock behind every latency-
             sensitive path the coordinator owns — breaker open/half-open
-            windows, :meth:`note_pod_read` EWMA + p95 samples, and
-            (through :attr:`clock`) the search clients' per-pod fetch
-            timing. Inject a fake to make latency tests deterministic
-            without sleeps.
+            windows, the :meth:`note_pod_read` EWMA, and (through
+            :attr:`clock`) the search clients' per-pod fetch timing.
+            Inject a fake to make latency tests deterministic without
+            sleeps.
         metrics: optional observability registry; when set,
             :meth:`note_pod_read` publishes per-pod fetch latency
             histograms and read counters into it on the hot path.
@@ -130,14 +120,13 @@ class ClusterCoordinator:
         self.pods = list(pods)
         self.replication_factor = replication_factor
         self._pod_by_name = {pod.name: pod for pod in self.pods}
-        self._ring = ConsistentHashRing(names, virtual_nodes=virtual_nodes)
+        self._ring = ConsistentHashRing(names)
         self._placement_memo: dict[int, tuple[Pod, ...]] = {}
         self._groups = groups
         self.transport = transport
-        #: The injected monotonic clock (satellite of the observability
-        #: PR): breakers, hedge-delay p95 samples, and the clients'
-        #: fetch timing all read this one source, so a fake clock moves
-        #: every latency surface together.
+        #: The injected monotonic clock: breakers, the read-latency
+        #: EWMA and the clients' fetch timing all read this one source,
+        #: so a fake clock moves every latency surface together.
         self.clock = clock
         #: Optional observability registry note_pod_read publishes into.
         self.metrics = metrics
@@ -171,9 +160,6 @@ class ClusterCoordinator:
         #: :meth:`read_replicas` (never forbids it — when everything is
         #: open the failover ladder still tries every replica).
         self.breakers = BreakerRegistry(clock=clock)
-        #: pod name -> recent whole-fetch latency samples (seconds),
-        #: the raw material for :meth:`pod_latency_p95`.
-        self._pod_latency_samples: dict[str, deque] = {}
         #: Searcher-local L1 caches subscribed to write invalidations.
         #: Weakly referenced: a searcher that goes away takes its L1
         #: with it, with no unsubscribe ceremony.
@@ -257,7 +243,6 @@ class ClusterCoordinator:
         with self._read_stats_lock:
             self.pod_read_load.pop(pod.name, None)
             self.pod_read_latency.pop(pod.name, None)
-            self._pod_latency_samples.pop(pod.name, None)
         self.breakers.forget(pod.name)
 
 
@@ -559,15 +544,6 @@ class ClusterCoordinator:
                     else previous
                     + READ_LATENCY_ALPHA * (per_list - previous)
                 )
-                # Whole-fetch samples (not per-list): the hedged-read
-                # delay races whole fetch legs, so its p95 must be in
-                # the same unit.
-                samples = self._pod_latency_samples.get(pod_name)
-                if samples is None:
-                    samples = self._pod_latency_samples[pod_name] = deque(
-                        maxlen=LATENCY_SAMPLE_WINDOW
-                    )
-                samples.append(latency_s)
         # Registry publication happens outside _read_stats_lock: the
         # instruments carry their own locks, and holding two at once
         # would order this lock against every metrics reader.
@@ -579,37 +555,6 @@ class ClusterCoordinator:
                 self.metrics.histogram(
                     "zerber_pod_fetch_latency_seconds", pod=pod_name
                 ).observe(latency_s)
-
-    def pod_latency_p95(self, pod_name: str) -> float | None:
-        """p95 of the pod's recent whole-fetch latencies (None: no data)."""
-        with self._read_stats_lock:
-            samples = self._pod_latency_samples.get(pod_name)
-            if not samples:
-                return None
-            ordered = sorted(samples)
-        return ordered[int(0.95 * (len(ordered) - 1))]
-
-    def hedge_delay_s(
-        self, pl_id: int, fallback: float = DEFAULT_HEDGE_DELAY_S
-    ) -> float:
-        """How long a hedged read waits before firing its backup leg.
-
-        The delay is the *minimum* over the list's replica pods of
-        their p95 fetch latency: "if the best replica would have
-        answered by now 95% of the time, something is wrong with this
-        leg." Deriving it from the contacted pod instead would
-        self-defeat exactly when hedging matters — a stalling pod's own
-        p95 *is* the stall, so the hedge would never fire.
-        """
-        best: float | None = None
-        for pod in self.pods_of(pl_id):
-            p95 = self.pod_latency_p95(pod.name)
-            if p95 is not None and (best is None or p95 < best):
-                best = p95
-        if best is None:
-            return fallback
-        return max(best, 1e-4)
-
 
     # -- introspection ---------------------------------------------------------------
 

@@ -75,7 +75,6 @@ class ClusterDeployment(Installation, Membership, AntiEntropy):
         use_network: bool = False,
         batch_policy: BatchPolicy | None = None,
         cache_entries: int = 0,
-        virtual_nodes: int = 64,
         wal_dir: str | pathlib.Path | None = None,
         replication_factor: int = 1,
         seed: int = 0x2E4B,
@@ -104,7 +103,6 @@ class ClusterDeployment(Installation, Membership, AntiEntropy):
             share cache. The keyword stays only because the benchmark
             scenario still passes ``cache_entries=0``, and goes once
             that scenario stops.
-        virtual_nodes: consistent-hash smoothness for pod placement.
         wal_dir: when given, every server gets a durable seat store
             under this directory and :meth:`restart_server` recovers
             from it.
@@ -143,19 +141,21 @@ class ClusterDeployment(Installation, Membership, AntiEntropy):
             without limit. None (default) admits everything — the
             byte-level equivalence suites depend on an unbounded
             server, so shedding is strictly opt-in.
-        cache_tier: when given, the eviction/admission policy name
-            (``"lru"`` or ``"tinylfu"``) of an embedded shared L2
-            cache-tier service, registered as the ordinary protocol
-            endpoint ``"cache-tier"`` — so it is reachable over every
-            transport backend — and wired into the coordinator's
-            write-path invalidation fan-out. None (default) runs
-            without a cache tier.
+        cache_tier: ``"lru"`` embeds a shared L2 cache-tier service
+            (least-recently-used eviction), registered as the ordinary
+            protocol endpoint ``"cache-tier"`` — so it is reachable
+            over every transport backend — and wired into the
+            coordinator's write-path invalidation fan-out. None
+            (default) runs without a cache tier; anything else is a
+            :class:`~repro.errors.ClusterError`, raised before any pod
+            is built. The keyword takes a name rather than a flag
+            because the benchmark scenario passes ``"lru"``.
         cache_tier_entries: L2 cache-tier capacity in entries.
         l1_entries: default searcher-local L1 capacity (reconstructed
             postings); 0 (default) disables the L1. Per-searcher
             overrides via ``searcher(..., l1_entries=...)``.
         clock: the monotonic clock behind every coordinator latency
-            surface (fetch timing, EWMA/p95, breakers, hedge delays).
+            surface (fetch timing, the read-latency EWMA, breakers).
             Inject a fake for deterministic latency tests — no sleeps.
         """
         if num_pods < 1:
@@ -177,6 +177,11 @@ class ClusterDeployment(Installation, Membership, AntiEntropy):
             raise ClusterError(
                 f"unknown storage engine {storage!r}; the only engine is "
                 "'segmented'"
+            )
+        if cache_tier not in (None, "lru"):
+            raise ClusterError(
+                f"unknown cache tier {cache_tier!r}; the only tier is "
+                "'lru'"
             )
         super().__init__(
             mapping_table, k, n, field, packing, use_network, batch_policy, seed
@@ -207,7 +212,6 @@ class ClusterDeployment(Installation, Membership, AntiEntropy):
                 pods=pods,
                 groups=self.groups,
                 transport=self.registry,
-                virtual_nodes=virtual_nodes,
                 replication_factor=replication_factor,
                 clock=clock,
                 metrics=self.metrics,
@@ -225,9 +229,7 @@ class ClusterDeployment(Installation, Membership, AntiEntropy):
                 # The L2 tier is just another endpoint on the shared
                 # registry, so every transport backend reaches it through
                 # the same dispatch path as the index servers.
-                self.cache_tier_store = CacheTierStore(
-                    capacity=cache_tier_entries, policy=cache_tier
-                )
+                self.cache_tier_store = CacheTierStore(cache_tier_entries)
                 # The tier holds the same enterprise trust anchors an index
                 # server holds: it authenticates every get/put and checks
                 # the key's fingerprint against the live group table.
@@ -282,9 +284,7 @@ class ClusterDeployment(Installation, Membership, AntiEntropy):
             for key, value in server.admission.stats().items():
                 yield f"zerber_admission_{key}", {}, value or 0
         if self.cache_tier_store is not None:
-            snap = self.cache_tier_store.stats_snapshot()
-            yield "zerber_cache_tier_info", {"policy": snap.pop("policy")}, 1
-            for key, value in snap.items():
+            for key, value in self.cache_tier_store.stats_snapshot().items():
                 yield f"zerber_cache_tier_{key}", {}, value
         # Searcher-local L1s are per-client; the coordinator keeps the
         # fleet view (live sizes, lifetime counters).

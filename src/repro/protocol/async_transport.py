@@ -106,6 +106,10 @@ _SHUTDOWN_GRACE_S = 0.5
 #: "connect timed out" TransportError.
 _CONNECT_TIMEOUT_S = 5.0
 
+#: How long a client waits for a call's answers before a typed
+#: "timed out" TransportError (an ambient deadline can shorten it).
+_TIMEOUT_S = 30.0
+
 
 def _parse_frames(buffer: bytearray) -> list[tuple[int, bytes]]:
     """Consume every complete frame at the front of ``buffer``.
@@ -540,13 +544,8 @@ class AsyncSocketTransport(Transport):
     in-flight calls with the typed "transport is closed" message.
     """
 
-    def __init__(
-        self,
-        address: tuple[str, int],
-        timeout_s: float = 30.0,
-    ) -> None:
+    def __init__(self, address: tuple[str, int]) -> None:
         self._address = (address[0], int(address[1]))
-        self._timeout_s = timeout_s
         self._retry_policy = RetryPolicy()
         self._closed = False
         #: The live connection as one atomically-swapped pair, so an
@@ -701,7 +700,7 @@ class AsyncSocketTransport(Transport):
                 for index in range(count):
                     on_sent(index)
             corr_ids += self._send_legs(sock, wstate, payloads, pending)
-            wait_s = self._timeout_s
+            wait_s = _TIMEOUT_S
             if deadline is not None:
                 wait_s = min(wait_s, max(deadline.remaining_s(), 1e-4))
             give_up = time.monotonic() + wait_s
@@ -772,7 +771,7 @@ class AsyncSocketTransport(Transport):
             else:
                 late = TransportError(
                     f"async round-trip to {self._address[0]}:"
-                    f"{self._address[1]} timed out after {self._timeout_s}s"
+                    f"{self._address[1]} timed out after {_TIMEOUT_S}s"
                 )
             outcomes = [late if o is None else o for o in outcomes]
         return outcomes

@@ -149,21 +149,11 @@ class CircuitBreaker:
 
 
 class BreakerRegistry:
-    """Breakers keyed by pod name, created on first observation."""
+    """Breakers keyed by pod name, created on first observation, each
+    with :class:`CircuitBreaker`'s default threshold and cooldowns."""
 
-    def __init__(
-        self,
-        failure_threshold: int = 3,
-        cooldown_s: float = 1.0,
-        max_cooldown_s: float = 30.0,
-        clock: Callable[[], float] = time.monotonic,
-    ) -> None:
-        self._factory = lambda: CircuitBreaker(
-            failure_threshold=failure_threshold,
-            cooldown_s=cooldown_s,
-            max_cooldown_s=max_cooldown_s,
-            clock=clock,
-        )
+    def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
+        self._clock = clock
         self._lock = threading.Lock()
         self._breakers: dict[str, CircuitBreaker] = {}
 
@@ -171,7 +161,9 @@ class BreakerRegistry:
         with self._lock:
             breaker = self._breakers.get(name)
             if breaker is None:
-                breaker = self._breakers[name] = self._factory()
+                breaker = self._breakers[name] = CircuitBreaker(
+                    clock=self._clock
+                )
             return breaker
 
     def record_success(self, name: str) -> None:

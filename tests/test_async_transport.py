@@ -278,7 +278,7 @@ class TestPipelinedFetchRound:
             documents, replication_factor=2, transport="async-socket"
         ) as cluster:
             searcher = cluster.searcher(
-                "owner0", use_cache=False, hedge_reads=True, hedge_delay_s=0.0
+                "owner0", use_cache=False, hedge_after_s=0.0
             )
             for start in range(0, len(vocabulary), 4):
                 writes.clear()
@@ -396,7 +396,7 @@ class TestPipelinedFetchRound:
             documents, replication_factor=2, transport="async-socket"
         ) as cluster:
             cluster.kill_server(0, 0)
-            totals = run(cluster, hedge_reads=True, hedge_delay_s=0.0)
+            totals = run(cluster, hedge_after_s=0.0)
             assert totals["hedged_fetches"] > 0
 
 

@@ -1,4 +1,4 @@
-"""The tiered cache subsystem: policies, store, wire format, service,
+"""The tiered cache subsystem: store, wire format, service,
 searcher-local L1, and full-cluster integration over every transport.
 
 The acceptance property throughout: a cached read is byte-identical to
@@ -21,12 +21,10 @@ from repro.cachetier import (
     CACHE_TIER_ENDPOINT,
     CacheTierService,
     CacheTierStore,
-    FrequencySketch,
     L1PostingCache,
     decode_entry,
     encode_entry,
     entry_key,
-    make_policy,
 )
 from repro.cachetier.wire import parse_key
 from repro.cluster import ClusterDeployment
@@ -57,58 +55,6 @@ from repro.server.groups import GroupDirectory
 from repro.server.index_server import PostingListResponse, ShareRecord
 
 
-class TestPolicies:
-    def test_lru_evicts_least_recently_used(self):
-        policy = make_policy("lru", 3)
-        for key in ("a", "b", "c"):
-            policy.record_insert(key)
-        policy.touch("a")  # refresh: b is now the oldest
-        assert policy.admit("d") == "b"
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ClusterError):
-            make_policy("clock", 8)
-
-    def test_sketch_estimates_track_increments(self):
-        sketch = FrequencySketch(width=64)
-        for _ in range(5):
-            sketch.increment("hot")
-        assert sketch.estimate("hot") >= 5
-        assert sketch.estimate("never-seen") == 0
-
-    def test_sketch_counters_saturate_and_age(self):
-        sketch = FrequencySketch(width=8, sample_size=1000)
-        for _ in range(100):
-            sketch.increment("hot")
-        assert sketch.estimate("hot") == 15  # saturation, not 100
-        sketch._age()
-        assert sketch.estimate("hot") <= 7
-
-    def test_sketch_is_deterministic_across_instances(self):
-        # crc32 with fixed seeds, not salted hash(): two sketches fed
-        # the same stream agree exactly (BENCH reproducibility).
-        a, b = FrequencySketch(width=32), FrequencySketch(width=32)
-        for key in ("x", "y", "x", "z", "x"):
-            a.increment(key)
-            b.increment(key)
-        for key in ("x", "y", "z", "w"):
-            assert a.estimate(key) == b.estimate(key)
-
-    def test_tinylfu_rejects_cold_candidate_keeps_hot_victim(self):
-        policy = make_policy("tinylfu", 2)
-        for key in ("hot", "warm"):
-            policy.record_insert(key)
-        for _ in range(6):
-            policy.touch("hot")
-            policy.touch("warm")
-        # A key nobody has asked for must not flush the hot head.
-        assert policy.admit("one-hit-wonder") is None
-        # Sustained demand eventually wins admission.
-        for _ in range(8):
-            policy.touch("riser")
-        assert policy.admit("riser") is not None
-
-
 class TestCacheTierStore:
     def test_get_put_and_counters(self):
         store = CacheTierStore(capacity=8)
@@ -126,6 +72,16 @@ class TestCacheTierStore:
         store.put("c", 2, b"2")
         assert store.get("b") is None
         assert store.get("a") == b"0"
+        assert store.evictions == 1
+
+    def test_overwrite_refreshes_recency(self):
+        store = CacheTierStore(capacity=2)
+        store.put("a", 0, b"0")
+        store.put("b", 1, b"1")
+        store.put("a", 0, b"0'")  # overwrite: b is the LRU victim
+        store.put("c", 2, b"2")
+        assert store.get("b") is None
+        assert store.get("a") == b"0'"
         assert store.evictions == 1
 
     def test_invalidate_evicts_every_key_of_the_list(self):
@@ -149,15 +105,6 @@ class TestCacheTierStore:
         store = CacheTierStore(capacity=0)
         assert not store.put("k", 0, b"v")
         assert store.get("k") is None
-
-    def test_tinylfu_store_counts_rejections(self):
-        store = CacheTierStore(capacity=1, policy="tinylfu")
-        for _ in range(5):
-            store.get("hot")  # feeds the sketch
-        store.put("hot", 0, b"h")
-        assert not store.put("cold", 1, b"c")  # admission rejected
-        assert store.rejections == 1
-        assert store.get("hot") == b"h"
 
 
 class TestWireFormat:
@@ -285,9 +232,6 @@ class TestCacheTierService:
             view = SampleView(cluster.metrics.samples())
             assert view.value("zerber_cache_tier_hits") == 1
             assert view.value("zerber_cache_tier_misses") == 2
-            assert view.label_values("zerber_cache_tier_info", "policy") == [
-                "lru"
-            ]
 
     def test_forged_key_for_foreign_group_is_rejected(self):
         """The high-severity regression: a key claims a fingerprint the
@@ -887,6 +831,15 @@ class TestClusterIntegration:
         with pytest.raises(ClusterError, match="l1_entries"):
             ClusterDeployment(table, num_pods=1, cache_entries=4096)
         ClusterDeployment(table, num_pods=1, cache_entries=0).close()
+
+    @pytest.mark.parametrize("name", ["tinylfu", "clock"])
+    def test_cache_tier_accepts_only_lru(self, name, tmp_path):
+        """The L2 has one eviction policy: any other name is a typed
+        error naming ``lru``, raised before any seat store exists."""
+        table = MappingTable({}, num_lists=4)
+        with pytest.raises(ClusterError, match="'lru'"):
+            ClusterDeployment(table, cache_tier=name, wal_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
 
     def test_racing_fill_cannot_reinstall_pre_write_shares(self):
         """Fill-race regression: a reader holding pre-write shares runs

@@ -214,8 +214,7 @@ class TestWireChaos:
                 cluster,
                 plan,
                 budget_s=WIRE_BUDGET_S,
-                hedge_reads=True,
-                hedge_delay_s=0.005,
+                hedge_after_s=0.005,
             )
             assert_identical_or_typed(cluster, outcomes, results)
             assert all(count > 0 for count in plan.injected.values()), (
@@ -261,8 +260,7 @@ class TestSlowSeatStalls:
             searcher = cluster.searcher(
                 "owner0",
                 use_cache=False,
-                hedge_reads=True,
-                hedge_delay_s=0.005,
+                hedge_after_s=0.005,
             )
             hedged = 0
             for _round in range(2):

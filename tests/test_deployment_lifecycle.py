@@ -84,7 +84,7 @@ class TestDispatcherLeak:
         cluster = _cluster(transport="async-socket")
         # R=2 gives every pod a backup; a zero delay sends all of them.
         searcher = cluster.searcher(
-            "alice", use_cache=False, hedge_reads=True, hedge_delay_s=0.0
+            "alice", use_cache=False, hedge_after_s=0.0
         )
         searcher.search(["alpha", "beta", "w0", "w3"], top_k=5,
                         fetch_snippets=False)

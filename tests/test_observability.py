@@ -711,5 +711,5 @@ class TestDashboards:
         out = capsys.readouterr().out
         assert code == 0
         assert "L1 (searcher-local" in out
-        assert "L2 (shared tier, policy lru)" in out
+        assert "L2 (shared tier, LRU)" in out
         assert "hit rate" in out

@@ -523,12 +523,11 @@ class TestHedgedReads:
         )
         with plain, hedged:
             baseline = plain.searcher("owner0", use_cache=False)
-            # hedge_delay_s=0 sends every backup right behind its
+            # hedge_after_s=0 sends every backup right behind its
             # primary — the maximally racy configuration.
             racy = hedged.searcher(
                 "owner0",
-                hedge_reads=True,
-                hedge_delay_s=0.0,
+                hedge_after_s=0.0,
                 use_cache=False,
             )
             for terms in (["w1"], ["w2", "w3"], ["w0", "w5"]):
@@ -560,8 +559,7 @@ class TestHedgedReads:
             )
             searcher = cluster.searcher(
                 "owner0",
-                hedge_reads=True,
-                hedge_delay_s=0.02,
+                hedge_after_s=0.02,
                 use_cache=False,
             )
             started = time.monotonic()
@@ -585,8 +583,7 @@ class TestHedgedReads:
         with cluster:
             searcher = cluster.searcher(
                 "owner0",
-                hedge_reads=True,
-                hedge_delay_s=0.0,
+                hedge_after_s=0.0,
                 use_cache=False,
             )
             plain = cluster.searcher("owner0", use_cache=False)
@@ -598,15 +595,14 @@ class TestHedgedReads:
 
     def test_hedging_in_process_is_a_no_op(self):
         """In process every lookup settles before any delay passes, so
-        ``hedge_reads=True`` sends no backup and answers identically."""
+        a hedging searcher sends no backup and answers identically."""
         documents = make_documents(num_docs=10)
         cluster = make_cluster(documents, num_pods=2, replication_factor=2)
         with cluster:
             plain = cluster.searcher("owner0", use_cache=False)
             hedged = cluster.searcher(
                 "owner0",
-                hedge_reads=True,
-                hedge_delay_s=0.0,
+                hedge_after_s=0.0,
                 use_cache=False,
             )
             for terms in (["w1"], ["w2", "w3"], ["w0", "w5"]):
@@ -616,20 +612,10 @@ class TestHedgedReads:
                 diag = hedged.last_cluster_diagnostics
                 assert (diag.hedged_fetches, diag.hedge_wins) == (0, 0)
 
-    def test_hedge_delay_derives_from_p95_samples(self):
-        documents = make_documents(num_docs=6)
-        cluster = make_cluster(
-            documents, num_pods=2, replication_factor=2
-        )
-        with cluster:
-            coordinator = cluster.coordinator
-            assert (
-                coordinator.hedge_delay_s(0, fallback=0.123) == 0.123
-            )
-            searcher = cluster.searcher("owner0")
-            searcher.search(["w1"], fetch_snippets=False)
-            delay = coordinator.hedge_delay_s(0)
-            assert 0 < delay < 10.0
+    def test_a_negative_hedge_delay_is_refused(self):
+        cluster = make_cluster(make_documents(num_docs=2))
+        with cluster, pytest.raises(ReproError, match="hedge_after_s"):
+            cluster.searcher("owner0", hedge_after_s=-1)
 
 
 def test_decode_message_roundtrip_still_clean():
