@@ -67,7 +67,8 @@
 #
 # The table ends with the numbers the roadmap tracks for the whole
 # tree: the line counts of src/ and tests/, of the largest module under
-# src/repro/cluster/ and under src/repro/protocol/, and of cli.py, and
+# src/repro/cluster/ and under src/repro/protocol/, of cli.py and of
+# the read path (client/searcher.py with client/fetch_round.py), and
 # the wall time of this run.
 #
 # The benches write their records under benchmarks/results/ as they
@@ -182,6 +183,10 @@ for tree in src/repro/cluster src/repro/protocol; do
 done
 printf '  %-28s %6s  %s\n' "$(wc -l <src/repro/cli.py)" "" \
     "lines in src/repro/cli.py"
+# The read path (items 10 and 18): the search client and its fetch round.
+printf '  %-28s %6s  %s\n' \
+    "$(cat src/repro/client/searcher.py src/repro/client/fetch_round.py | wc -l)" \
+    "" "lines in the read path (client/searcher.py + client/fetch_round.py)"
 printf '  %-28s %6s  %s\n' "" "$(($(date +%s) - started)) s" "wall time"
 if [ "$failed" -ne 0 ]; then
     echo "CI gate FAILED: ${failed} of ${#results[@]} gates" >&2

@@ -4,16 +4,17 @@
 lists in failover rounds: each round assigns every unfinished list to
 its next replica pod and asks the pods' seats in waves. This module
 holds the round's plain data and pure helpers — the per-query
-:class:`ClusterDiagnostics`, one pod's :class:`PodFetchOutcome`, the
-per-pod :class:`SeatLadder`, and the slot-map merge and shortfall test
-— so the client keeps only the steps that talk to seats and caches.
+:class:`ClusterDiagnostics`, one pod's :class:`PodFetch` (its seat walk
+and tallies), one list's :class:`ListAnswers` with the decision taken
+on them once a wave, and the slot-map merge — so the client keeps only
+the steps that talk to seats and caches.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import TYPE_CHECKING
 
 from repro.server.index_server import PostingListResponse
@@ -54,73 +55,88 @@ class ClusterDiagnostics:
     l2_hits: int = 0
 
 
-@dataclass
-class PodFetchOutcome:
-    """One pod's share of a fetch round, tallied apart and folded in pod
-    order once the round completes. ``latency_s`` is how long its
-    lookups were in flight, on the coordinator clock; ``backup_*`` is
-    the same for its hedge's replica pod."""
+class PodFetch:
+    """One pod's part of a fetch round: its walk over its seats and its
+    tallies, folded into the query's accounting in pod order.
 
-    contacted: bool = False
-    failovers: int = 0
-    escalations: int = 0
-    lookup_messages: int = 0
-    response_bytes: int = 0
-    latency_s: float = 0.0
+    The walk goes in slot order, one wave at a time: the first ``want``
+    seats with a trusted request, then a replacement for each seat that
+    failed, then, once ``want`` seats answered, one escalation a wave
+    for the lists still short of k shares (a seat with no trusted
+    request for them is skipped). ``plan`` is ``[(slot, trusted
+    lists)]``; a seat is passed once, asked or not. ``ranking`` is the
+    replica ranking the pod's first list came from, which names a
+    hedge's backup pod. Times are on the coordinator clock, the
+    ``backup_*`` ones for the backup pod; ``ended`` (traced rounds
+    only) is when the walk ran out.
+    """
+
+    # A round sets only what happens to the pod.
+    successes = response_bytes = 0
+    contacted = backup_answered = False
+    sent_at = backup_sent_at = ended = None
+    latency_s = backup_latency_s = 0.0
     backup: Pod | None = None
-    hedged: bool = False
-    backup_answered: bool = False
-    backup_latency_s: float = 0.0
-
-
-class SeatLadder:
-    """One pod's walk over its seats in slot order, one wave at a time:
-    the first ``want`` seats with a trusted request, then a replacement
-    for each seat that failed, then, once ``want`` seats answered, one
-    escalation a wave for the lists still short of k shares (a seat
-    with no trusted request for them is skipped). ``plan`` is
-    ``[(slot, trusted lists)]``; a seat is passed once, asked or not."""
+    backup_stale: dict[str, set[int]] | None = None
 
     def __init__(
-        self, plan: list[tuple[ServerSlot, list[int]]], want: int
+        self,
+        pod: Pod,
+        ranking: list[Pod],
+        lists: tuple[int, ...],
+        plan: list[tuple[ServerSlot, tuple[int, ...]]],
+        want: int,
+        merged: dict[int, ListAnswers],
     ) -> None:
+        self.pod = pod
+        self.ranking = ranking
+        self.lists = lists
         self._seats = iter(plan)
-        self._want = want
-        self.successes = 0
-        #: Lists still short of k shares (set by the round once
-        #: ``want`` seats answered).
-        self.shortfall: set[int] = set()
+        self.want = want
+        self._merged = merged
 
-    @property
-    def escalating(self) -> bool:
-        return self.successes >= self._want
-
-    def next_asks(self) -> list[tuple[ServerSlot, list[int]]]:
+    def next_asks(self) -> list[tuple[ServerSlot, tuple[int, ...]]]:
         """The next wave's ``[(slot, request)]``; empty once done, and
         on every later call."""
-        if not self.escalating:
-            trusted = ((slot, ids) for slot, ids in self._seats if ids)
-            return list(islice(trusted, self._want - self.successes))
-        if self.shortfall:
+        missing = self.want - self.successes
+        asks = []
+        if missing > 0:
             for slot, ids in self._seats:
-                request = sorted(p for p in ids if p in self.shortfall)
-                if request:
-                    return [(slot, request)]
-        return []
+                if ids:
+                    asks.append((slot, ids))
+                    if len(asks) == missing:
+                        break
+            return asks
+        short = {p for p in self.lists if self._merged[p].short}
+        for slot, ids in self._seats if short else ():
+            request = tuple(p for p in ids if p in short)
+            if request:
+                return [(slot, request)]
+        return asks
 
 
-def share_shortfall(slot_map: dict[int, PostingListResponse], k: int) -> bool:
-    """True when some element of the list has < k shares so far.
+class ListAnswers(dict):
+    """One list's answers so far, ``slot index -> response``, and what
+    the wave that last changed them decided (:meth:`decide`)."""
 
-    A slot holds at most one share per element, so an element's share
-    count is the number of slot columns naming it. When every slot
-    answered the same id column (the healthy case), that count is the
-    number of slots for every element.
-    """
-    columns = [response.element_ids for response in slot_map.values()]
-    if all(ids == columns[0] for ids in columns[1:]):
-        return bool(columns and columns[0]) and len(columns) < k
-    return min(Counter(chain.from_iterable(columns)).values()) < k
+    aligned = True
+    short = False
+
+    def decide(self, k: int) -> None:
+        """Compare each slot's id column with the first, once: are they
+        ``aligned`` (then they are the share join as they stand), and
+        is an element ``short`` of k shares? A slot holds at most one
+        share per element, so an element's share count is the number
+        of columns naming it: with aligned columns, the column count.
+        """
+        columns = [response.element_ids for response in self.values()]
+        first = columns[0] if columns else None
+        self.aligned = columns.count(first) == len(columns)
+        if self.aligned:
+            self.short = bool(first) and len(columns) < k
+        else:
+            counts = Counter(chain.from_iterable(columns))
+            self.short = min(counts.values()) < k
 
 
 def merge_response(

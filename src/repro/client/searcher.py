@@ -19,15 +19,15 @@ Step 2 is one fetch stage whatever the deployment's shape: the paper's
 single fleet is one pod of n seats holding every list (§5), the sharded
 cluster many pods (§8), and the
 :class:`~repro.cluster.coordinator.ClusterCoordinator` places the lists
-on them either way. A query's lists are grouped by pod, and each
-contacted seat gets *one* lookup carrying every list it owns that the
-query needs. Replicas are ranked by trusted live seats (the staleness
-ledger's stale seats are never asked), seats are walked in slot order
-with failover and share-shortfall escalation, and a pod that cannot
-finish hands its lists to the next replica (:meth:`_fetch_with_failover`).
-Each round leaves in pipelined waves, one
-:meth:`~repro.protocol.transport.Transport.call_many` each, with
-optional hedged backups on another replica (:meth:`_fetch_round`).
+on them. A query's lists are grouped by pod, and each contacted seat
+gets *one* lookup carrying every list it owns that the query needs.
+A round ranks replicas once per replica set, plans seats and accounts
+once per pod, and decides each list's shortfall and id-column alignment
+once per wave, which the join reuses; a healthy round costs little
+beyond its lookups. Stale seats are never asked, failed seats are
+replaced, short lists escalate, and a pod that cannot finish hands its
+lists to the next replica (:meth:`_fetch_with_failover`), in pipelined
+waves with optional hedged backups (:meth:`_fetch_round`).
 Reads are fronted by the searcher-local L1 of reconstructed secrets
 and the shared L2 tier of share bundles, both keyed pod-agnostically
 and invalidated before every write (:meth:`_reconstruct_lists`,
@@ -47,10 +47,9 @@ from repro.cachetier.l1 import L1PostingCache
 from repro.cachetier.wire import decode_entry, encode_entry, entry_key
 from repro.client.fetch_round import (
     ClusterDiagnostics,
-    PodFetchOutcome,
-    SeatLadder,
+    ListAnswers,
+    PodFetch,
     merge_response,
-    share_shortfall,
 )
 from repro.client.snippets import SnippetService
 from repro.core.dictionary import TermDictionary
@@ -63,7 +62,12 @@ from repro.errors import (
     TransportError,
     UnknownEndpointError,
 )
-from repro.observability.tracing import record_span, span, trace_scope
+from repro.observability.tracing import (
+    current_trace,
+    record_span,
+    span,
+    trace_scope,
+)
 from repro.protocol.messages import (
     CacheGetRequest,
     CachePutRequest,
@@ -224,9 +228,11 @@ class SearchClient:
         if l1_entries:
             self._l1 = L1PostingCache(l1_entries)
             coordinator.register_l1(self._l1)
-        #: Lists whose last fetch left an element below k shares — never
-        #: cacheable, in any tier (set per _fetch_lists call).
+        #: Lists whose last fetch left an element below k shares (never
+        #: cacheable, in any tier), and those whose id columns the fetch
+        #: decided aligned (set per _fetch_lists call).
         self._last_unresolved: set[int] = set()
+        self._last_aligned: set[int] = set()
         self.last_diagnostics = SearchDiagnostics()
         self.last_cluster_diagnostics = ClusterDiagnostics()
 
@@ -249,7 +255,7 @@ class SearchClient:
         pod shares the x-coordinate ``scheme.x_of(s)``, and the per-list
         merge keeps at most one response per slot.
         """
-        self._last_unresolved = set()
+        self._last_unresolved = self._last_aligned = set()
         diag = self.last_cluster_diagnostics
         coordinator = self._coordinator
         # verify_consistency needs fresh shares from > k servers every
@@ -299,7 +305,8 @@ class SearchClient:
         merged, unresolved = self._fetch_with_failover(
             need, num_servers, diag
         )
-        self._last_unresolved = set(unresolved)
+        self._last_unresolved = unresolved
+        self._last_aligned = {p for p in need if merged[p].aligned}
         fills = []
         for pl_id in need:
             pairs = sorted(merged[pl_id].items())
@@ -352,18 +359,18 @@ class SearchClient:
         need: Sequence[int],
         num_servers: int,
         diag: ClusterDiagnostics,
-    ) -> tuple[dict[int, dict[int, PostingListResponse]], set[int]]:
+    ) -> tuple[dict[int, ListAnswers], set[int]]:
         """Fetch every list from its replica chain, best pod first.
 
-        Each round assigns every still-unfinished list to its next
-        untried replica pod (preference order from
-        :meth:`ClusterCoordinator.read_replicas`), fetches from all
-        assigned pods in pipelined waves (:meth:`_fetch_round`; the
-        pods' list sets are disjoint within a round, so their merges
-        touch disjoint state) and merges slot-deduplicated responses in
-        deterministic pod order. A list is finished when
-        >= k slots answered for it and no element is short of k shares;
-        it degrades loudly only when the whole replica chain is
+        Each round assigns every unfinished list to its next untried
+        replica pod, ranked once per replica set by
+        :meth:`ClusterCoordinator.read_replicas` of the set's first list
+        (a list with a staleness-ledger cell ranks alone, so a cell
+        moves only its own list), and fetches from the assigned pods in
+        waves (:meth:`_fetch_round`). A pod assigned a leg claims its
+        breaker's half-open probe; ranking claims nothing. A list is
+        finished when >= k slots answered and no element is short of k
+        shares; it degrades loudly only when the whole replica chain is
         exhausted below k answered slots.
 
         Returns ``(merged, unresolved)`` — per list, one response per
@@ -371,220 +378,200 @@ class SearchClient:
         fewer than k shares after the whole ladder (uncacheable).
         """
         coordinator = self._coordinator
+        pods_of, breakers = coordinator.pods_of, coordinator.breakers
+        gapped = coordinator.ledger.gapped
         k = self._scheme.k
-        merged: dict[int, dict[int, PostingListResponse]] = {
-            pl_id: {} for pl_id in need
-        }
+        merged = {pl_id: ListAnswers() for pl_id in need}
         tried: dict[int, set[str]] = {pl_id: set() for pl_id in need}
         contacted: set[str] = set()
         # Every failover round checks it: a degraded query walks the
         # replica chain only as far as its caller's remaining budget
         # allows, never past it.
         deadline = current_deadline()
-        pending = short = list(need)
+        pending = short = need
         while pending:
             if deadline is not None:
                 deadline.check("cluster fetch")
-            assignment: dict[Pod, list[int]] = {}
+            rankings: dict[tuple, list[Pod]] = {}
+            assignment: dict[Pod, tuple[list[Pod], list[int]]] = {}
             for pl_id in pending:
-                pod = next(
-                    (
-                        p
-                        for p in coordinator.read_replicas(pl_id)
-                        if p.name not in tried[pl_id]
-                    ),
-                    None,
-                )
-                if pod is None:
+                pods = pods_of(pl_id)
+                key = (pods, pl_id) if pl_id in gapped else pods
+                ranking = rankings.get(key)
+                if ranking is None:
+                    ranking = rankings[key] = coordinator.read_replicas(pl_id)
+                asked = tried[pl_id]
+                for pod in ranking:
+                    if pod.name not in asked:
+                        break
+                else:
                     continue  # replica chain exhausted
-                if tried[pl_id]:
+                if asked:
                     diag.pod_failovers += 1
-                tried[pl_id].add(pod.name)
-                assignment.setdefault(pod, []).append(pl_id)
+                asked.add(pod.name)
+                if pod not in assignment:
+                    assignment[pod] = ranking, []
+                    breakers.deprioritize(pod.name)  # the leg's probe claim
+                assignment[pod][1].append(pl_id)
             if not assignment:
                 break
-            # One job per assigned pod. Each list belongs to exactly one
-            # pod this round, so the merges mutate disjoint per-list
-            # state, and every job tallies its accounting apart.
-            jobs = [
-                (pod, assignment[pod])
-                for pod in sorted(assignment, key=lambda p: p.index)
-            ]
-            outcomes = self._fetch_round(jobs, num_servers, merged, tried)
-            # Deterministic merge: outcomes fold in pod-index order.
-            for (pod, lists), outcome in zip(jobs, outcomes):
-                diag.failovers += outcome.failovers
-                diag.escalations += outcome.escalations
-                diag.lookup_messages += outcome.lookup_messages
-                self.last_diagnostics.response_bytes += (
-                    outcome.response_bytes
-                )
-                answered = []
-                if outcome.contacted:
-                    answered.append((pod, outcome.latency_s))
-                if outcome.hedged:
-                    backup = outcome.backup
+            jobs = sorted(assignment.items(), key=lambda job: job[0].index)
+            fetches = self._fetch_round(jobs, num_servers, merged, tried, diag)
+            for fetch in fetches:
+                pod, lists = fetch.pod, fetch.lists
+                self.last_diagnostics.response_bytes += fetch.response_bytes
+                answered = [(pod, fetch.latency_s)] if fetch.contacted else []
+                if fetch.backup_sent_at is not None:
+                    backup = fetch.backup
                     diag.hedged_fetches += 1
                     # The backup was asked: a later failover round must
                     # not ask it again.
                     for pl_id in lists:
                         tried[pl_id].add(backup.name)
-                    if outcome.backup_answered:
+                    if fetch.backup_answered:
                         diag.hedge_wins += 1
-                        answered.append((backup, outcome.backup_latency_s))
+                        answered.append((backup, fetch.backup_latency_s))
                 for target, latency_s in answered:
                     contacted.add(target.name)
-                    coordinator.breakers.record_success(target.name)
+                    breakers.record_success(target.name)
                     coordinator.note_pod_read(
                         target.name, len(lists), latency_s=latency_s
                     )
                 if not answered:
-                    # No seat of the pod or its backup answered a thing:
-                    # the whole leg failed. (A partially degraded pod
-                    # that still answered counts as success — the
-                    # breaker guards against dead pods, not slow seats.
-                    # A pod whose every lookup its backup answered first
-                    # was abandoned, not failed, and records nothing.)
-                    coordinator.breakers.record_failure(pod.name)
+                    # No seat of the pod or its backup answered: the leg
+                    # failed. (A partly degraded pod that answered is a
+                    # success, and one whose backup answered everything
+                    # first was abandoned, not failed.)
+                    breakers.record_failure(pod.name)
+            # Each list's shortfall was decided by the wave that last
+            # changed its answers.
             short = [
                 pl_id
-                for pl_id in need
-                if len(merged[pl_id]) < k or share_shortfall(merged[pl_id], k)
+                for pl_id, answers in merged.items()
+                if len(answers) < k or answers.short
             ]
             pending = [
                 pl_id
                 for pl_id in short
-                if any(
-                    pod.name not in tried[pl_id]
-                    for pod in coordinator.pods_of(pl_id)
-                )
+                if any(pod.name not in tried[pl_id] for pod in pods_of(pl_id))
             ]
         diag.pods_contacted = len(contacted)
-        for pl_id in need:
-            answered = len(merged[pl_id])
-            if answered < k:
+        # ``short``, taken on the final answers, holds every list below
+        # k answered slots, and is what is left with a shortfall.
+        for pl_id in short:
+            if len(merged[pl_id]) < k:
                 raise ClusterDegradedError(
-                    f"list {pl_id}: only {answered} of the required "
-                    f"k={k} trusted server slots answered across "
+                    f"list {pl_id}: only {len(merged[pl_id])} of the "
+                    f"required k={k} trusted server slots answered across "
                     f"{len(tried[pl_id])} replica pod(s)"
                 )
-        # Every list answered >= k slots, so the last pass's ``short``
-        # (taken on this same state) is the lists with a shortfall.
         return merged, set(short)
-
-    def _hedge_backup(
-        self, lists: Sequence[int], tried: dict[int, set[str]]
-    ) -> Pod | None:
-        """The replica pod whose seats back up a job's lookups.
-
-        Must replicate *every* list of the job and be untried for all
-        of them (the job's own pod is tried); preference order from the
-        first list's ranking. None when the job cannot be hedged (no
-        common untried replica).
-        """
-        coordinator = self._coordinator
-        for candidate in coordinator.read_replicas(lists[0]):
-            if all(
-                candidate.name not in tried[pl_id]
-                and any(
-                    p.name == candidate.name
-                    for p in coordinator.pods_of(pl_id)
-                )
-                for pl_id in lists
-            ):
-                return candidate
-        return None
 
     def _fetch_round(
         self,
-        jobs: list[tuple[Pod, list[int]]],
+        jobs: list[tuple[Pod, tuple[list[Pod], list[int]]]],
         num_servers: int,
-        merged: dict[int, dict[int, PostingListResponse]],
+        merged: dict[int, ListAnswers],
         tried: dict[int, set[str]],
-    ) -> list[PodFetchOutcome]:
-        """One round of the ladder over ``(pod, lists)`` jobs, in waves.
+        diag: ClusterDiagnostics,
+    ) -> list[PodFetch]:
+        """One round of the ladder over ``(pod, (ranking, lists))``
+        jobs, in waves; returns each pod's :class:`PodFetch`.
 
-        The one place a read meets the staleness ledger: a seat marked
-        incomplete for a list is never asked for it (a stale seat's
-        answer is wrong in ways no shortfall signal catches). Each wave
-        collects every pod's next asks
-        (:class:`~repro.client.fetch_round.SeatLadder`), sends
-        them in one ``call_many`` and consumes the answers in pod order;
-        the round ends when no pod has a seat left to ask. A pod is
-        timed on the coordinator clock from its first request leaving
-        to its last answer arriving. Never raises on a degraded pod.
-
-        With ``hedge_after_s`` set, a lookup's backup is the same
-        request to the seat at its slot index in the pod's backup
-        replica (:meth:`_hedge_backup`, named once a round), which
-        holds the same x-coordinate's shares, unless the ledger marks
-        it incomplete.
+        A seat the staleness ledger marks incomplete for a list is never
+        asked for it (its answer is wrong in ways no shortfall signal
+        catches); each pod's seat plan comes from one ledger read. A
+        wave sends every pod's next asks in one ``call_many``, consumes
+        the answers in pod order, then every list it answered decides
+        its alignment and shortfall once (:meth:`ListAnswers.decide`).
+        A pod is timed on the coordinator clock from its first request
+        leaving to its last answer arriving. Never raises on a degraded
+        pod. With ``hedge_after_s`` set, a lookup's backup is the same
+        request to the same slot of the pod's backup: the first pod of
+        the ranking that replicates all its lists, untried for all of
+        them, unless the ledger marks that seat incomplete.
         """
         k = self._scheme.k
-        coordinator = self._coordinator
         # The injected clock times pods: breakers and the EWMA share
         # one source, so a fake clock moves them together.
-        clock = coordinator.clock
-        stale_seats = coordinator.ledger.stale_seats
-        ladders = []
-        for pod, ids in jobs:
-            stale = {p: stale_seats(pod.name, p) for p in ids}
+        clock = self._coordinator.clock
+        pods_of, ledger = self._coordinator.pods_of, self._coordinator.ledger
+        hedge_after_s = self._hedge_after_s
+        fetches = []
+        for pod, (ranking, lists) in jobs:
+            ids = tuple(lists)
+            # A seat with no stale list here takes the pod's one ask.
+            stale = ledger.stale_lists(pod.name, ids)
             plan = [
-                (slot, [p for p in ids if slot.server_id not in stale[p]])
+                (slot, ids)
+                if not stale or slot.server_id not in stale
+                else (slot, tuple(sorted(set(ids) - stale[slot.server_id])))
                 for slot in pod.slots
             ]
             want = max(k, min(num_servers, len(pod.slots)))
-            ladders.append(SeatLadder(plan, want))
-        outcomes = [PodFetchOutcome() for _ in jobs]
-        hedge_after_s = self._hedge_after_s
-        if hedge_after_s is not None:
-            for outcome, (_pod, lists) in zip(outcomes, jobs):
-                outcome.backup = self._hedge_backup(lists, tried)
-        # Leg ``index`` of a wave is an ask, or past the wave's asks the
-        # backup of ask ``index % len(wave)``. A pod's first send of
-        # each leg kind is kept across waves.
-        sent: dict[tuple[int, bool], float] = {}
+            fetch = PodFetch(pod, ranking, ids, plan, want, merged)
+            for backup in ranking if hedge_after_s is not None else ():
+                if all(
+                    backup.name not in tried[p] and backup in pods_of(p)
+                    for p in ids
+                ):
+                    fetch.backup = backup
+                    fetch.backup_stale = ledger.stale_lists(backup.name, ids)
+                    break
+            fetches.append(fetch)
+        # One request object per distinct ask: a pod's seats share
+        # theirs, and a backup shares its primary's.
+        requests: dict[tuple[int, ...], FetchListsRequest] = {}
+        traced = current_trace() is not None
         span_start = time.perf_counter()
-        ended: dict[int, float] = {}  # job -> when its ladder ran out
         while True:
             wave = []
-            for job, ladder in enumerate(ladders):
-                asks = ladder.next_asks()
-                if not asks:
-                    ended.setdefault(job, time.perf_counter())
-                wave += [(job, slot, request) for slot, request in asks]
+            for fetch in fetches:
+                asks = fetch.next_asks()
+                if not asks and traced and fetch.ended is None:
+                    fetch.ended = time.perf_counter()
+                for slot, ids in asks:
+                    request = requests.get(ids)
+                    if request is None:
+                        request = FetchListsRequest(self._token, ids)
+                        requests[ids] = request
+                    wave.append((fetch, slot, request))
             if not wave:
                 break
-            calls = [
-                (slot.server_id, FetchListsRequest(self._token, tuple(ids)))
-                for _job, slot, ids in wave
-            ]
+            calls = [(slot.server_id, request) for _f, slot, request in wave]
             backups = None
             if hedge_after_s is not None:
                 backups = []
-                for (job, slot, ids), (_seat, request) in zip(wave, calls):
-                    pod = outcomes[job].backup
+                for fetch, slot, request in wave:
+                    pod, stale = fetch.backup, fetch.backup_stale
                     seat = pod and pod.slots[slot.slot_index].server_id
-                    trusted = seat and not any(
-                        seat in stale_seats(pod.name, p)
-                        for p in ids
+                    trusted = seat and (
+                        seat not in stale
+                        or stale[seat].isdisjoint(request.pl_ids)
                     )
                     backups.append((seat, request) if trusted else None)
+            # Leg ``index`` of a wave is an ask, or past the wave's asks
+            # the backup of ask ``index - size``.
+            size = len(wave)
+            legs = [fetch for fetch, _slot, _request in wave] * 2
             from_backup: set[int] = set()
 
             def on_sent(index: int) -> None:
-                leg = wave[index % len(wave)][0], index >= len(wave)
-                sent.setdefault(leg, clock())
+                fetch = legs[index]
+                if index < size:
+                    if fetch.sent_at is None:
+                        fetch.sent_at = clock()
+                elif fetch.backup_sent_at is None:
+                    fetch.backup_sent_at = clock()
 
             def on_done(index: int) -> None:
-                job, backup = wave[index % len(wave)][0], index >= len(wave)
-                latency_s = clock() - sent[job, backup]
-                if backup:
-                    from_backup.add(index % len(wave))
-                    outcomes[job].backup_latency_s = latency_s
-                else:
+                fetch = legs[index]
+                if index < size:
                     from_backup.discard(index)
-                    outcomes[job].latency_s = latency_s
+                    fetch.latency_s = clock() - fetch.sent_at
+                else:
+                    from_backup.add(index - size)
+                    fetch.backup_latency_s = clock() - fetch.backup_sent_at
 
             replies = self._transport.call_many(
                 self.user_id,
@@ -594,46 +581,43 @@ class SearchClient:
                 backups=backups,
                 hedge_after_s=hedge_after_s or 0.0,
             )
-            for index, ((job, slot, _ids), reply) in enumerate(
-                zip(wave, replies)
-            ):
-                outcome = outcomes[job]
-                ladder = ladders[job]
-                # Every answer was a lookup sent, an error answer too.
-                outcome.lookup_messages += 1
+            # Every answer was a lookup sent, an error answer too.
+            diag.lookup_messages += size
+            answered: dict[int, ListAnswers] = {}
+            for index, reply in enumerate(replies):
+                fetch, slot, _request = wave[index]
                 if isinstance(reply, TransportError):
-                    outcome.failovers += 1  # like a lost packet
+                    diag.failovers += 1  # like a lost packet
                     continue
                 if isinstance(reply, ReproError):
                     raise reply  # a typed server error ends the query
-                outcome.response_bytes += reply.wire_bytes(self._share_bytes)
                 if index in from_backup:
-                    outcome.backup_answered = True
+                    fetch.backup_answered = True
                 else:
-                    outcome.contacted = True
-                if ladder.escalating:
-                    outcome.escalations += 1
+                    fetch.contacted = True
+                if fetch.successes >= fetch.want:  # escalating
+                    diag.escalations += 1
                 else:
-                    ladder.successes += 1
+                    fetch.successes += 1
+                slot_index = slot.slot_index
                 for response in reply.lists:
-                    merge_response(
-                        merged[response.pl_id], slot.slot_index, response
+                    fetch.response_bytes += response.wire_bytes(
+                        self._share_bytes
                     )
-                if ladder.escalating:
-                    ladder.shortfall = {
-                        p
-                        for p in jobs[job][1]
-                        if share_shortfall(merged[p], k)
-                    }
-        for job, ((pod, _lists), outcome) in enumerate(zip(jobs, outcomes)):
-            outcome.hedged = (job, True) in sent
+                    answers = answered[response.pl_id] = merged[response.pl_id]
+                    kept = answers.setdefault(slot_index, response)
+                    if kept is not response:
+                        merge_response(answers, slot_index, response)
+            for answers in answered.values():
+                answers.decide(k)
+        for fetch in fetches if traced else ():
             record_span(
-                f"fetch:{pod.name}",
+                f"fetch:{fetch.pod.name}",
                 start_s=span_start,
-                duration_s=ended[job] - span_start,
-                wire_bytes=outcome.response_bytes,
+                duration_s=fetch.ended - span_start,
+                wire_bytes=fetch.response_bytes,
             )
-        return outcomes
+        return fetches
 
     # -- steps 3-4: join, reconstruct, filter ---------------------------------
 
@@ -706,7 +690,8 @@ class SearchClient:
             received = 0
             for pl_id, columns in columns_of.items():
                 secrets = secrets_of[pl_id] = []
-                for xs, y_columns in self._join_columns(columns):
+                aligned = pl_id in self._last_aligned
+                for xs, y_columns in self._join_columns(columns, aligned):
                     # Every row shares the x-tuple, hence one weight
                     # vector; the first k columns are the canonical subset.
                     column = scheme.reconstruct_batch(xs[:k], y_columns[:k])
@@ -722,7 +707,7 @@ class SearchClient:
         return secrets_of
 
     def _join_columns(
-        self, columns: list[tuple[int, list[int], list[int]]]
+        self, columns: list[tuple[int, list[int], list[int]]], aligned: bool
     ) -> list[tuple[tuple[int, ...], list[list[int]]]]:
         """Join one list's slot columns on the element ID.
 
@@ -730,7 +715,9 @@ class SearchClient:
         element's shares in canonical order. When the slots are distinct
         and every column names the same IDs in the same order (the
         healthy fetch), the columns are the join and their rows are
-        taken as they come. Otherwise: first occurrence per distinct x,
+        taken as they come. ``aligned`` says the fetch already decided
+        that (:meth:`ListAnswers.decide`); otherwise (an L2 entry) it is
+        checked here. Failing it: first occurrence per distinct x,
         arrival order, and elements short of k shares (a lagging or
         lying server) are dropped here.
 
@@ -745,7 +732,7 @@ class SearchClient:
         k = self._scheme.k
         xs = tuple(x for x, _, _ in columns)
         ids = columns[0][1] if columns else []
-        if len(set(xs)) == len(xs) and all(
+        if aligned or len(set(xs)) == len(xs) and all(
             other == ids for _, other, _ in columns[1:]
         ):
             return [(xs, [ys for _, _, ys in columns])] if len(xs) >= k else []
@@ -867,12 +854,8 @@ class SearchClient:
             self.last_diagnostics.false_positives = decoded - matched
             return found
         finally:
-            metrics = self._coordinator.metrics
-            if metrics is not None:
-                metrics.counter("zerber_search_queries_total").inc()
-                metrics.histogram("zerber_search_latency_seconds").observe(
-                    time.perf_counter() - started
-                )
+            if self._coordinator.metrics is not None:
+                self._coordinator.note_search(time.perf_counter() - started)
 
     def fetch_elements(
         self, terms: Sequence[str], num_servers: int | None = None

@@ -160,6 +160,11 @@ class ClusterCoordinator:
         #: :meth:`read_replicas` (never forbids it — when everything is
         #: open the failover ladder still tries every replica).
         self.breakers = BreakerRegistry(clock=clock)
+        #: pod name ("" for the searches) -> (registry, counter,
+        #: histogram): the read path's instrument handles, fetched once
+        #: per pod and registry (:meth:`_handles`); a retired pod drops
+        #: its.
+        self._instruments: dict[str, tuple] = {}
         #: Searcher-local L1 caches subscribed to write invalidations.
         #: Weakly referenced: a searcher that goes away takes its L1
         #: with it, with no unsubscribe ceremony.
@@ -243,6 +248,7 @@ class ClusterCoordinator:
         with self._read_stats_lock:
             self.pod_read_load.pop(pod.name, None)
             self.pod_read_latency.pop(pod.name, None)
+        self._instruments.pop(pod.name, None)
         self.breakers.forget(pod.name)
 
 
@@ -483,36 +489,41 @@ class ClusterCoordinator:
         An *open circuit breaker* outranks everything: a pod that has
         failed its last N legs outright goes behind every healthy pod
         regardless of its latency history (which predates the failures),
-        until its cooldown releases a half-open probe. Reading the
-        breaker here is what *performs* the probe release — ranking is
-        the only consumer of breaker state.
+        until its cooldown releases a half-open probe. Ranking only
+        reads the breaker; the fetch claims the probe for the pod it
+        actually sends a leg to.
+
+        The fetch stage calls this once per replica set a round, for
+        the set's first list: the result depends on the list only
+        through its replica pods, their ring order and their stale
+        seats for it.
         """
         k = self.scheme.k
         stale_seats = self.ledger.stale_seats
-
-        def short_of_k(pod: Pod) -> bool:
-            live = pod.live_slots()
-            stale = stale_seats(pod.name, pl_id)
-            if stale:
-                live = [s for s in live if s.server_id not in stale]
-            return len(live) < k
-
-        ranked = list(enumerate(self.pods_of(pl_id)))
-        with self._read_stats_lock:
-            latency = dict(self.pod_read_latency)
-            load = dict(self.pod_read_load)
-        ranked.sort(
-            key=lambda item: (
-                self.breakers.deprioritize(item[1].name),
-                short_of_k(item[1]),
-                int(
-                    latency.get(item[1].name, 0.0) / READ_LATENCY_BUCKET_S
-                ),
-                load.get(item[1].name, 0),
-                item[0],
-            )
-        )
-        return [pod for _rank, pod in ranked]
+        held_back = self.breakers.held_back
+        # Read in place, not copied under the lock: a concurrent
+        # note_pod_read moves one pod's figures, which a ranking read a
+        # moment later would see anyway.
+        latency, load = self.pod_read_latency, self.pod_read_load
+        ranked = []
+        for rank, pod in enumerate(self.pods_of(pl_id)):
+            name = pod.name
+            stale = stale_seats(name, pl_id)
+            trusted = [
+                s
+                for s in pod.slots
+                if s.alive and not (stale and s.server_id in stale)
+            ]
+            ranked.append((
+                held_back(name),
+                len(trusted) < k,
+                int(latency.get(name, 0.0) / READ_LATENCY_BUCKET_S),
+                load.get(name, 0),
+                rank,
+                pod,
+            ))
+        ranked.sort()  # ranks are distinct: pods are never compared
+        return [item[5] for item in ranked]
 
 
     def note_pod_read(
@@ -548,13 +559,40 @@ class ClusterCoordinator:
         # instruments carry their own locks, and holding two at once
         # would order this lock against every metrics reader.
         if self.metrics is not None:
-            self.metrics.counter(
-                "zerber_pod_read_lists_total", pod=pod_name
-            ).inc(num_lists)
+            _registry, lists, latency = self._handles(
+                pod_name,
+                "zerber_pod_read_lists_total",
+                "zerber_pod_fetch_latency_seconds",
+            )
+            lists.inc(num_lists)
             if latency_s is not None:
-                self.metrics.histogram(
-                    "zerber_pod_fetch_latency_seconds", pod=pod_name
-                ).observe(latency_s)
+                latency.observe(latency_s)
+
+    def note_search(self, latency_s: float) -> None:
+        """Count one search and its latency into the metrics registry
+        (``zerber_search_queries_total``, ``..._latency_seconds``)."""
+        if self.metrics is not None:
+            _registry, queries, latency = self._handles(
+                "",
+                "zerber_search_queries_total",
+                "zerber_search_latency_seconds",
+            )
+            queries.inc()
+            latency.observe(latency_s)
+
+    def _handles(self, pod_name: str, counter: str, histogram: str) -> tuple:
+        """``(registry, counter, histogram)`` of one pod (labelled
+        ``pod=pod_name``; unlabelled for "")."""
+        metrics = self.metrics
+        handles = self._instruments.get(pod_name)
+        if handles is None or handles[0] is not metrics:
+            labels = {"pod": pod_name} if pod_name else {}
+            handles = self._instruments[pod_name] = (
+                metrics,
+                metrics.counter(counter, **labels),
+                metrics.histogram(histogram, **labels),
+            )
+        return handles
 
     # -- introspection ---------------------------------------------------------------
 

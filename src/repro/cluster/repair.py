@@ -45,12 +45,16 @@ class StalenessLedger:
     double-credits.
 
     Mutators take the ledger's lock (routes, owners and the sweep write
-    from different threads); the read view :meth:`stale_seats` is a
-    lock-free dict read, because the query path consults it per list.
+    from different threads); the read view (:attr:`gapped`,
+    :meth:`stale_seats`, :meth:`stale_lists`) is lock-free dict reads,
+    because the query path consults it per list.
     """
 
     def __init__(self) -> None:
         self._cells: dict[tuple[str, int], dict[str, int]] = {}
+        #: pl_id -> the list's open cells, over every pod: a list not
+        #: in it has no stale seat anywhere.
+        self.gapped: dict[int, int] = {}
         self._lock = threading.Lock()
         #: Dropped routes: one per list per dead seat a write was routed
         #: past, and one per list per seat that failed its message of a
@@ -83,8 +87,24 @@ class StalenessLedger:
         the share and could help a deleted element reach k again. A pod
         with no stale seat for the list is complete for it.
         """
+        if pl_id not in self.gapped:
+            return _NO_SEATS
         cell = self._cells.get((pod_name, pl_id))
         return frozenset(cell) if cell else _NO_SEATS
+
+    def stale_lists(
+        self, pod_name: str, pl_ids: Iterable[int]
+    ) -> dict[str, set[int]]:
+        """The same view turned per seat: each stale seat of one pod
+        with the lists among ``pl_ids`` it must not be asked for (a
+        seat plan is built from it once per pod)."""
+        by_seat: dict[str, set[int]] = {}
+        cells, gapped = self._cells, self.gapped
+        for pl_id in pl_ids:
+            if pl_id in gapped:
+                for server_id in cells.get((pod_name, pl_id)) or ():
+                    by_seat.setdefault(server_id, set()).add(pl_id)
+        return by_seat
 
     def backlog(self) -> list[tuple[str, int]]:
         """Every open cell's ``(pod, pl_id)`` key, sorted."""
@@ -101,11 +121,34 @@ class StalenessLedger:
 
     # -- filling -----------------------------------------------------------
 
+    def _cell(self, pod_name: str, pl_id: int) -> dict[str, int]:
+        """The open cell of ``(pod, list)``, opened if need be; caller
+        holds the lock."""
+        cell = self._cells.get((pod_name, pl_id))
+        if cell is None:
+            # Counted before it opens: a reader never sees an open cell
+            # of a list that is not in ``gapped``.
+            self.gapped[pl_id] = self.gapped.get(pl_id, 0) + 1
+            cell = self._cells[(pod_name, pl_id)] = {}
+        return cell
+
+    def _close(self, pod_name: str, pl_id: int) -> dict[str, int] | None:
+        """Remove and return one cell (None when not open); caller holds
+        the lock."""
+        cell = self._cells.pop((pod_name, pl_id), None)
+        if cell is not None:
+            left = self.gapped[pl_id] - 1
+            if left:
+                self.gapped[pl_id] = left
+            else:
+                del self.gapped[pl_id]
+        return cell
+
     def drop(self, seats: Iterable[Gap]) -> None:
         """Count one dropped route per seat and mark it stale."""
         with self._lock:
             for pod_name, pl_id, server_id in seats:
-                cell = self._cells.setdefault((pod_name, pl_id), {})
+                cell = self._cell(pod_name, pl_id)
                 cell[server_id] = cell.get(server_id, 0) + 1
                 self.dropped += 1
                 self.dropped_by_pod[pod_name] = (
@@ -117,9 +160,7 @@ class StalenessLedger:
         happened is the repair sweep's problem, not an owner's."""
         with self._lock:
             for pod_name, pl_id, server_id in seats:
-                self._cells.setdefault((pod_name, pl_id), {}).setdefault(
-                    server_id, 0
-                )
+                self._cell(pod_name, pl_id).setdefault(server_id, 0)
 
     # -- emptying ----------------------------------------------------------
 
@@ -134,7 +175,7 @@ class StalenessLedger:
                     continue
                 credit += cell.pop(server_id)
                 if not cell:
-                    del self._cells[(pod_name, pl_id)]
+                    self._close(pod_name, pl_id)
             self.repaired += credit
         return credit
 
@@ -143,7 +184,7 @@ class StalenessLedger:
         a list a pod dropped are moot."""
         with self._lock:
             for pl_id in pl_ids:
-                cell = self._cells.pop((pod_name, pl_id), None)
+                cell = self._close(pod_name, pl_id)
                 if cell:
                     self.repaired += sum(cell.values())
 
@@ -151,7 +192,7 @@ class StalenessLedger:
         """A pod left the cluster: its unhealed gaps leave with it."""
         with self._lock:
             for key in [key for key in self._cells if key[0] == pod_name]:
-                self.repaired += sum(self._cells.pop(key).values())
+                self.repaired += sum(self._close(*key).values())
             self.dropped_by_pod.pop(pod_name, None)
 
 

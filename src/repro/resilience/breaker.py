@@ -10,7 +10,10 @@ and re-opening for a doubled cooldown (still down, capped at
 ``max_cooldown_s``). Ranking-level integration means an open pod is
 *deprioritized, never forbidden* — when every replica's breaker is
 open, the ladder still tries them all rather than failing a query the
-pods could have answered.
+pods could have answered. Ranking only reads a breaker
+(:meth:`CircuitBreaker.held_back`); the probe is claimed by the leg
+the pod is then assigned (:meth:`CircuitBreaker.deprioritize`), so a
+pod that loses the ranking on load or latency keeps its probe.
 
 State transitions are observation-driven (record_success /
 record_failure from the query path), so with a deterministic clock and
@@ -100,12 +103,23 @@ class CircuitBreaker:
 
     # -- routing reads ---------------------------------------------------------
 
+    def held_back(self) -> bool:
+        """Should ranking push this pod to the back *right now*? A pure
+        read: open inside its cooldown, or half-open with the probe
+        already out. Claims nothing."""
+        with self._lock:
+            if self._state == CLOSED:
+                return False
+            if self._state == OPEN:
+                return self._clock() - self._opened_at < self._cooldown_s
+            return self._probe_outstanding
+
     def deprioritize(self) -> bool:
-        """Should ranking push this pod to the back *right now*?
+        """A leg is about to be sent to this pod: claim the probe.
 
         An open breaker whose cooldown has elapsed releases exactly one
-        half-open probe (the first ranking read after the cooldown sees
-        the pod at normal priority; concurrent readers keep it
+        half-open probe (the first claim after the cooldown gets the
+        pod at normal priority; concurrent claimants see it
         deprioritized until the probe's outcome is recorded).
         """
         with self._lock:
@@ -150,12 +164,20 @@ class CircuitBreaker:
 
 class BreakerRegistry:
     """Breakers keyed by pod name, created on first observation, each
-    with :class:`CircuitBreaker`'s default threshold and cooldowns."""
+    with :class:`CircuitBreaker`'s default threshold and cooldowns.
+
+    Only a failure opens a breaker and only a success closes it, so the
+    registry knows which breakers are not closed; ranking reads and
+    probe claims consult those alone (a closed breaker neither holds a
+    pod back nor has a probe to claim).
+    """
 
     def __init__(self, clock: Callable[[], float] = time.monotonic) -> None:
         self._clock = clock
         self._lock = threading.Lock()
         self._breakers: dict[str, CircuitBreaker] = {}
+        #: Names whose breaker is open or half-open.
+        self._unclosed: set[str] = set()
 
     def of(self, name: str) -> CircuitBreaker:
         with self._lock:
@@ -167,21 +189,38 @@ class BreakerRegistry:
             return breaker
 
     def record_success(self, name: str) -> None:
-        self.of(name).record_success()
+        breaker = self._breakers.get(name) or self.of(name)
+        if name not in self._unclosed:
+            breaker.record_success()  # closed: the set has nothing to drop
+            return
+        with self._lock:
+            breaker.record_success()
+            self._unclosed.discard(name)
 
     def record_failure(self, name: str) -> None:
-        self.of(name).record_failure()
+        breaker = self.of(name)
+        with self._lock:
+            breaker.record_failure()
+            if breaker.state != CLOSED:
+                self._unclosed.add(name)
+
+    def held_back(self, name: str) -> bool:
+        """The ranking read; pods never observed are healthy."""
+        if name not in self._unclosed:
+            return False
+        return self.of(name).held_back()
 
     def deprioritize(self, name: str) -> bool:
-        """Ranking read; pods never observed are healthy by default."""
-        with self._lock:
-            breaker = self._breakers.get(name)
-        return breaker.deprioritize() if breaker is not None else False
+        """A leg goes to the pod: its claim on a half-open probe."""
+        if name not in self._unclosed:
+            return False
+        return self.of(name).deprioritize()
 
     def forget(self, name: str) -> None:
         """Drop a retired pod's breaker (name may be reused later)."""
         with self._lock:
             self._breakers.pop(name, None)
+            self._unclosed.discard(name)
 
     def snapshot(self) -> dict[str, dict]:
         with self._lock:

@@ -27,7 +27,7 @@ from helpers import (
     make_single_fleet,
 )
 from repro.client.batching import BatchPolicy
-from repro.client.fetch_round import merge_response, share_shortfall
+from repro.client.fetch_round import ListAnswers, merge_response
 from repro.core.mapping_table import MappingTable
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Document
@@ -179,6 +179,57 @@ class TestFailoverAndEscalation:
         searcher = cluster.searcher("owner0", use_cache=False)
         assert searcher.search(["w0", "w3"], top_k=10,
                                fetch_snippets=False) == expected
+
+    def test_a_ledger_cell_moves_only_its_own_list(self):
+        """Replicas are ranked once per replica set, yet a ledger cell
+        still acts on its own ``(pod, list)`` alone: a seat stale for
+        list L is never asked for L, while the same query still asks it
+        for a list M on the same replica set, and only L's ranking
+        changes."""
+        documents = make_documents(num_docs=16, seed=11)
+        cluster = make_cluster(
+            documents, num_pods=2, n=2, replication_factor=2
+        )
+        coordinator = cluster.coordinator
+        by_set = {}
+        for term in sorted({t for d in documents for t in d.term_counts}):
+            pl_id = cluster.mapping_table.lookup(term)
+            lists = by_set.setdefault(coordinator.pods_of(pl_id), {})
+            lists.setdefault(pl_id, term)
+        lists = max(by_set.values(), key=len)
+        (late, late_term), (other, other_term) = sorted(lists.items())[:2]
+        searcher = cluster.searcher("owner0", use_cache=False)
+        terms = [late_term, other_term]
+        expected = searcher.search(terms, fetch_snippets=False)
+        first = coordinator.read_replicas(other)
+        assert coordinator.read_replicas(late) == first
+        stale_seat = first[0].slots[0].server_id
+        coordinator.ledger.mark_stale([(first[0].name, late, stale_seat)])
+        # One stale seat of two leaves the first pod short of k = 2
+        # trusted seats for L only.
+        assert coordinator.read_replicas(late) == first[::-1]
+        assert coordinator.read_replicas(other) == first
+        asked = []
+        send = searcher._transport.call_many
+
+        def recording(src, calls, **hooks):
+            asked.extend((dst, request.pl_ids) for dst, request in calls)
+            return send(src, calls, **hooks)
+
+        searcher._transport.call_many = recording
+        try:
+            assert searcher.search(terms, fetch_snippets=False) == expected
+        finally:
+            searcher._transport.call_many = send
+        lists_of = {}
+        for dst, pl_ids in asked:
+            lists_of.setdefault(dst, set()).update(pl_ids)
+        assert lists_of[stale_seat] == {other}
+        assert all(
+            late in lists_of.get(slot.server_id, ())
+            for slot in first[1].slots
+        )
+        assert searcher.last_cluster_diagnostics.pods_contacted == 2
 
     def test_untracked_share_loss_triggers_escalation(self):
         """Share loss the ledger cannot see (disk rot) still self-heals.
@@ -450,7 +501,7 @@ class TestMergeResponse:
         after every merge."""
         rng = random.Random(seed)
         universe = rng.sample(range(1, 60), rng.randint(0, 12))
-        slot_map, tally_map, tally = {}, {}, {}
+        slot_map, tally_map, tally = ListAnswers(), {}, {}
         for _ in range(rng.randint(1, 8)):
             ids = list(universe)
             shape = rng.choice(("aligned", "missing", "extra", "permuted"))
@@ -465,7 +516,8 @@ class TestMergeResponse:
             merge_response(slot_map, slot, response)
             _tally_merge(tally_map, tally, slot, response)
             assert slot_map == tally_map
-            assert share_shortfall(slot_map, k) == (
+            slot_map.decide(k)
+            assert slot_map.short == (
                 bool(tally) and min(tally.values()) < k
             )
             assert _share_counts(slot_map) == tally

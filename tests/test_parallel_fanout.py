@@ -14,6 +14,9 @@ each pod of a round on its own.
 from __future__ import annotations
 
 import random
+from collections import Counter
+
+import pytest
 
 from helpers import make_cluster, make_documents
 from repro.client.batching import BatchPolicy
@@ -300,3 +303,79 @@ def test_response_bytes_match_in_process_and_over_the_socket():
                 )
     assert observed["in-process"] == observed["async-socket"]
     assert all(size > 0 for _hits, size in observed["in-process"])
+
+
+class TestPerSetRanking:
+    """A healthy round ranks once per replica set, reads each pod's
+    breaker at most once, and decides each list's id-column alignment
+    once: the join reuses that decision instead of comparing again."""
+
+    @staticmethod
+    def _three_lists(cluster, documents):
+        """Three readable terms on three distinct lists."""
+        by_list = {}
+        for term in sorted({t for d in documents for t in d.term_counts}):
+            by_list.setdefault(cluster.mapping_table.lookup(term), term)
+        pl_ids = sorted(by_list)[:3]
+        assert len(pl_ids) == 3
+        return pl_ids, [by_list[pl_id] for pl_id in pl_ids]
+
+    @pytest.mark.parametrize("replication_factor", [1, 2])
+    def test_a_healthy_round_is_accounted_per_set_and_per_pod(
+        self, monkeypatch, replication_factor
+    ):
+        from repro.client.fetch_round import ListAnswers
+        from repro.resilience.breaker import CircuitBreaker
+
+        documents = make_documents(num_docs=16, seed=11)
+        cluster = make_cluster(
+            documents, num_pods=2, replication_factor=replication_factor
+        )
+        with cluster:
+            coordinator = cluster.coordinator
+            pl_ids, terms = self._three_lists(cluster, documents)
+            searcher = cluster.searcher("owner0", use_cache=False)
+            # The first query gives every pod a breaker to read.
+            expected = searcher.search(terms, fetch_snippets=False)
+            breaker_reads = Counter()
+            for name in (
+                "held_back", "deprioritize", "record_success", "record_failure"
+            ):
+                real = getattr(CircuitBreaker, name)
+
+                def counted(breaker, _real=real):
+                    breaker_reads[id(breaker)] += 1
+                    return _real(breaker)
+
+                monkeypatch.setattr(CircuitBreaker, name, counted)
+            ranked = []
+            rank = coordinator.read_replicas
+            monkeypatch.setattr(
+                coordinator,
+                "read_replicas",
+                lambda pl_id: ranked.append(pl_id) or rank(pl_id),
+            )
+            decided = Counter()
+            decide = ListAnswers.decide
+
+            def counted_decide(answers, k):
+                decided[id(answers)] += 1
+                decide(answers, k)
+
+            monkeypatch.setattr(ListAnswers, "decide", counted_decide)
+            join = searcher._join_columns
+            joined = []
+            monkeypatch.setattr(
+                searcher,
+                "_join_columns",
+                lambda columns, aligned: joined.append(aligned)
+                or join(columns, aligned),
+            )
+            assert searcher.search(terms, fetch_snippets=False) == expected
+            diag = searcher.last_cluster_diagnostics
+            assert diag.pod_failovers == diag.escalations == 0
+            assert max(breaker_reads.values()) == 1
+            replica_sets = {coordinator.pods_of(pl_id) for pl_id in pl_ids}
+            assert len(ranked) == len(replica_sets)
+            assert sorted(decided.values()) == [1, 1, 1]
+            assert joined == [True, True, True]

@@ -369,6 +369,37 @@ class TestCircuitBreaker:
             assert coordinator.breakers.of("pod0").state == "closed"
 
 
+    def test_a_pod_that_loses_the_ranking_keeps_its_probe(self):
+        """Ranking reads a breaker; only a leg claims its half-open
+        probe. A recovered pod that loses the ranking on load is sent
+        no leg, so its probe stays unclaimed: once its load ranks it
+        first it serves again, and its breaker closes."""
+        now = {"s": 0.0}
+        cluster = make_cluster(
+            make_documents(num_docs=8),
+            num_pods=2,
+            replication_factor=2,
+            clock=lambda: now["s"],
+        )
+        with cluster:
+            coordinator = cluster.coordinator
+            searcher = cluster.searcher("owner0", use_cache=False)
+            expected = searcher.search(["w1"], fetch_snippets=False)
+            for _ in range(3):
+                coordinator.breakers.record_failure("pod0")
+            now["s"] += 5.0  # past the cooldown: one probe is due
+            load = coordinator.pod_read_load
+            coordinator.note_pod_read("pod0", 40 - load.get("pod0", 0))
+            served = load["pod0"]
+            for _ in range(60):
+                assert searcher.search(["w1"], fetch_snippets=False) == (
+                    expected
+                )
+            assert load["pod1"] > served
+            assert load["pod0"] > served  # it ranked first and served
+            assert coordinator.breakers.of("pod0").state == "closed"
+
+
 class TestAdmissionControl:
     def test_bounded_gate_sheds_and_counts(self):
         gate = AdmissionController(max_pending=2)
