@@ -99,11 +99,9 @@ class StalenessLedger:
         with the lists among ``pl_ids`` it must not be asked for (a
         seat plan is built from it once per pod)."""
         by_seat: dict[str, set[int]] = {}
-        cells, gapped = self._cells, self.gapped
         for pl_id in pl_ids:
-            if pl_id in gapped:
-                for server_id in cells.get((pod_name, pl_id)) or ():
-                    by_seat.setdefault(server_id, set()).add(pl_id)
+            for server_id in self.stale_seats(pod_name, pl_id):
+                by_seat.setdefault(server_id, set()).add(pl_id)
         return by_seat
 
     def backlog(self) -> list[tuple[str, int]]:
