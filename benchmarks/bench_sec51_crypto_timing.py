@@ -34,7 +34,7 @@ def test_sec51_split_5000_terms(benchmark):
     # n share columns, one per server, aligned with the secrets.
     assert [len(column) for column in result] == [5_000] * scheme.n
     assert (
-        scheme.reconstruct_batch(scheme.x_coordinates[:2], result[:2])
+        scheme.reconstruct_batch(scheme.x_coordinates[:2], result[:2]).tolist()
         == secrets_
     )
     per_server_ms = 1000 * seconds / scheme.n

@@ -14,10 +14,11 @@
 # status is non-zero if any gate failed:
 #
 # - the hot-path perf smoke: column reconstruction (reconstruct_batch,
-#   one pass at k = 2) >= 3.75x per-element naive Lagrange, decoding a
+#   one numpy kernel over the columns as words) >= 3.75x per-element
+#   naive Lagrange over every subset it measures, decoding a
 #   half-noise merged list filtered by the
 #   queried term first (unpack_terms) >= 1.3x grouping every term
-#   (unpack_by_term) with equal rows, and column
+#   element by element with equal rows, and column
 #   splitting (split_many) >= 2x per-element split with share-for-share
 #   equal output at the same seed, and column packing (pack_many) >=
 #   1.5x per-element pack(PostingElement(...)) with value-for-value
@@ -68,8 +69,9 @@
 # The table ends with the numbers the roadmap tracks for the whole
 # tree: the line counts of src/ and tests/, of the largest module under
 # src/repro/cluster/ and under src/repro/protocol/, of cli.py and of
-# the read path (client/searcher.py with client/fetch_round.py), and
-# the wall time of this run.
+# the read path (client/searcher.py with client/fetch_round.py), the
+# numpy version the run used, and the wall time of this run. Before any
+# gate, the script stops with one line if numpy cannot be imported.
 #
 # The benches write their records under benchmarks/results/ as they
 # run. This script copies that directory aside at start and puts it
@@ -80,6 +82,13 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 started=$(date +%s)
+
+# The library's one dependency: without it every gate would fail on
+# the same import, so say so once and stop.
+if ! numpy_version=$(python -c 'import numpy; print(numpy.__version__)' 2>/dev/null); then
+    echo "FAIL: numpy is not importable; install it (pip install numpy)" >&2
+    exit 1
+fi
 
 results=()
 failed=0
@@ -187,6 +196,7 @@ printf '  %-28s %6s  %s\n' "$(wc -l <src/repro/cli.py)" "" \
 printf '  %-28s %6s  %s\n' \
     "$(cat src/repro/client/searcher.py src/repro/client/fetch_round.py | wc -l)" \
     "" "lines in the read path (client/searcher.py + client/fetch_round.py)"
+printf '  %-28s %6s  %s\n' "$numpy_version" "" "numpy version"
 printf '  %-28s %6s  %s\n' "" "$(($(date +%s) - started)) s" "wall time"
 if [ "$failed" -ne 0 ]; then
     echo "CI gate FAILED: ${failed} of ${#results[@]} gates" >&2

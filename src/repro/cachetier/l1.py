@@ -2,11 +2,12 @@
 
 Where the L2 tier stores *shares* (a hit still pays Lagrange
 reconstruction), the L1 sits past the reconstruction stage: it holds
-the list of secrets ``reconstruct_batch`` produced for one merged list
-and one ``(user, group fingerprint, width)`` context, every readable
-element, so a hot repeat query costs no messages, no bytes and no field
-arithmetic, only the decode every read pays (``unpack_terms``: the
-queried terms alone). An entry does not depend on the query that
+the secrets ``reconstruct_batch`` produced for one merged list and one
+``(user, group fingerprint, width)`` context, every readable element,
+as a word array, so a hot repeat query costs no messages, no bytes and
+no field arithmetic, only the decode every read pays (``unpack_terms``:
+the queried terms alone, in one vectorised pass with the query's other
+lists). An entry does not depend on the query that
 filled it, so a hit serves any term set over the list. Entries are
 shared with the reader, not copied: the searcher only ever reads them.
 
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from collections.abc import Sequence
 
 from repro.errors import ClusterError
 
@@ -56,7 +58,7 @@ class L1PostingCache:
         if capacity < 0:
             raise ClusterError(f"L1 capacity must be >= 0, got {capacity}")
         self.capacity = capacity
-        self._entries: OrderedDict[L1Key, list[int]] = OrderedDict()
+        self._entries: OrderedDict[L1Key, Sequence[int]] = OrderedDict()
         self._keys_of_pl: dict[int, set[L1Key]] = {}
         self._lock = threading.Lock()
         #: Lifetime hits / misses / evictions / invalidations. One dict
@@ -81,7 +83,7 @@ class L1PostingCache:
             self.counts["hits"] += 1
             return entry
 
-    def put(self, key: L1Key, pl_id: int, secrets: list[int]) -> None:
+    def put(self, key: L1Key, pl_id: int, secrets: Sequence[int]) -> None:
         if self.capacity == 0:
             return
         with self._lock:

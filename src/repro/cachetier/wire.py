@@ -29,7 +29,7 @@ from repro.errors import ProtocolError
 from repro.protocol.codec import (
     Reader,
     packed_columns,
-    read_columns,
+    read_posting_list,
     write_uint,
 )
 from repro.server.index_server import PostingListResponse
@@ -59,9 +59,7 @@ def decode_entry(data: bytes) -> Entry:
     pairs: Entry = []
     for _ in range(r.uint()):
         slot_index = r.uint()
-        pairs.append(
-            (slot_index, PostingListResponse(r.uint(), *read_columns(r, 3)))
-        )
+        pairs.append((slot_index, read_posting_list(r)))
     r.done()
     return pairs
 

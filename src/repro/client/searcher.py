@@ -38,10 +38,12 @@ failover ladder".
 from __future__ import annotations
 
 import time
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import TYPE_CHECKING, Sequence
+
+import numpy as np
 
 from repro.cachetier.l1 import L1PostingCache
 from repro.cachetier.wire import decode_entry, encode_entry, entry_key
@@ -78,12 +80,15 @@ from repro.protocol.transport import Transport
 from repro.resilience.deadline import current_deadline, deadline_scope
 from repro.ranking.scores import CollectionStatistics, TfIdfScorer
 from repro.ranking.threshold import term_tf_maps, threshold_top_k
+from repro.secretsharing.field import word_column
 from repro.server.auth import AuthToken
 from repro.server.index_server import PostingListResponse
 
 if TYPE_CHECKING:
     from repro.cluster.coordinator import ClusterCoordinator
     from repro.cluster.membership import Pod
+
+_NO_SECRETS = np.zeros(0, np.uint64)
 
 
 @dataclass(frozen=True)
@@ -687,23 +692,42 @@ class SearchClient:
                         response.share_ys,
                     )
                 )
-            received = 0
+            # Join groups share an x-tuple, hence a weight vector: every
+            # list's groups of one x-tuple (a healthy fetch has one) go
+            # through the kernel together, lists concatenated.
+            batches: dict[tuple[int, ...], list] = defaultdict(list)
             for pl_id, columns in columns_of.items():
-                secrets = secrets_of[pl_id] = []
                 aligned = pl_id in self._last_aligned
                 for xs, y_columns in self._join_columns(columns, aligned):
-                    # Every row shares the x-tuple, hence one weight
-                    # vector; the first k columns are the canonical subset.
-                    column = scheme.reconstruct_batch(xs[:k], y_columns[:k])
-                    received += len(column)
-                    if self._verify and len(xs) > k:
-                        column = self._cross_check(xs, y_columns, column)
-                    secrets += column
+                    batches[xs].append((pl_id, y_columns))
+            parts, received = defaultdict(list), 0
+            for xs, members in batches.items():
+                y_columns = members[0][1] if len(members) == 1 else [
+                    np.concatenate([*map(word_column, column)])
+                    for column in zip(*(ys for _, ys in members))
+                ]
+                # The first k columns are the canonical subset.
+                column = scheme.reconstruct_batch(xs[:k], y_columns[:k])
+                if self._verify and len(xs) > k:
+                    column = self._cross_check(xs, y_columns, column)
+                start = 0
+                for pl_id, ys in members:
+                    end = start + len(ys[0])
+                    cut = column[start:end] if members[1:] else column
+                    parts[pl_id].append(cut)
+                    start = end
+                received += start
+            for pl_id in missing:
+                pieces = parts[pl_id]
+                secrets_of[pl_id] = pieces[0] if len(pieces) == 1 else (
+                    np.concatenate([_NO_SECRETS, *pieces])
+                )
             self.last_diagnostics.elements_received = received
         if l1 is not None:
             for pl_id in missing:
                 if pl_id not in self._last_unresolved:
-                    l1.put(keys[pl_id], pl_id, secrets_of[pl_id])
+                    # A copy: a cut keeps its whole batch alive.
+                    l1.put(keys[pl_id], pl_id, secrets_of[pl_id].copy())
         return secrets_of
 
     def _join_columns(
@@ -748,7 +772,7 @@ class SearchClient:
                     column.append(y)
         return list(groups.items())
 
-    def _cross_check(self, xs, y_columns, secrets: list[int]) -> list[int]:
+    def _cross_check(self, xs, y_columns, secrets: np.ndarray) -> np.ndarray:
         """``verify_consistency`` over a group with > k shares per
         element: where the shares disagree, the plurality secret of the
         k-subsets replaces the canonical one, or the element becomes 0,
@@ -775,20 +799,17 @@ class SearchClient:
             )
             for subset in subsets
         ]
-        checked = []
-        for values in zip(secrets, *candidates):
-            counts = Counter(values)
-            secret = values[0]
-            if len(counts) > 1:
-                diagnostics.inconsistent_elements += 1
-                (value, top), (_, runner_up) = counts.most_common(2)
-                if top > runner_up:
-                    diagnostics.recovered_elements += 1
-                    secret = value
-                else:
-                    secret = 0
-            checked.append(secret)
-        return checked
+        # Per element, how many subsets agree with each subset's value.
+        votes = np.array([secrets, *candidates])
+        agree = votes[:, None] == votes[None]
+        counts = agree.sum(axis=1)
+        top = counts.max(axis=0)
+        best = votes[counts.argmax(axis=0), np.arange(len(secrets))]
+        runner_up = np.where(votes != best, counts, 0).max(axis=0)
+        split, won = top < len(votes), top > runner_up
+        diagnostics.inconsistent_elements += int(np.count_nonzero(split))
+        diagnostics.recovered_elements += int(np.count_nonzero(split & won))
+        return np.where(split, np.where(won, best, 0), secrets)
 
     def fetch_postings(
         self, terms: Sequence[str], num_servers: int | None = None
@@ -831,25 +852,15 @@ class SearchClient:
                     f"must query at least k={k} servers, asked {num_servers}"
                 )
             secrets_of = self._reconstruct_lists(pl_ids, num_servers)
-            found: list[tuple[int, list[tuple[int, float]]]] = []
-            decoded = matched = 0
-            codec = self._codec
-            # Step 4's filter first: only the queried terms' secrets are
-            # decoded, merged-in terms are never built. Inconsistent
-            # shares decode to garbage; the bulk decode drops what
-            # unpack() would reject.
+            # Step 4's filter first, every list in one pass: only the
+            # queried terms' secrets are decoded, merged-in terms are
+            # never built. Inconsistent shares decode to garbage; the
+            # decode drops what unpack() would reject.
             with span("unpack"):
-                for pl_id in pl_ids:
-                    term_ids = wanted[pl_id]
-                    by_term, count = codec.unpack_terms(
-                        secrets_of[pl_id], term_ids
-                    )
-                    decoded += count
-                    for term_id in sorted(term_ids):
-                        postings = by_term.get(term_id)
-                        if postings:
-                            found.append((term_id, postings))
-                            matched += len(postings)
+                found, decoded = self._codec.unpack_terms(
+                    [(secrets_of[pl_id], wanted[pl_id]) for pl_id in pl_ids]
+                )
+            matched = sum(len(postings) for _, postings in found)
             self.last_diagnostics.elements_matched = matched
             self.last_diagnostics.false_positives = decoded - matched
             return found

@@ -264,6 +264,11 @@ class ClusterCoordinator:
         self._l1_caches.add(cache)
         weakref.finalize(cache, self._retire_l1, cache.counts)
 
+    def clear_l1s(self) -> None:
+        """Empty every registered L1 (the deployment closed)."""
+        for l1 in list(self._l1_caches):
+            l1.clear()
+
     def _retire_l1(self, counts: dict[str, int]) -> None:
         with self._l1_lock:
             for key, value in counts.items():

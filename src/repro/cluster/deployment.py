@@ -313,6 +313,8 @@ class ClusterDeployment(Installation, Membership, AntiEntropy):
 
     def searcher(self, user_id: str, **kwargs) -> SearchClient:
         """A fresh search client for a principal."""
+        if self._closed:
+            raise ClusterError("the deployment is closed")
         token = self.enroll_user(user_id)
         kwargs.setdefault("transport", self.transport)
         if self.cache_tier_store is not None:
@@ -349,13 +351,16 @@ class ClusterDeployment(Installation, Membership, AntiEntropy):
         """Shut the whole deployment down (idempotent).
 
         Stops the repair thread, closes the client transport and the
-        embedded socket server when ``transport="async-socket"``, and
-        closes every seat's WAL handle — after ``close()`` returns, no
-        thread, TCP socket, or file handle of this deployment outlives
-        it.
+        embedded socket server when ``transport="async-socket"``, closes
+        every seat's WAL handle (its files stay), and empties the seats'
+        lists, snapshots and logs, the registry and every L1 — after
+        ``close()`` returns, no thread, TCP socket, file handle, or
+        list in memory of this deployment outlives it, and a search is
+        a typed error.
         """
         if not self._closed:
             self._shut(self.pods)
+            self.coordinator.clear_l1s()
 
     def _shut(self, pods: list[Pod]) -> None:
         self._closed = True
@@ -369,6 +374,7 @@ class ClusterDeployment(Installation, Membership, AntiEntropy):
             for slot in pod.slots:
                 if slot.log is not None:
                     slot.log.close()
+                slot.server.release()
 
     # -- observability ------------------------------------------------------------------
 

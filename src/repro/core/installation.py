@@ -140,7 +140,8 @@ class Installation:
             with :meth:`bootstrap` if starting from corpus statistics).
         k: Shamir reconstruction threshold (paper default 2).
         n: servers per pod (paper default 3).
-        field: the Z_p field; defaults to the 64-bit+ prime.
+        field: the Z_p field; only the 64-bit+ prime (the default) is
+            served, another is a :class:`~repro.errors.ClusterError`.
         packing: posting-element bit layout.
         use_network: must be False, the default; True raises a
             :class:`~repro.errors.ClusterError` naming the counters that replaced the
@@ -154,6 +155,8 @@ class Installation:
         """
         if use_network:
             raise ClusterError(NO_SIMULATED_NETWORK)
+        if field is not None and field.p != DEFAULT_PRIME:
+            raise ClusterError(f"Z_{field.p}: deployments use Z_(2^64+13)")
         self._rng = random.Random(seed)
         self.field = field or PrimeField(DEFAULT_PRIME)
         self.scheme = ShamirScheme(k=k, n=n, field=self.field, rng=self._rng)

@@ -16,13 +16,17 @@ about 50%" is captured by :meth:`PackingSpec.zerber_element_bits`.
 from __future__ import annotations
 
 import random
-from collections import defaultdict
 from dataclasses import dataclass
 from itertools import repeat
 from operator import lt
 from typing import Collection, Sequence
 
+import numpy as np
+
 from repro.errors import PackingError
+from repro.secretsharing.field import word_column
+
+_NO_SECRETS = np.zeros(0, np.uint64)
 
 
 @dataclass(frozen=True)
@@ -111,12 +115,6 @@ class PostingElement:
             raise PackingError(f"tf {self.tf} outside (0, 1]")
 
 
-#: One decoded list as the read path carries it:
-#: ``({term_id: [(doc_id, tf), ...]}, number of secrets decoded)``; the
-#: count includes merged-in noise and undecodable secrets.
-TermPostings = tuple[dict[int, list[tuple[int, float]]], int]
-
-
 class PostingElementCodec:
     """Packs :class:`PostingElement` triples into field secrets and back.
 
@@ -135,6 +133,18 @@ class PostingElementCodec:
         self._term_field = spec.max_term_id << spec.tf_bits
         self._max_doc_id = spec.max_doc_id
         self._secret_limit = 1 << spec.secret_bits
+        # The word decode's operands (term and tf fields, doc shift, tf
+        # mask and scale) as ints, and as the 0-d arrays numpy takes
+        # faster than an int.
+        fields = self._term_field | spec.tf_scale
+        shift = spec.tf_bits + spec.term_id_bits
+        self._operands = (fields, shift, spec.tf_scale, spec.tf_scale)
+        self._word_operands = (
+            np.array(fields, np.uint64),
+            np.array(shift, np.uint64),
+            np.array(spec.tf_scale, np.uint64),
+            np.array(float(spec.tf_scale)),
+        )
 
     def pack(self, element: PostingElement) -> int:
         """Encode ``element`` as an integer < 2**secret_bits."""
@@ -199,51 +209,56 @@ class PostingElementCodec:
             tf=quantized_tf / self._tf_scale,
         )
 
-    def unpack_by_term(self, secrets: Sequence[int]) -> TermPostings:
-        """Bulk :meth:`unpack`, grouped by term for the read path's filter.
-
-        A secret :meth:`unpack` would reject (out of range, zero tf
-        field) is dropped; ``tf`` is the same ``q / tf_scale``.
-        """
-        limit, tf_scale = self._secret_limit, self._tf_scale
-        tf_bits, term_mask = self._tf_bits, self._max_term_id
-        doc_shift = tf_bits + self._term_bits
-        by_term: dict[int, list[tuple[int, float]]] = defaultdict(list)
-        for secret in secrets:
-            quantized_tf = secret & tf_scale
-            if quantized_tf and 0 <= secret < limit:
-                by_term[(secret >> tf_bits) & term_mask].append(
-                    (secret >> doc_shift, quantized_tf / tf_scale)
-                )
-        return dict(by_term), len(secrets)
-
     def unpack_terms(
-        self, secrets: Sequence[int], term_ids: Collection[int]
-    ) -> TermPostings:
-        """:meth:`unpack_by_term` restricted to ``term_ids``, filtering
-        on the term field before any posting is built (same drop rule,
-        arrival order, ``tf`` floats and count)."""
-        # The term field is tested in place, one mask and one compare:
-        # ``secret & term_field == term_id << tf_bits`` holds exactly
-        # when ``(secret >> tf_bits) & max_term_id == term_id``.
-        tf_bits, term_field = self._tf_bits, self._term_field
-        if len(term_ids) != 1:
-            keys = frozenset(term_id << tf_bits for term_id in term_ids)
-            kept = [s for s in secrets if s & term_field in keys]
-            return self.unpack_by_term(kept)[0], len(secrets)
-        # The usual list holds one queried term: filter and decode at once.
-        (term_id,) = term_ids
-        term_key = term_id << tf_bits
-        limit, tf_scale = self._secret_limit, self._tf_scale
-        doc_shift = tf_bits + self._term_bits
-        rows = [
-            (secret >> doc_shift, quantized_tf / tf_scale)
-            for secret in secrets
-            if secret & term_field == term_key
-            and (quantized_tf := secret & tf_scale)
-            and 0 <= secret < limit
-        ]
-        return ({term_id: rows} if rows else {}), len(secrets)
+        self, lists: Sequence[tuple[Sequence[int], Collection[int]]]
+    ) -> tuple[list[tuple[int, list[tuple[int, float]]]], int]:
+        """Bulk :meth:`unpack` of a query's lists, each ``(secrets,
+        term_ids)`` kept to its own queried terms: masks, compares and
+        shifts over every list's secrets as words at once.
+
+        Returns ``(term_id, [(doc_id, tf), ...])`` per term with rows,
+        in list then term order, rows in arrival order, and the number
+        of secrets decoded. What :meth:`unpack` rejects is dropped;
+        only kept rows become tuples, ``tf`` the same ``q / tf_scale``.
+        """
+        columns = [word_column(secrets) for secrets, _ in lists]
+        secrets = columns[0] if len(columns) == 1 else np.concatenate(
+            [_NO_SECRETS, *columns]
+        )
+        words = secrets.dtype != object
+        fields, shift, tf_mask, scale = (
+            self._word_operands if words else self._operands
+        )
+        # A term's rows read its ID in the term field and a tf of at
+        # least 1: ``secret & fields - (key + 1)`` below tf_scale, as a
+        # word. An undecodable secret's fields read 0, which never is.
+        fields = secrets & fields
+        if not words or self._secret_limit < 1 << 64:
+            fields[(secrets < 0) | (secrets >= self._secret_limit)] = 0
+            fields = fields.astype(np.uint64)
+        picks, sizes, start = [], [], 0
+        for column, (_, term_ids) in zip(columns, lists):
+            part, values, end = fields, secrets, start + len(column)
+            if lists[1:]:
+                part, values = fields[start:end], secrets[start:end]
+            start = end
+            for term_id in sorted(term_ids):
+                key = np.uint64((term_id << self._tf_bits) + 1)
+                kept = values[(part - key) < self._word_operands[2]]
+                if len(kept):
+                    picks.append(kept)
+                    sizes.append((term_id, len(kept)))
+        kept = picks[0] if len(picks) == 1 else np.concatenate(
+            [secrets[:0], *picks]
+        )
+        postings = list(
+            zip((kept >> shift).tolist(), ((kept & tf_mask) / scale).tolist())
+        )
+        found, start = [], 0
+        for term_id, size in sizes:
+            found.append((term_id, postings[start : start + size]))
+            start += size
+        return found, len(secrets)
 
 
 def new_element_id(rng: random.Random, bits: int = 32) -> int:

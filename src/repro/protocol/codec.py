@@ -400,7 +400,11 @@ _SWAP = sys.byteorder == "little"
 def _write_column(out: bytearray, column: Sequence[int]) -> None:
     try:
         try:
-            wide = array("Q", column)
+            words = column
+            if type(column) is array and column.typecode in "LQ":
+                if column.itemsize == 8:  # words: a byte copy
+                    words = column.tobytes()
+            wide = array("Q", words)
         except OverflowError:
             # Negative, or >= 2^64: the per-value path decides which.
             if min(column) < 0:
@@ -433,6 +437,12 @@ def _write_column(out: bytearray, column: Sequence[int]) -> None:
 
 
 def _read_column(r: _Reader, count: int) -> list[int]:
+    column = _read_words(r, count)
+    return column if type(column) is list else column.tolist()
+
+
+def _read_words(r: _Reader, count: int) -> array | list[int]:
+    """One column as 64-bit words; a list at width 1 or past 8."""
     # Bounds before allocation: a 20-byte frame may claim 2^40 records.
     data, pos = r.data, r.pos
     if pos >= len(data):
@@ -462,7 +472,7 @@ def _read_column(r: _Reader, count: int) -> list[int]:
         wide = array("Q", padded)
     if _SWAP:
         wide.byteswap()
-    return wide.tolist()
+    return wide
 
 
 def write_columns(out: bytearray, *columns: Sequence[int]) -> None:
@@ -505,12 +515,21 @@ def _enc_lists(out: bytearray, msg: m.FetchListsResponse) -> None:
         out += packed_columns(pl)
 
 
+def read_posting_list(r: _Reader) -> PostingListResponse:
+    """A ``pl_id`` and its :func:`packed_columns`, as a response that
+    keeps those bytes and its share column as words."""
+    pl_id, start, count = r.uint(), r.pos, r.uint()
+    columns = [[], [], []]
+    if count:
+        columns = [_read_column(r, count) for _ in range(2)]
+        columns.append(_read_words(r, count))
+    response = PostingListResponse(pl_id, *columns)
+    object.__setattr__(response, "packed", bytes(r.data[start : r.pos]))
+    return response
+
+
 def _dec_lists(r: _Reader) -> m.FetchListsResponse:
-    lists = []
-    for _ in range(r.uint()):
-        pl_id, start = r.uint(), r.pos
-        lists.append(PostingListResponse(pl_id, *read_columns(r, 3)))
-        object.__setattr__(lists[-1], "packed", bytes(r.data[start : r.pos]))
+    lists = [read_posting_list(r) for _ in range(r.uint())]
     return m.FetchListsResponse(lists=tuple(lists))
 
 

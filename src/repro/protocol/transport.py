@@ -237,6 +237,10 @@ class InProcessTransport(Transport):
     def has_endpoint(self, name: str) -> bool:
         return name in self._services
 
+    def close(self) -> None:
+        """Drop every endpoint: a closed registry serves nothing."""
+        self._services.clear()
+
     def endpoints(self) -> list[str]:
         return sorted(self._services)
 

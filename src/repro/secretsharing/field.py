@@ -18,10 +18,22 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.errors import FieldError
 
 # Smallest prime above 2**64; every 64-bit packed posting element fits.
 DEFAULT_PRIME = (1 << 64) + 13
+
+
+def word_column(values) -> np.ndarray:
+    """Integers as ``uint64`` words (a word array's or an ndarray's
+    without a copy), or as an object array where one is no word."""
+    try:
+        return np.asarray(values, np.uint64)
+    except (OverflowError, TypeError, ValueError):
+        return np.array(values, dtype=object)
+
 
 # Deterministic Miller-Rabin witnesses, valid for all n < 3.317e24
 # (Sorenson & Webster 2015).

@@ -24,11 +24,14 @@ from __future__ import annotations
 
 import random
 import secrets
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Literal, Sequence
 
+import numpy as np
+
 from repro.errors import InsufficientSharesError, SecretSharingError
-from repro.secretsharing.field import DEFAULT_PRIME, PrimeField
+from repro.secretsharing.field import DEFAULT_PRIME, PrimeField, word_column
 
 ReconstructMethod = Literal["lagrange", "gaussian"]
 
@@ -196,6 +199,74 @@ def reconstruct_secret(
     raise SecretSharingError(f"unknown reconstruction method {method!r}")
 
 
+#: The kernel's operands as 0-d arrays (numpy takes one in half the
+#: time of an int, which counts on a query's short lists), and where a
+#: word's low 32-bit half sits in memory.
+_LOW, _HALF = np.array(0xFFFFFFFF, np.uint64), np.array(32, np.uint64)
+_HALF_SIGNED, _THIRTEEN, _ZERO = (np.array(v, np.int64) for v in (32, 13, 0))
+_LOW_AT = int(sys.byteorder == "big")
+
+
+def _factors(weights: tuple[int, ...]) -> tuple[np.ndarray, list]:
+    """The weights as :func:`_weighted_sum` multiplies: themselves when
+    their magnitudes sum below 2^30, else their signs and the uint64
+    columns of their 32-bit halves."""
+    if sum(map(abs, weights)) < 1 << 30:
+        return np.array(weights, np.int64), []
+    signs = np.array([(w > 0) - (w < 0) for w in weights], np.int64)
+    return signs, [
+        np.array([[abs(w) >> s & 0xFFFFFFFF] for w in weights], np.uint64)
+        for s in (0, 32)
+    ]
+
+
+def _weighted_sum(factors, y_columns) -> np.ndarray:
+    """``sum(w * y) mod p`` row by row for p = 2^64 + 13, in numpy.
+
+    The columns stack as words read as 32-bit limbs, plus a 0/1 carry
+    word worth 2^64 where a column is not words. One ``int64`` product
+    over the stack weighs every limb: by the weights when they are small
+    ((2, -1) at x = (1, 2)), else by their signs, over the limbs'
+    products with each ~2^63-wide weight's 32-bit halves, split in two.
+    2^64 = -13 (mod p) folds the sum to ``word - 13 * high``; the rare
+    rows where that wraps past a word are redone in ints.
+    """
+    try:
+        words, carry = np.array(y_columns, np.uint64), []
+    except OverflowError:
+        ys = np.array(y_columns, dtype=object) % DEFAULT_PRIME
+        words = (ys & (1 << 64) - 1).astype(np.uint64)
+        carry = [(2, (ys >> 64).astype(np.uint64).view(np.uint32))]
+    scale, halves = factors
+    acc: dict[int, np.ndarray] = {}  # 2^(32 i) -> its weighted limbs
+    for offset, limbs in [(0, words.view(np.uint32)), *carry]:
+        parts = [] if halves else [(offset, limbs)]
+        for i, half in enumerate(halves, offset):
+            product = limbs * half
+            parts += [(i, (product & _LOW).view(np.int64))]
+            parts += [(i + 1, (product >> _HALF).view(np.int64))]
+        for i, part in parts:
+            both = scale @ part  # each row's two limbs, weighed
+            pair = ((i, both[_LOW_AT::2]), (i + 1, both[1 - _LOW_AT :: 2]))
+            for j, sums in pair:
+                acc[j] = acc[j] + sums if j in acc else sums
+    for i in (5, 4, 3, 2):
+        if i in acc:
+            acc[i - 2] = acc.get(i - 2, 0) - _THIRTEEN * acc.pop(i)
+    low, mid = acc[0], acc[1]
+    word = low.view(np.uint64) + (mid.view(np.uint64) << _HALF)
+    high = (mid + (low >> _HALF_SIGNED)) >> _HALF_SIGNED
+    out = word - (high * _THIRTEEN).view(np.uint64)
+    wrapped = (out > word) == (high >= _ZERO)
+    if np.count_nonzero(wrapped):
+        out = out.astype(object)
+        out[wrapped] = (
+            word[wrapped].astype(object) - 13 * high[wrapped].astype(object)
+        ) % DEFAULT_PRIME
+        out = word_column(out)  # words unless a secret is past 2^64
+    return out
+
+
 class ShamirScheme:
     """A configured k-out-of-n deployment shared by owners and servers.
 
@@ -250,6 +321,7 @@ class ShamirScheme:
         #: mod p. Values are idempotent, so concurrent readers may
         #: recompute the same entry harmlessly (no lock needed).
         self._weight_memo: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self._factor_memo: dict[tuple[int, ...], tuple] = {}
 
     # -- public parameters -------------------------------------------------
 
@@ -343,27 +415,27 @@ class ShamirScheme:
 
     def reconstruct_batch(
         self, xs: Sequence[int], y_columns: Sequence[Sequence[int]]
-    ) -> list[int]:
+    ) -> np.ndarray:
         """Reconstruct a whole column of secrets from k share columns.
 
-        The query hot path joins each fetched list into columns: the
-        slot at ``xs[j]`` contributes ``y_columns[j]``, and row ``i``
-        across the columns is one element's canonical k shares. The
-        memoised weights of the x-tuple turn the column into list passes
-        over plain ints — no per-element objects. At k = 2 that is one
-        pass of ``(a + w1 * (b - a)) % p``, since the weights sum to 1;
-        above it, k multiply-accumulate passes and one ``% p`` pass (the
-        subtraction form there costs an int per term more than the
-        multiply it saves). Least-magnitude weights keep each product
-        narrow over x = (1, 2, ...): ``w1 = -1`` at k = 2. Either form
-        equals the plain weighted sum mod p for any integer shares.
-        Returns the secrets, row for row.
+        Row ``i`` across the columns is one element's canonical k
+        shares, ``y_columns[j]`` from the slot at ``xs[j]``: the
+        x-tuple's memoised weights and one numpy kernel over the
+        columns as words (:func:`_weighted_sum`), equal to the plain
+        weighted sum mod p for any integer shares. Returns the secrets
+        as ``uint64`` words, or as ints (an object array) when one is
+        past 2^64.
 
         Raises:
             InsufficientSharesError: fewer than k columns.
-            SecretSharingError: more than k, or ragged, columns.
+            SecretSharingError: more than k, or ragged, columns, or a
+                field other than Z_(2^64+13), the kernel's.
         """
-        k = self.k
+        k, p = self.k, self.field.p
+        if p != DEFAULT_PRIME:
+            raise SecretSharingError(
+                f"reconstruct_batch works in Z_(2^64+13), not Z_{p}"
+            )
         if len(xs) < k or len(y_columns) < k:
             raise InsufficientSharesError(
                 f"need {k} share columns, got {min(len(xs), len(y_columns))}"
@@ -374,18 +446,13 @@ class ShamirScheme:
             raise SecretSharingError(
                 f"need exactly {k} equally long share columns"
             )
-        normalize = self.field.normalize
-        weights = self.lagrange_weights(tuple(normalize(x) for x in xs))
-        p = self.field.p
-        if k == 2:
-            # The weights sum to 1 mod p, so w0*a + w1*b = a + w1*(b - a)
-            # mod p: one multiply an element, in one pass.
-            w1 = weights[1]
-            return [(a + w1 * (b - a)) % p for a, b in zip(*y_columns)]
-        sums = [weights[0] * y for y in y_columns[0]]
-        for weight, column in zip(weights[1:], y_columns[1:]):
-            sums = [s + weight * y for s, y in zip(sums, column)]
-        return [s % p for s in sums]
+        weights = self._weight_memo.get(tuple(xs)) or self.lagrange_weights(
+            tuple(map(self.field.normalize, xs))
+        )
+        factors = self._factor_memo.get(weights)
+        if factors is None:
+            factors = self._factor_memo[weights] = _factors(weights)
+        return _weighted_sum(factors, y_columns)
 
     def extend(self, additional_servers: int) -> list[int]:
         """Dynamically add servers by "just selecting additional points on the

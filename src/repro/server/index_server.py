@@ -91,7 +91,7 @@ def _check_aligned(*columns: Sequence[int]) -> None:
         raise IndexServerError("a write batch's columns differ in length")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PostingListResponse:
     """One merged posting list's accessible elements, §5.4.2's
 
@@ -100,7 +100,8 @@ class PostingListResponse:
     held as three aligned columns, read-only by contract: transports,
     caches and the client's merge all hold a response without a copy,
     and a seat hands the same response (its list's read snapshot) to
-    repeated lookups between two writes of the list.
+    repeated lookups between two writes of the list. Its share column
+    is words or a list, so responses compare by value.
     """
 
     pl_id: int
@@ -125,6 +126,13 @@ class PostingListResponse:
     @property
     def columns(self) -> tuple[list[int], list[int], list[int]]:
         return self.element_ids, self.group_ids, self.share_ys
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PostingListResponse):
+            return NotImplemented
+        return (self.pl_id, *self.columns[:2], list(self.share_ys)) == (
+            other.pl_id, *other.columns[:2], list(other.share_ys)
+        )
 
     @property
     def records(self) -> RecordView:
@@ -300,13 +308,13 @@ class SeatList:
         one landed during the copy. A kept snapshot is current while its
         first field equals ``stamp``."""
         stamp = self.stamp
-        shares = self.share_ys
-        # Words copy out as fresh ints, laid out one after another.
+        # Words copy out as words: one memcpy, which the client's
+        # reconstruction reads in place.
         response = PostingListResponse(
             pl_id,
             self.element_ids[:],
             self.group_ids[:],
-            shares.tolist() if type(shares) is array else shares[:],
+            self.share_ys[:],
         )
         snapshot = (stamp, response, frozenset(response.group_ids))
         if stamp is not None and self.stamp == stamp:
@@ -423,6 +431,12 @@ class IndexServer:
         self.snapshot_builds = 0
         self.snapshot_reads = 0
         self._counts_lock = threading.Lock()
+
+    def release(self) -> None:
+        """Forget the lists, snapshots and logs held in memory."""
+        self._store = {}
+        self._update_log.clear()
+        self._query_log.clear()
 
     def empty_twin(self) -> "IndexServer":
         """An empty server in this one's seat: the same id, x-coordinate,

@@ -18,12 +18,16 @@ from __future__ import annotations
 
 import random
 import zlib
+from collections import defaultdict
+
+import numpy as np
 
 from repro.baselines.plain_index import IdealTrustedIndex
 from repro.client.batching import BatchPolicy
 from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
 from repro.core.posting import PackingSpec
+from repro.errors import PackingError
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Corpus, Document
 from repro.observability.metrics import SampleView
@@ -57,6 +61,20 @@ def segment_record(kind: int, *columns: list[int]) -> bytes:
             payload += b"".join(v.to_bytes(width, "big") for v in column)
     crc = zlib.crc32(payload).to_bytes(4, "little")
     return leb128(len(payload)) + payload + crc
+
+
+def unpack_by_term(codec, secrets) -> tuple[dict, int]:
+    """The per-element decode oracle: every secret through ``unpack``,
+    what it rejects dropped, grouped by term as ``({term_id: [(doc_id,
+    tf), ...]}, number of secrets)``."""
+    by_term = defaultdict(list)
+    for secret in np.array(secrets, dtype=object).tolist():
+        try:
+            element = codec.unpack(secret)
+        except PackingError:
+            continue
+        by_term[element.term_id].append((element.doc_id, element.tf))
+    return dict(by_term), len(secrets)
 
 
 def as_columns(rows, width: int = 4) -> tuple[list[int], ...]:

@@ -638,7 +638,8 @@ class TestClusterIntegration:
             assert entries and entries.keys() <= stored.keys()
             for key, entry in entries.items():
                 original, snapshot = stored[key]
-                assert entry is original and entry == snapshot
+                assert entry is original
+                assert entry.tolist() == snapshot.tolist()
 
     def test_l2_serves_a_fresh_searcher(self):
         documents = make_documents(num_docs=10)

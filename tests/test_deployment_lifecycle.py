@@ -24,8 +24,10 @@ from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Document
+from repro.secretsharing.field import PrimeField
 from repro.errors import (
     ClusterError,
+    ReproError,
     StorageError,
     TransportError,
     UnknownEndpointError,
@@ -171,6 +173,53 @@ class TestDispatcherLeak:
         for fixed in ("num_pods", "replication_factor"):
             with pytest.raises(TypeError, match=fixed):
                 ZerberDeployment(MappingTable({}, num_lists=4), **{fixed: 2})
+
+
+class TestCloseFreesMemory:
+    @pytest.mark.parametrize("transport", ["in-process", "async-socket"])
+    def test_close_frees_seats_and_l1_and_refuses_searches(
+        self, tmp_path, transport
+    ):
+        """A caller holding a closed deployment holds no cluster: every
+        seat forgets its lists, read snapshots and logs, the L1 empties,
+        and a search is a typed error, from a new searcher or an old
+        one. A durable seat's files stay on disk."""
+        cluster = _cluster(
+            wal_dir=tmp_path, l1_entries=8, transport=transport
+        )
+        reader = cluster.searcher("alice", use_cache=False)
+        for _ in range(2):  # the second read of a list keeps a snapshot
+            assert reader.search(["alpha", "beta"], fetch_snippets=False)
+        searcher = cluster.searcher("alice")
+        assert searcher.search(["alpha", "beta"], fetch_snippets=False)
+        servers = [slot.server for pod in cluster.pods for slot in pod.slots]
+        assert any(server._store for server in servers)
+        assert any(
+            plist.snapshot is not None
+            for server in servers
+            for plist in server._store.values()
+        )
+        assert len(searcher.l1_cache) > 0
+        files = sorted(path for path in tmp_path.rglob("*") if path.is_file())
+        assert files
+        cluster.close()
+        for server in servers:
+            assert server._store == {}
+            assert not server._update_log and not server._query_log
+        assert len(searcher.l1_cache) == 0
+        with pytest.raises(ClusterError, match="closed"):
+            cluster.search("alice", ["alpha"])
+        with pytest.raises(ReproError):
+            searcher.search(["alpha", "beta"], fetch_snippets=False)
+        assert files == sorted(
+            path for path in tmp_path.rglob("*") if path.is_file()
+        )
+        assert all(path.stat().st_size for path in files)
+
+    @pytest.mark.parametrize("shape", [ClusterDeployment, ZerberDeployment])
+    def test_a_field_the_kernel_does_not_serve_is_refused(self, shape):
+        with pytest.raises(ClusterError, match="2\\^64"):
+            shape(MappingTable({}, num_lists=4), field=PrimeField(65537))
 
 
 class TestTransportChoice:

@@ -48,13 +48,15 @@ from repro.secretsharing.shamir import (
     reconstruct_secret,
 )
 from repro.server.index_server import PostingListResponse, ShareRecord
+from tests.helpers import unpack_by_term
 
 #: The deployed layout (64-bit secrets in Z_(2^64+13)) and a tiny one
-#: whose field leaves most of its range *outside* the packed width, so
-#: a corrupted reconstruction is usually a PackingError.
+#: that leaves most of the field *outside* the packed width, so a
+#: corrupted reconstruction is usually a PackingError. Both in the one
+#: field the column kernel serves.
 LAYOUTS = (
     (DEFAULT_PRIME, PackingSpec()),
-    (65537, PackingSpec(doc_id_bits=6, term_id_bits=3, tf_bits=3)),
+    (DEFAULT_PRIME, PackingSpec(doc_id_bits=6, term_id_bits=3, tf_bits=3)),
 )
 PL_ID = 7
 
@@ -99,7 +101,7 @@ def _decoded(client, num_servers):
     """The client's reconstructed secrets of ``PL_ID``, grouped by term
     as ``(by_term, count)`` by the bulk decode."""
     secrets = client._reconstruct_lists([PL_ID], num_servers)[PL_ID]
-    return client._codec.unpack_by_term(secrets)
+    return unpack_by_term(client._codec, secrets)
 
 
 def _flatten(by_term):
@@ -441,10 +443,8 @@ class TestJoin:
 
 
 class TestReconstructBatch:
-    def _scheme(self, k=3, n=5, p=65537, seed=5):
-        return ShamirScheme(
-            k=k, n=n, field=PrimeField(p), rng=random.Random(seed)
-        )
+    def _scheme(self, k=3, n=5, seed=5):
+        return ShamirScheme(k=k, n=n, rng=random.Random(seed))
 
     def _columns(self, scheme, secrets, slots):
         rows = [scheme.split(s) for s in secrets]
@@ -455,10 +455,10 @@ class TestReconstructBatch:
 
     def test_column_matches_naive_row_by_row(self):
         scheme = self._scheme()
-        secrets = [11, 22, 33, 65536, 0]
+        secrets = [11, 22, 33, 65536, 0, (1 << 64) - 1, DEFAULT_PRIME - 1]
         xs, y_columns = self._columns(scheme, secrets, (4, 1, 2))
-        assert scheme.reconstruct_batch(xs, y_columns) == secrets
-        assert scheme.reconstruct_batch(xs, [[], [], []]) == []
+        assert scheme.reconstruct_batch(xs, y_columns).tolist() == secrets
+        assert scheme.reconstruct_batch(xs, [[], [], []]).tolist() == []
 
     def test_weights_memoized_per_x_tuple(self):
         scheme = self._scheme()
@@ -467,7 +467,7 @@ class TestReconstructBatch:
         # Same slot subset -> one memo entry; a new subset -> a second.
         assert len(scheme._weight_memo) == 2
         xs, y_columns = self._columns(scheme, [42], (0, 1, 2))
-        assert scheme.reconstruct_batch(xs, y_columns) == [42]
+        assert scheme.reconstruct_batch(xs, y_columns).tolist() == [42]
         assert len(scheme._weight_memo) == 2
 
     def test_weights_match_lagrange_basis(self):
@@ -483,7 +483,7 @@ class TestReconstructBatch:
             field.lagrange_at_zero(list(zip(xs, ys)))
             for ys in zip(*y_columns)
         ]
-        assert scheme.reconstruct_batch(xs, y_columns) == direct
+        assert scheme.reconstruct_batch(xs, y_columns).tolist() == direct
         assert direct[0] == (
             sum(w * column[0] for w, column in zip(weights, y_columns))
             % field.p
@@ -536,9 +536,9 @@ class TestReconstructBatch:
         """A server echoing another's x-coordinate with a different y:
         the canonical subset keeps the first occurrence, so every
         back-end — and the column join — reconstructs the same value."""
-        scheme = self._scheme(k=2, n=3, p=101)
+        scheme = self._scheme(k=2, n=3)
         shares = scheme.split(7)
-        echo = Share(x=shares[0].x, y=(shares[0].y + 5) % 101)
+        echo = Share(x=shares[0].x, y=(shares[0].y + 5) % DEFAULT_PRIME)
         fetched = [shares[0], echo, shares[1]]
         # The join's canonical columns: first occurrence per x.
         assert (
@@ -568,14 +568,15 @@ class TestBulkDecode:
         for secret in bad:
             with pytest.raises(PackingError):
                 codec.unpack(secret)
-        by_term, count = codec.unpack_by_term(
-            secrets[:25] + bad + secrets[25:]
+        found, count = codec.unpack_terms(
+            [(secrets[:25] + bad + secrets[25:], range(4))]
         )
         assert count == 54
-        assert _flatten(by_term) == sorted(
+        assert _flatten(dict(found)) == sorted(
             (e.term_id, e.doc_id, e.tf) for e in map(codec.unpack, secrets)
         )
-        assert codec.unpack_by_term([]) == ({}, 0)
+        assert codec.unpack_terms([]) == codec.unpack_terms([([], {1})])
+        assert codec.unpack_terms([]) == ([], 0)
 
 
 @st.composite
@@ -623,10 +624,13 @@ def test_filtered_decode_is_unpack_restricted_to_the_wanted_terms(case):
             continue
         if element.term_id in wanted:
             expected[element.term_id].append((element.doc_id, element.tf))
-    by_term, count = codec.unpack_terms(secrets, wanted)
-    assert by_term == expected and count == len(secrets)
-    grouped, _ = codec.unpack_by_term(secrets)
-    assert by_term == {t: rows for t, rows in grouped.items() if t in wanted}
+    found, count = codec.unpack_terms([(secrets, wanted)])
+    assert dict(found) == expected and count == len(secrets)
+    assert [t for t, _ in found] == sorted(expected)
+    grouped, _ = unpack_by_term(codec, secrets)
+    assert dict(found) == {
+        t: rows for t, rows in grouped.items() if t in wanted
+    }
 
 
 class TestFieldHelpers:

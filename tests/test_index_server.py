@@ -480,7 +480,7 @@ def test_a_response_does_not_change_under_later_writes(env):
     server.delete(tokens["alice"], [0, 1], [0, 2])
     server.drop_posting_list(1)
     assert [
-        (r.element_ids, r.group_ids, r.share_ys) for r in before
+        (r.element_ids, r.group_ids, list(r.share_ys)) for r in before
     ] == frozen
 
 
@@ -693,7 +693,9 @@ def test_one_pass_ingest_equals_the_per_list_model(data):
             for response in server.get_posting_lists(tokens["all"], pl_ids):
                 pl_id = response.pl_id
                 expected = model.get(pl_id, _NO_LIST).columns
-                assert response.columns == tuple(map(list, expected))
+                assert tuple(map(list, response.columns)) == tuple(
+                    map(list, expected)
+                )
                 if pl_id in written:
                     assert response is not served[pl_id]
         store.close()
@@ -1042,7 +1044,9 @@ class TestReadSnapshots:
             (response,) = server.get_posting_lists(tokens["all"], [0])
         assert stored.snapshot[0] == stored.stamp
         assert stored.snapshot[1] is response
-        assert response.columns == tuple(map(list, stored.columns))
+        assert tuple(map(list, response.columns)) == tuple(
+            map(list, stored.columns)
+        )
         assert stored.snapshot[2] == frozenset(stored.group_ids)
         assert server.snapshot_reads == sum(lookups) + 2
 
@@ -1168,7 +1172,7 @@ def _share_column_scenario(odd) -> tuple[list, dict]:
         ))
         for _ in range(3):
             _attempt(log, "read", lambda: [
-                (response.columns, type(response.share_ys))
+                tuple(map(list, response.columns))
                 for response in server.get_posting_lists(token, [0, 1, 9])
             ])
         _attempt(log, "adopt", lambda: server.adopt_posting_list(
@@ -1182,7 +1186,7 @@ def _share_column_scenario(odd) -> tuple[list, dict]:
             token, [3, 3], [20, 21], [1, 1], [odd, 6]
         ))
         _attempt(log, "read-2", lambda: [
-            response.columns
+            tuple(map(list, response.columns))
             for response in server.get_posting_lists(token, [0, 1, 2, 3])
         ])
         _attempt(log, "memory", lambda: _values(server._store))
@@ -1240,10 +1244,12 @@ def test_seat_lists_are_equal_by_value_across_column_forms():
     assert words == listed and listed == words
     listed.put(2, 1, 6)
     assert words != listed
-    # A snapshot hands out plain lists whatever the stored form.
+    # A snapshot copies the stored form: words stay words.
     for plist in (words, listed):
         _stamp, response, _groups = plist.build_snapshot(0)
-        assert all(type(column) is list for column in response.columns)
+        assert type(response.share_ys) is type(plist.share_ys)
+        assert response.share_ys is not plist.share_ys
+        assert list(response.share_ys) == list(plist.share_ys)
 
 
 def _share_column_bytes_per_row(rows: int) -> float:

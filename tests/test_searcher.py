@@ -20,6 +20,7 @@ from tests.helpers import (
     make_cluster,
     make_documents,
     owner_of_group,
+    unpack_by_term,
 )
 
 
@@ -191,7 +192,7 @@ def _head_fetch_elements(searcher, terms):
     pl_ids = sorted({searcher._mapping.lookup(t) for t in terms})
     secrets_of = searcher._reconstruct_lists(pl_ids, searcher._scheme.k)
     by_list = {
-        pl_id: searcher._codec.unpack_by_term(secrets)
+        pl_id: unpack_by_term(searcher._codec, secrets)
         for pl_id, secrets in secrets_of.items()
     }
     return [

@@ -198,10 +198,13 @@ class TestShamirScheme:
         # Any k columns give the secrets back, column-wise and row-wise.
         slots = data.draw(st.permutations(range(n)), label="slots")[:k]
         xs = [scheme.x_of(j) for j in slots]
-        assert (
-            scheme.reconstruct_batch(xs, [columns[j] for j in slots])
-            == secrets_
-        )
+        if field.p == DEFAULT_PRIME:
+            assert scheme.reconstruct_batch(
+                xs, [columns[j] for j in slots]
+            ).tolist() == secrets_
+        else:  # the column kernel serves Z_(2^64+13) only
+            with pytest.raises(SecretSharingError, match="2\\^64"):
+                scheme.reconstruct_batch(xs, [columns[j] for j in slots])
         for method in ("lagrange", "gaussian"):
             assert [
                 reconstruct_secret(
@@ -220,7 +223,7 @@ class TestShamirScheme:
         columns = scheme.split_many(secrets_, make_rng())
         assert scheme.reconstruct_batch(
             scheme.x_coordinates[1:], columns[1:]
-        ) == secrets_
+        ).tolist() == secrets_
 
         class ZeroCoefficients(random.Random):
             def randrange(self, *args):
@@ -238,16 +241,14 @@ class TestShamirScheme:
 
     @settings(max_examples=120, deadline=None)
     @given(
-        field=st.sampled_from([FIELD, PrimeField(DEFAULT_PRIME)]),
         k=st.integers(2, 5),
         seed=st.integers(0, 2**32),
         data=st.data(),
     )
-    def test_reconstruct_batch_equals_the_weighted_sum(
-        self, field, k, seed, data
-    ):
-        """The k - 1 multiply form is the plain weighted sum mod p for
-        any integers: shares in the field, past p, past 2^64, negative."""
+    def test_reconstruct_batch_equals_the_weighted_sum(self, k, seed, data):
+        """The column kernel is the plain weighted sum mod p for any
+        integers: shares in the field, past p, past 2^64, negative."""
+        field = PrimeField(DEFAULT_PRIME)
         scheme = ShamirScheme(
             k=k, n=k + 2, field=field, rng=random.Random(seed)
         )
@@ -260,22 +261,22 @@ class TestShamirScheme:
         expected = [
             sum(w * y for w, y in zip(weights, row)) % field.p for row in rows
         ]
-        assert scheme.reconstruct_batch(xs, y_columns) == expected
+        assert scheme.reconstruct_batch(xs, y_columns).tolist() == expected
 
     @settings(max_examples=60, deadline=None)
     @given(
-        field=st.sampled_from([FIELD, PrimeField(DEFAULT_PRIME)]),
         k=st.integers(2, 5),
         extra=st.integers(0, 3),
         data=st.data(),
     )
     def test_reconstruct_batch_over_every_subset_of_the_default_xs(
-        self, field, k, extra, data
+        self, k, extra, data
     ):
         """x = 1..n by default; over every k-subset of it, consecutive
         or not, the column form equals naive Lagrange per row and the
         field-weighted sum, for shares in the field, past p, past 2^64
         and negative."""
+        field = PrimeField(DEFAULT_PRIME)
         n = k + extra
         scheme = ShamirScheme(k=k, n=n, field=field)
         assert scheme.x_coordinates == tuple(range(1, n + 1))
@@ -288,7 +289,7 @@ class TestShamirScheme:
         y_columns = [list(column) for column in zip(*rows)] or [[]] * k
         for xs in itertools.combinations(scheme.x_coordinates, k):
             field_weights = field.lagrange_weights_at_zero(xs)
-            assert scheme.reconstruct_batch(xs, y_columns) == [
+            assert scheme.reconstruct_batch(xs, y_columns).tolist() == [
                 field.lagrange_at_zero(list(zip(xs, row))) for row in rows
             ] == [
                 sum(w * y for w, y in zip(field_weights, row)) % field.p
