@@ -70,8 +70,10 @@
 # tree: the line counts of src/ and tests/, of the largest module under
 # src/repro/cluster/ and under src/repro/protocol/, of cli.py and of
 # the read path (client/searcher.py with client/fetch_round.py), the
-# numpy version the run used, and the wall time of this run. Before any
-# gate, the script stops with one line if numpy cannot be imported.
+# code-only lines of src/ and of the read path (scripts/count_code.py:
+# no blank, comment or docstring lines), the numpy version the run
+# used, and the wall time of this run. Before any gate, the script
+# stops with one line if numpy cannot be imported.
 #
 # The benches write their records under benchmarks/results/ as they
 # run. This script copies that directory aside at start and puts it
@@ -193,9 +195,14 @@ done
 printf '  %-28s %6s  %s\n' "$(wc -l <src/repro/cli.py)" "" \
     "lines in src/repro/cli.py"
 # The read path (items 10 and 18): the search client and its fetch round.
-printf '  %-28s %6s  %s\n' \
-    "$(cat src/repro/client/searcher.py src/repro/client/fetch_round.py | wc -l)" \
-    "" "lines in the read path (client/searcher.py + client/fetch_round.py)"
+read_path=(src/repro/client/searcher.py src/repro/client/fetch_round.py)
+printf '  %-28s %6s  %s\n' "$(cat "${read_path[@]}" | wc -l)" "" \
+    "lines in the read path (client/searcher.py + client/fetch_round.py)"
+# The same trees counted as code only, so trimming prose moves neither.
+printf '  %-28s %6s  %s\n' "$(python scripts/count_code.py src)" "" \
+    "code-only lines in src/"
+printf '  %-28s %6s  %s\n' "$(python scripts/count_code.py "${read_path[@]}")" \
+    "" "code-only lines in the read path"
 printf '  %-28s %6s  %s\n' "$numpy_version" "" "numpy version"
 printf '  %-28s %6s  %s\n' "" "$(($(date +%s) - started)) s" "wall time"
 if [ "$failed" -ne 0 ]; then

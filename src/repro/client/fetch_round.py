@@ -1,13 +1,10 @@
-"""The search client's fetch-round bookkeeping (the fetch stage of §5.4.2).
+"""The fetch stage's plain data (Algorithm 2 step 2, §5.4.2).
 
-:class:`~repro.client.searcher.SearchClient` fetches a query's merged
-lists in failover rounds: each round assigns every unfinished list to
-its next replica pod and asks the pods' seats in waves. This module
-holds the round's plain data and pure helpers — the per-query
-:class:`ClusterDiagnostics`, one pod's :class:`PodFetch` (its seat walk
-and tallies), one list's :class:`ListAnswers` with the decision taken
-on them once a wave, and the slot-map merge — so the client keeps only
-the steps that talk to seats and caches.
+:class:`~repro.client.searcher.SearchClient` fetches a query's lists
+in failover rounds of waves. This module holds the per-query
+:class:`ClusterDiagnostics`, one pod's seat walk (:class:`PodFetch`),
+one list's answers and the one decision taken on them
+(:class:`ListAnswers`), and the per-slot merge.
 """
 
 from __future__ import annotations
@@ -32,16 +29,11 @@ class ClusterDiagnostics:
         lookup_messages: lookup RPCs actually sent (cache hits send none).
         failovers: servers skipped because they were down.
         escalations: extra fetches issued to cover share shortfalls.
-        pod_failovers: lists retried on a further replica pod because
-            the preferred pod could not finish them.
-        hedged_fetches: pods whose backup legs left because a
-            first-choice lookup was still unanswered at the hedge delay
-            (async socket only: in process every lookup settles first).
+        pod_failovers: lists retried on a further replica pod.
+        hedged_fetches: pods whose backup legs left at the hedge delay.
         hedge_wins: hedged pods where a backup leg answered first.
-        l1_hits: lists served from the searcher-local L1 (no network,
-            no reconstruction).
-        l2_hits: lists served from the shared cache tier (one cache
-            round-trip instead of k seat fetches).
+        l1_hits: lists served from the searcher-local L1.
+        l2_hits: lists served from the shared cache tier.
     """
 
     pods_contacted: int = 0
@@ -56,19 +48,13 @@ class ClusterDiagnostics:
 
 
 class PodFetch:
-    """One pod's part of a fetch round: its walk over its seats and its
-    tallies, folded into the query's accounting in pod order.
+    """One pod's part of a fetch round: its seat walk and its tallies.
 
     The walk goes in slot order, one wave at a time: the first ``want``
-    seats with a trusted request, then a replacement for each seat that
-    failed, then, once ``want`` seats answered, one escalation a wave
-    for the lists still short of k shares (a seat with no trusted
-    request for them is skipped). ``plan`` is ``[(slot, trusted
-    lists)]``; a seat is passed once, asked or not. ``ranking`` is the
-    replica ranking the pod's first list came from, which names a
-    hedge's backup pod. Times are on the coordinator clock, the
-    ``backup_*`` ones for the backup pod; ``ended`` (traced rounds
-    only) is when the walk ran out.
+    seats with a trusted request (``plan`` is ``[(slot, trusted
+    lists)]``), a replacement for each seat that failed, then one
+    escalation a wave for the lists still short of k shares. Times are
+    on the coordinator clock; ``ended`` (traced only) is when it ran out.
     """
 
     # A round sets only what happens to the pod.
@@ -116,18 +102,17 @@ class PodFetch:
 
 
 class ListAnswers(dict):
-    """One list's answers so far, ``slot index -> response``, and what
-    the wave that last changed them decided (:meth:`decide`)."""
+    """One list's answers, ``slot index -> response``, fetched or read
+    from the L2, and the verdict of :meth:`decide`, the one place the
+    read path judges alignment: the join trusts it."""
 
     aligned = True
     short = False
 
     def decide(self, k: int) -> None:
-        """Compare each slot's id column with the first, once: are they
-        ``aligned`` (then they are the share join as they stand), and
-        is an element ``short`` of k shares? A slot holds at most one
-        share per element, so an element's share count is the number
-        of columns naming it: with aligned columns, the column count.
+        """Are the slots' id columns ``aligned`` (all equal to the
+        first, so they are the share join as they stand), and is an
+        element ``short`` of k shares (named by fewer than k columns)?
         """
         columns = [response.element_ids for response in self.values()]
         first = columns[0] if columns else None
@@ -144,12 +129,9 @@ def merge_response(
     slot_index: int,
     response: PostingListResponse,
 ) -> None:
-    """Fold one slot's response in, unioning records per element.
-
-    Replica pods hold identical shares per slot, so a record seen twice
-    is byte-equal; the union matters when an earlier replica's seat
-    answered short (e.g. lost shares) and a later replica's same slot
-    fills the gap.
+    """Fold a further response for a slot in. Replica pods hold the
+    same shares per slot, so the first answer's rows are kept and a
+    later replica's rows only fill an earlier seat's gaps.
     """
     existing = slot_map.get(slot_index)
     if existing is None:

@@ -1,44 +1,38 @@
 """The querying user's client (paper §5.4.2, Algorithm 2).
 
-Query processing, exactly as Algorithm 2 stages it:
+A query is one flat line of stages in :meth:`SearchClient
+.fetch_postings` and :meth:`SearchClient.search`. Each stage takes its
+inputs as arguments and returns per-list outputs; none leaves a value
+on the client for another to read. Algorithm 2's steps map onto them:
 
-1. map query terms to merged posting-list IDs through the public mapping
-   table ("she does not divulge which terms she is querying" — only list
-   IDs travel);
-2. authenticate to k (or more) index servers and fetch the requested lists;
-   each server returns only the elements the user's groups may read;
-3. join the share streams on the global element ID and reconstruct each
-   element from any k shares (``decodeShamirsScheme``);
-4. filter false positives — elements of merged-in terms the user did not
-   query (``filterElements``);
-5. rank client-side with personalized collection statistics and Fagin's
-   Threshold Algorithm;
-6. fetch snippets for the top-K from the hosting peers.
+1. map query terms to merged posting-list IDs through the public
+   mapping table, so only list IDs travel: ``_plan``;
+2. fetch the lists from k (or more) index servers, each returning only
+   the elements the user's groups may read: ``_fence`` captures the
+   cache keys once, ``_l1_get`` reads the searcher-local L1 of
+   reconstructed secrets, ``_l2_get`` the shared L2 tier of share
+   bundles, ``_fetch`` runs the failover ladder over the rest, and
+   ``_l2_fill`` stores what it fetched;
+3. join the share streams on the element ID and reconstruct each
+   element from any k shares (``decodeShamirsScheme``): ``_reconstruct``
+   over :func:`join_columns`, then ``_l1_fill``;
+4. filter false positives, the merged-in terms the user did not query
+   (``filterElements``): ``_decode``;
+5. rank with personalized collection statistics and Fagin's Threshold
+   Algorithm: ``_rank``;
+6. fetch snippets for the top-K from the hosting peers:
+   ``_fetch_snippet``.
 
-Step 2 is one fetch stage whatever the deployment's shape: the paper's
-single fleet is one pod of n seats holding every list (§5), the sharded
-cluster many pods (§8), and the
-:class:`~repro.cluster.coordinator.ClusterCoordinator` places the lists
-on them. A query's lists are grouped by pod, and each contacted seat
-gets *one* lookup carrying every list it owns that the query needs.
-A round ranks replicas once per replica set, plans seats and accounts
-once per pod, and decides each list's shortfall and id-column alignment
-once per wave, which the join reuses; a healthy round costs little
-beyond its lookups. Stale seats are never asked, failed seats are
-replaced, short lists escalate, and a pod that cannot finish hands its
-lists to the next replica (:meth:`_fetch_with_failover`), in pipelined
-waves with optional hedged backups (:meth:`_fetch_round`).
-Reads are fronted by the searcher-local L1 of reconstructed secrets
-and the shared L2 tier of share bundles, both keyed pod-agnostically
-and invalidated before every write (:meth:`_reconstruct_lists`,
-:meth:`_fetch_lists`). See ``docs/ARCHITECTURE.md``, "Reads and the
-failover ladder".
+The single fleet (§5) is the one-pod cluster (§8), so one fetch stage
+serves both. See ``docs/ARCHITECTURE.md``, "Reads".
 """
 
 from __future__ import annotations
 
+import math
 import time
 from collections import defaultdict
+from contextlib import nullcontext
 from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import TYPE_CHECKING, Sequence
@@ -82,13 +76,13 @@ from repro.ranking.scores import CollectionStatistics, TfIdfScorer
 from repro.ranking.threshold import term_tf_maps, threshold_top_k
 from repro.secretsharing.field import word_column
 from repro.server.auth import AuthToken
-from repro.server.index_server import PostingListResponse
 
 if TYPE_CHECKING:
     from repro.cluster.coordinator import ClusterCoordinator
     from repro.cluster.membership import Pod
 
 _NO_SECRETS = np.zeros(0, np.uint64)
+_NO_SCOPE = nullcontext()
 
 
 @dataclass(frozen=True)
@@ -100,11 +94,8 @@ class SearchResult:
         score: its personalized tf-idf score.
         host: hosting peer (from the snippet fetch; "" when snippets off).
         snippet: context text ("" when snippets off).
-        matched_terms: the query terms the document actually contains,
-            each named once and in sorted order — also when several
-            owners share one ``doc_id``, so a term's list carries the
-            document more than once. Such a document counts once in a
-            term's df, and its tf is the least of its rows in the term
+        matched_terms: the query terms the document contains, each
+            once, sorted, also when several owners share its ``doc_id``
             (:func:`~repro.ranking.threshold.term_tf_maps`).
     """
 
@@ -121,25 +112,18 @@ class SearchDiagnostics:
 
     Attributes:
         posting_lists_requested: distinct merged-list IDs sent to servers.
-        elements_received: elements joined with >= k shares and
-            reconstructed *by this query*. A list answered by the
-            searcher-local L1 joins nothing, so a full L1 hit reads 0
-            here while ``false_positives`` / ``elements_matched`` are
-            what a fresh fetch would report.
+        elements_received: elements reconstructed *by this query* (an L1
+            hit reconstructs nothing).
         false_positives: reconstructed elements discarded: merged-in
             noise and secrets that do not decode. With every list
             fetched, exactly ``elements_received - elements_matched``.
         elements_matched: elements surviving the term filter.
-        response_bytes: total lookup response bytes across servers,
-            each response sized by its ``wire_bytes``. Counted on every
-            lookup, whatever the transport: in process it equals what
-            the same lookups read over a socket.
+        response_bytes: lookup and L2 response bytes (``wire_bytes``,
+            whatever the transport).
         inconsistent_elements: under ``verify_consistency``, elements
-            whose k-subsets of shares reconstructed to more than one
-            value (a lying or corrupted server answered).
+            whose k-subsets of shares disagreed.
         recovered_elements: the inconsistent elements a strict
-            plurality of subsets still decided (needs >= k + 2 shares);
-            the rest were dropped.
+            plurality of subsets still decided (needs >= k + 2 shares).
     """
 
     posting_lists_requested: int = 0
@@ -149,6 +133,35 @@ class SearchDiagnostics:
     response_bytes: int = 0
     inconsistent_elements: int = 0
     recovered_elements: int = 0
+
+
+def join_columns(
+    columns: list[tuple[int, list[int], list[int]]], k: int, aligned: bool
+) -> list[tuple[tuple[int, ...], list[list[int]]]]:
+    """Join one list's ``(x, element_ids, share_ys)`` slot columns on
+    the element ID; returns ``(xs, y_columns)`` groups, row ``i`` of a
+    group being one element's shares in canonical order.
+
+    ``aligned`` is :meth:`ListAnswers.decide`'s verdict: the columns
+    are then the join, row by row, so an ID every column repeats (only
+    k seats lying alike serve one) is two elements. Otherwise each
+    element keeps its first share per distinct x, and elements short
+    of k shares (a lagging or lying server) are dropped.
+    """
+    if aligned:
+        xs = tuple(x for x, _, _ in columns)
+        return [(xs, [ys for _, _, ys in columns])] if len(xs) >= k else []
+    shares_of: dict[int, dict[int, int]] = defaultdict(dict)
+    for x, column_ids, ys in columns:
+        for element_id, y in zip(column_ids, ys):
+            shares_of[element_id].setdefault(x, y)
+    groups: dict[tuple[int, ...], list[list[int]]] = {}
+    for by_x in shares_of.values():
+        if len(by_x) >= k:
+            y_columns = groups.setdefault(tuple(by_x), [[] for _ in by_x])
+            for column, y in zip(y_columns, by_x.values()):
+                column.append(y)
+    return list(groups.items())
 
 
 class SearchClient:
@@ -175,45 +188,29 @@ class SearchClient:
         token: enterprise auth ticket.
         coordinator: the control plane (placement, liveness, write
             epochs, the public Shamir parameters).
-        mapping_table: public term -> posting-list resolver.
-        dictionary: public term -> term_id registry.
+        mapping_table / dictionary: public term -> list / term_id maps.
         codec: posting-element unpacker.
         snippet_service: optional hosting-peer registry for step 6.
-        verify_consistency: when querying more than k servers, cross-check
-            every element by reconstructing from two different k-subsets
-            of its shares; elements whose reconstructions disagree (a
-            lying or corrupted server) are dropped and counted in
-            :attr:`SearchDiagnostics.inconsistent_elements`.
+        verify_consistency: over more than k servers, vote each element
+            over k-subsets of its shares (:meth:`_cross_check`).
         use_cache: front lookups with the L1 and the L2 tier, when
             either is attached (never under ``verify_consistency``).
-        transport: where protocol messages go; defaults to the
-            coordinator's transport (deployments pass their own — the
-            in-process registry or a socket client).
-        hedge_after_s: when given, re-send a wave's lookups still
-            unanswered after this many seconds to a backup replica pod,
-            first answer wins; 0 sends each backup right behind its
-            primary, and a negative value is a
-            :class:`~repro.errors.ReproError`. None (default) never
-            hedges. Failover replacements and escalations are hedged
-            like first choices. Replicas hold byte-identical slot
-            shares, so results never differ; hedging spends extra
-            lookup messages. Needs the async socket: in process every
-            lookup settles before the delay, so it is a no-op there.
-        cache_tier: endpoint name of a shared cache-tier service
-            (:class:`repro.cachetier.CacheTierService`); None (default)
-            skips the L2 consult entirely. Gated like the L1
-            (``use_cache``, and never under ``verify_consistency``); a
-            dead or unknown tier degrades silently to a fleet fetch.
-        l1_entries: capacity of a searcher-local L1 of *reconstructed*
-            postings; 0 (default) disables it. The L1 registers with
-            the coordinator for write-fan-out invalidation and eager
-            membership eviction, so hot repeat queries skip the
-            network and Lagrange reconstruction while staying
-            byte-identical to fresh fetches.
+        transport: where messages go; the coordinator's by default.
+        hedge_after_s: re-send a wave's lookups still unanswered after
+            this many seconds to a backup replica pod, first answer
+            wins (async socket only; replicas answer byte-identically).
+            None (default) never hedges; a negative, NaN or infinite
+            delay is a :class:`~repro.errors.ReproError`.
+        cache_tier: endpoint of a shared L2 tier; None skips it. A dead
+            or unknown tier degrades silently to a fleet fetch.
+        l1_entries: capacity of a searcher-local L1 of reconstructed
+            secrets, registered with the coordinator for invalidation;
+            0 (default) disables it.
         """
-        if hedge_after_s is not None and hedge_after_s < 0:
+        if hedge_after_s is not None and not 0 <= hedge_after_s < math.inf:
             raise ReproError(
-                f"hedge_after_s must be >= 0 or None, got {hedge_after_s}"
+                "hedge_after_s must be a finite number >= 0 or None, "
+                f"got {hedge_after_s}"
             )
         self.user_id = user_id
         self._token = token
@@ -233,11 +230,6 @@ class SearchClient:
         if l1_entries:
             self._l1 = L1PostingCache(l1_entries)
             coordinator.register_l1(self._l1)
-        #: Lists whose last fetch left an element below k shares (never
-        #: cacheable, in any tier), and those whose id columns the fetch
-        #: decided aligned (set per _fetch_lists call).
-        self._last_unresolved: set[int] = set()
-        self._last_aligned: set[int] = set()
         self.last_diagnostics = SearchDiagnostics()
         self.last_cluster_diagnostics = ClusterDiagnostics()
 
@@ -246,96 +238,153 @@ class SearchClient:
         """The searcher-local L1, for observability (None when off)."""
         return self._l1
 
-    # -- step 2: the fetch stage -----------------------------------------------
+    # -- steps 1-4: the stages, in order ------------------------------------
 
-    def _fetch_lists(
-        self, pl_ids: Sequence[int], num_servers: int
-    ) -> list[tuple[int, PostingListResponse]]:
-        """Consult the L2 tier, then route, batch, fail over, escalate;
-        returns (slot_index, response) pairs, list by list.
+    def fetch_postings(
+        self, terms: Sequence[str], num_servers: int | None = None
+    ) -> list[tuple[int, list[tuple[int, float]]]]:
+        """Steps 1-4 of Algorithm 2, one stage after another: ``(term_id,
+        [(doc_id, tf), ...])`` per queried term a list holds, in
+        ``(pl_id, term_id)`` order, false positives removed. Resets,
+        then fills, :attr:`last_diagnostics` and
+        :attr:`last_cluster_diagnostics`; counts in the metrics registry.
 
-        Slot indices repeat across pods, but replica pods of a list hold
-        *identical* slot-aligned shares, so the ``(pl_id, element_id)``
-        share join never mixes incompatible shares — slot ``s`` of every
-        pod shares the x-coordinate ``scheme.x_of(s)``, and the per-list
-        merge keeps at most one response per slot.
+        The caches step aside under ``verify_consistency``, whose
+        cross-check needs fresh shares from > k servers. A list left
+        with an element short of k shares (``unresolved``) is cached in
+        neither tier: the shares may reappear when a seat recovers.
         """
-        self._last_unresolved = self._last_aligned = set()
-        diag = self.last_cluster_diagnostics
-        coordinator = self._coordinator
-        # verify_consistency needs fresh shares from > k servers every
-        # time — serving a k-share cached entry would silently disable
-        # the lying-server cross-check, so the tier steps aside.
-        tier = (
-            self._cache_tier
-            if self._use_cache and not self._verify
-            else None
-        )
-        out: list[tuple[int, PostingListResponse]] = []
-        need = list(pl_ids)
-        if tier is not None:
-            fingerprint = coordinator.group_fingerprint(self.user_id)
-            # Epochs are captured once, before any share leaves a seat:
-            # a fill is installed under the captured epoch, so a write
-            # that invalidates (and bumps) mid-fetch fences the fill
-            # into a key no later reader derives — re-installing
-            # pre-write shares after an invalidation is the race this
-            # closes.
-            keys = {
-                pl_id: entry_key(
-                    fingerprint,
-                    num_servers,
-                    pl_id,
-                    coordinator.write_epoch(pl_id),
-                )
-                for pl_id in pl_ids
-            }
-            # Consult the shared tier before paying a fleet fetch, every
-            # list in one batch. A hit is the same sorted (slot,
-            # response) pairs a fetch would have produced.
-            with span("l2-get"):
-                replies = self._cache_tier_calls(
-                    [CacheGetRequest(self._token, keys[p]) for p in pl_ids]
-                )
-            need = []
-            for pl_id, reply in zip(pl_ids, replies):
-                entry = self._l2_entry(reply)
-                if entry is None:
-                    need.append(pl_id)
-                    continue
-                diag.l2_hits += 1
-                out += entry
-        if not need:
-            return out
-        merged, unresolved = self._fetch_with_failover(
-            need, num_servers, diag
-        )
-        self._last_unresolved = unresolved
-        self._last_aligned = {p for p in need if merged[p].aligned}
-        fills = []
-        for pl_id in need:
-            pairs = sorted(merged[pl_id].items())
-            out += pairs
-            # A list with an unresolved share shortfall is served but
-            # never cached: the missing shares may reappear when a
-            # server recovers, and a cached short entry would hide
-            # them until an unrelated write evicted it. A fill ships the
-            # column bytes the seats sent.
-            if tier is not None and pairs and pl_id not in unresolved:
-                fills.append(
-                    CachePutRequest(
-                        self._token, keys[pl_id], pl_id, encode_entry(pairs)
-                    )
-                )
+        self.last_diagnostics = SearchDiagnostics()
+        self.last_cluster_diagnostics = ClusterDiagnostics()
+        started = time.perf_counter()
+        try:
+            if not terms:
+                return []
+            wanted, num_servers = self._plan(terms, num_servers)
+            cached = self._use_cache and not self._verify
+            l1 = cached and self._l1 is not None
+            l2 = cached and self._cache_tier is not None
+            keys = self._fence(wanted, num_servers) if l1 or l2 else {}
+            secrets_of = self._l1_get(keys) if l1 else {}
+            missing = [pl_id for pl_id in wanted if pl_id not in secrets_of]
+            if missing:
+                l2_keys = {p: entry_key(*keys[p][1:]) for p in missing if l2}
+                hits = self._l2_get(l2_keys) if l2 else {}
+                need = [pl_id for pl_id in missing if pl_id not in hits]
+                fetched, unresolved = self._fetch(need, num_servers)
+                if l2:
+                    self._l2_fill(l2_keys, fetched, unresolved)
+                hits.update(fetched)
+                fresh = self._reconstruct({p: hits[p] for p in missing})
+                if l1:
+                    self._l1_fill(keys, fresh, unresolved)
+                secrets_of.update(fresh)
+            return self._decode(wanted, secrets_of)
+        finally:
+            if self._coordinator.metrics is not None:
+                self._coordinator.note_search(time.perf_counter() - started)
+
+    def _plan(
+        self, terms: Sequence[str], num_servers: int | None
+    ) -> tuple[dict[int, set[int]], int]:
+        """Step 1: ``{pl_id: queried term ids}`` in list order, by the
+        mapping table the owner routes postings by, and the width."""
+        wanted: dict[int, set[int]] = {}
+        for term in terms:
+            term_ids = wanted.setdefault(self._mapping.lookup(term), set())
+            term_id = self._dictionary.id_of(term)
+            if term_id is not None:
+                term_ids.add(term_id)
+        self.last_diagnostics.posting_lists_requested = len(wanted)
+        k = self._scheme.k
+        num_servers = num_servers or k
+        if num_servers < k:
+            raise ReproError(
+                f"must query at least k={k} servers, asked {num_servers}"
+            )
+        return {pl_id: wanted[pl_id] for pl_id in sorted(wanted)}, num_servers
+
+    def _fence(self, pl_ids, num_servers: int) -> dict[int, tuple]:
+        """The cache fence: each list's L1 key ``(user, group
+        fingerprint, width, pl_id, write epoch)``, read once before the
+        first lookup; the L2 key is the same capture without the user.
+
+        A write bumps its lists' epochs before it empties any tier, and
+        again once delivered, so a fill under the epoch captured here
+        that raced a write lands under a key no later reader derives.
+        Both tiers fill from this one query's read and are emptied by
+        the same invalidation, so one capture fences both.
+        """
+        coordinator, user_id = self._coordinator, self.user_id
+        fingerprint = coordinator.group_fingerprint(user_id)
+        epoch = coordinator.write_epoch
+        return {
+            p: (user_id, fingerprint, num_servers, p, epoch(p)) for p in pl_ids
+        }
+
+    def _l1_get(self, keys: dict[int, tuple]) -> dict[int, np.ndarray]:
+        """The L1 stage: each hit list's reconstructed secrets. An
+        entry holds every element the user may read, whatever query
+        filled it, so a hit is byte-identical to a fresh fetch."""
+        hits = {}
+        with span("l1-lookup"):
+            for pl_id, key in keys.items():
+                entry = self._l1.get(key)
+                if entry is not None:
+                    hits[pl_id] = entry
+        self.last_cluster_diagnostics.l1_hits += len(hits)
+        return hits
+
+    def _l2_get(self, keys: dict[int, str]) -> dict[int, ListAnswers]:
+        """The L2 stage, one batch of gets: each hit as the
+        :class:`ListAnswers` a fetch would produce, decided alike. A
+        miss, a tier failure and a torn entry (undecodable, naming
+        another list, or a slot twice) are left to the fetch stage."""
+        with span("l2-get"):
+            replies = self._cache_tier_calls(
+                [CacheGetRequest(self._token, key) for key in keys.values()]
+            )
+        hits = {}
+        for pl_id, reply in zip(keys, replies):
+            if reply is None:
+                continue
+            self.last_diagnostics.response_bytes += reply.wire_bytes(
+                self._share_bytes
+            )
+            if not reply.hit:
+                continue
+            answers = ListAnswers()
+            try:
+                for slot, response in decode_entry(reply.value):
+                    if response.pl_id != pl_id or (
+                        answers.setdefault(slot, response) is not response
+                    ):
+                        raise ProtocolError(f"torn entry for list {pl_id}")
+            except ProtocolError:
+                continue
+            answers.decide(self._scheme.k)
+            hits[pl_id] = answers
+        self.last_cluster_diagnostics.l2_hits += len(hits)
+        return hits
+
+    def _l2_fill(self, keys: dict, fetched: dict, unresolved: set) -> None:
+        """The L2 fill, one best-effort batch: each resolved fetched
+        list as its ``(slot, response)`` pairs in slot order, shipping
+        the column bytes the seats sent."""
+        fills = [
+            CachePutRequest(
+                self._token, keys[p], p, encode_entry(sorted(a.items()))
+            )
+            for p, a in fetched.items()
+            if a and p not in unresolved
+        ]
         if fills:
-            self._cache_tier_calls(fills)  # best effort, in one batch
-        return out
+            self._cache_tier_calls(fills)
 
     def _cache_tier_calls(self, requests: list) -> list:
         """One ``call_many`` to the tier. A dead or unknown tier answers
-        None in its slot, a miss or a lost put (the tier is an
-        accelerator, never a dependency); any other typed error ends
-        the query."""
+        None in its slot (the tier is an accelerator, never a
+        dependency); any other typed error ends the query."""
         replies = self._transport.call_many(
             self.user_id, [(self._cache_tier, r) for r in requests]
         )
@@ -346,42 +395,22 @@ class SearchClient:
                 raise reply
         return [None if isinstance(r, ReproError) else r for r in replies]
 
-    def _l2_entry(self, reply) -> list[tuple[int, PostingListResponse]] | None:
-        """A get's answer as (slot, response) pairs; None on a miss, a
-        tier failure, or a torn entry."""
-        if reply is None:
-            return None
-        self.last_diagnostics.response_bytes += reply.wire_bytes(
-            self._share_bytes
-        )
-        try:
-            return decode_entry(reply.value) if reply.hit else None
-        except ProtocolError:
-            return None  # corrupt value: treat as a miss, refetch
-
-    def _fetch_with_failover(
-        self,
-        need: Sequence[int],
-        num_servers: int,
-        diag: ClusterDiagnostics,
+    def _fetch(
+        self, need: Sequence[int], num_servers: int
     ) -> tuple[dict[int, ListAnswers], set[int]]:
-        """Fetch every list from its replica chain, best pod first.
+        """The fetch stage: every list from its replica chain, best pod
+        first; returns each list's answers (one response per answering
+        slot) and the lists still short of k shares for an element.
 
-        Each round assigns every unfinished list to its next untried
-        replica pod, ranked once per replica set by
-        :meth:`ClusterCoordinator.read_replicas` of the set's first list
-        (a list with a staleness-ledger cell ranks alone, so a cell
-        moves only its own list), and fetches from the assigned pods in
-        waves (:meth:`_fetch_round`). A pod assigned a leg claims its
-        breaker's half-open probe; ranking claims nothing. A list is
-        finished when >= k slots answered and no element is short of k
-        shares; it degrades loudly only when the whole replica chain is
-        exhausted below k answered slots.
-
-        Returns ``(merged, unresolved)`` — per list, one response per
-        answering slot; and the lists that still contain an element with
-        fewer than k shares after the whole ladder (uncacheable).
+        Each round gives every unfinished list its next untried replica
+        pod, ranked once per replica set (a list with a staleness-ledger
+        cell ranks alone), and fetches in waves (:meth:`_fetch_round`).
+        A pod assigned a leg claims its breaker's half-open probe. A
+        list degrades loudly only when its whole replica chain is
+        exhausted below k answered slots. Slot ``s`` of every replica
+        holds the same shares, at x ``scheme.x_of(s)``.
         """
+        diag = self.last_cluster_diagnostics
         coordinator = self._coordinator
         pods_of, breakers = coordinator.pods_of, coordinator.breakers
         gapped = coordinator.ledger.gapped
@@ -389,9 +418,7 @@ class SearchClient:
         merged = {pl_id: ListAnswers() for pl_id in need}
         tried: dict[int, set[str]] = {pl_id: set() for pl_id in need}
         contacted: set[str] = set()
-        # Every failover round checks it: a degraded query walks the
-        # replica chain only as far as its caller's remaining budget
-        # allows, never past it.
+        # The ladder stops at its caller's remaining budget.
         deadline = current_deadline()
         pending = short = need
         while pending:
@@ -429,8 +456,7 @@ class SearchClient:
                 if fetch.backup_sent_at is not None:
                     backup = fetch.backup
                     diag.hedged_fetches += 1
-                    # The backup was asked: a later failover round must
-                    # not ask it again.
+                    # A later failover round must not ask the backup again.
                     for pl_id in lists:
                         tried[pl_id].add(backup.name)
                     if fetch.backup_answered:
@@ -443,13 +469,10 @@ class SearchClient:
                         target.name, len(lists), latency_s=latency_s
                     )
                 if not answered:
-                    # No seat of the pod or its backup answered: the leg
-                    # failed. (A partly degraded pod that answered is a
-                    # success, and one whose backup answered everything
-                    # first was abandoned, not failed.)
+                    # Neither pod nor backup answered: the leg failed (a
+                    # pod its backup beat was abandoned, not failed).
                     breakers.record_failure(pod.name)
-            # Each list's shortfall was decided by the wave that last
-            # changed its answers.
+            # The wave that last changed a list's answers decided it.
             short = [
                 pl_id
                 for pl_id, answers in merged.items()
@@ -461,8 +484,6 @@ class SearchClient:
                 if any(pod.name not in tried[pl_id] for pod in pods_of(pl_id))
             ]
         diag.pods_contacted = len(contacted)
-        # ``short``, taken on the final answers, holds every list below
-        # k answered slots, and is what is left with a shortfall.
         for pl_id in short:
             if len(merged[pl_id]) < k:
                 raise ClusterDegradedError(
@@ -484,21 +505,16 @@ class SearchClient:
         jobs, in waves; returns each pod's :class:`PodFetch`.
 
         A seat the staleness ledger marks incomplete for a list is never
-        asked for it (its answer is wrong in ways no shortfall signal
-        catches); each pod's seat plan comes from one ledger read. A
-        wave sends every pod's next asks in one ``call_many``, consumes
-        the answers in pod order, then every list it answered decides
-        its alignment and shortfall once (:meth:`ListAnswers.decide`).
-        A pod is timed on the coordinator clock from its first request
-        leaving to its last answer arriving. Never raises on a degraded
-        pod. With ``hedge_after_s`` set, a lookup's backup is the same
-        request to the same slot of the pod's backup: the first pod of
-        the ranking that replicates all its lists, untried for all of
-        them, unless the ledger marks that seat incomplete.
+        asked for it. A wave sends every pod's next asks in one
+        ``call_many`` and consumes the answers in pod order; then each
+        list it answered decides once (:meth:`ListAnswers.decide`). A
+        pod is timed on the coordinator clock from its first request
+        leaving to its last answer arriving. A hedged lookup's backup
+        is the same request to the same slot of the first pod of the
+        ranking that replicates all its lists, untried for all of them.
         """
         k = self._scheme.k
-        # The injected clock times pods: breakers and the EWMA share
-        # one source, so a fake clock moves them together.
+        # Breakers and the EWMA share the injected clock.
         clock = self._coordinator.clock
         pods_of, ledger = self._coordinator.pods_of, self._coordinator.ledger
         hedge_after_s = self._hedge_after_s
@@ -610,9 +626,7 @@ class SearchClient:
                         self._share_bytes
                     )
                     answers = answered[response.pl_id] = merged[response.pl_id]
-                    kept = answers.setdefault(slot_index, response)
-                    if kept is not response:
-                        merge_response(answers, slot_index, response)
+                    merge_response(answers, slot_index, response)
             for answers in answered.values():
                 answers.decide(k)
         for fetch in fetches if traced else ():
@@ -624,81 +638,24 @@ class SearchClient:
             )
         return fetches
 
-    # -- steps 3-4: join, reconstruct, filter ---------------------------------
-
-    def _reconstruct_lists(
-        self, pl_ids: Sequence[int], num_servers: int
-    ) -> dict[int, list[int]]:
-        """Steps 2-3 for the named lists: fetch, join, reconstruct.
-
-        Works on columns, no object per element: each answering slot
-        contributes an ``(x, element_id[], share_y[])`` column per list;
-        joined, a whole column is reconstructed at once.
-
-        Returns each list's reconstructed secrets, every element the
-        user may read, merged-in terms and undecodable secrets included
-        (:meth:`fetch_postings` decodes the queried terms alone). The
-        result depends only on (user's groups, num_servers, list),
-        never on which query asked, so the searcher-local L1 (see
-        :class:`repro.cachetier.L1PostingCache`) fronts it when one is
-        attached: an entry is one list's secrets for this exact (user,
-        group fingerprint, width), the inputs that determine a fresh
-        fetch's bytes, so a hit is byte-identical by construction. Only
-        the misses are fetched; a list with an unresolved shortfall is
-        never stored, and ``verify_consistency`` bypasses the L1 like
-        every other cache. A list with no reconstructible elements maps
-        to an empty list — emptiness is a cacheable fact too.
+    def _reconstruct(
+        self, answers: dict[int, ListAnswers]
+    ) -> dict[int, np.ndarray]:
+        """Join + reconstruct: each list's secrets, every element the
+        user may read. A list's slot columns, in slot order, are joined
+        by :func:`join_columns`; every list's groups of one x-tuple (a
+        healthy query has one) share one ``reconstruct_batch`` call,
+        whose first k columns are the canonical subset.
         """
         scheme, k = self._scheme, self._scheme.k
-        secrets_of: dict[int, list[int]] = {}
-        l1 = self._l1 if self._use_cache and not self._verify else None
-        missing = list(pl_ids)
-        if l1 is not None:
-            coordinator = self._coordinator
-            fingerprint = coordinator.group_fingerprint(self.user_id)
-            # Same fence as the L2 tier: the epoch rides in the key,
-            # captured before any fetch, so an L1 fill racing the
-            # coordinator's invalidation thread lands under a dead key
-            # instead of resurrecting pre-write postings.
-            keys = {
-                pl_id: (
-                    self.user_id,
-                    fingerprint,
-                    num_servers,
-                    pl_id,
-                    coordinator.write_epoch(pl_id),
-                )
-                for pl_id in pl_ids
-            }
-            missing = []
-            with span("l1-lookup"):
-                for pl_id in pl_ids:
-                    entry = l1.get(keys[pl_id])
-                    if entry is None:
-                        missing.append(pl_id)
-                    else:
-                        secrets_of[pl_id] = entry
-            self.last_cluster_diagnostics.l1_hits += len(pl_ids) - len(missing)
-            if not missing:
-                return secrets_of
-        columns_of: dict[int, list] = {pl_id: [] for pl_id in missing}
-        fetched = self._fetch_lists(missing, num_servers)
         with span("reconstruct"):
-            for slot_index, response in fetched:
-                columns_of[response.pl_id].append(
-                    (
-                        scheme.x_of(slot_index),
-                        response.element_ids,
-                        response.share_ys,
-                    )
-                )
-            # Join groups share an x-tuple, hence a weight vector: every
-            # list's groups of one x-tuple (a healthy fetch has one) go
-            # through the kernel together, lists concatenated.
             batches: dict[tuple[int, ...], list] = defaultdict(list)
-            for pl_id, columns in columns_of.items():
-                aligned = pl_id in self._last_aligned
-                for xs, y_columns in self._join_columns(columns, aligned):
+            for pl_id, slots in answers.items():
+                columns = [
+                    (scheme.x_of(slot), answer.element_ids, answer.share_ys)
+                    for slot, answer in sorted(slots.items())
+                ]
+                for xs, y_columns in join_columns(columns, k, slots.aligned):
                     batches[xs].append((pl_id, y_columns))
             parts, received = defaultdict(list), 0
             for xs, members in batches.items():
@@ -706,7 +663,6 @@ class SearchClient:
                     np.concatenate([*map(word_column, column)])
                     for column in zip(*(ys for _, ys in members))
                 ]
-                # The first k columns are the canonical subset.
                 column = scheme.reconstruct_batch(xs[:k], y_columns[:k])
                 if self._verify and len(xs) > k:
                     column = self._cross_check(xs, y_columns, column)
@@ -717,60 +673,13 @@ class SearchClient:
                     parts[pl_id].append(cut)
                     start = end
                 received += start
-            for pl_id in missing:
-                pieces = parts[pl_id]
-                secrets_of[pl_id] = pieces[0] if len(pieces) == 1 else (
-                    np.concatenate([_NO_SECRETS, *pieces])
-                )
             self.last_diagnostics.elements_received = received
-        if l1 is not None:
-            for pl_id in missing:
-                if pl_id not in self._last_unresolved:
-                    # A copy: a cut keeps its whole batch alive.
-                    l1.put(keys[pl_id], pl_id, secrets_of[pl_id].copy())
-        return secrets_of
-
-    def _join_columns(
-        self, columns: list[tuple[int, list[int], list[int]]], aligned: bool
-    ) -> list[tuple[tuple[int, ...], list[list[int]]]]:
-        """Join one list's slot columns on the element ID.
-
-        Returns ``(xs, y_columns)`` groups; row ``i`` of a group is one
-        element's shares in canonical order. When the slots are distinct
-        and every column names the same IDs in the same order (the
-        healthy fetch), the columns are the join and their rows are
-        taken as they come. ``aligned`` says the fetch already decided
-        that (:meth:`ListAnswers.decide`); otherwise (an L2 entry) it is
-        checked here. Failing it: first occurrence per distinct x,
-        arrival order, and elements short of k shares (a lagging or
-        lying server) are dropped here.
-
-        The aligned rule takes a repeated ID as two elements. No seat
-        ever serves one (every write path refuses or replaces it, see
-        :class:`~repro.server.index_server.SeatList`), so aligned
-        columns repeat an ID only if every answering seat lies alike:
-        k colluding seats (or the L2 tier, which holds k shares), which
-        can forge any posting with fresh IDs anyway, so a uniqueness
-        check here would catch nothing.
-        """
-        k = self._scheme.k
-        xs = tuple(x for x, _, _ in columns)
-        ids = columns[0][1] if columns else []
-        if aligned or len(set(xs)) == len(xs) and all(
-            other == ids for _, other, _ in columns[1:]
-        ):
-            return [(xs, [ys for _, _, ys in columns])] if len(xs) >= k else []
-        shares_of: dict[int, dict[int, int]] = defaultdict(dict)
-        for x, column_ids, ys in columns:
-            for element_id, y in zip(column_ids, ys):
-                shares_of[element_id].setdefault(x, y)
-        groups: dict[tuple[int, ...], list[list[int]]] = {}
-        for by_x in shares_of.values():
-            if len(by_x) >= k:
-                y_columns = groups.setdefault(tuple(by_x), [[] for _ in by_x])
-                for column, y in zip(y_columns, by_x.values()):
-                    column.append(y)
-        return list(groups.items())
+            return {
+                pl_id: parts[pl_id][0] if len(parts[pl_id]) == 1 else (
+                    np.concatenate([_NO_SECRETS, *parts[pl_id]])
+                )
+                for pl_id in answers
+            }
 
     def _cross_check(self, xs, y_columns, secrets: np.ndarray) -> np.ndarray:
         """``verify_consistency`` over a group with > k shares per
@@ -778,17 +687,13 @@ class SearchClient:
         k-subsets replaces the canonical one, or the element becomes 0,
         which no codec decodes (tf field 0): dropped, but counted.
 
-        Each of (up to 21) k-subsets of the group's distinct x's is one
-        :meth:`~repro.secretsharing.shamir.ShamirScheme.reconstruct_batch`
-        over its columns. A single corrupted share among ``m`` shares
-        poisons every subset containing it with a *distinct* garbage
-        value, while the true secret repeats across all C(m-1, k) honest
-        subsets — so strict plurality identifies it whenever m >= k + 2
-        (standard error-correction bound: detection needs k + 1,
-        correction k + 2e); a tie is detection without correction.
-        Colluding servers injecting *identical* wrong shares can defeat
-        plurality; that stronger adversary needs verifiable secret
-        sharing, out of the paper's scope.
+        Each of (up to 21) k-subsets of the group's x's is one
+        ``reconstruct_batch``. One corrupted share among ``m`` poisons
+        every subset holding it with a *distinct* value, while the true
+        secret repeats across all C(m-1, k) honest subsets, so strict
+        plurality finds it whenever m >= k + 2. Servers colluding on
+        *identical* wrong shares need verifiable secret sharing, out of
+        the paper's scope.
         """
         scheme, diagnostics = self._scheme, self.last_diagnostics
         # The first subset is the canonical one: ``secrets`` already.
@@ -811,62 +716,28 @@ class SearchClient:
         diagnostics.recovered_elements += int(np.count_nonzero(split & won))
         return np.where(split, np.where(won, best, 0), secrets)
 
-    def fetch_postings(
-        self, terms: Sequence[str], num_servers: int | None = None
+    def _l1_fill(self, keys: dict, secrets_of: dict, unresolved: set) -> None:
+        """The L1 fill: each resolved list's secrets, copied (a cut
+        keeps its whole batch alive)."""
+        for pl_id, secrets in secrets_of.items():
+            if pl_id not in unresolved:
+                self._l1.put(keys[pl_id], pl_id, secrets.copy())
+
+    def _decode(
+        self, wanted: dict[int, set[int]], secrets_of: dict[int, np.ndarray]
     ) -> list[tuple[int, list[tuple[int, float]]]]:
-        """Steps 1-4 of Algorithm 2: fetch, join, reconstruct, filter.
-
-        Returns ``(term_id, [(doc_id, tf), ...])`` for each queried term
-        a fetched list holds, in ``(pl_id, term_id)`` order, false
-        positives already removed; every call decodes its own, the L1
-        holds secrets. Resets :attr:`last_diagnostics` and
-        :attr:`last_cluster_diagnostics` first (an empty query reads
-        zeros in both), then populates them.
-
-        Every call also lands in the coordinator's metrics registry:
-        ``zerber_search_queries_total`` and the fetch-latency histogram,
-        which ``repro cluster top`` derives its qps and quantile columns
-        from. Both :meth:`search` and :meth:`fetch_elements` fetch
-        through here, so each counts once.
-        """
-        self.last_diagnostics = SearchDiagnostics()
-        self.last_cluster_diagnostics = ClusterDiagnostics()
-        started = time.perf_counter()
-        try:
-            if not terms:
-                return []
-            # The owner routes a term's postings by the same mapping
-            # table, so each list is filtered for its own queried terms.
-            wanted: dict[int, set[int]] = {}
-            for term in terms:
-                term_ids = wanted.setdefault(self._mapping.lookup(term), set())
-                term_id = self._dictionary.id_of(term)
-                if term_id is not None:
-                    term_ids.add(term_id)
-            pl_ids = sorted(wanted)
-            self.last_diagnostics.posting_lists_requested = len(pl_ids)
-            k = self._scheme.k
-            num_servers = num_servers or k
-            if num_servers < k:
-                raise ReproError(
-                    f"must query at least k={k} servers, asked {num_servers}"
-                )
-            secrets_of = self._reconstruct_lists(pl_ids, num_servers)
-            # Step 4's filter first, every list in one pass: only the
-            # queried terms' secrets are decoded, merged-in terms are
-            # never built. Inconsistent shares decode to garbage; the
-            # decode drops what unpack() would reject.
-            with span("unpack"):
-                found, decoded = self._codec.unpack_terms(
-                    [(secrets_of[pl_id], wanted[pl_id]) for pl_id in pl_ids]
-                )
-            matched = sum(len(postings) for _, postings in found)
-            self.last_diagnostics.elements_matched = matched
-            self.last_diagnostics.false_positives = decoded - matched
-            return found
-        finally:
-            if self._coordinator.metrics is not None:
-                self._coordinator.note_search(time.perf_counter() - started)
+        """Step 4's filter, every list in one pass: only the queried
+        terms' secrets are decoded, merged-in terms never built, and a
+        secret ``unpack`` would reject (garbage from inconsistent
+        shares) is dropped."""
+        with span("unpack"):
+            found, decoded = self._codec.unpack_terms(
+                [(secrets_of[pl_id], terms) for pl_id, terms in wanted.items()]
+            )
+        matched = sum(len(postings) for _, postings in found)
+        self.last_diagnostics.elements_matched = matched
+        self.last_diagnostics.false_positives = decoded - matched
+        return found
 
     def fetch_elements(
         self, terms: Sequence[str], num_servers: int | None = None
@@ -879,16 +750,47 @@ class SearchClient:
             for doc_id, tf in postings
         ]
 
-    def _fetch_snippet(self, doc_id: int, terms: Sequence[str]):
-        """Step 6 of Algorithm 2: a protocol message to the hosting peer,
-        falling back to a local service read when the peer has no
-        endpoint.
+    # -- steps 5-6 ----------------------------------------------------------
 
-        The attempt-then-fall-back shape matters on the socket backend:
-        probing ``has_endpoint`` first would cost an extra discovery
-        round-trip per hit, while an unknown peer already fails fast
-        with a typed :class:`UnknownEndpointError`.
-        """
+    def _rank(self, terms: Sequence[str], found, top_k: int):
+        """Step 5: the top-k hits over the term columns as fetched (read,
+        never sorted in place), and each hit's matched terms."""
+        term_of_id = {
+            self._dictionary.id_of(t): t
+            for t in terms
+            if self._dictionary.id_of(t) is not None
+        }
+        # A term's lists are joined only when it occurs in more than one.
+        by_term: dict[str, list[tuple[int, float]]] = {}
+        for term_id, postings in found:
+            term = term_of_id[term_id]
+            earlier = by_term.get(term)
+            by_term[term] = postings if earlier is None else earlier + postings
+        # Term order, independent of share arrival order: float summation
+        # order must not depend on which server (or pod) answered first.
+        postings_by_term = {t: by_term[t] for t in sorted(by_term)}
+        # Personalized collection statistics from the accessible
+        # postings: a doc listed twice (two owners) counts once. One set
+        # of maps serves them, TA and matched_terms.
+        tf_of = term_tf_maps(postings_by_term)
+        statistics = CollectionStatistics(
+            num_documents=len(set().union(*tf_of.values())),
+            document_frequencies={t: len(d) for t, d in tf_of.items()},
+        )
+        scorer = TfIdfScorer(statistics)
+        weights = {t: scorer.weight(t) for t in postings_by_term}
+        hits = threshold_top_k(postings_by_term, weights, top_k, tf_of=tf_of)
+        matched = [
+            tuple(t for t, docs in tf_of.items() if hit.doc_id in docs)
+            for hit in hits
+        ]
+        return hits, matched
+
+    def _fetch_snippet(self, doc_id: int, terms: Sequence[str]):
+        """Step 6: a protocol message to the hosting peer, falling back
+        to a local service read when the peer has no endpoint (an
+        unknown peer fails fast with a typed
+        :class:`UnknownEndpointError`, cheaper than probing first)."""
         host = self._snippets.host_of(doc_id)
         if host is not None:
             try:
@@ -906,8 +808,6 @@ class SearchClient:
             self.user_id, doc_id, list(terms)
         )
 
-    # -- full query path ----------------------------------------------------------
-
     def search(
         self,
         terms: Sequence[str],
@@ -919,81 +819,25 @@ class SearchClient:
     ) -> list[SearchResult]:
         """The complete Algorithm 2 pipeline; returns ranked results.
 
-        ``budget_s`` bounds the whole pipeline with one deadline: every
-        fetch, failover round, retry backoff, and snippet call sees the
-        same shrinking budget (transports put the remainder on the
-        wire), and the query fails with a typed
-        :class:`~repro.errors.DeadlineExceededError` rather than ever
-        outliving it. None (default) keeps the pipeline unbounded.
-
-        ``trace_id`` turns on wire-level tracing for this one query: the
-        pipeline runs under a trace scope, every stage (fetch, cache
-        lookups, per-pod legs, reconstruction, ranking, snippets)
-        records a span into the process span buffer, and the id rides
-        every request frame so server-side spans join the same trace.
-        Tracing is strictly passive — results are byte-identical with
-        it on or off. None (default) records nothing.
+        ``budget_s`` bounds the whole query with one deadline, or it
+        fails with a typed :class:`~repro.errors.DeadlineExceededError`;
+        None (default) is unbounded, and a NaN or infinite budget is a
+        :class:`~repro.errors.ReproError` before any request leaves.
+        ``trace_id`` records every stage's span, and rides every request
+        frame so server spans join the trace; results are unchanged.
         """
-        if trace_id is not None:
-            with trace_scope(trace_id=trace_id):
-                return self.search(
-                    terms,
-                    top_k=top_k,
-                    num_servers=num_servers,
-                    fetch_snippets=fetch_snippets,
-                    budget_s=budget_s,
-                )
-        if budget_s is not None:
-            with deadline_scope(budget_s=budget_s):
-                return self.search(
-                    terms,
-                    top_k=top_k,
-                    num_servers=num_servers,
-                    fetch_snippets=fetch_snippets,
-                )
-        with span("search"):
+        # An unset scope is the shared no-op, not a generator to enter.
+        trace = (
+            _NO_SCOPE if trace_id is None else trace_scope(trace_id=trace_id)
+        )
+        deadline = _NO_SCOPE if budget_s is None else deadline_scope(budget_s)
+        with trace, deadline, span("search"):
             with span("fetch-elements"):
                 found = self.fetch_postings(terms, num_servers)
             if not found:
                 return []
             with span("rank"):
-                term_of_id = {
-                    self._dictionary.id_of(t): t
-                    for t in terms
-                    if self._dictionary.id_of(t) is not None
-                }
-                # Rank on the term columns as fetched: they are read,
-                # never sorted in place, and a term's lists are joined
-                # only when it occurs in more than one.
-                collected: dict[str, list[tuple[int, float]]] = {}
-                for term_id, postings in found:
-                    term = term_of_id[term_id]
-                    earlier = collected.get(term)
-                    collected[term] = (
-                        postings if earlier is None else earlier + postings
-                    )
-                # Term order, independent of share arrival order: float
-                # summation order must not depend on which server (or
-                # pod) answered first, or byte-identical ranking across
-                # deployments breaks in the last bit.
-                postings_by_term = {t: collected[t] for t in sorted(collected)}
-                # Personalized collection statistics from the accessible
-                # postings: a doc listed twice (two owners) counts once.
-                # One set of maps serves them, TA and matched_terms.
-                tf_of = term_tf_maps(postings_by_term)
-                statistics = CollectionStatistics(
-                    num_documents=len(set().union(*tf_of.values())),
-                    document_frequencies={t: len(d) for t, d in tf_of.items()},
-                )
-                scorer = TfIdfScorer(statistics)
-                weights = {t: scorer.weight(t) for t in postings_by_term}
-                hits = threshold_top_k(
-                    postings_by_term, weights, top_k, tf_of=tf_of
-                )
-                matched = [
-                    tuple(t for t, docs in tf_of.items() if hit.doc_id in docs)
-                    for hit in hits
-                ]
+                hits, matched = self._rank(terms, found, top_k)
             with span("snippets"):
                 results = []
                 for hit, matched_terms in zip(hits, matched):
@@ -1001,13 +845,7 @@ class SearchClient:
                     if fetch_snippets and self._snippets is not None:
                         fetched = self._fetch_snippet(hit.doc_id, terms)
                         host, snippet = fetched.host, fetched.text
-                    results.append(
-                        SearchResult(
-                            doc_id=hit.doc_id,
-                            score=hit.score,
-                            host=host,
-                            snippet=snippet,
-                            matched_terms=matched_terms,
-                        )
-                    )
+                    results.append(SearchResult(
+                        hit.doc_id, hit.score, host, snippet, matched_terms
+                    ))
             return results

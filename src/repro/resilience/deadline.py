@@ -20,11 +20,12 @@ thread must pass the deadline along itself.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from contextlib import contextmanager
 
-from repro.errors import DeadlineExceededError
+from repro.errors import DeadlineExceededError, ReproError
 
 #: Wire budgets are 4-byte unsigned microseconds (~71 minutes max —
 #: anything longer is indistinguishable from "no deadline" for a
@@ -105,11 +106,18 @@ def deadline_scope(budget_s: float | None = None):
 
     A nested scope can only *tighten* the deadline: when an outer scope
     is already closer, the outer expiry stays in force — a callee must
-    never outlive its caller's patience.
+    never outlive its caller's patience. A NaN or infinite budget is a
+    :class:`~repro.errors.ReproError` on entry: no wire budget encodes
+    it, and NaN compares false against every clock reading.
     """
     if budget_s is None:
         yield None
         return
+    if not math.isfinite(budget_s):
+        raise ReproError(
+            "budget_s must be a finite number of seconds or None, "
+            f"got {budget_s}"
+        )
     deadline = Deadline.after(budget_s)
     previous = current_deadline()
     if previous is not None and previous.expires_at < deadline.expires_at:

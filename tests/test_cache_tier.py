@@ -12,6 +12,7 @@ import gc
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -678,6 +679,46 @@ class TestClusterIntegration:
         finally:
             cluster.close()
 
+    @pytest.mark.parametrize(
+        "tear", ["an unasked list", "another queried list", "a slot twice"]
+    )
+    def test_an_entry_naming_the_wrong_list_or_slot_is_a_miss(self, tear):
+        """An L2 entry is checked against the list it was asked for: one
+        whose responses name a list the query did not ask for, another
+        list of the same query, or one slot twice is torn. It costs a
+        refetch, never a crash or shares joined into the wrong list."""
+        documents = make_documents(num_docs=10)
+        cluster = make_cluster(documents, cache_tier="lru")
+        try:
+            cluster.add_member(0, "alice", actor="owner0")
+            by_list = {}
+            for term in _readable_terms(documents):
+                by_list.setdefault(cluster.mapping_table.lookup(term), term)
+            terms = list(by_list.values())[:2]
+            clean = cluster.searcher("alice").search(terms, top_k=5)
+            store = cluster.cache_tier_store
+            (key, (pl_id, value)), (_, (other, other_value)) = sorted(
+                store._entries.items(), key=lambda item: item[1][0]
+            )
+            pairs = decode_entry(value)
+            torn = {
+                "an unasked list": [
+                    (slot, PostingListResponse(9999, *r.columns))
+                    for slot, r in pairs
+                ],
+                "another queried list": decode_entry(other_value),
+                "a slot twice": pairs + pairs[:1],
+            }[tear]
+            store.put(key, pl_id, encode_entry(torn))
+            second = cluster.searcher("alice")
+            got = second.search(terms, top_k=5)
+            assert _result_bytes(got) == _result_bytes(clean)
+            assert second.last_cluster_diagnostics.l2_hits == 1
+            # The refetch filled the list's key with its sound entry.
+            assert store._entries[key] == (pl_id, value)
+        finally:
+            cluster.close()
+
     def test_verify_mode_bypasses_the_tiers(self):
         documents = make_documents(num_docs=8)
         cluster = make_cluster(
@@ -854,14 +895,14 @@ class TestClusterIntegration:
         try:
             cluster.add_member(0, "alice", actor="owner0")
             searcher = cluster.searcher("alice")
-            real = searcher._fetch_with_failover
+            real = searcher._fetch
             raced = []
 
-            def racing_fetch(need, num_servers, diag):
+            def racing_fetch(need, num_servers):
                 # The fleet fetch returns pre-write shares; before the
                 # caller can fill the L2, a write lands and invalidates
                 # every tier. The fill then executes with stale bytes.
-                out = real(need, num_servers, diag)
+                out = real(need, num_servers)
                 if not raced:
                     raced.append(True)
                     newdoc = Document(
@@ -872,9 +913,9 @@ class TestClusterIntegration:
                     cluster.flush_all()
                 return out
 
-            searcher._fetch_with_failover = racing_fetch
+            searcher._fetch = racing_fetch
             searcher.search(["w3"])  # executes the doomed fill
-            searcher._fetch_with_failover = real
+            searcher._fetch = real
             # A cold searcher consults the tier first: it must miss the
             # stale entry and refetch the post-write truth.
             fresh = cluster.searcher("alice")
@@ -1296,20 +1337,55 @@ class TestTierRoundTrips:
                 cluster.registry.fault_plan = None
 
     @pytest.mark.parametrize("transport", ["in-process", "async-socket"])
+    def test_one_fence_capture_keys_both_tiers(self, transport, monkeypatch):
+        """A query with the L1 and the L2 on reads the group fingerprint
+        once and each list's write epoch once: a cold query, which gets
+        and fills both tiers, and one that hits the L2."""
+        documents, cluster = self._cluster(transport, l1_entries=32)
+        with cluster:
+            by_list = {}
+            for term in _readable_terms(documents):
+                by_list.setdefault(cluster.mapping_table.lookup(term), term)
+            terms = list(by_list.values())[:3]
+            coordinator = cluster.coordinator
+            searchers = [cluster.searcher("alice") for _ in range(2)]
+            calls = Counter()
+            for name in ("group_fingerprint", "write_epoch"):
+                real = getattr(coordinator, name)
+                monkeypatch.setattr(
+                    coordinator,
+                    name,
+                    lambda arg, _real=real, _name=name: calls.update(
+                        [(_name, arg)]
+                    ) or _real(arg),
+                )
+            expected = Counter(
+                [("group_fingerprint", "alice")]
+                + [("write_epoch", pl_id) for pl_id in by_list if (
+                    by_list[pl_id] in terms
+                )]
+            )
+            for searcher, l2_hits in zip(searchers, (0, 3)):
+                calls.clear()
+                searcher.search(terms, fetch_snippets=False)
+                assert searcher.last_cluster_diagnostics.l2_hits == l2_hits
+                assert calls == expected
+
+    @pytest.mark.parametrize("transport", ["in-process", "async-socket"])
     def test_a_fill_is_the_entry_of_freshly_encoded_columns(self, transport):
         documents, cluster = self._cluster(transport)
         with cluster:
             searcher = cluster.searcher("alice")
             fetched = {}
-            real = searcher._fetch_with_failover
+            real = searcher._fetch
 
-            def recording_fetch(need, num_servers, diag):
-                merged, unresolved = real(need, num_servers, diag)
+            def recording_fetch(need, num_servers):
+                merged, unresolved = real(need, num_servers)
                 for pl_id in need:
                     fetched[pl_id] = sorted(merged[pl_id].items())
                 return merged, unresolved
 
-            searcher._fetch_with_failover = recording_fetch
+            searcher._fetch = recording_fetch
             terms = _readable_terms(documents)[:4]
             searcher.search(terms, fetch_snippets=False)
             if transport == "async-socket":

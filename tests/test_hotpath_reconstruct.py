@@ -1,22 +1,22 @@
 """The columnar read path against an independent oracle (ISSUE 14).
 
-The benchmark's oracle fleet runs the same ``SearchClient
-._reconstruct_lists`` as the cluster under test, so its digest cannot
-catch a reconstruction bug. Here Hypothesis fabricates what the fetch
-stage hands the client — slot columns of ``(element_id, share_y)``
-with missing elements, permuted order, a repeated x, duplicated ids, a
-lying column, and secrets the codec must reject — and drives the real
-join + ``reconstruct_batch`` + bulk decode. The oracle shares none of
-it: per element, the shares in arrival order go through the naive
-``reconstruct_secret(method="lagrange")`` and
-``PostingElementCodec.unpack``, with ``InsufficientSharesError`` and
-``PackingError`` as drops. An aligned fetch (distinct slots, one id
-column) joins row by row, so the oracle too takes an id that every
-slot repeats as two elements. ``method="gaussian"`` is held to the same
-oracle at the scheme level; further tests pin ``reconstruct_batch``'s
-contract, the weight memo and the field helpers.
+The benchmark's oracle fleet runs the same ``SearchClient`` stages as
+the cluster under test, so its digest cannot catch a reconstruction
+bug. Here Hypothesis fabricates what the fetch stage hands the join —
+slot columns of ``(element_id, share_y)`` with missing elements,
+permuted order, duplicated ids, a slot answered twice (folded as the
+fetch round folds a replica's answer), a lying column, and secrets the
+codec must reject — and drives the real join + ``reconstruct_batch`` +
+bulk decode. The oracle shares none of it: per element, the shares in
+slot order go through the naive ``reconstruct_secret(method=
+"lagrange")`` and ``PostingElementCodec.unpack``, with
+``InsufficientSharesError`` and ``PackingError`` as drops. An aligned
+fetch (one id column) joins row by row, so the oracle too takes an id
+that every slot repeats as two elements. ``method="gaussian"`` is held
+to the same oracle at the scheme level; further tests pin
+``reconstruct_batch``'s contract, the weight memo and the field
+helpers.
 """
-
 from __future__ import annotations
 
 import math
@@ -29,7 +29,8 @@ import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
-from repro.client.searcher import SearchClient
+from repro.client.fetch_round import ListAnswers, merge_response
+from repro.client.searcher import SearchClient, join_columns
 from repro.core.posting import (
     PackingSpec,
     PostingElement,
@@ -68,7 +69,9 @@ relaxed = settings(
 
 
 class ColumnClient(SearchClient):
-    """The real client over a canned fetch stage."""
+    """The real client over a canned fetch stage: ``fetched`` is
+    ``[(slot, [response, ...])]``, folded per list and slot as the
+    fetch round folds answers (``merge_response``), then decided."""
 
     def __init__(self, scheme, codec, fetched, verify=False):
         super().__init__(
@@ -83,8 +86,14 @@ class ColumnClient(SearchClient):
         )
         self._fetched = fetched
 
-    def _fetch_lists(self, pl_ids, num_servers):
-        return [(slot, r) for slot, responses in self._fetched for r in responses]
+    def _fetch(self, need, num_servers):
+        answers = {pl_id: ListAnswers() for pl_id in need}
+        for slot, responses in self._fetched:
+            for response in responses:
+                merge_response(answers[response.pl_id], slot, response)
+        for slots in answers.values():
+            slots.decide(self._scheme.k)
+        return answers, set()
 
 
 def _response(column):
@@ -100,7 +109,8 @@ def _response(column):
 def _decoded(client, num_servers):
     """The client's reconstructed secrets of ``PL_ID``, grouped by term
     as ``(by_term, count)`` by the bulk decode."""
-    secrets = client._reconstruct_lists([PL_ID], num_servers)[PL_ID]
+    answers, _unresolved = client._fetch([PL_ID], num_servers)
+    secrets = client._reconstruct(answers)[PL_ID]
     return unpack_by_term(client._codec, secrets)
 
 
@@ -113,17 +123,18 @@ def _flatten(by_term):
 
 
 def _element_shares(scheme, fetched):
-    """Each joined element's shares, in arrival order.
+    """Each joined element's shares, in slot order.
 
-    Aligned columns (distinct slots, every one naming the same IDs in
-    the same order) join row by row, so an ID every slot repeats is two
-    elements. Any other fetch joins per distinct ID (the naive
-    reconstruction then keeps the first share per x).
+    A slot answered twice is folded first, as the fetch stage folds it.
+    Aligned columns (every slot naming the same IDs in the same order)
+    join row by row, so an ID every slot repeats is two elements. Any
+    other fetch joins per distinct ID (the naive reconstruction then
+    keeps the first share per x).
     """
+    answers, _ = ColumnClient(scheme, None, fetched)._fetch([PL_ID], 0)
     columns = [
         (scheme.x_of(slot), response.records)
-        for slot, responses in fetched
-        for response in responses
+        for slot, response in sorted(answers[PL_ID].items())
     ]
     ids = [[record.element_id for record in records] for _, records in columns]
     xs = [x for x, _ in columns]
@@ -214,7 +225,7 @@ def fetched_list(draw, min_extra=0, mutate=True):
             elif fate < 0.6 and column:  # an id answered twice
                 element_id, y = rng.choice(column)
                 column.append((element_id, (y + 1) % p))
-        if rng.random() < 0.3:  # a repeated x, disagreeing with itself
+        if rng.random() < 0.3:  # a slot answered twice, disagreeing
             slot, column = rng.choice(columns)
             columns.append(
                 (slot, [(e, (y + rng.randrange(p)) % p) for e, y in column])
@@ -343,6 +354,63 @@ def test_one_liar_among_k_plus_2_is_outvoted(case, data):
     assert diagnostics.recovered_elements == len(secrets)
 
 
+@st.composite
+def slot_columns(draw):
+    """``(k, columns)``: ``(x, element_ids, share_ys)`` columns, each
+    naming an element at most once (seats never repeat one), shaped
+    aligned (one id column, distinct x's), lagging (elements missing),
+    reordered, or with an x repeated."""
+    k = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.integers(0, 30), unique=True, max_size=8))
+    xs = draw(st.lists(st.integers(1, 6), max_size=6))
+    shape = draw(st.sampled_from(("aligned", "lagging", "reordered", "any")))
+    if shape == "aligned":
+        xs = list(dict.fromkeys(xs))
+    columns = []
+    for x in xs:
+        column = list(ids)
+        if shape in ("lagging", "any"):
+            column = [e for e in column if draw(st.booleans())]
+        if shape in ("reordered", "any"):
+            column = draw(st.permutations(column))
+        ys = [draw(st.integers(0, 2**64 + 12)) for _ in column]
+        columns.append((x, column, ys))
+    return k, columns
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_columns())
+def test_join_columns_equals_a_per_element_dict_join(case):
+    """The join stage against a per-element dict join: each element
+    keeps its first share per distinct x, in column order, and one
+    short of k distinct x's is dropped. ``aligned`` is passed as
+    ``ListAnswers.decide`` rules it, distinct x's required; each joined
+    row is read back as its element's ``(x, y)`` shares."""
+    k, columns = case
+    by_element = defaultdict(dict)
+    for x, ids, ys in columns:
+        for element_id, y in zip(ids, ys):
+            by_element[element_id].setdefault(x, y)
+    expected = sorted(
+        tuple(shares.items())
+        for shares in by_element.values()
+        if len(shares) >= k
+    )
+    xs = [x for x, _, _ in columns]
+    aligned = len(set(xs)) == len(xs) and all(
+        ids == columns[0][1] for _, ids, _ in columns
+    )
+    got = [
+        tuple(zip(group_xs, row))
+        for group_xs, y_columns in join_columns(columns, k, aligned)
+        for row in zip(*y_columns)
+    ]
+    assert all(len(set(group_xs)) == len(group_xs) >= k for group_xs, _ in (
+        join_columns(columns, k, aligned)
+    ))
+    assert sorted(got) == expected
+
+
 class TestJoin:
     def _case(self, k=2, n=3):
         scheme = ShamirScheme(k=k, n=n, rng=random.Random(4))
@@ -438,7 +506,7 @@ class TestJoin:
         monkeypatch.setattr(ShamirScheme, "reconstruct_batch", counting)
         client = ColumnClient(scheme, codec, fetched)
         by_term, _ = _decoded(client, 2)
-        assert calls == [(scheme.x_of(2), scheme.x_of(0))]
+        assert calls == [(scheme.x_of(0), scheme.x_of(2))]
         assert sorted(doc for doc, _ in by_term[1]) == [11, 22, 33]
 
 

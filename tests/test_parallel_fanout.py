@@ -324,7 +324,9 @@ class TestPerSetRanking:
     def test_a_healthy_round_is_accounted_per_set_and_per_pod(
         self, monkeypatch, replication_factor
     ):
+        from repro.client import searcher as searcher_module
         from repro.client.fetch_round import ListAnswers
+        from repro.client.searcher import join_columns
         from repro.resilience.breaker import CircuitBreaker
 
         documents = make_documents(num_docs=16, seed=11)
@@ -363,13 +365,12 @@ class TestPerSetRanking:
                 decide(answers, k)
 
             monkeypatch.setattr(ListAnswers, "decide", counted_decide)
-            join = searcher._join_columns
             joined = []
             monkeypatch.setattr(
-                searcher,
-                "_join_columns",
-                lambda columns, aligned: joined.append(aligned)
-                or join(columns, aligned),
+                searcher_module,
+                "join_columns",
+                lambda columns, k, aligned: joined.append(aligned)
+                or join_columns(columns, k, aligned),
             )
             assert searcher.search(terms, fetch_snippets=False) == expected
             diag = searcher.last_cluster_diagnostics

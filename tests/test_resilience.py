@@ -6,6 +6,7 @@ zero-or-generous budgets — because the whole point of the resilience
 layer is that failure handling is *reproducible*.
 """
 
+import math
 import threading
 import time
 
@@ -227,6 +228,36 @@ class TestDeadlines:
             searcher = cluster.searcher("owner0")
             with pytest.raises(DeadlineExceededError):
                 searcher.search(["w1"], budget_s=0.0)
+
+    @pytest.mark.parametrize("budget_s", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("transport", ["in-process", "async-socket"])
+    def test_a_non_finite_budget_is_refused_before_any_request(
+        self, transport, budget_s, monkeypatch
+    ):
+        """NaN never expires and inf has no wire budget: both are a
+        typed error raised before a single message leaves."""
+        cluster = make_cluster(
+            make_documents(num_docs=4), transport=transport
+        )
+        with cluster:
+            searcher = cluster.searcher("owner0", use_cache=False)
+            sent = []
+            for name in ("call", "call_many"):
+                real = getattr(searcher._transport, name)
+                monkeypatch.setattr(
+                    searcher._transport,
+                    name,
+                    lambda *a, _real=real, **kw: sent.append(a) or _real(
+                        *a, **kw
+                    ),
+                )
+            with pytest.raises(ReproError, match="budget_s") as raised:
+                searcher.search(["w1"], budget_s=budget_s)
+            assert not isinstance(raised.value, DeadlineExceededError)
+            assert sent == []
+            assert current_deadline() is None
+            searcher.search(["w1"], budget_s=30.0)
+            assert sent
 
     @pytest.mark.parametrize("transport", ["async-socket"])
     def test_search_budget_over_the_wire(self, transport):
@@ -644,9 +675,13 @@ class TestHedgedReads:
                 assert (diag.hedged_fetches, diag.hedge_wins) == (0, 0)
 
     def test_a_negative_hedge_delay_is_refused(self):
+        """So are NaN, which would never hedge, and inf, a second way of
+        saying None: each is refused when the searcher is built."""
         cluster = make_cluster(make_documents(num_docs=2))
-        with cluster, pytest.raises(ReproError, match="hedge_after_s"):
-            cluster.searcher("owner0", hedge_after_s=-1)
+        with cluster:
+            for delay in (-1, math.nan, math.inf):
+                with pytest.raises(ReproError, match="hedge_after_s"):
+                    cluster.searcher("owner0", hedge_after_s=delay)
 
 
 def test_decode_message_roundtrip_still_clean():

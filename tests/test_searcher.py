@@ -190,7 +190,8 @@ def _head_fetch_elements(searcher, terms):
         {dictionary.id_of(t) for t in terms if dictionary.id_of(t) is not None}
     )
     pl_ids = sorted({searcher._mapping.lookup(t) for t in terms})
-    secrets_of = searcher._reconstruct_lists(pl_ids, searcher._scheme.k)
+    answers, _unresolved = searcher._fetch(pl_ids, searcher._scheme.k)
+    secrets_of = searcher._reconstruct(answers)
     by_list = {
         pl_id: unpack_by_term(searcher._codec, secrets)
         for pl_id, secrets in secrets_of.items()

@@ -168,7 +168,7 @@ def test_verify_consistency_votes_through_the_kernel(monkeypatch):
 
     monkeypatch.setattr(ShamirScheme, "reconstruct_batch", counting)
     client = ColumnClient(scheme, codec, fetched, verify=True)
-    secrets_of = client._reconstruct_lists([7, 8], 4)
+    secrets_of = client._reconstruct(client._fetch([7, 8], 4)[0])
     xs = tuple(scheme.x_of(slot) for slot in range(4))
     assert calls == [(subset, 10) for subset in combinations(xs, 2)]
     for pl_id in (7, 8):
@@ -216,7 +216,7 @@ def test_a_query_runs_the_kernel_once_per_x_tuple(monkeypatch):
 
     monkeypatch.setattr(ShamirScheme, "reconstruct_batch", counting)
     client = ColumnClient(scheme, codec, fetched)
-    secrets_of = client._reconstruct_lists([7, 8, 9], 2)
+    secrets_of = client._reconstruct(client._fetch([7, 8, 9], 2)[0])
     assert calls == [((1, 2), 5), ((1, 3), 4)]
     assert {p: v.tolist() for p, v in secrets_of.items()} == truth
     assert client.last_diagnostics.elements_received == 9
