@@ -1,4 +1,4 @@
-"""Design-choice ablations called out in DESIGN.md.
+"""Ablations of the paper's design choices (``PAPER.md`` cites the paper).
 
 1. **DF-based vs QF-based merging** (§6): "Though basing merging
    decisions on query term frequencies is more effective at reducing the

@@ -10,8 +10,7 @@ Plays the paper's threat model end to end:
 3. she watches the update stream — batching defeats her correlation
    attack;
 4. she colludes with a second admin to reach k servers — and only then
-   does anything decrypt;
-5. proactive refresh rotates the shares, making her stolen share useless.
+   does anything decrypt.
 
 Run:  python examples/compromise_drill.py
 """
@@ -31,7 +30,6 @@ from repro.client.batching import BatchPolicy
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.synthetic import SyntheticCorpusConfig, generate_corpus
 from repro.errors import InsufficientSharesError
-from repro.secretsharing.proactive import refresh_shares
 from repro.secretsharing.shamir import Share
 
 
@@ -126,20 +124,6 @@ def main() -> None:
     term = deployment.dictionary.term_of(element.term_id)
     print(f"  2 servers (k): decryption works — element is "
           f"(doc={element.doc_id}, term={term!r}, tf={element.tf:.3f})")
-
-    # -- 5: proactive refresh ---------------------------------------------------
-    print("\n[proactive refresh]")
-    fresh = refresh_shares(
-        [share0, share1, Share(x=deployment.scheme.x_of(2), y=0)],
-        k=2,
-        field=deployment.field,
-        rng=random.Random(99),
-    )
-    stale_plus_fresh = [share0, fresh[1]]
-    mixed = attempt_reconstruction(stale_plus_fresh, 2, deployment.field)
-    print(f"  Alice's stolen share + a refreshed share reconstructs "
-          f"{mixed} != {secret} — her loot expired.")
-    assert mixed != secret
 
 
 if __name__ == "__main__":

@@ -12,23 +12,19 @@ Day-2 concerns a real deployment hits, all built into this reproduction:
    x-coordinate (§5.1);
 3. **Byzantine detection** — a client querying more than k servers
    cross-checks reconstructions and drops elements a lying server
-   corrupted;
-4. **Anonymous updates** — owners route batches through a MIX relay so a
-   compromised server cannot attribute updates to senders (§4).
+   corrupted.
 
 Run:  python examples/operations_tour.py
 """
 
 from __future__ import annotations
 
-import random
 import tempfile
 from pathlib import Path
 
 from repro.client.batching import BatchPolicy
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.synthetic import SyntheticCorpusConfig, generate_corpus
-from repro.extensions.mixnet import MixMessage, MixRelay
 
 
 def main() -> None:
@@ -99,31 +95,8 @@ def main() -> None:
           f"{diag.inconsistent_elements} inconsistencies detected, "
           f"{diag.recovered_elements} recovered by majority vote")
 
-    # -- 4. anonymous updates -------------------------------------------------------
-    deliveries = []
-
-    def forward(destination, kind, payload, padded_bytes):
-        deliveries.append((destination, kind, padded_bytes))
-
-    mix = MixRelay(
-        forward, batch_threshold=6, rng=random.Random(5), pad_to_multiple=512
-    )
-    for sender in ("owner0", "owner1", "owner0", "owner1", "owner0", "owner1"):
-        mix.submit(
-            sender,
-            MixMessage(
-                destination="pod0-server-2",
-                kind="insert",
-                payload=b"opaque",
-                payload_bytes=random.Random(len(deliveries)).randrange(40, 400),
-            ),
-        )
-    senders, messages = mix.flush_history[-1]
-    sizes = sorted({size for _, _, size in deliveries})
-    print(f"[mixnet] flushed {messages} messages pooled from {senders} "
-          f"senders; on-the-wire sizes padded to {sizes}")
     deployment.close()
-    print("\nall four operational drills passed.")
+    print("\nall three operational drills passed.")
 
 
 if __name__ == "__main__":

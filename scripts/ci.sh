@@ -64,7 +64,10 @@
 #   gates: neither may grow) and gates single-thread untraced over
 #   traced time per query, best of nine interleaved passes (ratio
 #   gate); one traced open-loop overload run is recorded into
-#   BENCH_load.json as information, not gated.
+#   BENCH_load.json as information, not gated;
+# - the doc-reference check (scripts/check_doc_refs.py): every
+#   backticked file path and dotted repro name in README.md and
+#   docs/ARCHITECTURE.md must resolve against the tree.
 #
 # The table ends with the numbers the roadmap tracks for the whole
 # tree: the line counts of src/ and tests/, of the largest module under
@@ -131,6 +134,22 @@ gate() {
     results+=("${verdict}|$(($(date +%s) - begun)) s|${label}")
 }
 
+script_gate() {
+    # script_gate <label> <command...>: passes when the command exits 0.
+    local label=$1 begun verdict=pass
+    shift
+    echo "== ${label} gate =="
+    begun=$(date +%s)
+    if ! "$@" >"$log" 2>&1; then
+        verdict="FAIL (exit status)"
+        failed=$((failed + 1))
+        tail -n 40 "$log" >&2
+        echo "FAIL: the ${label} gate" >&2
+    fi
+    tail -n 1 "$log"
+    results+=("${verdict}|$(($(date +%s) - begun)) s|${label}")
+}
+
 # The tier-1 marker filter (setup.cfg) deselects the drill- and
 # slow-marked cases on purpose; their own gates below run them. It
 # must deselect nothing else.
@@ -173,6 +192,8 @@ gate "cache bench (BENCH_cache.json, >= 1.5x cached qps)" \
 gate "instrumentation overhead bench (spans, registry calls, trace time)" \
     "failed|skipped|no tests ran|error" \
     benchmarks/bench_load.py -k instrumentation
+script_gate "doc references resolve (README, ARCHITECTURE)" \
+    python scripts/check_doc_refs.py
 
 echo "== summary =="
 for row in "${results[@]}"; do

@@ -9,12 +9,12 @@ manage, no re-encryption on membership change), and posting lists are
 adversary's background knowledge — even if she takes over ``k - 1``
 servers.
 
-Package map (see DESIGN.md for the paper-section cross-reference):
+Package map (``docs/ARCHITECTURE.md`` describes how the pieces fit;
+``PAPER.md`` cites the paper whose sections are named here):
 
 - :mod:`repro.core` — r-confidentiality, posting elements, merging
   heuristics (DFM/BFM/UDM/hash), mapping table, deployment facade;
-- :mod:`repro.secretsharing` — Z_p arithmetic, Shamir split/reconstruct,
-  proactive refresh;
+- :mod:`repro.secretsharing` — Z_p arithmetic, Shamir split/reconstruct;
 - :mod:`repro.invindex` — the ordinary inverted index substrate;
 - :mod:`repro.server` — index servers, auth, groups;
 - :mod:`repro.client` — owner daemon, search client, batching, snippets;
@@ -23,12 +23,18 @@ Package map (see DESIGN.md for the paper-section cross-reference):
 - :mod:`repro.corpus` — synthetic ODP / Stud IP corpora and query logs;
 - :mod:`repro.attacks` — the §7.1 adversary simulations;
 - :mod:`repro.analysis` — workload/bandwidth/storage models (§7.2–7.4);
-- :mod:`repro.extensions` — the paper's future-work features;
 - :mod:`repro.cluster` — the sharded multi-pod cluster engine (pods,
-  placement, batched lookups, failover, share caching);
+  ring placement, write routing, failover, membership, repair);
+- :mod:`repro.cachetier` — the searcher-local L1 and the shared L2
+  cache tier;
 - :mod:`repro.protocol` — the wire-protocol service API: versioned
-  messages, binary codec, server-side dispatch, and the pluggable
-  in-process / socket transports.
+  messages, binary codec, server-side dispatch, and the in-process and
+  async-socket transports;
+- :mod:`repro.storage` — the segmented per-seat store;
+- :mod:`repro.resilience` — deadlines, retries, breakers, admission,
+  fault injection;
+- :mod:`repro.observability` — the metrics registry and tracing;
+- :mod:`repro.cli` — the ``python -m repro`` command line.
 """
 
 __version__ = "1.1.0"

@@ -1,8 +1,8 @@
 """Sharded cluster query engine: pods, placement, failover, caching.
 
 This package composes the seed's pieces — the §5 k-of-n server fleet,
-the §8 DHT placement sketch, Shamir reconstruction from any k shares,
-and the pluggable transports — into a cluster that shards merged posting
+a consistent-hash ring, Shamir reconstruction from any k shares, and
+the pluggable transports — into a cluster that shards merged posting
 lists across server *pods*, batches multi-term lookups into one message
 per server, and survives up to n - k server failures per pod. Repeat
 reads are served by the searcher's own L1 of reconstructed postings
@@ -12,6 +12,8 @@ One module per decision:
 
 - :mod:`~repro.cluster.coordinator` — where lists live and who is
   asked: placement, write routing, read ranking, cache epochs, metrics;
+- :mod:`~repro.cluster.ring` — the consistent-hash ring the placement
+  reads;
 - :mod:`~repro.cluster.membership` — seats and pods, kill/restart,
   join/retire, and the one list-transfer path (``ship``);
 - :mod:`~repro.cluster.repair` — the staleness ledger and the

@@ -5,7 +5,7 @@ one Shamir share of every posting element. The cluster shards the
 merged lists across many pods (:mod:`repro.cluster.membership` holds
 the pods and their lifecycle):
 
-- a :class:`~repro.extensions.dht.ConsistentHashRing` over pod names
+- a :class:`~repro.cluster.ring.ConsistentHashRing` over pod names
   places each ``pl_id`` on ``replication_factor`` pods (``pl_id ->
   [pod, ...]``), so a pod stores — and a compromised pod reveals — only
   its fraction of the index, the §8 "DHT-based infrastructure"
@@ -38,8 +38,8 @@ from typing import Callable, Iterable, Sequence
 from repro.client.owner import DroppedRoute, WriteRoute
 from repro.cluster.membership import Pod, ServerSlot
 from repro.cluster.repair import StalenessLedger
+from repro.cluster.ring import ConsistentHashRing
 from repro.errors import ClusterDegradedError, ClusterError
-from repro.extensions.dht import ConsistentHashRing
 from repro.observability.metrics import MetricsRegistry
 from repro.protocol.messages import CacheInvalidateRequest
 from repro.protocol.transport import Transport

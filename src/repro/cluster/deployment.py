@@ -52,7 +52,6 @@ from repro.protocol.async_transport import (
     AsyncSocketTransport,
 )
 from repro.protocol.transport import InProcessTransport, Transport
-from repro.secretsharing.field import PrimeField
 from repro.storage.engine import refuse_flat_wals
 
 
@@ -70,7 +69,6 @@ class ClusterDeployment(Installation, Membership, AntiEntropy):
         num_pods: int = 3,
         k: int = 2,
         n: int = 3,
-        field: PrimeField | None = None,
         packing: PackingSpec | None = None,
         use_network: bool = False,
         batch_policy: BatchPolicy | None = None,
@@ -91,8 +89,8 @@ class ClusterDeployment(Installation, Membership, AntiEntropy):
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         """Args:
-        mapping_table, k, field, packing, use_network, batch_policy,
-        seed: the enterprise plane, as
+        mapping_table, k, packing, use_network, batch_policy, seed:
+            the enterprise plane, as
             :class:`~repro.core.installation.Installation`'s (a refused
             ``use_network`` is a :class:`~repro.errors.ClusterError`).
         num_pods: server fleets to shard the merged lists across.
@@ -184,7 +182,7 @@ class ClusterDeployment(Installation, Membership, AntiEntropy):
                 "'lru'"
             )
         super().__init__(
-            mapping_table, k, n, field, packing, use_network, batch_policy, seed
+            mapping_table, k, n, packing, use_network, batch_policy, seed
         )
         self._wal_dir = (
             pathlib.Path(wal_dir) if wal_dir is not None else None

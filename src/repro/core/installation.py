@@ -56,6 +56,10 @@ NO_SIMULATED_NETWORK = (
     "(zerber_server_frames_total, zerber_server_request_bytes_total)"
 )
 
+#: The one field every deployment shares in: Z_(2^64+13), whose shares
+#: the read path reconstructs as 64-bit words.
+DEPLOYMENT_FIELD = PrimeField(DEFAULT_PRIME)
+
 
 def build_mapping_table(
     term_probabilities: Mapping[str, float],
@@ -129,7 +133,6 @@ class Installation:
         mapping_table: MappingTable,
         k: int = 2,
         n: int = 3,
-        field: PrimeField | None = None,
         packing: PackingSpec | None = None,
         use_network: bool = False,
         batch_policy: BatchPolicy | None = None,
@@ -140,8 +143,6 @@ class Installation:
             with :meth:`bootstrap` if starting from corpus statistics).
         k: Shamir reconstruction threshold (paper default 2).
         n: servers per pod (paper default 3).
-        field: the Z_p field; only the 64-bit+ prime (the default) is
-            served, another is a :class:`~repro.errors.ClusterError`.
         packing: posting-element bit layout.
         use_network: must be False, the default; True raises a
             :class:`~repro.errors.ClusterError` naming the counters that replaced the
@@ -155,10 +156,8 @@ class Installation:
         """
         if use_network:
             raise ClusterError(NO_SIMULATED_NETWORK)
-        if field is not None and field.p != DEFAULT_PRIME:
-            raise ClusterError(f"Z_{field.p}: deployments use Z_(2^64+13)")
         self._rng = random.Random(seed)
-        self.field = field or PrimeField(DEFAULT_PRIME)
+        self.field = DEPLOYMENT_FIELD
         self.scheme = ShamirScheme(k=k, n=n, field=self.field, rng=self._rng)
         self.mapping_table = mapping_table
         self.dictionary = TermDictionary()

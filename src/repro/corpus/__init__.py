@@ -12,7 +12,8 @@ group-membership marginals — so this package provides generative models
 whose outputs match the published shapes (Zipfian document frequency,
 rank-correlated-with-noise query frequency, the Fig. 5 group profiles),
 plus a fully materialized document generator for end-to-end index tests.
-See DESIGN.md §2 for the substitution rationale.
+``PAPER.md`` cites the paper; its §7.4 describes the artifacts these
+models stand in for.
 """
 
 from repro.corpus.document import Document, Corpus

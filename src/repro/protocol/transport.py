@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import struct
 import time
+from contextlib import nullcontext
 from typing import Any, Callable, Sequence
 
 from repro.errors import (
@@ -74,6 +75,10 @@ from repro.observability.tracing import (
 from repro.resilience.admission import AdmissionController
 from repro.resilience.deadline import Deadline, check_deadline
 from repro.resilience.faults import FaultPlan
+
+#: The scope an untraced request runs under: entering a generator
+#: ``trace_scope`` costs microseconds even when it does nothing.
+_NO_SCOPE = nullcontext()
 
 #: A frame longer than this is garbage (or hostile), not a message.
 MAX_FRAME_BYTES = 1 << 26  # 64 MiB
@@ -351,9 +356,10 @@ def handle_request_payload(
             try:
                 # The budget was checked above; nothing under dispatch
                 # reads the ambient deadline, so none is set here.
-                with trace_scope(trace=trace), span(
-                    f"server:{dst}"
-                ) as server_span:
+                scope = (
+                    _NO_SCOPE if trace is None else trace_scope(trace=trace)
+                )
+                with scope, span(f"server:{dst}") as server_span:
                     server_span.wire_bytes = len(payload)
                     response = registry.dispatch_local(dst, request)
             finally:

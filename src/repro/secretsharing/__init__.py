@@ -1,4 +1,4 @@
-"""k-out-of-n secret sharing over a prime field (paper §5.1, [29], [21]).
+"""k-out-of-n secret sharing over a prime field (paper §5.1, [29]).
 
 This package is the cryptographic substrate of Zerber. It implements:
 
@@ -7,10 +7,7 @@ This package is the cryptographic substrate of Zerber. It implements:
 - :mod:`repro.secretsharing.shamir` — Shamir's scheme: polynomial share
   generation (Algorithm 1a), reconstruction by Gaussian elimination
   (Algorithm 1b, as written in the paper) and by Lagrange interpolation
-  (the standard faster path), and dynamic extension of ``n``;
-- :mod:`repro.secretsharing.proactive` — proactive share refresh
-  (Herzberg et al.), which re-randomizes shares so that previously leaked
-  shares become useless without changing the secret.
+  (the standard faster path), and dynamic extension of ``n``.
 """
 
 from repro.secretsharing.field import PrimeField, is_prime, DEFAULT_PRIME
@@ -20,7 +17,6 @@ from repro.secretsharing.shamir import (
     split_secret,
     reconstruct_secret,
 )
-from repro.secretsharing.proactive import ProactiveRefresher, refresh_shares
 
 __all__ = [
     "PrimeField",
@@ -30,6 +26,4 @@ __all__ = [
     "ShamirScheme",
     "split_secret",
     "reconstruct_secret",
-    "ProactiveRefresher",
-    "refresh_shares",
 ]

@@ -24,7 +24,6 @@ from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
 from repro.core.zerber_index import ZerberDeployment
 from repro.corpus.document import Document
-from repro.secretsharing.field import PrimeField
 from repro.errors import (
     ClusterError,
     ReproError,
@@ -215,11 +214,6 @@ class TestCloseFreesMemory:
             path for path in tmp_path.rglob("*") if path.is_file()
         )
         assert all(path.stat().st_size for path in files)
-
-    @pytest.mark.parametrize("shape", [ClusterDeployment, ZerberDeployment])
-    def test_a_field_the_kernel_does_not_serve_is_refused(self, shape):
-        with pytest.raises(ClusterError, match="2\\^64"):
-            shape(MappingTable({}, num_lists=4), field=PrimeField(65537))
 
 
 class TestTransportChoice:

@@ -1,4 +1,4 @@
-"""Rebalancing edge cases of :mod:`repro.extensions.dht` and the cluster.
+"""Rebalancing edge cases of :mod:`repro.cluster.ring` and the cluster.
 
 The cluster's shard placement rides on the consistent-hash ring, so the
 ring's two core guarantees get pinned here: membership changes move only
@@ -21,7 +21,7 @@ from repro.cluster import ClusterDeployment
 from repro.core.mapping_table import MappingTable
 from repro.corpus.document import Document
 from repro.errors import ClusterError, ReproError
-from repro.extensions.dht import ConsistentHashRing, DHTPlacement
+from repro.cluster.ring import ConsistentHashRing
 
 KEYS = [f"pl:{i}" for i in range(400)]
 
@@ -333,20 +333,3 @@ class TestClusterPodJoinReplicaMovement:
             cluster.add_pod()
             assert [pod.name for pod in cluster.pods] == names + ["pod2"]
 
-
-class TestPlacementRebalanceCosts:
-    def test_leave_cost_is_symmetric_and_minimal(self):
-        from repro.core.merging.base import MergeResult
-
-        merge = MergeResult(
-            lists=tuple((f"t{i}",) for i in range(60)), heuristic="test"
-        )
-        ring = ConsistentHashRing([f"p{i}" for i in range(4)])
-        placement = DHTPlacement(ring, merge, replicas=2)
-        hosted_before = len(placement.lists_on("p2"))
-        moved = placement.rebalance_cost_leave("p2")
-        # Every list the peer hosted moved somewhere; nothing else did.
-        assert moved == hosted_before
-        assert placement.lists_on("p2") == []
-        for pl_id in range(merge.num_lists):
-            assert len(set(placement.peers_for(pl_id))) == 2

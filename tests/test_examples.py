@@ -39,7 +39,7 @@ def test_operations_tour_recovers_a_seat_from_its_store(
     ]
     assert len(recovery) == 1
     assert recovery[0].endswith("from the seat store (match: True)")
-    assert "all four operational drills passed." in out
+    assert "all three operational drills passed." in out
 
 
 def test_wire_protocol_tour_matches_over_tcp(capsys):

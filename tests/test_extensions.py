@@ -1,95 +1,11 @@
-"""Tests for the future-work extensions (§3, §7.1, §8)."""
+"""Tests for the consistent-hash ring that places lists on pods."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.core.merging.udm import UniformDistributionMerging
-from repro.errors import AccessDeniedError, AuthError, ReproError
-from repro.extensions.dht import ConsistentHashRing, DHTPlacement
-from repro.extensions.opaque_ids import (
-    OpaqueIdMapper,
-    PseudonymizedGroupDirectory,
-)
-from repro.extensions.topk_server import (
-    BucketedRecord,
-    BucketedTopKStore,
-    bucket_leakage_bits,
-    bucket_of,
-)
-
-
-class TestBucketing:
-    def test_bucket_monotone_in_tf(self):
-        buckets = [bucket_of(tf, 8) for tf in (0.001, 0.01, 0.1, 0.5, 1.0)]
-        assert buckets == sorted(buckets)
-        assert buckets[-1] == 7
-
-    def test_bucket_range(self):
-        for tf in (1e-9, 0.25, 1.0):
-            assert 0 <= bucket_of(tf, 4) < 4
-
-    def test_validation(self):
-        with pytest.raises(ReproError):
-            bucket_of(0.0, 8)
-        with pytest.raises(ReproError):
-            bucket_of(0.5, 1)
-
-
-class TestBucketedStore:
-    @pytest.fixture()
-    def store(self):
-        store = BucketedTopKStore(num_buckets=4)
-        for i, bucket in enumerate([3, 3, 2, 1, 0, 0]):
-            store.insert(
-                0,
-                BucketedRecord(
-                    element_id=i, group_id=1, share_y=100 + i, bucket=bucket
-                ),
-            )
-        return store
-
-    def test_pruned_lookup_serves_best_buckets_first(self, store):
-        out = store.lookup_pruned([0], frozenset({1}), max_elements=2)
-        assert [r.bucket for _, r in out] == [3, 3]
-
-    def test_whole_buckets_served(self, store):
-        # Requesting 1 element still returns the full top bucket (2 items)
-        # so servers cut deterministically at bucket boundaries.
-        out = store.lookup_pruned([0], frozenset({1}), max_elements=1)
-        assert len(out) == 2
-
-    def test_acl_respected(self, store):
-        assert store.lookup_pruned([0], frozenset({2}), max_elements=10) == []
-
-    def test_insert_validation(self, store):
-        with pytest.raises(ReproError):
-            store.insert(
-                0, BucketedRecord(element_id=0, group_id=1, share_y=1, bucket=3)
-            )
-        with pytest.raises(ReproError):
-            store.insert(
-                1, BucketedRecord(element_id=9, group_id=1, share_y=1, bucket=9)
-            )
-        with pytest.raises(ReproError):
-            store.lookup_pruned([0], frozenset({1}), max_elements=0)
-
-    def test_leakage_accounting(self, store):
-        hist = store.bucket_histogram(0)
-        assert hist == {3: 2, 2: 1, 1: 1, 0: 2}
-        leak = bucket_leakage_bits(hist)
-        # Leakage bounded by log2(num_buckets) = 2 bits.
-        assert 0 < leak <= 2.0
-
-    def test_uniform_histogram_leaks_log2_buckets(self):
-        assert bucket_leakage_bits({0: 5, 1: 5, 2: 5, 3: 5}) == pytest.approx(2.0)
-
-    def test_single_bucket_leaks_nothing(self):
-        assert bucket_leakage_bits({2: 10}) == 0.0
-
-    def test_empty_histogram_rejected(self):
-        with pytest.raises(ReproError):
-            bucket_leakage_bits({})
+from repro.cluster.ring import ConsistentHashRing
+from repro.errors import ReproError
 
 
 class TestConsistentHashRing:
@@ -120,93 +36,3 @@ class TestConsistentHashRing:
             ring.owners("k", replicas=2)
         with pytest.raises(ReproError):
             ring.owners("k", replicas=0)
-
-
-def small_merge():
-    probs = {f"t{i:03d}": 1.0 / (i + 1) for i in range(64)}
-    total = sum(probs.values())
-    probs = {t: p / total for t, p in probs.items()}
-    return UniformDistributionMerging(num_lists=16).merge(probs), probs
-
-
-class TestDHTPlacement:
-    def test_every_list_placed_on_replicas(self):
-        merge, _ = small_merge()
-        ring = ConsistentHashRing([f"p{i}" for i in range(6)])
-        placement = DHTPlacement(ring, merge, replicas=2)
-        for pl_id in range(merge.num_lists):
-            assert len(placement.peers_for(pl_id)) == 2
-        assert sum(placement.load_distribution().values()) == 32
-
-    def test_peer_sees_only_fraction(self):
-        merge, _ = small_merge()
-        ring = ConsistentHashRing([f"p{i}" for i in range(8)])
-        placement = DHTPlacement(ring, merge, replicas=2)
-        loads = placement.load_distribution()
-        assert all(load < merge.num_lists for load in loads.values())
-
-    def test_peer_confidentiality_no_worse_than_fleet(self):
-        merge, probs = small_merge()
-        fleet_r = merge.resulting_r(probs)
-        ring = ConsistentHashRing([f"p{i}" for i in range(8)])
-        placement = DHTPlacement(ring, merge, replicas=2)
-        for peer in ring.peers:
-            assert placement.peer_confidentiality(peer, probs) <= fleet_r + 1e-9
-
-    def test_rebalance_moves_only_some_lists(self):
-        merge, _ = small_merge()
-        ring = ConsistentHashRing([f"p{i}" for i in range(8)], virtual_nodes=32)
-        placement = DHTPlacement(ring, merge, replicas=2)
-        moved = placement.rebalance_cost("p-new")
-        # A join must not reshuffle the whole index (the DHT's point).
-        assert 0 <= moved < merge.num_lists
-
-    def test_unknown_list_rejected(self):
-        merge, _ = small_merge()
-        ring = ConsistentHashRing(["a", "b"])
-        placement = DHTPlacement(ring, merge, replicas=1)
-        with pytest.raises(ReproError):
-            placement.peers_for(10_000)
-
-
-class TestOpaqueIds:
-    def test_stable_pseudonyms(self):
-        mapper = OpaqueIdMapper(key=b"k" * 32)
-        assert mapper.opaque("alice") == mapper.opaque("alice")
-        assert mapper.opaque("alice") != mapper.opaque("bob")
-        assert mapper.is_opaque(mapper.opaque("alice"))
-
-    def test_key_length_enforced(self):
-        with pytest.raises(AuthError):
-            OpaqueIdMapper(key=b"short")
-
-    def test_empty_user_rejected(self):
-        with pytest.raises(AuthError):
-            OpaqueIdMapper(key=b"k" * 32).opaque("")
-
-    def test_directory_stores_only_pseudonyms(self):
-        mapper = OpaqueIdMapper(key=b"k" * 32)
-        directory = PseudonymizedGroupDirectory(mapper)
-        directory.create_group(1, coordinator="alice")
-        directory.add_member(1, "bob", actor="alice")
-        snapshot = directory.snapshot()
-        stored = set().union(*snapshot.values())
-        assert all(mapper.is_opaque(member) for member in stored)
-        assert "alice" not in stored and "bob" not in stored
-
-    def test_lookups_accept_real_ids(self):
-        mapper = OpaqueIdMapper(key=b"k" * 32)
-        directory = PseudonymizedGroupDirectory(mapper)
-        directory.create_group(1, coordinator="alice")
-        assert directory.is_member("alice", 1)
-        assert directory.groups_of("alice") == frozenset({1})
-        assert directory.groups_of(mapper.opaque("alice")) == frozenset({1})
-
-    def test_coordinator_gate_via_pseudonyms(self):
-        mapper = OpaqueIdMapper(key=b"k" * 32)
-        directory = PseudonymizedGroupDirectory(mapper)
-        directory.create_group(1, coordinator="alice")
-        with pytest.raises(AccessDeniedError):
-            directory.add_member(1, "eve", actor="eve")
-        directory.remove_member(1, "alice", actor="alice")
-        assert not directory.is_member("alice", 1)

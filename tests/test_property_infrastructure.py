@@ -1,5 +1,5 @@
 """Property tests on the operational substrates: seat-store replay,
-batching, mix padding, and the DHT ring.
+batching, and the placement ring.
 """
 
 from __future__ import annotations
@@ -11,8 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.client.batching import BatchPolicy, UpdateBatcher
-from repro.extensions.dht import ConsistentHashRing
-from repro.extensions.mixnet import MixMessage, MixRelay
+from repro.cluster.ring import ConsistentHashRing
 from repro.server.index_server import SeatList
 from repro.storage import SegmentedStore
 from repro.storage.segment import HEADER_LEN
@@ -111,25 +110,6 @@ def test_property_batcher_never_loses_or_duplicates(doc_sizes, min_docs, seed):
             batcher.tick()
     batcher.flush()
     assert sorted(released) == sorted(expected)
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    sizes=st.lists(st.integers(min_value=0, max_value=5_000), min_size=1, max_size=30),
-    pad=st.integers(min_value=1, max_value=2_048),
-)
-def test_property_mix_padding_uniform_and_monotone(sizes, pad):
-    """Padded sizes are multiples of the pad, >= the payload, and
-    monotone in the payload size."""
-    mix = MixRelay(lambda *a: None, pad_to_multiple=pad)
-    padded = [mix.padded_size(s) for s in sizes]
-    for raw, out in zip(sizes, padded):
-        assert out % pad == 0
-        assert out >= max(raw, 1)
-        assert out - raw < pad or raw == 0
-    ordered = sorted(zip(sizes, padded))
-    for (s1, p1), (s2, p2) in zip(ordered, ordered[1:]):
-        assert p1 <= p2
 
 
 @settings(max_examples=30, deadline=None)
